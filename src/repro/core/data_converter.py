@@ -14,17 +14,37 @@ data converter therefore contains, per tile-port lane:
 
 The :class:`TileInterface` is the word-level facade the processing tiles (and
 the traffic generators of the experiments) use.
+
+Both shift registers are held as packed integers.  The serialiser keeps the
+phits still to send as one ``lane_width + 1``-bit field per phit (the phit
+under a set marker bit, next phit lowest), so "shift out" is a mask and a
+right shift and "empty" is zero even when the trailing data phits are.  The
+deserialiser keeps the collected phits header first; the header's ``VALID``
+bit makes the value non-zero from the first phit on and reaches a fixed bit
+position exactly when the packet is complete.  The vector plane
+(:mod:`repro.sim.vector`) holds the same two integers per lane in NumPy
+columns and calls only the *word edges* here — :meth:`LaneSerializer.load_word`,
+:meth:`LaneSerializer.acknowledge` and :meth:`LaneDeserializer.deliver` — so
+the scalar classes stay the one definition of what a word boundary does.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.common import CapacityError, toggle_count
+from repro.common import CapacityError, bit_mask, toggle_count
 from repro.core.flow_control import AckGenerator, FlowControlConfig, WindowCounterSource
-from repro.core.header import HEADER_WIDTH, LaneHeader, LanePacket, phits_per_packet
+from repro.core.header import (
+    EOB_MASK,
+    SOB_MASK,
+    USER_MASK,
+    VALID_MASK,
+    LaneHeader,
+    LanePacket,
+    phits_per_packet,
+)
 from repro.energy.activity import ActivityCounters, ActivityKeys
 
 __all__ = ["ReceivedWord", "LaneSerializer", "LaneDeserializer", "DataConverter", "TileInterface"]
@@ -62,8 +82,14 @@ class LaneSerializer:
         self.activity = activity if activity is not None else ActivityCounters()
         self.window = WindowCounterSource(flow)
         self.phits_per_packet = phits_per_packet(data_width, lane_width)
+        #: Width of the packet shift register.
+        self.packet_bits = self.phits_per_packet * lane_width
+        #: Register bits this serialiser clocks (or gates) per idle cycle.
+        self.idle_cycle_bits = self.packet_bits + lane_width
+        self._phit_mask = bit_mask(lane_width)
         self._queue: Deque[LanePacket] = deque()
-        self._remaining_phits: List[int] = []
+        #: Phits still to shift out, packed (see the module docstring).
+        self._remaining_phits = 0
         self._current_phit = 0  # committed output register value
         self._hold_register = 0
         self.words_loaded = 0
@@ -115,11 +141,6 @@ class LaneSerializer:
             and not self.window.can_send()
         )
 
-    @property
-    def idle_cycle_bits(self) -> int:
-        """Register bits this serialiser clocks (or gates) per idle cycle."""
-        return self.phits_per_packet * self.lane_width + self.lane_width
-
     # -- network-side API -----------------------------------------------------------
 
     @property
@@ -130,6 +151,43 @@ class LaneSerializer:
     def configure_flow(self, flow: FlowControlConfig) -> None:
         """Replace the window-counter configuration (new connection set-up)."""
         self.window = WindowCounterSource(flow)
+
+    # -- word edges -------------------------------------------------------------------
+
+    def acknowledge(self) -> None:
+        """An acknowledge pulse arrived on the reverse path: return its credit."""
+        self.window.on_ack()
+        self.activity.add(ActivityKeys.ACKS_DELIVERED, 1)
+
+    def load_word(self) -> Tuple[int, int]:
+        """Take the next queued packet for the shift register.
+
+        The caller has checked that the shifter is empty, a packet is queued
+        and the window counter allows sending.  Returns the header phit (the
+        output register's next value) and the packed data phits (the new
+        ``_remaining_phits``), which the caller stores where it keeps them.
+        """
+        packet = self._queue.popleft()
+        self.window.on_send()
+        width = self.lane_width
+        mask = self._phit_mask
+        marker = mask + 1
+        data = packet.data
+        remaining = 0
+        for _ in range(self.phits_per_packet - 1):
+            # Least significant phit first: it is sent last, so ends up highest.
+            remaining = (remaining << (width + 1)) | marker | (data & mask)
+            data >>= width
+        encoded = packet.encode()
+        activity = self.activity
+        activity.add(
+            ActivityKeys.REG_TOGGLE_BITS,
+            toggle_count(self._hold_register, encoded, self.packet_bits),
+        )
+        self._hold_register = encoded
+        self.words_loaded += 1
+        activity.add(ActivityKeys.WORDS_INJECTED, 1)
+        return encoded >> self.data_width, remaining
 
     # -- clocking ----------------------------------------------------------------------
 
@@ -146,36 +204,24 @@ class LaneSerializer:
             treated as clock-gated for the activity accounting.
         """
         activity = self.activity
-        packet_bits = self.phits_per_packet * self.lane_width
 
         if ack_pulse:
-            self.window.on_ack()
-            activity.add(ActivityKeys.ACKS_DELIVERED, 1)
+            self.acknowledge()
 
-        if self._remaining_phits:
-            next_phit = self._remaining_phits.pop(0)
+        remaining = self._remaining_phits
+        if remaining:
+            next_phit = remaining & self._phit_mask
+            self._remaining_phits = remaining >> (self.lane_width + 1)
         elif self._queue and self.window.can_send():
-            packet = self._queue.popleft()
-            self.window.on_send()
-            phits = packet.to_phits(self.lane_width)
-            next_phit = phits[0]
-            self._remaining_phits = phits[1:]
-            encoded = packet.encode()
-            activity.add(
-                ActivityKeys.REG_TOGGLE_BITS,
-                toggle_count(self._hold_register, encoded, packet_bits),
-            )
-            self._hold_register = encoded
-            self.words_loaded += 1
-            activity.add(ActivityKeys.WORDS_INJECTED, 1)
+            next_phit, self._remaining_phits = self.load_word()
         else:
             next_phit = 0
 
         idle = not self.busy and next_phit == 0 and self._current_phit == 0
         if clock_gating and idle:
-            activity.add(ActivityKeys.REG_GATED_BITS, packet_bits + self.lane_width)
+            activity.add(ActivityKeys.REG_GATED_BITS, self.idle_cycle_bits)
         else:
-            activity.add(ActivityKeys.REG_CLOCKED_BITS, packet_bits + self.lane_width)
+            activity.add(ActivityKeys.REG_CLOCKED_BITS, self.idle_cycle_bits)
             activity.add(
                 ActivityKeys.REG_TOGGLE_BITS,
                 toggle_count(self._current_phit, next_phit, self.lane_width),
@@ -185,7 +231,7 @@ class LaneSerializer:
     def reset(self) -> None:
         """Return to the idle state (queue and shift register cleared)."""
         self._queue.clear()
-        self._remaining_phits = []
+        self._remaining_phits = 0
         self._current_phit = 0
         self._hold_register = 0
         self.words_loaded = 0
@@ -210,7 +256,16 @@ class LaneDeserializer:
         self.flow = flow
         self.ack_generator = AckGenerator(flow)
         self.phits_per_packet = phits_per_packet(data_width, lane_width)
-        self._collected: List[int] = []
+        #: Register bits this deserialiser clocks (or gates) per idle cycle.
+        self.idle_cycle_bits = self.phits_per_packet * lane_width + 1
+        #: Position of the header phit within a complete packet.
+        self._header_shift = (self.phits_per_packet - 1) * lane_width
+        #: ``_collected >> _full_shift`` is non-zero exactly when the packet is
+        #: complete: the header's VALID bit has been shifted up that far.
+        self._full_shift = self._header_shift + VALID_MASK.bit_length() - 1
+        self._data_mask = bit_mask(data_width)
+        #: Phits collected so far, packed header first (see the module docstring).
+        self._collected = 0
         self._previous_phit = 0
         self._rx_queue: Deque[ReceivedWord] = deque()
         self._pending_ack_pulses = 0
@@ -272,34 +327,29 @@ class LaneDeserializer:
             or self._ack_pulse
         )
 
-    @property
-    def idle_cycle_bits(self) -> int:
-        """Register bits this deserialiser clocks (or gates) per idle cycle."""
-        return self.phits_per_packet * self.lane_width + 1
-
     # -- clocking ------------------------------------------------------------------------
 
     def tick(self, input_phit: int, cycle: int, clock_gating: bool = False) -> None:
         """Advance by one clock cycle with *input_phit* observed on the lane."""
         activity = self.activity
-        packet_bits = self.phits_per_packet * self.lane_width
 
-        if self._collected:
-            self._collected.append(input_phit)
-            if len(self._collected) == self.phits_per_packet:
-                packet = LanePacket.from_phits(self._collected, self.lane_width, self.data_width)
-                self._collected = []
-                self._deliver(packet, cycle)
-        else:
-            header_candidate = input_phit & ((1 << HEADER_WIDTH) - 1)
-            if LaneHeader.decode(header_candidate).valid:
-                self._collected = [input_phit]
+        collected = self._collected
+        if collected:
+            collected = (collected << self.lane_width) | input_phit
+            if collected >> self._full_shift:
+                self._collected = 0
+                self.deliver(collected, cycle)
+            else:
+                self._collected = collected
+        elif input_phit & VALID_MASK:
+            # Frame synchronisation: an idle lane carries the all-zero nibble.
+            self._collected = input_phit
 
         idle = not self._collected and input_phit == 0 and self._previous_phit == 0
         if clock_gating and idle:
-            activity.add(ActivityKeys.REG_GATED_BITS, packet_bits + 1)
+            activity.add(ActivityKeys.REG_GATED_BITS, self.idle_cycle_bits)
         else:
-            activity.add(ActivityKeys.REG_CLOCKED_BITS, packet_bits + 1)
+            activity.add(ActivityKeys.REG_CLOCKED_BITS, self.idle_cycle_bits)
             activity.add(
                 ActivityKeys.REG_TOGGLE_BITS,
                 toggle_count(self._previous_phit, input_phit, self.lane_width),
@@ -313,10 +363,17 @@ class LaneDeserializer:
         else:
             self._ack_pulse = False
 
-    def _deliver(self, packet: LanePacket, cycle: int) -> None:
-        header = packet.header
+    def deliver(self, packet: int, cycle: int) -> None:
+        """Word edge: queue the complete *packet* (packed phits, header first)."""
+        header = packet >> self._header_shift
         self._rx_queue.append(
-            ReceivedWord(packet.data, header.sob, header.eob, header.user, cycle)
+            ReceivedWord(
+                packet & self._data_mask,
+                bool(header & SOB_MASK),
+                bool(header & EOB_MASK),
+                bool(header & USER_MASK),
+                cycle,
+            )
         )
         self.words_received += 1
         self.max_occupancy = max(self.max_occupancy, len(self._rx_queue))
@@ -333,7 +390,7 @@ class LaneDeserializer:
 
     def reset(self) -> None:
         """Return to the idle state."""
-        self._collected = []
+        self._collected = 0
         self._previous_phit = 0
         self._rx_queue.clear()
         self._pending_ack_pulses = 0
@@ -411,9 +468,7 @@ class DataConverter:
 
     def idle_cycle_bits(self) -> int:
         """Register bits the whole converter clocks (or gates) per idle cycle."""
-        return sum(s.idle_cycle_bits for s in self.serializers) + sum(
-            d.idle_cycle_bits for d in self.deserializers
-        )
+        return self._idle_bits_total
 
     def tx_phit(self, lane: int) -> int:
         """Committed phit driven into the crossbar's tile-port input lane."""
@@ -477,39 +532,51 @@ class DataConverter:
                 activity.add(ActivityKeys.REG_GATED_BITS, self._idle_bits_total)
             else:
                 activity.add(ActivityKeys.REG_CLOCKED_BITS, self._idle_bits_total)
-                activity.add(ActivityKeys.REG_TOGGLE_BITS, 0)
+                # Key-existence parity with the dense path, which records a
+                # (possibly zero) toggle count for every clocked lane.
+                if ActivityKeys.REG_TOGGLE_BITS not in activity.counts:
+                    activity.add(ActivityKeys.REG_TOGGLE_BITS, 0)
             return
-        clocked = 0
-        gated = 0
+        # The skip tests spell out the units' ``quiescent`` properties: eight
+        # property calls per endpoint router and cycle are the largest slice
+        # of this path.
+        idle_bits = 0
         idle = True
         for lane, serializer in enumerate(self.serializers):
-            if serializer.quiescent and not tx_acks[lane]:
-                if clock_gating:
-                    gated += serializer.idle_cycle_bits
-                else:
-                    clocked += serializer.idle_cycle_bits
-            else:
+            if (
+                tx_acks[lane]
+                or serializer._remaining_phits
+                or serializer._queue
+                or serializer._current_phit
+            ):
                 serializer.tick(tx_acks[lane], clock_gating)
                 if not serializer.quiescent:
                     idle = False
-        for lane, deserializer in enumerate(self.deserializers):
-            if deserializer.quiescent and not rx_phits[lane]:
-                if clock_gating:
-                    gated += deserializer.idle_cycle_bits
-                else:
-                    clocked += deserializer.idle_cycle_bits
             else:
+                idle_bits += serializer.idle_cycle_bits
+        for lane, deserializer in enumerate(self.deserializers):
+            if (
+                rx_phits[lane]
+                or deserializer._collected
+                or deserializer._previous_phit
+                or deserializer._pending_ack_pulses
+                or deserializer._ack_pulse
+            ):
                 deserializer.tick(rx_phits[lane], cycle, clock_gating)
                 if not deserializer.quiescent:
                     idle = False
+            else:
+                idle_bits += deserializer.idle_cycle_bits
         self._sparse_idle = idle
-        if clocked:
-            activity.add(ActivityKeys.REG_CLOCKED_BITS, clocked)
-            # Key-existence parity with the dense path, which records a
-            # (possibly zero) toggle count for every clocked lane.
-            activity.add(ActivityKeys.REG_TOGGLE_BITS, 0)
-        if gated:
-            activity.add(ActivityKeys.REG_GATED_BITS, gated)
+        if not idle_bits:
+            return
+        if clock_gating:
+            # A skipped lane is fully idle, which is exactly what gets gated.
+            activity.add(ActivityKeys.REG_GATED_BITS, idle_bits)
+        else:
+            activity.add(ActivityKeys.REG_CLOCKED_BITS, idle_bits)
+            if ActivityKeys.REG_TOGGLE_BITS not in activity.counts:
+                activity.add(ActivityKeys.REG_TOGGLE_BITS, 0)
 
     def reset(self) -> None:
         """Reset every serialiser and deserialiser."""

@@ -30,10 +30,12 @@ __all__ = ["LaneHeader", "LanePacket", "phits_per_packet"]
 #: Width of the header in bits; it occupies exactly one phit of the default lane.
 HEADER_WIDTH = 4
 
-_VALID_BIT = 3
-_SOB_BIT = 2
-_EOB_BIT = 1
-_USER_BIT = 0
+#: The four flag bits of the header nibble.  The per-phit converter paths test
+#: these masks directly instead of decoding a :class:`LaneHeader`.
+VALID_MASK = 1 << 3
+SOB_MASK = 1 << 2
+EOB_MASK = 1 << 1
+USER_MASK = 1 << 0
 
 
 def phits_per_packet(data_width: int = 16, lane_width: int = 4) -> int:
@@ -63,10 +65,10 @@ class LaneHeader:
     def encode(self) -> int:
         """Encode the header as a 4-bit nibble."""
         return (
-            (int(self.valid) << _VALID_BIT)
-            | (int(self.sob) << _SOB_BIT)
-            | (int(self.eob) << _EOB_BIT)
-            | (int(self.user) << _USER_BIT)
+            (VALID_MASK if self.valid else 0)
+            | (SOB_MASK if self.sob else 0)
+            | (EOB_MASK if self.eob else 0)
+            | (USER_MASK if self.user else 0)
         )
 
     @classmethod
@@ -74,10 +76,10 @@ class LaneHeader:
         """Decode a 4-bit nibble into a header."""
         check_field(nibble, HEADER_WIDTH, "header nibble")
         return cls(
-            valid=bool((nibble >> _VALID_BIT) & 1),
-            sob=bool((nibble >> _SOB_BIT) & 1),
-            eob=bool((nibble >> _EOB_BIT) & 1),
-            user=bool((nibble >> _USER_BIT) & 1),
+            valid=bool(nibble & VALID_MASK),
+            sob=bool(nibble & SOB_MASK),
+            eob=bool(nibble & EOB_MASK),
+            user=bool(nibble & USER_MASK),
         )
 
     @classmethod

@@ -114,8 +114,6 @@ class CircuitSwitchedRouter(ClockedComponent):
         self._input_vals: list[int] = [0] * total
         self._ack_vals: list[bool] = [False] * total
         self._tx_previous: list[int] = [0] * total
-        self._tile_rx: list[int] = [0] * lanes_per_port
-        self._tile_ack: list[bool] = [False] * lanes_per_port
         # (base index, link) pairs for the attached neighbour ports, in port
         # order; rebuilt by attach_link so the per-cycle loops never touch
         # the port dictionaries or construct Port values.
@@ -325,12 +323,10 @@ class CircuitSwitchedRouter(ClockedComponent):
         out_data = crossbar.committed_data
         ack_data = crossbar.committed_acks
 
-        # 2. Step the data converter with the freshly latched tile-port values.
-        tile_rx = self._tile_rx
-        tile_ack = self._tile_ack
-        for lane in range(lanes_per_port):
-            tile_rx[lane] = out_data[lane]
-            tile_ack[lane] = ack_data[lane]
+        # 2. Step the data converter with the freshly latched tile-port values
+        #    (the tile port occupies the first lanes_per_port indices).
+        tile_rx = out_data[:lanes_per_port]
+        tile_ack = ack_data[:lanes_per_port]
         if self._event_mode:
             # Event-native path: idle lane units are batch-accounted instead
             # of ticked (bit-identical; see DataConverter.tick_sparse).  A

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.common import ConfigurationError
+from repro.common import ConfigurationError, SimulationError
 from repro.core.configuration import COMMAND_BITS
 from repro.core.header import phits_per_packet
 from repro.core.lane import LaneLink
@@ -94,23 +94,26 @@ class CircuitSwitchedNoC(NocBase):
         Under ``schedule="vector"`` the routers are not registered
         individually; a single :class:`~repro.sim.vector.VectorPlane`
         component owns them all and executes busy cycles through flat NumPy
-        arrays.  The plane requires the non-gated commit semantics and an
+        arrays.  The plane refuses members it cannot batch (clock gating, a
+        lane packet too wide for an ``int64`` column) and needs an
         importable NumPy; otherwise the schedule quietly degrades to plain
         event-driven execution (the kernel treats ``"vector"`` as
         ``"event"`` either way).
         """
-        if self.kernel.schedule == "vector" and not self.clock_gating and self.routers:
+        plane = None
+        if self.kernel.schedule == "vector" and self.routers:
             try:
                 from repro.sim.vector import VectorPlane
-            except ImportError:  # pragma: no cover - numpy is a hard dep
-                super()._register_with_kernel()
-                return
-            plane = VectorPlane(list(self.routers.values()))
-            self.kernel.add(plane)
-            self.kernel.add_sync_hook(plane.flush)
-            self.vector_plane = plane
-        else:
+
+                plane = VectorPlane(list(self.routers.values()))
+            except (ImportError, SimulationError):
+                pass
+        if plane is None:
             super()._register_with_kernel()
+            return
+        self.kernel.add(plane)
+        self.kernel.add_sync_hook(plane.flush)
+        self.vector_plane = plane
 
     def _build_router(self, position: Position) -> CircuitSwitchedRouter:
         return CircuitSwitchedRouter(

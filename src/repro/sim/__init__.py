@@ -141,12 +141,15 @@ dense reference cycle and recompile — reconfiguration, live faults and
 post-start channel attach all invalidate the compiled gather exactly like
 the event schedule's sparse sweeps — and a flush at every ``sync`` folds
 the columnar state back into the scalar objects, so external readers never
-observe the plane.  Word-level serialiser/deserialiser state machines stay
-scalar (only the *live* subset ticks); GT slot tables, packet routers and
+observe the plane.  The network side of every data converter — serialiser
+shift register and output phit, deserialiser collected phits, owed and
+committed acknowledge pulses — is columns of the same plane, shifted for all
+lanes at once; only the word edges (load a queued word, return credit,
+deliver a word to the tile) stay scalar.  GT slot tables, packet routers and
 clock-gated fabrics do not register a plane and simply run event-driven.
 Quad-modal bit-identity (strict = auto = event = vector) is asserted by
 ``tests/test_kernel_equivalence.py`` and ``tests/test_vector_plane.py``;
-``BENCH_kernel.json`` tracks the ≥2× vector-vs-event speedup on the fully
+``BENCH_kernel.json`` tracks the ≥3.5× vector-vs-event speedup on the fully
 loaded 8×8 mesh.
 """
 

@@ -715,6 +715,8 @@ class SimulationKernel:
         for component in awake:
             self._commit_index = component._kernel_index
             component.commit(cycle)
+        # Replayed components rejoin at the end of the batch, out of order.
+        replayed = bool(late)
         while late:
             # Replayed commit-phase wakes run after the batch in registration
             # order (see _wake_component); a replayed commit may itself wake
@@ -773,7 +775,8 @@ class SimulationKernel:
             self._phase = "idle"
         if len(heap) > stats.heap_peak:
             stats.heap_peak = len(heap)
-        awake.sort(key=_registration_index)
+        if replayed:
+            awake.sort(key=_registration_index)
 
     def _advance(self, limit: Optional[int] = None) -> None:
         """Run one clock cycle without flushing deferred idle accounting.

@@ -34,6 +34,7 @@ fall back to the pipe transport.
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 from typing import Any, Dict, List, Optional, Tuple
@@ -255,12 +256,22 @@ def _decode_payload(tag: int, data: memoryview, offset: int) -> Tuple[Any, int]:
 # ---------------------------------------------------------------------------
 
 
+def _sleep_zero() -> None:
+    time.sleep(0)
+
+
+#: Give the CPU to a runnable peer without arming a timer.  ``time.sleep(0)``
+#: is a timer sleep on Linux (tens of microseconds per call under the default
+#: timer slack); ``sched_yield`` returns as soon as the scheduler has looked.
+_yield_cpu = getattr(os, "sched_yield", _sleep_zero)
+
+
 class SpinWait:
     """Escalating-backoff spin with abort and deadline checks.
 
     The first iterations yield the GIL only (cheap when the peer runs on
-    another core); after that the wait escalates to ``sleep(0)`` and then
-    to short real sleeps — essential on machines with fewer cores than
+    another core); after that the wait escalates to yielding the CPU and
+    then to short real sleeps — essential on machines with fewer cores than
     shards, where the peer needs the CPU to make progress at all.
     """
 
@@ -283,7 +294,7 @@ class SpinWait:
         if spins < 64:
             return
         if spins < 4096:
-            time.sleep(0)
+            _yield_cpu()
             return
         if time.monotonic() > self._deadline:
             raise SimulationError("shared-memory boundary exchange timed out")

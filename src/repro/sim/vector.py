@@ -4,9 +4,9 @@ Every prior scheduling tier (quiescence wakes, timed leaps, the event heap,
 sharding) attacks *idle* cost; a fully loaded fabric still pays a pure-Python
 per-component loop on every busy cycle.  The :class:`VectorPlane` flattens
 that loop: all crossbar output/acknowledge registers of a whole
-circuit-switched fabric live in preallocated NumPy arrays, and one busy cycle
-becomes a handful of gathers, XORs and popcounts instead of N×routers Python
-calls.
+circuit-switched fabric, and the network side of every data converter, live
+in preallocated NumPy arrays, and one busy cycle becomes a fixed handful of
+gathers, shifts, XORs and popcounts instead of N×routers Python calls.
 
 How it stays bit-identical to the strict reference schedule:
 
@@ -16,17 +16,20 @@ How it stays bit-identical to the strict reference schedule:
   arrays: ``next_vals = data[src_idx]`` replays exactly the scalar
   evaluate-phase sampling, because an internal lane wire always equals the
   driving router's committed register (the scalar commit drives the wire on
-  every register change).  A sentinel slot pinned to the idle value stands in
-  for constant sources (unattached ports); tile-port serialiser outputs and
-  *foreign* wires (shard boundaries, dead links) are patched scalar per
-  cycle.
+  every register change).  Serialiser output registers and deserialiser
+  acknowledge pulses occupy slots of the same two arrays, so a tile-port
+  lane is an ordinary gather source.  A sentinel slot pinned to the idle
+  value stands in for constant sources (unattached ports); *foreign* wires
+  (shard boundaries, dead links) are patched scalar per cycle.
 * **Vectorised activity accounting.**  Register/crossbar toggles come from
   ``popcount(xor(new, old))`` (:func:`numpy.bitwise_count`), which equals the
   scalar ``int.bit_count`` path exactly; acknowledge flips count one bit
   each; per-member sums are deferred in columnar accumulators and folded into
   the scalar :class:`~repro.energy.activity.ActivityCounters` at
   :meth:`flush` time, so the per-router totals match the strict schedule
-  ULP-exactly (they are integer sums either way).
+  ULP-exactly (they are integer sums either way).  Without clock gating
+  every register clocks on every cycle, so the clocked-bit count is a closed
+  form: bits per member × batched cycles.
 * **Version guards and the reference fallback.**  Any member wake
   (reconfiguration, fault, tile write, boundary frame) lands in the plane's
   dirty list via :attr:`repro.sim.engine.ClockedComponent._batch_plane`.  A
@@ -37,12 +40,30 @@ How it stays bit-identical to the strict reference schedule:
   injection calls :meth:`desync` *before* wires die, so in-flight drop
   counts read true wire state and dead bundles reclassify onto the scalar
   drive path.
-* **Converters stay scalar.**  Serialiser/deserialiser state machines are
-  word-level and branchy; the plane keeps them on the scalar
-  :meth:`~repro.core.data_converter.DataConverter.tick_sparse` path, ticking
-  only the *live* set (members whose tile lanes moved or whose interfaces
-  were written) and batch-accounting everyone else's constant idle bits —
-  the same accounting ``tick_sparse`` itself performs for an idle converter.
+* **Converter lanes are columns, word edges are scalar.**  Per (member, tile
+  lane) the plane holds the serialiser's shift register and output phit, the
+  deserialiser's collected phits, pending-acknowledge count and committed
+  pulse — the same packed integers the scalar
+  :class:`~repro.core.data_converter.LaneSerializer` /
+  :class:`~repro.core.data_converter.LaneDeserializer` keep (see that
+  module's docstring).  One cycle shifts every lane at once; the
+  deserialiser's previous phit is the tile-port crossbar register itself, so
+  its toggles ride on that register's.  Only what happens once per *word*
+  stays scalar, through the units' own word-edge methods: loading a queued
+  packet when a shifter empties and the window counter allows it, returning
+  credit when an acknowledge reaches a tile-port input lane, and delivering
+  a reassembled word (receive queue, ``on_deliver``, the window-violation
+  check).  A serialiser's next load attempt is known when it loads —
+  ``phits_per_packet`` cycles later — so loads are kept in a cycle-keyed
+  agenda instead of being searched for; a lane whose attempt finds nothing
+  to send leaves the agenda until a tile write or an acknowledge re-arms it.
+  Tile-side calls (``send`` / ``receive`` / ``configure_*``) reach the plane
+  through the dirty list; the acknowledge pulses a ``receive`` schedules wait
+  in the scalar unit until the next drain moves them into the column.
+* **Flush writes the lanes back.**  :meth:`flush` stores the columns of every
+  lane that holds state (or held some at the previous flush) into the scalar
+  units, so mid-packet ``run()`` boundaries, fault surgery, ``reset()`` and
+  the conservation-based drain predicate see scalar-coherent lane state.
 
 The plane registers with the kernel as **one** composite component in place
 of its member routers (the members are never registered themselves), so the
@@ -55,15 +76,19 @@ clock-gated circuit) network simply behaves as ``schedule="event"``.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common import SimulationError, toggle_count
+from repro.core.header import VALID_MASK
 from repro.energy.activity import ActivityKeys
 from repro.sim.engine import ClockedComponent
 
 __all__ = ["VectorPlane"]
+
+#: Widest packed lane state an ``int64`` column holds without touching the sign.
+_COLUMN_BITS = 62
 
 
 class VectorPlane(ClockedComponent):
@@ -75,7 +100,9 @@ class VectorPlane(ClockedComponent):
         The routers to batch, in the order they would have been registered
         with the kernel.  All must share one lane geometry and have clock
         gating disabled (the gated commit path holds register values the
-        columnar latch would overwrite).
+        columnar latch would overwrite), and a lane packet must fit an
+        ``int64`` column.  Raises :class:`~repro.common.SimulationError`
+        otherwise; the network then registers the routers themselves.
     name:
         Kernel component name (one plane per kernel).
     """
@@ -97,19 +124,45 @@ class VectorPlane(ClockedComponent):
             if (
                 member.lanes_per_port != first.lanes_per_port
                 or member.lane_width != first.lane_width
+                or member.data_width != first.data_width
             ):
                 raise SimulationError("vector plane members must share one lane geometry")
+        width = first.lane_width
+        phits = first.converter.serializers[0].phits_per_packet
+        if max(phits * width, (phits - 1) * (width + 1)) > _COLUMN_BITS:
+            raise SimulationError(
+                f"a {phits}-phit packet of {width}-bit phits does not fit an int64 column"
+            )
         self._members: List[Any] = list(members)
         self._r = len(members)
         self._l = first.lanes_per_port
         self._t = first.NUM_PORTS * first.lanes_per_port
         self._n = self._r * self._t
-        self._width = first.lane_width
-        #: Constant per-cycle crossbar clocked bits of one member (the
-        #: non-gated commit clocks every output lane's data+ack register).
-        self._xbar_bits = self._t * (self._width + 1)
-        #: Constant per-cycle converter clocked bits per member (idle lanes).
-        self._conv_bits = [m.converter._idle_bits_total for m in members]
+        self._c = self._r * self._l
+        self._width = width
+        self._phits = phits
+        #: Constant per-cycle clocked bits of one member: the non-gated commit
+        #: clocks every crossbar data+ack register and every converter lane.
+        self._cycle_bits = self._t * (width + 1) + first.converter.idle_cycle_bits()
+
+        # Lane units, flat by converter lane index ``member * lanes + lane``.
+        self._serializers = [s for m in members for s in m.converter.serializers]
+        self._deserializers = [d for m in members for d in m.converter.deserializers]
+        lanes = self._l
+        self._lane_units = [
+            [
+                (index * lanes + lane, self._serializers[index * lanes + lane],
+                 self._deserializers[index * lanes + lane])
+                for lane in range(lanes)
+            ]
+            for index in range(self._r)
+        ]
+        self._phit_mask = (1 << width) - 1
+        #: Bits of ``(collected << width) | phit`` that are set exactly when
+        #: the lane was collecting or the phit is a valid header.
+        self._sync_mask = ~self._phit_mask | VALID_MASK
+        #: A collected value at or above this is a complete packet.
+        self._packet_full = 1 << self._deserializers[0]._full_shift
 
         # Scheduling state ------------------------------------------------
         self._dirty: List[Any] = []
@@ -123,14 +176,12 @@ class VectorPlane(ClockedComponent):
         self._fallback_ready = False
         #: Dense member evaluates already ran for the in-flight cycle.
         self._fallback_eval = False
-        #: The last batched commit latched no change and ticked no converter
-        #: — the plane is at a fixed point and may park.
+        #: The last batched commit latched no change, crossed no word edge
+        #: and left every converter lane idle — the plane is at a fixed point
+        #: and may park.
         self._settled = False
-        self._changed = True
         self._batched = 0
         self._last_cycle = 0
-        self._live: set = set()
-        self._live_cycles = [0] * self._r
         self._pending_link = [0] * self._r
 
         for index, member in enumerate(members):
@@ -138,12 +189,34 @@ class VectorPlane(ClockedComponent):
             member._plane_index = index
             member._plane_pending = False
 
-        # Compiled columnar state (built by _compile) ---------------------
-        self._data = np.zeros(self._n + 1, dtype=np.int64)
-        self._acks = np.zeros(self._n + 1, dtype=bool)
+        # Register columns: crossbar registers, the idle sentinel, then one
+        # slot per converter lane (serialiser output phit / acknowledge pulse).
+        n, c = self._n, self._c
+        self._data = np.zeros(n + 1 + c, dtype=np.int64)
+        self._acks = np.zeros(n + 1 + c, dtype=bool)
+        self._ser_out = self._data[n + 1 :]
+        self._pulse = self._acks[n + 1 :].reshape(self._r, lanes)
+        #: What every deserialiser sees: its tile-port crossbar output register.
+        self._des_in = self._data[:n].reshape(self._r, self._t)[:, :lanes]
+        # Converter lane columns.
+        self._ser_shift = np.zeros(c, dtype=np.int64)
+        self._des_acc = np.zeros((self._r, lanes), dtype=np.int64)
+        self._des_acc_flat = self._des_acc.reshape(-1)
+        self._des_pending = np.zeros((self._r, lanes), dtype=np.int64)
+        self._des_pending_flat = self._des_pending.reshape(-1)
+        self._des_shifted = np.zeros((self._r, lanes), dtype=np.int64)
+        self._des_keep = np.zeros((self._r, lanes), dtype=bool)
+        self._des_full = np.zeros((self._r, lanes), dtype=bool)
+        self._des_full_flat = self._des_full.reshape(-1)
+        #: Serialiser load agenda: cycle -> lanes whose shifter is empty then.
+        self._load_at: Dict[int, List[int]] = {}
+        #: True while a lane sits in the agenda.
+        self._armed = [False] * c
+        #: Lanes whose scalar units hold non-idle lane state from the last flush.
+        self._ser_exported: set = set()
+        self._des_exported: set = set()
         self._m = 0
         self._q = 0
-        self._k = 0
 
     # -- wake plumbing -----------------------------------------------------
 
@@ -154,22 +227,33 @@ class VectorPlane(ClockedComponent):
             self._dirty.append(member)
             self.wake()
 
-    def _drain_dirty(self) -> None:
+    def _drain_dirty(self, cycle: int) -> None:
         versions = self._member_versions
         compiled = self._compiled
-        live = self._live
+        armed = self._armed
+        pending = self._des_pending_flat
         for member in self._dirty:
             member._plane_pending = False
             index = member._plane_index
             if member.config.version != versions[index]:
                 self._structural = True
-            if compiled:
-                # Conservative: any external write may have unfrozen the
-                # converter (tile send/receive, flow reconfiguration).  An
-                # idle converter demotes itself after one batched tick.
-                live.add(index)
+            elif compiled:
+                # A tile access may have queued a word, replaced a window
+                # counter or scheduled acknowledge pulses on any lane.
+                for lane, serializer, deserializer in self._lane_units[index]:
+                    if not armed[lane] and serializer._queue and serializer.window.can_send():
+                        self._arm(lane, cycle)
+                    pulses = deserializer._pending_ack_pulses
+                    if pulses:
+                        pending[lane] += pulses
+                        deserializer._pending_ack_pulses = 0
         self._dirty.clear()
         self._settled = False
+
+    def _arm(self, lane: int, cycle: int) -> None:
+        """Put serialiser *lane* on the load agenda for *cycle*."""
+        self._armed[lane] = True
+        self._load_at.setdefault(cycle, []).append(lane)
 
     def desync(self) -> None:
         """Flush and drop the compiled gather (called before wire surgery).
@@ -190,18 +274,20 @@ class VectorPlane(ClockedComponent):
 
     # -- compilation -------------------------------------------------------
 
-    def _compile(self) -> None:
-        """Build the route-index gather from the current configuration.
+    def _compile(self, cycle: int) -> None:
+        """Build the route-index gather and load the columns for *cycle*.
 
         Requires coherent scalar state: the previous executed cycle was a
         dense reference cycle (or a flush just ran), so every internal wire
         equals its driver's committed register, ``_tx_previous`` mirrors the
-        registers, and the tile snapshots are current.
+        registers and every deserialiser's previous phit equals its
+        tile-port crossbar register.
         """
         members = self._members
         lanes = self._l
         t = self._t
         sentinel = self._n
+        lane_base = self._n + 1
 
         # Where each link's driver register / reader ack register lives.
         tx_map: dict = {}
@@ -234,44 +320,27 @@ class VectorPlane(ClockedComponent):
         dst_idx: List[int] = []
         route_member: List[int] = []
         internal_pos: List[int] = []
-        tile_srcs: List[Tuple[int, Any]] = []
+        tile_out_pos: List[int] = []
         foreign_srcs: List[Tuple[int, Any, int]] = []
-        tile_outs: List[Tuple[int, Any, int]] = []
         foreign_outs: List[Tuple[int, Any, int, Any, int, int]] = []
         wire_syncs: List[Tuple[int, Any, int, Any, int]] = []
-
-        ack_src_idx: List[int] = []
-        seg_starts: List[int] = []
-        feed_dst_idx: List[int] = []
-        feed_member: List[int] = []
-        tile_ack_srcs: List[Tuple[int, Any]] = []
-        foreign_ack_srcs: List[Tuple[int, Any, int]] = []
-        tile_feeds: List[Tuple[int, Any, int]] = []
-        foreign_ack_outs: List[Tuple[int, Any, int]] = []
-        ack_wire_syncs: List[Tuple[int, Any, int]] = []
+        #: (member index, input lane index, fed output indices); tile-port
+        #: input lanes are emitted first so their acknowledges are a slice.
+        tile_fanins: List[Tuple[int, int, Tuple[int, ...]]] = []
+        link_fanins: List[Tuple[int, int, Tuple[int, ...]]] = []
 
         for index, member in enumerate(members):
             base = index * t
-            rx_by_port = {
-                int(p): l for p, l in member._rx_links.items() if l is not None
-            }
-            tx_by_port = {
-                int(p): l for p, l in member._tx_links.items() if l is not None
-            }
-            serializers = member.converter.serializers
-            deserializers = member.converter.deserializers
-
             for out_idx, route_src in member.crossbar.active_routes():
                 mi = len(dst_idx)
                 dst_idx.append(base + out_idx)
                 route_member.append(index)
                 if route_src < lanes:
-                    src_idx.append(sentinel)
-                    tile_srcs.append((mi, serializers[route_src]))
+                    src_idx.append(lane_base + index * lanes + route_src)
                 else:
                     port = route_src // lanes
                     lane = route_src - port * lanes
-                    rx = rx_by_port.get(port)
+                    rx = member._rx_links[port]
                     if rx is None:
                         # Unattached port: the scalar snapshot keeps its
                         # preset idle value, which the sentinel reproduces.
@@ -282,11 +351,11 @@ class VectorPlane(ClockedComponent):
                     else:
                         src_idx.append(tx_map[id(rx)] + lane)
                 if out_idx < lanes:
-                    tile_outs.append((mi, member, out_idx))
+                    tile_out_pos.append(mi)
                 else:
                     port = out_idx // lanes
                     lane = out_idx - port * lanes
-                    tx = tx_by_port.get(port)
+                    tx = member._tx_links[port]
                     if tx is None:
                         pass
                     elif tx.dead or id(tx) not in rx_map:
@@ -296,75 +365,84 @@ class VectorPlane(ClockedComponent):
                         wire_syncs.append((base + out_idx, tx, lane, member, out_idx))
 
             for in_idx, outs in member.crossbar.ack_fanins():
-                qi = len(feed_dst_idx)
-                feed_dst_idx.append(base + in_idx)
-                feed_member.append(index)
-                seg_starts.append(len(ack_src_idx))
-                for out_idx in outs:
-                    k = len(ack_src_idx)
-                    if out_idx < lanes:
-                        ack_src_idx.append(sentinel)
-                        tile_ack_srcs.append((k, deserializers[out_idx]))
-                    else:
-                        port = out_idx // lanes
-                        lane = out_idx - port * lanes
-                        tx = tx_by_port.get(port)
-                        if tx is None:
-                            ack_src_idx.append(sentinel)
-                        elif tx.dead or id(tx) not in rx_map:
-                            ack_src_idx.append(sentinel)
-                            foreign_ack_srcs.append((k, tx, lane))
-                        else:
-                            ack_src_idx.append(rx_map[id(tx)] + lane)
-                if in_idx < lanes:
-                    tile_feeds.append((qi, member, in_idx))
+                (tile_fanins if in_idx < lanes else link_fanins).append((index, in_idx, outs))
+
+        ack_src_idx: List[int] = []
+        seg_starts: List[int] = []
+        feed_dst_idx: List[int] = []
+        feed_member: List[int] = []
+        foreign_ack_srcs: List[Tuple[int, Any, int]] = []
+        foreign_ack_outs: List[Tuple[int, Any, int]] = []
+        ack_wire_syncs: List[Tuple[int, Any, int]] = []
+        for index, in_idx, outs in tile_fanins + link_fanins:
+            member = members[index]
+            base = index * t
+            feed_dst_idx.append(base + in_idx)
+            feed_member.append(index)
+            seg_starts.append(len(ack_src_idx))
+            for out_idx in outs:
+                k = len(ack_src_idx)
+                if out_idx < lanes:
+                    ack_src_idx.append(lane_base + index * lanes + out_idx)
                 else:
-                    port = in_idx // lanes
-                    lane = in_idx - port * lanes
-                    rx = rx_by_port.get(port)
-                    if rx is None:
-                        pass
-                    elif rx.dead or id(rx) not in tx_map:
-                        foreign_ack_outs.append((base + in_idx, rx, lane))
+                    port = out_idx // lanes
+                    lane = out_idx - port * lanes
+                    tx = member._tx_links[port]
+                    if tx is None:
+                        ack_src_idx.append(sentinel)
+                    elif tx.dead or id(tx) not in rx_map:
+                        ack_src_idx.append(sentinel)
+                        foreign_ack_srcs.append((k, tx, lane))
                     else:
-                        ack_wire_syncs.append((base + in_idx, rx, lane))
+                        ack_src_idx.append(rx_map[id(tx)] + lane)
+            if in_idx >= lanes:
+                port = in_idx // lanes
+                lane = in_idx - port * lanes
+                rx = member._rx_links[port]
+                if rx is None:
+                    pass
+                elif rx.dead or id(rx) not in tx_map:
+                    foreign_ack_outs.append((base + in_idx, rx, lane))
+                else:
+                    ack_wire_syncs.append((base + in_idx, rx, lane))
 
         m = len(dst_idx)
         q = len(feed_dst_idx)
-        k = len(ack_src_idx)
+        c = self._c
         self._m = m
         self._q = q
-        self._k = k
         self._src_idx = np.array(src_idx, dtype=np.intp)
         self._dst_idx = np.array(dst_idx, dtype=np.intp)
         self._route_member = np.array(route_member, dtype=np.intp)
-        internal = np.array(internal_pos, dtype=np.intp)
-        self._internal_pos = internal
-        self._internal_member = self._route_member[internal]
-        self._next_vals = np.zeros(m, dtype=np.int64)
-        self._old_vals = np.zeros(m, dtype=np.int64)
-        self._xor = np.zeros(m, dtype=np.int64)
-        self._tog8 = np.zeros(m, dtype=np.uint8)
-        self._pending_tog = np.zeros(m, dtype=np.int64)
+        self._internal_pos = np.array(internal_pos, dtype=np.intp)
+        self._tile_out_pos = np.array(tile_out_pos, dtype=np.intp)
+        # Next/old register values: the routes first, then every serialiser
+        # output, so one XOR/popcount pass accounts for both.
+        self._next_vals = np.zeros(m + c, dtype=np.int64)
+        self._route_next = self._next_vals[:m]
+        self._ser_next = self._next_vals[m:]
+        self._old_vals = np.zeros(m + c, dtype=np.int64)
+        self._xor = np.zeros(m + c, dtype=np.int64)
+        self._tog8 = np.zeros(m + c, dtype=np.uint8)
+        self._pending_tog = np.zeros(m + c, dtype=np.int64)
 
         self._ack_src_idx = np.array(ack_src_idx, dtype=np.intp)
         self._seg_starts = np.array(seg_starts, dtype=np.intp)
         self._feed_dst_idx = np.array(feed_dst_idx, dtype=np.intp)
         self._feed_member = np.array(feed_member, dtype=np.intp)
-        self._ack_gather = np.zeros(k, dtype=bool)
+        self._ack_gather = np.zeros(len(ack_src_idx), dtype=bool)
         self._next_acks = np.zeros(q, dtype=bool)
         self._old_acks = np.zeros(q, dtype=bool)
         self._flips = np.zeros(q, dtype=bool)
         self._pending_flips = np.zeros(q, dtype=np.int64)
+        #: Acknowledges arriving at the serialisers this cycle, and their lanes.
+        self._tile_acks_in = self._next_acks[: len(tile_fanins)]
+        self._tile_ack_lane = [index * lanes + in_idx for index, in_idx, _ in tile_fanins]
 
-        self._tile_srcs = tile_srcs
         self._foreign_srcs = foreign_srcs
-        self._tile_outs = tile_outs
         self._foreign_outs = foreign_outs
         self._wire_syncs = wire_syncs
-        self._tile_ack_srcs = tile_ack_srcs
         self._foreign_ack_srcs = foreign_ack_srcs
-        self._tile_feeds = tile_feeds
         self._foreign_ack_outs = foreign_ack_outs
         self._ack_wire_syncs = ack_wire_syncs
 
@@ -378,12 +456,43 @@ class VectorPlane(ClockedComponent):
             self._member_versions[index] = member.config.version
         data[sentinel] = 0
         acks[sentinel] = False
+
+        # Import the converter lanes; the acknowledge pulses a unit still
+        # owes move into the column (flush hands them back).
+        shift = self._ser_shift
+        ser_out = self._ser_out
+        field = self._width + 1
+        self._load_at = {}
+        self._armed = [False] * c
+        self._ser_exported = set()
+        self._des_exported = set()
+        for lane, serializer in enumerate(self._serializers):
+            remaining = serializer._remaining_phits
+            shift[lane] = remaining
+            ser_out[lane] = serializer._current_phit
+            if remaining or serializer._current_phit:
+                self._ser_exported.add(lane)
+            if remaining:
+                # One marker-topped field per phit still in the shifter.
+                self._arm(lane, cycle + remaining.bit_length() // field)
+            elif serializer._queue and serializer.window.can_send():
+                self._arm(lane, cycle)
+        acc = self._des_acc_flat
+        pending = self._des_pending_flat
+        pulse = self._acks[lane_base:]
+        for lane, deserializer in enumerate(self._deserializers):
+            if not deserializer.quiescent:
+                self._des_exported.add(lane)
+            acc[lane] = deserializer._collected
+            pulse[lane] = deserializer._ack_pulse
+            pending[lane] = deserializer._pending_ack_pulses
+            deserializer._pending_ack_pulses = 0
+
+        np.take(data, self._dst_idx, out=self._old_vals[:m])
+        self._old_vals[m:] = ser_out
+        np.take(acks, self._feed_dst_idx, out=self._old_acks)
         self._batched = 0
         self._pending_link = [0] * self._r
-        self._live_cycles = [0] * self._r
-        # Every converter starts live and demotes itself once provably idle.
-        self._live = set(range(self._r))
-        self._changed = True
         self._settled = False
         self._compiled = True
 
@@ -391,50 +500,45 @@ class VectorPlane(ClockedComponent):
 
     def evaluate(self, cycle: int) -> None:
         if self._dirty:
-            self._drain_dirty()
+            self._drain_dirty(cycle)
         if self._structural or not self._compiled:
             if self._structural or not self._fallback_ready:
-                if self._compiled:
-                    self.flush()
-                    self._compiled = False
-                self._fallback_eval = True
-                for member in self._members:
-                    member.evaluate(cycle)
+                self._run_reference_evaluate(cycle)
                 return
-            self._compile()
+            self._compile(cycle)
         self._eval_batched()
+
+    def _run_reference_evaluate(self, cycle: int) -> None:
+        """Hand the cycle to the members' dense scalar path."""
+        if self._compiled:
+            self.flush()
+            self._compiled = False
+        self._fallback_eval = True
+        for member in self._members:
+            member.evaluate(cycle)
 
     def _eval_batched(self) -> None:
         if self._m:
-            np.take(self._data, self._src_idx, out=self._next_vals)
-            next_vals = self._next_vals
-            for mi, serializer in self._tile_srcs:
-                next_vals[mi] = serializer._current_phit
+            self._data.take(self._src_idx, out=self._route_next, mode="clip")
+            next_vals = self._route_next
             for mi, link, lane in self._foreign_srcs:
                 next_vals[mi] = link.forward[lane]
         if self._q:
-            np.take(self._acks, self._ack_src_idx, out=self._ack_gather)
+            self._acks.take(self._ack_src_idx, out=self._ack_gather, mode="clip")
             gather = self._ack_gather
-            for k, deserializer in self._tile_ack_srcs:
-                gather[k] = deserializer._ack_pulse
             for k, link, lane in self._foreign_ack_srcs:
                 gather[k] = link.ack[lane]
             np.logical_or.reduceat(gather, self._seg_starts, out=self._next_acks)
 
     def commit(self, cycle: int) -> None:
         if self._dirty:
-            self._drain_dirty()
+            self._drain_dirty(cycle)
         if self._structural and not self._fallback_eval:
             # A structural change landed between our evaluate and commit
             # (e.g. a configuration write during another component's turn):
             # discard the batched buffers — they were never applied — and
             # run the reference cycle instead.
-            if self._compiled:
-                self.flush()
-                self._compiled = False
-            self._fallback_eval = True
-            for member in self._members:
-                member.evaluate(cycle)
+            self._run_reference_evaluate(cycle)
         if self._fallback_eval:
             versions = self._member_versions
             for index, member in enumerate(self._members):
@@ -445,63 +549,91 @@ class VectorPlane(ClockedComponent):
             self._structural = False
             self._fallback_ready = True
             self._settled = False
-            self._changed = True
             self._last_cycle = cycle
             return
         self._commit_batched(cycle)
 
     def _commit_batched(self, cycle: int) -> None:
-        data_changed = False
+        # A word edge was crossed this cycle: not a fixed point.
+        edges = False
         ack_changed = False
-        ticked = bool(self._live)
-        live = self._live
-        if self._m:
-            np.take(self._data, self._dst_idx, out=self._old_vals)
-            np.bitwise_xor(self._next_vals, self._old_vals, out=self._xor)
-            xor = self._xor
-            if xor.any():
-                data_changed = True
-                np.bitwise_count(xor, out=self._tog8)
-                self._pending_tog += self._tog8
-                next_vals = self._next_vals
-                self._data[self._dst_idx] = next_vals
-                for mi, member, lane in self._tile_outs:
-                    if xor[mi]:
-                        member._tile_rx[lane] = int(next_vals[mi])
-                        live.add(member._plane_index)
+
+        # 1. Acknowledge registers; pulses reaching a serialiser return credit.
         if self._q:
-            np.take(self._acks, self._feed_dst_idx, out=self._old_acks)
-            np.not_equal(self._next_acks, self._old_acks, out=self._flips)
-            flips = self._flips
-            if flips.any():
+            next_acks = self._next_acks
+            np.not_equal(next_acks, self._old_acks, out=self._flips)
+            if np.count_nonzero(self._flips):
                 ack_changed = True
-                self._pending_flips += flips
-                next_acks = self._next_acks
+                self._pending_flips += self._flips
                 self._acks[self._feed_dst_idx] = next_acks
-                for qi, member, lane in self._tile_feeds:
-                    if flips[qi]:
-                        member._tile_ack[lane] = bool(next_acks[qi])
-                        live.add(member._plane_index)
-        if live:
-            members = self._members
-            live_cycles = self._live_cycles
-            demote: List[int] = []
-            for index in live:
-                member = members[index]
-                converter = member.converter
-                converter.tick_sparse(member._tile_rx, member._tile_ack, cycle, False)
-                live_cycles[index] += 1
-                if (
-                    converter._sparse_idle
-                    and not any(member._tile_rx)
-                    and not any(member._tile_ack)
-                ):
-                    demote.append(index)
-            if demote:
-                live.difference_update(demote)
+                np.copyto(self._old_acks, next_acks)
+            if np.count_nonzero(self._tile_acks_in):
+                edges = True
+                armed = self._armed
+                for position in self._tile_acks_in.nonzero()[0].tolist():
+                    lane = self._tile_ack_lane[position]
+                    serializer = self._serializers[lane]
+                    serializer.acknowledge()
+                    if not armed[lane] and serializer._queue and serializer.window.can_send():
+                        self._arm(lane, cycle)
+
+        # 2. Serialisers: every shifter moves one phit; the lanes the agenda
+        #    names for this cycle are empty and try to load the next word.
+        shift = self._ser_shift
+        ser_next = self._ser_next
+        np.bitwise_and(shift, self._phit_mask, out=ser_next)
+        np.right_shift(shift, self._width + 1, out=shift)
+        due = self._load_at.pop(cycle, None)
+        if due is not None:
+            edges = True
+            reload_at = cycle + self._phits
+            for lane in due:
+                serializer = self._serializers[lane]
+                if serializer._queue and serializer.window.can_send():
+                    ser_next[lane], shift[lane] = serializer.load_word()
+                    self._load_at.setdefault(reload_at, []).append(lane)
+                else:
+                    self._armed[lane] = False
+
+        # 3. Data registers: crossbar outputs and serialiser outputs latch
+        #    and count their toggles in one pass.
+        next_vals = self._next_vals
+        xor = self._xor
+        np.bitwise_xor(next_vals, self._old_vals, out=xor)
+        data_changed = np.count_nonzero(xor) != 0
+        if data_changed:
+            np.bitwise_count(xor, out=self._tog8)
+            self._pending_tog += self._tog8
+            self._data[self._dst_idx] = self._route_next
+            self._ser_out[:] = ser_next
+            np.copyto(self._old_vals, next_vals)
+
+        # 4. Deserialisers: shift the freshly latched tile-port phit in where
+        #    a lane is collecting or the phit is a valid header; a complete
+        #    packet is delivered to the tile.
+        acc = self._des_acc
+        shifted = self._des_shifted
+        np.left_shift(acc, self._width, out=shifted)
+        np.bitwise_or(shifted, self._des_in, out=shifted)
+        np.bitwise_and(shifted, self._sync_mask, out=acc)
+        np.not_equal(acc, 0, out=self._des_keep)
+        np.multiply(shifted, self._des_keep, out=acc)
+        np.greater_equal(acc, self._packet_full, out=self._des_full)
+        if np.count_nonzero(self._des_full):
+            edges = True
+            flat = self._des_acc_flat
+            for lane in self._des_full_flat.nonzero()[0].tolist():
+                packet = int(flat[lane])
+                flat[lane] = 0
+                self._deserializers[lane].deliver(packet, cycle)
+
+        # 5. Acknowledge pulses: at most one per lane and cycle.
+        pending = self._des_pending
+        np.greater(pending, 0, out=self._pulse)
+        np.subtract(pending, self._pulse, out=pending)
+
         if self._foreign_outs:
             width = self._width
-            next_vals = self._next_vals
             pending_link = self._pending_link
             for mi, member, index, link, lane, idx in self._foreign_outs:
                 value = int(next_vals[mi])
@@ -518,8 +650,15 @@ class VectorPlane(ClockedComponent):
                     link.drive_ack(lane, value)
         self._batched += 1
         self._last_cycle = cycle
-        self._changed = data_changed or ack_changed
-        self._settled = not data_changed and not ack_changed and not ticked
+        self._settled = not (
+            data_changed
+            or ack_changed
+            or edges
+            or self._load_at
+            or np.count_nonzero(acc)
+            or np.count_nonzero(pending)
+            or np.count_nonzero(self._pulse)
+        )
         stats = self._scheduler.scheduler_stats
         stats.vector_batches += 1
         stats.vector_components += self._r
@@ -532,60 +671,57 @@ class VectorPlane(ClockedComponent):
         Registered as a kernel sync hook, so it runs at the end of every
         ``run``/``step`` — external readers (benchmarks, equivalence tests,
         the sharded aggregation) always observe scalar-coherent registers,
-        wires and activity counters.  Idempotent: with nothing batched it
-        returns immediately.
+        wires, converter lanes and activity counters.  Idempotent.
         """
-        if not self._compiled or self._batched == 0:
+        if not self._compiled:
             return
+        if self._batched:
+            self._fold_batches()
+        # Even with nothing batched a drain may have moved owed acknowledge
+        # pulses into the column since the last export.
+        self._export_lanes()
+
+    def _fold_batches(self) -> None:
+        """Account the batched cycles and store registers and wires."""
         members = self._members
         r = self._r
+        m = self._m
         batched = self._batched
-        if self._m:
-            data_tog = np.bincount(
-                self._route_member, weights=self._pending_tog, minlength=r
-            )
-            if self._internal_pos.size:
-                link_tog = np.bincount(
-                    self._internal_member,
-                    weights=self._pending_tog[self._internal_pos],
-                    minlength=r,
-                )
-            else:
-                link_tog = None
-        else:
-            data_tog = None
-            link_tog = None
-        if self._q:
-            ack_tog = np.bincount(
-                self._feed_member, weights=self._pending_flips, minlength=r
-            )
-        else:
-            ack_tog = None
-        live_cycles = self._live_cycles
+        route_tog = self._pending_tog[:m]
+        route_member = self._route_member
+        data_tog = np.bincount(route_member, weights=route_tog, minlength=r)
+        link_tog = np.bincount(
+            route_member[self._internal_pos],
+            weights=route_tog[self._internal_pos],
+            minlength=r,
+        )
+        # Register toggles beyond the crossbar's own: each deserialiser's
+        # previous-phit register follows its tile-port crossbar register, and
+        # every serialiser output register sits behind the routes.
+        lane_tog = np.bincount(
+            route_member[self._tile_out_pos],
+            weights=route_tog[self._tile_out_pos],
+            minlength=r,
+        ) + self._pending_tog[m:].reshape(r, self._l).sum(axis=1)
+        ack_tog = np.bincount(self._feed_member, weights=self._pending_flips, minlength=r)
         pending_link = self._pending_link
-        xbar_bits = self._xbar_bits
-        conv_bits = self._conv_bits
+        clocked = self._cycle_bits * batched
         last = self._last_cycle + 1
         for index, member in enumerate(members):
             activity = member.activity
-            data_toggles = int(data_tog[index]) if data_tog is not None else 0
-            ack_toggles = int(ack_tog[index]) if ack_tog is not None else 0
+            data_toggles = int(data_tog[index])
+            reg_toggles = data_toggles + int(ack_tog[index]) + int(lane_tog[index])
             if data_toggles:
                 activity.add(ActivityKeys.XBAR_TOGGLE_BITS, data_toggles)
-            if data_toggles or ack_toggles:
-                activity.add(ActivityKeys.REG_TOGGLE_BITS, data_toggles + ack_toggles)
-            link_toggles = pending_link[index]
-            if link_tog is not None:
-                link_toggles += int(link_tog[index])
+            if reg_toggles:
+                activity.add(ActivityKeys.REG_TOGGLE_BITS, reg_toggles)
+            link_toggles = pending_link[index] + int(link_tog[index])
             if link_toggles:
                 activity.add(ActivityKeys.LINK_TOGGLE_BITS, link_toggles)
-            idle_cycles = batched - live_cycles[index]
-            activity.add(
-                ActivityKeys.REG_CLOCKED_BITS,
-                xbar_bits * batched + conv_bits[index] * idle_cycles,
-            )
+            activity.add(ActivityKeys.REG_CLOCKED_BITS, clocked)
             if activity.cycles < last:
                 activity.cycles = last
+            pending_link[index] = 0
         data = self._data
         acks = self._acks
         t = self._t
@@ -599,14 +735,47 @@ class VectorPlane(ClockedComponent):
             member._tx_previous[idx] = value
         for g, link, lane in self._ack_wire_syncs:
             link.sync_ack_silent(lane, bool(acks[g]))
-        if self._m:
-            self._pending_tog[:] = 0
-        if self._q:
-            self._pending_flips[:] = 0
-        for index in range(r):
-            live_cycles[index] = 0
-            pending_link[index] = 0
+        self._pending_tog[:] = 0
+        self._pending_flips[:] = 0
         self._batched = 0
+
+    def _export_lanes(self) -> None:
+        """Store the converter columns into the scalar lane units.
+
+        Only lanes that hold state now, or held some when last exported, can
+        differ from their units.  Acknowledge pulses still owed go back to
+        the unit that scheduled them; marking the member dirty makes the
+        next drain pick them up again.
+        """
+        lanes = self._l
+        shift = self._ser_shift
+        ser_out = self._ser_out
+        busy = set(np.flatnonzero(shift | ser_out).tolist())
+        for lane in busy | self._ser_exported:
+            serializer = self._serializers[lane]
+            serializer._remaining_phits = int(shift[lane])
+            serializer._current_phit = int(ser_out[lane])
+        self._ser_exported = busy
+
+        acc = self._des_acc_flat
+        pending = self._des_pending_flat
+        pulse = self._acks[self._n + 1 :]
+        des_in = self._des_in
+        busy = set(
+            np.flatnonzero(self._des_acc | des_in | self._des_pending | self._pulse).tolist()
+        )
+        for lane in busy | self._des_exported:
+            index, tile_lane = divmod(lane, lanes)
+            deserializer = self._deserializers[lane]
+            deserializer._collected = int(acc[lane])
+            deserializer._previous_phit = int(des_in[index, tile_lane])
+            deserializer._ack_pulse = bool(pulse[lane])
+            owed = int(pending[lane])
+            if owed:
+                deserializer._pending_ack_pulses += owed
+                pending[lane] = 0
+                self.member_dirty(self._members[index])
+        self._des_exported = busy
 
     # -- quiescence / timed protocol --------------------------------------
 
@@ -614,17 +783,16 @@ class VectorPlane(ClockedComponent):
         """True when another batched cycle would latch nothing anywhere.
 
         Requires a settled batch: the previous batched commit latched no
-        register change, flipped no acknowledge *and* ticked no converter —
-        so every gather source is provably frozen (internal sources are the
-        unchanged registers, tile sources the untouched serialisers, and a
-        foreign wire write would have landed in the dirty list).
+        register change, flipped no acknowledge, crossed no word edge and
+        left no converter lane mid-word or owing a pulse — so every gather
+        source is provably frozen (a tile or foreign wire write would have
+        landed in the dirty list).
         """
         return (
             self._compiled
             and not self._dirty
             and not self._structural
             and self._settled
-            and not self._live
         )
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
@@ -632,27 +800,21 @@ class VectorPlane(ClockedComponent):
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
         """The members' constant idle accounting, bulk-applied."""
-        xbar_bits = self._xbar_bits
-        conv_bits = self._conv_bits
+        clocked = self._cycle_bits * cycles
         end = start_cycle + cycles
-        for index, member in enumerate(self._members):
+        for member in self._members:
             activity = member.activity
-            activity.add(
-                ActivityKeys.REG_CLOCKED_BITS,
-                (xbar_bits + conv_bits[index]) * cycles,
-            )
+            activity.add(ActivityKeys.REG_CLOCKED_BITS, clocked)
             activity.cycles = end
+
     def reset(self) -> None:
         self._compiled = False
         self._structural = True
         self._fallback_ready = False
         self._fallback_eval = False
         self._settled = False
-        self._changed = True
         self._batched = 0
         self._last_cycle = 0
-        self._live = set()
-        self._live_cycles = [0] * self._r
         self._pending_link = [0] * self._r
         for member in self._dirty:
             member._plane_pending = False

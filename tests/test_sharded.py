@@ -469,6 +469,38 @@ def test_close_unlinks_segment_on_clean_shutdown():
     assert not os.path.exists(segment)
 
 
+def test_spin_wait_yields_the_cpu_between_spinning_and_sleeping(monkeypatch):
+    """The middle back-off tier hands the CPU to a runnable peer without a
+    timer sleep; the fast tier, the escalation and the abort check stay."""
+    from repro.common import SimulationError
+    from repro.sim import shard_transport
+
+    class Control:
+        failed = False
+
+        def aborted(self):
+            return self.failed
+
+    if hasattr(os, "sched_yield"):
+        assert shard_transport._yield_cpu is os.sched_yield
+    yields, sleeps = [], []
+    monkeypatch.setattr(shard_transport, "_yield_cpu", lambda: yields.append(1))
+    monkeypatch.setattr(shard_transport.time, "sleep", sleeps.append)
+    control = Control()
+    spin = shard_transport.SpinWait(control)
+    for _ in range(64):
+        spin.pause()
+    assert spin.spun and not yields and not sleeps
+    for _ in range(4096 - 64):
+        spin.pause()
+    assert len(yields) == 4096 - 64 and not sleeps
+    spin.pause()
+    assert sleeps == [50e-6]
+    control.failed = True
+    with pytest.raises(SimulationError, match="aborted"):
+        spin.pause()
+
+
 # ---------------------------------------------------------------------------
 # Partitioner geometry
 # ---------------------------------------------------------------------------

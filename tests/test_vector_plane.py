@@ -18,9 +18,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.traffic import BitFlipPattern, word_generator
-from repro.common import FaultError
+from repro.common import CapacityError, FaultError
+from repro.core.flow_control import FlowControlConfig
+from repro.core.header import phits_per_packet
+from repro.core.testbench import TileStreamDriver
 from repro.experiments.storm import storm_schedule
 from repro.noc.ccn import CentralCoordinationNode
 from repro.noc.fabric import build_network
@@ -291,6 +296,286 @@ def test_kernel_reset_resets_the_plane():
     network.run(120)
     assert plane._compiled
     assert network.kernel.scheduler_stats.vector_batches > 0
+
+
+# ---------------------------------------------------------------------------
+# Converter lanes: the columns must flush back to the strict lane state
+# ---------------------------------------------------------------------------
+
+PHITS_PER_PACKET = phits_per_packet()
+
+
+def _lane_state(network):
+    """Every converter lane's scalar state, and what each sink has read."""
+    lanes = {}
+    for position, router in network.routers.items():
+        for unit in router.converter.serializers:
+            lanes[position, "tx", unit.lane] = (
+                unit._remaining_phits,
+                unit._current_phit,
+                unit._hold_register,
+                unit.window.credits,
+                unit.words_loaded,
+                len(unit._queue),
+            )
+        for unit in router.converter.deserializers:
+            lanes[position, "rx", unit.lane] = (
+                unit._collected,
+                unit._previous_phit,
+                unit._pending_ack_pulses,
+                unit._ack_pulse,
+                unit.words_received,
+                unit.max_occupancy,
+                tuple(unit._rx_queue),  # ReceivedWord carries its arrival cycle
+            )
+    read = {
+        name: tuple(endpoints.sink.received)
+        for name, endpoints in network.streams.items()
+        if endpoints.sink is not None
+    }
+    return lanes, read
+
+
+def _circuit(network, name, src, dst, flow):
+    """Admit and program one lane circuit with *flow* on both tile ends."""
+    allocation = network.admission.allocate(name, src, dst, 100.0, FREQUENCY_HZ)
+    network.apply_allocation(allocation)
+    circuit = allocation.circuits[0]
+    network.router_at(src).tile.configure_tx(circuit.source_tile_lane, flow)
+    network.router_at(dst).tile.configure_rx(circuit.destination_tile_lane, flow)
+    return allocation
+
+
+def _flow_stream(network, name, src, dst, load, flow, seed):
+    allocation = _circuit(network, name, src, dst, flow)
+    generator = word_generator(BitFlipPattern.TYPICAL, seed=seed)
+    return network.add_stream(name, allocation, generator, load=load)
+
+
+def _assert_lanes_identical(vector, strict, where):
+    assert _lane_state(vector) == _lane_state(strict), where
+    assert _snapshot(vector) == _snapshot(strict), where
+
+
+@st.composite
+def _lane_scenarios(draw):
+    width, height = draw(st.integers(3, 5)), draw(st.integers(3, 5))
+    tiles = [(x, y) for x in range(width) for y in range(height)]
+    shared, *others = draw(
+        st.lists(st.sampled_from(tiles), min_size=3, max_size=3, unique=True)
+    )
+    share_source = draw(st.booleans())
+    channels = []
+    for index, other in enumerate(others):
+        window = draw(st.sampled_from((1, 2, 8, None)))
+        credit = draw(st.integers(1, window)) if window else 1
+        channels.append(
+            {
+                "name": f"ch{index}",
+                "src": shared if share_source else other,
+                "dst": other if share_source else shared,
+                "load": draw(st.floats(0.1, 1.0)),
+                "flow": FlowControlConfig(window, credit),
+                "seed": draw(st.integers(0, 2**16)),
+            }
+        )
+    # Stop cycles that are never a multiple of the packet length, so every
+    # flush lands while words are half shifted.
+    stops = draw(
+        st.lists(
+            st.builds(
+                lambda words, phase: words * PHITS_PER_PACKET + phase,
+                st.integers(1, 50),
+                st.integers(1, PHITS_PER_PACKET - 1),
+            ),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    return (width, height), channels, sorted(stops)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_lane_scenarios())
+def test_lane_columns_flush_to_the_strict_lane_state(scenario):
+    """Two channels sharing a source or sink tile, drawn loads and window
+    configurations: after every run() the scalar lane units under
+    ``vector`` hold exactly what ``strict`` left in them."""
+    extent, channels, stops = scenario
+    networks = {}
+    for schedule in ("strict", "vector"):
+        network = build_network(
+            "circuit", Mesh2D(*extent), frequency_hz=FREQUENCY_HZ, schedule=schedule
+        )
+        for channel in channels:
+            _flow_stream(network, **channel)
+        networks[schedule] = network
+    for stop in stops:
+        for network in networks.values():
+            network.run(stop - network.kernel.cycle)
+        _assert_lanes_identical(networks["vector"], networks["strict"], f"cycle {stop}")
+    assert networks["vector"].kernel.scheduler_stats.vector_batches > 0
+
+
+def _unread_stream(schedule, tx_flow, rx_flow):
+    """A full-load stream into a tile that nobody reads."""
+    network = build_network(
+        "circuit", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule=schedule
+    )
+    allocation = _circuit(network, "a", (0, 0), (2, 1), tx_flow)
+    circuit = allocation.circuits[0]
+    network.router_at((2, 1)).tile.configure_rx(circuit.destination_tile_lane, rx_flow)
+    driver = TileStreamDriver(
+        "a_src",
+        network.router_at((0, 0)),
+        circuit.source_tile_lane,
+        word_generator(BitFlipPattern.TYPICAL, seed=3),
+        load=1.0,
+    )
+    network.kernel.add(driver)
+    return network, circuit
+
+
+def test_window_stall_and_resume_matches_strict():
+    """The sink stops reading until the serialiser is window-stalled, then
+    drains its queue: the credit returns and the stream restarts."""
+
+    def scenario(schedule):
+        flow = FlowControlConfig(window_size=2, credit_per_ack=1)
+        network, circuit = _unread_stream(schedule, flow, flow)
+        network.run(83)
+        serializer = network.router_at((0, 0)).converter.serializers[circuit.source_tile_lane]
+        assert serializer.window_stalled
+        stalled = _lane_state(network)
+        tile = network.router_at((2, 1)).tile
+        words = []
+        while tile.rx_available(circuit.destination_tile_lane):
+            words.append(tile.receive(circuit.destination_tile_lane))
+        assert len(words) == 2
+        network.run(58)
+        assert serializer.words_loaded > 2
+        return network, stalled, words
+
+    strict, strict_stalled, strict_words = scenario("strict")
+    vector, vector_stalled, vector_words = scenario("vector")
+    assert vector_stalled == strict_stalled
+    assert vector_words == strict_words
+    _assert_lanes_identical(vector, strict, "after the resume")
+
+
+def test_missized_window_overflows_at_the_strict_cycle():
+    """A source window wider than the destination buffer must raise the
+    window violation at the very cycle the strict schedule raises it."""
+
+    def overflow_cycle(schedule):
+        network, _circuit_ = _unread_stream(
+            schedule,
+            FlowControlConfig(window_size=8, credit_per_ack=1),
+            FlowControlConfig(window_size=2, credit_per_ack=1),
+        )
+        with pytest.raises(CapacityError, match="destination buffer overflow"):
+            network.run(200)
+        return network.kernel.cycle
+
+    assert overflow_cycle("vector") == overflow_cycle("strict")
+
+
+@pytest.mark.parametrize("surgery", ("fail_link", "detach_channel", "apply_allocation"))
+def test_surgery_on_a_half_shifted_word_matches_strict(surgery):
+    """Faults, teardown and reconfiguration that arrive while a word is
+    half shifted find (and leave) the strict lane state."""
+
+    def scenario(schedule):
+        network = build_network(
+            "circuit", Mesh2D(4, 3), frequency_hz=FREQUENCY_HZ, schedule=schedule
+        )
+        flow = FlowControlConfig(window_size=8, credit_per_ack=2)
+        _flow_stream(network, "a", (0, 1), (3, 1), 1.0, flow, seed=7)
+        _flow_stream(network, "b", (0, 1), (2, 2), 0.7, flow, seed=8)
+        network.run(48)
+        source = network.router_at((0, 1)).converter.serializers[0]
+        assert source._remaining_phits, "the word must be half shifted"
+        before = _lane_state(network)
+        if surgery == "fail_link":
+            network.fail_link((1, 1), (2, 1))
+            network.refresh_routing(network.degraded_topology())
+        elif surgery == "detach_channel":
+            network.detach_channel("a", drain_cycles=7)
+        else:
+            _flow_stream(network, "c", (3, 0), (0, 2), 1.0, flow, seed=9)
+        network.run(61)
+        return network, before
+
+    strict, strict_before = scenario("strict")
+    vector, vector_before = scenario("vector")
+    assert vector_before == strict_before
+    _assert_lanes_identical(vector, strict, f"after {surgery}")
+
+
+def test_reconfiguration_right_after_a_read_keeps_the_owed_pulse():
+    """A tile read at the last cycle of a run() leaves an acknowledge pulse
+    owed; a reconfiguration elsewhere before the next cycle sends the plane
+    through a reference cycle, which must still find that pulse."""
+
+    def scenario(schedule, stop):
+        network = build_network(
+            "circuit", Mesh2D(4, 3), frequency_hz=FREQUENCY_HZ, schedule=schedule
+        )
+        flow = FlowControlConfig(window_size=2, credit_per_ack=1)
+        _flow_stream(network, "a", (0, 1), (3, 1), 1.0, flow, seed=7)
+        network.run(stop)
+        owed = sum(
+            unit._pending_ack_pulses
+            for router in network.routers.values()
+            for unit in router.converter.deserializers
+        )
+        _flow_stream(network, "c", (0, 2), (2, 2), 1.0, flow, seed=9)
+        network.run(40)
+        return network, owed
+
+    boundaries_with_a_pulse_owed = 0
+    for stop in range(30, 46):  # sweeps the sink's read across the run() boundary
+        strict, owed = scenario("strict", stop)
+        vector, vector_owed = scenario("vector", stop)
+        assert vector_owed == owed
+        boundaries_with_a_pulse_owed += bool(owed)
+        _assert_lanes_identical(vector, strict, f"reconfigured at cycle {stop}")
+    assert boundaries_with_a_pulse_owed
+
+
+@pytest.mark.parametrize(
+    "lane_width, data_width, batched",
+    [(4, 16, True), (6, 16, True), (8, 32, True), (4, 64, False)],
+)
+def test_lane_geometries_match_strict_or_fall_back(lane_width, data_width, batched):
+    """Wider phits (sync mask above the header nibble), padded data phits and
+    long packets stay bit-identical; a packet too wide for an int64 column
+    runs without a plane."""
+    from repro.noc.network import CircuitSwitchedNoC
+
+    networks = {}
+    for schedule in ("strict", "vector"):
+        network = CircuitSwitchedNoC(
+            Mesh2D(3, 3),
+            frequency_hz=FREQUENCY_HZ,
+            lane_width=lane_width,
+            data_width=data_width,
+            schedule=schedule,
+        )
+        allocation = _circuit(
+            network, "a", (0, 1), (2, 2), FlowControlConfig(window_size=2, credit_per_ack=2)
+        )
+        words = random.Random(11)  # one generator per network: bound below
+        network.add_stream(
+            "a", allocation, lambda words=words: words.getrandbits(data_width), load=1.0
+        )
+        networks[schedule] = network
+    assert (networks["vector"].vector_plane is not None) == batched
+    for stop in (7, 58, 131):
+        for network in networks.values():
+            network.run(stop - network.kernel.cycle)
+        _assert_lanes_identical(networks["vector"], networks["strict"], f"cycle {stop}")
 
 
 # ---------------------------------------------------------------------------
