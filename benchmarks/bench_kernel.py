@@ -48,7 +48,9 @@ stay ≥3× faster under ``auto`` than under ``strict``, the 8×8 paced-stream
 row must stay ≥8× (cycle leaping), the fully loaded 8×8 mesh must stay
 ≥3× faster under ``event`` than under ``auto`` (sparse per-event work) and
 ≥3.5× faster under ``vector`` than under ``event`` (the columnar plane,
-converter lanes included), the
+converter lanes included), ``vector`` — the default schedule, whose plane
+gates itself on live routes — must stay ≥0.9× of ``event`` on every row
+that carries traffic, the
 sharded 16×16 row must stay bit-identical everywhere and ≥2× faster on
 hosts whose recorded ``host_cpus`` is at least 4, and the shm transport
 rows must move strictly fewer bytes per exchange window than the pipe rows.
@@ -68,11 +70,11 @@ from repro.noc.fabric import build_network
 from repro.noc.network import CircuitSwitchedNoC
 from repro.noc.path_allocation import LaneAllocator
 from repro.noc.topology import Mesh2D
+from repro.sim.engine import DEFAULT_SCHEDULE, SCHEDULES
 
 FREQUENCY_HZ = 100e6
 MESH_SIZES = (2, 4, 8)
 OCCUPANCIES = (0.0, 0.25, 1.0)
-SCHEDULES = ("strict", "auto", "event", "vector")
 #: Simulated cycles per measurement; large enough to amortise warm-up (the
 #: first cycles run every component before quiescence engages).
 CYCLES = {2: 8000, 4: 1500, 8: 800}
@@ -86,6 +88,11 @@ EVENT_FULL_LOAD_TARGET = 3.0
 #: dominated by the pure-Python per-route and per-lane loops the NumPy plane
 #: replaces.
 VECTOR_FULL_LOAD_TARGET = 3.5
+#: The self-gating plane must never cost more than this against plain
+#: ``event`` on any row that carries traffic: below its live-route gate the
+#: kernel schedules its members exactly as ``event`` does, so what remains
+#: is host noise between two single samples.
+VECTOR_FLOOR_VS_EVENT = 0.9
 #: Offered load of the paced-stream scenario: one word per 50 cycles — what
 #: a bandwidth-admitted application channel typically paces at.
 PACED_LOAD = 0.1
@@ -175,6 +182,18 @@ def run_benchmark(size: int, occupancy: float, cycles: int, load: float = 1.0) -
         "vector_components": vector_stats.vector_components,
         "identical_results": identical,
     }
+
+
+def vector_floor_violations(rows: list[dict]) -> list[str]:
+    """Rows with traffic on which ``vector`` fell below its floor against ``event``."""
+    return [
+        f"{row['scenario']} {row['mesh']} occ={row['occupancy']}: "
+        f"vector at {row['vector_speedup']}x of event"
+        for row in rows
+        if "vector_speedup" in row
+        and row["occupancy"] > 0
+        and row["vector_speedup"] < VECTOR_FLOOR_VS_EVENT
+    ]
 
 
 def _fabric_scenario(size: int, shards: int | None = None, transport: str | None = None):
@@ -544,7 +563,8 @@ def main() -> None:
             "clock between word injections.  speedup is auto vs strict; "
             "event_speedup is event vs auto; vector_speedup is vector vs "
             "event (the struct-of-arrays wire plane batching whole fabric "
-            "cycles through NumPy).  The sharded row times the 16x16 full-load "
+            "cycles through NumPy at or above its live-route gate; below it "
+            "the kernel schedules the routers as under event).  The sharded row times the 16x16 full-load "
             "fabric split over worker processes against the single-process "
             "event kernel; its speedup is single vs sharded wall-clock and "
             "only binds on hosts with host_cpus >= 4.  shard-transport rows "
@@ -556,10 +576,12 @@ def main() -> None:
             "strictly below the pipe row at every mesh size."
         ),
         "frequency_hz": FREQUENCY_HZ,
+        "default_schedule": DEFAULT_SCHEDULE,
         "speedup_target_8x8_low_occupancy": SPEEDUP_TARGET,
         "speedup_target_paced_stream": PACED_SPEEDUP_TARGET,
         "speedup_target_event_full_load": EVENT_FULL_LOAD_TARGET,
         "speedup_target_vector_full_load": VECTOR_FULL_LOAD_TARGET,
+        "vector_floor_vs_event": VECTOR_FLOOR_VS_EVENT,
         "speedup_target_sharded": SHARDED_SPEEDUP_TARGET,
         "results": rows,
     }
@@ -599,6 +621,9 @@ def main() -> None:
         )
     if not all(row["identical_results"] for row in rows):
         raise SystemExit("schedule results diverged — the kernel optimisation is unsound")
+    violations = vector_floor_violations(rows)
+    if violations:
+        raise SystemExit("the default schedule fell below event:\n  " + "\n  ".join(violations))
 
 
 if __name__ == "__main__":

@@ -14,11 +14,12 @@ them.
 The script replays one deterministic seeded storm (three applications,
 three faults — two link kills targeting the busiest allocated links plus
 one router kill) on an 8x8 mesh against all three simulated network kinds,
-under both the strict and the event-driven kernel schedule, and checks
+under the strict kernel schedule and under the default one (no ``schedule``
+argument: whatever :data:`repro.sim.engine.DEFAULT_SCHEDULE` names), and checks
 
 * every displaced application is re-admitted or explicitly rejected,
 * no resource leaks anywhere after the final departure (``leak_free``),
-* strict and auto schedules agree bit-for-bit, faults included.
+* the strict and the default schedule agree bit-for-bit, faults included.
 
 Per kind it records recovery time, words dropped on the wires and the
 energy per delivered bit before vs. after the storm in
@@ -97,19 +98,19 @@ def run_campaigns(mesh: Mesh2D, storm_size: int) -> list[dict]:
     for kind in KINDS:
         started = time.perf_counter()
         outcomes = {
-            schedule: run_storm(
+            name: run_storm(
                 kind,
                 topology=mesh,
                 storm_size=storm_size,
                 seed=SEED,
-                schedule=schedule,
                 frequency_hz=FREQUENCY_HZ,
                 load=LOAD,
+                **schedule,
             )
-            for schedule in ("strict", "auto")
+            for name, schedule in (("strict", {"schedule": "strict"}), ("default", {}))
         }
         elapsed = time.perf_counter() - started
-        outcome = outcomes["auto"]
+        outcome = outcomes["default"]
         result = outcome.result
         before, after = energy_before_after(result)
         rows.append(
@@ -130,7 +131,7 @@ def run_campaigns(mesh: Mesh2D, storm_size: int) -> list[dict]:
                 "recovered_or_rejected": outcome.recovered_or_rejected,
                 "leak_free": outcome.leak_free,
                 "identical_results": identical(
-                    outcomes["strict"].result, outcomes["auto"].result
+                    outcomes["strict"].result, outcomes["default"].result
                 ),
                 "telemetry": telemetry_columns(result),
                 "wall_time_s": round(elapsed, 2),
@@ -169,7 +170,7 @@ def main() -> None:
         kind = row["kind"]
         assert row["recovered_or_rejected"], f"{kind}: an application was silently lost"
         assert row["leak_free"], f"{kind}: resources leaked after the storm"
-        assert row["identical_results"], f"{kind}: strict vs auto diverged under faults"
+        assert row["identical_results"], f"{kind}: strict vs default diverged under faults"
         assert len(row["faults"]) == storm_size, f"{kind}: a fault failed to inject"
         assert row["displaced"] >= 1, f"{kind}: the storm displaced nobody"
         assert row["displaced"] == row["readmitted"] + row["displaced_rejected"], (
@@ -194,7 +195,7 @@ def main() -> None:
             "allocated links plus a router kill) injected mid-traffic under the "
             "HiperLAN/2 + UMTS + DRM workload on an 8x8 mesh, recovered by the "
             "CCN (displace, drain, release, re-map, re-admit) on the three "
-            "simulated network kinds under both kernel schedules "
+            "simulated network kinds under the strict and the default kernel schedule "
             "(examples/failure_storm.py)."
         ),
         "frequency_hz": FREQUENCY_HZ,

@@ -12,13 +12,16 @@ It then prints what happened: words delivered, the router's switching
 activity, and the static / internal / switching power estimate at the paper's
 25 MHz operating point.
 
+A second part runs a small circuit-switched mesh under the default schedule
+and prints which schedule actually executed its routers and why
+(``network.schedule_report()``).  With ``--shards N`` that mesh is
+partitioned across ``N`` worker processes (:mod:`repro.sim.shard`) and the
+cross-shard merged scheduler statistics are printed next to the delivered
+words.
+
 Run with::
 
     python examples/quickstart.py
-
-``--shards N`` additionally runs a small circuit-switched mesh partitioned
-across ``N`` worker processes (:mod:`repro.sim.shard`) and prints the
-cross-shard merged scheduler statistics next to the delivered words.
 """
 
 from __future__ import annotations
@@ -75,30 +78,49 @@ def main() -> None:
     print(f"maximum clock         : {router.max_frequency_mhz():.0f} MHz")
     print(f"active circuits       : {router.active_circuits()} of 20 output lanes")
 
+    # A bare kernel has no network around it and hence no vector plane: the
+    # default schedule runs as the event heap here (see mesh_demo below for
+    # what a network reports).
     print()
-    print(f"scheduler ({kernel.schedule} schedule):")
+    print("scheduler (bare kernel, event heap):")
     for key, value in kernel.scheduler_stats.as_dict().items():
         print(f"  {key:<16}: {value}")
 
 
-def sharded_demo(shards: int) -> None:
-    """A 4×4 circuit-switched mesh split over *shards* worker processes."""
+def mesh_demo(shards: int) -> None:
+    """A 4×4 circuit-switched mesh under the default schedule — in this
+    process, or split over *shards* worker processes."""
     from repro.apps.traffic import BitFlipPattern, word_generator
     from repro.noc.fabric import build_network
     from repro.noc.topology import Mesh2D
 
-    network = build_network("circuit", Mesh2D(4, 4), frequency_hz=25e6, shards=shards)
+    network = build_network("circuit", Mesh2D(4, 4), frequency_hz=25e6, shards=shards or None)
     network.attach_channel(
         "demo", (0, 0), (3, 3), 50.0, word_generator(BitFlipPattern.TYPICAL, seed=7)
     )
     network.run(2000)
     print()
-    print(
-        f"=== sharded quickstart: 4x4 mesh over {shards} workers "
-        f"({network.transport} transport) ==="
-    )
+    if shards:
+        print(
+            f"=== sharded quickstart: 4x4 mesh over {shards} workers "
+            f"({network.transport} transport) ==="
+        )
+    else:
+        print("=== quickstart: 4x4 mesh, default schedule ===")
     for name, entry in network.stream_statistics().items():
         print(f"stream {name:<12}: {entry['received']} of {entry['sent']} words delivered")
+    report = network.schedule_report()
+    print(
+        f"schedule            : requested {report['requested']!r}, "
+        f"routers run {report['effective']!r}"
+        + (f" ({report['reason']})" if report["reason"] else "")
+    )
+    print(
+        f"                      {report['batched_cycles']} cycles batched in NumPy, "
+        f"{report['scalar_cycles']} on the event heap"
+    )
+    if not shards:
+        return
     print("cross-shard scheduler statistics (merged over all workers):")
     for key, value in network.stats.as_dict().items():
         print(f"  {key:<16}: {value}")
@@ -120,9 +142,8 @@ if __name__ == "__main__":
         type=int,
         default=0,
         metavar="N",
-        help="also run a small mesh partitioned over N worker processes",
+        help="run the small mesh partitioned over N worker processes",
     )
     args = parser.parse_args()
     main()
-    if args.shards:
-        sharded_demo(args.shards)
+    mesh_demo(args.shards)

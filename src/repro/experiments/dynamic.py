@@ -38,6 +38,7 @@ from repro.noc.fabric import build_network
 from repro.noc.faults import FaultInjector, FaultSpec
 from repro.noc.selection import FabricSelector
 from repro.noc.topology import Mesh2D, Topology
+from repro.sim.engine import DEFAULT_SCHEDULE
 
 __all__ = [
     "WorkloadEvent",
@@ -228,7 +229,7 @@ def run_dynamic_workload(
     total_cycles: int = 3000,
     load: float = 0.5,
     seed: int = 0,
-    schedule: str = "auto",
+    schedule: str = DEFAULT_SCHEDULE,
     selector: Optional[FabricSelector] = None,
     **params,
 ) -> DynamicWorkloadResult:

@@ -58,7 +58,7 @@ from repro.noc.gt_network import (
 )
 from repro.noc.mapping import Mapping
 from repro.noc.topology import Topology
-from repro.sim.engine import SimulationKernel
+from repro.sim.engine import DEFAULT_SCHEDULE, SimulationKernel
 
 __all__ = [
     "ScenarioRunResult",
@@ -536,7 +536,7 @@ def run_app_traffic(
     cycles: int = 3000,
     load: float = 0.5,
     seed: int = 0,
-    schedule: str = "auto",
+    schedule: str = DEFAULT_SCHEDULE,
     **params,
 ) -> AppTrafficResult:
     """Run one application's GT traffic end to end on any network kind.

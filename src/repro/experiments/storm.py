@@ -27,7 +27,7 @@ The module provides
 
 Determinism: every victim chooser owns its own seeded RNG and faults are
 injected between cycles, so a campaign replayed under ``schedule="strict"``
-and ``schedule="auto"`` is bit-identical — checked by ``identical_results``
+and under the default schedule is bit-identical — checked by ``identical_results``
 in ``examples/failure_storm.py`` and CI.
 """
 
@@ -51,6 +51,7 @@ from repro.noc.faults import (
     row_cut_chooser,
 )
 from repro.noc.topology import Mesh2D, Topology
+from repro.sim.engine import DEFAULT_SCHEDULE
 
 __all__ = [
     "DEFAULT_STORM_APPS",
@@ -184,7 +185,7 @@ def run_storm(
     topology: Optional[Topology] = None,
     storm_size: int = 2,
     seed: int = 0,
-    schedule: str = "auto",
+    schedule: str = DEFAULT_SCHEDULE,
     frequency_hz: float = 100e6,
     load: float = 0.5,
     apps: Optional[Sequence[AppSpec]] = None,

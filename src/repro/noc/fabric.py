@@ -25,7 +25,7 @@ from repro.energy.power import PowerBreakdown
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.noc.topology import IrregularMesh, Position, Topology
 from repro.noc.word_proxy import WordSourceRegistry
-from repro.sim.engine import SimulationKernel
+from repro.sim.engine import DEFAULT_SCHEDULE, SimulationKernel
 
 __all__ = [
     "NocBase",
@@ -69,6 +69,9 @@ class NocBase:
     #: everywhere else.  Fault injection must desynchronise it before
     #: touching wires — see :meth:`fail_link` / :meth:`fail_router`.
     vector_plane: Optional[Any] = None
+    #: Why a kind that has a plane installed none on this network (set by
+    #: :meth:`_register_with_kernel`, read by :meth:`schedule_report`).
+    plane_refusal: Optional[str] = None
 
     def __init__(
         self,
@@ -76,7 +79,7 @@ class NocBase:
         frequency_hz: float,
         data_width: int,
         tech: Technology = TSMC_130NM_LVHP,
-        schedule: str = "auto",
+        schedule: str = DEFAULT_SCHEDULE,
         region: Optional[Iterable[Position]] = None,
     ) -> None:
         self.topology = topology
@@ -143,12 +146,10 @@ class NocBase:
         """Register the routers with the simulation kernel.
 
         The default puts every router on the schedule individually; kinds
-        with a columnar fast path override this to register one
-        :class:`repro.sim.vector.VectorPlane` in their place under
-        ``schedule="vector"`` (the routers then execute as plane members,
-        bit-identically).  Runs before any stream endpoint is added, so the
-        registration-index ordering routers-before-streams is preserved
-        either way.
+        with a columnar fast path extend it to register one
+        :class:`repro.sim.vector.VectorPlane` right behind the routers under
+        ``schedule="vector"``.  Runs before any stream endpoint is added, so
+        the registration-index ordering routers-before-streams holds.
         """
         for router in self.routers.values():
             self.kernel.add(router)
@@ -539,6 +540,38 @@ class NocBase:
         return self.kernel.run_for_time(seconds)
 
     # -- reporting --------------------------------------------------------------------------
+
+    def schedule_report(self) -> Dict[str, Any]:
+        """Which schedule was requested, which one runs the routers right
+        now, and why.
+
+        ``effective`` differs from ``requested`` only under
+        ``schedule="vector"``: without a plane (``reason`` names why: the
+        kind has none, clock gating, a lane packet wider than an ``int64``
+        column, NumPy missing) the routers run ``"event"``, and so they do
+        while the plane's live routes, as counted after the last cycle that
+        followed a configuration write, sit below its gate — in particular
+        before the first cycle.  A plane that crossed the gate during the
+        run shows in both cycle counts: ``batched_cycles`` it executed in
+        its columns, ``scalar_cycles`` the routers spent on the event heap.
+        """
+        requested = self.kernel.schedule
+        report: Dict[str, Any] = {
+            "requested": requested,
+            "effective": requested,
+            "reason": None,
+            "batched_cycles": self.kernel.scheduler_stats.vector_batches,
+            "scalar_cycles": 0,
+        }
+        plane = self.vector_plane
+        if plane is not None:
+            report["scalar_cycles"] = plane.scalar_cycles
+            report["reason"] = plane.gate_reason()
+        elif requested == "vector":
+            report["reason"] = self.plane_refusal or f"the {self.kind} kind has no vector plane"
+        if report["reason"] is not None:
+            report["effective"] = "event"
+        return report
 
     def stream_statistics(self) -> Dict[str, Dict[str, int]]:
         """Words sent / received per registered stream."""

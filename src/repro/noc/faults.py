@@ -34,7 +34,7 @@ applications on whatever fabric survives.  This module is that half:
   produces one :class:`FaultReport`.
 
 Faults are injected *between* cycles (the kernel is in its idle phase), so a
-storm schedule replayed under ``schedule="strict"`` and ``schedule="auto"``
+storm schedule replayed under ``schedule="strict"`` and under the default
 stays bit-identical — the repo-wide equivalence discipline extends to every
 storm scenario.
 """

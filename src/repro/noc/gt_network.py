@@ -51,7 +51,7 @@ from repro.noc.fabric import NocBase, WordSource, register_network_kind
 from repro.noc.slot_table import SlotAllocation, SlotCircuit, SlotTableAllocator
 from repro.noc.topology import Position, Topology
 from repro.noc.word_proxy import GtPullModel
-from repro.sim.engine import ClockedComponent
+from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent
 from repro.sim.signals import DirtyBit, WakeListener
 
 __all__ = [
@@ -708,10 +708,10 @@ class GtStreamEndpoints:
 class TimeDivisionNoC(NocBase):
     """A complete Æthereal-style TDMA guaranteed-throughput network.
 
-    ``schedule="vector"`` is accepted but behaves exactly like
-    ``schedule="event"``: the slot-table router's per-slot table walk is
-    control flow, not a static register gather, so the columnar fast path
-    (:mod:`repro.sim.vector`) does not register a plane for GT fabrics.
+    ``schedule="vector"`` (the default) runs as ``schedule="event"`` here
+    and :meth:`schedule_report` says so: the slot-table router's per-slot
+    table walk is control flow, not a static register gather, so the
+    columnar fast path (:mod:`repro.sim.vector`) has no plane for GT fabrics.
     """
 
     kind = "time_division_gt"
@@ -731,7 +731,7 @@ class TimeDivisionNoC(NocBase):
         slots: int = 16,
         data_width: int = 16,
         tech: Technology = TSMC_130NM_LVHP,
-        schedule: str = "auto",
+        schedule: str = DEFAULT_SCHEDULE,
         region=None,
     ) -> None:
         self.slots = slots

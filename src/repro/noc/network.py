@@ -27,6 +27,7 @@ from repro.noc.fabric import NocBase, WordSource, register_network_kind
 from repro.noc.path_allocation import CircuitAllocation, LaneAllocator, LaneCircuit
 from repro.noc.topology import Position, Topology
 from repro.noc.word_proxy import PacedPullModel
+from repro.sim.engine import DEFAULT_SCHEDULE
 
 __all__ = ["StreamEndpoints", "CircuitSwitchedNoC"]
 
@@ -71,7 +72,7 @@ class CircuitSwitchedNoC(NocBase):
         data_width: int = 16,
         clock_gating: bool = False,
         tech: Technology = TSMC_130NM_LVHP,
-        schedule: str = "auto",
+        schedule: str = DEFAULT_SCHEDULE,
         region=None,
     ) -> None:
         self.lanes_per_port = lanes_per_port
@@ -89,16 +90,18 @@ class CircuitSwitchedNoC(NocBase):
     # -- construction hooks -----------------------------------------------------------
 
     def _register_with_kernel(self) -> None:
-        """Register routers — batched behind a vector plane when requested.
+        """Register routers — and a vector plane when the schedule asks.
 
-        Under ``schedule="vector"`` the routers are not registered
-        individually; a single :class:`~repro.sim.vector.VectorPlane`
-        component owns them all and executes busy cycles through flat NumPy
-        arrays.  The plane refuses members it cannot batch (clock gating, a
-        lane packet too wide for an ``int64`` column) and needs an
-        importable NumPy; otherwise the schedule quietly degrades to plain
-        event-driven execution (the kernel treats ``"vector"`` as
-        ``"event"`` either way).
+        Under ``schedule="vector"`` a single
+        :class:`~repro.sim.vector.VectorPlane` component is registered
+        right behind the routers.  From its live-route gate up it parks
+        them and batches busy cycles through flat NumPy arrays; below, the
+        kernel's event schedule runs them as it would without a plane.  The
+        plane refuses members it cannot batch (clock gating, a lane packet
+        too wide for an ``int64`` column) and needs an importable NumPy;
+        the routers then run plain event-driven (the kernel treats
+        ``"vector"`` as ``"event"`` either way) and :attr:`plane_refusal`
+        keeps the reason for :meth:`schedule_report`.
         """
         plane = None
         if self.kernel.schedule == "vector" and self.routers:
@@ -106,14 +109,15 @@ class CircuitSwitchedNoC(NocBase):
                 from repro.sim.vector import VectorPlane
 
                 plane = VectorPlane(list(self.routers.values()))
-            except (ImportError, SimulationError):
-                pass
-        if plane is None:
-            super()._register_with_kernel()
-            return
-        self.kernel.add(plane)
-        self.kernel.add_sync_hook(plane.flush)
-        self.vector_plane = plane
+            except ImportError:
+                self.plane_refusal = "NumPy is not importable"
+            except SimulationError as refusal:
+                self.plane_refusal = str(refusal)
+        super()._register_with_kernel()
+        if plane is not None:
+            self.kernel.add(plane)
+            self.kernel.add_sync_hook(plane.flush)
+            self.vector_plane = plane
 
     def _build_router(self, position: Position) -> CircuitSwitchedRouter:
         return CircuitSwitchedRouter(

@@ -26,6 +26,7 @@ from repro.noc.fabric import NocBase, WordSource, register_network_kind
 from repro.noc.routing import RoutingTable
 from repro.noc.topology import Position, Topology
 from repro.noc.word_proxy import PacedPullModel
+from repro.sim.engine import DEFAULT_SCHEDULE
 
 __all__ = ["PacketStreamEndpoints", "PacketSwitchedNoC"]
 
@@ -62,7 +63,7 @@ class PacketSwitchedNoC(NocBase):
         data_width: int = 16,
         words_per_packet: int = 16,
         tech: Technology = TSMC_130NM_LVHP,
-        schedule: str = "auto",
+        schedule: str = DEFAULT_SCHEDULE,
         region=None,
     ) -> None:
         self.num_vcs = num_vcs

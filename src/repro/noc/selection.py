@@ -31,6 +31,7 @@ from repro.common import AllocationError, MappingError, ReproError
 from repro.noc.ccn import CentralCoordinationNode
 from repro.noc.fabric import build_network, resolve_network_kind
 from repro.noc.topology import Topology
+from repro.sim.engine import DEFAULT_SCHEDULE
 
 __all__ = ["FabricCandidate", "FabricDecision", "FabricSelector"]
 
@@ -113,7 +114,7 @@ class FabricSelector:
         load: float = 0.5,
         seed: int = 0,
         reconfig_weight_pj_per_ms: float = 1.0,
-        schedule: str = "auto",
+        schedule: str = DEFAULT_SCHEDULE,
     ) -> None:
         if probe_cycles < 1:
             raise ValueError("probe_cycles must be positive")

@@ -16,6 +16,15 @@ Because ``evaluate`` only reads committed state, the order in which
 components are evaluated cannot change the result; this is asserted by the
 property-based tests.
 
+Four schedules execute that model (:data:`repro.sim.engine.SCHEDULES`), all
+bit-identical.  ``strict`` is the oracle.  ``vector`` — the event heap plus
+the self-gating vector plane where the network kind has one — is
+:data:`repro.sim.engine.DEFAULT_SCHEDULE`: what ``SimulationKernel``,
+``build_network`` and every experiment hand out when no ``schedule`` is
+passed.  ``event`` is the same heap without a plane, and ``auto`` the older
+per-cycle scan, kept selectable for its own tests and bench column.  The
+sections below introduce the tiers in the order they were built.
+
 Execution model: quiescence-aware scheduling
 --------------------------------------------
 
@@ -41,9 +50,10 @@ components that have reached a *fixed point*:
   and at the end of every ``run`` — a sleeping component costs zero work per
   simulated cycle.
 * **Strict mode.**  ``SimulationKernel(schedule="strict")`` runs the original
-  every-component schedule.  Both schedules produce bit-identical cycle
+  every-component schedule.  Every schedule produces bit-identical cycle
   counts, activity counters and power results; the equivalence is asserted
-  by ``tests/test_kernel_equivalence.py`` across all tier-1 scenarios.
+  by ``tests/test_kernel_equivalence.py`` across all tier-1 scenarios, the
+  default (no ``schedule`` argument) included.
 
 Components opt in via the quiescence protocol of
 :class:`repro.sim.engine.ClockedComponent` (``supports_quiescence``,
@@ -64,9 +74,10 @@ clock ticking.  The **timed tier** removes the per-cycle iteration too:
   (``None`` = never; traffic pacers predict their next emission in closed
   form, the GT slot-table router predicts its next owned injection slot as a
   pure function of the cycle count).
-* When everything on the schedule is timed (sleeping components do not
-  count — they have no events by definition) and no dense per-cycle hook is
-  registered, ``SimulationKernel._advance`` **leaps** the clock straight to
+* Under ``schedule="auto"``, when everything on the schedule is timed
+  (sleeping components do not count — they have no events by definition)
+  and no dense per-cycle hook is registered, ``SimulationKernel._advance``
+  **leaps** the clock straight to
   the earliest predicted event, bulk-applying the skipped cycles through
   the same ``idle_tick`` machinery (which for timed components also
   fast-forwards their deterministic bookkeeping, e.g. pacer credit).
@@ -75,10 +86,13 @@ clock ticking.  The **timed tier** removes the per-cycle iteration too:
   can change and no sleeping component can wake — the kernel asserts this
   by rejecting ``wake()`` calls during a leap.
 * Cycle hooks are *timed* as well: ``add_pre_cycle_hook(hook, every=N)``
-  runs the hook on cycles divisible by ``N`` under both schedules, and
+  runs the hook on cycles divisible by ``N`` under every schedule, and
   leaps never skip a scheduled hook cycle.  A dense hook (``every=1``)
   disables leaping, preserving strict-mode bit-identity for external
-  per-cycle observers.
+  per-cycle observers.  A hook that reads router activity, link wires or
+  converter lanes calls ``kernel.sync()`` first: sleeping components owe
+  their idle accounting and a batching vector plane holds the wires in its
+  columns until then.
 
 The strict schedule never leaps; ``tests/test_kernel_equivalence.py`` and
 ``tests/test_timed_scheduling.py`` assert bit-identical results with and
@@ -123,21 +137,26 @@ bit-identity (strict = auto = event) is asserted by
 event-vs-auto speedup on the fully loaded 8×8 mesh, where quiescence and
 leaping cannot help.
 
-The columnar vector tier
-------------------------
+The columnar vector tier (the default)
+--------------------------------------
 
 Every tier above attacks *idle* cost; a fully loaded fabric still pays a
 pure-Python per-component loop on every busy cycle.
-``SimulationKernel(schedule="vector")`` is the event schedule plus an
-opt-in **struct-of-arrays fast path** (:mod:`repro.sim.vector`): a
+``SimulationKernel(schedule="vector")`` is the event schedule plus a
+**struct-of-arrays fast path** (:mod:`repro.sim.vector`): a
 circuit-switched fabric registers one :class:`~repro.sim.vector.VectorPlane`
-component in place of its routers, holding every crossbar output/acknowledge
-register in flat preallocated NumPy arrays.  The active routes compile into
+component behind its routers, holding every crossbar output/acknowledge
+register in flat preallocated NumPy arrays.  The plane gates itself on the
+live routes of the current configuration
+(:data:`repro.sim.vector.MIN_BATCH_ROUTES`): from the gate up it parks the
+routers in the kernel and batches them, below it the plane sleeps and the
+kernel schedules the routers exactly as under ``event``, so a small or idle
+fabric never pays for NumPy.  The active routes compile into
 a route-index gather per configuration version, so one busy cycle over the
 whole fabric becomes a handful of ``take``/``xor``/``bitwise_count`` calls;
 toggle accounting is vectorised popcounts that equal the scalar
-``int.bit_count`` path exactly.  Configuration-version guards trigger a
-dense reference cycle and recompile — reconfiguration, live faults and
+``int.bit_count`` path exactly.  A configuration write hands the routers
+back to the kernel for one cycle before the recompile — reconfiguration, live faults and
 post-start channel attach all invalidate the compiled gather exactly like
 the event schedule's sparse sweeps — and a flush at every ``sync`` folds
 the columnar state back into the scalar objects, so external readers never
@@ -146,11 +165,13 @@ shift register and output phit, deserialiser collected phits, owed and
 committed acknowledge pulses — is columns of the same plane, shifted for all
 lanes at once; only the word edges (load a queued word, return credit,
 deliver a word to the tile) stay scalar.  GT slot tables, packet routers and
-clock-gated fabrics do not register a plane and simply run event-driven.
+clock-gated fabrics do not register a plane and run event-driven;
+``network.schedule_report()`` names the requested and the effective schedule
+and the reason they differ.
 Quad-modal bit-identity (strict = auto = event = vector) is asserted by
 ``tests/test_kernel_equivalence.py`` and ``tests/test_vector_plane.py``;
 ``BENCH_kernel.json`` tracks the ≥3.5× vector-vs-event speedup on the fully
-loaded 8×8 mesh.
+loaded 8×8 mesh and the ≥0.9× floor on every row that carries traffic.
 """
 
 from repro.sim.engine import ClockedComponent, SimulationKernel

@@ -7,20 +7,24 @@ cannot change.  The insight mirrors the paper's clock-gating argument
 simulation cost should be proportional to *signal activity*, not to component
 count.
 
-Three schedules are available:
+Four schedules are available (:data:`SCHEDULES`), all bit-identical;
+:data:`DEFAULT_SCHEDULE` names the one every constructor defaults to:
 
 ``strict``
     Every registered component is evaluated and committed on every cycle —
-    the original, seed-equivalent schedule.  Used as the reference in the
-    equivalence tests.
+    the original, seed-equivalent schedule.  The oracle of the equivalence
+    tests.
 
-``auto`` (default)
-    Components that implement the quiescence protocol (see below) are taken
-    off the schedule once they report a fixed point and are only woken when
-    one of their inputs changes.  Wake-up is driven by dirty-bits on the wire
-    bundles (:mod:`repro.core.lane`, :mod:`repro.baseline.link`) and by the
-    external interfaces (tile send/receive, configuration writes): any write
-    that actually changes a value calls :meth:`ClockedComponent.wake` on the
+``auto``
+    The first quiescence-aware schedule, kept selectable for its own tests
+    and bench column: a per-cycle scan of the awake components, dominated
+    by ``event`` on every recorded row.  Components that implement the
+    quiescence protocol (see below) are taken off the schedule once they
+    report a fixed point and are only woken when one of their inputs
+    changes.  Wake-up is driven by dirty-bits on the wire bundles
+    (:mod:`repro.core.lane`, :mod:`repro.baseline.link`) and by the external
+    interfaces (tile send/receive, configuration writes): any write that
+    actually changes a value calls :meth:`ClockedComponent.wake` on the
     reading component.
 
 ``event``
@@ -36,16 +40,20 @@ Three schedules are available:
     proportional to *events* rather than cycles × components.  See
     "Event-queue contract" below.
 
-``vector``
-    The columnar fast path: the event schedule plus an opt-in struct-of-
-    arrays batch plane (:mod:`repro.sim.vector`).  Network builders that
-    support it (the circuit-switched fabric) register one composite
-    :class:`~repro.sim.vector.VectorPlane` component in place of their
-    routers; one busy cycle of the whole fabric then becomes a handful of
-    NumPy gathers/XORs/popcounts instead of per-router Python loops.  The
-    kernel itself treats ``"vector"`` exactly like ``"event"`` — builders
-    that have no plane (packet, GT, clock-gated runs) fall back to event
-    behaviour, so the schedule is always safe to request.  Bit-identity to
+``vector`` (default)
+    The event schedule plus a struct-of-arrays batch plane
+    (:mod:`repro.sim.vector`).  Network builders that support it (the
+    circuit-switched fabric) register one composite
+    :class:`~repro.sim.vector.VectorPlane` component behind their routers.
+    The plane gates itself on the live routes of the current
+    configuration: at or above its threshold it parks the routers
+    (:meth:`SimulationKernel.park`) and one busy cycle of the whole fabric
+    is a handful of NumPy gathers/XORs/popcounts; below it the plane sleeps
+    and the routers are ordinary components of the event schedule.
+    The kernel itself treats ``"vector"`` exactly like ``"event"`` —
+    builders that have no plane (packet, GT, clock-gated runs, a bare
+    kernel) run the event heap and say so
+    (:meth:`repro.noc.fabric.NocBase.schedule_report`).  Bit-identity to
     ``strict`` is preserved: toggle counts come from vectorised
     ``popcount(xor(new, old))``, which equals the scalar ``int.bit_count``
     path exactly.
@@ -86,12 +94,12 @@ fixes that.  A component sets ``supports_timed_wake`` and implements
   fast-forward its deterministic per-cycle bookkeeping (pacer credit) over
   the skipped cycles.
 
-When every component on the schedule is timed (and no dense per-cycle hook
-is registered), :meth:`SimulationKernel._advance` leaps the clock straight
-to the earliest next event — the *event horizon* — in one jump: the skipped
-cycles are bulk-applied through ``idle_tick``, sleeping components stay
-asleep (nothing runs during a leap, so nothing can wake them — asserted),
-and the event cycle itself is then executed normally.  Leaping is exact by
+Under ``auto``, when every component on the schedule is timed (and no dense
+per-cycle hook is registered), :meth:`SimulationKernel._advance` leaps the
+clock straight to the earliest next event — the *event horizon* — in one
+jump: the skipped cycles are bulk-applied through ``idle_tick``, sleeping
+components stay asleep (nothing runs during a leap, so nothing can wake
+them — asserted), and the event cycle itself is then executed normally.  Leaping is exact by
 construction: a cycle is only skipped when every scheduled component has
 declared it an idle tick, which is precisely what the strict schedule would
 have executed.
@@ -141,7 +149,16 @@ from typing import Callable, ClassVar, Iterable, Optional, Sequence
 from repro.common import SimulationError
 from repro.sim.stats import SchedulerStats
 
-__all__ = ["ClockedComponent", "SimulationKernel"]
+__all__ = ["ClockedComponent", "SimulationKernel", "SCHEDULES", "DEFAULT_SCHEDULE"]
+
+#: Every accepted schedule name.  ``strict`` is the oracle the others must
+#: equal bit for bit.
+SCHEDULES = ("strict", "auto", "event", "vector")
+
+#: What every constructor and experiment that takes a ``schedule`` defaults
+#: to: the event heap plus, where the network kind has one, the self-gating
+#: vector plane.
+DEFAULT_SCHEDULE = "vector"
 
 
 def _registration_index(component: "ClockedComponent") -> int:
@@ -171,9 +188,10 @@ class ClockedComponent(abc.ABC):
     #: deferring to the next cycle (see "Event-queue contract").
     commit_wake_replays_cycle: ClassVar[bool] = False
     #: Installed (as an *instance* attribute) by
-    #: :class:`repro.sim.vector.VectorPlane` on its member components: any
-    #: dirty-bit wake is then also reported to the plane, which must know
-    #: when a member's inputs changed outside its own batched execution
+    #: :class:`repro.sim.vector.VectorPlane` on its members while it batches
+    #: them (they are parked, see :meth:`SimulationKernel.park`): a dirty-bit
+    #: wake then goes to the plane instead of the kernel, because the plane
+    #: must know when a member's inputs changed outside its own execution
     #: (reconfiguration, tile writes, boundary-frame drives).  Class default
     #: ``None`` keeps the hot path a single attribute test.
     _batch_plane: ClassVar[Optional[object]] = None
@@ -260,10 +278,11 @@ class ClockedComponent(abc.ABC):
         only marks the input-dirty flag, which makes it cheap enough for
         per-wire dirty-bit hooks.
         """
-        self._input_dirty = True
         plane = self._batch_plane
         if plane is not None:
             plane.member_dirty(self)
+            return
+        self._input_dirty = True
         if self._asleep:
             scheduler = self._scheduler
             if scheduler is not None:
@@ -283,15 +302,15 @@ class SimulationKernel:
         energies into powers.  Defaults to the 25 MHz used for the power
         experiments of the paper (Section 7.2).
     schedule:
-        ``"auto"`` (default) skips quiescent components, ``"strict"`` runs
-        the seed-equivalent every-component schedule, ``"event"`` runs the
-        heap-based discrete-event schedule (cost proportional to events),
-        and ``"vector"`` runs the event schedule plus the columnar NumPy
+        One of :data:`SCHEDULES`.  ``"vector"`` (:data:`DEFAULT_SCHEDULE`)
+        runs the heap-based discrete-event schedule plus the columnar NumPy
         fast path for builders that register a
-        :class:`repro.sim.vector.VectorPlane` (identical to ``"event"``
-        otherwise).  All schedules produce bit-identical results;
-        ``strict`` exists as the reference for the equivalence tests and
-        for debugging.
+        :class:`repro.sim.vector.VectorPlane`; on a bare kernel it is
+        ``"event"`` (cost proportional to events).  ``"auto"`` is the older
+        per-cycle scan that skips quiescent components, ``"strict"`` the
+        seed-equivalent every-component schedule.  All schedules produce
+        bit-identical results; ``strict`` exists as the reference for the
+        equivalence tests and for debugging.
     """
 
     #: Cycles to wait before re-scanning the event horizon after a failed
@@ -301,12 +320,14 @@ class SimulationKernel:
     #: or leaving the kernel resets the wait immediately.
     LEAP_RETRY_CYCLES = 8
 
-    def __init__(self, frequency_hz: float = 25e6, schedule: str = "auto") -> None:
+    def __init__(
+        self, frequency_hz: float = 25e6, schedule: str = DEFAULT_SCHEDULE
+    ) -> None:
         if frequency_hz <= 0:
             raise ValueError("frequency_hz must be positive")
-        if schedule not in ("auto", "strict", "event", "vector"):
+        if schedule not in SCHEDULES:
             raise ValueError(
-                "schedule must be 'auto', 'strict', 'event' or 'vector', "
+                f"schedule must be one of {', '.join(map(repr, SCHEDULES))}, "
                 f"got {schedule!r}"
             )
         self.frequency_hz = float(frequency_hz)
@@ -349,6 +370,8 @@ class SimulationKernel:
         #: (benchmarks, tests, the sharded runner's merge) always observe
         #: scalar-coherent state between runs.
         self._sync_hooks: list[Callable[[], None]] = []
+        #: One-shot callbacks for the next gap between two cycles (:meth:`defer`).
+        self._deferred: list[Callable[[], None]] = []
         self.scheduler_stats = SchedulerStats()
 
     # -- construction -----------------------------------------------------
@@ -416,6 +439,45 @@ class SimulationKernel:
         self._next_leap_attempt = 0
         return component
 
+    def park(self, components: Iterable[ClockedComponent]) -> None:
+        """Take *components* off the schedule until each one's next wake.
+
+        For a component that executes others in its own way for a while (the
+        vector plane batching its member routers).  A parked component sleeps
+        exactly like a quiescent one, whatever it would have predicted
+        itself: its idle accounting is deferred from the current cycle on
+        and paid through ``idle_tick`` (which it must implement) when it
+        wakes or at :meth:`sync`.  Only between cycles, like :meth:`remove`.
+        """
+        if self._phase != "idle":
+            raise SimulationError("components can only be parked between cycles")
+        cycle = self._cycle
+        sleeping = self._sleeping
+        for component in components:
+            if component._scheduler is not self:
+                raise SimulationError(
+                    f"component {component.name!r} is not registered with this kernel"
+                )
+            component._due = None  # a pending heap entry goes stale
+            component._input_dirty = False
+            component._pending_wake = False
+            if not component._asleep:
+                component._asleep = True
+                sleeping[component] = cycle
+                self.scheduler_stats.sleeps += 1
+        # In place: _advance_event holds both lists in locals.
+        self._awake[:] = [c for c in self._awake if not c._asleep]
+        self._woken[:] = [c for c in self._woken if not c._asleep]
+
+    def defer(self, callback: Callable[[], None]) -> None:
+        """Run *callback()* once in the next gap between two cycles.
+
+        That is before the next cycle is executed or leapt over, with the
+        kernel idle — where :meth:`park` and :meth:`remove` are allowed,
+        which a component cannot call from its own ``evaluate``/``commit``.
+        """
+        self._deferred.append(callback)
+
     def add_all(self, components: Iterable[ClockedComponent]) -> None:
         """Register several components at once."""
         for component in components:
@@ -428,8 +490,14 @@ class SimulationKernel:
         and disables cycle leaping entirely (the kernel must single-step so
         the hook observes every cycle — bit-identical to the strict
         schedule).  With ``every=N`` the hook is *timed*: it runs only on
-        cycles divisible by *N* in both schedules, and leaps are bounded so
+        cycles divisible by *N* in every schedule, and leaps are bounded so
         no scheduled hook cycle is ever skipped.
+
+        A hook sees the kernel between two cycles with the deferred
+        bookkeeping still owed: sleeping components have not booked their
+        idle ticks, and a batching vector plane holds link wires, crossbar
+        registers and converter lanes in its columns.  A hook that reads any
+        of those calls :meth:`sync` first; the values then equal ``strict``.
         """
         if every < 1:
             raise ValueError("hook stride must be positive")
@@ -439,7 +507,9 @@ class SimulationKernel:
     def add_post_cycle_hook(self, hook: Callable[[int], None], every: int = 1) -> None:
         """Run *hook(cycle)* after the commit phase of matching cycles.
 
-        The stride semantics match :meth:`add_pre_cycle_hook`.
+        The stride semantics match :meth:`add_pre_cycle_hook`, and so does
+        its note on stale state: call :meth:`sync` before reading activity
+        counters or wires.
         """
         if every < 1:
             raise ValueError("hook stride must be positive")
@@ -569,6 +639,7 @@ class SimulationKernel:
         self._woken.clear()
         self._heap.clear()
         self._late.clear()
+        self._deferred.clear()
         self._commit_index = -1
         self._phase = "idle"
         self._next_leap_attempt = 0
@@ -786,6 +857,10 @@ class SimulationKernel:
         skippable gap up to *limit* (exclusive bound of this run); if the
         whole remaining window is skippable no cycle is executed at all.
         """
+        if self._deferred:
+            deferred, self._deferred = self._deferred, []
+            for callback in deferred:
+                callback()
         if self._event:
             self._advance_event(limit)
             return
@@ -893,7 +968,7 @@ class SimulationKernel:
         cycle = self._cycle
         if cycle >= limit:
             return cycle
-        if self._woken or self._has_dense_hooks:
+        if self._woken or self._deferred or self._has_dense_hooks:
             return cycle
         target = self._hook_bound(cycle, limit)
         if target <= cycle:

@@ -493,6 +493,8 @@ class _ShardHarness:
             }
         if what == "fault_drops":
             return network.fault_drops()
+        if what == "schedule":
+            return network.schedule_report()
         if what == "sched":
             return dataclasses.replace(
                 network.kernel.scheduler_stats,
@@ -1177,6 +1179,24 @@ class ShardedNetwork:
     def stats(self) -> SchedulerStats:
         """Cross-shard merged scheduler statistics (alias of the kernel's)."""
         return self.kernel.scheduler_stats
+
+    def schedule_report(self) -> Dict[str, Any]:
+        """The shards' :meth:`~repro.noc.fabric.NocBase.schedule_report` as one.
+
+        Every shard is built with the same parameters, so ``requested``
+        agrees; each region gates its own plane on its own live routes, so
+        ``effective`` reads ``"mixed"`` when the shards differ, the distinct
+        reasons are joined and the cycle counts add up.
+        """
+        reports = self._query_all("schedule")
+        merged = dict(reports[0])
+        effective = {report["effective"] for report in reports}
+        merged["effective"] = effective.pop() if len(effective) == 1 else "mixed"
+        reasons = sorted({report["reason"] for report in reports} - {None})
+        merged["reason"] = "; ".join(reasons) or None
+        for key in ("batched_cycles", "scalar_cycles"):
+            merged[key] = sum(report[key] for report in reports)
+        return merged
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -31,14 +31,18 @@ class SchedulerStats:
     queue: ``events_processed`` counts heap entries popped and executed
     (components scheduled at a predicted due-cycle), and ``heap_peak`` is
     the largest number of pending entries the queue ever held.  Both stay 0
-    under the ``strict`` and ``auto`` schedules.
+    under the ``strict`` and ``auto`` schedules; ``vector`` runs on the same
+    queue.
 
     Under ``schedule="vector"`` the columnar fast path
     (:mod:`repro.sim.vector`) adds two counters: ``vector_batches`` counts
     fabric-wide batched cycles executed through the NumPy plane (one per
-    committed cycle on the fast path; fallback cycles do not count), and
-    ``vector_components`` the member component-cycles those batches covered.
-    Both stay 0 under every other schedule.
+    committed cycle on the fast path; cycles the routers run themselves,
+    below the plane's live-route gate or after a reconfiguration, do not
+    count), and ``vector_components`` the member component-cycles those
+    batches covered.  Both stay 0 under every other schedule.  The routers
+    of a batching plane are parked in the kernel, so their cycles also
+    count as ``skipped``.
 
     Sharded runs (:mod:`repro.sim.shard`) add four transport counters,
     all 0 on a single-process kernel: ``frames_sent`` counts boundary

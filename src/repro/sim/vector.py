@@ -28,18 +28,33 @@ How it stays bit-identical to the strict reference schedule:
   the scalar :class:`~repro.energy.activity.ActivityCounters` at
   :meth:`flush` time, so the per-router totals match the strict schedule
   ULP-exactly (they are integer sums either way).  Without clock gating
-  every register clocks on every cycle, so the clocked-bit count is a closed
-  form: bits per member × batched cycles.
-* **Version guards and the reference fallback.**  Any member wake
-  (reconfiguration, fault, tile write, boundary frame) lands in the plane's
-  dirty list via :attr:`repro.sim.engine.ClockedComponent._batch_plane`.  A
-  configuration-version change triggers one *reference cycle*: the plane
-  flushes its arrays back into the scalar objects and runs every member's
-  dense ``evaluate``/``commit`` — exactly the dense sweep the scalar event
-  schedule performs per configuration version — then recompiles.  Fault
-  injection calls :meth:`desync` *before* wires die, so in-flight drop
-  counts read true wire state and dead bundles reclassify onto the scalar
-  drive path.
+  every register clocks on every cycle, so the clocked-bit count is the
+  members' own constant ``idle_tick``: batched members are *parked* in the
+  kernel (:meth:`repro.sim.engine.SimulationKernel.park`), which pays that
+  accounting like any sleeper's when they wake or at ``sync``.
+* **Self-gating on live routes.**  One batched cycle costs a fixed two
+  dozen NumPy calls however few lanes move, so the plane batches only when
+  the configured routes of its members (:attr:`VectorPlane.live_routes`,
+  counted once per configuration change) reach :data:`MIN_BATCH_ROUTES`.
+  Below that the members are ordinary components of the kernel's event
+  schedule — the plane itself sleeps — so a small or idle fabric costs
+  exactly what it costs under ``schedule="event"``.  The gate reads a
+  property of the input, not a parameter.
+* **Version guards and the scalar cycle.**  While the plane batches, a
+  member's dirty-bit wake (a tile write, a boundary-frame drive) goes to
+  the plane's dirty list instead of the kernel
+  (:attr:`repro.sim.engine.ClockedComponent._batch_plane`).  A
+  configuration write (the plane hooks every member's
+  ``ConfigurationMemory.on_change``) *releases* the members: the plane
+  flushes its arrays back into the scalar objects and wakes every member,
+  so the kernel runs their own ``evaluate``/``commit`` for one cycle — each
+  router sweeps its registers and wires once for the new version, exactly
+  as under the event schedule.  At the end of that cycle the plane re-reads
+  the gate; at or above it, it parks the members again in the next gap
+  between two cycles (:meth:`repro.sim.engine.SimulationKernel.defer`) and
+  recompiles.  Fault injection calls :meth:`desync` *before* wires die, so
+  in-flight drop counts read true wire state and dead bundles reclassify
+  onto the scalar drive path.
 * **Converter lanes are columns, word edges are scalar.**  Per (member, tile
   lane) the plane holds the serialiser's shift register and output phit, the
   deserialiser's collected phits, pending-acknowledge count and committed
@@ -65,17 +80,20 @@ How it stays bit-identical to the strict reference schedule:
   units, so mid-packet ``run()`` boundaries, fault surgery, ``reset()`` and
   the conservation-based drain predicate see scalar-coherent lane state.
 
-The plane registers with the kernel as **one** composite component in place
-of its member routers (the members are never registered themselves), so the
-registration-index ordering against stream endpoints — and therefore the
-commit-phase replay semantics of the event schedule — is preserved.  GT slot
-wires are *not* vectorised: the TDMA router's per-slot table walk is control
-flow, not a static gather, so ``schedule="vector"`` on a GT (or packet, or
-clock-gated circuit) network simply behaves as ``schedule="event"``.
+The plane registers with the kernel right after its member routers and
+before any stream endpoint, so whether the members commit themselves or the
+plane commits them in one batch, the registration-index ordering against the
+endpoints — and therefore the commit-phase replay semantics of the event
+schedule — is the same.  GT slot wires are *not* vectorised: the TDMA
+router's per-slot table walk is control flow, not a static gather, so
+``schedule="vector"`` on a GT (or packet, or clock-gated circuit) network
+runs as ``schedule="event"`` and
+:meth:`repro.noc.fabric.NocBase.schedule_report` says so.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -85,10 +103,22 @@ from repro.core.header import VALID_MASK
 from repro.energy.activity import ActivityKeys
 from repro.sim.engine import ClockedComponent
 
-__all__ = ["VectorPlane"]
+__all__ = ["VectorPlane", "MIN_BATCH_ROUTES"]
 
 #: Widest packed lane state an ``int64`` column holds without touching the sign.
 _COLUMN_BITS = 62
+
+#: Live route-hops (configured crossbar routes summed over the members) from
+#: which one NumPy batch beats the kernel scheduling the members themselves.
+#: ``BENCH_kernel.json`` brackets it from both sides.  Above: with 16 live
+#: routes (4×4 at four rows, 8×8 at two rows) batching runs at 2.1–2.6× of
+#: ``event`` at full load and 1.45× paced at load 0.1.  Below: with 2–4 live
+#: routes (2×2 at one and two rows, 4×4 at one row, full load and paced) the
+#: same file as recorded by PR 12, when the plane always batched, had it at
+#: 0.71–0.99×.  No committed row sits between 4 and 16 live routes, so the
+#: crossover is only known to lie in that interval and 8 is its middle in
+#: powers of two; ROADMAP ("Smaller items") asks for the rows at 6 and 8.
+MIN_BATCH_ROUTES = 8
 
 
 class VectorPlane(ClockedComponent):
@@ -97,18 +127,20 @@ class VectorPlane(ClockedComponent):
     Parameters
     ----------
     members:
-        The routers to batch, in the order they would have been registered
-        with the kernel.  All must share one lane geometry and have clock
-        gating disabled (the gated commit path holds register values the
-        columnar latch would overwrite), and a lane packet must fit an
-        ``int64`` column.  Raises :class:`~repro.common.SimulationError`
-        otherwise; the network then registers the routers themselves.
+        The routers to batch, in registration order; the caller registers
+        them with the same kernel as the plane, ahead of it.  All must share
+        one lane geometry and have clock gating disabled (the gated commit
+        path holds register values the columnar latch would overwrite), and
+        a lane packet must fit an ``int64`` column.  Raises
+        :class:`~repro.common.SimulationError` otherwise; the network then
+        runs without a plane and records the message as its fallback reason.
     name:
         Kernel component name (one plane per kernel).
     """
 
+    #: Quiescence only: the plane generates no event of its own, so parking
+    #: until a dirty-bit wake is all the timed protocol could add.
     supports_quiescence = True
-    supports_timed_wake = True
 
     def __init__(self, members: List[Any], name: str = "vector_plane") -> None:
         super().__init__(name)
@@ -141,9 +173,6 @@ class VectorPlane(ClockedComponent):
         self._c = self._r * self._l
         self._width = width
         self._phits = phits
-        #: Constant per-cycle clocked bits of one member: the non-gated commit
-        #: clocks every crossbar data+ack register and every converter lane.
-        self._cycle_bits = self._t * (width + 1) + first.converter.idle_cycle_bits()
 
         # Lane units, flat by converter lane index ``member * lanes + lane``.
         self._serializers = [s for m in members for s in m.converter.serializers]
@@ -165,29 +194,41 @@ class VectorPlane(ClockedComponent):
         self._packet_full = 1 << self._deserializers[0]._full_shift
 
         # Scheduling state ------------------------------------------------
+        #: Members woken while batched (parked in the kernel, this plane
+        #: their ``_batch_plane``); otherwise the kernel schedules them.
         self._dirty: List[Any] = []
-        self._member_versions = [-1] * self._r
         self._compiled = False
-        #: A member's configuration version moved: the next cycle must be a
-        #: dense reference cycle before the gather can be recompiled.
+        #: A member's configuration was written (:meth:`_config_written`)
+        #: since this plane last evaluated: the members must run a cycle of
+        #: their own (sweeping registers and wires for the new version)
+        #: before the gate is read and the gather recompiled.
         self._structural = True
-        #: The previous executed cycle was a clean dense reference cycle, so
-        #: the scalar state is coherent and the gather may compile.
-        self._fallback_ready = False
-        #: Dense member evaluates already ran for the in-flight cycle.
-        self._fallback_eval = False
+        #: That cycle is in flight; :meth:`commit` reads the gate.
+        self._sweeping = False
+        #: :meth:`_take_over` is queued for the next gap between two cycles.
+        self._taking_over = False
+        #: Configured routes over all members as counted after the last
+        #: swept cycle (``None`` before the first); the gate compares it
+        #: with :data:`MIN_BATCH_ROUTES`.
+        self.live_routes: Optional[int] = None
+        #: Simulated cycles the members spent on the kernel's own schedule,
+        #: up to the last takeover (see :attr:`scalar_cycles`).
+        self._scalar_cycles = 0
+        self._released_at = 0
         #: The last batched commit latched no change, crossed no word edge
         #: and left every converter lane idle — the plane is at a fixed point
         #: and may park.
         self._settled = False
+        #: Batched commits not yet folded into the members' activity.
         self._batched = 0
-        self._last_cycle = 0
         self._pending_link = [0] * self._r
 
         for index, member in enumerate(members):
-            member._batch_plane = self
             member._plane_index = index
             member._plane_pending = False
+            # Configuration writes reach the plane first, then wake the
+            # router as its own hook did.
+            member.config.on_change = partial(self._config_written, member)
 
         # Register columns: crossbar registers, the idle sentinel, then one
         # slot per converter lane (serialiser output phit / acknowledge pulse).
@@ -221,34 +262,38 @@ class VectorPlane(ClockedComponent):
     # -- wake plumbing -----------------------------------------------------
 
     def member_dirty(self, member: Any) -> None:
-        """A member's input changed outside the batched execution."""
+        """A batched member's input changed outside the plane's execution of
+        it (its :meth:`~repro.sim.engine.ClockedComponent.wake`, diverted
+        here while ``member._batch_plane`` is this plane)."""
         if not member._plane_pending:
             member._plane_pending = True
             self._dirty.append(member)
             self.wake()
 
+    def _config_written(self, member: Any) -> None:
+        """*member*'s configuration memory changed (its ``on_change`` hook)."""
+        self._structural = True
+        self.wake()
+        member.wake()
+
     def _drain_dirty(self, cycle: int) -> None:
-        versions = self._member_versions
-        compiled = self._compiled
+        """Take in the batched members dirtied since the previous drain: a
+        tile access may have queued a word, replaced a window counter or
+        scheduled acknowledge pulses on any of their lanes."""
+        dirty = self._dirty
+        self._dirty = []
+        self._settled = False
         armed = self._armed
         pending = self._des_pending_flat
-        for member in self._dirty:
+        for member in dirty:
             member._plane_pending = False
-            index = member._plane_index
-            if member.config.version != versions[index]:
-                self._structural = True
-            elif compiled:
-                # A tile access may have queued a word, replaced a window
-                # counter or scheduled acknowledge pulses on any lane.
-                for lane, serializer, deserializer in self._lane_units[index]:
-                    if not armed[lane] and serializer._queue and serializer.window.can_send():
-                        self._arm(lane, cycle)
-                    pulses = deserializer._pending_ack_pulses
-                    if pulses:
-                        pending[lane] += pulses
-                        deserializer._pending_ack_pulses = 0
-        self._dirty.clear()
-        self._settled = False
+            for lane, serializer, deserializer in self._lane_units[member._plane_index]:
+                if not armed[lane] and serializer._queue and serializer.window.can_send():
+                    self._arm(lane, cycle)
+                pulses = deserializer._pending_ack_pulses
+                if pulses:
+                    pending[lane] += pulses
+                    deserializer._pending_ack_pulses = 0
 
     def _arm(self, lane: int, cycle: int) -> None:
         """Put serialiser *lane* on the load agenda for *cycle*."""
@@ -260,30 +305,58 @@ class VectorPlane(ClockedComponent):
 
         Fault injection reads and mutates wire state directly
         (:meth:`repro.core.lane.LaneLink.fail` counts in-flight phits), so
-        the plane must first write its columnar state back and then
+        a batching plane must first write its columnar state back and then
         recompile — the recompile reclassifies dead bundles onto the exact
-        scalar drive path.  The scalar state is coherent after the flush, so
-        no reference cycle is needed before recompiling.
+        scalar drive path.  As after a configuration write, the members run
+        one cycle of their own in between.  Released members hold no state
+        here: the dying bundle wakes both ends itself.
         """
-        self.flush()
         if self._compiled:
-            self._compiled = False
-            self._fallback_ready = True
+            self._release()
+            self._structural = True
+            self.wake()
+
+    def _release(self) -> None:
+        """Leave the batched mode: scalar state coherent, every member awake
+        on the kernel's schedule (which pays their deferred idle accounting)."""
+        self.flush()
+        self._compiled = False
         self._settled = False
-        self.wake()
+        self._released_at = self._scheduler.cycle
+        # What the dirty members were owed is in their scalar units again.
+        for member in self._dirty:
+            member._plane_pending = False
+        self._dirty.clear()
+        for member in self._members:
+            member._batch_plane = None
+            # The lanes moved in the columns, behind the sparse tick's hint.
+            member.converter._sparse_idle = False
+            member.wake()
+
+    def _take_over(self) -> None:
+        """Park the members and compile (deferred by :meth:`commit` to the
+        gap before the next cycle, where the kernel allows parking)."""
+        self._taking_over = False
+        if self._structural:
+            return  # written again since the swept cycle: evaluate starts over
+        kernel = self._scheduler
+        kernel.park(self._members)
+        self._scalar_cycles += kernel.cycle - self._released_at
+        self._compile(kernel.cycle)
 
     # -- compilation -------------------------------------------------------
 
     def _compile(self, cycle: int) -> None:
         """Build the route-index gather and load the columns for *cycle*.
 
-        Requires coherent scalar state: the previous executed cycle was a
-        dense reference cycle (or a flush just ran), so every internal wire
-        equals its driver's committed register, ``_tx_previous`` mirrors the
-        registers and every deserialiser's previous phit equals its
-        tile-port crossbar register.
+        Requires coherent scalar state: the members last ran their own
+        scalar path, so every internal wire equals its driver's committed
+        register, ``_tx_previous`` mirrors the registers and every
+        deserialiser's previous phit equals its tile-port crossbar register.
         """
         members = self._members
+        for member in members:
+            member._batch_plane = self
         lanes = self._l
         t = self._t
         sentinel = self._n
@@ -453,7 +526,6 @@ class VectorPlane(ClockedComponent):
             base = index * t
             data[base : base + t] = member.crossbar.committed_data
             acks[base : base + t] = member.crossbar.committed_acks
-            self._member_versions[index] = member.config.version
         data[sentinel] = 0
         acks[sentinel] = False
 
@@ -499,23 +571,40 @@ class VectorPlane(ClockedComponent):
     # -- two-phase execution ----------------------------------------------
 
     def evaluate(self, cycle: int) -> None:
-        if self._dirty:
-            self._drain_dirty(cycle)
-        if self._structural or not self._compiled:
-            if self._structural or not self._fallback_ready:
-                self._run_reference_evaluate(cycle)
-                return
-            self._compile(cycle)
-        self._eval_batched()
-
-    def _run_reference_evaluate(self, cycle: int) -> None:
-        """Hand the cycle to the members' dense scalar path."""
+        if self._structural:
+            # The kernel runs this cycle on the members themselves.
+            self._structural = False
+            self._sweeping = True
+            if self._compiled:
+                self._release()
         if self._compiled:
-            self.flush()
-            self._compiled = False
-        self._fallback_eval = True
-        for member in self._members:
-            member.evaluate(cycle)
+            if self._dirty:
+                self._drain_dirty(cycle)
+            self._eval_batched()
+
+    def _count_routes(self) -> int:
+        return sum(len(member.crossbar.active_routes()) for member in self._members)
+
+    @property
+    def scalar_cycles(self) -> int:
+        """Simulated cycles the members spent on the kernel's event schedule
+        (slept-through ones included), not batched here."""
+        total = self._scalar_cycles
+        if not self._compiled and self._scheduler is not None:
+            total += self._scheduler.cycle - self._released_at
+        return total
+
+    def gate_reason(self) -> Optional[str]:
+        """Why the kernel, not this plane, runs the members right now
+        (``None`` while the plane batches them)."""
+        if self._compiled:
+            return None
+        routes = self.live_routes
+        if routes is None:
+            return "the live-route gate is read after the first cycle"
+        if routes < MIN_BATCH_ROUTES:
+            return f"below the live-route gate ({routes} live routes < {MIN_BATCH_ROUTES})"
+        return "one cycle on the members themselves before the recompile"
 
     def _eval_batched(self) -> None:
         if self._m:
@@ -531,27 +620,21 @@ class VectorPlane(ClockedComponent):
             np.logical_or.reduceat(gather, self._seg_starts, out=self._next_acks)
 
     def commit(self, cycle: int) -> None:
-        if self._dirty:
-            self._drain_dirty(cycle)
-        if self._structural and not self._fallback_eval:
-            # A structural change landed between our evaluate and commit
-            # (e.g. a configuration write during another component's turn):
-            # discard the batched buffers — they were never applied — and
-            # run the reference cycle instead.
-            self._run_reference_evaluate(cycle)
-        if self._fallback_eval:
-            versions = self._member_versions
-            for index, member in enumerate(self._members):
-                versions[index] = member.config.version
-            for member in self._members:
-                member.commit(cycle)
-            self._fallback_eval = False
-            self._structural = False
-            self._fallback_ready = True
-            self._settled = False
-            self._last_cycle = cycle
-            return
-        self._commit_batched(cycle)
+        if self._compiled:
+            if self._dirty:
+                # Dirtied after this plane evaluated (a driver's tile write
+                # in the evaluate phase): still part of this cycle.
+                self._drain_dirty(cycle)
+            self._commit_batched(cycle)
+        elif self._sweeping and not self._structural:
+            # Every member whose configuration was written was awake for
+            # this cycle (the write woke it) and has swept its registers and
+            # wires for the new version.
+            self._sweeping = False
+            self.live_routes = self._count_routes()
+            if self.live_routes >= MIN_BATCH_ROUTES:
+                self._taking_over = True
+                self._scheduler.defer(self._take_over)
 
     def _commit_batched(self, cycle: int) -> None:
         # A word edge was crossed this cycle: not a fixed point.
@@ -649,7 +732,6 @@ class VectorPlane(ClockedComponent):
                 if link.ack[lane] != value:
                     link.drive_ack(lane, value)
         self._batched += 1
-        self._last_cycle = cycle
         self._settled = not (
             data_changed
             or ack_changed
@@ -671,7 +753,10 @@ class VectorPlane(ClockedComponent):
         Registered as a kernel sync hook, so it runs at the end of every
         ``run``/``step`` — external readers (benchmarks, equivalence tests,
         the sharded aggregation) always observe scalar-coherent registers,
-        wires, converter lanes and activity counters.  Idempotent.
+        wires, converter lanes and activity counters.  Idempotent.  The
+        members' constant per-cycle accounting is not owed here: the kernel
+        pays it like any sleeper's.  Nothing to do while the members run
+        themselves.
         """
         if not self._compiled:
             return
@@ -682,11 +767,10 @@ class VectorPlane(ClockedComponent):
         self._export_lanes()
 
     def _fold_batches(self) -> None:
-        """Account the batched cycles and store registers and wires."""
+        """Account the batched toggles and store registers and wires."""
         members = self._members
         r = self._r
         m = self._m
-        batched = self._batched
         route_tog = self._pending_tog[:m]
         route_member = self._route_member
         data_tog = np.bincount(route_member, weights=route_tog, minlength=r)
@@ -705,8 +789,6 @@ class VectorPlane(ClockedComponent):
         ) + self._pending_tog[m:].reshape(r, self._l).sum(axis=1)
         ack_tog = np.bincount(self._feed_member, weights=self._pending_flips, minlength=r)
         pending_link = self._pending_link
-        clocked = self._cycle_bits * batched
-        last = self._last_cycle + 1
         for index, member in enumerate(members):
             activity = member.activity
             data_toggles = int(data_tog[index])
@@ -718,9 +800,6 @@ class VectorPlane(ClockedComponent):
             link_toggles = pending_link[index] + int(link_tog[index])
             if link_toggles:
                 activity.add(ActivityKeys.LINK_TOGGLE_BITS, link_toggles)
-            activity.add(ActivityKeys.REG_CLOCKED_BITS, clocked)
-            if activity.cycles < last:
-                activity.cycles = last
             pending_link[index] = 0
         data = self._data
         acks = self._acks
@@ -777,51 +856,41 @@ class VectorPlane(ClockedComponent):
                 self.member_dirty(self._members[index])
         self._des_exported = busy
 
-    # -- quiescence / timed protocol --------------------------------------
+    # -- quiescence protocol -----------------------------------------------
 
     def quiescent(self) -> bool:
-        """True when another batched cycle would latch nothing anywhere.
+        """True when another cycle would latch nothing anywhere.
 
-        Requires a settled batch: the previous batched commit latched no
-        register change, flipped no acknowledge, crossed no word edge and
-        left no converter lane mid-word or owing a pulse — so every gather
-        source is provably frozen (a tile or foreign wire write would have
-        landed in the dirty list).
+        Batching, that requires a settled batch: the previous batched commit
+        latched no register change, flipped no acknowledge, crossed no word
+        edge and left no converter lane mid-word or owing a pulse — so every
+        gather source is provably frozen (a tile or foreign wire write would
+        have landed in the dirty list).  With the members on the kernel's
+        schedule the plane only waits for the next configuration write.
         """
-        return (
-            self._compiled
-            and not self._dirty
-            and not self._structural
-            and self._settled
-        )
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        return None if self.quiescent() else cycle
+        if self._dirty or self._structural or self._sweeping or self._taking_over:
+            return False
+        return self._settled or not self._compiled
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        """The members' constant idle accounting, bulk-applied."""
-        clocked = self._cycle_bits * cycles
-        end = start_cycle + cycles
-        for member in self._members:
-            activity = member.activity
-            activity.add(ActivityKeys.REG_CLOCKED_BITS, clocked)
-            activity.cycles = end
+        """Nothing: the members' idle accounting is the kernel's, batched or not."""
 
     def reset(self) -> None:
+        """Back to the state after construction (the kernel resets the members)."""
         self._compiled = False
         self._structural = True
-        self._fallback_ready = False
-        self._fallback_eval = False
+        self._sweeping = False
+        self._taking_over = False
+        self.live_routes = None
+        self._scalar_cycles = 0
+        self._released_at = 0
         self._settled = False
         self._batched = 0
-        self._last_cycle = 0
         self._pending_link = [0] * self._r
-        for member in self._dirty:
-            member._plane_pending = False
         self._dirty.clear()
-        self._member_versions = [-1] * self._r
         for member in self._members:
-            member.reset()
+            member._batch_plane = None
+            member._plane_pending = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<VectorPlane {self.name!r} members={self._r} compiled={self._compiled}>"

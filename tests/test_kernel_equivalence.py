@@ -366,6 +366,101 @@ class TestCcnLifecycleReconfiguration:
             )
 
 
+class TestDefaultSchedule:
+    """What a user gets without asking must equal ``strict``.
+
+    The networks on the default side are built with **no** ``schedule``
+    argument, so these inputs follow :data:`repro.sim.engine.DEFAULT_SCHEDULE`
+    wherever it points: three kinds × mesh/torus × paced application
+    traffic, full-load rows, a mid-run reconfiguration that grows and
+    shrinks the configuration, and a live link fault.
+    """
+
+    SIZE = 4
+
+    @staticmethod
+    def _rows(network, rows, load=1.0):
+        for row in rows:
+            network.attach_channel(
+                f"row{row}", (0, row), (2, row), 100.0,
+                word_generator(BitFlipPattern.TYPICAL, seed=row), load=load,
+            )
+
+    def _paced_app(self, network):
+        ccn = CentralCoordinationNode(network=network)
+        graph = hiperlan2.build_process_graph()
+        ccn.admit(graph)
+        ccn.attach_traffic(graph.name, word_generator(BitFlipPattern.TYPICAL, seed=11), load=0.5)
+        network.run(400)
+
+    def _full_rows(self, network):
+        self._rows(network, range(self.SIZE))
+        network.run(300)
+
+    def _reconfiguration(self, network):
+        self._rows(network, [0])
+        network.run(150)
+        self._rows(network, range(1, self.SIZE))
+        network.run(150)
+        for row in range(1, self.SIZE):
+            network.detach_channel(f"row{row}", drain_cycles=32)
+        network.run(150)
+
+    def _link_fault(self, network):
+        self._rows(network, range(self.SIZE))
+        network.run(150)
+        network.fail_link((0, 1), (1, 1))
+        network.refresh_routing(network.degraded_topology())
+        network.run(150)
+
+    @pytest.mark.parametrize(
+        "scenario", ["_paced_app", "_full_rows", "_reconfiguration", "_link_fault"]
+    )
+    @pytest.mark.parametrize("topology", [Mesh2D, Torus2D])
+    @pytest.mark.parametrize("kind", ["circuit", "packet", "gt"])
+    def test_default_equals_strict(self, kind, topology, scenario):
+        nets = {}
+        for name, params in (("strict", {"schedule": "strict"}), ("default", {})):
+            network = build_network(
+                kind, topology(self.SIZE, self.SIZE), frequency_hz=FREQUENCY_HZ, **params
+            )
+            getattr(self, scenario)(network)
+            nets[name] = network
+        _assert_equivalent(nets)
+        assert nets["default"].fault_drops() == nets["strict"].fault_drops()
+        delivered = sum(s["received"] for s in nets["default"].stream_statistics().values())
+        assert delivered > 0
+
+    def test_strided_hook_that_syncs_observes_strict_wires_and_activity(self):
+        """A ``every=7`` post-cycle hook that calls ``kernel.sync()`` first
+        reads the link wires and merged activity ``strict`` shows it, while
+        the plane batches between the hook cycles."""
+        observed = {}
+        for name, params in (("strict", {"schedule": "strict"}), ("default", {})):
+            network = build_network(
+                "circuit", Mesh2D(self.SIZE, self.SIZE), frequency_hz=FREQUENCY_HZ, **params
+            )
+            self._rows(network, range(self.SIZE), load=0.8)
+            samples = []
+
+            def hook(cycle, network=network, samples=samples):
+                network.kernel.sync()
+                wires = {
+                    key: (tuple(link.forward), tuple(link.ack))
+                    for key, link in network.links.items()
+                }
+                samples.append((cycle, wires, network.merged_activity().as_dict()))
+
+            network.kernel.add_post_cycle_hook(hook, every=7)
+            network.run(200)
+            observed[name] = samples
+        assert len(observed["strict"]) == len(range(0, 200, 7))
+        assert observed["default"] == observed["strict"]
+        assert any(
+            any(forward) for _, wires, _ in observed["strict"] for forward, _ in wires.values()
+        ), "the hook never caught a phit on a wire"
+
+
 class TestGenericComponentsNeverSkipped:
     def test_component_without_protocol_runs_every_cycle(self):
         from repro.sim.engine import ClockedComponent, SimulationKernel

@@ -205,6 +205,12 @@ def test_sharded_scheduler_stats_merge_across_shards():
     merged = network.stats
     assert merged.evaluated > 0
     assert network.kernel.cycle == 200
+    # Each 4×1 region holds a few hops of the one circuit: both planes stay
+    # below their gate, and the merged report says so.
+    report = network.schedule_report()
+    assert (report["requested"], report["effective"]) == ("vector", "event")
+    assert "live-route gate" in report["reason"]
+    assert report["batched_cycles"] == 0 < report["scalar_cycles"]
     network.close()
 
 

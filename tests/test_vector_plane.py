@@ -15,6 +15,7 @@ PR.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
@@ -36,9 +37,32 @@ from repro.noc.faults import (
     row_cut_chooser,
 )
 from repro.noc.topology import Mesh2D, Torus2D
+from repro.sim import vector as vector_module
 
 FREQUENCY_HZ = 100e6
 KINDS = ("circuit", "packet", "gt")
+
+
+#: The plane's live-route gate as shipped.
+REAL_GATE = vector_module.MIN_BATCH_ROUTES
+
+
+@contextlib.contextmanager
+def _gate(routes):
+    """Run with the plane's live-route gate at *routes*."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vector_module, "MIN_BATCH_ROUTES", routes)
+        yield
+
+
+@pytest.fixture
+def open_gate():
+    """One live route batches: for tests about the columns whose fabric is
+    smaller than the shipped gate.  Every other test runs the gate as shipped."""
+    with _gate(1):
+        yield
+
+
 FABRICS = (("mesh", (3, 3)), ("mesh", (4, 2)), ("mesh", (4, 4)), ("torus", (4, 3)))
 
 
@@ -149,14 +173,17 @@ def _full_load_circuit(schedule, size=4):
 @pytest.mark.parametrize("seed", range(8))
 def test_random_scenarios_are_quadmodal_identical(seed):
     """Drawn kind × fabric × load × churn × fault scenarios: strict = auto
-    = event = vector, per-router and per-stream."""
+    = event = vector (the gate as shipped, and batching every route),
+    per-router and per-stream."""
     plan = _random_plan(seed)
     nets = {
         schedule: _execute(plan, schedule)
         for schedule in ("strict", "auto", "event", "vector")
     }
+    with _gate(1):
+        nets["vector from one route"] = _execute(plan, "vector")
     reference = _snapshot(nets["strict"])
-    for schedule in ("auto", "event", "vector"):
+    for schedule in ("auto", "event", "vector", "vector from one route"):
         assert _snapshot(nets[schedule]) == reference, (
             f"seed {seed}: {schedule} diverged from strict "
             f"(kind={plan['kind']}, fabric={plan['family']}{plan['extent']}, "
@@ -178,12 +205,16 @@ def test_vector_plane_batches_busy_cycles():
 
 
 def test_vector_on_gt_and_packet_degrades_to_event():
-    """Non-circuit fabrics accept schedule="vector" but register no plane."""
+    """Non-circuit fabrics accept schedule="vector" but register no plane,
+    and say so."""
     for kind in ("packet", "gt"):
         network = build_network(
             kind, Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule="vector"
         )
         assert network.vector_plane is None
+        report = network.schedule_report()
+        assert (report["requested"], report["effective"]) == ("vector", "event")
+        assert "no vector plane" in report["reason"]
         generator = word_generator(BitFlipPattern.TYPICAL, seed=5)
         network.attach_channel("a", (0, 0), (2, 2), 100.0, generator, load=0.5)
         network.run(300)
@@ -199,6 +230,8 @@ def test_clock_gated_circuit_registers_no_plane():
         Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule="vector", clock_gating=True
     )
     assert network.vector_plane is None
+    report = network.schedule_report()
+    assert report["effective"] == "event" and "clock gating" in report["reason"]
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +239,9 @@ def test_clock_gated_circuit_registers_no_plane():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("open_gate")
 def test_reconfiguration_invalidates_compiled_gather():
-    """A post-start circuit write must force a reference cycle + recompile,
+    """A post-start circuit write must force a scalar cycle + recompile,
     and the recompiled plane must still match strict bit for bit."""
     from repro.noc.path_allocation import LaneAllocator
 
@@ -240,9 +274,7 @@ def test_reconfiguration_invalidates_compiled_gather():
     assert plane is not None
     # The plane ended the run recompiled against the *current* configuration.
     assert plane._compiled
-    assert plane._member_versions == [
-        member.config.version for member in plane._members
-    ]
+    assert plane.live_routes == vector.configured_circuits() > 0
 
 
 def test_live_fault_desyncs_and_recompiles_the_plane():
@@ -292,10 +324,77 @@ def test_kernel_reset_resets_the_plane():
     assert not plane._compiled
     assert plane._batched == 0
     assert network.kernel.scheduler_stats.vector_batches == 0
-    # The plane comes back: first cycle is a dense reference, then batching.
+    # The plane comes back: the routers run the first cycle, then batching.
     network.run(120)
     assert plane._compiled
     assert network.kernel.scheduler_stats.vector_batches > 0
+
+
+# ---------------------------------------------------------------------------
+# The live-route gate: batch when NumPy pays, step the members otherwise
+# ---------------------------------------------------------------------------
+
+
+def test_plane_crosses_its_gate_both_ways_and_stays_identical():
+    """One row (4 live routes, below the gate) → all rows (16, above) → one
+    row again, under the default schedule and the gate as shipped: every
+    stage equals ``strict`` lane for lane, and the report shows that the
+    routers ran both on the event heap and batched."""
+    size = 4
+    assert size < REAL_GATE <= size * size
+
+    def rows(network, which):
+        for row in which:
+            network.attach_channel(
+                f"row{row}", (0, row), (size - 1, row), 100.0,
+                word_generator(BitFlipPattern.TYPICAL, seed=row), load=1.0,
+            )
+
+    networks = {
+        name: build_network("circuit", Mesh2D(size, size), frequency_hz=FREQUENCY_HZ, **params)
+        for name, params in (("strict", {"schedule": "strict"}), ("default", {}))
+    }
+    default = networks["default"]
+    reports = []
+    for stage in ("one row", "all rows", "one row again"):
+        for network in networks.values():
+            if stage == "one row":
+                rows(network, [0])
+            elif stage == "all rows":
+                rows(network, range(1, size))
+            else:
+                for row in range(1, size):
+                    network.detach_channel(f"row{row}", drain_cycles=23)
+            network.run(131)  # never a multiple of the packet length
+        _assert_lanes_identical(default, networks["strict"], stage)
+        reports.append(default.schedule_report())
+
+    below, above, below_again = reports
+    assert below["requested"] == above["requested"] == "vector"
+    assert below["effective"] == "event" and "live-route gate" in below["reason"]
+    assert below["batched_cycles"] == 0 and below["scalar_cycles"] > 0
+    assert above["effective"] == "vector" and above["reason"] is None
+    assert above["batched_cycles"] > 100
+    assert below_again["effective"] == "event" and "live-route gate" in below_again["reason"]
+    # Back below the gate the kernel runs the routers again: only the three
+    # teardown drains were still batched.
+    assert below_again["scalar_cycles"] > above["scalar_cycles"] + 100
+    assert below_again["batched_cycles"] <= above["batched_cycles"] + 3 * 23
+
+
+def test_idle_fabric_parks_without_batching():
+    """No live route: the kernel puts every router to sleep after the first
+    cycle and the plane with them — nothing is ever compiled."""
+    network = build_network("circuit", Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ)
+    strict = build_network("circuit", Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ, schedule="strict")
+    network.run(500)
+    strict.run(500)
+    assert _snapshot(network) == _snapshot(strict)
+    report = network.schedule_report()
+    assert report["batched_cycles"] == 0 and report["scalar_cycles"] == 500
+    components = len(network.routers) + 1
+    assert network.kernel.sleeping_components == components
+    assert network.kernel.scheduler_stats.evaluated == components  # cycle 0 only
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +501,22 @@ def test_lane_columns_flush_to_the_strict_lane_state(scenario):
     """Two channels sharing a source or sink tile, drawn loads and window
     configurations: after every run() the scalar lane units under
     ``vector`` hold exactly what ``strict`` left in them."""
+    with _gate(1):
+        vector = _check_lane_scenario(scenario)
+    assert vector.kernel.scheduler_stats.vector_batches > 0
+
+
+@pytest.mark.parametrize("gate", (REAL_GATE, 10**9))
+@settings(max_examples=8, deadline=None)
+@given(scenario=_lane_scenarios())
+def test_lane_state_matches_strict_on_either_side_of_the_gate(gate, scenario):
+    """The same draws with the gate as shipped (the two channels may or may
+    not reach it) and with a gate nothing reaches."""
+    with _gate(gate):
+        _check_lane_scenario(scenario)
+
+
+def _check_lane_scenario(scenario):
     extent, channels, stops = scenario
     networks = {}
     for schedule in ("strict", "vector"):
@@ -415,7 +530,7 @@ def test_lane_columns_flush_to_the_strict_lane_state(scenario):
         for network in networks.values():
             network.run(stop - network.kernel.cycle)
         _assert_lanes_identical(networks["vector"], networks["strict"], f"cycle {stop}")
-    assert networks["vector"].kernel.scheduler_stats.vector_batches > 0
+    return networks["vector"]
 
 
 def _unread_stream(schedule, tx_flow, rx_flow):
@@ -437,6 +552,7 @@ def _unread_stream(schedule, tx_flow, rx_flow):
     return network, circuit
 
 
+@pytest.mark.usefixtures("open_gate")
 def test_window_stall_and_resume_matches_strict():
     """The sink stops reading until the serialiser is window-stalled, then
     drains its queue: the credit returns and the stream restarts."""
@@ -464,6 +580,7 @@ def test_window_stall_and_resume_matches_strict():
     _assert_lanes_identical(vector, strict, "after the resume")
 
 
+@pytest.mark.usefixtures("open_gate")
 def test_missized_window_overflows_at_the_strict_cycle():
     """A source window wider than the destination buffer must raise the
     window violation at the very cycle the strict schedule raises it."""
@@ -481,6 +598,7 @@ def test_missized_window_overflows_at_the_strict_cycle():
     assert overflow_cycle("vector") == overflow_cycle("strict")
 
 
+@pytest.mark.usefixtures("open_gate")
 @pytest.mark.parametrize("surgery", ("fail_link", "detach_channel", "apply_allocation"))
 def test_surgery_on_a_half_shifted_word_matches_strict(surgery):
     """Faults, teardown and reconfiguration that arrive while a word is
@@ -513,6 +631,7 @@ def test_surgery_on_a_half_shifted_word_matches_strict(surgery):
     _assert_lanes_identical(vector, strict, f"after {surgery}")
 
 
+@pytest.mark.usefixtures("open_gate")
 def test_reconfiguration_right_after_a_read_keeps_the_owed_pulse():
     """A tile read at the last cycle of a run() leaves an acknowledge pulse
     owed; a reconfiguration elsewhere before the next cycle sends the plane
@@ -544,6 +663,7 @@ def test_reconfiguration_right_after_a_read_keeps_the_owed_pulse():
     assert boundaries_with_a_pulse_owed
 
 
+@pytest.mark.usefixtures("open_gate")
 @pytest.mark.parametrize(
     "lane_width, data_width, batched",
     [(4, 16, True), (6, 16, True), (8, 32, True), (4, 64, False)],
@@ -576,6 +696,9 @@ def test_lane_geometries_match_strict_or_fall_back(lane_width, data_width, batch
         for network in networks.values():
             network.run(stop - network.kernel.cycle)
         _assert_lanes_identical(networks["vector"], networks["strict"], f"cycle {stop}")
+    report = networks["vector"].schedule_report()
+    assert report["effective"] == ("vector" if batched else "event")
+    assert batched or "int64 column" in report["reason"]
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +706,7 @@ def test_lane_geometries_match_strict_or_fall_back(lane_width, data_width, batch
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("open_gate")
 @pytest.mark.parametrize("transport", ("pipe", "shm"))
 def test_sharded_vector_matches_single_process(transport):
     """Each shard builds its own plane; boundary links take the scalar wire
@@ -683,6 +807,7 @@ class TestCorrelatedFaults:
                                       ((0, 0), (0, 1)), ((1, 0), (1, 1))])
         assert not network.dead_links  # nothing was touched
 
+    @pytest.mark.usefixtures("open_gate")
     def test_row_cut_is_quadmodal_identical(self):
         def scenario(schedule):
             network = self._loaded_network(schedule)
