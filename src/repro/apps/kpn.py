@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.common import MappingError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["TileType", "TrafficClass", "Process", "Channel", "ProcessGraph"]
 
@@ -183,7 +184,9 @@ class ProcessGraph:
     # -- structure ----------------------------------------------------------------------
 
     def to_networkx(self) -> "nx.DiGraph":
-        """A NetworkX view used by the mapping and allocation algorithms."""
+        """A NetworkX view of the process graph (imports NetworkX on first use)."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for process in self._processes.values():
             graph.add_node(process.name, process=process)
@@ -200,10 +203,18 @@ class ProcessGraph:
         """Check structural sanity: non-empty and weakly connected."""
         if not self._processes:
             raise MappingError(f"application {self.name!r} has no processes")
-        if len(self._processes) > 1:
-            graph = self.to_networkx().to_undirected()
-            if not nx.is_connected(graph):
-                raise MappingError(f"application {self.name!r} is not connected")
+        # Weak connectivity without a graph view (the CCN validates at every
+        # admission): grow the set around one process until no channel leaves it.
+        reached = {next(iter(self._processes))}
+        grown = True
+        while grown:
+            grown = False
+            for channel in self._channels.values():
+                if (channel.src in reached) != (channel.dst in reached):
+                    reached.update((channel.src, channel.dst))
+                    grown = True
+        if len(reached) != len(self._processes):
+            raise MappingError(f"application {self.name!r} is not connected")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

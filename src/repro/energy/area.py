@@ -21,6 +21,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List
 
 from repro.energy.gates import DEFAULT_GATES, GateLibrary
@@ -48,7 +49,12 @@ class ComponentArea:
 
 
 class AreaModel(abc.ABC):
-    """Base class of the per-router area models."""
+    """Base class of the per-router area models.
+
+    A model's parameters are fixed at construction (the ablations build one
+    model per design point), so the three totals are computed on first read
+    and kept: the power model reads them for every router of every report.
+    """
 
     def __init__(self, tech: Technology = TSMC_130NM_LVHP, gates: GateLibrary = DEFAULT_GATES) -> None:
         self.tech = tech
@@ -58,17 +64,17 @@ class AreaModel(abc.ABC):
     def components(self) -> List[ComponentArea]:
         """Return the component-level area breakdown."""
 
-    @property
+    @cached_property
     def total_mm2(self) -> float:
         """Total silicon area of the router."""
         return sum(component.area_mm2 for component in self.components())
 
-    @property
+    @cached_property
     def total_gate_equivalents(self) -> float:
         """Total gate-equivalent count of the router."""
         return sum(component.gate_equivalents for component in self.components())
 
-    @property
+    @cached_property
     def gateable_area_mm2(self) -> float:
         """Area whose clock can be gated away when lanes are inactive."""
         return sum(c.area_mm2 for c in self.components() if c.gateable)

@@ -20,14 +20,16 @@ provides the shared machinery — the pools, the filtered shortest-path search,
 the allocation registry, utilization reporting and transactional release —
 so a concrete admission controller only implements the unit arithmetic and
 the per-circuit reservation rule.
+
+The route search builds no graph: it walks the topology's adjacency index
+(:attr:`repro.noc.topology.GridTopology.adjacency`, derived once per topology
+instance) and filters each link against the controller's own pools.
 """
 
 from __future__ import annotations
 
 import abc
 from typing import Any, Dict, Iterable, List, Set, Tuple
-
-import networkx as nx
 
 from repro.common import AllocationError
 from repro.noc.topology import Position, Topology
@@ -163,24 +165,46 @@ class AdmissionController(abc.ABC):
     # -- route search ----------------------------------------------------------------------
 
     def _route(self, src: Position, dst: Position, units_needed: int) -> List[Position]:
-        """Shortest path on which every link still has *units_needed* free units."""
-        graph = nx.DiGraph()
-        for position in self.topology.positions():
-            if position not in self._dead_routers:
-                graph.add_node(position)
-        for (a, b), free in self._free_link_units.items():
-            if (a, b) in self._dead_links:
-                continue
-            if a in self._dead_routers or b in self._dead_routers:
-                continue
-            if len(free) >= units_needed:
-                graph.add_edge(a, b)
-        try:
-            return nx.shortest_path(graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise AllocationError(
-                f"no route with {units_needed} free {self.unit_name}(s) from {src} to {dst}"
-            ) from None
+        """Shortest path on which every link still has *units_needed* free units.
+
+        *src* and *dst* are distinct live routers (:meth:`allocate` checks; a
+        dead router's links are all dead).  A breadth-first search from both
+        ends over the live links with enough free units: the smaller fringe
+        expands first (the forward one on a tie), successors in port order,
+        predecessors in link order, and the first position both sides know
+        joins the halves.  Among equally short routes that is the one
+        ``networkx.shortest_path`` returned on a ``DiGraph`` of those links in
+        pool order, which this search replaced; every downstream statistic
+        depends on the choice, so the visiting order is part of the contract.
+        """
+        adjacency = self.topology.adjacency
+        free, dead = self._free_link_units, self._dead_links
+        #: Per side (0 forward from src, 1 backward from dst): the search tree
+        #: position -> hop towards that side's root, and the current fringe.
+        trees: List[Dict[Position, Any]] = [{src: None}, {dst: None}]
+        fringes = [[src], [dst]]
+        while fringes[0] and fringes[1]:
+            side = int(len(fringes[0]) > len(fringes[1]))
+            known, other = trees[side], trees[1 - side]
+            level, fringes[side] = fringes[side], []
+            for at in level:
+                for node in adjacency.sources[at] if side else adjacency.neighbors[at].values():
+                    link = (node, at) if side else (at, node)
+                    if len(free[link]) >= units_needed and link not in dead:
+                        if node not in known:
+                            known[node] = at
+                            fringes[side].append(node)
+                        if node in other:
+                            route = [node]
+                            while trees[0][route[-1]] is not None:
+                                route.append(trees[0][route[-1]])
+                            route.reverse()
+                            while trees[1][route[-1]] is not None:
+                                route.append(trees[1][route[-1]])
+                            return route
+        raise AllocationError(
+            f"no route with {units_needed} free {self.unit_name}(s) from {src} to {dst}"
+        )
 
     # -- allocation --------------------------------------------------------------------------
 

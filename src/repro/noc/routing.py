@@ -14,7 +14,11 @@ precomputes a per-router routing table from the topology graph instead:
 * on any other topology a breadth-first search per destination yields
   deterministic shortest-path next hops (ties broken in
   :data:`~repro.common.NEIGHBOR_PORTS` order), which follow wraparound links
-  on a torus and route around missing links on an irregular mesh.
+  on a torus and route around missing links on an irregular mesh.  The
+  search is the topology's own
+  (:meth:`repro.noc.topology.Adjacency.search`, one per position and
+  topology instance): the table only translates its ``via`` map into ports,
+  and hop distances are read straight from it.
 
 Routers consume the table through :meth:`RoutingTable.port_for`, which has
 the same ``(current, dest) -> Port`` shape as ``xy_route``.
@@ -22,7 +26,6 @@ the same ``(current, dest) -> Port`` shape as ``xy_route``.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List
 
 from repro.common import ConfigurationError, Port
@@ -67,7 +70,6 @@ class RoutingTable:
         # Per-destination tables, built lazily on first query so that a
         # network only pays for the destinations its traffic actually uses.
         self._next_port: Dict[Position, Dict[Position, Port]] = {}
-        self._hops: Dict[Position, Dict[Position, int]] = {}
 
     def rebuild(self, topology: Topology) -> None:
         """Re-derive every table from *topology* (run-time fault recovery).
@@ -82,33 +84,24 @@ class RoutingTable:
         self.topology = topology
         self._dimension_order = type(topology) is Mesh2D
         self._next_port.clear()
-        self._hops.clear()
-
-    def _build_table(self, destination: Position) -> None:
-        """Breadth-first search towards *destination* over the symmetric links."""
-        topology = self.topology
-        hops: Dict[Position, int] = {destination: 0}
-        ports: Dict[Position, Port] = {}
-        frontier = deque([destination])
-        while frontier:
-            via = frontier.popleft()
-            for port, node in topology.neighbors(via).items():
-                # The reverse edge node -> via exists because links are
-                # symmetric; the first discovery wins, which makes the
-                # tie-break the BFS visit order (stable and deterministic).
-                if node not in hops:
-                    hops[node] = hops[via] + 1
-                    ports[node] = topology.port_towards(node, via)
-                    frontier.append(node)
-        self._hops[destination] = hops
-        self._next_port[destination] = ports
 
     def _table(self, destination: Position) -> Dict[Position, Port]:
-        if destination not in self._next_port:
-            if not self.topology.contains(destination):
-                raise ConfigurationError(f"destination {destination} is outside the topology")
-            self._build_table(destination)
-        return self._next_port[destination]
+        table = self._next_port.get(destination)
+        if table is None:
+            # The reverse edge node -> via exists because links are symmetric;
+            # the search's first discovery wins, which makes the tie-break its
+            # visit order (stable and deterministic).
+            adjacency = self.topology.adjacency
+            _hops, via = adjacency.search(self._checked(destination))
+            table = self._next_port[destination] = {
+                node: adjacency.port[(node, closer)] for node, closer in via.items()
+            }
+        return table
+
+    def _checked(self, position: Position) -> Position:
+        if not self.topology.contains(position):
+            raise ConfigurationError(f"position {position} is outside the topology")
+        return position
 
     # -- queries ---------------------------------------------------------------------
 
@@ -130,9 +123,8 @@ class RoutingTable:
         """Number of router-to-router hops from *src* to *dest*."""
         if self._dimension_order:
             return self.topology.distance(src, dest)
-        self._table(dest)
         try:
-            return self._hops[dest][src]
+            return self.distances_from(dest)[src]
         except KeyError:
             raise ConfigurationError(f"no route from {src} to {dest}") from None
 
@@ -140,15 +132,11 @@ class RoutingTable:
         """Hop distances from *source* to every reachable position.
 
         The protocol guarantees symmetric links, so the distances *towards*
-        *source* that its table records equal the distances *from* it; one
-        breadth-first search serves the whole map (the best-effort network's
-        latency model reads it once per CCN placement).
+        *source* equal the distances *from* it; the topology's one
+        breadth-first search per position serves the whole map (the
+        best-effort network's latency model reads it once per CCN placement).
         """
-        if source not in self._hops:
-            if not self.topology.contains(source):
-                raise ConfigurationError(f"position {source} is outside the topology")
-            self._build_table(source)
-        return self._hops[source]
+        return self.topology.adjacency.search(self._checked(source))[0]
 
     def path_positions(self, src: Position, dest: Position) -> List[Position]:
         """The router positions a packet visits from *src* to *dest*, inclusive."""

@@ -14,20 +14,33 @@ which neighbour (if any) sits behind a port.  All consumers are written
 against the protocol, so adding a topology means implementing
 :meth:`Topology.neighbor` (and a hop metric) — link enumeration, the NetworkX
 view and port geometry fall out of the shared base class.
+
+Topologies are immutable, so the base class derives their graph **once per
+instance**: :attr:`GridTopology.adjacency` walks ``neighbor()`` a single time
+and every later question reads its dictionaries — ``neighbors`` /
+``port_towards`` / ``directed_links`` / ``to_networkx`` here, the hop
+distances and connectivity check of :class:`IrregularMesh` (through
+``distance``, the CCN mapper's cost), the tables of
+:class:`~repro.noc.routing.RoutingTable` and the route search of
+:class:`~repro.noc.admission.AdmissionController`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Protocol, Tuple, runtime_checkable
-
-import networkx as nx
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Protocol, Tuple, runtime_checkable
 
 from repro.common import NEIGHBOR_PORTS, Port, port_offset
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "Position",
     "Topology",
+    "Adjacency",
     "GridTopology",
     "Mesh2D",
     "Torus2D",
@@ -37,6 +50,58 @@ __all__ = [
 
 Position = Tuple[int, int]
 Link = Tuple[Position, Position]
+
+
+class Adjacency:
+    """The graph of one topology instance as plain dictionaries, derived once.
+
+    Shared by every reader named in the module docstring, none of which
+    writes to it.  ``neighbors`` (given) maps a position to ``{port:
+    neighbour}`` in :data:`~repro.common.NEIGHBOR_PORTS` order; from it come
+    ``port``, mapping ``(src, dst)`` to the port of *src* that leads to *dst*,
+    ``links``, every directed link (positions row-major, ports in order), and
+    ``sources``, mapping a position to the positions with a link *into* it in
+    ``links`` order — the successor and predecessor orders of a ``DiGraph``
+    built from ``links``.
+    """
+
+    __slots__ = ("neighbors", "sources", "port", "links", "_searches")
+
+    def __init__(self, neighbors: Dict[Position, Dict[Port, Position]]) -> None:
+        self.neighbors = neighbors
+        self.sources: Dict[Position, List[Position]] = {position: [] for position in neighbors}
+        self.port: Dict[Link, Port] = {}
+        self.links: List[Link] = []
+        self._searches: Dict[Position, Tuple[Dict[Position, int], Dict[Position, Position]]] = {}
+        for position, found in neighbors.items():
+            for port, neighbor in found.items():
+                self.port[(position, neighbor)] = port
+                self.links.append((position, neighbor))
+                self.sources[neighbor].append(position)
+
+    def search(self, source: Position) -> Tuple[Dict[Position, int], Dict[Position, Position]]:
+        """Breadth-first ``(hops, via)`` maps from *source*, computed once per source.
+
+        ``hops`` is the hop distance of every reachable position and ``via``
+        the neighbour one hop closer to *source*; links are symmetric, so both
+        read the same *towards* it.  Ties go to the first discovery (queue
+        order, ports in :data:`~repro.common.NEIGHBOR_PORTS` order), which
+        the routing tables rely on.
+        """
+        found = self._searches.get(source)
+        if found is None:
+            hops: Dict[Position, int] = {source: 0}
+            via: Dict[Position, Position] = {}
+            frontier = deque([source])
+            while frontier:
+                at = frontier.popleft()
+                for node in self.neighbors[at].values():
+                    if node not in hops:
+                        hops[node] = hops[at] + 1
+                        via[node] = at
+                        frontier.append(node)
+            found = self._searches[source] = (hops, via)
+        return found
 
 
 @runtime_checkable
@@ -73,6 +138,9 @@ class Topology(Protocol):
     def directed_links(self) -> List[Link]: ...
 
     def to_networkx(self) -> "nx.DiGraph": ...
+
+    @property
+    def adjacency(self) -> Adjacency: ...
 
 
 class GridTopology:
@@ -118,21 +186,40 @@ class GridTopology:
         """The position behind *port*, or ``None`` where no link exists."""
         raise NotImplementedError
 
+    @cached_property
+    def adjacency(self) -> Adjacency:
+        """The graph of this instance, derived on first use.
+
+        Kept in the instance ``__dict__`` beside the dataclass fields: no part
+        of ``==``, ``hash`` or ``repr``, not copied by ``dataclasses.replace``
+        and, through :meth:`__getstate__`, not pickled.
+        """
+        neighbors: Dict[Position, Dict[Port, Position]] = {}
+        for position in self.positions():
+            found = neighbors[position] = {}
+            for port in NEIGHBOR_PORTS:
+                neighbor = self.neighbor(position, port)
+                if neighbor is not None:
+                    found[port] = neighbor
+        return Adjacency(neighbors)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("adjacency", None)
+        return state
+
     def neighbors(self, position: Position) -> Dict[Port, Position]:
         """All existing neighbours of *position*, keyed by port."""
-        result: Dict[Port, Position] = {}
-        for port in NEIGHBOR_PORTS:
-            neighbor = self.neighbor(position, port)
-            if neighbor is not None:
-                result[port] = neighbor
-        return result
+        return dict(self.adjacency.neighbors.get(position, ()))
 
     def port_towards(self, src: Position, dst: Position) -> Port:
         """The port of *src* whose link leads to the adjacent position *dst*."""
-        for port in NEIGHBOR_PORTS:
-            if self.neighbor(src, port) == dst:
-                return port
-        raise ValueError(f"{src} and {dst} are not adjacent in the {type(self).__name__}")
+        try:
+            return self.adjacency.port[(src, dst)]
+        except KeyError:
+            raise ValueError(
+                f"{src} and {dst} are not adjacent in the {type(self).__name__}"
+            ) from None
 
     def distance(self, a: Position, b: Position) -> int:
         """Hop distance between two positions."""
@@ -142,19 +229,17 @@ class GridTopology:
 
     def directed_links(self) -> List[Link]:
         """All directed router-to-router links ``(src, dst)`` of the topology."""
-        links: List[Link] = []
-        for position in self.positions():
-            for neighbor in self.neighbors(position).values():
-                links.append((position, neighbor))
-        return links
+        return list(self.adjacency.links)
 
     def to_networkx(self) -> "nx.DiGraph":
-        """Directed-graph view used by the allocators (one edge per link direction)."""
+        """Directed-graph view (one edge per link direction), a fresh graph per call."""
+        # Nothing else here needs NetworkX, and importing it costs a process
+        # ≈20 MiB and ≈0.15 s: only callers of this view pay for it.
+        import networkx as nx
+
         graph = nx.DiGraph()
-        for position in self.positions():
-            graph.add_node(position)
-        for src, dst in self.directed_links():
-            graph.add_edge(src, dst)
+        graph.add_nodes_from(self.positions())
+        graph.add_edges_from(self.adjacency.links)
         return graph
 
 
@@ -253,16 +338,17 @@ class IrregularMesh(GridTopology):
         if len(dead) >= self.base.size:
             raise ValueError("cannot break every router of the topology")
         broken = frozenset(_undirected(link) for link in self.broken_links)
-        base_links = {_undirected(link) for link in self.base.directed_links()}
-        missing = sorted(link for link in broken if link not in base_links)
+        missing = sorted(link for link in broken if link not in self.base.adjacency.port)
         if missing:
             raise ValueError(f"cannot break links absent from the base topology: {missing}")
         object.__setattr__(self, "broken_links", tuple(sorted(broken)))
         object.__setattr__(self, "broken_routers", tuple(sorted(dead)))
         object.__setattr__(self, "_broken", broken)
         object.__setattr__(self, "_dead", dead)
-        graph = self.to_networkx()
-        if not nx.is_strongly_connected(graph):
+        # Links are symmetric, so one search reaching every survivor is
+        # strong connectivity.
+        reached, _via = self.adjacency.search(next(self.positions()))
+        if len(reached) != self.size:
             raise ValueError("removing these links/routers disconnects the topology")
 
     # -- delegation to the base topology ---------------------------------------------
@@ -284,9 +370,7 @@ class IrregularMesh(GridTopology):
         return self.base.contains(position) and position not in self._dead
 
     def positions(self) -> Iterator[Position]:
-        for position in self.base.positions():
-            if position not in self._dead:
-                yield position
+        return iter(self.adjacency.neighbors)
 
     def router_name(self, position: Position) -> str:
         if position in self._dead:
@@ -304,18 +388,30 @@ class IrregularMesh(GridTopology):
             return None
         return neighbor
 
+    @cached_property
+    def adjacency(self) -> Adjacency:
+        """The base topology's graph minus the broken links and routers."""
+        broken, dead = self._broken, self._dead
+        return Adjacency(
+            {
+                position: {
+                    port: neighbor
+                    for port, neighbor in found.items()
+                    if neighbor not in dead
+                    and (position, neighbor) not in broken
+                    and (neighbor, position) not in broken
+                }
+                for position, found in self.base.adjacency.neighbors.items()
+                if position not in dead
+            }
+        )
+
     def distance(self, a: Position, b: Position) -> int:
-        """Hop distance on the degraded graph (breadth-first search, cached)."""
+        """Hop distance on the degraded graph (one breadth-first search per source)."""
         try:
-            return self._distances(a)[b]
+            return self.adjacency.search(a)[0][b]
         except KeyError:
             raise ValueError(f"no path from {a} to {b} in the degraded topology") from None
-
-    def _distances(self, source: Position) -> Dict[Position, int]:
-        cache = self.__dict__.setdefault("_distance_cache", {})
-        if source not in cache:
-            cache[source] = dict(nx.single_source_shortest_path_length(self.to_networkx(), source))
-        return cache[source]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import drm, hiperlan2, umts
 from repro.apps.kpn import Channel, Process, ProcessGraph, TileType, TrafficClass
@@ -54,6 +56,40 @@ class TestProcessGraph:
         graph.add_process(Process("b"))
         with pytest.raises(MappingError):
             graph.validate()
+
+    def test_validation_follows_channels_in_either_direction(self):
+        graph = ProcessGraph("weakly connected")
+        for name in "abcd":
+            graph.add_process(Process(name))
+        graph.add_channel(Channel("ab", "a", "b", 1.0))
+        graph.add_channel(Channel("cb", "c", "b", 1.0))
+        graph.add_channel(Channel("cd", "c", "d", 1.0))
+        graph.validate()
+        islands = ProcessGraph("two islands")
+        for name in "abcd":
+            islands.add_process(Process(name))
+        islands.add_channel(Channel("ab", "a", "b", 1.0))
+        islands.add_channel(Channel("cd", "c", "d", 1.0))
+        with pytest.raises(MappingError, match="not connected"):
+            islands.validate()
+
+    @given(
+        size=st.integers(1, 7),
+        pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_validation_equals_networkx_weak_connectivity(self, size, pairs):
+        graph = ProcessGraph("drawn")
+        for index in range(size):
+            graph.add_process(Process(f"p{index}"))
+        for number, (a, b) in enumerate(pairs):
+            if a != b and a < size and b < size:
+                graph.add_channel(Channel(f"c{number}", f"p{a}", f"p{b}", 1.0))
+        if nx.is_weakly_connected(graph.to_networkx()):
+            graph.validate()
+        else:
+            with pytest.raises(MappingError, match="not connected"):
+                graph.validate()
 
     def test_empty_graph_invalid(self):
         with pytest.raises(MappingError):

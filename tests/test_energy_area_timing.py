@@ -51,6 +51,21 @@ class TestCircuitSwitchedArea:
         config = self.area.breakdown()["configuration"]
         assert gateable == pytest.approx(total - config)
 
+    def test_totals_are_computed_once_per_model(self, monkeypatch):
+        calls = []
+        components = CircuitSwitchedRouterArea.components
+        monkeypatch.setattr(
+            CircuitSwitchedRouterArea, "components",
+            lambda model: calls.append(model) or components(model),
+        )
+        first = (self.area.total_mm2, self.area.gateable_area_mm2, self.area.total_gate_equivalents)
+        for _ in range(10):
+            again = (self.area.total_mm2, self.area.gateable_area_mm2, self.area.total_gate_equivalents)
+            assert again == first
+        assert len(calls) == 3
+        # The memo belongs to the instance: another design point has its own.
+        assert CircuitSwitchedRouterArea(lanes_per_port=8).total_mm2 > first[0]
+
     def test_area_grows_with_lanes(self):
         wider = CircuitSwitchedRouterArea(lanes_per_port=8)
         assert wider.total_mm2 > self.area.total_mm2
