@@ -48,8 +48,6 @@ def test_two_quick_traced_runs_repeat_digests_and_exact_counts(tmp_path):
             assert a["metrics"]["sim.vector.calls"]["value"] == 0
         if name in BATCHED:
             assert a["metrics"]["sim.vector.batches"]["value"] > 0, name
-    traced = first["runs"]["app_traffic"]["metrics"]
-    assert (
-        traced["kind.circuit.cycles_per_s"]["value"]
-        >= traced["kind.packet.cycles_per_s"]["value"]
-    ), "the circuit fabric is again the slow kind on application traffic"
+    # No ranking of the kinds' rates here: whether the circuit fabric keeps
+    # up is ``sim.vector.batches > 0`` above, and the packet and GT routers
+    # now walk only what can move, so they out-run it on application traffic.

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
 from repro.apps import drm, hiperlan2, umts
@@ -49,7 +48,6 @@ KINDS = ("circuit", "packet", "gt")
 def run_churn(total_cycles: int) -> list[dict]:
     rows = []
     for kind in KINDS:
-        started = time.perf_counter()
         result = run_dynamic_workload(
             kind,
             Mesh2D(5, 5),
@@ -59,7 +57,6 @@ def run_churn(total_cycles: int) -> list[dict]:
             load=LOAD,
             seed=11,
         )
-        elapsed = time.perf_counter() - started
         rows.append(
             {
                 "kind": result.kind,
@@ -68,7 +65,6 @@ def run_churn(total_cycles: int) -> list[dict]:
                 "reconfiguration_ms": round(result.reconfiguration_time_s * 1e3, 4),
                 "rejections": result.rejections,
                 "peak_tile_occupancy": round(result.peak_tile_occupancy, 3),
-                "sim_cycles_per_sec": round(total_cycles / elapsed, 1),
             }
         )
     return rows

@@ -10,8 +10,9 @@ end to end on all three simulated network kinds
 (:func:`repro.experiments.harness.run_app_traffic`).
 
 The resulting delivered words / router power / energy per delivered payload
-bit — plus the simulation throughput of the new GT network — are written to
-``BENCH_gt.json`` at the repository root to start the GT perf trajectory.
+bit are written to ``BENCH_gt.json`` at the repository root.  (How fast each
+kind simulates is the end-to-end benchmark's ``kind.*.cycles_per_s``,
+``benchmarks/e2e/``.)
 
 Run with::
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
 from repro.apps import hiperlan2
@@ -41,7 +41,6 @@ KINDS = ("circuit", "packet", "gt")
 def run_comparison(cycles: int) -> list[dict]:
     rows = []
     for kind in KINDS:
-        started = time.perf_counter()
         result = run_app_traffic(
             kind,
             Mesh2D(4, 4),
@@ -51,7 +50,6 @@ def run_comparison(cycles: int) -> list[dict]:
             load=LOAD,
             seed=11,
         )
-        elapsed = time.perf_counter() - started
         rows.append(
             {
                 "kind": result.kind,
@@ -59,7 +57,6 @@ def run_comparison(cycles: int) -> list[dict]:
                 "power_mw": round(result.power.total_uw / 1e3, 4),
                 "energy_pj_per_bit": round(result.energy_pj_per_bit, 3),
                 "delivery_ok": result.delivery_ok(),
-                "sim_cycles_per_sec": round(cycles / elapsed, 1),
             }
         )
     return rows
@@ -101,7 +98,6 @@ def main() -> None:
         "description": (
             "HiperLAN/2 GT channels, bandwidth-paced, on a 4x4 mesh across the "
             "three simulated network kinds; energy per delivered payload bit "
-            "plus the simulated cycles/second of each network "
             "(examples/gt_comparison.py)."
         ),
         "frequency_hz": FREQUENCY_HZ,

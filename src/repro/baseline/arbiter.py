@@ -11,7 +11,9 @@ the non-linearity observed when two streams collide on the same output port
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
+
+from repro.common import bit_mask
 
 __all__ = ["RoundRobinArbiter"]
 
@@ -29,6 +31,7 @@ class RoundRobinArbiter:
         if num_requesters < 1:
             raise ValueError("an arbiter needs at least one requester")
         self.num_requesters = num_requesters
+        self._all = bit_mask(num_requesters)
         self._pointer = 0
         self._last_grant: Optional[int] = None
         self.decisions = 0
@@ -39,29 +42,32 @@ class RoundRobinArbiter:
         """The requester granted on the most recent decision (``None`` initially)."""
         return self._last_grant
 
-    def grant(self, requests: Sequence[bool]) -> Optional[int]:
-        """Pick one requester among *requests*; ``None`` when nobody requests.
+    def grant(self, requests: int) -> Optional[int]:
+        """Pick one requester from the bit mask *requests*; ``None`` when it is 0.
 
-        Statistics (number of decisions, number of grant changes) are updated
-        as a side effect; the router copies them into its activity counters.
+        Bit ``i`` set means requester ``i`` requests.  Statistics (number of
+        decisions, number of grant changes) are updated as a side effect; the
+        router copies them into its activity counters.
         """
-        if len(requests) != self.num_requesters:
+        if not 0 <= requests <= self._all:
             raise ValueError(
-                f"expected {self.num_requesters} request lines, got {len(requests)}"
+                f"request mask {requests:#x} does not fit {self.num_requesters} request lines"
             )
-        if not any(requests):
+        if not requests:
             return None
         self.decisions += 1
-        # Rotating priority: start searching just after the pointer.
-        for offset in range(self.num_requesters):
-            candidate = (self._pointer + offset) % self.num_requesters
-            if requests[candidate]:
-                if self._last_grant is not None and candidate != self._last_grant:
-                    self.grant_changes += 1
-                self._last_grant = candidate
-                self._pointer = (candidate + 1) % self.num_requesters
-                return candidate
-        return None  # pragma: no cover - unreachable, any(requests) is true
+        # Rotating priority: the lowest set bit at or above the pointer,
+        # else (wrap-around) the lowest set bit.
+        ahead = requests >> self._pointer
+        if ahead:
+            candidate = self._pointer + (ahead & -ahead).bit_length() - 1
+        else:
+            candidate = (requests & -requests).bit_length() - 1
+        if self._last_grant is not None and candidate != self._last_grant:
+            self.grant_changes += 1
+        self._last_grant = candidate
+        self._pointer = (candidate + 1) % self.num_requesters
+        return candidate
 
     def reset(self) -> None:
         """Forget all arbitration history."""

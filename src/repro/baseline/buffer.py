@@ -10,7 +10,7 @@ read is therefore recorded in the activity counters.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, List, Optional
 
 from repro.baseline.flit import Flit
 from repro.common import CapacityError
@@ -34,6 +34,11 @@ class VirtualChannelBuffer:
         self.depth = depth
         self.activity = activity if activity is not None else ActivityCounters(name)
         self._fifo: Deque[Flit] = deque()
+        #: ``[mask]`` cell and this buffer's bit in it: set while a flit is
+        #: stored.  A router points its buffers at one shared cell, so its
+        #: per-cycle loops visit the occupied buffers only.
+        self._occupied: List[int] = [0]
+        self._bit = 1
         self.total_writes = 0
         self.total_reads = 0
         self.max_occupancy = 0
@@ -62,13 +67,16 @@ class VirtualChannelBuffer:
 
     def push(self, flit: Flit) -> None:
         """Write one flit into the FIFO (records buffer-write energy)."""
-        if self.is_full():
+        fifo = self._fifo
+        if len(fifo) >= self.depth:
             raise CapacityError(
                 f"buffer {self.name} overflow: upstream ignored credit-based flow control"
             )
-        self._fifo.append(flit)
+        fifo.append(flit)
+        self._occupied[0] |= self._bit
         self.total_writes += 1
-        self.max_occupancy = max(self.max_occupancy, len(self._fifo))
+        if len(fifo) > self.max_occupancy:
+            self.max_occupancy = len(fifo)
         self.activity.add(ActivityKeys.BUFFER_WRITE_BITS, flit.storage_bits)
 
     def front(self) -> Optional[Flit]:
@@ -77,9 +85,12 @@ class VirtualChannelBuffer:
 
     def pop(self) -> Flit:
         """Remove and return the head-of-line flit (records buffer-read energy)."""
-        if not self._fifo:
+        fifo = self._fifo
+        if not fifo:
             raise CapacityError(f"buffer {self.name} underflow: pop from an empty FIFO")
-        flit = self._fifo.popleft()
+        flit = fifo.popleft()
+        if not fifo:
+            self._occupied[0] &= ~self._bit
         self.total_reads += 1
         self.activity.add(ActivityKeys.BUFFER_READ_BITS, flit.storage_bits)
         return flit
@@ -87,6 +98,7 @@ class VirtualChannelBuffer:
     def reset(self) -> None:
         """Drop all stored flits and statistics."""
         self._fifo.clear()
+        self._occupied[0] &= ~self._bit
         self.total_writes = 0
         self.total_reads = 0
         self.max_occupancy = 0

@@ -35,15 +35,11 @@ class FlitType(enum.Enum):
     TAIL = "tail"
     SINGLE = "single"  # head and tail in one flit (single-word packet)
 
-    @property
-    def is_head(self) -> bool:
-        """True for flits that open a packet (carry routing information)."""
-        return self in (FlitType.HEAD, FlitType.SINGLE)
-
-    @property
-    def is_tail(self) -> bool:
-        """True for flits that close a packet (release the virtual channel)."""
-        return self in (FlitType.TAIL, FlitType.SINGLE)
+    def __init__(self, label: str) -> None:
+        #: True for flits that open a packet (carry routing information).
+        self.is_head = label in ("head", "single")
+        #: True for flits that close a packet (release the virtual channel).
+        self.is_tail = label in ("tail", "single")
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +73,9 @@ class Flit:
         return FLIT_PAYLOAD_BITS + FLIT_CONTROL_BITS
 
     def with_vc(self, vc: int) -> "Flit":
-        """Copy of this flit travelling on a different virtual channel."""
+        """This flit as it travels on virtual channel *vc* (itself when unchanged)."""
+        if vc == self.vc:
+            return self
         return Flit(self.flit_type, self.payload, self.dest, self.src, vc, self.packet_id, self.sequence)
 
 

@@ -120,21 +120,6 @@ class PacketLink:
         self.credits[vc] = 0
         return amount
 
-    def take_all_credits(self, into: List[int]) -> None:
-        """Collect (and clear) the pending credits of every virtual channel.
-
-        Fills the preallocated *into* list in place — the router hot loop
-        uses this to sample all credit wires without per-cycle allocation.
-        """
-        credits = self.credits
-        for vc in range(self.num_vcs):
-            into[vc] = credits[vc]
-            credits[vc] = 0
-
-    def has_pending_credits(self) -> bool:
-        """True when at least one credit return has not been collected yet."""
-        return any(self.credits)
-
     def reset(self) -> None:
         """Return the link to the idle state."""
         self.forward = None

@@ -15,10 +15,12 @@ grant change is recorded.
 
 Like the circuit-switched router, the baseline router participates in the
 kernel's quiescence protocol (incoming flits, returned credits and tile
-injections wake it; with empty buffers and idle wires it sleeps) and keeps
-its per-cycle loops allocation-free via preallocated, port-indexed flat
-lists — the comparison between the two fabrics stays apples-to-apples under
-the quiescence-aware schedule.
+injections wake it; with empty buffers and idle wires it sleeps).  An awake
+router's cycle costs what can move, not what is built: the buffers keep a bit
+mask of the occupied input VCs, one pass over those does route computation
+and VC allocation and files each movable head-of-line flit under the output
+port it requests, and only ports with a request arbitrate.  The loops index
+preallocated port- and VC-indexed lists and never hash a ``(port, vc)`` key.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ class PacketTileInterface:
         self._partial: Dict[Tuple[Tuple[int, int], int], List[Flit]] = {}
         self.received_packets: List[Packet] = []
         self.received_words: List[int] = []
+        #: Payload words delivered so far, per source tile.
+        self.words_from: Dict[Tuple[int, int], int] = {}
         self.words_queued = 0
 
     # -- sending --------------------------------------------------------------------
@@ -95,6 +99,7 @@ class PacketTileInterface:
             packet = Packet(src=flit.src, dest=flit.dest, words=words, packet_id=flit.packet_id)
             self.received_packets.append(packet)
             self.received_words.extend(words)
+            self.words_from[flit.src] = self.words_from.get(flit.src, 0) + len(words)
 
     @property
     def words_received(self) -> int:
@@ -107,6 +112,7 @@ class PacketTileInterface:
         self._partial.clear()
         self.received_packets.clear()
         self.received_words.clear()
+        self.words_from.clear()
         self.words_queued = 0
         self._next_vc = 0
 
@@ -169,6 +175,15 @@ class PacketSwitchedRouter(ClockedComponent):
         self._input_buffers: List[VirtualChannelBuffer] = [
             self.buffers[key] for key in self._input_index
         ]
+        #: Per input port, its VC buffers: an out-of-range flit VC is an IndexError.
+        self._port_buffers = [
+            self._input_buffers[port * num_vcs : (port + 1) * num_vcs] for port in self.ports
+        ]
+        #: Bit mask (in a shared cell) of the input VCs holding a flit, kept
+        #: by the buffers' push/pop.
+        self._occupied: List[int] = [0]
+        for index, buffer in enumerate(self._input_buffers):
+            buffer._occupied, buffer._bit = self._occupied, 1 << index
         self._input_states = [self.vc_states[key] for key in self._input_index]
         self._port_allocators = [self.output_allocators[p] for p in self.ports]
         self._port_arbiters = [self.switch_arbiters[p] for p in self.ports]
@@ -182,15 +197,16 @@ class PacketSwitchedRouter(ClockedComponent):
         num_ports = self.NUM_PORTS
         self._rx_by_port: List[Optional[PacketLink]] = [None] * num_ports
         self._tx_by_port: List[Optional[PacketLink]] = [None] * num_ports
+        #: ``(port, link)`` of the attached links only, for the per-cycle sweeps.
+        self._rx_attached: Tuple[Tuple[Port, PacketLink], ...] = ()
+        self._tx_attached: Tuple[Tuple[Port, PacketLink], ...] = ()
         self._output_prev_payload: List[int] = [0] * num_ports
-        self._last_winner: List[Optional[Tuple[Port, int]]] = [None] * num_ports
-        # Values sampled during evaluate, consumed during commit.
+        # Values sampled during evaluate, consumed during commit: the flit on
+        # each incoming wire and the ``(port, vc, amount)`` credits collected.
         self._sampled_flits: List[Optional[Flit]] = [None] * num_ports
-        self._sampled_credits: List[List[int]] = [[0] * num_vcs for _ in range(num_ports)]
-        # Per-cycle scratch, reused without allocation.
-        self._requests: List[bool] = [False] * (num_ports * num_vcs)
-        self._driven: List[Optional[Flit]] = [None] * num_ports
-        self._credit_returns: List[List[int]] = [[] for _ in range(num_ports)]
+        self._sampled_credits: List[Tuple[Port, int, int]] = []
+        # Per-cycle scratch: the request mask filed under each output port.
+        self._port_requests: List[int] = [0] * num_ports
 
     # -- wiring ------------------------------------------------------------------------
 
@@ -212,6 +228,8 @@ class PacketSwitchedRouter(ClockedComponent):
         for neighbor in NEIGHBOR_PORTS:
             self._rx_by_port[neighbor] = self._rx_links[neighbor]
             self._tx_by_port[neighbor] = self._tx_links[neighbor]
+        self._rx_attached = tuple((p, l) for p, l in self._rx_links.items() if l is not None)
+        self._tx_attached = tuple((p, l) for p, l in self._tx_links.items() if l is not None)
         if rx_link is not None:
             # A flit arriving here must wake a sleeping router.
             rx_link.watch_flits(self.wake)
@@ -234,132 +252,137 @@ class PacketSwitchedRouter(ClockedComponent):
 
     def evaluate(self, cycle: int) -> None:
         sampled_flits = self._sampled_flits
-        sampled_credits = self._sampled_credits
-        for port in NEIGHBOR_PORTS:
-            rx = self._rx_by_port[port]
-            sampled_flits[port] = rx.forward if rx is not None else None
-            tx = self._tx_by_port[port]
-            credits = sampled_credits[port]
-            if tx is not None:
-                tx.take_all_credits(credits)
-            else:
-                for vc in range(self.num_vcs):
-                    credits[vc] = 0
+        for port, rx in self._rx_attached:
+            sampled_flits[port] = rx.forward
+        for port, tx in self._tx_attached:
+            credits = tx.credits
+            if any(credits):
+                for vc, amount in enumerate(credits):
+                    if amount:
+                        self._sampled_credits.append((port, vc, tx.take_credits(vc)))
 
     def commit(self, cycle: int) -> None:
         activity = self.activity
+        allocators = self._port_allocators
+        input_buffers = self._input_buffers
+        port_buffers = self._port_buffers
 
         # 1. Credits returned by downstream routers.
-        for port in NEIGHBOR_PORTS:
-            allocator = self._port_allocators[port]
-            for vc, amount in enumerate(self._sampled_credits[port]):
-                if amount:
-                    allocator.add_credits(vc, amount)
+        if self._sampled_credits:
+            for port, vc, amount in self._sampled_credits:
+                allocators[port].add_credits(vc, amount)
+            self._sampled_credits.clear()
 
         # 2. Accept incoming flits into the input VC buffers.
-        for port in NEIGHBOR_PORTS:
-            flit = self._sampled_flits[port]
+        sampled_flits = self._sampled_flits
+        for port, _rx in self._rx_attached:
+            flit = sampled_flits[port]
             if flit is not None:
-                self.buffers[(port, flit.vc)].push(flit)
+                port_buffers[port][flit.vc].push(flit)
 
         # 3. Tile injection (local port): one flit per cycle if space allows.
         queue = self.tile._injection_queue
         if queue:
-            flit = queue[0]
-            buffer = self.buffers[(Port.TILE, flit.vc)]
+            buffer = port_buffers[Port.TILE][queue[0].vc]
             if not buffer.is_full():
                 buffer.push(queue.popleft())
 
-        # 4. Route computation and output-VC allocation for head-of-line head flits.
+        # 4. One pass over the occupied input VCs: route computation and
+        # output-VC allocation for head-of-line head flits, then every flit
+        # that can move (output VC held; towards a neighbour, a link and a
+        # credit) is filed under the one output port it requests.
         input_index = self._input_index
-        input_buffers = self._input_buffers
         input_states = self._input_states
-        for index, buffer in enumerate(input_buffers):
-            flit = buffer.front()
-            if flit is None:
-                continue
+        tx_by_port = self._tx_by_port
+        requests = self._port_requests
+        vc_allocations = 0
+        pending = self._occupied[0]
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            index = bit.bit_length() - 1
             state = input_states[index]
-            if flit.flit_type.is_head and state.out_port is None:
-                state.out_port = self.route(self.position, flit.dest)
-            if state.out_port is not None and state.out_vc is None:
-                out_vc = self._port_allocators[state.out_port].try_allocate(input_index[index])
-                if out_vc is not None:
-                    state.out_vc = out_vc
-                    activity.add(ActivityKeys.VC_ALLOCATIONS, 1)
-
-        # 5. Switch allocation and flit traversal, one winner per output port.
-        credit_returns = self._credit_returns
-        driven = self._driven
-        requests = self._requests
-        for out_port in self.ports:
-            is_neighbor = out_port is not Port.TILE
-            allocator = self._port_allocators[out_port]
-            tx_missing = is_neighbor and self._tx_by_port[out_port] is None
-            for index, buffer in enumerate(input_buffers):
-                state = input_states[index]
-                wants = (
-                    state.out_port == out_port
-                    and state.out_vc is not None
-                    and len(buffer._fifo) != 0
-                )
-                if wants and is_neighbor:
-                    wants = not tx_missing and allocator.credits(state.out_vc) > 0
-                requests[index] = wants
-            winner_index = self._port_arbiters[out_port].grant(requests)
-            if winner_index is None:
+            out_port = state.out_port
+            if out_port is None:
+                flit = input_buffers[index]._fifo[0]
+                if not flit.flit_type.is_head:
+                    continue
+                out_port = state.out_port = self.route(self.position, flit.dest)
+            out_vc = state.out_vc
+            if out_vc is None:
+                out_vc = state.out_vc = allocators[out_port].try_allocate(input_index[index])
+                if out_vc is None:
+                    continue
+                vc_allocations += 1
+            if out_port and (
+                tx_by_port[out_port] is None or allocators[out_port]._credits[out_vc] <= 0
+            ):
                 continue
-            winner_key = input_index[winner_index]
-            activity.add(ActivityKeys.ARBITER_DECISIONS, 1)
-            last_winner = self._last_winner[out_port]
-            if last_winner is not None and last_winner != winner_key:
-                activity.add(ActivityKeys.ARBITER_GRANT_CHANGES, 1)
-            self._last_winner[out_port] = winner_key
+            requests[out_port] |= bit
+        if vc_allocations:
+            activity.add(ActivityKeys.VC_ALLOCATIONS, vc_allocations)
+
+        # 5. Switch allocation and flit traversal: one winner per requested
+        # output port; the counters are added once per key below.
+        routed = grant_changes = packets = reg_toggles = link_toggles = 0
+        driven = 0
+        for out_port, mask in enumerate(requests):
+            if not mask:
+                continue
+            requests[out_port] = 0
+            arbiter = self._port_arbiters[out_port]
+            last_winner = arbiter._last_grant
+            winner_index = arbiter.grant(mask)
+            if last_winner is not None and last_winner != winner_index:
+                grant_changes += 1
+            routed += 1
 
             state = input_states[winner_index]
-            flit = input_buffers[winner_index].pop()
-            out_flit = flit.with_vc(state.out_vc)
-            activity.add(ActivityKeys.FLITS_ROUTED, 1)
+            out_flit = input_buffers[winner_index].pop().with_vc(state.out_vc)
 
             # Crossbar traversal and output register toggles.
             toggles = toggle_count(
                 self._output_prev_payload[out_port], out_flit.payload, FLIT_PAYLOAD_BITS
             )
-            if toggles:
-                activity.add(ActivityKeys.REG_TOGGLE_BITS, toggles)
+            reg_toggles += toggles
             self._output_prev_payload[out_port] = out_flit.payload
 
-            if out_port == Port.TILE:
+            if out_port:
+                allocators[out_port].consume_credit(state.out_vc)
+                tx_by_port[out_port].drive(out_flit)
+                driven |= 1 << out_port
+                link_toggles += toggles
+            else:
                 self.tile._deliver(out_flit)
                 activity.add(ActivityKeys.WORDS_DELIVERED, 0 if out_flit.flit_type.is_head else 1)
-            else:
-                allocator.consume_credit(state.out_vc)
-                driven[out_port] = out_flit
-                if toggles:
-                    activity.add(ActivityKeys.LINK_TOGGLE_BITS, toggles)
 
             # Return a credit to the upstream router for the freed buffer slot.
-            in_port, in_vc = winner_key
-            if in_port is not Port.TILE:
-                credit_returns[in_port].append(in_vc)
+            in_port, in_vc = input_index[winner_index]
+            if in_port:
+                rx = self._rx_by_port[in_port]
+                if rx is not None:
+                    rx.return_credit(in_vc, 1)
 
             if out_flit.flit_type.is_tail:
-                self._port_allocators[state.out_port].release(state.out_vc)
+                allocators[out_port].release(state.out_vc)
                 state.release()
-                activity.add(ActivityKeys.PACKETS_ROUTED, 1)
+                packets += 1
+        if routed:
+            activity.add(ActivityKeys.ARBITER_DECISIONS, routed)
+            activity.add(ActivityKeys.FLITS_ROUTED, routed)
+            if grant_changes:
+                activity.add(ActivityKeys.ARBITER_GRANT_CHANGES, grant_changes)
+            if reg_toggles:
+                activity.add(ActivityKeys.REG_TOGGLE_BITS, reg_toggles)
+            if link_toggles:
+                activity.add(ActivityKeys.LINK_TOGGLE_BITS, link_toggles)
+            if packets:
+                activity.add(ActivityKeys.PACKETS_ROUTED, packets)
 
-        # 6. Drive the outgoing links and the upstream credit wires.
-        for port in NEIGHBOR_PORTS:
-            tx = self._tx_by_port[port]
-            if tx is not None:
-                tx.drive(driven[port])
-                driven[port] = None
-            rx = self._rx_by_port[port]
-            returns = credit_returns[port]
-            if returns:
-                if rx is not None:
-                    for vc in returns:
-                        rx.return_credit(vc, 1)
-                returns.clear()
+        # 6. Outgoing wires not driven this cycle fall idle.
+        for port, tx in self._tx_attached:
+            if tx.forward is not None and not driven >> port & 1:
+                tx.drive(None)
 
         activity.cycles = cycle + 1
 
@@ -377,17 +400,17 @@ class PacketSwitchedRouter(ClockedComponent):
         when the upstream router places the next flit on the wire, which
         wakes this router.
         """
-        if self.tile._injection_queue:
+        if self.tile._injection_queue or self._occupied[0]:
             return False
-        for port in NEIGHBOR_PORTS:
-            rx = self._rx_by_port[port]
-            if rx is not None and rx.forward is not None:
+        return self._wires_idle()
+
+    def _wires_idle(self) -> bool:
+        """True with no flit on any wire and no uncollected credit."""
+        for _port, rx in self._rx_attached:
+            if rx.forward is not None:
                 return False
-            tx = self._tx_by_port[port]
-            if tx is not None and (tx.forward is not None or tx.has_pending_credits()):
-                return False
-        for buffer in self._input_buffers:
-            if buffer._fifo:
+        for _port, tx in self._tx_attached:
+            if tx.forward is not None or any(tx.credits):
                 return False
         return True
 
@@ -415,21 +438,15 @@ class PacketSwitchedRouter(ClockedComponent):
         worm arrive (a dirty-bit wake on the output link).
         """
         queue = self.tile._injection_queue
-        if queue and not self.buffers[(Port.TILE, queue[0].vc)].is_full():
+        if queue and not self._port_buffers[Port.TILE][queue[0].vc].is_full():
             return cycle
-        for port in NEIGHBOR_PORTS:
-            rx = self._rx_by_port[port]
-            if rx is not None and rx.forward is not None:
-                return cycle
-            tx = self._tx_by_port[port]
-            if tx is not None and (tx.forward is not None or tx.has_pending_credits()):
-                return cycle
-        input_states = self._input_states
-        for index, buffer in enumerate(self._input_buffers):
-            flit = buffer.front()
-            if flit is None:
-                continue
-            state = input_states[index]
+        if not self._wires_idle():
+            return cycle
+        pending = self._occupied[0]
+        while pending:
+            bit = pending & -pending
+            pending ^= bit
+            state = self._input_states[bit.bit_length() - 1]
             if state.out_port is None:
                 return cycle  # route computation still pending
             if state.out_port == Port.TILE:
@@ -465,14 +482,11 @@ class PacketSwitchedRouter(ClockedComponent):
             arbiter.reset()
         self.tile.reset()
         self.activity.reset()
+        self._sampled_credits.clear()
         for port in range(self.NUM_PORTS):
             self._output_prev_payload[port] = 0
-            self._last_winner[port] = None
             self._sampled_flits[port] = None
-            self._driven[port] = None
-            self._credit_returns[port].clear()
-            for vc in range(self.num_vcs):
-                self._sampled_credits[port][vc] = 0
+            self._port_requests[port] = 0
 
     # -- reporting -----------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.baseline.arbiter import RoundRobinArbiter
-from repro.common import Port
+from repro.common import Port, bit_mask
 
 __all__ = ["InputVcState", "OutputVcAllocator"]
 
@@ -45,20 +45,6 @@ class InputVcState:
         self.out_vc = None
 
 
-@dataclass(slots=True)
-class _OutputVc:
-    """State of one output virtual channel of one output port."""
-
-    vc: int
-    credits: int
-    holder: Optional[tuple[Port, int]] = None  # input (port, vc) currently holding it
-
-    @property
-    def free(self) -> bool:
-        """True when no packet holds this output VC."""
-        return self.holder is None
-
-
 class OutputVcAllocator:
     """Per-output-port allocator of output virtual channels and credits."""
 
@@ -69,9 +55,12 @@ class OutputVcAllocator:
             raise ValueError("downstream buffer depth must be positive")
         self.port = port
         self.num_vcs = num_vcs
-        self._vcs: List[_OutputVc] = [
-            _OutputVc(vc=i, credits=downstream_buffer_depth) for i in range(num_vcs)
-        ]
+        #: Remaining downstream buffer credit per output VC.
+        self._credits: List[int] = [downstream_buffer_depth] * num_vcs
+        #: Input ``(port, vc)`` holding each output VC (``None`` = free) and
+        #: the same as a bit mask of the free ones, kept by allocate/release.
+        self._holders: List[Optional[tuple[Port, int]]] = [None] * num_vcs
+        self._free = bit_mask(num_vcs)
         self._arbiter = RoundRobinArbiter(num_vcs)
         self.allocations = 0
 
@@ -79,14 +68,11 @@ class OutputVcAllocator:
 
     def try_allocate(self, requester: tuple[Port, int]) -> Optional[int]:
         """Grant a free output VC to *requester* (an input ``(port, vc)``)."""
-        free = [vc.free for vc in self._vcs]
-        if not any(free):
-            return None
-        choice = self._arbiter.grant(free)
-        if choice is None:  # pragma: no cover - any(free) guarantees a grant
-            return None
-        self._vcs[choice].holder = requester
-        self.allocations += 1
+        choice = self._arbiter.grant(self._free)
+        if choice is not None:
+            self._holders[choice] = requester
+            self._free &= ~(1 << choice)
+            self.allocations += 1
         return choice
 
     def has_free_vc(self) -> bool:
@@ -95,44 +81,46 @@ class OutputVcAllocator:
         Pure inspection (the round-robin pointer does not move) — used by
         the router's event-schedule stall prediction.
         """
-        return any(vc.free for vc in self._vcs)
+        return self._free != 0
 
     def release(self, vc: int) -> None:
         """Free an output VC after the packet's tail flit has left."""
         self._check_vc(vc)
-        self._vcs[vc].holder = None
+        self._holders[vc] = None
+        self._free |= 1 << vc
 
     def holder(self, vc: int) -> Optional[tuple[Port, int]]:
         """The input (port, vc) currently holding output VC *vc*."""
         self._check_vc(vc)
-        return self._vcs[vc].holder
+        return self._holders[vc]
 
     # -- credits ----------------------------------------------------------------------
 
     def credits(self, vc: int) -> int:
         """Remaining downstream buffer credit of output VC *vc*."""
         self._check_vc(vc)
-        return self._vcs[vc].credits
+        return self._credits[vc]
 
     def consume_credit(self, vc: int) -> None:
         """Spend one credit when a flit is sent on output VC *vc*."""
         self._check_vc(vc)
-        if self._vcs[vc].credits <= 0:
+        if self._credits[vc] <= 0:
             raise ValueError(f"no credit left on {self.port.name} VC {vc}")
-        self._vcs[vc].credits -= 1
+        self._credits[vc] -= 1
 
     def add_credits(self, vc: int, amount: int) -> None:
         """Return *amount* credits (downstream freed buffer slots)."""
         self._check_vc(vc)
         if amount < 0:
             raise ValueError("credit amount must be non-negative")
-        self._vcs[vc].credits += amount
+        self._credits[vc] += amount
 
     def reset(self, downstream_buffer_depth: int) -> None:
         """Return to the power-on state with fresh credit counters."""
-        for entry in self._vcs:
-            entry.credits = downstream_buffer_depth
-            entry.holder = None
+        for vc in range(self.num_vcs):
+            self._credits[vc] = downstream_buffer_depth
+            self._holders[vc] = None
+        self._free = bit_mask(self.num_vcs)
         self._arbiter.reset()
         self.allocations = 0
 

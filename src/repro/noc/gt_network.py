@@ -66,6 +66,13 @@ __all__ = [
 ]
 
 
+#: Per bit mask of output ports: the pseudo slot-table entries that make
+#: exactly those ports latch "no word" (``in_port`` ``None``).
+_LATCH_IDLE = [
+    tuple((port, None, "") for port in range(5) if mask >> port & 1) for mask in range(1 << 5)
+]
+
+
 class TdmaLink:
     """One unidirectional word-wide wire between two slot-table routers.
 
@@ -162,6 +169,8 @@ class TdmaTileInterface:
     def __init__(self, router: "SlotTableRouter") -> None:
         self.router = router
         self._tx: Dict[str, Deque[int]] = {}
+        #: Words queued over all connections (kept by send/_pop_tx/forget).
+        self._queued = 0
         self.received: Dict[str, List[int]] = {}
 
     # -- sending --------------------------------------------------------------------
@@ -173,6 +182,7 @@ class TdmaTileInterface:
                 f"word {word:#x} does not fit in {self.router.data_width} bits"
             )
         self._tx.setdefault(connection, deque()).append(word)
+        self._queued += 1
         self.router.wake()
 
     def backlog(self, connection: str) -> int:
@@ -183,11 +193,12 @@ class TdmaTileInterface:
     def _pop_tx(self, connection: str) -> Optional[int]:
         queue = self._tx.get(connection)
         if queue:
+            self._queued -= 1
             return queue.popleft()
         return None
 
     def _has_backlog(self) -> bool:
-        return any(self._tx.values())
+        return self._queued > 0
 
     # -- receiving (driven by the router) ------------------------------------------------
 
@@ -200,12 +211,13 @@ class TdmaTileInterface:
 
     def forget(self, connection: str) -> None:
         """Drop one departed connection's queued and delivered words."""
-        self._tx.pop(connection, None)
+        self._queued -= len(self._tx.pop(connection, ()))
         self.received.pop(connection, None)
 
     def reset(self) -> None:
         """Drop all queued and received data."""
         self._tx.clear()
+        self._queued = 0
         self.received.clear()
 
 
@@ -247,8 +259,15 @@ class SlotTableRouter(ClockedComponent):
         self._table: List[List[Optional[Tuple[Port, str]]]] = [
             [None] * slots for _ in range(self.NUM_PORTS)
         ]
-        #: Registered output word per port (``None`` = idle).
+        #: The same tables compiled per slot: the programmed
+        #: ``(out_port, in_port, connection)`` entries in output-port order
+        #: (rebuilt by program/clear), so a cycle visits no empty entry.
+        self._slot_entries: List[Tuple[Tuple[int, int, str], ...]] = [()] * slots
+        self._slot_ports: List[int] = [0] * slots  # the entries' output ports, as a bit mask
+        #: Registered output word per port (``None`` = idle) and the bit
+        #: mask of the ports whose register holds a word.
         self._out_reg: List[Optional[int]] = [None] * self.NUM_PORTS
+        self._live = 0
         #: Previous payload per output register, for toggle counting
         #: (idle counts as the all-zero pattern).
         self._out_prev: List[int] = [0] * self.NUM_PORTS
@@ -259,6 +278,8 @@ class SlotTableRouter(ClockedComponent):
         self._tx_links: Dict[Port, Optional[TdmaLink]] = {p: None for p in NEIGHBOR_PORTS}
         self._rx_by_port: List[Optional[TdmaLink]] = [None] * self.NUM_PORTS
         self._tx_by_port: List[Optional[TdmaLink]] = [None] * self.NUM_PORTS
+        #: ``(port, wire)`` of the attached incoming wires only.
+        self._rx_attached: Tuple[Tuple[Port, TdmaLink], ...] = ()
 
         self.tile = TdmaTileInterface(self)
 
@@ -283,6 +304,7 @@ class SlotTableRouter(ClockedComponent):
         self._tx_links[port] = tx_link
         self._rx_by_port[port] = rx_link
         self._tx_by_port[port] = tx_link
+        self._rx_attached = tuple((p, l) for p, l in self._rx_links.items() if l is not None)
         if rx_link is not None:
             # A word arriving here must wake a sleeping router.
             rx_link.watch_forward(self.wake)
@@ -308,15 +330,20 @@ class SlotTableRouter(ClockedComponent):
                 f"slot {slot} of port {out_port.name} on {self.name!r} is already "
                 f"owned by connection {entry[1]!r}"
             )
-        self._table[out_port][slot] = (in_port, connection)
-        self.activity.add(ActivityKeys.CONFIG_WRITES, 1)
-        self.wake()
+        self._write_entry(out_port, slot, (in_port, connection))
 
     def clear(self, out_port: Port, slot: int) -> None:
         """Erase the slot-table entry at (*out_port*, *slot*)."""
         out_port = Port(out_port)
         self._check_slot(slot)
-        self._table[out_port][slot] = None
+        self._write_entry(out_port, slot, None)
+
+    def _write_entry(self, out_port: Port, slot: int, entry: Optional[Tuple[Port, str]]) -> None:
+        self._table[out_port][slot] = entry
+        self._slot_entries[slot] = entries = tuple(
+            (port, *table[slot]) for port, table in enumerate(self._table) if table[slot] is not None
+        )
+        self._slot_ports[slot] = sum(1 << port for port, _in_port, _connection in entries)
         self.activity.add(ActivityKeys.CONFIG_WRITES, 1)
         self.wake()
 
@@ -341,47 +368,59 @@ class SlotTableRouter(ClockedComponent):
         # Sample the committed word on every incoming wire; tile-port input
         # is pulled from the connection queues at the clock edge instead.
         sampled = self._sampled
-        for port in NEIGHBOR_PORTS:
-            rx = self._rx_by_port[port]
-            sampled[port] = rx.forward if rx is not None else None
+        for port, rx in self._rx_attached:
+            sampled[port] = rx.forward
 
     def commit(self, cycle: int) -> None:
         activity = self.activity
+        out_prev = self._out_prev
+        reg_toggles = link_toggles = 0
+        # This slot's programmed entries, then the ports no entry names whose
+        # register still holds a word (they latch "idle"); the rest of the
+        # router cannot change this cycle.
         slot = cycle % self.slots
-        data_width = self.data_width
-
-        for out_port in range(self.NUM_PORTS):
-            entry = self._table[out_port][slot]
-            word: Optional[int] = None
-            connection = ""
-            if entry is not None:
-                in_port, connection = entry
-                if in_port == Port.TILE:
-                    word = self.tile._pop_tx(connection)
-                    if word is not None:
-                        activity.add(ActivityKeys.WORDS_INJECTED, 1)
-                else:
-                    word = self._sampled[in_port]
+        latches = self._slot_entries[slot]
+        stale = self._live & ~self._slot_ports[slot]
+        if stale:
+            latches += _LATCH_IDLE[stale]
+        for out_port, in_port, connection in latches:
+            if in_port is None:
+                word = None
+            elif in_port:
+                word = self._sampled[in_port]
+            else:
+                word = self.tile._pop_tx(connection)
+                if word is not None:
+                    activity.add(ActivityKeys.WORDS_INJECTED, 1)
 
             payload = word if word is not None else 0
-            previous = self._out_prev[out_port]
+            previous = out_prev[out_port]
             if payload != previous:
-                toggles = toggle_count(previous, payload, data_width)
-                activity.add(ActivityKeys.REG_TOGGLE_BITS, toggles)
-                if out_port != Port.TILE:
-                    activity.add(ActivityKeys.LINK_TOGGLE_BITS, toggles)
-                self._out_prev[out_port] = payload
+                toggles = toggle_count(previous, payload, self.data_width)
+                reg_toggles += toggles
+                if out_port:
+                    link_toggles += toggles
+                out_prev[out_port] = payload
             self._out_reg[out_port] = word
-
-            if out_port == Port.TILE:
-                if word is not None:
-                    self.tile._deliver(connection, word)
-                    activity.add(ActivityKeys.WORDS_DELIVERED, 1)
+            if word is None:
+                self._live &= ~(1 << out_port)
             else:
-                tx = self._tx_by_port[out_port]
-                if tx is not None:
-                    tx.drive(word)
+                self._live |= 1 << out_port
 
+            if out_port:
+                # The wire changes only when the register does (a dead wire
+                # stays idle and swallows, and counts, every word).
+                tx = self._tx_by_port[out_port]
+                if tx is not None and word != tx.forward:
+                    tx.drive(word)
+            elif word is not None:
+                self.tile._deliver(connection, word)
+                activity.add(ActivityKeys.WORDS_DELIVERED, 1)
+
+        if reg_toggles:
+            activity.add(ActivityKeys.REG_TOGGLE_BITS, reg_toggles)
+            if link_toggles:
+                activity.add(ActivityKeys.LINK_TOGGLE_BITS, link_toggles)
         activity.add(ActivityKeys.REG_CLOCKED_BITS, self._idle_clock_bits)
         activity.cycles = cycle + 1
 
@@ -402,15 +441,11 @@ class SlotTableRouter(ClockedComponent):
 
     def _datapath_idle(self) -> bool:
         """True when wires and output registers hold no word anywhere."""
-        for port in NEIGHBOR_PORTS:
-            rx = self._rx_by_port[port]
-            if rx is not None and rx.forward is not None:
-                return False
-            tx = self._tx_by_port[port]
-            if tx is not None and tx.forward is not None:
-                return False
-        for word in self._out_reg:
-            if word is not None:
+        # An outgoing wire carries its port's register, so ``_live`` covers both.
+        if self._live:
+            return False
+        for _port, rx in self._rx_attached:
+            if rx.forward is not None:
                 return False
         return True
 
@@ -432,14 +467,11 @@ class SlotTableRouter(ClockedComponent):
             return cycle
         if not self.tile._has_backlog():
             return None
-        table = self._table
         slots = self.slots
         backlog = self.tile.backlog
         for offset in range(slots):
-            slot = (cycle + offset) % slots
-            for out_port in range(self.NUM_PORTS):
-                entry = table[out_port][slot]
-                if entry is not None and entry[0] == Port.TILE and backlog(entry[1]):
+            for _out_port, in_port, connection in self._slot_entries[(cycle + offset) % slots]:
+                if not in_port and backlog(connection):
                     return cycle + offset
         return None
 
@@ -451,6 +483,7 @@ class SlotTableRouter(ClockedComponent):
     def reset(self) -> None:
         self.tile.reset()
         self.activity.reset()
+        self._live = 0
         for port in range(self.NUM_PORTS):
             self._out_reg[port] = None
             self._out_prev[port] = 0
@@ -709,9 +742,11 @@ class TimeDivisionNoC(NocBase):
     """A complete Æthereal-style TDMA guaranteed-throughput network.
 
     ``schedule="vector"`` (the default) runs as ``schedule="event"`` here
-    and :meth:`schedule_report` says so: the slot-table router's per-slot
-    table walk is control flow, not a static register gather, so the
-    columnar fast path (:mod:`repro.sim.vector`) has no plane for GT fabrics.
+    and :meth:`schedule_report` says so: which entries a slot-table router
+    latches changes with every slot (it walks the slot's compiled
+    ``(out_port, in_port, connection)`` entries), so there is no static
+    register gather for the columnar fast path (:mod:`repro.sim.vector`) to
+    batch and GT fabrics have no plane.
     """
 
     kind = "time_division_gt"

@@ -212,4 +212,4 @@ class PacketSwitchedNoC(NocBase):
         tile = self.router_at(position).tile
         if src is None:
             return tile.words_received
-        return sum(len(p.words) for p in tile.received_packets if p.src == src)
+        return tile.words_from.get(src, 0)

@@ -65,52 +65,84 @@ class TestVirtualChannelBuffer:
 
 
 class TestRoundRobinArbiter:
+    """Requests are a bit mask: bit ``i`` set means requester ``i`` requests."""
+
     def test_no_request_no_grant(self):
         arbiter = RoundRobinArbiter(4)
-        assert arbiter.grant([False] * 4) is None
+        assert arbiter.grant(0) is None
         assert arbiter.decisions == 0
 
     def test_single_persistent_requester_keeps_grant(self):
         arbiter = RoundRobinArbiter(4)
         for _ in range(10):
-            assert arbiter.grant([False, True, False, False]) == 1
+            assert arbiter.grant(0b0010) == 1
         assert arbiter.grant_changes == 0
+        assert arbiter.decisions == 10
 
     def test_two_requesters_alternate(self):
         arbiter = RoundRobinArbiter(4)
-        grants = [arbiter.grant([True, False, True, False]) for _ in range(6)]
+        grants = [arbiter.grant(0b0101) for _ in range(6)]
         assert grants == [0, 2, 0, 2, 0, 2]
         assert arbiter.grant_changes == 5
 
+    def test_wrap_around_at_the_pointer(self):
+        arbiter = RoundRobinArbiter(4)
+        assert arbiter.grant(0b1000) == 3  # pointer wraps to 0
+        assert arbiter.grant(0b1010) == 1
+        # Pointer at 2: requester 2 itself has the highest priority, 1 the lowest.
+        assert arbiter.grant(0b0110) == 2
+        assert arbiter.grant(0b0110) == 1  # nothing at or above 3: wrap to the lowest bit
+        assert arbiter.last_grant == 1
+
     def test_request_length_checked(self):
-        with pytest.raises(ValueError):
-            RoundRobinArbiter(4).grant([True])
+        """A mask wider than the arbiter (or negative) is rejected, not truncated."""
+        arbiter = RoundRobinArbiter(4)
+        for mask in (0b10000, 0b10001, -1):
+            with pytest.raises(ValueError):
+                arbiter.grant(mask)
+        assert arbiter.decisions == 0
+        assert arbiter.grant(0b1111) == 0
 
     def test_reset(self):
         arbiter = RoundRobinArbiter(2)
-        arbiter.grant([True, True])
+        arbiter.grant(0b11)
         arbiter.reset()
         assert arbiter.decisions == 0
         assert arbiter.last_grant is None
+        assert arbiter.grant(0b11) == 0  # the pointer is back at 0
 
-    @given(st.lists(st.lists(st.booleans(), min_size=5, max_size=5), min_size=1, max_size=60))
+    @given(st.lists(st.integers(0, 2**5 - 1), min_size=1, max_size=60))
     def test_fairness_property(self, request_schedule):
         """Every persistently requesting input is eventually granted: over any
         window, grant counts of always-requesting inputs differ by at most one
         from each other when they request in every cycle."""
         arbiter = RoundRobinArbiter(5)
-        always = [all(requests[i] for requests in request_schedule) for i in range(5)]
+        always = [all(requests >> i & 1 for requests in request_schedule) for i in range(5)]
         counts = [0] * 5
         for requests in request_schedule:
             winner = arbiter.grant(requests)
+            assert (winner is None) == (requests == 0)
             if winner is not None:
-                assert requests[winner], "arbiter granted a non-requesting input"
+                assert requests >> winner & 1, "arbiter granted a non-requesting input"
                 counts[winner] += 1
         always_counts = [counts[i] for i in range(5) if always[i]]
         if len(always_counts) > 1 and len(request_schedule) >= 5:
             assert max(always_counts) - min(always_counts) <= max(
                 1, len(request_schedule) - sum(always_counts)
             )
+
+    @given(st.integers(1, 24), st.lists(st.integers(0), min_size=1, max_size=40))
+    def test_grants_equal_the_rotating_scan(self, width, request_schedule):
+        """The mask arithmetic picks what a scan from the pointer would pick."""
+        arbiter = RoundRobinArbiter(width)
+        pointer = 0
+        for requests in request_schedule:
+            requests &= (1 << width) - 1
+            scan = [(pointer + offset) % width for offset in range(width)]
+            expected = next((i for i in scan if requests >> i & 1), None)
+            assert arbiter.grant(requests) == expected
+            if expected is not None:
+                pointer = (expected + 1) % width
 
 
 class TestOutputVcAllocator:

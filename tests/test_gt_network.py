@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from conftest import fabric_scenarios, step_twins, twin_benches
+from hypothesis import given, settings, strategies as st
 
 from repro.apps import drm, hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, word_generator
-from repro.common import ConfigurationError, Port
+from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, toggle_count
+from repro.energy.activity import ActivityKeys
 from repro.experiments.harness import run_app_traffic, run_gt_scenario, run_scenario
 from repro.noc import Mesh2D, SlotTableAllocator, TimeDivisionNoC, Torus2D, build_network
-from repro.noc.gt_network import SlotTableRouter, TdmaLink
+from repro.noc.gt_network import SlotTableRouter, TdmaLink, TdmaTileInterface
 
 FREQUENCY_HZ = 100e6
 
@@ -203,3 +206,258 @@ class TestAttachChannelParity:
 
         results = verify_scenarios(cycles=400, kinds=("cs", "aethereal"))
         assert all(all(per.values()) for per in results.values())
+
+
+# ---------------------------------------------------------------------------
+# The compiled per-slot walk against the code it replaced
+# ---------------------------------------------------------------------------
+#
+# Reference copies of the slot-table router's per-cycle code as it was before
+# the rewrite: commit() walks all five output ports and drives every attached
+# wire every cycle, the backlog test and _datapath_idle() scan.  Method
+# bodies are verbatim; program()/clear() are inherited and keep ``_table``,
+# which is all the reference reads.
+
+
+class _ReferenceTile(TdmaTileInterface):
+    def _has_backlog(self):
+        return any(self._tx.values())
+
+
+class _ReferenceSlotTableRouter(SlotTableRouter):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tile = _ReferenceTile(self)
+
+    def evaluate(self, cycle):
+        sampled = self._sampled
+        for port in NEIGHBOR_PORTS:
+            rx = self._rx_by_port[port]
+            sampled[port] = rx.forward if rx is not None else None
+
+    def commit(self, cycle):
+        activity = self.activity
+        slot = cycle % self.slots
+        data_width = self.data_width
+
+        for out_port in range(self.NUM_PORTS):
+            entry = self._table[out_port][slot]
+            word = None
+            connection = ""
+            if entry is not None:
+                in_port, connection = entry
+                if in_port == Port.TILE:
+                    word = self.tile._pop_tx(connection)
+                    if word is not None:
+                        activity.add(ActivityKeys.WORDS_INJECTED, 1)
+                else:
+                    word = self._sampled[in_port]
+
+            payload = word if word is not None else 0
+            previous = self._out_prev[out_port]
+            if payload != previous:
+                toggles = toggle_count(previous, payload, data_width)
+                activity.add(ActivityKeys.REG_TOGGLE_BITS, toggles)
+                if out_port != Port.TILE:
+                    activity.add(ActivityKeys.LINK_TOGGLE_BITS, toggles)
+                self._out_prev[out_port] = payload
+            self._out_reg[out_port] = word
+
+            if out_port == Port.TILE:
+                if word is not None:
+                    self.tile._deliver(connection, word)
+                    activity.add(ActivityKeys.WORDS_DELIVERED, 1)
+            else:
+                tx = self._tx_by_port[out_port]
+                if tx is not None:
+                    tx.drive(word)
+
+        activity.add(ActivityKeys.REG_CLOCKED_BITS, self._idle_clock_bits)
+        activity.cycles = cycle + 1
+
+    def _datapath_idle(self):
+        for port in NEIGHBOR_PORTS:
+            rx = self._rx_by_port[port]
+            if rx is not None and rx.forward is not None:
+                return False
+            tx = self._tx_by_port[port]
+            if tx is not None and tx.forward is not None:
+                return False
+        for word in self._out_reg:
+            if word is not None:
+                return False
+        return True
+
+    def next_event_cycle(self, cycle):
+        if not self._datapath_idle():
+            return cycle
+        if not self.tile._has_backlog():
+            return None
+        table = self._table
+        slots = self.slots
+        backlog = self.tile.backlog
+        for offset in range(slots):
+            slot = (cycle + offset) % slots
+            for out_port in range(self.NUM_PORTS):
+                entry = table[out_port][slot]
+                if entry is not None and entry[0] == Port.TILE and backlog(entry[1]):
+                    return cycle + offset
+        return None
+
+    def reset(self):
+        self.tile.reset()
+        self.activity.reset()
+        for port in range(self.NUM_PORTS):
+            self._out_reg[port] = None
+            self._out_prev[port] = 0
+            self._sampled[port] = None
+        for tx in self._tx_by_port:
+            if tx is not None:
+                tx.drive(None)
+
+
+class _ReferenceGtNoC(TimeDivisionNoC):
+    def _build_router(self, position):
+        return _ReferenceSlotTableRouter(
+            f"gt_{self.topology.router_name(position)}",
+            slots=self.slots,
+            data_width=self.data_width,
+            position=position,
+            tech=self.tech,
+        )
+
+
+def _gt_router_state(router, cycle):
+    return {
+        "activity": (router.activity.as_dict(), router.activity.cycles),
+        "registers": (list(router._out_reg), list(router._out_prev)),
+        "tile": (
+            {name: list(queue) for name, queue in router.tile._tx.items()},
+            router.tile.received,
+        ),
+        "parked": (router.quiescent(), router.next_event_cycle(cycle)),
+    }
+
+
+def _gt_network_state(network):
+    cycle = network.kernel.cycle
+    return (
+        {position: _gt_router_state(router, cycle) for position, router in network.routers.items()},
+        {key: (link.forward, link.dead, link.dropped) for key, link in network.links.items()},
+    )
+
+
+def _gt_twin_benches(setup, **router_kwargs):
+    """A new and a reference single-router bench, programmed alike by *setup*."""
+    return twin_benches(
+        (SlotTableRouter, _ReferenceSlotTableRouter),
+        lambda name, router: TdmaLink(name, router.data_width),
+        setup,
+        **router_kwargs,
+    )
+
+
+def _gt_bench_state(router, links, kernel):
+    wires = {port: [(link.forward, link.dropped) for link in pair] for port, pair in links.items()}
+    return _gt_router_state(router, kernel.cycle), wires
+
+
+def _gt_step_twins(benches, cycles):
+    step_twins(benches, cycles, _gt_bench_state)
+
+
+class TestCommitEqualsReference:
+    @given(scenario=fabric_scenarios(), slots=st.sampled_from([4, 8, 16]))
+    @settings(max_examples=40, deadline=None)
+    def test_lockstep_on_drawn_fabrics(self, scenario, slots):
+        """Random admitted channels, loads and one mid-run dead wire on a drawn
+        mesh, torus or irregular mesh: after every cycle the rewritten router
+        equals the reference in counters (key set included), output registers,
+        tile queues and link wires - and it parks exactly when the reference
+        would."""
+        scenario.run_in_lockstep(
+            lambda topology, **kw: TimeDivisionNoC(topology, slots=slots, **kw),
+            lambda topology, **kw: _ReferenceGtNoC(topology, slots=slots, **kw),
+            _gt_network_state,
+        )
+
+    def test_reference_is_wired_in(self):
+        router = _ReferenceGtNoC(Mesh2D(2, 1)).router_at((0, 0))
+        assert type(router) is _ReferenceSlotTableRouter and type(router.tile) is _ReferenceTile
+        assert type(TimeDivisionNoC(Mesh2D(2, 1)).router_at((0, 0))) is SlotTableRouter
+
+    def test_slots_cleared_while_a_word_sits_in_the_output_register(self):
+        """The connection is torn down with its last word still registered:
+        no entry names the port any more, yet the next cycle must latch it
+        idle (toggles counted, wire falls idle) - once, then nothing moves."""
+
+        def setup(router, links):
+            for slot in (0, 1):
+                router.program(Port.EAST, slot, Port.TILE, "a")
+            for word in (0xFFFF, 0x00FF):
+                router.tile.send("a", word)
+
+        benches = _gt_twin_benches(setup, slots=4)
+        _gt_step_twins(benches, 2)
+        for router, links, _kernel in benches:
+            assert router._out_reg[Port.EAST] == 0x00FF == links[Port.EAST][1].forward
+            for slot in (0, 1):
+                router.clear(Port.EAST, slot)
+        assert benches[0][0]._slot_entries == [()] * 4 and benches[0][0]._live == 1 << Port.EAST
+        before = benches[0][0].activity.get(ActivityKeys.REG_TOGGLE_BITS)
+        _gt_step_twins(benches, 1)
+        for router, links, _kernel in benches:
+            assert router._out_reg[Port.EAST] is None and links[Port.EAST][1].forward is None
+            assert router.activity.get(ActivityKeys.REG_TOGGLE_BITS) == before + 8
+        _gt_step_twins(benches, 6)
+        router, _links, kernel = benches[0]
+        assert router._live == 0 and router.quiescent() and kernel.sleeping_components == 1
+        assert router.activity.get(ActivityKeys.REG_TOGGLE_BITS) == before + 8
+
+    def test_dead_wire_swallows_and_counts_every_word(self):
+        """A dead outgoing wire never carries a word, the register in front
+        of it still latches (and toggles), and every word latched towards it
+        is counted as dropped - also a word repeated from the cycle before."""
+
+        def setup(router, links):
+            for slot in (0, 1, 2):
+                router.program(Port.EAST, slot, Port.TILE, "a")
+            router.program(Port.TILE, 3, Port.WEST, "b")
+            for word in (0x1234, 0x1234, 0x0F0F):
+                router.tile.send("a", word)
+            links[Port.EAST][1].fail()
+
+        benches = _gt_twin_benches(setup, slots=4)
+        _gt_step_twins(benches, 8)
+        for router, links, _kernel in benches:
+            wire = links[Port.EAST][1]
+            assert wire.forward is None and wire.dropped == 3
+            assert router.activity.get(ActivityKeys.WORDS_INJECTED) == 3
+            assert router.activity.get(ActivityKeys.LINK_TOGGLE_BITS) > 0
+
+    def test_word_width_is_still_checked_on_the_wire(self):
+        router = SlotTableRouter("r", slots=2)
+        rx, tx = TdmaLink("rx"), TdmaLink("tx")
+        router.attach_link(Port.EAST, rx, tx)
+        router.attach_link(Port.WEST, TdmaLink("wrx"), TdmaLink("wtx"))
+        router.program(Port.WEST, 0, Port.EAST, "a")
+        rx.forward = 1 << 16  # a neighbour bypassing drive()
+        router.evaluate(0)
+        with pytest.raises(ValueError, match="does not fit"):
+            router.commit(0)
+
+    def test_backlog_count_follows_send_pop_forget_and_reset(self):
+        router = SlotTableRouter("r", slots=2)
+        tile = router.tile
+        router.program(Port.EAST, 0, Port.TILE, "a")
+        for word in (1, 2, 3):
+            tile.send("a", word)
+        tile.send("b", 4)
+        assert tile._queued == 4 and tile._has_backlog()
+        router.evaluate(0), router.commit(0)
+        assert tile._queued == 3 and tile.backlog("a") == 2
+        tile.forget("a")
+        assert tile._queued == 1 and tile._has_backlog()
+        tile.forget("never-seen")
+        tile.reset()
+        assert tile._queued == 0 and not tile._has_backlog()
