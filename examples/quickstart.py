@@ -117,7 +117,8 @@ def mesh_demo(shards: int) -> None:
     )
     print(
         f"                      {report['batched_cycles']} cycles batched in NumPy, "
-        f"{report['scalar_cycles']} on the event heap"
+        f"{report['scalar_cycles']} on the event heap, "
+        f"{report['live_routes']} live routes at the gate"
     )
     if not shards:
         return

@@ -128,6 +128,7 @@ class PacketStreamDriver(ClockedComponent):
         self._pacer.skip(cycles)
 
     def reset(self) -> None:
+        self._pacer.reset()
         self._flit_queue.clear()
         self._pending_words.clear()
         self.words_offered = 0
@@ -236,6 +237,7 @@ class TilePacketDriver(ClockedComponent):
         self._pacer.skip(cycles)
 
     def reset(self) -> None:
+        self._pacer.reset()
         self._pending_words.clear()
         self.words_offered = 0
         self.words_sent = 0

@@ -31,17 +31,15 @@ the scalar classes stay the one definition of what a word boundary does.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, NamedTuple, Optional, Tuple
 
-from repro.common import CapacityError, bit_mask, toggle_count
+from repro.common import CapacityError, bit_mask, check_field, toggle_count
 from repro.core.flow_control import AckGenerator, FlowControlConfig, WindowCounterSource
 from repro.core.header import (
     EOB_MASK,
     SOB_MASK,
     USER_MASK,
     VALID_MASK,
-    LaneHeader,
     LanePacket,
     phits_per_packet,
 )
@@ -50,8 +48,7 @@ from repro.energy.activity import ActivityCounters, ActivityKeys
 __all__ = ["ReceivedWord", "LaneSerializer", "LaneDeserializer", "DataConverter", "TileInterface"]
 
 
-@dataclass(frozen=True)
-class ReceivedWord:
+class ReceivedWord(NamedTuple):
     """A data word delivered to the tile, with its header flags and arrival time."""
 
     data: int
@@ -87,7 +84,9 @@ class LaneSerializer:
         #: Register bits this serialiser clocks (or gates) per idle cycle.
         self.idle_cycle_bits = self.packet_bits + lane_width
         self._phit_mask = bit_mask(lane_width)
-        self._queue: Deque[LanePacket] = deque()
+        self._data_mask = bit_mask(data_width)
+        #: Encoded lane packets (header nibble above the data word) in order.
+        self._queue: Deque[int] = deque()
         #: Phits still to shift out, packed (see the module docstring).
         self._remaining_phits = 0
         self._current_phit = 0  # committed output register value
@@ -102,12 +101,22 @@ class LaneSerializer:
 
     def submit(self, packet: LanePacket) -> None:
         """Queue a lane packet for transmission."""
-        if not self.can_accept():
+        self._enqueue(packet.encode())
+
+    def submit_word(self, data: int, sob: bool = False, eob: bool = False, user: bool = False) -> None:
+        """Queue a valid word: :meth:`submit` of the :class:`LanePacket` with this data
+        and these header flags, its range check included, without building it."""
+        check_field(data, self.data_width, "lane packet data")
+        flags = VALID_MASK | (SOB_MASK if sob else 0) | (EOB_MASK if eob else 0) | (USER_MASK if user else 0)
+        self._enqueue((flags << self.data_width) | data)
+
+    def _enqueue(self, encoded: int) -> None:
+        if len(self._queue) >= self.tx_queue_depth:
             raise CapacityError(
                 f"serialiser queue of lane {self.lane} is full "
                 f"({self.tx_queue_depth} entries)"
             )
-        self._queue.append(packet)
+        self._queue.append(encoded)
 
     @property
     def pending(self) -> int:
@@ -167,18 +176,17 @@ class LaneSerializer:
         output register's next value) and the packed data phits (the new
         ``_remaining_phits``), which the caller stores where it keeps them.
         """
-        packet = self._queue.popleft()
+        encoded = self._queue.popleft()
         self.window.on_send()
         width = self.lane_width
         mask = self._phit_mask
         marker = mask + 1
-        data = packet.data
+        data = encoded & self._data_mask
         remaining = 0
         for _ in range(self.phits_per_packet - 1):
             # Least significant phit first: it is sent last, so ends up highest.
             remaining = (remaining << (width + 1)) | marker | (data & mask)
             data >>= width
-        encoded = packet.encode()
         activity = self.activity
         activity.add(
             ActivityKeys.REG_TOGGLE_BITS,
@@ -643,12 +651,7 @@ class TileInterface:
         serializer = self._converter.serializers[lane]
         if not serializer.can_accept():
             return False
-        packet = LanePacket(
-            data=data,
-            header=LaneHeader(valid=True, sob=sob, eob=eob, user=user),
-            data_width=self._converter.data_width,
-        )
-        serializer.submit(packet)
+        serializer.submit_word(data, sob, eob, user)
         self._notify()
         return True
 

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 
 from repro.core.data_converter import LaneDeserializer, LaneSerializer, ReceivedWord
 from repro.core.flow_control import FlowControlConfig
-from repro.core.header import LaneHeader, LanePacket, phits_per_packet
+from repro.core.header import phits_per_packet
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
 from repro.energy.activity import ActivityCounters, ActivityKeys
@@ -109,9 +109,9 @@ class LoadPacer:
         gap = self.cycles_until_emit()
         return None if gap is None else cycle + gap - 1
 
-
-#: Backwards-compatible alias (the pacer predates the GT network reusing it).
-_LoadPacer = LoadPacer
+    def reset(self) -> None:
+        """Back to the power-on state: no credit accumulated."""
+        self._credit = 0
 
 
 class LaneStreamDriver(ClockedComponent):
@@ -162,8 +162,7 @@ class LaneStreamDriver(ClockedComponent):
         if self._pacer.should_emit():
             self.words_offered += 1
             if self.serializer.can_accept():
-                packet = LanePacket(self.word_source(), LaneHeader(valid=True), self.data_width)
-                self.serializer.submit(packet)
+                self.serializer.submit_word(self.word_source())
             else:
                 self.words_dropped += 1
 
@@ -197,6 +196,7 @@ class LaneStreamDriver(ClockedComponent):
 
     def reset(self) -> None:
         self.serializer.reset()
+        self._pacer.reset()
         self.words_offered = 0
         self.words_dropped = 0
 
@@ -231,10 +231,8 @@ class LaneStreamConsumer(ClockedComponent):
         phit = self.link.read_forward(self.lane)
         self.deserializer.tick(phit, cycle)
         # The destination tile reads everything immediately (it never stalls).
-        while self.deserializer.available():
-            word = self.deserializer.receive()
-            if word is not None:
-                self.received.append(word)
+        while (word := self.deserializer.receive()) is not None:
+            self.received.append(word)
         self.link.drive_ack(self.lane, self.deserializer.ack_pulse)
 
     # -- timed protocol: a pure sink never generates events of its own -------
@@ -322,6 +320,7 @@ class TileStreamDriver(ClockedComponent):
         self._pacer.skip(cycles)
 
     def reset(self) -> None:
+        self._pacer.reset()
         self.words_offered = 0
         self.words_sent = 0
         self.words_dropped = 0
@@ -344,10 +343,8 @@ class TileStreamConsumer(ClockedComponent):
         pass
 
     def commit(self, cycle: int) -> None:
-        while self.router.tile.rx_available(self.lane):
-            word = self.router.tile.receive(self.lane)
-            if word is None:
-                break
+        receive = self.router.tile.receive
+        while (word := receive(self.lane)) is not None:
             self.received.append(word)
 
     # -- timed protocol: a pure sink never generates events of its own -------

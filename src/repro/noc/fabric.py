@@ -554,6 +554,8 @@ class NocBase:
         before the first cycle.  A plane that crossed the gate during the
         run shows in both cycle counts: ``batched_cycles`` it executed in
         its columns, ``scalar_cycles`` the routers spent on the event heap.
+        ``live_routes`` is the gate's input, the plane's count of configured
+        route-hops (``None`` without a plane and before its first swept cycle).
         """
         requested = self.kernel.schedule
         report: Dict[str, Any] = {
@@ -562,10 +564,12 @@ class NocBase:
             "reason": None,
             "batched_cycles": self.kernel.scheduler_stats.vector_batches,
             "scalar_cycles": 0,
+            "live_routes": None,
         }
         plane = self.vector_plane
         if plane is not None:
             report["scalar_cycles"] = plane.scalar_cycles
+            report["live_routes"] = plane.live_routes
             report["reason"] = plane.gate_reason()
         elif requested == "vector":
             report["reason"] = self.plane_refusal or f"the {self.kind} kind has no vector plane"

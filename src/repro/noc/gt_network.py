@@ -565,6 +565,7 @@ class GtStreamDriver(ClockedComponent):
         self._pacer.skip(cycles)
 
     def reset(self) -> None:
+        self._pacer.reset()
         self.words_offered = 0
         self.words_sent = 0
         self.words_dropped = 0
@@ -649,6 +650,7 @@ class GtLinkStreamDriver(ClockedComponent):
         self._pacer.skip(self._opportunities_in(start_cycle, cycles))
 
     def reset(self) -> None:
+        self._pacer.reset()
         self.words_sent = 0
 
 

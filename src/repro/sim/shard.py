@@ -1186,7 +1186,8 @@ class ShardedNetwork:
         Every shard is built with the same parameters, so ``requested``
         agrees; each region gates its own plane on its own live routes, so
         ``effective`` reads ``"mixed"`` when the shards differ, the distinct
-        reasons are joined and the cycle counts add up.
+        reasons are joined and the cycle counts and live routes add up
+        (``live_routes`` over the shards that have counted theirs).
         """
         reports = self._query_all("schedule")
         merged = dict(reports[0])
@@ -1196,6 +1197,8 @@ class ShardedNetwork:
         merged["reason"] = "; ".join(reasons) or None
         for key in ("batched_cycles", "scalar_cycles"):
             merged[key] = sum(report[key] for report in reports)
+        counted = [r["live_routes"] for r in reports if r["live_routes"] is not None]
+        merged["live_routes"] = sum(counted) if counted else None
         return merged
 
     # -- lifecycle -------------------------------------------------------------

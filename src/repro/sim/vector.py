@@ -3,43 +3,58 @@
 Every prior scheduling tier (quiescence wakes, timed leaps, the event heap,
 sharding) attacks *idle* cost; a fully loaded fabric still pays a pure-Python
 per-component loop on every busy cycle.  The :class:`VectorPlane` flattens
-that loop: all crossbar output/acknowledge registers of a whole
-circuit-switched fabric, and the network side of every data converter, live
-in preallocated NumPy arrays, and one busy cycle becomes a fixed handful of
-gathers, shifts, XORs and popcounts instead of N×routers Python calls.
+that loop: the crossbar output and acknowledge registers a whole
+circuit-switched fabric *uses*, and the network side of every data converter
+lane that can move, live in NumPy arrays, and one busy cycle is gather → xor →
+popcount → accumulate → copy instead of N×routers Python calls.
 
 How it stays bit-identical to the strict reference schedule:
 
-* **Compiled gather per configuration version.**  The active routes of every
-  member crossbar (:meth:`repro.core.crossbar.Crossbar.active_routes` /
-  :meth:`~repro.core.crossbar.Crossbar.ack_fanins`) compile into flat index
-  arrays: ``next_vals = data[src_idx]`` replays exactly the scalar
+* **The live set, in gather order.**  Per configuration version the plane
+  compiles one current-value vector that holds a slot for every register
+  that can change and nothing else: the *routed* crossbar output registers
+  (:meth:`repro.core.crossbar.Crossbar.active_routes`; tile-port outputs
+  first, then link outputs), the acknowledge registers with a fan-in
+  (:meth:`~repro.core.crossbar.Crossbar.ack_fanins`; tile-port inputs
+  first), the output registers of the live serialisers, then — never
+  latched — the acknowledge pulses of the live deserialisers, an idle
+  sentinel and the odd constant.  Acknowledges are the integers 0 and 1 in
+  the same vector.  ``next = current[src]`` replays exactly the scalar
   evaluate-phase sampling, because an internal lane wire always equals the
   driving router's committed register (the scalar commit drives the wire on
-  every register change).  Serialiser output registers and deserialiser
-  acknowledge pulses occupy slots of the same two arrays, so a tile-port
-  lane is an ordinary gather source.  A sentinel slot pinned to the idle
-  value stands in for constant sources (unattached ports); *foreign* wires
-  (shard boundaries, dead links) are patched scalar per cycle.
+  every register change), and ``current[:live] = next`` is the latch: no
+  scatter, no mirror of the old values.  Everything a word edge reads is a
+  leading slice — the deserialiser inputs are the first slots of the vector,
+  the acknowledges arriving at serialisers the first acknowledge slots.  A
+  register no route drives was swept to idle by the scalar cycle that
+  precedes every compile and stays there, so a read of one (a route fed by an
+  unconfigured upstream lane, an unattached port) reads the sentinel;
+  *foreign* wires (shard boundaries, dead links) are patched scalar per
+  cycle.  Acknowledge fan-ins with several sources (multicast) gather into a
+  side buffer and OR-reduce; with none configured the gather writes ``next``
+  directly.
 * **Vectorised activity accounting.**  Register/crossbar toggles come from
-  ``popcount(xor(new, old))`` (:func:`numpy.bitwise_count`), which equals the
-  scalar ``int.bit_count`` path exactly; acknowledge flips count one bit
-  each; per-member sums are deferred in columnar accumulators and folded into
-  the scalar :class:`~repro.energy.activity.ActivityCounters` at
-  :meth:`flush` time, so the per-router totals match the strict schedule
+  ``popcount(xor(next, current))`` (:func:`numpy.bitwise_count`), which
+  equals the scalar ``int.bit_count`` path exactly — an acknowledge flip is
+  the one bit of a 0/1 slot; per-slot sums are deferred in one accumulator
+  and folded into the scalar :class:`~repro.energy.activity.ActivityCounters`
+  at :meth:`flush` time, so the per-router totals match the strict schedule
   ULP-exactly (they are integer sums either way).  Without clock gating
   every register clocks on every cycle, so the clocked-bit count is the
   members' own constant ``idle_tick``: batched members are *parked* in the
   kernel (:meth:`repro.sim.engine.SimulationKernel.park`), which pays that
   accounting like any sleeper's when they wake or at ``sync``.
-* **Self-gating on live routes.**  One batched cycle costs a fixed two
-  dozen NumPy calls however few lanes move, so the plane batches only when
-  the configured routes of its members (:attr:`VectorPlane.live_routes`,
-  counted once per configuration change) reach :data:`MIN_BATCH_ROUTES`.
-  Below that the members are ordinary components of the kernel's event
-  schedule — the plane itself sleeps — so a small or idle fabric costs
-  exactly what it costs under ``schedule="event"``.  The gate reads a
-  property of the input, not a parameter.
+* **Self-gating on live routes.**  One batched cycle costs eight NumPy calls
+  while no converter lane is mid-word (the gather, the four of the latch,
+  three emptiness tests) and nineteen with serialisers, deserialisers and
+  acknowledge pulses all busy (a word edge adds two to four per kind),
+  however few lanes move, so the plane batches only when the configured
+  routes of its members (:attr:`VectorPlane.live_routes`, counted once per
+  configuration change) reach :data:`MIN_BATCH_ROUTES`.  Below that the members are ordinary
+  components of the kernel's event schedule — the plane itself sleeps — so a
+  small or idle fabric costs exactly what it costs under
+  ``schedule="event"``.  The gate reads a property of the input, not a
+  parameter.
 * **Version guards and the scalar cycle.**  While the plane batches, a
   member's dirty-bit wake (a tile write, a boundary-frame drive) goes to
   the plane's dirty list instead of the kernel
@@ -55,30 +70,38 @@ How it stays bit-identical to the strict reference schedule:
   recompiles.  Fault injection calls :meth:`desync` *before* wires die, so
   in-flight drop counts read true wire state and dead bundles reclassify
   onto the scalar drive path.
-* **Converter lanes are columns, word edges are scalar.**  Per (member, tile
-  lane) the plane holds the serialiser's shift register and output phit, the
-  deserialiser's collected phits, pending-acknowledge count and committed
-  pulse — the same packed integers the scalar
+* **Converter lanes are columns, word edges are scalar batches.**  Per live
+  tile lane the plane holds the serialiser's shift register and output phit,
+  the deserialiser's collected phits, pending-acknowledge count and
+  committed pulse — the same packed integers the scalar
   :class:`~repro.core.data_converter.LaneSerializer` /
   :class:`~repro.core.data_converter.LaneDeserializer` keep (see that
-  module's docstring).  One cycle shifts every lane at once; the
-  deserialiser's previous phit is the tile-port crossbar register itself, so
-  its toggles ride on that register's.  Only what happens once per *word*
-  stays scalar, through the units' own word-edge methods: loading a queued
-  packet when a shifter empties and the window counter allows it, returning
-  credit when an acknowledge reaches a tile-port input lane, and delivering
-  a reassembled word (receive queue, ``on_deliver``, the window-violation
-  check).  A serialiser's next load attempt is known when it loads —
-  ``phits_per_packet`` cycles later — so loads are kept in a cycle-keyed
-  agenda instead of being searched for; a lane whose attempt finds nothing
-  to send leaves the agenda until a tile write or an acknowledge re-arms it.
-  Tile-side calls (``send`` / ``receive`` / ``configure_*``) reach the plane
-  through the dirty list; the acknowledge pulses a ``receive`` schedules wait
-  in the scalar unit until the next drain moves them into the column.
-* **Flush writes the lanes back.**  :meth:`flush` stores the columns of every
-  lane that holds state (or held some at the previous flush) into the scalar
-  units, so mid-packet ``run()`` boundaries, fault surgery, ``reset()`` and
-  the conservation-based drain predicate see scalar-coherent lane state.
+  module's docstring).  A lane is live when a route starts or ends at it or
+  its unit holds state at compile; a lane outside that set which a tile
+  write arms, or which comes to owe a pulse, makes the plane flush and
+  compile again with it inside.  One cycle shifts every live lane at once,
+  and a pass is skipped while its lanes are provably still: the shifters
+  after the last loaded word has left, the deserialisers while none
+  collects and every input is idle, the pulse pass while none is owed or
+  high.  The deserialiser's previous phit is the tile-port crossbar register
+  itself, so its toggles ride on that register's.  Only what happens once
+  per *word* stays scalar, through the units' own word-edge methods and one
+  batch per edge kind and cycle: loading a queued word when a shifter empties
+  and the window counter allows it, returning credit when an acknowledge
+  reaches a tile-port input lane, and delivering a reassembled word (receive
+  queue, ``on_deliver``, the window-violation check).  A serialiser's next
+  load attempt is known when it loads — ``phits_per_packet`` cycles later —
+  so loads are kept in a cycle-keyed agenda instead of being searched for; a
+  lane whose attempt finds nothing to send leaves the agenda until a tile
+  write or an acknowledge re-arms it.  Tile-side calls (``send`` /
+  ``receive`` / ``configure_*``) reach the plane through the dirty list; the
+  acknowledge pulses a ``receive`` schedules wait in the scalar unit until
+  the next drain moves them into the column.
+* **Flush writes back the slots that moved.**  :meth:`flush` stores the
+  registers (and in-plane wires) whose slot toggled since the last flush and
+  the columns of every live lane into the scalar objects, so mid-packet
+  ``run()`` boundaries, fault surgery, ``reset()`` and the conservation-based
+  drain predicate see scalar-coherent state.
 
 The plane registers with the kernel right after its member routers and
 before any stream endpoint, so whether the members commit themselves or the
@@ -109,16 +132,16 @@ __all__ = ["VectorPlane", "MIN_BATCH_ROUTES"]
 _COLUMN_BITS = 62
 
 #: Live route-hops (configured crossbar routes summed over the members) from
-#: which one NumPy batch beats the kernel scheduling the members themselves.
-#: ``BENCH_kernel.json`` brackets it from both sides.  Above: with 16 live
-#: routes (4×4 at four rows, 8×8 at two rows) batching runs at 2.1–2.6× of
-#: ``event`` at full load and 1.45× paced at load 0.1.  Below: with 2–4 live
-#: routes (2×2 at one and two rows, 4×4 at one row, full load and paced) the
-#: same file as recorded by PR 12, when the plane always batched, had it at
-#: 0.71–0.99×.  No committed row sits between 4 and 16 live routes, so the
-#: crossover is only known to lie in that interval and 8 is its middle in
-#: powers of two; ROADMAP ("Smaller items") asks for the rows at 6 and 8.
-MIN_BATCH_ROUTES = 8
+#: which one NumPy batch beats the kernel scheduling the members themselves,
+#: read off ``BENCH_kernel.json`` (every row records its ``live_routes``, every
+#: rate is the best of three samples).  At the gate, 4 live routes: 1.25× and
+#: 1.51× of ``event`` at full load (4×4 at one row, 2×2 at two), 1.15× paced
+#: at load 0.1.  Above: 1.46× / 1.9× paced with 6 (3×3 at two rows), 2.13× /
+#: 2.05× with 8 (4×4 at two rows), 2.9–7.3× from 16 up.  Below: the 2×2 at one
+#: row, 2 live routes, runs ``event``'s own code (1.04×) and records what
+#: batching it regardless costs as ``vector_ungated_speedup``: 0.7×.  No row
+#: carries 3, where a scratch run of the same fixture read 1.0× / 1.1× paced.
+MIN_BATCH_ROUTES = 4
 
 
 class VectorPlane(ClockedComponent):
@@ -169,8 +192,6 @@ class VectorPlane(ClockedComponent):
         self._r = len(members)
         self._l = first.lanes_per_port
         self._t = first.NUM_PORTS * first.lanes_per_port
-        self._n = self._r * self._t
-        self._c = self._r * self._l
         self._width = width
         self._phits = phits
 
@@ -230,35 +251,6 @@ class VectorPlane(ClockedComponent):
             # router as its own hook did.
             member.config.on_change = partial(self._config_written, member)
 
-        # Register columns: crossbar registers, the idle sentinel, then one
-        # slot per converter lane (serialiser output phit / acknowledge pulse).
-        n, c = self._n, self._c
-        self._data = np.zeros(n + 1 + c, dtype=np.int64)
-        self._acks = np.zeros(n + 1 + c, dtype=bool)
-        self._ser_out = self._data[n + 1 :]
-        self._pulse = self._acks[n + 1 :].reshape(self._r, lanes)
-        #: What every deserialiser sees: its tile-port crossbar output register.
-        self._des_in = self._data[:n].reshape(self._r, self._t)[:, :lanes]
-        # Converter lane columns.
-        self._ser_shift = np.zeros(c, dtype=np.int64)
-        self._des_acc = np.zeros((self._r, lanes), dtype=np.int64)
-        self._des_acc_flat = self._des_acc.reshape(-1)
-        self._des_pending = np.zeros((self._r, lanes), dtype=np.int64)
-        self._des_pending_flat = self._des_pending.reshape(-1)
-        self._des_shifted = np.zeros((self._r, lanes), dtype=np.int64)
-        self._des_keep = np.zeros((self._r, lanes), dtype=bool)
-        self._des_full = np.zeros((self._r, lanes), dtype=bool)
-        self._des_full_flat = self._des_full.reshape(-1)
-        #: Serialiser load agenda: cycle -> lanes whose shifter is empty then.
-        self._load_at: Dict[int, List[int]] = {}
-        #: True while a lane sits in the agenda.
-        self._armed = [False] * c
-        #: Lanes whose scalar units hold non-idle lane state from the last flush.
-        self._ser_exported: set = set()
-        self._des_exported: set = set()
-        self._m = 0
-        self._q = 0
-
     # -- wake plumbing -----------------------------------------------------
 
     def member_dirty(self, member: Any) -> None:
@@ -284,21 +276,40 @@ class VectorPlane(ClockedComponent):
         self._dirty = []
         self._settled = False
         armed = self._armed
-        pending = self._des_pending_flat
+        ser_slot = self._ser_slot
+        des_slot = self._des_slot
+        pending = self._pending
+        outside = False
         for member in dirty:
             member._plane_pending = False
             for lane, serializer, deserializer in self._lane_units[member._plane_index]:
-                if not armed[lane] and serializer._queue and serializer.window.can_send():
-                    self._arm(lane, cycle)
+                if serializer._queue and serializer.window.can_send():
+                    slot = ser_slot[lane]
+                    if slot < 0:
+                        outside = True
+                    elif not armed[slot]:
+                        self._arm(slot, cycle)
                 pulses = deserializer._pending_ack_pulses
                 if pulses:
-                    pending[lane] += pulses
-                    deserializer._pending_ack_pulses = 0
+                    slot = des_slot[lane]
+                    if slot < 0:
+                        outside = True
+                    else:
+                        pending[slot] += pulses
+                        deserializer._pending_ack_pulses = 0
+                        self._pulsing = True
+        if outside:
+            # A lane no route touches came to life: compile again from the
+            # scalar state, where a unit that holds state joins the live
+            # set, and redo the gather of the cycle in flight in that layout.
+            self.flush()
+            self._compile(cycle)
+            self._eval_batched()
 
-    def _arm(self, lane: int, cycle: int) -> None:
-        """Put serialiser *lane* on the load agenda for *cycle*."""
-        self._armed[lane] = True
-        self._load_at.setdefault(cycle, []).append(lane)
+    def _arm(self, slot: int, cycle: int) -> None:
+        """Put the live serialiser *slot* on the load agenda for *cycle*."""
+        self._armed[slot] = True
+        self._load_at.setdefault(cycle, []).append(slot)
 
     def desync(self) -> None:
         """Flush and drop the compiled gather (called before wire surgery).
@@ -347,20 +358,20 @@ class VectorPlane(ClockedComponent):
     # -- compilation -------------------------------------------------------
 
     def _compile(self, cycle: int) -> None:
-        """Build the route-index gather and load the columns for *cycle*.
+        """Lay out the live set and load its columns for *cycle*.
 
-        Requires coherent scalar state: the members last ran their own
-        scalar path, so every internal wire equals its driver's committed
-        register, ``_tx_previous`` mirrors the registers and every
-        deserialiser's previous phit equals its tile-port crossbar register.
+        Requires coherent scalar state — the members last ran their own
+        scalar path, or :meth:`flush` just stored the columns — so every
+        internal wire equals its driver's committed register,
+        ``_tx_previous`` mirrors the registers, every deserialiser's previous
+        phit equals its tile-port crossbar register and a register no route
+        drives is idle.
         """
         members = self._members
         for member in members:
             member._batch_plane = self
         lanes = self._l
         t = self._t
-        sentinel = self._n
-        lane_base = self._n + 1
 
         # Where each link's driver register / reader ack register lives.
         tx_map: dict = {}
@@ -389,180 +400,219 @@ class VectorPlane(ClockedComponent):
             tx_map.pop(key, None)
             rx_map.pop(key, None)
 
-        src_idx: List[int] = []
-        dst_idx: List[int] = []
-        route_member: List[int] = []
-        internal_pos: List[int] = []
-        tile_out_pos: List[int] = []
-        foreign_srcs: List[Tuple[int, Any, int]] = []
-        foreign_outs: List[Tuple[int, Any, int, Any, int, int]] = []
-        wire_syncs: List[Tuple[int, Any, int, Any, int]] = []
-        #: (member index, input lane index, fed output indices); tile-port
-        #: input lanes are emitted first so their acknowledges are a slice.
+        # The live set: every route, acknowledge fan-in and converter lane
+        # at a route's end, tile port first, plus the lanes that hold state.
+        #: (member index, output index, source index or None) per slot.
+        tile_routes: List[Tuple[int, int, Optional[int]]] = []
+        link_routes: List[Tuple[int, int, Optional[int]]] = []
         tile_fanins: List[Tuple[int, int, Tuple[int, ...]]] = []
         link_fanins: List[Tuple[int, int, Tuple[int, ...]]] = []
-
+        #: Converter lane -> its column (-1 outside the live set); column -> lane.
+        ser_slot = [-1] * (self._r * lanes)
+        des_slot = [-1] * (self._r * lanes)
+        ser_lanes: List[int] = []
+        des_lanes: List[int] = []
         for index, member in enumerate(members):
-            base = index * t
+            first = index * lanes
             for out_idx, route_src in member.crossbar.active_routes():
-                mi = len(dst_idx)
-                dst_idx.append(base + out_idx)
-                route_member.append(index)
-                if route_src < lanes:
-                    src_idx.append(lane_base + index * lanes + route_src)
-                else:
-                    port = route_src // lanes
-                    lane = route_src - port * lanes
-                    rx = member._rx_links[port]
-                    if rx is None:
-                        # Unattached port: the scalar snapshot keeps its
-                        # preset idle value, which the sentinel reproduces.
-                        src_idx.append(sentinel)
-                    elif rx.dead or id(rx) not in tx_map:
-                        src_idx.append(sentinel)
-                        foreign_srcs.append((mi, rx, lane))
-                    else:
-                        src_idx.append(tx_map[id(rx)] + lane)
+                if route_src < lanes and ser_slot[first + route_src] < 0:
+                    ser_slot[first + route_src] = len(ser_lanes)
+                    ser_lanes.append(first + route_src)
                 if out_idx < lanes:
-                    tile_out_pos.append(mi)
+                    des_slot[first + out_idx] = len(des_lanes)
+                    des_lanes.append(first + out_idx)
+                    tile_routes.append((index, out_idx, route_src))
                 else:
-                    port = out_idx // lanes
-                    lane = out_idx - port * lanes
-                    tx = member._tx_links[port]
-                    if tx is None:
-                        pass
-                    elif tx.dead or id(tx) not in rx_map:
-                        foreign_outs.append((mi, member, index, tx, lane, out_idx))
-                    else:
-                        internal_pos.append(mi)
-                        wire_syncs.append((base + out_idx, tx, lane, member, out_idx))
-
+                    link_routes.append((index, out_idx, route_src))
             for in_idx, outs in member.crossbar.ack_fanins():
                 (tile_fanins if in_idx < lanes else link_fanins).append((index, in_idx, outs))
+        for lane, serializer in enumerate(self._serializers):
+            if ser_slot[lane] < 0 and not serializer.quiescent:
+                ser_slot[lane] = len(ser_lanes)
+                ser_lanes.append(lane)
+        for lane, deserializer in enumerate(self._deserializers):
+            if des_slot[lane] < 0 and not deserializer.quiescent:
+                # No route drives its register: a slot that keeps its value.
+                des_slot[lane] = len(des_lanes)
+                des_lanes.append(lane)
+                tile_routes.append((lane // lanes, lane % lanes, None))
+        routes = tile_routes + link_routes
+        fanins = tile_fanins + link_fanins
+        ser_units = [self._serializers[lane] for lane in ser_lanes]
+        des_units = [self._deserializers[lane] for lane in des_lanes]
 
-        ack_src_idx: List[int] = []
-        seg_starts: List[int] = []
-        feed_dst_idx: List[int] = []
-        feed_member: List[int] = []
-        foreign_ack_srcs: List[Tuple[int, Any, int]] = []
+        m = len(routes)
+        q = len(fanins)
+        ser_base = m + q
+        live = ser_base + len(ser_units)
+        sentinel = live + len(des_units)
+        data_at = {index * t + out_idx: slot for slot, (index, out_idx, _) in enumerate(routes)}
+        ack_at = {index * t + in_idx: m + slot for slot, (index, in_idx, _) in enumerate(fanins)}
+        constants: List[int] = []
+
+        def constant(value: int) -> int:
+            """A slot that holds *value* for good: the idle sentinel, or its own."""
+            if not value:
+                return sentinel
+            constants.append(int(value))
+            return sentinel + len(constants)
+
+        def reads(slots: dict, register: int, committed: str) -> int:
+            """The slot a read of another member's *register* gathers from."""
+            slot = slots.get(register)
+            if slot is None:  # no route drives it
+                slot = constant(getattr(members[register // t].crossbar, committed)[register % t])
+            return slot
+
+        src: List[int] = []
+        #: (gather position, wire list, lane) of sources read off a wire.
+        foreign_srcs: List[Tuple[int, List[Any], int]] = []
+        foreign_outs: List[Tuple[int, Any, int, Any, int, int]] = []
         foreign_ack_outs: List[Tuple[int, Any, int]] = []
-        ack_wire_syncs: List[Tuple[int, Any, int]] = []
-        for index, in_idx, outs in tile_fanins + link_fanins:
+        #: Per route / fan-in slot, what :meth:`flush` stores its value into.
+        route_stores: List[Tuple[List[int], int, Any, int, List[int]]] = []
+        ack_stores: List[Tuple[List[bool], int, Any, int]] = []
+        internal: List[int] = []
+        for slot, (index, out_idx, route_src) in enumerate(routes):
             member = members[index]
-            base = index * t
-            feed_dst_idx.append(base + in_idx)
-            feed_member.append(index)
-            seg_starts.append(len(ack_src_idx))
-            for out_idx in outs:
-                k = len(ack_src_idx)
-                if out_idx < lanes:
-                    ack_src_idx.append(lane_base + index * lanes + out_idx)
+            if route_src is None:
+                src.append(constant(member.crossbar.committed_data[out_idx]))
+            elif route_src < lanes:
+                src.append(ser_base + ser_slot[index * lanes + route_src])
+            else:
+                port, lane = divmod(route_src, lanes)
+                rx = member._rx_links[port]
+                if rx is None:
+                    # Unattached port: the scalar snapshot keeps its preset
+                    # idle value, which the sentinel reproduces.
+                    src.append(sentinel)
+                elif rx.dead or id(rx) not in tx_map:
+                    src.append(sentinel)
+                    foreign_srcs.append((slot, rx.forward, lane))
                 else:
-                    port = out_idx // lanes
-                    lane = out_idx - port * lanes
-                    tx = member._tx_links[port]
-                    if tx is None:
-                        ack_src_idx.append(sentinel)
-                    elif tx.dead or id(tx) not in rx_map:
-                        ack_src_idx.append(sentinel)
-                        foreign_ack_srcs.append((k, tx, lane))
-                    else:
-                        ack_src_idx.append(rx_map[id(tx)] + lane)
-            if in_idx >= lanes:
-                port = in_idx // lanes
-                lane = in_idx - port * lanes
+                    src.append(reads(data_at, tx_map[id(rx)] + lane, "committed_data"))
+            wire = None
+            port, lane = divmod(out_idx, lanes)
+            if port:
+                tx = member._tx_links[port]
+                if tx is None:
+                    pass
+                elif tx.dead or id(tx) not in rx_map:
+                    foreign_outs.append((slot, member, index, tx, lane, out_idx))
+                else:
+                    wire = tx
+                    internal.append(slot)
+            route_stores.append(
+                (member.crossbar.committed_data, out_idx, wire, lane, member._tx_previous)
+            )
+        seg_starts: List[int] = []
+        for slot, (index, in_idx, outs) in enumerate(fanins, m):
+            member = members[index]
+            seg_starts.append(len(src) - m)
+            for out_idx in outs:
+                port, lane = divmod(out_idx, lanes)
+                if not port:
+                    src.append(live + des_slot[index * lanes + lane])
+                    continue
+                tx = member._tx_links[port]
+                if tx is None:
+                    src.append(sentinel)
+                elif tx.dead or id(tx) not in rx_map:
+                    foreign_srcs.append((len(src), tx.ack, lane))
+                    src.append(sentinel)
+                else:
+                    src.append(reads(ack_at, rx_map[id(tx)] + lane, "committed_acks"))
+            wire = None
+            port, lane = divmod(in_idx, lanes)
+            if port:
                 rx = member._rx_links[port]
                 if rx is None:
                     pass
                 elif rx.dead or id(rx) not in tx_map:
-                    foreign_ack_outs.append((base + in_idx, rx, lane))
+                    foreign_ack_outs.append((slot, rx, lane))
                 else:
-                    ack_wire_syncs.append((base + in_idx, rx, lane))
+                    wire = rx
+            ack_stores.append((member.crossbar.committed_acks, in_idx, wire, lane))
 
-        m = len(dst_idx)
-        q = len(feed_dst_idx)
-        c = self._c
         self._m = m
         self._q = q
-        self._src_idx = np.array(src_idx, dtype=np.intp)
-        self._dst_idx = np.array(dst_idx, dtype=np.intp)
-        self._route_member = np.array(route_member, dtype=np.intp)
-        self._internal_pos = np.array(internal_pos, dtype=np.intp)
-        self._tile_out_pos = np.array(tile_out_pos, dtype=np.intp)
-        # Next/old register values: the routes first, then every serialiser
-        # output, so one XOR/popcount pass accounts for both.
-        self._next_vals = np.zeros(m + c, dtype=np.int64)
-        self._route_next = self._next_vals[:m]
-        self._ser_next = self._next_vals[m:]
-        self._old_vals = np.zeros(m + c, dtype=np.int64)
-        self._xor = np.zeros(m + c, dtype=np.int64)
-        self._tog8 = np.zeros(m + c, dtype=np.uint8)
-        self._pending_tog = np.zeros(m + c, dtype=np.int64)
-
-        self._ack_src_idx = np.array(ack_src_idx, dtype=np.intp)
-        self._seg_starts = np.array(seg_starts, dtype=np.intp)
-        self._feed_dst_idx = np.array(feed_dst_idx, dtype=np.intp)
-        self._feed_member = np.array(feed_member, dtype=np.intp)
-        self._ack_gather = np.zeros(len(ack_src_idx), dtype=bool)
-        self._next_acks = np.zeros(q, dtype=bool)
-        self._old_acks = np.zeros(q, dtype=bool)
-        self._flips = np.zeros(q, dtype=bool)
-        self._pending_flips = np.zeros(q, dtype=np.int64)
-        #: Acknowledges arriving at the serialisers this cycle, and their lanes.
-        self._tile_acks_in = self._next_acks[: len(tile_fanins)]
-        self._tile_ack_lane = [index * lanes + in_idx for index, in_idx, _ in tile_fanins]
-
+        self._src = np.array(src, dtype=np.intp)
         self._foreign_srcs = foreign_srcs
         self._foreign_outs = foreign_outs
-        self._wire_syncs = wire_syncs
-        self._foreign_ack_srcs = foreign_ack_srcs
         self._foreign_ack_outs = foreign_ack_outs
-        self._ack_wire_syncs = ack_wire_syncs
+        self._route_stores = route_stores
+        self._ack_stores = ack_stores
+        self._internal = np.array(internal, dtype=np.intp)
+        self._slot_member = np.array(
+            [index for index, _, _ in routes]
+            + [index for index, _, _ in fanins]
+            + [lane // lanes for lane in ser_lanes],
+            dtype=np.intp,
+        )
+        self._ser_slot = ser_slot
+        self._des_slot = des_slot
+        self._ser_units = ser_units
+        self._des_units = des_units
+        self._des_members = [members[lane // lanes] for lane in des_lanes]
 
-        # Load the committed register state and reset the accumulators.
-        data = self._data
-        acks = self._acks
-        for index, member in enumerate(members):
-            base = index * t
-            data[base : base + t] = member.crossbar.committed_data
-            acks[base : base + t] = member.crossbar.committed_acks
-        data[sentinel] = 0
-        acks[sentinel] = False
+        # The current-value vector: latched slots (routes, acknowledges,
+        # serialiser outputs), then the deserialisers' acknowledge pulses,
+        # the idle sentinel and the constants.
+        self._cur = cur = np.array(
+            [registers[idx] for registers, idx, _, _, _ in route_stores]
+            + [registers[idx] for registers, idx, _, _ in ack_stores]
+            + [unit._current_phit for unit in ser_units]
+            + [unit._ack_pulse for unit in des_units]
+            + [0]
+            + constants,
+            dtype=np.int64,
+        )
+        self._live = cur[:live]
+        self._des_in = cur[: len(des_units)]
+        self._pulse = cur[live:sentinel]
+        self._next = self._live.copy()
+        self._ser_next = self._next[ser_base:]
+        #: Acknowledges arriving at the serialisers this cycle, and their columns.
+        self._credits_in = self._next[m : m + len(tile_fanins)]
+        self._credit_slot = [ser_slot[index * lanes + in_idx] for index, in_idx, _ in tile_fanins]
+        if len(src) == ser_base:
+            self._gathered = self._next[:ser_base]
+            self._seg_starts = None
+        else:
+            # Some acknowledge register ORs several sources.
+            self._gathered = np.zeros(len(src), dtype=np.int64)
+            self._seg_starts = np.array(seg_starts, dtype=np.intp)
+        self._xor = np.zeros(live, dtype=np.int64)
+        self._tog8 = np.zeros(live, dtype=np.uint8)
+        self._pending_tog = np.zeros(live, dtype=np.int64)
 
         # Import the converter lanes; the acknowledge pulses a unit still
         # owes move into the column (flush hands them back).
-        shift = self._ser_shift
-        ser_out = self._ser_out
+        self._shift = np.array([unit._remaining_phits for unit in ser_units], dtype=np.int64)
+        self._acc = np.array([unit._collected for unit in des_units], dtype=np.int64)
+        self._pending = np.array([unit._pending_ack_pulses for unit in des_units], dtype=np.int64)
+        self._shifted = np.zeros(len(des_units), dtype=np.int64)
+        self._keep = np.zeros(len(des_units), dtype=bool)
+        self._full = np.zeros(len(des_units), dtype=bool)
+        for unit in des_units:
+            unit._pending_ack_pulses = 0
+        #: Serialiser load agenda: cycle -> columns whose shifter is empty then.
+        self._load_at: Dict[int, List[int]] = {}
+        #: True while a column sits in the agenda.
+        self._armed = [False] * len(ser_units)
         field = self._width + 1
-        self._load_at = {}
-        self._armed = [False] * c
-        self._ser_exported = set()
-        self._des_exported = set()
-        for lane, serializer in enumerate(self._serializers):
+        for slot, serializer in enumerate(ser_units):
             remaining = serializer._remaining_phits
-            shift[lane] = remaining
-            ser_out[lane] = serializer._current_phit
-            if remaining or serializer._current_phit:
-                self._ser_exported.add(lane)
             if remaining:
                 # One marker-topped field per phit still in the shifter.
-                self._arm(lane, cycle + remaining.bit_length() // field)
+                self._arm(slot, cycle + remaining.bit_length() // field)
             elif serializer._queue and serializer.window.can_send():
-                self._arm(lane, cycle)
-        acc = self._des_acc_flat
-        pending = self._des_pending_flat
-        pulse = self._acks[lane_base:]
-        for lane, deserializer in enumerate(self._deserializers):
-            if not deserializer.quiescent:
-                self._des_exported.add(lane)
-            acc[lane] = deserializer._collected
-            pulse[lane] = deserializer._ack_pulse
-            pending[lane] = deserializer._pending_ack_pulses
-            deserializer._pending_ack_pulses = 0
+                self._arm(slot, cycle)
+        # Which converter passes have anything to do; the first commit finds out.
+        self._shift_until = cycle + self._phits
+        self._collecting = True
+        self._pulsing = True
 
-        np.take(data, self._dst_idx, out=self._old_vals[:m])
-        self._old_vals[m:] = ser_out
-        np.take(acks, self._feed_dst_idx, out=self._old_acks)
         self._batched = 0
         self._pending_link = [0] * self._r
         self._settled = False
@@ -607,17 +657,14 @@ class VectorPlane(ClockedComponent):
         return "one cycle on the members themselves before the recompile"
 
     def _eval_batched(self) -> None:
-        if self._m:
-            self._data.take(self._src_idx, out=self._route_next, mode="clip")
-            next_vals = self._route_next
-            for mi, link, lane in self._foreign_srcs:
-                next_vals[mi] = link.forward[lane]
-        if self._q:
-            self._acks.take(self._ack_src_idx, out=self._ack_gather, mode="clip")
-            gather = self._ack_gather
-            for k, link, lane in self._foreign_ack_srcs:
-                gather[k] = link.ack[lane]
-            np.logical_or.reduceat(gather, self._seg_starts, out=self._next_acks)
+        gathered = self._gathered
+        self._cur.take(self._src, out=gathered, mode="clip")
+        for position, wires, lane in self._foreign_srcs:
+            gathered[position] = wires[lane]
+        if self._seg_starts is not None:
+            m = self._m
+            self._next[:m] = gathered[:m]
+            np.bitwise_or.reduceat(gathered[m:], self._seg_starts, out=self._next[m : m + self._q])
 
     def commit(self, cycle: int) -> None:
         if self._compiled:
@@ -639,107 +686,106 @@ class VectorPlane(ClockedComponent):
     def _commit_batched(self, cycle: int) -> None:
         # A word edge was crossed this cycle: not a fixed point.
         edges = False
-        ack_changed = False
+        nxt = self._next
+        ser_units = self._ser_units
+        armed = self._armed
 
-        # 1. Acknowledge registers; pulses reaching a serialiser return credit.
-        if self._q:
-            next_acks = self._next_acks
-            np.not_equal(next_acks, self._old_acks, out=self._flips)
-            if np.count_nonzero(self._flips):
-                ack_changed = True
-                self._pending_flips += self._flips
-                self._acks[self._feed_dst_idx] = next_acks
-                np.copyto(self._old_acks, next_acks)
-            if np.count_nonzero(self._tile_acks_in):
-                edges = True
-                armed = self._armed
-                for position in self._tile_acks_in.nonzero()[0].tolist():
-                    lane = self._tile_ack_lane[position]
-                    serializer = self._serializers[lane]
-                    serializer.acknowledge()
-                    if not armed[lane] and serializer._queue and serializer.window.can_send():
-                        self._arm(lane, cycle)
+        # 1. Acknowledges reaching a serialiser return credit.
+        if np.count_nonzero(self._credits_in):
+            edges = True
+            for position in self._credits_in.nonzero()[0].tolist():
+                slot = self._credit_slot[position]
+                serializer = ser_units[slot]
+                serializer.acknowledge()
+                if not armed[slot] and serializer._queue and serializer.window.can_send():
+                    self._arm(slot, cycle)
 
-        # 2. Serialisers: every shifter moves one phit; the lanes the agenda
-        #    names for this cycle are empty and try to load the next word.
-        shift = self._ser_shift
-        ser_next = self._ser_next
-        np.bitwise_and(shift, self._phit_mask, out=ser_next)
-        np.right_shift(shift, self._width + 1, out=shift)
+        # 2. Serialisers: every shifter moves one phit; the columns the
+        #    agenda names for this cycle are empty and try to load the next
+        #    word.  Nothing shifts once the last loaded word has left.
+        if cycle <= self._shift_until:
+            shift = self._shift
+            np.bitwise_and(shift, self._phit_mask, out=self._ser_next)
+            np.right_shift(shift, self._width + 1, out=shift)
         due = self._load_at.pop(cycle, None)
         if due is not None:
             edges = True
-            reload_at = cycle + self._phits
-            for lane in due:
-                serializer = self._serializers[lane]
+            loaded: List[int] = []
+            heads: List[int] = []
+            rests: List[int] = []
+            for slot in due:
+                serializer = ser_units[slot]
                 if serializer._queue and serializer.window.can_send():
-                    ser_next[lane], shift[lane] = serializer.load_word()
-                    self._load_at.setdefault(reload_at, []).append(lane)
+                    head, rest = serializer.load_word()
+                    loaded.append(slot)
+                    heads.append(head)
+                    rests.append(rest)
                 else:
-                    self._armed[lane] = False
+                    armed[slot] = False
+            if loaded:
+                self._ser_next[loaded] = heads
+                self._shift[loaded] = rests
+                self._shift_until = cycle + self._phits
+                self._load_at.setdefault(self._shift_until, []).extend(loaded)
 
-        # 3. Data registers: crossbar outputs and serialiser outputs latch
-        #    and count their toggles in one pass.
-        next_vals = self._next_vals
+        # 3. The latch: crossbar outputs, acknowledges and serialiser
+        #    outputs count their toggles and take their next value.
         xor = self._xor
-        np.bitwise_xor(next_vals, self._old_vals, out=xor)
-        data_changed = np.count_nonzero(xor) != 0
-        if data_changed:
-            np.bitwise_count(xor, out=self._tog8)
-            self._pending_tog += self._tog8
-            self._data[self._dst_idx] = self._route_next
-            self._ser_out[:] = ser_next
-            np.copyto(self._old_vals, next_vals)
+        np.bitwise_xor(nxt, self._live, out=xor)
+        np.bitwise_count(xor, out=self._tog8)
+        np.add(self._pending_tog, self._tog8, out=self._pending_tog)
+        np.copyto(self._live, nxt)
 
         # 4. Deserialisers: shift the freshly latched tile-port phit in where
         #    a lane is collecting or the phit is a valid header; a complete
         #    packet is delivered to the tile.
-        acc = self._des_acc
-        shifted = self._des_shifted
-        np.left_shift(acc, self._width, out=shifted)
-        np.bitwise_or(shifted, self._des_in, out=shifted)
-        np.bitwise_and(shifted, self._sync_mask, out=acc)
-        np.not_equal(acc, 0, out=self._des_keep)
-        np.multiply(shifted, self._des_keep, out=acc)
-        np.greater_equal(acc, self._packet_full, out=self._des_full)
-        if np.count_nonzero(self._des_full):
-            edges = True
-            flat = self._des_acc_flat
-            for lane in self._des_full_flat.nonzero()[0].tolist():
-                packet = int(flat[lane])
-                flat[lane] = 0
-                self._deserializers[lane].deliver(packet, cycle)
+        if self._collecting or np.count_nonzero(self._des_in):
+            acc = self._acc
+            shifted = self._shifted
+            np.left_shift(acc, self._width, out=shifted)
+            np.bitwise_or(shifted, self._des_in, out=shifted)
+            np.bitwise_and(shifted, self._sync_mask, out=acc)
+            np.not_equal(acc, 0, out=self._keep)
+            np.multiply(shifted, self._keep, out=acc)
+            np.greater_equal(acc, self._packet_full, out=self._full)
+            if np.count_nonzero(self._full):
+                edges = True
+                complete = self._full.nonzero()[0]
+                packets = acc[complete].tolist()
+                acc[complete] = 0
+                des_units = self._des_units
+                for slot, packet in zip(complete.tolist(), packets):
+                    des_units[slot].deliver(packet, cycle)
+            self._collecting = np.count_nonzero(acc) != 0
 
         # 5. Acknowledge pulses: at most one per lane and cycle.
-        pending = self._des_pending
-        np.greater(pending, 0, out=self._pulse)
-        np.subtract(pending, self._pulse, out=pending)
+        if self._pulsing:
+            pending = self._pending
+            np.greater(pending, 0, out=self._pulse)
+            np.subtract(pending, self._pulse, out=pending)
+            self._pulsing = np.count_nonzero(self._pulse) != 0
 
         if self._foreign_outs:
             width = self._width
             pending_link = self._pending_link
-            for mi, member, index, link, lane, idx in self._foreign_outs:
-                value = int(next_vals[mi])
+            for slot, member, index, link, lane, idx in self._foreign_outs:
+                value = int(nxt[slot])
                 previous = member._tx_previous[idx]
                 if value != previous:
                     pending_link[index] += toggle_count(previous, value, width)
                     member._tx_previous[idx] = value
                     link.drive_forward(lane, value)
-        if self._foreign_ack_outs:
-            acks = self._acks
-            for g, link, lane in self._foreign_ack_outs:
-                value = bool(acks[g])
-                if link.ack[lane] != value:
-                    link.drive_ack(lane, value)
+        for slot, link, lane in self._foreign_ack_outs:
+            value = bool(nxt[slot])
+            if link.ack[lane] != value:
+                link.drive_ack(lane, value)
         self._batched += 1
         self._settled = not (
-            data_changed
-            or ack_changed
-            or edges
+            edges
             or self._load_at
-            or np.count_nonzero(acc)
-            or np.count_nonzero(pending)
-            or np.count_nonzero(self._pulse)
+            or self._collecting
+            or self._pulsing
+            or np.count_nonzero(xor)
         )
         stats = self._scheduler.scheduler_stats
         stats.vector_batches += 1
@@ -767,94 +813,85 @@ class VectorPlane(ClockedComponent):
         self._export_lanes()
 
     def _fold_batches(self) -> None:
-        """Account the batched toggles and store registers and wires."""
+        """Account the batched toggles; store the registers and wires that moved."""
         members = self._members
         r = self._r
         m = self._m
-        route_tog = self._pending_tog[:m]
-        route_member = self._route_member
-        data_tog = np.bincount(route_member, weights=route_tog, minlength=r)
-        link_tog = np.bincount(
-            route_member[self._internal_pos],
-            weights=route_tog[self._internal_pos],
-            minlength=r,
+        q = self._q
+        tog = self._pending_tog
+        member_of = self._slot_member
+        tile_outs = len(self._des_units)
+        xbar_tog = np.bincount(member_of[:m], weights=tog[:m], minlength=r)
+        # Register toggles are every slot's (crossbar outputs, acknowledge
+        # flips, serialiser outputs) plus, once more, the tile-port
+        # outputs': each deserialiser's previous-phit register follows its
+        # tile-port crossbar register.
+        reg_tog = np.bincount(member_of, weights=tog, minlength=r) + np.bincount(
+            member_of[:tile_outs], weights=tog[:tile_outs], minlength=r
         )
-        # Register toggles beyond the crossbar's own: each deserialiser's
-        # previous-phit register follows its tile-port crossbar register, and
-        # every serialiser output register sits behind the routes.
-        lane_tog = np.bincount(
-            route_member[self._tile_out_pos],
-            weights=route_tog[self._tile_out_pos],
-            minlength=r,
-        ) + self._pending_tog[m:].reshape(r, self._l).sum(axis=1)
-        ack_tog = np.bincount(self._feed_member, weights=self._pending_flips, minlength=r)
+        link_tog = np.bincount(
+            member_of[self._internal], weights=tog[self._internal], minlength=r
+        )
+        reg_toggles = reg_tog.astype(np.int64).tolist()
+        xbar_toggles = xbar_tog.astype(np.int64).tolist()
+        link_toggles = link_tog.astype(np.int64).tolist()
         pending_link = self._pending_link
-        for index, member in enumerate(members):
-            activity = member.activity
-            data_toggles = int(data_tog[index])
-            reg_toggles = data_toggles + int(ack_tog[index]) + int(lane_tog[index])
-            if data_toggles:
-                activity.add(ActivityKeys.XBAR_TOGGLE_BITS, data_toggles)
-            if reg_toggles:
-                activity.add(ActivityKeys.REG_TOGGLE_BITS, reg_toggles)
-            link_toggles = pending_link[index] + int(link_tog[index])
-            if link_toggles:
-                activity.add(ActivityKeys.LINK_TOGGLE_BITS, link_toggles)
-            pending_link[index] = 0
-        data = self._data
-        acks = self._acks
-        t = self._t
-        for index, member in enumerate(members):
-            base = index * t
-            member.crossbar.committed_data[:] = data[base : base + t].tolist()
-            member.crossbar.committed_acks[:] = acks[base : base + t].tolist()
-        for dst_abs, link, lane, member, idx in self._wire_syncs:
-            value = int(data[dst_abs])
-            link.sync_forward_silent(lane, value)
-            member._tx_previous[idx] = value
-        for g, link, lane in self._ack_wire_syncs:
-            link.sync_ack_silent(lane, bool(acks[g]))
-        self._pending_tog[:] = 0
-        self._pending_flips[:] = 0
+        # A member none of whose registers toggled moved no foreign wire either.
+        for index in np.flatnonzero(reg_tog).tolist():
+            activity = members[index].activity
+            if xbar_toggles[index]:
+                activity.add(ActivityKeys.XBAR_TOGGLE_BITS, xbar_toggles[index])
+            activity.add(ActivityKeys.REG_TOGGLE_BITS, reg_toggles[index])
+            toggles = pending_link[index] + link_toggles[index]
+            if toggles:
+                activity.add(ActivityKeys.LINK_TOGGLE_BITS, toggles)
+                pending_link[index] = 0
+        # A slot that counted no toggle still holds what its register does.
+        values = self._live.tolist()
+        route_stores = self._route_stores
+        for slot in np.flatnonzero(tog[:m]).tolist():
+            registers, idx, link, lane, tx_previous = route_stores[slot]
+            registers[idx] = value = values[slot]
+            if link is not None:
+                link.sync_forward_silent(lane, value)
+                tx_previous[idx] = value
+        ack_stores = self._ack_stores
+        for slot in np.flatnonzero(tog[m : m + q]).tolist():
+            registers, idx, link, lane = ack_stores[slot]
+            registers[idx] = value = values[m + slot] != 0
+            if link is not None:
+                link.sync_ack_silent(lane, value)
+        tog.fill(0)
         self._batched = 0
 
     def _export_lanes(self) -> None:
         """Store the converter columns into the scalar lane units.
 
-        Only lanes that hold state now, or held some when last exported, can
-        differ from their units.  Acknowledge pulses still owed go back to
-        the unit that scheduled them; marking the member dirty makes the
-        next drain pick them up again.
+        Acknowledge pulses still owed go back to the unit that scheduled
+        them; marking the member dirty makes the next drain pick them up
+        again.
         """
-        lanes = self._l
-        shift = self._ser_shift
-        ser_out = self._ser_out
-        busy = set(np.flatnonzero(shift | ser_out).tolist())
-        for lane in busy | self._ser_exported:
-            serializer = self._serializers[lane]
-            serializer._remaining_phits = int(shift[lane])
-            serializer._current_phit = int(ser_out[lane])
-        self._ser_exported = busy
-
-        acc = self._des_acc_flat
-        pending = self._des_pending_flat
-        pulse = self._acks[self._n + 1 :]
-        des_in = self._des_in
-        busy = set(
-            np.flatnonzero(self._des_acc | des_in | self._des_pending | self._pulse).tolist()
+        outputs = self._live[self._m + self._q :].tolist()
+        for serializer, remaining, phit in zip(self._ser_units, self._shift.tolist(), outputs):
+            serializer._remaining_phits = remaining
+            serializer._current_phit = phit
+        pending = self._pending
+        columns = zip(
+            self._des_units,
+            self._des_members,
+            self._acc.tolist(),
+            self._des_in.tolist(),
+            self._pulse.tolist(),
+            pending.tolist(),
         )
-        for lane in busy | self._des_exported:
-            index, tile_lane = divmod(lane, lanes)
-            deserializer = self._deserializers[lane]
-            deserializer._collected = int(acc[lane])
-            deserializer._previous_phit = int(des_in[index, tile_lane])
-            deserializer._ack_pulse = bool(pulse[lane])
-            owed = int(pending[lane])
+        for deserializer, member, collected, phit, pulse, owed in columns:
+            deserializer._collected = collected
+            deserializer._previous_phit = phit
+            deserializer._ack_pulse = pulse != 0
             if owed:
                 deserializer._pending_ack_pulses += owed
-                pending[lane] = 0
-                self.member_dirty(self._members[index])
-        self._des_exported = busy
+                self.member_dirty(member)
+        pending.fill(0)
 
     # -- quiescence protocol -----------------------------------------------
 

@@ -220,6 +220,29 @@ class TestResetClearsWires:
         assert nets["auto"].streams["s"].words_received > 0
 
 
+    @pytest.mark.parametrize("kind", ["circuit", "packet", "gt"])
+    def test_reset_returns_paced_endpoints_to_power_on(self, kind):
+        """A reset fabric sends and delivers at the cycles a fresh one does:
+        the pacers' accumulated credit is cleared with everything else (the
+        word *values* are the source's and are not rewound)."""
+
+        def fabric():
+            network = build_network(kind, Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ)
+            generator = word_generator(BitFlipPattern.TYPICAL, seed=4)
+            network.attach_channel("a", (0, 0), (3, 2), 100.0, generator, load=0.7)
+            return network
+
+        def history(network, cycles=600):  # the packet kind sends whole packets
+            return [network.run(1) and network.stream_statistics() for _ in range(cycles)]
+
+        fresh = history(fabric())
+        assert fresh[-1]["a"]["received"] > 3
+        used = fabric()
+        used.run(13)  # the pacer is part-way to its first word
+        used.kernel.reset()
+        assert history(used) == fresh
+
+
 class TestGtNetwork:
     """Strict-vs-auto equivalence of the Æthereal-style TDMA network."""
 

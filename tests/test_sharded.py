@@ -211,6 +211,7 @@ def test_sharded_scheduler_stats_merge_across_shards():
     assert (report["requested"], report["effective"]) == ("vector", "event")
     assert "live-route gate" in report["reason"]
     assert report["batched_cycles"] == 0 < report["scalar_cycles"]
+    assert report["live_routes"] == 5  # the circuit's hops, summed over both regions
     network.close()
 
 

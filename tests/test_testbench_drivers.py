@@ -12,32 +12,32 @@ from repro.core.router import CircuitSwitchedRouter
 from repro.core.testbench import (
     LaneStreamConsumer,
     LaneStreamDriver,
+    LoadPacer,
     TileStreamDriver,
-    _LoadPacer,
 )
 from repro.sim.engine import SimulationKernel
 
 
 class TestLoadPacer:
     def test_full_load_emits_every_five_cycles(self):
-        pacer = _LoadPacer(1.0, 5)
+        pacer = LoadPacer(1.0, 5)
         emissions = sum(pacer.should_emit() for _ in range(100))
         assert emissions == 20
 
     def test_half_load_emits_every_ten_cycles(self):
-        pacer = _LoadPacer(0.5, 5)
+        pacer = LoadPacer(0.5, 5)
         emissions = sum(pacer.should_emit() for _ in range(100))
         assert emissions == 10
 
     def test_zero_load_never_emits(self):
-        pacer = _LoadPacer(0.0, 5)
+        pacer = LoadPacer(0.0, 5)
         assert not any(pacer.should_emit() for _ in range(50))
 
     def test_invalid_load_rejected(self):
         with pytest.raises(ValueError):
-            _LoadPacer(1.5, 5)
+            LoadPacer(1.5, 5)
         with pytest.raises(ValueError):
-            _LoadPacer(0.5, 0)
+            LoadPacer(0.5, 0)
 
 
 class TestLaneStreamDriverConsumer:

@@ -23,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.traffic import BitFlipPattern, word_generator
-from repro.common import CapacityError, FaultError
+from repro.common import CapacityError, FaultError, Port
 from repro.core.flow_control import FlowControlConfig
 from repro.core.header import phits_per_packet
-from repro.core.testbench import TileStreamDriver
+from repro.core.testbench import TileStreamConsumer, TileStreamDriver
 from repro.experiments.storm import storm_schedule
 from repro.noc.ccn import CentralCoordinationNode
 from repro.noc.fabric import build_network
@@ -214,7 +214,7 @@ def test_vector_on_gt_and_packet_degrades_to_event():
         assert network.vector_plane is None
         report = network.schedule_report()
         assert (report["requested"], report["effective"]) == ("vector", "event")
-        assert "no vector plane" in report["reason"]
+        assert "no vector plane" in report["reason"] and report["live_routes"] is None
         generator = word_generator(BitFlipPattern.TYPICAL, seed=5)
         network.attach_channel("a", (0, 0), (2, 2), 100.0, generator, load=0.5)
         network.run(300)
@@ -336,11 +336,11 @@ def test_kernel_reset_resets_the_plane():
 
 
 def test_plane_crosses_its_gate_both_ways_and_stays_identical():
-    """One row (4 live routes, below the gate) → all rows (16, above) → one
+    """One row (3 live routes, below the gate) → all rows (9, above) → one
     row again, under the default schedule and the gate as shipped: every
     stage equals ``strict`` lane for lane, and the report shows that the
     routers ran both on the event heap and batched."""
-    size = 4
+    size = 3
     assert size < REAL_GATE <= size * size
 
     def rows(network, which):
@@ -373,13 +373,15 @@ def test_plane_crosses_its_gate_both_ways_and_stays_identical():
     assert below["requested"] == above["requested"] == "vector"
     assert below["effective"] == "event" and "live-route gate" in below["reason"]
     assert below["batched_cycles"] == 0 and below["scalar_cycles"] > 0
+    # The gate's input reads off the report, not out of the reason string.
+    assert [r["live_routes"] for r in reports] == [size, size * size, size]
     assert above["effective"] == "vector" and above["reason"] is None
     assert above["batched_cycles"] > 100
     assert below_again["effective"] == "event" and "live-route gate" in below_again["reason"]
-    # Back below the gate the kernel runs the routers again: only the three
+    # Back below the gate the kernel runs the routers again: only the
     # teardown drains were still batched.
     assert below_again["scalar_cycles"] > above["scalar_cycles"] + 100
-    assert below_again["batched_cycles"] <= above["batched_cycles"] + 3 * 23
+    assert below_again["batched_cycles"] <= above["batched_cycles"] + (size - 1) * 23
 
 
 def test_idle_fabric_parks_without_batching():
@@ -387,11 +389,13 @@ def test_idle_fabric_parks_without_batching():
     cycle and the plane with them — nothing is ever compiled."""
     network = build_network("circuit", Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ)
     strict = build_network("circuit", Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ, schedule="strict")
+    assert network.schedule_report()["live_routes"] is None  # not counted yet
     network.run(500)
     strict.run(500)
     assert _snapshot(network) == _snapshot(strict)
     report = network.schedule_report()
     assert report["batched_cycles"] == 0 and report["scalar_cycles"] == 500
+    assert report["live_routes"] == 0
     components = len(network.routers) + 1
     assert network.kernel.sleeping_components == components
     assert network.kernel.scheduler_stats.evaluated == components  # cycle 0 only
@@ -456,8 +460,15 @@ def _assert_lanes_identical(vector, strict, where):
     assert _snapshot(vector) == _snapshot(strict), where
 
 
+#: What may happen to the live set between two stops of a lane scenario: a
+#: driver on a tile lane no route reads, the sink hop of a circuit cut under
+#: its collecting deserialiser, unread words read after their channel is
+#: gone, a direct tile write on an unrouted lane between two run() calls.
+LANE_EDGES = ("stray driver", "sink hop cut", "read after detach", "late join")
+
+
 @st.composite
-def _lane_scenarios(draw):
+def _lane_scenarios(draw, edge=st.sampled_from((None,) + LANE_EDGES)):
     width, height = draw(st.integers(3, 5)), draw(st.integers(3, 5))
     tiles = [(x, y) for x in range(width) for y in range(height)]
     shared, *others = draw(
@@ -492,7 +503,7 @@ def _lane_scenarios(draw):
             unique=True,
         )
     )
-    return (width, height), channels, sorted(stops)
+    return (width, height), channels, sorted(stops), draw(edge)
 
 
 @settings(max_examples=20, deadline=None)
@@ -516,8 +527,17 @@ def test_lane_state_matches_strict_on_either_side_of_the_gate(gate, scenario):
         _check_lane_scenario(scenario)
 
 
+@pytest.mark.parametrize("edge", LANE_EDGES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_lanes_entering_and_leaving_the_live_set_match_strict(edge, data):
+    """Every edge of the live set on its own draws, batching from one route."""
+    with _gate(1):
+        _check_lane_scenario(data.draw(_lane_scenarios(edge=st.just(edge))))
+
+
 def _check_lane_scenario(scenario):
-    extent, channels, stops = scenario
+    extent, channels, stops, edge = scenario
     networks = {}
     for schedule in ("strict", "vector"):
         network = build_network(
@@ -526,11 +546,81 @@ def _check_lane_scenario(scenario):
         for channel in channels:
             _flow_stream(network, **channel)
         networks[schedule] = network
-    for stop in stops:
+    for index, stop in enumerate(stops):
         for network in networks.values():
-            network.run(stop - network.kernel.cycle)
+            network.run(max(0, stop - network.kernel.cycle))
         _assert_lanes_identical(networks["vector"], networks["strict"], f"cycle {stop}")
+        if index == 0 and edge is not None:
+            _cross_lane_edge(networks, edge, channels[0])
+            _step_both(networks, edge, 3 * PHITS_PER_PACKET)
     return networks["vector"]
+
+
+def _step_both(networks, where, cycles, until=lambda strict: False):
+    """Single-step both networks, equal after every cycle, for *cycles* or
+    until *until(strict network)* holds."""
+    for _ in range(cycles):
+        if until(networks["strict"]):
+            break
+        for network in networks.values():
+            network.run(1)
+        _assert_lanes_identical(networks["vector"], networks["strict"], where)
+
+
+def _unread_tile_lane(network, position):
+    """The router at *position* and a tile lane of it that no route reads."""
+    router = network.router_at(position)
+    read = {source for _, source in router.crossbar.active_routes()}
+    return router, max(set(range(router.lanes_per_port)) - read)
+
+
+def _cross_lane_edge(networks, edge, channel):
+    """Apply *edge* to both networks, on the first channel's circuit."""
+    name, src = channel["name"], channel["src"]
+    circuit = networks["strict"].streams[name].allocation.circuits[0]
+    sink_lane = circuit.destination_tile_lane
+
+    def sink_unit(network):
+        return network.router_at(circuit.dst).converter.deserializers[sink_lane]
+
+    if edge == "stray driver":
+        # Sends from a driver's evaluate, while the plane batches the cycle.
+        for network in networks.values():
+            router, lane = _unread_tile_lane(network, src)
+            words = word_generator(BitFlipPattern.TYPICAL, seed=channel["seed"])
+            network.kernel.add(TileStreamDriver("stray", router, lane, words, load=1.0))
+    elif edge == "late join":
+        # A tile write between two run() calls, a word half shifted elsewhere.
+        _step_both(
+            networks, edge, 120,
+            until=lambda strict: any(
+                unit._remaining_phits
+                for router in strict.routers.values()
+                for unit in router.converter.serializers
+            ),
+        )
+        for network in networks.values():
+            router, lane = _unread_tile_lane(network, src)
+            assert router.tile.send(lane, 0xA5A5, sob=True)
+    elif edge == "sink hop cut":
+        _step_both(networks, edge, 120, until=lambda strict: sink_unit(strict).collecting)
+        hop = circuit.hops[-1]
+        for network in networks.values():
+            network.router_at(hop.position).deconfigure(hop.out_port, hop.out_lane)
+    else:
+        assert edge == "read after detach"
+        # Nobody reads the sink any more: words queue up to the window.
+        for network in networks.values():
+            network.kernel.remove(network.streams[name].sink)
+        _step_both(networks, edge, 120, until=lambda strict: sink_unit(strict).available())
+        for network in networks.values():
+            network.detach_channel(name)
+        _step_both(networks, edge, 2 * PHITS_PER_PACKET)
+        for network in networks.values():
+            tile = network.router_at(circuit.dst).tile
+            while tile.receive(sink_lane) is not None:
+                pass
+    _assert_lanes_identical(networks["vector"], networks["strict"], edge)
 
 
 def _unread_stream(schedule, tx_flow, rx_flow):
@@ -661,6 +751,43 @@ def test_reconfiguration_right_after_a_read_keeps_the_owed_pulse():
         boundaries_with_a_pulse_owed += bool(owed)
         _assert_lanes_identical(vector, strict, f"reconfigured at cycle {stop}")
     assert boundaries_with_a_pulse_owed
+
+
+@pytest.mark.usefixtures("open_gate")
+def test_multicast_ors_its_acknowledges_like_strict():
+    """One tile lane feeds two circuits of equal length: the source's
+    acknowledge register ORs both returning pulses (the plane's only
+    gather that is not one source per slot)."""
+
+    def scenario(schedule):
+        network = build_network(
+            "circuit", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule=schedule
+        )
+        flow = FlowControlConfig(window_size=2, credit_per_ack=1)
+        centre = network.router_at((1, 1))
+        centre.tile.configure_tx(0, flow)
+        sinks = []
+        for out_port, in_port, position in (
+            (Port.EAST, Port.WEST, (2, 1)), (Port.WEST, Port.EAST, (0, 1)),
+        ):
+            centre.configure(out_port, 0, Port.TILE, 0)
+            router = network.router_at(position)
+            router.configure(Port.TILE, 0, in_port, 0)
+            router.tile.configure_rx(0, flow)
+            sinks.append(network.kernel.add(TileStreamConsumer(f"sink{position}", router, 0)))
+        words = word_generator(BitFlipPattern.TYPICAL, seed=6)
+        network.kernel.add(TileStreamDriver("source", centre, 0, words, load=1.0))
+        states = []
+        for cycles in (7, 51, 73):
+            network.run(cycles)
+            states.append((_lane_state(network), _snapshot(network), [s.received for s in sinks]))
+        return network, states
+
+    strict, strict_states = scenario("strict")
+    vector, vector_states = scenario("vector")
+    assert vector_states == strict_states
+    assert len(strict_states[-1][2][0]) > 20  # credit kept returning through the OR
+    assert vector.kernel.scheduler_stats.vector_batches > 100
 
 
 @pytest.mark.usefixtures("open_gate")
