@@ -85,17 +85,35 @@ class _WorstWords:
         return self.value
 
 
-class _TypicalWords:
-    """Uniformly random words: 50 % of the wires toggle per word in expectation."""
+#: Words one ``Generator.integers`` call of :class:`_TypicalWords` draws.
+_BLOCK_WORDS = 256
 
-    __slots__ = ("mask", "rng")
+
+class _TypicalWords:
+    """Uniformly random words: 50 % of the wires toggle per word in expectation.
+
+    Words are drawn :data:`_BLOCK_WORDS` at a time — a bounded ``integers``
+    draw consumes the bit generator element by element, so the blocks spell
+    the sequence one-word draws would — and handed out from the undrawn rest
+    (``_block``, reversed so the next word is its last element).  The rest is
+    ordinary state: a pickle taken mid-block continues where it stopped.
+    """
+
+    __slots__ = ("mask", "rng", "_block")
 
     def __init__(self, mask: int, seed: int) -> None:
         self.mask = mask
         self.rng = np.random.default_rng(seed)
+        self._block: List[int] = []
 
     def __call__(self) -> int:
-        return int(self.rng.integers(0, self.mask + 1))
+        block = self._block
+        if not block:
+            block = self._block = self.rng.integers(
+                0, self.mask + 1, size=_BLOCK_WORDS
+            ).tolist()
+            block.reverse()
+        return block.pop()
 
 
 def word_generator(

@@ -133,22 +133,11 @@ def bit_mask(width: int) -> int:
     return (1 << width) - 1
 
 
-if hasattr(int, "bit_count"):  # Python >= 3.10
-
-    def _bit_count(value: int) -> int:
-        return value.bit_count()
-
-else:  # pragma: no cover - fallback for older runtimes
-
-    def _bit_count(value: int) -> int:
-        return bin(value).count("1")
-
-
 def popcount(value: int) -> int:
     """Number of set bits in a non-negative integer."""
     if value < 0:
         raise ValueError("popcount is only defined for non-negative integers")
-    return _bit_count(value)
+    return value.bit_count()
 
 
 def hamming_distance(a: int, b: int) -> int:
@@ -156,7 +145,7 @@ def hamming_distance(a: int, b: int) -> int:
     value = a ^ b
     if value < 0:
         raise ValueError("hamming_distance is only defined for non-negative integers")
-    return _bit_count(value)
+    return value.bit_count()
 
 
 def toggle_count(previous: int, current: int, width: int | None = None) -> int:
@@ -165,16 +154,15 @@ def toggle_count(previous: int, current: int, width: int | None = None) -> int:
     If *width* is given the comparison is restricted to that many LSBs; this
     is what the activity counters of the power model use.  The hot router
     loops call this every cycle, so the implementation is a single XOR plus
-    the native ``int.bit_count`` (with a string-counting fallback for
-    runtimes older than Python 3.10).
+    the native ``int.bit_count``.
     """
     if width is not None:
         m = (1 << width) - 1
-        return _bit_count((previous & m) ^ (current & m))
+        return ((previous & m) ^ (current & m)).bit_count()
     value = previous ^ current
     if value < 0:
         raise ValueError("toggle_count is only defined for non-negative integers")
-    return _bit_count(value)
+    return value.bit_count()
 
 
 def split_bits(value: int, chunk_width: int, count: int, *, msb_first: bool = True) -> list[int]:

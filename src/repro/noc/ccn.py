@@ -580,9 +580,9 @@ class CentralCoordinationNode:
             )
         self.topology = degraded
         self.mesh = degraded
+        # The grid re-lists its tiles (the dead routers' drop out); the mapper
+        # reads tiles and hop counts through it.
         self.grid.topology = degraded
-        self.grid.mesh = degraded
-        self.mapper.mesh = degraded
         self.be_network = BestEffortNetwork(degraded, self.be_network.ccn_position)
 
     def handle_fault(

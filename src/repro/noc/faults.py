@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common import FaultError
@@ -70,6 +71,20 @@ Chooser = Callable[[NocBase, Optional[CentralCoordinationNode]], Any]
 def _undirected(link: Link) -> Link:
     a, b = link
     return (a, b) if a <= b else (b, a)
+
+
+@lru_cache(maxsize=1)
+def _degraded(
+    base: Topology, broken_links: Tuple[Link, ...], broken_routers: Tuple[Position, ...]
+) -> IrregularMesh:
+    """The degraded view of one validated kill, built once.
+
+    A chooser's last ``survives`` and the ``kill_*`` that follows ask for the
+    same candidate, and a topology is an immutable value: the build (graph
+    filter plus connectivity search) of the first serves the second.  A
+    candidate that disconnects raises and is not kept.
+    """
+    return IrregularMesh(base, broken_links, broken_routers)
 
 
 @dataclass(frozen=True)
@@ -198,7 +213,7 @@ class FaultInjector:
         broken_links |= {_undirected(link) for link in links}
         broken_routers |= set(routers)
         try:
-            return IrregularMesh(
+            return _degraded(
                 base, tuple(sorted(broken_links)), tuple(sorted(broken_routers))
             )
         except ValueError as error:

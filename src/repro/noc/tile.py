@@ -79,9 +79,6 @@ class TileGrid:
         pattern: Optional[Iterable[TileType]] = None,
         overrides: Optional[Dict[Position, TileType]] = None,
     ) -> None:
-        self.topology = topology
-        #: Backwards-compatible alias; the attribute predates non-mesh fabrics.
-        self.mesh = topology
         pattern_list = list(pattern) if pattern is not None else list(DEFAULT_TILE_PATTERN)
         if not pattern_list:
             raise ValueError("tile pattern must not be empty")
@@ -90,8 +87,30 @@ class TileGrid:
         for index, position in enumerate(topology.positions()):
             tile_type = overrides.get(position, pattern_list[index % len(pattern_list)])
             self._tiles[position] = ProcessingTile(position, tile_type)
+        self.topology = topology
 
     # -- access ---------------------------------------------------------------------
+
+    @property
+    def topology(self) -> Topology:
+        """The topology whose positions carry tiles.
+
+        Assigning a degraded view of it (the CCN does after a fault) takes the
+        dead routers' tiles out of every listing below.
+        """
+        return self._topology
+
+    @topology.setter
+    def topology(self, topology: Topology) -> None:
+        self._topology = topology
+        # Row-major, derived once per topology: the mapper lists the free
+        # tiles for every process of every application it places.
+        self._row_major = [self._tiles[p] for p in topology.positions()]
+
+    @property
+    def mesh(self) -> Topology:
+        """Alias of :attr:`topology`; the attribute predates non-mesh fabrics."""
+        return self._topology
 
     def tile(self, position: Position) -> ProcessingTile:
         """The tile at *position*."""
@@ -103,13 +122,13 @@ class TileGrid:
     @property
     def tiles(self) -> List[ProcessingTile]:
         """All tiles in row-major order."""
-        return [self._tiles[p] for p in self.topology.positions()]
+        return list(self._row_major)
 
     def tiles_of_type(self, tile_type: TileType, free_only: bool = False) -> List[ProcessingTile]:
         """Tiles of a given type, optionally restricted to unoccupied ones."""
         return [
             tile
-            for tile in self.tiles
+            for tile in self._row_major
             if tile.tile_type == tile_type and (not free_only or not tile.occupied)
         ]
 
@@ -117,30 +136,30 @@ class TileGrid:
         """Unoccupied tiles that can execute *process*."""
         return [
             tile
-            for tile in self.tiles
-            if not tile.occupied and process.can_run_on(tile.tile_type)
+            for tile in self._row_major
+            if tile.process is None and process.can_run_on(tile.tile_type)
         ]
 
     def position_of(self, process_name: str) -> Position:
         """Mesh position of the tile running *process_name*."""
-        for tile in self.tiles:
+        for tile in self._row_major:
             if tile.process == process_name:
                 return tile.position
         raise MappingError(f"process {process_name!r} is not mapped onto any tile")
 
     def release_all(self) -> None:
         """Unmap every process (used between applications and in tests)."""
-        for tile in self.tiles:
+        for tile in self._row_major:
             tile.release()
 
     def occupancy(self) -> float:
         """Fraction of tiles currently running a process."""
-        occupied = sum(1 for tile in self.tiles if tile.occupied)
+        occupied = sum(1 for tile in self._row_major if tile.occupied)
         return occupied / len(self._tiles)
 
     def type_histogram(self) -> Dict[TileType, int]:
         """Number of tiles per tile type (useful for reports and tests)."""
         histogram: Dict[TileType, int] = {}
-        for tile in self.tiles:
+        for tile in self._row_major:
             histogram[tile.tile_type] = histogram.get(tile.tile_type, 0) + 1
         return histogram

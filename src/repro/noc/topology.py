@@ -19,9 +19,9 @@ Topologies are immutable, so the base class derives their graph **once per
 instance**: :attr:`GridTopology.adjacency` walks ``neighbor()`` a single time
 and every later question reads its dictionaries — ``neighbors`` /
 ``port_towards`` / ``directed_links`` / ``to_networkx`` here, the hop
-distances and connectivity check of :class:`IrregularMesh` (through
-``distance``, the CCN mapper's cost), the tables of
-:class:`~repro.noc.routing.RoutingTable` and the route search of
+distances and connectivity check of :class:`IrregularMesh`, the hop tables
+:class:`~repro.noc.mapping.SpatialMapper` prices placements with, the tables
+of :class:`~repro.noc.routing.RoutingTable` and the route search of
 :class:`~repro.noc.admission.AdmissionController`.
 """
 

@@ -113,6 +113,38 @@ class FabricScenario:
 
 
 @st.composite
+def topologies(draw, irregular=None, min_side=1):
+    """A mesh, a torus, or either with random links and routers broken.
+
+    Breaks are tried one at a time in a drawn order and kept only while the
+    topology stays connected, so every drawn value constructs.
+    """
+    if draw(st.booleans()):
+        base = Mesh2D(draw(st.integers(min_side, 5)), draw(st.integers(min_side, 5)))
+    else:
+        base = Torus2D(draw(st.integers(max(3, min_side), 5)), draw(st.integers(max(3, min_side), 5)))
+    if irregular is None:
+        irregular = draw(st.booleans())
+    if not irregular:
+        return base
+    links = sorted({(a, b) if a <= b else (b, a) for a, b in base.directed_links()})
+    candidates = draw(st.permutations([("link", l) for l in links] + [("router", p) for p in base.positions()]))
+    wanted = draw(st.integers(0, min(6, len(candidates))))
+    broken_links, broken_routers = [], []
+    for what, victim in candidates:
+        if len(broken_links) + len(broken_routers) == wanted:
+            break
+        trial_links = broken_links + [victim] if what == "link" else broken_links
+        trial_routers = broken_routers + [victim] if what == "router" else broken_routers
+        try:
+            IrregularMesh(base, trial_links, trial_routers)
+        except ValueError:
+            continue
+        broken_links, broken_routers = trial_links, trial_routers
+    return IrregularMesh(base, broken_links, broken_routers)
+
+
+@st.composite
 def fabric_scenarios(draw, max_cycles: int = 220):
     """Mesh, torus or either with a link already broken; 1-8 channels; one fault."""
     if draw(st.booleans()):

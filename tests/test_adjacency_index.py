@@ -24,6 +24,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import topologies
 from repro.common import NEIGHBOR_PORTS, AllocationError, Port
 from repro.experiments.storm import run_storm
 from repro.noc import IrregularMesh, LaneAllocator, Mesh2D, RoutingTable, Torus2D
@@ -31,40 +32,8 @@ from repro.noc.topology import GridTopology
 
 
 # ---------------------------------------------------------------------------
-# Drawn topologies
+# The definitions (``conftest.topologies`` draws the topologies)
 # ---------------------------------------------------------------------------
-
-
-@st.composite
-def topologies(draw, irregular=None):
-    """A mesh, a torus, or either with random links and routers broken.
-
-    Breaks are tried one at a time in a drawn order and kept only while the
-    topology stays connected, so every drawn value constructs.
-    """
-    if draw(st.booleans()):
-        base = Mesh2D(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-    else:
-        base = Torus2D(draw(st.integers(3, 5)), draw(st.integers(3, 5)))
-    if irregular is None:
-        irregular = draw(st.booleans())
-    if not irregular:
-        return base
-    links = sorted({(a, b) if a <= b else (b, a) for a, b in base.directed_links()})
-    candidates = draw(st.permutations([("link", l) for l in links] + [("router", p) for p in base.positions()]))
-    wanted = draw(st.integers(0, min(6, len(candidates))))
-    broken_links, broken_routers = [], []
-    for what, victim in candidates:
-        if len(broken_links) + len(broken_routers) == wanted:
-            break
-        trial_links = broken_links + [victim] if what == "link" else broken_links
-        trial_routers = broken_routers + [victim] if what == "router" else broken_routers
-        try:
-            IrregularMesh(base, trial_links, trial_routers)
-        except ValueError:
-            continue
-        broken_links, broken_routers = trial_links, trial_routers
-    return IrregularMesh(base, broken_links, broken_routers)
 
 
 def neighbors_by_definition(topology, position):

@@ -17,6 +17,7 @@ from repro.noc import (
     FabricSelector,
     FaultInjector,
     FaultSpec,
+    IrregularMesh,
     LaneAllocator,
     Mesh2D,
     SlotTableAllocator,
@@ -26,6 +27,7 @@ from repro.noc import (
     random_link_chooser,
     random_router_chooser,
 )
+from repro.noc import faults
 
 KINDS = ("circuit", "packet", "gt")
 
@@ -224,6 +226,31 @@ class TestInjectorRecovery:
         assert network.fault_drops() == sum(
             report.wire_drops for report in injector.reports
         )
+
+    @pytest.mark.parametrize(
+        "chooser", [random_link_chooser, loaded_link_chooser, random_router_chooser]
+    )
+    def test_a_chosen_fault_builds_one_degraded_topology(self, chooser, monkeypatch):
+        """The chooser's ``survives`` validates the candidate the kill executes:
+        the second build of the same value is the first one's."""
+        network, ccn, _graph = make_system("circuit")
+        built = []
+        validate = IrregularMesh.__post_init__
+
+        def counted(topology):
+            built.append(topology)
+            validate(topology)
+
+        monkeypatch.setattr(IrregularMesh, "__post_init__", counted)
+        faults._degraded.cache_clear()
+        injector = FaultInjector(network, ccn=ccn)
+        kind = "router" if chooser is random_router_chooser else "link"
+        for expected in (1, 2):  # seed 4's victims keep the 5x5 mesh connected at the first try
+            injector.inject(FaultSpec(kind, chooser=chooser(4)))
+            assert len(built) == expected
+            assert ccn.topology is built[-1] and ccn.grid.topology is built[-1]
+        executed = built[-1]
+        assert network.degraded_topology().directed_links() == executed.directed_links()
 
     def test_choosers_are_deterministic(self):
         for chooser_factory in (random_link_chooser, random_router_chooser):

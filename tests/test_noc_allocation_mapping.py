@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+from typing import Dict, List, Optional
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import topologies
 from repro.apps import hiperlan2, umts
 from repro.apps.kpn import Channel, Process, ProcessGraph, TileType
 from repro.common import AllocationError, MappingError, Port
 from repro.noc.be_network import BestEffortNetwork, BestEffortParameters
-from repro.noc.mapping import SpatialMapper
+from repro.noc.mapping import Mapping, SpatialMapper
 from repro.noc.path_allocation import LaneAllocator
 from repro.noc.tile import TileGrid
-from repro.noc.topology import Mesh2D
+from repro.noc.topology import Adjacency, IrregularMesh, Mesh2D, Position
 
 
 class TestLaneAllocatorCapacity:
@@ -192,6 +195,229 @@ class TestSpatialMapper:
         assert mapping.position_of("fft") in grid.mesh.positions()
         with pytest.raises(MappingError):
             mapping.position_of("missing")
+
+
+class _ReferenceMapper:
+    """``SpatialMapper`` as it was while ``_cost`` re-priced the whole
+    application for every tile and swap it tried: ``_cost``,
+    ``_placement_order``, ``_greedy``, ``_improve`` and ``map`` verbatim.  The per-channel pricing must place and
+    price exactly like this."""
+
+    def __init__(self, grid: TileGrid) -> None:
+        self.grid = grid
+        self.mesh = grid.topology
+
+    def _cost(self, graph: ProcessGraph, placement: Dict[str, Position]) -> float:
+        total = 0.0
+        for channel in graph.channels:
+            src = placement.get(channel.src)
+            dst = placement.get(channel.dst)
+            if src is None or dst is None:
+                continue
+            total += channel.bandwidth_mbps * self.mesh.distance(src, dst)
+        return total
+
+    def _placement_order(self, graph: ProcessGraph) -> List[Process]:
+        def attached_bandwidth(process: Process) -> float:
+            return sum(c.bandwidth_mbps for c in graph.channels_of(process.name))
+
+        return sorted(graph.processes, key=attached_bandwidth, reverse=True)
+
+    _centroid = SpatialMapper._centroid  # unchanged: reads ``self.mesh`` only
+
+    def _greedy(self, graph: ProcessGraph) -> Dict[str, Position]:
+        placement: Dict[str, Position] = {}
+        used: set = set()
+        cx, cy = self._centroid()
+        for process in self._placement_order(graph):
+            candidates = [
+                t for t in self.grid.free_tiles_for(process) if t.position not in used
+            ]
+            if not candidates:
+                raise MappingError(
+                    f"no free tile of a suitable type for process {process.name!r} "
+                    f"(needs one of {sorted(t.value for t in process.tile_types)})"
+                )
+            best_position: Optional[Position] = None
+            best_cost = float("inf")
+            for tile in candidates:
+                trial = dict(placement)
+                trial[process.name] = tile.position
+                cost = self._cost(graph, trial)
+                # Prefer central tiles for the first (highest-bandwidth) process.
+                if not placement:
+                    cost = abs(tile.position[0] - cx) + abs(tile.position[1] - cy)
+                if cost < best_cost:
+                    best_cost = cost
+                    best_position = tile.position
+            assert best_position is not None
+            placement[process.name] = best_position
+            used.add(best_position)
+        return placement
+
+    def _improve(self, graph: ProcessGraph, placement: Dict[str, Position], max_rounds: int = 10) -> Dict[str, Position]:
+        names = list(placement)
+        best_cost = self._cost(graph, placement)
+        for _ in range(max_rounds):
+            improved = False
+            for i in range(len(names)):
+                for j in range(i + 1, len(names)):
+                    a, b = names[i], names[j]
+                    pa, pb = placement[a], placement[b]
+                    # Only swap when both processes tolerate the other's tile type.
+                    if not graph.process(a).can_run_on(self.grid.tile(pb).tile_type):
+                        continue
+                    if not graph.process(b).can_run_on(self.grid.tile(pa).tile_type):
+                        continue
+                    placement[a], placement[b] = pb, pa
+                    cost = self._cost(graph, placement)
+                    if cost < best_cost:
+                        best_cost = cost
+                        improved = True
+                    else:
+                        placement[a], placement[b] = pa, pb
+            if not improved:
+                break
+        return placement
+
+    def map(self, graph: ProcessGraph, improve: bool = True) -> Mapping:
+        graph.validate()
+        if len(graph.processes) > self.mesh.size:
+            raise MappingError(
+                f"application {graph.name!r} has {len(graph.processes)} processes but the "
+                f"mesh only offers {self.mesh.size} tiles"
+            )
+        placement = self._greedy(graph)
+        if improve:
+            placement = self._improve(graph, placement)
+        mapping = Mapping(graph.name, placement, self._cost(graph, placement))
+        for process_name, position in placement.items():
+            self.grid.tile(position).assign(graph.process(process_name))
+        return mapping
+
+
+#: Channel bandwidths of the paper's applications and a few more values no
+#: binary fraction spells: their products and sums round, so the order of the
+#: additions shows in the cost, and repeats make the ties ``<`` has to break.
+_BANDWIDTHS = st.sampled_from(
+    [3.84, 61.44, 7.68, 15.36, 122.88, 0.1, 1 / 3, 2.5, 640.0, 0.0]
+) | st.floats(min_value=0.001, max_value=2000.0, allow_nan=False)
+
+_TILE_TYPES = st.just(TileType.any()) | st.frozensets(st.sampled_from(list(TileType)), min_size=2)
+
+
+@st.composite
+def process_graphs(draw, name: str = "drawn", most: int = 12) -> ProcessGraph:
+    """3 to *most* processes, each tied to an earlier one (once in a while one
+    is not, so ``validate`` refuses the graph), plus a few more channels."""
+    graph = ProcessGraph(name)
+    count = draw(st.integers(3, max(3, most)))
+    for index in range(count):
+        graph.add_process(Process(f"p{index}", draw(_TILE_TYPES)))
+    untied = draw(st.integers(-12, count - 1))
+    pairs = [
+        (draw(st.integers(0, index - 1)), index) for index in range(1, count) if index != untied
+    ]
+    others = st.tuples(st.integers(0, count - 1), st.integers(0, count - 1))
+    pairs += draw(st.lists(others.filter(lambda pair: pair[0] != pair[1]), max_size=8))
+    for index, (a, b) in enumerate(pairs):
+        if draw(st.booleans()):
+            a, b = b, a
+        graph.add_channel(Channel(f"c{index}", f"p{a}", f"p{b}", draw(_BANDWIDTHS)))
+    return graph
+
+
+class TestPerChannelPricingEqualsWholeCost:
+    """``map()`` against the reference: same placement (order included), the
+    very same cost float, the same refusals."""
+
+    @staticmethod
+    def _outcome(mapper, graph, improve):
+        try:
+            mapping = mapper.map(graph, improve=improve)
+        except MappingError as error:
+            return ("refused", str(error))
+        return (list(mapping.placement.items()), mapping.cost_bandwidth_hops)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), topology=topologies(min_side=3), improve=st.booleans())
+    def test_same_placements_costs_and_refusals(self, data, topology, improve):
+        positions = list(topology.positions())
+        pattern = data.draw(st.none() | st.lists(st.sampled_from(list(TileType)), min_size=2, max_size=5))
+        taken = data.draw(st.sets(st.sampled_from(positions), max_size=len(positions) // 3))
+        free = len(positions) - len(taken)
+        graphs = [
+            data.draw(process_graphs(f"app{index}", most=min(12, free)))
+            for index in range(data.draw(st.integers(1, 2)))
+        ]
+        # A fault hands the mapper a degraded view of the topology its grid
+        # was built on: tile types stay with their positions.
+        built_on = topology
+        if isinstance(topology, IrregularMesh) and data.draw(st.booleans()):
+            built_on = topology.base
+        outcomes = []
+        for mapper_cls in (SpatialMapper, _ReferenceMapper):
+            grid = TileGrid(built_on, pattern=pattern)
+            mapper = mapper_cls(grid)
+            if built_on is not topology:
+                grid.topology = topology
+                if mapper_cls is _ReferenceMapper:
+                    mapper.mesh = topology  # it kept its own copy of the view
+            for position in taken:
+                grid.tile(position).process = "resident"
+            # The second application maps onto what the first one left.
+            results = [self._outcome(mapper, graph, improve) for graph in graphs]
+            occupancy = {position: grid.tile(position).process for position in positions}
+            outcomes.append((results, occupancy))
+        assert outcomes[0] == outcomes[1]
+
+    def test_paper_applications_cost_to_the_last_bit(self):
+        for topology in (Mesh2D(4, 4), Mesh2D(8, 8), IrregularMesh(Mesh2D(5, 5), [((2, 2), (3, 2))], [(1, 1)])):
+            for build in (hiperlan2.build_process_graph, umts.build_process_graph):
+                new = SpatialMapper(TileGrid(topology)).map(build())
+                old = _ReferenceMapper(TileGrid(topology)).map(build())
+                assert list(new.placement.items()) == list(old.placement.items())
+                assert new.cost_bandwidth_hops == old.cost_bandwidth_hops
+
+    def test_a_degraded_topology_is_searched_from_placed_tiles_only(self, monkeypatch):
+        """One breadth-first table per placed process, none per tile tried."""
+        searched = []
+        search = Adjacency.search
+
+        def counted(self, source):
+            searched.append(source)
+            return search(self, source)
+
+        topology = IrregularMesh(Mesh2D(6, 6), [((2, 2), (3, 2)), ((0, 0), (0, 1))], [(4, 4)])
+        graph = hiperlan2.build_process_graph()
+        grid = TileGrid(topology)
+        monkeypatch.setattr(Adjacency, "search", counted)
+        mapping = SpatialMapper(grid).map(graph)
+        assert set(searched) <= set(mapping.placement.values())
+        assert len(set(searched)) <= len(graph.processes)
+        assert len(searched) <= len(graph.channels) + len(graph.processes)
+
+
+class TestTileGridFollowsItsTopology:
+    def test_listings_drop_a_dead_routers_tile(self):
+        mesh = Mesh2D(3, 3)
+        grid = TileGrid(mesh)
+        assert [tile.position for tile in grid.tiles] == list(mesh.positions())
+        degraded = IrregularMesh(mesh, broken_routers=[(1, 1)])
+        grid.topology = degraded
+        assert grid.mesh is degraded
+        assert [tile.position for tile in grid.tiles] == list(degraded.positions())
+        process = Process("p")
+        assert (1, 1) not in [tile.position for tile in grid.free_tiles_for(process)]
+        assert sum(grid.type_histogram().values()) == 8
+        # The tile keeps its type for when a view lists it again.
+        grid.topology = mesh
+        assert len(grid.tiles) == 9
+
+    def test_tiles_is_a_copy(self):
+        grid = TileGrid(Mesh2D(2, 2))
+        grid.tiles.clear()
+        assert len(grid.tiles) == 4
 
 
 class TestBestEffortNetwork:

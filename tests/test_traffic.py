@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.traffic import (
+    _BLOCK_WORDS,
     SCENARIOS,
     TABLE3_STREAMS,
     BitFlipPattern,
@@ -64,6 +68,39 @@ class TestBitFlipPatterns:
         generator = word_generator(pattern, width=16, seed=1)
         for _ in range(min(count, 50)):
             assert 0 <= generator() <= 0xFFFF
+
+
+class TestTypicalWordsBlockDraw:
+    """The block-drawing source spells the one-word-per-draw sequence."""
+
+    @staticmethod
+    def _scalar_words(width, seed, count):
+        rng = np.random.default_rng(seed)
+        return [int(rng.integers(0, 1 << width)) for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_block_sequence_is_the_scalar_sequence(self, seed):
+        count = 2 * _BLOCK_WORDS + 5  # two refills and a part block
+        for width in range(1, 41):
+            generator = word_generator(BitFlipPattern.TYPICAL, width=width, seed=seed)
+            words = [generator() for _ in range(count)]
+            assert words == self._scalar_words(width, seed, count), width
+            assert all(type(word) is int for word in words)
+
+    @pytest.mark.parametrize("taken", [1, 100, _BLOCK_WORDS - 1, _BLOCK_WORDS, _BLOCK_WORDS + 3])
+    def test_pickle_taken_mid_block_continues_the_sequence(self, taken):
+        for width in (4, 16, 33, 40):
+            generator = word_generator(BitFlipPattern.TYPICAL, width=width, seed=11)
+            head = [generator() for _ in range(taken)]
+            clone = pickle.loads(pickle.dumps(generator))
+            tail = [clone() for _ in range(2 * _BLOCK_WORDS)]
+            assert head + tail == self._scalar_words(width, 11, taken + 2 * _BLOCK_WORDS)
+            # The original is untouched by the copy and carries on as well.
+            assert [generator() for _ in range(2 * _BLOCK_WORDS)] == tail
+
+    def test_source_stays_a_slotted_object(self):
+        generator = word_generator(BitFlipPattern.TYPICAL, seed=0)
+        assert not hasattr(generator, "__dict__")
 
 
 class TestTable3AndScenarios:
