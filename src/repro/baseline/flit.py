@@ -73,10 +73,21 @@ class Flit:
         return FLIT_PAYLOAD_BITS + FLIT_CONTROL_BITS
 
     def with_vc(self, vc: int) -> "Flit":
-        """This flit as it travels on virtual channel *vc* (itself when unchanged)."""
+        """This flit on virtual channel *vc*: itself, or a copy with only *vc* checked."""
         if vc == self.vc:
             return self
-        return Flit(self.flit_type, self.payload, self.dest, self.src, vc, self.packet_id, self.sequence)
+        if vc < 0:
+            raise ValueError("virtual channel id must be non-negative")
+        clone = object.__new__(Flit)
+        write = object.__setattr__  # a frozen dataclass is written past its own __setattr__
+        write(clone, "flit_type", self.flit_type)
+        write(clone, "payload", self.payload)
+        write(clone, "dest", self.dest)
+        write(clone, "src", self.src)
+        write(clone, "vc", vc)
+        write(clone, "packet_id", self.packet_id)
+        write(clone, "sequence", self.sequence)
+        return clone
 
 
 @dataclass

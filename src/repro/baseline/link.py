@@ -11,6 +11,15 @@ quiescence-aware kernel can sleep the routers at either end: a flit placed on
 the wire wakes the receiver, a credit returned wakes the sender.  Driving the
 idle value (``None``) onto an already idle wire — every cycle of an idle
 fabric — costs a single comparison.
+
+Both directions remember one clock edge, which lets a router's visit be one
+pass (``commit`` alone; its ``evaluate`` samples nothing).  A ``drive`` or
+``return_credit`` in cycle *c* keeps what the wires held (``before`` /
+``credits_before``) and notes the cycle (``changed_at`` / ``credited_at``); a
+reader committing in cycle *c* takes the remembered value while the change
+is that fresh and the live one otherwise — what an evaluate-phase sample
+would have seen, whichever end commits first.  A write between cycles (a
+fault, a boundary frame, a drive without a cycle) is fresh in no cycle.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ class PacketLink:
         "num_vcs",
         "forward",
         "credits",
+        "before", "changed_at", "credits_before", "credited_at",  # what the wires remember
         "flit_dirty",
         "credit_dirty",
         "dead",
@@ -50,9 +60,13 @@ class PacketLink:
         self.num_vcs = num_vcs
         #: Committed flit currently on the wire (``None`` = idle).
         self.forward = forward
+        #: The flit :meth:`drive` replaced, and the cycle it did.
+        self.before, self.changed_at = None, -1
         #: Pending credit returns per virtual channel (written by the
         #: receiver, consumed by the sender).
         self.credits: List[int] = credits if credits else [0] * num_vcs
+        #: ``credits`` before the first return of cycle ``credited_at``.
+        self.credits_before, self.credited_at = self.credits, -1
         #: Dirty-bit of the flit wire; its listener is the receiver's ``wake``.
         self.flit_dirty = DirtyBit()
         #: Dirty-bit of the credit wires; its listener is the sender's ``wake``.
@@ -75,8 +89,9 @@ class PacketLink:
 
     # -- forward flit -------------------------------------------------------------
 
-    def drive(self, flit: Optional[Flit]) -> None:
-        """Place *flit* on the wire for the next cycle (``None`` = idle).
+    def drive(self, flit: Optional[Flit], cycle: int = -1) -> None:
+        """Place *flit* (``None`` = idle) on the wire at the clock edge of
+        *cycle*; without one, between two cycles.
 
         Only a new flit wakes the receiver: the receiver cannot have been
         asleep while a flit was on the wire (ingesting it keeps it busy for
@@ -84,9 +99,9 @@ class PacketLink:
         wake-up.
         """
         if flit is None:
-            self.forward = None
-            return
-        if self.dead:
+            if self.forward is None:
+                return
+        elif self.dead:
             # A broken channel swallows the flit.  The credit it would have
             # consumed downstream is synthesised back immediately, so the
             # sending router drains its buffered worm into the void and can
@@ -95,8 +110,12 @@ class PacketLink:
             self.credits[flit.vc] += 1
             self.credit_dirty.mark()
             return
+        if self.changed_at != cycle:
+            self.before = self.forward
+            self.changed_at = cycle
         self.forward = flit
-        self.flit_dirty.mark()
+        if flit is not None:
+            self.flit_dirty.mark()
 
     def read(self) -> Optional[Flit]:
         """Sample the flit currently on the wire."""
@@ -104,12 +123,15 @@ class PacketLink:
 
     # -- credit return ---------------------------------------------------------------
 
-    def return_credit(self, vc: int, amount: int = 1) -> None:
-        """Called by the receiver when it frees *amount* buffer slots of *vc*."""
+    def return_credit(self, vc: int, amount: int = 1, cycle: int = -1) -> None:
+        """Called by the receiver when it frees *amount* buffer slots of *vc* (in *cycle*)."""
         self._check_vc(vc)
         if amount < 0:
             raise ValueError("credit amount must be non-negative")
         if amount:
+            if self.credited_at != cycle:
+                self.credits_before = self.credits[:]
+                self.credited_at = cycle
             self.credits[vc] += amount
             self.credit_dirty.mark()
 
@@ -121,10 +143,11 @@ class PacketLink:
         return amount
 
     def reset(self) -> None:
-        """Return the link to the idle state."""
-        self.forward = None
+        """Return the link to the idle state and forget its last changes."""
+        self.forward = self.before = None
         for vc in range(self.num_vcs):
             self.credits[vc] = 0
+        self.changed_at = self.credited_at = -1
 
     def fail(self) -> int:
         """Kill the channel: the wire falls idle, future flits are swallowed.

@@ -201,10 +201,8 @@ class PacketSwitchedRouter(ClockedComponent):
         self._rx_attached: Tuple[Tuple[Port, PacketLink], ...] = ()
         self._tx_attached: Tuple[Tuple[Port, PacketLink], ...] = ()
         self._output_prev_payload: List[int] = [0] * num_ports
-        # Values sampled during evaluate, consumed during commit: the flit on
-        # each incoming wire and the ``(port, vc, amount)`` credits collected.
-        self._sampled_flits: List[Optional[Flit]] = [None] * num_ports
-        self._sampled_credits: List[Tuple[Port, int, int]] = []
+        #: Bit mask of the output ports whose wire the last commit drove a flit onto.
+        self._driven = 0
         # Per-cycle scratch: the request mask filed under each output port.
         self._port_requests: List[int] = [0] * num_ports
 
@@ -249,34 +247,29 @@ class PacketSwitchedRouter(ClockedComponent):
     # -- simulation -----------------------------------------------------------------------
 
     supports_quiescence = True
+    settles_at_sync = True  # the cycle count is all it books per cycle
 
     def evaluate(self, cycle: int) -> None:
-        sampled_flits = self._sampled_flits
-        for port, rx in self._rx_attached:
-            sampled_flits[port] = rx.forward
-        for port, tx in self._tx_attached:
-            credits = tx.credits
-            if any(credits):
-                for vc, amount in enumerate(credits):
-                    if amount:
-                        self._sampled_credits.append((port, vc, tx.take_credits(vc)))
+        """Nothing: the links remember what :meth:`commit` must see."""
 
     def commit(self, cycle: int) -> None:
-        activity = self.activity
         allocators = self._port_allocators
         input_buffers = self._input_buffers
         port_buffers = self._port_buffers
 
-        # 1. Credits returned by downstream routers.
-        if self._sampled_credits:
-            for port, vc, amount in self._sampled_credits:
-                allocators[port].add_credits(vc, amount)
-            self._sampled_credits.clear()
+        # 1. Credits returned by downstream routers before this cycle (see PacketLink).
+        for port, tx in self._tx_attached:
+            credits = tx.credits
+            if any(credits):
+                returned = tx.credits_before if tx.credited_at == cycle else credits
+                for vc, amount in enumerate(returned):
+                    if amount:
+                        allocators[port]._credits[vc] += amount
+                        credits[vc] -= amount
 
-        # 2. Accept incoming flits into the input VC buffers.
-        sampled_flits = self._sampled_flits
-        for port, _rx in self._rx_attached:
-            flit = sampled_flits[port]
+        # 2. Accept the flits the incoming wires held when this cycle began.
+        for port, rx in self._rx_attached:
+            flit = rx.before if rx.changed_at == cycle else rx.forward
             if flit is not None:
                 port_buffers[port][flit.vc].push(flit)
 
@@ -296,6 +289,7 @@ class PacketSwitchedRouter(ClockedComponent):
         tx_by_port = self._tx_by_port
         requests = self._port_requests
         vc_allocations = 0
+        events = ()  # the (counter, amount) pairs of this commit, booked in one call below
         pending = self._occupied[0]
         while pending:
             bit = pending & -pending
@@ -320,10 +314,9 @@ class PacketSwitchedRouter(ClockedComponent):
                 continue
             requests[out_port] |= bit
         if vc_allocations:
-            activity.add(ActivityKeys.VC_ALLOCATIONS, vc_allocations)
+            events = ((ActivityKeys.VC_ALLOCATIONS, vc_allocations),)
 
-        # 5. Switch allocation and flit traversal: one winner per requested
-        # output port; the counters are added once per key below.
+        # 5. Switch allocation and flit traversal: one winner per requested port.
         routed = grant_changes = packets = reg_toggles = link_toggles = 0
         driven = 0
         for out_port, mask in enumerate(requests):
@@ -348,43 +341,42 @@ class PacketSwitchedRouter(ClockedComponent):
             self._output_prev_payload[out_port] = out_flit.payload
 
             if out_port:
-                allocators[out_port].consume_credit(state.out_vc)
-                tx_by_port[out_port].drive(out_flit)
+                allocators[out_port]._credits[state.out_vc] -= 1  # step 4 saw it positive
+                tx_by_port[out_port].drive(out_flit, cycle)
                 driven |= 1 << out_port
                 link_toggles += toggles
             else:
                 self.tile._deliver(out_flit)
-                activity.add(ActivityKeys.WORDS_DELIVERED, 0 if out_flit.flit_type.is_head else 1)
+                # A head flit creates the counter and adds nothing to it.
+                events += ((ActivityKeys.WORDS_DELIVERED, 0 if out_flit.flit_type.is_head else 1),)
 
             # Return a credit to the upstream router for the freed buffer slot.
             in_port, in_vc = input_index[winner_index]
             if in_port:
                 rx = self._rx_by_port[in_port]
                 if rx is not None:
-                    rx.return_credit(in_vc, 1)
+                    rx.return_credit(in_vc, 1, cycle)
 
             if out_flit.flit_type.is_tail:
                 allocators[out_port].release(state.out_vc)
                 state.release()
                 packets += 1
         if routed:
-            activity.add(ActivityKeys.ARBITER_DECISIONS, routed)
-            activity.add(ActivityKeys.FLITS_ROUTED, routed)
+            events += ((ActivityKeys.ARBITER_DECISIONS, routed), (ActivityKeys.FLITS_ROUTED, routed))
             if grant_changes:
-                activity.add(ActivityKeys.ARBITER_GRANT_CHANGES, grant_changes)
-            if reg_toggles:
-                activity.add(ActivityKeys.REG_TOGGLE_BITS, reg_toggles)
-            if link_toggles:
-                activity.add(ActivityKeys.LINK_TOGGLE_BITS, link_toggles)
+                events += ((ActivityKeys.ARBITER_GRANT_CHANGES, grant_changes),)
             if packets:
-                activity.add(ActivityKeys.PACKETS_ROUTED, packets)
+                events += ((ActivityKeys.PACKETS_ROUTED, packets),)
+        if events:
+            self.activity.add_commit(reg_toggles, link_toggles, events)
 
         # 6. Outgoing wires not driven this cycle fall idle.
-        for port, tx in self._tx_attached:
-            if tx.forward is not None and not driven >> port & 1:
-                tx.drive(None)
-
-        activity.cycles = cycle + 1
+        stale = self._driven & ~driven
+        if stale:
+            for port, tx in self._tx_attached:
+                if stale >> port & 1:
+                    tx.drive(None, cycle)
+        self._driven = driven
 
     def quiescent(self) -> bool:
         """True when another cycle with unchanged inputs would change nothing.
@@ -421,8 +413,9 @@ class PacketSwitchedRouter(ClockedComponent):
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """``None`` (park until a dirty-bit wake) when provably blocked.
 
-        Beyond full quiescence — checked first by the scheduler — the router
-        can park while *stalled*: all wires idle, nothing to inject, and
+        This is the one question the event schedule asks, so the answer
+        covers every :meth:`quiescent` state; beyond those the router can
+        park while *stalled*: all wires idle, nothing to inject, and
         every occupied input VC's head-of-line flit immovable (tile-bound
         flits always move; a head awaiting VC allocation is stuck only with
         no free output VC; an allocated flit is stuck only with a missing
@@ -463,12 +456,8 @@ class PacketSwitchedRouter(ClockedComponent):
         return None
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        """Apply *cycles* of idle accounting (the baseline router only counts cycles).
-
-        An idle packet-switched router records no per-cycle register
-        activity — its energy model is event-based (buffer accesses,
-        arbitration, traversals) — so only the cycle counter advances.
-        """
+        """Count *cycles* cycles, busy or idle: the energy model is event-based
+        (buffer accesses, arbitration, traversals), so a cycle books nothing else."""
         self.activity.cycles = start_cycle + cycles
 
     def reset(self) -> None:
@@ -482,11 +471,13 @@ class PacketSwitchedRouter(ClockedComponent):
             arbiter.reset()
         self.tile.reset()
         self.activity.reset()
-        self._sampled_credits.clear()
+        self._driven = 0
         for port in range(self.NUM_PORTS):
             self._output_prev_payload[port] = 0
-            self._sampled_flits[port] = None
             self._port_requests[port] = 0
+        # Return the wires this router drives to idle: flits forward, credits back.
+        for _port, tx in self._tx_attached:
+            tx.reset()
 
     # -- reporting -----------------------------------------------------------------------
 

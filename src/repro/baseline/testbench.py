@@ -78,7 +78,7 @@ class PacketStreamDriver(ClockedComponent):
         # Returned credits must wake a parked driver (the router only watches
         # the flit side of its receive links, so the credit side is free).
         link.credit_dirty.add_listener(self.wake)
-        self._credits = downstream_buffer_depth
+        self._buffer_depth = self._credits = downstream_buffer_depth
         self._flit_queue: Deque[Flit] = deque()
         self._pending_words: List[int] = []
         self.words_offered = 0
@@ -107,9 +107,9 @@ class PacketStreamDriver(ClockedComponent):
             flit = self._flit_queue.popleft()
             self._credits -= 1
             self.flits_sent += 1
-            self.link.drive(flit)
+            self.link.drive(flit, cycle)
         else:
-            self.link.drive(None)
+            self.link.drive(None, cycle)
 
     # -- timed protocol ------------------------------------------------------
 
@@ -129,6 +129,8 @@ class PacketStreamDriver(ClockedComponent):
 
     def reset(self) -> None:
         self._pacer.reset()
+        self.link.reset()  # flits forward and credits back: both start over
+        self._credits = self._buffer_depth
         self._flit_queue.clear()
         self._pending_words.clear()
         self.words_offered = 0
@@ -160,11 +162,12 @@ class PacketStreamConsumer(ClockedComponent):
         if not flit.flit_type.is_head:
             self.received_words.append(flit.payload)
         # An always-consuming downstream immediately frees the buffer slot.
-        self.link.return_credit(flit.vc, 1)
+        self.link.return_credit(flit.vc, 1, cycle)
 
     # -- timed protocol: a pure sink never generates events of its own -------
 
     supports_timed_wake = True
+    settles_at_sync = True  # nothing to book, idle or busy
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         if self.link.forward is not None or self._sampled is not None:
@@ -259,6 +262,7 @@ class TilePacketConsumer(ClockedComponent):
     # -- timed protocol: pure statistics façade, never an event source -------
 
     supports_timed_wake = True
+    settles_at_sync = True  # nothing to book, idle or busy
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         return None

@@ -422,17 +422,20 @@ class CircuitSwitchedRouter(ClockedComponent):
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """``None`` (park until a dirty-bit wake) when provably frozen.
 
-        Beyond full quiescence — which the scheduler checks first — the only
+        This is the one question the event schedule asks, so the answer
+        covers every :meth:`quiescent` state; beyond those the only
         parkable state is a *window stall*: every serialiser either drained
         or blocked on flow control with an idle output lane, deserialisers
         drained, crossbar settled at a fixed point.  Nothing then moves until
         an acknowledge or a new word arrives, both of which wake the router.
         Clock gating excludes the stall case: a stalled serialiser still
-        clocks its registers where :meth:`idle_tick` would gate them.
+        clocks its registers where :meth:`idle_tick` would gate them, so a
+        gated router parks exactly where it is :meth:`quiescent`.
         """
-        if self.clock_gating or self.crossbar.busy:
+        if self.crossbar.busy:
             return cycle
-        if not self.converter.quiescent_or_stalled():
+        converter = self.converter
+        if not (converter.quiescent() if self.clock_gating else converter.quiescent_or_stalled()):
             return cycle
         values = self._input_vals
         acks = self._ack_vals

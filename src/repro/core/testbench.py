@@ -354,6 +354,8 @@ class TileStreamConsumer(ClockedComponent):
     #: an earlier-committing router must replay the cycle.
     commit_wake_replays_cycle = True
 
+    settles_at_sync = True  # nothing to book, idle or busy
+
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         return cycle if self.router.tile.rx_available(self.lane) else None
 

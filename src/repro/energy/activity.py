@@ -11,7 +11,7 @@ turns the totals into static / internal / switching power.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Tuple
 
 __all__ = ["ActivityCounters", "ActivityKeys"]
 
@@ -60,6 +60,10 @@ class ActivityKeys:
     )
 
 
+_REG_TOGGLE_BITS = ActivityKeys.REG_TOGGLE_BITS
+_LINK_TOGGLE_BITS = ActivityKeys.LINK_TOGGLE_BITS
+
+
 @dataclass
 class ActivityCounters:
     """Accumulates event counts over a simulation run.
@@ -83,6 +87,31 @@ class ActivityCounters:
         if amount < 0:
             raise ValueError("activity amounts must be non-negative")
         self.counts[key] = self.counts.get(key, 0.0) + amount
+
+    def add_commit(
+        self, reg_toggles: float, link_toggles: float, events: Iterable[Tuple[str, float]] = ()
+    ) -> None:
+        """Book what one router commit summed up, in one call.
+
+        *reg_toggles* and *link_toggles* are the register and link bits the
+        commit toggled; a zero books nothing and creates no key, like the
+        ``if toggles:`` in front of the :meth:`add` it stands for.  Every
+        ``(key, amount)`` pair of *events* is one :meth:`add`: a zero amount
+        still creates its key.
+        """
+        if reg_toggles < 0 or link_toggles < 0:
+            raise ValueError("activity amounts must be non-negative")
+        counts = self.counts
+        for key, amount in events:
+            if amount < 0:
+                raise ValueError("activity amounts must be non-negative")
+            counts[key] = counts.get(key, 0.0) + amount
+        # Unrolled over module-level names: a loop over the two, or an
+        # attribute lookup each, costs a router visit more than the adds did.
+        if reg_toggles:
+            counts[_REG_TOGGLE_BITS] = counts.get(_REG_TOGGLE_BITS, 0.0) + reg_toggles
+        if link_toggles:
+            counts[_LINK_TOGGLE_BITS] = counts.get(_LINK_TOGGLE_BITS, 0.0) + link_toggles
 
     def get(self, key: str, default: float = 0.0) -> float:
         """Current value of counter *key*."""

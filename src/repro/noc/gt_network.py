@@ -79,9 +79,16 @@ class TdmaLink:
     ``forward`` holds the word committed by the upstream router's output
     register (``None`` = idle slot).  There is no reverse path: admission
     guarantees contention-freedom, so the receiver can never stall.
+
+    Like :mod:`repro.baseline.link` the wire remembers one clock edge: a
+    :meth:`drive` in cycle *c* keeps the word it replaced (``before``,
+    ``changed_at``) and a reader committing in *c* takes that, so the
+    router's ``evaluate`` has nothing to sample.  A write between cycles
+    (fault, boundary frame, reset, no *cycle* given) is fresh in no cycle.
     """
 
-    __slots__ = ("name", "data_width", "_mask", "forward", "forward_dirty", "dead", "dropped")
+    __slots__ = ("name", "data_width", "_mask", "forward", "before", "changed_at",
+                 "forward_dirty", "dead", "dropped")
 
     def __init__(self, name: str, data_width: int = 16) -> None:
         if data_width < 1:
@@ -90,6 +97,8 @@ class TdmaLink:
         self.data_width = data_width
         self._mask = bit_mask(data_width)
         self.forward: Optional[int] = None
+        #: The word :meth:`drive` replaced, and the cycle it did.
+        self.before, self.changed_at = None, -1
         #: Dirty-bit of the forward wire; its listener is the reading
         #: (downstream) router's ``wake``.
         self.forward_dirty = DirtyBit()
@@ -103,8 +112,8 @@ class TdmaLink:
         """Wake *listener* whenever a word is placed on the wire."""
         self.forward_dirty.listener = listener
 
-    def drive(self, word: Optional[int]) -> None:
-        """Set the wire for the next cycle (called by the upstream router).
+    def drive(self, word: Optional[int], cycle: int = -1) -> None:
+        """Set the wire at the clock edge of *cycle* (called by the upstream router).
 
         Only a word wakes the receiver: the receiver cannot have been asleep
         while a word was on the wire (latching it keeps it busy for at least
@@ -120,6 +129,9 @@ class TdmaLink:
             return
         if word is not None and not 0 <= word <= self._mask:
             raise ValueError(f"word {word:#x} does not fit in {self.data_width} bits")
+        if self.changed_at != cycle:
+            self.before = self.forward
+            self.changed_at = cycle
         self.forward = word
         if word is not None:
             self.forward_dirty.mark()
@@ -133,8 +145,9 @@ class TdmaLink:
         return self.forward is None
 
     def reset(self) -> None:
-        """Return the wire to the idle state."""
-        self.forward = None
+        """Return the wire to the idle state and forget its last change."""
+        self.forward = self.before = None
+        self.changed_at = -1
 
     def fail(self) -> int:
         """Kill the wire: it falls idle and future words are swallowed.
@@ -271,8 +284,6 @@ class SlotTableRouter(ClockedComponent):
         #: Previous payload per output register, for toggle counting
         #: (idle counts as the all-zero pattern).
         self._out_prev: List[int] = [0] * self.NUM_PORTS
-        #: Input words sampled during the evaluate phase.
-        self._sampled: List[Optional[int]] = [None] * self.NUM_PORTS
 
         self._rx_links: Dict[Port, Optional[TdmaLink]] = {p: None for p in NEIGHBOR_PORTS}
         self._tx_links: Dict[Port, Optional[TdmaLink]] = {p: None for p in NEIGHBOR_PORTS}
@@ -363,18 +374,15 @@ class SlotTableRouter(ClockedComponent):
     # -- simulation ---------------------------------------------------------------------
 
     supports_quiescence = True
+    settles_at_sync = True  # the slot counter and output registers never gate
 
     def evaluate(self, cycle: int) -> None:
-        # Sample the committed word on every incoming wire; tile-port input
-        # is pulled from the connection queues at the clock edge instead.
-        sampled = self._sampled
-        for port, rx in self._rx_attached:
-            sampled[port] = rx.forward
+        """Nothing: the incoming wires remember what :meth:`commit` must see."""
 
     def commit(self, cycle: int) -> None:
-        activity = self.activity
         out_prev = self._out_prev
         reg_toggles = link_toggles = 0
+        events = ()
         # This slot's programmed entries, then the ports no entry names whose
         # register still holds a word (they latch "idle"); the rest of the
         # router cannot change this cycle.
@@ -387,11 +395,13 @@ class SlotTableRouter(ClockedComponent):
             if in_port is None:
                 word = None
             elif in_port:
-                word = self._sampled[in_port]
+                # What the wire (if any) held when this cycle began (see TdmaLink).
+                rx = self._rx_by_port[in_port]
+                word = rx and (rx.before if rx.changed_at == cycle else rx.forward)
             else:
                 word = self.tile._pop_tx(connection)
                 if word is not None:
-                    activity.add(ActivityKeys.WORDS_INJECTED, 1)
+                    events += ((ActivityKeys.WORDS_INJECTED, 1),)
 
             payload = word if word is not None else 0
             previous = out_prev[out_port]
@@ -412,17 +422,13 @@ class SlotTableRouter(ClockedComponent):
                 # stays idle and swallows, and counts, every word).
                 tx = self._tx_by_port[out_port]
                 if tx is not None and word != tx.forward:
-                    tx.drive(word)
+                    tx.drive(word, cycle)
             elif word is not None:
                 self.tile._deliver(connection, word)
-                activity.add(ActivityKeys.WORDS_DELIVERED, 1)
+                events += ((ActivityKeys.WORDS_DELIVERED, 1),)
 
-        if reg_toggles:
-            activity.add(ActivityKeys.REG_TOGGLE_BITS, reg_toggles)
-            if link_toggles:
-                activity.add(ActivityKeys.LINK_TOGGLE_BITS, link_toggles)
-        activity.add(ActivityKeys.REG_CLOCKED_BITS, self._idle_clock_bits)
-        activity.cycles = cycle + 1
+        if reg_toggles or events:
+            self.activity.add_commit(reg_toggles, link_toggles, events)
 
     def quiescent(self) -> bool:
         """True when another cycle with unchanged inputs would be an idle tick.
@@ -435,9 +441,7 @@ class SlotTableRouter(ClockedComponent):
         transient: the next commit replaces it with ``None``, and sleeping
         before that would leave it on the wire for the downstream router.
         """
-        if self.tile._has_backlog():
-            return False
-        return self._datapath_idle()
+        return not self.tile._has_backlog() and self._datapath_idle()
 
     def _datapath_idle(self) -> bool:
         """True when wires and output registers hold no word anywhere."""
@@ -476,7 +480,7 @@ class SlotTableRouter(ClockedComponent):
         return None
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        """Apply *cycles* of the constant idle activity contribution."""
+        """Book *cycles* cycles, busy or idle, of the constant clocked bits."""
         self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self._idle_clock_bits * cycles)
         self.activity.cycles = start_cycle + cycles
 
@@ -487,12 +491,11 @@ class SlotTableRouter(ClockedComponent):
         for port in range(self.NUM_PORTS):
             self._out_reg[port] = None
             self._out_prev[port] = 0
-            self._sampled[port] = None
-        # Drive the attached wires back to idle (slot tables survive a reset,
+        # Return the attached wires to idle (slot tables survive a reset,
         # like the circuit-switched configuration memory).
         for tx in self._tx_by_port:
             if tx is not None:
-                tx.drive(None)
+                tx.reset()
 
     # -- reporting -----------------------------------------------------------------------
 
@@ -610,10 +613,10 @@ class GtLinkStreamDriver(ClockedComponent):
         # downstream router's slot (cycle + 1) % S.
         target_slot = (cycle + 1) % self.slots
         if target_slot in self.inject_slots and self._pacer.should_emit():
-            self.link.drive(self.word_source())
+            self.link.drive(self.word_source(), cycle)
             self.words_sent += 1
         else:
-            self.link.drive(None)
+            self.link.drive(None, cycle)
 
     # -- timed protocol ------------------------------------------------------
     # The pacer is consulted once per owned slot opportunity (never on other
@@ -651,6 +654,7 @@ class GtLinkStreamDriver(ClockedComponent):
 
     def reset(self) -> None:
         self._pacer.reset()
+        self.link.reset()
         self.words_sent = 0
 
 
@@ -693,6 +697,7 @@ class GtLinkStreamConsumer(ClockedComponent):
     # -- timed protocol: a pure sink never generates events of its own -------
 
     supports_timed_wake = True
+    settles_at_sync = True  # nothing to book, idle or busy
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         if self.link.forward is not None or self._sampled is not None:

@@ -48,7 +48,10 @@ components that have reached a *fixed point*:
   bits, the cycle counter itself).  The kernel defers this entirely while
   the component sleeps and flushes it in one ``idle_tick`` call on wake-up
   and at the end of every ``run`` — a sleeping component costs zero work per
-  simulated cycle.
+  simulated cycle.  Where the contribution is the same for a busy cycle (the
+  packet and slot-table routers) the component sets ``settles_at_sync``: its
+  ``commit`` books none of it, no wake-up ticks it, and ``sync()`` books
+  everything elapsed, awake or asleep, in one call.
 * **Strict mode.**  ``SimulationKernel(schedule="strict")`` runs the original
   every-component schedule.  Every schedule produces bit-identical cycle
   counts, activity counters and power results; the equivalence is asserted

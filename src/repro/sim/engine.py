@@ -110,18 +110,25 @@ Event-queue contract
 The ``event`` schedule generalises the timed tier from "leap only when
 everybody agrees" to per-component scheduling.  The rules:
 
+* One question per executed component: a timed component is asked
+  ``next_event_cycle`` only (``None`` parks it until a dirty-bit wake), so
+  the answer must cover every state in which it is ``quiescent()``; that
+  is asked only of components with nothing else (the vector plane).
 * ``next_event_cycle`` must be *sound*: every cycle in ``[cycle, result)``
   must be an idle tick given unchanged inputs.  It need not be tight — a
   component unsure of its horizon may return ``cycle`` and simply stays on
-  the dense batch (the *untimed island* fallback; components without the
-  timed protocol live there permanently once they stop being quiescent).
-  Executing a component on extra cycles is always safe — the strict schedule
-  executes everything every cycle — only *skipping* needs the idle-tick
-  guarantee.
+  the dense batch.  Executing a component on extra cycles is always safe —
+  the strict schedule executes everything every cycle — only *skipping*
+  needs the idle-tick guarantee.
 * A parked or heap-scheduled component's idle accounting is deferred: the
   kernel tracks its first unaccounted cycle and flushes the whole gap
-  through ``idle_tick`` when the component next runs (or at ``sync``), so a
-  scheduled component costs zero work per skipped cycle.
+  through ``idle_tick`` when the component next runs (or at ``sync``).
+* Free idle ticks are not called at all: a component whose per-cycle
+  accounting is one constant, busy or idle, or nothing (the packet and
+  slot-table routers, pure sinks) sets ``settles_at_sync``.  Its ``commit``
+  books no constant, no wake or heap pop ticks it, and ``sync()`` /
+  ``remove()`` settle it — awake or asleep, under every schedule — with
+  one ``idle_tick(start, cycles)`` over everything elapsed since the last.
 * Dirty-bit wakes invalidate a pending heap entry (lazy deletion: the entry
   stays in the heap and is discarded when popped), so a component woken
   early simply rejoins the dense batch.
@@ -187,6 +194,10 @@ class ClockedComponent(abc.ABC):
     #: then replays the current cycle in registration order instead of
     #: deferring to the next cycle (see "Event-queue contract").
     commit_wake_replays_cycle: ClassVar[bool] = False
+    #: Set by subclasses whose :meth:`idle_tick` books the same for a busy
+    #: cycle as for an idle one: called once per :meth:`SimulationKernel.sync`
+    #: over everything elapsed, never at a wake (see "Event-queue contract").
+    settles_at_sync: ClassVar[bool] = False
     #: Installed (as an *instance* attribute) by
     #: :class:`repro.sim.vector.VectorPlane` on its members while it batches
     #: them (they are parked, see :meth:`SimulationKernel.park`): a dirty-bit
@@ -350,6 +361,8 @@ class SimulationKernel:
         self._awake: list[ClockedComponent] = []
         self._sleeping: dict[ClockedComponent, int] = {}
         self._woken: list[ClockedComponent] = []
+        #: ``settles_at_sync`` components mapped to their first unsettled cycle.
+        self._unsettled: dict[ClockedComponent, int] = {}
         self._phase = "idle"
         #: First cycle at which a leap may be attempted again (backoff after
         #: a failed horizon scan; see LEAP_RETRY_CYCLES).
@@ -396,6 +409,8 @@ class SimulationKernel:
         component._due = None
         component._event_mode = self._event
         self._awake.append(component)
+        if component.settles_at_sync:
+            self._unsettled[component] = self._cycle
         return component
 
     def remove(self, component: ClockedComponent) -> ClockedComponent:
@@ -414,11 +429,10 @@ class SimulationKernel:
             )
         if self._phase != "idle":
             raise SimulationError("components can only be removed between cycles")
+        cycle = owed = self._cycle  # owed: the first cycle idle_tick has not covered
         if component._asleep:
-            start = self._sleeping.pop(component)
-            if self._cycle > start:
-                component.idle_tick(start, self._cycle - start)
-                self.scheduler_stats.skipped += self._cycle - start
+            owed = self._sleeping.pop(component)
+            self.scheduler_stats.skipped += cycle - owed
             component._asleep = False
         elif component._pending_wake:
             # An awake component sits in exactly one of the two lists; the
@@ -427,6 +441,9 @@ class SimulationKernel:
             component._pending_wake = False
         else:
             self._awake.remove(component)
+        owed = self._unsettled.pop(component, owed)
+        if cycle > owed:
+            component.idle_tick(owed, cycle - owed)
         self._components.remove(component)
         self._names.discard(component.name)
         component._scheduler = None
@@ -586,7 +603,8 @@ class SimulationKernel:
                 # (flag-setting components' evaluate reads no wires), and
                 # queue the commit to run after the batch in index order.
                 if cycle > start:
-                    component.idle_tick(start, cycle - start)
+                    if not component.settles_at_sync:
+                        component.idle_tick(start, cycle - start)
                     self.scheduler_stats.skipped += cycle - start
                 component._input_dirty = False
                 component.evaluate(cycle)
@@ -602,7 +620,8 @@ class SimulationKernel:
             # current cycle, so only fully skipped cycles are idle-accounted.
             boundary = cycle
         if boundary > start:
-            component.idle_tick(start, boundary - start)
+            if not component.settles_at_sync:
+                component.idle_tick(start, boundary - start)
             self.scheduler_stats.skipped += boundary - start
         if phase == "evaluate":
             # Rejoin the cycle in flight: evaluate now (its inputs have not
@@ -614,19 +633,25 @@ class SimulationKernel:
         self.scheduler_stats.wakes += 1
 
     def sync(self) -> None:
-        """Bring the deferred idle accounting of sleeping components up to date.
+        """Bring deferred accounting up to date: the idle ticks of sleeping
+        components, everything elapsed for ``settles_at_sync`` components.
 
         Called automatically at the end of :meth:`run` and :meth:`step`;
-        needed manually only when reading activity counters between
-        :meth:`step` calls issued by external drivers.
+        needed manually only when reading activity counters from a hook or
+        after stepping a component by hand.
         """
         cycle = self._cycle
         stats = self.scheduler_stats
         for component, start in self._sleeping.items():
             if cycle > start:
-                component.idle_tick(start, cycle - start)
+                if not component.settles_at_sync:
+                    component.idle_tick(start, cycle - start)
                 stats.skipped += cycle - start
                 self._sleeping[component] = cycle
+        for component, start in self._unsettled.items():
+            if cycle > start:
+                component.idle_tick(start, cycle - start)
+                self._unsettled[component] = cycle
         for hook in self._sync_hooks:
             hook()
 
@@ -636,6 +661,7 @@ class SimulationKernel:
         """Reset the cycle counter and every component."""
         self._cycle = 0
         self._sleeping.clear()
+        self._unsettled = dict.fromkeys(self._unsettled, 0)
         self._woken.clear()
         self._heap.clear()
         self._late.clear()
@@ -691,7 +717,8 @@ class SimulationKernel:
         # this phase, making a wake during the leap window a loud error.
         self._phase = "leap"
         for component in self._awake:
-            component.idle_tick(cycle, skipped)
+            if not component.settles_at_sync:
+                component.idle_tick(cycle, skipped)
         self._phase = "idle"
         self._cycle = target
         stats = self.scheduler_stats
@@ -752,7 +779,8 @@ class SimulationKernel:
                     component._asleep = False
                     start = sleeping.pop(component)
                     if cycle > start:
-                        component.idle_tick(start, cycle - start)
+                        if not component.settles_at_sync:
+                            component.idle_tick(start, cycle - start)
                         stats.skipped += cycle - start
                     awake.append(component)
                     stats.events_processed += 1
@@ -804,11 +832,12 @@ class SimulationKernel:
             if cycle % every == 0:
                 hook(cycle)
         stats.evaluated += len(awake)
-        # Reschedule every batch member: stay dense (input dirty, untimed,
-        # or due immediately), park (quiescent, or timed with no future
-        # self-event — dirty-bit wakes cover both), or push onto the heap at
-        # the predicted due cycle.  The predictions run under the leap guard:
-        # quiescent()/next_event_cycle() must not wake anybody.
+        # Reschedule every batch member with one question — a timed
+        # component's next_event_cycle(), quiescent() only where that is all
+        # a component implements: stay dense (input dirty, no protocol, or
+        # due immediately), park (no future self-event; dirty-bit wakes cover
+        # it), or push onto the heap at the predicted due cycle.  The
+        # predictions run under the leap guard: they must not wake anybody.
         sleeping = self._sleeping
         next_cycle = self._cycle
         self._phase = "leap"
@@ -816,29 +845,24 @@ class SimulationKernel:
             write = 0
             for component in awake:
                 if not component._input_dirty:
-                    if component.supports_quiescence and component.quiescent():
+                    if component.supports_timed_wake:
+                        event = component.next_event_cycle(next_cycle)
+                    elif component.supports_quiescence and component.quiescent():
+                        event = None
+                    else:
+                        event = next_cycle
+                    if event is None or event > next_cycle:
                         component._asleep = True
                         sleeping[component] = next_cycle
                         stats.sleeps += 1
-                        continue
-                    if component.supports_timed_wake:
-                        event = component.next_event_cycle(next_cycle)
-                        if event is None:
-                            component._asleep = True
-                            sleeping[component] = next_cycle
-                            stats.sleeps += 1
-                            continue
-                        if event > next_cycle:
-                            component._asleep = True
+                        if event is not None:
                             component._due = event
-                            sleeping[component] = next_cycle
                             self._event_seq += 1
                             heapq.heappush(
                                 heap,
                                 (event, component._kernel_index, self._event_seq, component),
                             )
-                            stats.sleeps += 1
-                            continue
+                        continue
                 awake[write] = component
                 write += 1
             del awake[write:]

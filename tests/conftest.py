@@ -81,20 +81,21 @@ class FabricScenario:
     fault: Tuple[int, tuple, tuple, bool]
     schedule: Optional[str]
 
-    def run_in_lockstep(self, build: Callable, reference_build: Callable, snapshot: Callable) -> None:
-        """Step a network and its reference twin, comparing *snapshot* every cycle."""
-        networks = []
-        for factory in (build, reference_build):
-            network = factory(self.topology, **({"schedule": self.schedule} if self.schedule else {}))
-            for index, (src, dst, mbps, load) in enumerate(self.channels):
-                rng = random.Random(index)
-                try:
-                    network.attach_channel(
-                        f"ch{index}", src, dst, mbps, lambda rng=rng: rng.getrandbits(16), load=load
-                    )
-                except AllocationError:
-                    pass  # GT admission may refuse; it refuses both twins alike
-            networks.append(network)
+    def build(self, factory: Callable):
+        """``factory(topology, **schedule)`` with this scenario's channels attached."""
+        network = factory(self.topology, **({"schedule": self.schedule} if self.schedule else {}))
+        for index, (src, dst, mbps, load) in enumerate(self.channels):
+            rng = random.Random(index)
+            try:
+                network.attach_channel(
+                    f"ch{index}", src, dst, mbps, lambda rng=rng: rng.getrandbits(16), load=load
+                )
+            except AllocationError:
+                pass  # GT admission may refuse; it refuses every twin alike
+        return network
+
+    def steps(self, networks):
+        """Step *networks* together through the scenario, fault included; yields each cycle run."""
         fault_cycle, a, b, reroute = self.fault
         for cycle in range(self.cycles):
             if cycle == fault_cycle:
@@ -104,6 +105,12 @@ class FabricScenario:
                         network.refresh_routing(IrregularMesh(self.topology, [(a, b)]))
             for network in networks:
                 network.kernel.step()
+            yield cycle
+
+    def run_in_lockstep(self, build: Callable, reference_build: Callable, snapshot: Callable) -> None:
+        """Step a network and its reference twin, comparing *snapshot* every cycle."""
+        networks = [self.build(factory) for factory in (build, reference_build)]
+        for cycle in self.steps(networks):
             assert snapshot(networks[0]) == snapshot(networks[1]), f"diverged in cycle {cycle}"
         stats = [
             (n.kernel.scheduler_stats.as_dict(), n.stream_statistics(), n.fault_drops())

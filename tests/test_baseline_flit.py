@@ -40,6 +40,20 @@ class TestFlit:
         assert moved.vc == 3
         assert (moved.payload, moved.dest, moved.packet_id) == (0x1, (2, 3), 7)
 
+    def test_with_vc_checks_only_the_new_channel(self, monkeypatch):
+        """A hop that changes VC copies the validated flit: a distinct, equal
+        object (the shard codec tells wire changes by identity), the payload
+        not checked again, the new channel still checked."""
+        flit = Flit(FlitType.BODY, 0xBEEF, (2, 3), (0, 1), 0, 7, 4)
+        expected = Flit(FlitType.BODY, 0xBEEF, (2, 3), (0, 1), 3, 7, 4)
+        assert flit.with_vc(0) is flit
+        monkeypatch.setattr("repro.baseline.flit.check_field", pytest.fail)
+        moved = flit.with_vc(3)
+        assert moved == expected and hash(moved) == hash(expected)
+        assert moved is not flit and moved is not flit.with_vc(3)
+        with pytest.raises(ValueError):
+            flit.with_vc(-1)
+
     def test_negative_vc_rejected(self):
         with pytest.raises(ValueError):
             Flit(FlitType.BODY, 0, (0, 0), (0, 0), -1, 1, 0)

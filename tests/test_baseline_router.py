@@ -159,10 +159,12 @@ class TestTileInterface:
 # ---------------------------------------------------------------------------
 #
 # Reference copies of the router's per-cycle code as it was before the
-# single-pass rewrite: Sequence[bool] arbiter, per-call free list, the nested
-# 5 x 20 request scan, per-event counter adds, buffer-scanning quiescent() and
-# next_event_cycle().  Method bodies are verbatim; only the scratch state the
-# new router no longer builds is set up in __init__.
+# rewrites: a two-phase visit (evaluate() samples every incoming wire and
+# collects every credit, commit() counts its cycle), Sequence[bool] arbiter,
+# per-call free list, the nested 5 x 20 request scan, per-event counter adds,
+# buffer-scanning quiescent() and next_event_cycle().  Method bodies are
+# verbatim; only the scratch state the new router no longer builds is set up
+# in __init__.
 
 
 class _ReferenceArbiter:
@@ -282,6 +284,8 @@ def _reference_with_vc(flit, vc):
 
 
 class _ReferenceRouter(PacketSwitchedRouter):
+    settles_at_sync = False  # counts its cycles itself, cycle by cycle
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         num_ports, num_vcs = self.NUM_PORTS, self.num_vcs
@@ -294,6 +298,7 @@ class _ReferenceRouter(PacketSwitchedRouter):
         self._port_allocators = [self.output_allocators[p] for p in self.ports]
         self._port_arbiters = [self.switch_arbiters[p] for p in self.ports]
         self._last_winner = [None] * num_ports
+        self._sampled_flits = [None] * num_ports
         self._sampled_credits = [[0] * num_vcs for _ in range(num_ports)]
         self._requests = [False] * (num_ports * num_vcs)
         self._driven = [None] * num_ports
@@ -429,6 +434,9 @@ class _ReferenceRouter(PacketSwitchedRouter):
                 returns.clear()
 
         activity.cycles = cycle + 1
+
+    def idle_tick(self, start_cycle, cycles):
+        self.activity.cycles = start_cycle + cycles
 
     def quiescent(self):
         if self.tile._injection_queue:
@@ -724,7 +732,7 @@ class TestDirectedSwitchAllocation:
         for pair in links.values():
             for link in pair:
                 link.reset()
-        assert router._occupied == [0] and router._sampled_credits == []
+        assert router._occupied == [0]
         assert all(a.has_free_vc() and a._free == 0b1111 for a in router.output_allocators.values())
         setup(router, links)
         kernel.run(60)

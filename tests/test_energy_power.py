@@ -22,6 +22,29 @@ class TestActivityCounters:
         with pytest.raises(ValueError):
             ActivityCounters().add("x", -1)
 
+    @given(
+        toggles=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        events=st.lists(st.tuples(st.sampled_from(["x", "y", "z"]), st.integers(0, 3)), max_size=4),
+    )
+    def test_add_commit_equals_the_adds_it_stands_for(self, toggles, events):
+        """One call per router commit: zero toggle sums book nothing, every
+        event pair is an add - a zero amount still creates its key."""
+        bulk, single = ActivityCounters("bulk"), ActivityCounters("single")
+        for _ in range(2):
+            bulk.add_commit(*toggles, events)
+            for key, amount in zip((ActivityKeys.REG_TOGGLE_BITS, ActivityKeys.LINK_TOGGLE_BITS), toggles):
+                if amount:
+                    single.add(key, amount)
+            for key, amount in events:
+                single.add(key, amount)
+        assert bulk.counts == single.counts
+        assert all(type(value) is float for value in bulk.counts.values())
+
+    @pytest.mark.parametrize("sums", [(-1, 0, ()), (0, -1, ()), (3, 3, (("x", -1),))])
+    def test_add_commit_rejects_negative_amounts(self, sums):
+        with pytest.raises(ValueError):
+            ActivityCounters().add_commit(*sums)
+
     def test_per_cycle(self):
         activity = ActivityCounters()
         activity.add("x", 100)

@@ -213,8 +213,10 @@ class TestAttachChannelParity:
 # ---------------------------------------------------------------------------
 #
 # Reference copies of the slot-table router's per-cycle code as it was before
-# the rewrite: commit() walks all five output ports and drives every attached
-# wire every cycle, the backlog test and _datapath_idle() scan.  Method
+# the rewrites: a two-phase visit (evaluate() samples every incoming wire,
+# commit() walks all five output ports, drives every attached wire and books
+# the constant clocked bits every cycle, idle_tick() books them for the
+# cycles slept through), the backlog test and _datapath_idle() scan.  Method
 # bodies are verbatim; program()/clear() are inherited and keep ``_table``,
 # which is all the reference reads.
 
@@ -225,9 +227,12 @@ class _ReferenceTile(TdmaTileInterface):
 
 
 class _ReferenceSlotTableRouter(SlotTableRouter):
+    settles_at_sync = False  # books its constants itself, cycle by cycle
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.tile = _ReferenceTile(self)
+        self._sampled = [None] * self.NUM_PORTS
 
     def evaluate(self, cycle):
         sampled = self._sampled
@@ -303,6 +308,10 @@ class _ReferenceSlotTableRouter(SlotTableRouter):
                 if entry is not None and entry[0] == Port.TILE and backlog(entry[1]):
                     return cycle + offset
         return None
+
+    def idle_tick(self, start_cycle, cycles):
+        self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self._idle_clock_bits * cycles)
+        self.activity.cycles = start_cycle + cycles
 
     def reset(self):
         self.tile.reset()

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, word_generator
+from repro.energy.activity import ActivityKeys
 from repro.noc.ccn import CentralCoordinationNode
 from repro.noc.fabric import build_network
 from repro.noc.network import CircuitSwitchedNoC
@@ -224,11 +225,12 @@ class TestResetClearsWires:
     def test_reset_returns_paced_endpoints_to_power_on(self, kind):
         """A reset fabric sends and delivers at the cycles a fresh one does:
         the pacers' accumulated credit is cleared with everything else (the
-        word *values* are the source's and are not rewound)."""
+        word *values* are the source's and are not rewound).  Reset
+        mid-stream, with payload on the links, nothing of it survives."""
 
-        def fabric():
+        def fabric(words=None):
             network = build_network(kind, Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ)
-            generator = word_generator(BitFlipPattern.TYPICAL, seed=4)
+            generator = words or word_generator(BitFlipPattern.TYPICAL, seed=4)
             network.attach_channel("a", (0, 0), (3, 2), 100.0, generator, load=0.7)
             return network
 
@@ -241,6 +243,40 @@ class TestResetClearsWires:
         used.run(13)  # the pacer is part-way to its first word
         used.kernel.reset()
         assert history(used) == fresh
+
+        # Mid-stream, the source rewound with the fabric: every counter repeats.
+        drawn = []
+
+        def rewound_words():
+            drawn.append(None)
+            return len(drawn) * 40503 & 0xFFFF
+
+        def booked(router):
+            counts = router.activity.as_dict()
+            counts.pop(ActivityKeys.CONFIG_WRITES, None)  # the configuration survives a reset, not the count
+            return counts, router.activity.cycles
+
+        def counters(network, cycles=400):
+            return [
+                network.run(1)
+                and ({p: booked(r) for p, r in network.routers.items()}, network.stream_statistics())
+                for _ in range(cycles)
+            ]
+
+        def in_flight(network):
+            if kind == "circuit":
+                return not all(link.idle() for link in network.links.values())
+            return any(link.forward is not None for link in network.links.values())
+
+        fresh = counters(fabric(rewound_words))
+        drawn.clear()
+        used = fabric(rewound_words)
+        used.kernel.run_until(lambda _cycle: in_flight(used), max_cycles=400)
+        used.run(2)  # and a change or two remembered on the wires behind it
+        assert in_flight(used)
+        used.kernel.reset()
+        drawn.clear()
+        assert counters(used) == fresh
 
 
 class TestGtNetwork:

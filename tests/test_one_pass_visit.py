@@ -1,0 +1,304 @@
+"""What lets a visit of the packet and GT routers be one pass.
+
+The routers' ``evaluate`` samples nothing, their ``commit`` books no per-cycle
+constant, and the event schedule asks them one question.  That rests on three
+things, each tested here where it is defined rather than through a fabric:
+wires that remember one clock edge (a reader sees what an evaluate-phase
+sample would have seen, whichever end commits first), constant accounting
+that the kernel settles at ``sync()`` / ``remove()``, and a
+``next_event_cycle`` that covers every ``quiescent`` state.
+"""
+
+from __future__ import annotations
+
+import pytest
+from conftest import fabric_scenarios, twin_benches
+from hypothesis import given, settings, strategies as st
+from test_baseline_router import _ReferenceRouter
+from test_gt_network import _ReferenceSlotTableRouter
+
+from repro.apps.traffic import BitFlipPattern, word_generator
+from repro.baseline.flit import Flit, FlitType
+from repro.baseline.link import PacketLink
+from repro.baseline.router import PacketSwitchedRouter
+from repro.common import Port
+from repro.core.lane import LaneLink
+from repro.core.router import CircuitSwitchedRouter
+from repro.core.testbench import LaneStreamConsumer, TileStreamDriver
+from repro.energy.activity import ActivityKeys
+from repro.noc import build_network
+from repro.noc.gt_network import GtLinkStreamDriver, SlotTableRouter, TdmaLink
+from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
+
+SCHEDULES = ("strict", DEFAULT_SCHEDULE)
+
+
+class _Script(ClockedComponent):
+    """Writes wires at the clock edge: ``actions[cycle](cycle)`` in its commit."""
+
+    def __init__(self, name, actions):
+        super().__init__(name)
+        self.actions = actions
+
+    def evaluate(self, cycle):
+        pass
+
+    def commit(self, cycle):
+        if cycle in self.actions:
+            self.actions[cycle](cycle)
+
+
+#: The one-pass routers and their two-phase references: all must read a wire alike.
+GT_READERS = (SlotTableRouter, _ReferenceSlotTableRouter)
+PACKET_READERS = (PacketSwitchedRouter, _ReferenceRouter)
+#: Registration orders of one writer (index 0) around the reader (``None``).
+AROUND = ((0, None), (None, 0))
+
+
+def _histories(readers, bench, observe, orders=AROUND, cycles=6):
+    """Per-cycle observations of every reader class x schedule x registration
+    order (``bench(reader_class)`` returns the reader and its writer scripts)."""
+    histories = {}
+    for reader_class in readers:
+        for schedule in SCHEDULES:
+            for order in orders:
+                reader, scripts = bench(reader_class)
+                kernel = SimulationKernel(25e6, schedule=schedule)
+                kernel.add_all([reader if index is None else scripts[index] for index in order])
+                history = []
+                for _ in range(cycles):
+                    kernel.step()
+                    history.append(observe(reader))
+                histories[reader_class.__name__, schedule, order] = history
+    return histories
+
+
+def _assert_all_equal(histories, expected):
+    for key, history in histories.items():
+        assert history == expected, f"{key} saw {history}"
+
+
+class TestWiresRememberOneClockEdge:
+    """One link driven twice around a reader, writer before and after it; the
+    two-phase reference routers read the same wires and must agree."""
+
+    def test_tdma_word(self):
+        def bench(reader_class):
+            router = reader_class("dut", slots=1)
+            wire = TdmaLink("west")
+            router.attach_link(Port.WEST, wire, None)
+            router.program(Port.TILE, 0, Port.WEST, "a")
+            script = _Script("w", {0: lambda c: wire.drive(0x11, c), 1: lambda c: wire.drive(0x22, c),
+                                   2: lambda c: wire.drive(None, c)})
+            return router, [script]
+
+        histories = _histories(GT_READERS, bench, lambda router: list(router.tile.received.get("a", ())))
+        _assert_all_equal(histories, [[], [0x11], [0x11, 0x22], [0x11, 0x22], [0x11, 0x22], [0x11, 0x22]])
+
+    def test_tdma_word_driven_twice_in_one_cycle(self):
+        """Two drives in cycle 1, on either side of the reader or both on one:
+        the reader still sees the word from before the cycle, and the next
+        cycle the one driven last."""
+
+        def bench(reader_class):
+            router = reader_class("dut", slots=1)
+            wire = TdmaLink("west")
+            router.attach_link(Port.WEST, wire, None)
+            router.program(Port.TILE, 0, Port.WEST, "a")
+            first = _Script("w1", {0: lambda c: wire.drive(0x11, c), 1: lambda c: wire.drive(0x22, c)})
+            second = _Script("w2", {1: lambda c: wire.drive(0x33, c), 2: lambda c: wire.drive(None, c)})
+            return router, [first, second]
+
+        orders = ((0, None, 1), (1, None, 0), (0, 1, None), (None, 0, 1), (1, 0, None))
+        histories = _histories(GT_READERS, bench, lambda router: list(router.tile.received.get("a", ())), orders)
+        for (_reader, _schedule, order), history in histories.items():
+            last = 0x33 if order.index(0) < order.index(1) else 0x22
+            assert history == [[], [0x11], [0x11, last]] + [[0x11, last]] * 3, order
+
+    def test_flit(self):
+        flits = [
+            Flit(FlitType.HEAD, 0x1, (1, 1), (0, 1), 0, 1, 0),
+            Flit(FlitType.TAIL, 0xABCD, (1, 1), (0, 1), 0, 1, 1),
+        ]
+
+        def bench(reader_class):
+            router = reader_class("dut", position=(1, 1))
+            wire = PacketLink("west", router.num_vcs)
+            router.attach_link(Port.WEST, wire, None)
+            script = _Script("w", {0: lambda c: wire.drive(flits[0], c), 1: lambda c: wire.drive(flits[1], c),
+                                   2: lambda c: wire.drive(None, c)})
+            return router, [script]
+
+        def observe(router):
+            wire = router.rx_link(Port.WEST)
+            return router.buffers[(Port.WEST, 0)].total_writes, list(router.tile.received_words), list(wire.credits)
+
+        histories = _histories(PACKET_READERS, bench, observe)
+        # Driven in cycles 0 and 1, so in - and through to the tile, the credit
+        # back - in cycles 1 and 2; nobody collects the credits: they add up.
+        busy = [(0, [], [0, 0, 0, 0]), (1, [], [1, 0, 0, 0]), (2, [0xABCD], [2, 0, 0, 0])]
+        _assert_all_equal(histories, busy + busy[-1:] * 3)
+
+    def test_credit(self):
+        def bench(reader_class):
+            router = reader_class("dut", position=(1, 1))
+            wire = PacketLink("east", router.num_vcs)
+            router.attach_link(Port.EAST, None, wire)
+            script = _Script("w", {0: lambda c: wire.return_credit(2, 1, c), 1: lambda c: wire.return_credit(2, 1, c),
+                                   3: lambda c: (wire.return_credit(1, 1, c), wire.return_credit(2, 1, c))})
+            return router, [script]
+
+        def observe(router):
+            allocator = router.output_allocators[Port.EAST]
+            return [allocator.credits(vc) for vc in (1, 2)], list(router.tx_link(Port.EAST).credits)
+
+        histories = _histories(PACKET_READERS, bench, observe)
+        # A credit returned in cycle c sits on the wire after c and is the sender's after c + 1.
+        _assert_all_equal(histories, [
+            ([8, 8], [0, 0, 1, 0]), ([8, 9], [0, 0, 1, 0]), ([8, 10], [0, 0, 0, 0]),
+            ([8, 10], [0, 1, 1, 0]), ([9, 11], [0, 0, 0, 0]), ([9, 11], [0, 0, 0, 0]),
+        ])
+
+    def test_a_write_between_cycles_is_seen_at_once_and_reset_forgets(self):
+        wire, link = TdmaLink("w"), PacketLink("l")
+        flit = Flit(FlitType.SINGLE, 0, (0, 0), (1, 0), 0, 1, 0)
+        wire.drive(0x5, 3)
+        link.drive(flit, 3)
+        link.return_credit(1, 1, 3)
+        assert (wire.before, wire.changed_at, link.before, link.changed_at) == (None, 3, None, 3)
+        assert (link.credits_before, link.credited_at) == ([0, 0, 0, 0], 3)
+        wire.drive(0x6)  # no cycle: fresh in none
+        assert (wire.forward, wire.changed_at) == (0x6, -1)
+        for bundle in (wire, link):
+            bundle.reset()
+        assert (wire.forward, wire.changed_at, link.forward, link.changed_at, link.credited_at) == (
+            None, -1, None, -1, -1,
+        )
+        assert not any(link.credits)
+
+
+    def test_a_change_before_a_reset_does_not_pass_for_one_of_cycle_zero(self):
+        """Reset in the cycle after a drive, then a boundary frame written
+        straight into ``forward`` (as the sharded runner does): cycle 0 must
+        latch it, not what the wire remembered from its first life."""
+        router = SlotTableRouter("dut", slots=1)
+        wire = TdmaLink("west")
+        router.attach_link(Port.WEST, wire, None)
+        router.program(Port.TILE, 0, Port.WEST, "a")
+        kernel = SimulationKernel(25e6)
+        kernel.add_all([_Script("w", {0: lambda c: wire.drive(0x5, c)}), router])
+        wire.drive(0x3)
+        kernel.step()
+        assert (wire.before, wire.changed_at) == (0x3, 0)
+        kernel.reset()
+        wire.reset()
+        wire.forward = 0x7
+        kernel.step()
+        assert router.tile.received == {"a": [0x7]}
+
+
+class TestConstantAccountingSettlesAtSync:
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("load", [0.0, 1.0])
+    def test_bare_kernel_gt_bench_books_idle_bits_times_cycles(self, schedule, load):
+        """commit() books no constant: after run(), step() and remove() - the
+        router asleep (no load) or busy every cycle - the clocked bits are
+        exactly the idle bits of every elapsed cycle."""
+        router = SlotTableRouter("dut", slots=4)
+        wire = TdmaLink("west")
+        router.attach_link(Port.WEST, wire, TdmaLink("unused"))
+        router.program(Port.TILE, 1, Port.WEST, "a")
+        driver = GtLinkStreamDriver(
+            "src", wire, 4, frozenset({1}), word_generator(BitFlipPattern.TYPICAL, seed=1), load
+        )
+        kernel = SimulationKernel(25e6, schedule=schedule)
+        kernel.add_all([driver, router])
+
+        def booked():
+            return router.activity.get(ActivityKeys.REG_CLOCKED_BITS), router.activity.cycles
+
+        assert ActivityKeys.REG_CLOCKED_BITS not in router.activity.counts
+        kernel.run(37)
+        assert booked() == (router._idle_clock_bits * 37, 37)
+        router.commit(37)  # a commit on its own books nothing constant
+        assert booked() == (router._idle_clock_bits * 37, 37)
+        kernel.step()
+        assert booked() == (router._idle_clock_bits * 38, 38)
+        # Removed in the gap before cycle 44, six cycles after the last sync.
+        kernel.add_post_cycle_hook(lambda c: c == 43 and kernel.defer(lambda: kernel.remove(router)))
+        kernel.run(10)
+        assert kernel.cycle == 48 and router not in kernel.components
+        assert booked() == (router._idle_clock_bits * 44, 44)
+        assert (router.tile.words_received("a") > 0) == (load > 0)
+
+    def test_reset_starts_the_settled_span_over(self):
+        router = PacketSwitchedRouter("dut")
+        kernel = SimulationKernel(25e6)
+        kernel.add(router)
+        kernel.run(20)
+        kernel.reset()
+        kernel.run(7)
+        assert router.activity.cycles == kernel.cycle == 7
+
+
+class TestOneSchedulingQuestion:
+    """Under the event schedule a timed component is asked next_event_cycle()
+    only, so the answer must cover every quiescent() state."""
+
+    @given(
+        scenario=fabric_scenarios(max_cycles=120),
+        kind=st.sampled_from(["circuit", "circuit-gated", "packet", "gt"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_quiescent_routers_have_no_next_event_on_drawn_fabrics(self, scenario, kind):
+        name, _, gated = kind.partition("-")
+        extra = {"clock_gating": True} if gated else {}
+        network = scenario.build(lambda topology, **kw: build_network(name, topology, **extra, **kw))
+        quiescent = 0
+        for _cycle in scenario.steps([network]):
+            now = network.kernel.cycle
+            for router in network.routers.values():
+                if router.quiescent():
+                    quiescent += 1
+                    assert router.next_event_cycle(now) is None, f"{router.name} at cycle {now}"
+        assert quiescent > 0
+
+    def test_gated_circuit_router_sleeps_between_words(self):
+        """A clock-gated router used to answer "now" where it is quiescent:
+        asked that one question, it would never have slept."""
+        router = CircuitSwitchedRouter("dut", clock_gating=True)
+        tx = LaneLink("tx_e")
+        router.attach_link(Port.EAST, LaneLink("rx_e"), tx)
+        router.configure(Port.EAST, 0, Port.TILE, 0)
+        source = word_generator(BitFlipPattern.TYPICAL, width=router.data_width, seed=3)
+        kernel = SimulationKernel(25e6)
+        kernel.add_all([
+            TileStreamDriver("src", router, 0, source, load=0.1),
+            LaneStreamConsumer("dst", tx, 0),
+            router,
+        ])
+        slept = 0
+        for _ in range(400):
+            kernel.step()
+            if router.quiescent():
+                assert router.next_event_cycle(kernel.cycle) is None
+                slept += router._asleep
+        assert slept > 100
+
+    @pytest.mark.parametrize("classes,make_link", [
+        ((SlotTableRouter,), lambda name, router: TdmaLink(name, router.data_width)),
+        ((PacketSwitchedRouter,), lambda name, router: PacketLink(name, router.num_vcs)),
+    ])
+    def test_single_router_benches_park_when_quiescent(self, classes, make_link):
+        def setup(router, links):
+            if isinstance(router, SlotTableRouter):
+                router.program(Port.EAST, 0, Port.TILE, "a")
+                for word in (1, 2, 3):
+                    router.tile.send("a", word)
+            else:
+                router.tile.send_words((2, 1), [1, 2, 3])
+
+        ((router, _links, kernel),) = twin_benches(classes, make_link, setup)
+        kernel.run(60)
+        assert router.quiescent() and router.next_event_cycle(kernel.cycle) is None
+        assert kernel.sleeping_components == 1
