@@ -14,7 +14,7 @@ from typing import Deque, List, Optional
 
 from repro.baseline.flit import Flit
 from repro.common import CapacityError
-from repro.energy.activity import ActivityCounters, ActivityKeys
+from repro.energy.activity import BUFFER_READ_BITS, BUFFER_WRITE_BITS, ActivityCounters
 
 __all__ = ["VirtualChannelBuffer"]
 
@@ -77,7 +77,7 @@ class VirtualChannelBuffer:
         self.total_writes += 1
         if len(fifo) > self.max_occupancy:
             self.max_occupancy = len(fifo)
-        self.activity.add(ActivityKeys.BUFFER_WRITE_BITS, flit.storage_bits)
+        self.activity.slots[BUFFER_WRITE_BITS] += flit.storage_bits
 
     def front(self) -> Optional[Flit]:
         """The head-of-line flit without removing it (``None`` when empty)."""
@@ -92,7 +92,7 @@ class VirtualChannelBuffer:
         if not fifo:
             self._occupied[0] &= ~self._bit
         self.total_reads += 1
-        self.activity.add(ActivityKeys.BUFFER_READ_BITS, flit.storage_bits)
+        self.activity.slots[BUFFER_READ_BITS] += flit.storage_bits
         return flit
 
     def reset(self) -> None:

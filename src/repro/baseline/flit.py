@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import ClassVar, Iterable, List, Sequence, Tuple
 
 from repro.common import check_field
 
@@ -59,6 +59,8 @@ class Flit:
     vc: int
     packet_id: int
     sequence: int
+    #: Bits occupied in a VC buffer (payload plus control).
+    storage_bits: ClassVar[int] = FLIT_PAYLOAD_BITS + FLIT_CONTROL_BITS
 
     def __post_init__(self) -> None:
         check_field(self.payload, FLIT_PAYLOAD_BITS, "flit payload")
@@ -66,11 +68,6 @@ class Flit:
             raise ValueError("virtual channel id must be non-negative")
         if self.sequence < 0:
             raise ValueError("sequence number must be non-negative")
-
-    @property
-    def storage_bits(self) -> int:
-        """Bits occupied in a VC buffer (payload plus control)."""
-        return FLIT_PAYLOAD_BITS + FLIT_CONTROL_BITS
 
     def with_vc(self, vc: int) -> "Flit":
         """This flit on virtual channel *vc*: itself, or a copy with only *vc* checked."""

@@ -34,8 +34,11 @@ from repro.baseline.flit import FLIT_PAYLOAD_BITS, Flit, Packet, packetize
 from repro.baseline.link import PacketLink
 from repro.baseline.routing import RouteFunction, xy_route
 from repro.baseline.vc import OutputVcAllocator, vc_state_table
-from repro.common import ALL_PORTS, NEIGHBOR_PORTS, ConfigurationError, Port, toggle_count
-from repro.energy.activity import ActivityCounters, ActivityKeys
+from repro.common import ALL_PORTS, NEIGHBOR_PORTS, ConfigurationError, Port, bit_mask
+from repro.energy.activity import (
+    ARBITER_DECISIONS, ARBITER_GRANT_CHANGES, FLITS_ROUTED, LINK_TOGGLE_BITS, PACKETS_ROUTED,
+    REG_TOGGLE_BITS, VC_ALLOCATIONS, WORDS_DELIVERED, ActivityCounters,
+)
 from repro.energy.area import PacketSwitchedRouterArea
 from repro.energy.power import PowerBreakdown, PowerModel
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
@@ -43,6 +46,8 @@ from repro.energy.timing import PacketSwitchedTiming
 from repro.sim.engine import ClockedComponent
 
 __all__ = ["PacketSwitchedRouter", "PacketTileInterface"]
+
+_PAYLOAD_MASK = bit_mask(FLIT_PAYLOAD_BITS)
 
 
 class PacketTileInterface:
@@ -288,8 +293,8 @@ class PacketSwitchedRouter(ClockedComponent):
         input_states = self._input_states
         tx_by_port = self._tx_by_port
         requests = self._port_requests
+        counts = self.activity.slots
         vc_allocations = 0
-        events = ()  # the (counter, amount) pairs of this commit, booked in one call below
         pending = self._occupied[0]
         while pending:
             bit = pending & -pending
@@ -314,11 +319,12 @@ class PacketSwitchedRouter(ClockedComponent):
                 continue
             requests[out_port] |= bit
         if vc_allocations:
-            events = ((ActivityKeys.VC_ALLOCATIONS, vc_allocations),)
+            counts[VC_ALLOCATIONS] += vc_allocations
 
         # 5. Switch allocation and flit traversal: one winner per requested port.
         routed = grant_changes = packets = reg_toggles = link_toggles = 0
         driven = 0
+        prev_payload = self._output_prev_payload
         for out_port, mask in enumerate(requests):
             if not mask:
                 continue
@@ -334,11 +340,10 @@ class PacketSwitchedRouter(ClockedComponent):
             out_flit = input_buffers[winner_index].pop().with_vc(state.out_vc)
 
             # Crossbar traversal and output register toggles.
-            toggles = toggle_count(
-                self._output_prev_payload[out_port], out_flit.payload, FLIT_PAYLOAD_BITS
-            )
+            payload = out_flit.payload
+            toggles = ((prev_payload[out_port] ^ payload) & _PAYLOAD_MASK).bit_count()
             reg_toggles += toggles
-            self._output_prev_payload[out_port] = out_flit.payload
+            prev_payload[out_port] = payload
 
             if out_port:
                 allocators[out_port]._credits[state.out_vc] -= 1  # step 4 saw it positive
@@ -348,7 +353,7 @@ class PacketSwitchedRouter(ClockedComponent):
             else:
                 self.tile._deliver(out_flit)
                 # A head flit creates the counter and adds nothing to it.
-                events += ((ActivityKeys.WORDS_DELIVERED, 0 if out_flit.flit_type.is_head else 1),)
+                counts[WORDS_DELIVERED] += 0 if out_flit.flit_type.is_head else 1
 
             # Return a credit to the upstream router for the freed buffer slot.
             in_port, in_vc = input_index[winner_index]
@@ -362,13 +367,16 @@ class PacketSwitchedRouter(ClockedComponent):
                 state.release()
                 packets += 1
         if routed:
-            events += ((ActivityKeys.ARBITER_DECISIONS, routed), (ActivityKeys.FLITS_ROUTED, routed))
+            counts[ARBITER_DECISIONS] += routed
+            counts[FLITS_ROUTED] += routed
             if grant_changes:
-                events += ((ActivityKeys.ARBITER_GRANT_CHANGES, grant_changes),)
+                counts[ARBITER_GRANT_CHANGES] += grant_changes
             if packets:
-                events += ((ActivityKeys.PACKETS_ROUTED, packets),)
-        if events:
-            self.activity.add_commit(reg_toggles, link_toggles, events)
+                counts[PACKETS_ROUTED] += packets
+            if reg_toggles:
+                counts[REG_TOGGLE_BITS] += reg_toggles
+                if link_toggles:  # an outgoing wire toggles with its register only
+                    counts[LINK_TOGGLE_BITS] += link_toggles
 
         # 6. Outgoing wires not driven this cycle fall idle.
         stale = self._driven & ~driven

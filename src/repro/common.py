@@ -153,8 +153,8 @@ def toggle_count(previous: int, current: int, width: int | None = None) -> int:
 
     If *width* is given the comparison is restricted to that many LSBs; this
     is what the activity counters of the power model use.  The hot router
-    loops call this every cycle, so the implementation is a single XOR plus
-    the native ``int.bit_count``.
+    loops spell the masked form out, ``((previous ^ current) & mask)
+    .bit_count()`` with the mask hoisted; this is the same for cold callers.
     """
     if width is not None:
         m = (1 << width) - 1

@@ -28,9 +28,11 @@ from __future__ import annotations
 
 from typing import List, Mapping, Tuple
 
-from repro.common import Port, toggle_count
+from repro.common import Port, bit_mask
 from repro.core.config_memory import ConfigurationMemory
-from repro.energy.activity import ActivityCounters, ActivityKeys
+from repro.energy.activity import (
+    REG_CLOCKED_BITS, REG_GATED_BITS, REG_TOGGLE_BITS, XBAR_TOGGLE_BITS, ActivityCounters,
+)
 
 __all__ = ["Crossbar"]
 
@@ -52,6 +54,7 @@ class Crossbar:
         self.name = name
         self.config = config
         self.lane_width = lane_width
+        self._lane_mask = bit_mask(lane_width)
         self.activity = activity if activity is not None else ActivityCounters(name)
 
         lanes = list(config.iter_lanes())
@@ -170,8 +173,9 @@ class Crossbar:
         """Latch the output and acknowledge registers; record activity."""
         if self._cached_version != self.config.version:
             self._refresh_cache()
-        activity = self.activity
+        slots = self.activity.slots
         width = self.lane_width
+        mask = self._lane_mask
         out_data = self._out_data
         next_out = self._next_out
         ack_out = self._ack_out
@@ -193,7 +197,7 @@ class Crossbar:
                 new_value = next_out[idx]
                 old_value = out_data[idx]
                 if new_value != old_value:
-                    toggles = toggle_count(old_value, new_value, width)
+                    toggles = ((old_value ^ new_value) & mask).bit_count()
                     reg_toggles += toggles
                     xbar_toggles += toggles
                     out_data[idx] = new_value
@@ -207,7 +211,7 @@ class Crossbar:
                 new_value = next_out[idx]
                 old_value = out_data[idx]
                 if new_value != old_value:
-                    toggles = toggle_count(old_value, new_value, width)
+                    toggles = ((old_value ^ new_value) & mask).bit_count()
                     reg_toggles += toggles
                     xbar_toggles += toggles
                     out_data[idx] = new_value
@@ -218,13 +222,13 @@ class Crossbar:
 
         self._commit_changed = reg_toggles != 0
         if reg_toggles:
-            activity.add(ActivityKeys.REG_TOGGLE_BITS, reg_toggles)
+            slots[REG_TOGGLE_BITS] += reg_toggles
         if xbar_toggles:
-            activity.add(ActivityKeys.XBAR_TOGGLE_BITS, xbar_toggles)
+            slots[XBAR_TOGGLE_BITS] += xbar_toggles
         if clocked_bits:
-            activity.add(ActivityKeys.REG_CLOCKED_BITS, clocked_bits)
+            slots[REG_CLOCKED_BITS] += clocked_bits
         if gated_bits:
-            activity.add(ActivityKeys.REG_GATED_BITS, gated_bits)
+            slots[REG_GATED_BITS] += gated_bits
 
     def commit_sparse(self) -> None:
         """Non-gated commit that visits only route-active lanes.
@@ -242,8 +246,8 @@ class Crossbar:
             self._sweep_version = self.config.version
             self.commit(False)
             return
-        activity = self.activity
-        width = self.lane_width
+        slots = self.activity.slots
+        mask = self._lane_mask
         out_data = self._out_data
         next_out = self._next_out
         ack_out = self._ack_out
@@ -254,7 +258,7 @@ class Crossbar:
             new_value = next_out[out_idx]
             old_value = out_data[out_idx]
             if new_value != old_value:
-                toggles = toggle_count(old_value, new_value, width)
+                toggles = ((old_value ^ new_value) & mask).bit_count()
                 reg_toggles += toggles
                 xbar_toggles += toggles
                 out_data[out_idx] = new_value
@@ -265,10 +269,10 @@ class Crossbar:
                 ack_out[in_idx] = new_ack
         self._commit_changed = reg_toggles != 0
         if reg_toggles:
-            activity.add(ActivityKeys.REG_TOGGLE_BITS, reg_toggles)
+            slots[REG_TOGGLE_BITS] += reg_toggles
         if xbar_toggles:
-            activity.add(ActivityKeys.XBAR_TOGGLE_BITS, xbar_toggles)
-        activity.add(ActivityKeys.REG_CLOCKED_BITS, self._total * (width + 1))
+            slots[XBAR_TOGGLE_BITS] += xbar_toggles
+        slots[REG_CLOCKED_BITS] += self._total * (self.lane_width + 1)
 
     # -- quiescence support ----------------------------------------------------------
 

@@ -43,7 +43,10 @@ from repro.core.header import (
     LanePacket,
     phits_per_packet,
 )
-from repro.energy.activity import ActivityCounters, ActivityKeys
+from repro.energy.activity import (
+    ACKS_DELIVERED, REG_CLOCKED_BITS, REG_GATED_BITS, REG_TOGGLE_BITS, WORDS_DELIVERED, WORDS_INJECTED,
+    ActivityCounters,
+)
 
 __all__ = ["ReceivedWord", "LaneSerializer", "LaneDeserializer", "DataConverter", "TileInterface"]
 
@@ -166,7 +169,7 @@ class LaneSerializer:
     def acknowledge(self) -> None:
         """An acknowledge pulse arrived on the reverse path: return its credit."""
         self.window.on_ack()
-        self.activity.add(ActivityKeys.ACKS_DELIVERED, 1)
+        self.activity.slots[ACKS_DELIVERED] += 1
 
     def load_word(self) -> Tuple[int, int]:
         """Take the next queued packet for the shift register.
@@ -187,14 +190,11 @@ class LaneSerializer:
             # Least significant phit first: it is sent last, so ends up highest.
             remaining = (remaining << (width + 1)) | marker | (data & mask)
             data >>= width
-        activity = self.activity
-        activity.add(
-            ActivityKeys.REG_TOGGLE_BITS,
-            toggle_count(self._hold_register, encoded, self.packet_bits),
-        )
+        slots = self.activity.slots
+        slots[REG_TOGGLE_BITS] += toggle_count(self._hold_register, encoded, self.packet_bits)
         self._hold_register = encoded
         self.words_loaded += 1
-        activity.add(ActivityKeys.WORDS_INJECTED, 1)
+        slots[WORDS_INJECTED] += 1
         return encoded >> self.data_width, remaining
 
     # -- clocking ----------------------------------------------------------------------
@@ -211,7 +211,7 @@ class LaneSerializer:
             When true and the serialiser is completely idle, its registers are
             treated as clock-gated for the activity accounting.
         """
-        activity = self.activity
+        slots = self.activity.slots
 
         if ack_pulse:
             self.acknowledge()
@@ -227,13 +227,10 @@ class LaneSerializer:
 
         idle = not self.busy and next_phit == 0 and self._current_phit == 0
         if clock_gating and idle:
-            activity.add(ActivityKeys.REG_GATED_BITS, self.idle_cycle_bits)
+            slots[REG_GATED_BITS] += self.idle_cycle_bits
         else:
-            activity.add(ActivityKeys.REG_CLOCKED_BITS, self.idle_cycle_bits)
-            activity.add(
-                ActivityKeys.REG_TOGGLE_BITS,
-                toggle_count(self._current_phit, next_phit, self.lane_width),
-            )
+            slots[REG_CLOCKED_BITS] += self.idle_cycle_bits
+            slots[REG_TOGGLE_BITS] += ((self._current_phit ^ next_phit) & self._phit_mask).bit_count()
         self._current_phit = next_phit
 
     def reset(self) -> None:
@@ -271,6 +268,7 @@ class LaneDeserializer:
         #: ``_collected >> _full_shift`` is non-zero exactly when the packet is
         #: complete: the header's VALID bit has been shifted up that far.
         self._full_shift = self._header_shift + VALID_MASK.bit_length() - 1
+        self._phit_mask = bit_mask(lane_width)
         self._data_mask = bit_mask(data_width)
         #: Phits collected so far, packed header first (see the module docstring).
         self._collected = 0
@@ -339,7 +337,7 @@ class LaneDeserializer:
 
     def tick(self, input_phit: int, cycle: int, clock_gating: bool = False) -> None:
         """Advance by one clock cycle with *input_phit* observed on the lane."""
-        activity = self.activity
+        slots = self.activity.slots
 
         collected = self._collected
         if collected:
@@ -355,13 +353,10 @@ class LaneDeserializer:
 
         idle = not self._collected and input_phit == 0 and self._previous_phit == 0
         if clock_gating and idle:
-            activity.add(ActivityKeys.REG_GATED_BITS, self.idle_cycle_bits)
+            slots[REG_GATED_BITS] += self.idle_cycle_bits
         else:
-            activity.add(ActivityKeys.REG_CLOCKED_BITS, self.idle_cycle_bits)
-            activity.add(
-                ActivityKeys.REG_TOGGLE_BITS,
-                toggle_count(self._previous_phit, input_phit, self.lane_width),
-            )
+            slots[REG_CLOCKED_BITS] += self.idle_cycle_bits
+            slots[REG_TOGGLE_BITS] += ((self._previous_phit ^ input_phit) & self._phit_mask).bit_count()
         self._previous_phit = input_phit
 
         # Emit at most one acknowledge pulse per cycle.
@@ -385,7 +380,7 @@ class LaneDeserializer:
         )
         self.words_received += 1
         self.max_occupancy = max(self.max_occupancy, len(self._rx_queue))
-        self.activity.add(ActivityKeys.WORDS_DELIVERED, 1)
+        self.activity.slots[WORDS_DELIVERED] += 1
         window = self.flow.window_size
         if window is not None and len(self._rx_queue) > window:
             raise CapacityError(
@@ -530,20 +525,19 @@ class DataConverter:
         proportional to *active* lanes, which on a mesh router forwarding
         through its crossbar is usually zero.
         """
-        activity = self.activity
+        slots = self.activity.slots
         if self._sparse_idle and not any(tx_acks) and not any(rx_phits):
             # Transit-router fast path: a converter that ended the previous
             # cycle fully quiescent, with idle crossbar outputs and no
             # acknowledges this cycle, stays frozen — one constant batch
             # accounting covers all lane units.
             if clock_gating:
-                activity.add(ActivityKeys.REG_GATED_BITS, self._idle_bits_total)
+                slots[REG_GATED_BITS] += self._idle_bits_total
             else:
-                activity.add(ActivityKeys.REG_CLOCKED_BITS, self._idle_bits_total)
+                slots[REG_CLOCKED_BITS] += self._idle_bits_total
                 # Key-existence parity with the dense path, which records a
                 # (possibly zero) toggle count for every clocked lane.
-                if ActivityKeys.REG_TOGGLE_BITS not in activity.counts:
-                    activity.add(ActivityKeys.REG_TOGGLE_BITS, 0)
+                slots[REG_TOGGLE_BITS] += 0
             return
         # The skip tests spell out the units' ``quiescent`` properties: eight
         # property calls per endpoint router and cycle are the largest slice
@@ -580,11 +574,10 @@ class DataConverter:
             return
         if clock_gating:
             # A skipped lane is fully idle, which is exactly what gets gated.
-            activity.add(ActivityKeys.REG_GATED_BITS, idle_bits)
+            slots[REG_GATED_BITS] += idle_bits
         else:
-            activity.add(ActivityKeys.REG_CLOCKED_BITS, idle_bits)
-            if ActivityKeys.REG_TOGGLE_BITS not in activity.counts:
-                activity.add(ActivityKeys.REG_TOGGLE_BITS, 0)
+            slots[REG_CLOCKED_BITS] += idle_bits
+            slots[REG_TOGGLE_BITS] += 0  # key-existence parity, as above
 
     def reset(self) -> None:
         """Reset every serialiser and deserialiser."""

@@ -34,14 +34,14 @@ from repro.common import (
     NEIGHBOR_PORTS,
     ConfigurationError,
     Port,
-    toggle_count,
+    bit_mask,
 )
 from repro.core.config_memory import ConfigurationMemory, LaneConfig
 from repro.core.configuration import ConfigurationCommand
 from repro.core.crossbar import Crossbar
 from repro.core.data_converter import DataConverter, TileInterface
 from repro.core.lane import LaneLink
-from repro.energy.activity import ActivityCounters, ActivityKeys
+from repro.energy.activity import LINK_TOGGLE_BITS, ActivityCounters, ActivityKeys
 from repro.energy.area import CircuitSwitchedRouterArea
 from repro.energy.power import PowerBreakdown, PowerModel
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
@@ -86,6 +86,7 @@ class CircuitSwitchedRouter(ClockedComponent):
         super().__init__(name)
         self.lanes_per_port = lanes_per_port
         self.lane_width = lane_width
+        self._lane_mask = bit_mask(lane_width)
         self.data_width = data_width
         self.position = position
         self.clock_gating = clock_gating
@@ -339,7 +340,7 @@ class CircuitSwitchedRouter(ClockedComponent):
         # 3. Drive the outgoing links (data forward, acknowledges backward).
         previous = self._tx_previous
         link_toggles = 0
-        width = self.lane_width
+        mask = self._lane_mask
         if (
             self._event_mode
             and self._drive_version == self.config.version
@@ -351,11 +352,11 @@ class CircuitSwitchedRouter(ClockedComponent):
             for tx_link, lane, idx in self._drive_out:
                 value = out_data[idx]
                 if value != previous[idx]:
-                    link_toggles += toggle_count(previous[idx], value, width)
+                    link_toggles += ((previous[idx] ^ value) & mask).bit_count()
                     previous[idx] = value
                     tx_link.drive_forward(lane, value)
             if link_toggles:
-                self.activity.add(ActivityKeys.LINK_TOGGLE_BITS, link_toggles)
+                self.activity.slots[LINK_TOGGLE_BITS] += link_toggles
             for rx_link, lane, idx in self._drive_ack:
                 value = ack_data[idx]
                 if rx_link.ack[lane] != value:
@@ -368,11 +369,11 @@ class CircuitSwitchedRouter(ClockedComponent):
                 idx = base + lane
                 value = out_data[idx]
                 if value != previous[idx]:
-                    link_toggles += toggle_count(previous[idx], value, width)
+                    link_toggles += ((previous[idx] ^ value) & mask).bit_count()
                     previous[idx] = value
                     tx_link.drive_forward(lane, value)
         if link_toggles:
-            self.activity.add(ActivityKeys.LINK_TOGGLE_BITS, link_toggles)
+            self.activity.slots[LINK_TOGGLE_BITS] += link_toggles
         for base, rx_link in self._rx_flat:
             link_ack = rx_link.ack
             for lane in range(lanes_per_port):

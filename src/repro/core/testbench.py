@@ -27,7 +27,7 @@ from repro.core.flow_control import FlowControlConfig
 from repro.core.header import phits_per_packet
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
-from repro.energy.activity import ActivityCounters, ActivityKeys
+from repro.energy.activity import REG_TOGGLE_BITS, ActivityCounters, ActivityKeys
 from repro.sim.engine import ClockedComponent
 
 __all__ = [
@@ -187,7 +187,7 @@ class LaneStreamDriver(ClockedComponent):
         self._pacer.skip(cycles)
         # What `cycles` idle serialiser ticks would have recorded.
         self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self.serializer.idle_cycle_bits * cycles)
-        self.activity.add(ActivityKeys.REG_TOGGLE_BITS, 0)
+        self.activity.slots[REG_TOGGLE_BITS] += 0
 
     @property
     def words_sent(self) -> int:
@@ -254,7 +254,7 @@ class LaneStreamConsumer(ClockedComponent):
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
         # What `cycles` idle deserialiser ticks would have recorded.
         self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self.deserializer.idle_cycle_bits * cycles)
-        self.activity.add(ActivityKeys.REG_TOGGLE_BITS, 0)
+        self.activity.slots[REG_TOGGLE_BITS] += 0
 
     @property
     def words_received(self) -> int:

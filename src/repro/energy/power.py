@@ -26,7 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.energy.activity import ActivityCounters, ActivityKeys
+from repro.energy.activity import (
+    ARBITER_DECISIONS, ARBITER_GRANT_CHANGES, BUFFER_READ_BITS, BUFFER_WRITE_BITS, CONFIG_WRITES,
+    LINK_TOGGLE_BITS, REG_TOGGLE_BITS, VC_ALLOCATIONS, XBAR_TOGGLE_BITS, ActivityCounters,
+)
 from repro.energy.area import AreaModel
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
 
@@ -127,21 +130,23 @@ class PowerModel:
     def _event_energies_fj(self, activity: ActivityCounters) -> tuple[float, float]:
         """Return ``(internal_fj, switching_fj)`` accumulated by all events."""
         tech = self.tech
-        get = activity.get
-        reg_toggles = get(ActivityKeys.REG_TOGGLE_BITS)
+        slots = activity.slots
+        # An untouched slot reads -0.0; a leading term that is never -0.0
+        # makes every later one vanish in the sum exactly as +0.0 would.
+        reg_toggles = slots[REG_TOGGLE_BITS] + 0.0
         internal_fj = (
             reg_toggles * tech.e_reg_toggle_internal_fj
-            + get(ActivityKeys.BUFFER_WRITE_BITS) * tech.e_buffer_write_fj_per_bit
-            + get(ActivityKeys.BUFFER_READ_BITS) * tech.e_buffer_read_fj_per_bit
-            + get(ActivityKeys.ARBITER_DECISIONS) * tech.e_arbiter_decision_fj
-            + get(ActivityKeys.VC_ALLOCATIONS) * tech.e_arbiter_decision_fj
-            + get(ActivityKeys.CONFIG_WRITES) * tech.e_config_write_fj
+            + slots[BUFFER_WRITE_BITS] * tech.e_buffer_write_fj_per_bit
+            + slots[BUFFER_READ_BITS] * tech.e_buffer_read_fj_per_bit
+            + slots[ARBITER_DECISIONS] * tech.e_arbiter_decision_fj
+            + slots[VC_ALLOCATIONS] * tech.e_arbiter_decision_fj
+            + slots[CONFIG_WRITES] * tech.e_config_write_fj
         )
         switching_fj = (
             reg_toggles * tech.e_reg_toggle_switching_fj
-            + get(ActivityKeys.XBAR_TOGGLE_BITS) * tech.e_xbar_toggle_fj
-            + get(ActivityKeys.LINK_TOGGLE_BITS) * tech.e_link_toggle_fj
-            + get(ActivityKeys.ARBITER_GRANT_CHANGES) * tech.e_arbiter_grant_change_fj
+            + slots[XBAR_TOGGLE_BITS] * tech.e_xbar_toggle_fj
+            + slots[LINK_TOGGLE_BITS] * tech.e_link_toggle_fj
+            + slots[ARBITER_GRANT_CHANGES] * tech.e_arbiter_grant_change_fj
         )
         return internal_fj, switching_fj
 

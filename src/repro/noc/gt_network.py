@@ -40,10 +40,11 @@ from repro.common import (
     ConfigurationError,
     Port,
     bit_mask,
-    toggle_count,
 )
 from repro.core.testbench import LoadPacer
-from repro.energy.activity import ActivityCounters, ActivityKeys
+from repro.energy.activity import (
+    LINK_TOGGLE_BITS, REG_TOGGLE_BITS, WORDS_DELIVERED, WORDS_INJECTED, ActivityCounters, ActivityKeys,
+)
 from repro.energy.area import AetherealRouterArea
 from repro.energy.power import PowerBreakdown, PowerModel
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
@@ -381,8 +382,8 @@ class SlotTableRouter(ClockedComponent):
 
     def commit(self, cycle: int) -> None:
         out_prev = self._out_prev
+        counts = self.activity.slots
         reg_toggles = link_toggles = 0
-        events = ()
         # This slot's programmed entries, then the ports no entry names whose
         # register still holds a word (they latch "idle"); the rest of the
         # router cannot change this cycle.
@@ -401,12 +402,12 @@ class SlotTableRouter(ClockedComponent):
             else:
                 word = self.tile._pop_tx(connection)
                 if word is not None:
-                    events += ((ActivityKeys.WORDS_INJECTED, 1),)
+                    counts[WORDS_INJECTED] += 1
 
             payload = word if word is not None else 0
             previous = out_prev[out_port]
             if payload != previous:
-                toggles = toggle_count(previous, payload, self.data_width)
+                toggles = ((previous ^ payload) & self._mask).bit_count()
                 reg_toggles += toggles
                 if out_port:
                     link_toggles += toggles
@@ -425,10 +426,12 @@ class SlotTableRouter(ClockedComponent):
                     tx.drive(word, cycle)
             elif word is not None:
                 self.tile._deliver(connection, word)
-                events += ((ActivityKeys.WORDS_DELIVERED, 1),)
+                counts[WORDS_DELIVERED] += 1
 
-        if reg_toggles or events:
-            self.activity.add_commit(reg_toggles, link_toggles, events)
+        if reg_toggles:
+            counts[REG_TOGGLE_BITS] += reg_toggles
+            if link_toggles:  # an outgoing wire toggles with its register only
+                counts[LINK_TOGGLE_BITS] += link_toggles
 
     def quiescent(self) -> bool:
         """True when another cycle with unchanged inputs would be an idle tick.
@@ -467,7 +470,7 @@ class SlotTableRouter(ClockedComponent):
         pure function of the cycle count, so the kernel can leap straight to
         that slot.  No backlog at all means no self-generated events.
         """
-        if not self._datapath_idle():
+        if self._live or not self._datapath_idle():
             return cycle
         if not self.tile._has_backlog():
             return None

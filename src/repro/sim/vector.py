@@ -123,7 +123,7 @@ import numpy as np
 
 from repro.common import SimulationError, toggle_count
 from repro.core.header import VALID_MASK
-from repro.energy.activity import ActivityKeys
+from repro.energy.activity import LINK_TOGGLE_BITS, REG_TOGGLE_BITS, XBAR_TOGGLE_BITS
 from repro.sim.engine import ClockedComponent
 
 __all__ = ["VectorPlane", "MIN_BATCH_ROUTES"]
@@ -838,13 +838,13 @@ class VectorPlane(ClockedComponent):
         pending_link = self._pending_link
         # A member none of whose registers toggled moved no foreign wire either.
         for index in np.flatnonzero(reg_tog).tolist():
-            activity = members[index].activity
+            counts = members[index].activity.slots
             if xbar_toggles[index]:
-                activity.add(ActivityKeys.XBAR_TOGGLE_BITS, xbar_toggles[index])
-            activity.add(ActivityKeys.REG_TOGGLE_BITS, reg_toggles[index])
+                counts[XBAR_TOGGLE_BITS] += xbar_toggles[index]
+            counts[REG_TOGGLE_BITS] += reg_toggles[index]
             toggles = pending_link[index] + link_toggles[index]
             if toggles:
-                activity.add(ActivityKeys.LINK_TOGGLE_BITS, toggles)
+                counts[LINK_TOGGLE_BITS] += toggles
                 pending_link[index] = 0
         # A slot that counted no toggle still holds what its register does.
         values = self._live.tolist()

@@ -136,7 +136,7 @@ class TestRouterDataPath:
         kernel_25mhz.run(50)
         router.reset()
         assert router.activity.cycles == 0
-        assert router.activity.counts == {}
+        assert router.activity.as_dict() == {}
 
 
 class TestRouterActivityAndPower:

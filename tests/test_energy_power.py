@@ -2,13 +2,125 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Mapping
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.energy.activity import ActivityCounters, ActivityKeys
+from repro.energy import activity as activity_module
+from repro.energy.activity import LINK_TOGGLE_BITS, SLOT_KEYS, ActivityCounters, ActivityKeys
 from repro.energy.area import CircuitSwitchedRouterArea, PacketSwitchedRouterArea
 from repro.energy.power import PowerBreakdown, PowerModel
 from repro.energy.technology import TSMC_130NM_LVHP
+
+
+@dataclass
+class _DictCounters:
+    """The dictionary-backed counters the slot list replaced, verbatim (less
+    ``add_commit``, which left with its callers): the reference of the
+    property below."""
+
+    name: str = "activity"
+    cycles: int = 0
+    counts: Dict[str, float] = field(default_factory=dict)
+
+    def add(self, key: str, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("activity amounts must be non-negative")
+        self.counts[key] = self.counts.get(key, 0.0) + amount
+
+    def get(self, key: str, default: float = 0.0) -> float:
+        return self.counts.get(key, default)
+
+    def per_cycle(self, key: str) -> float:
+        if self.cycles <= 0:
+            return 0.0
+        return self.get(key) / self.cycles
+
+    def merge(self, other: "_DictCounters") -> None:
+        for key, value in other.counts.items():
+            self.counts[key] = self.counts.get(key, 0.0) + value
+        self.cycles = max(self.cycles, other.cycles)
+
+    @classmethod
+    def merged(cls, counters: Iterable["_DictCounters"], name: str = "merged") -> "_DictCounters":
+        result = cls(name)
+        for item in counters:
+            result.merge(item)
+        return result
+
+    def clock_gating_factor(self) -> float:
+        clocked = self.get(ActivityKeys.REG_CLOCKED_BITS)
+        gated = self.get(ActivityKeys.REG_GATED_BITS)
+        total = clocked + gated
+        if total <= 0:
+            return 1.0
+        return clocked / total
+
+    def as_dict(self) -> Dict[str, float]:
+        return dict(sorted(self.counts.items()))
+
+    def reset(self) -> None:
+        self.counts.clear()
+        self.cycles = 0
+
+    def update_from(self, mapping: Mapping[str, float]) -> None:
+        for key, value in mapping.items():
+            self.add(key, value)
+
+
+#: The sixteen, two names that sort around them and one in their middle.
+_KEYS = st.sampled_from(SLOT_KEYS + ("a.outside", "link.z", "zz"))
+_AMOUNTS = st.one_of(st.integers(0, 40), st.sampled_from([0.0, -0.0, 0.1, 2.5, 1e17]))
+_ADDS = st.lists(st.tuples(_KEYS, _AMOUNTS), max_size=6)
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("add"), _KEYS, _AMOUNTS),
+    st.tuples(st.just("slot"), st.integers(0, len(SLOT_KEYS) - 1), st.integers(0, 40)),
+    st.tuples(st.just("merge"), _ADDS, st.integers(0, 50)),
+    st.tuples(st.just("update_from"), st.dictionaries(_KEYS, _AMOUNTS, max_size=4)),
+    st.tuples(st.just("cycles"), st.integers(0, 50)),
+    st.tuples(st.just("reset")),
+)
+
+
+def _bits(counters):
+    """``as_dict()`` in key order with every value's exact bits (tells -0.0 from 0.0)."""
+    counts = counters.as_dict()
+    assert all(type(value) is float for value in counts.values())
+    return [(key, value.hex()) for key, value in counts.items()]
+
+
+@given(st.lists(_OPERATIONS, max_size=12))
+def test_slots_book_what_the_dictionary_booked(operations):
+    """By-name adds (zero amounts, names outside the sixteen, repeats), direct
+    slot adds, ``merge``, ``update_from``, ``reset``: same keys, same floats."""
+    slots, reference = ActivityCounters("r"), _DictCounters("r")
+    for name, *arguments in operations:
+        if name == "slot":
+            slot, amount = arguments
+            slots.slots[slot] += amount
+            reference.add(SLOT_KEYS[slot], amount)
+        elif name == "merge":
+            adds, cycles = arguments
+            others = ActivityCounters("o", cycles), _DictCounters("o", cycles)
+            for other in others:
+                for key, amount in adds:
+                    other.add(key, amount)
+            slots.merge(others[0])
+            reference.merge(others[1])
+        elif name == "cycles":
+            slots.cycles = reference.cycles = arguments[0]
+        else:
+            getattr(slots, name)(*arguments)
+            getattr(reference, name)(*arguments)
+        assert _bits(slots) == _bits(reference)
+    assert slots.cycles == reference.cycles
+    assert slots.clock_gating_factor().hex() == reference.clock_gating_factor().hex()
+    for key in SLOT_KEYS + ("a.outside", "never.added"):
+        assert slots.get(key, 7.0).hex() == reference.get(key, 7.0).hex()
+        assert slots.per_cycle(key).hex() == reference.per_cycle(key).hex()
 
 
 class TestActivityCounters:
@@ -22,28 +134,33 @@ class TestActivityCounters:
         with pytest.raises(ValueError):
             ActivityCounters().add("x", -1)
 
-    @given(
-        toggles=st.tuples(st.integers(0, 40), st.integers(0, 40)),
-        events=st.lists(st.tuples(st.sampled_from(["x", "y", "z"]), st.integers(0, 3)), max_size=4),
-    )
-    def test_add_commit_equals_the_adds_it_stands_for(self, toggles, events):
-        """One call per router commit: zero toggle sums book nothing, every
-        event pair is an add - a zero amount still creates its key."""
-        bulk, single = ActivityCounters("bulk"), ActivityCounters("single")
-        for _ in range(2):
-            bulk.add_commit(*toggles, events)
-            for key, amount in zip((ActivityKeys.REG_TOGGLE_BITS, ActivityKeys.LINK_TOGGLE_BITS), toggles):
-                if amount:
-                    single.add(key, amount)
-            for key, amount in events:
-                single.add(key, amount)
-        assert bulk.counts == single.counts
-        assert all(type(value) is float for value in bulk.counts.values())
-
-    @pytest.mark.parametrize("sums", [(-1, 0, ()), (0, -1, ()), (3, 3, (("x", -1),))])
-    def test_add_commit_rejects_negative_amounts(self, sums):
+    @pytest.mark.parametrize("key", [ActivityKeys.REG_TOGGLE_BITS, "x"])
+    def test_every_by_name_entry_point_rejects_a_negative_amount(self, key):
+        """Slot or overflow: a negative amount would also break the presence rule."""
+        activity = ActivityCounters()
         with pytest.raises(ValueError):
-            ActivityCounters().add_commit(*sums)
+            activity.add(key, -1)
+        with pytest.raises(ValueError):
+            activity.update_from({key: -0.5})
+        with pytest.raises(ValueError):
+            ActivityCounters(counts={key: -1})
+        assert activity.as_dict() == {}
+
+    def test_every_key_has_its_slot(self):
+        names = [name for name in vars(ActivityKeys) if name.isupper()]
+        slots = {name: getattr(activity_module, name) for name in names}
+        assert sorted(slots.values()) == list(range(len(SLOT_KEYS))) == list(range(16))
+        assert all(SLOT_KEYS[slot] == getattr(ActivityKeys, name) for name, slot in slots.items())
+
+    def test_pickle_keeps_untouched_slots_absent(self):
+        """Shard workers ship counters to ``ShardedNetwork.merged_activity``."""
+        activity = ActivityCounters("r", cycles=7, counts={ActivityKeys.CONFIG_WRITES: 0, "x": 2})
+        activity.slots[LINK_TOGGLE_BITS] += 3
+        copy = pickle.loads(pickle.dumps(activity))
+        assert copy == activity and copy.cycles == 7
+        assert copy.as_dict() == {"config.writes": 0.0, "link.toggle_bits": 3.0, "x": 2.0}
+        copy.slots[LINK_TOGGLE_BITS] += 1
+        assert copy != activity
 
     def test_per_cycle(self):
         activity = ActivityCounters()
@@ -67,7 +184,17 @@ class TestActivityCounters:
 
     def test_merged_classmethod(self):
         merged = ActivityCounters.merged([ActivityCounters(), ActivityCounters()])
-        assert merged.counts == {}
+        assert merged.as_dict() == {}
+
+    def test_merged_holds_exactly_the_union_of_the_keys(self):
+        parts = [
+            ActivityCounters(counts={ActivityKeys.REG_TOGGLE_BITS: 0, "x": 1}),
+            ActivityCounters(counts={ActivityKeys.WORDS_DELIVERED: 2}),
+            ActivityCounters(counts={ActivityKeys.REG_TOGGLE_BITS: 3, ActivityKeys.VC_ALLOCATIONS: 0, "y": 0}),
+        ]
+        assert ActivityCounters.merged(parts).as_dict() == {
+            "reg.toggle_bits": 3.0, "traffic.words_delivered": 2.0, "vc.allocations": 0.0, "x": 1.0, "y": 0.0,
+        }
 
     def test_clock_gating_factor_defaults_to_one(self):
         assert ActivityCounters().clock_gating_factor() == 1.0
@@ -83,7 +210,7 @@ class TestActivityCounters:
         activity.add("x", 1)
         activity.cycles = 3
         activity.reset()
-        assert activity.counts == {}
+        assert activity.as_dict() == {}
         assert activity.cycles == 0
 
     def test_update_from_mapping(self):

@@ -217,7 +217,7 @@ class TestConstantAccountingSettlesAtSync:
         def booked():
             return router.activity.get(ActivityKeys.REG_CLOCKED_BITS), router.activity.cycles
 
-        assert ActivityKeys.REG_CLOCKED_BITS not in router.activity.counts
+        assert ActivityKeys.REG_CLOCKED_BITS not in router.activity.as_dict()
         kernel.run(37)
         assert booked() == (router._idle_clock_bits * 37, 37)
         router.commit(37)  # a commit on its own books nothing constant

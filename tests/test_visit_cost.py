@@ -3,18 +3,31 @@
 The packet and GT phases are what the three-kind workloads of
 ``benchmarks/e2e`` spend their time in, and this host's wall clock moves
 1.2-1.9x within minutes, so the floor is a count: interpreted bytecodes
-(``sys.settrace`` with ``f_trace_opcodes``) per simulated cycle of the warmed
-8x8 row fabrics of ``saturated_default`` - one full-load west-to-east channel
-per row - under the default schedule.  The count repeats exactly on one
-interpreter version, hence the CPython 3.11 gate.  The packet fabric is
-bursty (every row sends one 17-flit packet per 256 cycles, all rows at
-once): the counted window, cycles 200-360, holds exactly one burst.
+(``sys.settrace`` with ``f_trace_opcodes``) per simulated cycle, which repeats
+exactly on one interpreter version, hence the CPython 3.11 gate.  Four rows:
 
-At the commit before a router visit became one pass (sampling ``evaluate``,
-constants booked in every ``commit``, ``quiescent()`` asked before
-``next_event_cycle()``, one ``ActivityCounters.add`` per counter) the same
-window cost 4 281 bytecodes per cycle on the GT fabric and 8 426 on the
-packet fabric; with it, 3 500 and 7 454.
+* ``gt`` / ``packet`` / ``circuit`` - the warmed 8x8 row fabrics of
+  ``saturated_default`` (one full-load west-to-east channel per row) under
+  the default schedule, cycles 200-360.  The packet fabric is bursty (every
+  row sends one 17-flit packet per 256 cycles, all rows at once): that
+  window holds exactly one burst.  The circuit fabric batches in NumPy; its
+  row is there so the plane's fold and the word edges cannot regress unseen.
+* ``circuit bench`` - the paper's own single-router bench,
+  ``run_scenario("circuit", "IV", cycles=1000)`` after one untimed call.
+
+==============  ===========================  ==========  ================
+row             before a visit was one pass  one pass    counters by slot
+==============  ===========================  ==========  ================
+gt              4 281                        3 500       3 118
+packet          8 426                        7 454       6 653
+circuit         -                            1 477       1 428
+circuit bench   -                            3 587       3 093
+==============  ===========================  ==========  ================
+
+"One pass" replaced a sampling ``evaluate``, constants booked in every
+``commit`` and one ``ActivityCounters.add`` per counter; "by slot" replaced
+the dictionary update behind a call with ``slots[SLOT] += n`` at the site and
+``toggle_count`` with its masked ``bit_count`` inline.
 """
 
 from __future__ import annotations
@@ -24,14 +37,16 @@ import sys
 import pytest
 
 from repro.apps.traffic import BitFlipPattern, word_generator
+from repro.experiments.harness import run_scenario
 from repro.noc import Mesh2D, build_network
 
 SIZE = 8
 WARMUP_CYCLES = 200
 COUNTED_CYCLES = 160
+BENCH_CYCLES = 1000
 
-#: Bytecodes per simulated cycle the warmed row fabric may cost.
-CEILINGS = {"gt": 3650, "packet": 7600}
+#: Bytecodes per simulated cycle each row may cost.
+CEILINGS = {"gt": 3300, "packet": 6950, "circuit": 1500, "circuit bench": 3250}
 
 
 def _row_fabric(kind):
@@ -44,10 +59,8 @@ def _row_fabric(kind):
     return network
 
 
-def bytecodes_per_cycle(kind):
-    """Interpreted bytecodes of ``run(COUNTED_CYCLES)`` on the warmed fabric, per cycle."""
-    network = _row_fabric(kind)
-    network.run(WARMUP_CYCLES)
+def _bytecodes(run):
+    """Interpreted bytecodes of one ``run()`` call."""
     executed = 0
 
     def count(frame, event, arg):
@@ -62,21 +75,42 @@ def bytecodes_per_cycle(kind):
     previous = sys.gettrace()
     sys.settrace(count)
     try:
-        network.run(COUNTED_CYCLES)
+        run()
     finally:
         sys.settrace(previous)
-    return executed / COUNTED_CYCLES
+    return executed
 
 
-@pytest.mark.skipif(
+def bytecodes_per_cycle(row):
+    """Bytecodes per simulated cycle of *row* (a key of :data:`CEILINGS`)."""
+    if row == "circuit bench":
+        def bench():
+            run_scenario("circuit", "IV", cycles=BENCH_CYCLES)
+
+        bench()  # imports, caches
+        return _bytecodes(bench) / BENCH_CYCLES
+    network = _row_fabric(row)
+    network.run(WARMUP_CYCLES)
+    return _bytecodes(lambda: network.run(COUNTED_CYCLES)) / COUNTED_CYCLES
+
+
+cpython_3_11 = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
     reason="bytecode counts are those of CPython 3.11",
 )
-@pytest.mark.parametrize("kind", sorted(CEILINGS))
+
+
+@cpython_3_11
+@pytest.mark.parametrize("kind", ["circuit", "gt", "packet"])
 def test_row_fabric_cycle_stays_under_its_bytecode_ceiling(kind):
     assert bytecodes_per_cycle(kind) <= CEILINGS[kind]
 
 
+@cpython_3_11
+def test_circuit_bench_cycle_stays_under_its_bytecode_ceiling():
+    assert bytecodes_per_cycle("circuit bench") <= CEILINGS["circuit bench"]
+
+
 if __name__ == "__main__":
-    for kind in sorted(CEILINGS):
-        print(f"{kind}: {bytecodes_per_cycle(kind):.0f} bytecodes per cycle (ceiling {CEILINGS[kind]})")
+    for row in sorted(CEILINGS):
+        print(f"{row}: {bytecodes_per_cycle(row):.0f} bytecodes per cycle (ceiling {CEILINGS[row]})")
