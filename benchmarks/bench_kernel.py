@@ -33,7 +33,9 @@ at the repository root::
 
 ``--quick`` runs the 8×8 low-occupancy scenario plus the 8×8 paced-stream
 scenario with fewer cycles and asserts ``identical_results`` without
-touching the JSON file (the CI smoke).  ``--profile`` runs the hottest
+touching the JSON file (the CI smoke); it also runs the full-load 8×8 GT and
+packet row fabrics under all four schedules and asserts identical merged
+activity, stream statistics and energy per bit.  ``--profile`` runs the hottest
 scenario (the fully loaded 8×8 mesh) under cProfile for the event and
 vector schedules and prints the top-20 functions by cumulative time plus
 each layer's share of the profiled self time (converter, plane, routers,
@@ -242,19 +244,22 @@ def vector_floor_violations(rows: list[dict]) -> list[str]:
     ]
 
 
-def _fabric_scenario(size: int, shards: int | None = None, transport: str | None = None):
-    """A size×size full-load row-stream mesh through the fabric front door.
+def _fabric_scenario(
+    size: int, shards: int | None = None, transport: str | None = None,
+    kind: str = "circuit", schedule: str = "event",
+):
+    """A size×size full-load row-stream mesh of *kind* through the fabric front door.
 
     Built via :func:`~repro.noc.fabric.build_network` so the identical
     attachment sequence produces either the single-process network or the
     sharded one (``shards=N``, optionally pinned to one *transport*).
     """
-    kwargs = {"frequency_hz": FREQUENCY_HZ, "schedule": "event"}
+    kwargs = {"frequency_hz": FREQUENCY_HZ, "schedule": schedule}
     if shards:
         kwargs["shards"] = shards
     if transport:
         kwargs["transport"] = transport
-    network = build_network("circuit", Mesh2D(size, size), **kwargs)
+    network = build_network(kind, Mesh2D(size, size), **kwargs)
     for row in range(size):
         network.attach_channel(
             f"row{row}",
@@ -491,6 +496,16 @@ def quick_smoke() -> None:
             raise SystemExit(
                 "schedule results diverged — the kernel optimisation is unsound"
             )
+    for kind in ("gt", "packet"):
+        snapshots = []
+        for schedule in SCHEDULES:
+            network = _fabric_scenario(8, kind=kind, schedule=schedule)
+            network.run(300)
+            snapshots.append(_fabric_snapshot(network))
+        identical = all(snapshot == snapshots[0] for snapshot in snapshots)
+        print(f"row-stream {kind} 8x8 occ=1.0 {' == '.join(SCHEDULES)}: identical={identical}")
+        if not identical:
+            raise SystemExit(f"schedules diverged on the {kind} fabric — unsound")
     shard_row = run_sharded_benchmark(8, 2, 200)
     print(
         f"{shard_row['scenario']} {shard_row['mesh']} workers={shard_row['workers']} "

@@ -54,6 +54,7 @@ from repro.noc.gt_network import (
     GtLinkStreamDriver,
     GtStreamDriver,
     SlotTableRouter,
+    TdmaDatapath,
     TdmaLink,
 )
 from repro.noc.mapping import Mapping
@@ -442,7 +443,7 @@ def run_gt_scenario(
         if consumer is not None:
             components.append(consumer)
 
-    _run_testbench(kernel, components, router, cycles)
+    _run_testbench(kernel, components, TdmaDatapath("dut_datapath", [router]), cycles)
 
     result = _scenario_result(
         "time_division_gt", scenario, pattern, load, frequency_hz, cycles, router, drivers

@@ -55,6 +55,7 @@ from repro.noc.packet_network import PacketStreamEndpoints, PacketSwitchedNoC
 from repro.noc.gt_network import (
     GtStreamEndpoints,
     SlotTableRouter,
+    TdmaDatapath,
     TdmaLink,
     TimeDivisionNoC,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "PacketSwitchedNoC",
     "GtStreamEndpoints",
     "SlotTableRouter",
+    "TdmaDatapath",
     "TdmaLink",
     "TimeDivisionNoC",
     "ApplicationAdmission",

@@ -12,9 +12,9 @@ it a third *running* network kind on :class:`repro.noc.fabric.NocBase`:
 * :class:`TdmaLink` — one word-wide wire between routers (no flow control:
   contention-freedom is guaranteed by admission, so there is nothing to
   arbitrate or acknowledge),
-* :class:`SlotTableRouter` — a cycle-driven router whose only state is the
-  slot tables and one output register per port; slot ``cycle % S`` selects
-  which input each output latches,
+* :class:`SlotTableRouter` — the slot tables and one output register per
+  port; slot ``cycle % S`` selects which input each output latches,
+* :class:`TdmaDatapath` — the kernel component clocking a set of routers,
 * :class:`TimeDivisionNoC` — the full network, registered with
   :func:`repro.noc.fabric.build_network` as ``"gt"`` / ``"aethereal"`` /
   ``"tdma"``, admission-controlled by
@@ -25,20 +25,39 @@ Energy and area are backed by the published Æthereal constants
 paper gives no component breakdown ("n.a." in Table 4), so static and clock
 power follow the quoted area while switching activity (register/link toggles,
 slot-table writes) is recorded by the simulation like for the other routers.
-The routers participate in the kernel's quiescence protocol — an idle slot
-table is a fixed point, so an unloaded GT fabric costs nothing to simulate.
+
+Admission makes every slot table contention-free and one slot per hop
+aligned, so a cycle is a fixed move: at slot ``s`` each programmed entry
+copies its source (the register driving its input wire, its tile's queue, or
+a wire driven from outside the set) into its output register, and each
+register no entry names that holds a word latches idle.  The datapath
+compiles that move per slot and runs a cycle as one gather from the previous
+cycle's registers and one scatter into the routers' own registers, counters,
+outgoing wires and tiles; an idle fabric sleeps until a queued word's slot.
+It recompiles per router, between cycles only: a slot after ``program`` /
+``clear``, a router after ``attach_link``, both ends of a wire after its
+``fail``.  A slot-table write inside a cycle raises
+:class:`~repro.common.SimulationError`.  A wire between two routers of the
+set is never read (the entry reads the register behind it); an *external*
+wire (a :class:`GtLinkStreamDriver`'s, a shard's boundary mirror) is sampled
+in ``evaluate``, before anything commits — so wires need no memory of the
+previous cycle, whichever side registered first.  Every schedule runs this
+datapath; its independent reference is the two-phase per-router model in
+``tests/test_gt_network.py``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.baseline.aethereal import AETHEREAL
 from repro.common import (
     NEIGHBOR_PORTS,
     ConfigurationError,
     Port,
+    SimulationError,
     bit_mask,
 )
 from repro.core.testbench import LoadPacer
@@ -59,6 +78,7 @@ __all__ = [
     "TdmaLink",
     "TdmaTileInterface",
     "SlotTableRouter",
+    "TdmaDatapath",
     "GtStreamDriver",
     "GtLinkStreamDriver",
     "GtLinkStreamConsumer",
@@ -67,29 +87,16 @@ __all__ = [
 ]
 
 
-#: Per bit mask of output ports: the pseudo slot-table entries that make
-#: exactly those ports latch "no word" (``in_port`` ``None``).
-_LATCH_IDLE = [
-    tuple((port, None, "") for port in range(5) if mask >> port & 1) for mask in range(1 << 5)
-]
-
-
 class TdmaLink:
     """One unidirectional word-wide wire between two slot-table routers.
 
     ``forward`` holds the word committed by the upstream router's output
     register (``None`` = idle slot).  There is no reverse path: admission
-    guarantees contention-freedom, so the receiver can never stall.
-
-    Like :mod:`repro.baseline.link` the wire remembers one clock edge: a
-    :meth:`drive` in cycle *c* keeps the word it replaced (``before``,
-    ``changed_at``) and a reader committing in *c* takes that, so the
-    router's ``evaluate`` has nothing to sample.  A write between cycles
-    (fault, boundary frame, reset, no *cycle* given) is fresh in no cycle.
+    guarantees contention-freedom, so the receiver can never stall.  The
+    wire keeps no history: whoever reads it samples it when a cycle begins.
     """
 
-    __slots__ = ("name", "data_width", "_mask", "forward", "before", "changed_at",
-                 "forward_dirty", "dead", "dropped")
+    __slots__ = ("name", "data_width", "_mask", "forward", "forward_dirty", "dead", "dropped")
 
     def __init__(self, name: str, data_width: int = 16) -> None:
         if data_width < 1:
@@ -98,10 +105,8 @@ class TdmaLink:
         self.data_width = data_width
         self._mask = bit_mask(data_width)
         self.forward: Optional[int] = None
-        #: The word :meth:`drive` replaced, and the cycle it did.
-        self.before, self.changed_at = None, -1
         #: Dirty-bit of the forward wire; its listener is the reading
-        #: (downstream) router's ``wake``.
+        #: datapath (see :class:`TdmaDatapath`).
         self.forward_dirty = DirtyBit()
         #: True once :meth:`fail` killed the wire (fault model).
         self.dead = False
@@ -110,16 +115,12 @@ class TdmaLink:
         self.dropped = 0
 
     def watch_forward(self, listener: WakeListener) -> None:
-        """Wake *listener* whenever a word is placed on the wire."""
+        """Call *listener* whenever a word is placed on the wire."""
         self.forward_dirty.listener = listener
 
-    def drive(self, word: Optional[int], cycle: int = -1) -> None:
-        """Set the wire at the clock edge of *cycle* (called by the upstream router).
-
-        Only a word wakes the receiver: the receiver cannot have been asleep
-        while a word was on the wire (latching it keeps it busy for at least
-        the following cycle), so the word → idle transition needs no wake-up.
-        """
+    def drive(self, word: Optional[int]) -> None:
+        """Set the wire at the clock edge.  Only a word wakes the reader: it
+        cannot sleep while a word is on the wire, so word → idle needs none."""
         if word == self.forward:
             return
         if self.dead:
@@ -130,9 +131,6 @@ class TdmaLink:
             return
         if word is not None and not 0 <= word <= self._mask:
             raise ValueError(f"word {word:#x} does not fit in {self.data_width} bits")
-        if self.changed_at != cycle:
-            self.before = self.forward
-            self.changed_at = cycle
         self.forward = word
         if word is not None:
             self.forward_dirty.mark()
@@ -146,15 +144,14 @@ class TdmaLink:
         return self.forward is None
 
     def reset(self) -> None:
-        """Return the wire to the idle state and forget its last change."""
-        self.forward = self.before = None
-        self.changed_at = -1
+        """Return the wire to the idle state."""
+        self.forward = None
 
     def fail(self) -> int:
         """Kill the wire: it falls idle and future words are swallowed.
 
-        Returns the number of in-flight words lost (0 or 1).  The downstream
-        router is woken so it re-samples the dead wire.
+        Returns the number of in-flight words lost (0 or 1).  The reader is
+        notified, so a datapath driving both ends recompiles them.
         """
         if self.dead:
             return 0
@@ -183,7 +180,8 @@ class TdmaTileInterface:
     def __init__(self, router: "SlotTableRouter") -> None:
         self.router = router
         self._tx: Dict[str, Deque[int]] = {}
-        #: Words queued over all connections (kept by send/_pop_tx/forget).
+        #: Words queued over all connections (kept by send, forget and the
+        #: datapath's pops).
         self._queued = 0
         self.received: Dict[str, List[int]] = {}
 
@@ -197,27 +195,15 @@ class TdmaTileInterface:
             )
         self._tx.setdefault(connection, deque()).append(word)
         self._queued += 1
-        self.router.wake()
+        if self.router.datapath is not None:
+            self.router.datapath.wake()
 
     def backlog(self, connection: str) -> int:
         """Words queued at the tile but not yet injected."""
         queue = self._tx.get(connection)
         return len(queue) if queue is not None else 0
 
-    def _pop_tx(self, connection: str) -> Optional[int]:
-        queue = self._tx.get(connection)
-        if queue:
-            self._queued -= 1
-            return queue.popleft()
-        return None
-
-    def _has_backlog(self) -> bool:
-        return self._queued > 0
-
-    # -- receiving (driven by the router) ------------------------------------------------
-
-    def _deliver(self, connection: str, word: int) -> None:
-        self.received.setdefault(connection, []).append(word)
+    # -- receiving (filled by the datapath) ------------------------------------------------
 
     def words_received(self, connection: str) -> int:
         """Words delivered to this tile on *connection*."""
@@ -235,15 +221,17 @@ class TdmaTileInterface:
         self.received.clear()
 
 
-class SlotTableRouter(ClockedComponent):
-    """Cycle-driven model of an Æthereal-style slot-table router.
+class SlotTableRouter:
+    """Model of an Æthereal-style slot-table router.
 
     Per output port the router holds a revolving table of ``slots`` entries;
     entry ``cycle % slots`` names the input port whose word is latched into
     that output's register at the clock edge (and the connection it belongs
     to, so tile ingress/egress can be demultiplexed).  One register stage per
     hop gives the one-slot-per-hop alignment that
-    :class:`repro.noc.slot_table.SlotTableAllocator` schedules around.
+    :class:`repro.noc.slot_table.SlotTableAllocator` schedules around.  The
+    :class:`TdmaDatapath` that adopts the router (:attr:`datapath`) clocks it
+    and hears of every slot-table write, wiring change and queued tile word.
     """
 
     NUM_PORTS = 5
@@ -256,14 +244,16 @@ class SlotTableRouter(ClockedComponent):
         position: Tuple[int, int] = (0, 0),
         tech: Technology = TSMC_130NM_LVHP,
     ) -> None:
-        super().__init__(name)
         if slots < 1:
             raise ValueError("slot table needs at least one slot")
+        self.name = name
         self.slots = slots
         self.data_width = data_width
         self._mask = bit_mask(data_width)
         self.position = position
         self.tech = tech
+        #: The datapath clocking this router (set when one adopts it).
+        self.datapath: Optional["TdmaDatapath"] = None
 
         self.activity = ActivityCounters(name)
         self.area_model = AetherealRouterArea(tech)
@@ -273,25 +263,14 @@ class SlotTableRouter(ClockedComponent):
         self._table: List[List[Optional[Tuple[Port, str]]]] = [
             [None] * slots for _ in range(self.NUM_PORTS)
         ]
-        #: The same tables compiled per slot: the programmed
-        #: ``(out_port, in_port, connection)`` entries in output-port order
-        #: (rebuilt by program/clear), so a cycle visits no empty entry.
-        self._slot_entries: List[Tuple[Tuple[int, int, str], ...]] = [()] * slots
-        self._slot_ports: List[int] = [0] * slots  # the entries' output ports, as a bit mask
-        #: Registered output word per port (``None`` = idle) and the bit
-        #: mask of the ports whose register holds a word.
+        #: Registered output word per port (``None`` = idle).
         self._out_reg: List[Optional[int]] = [None] * self.NUM_PORTS
-        self._live = 0
         #: Previous payload per output register, for toggle counting
         #: (idle counts as the all-zero pattern).
         self._out_prev: List[int] = [0] * self.NUM_PORTS
 
-        self._rx_links: Dict[Port, Optional[TdmaLink]] = {p: None for p in NEIGHBOR_PORTS}
-        self._tx_links: Dict[Port, Optional[TdmaLink]] = {p: None for p in NEIGHBOR_PORTS}
         self._rx_by_port: List[Optional[TdmaLink]] = [None] * self.NUM_PORTS
         self._tx_by_port: List[Optional[TdmaLink]] = [None] * self.NUM_PORTS
-        #: ``(port, wire)`` of the attached incoming wires only.
-        self._rx_attached: Tuple[Tuple[Port, TdmaLink], ...] = ()
 
         self.tile = TdmaTileInterface(self)
 
@@ -312,23 +291,18 @@ class SlotTableRouter(ClockedComponent):
                     f"link {link.name!r} is {link.data_width} bits wide, router "
                     f"{self.name!r} expects {self.data_width}"
                 )
-        self._rx_links[port] = rx_link
-        self._tx_links[port] = tx_link
         self._rx_by_port[port] = rx_link
         self._tx_by_port[port] = tx_link
-        self._rx_attached = tuple((p, l) for p, l in self._rx_links.items() if l is not None)
-        if rx_link is not None:
-            # A word arriving here must wake a sleeping router.
-            rx_link.watch_forward(self.wake)
-        self.wake()
+        if self.datapath is not None:
+            self.datapath.relink(self)
 
     def rx_link(self, port: Port) -> Optional[TdmaLink]:
         """Incoming word wire at *port* (``None`` at a fabric edge)."""
-        return self._rx_links[Port(port)]
+        return self._rx_by_port[Port(port)]
 
     def tx_link(self, port: Port) -> Optional[TdmaLink]:
         """Outgoing word wire at *port* (``None`` at a fabric edge)."""
-        return self._tx_links[Port(port)]
+        return self._tx_by_port[Port(port)]
 
     # -- slot-table configuration ----------------------------------------------------
 
@@ -351,13 +325,13 @@ class SlotTableRouter(ClockedComponent):
         self._write_entry(out_port, slot, None)
 
     def _write_entry(self, out_port: Port, slot: int, entry: Optional[Tuple[Port, str]]) -> None:
+        datapath = self.datapath
+        if datapath is not None:
+            datapath.refuse_inside_cycle(self)
         self._table[out_port][slot] = entry
-        self._slot_entries[slot] = entries = tuple(
-            (port, *table[slot]) for port, table in enumerate(self._table) if table[slot] is not None
-        )
-        self._slot_ports[slot] = sum(1 << port for port, _in_port, _connection in entries)
         self.activity.add(ActivityKeys.CONFIG_WRITES, 1)
-        self.wake()
+        if datapath is not None:
+            datapath.reprogram(self, slot)
 
     def table_entry(self, out_port: Port, slot: int) -> Optional[Tuple[Port, str]]:
         """The ``(in_port, connection)`` entry at (*out_port*, *slot*), if any."""
@@ -372,130 +346,14 @@ class SlotTableRouter(ClockedComponent):
         if not 0 <= slot < self.slots:
             raise ConfigurationError(f"slot {slot} out of range 0..{self.slots - 1}")
 
-    # -- simulation ---------------------------------------------------------------------
-
-    supports_quiescence = True
-    settles_at_sync = True  # the slot counter and output registers never gate
-
-    def evaluate(self, cycle: int) -> None:
-        """Nothing: the incoming wires remember what :meth:`commit` must see."""
-
-    def commit(self, cycle: int) -> None:
-        out_prev = self._out_prev
-        counts = self.activity.slots
-        reg_toggles = link_toggles = 0
-        # This slot's programmed entries, then the ports no entry names whose
-        # register still holds a word (they latch "idle"); the rest of the
-        # router cannot change this cycle.
-        slot = cycle % self.slots
-        latches = self._slot_entries[slot]
-        stale = self._live & ~self._slot_ports[slot]
-        if stale:
-            latches += _LATCH_IDLE[stale]
-        for out_port, in_port, connection in latches:
-            if in_port is None:
-                word = None
-            elif in_port:
-                # What the wire (if any) held when this cycle began (see TdmaLink).
-                rx = self._rx_by_port[in_port]
-                word = rx and (rx.before if rx.changed_at == cycle else rx.forward)
-            else:
-                word = self.tile._pop_tx(connection)
-                if word is not None:
-                    counts[WORDS_INJECTED] += 1
-
-            payload = word if word is not None else 0
-            previous = out_prev[out_port]
-            if payload != previous:
-                toggles = ((previous ^ payload) & self._mask).bit_count()
-                reg_toggles += toggles
-                if out_port:
-                    link_toggles += toggles
-                out_prev[out_port] = payload
-            self._out_reg[out_port] = word
-            if word is None:
-                self._live &= ~(1 << out_port)
-            else:
-                self._live |= 1 << out_port
-
-            if out_port:
-                # The wire changes only when the register does (a dead wire
-                # stays idle and swallows, and counts, every word).
-                tx = self._tx_by_port[out_port]
-                if tx is not None and word != tx.forward:
-                    tx.drive(word, cycle)
-            elif word is not None:
-                self.tile._deliver(connection, word)
-                counts[WORDS_DELIVERED] += 1
-
-        if reg_toggles:
-            counts[REG_TOGGLE_BITS] += reg_toggles
-            if link_toggles:  # an outgoing wire toggles with its register only
-                counts[LINK_TOGGLE_BITS] += link_toggles
-
-    def quiescent(self) -> bool:
-        """True when another cycle with unchanged inputs would be an idle tick.
-
-        With empty connection queues, idle wires in both directions and idle
-        output registers, every slot — whatever the cycle count modulo the
-        table size — latches "no word", so the only per-cycle effect is the
-        constant clocked-bits contribution that :meth:`idle_tick` bulk-applies.
-        The *outgoing* wires must be idle because a just-driven word is a
-        transient: the next commit replaces it with ``None``, and sleeping
-        before that would leave it on the wire for the downstream router.
-        """
-        return not self.tile._has_backlog() and self._datapath_idle()
-
-    def _datapath_idle(self) -> bool:
-        """True when wires and output registers hold no word anywhere."""
-        # An outgoing wire carries its port's register, so ``_live`` covers both.
-        if self._live:
-            return False
-        for _port, rx in self._rx_attached:
-            if rx.forward is not None:
-                return False
-        return True
-
-    # -- timed protocol ------------------------------------------------------
-
-    supports_timed_wake = True
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """First cycle whose slot can latch a word, given unchanged inputs.
-
-        With words anywhere in the datapath the router is dense (it must run
-        every cycle).  With an idle datapath but backlog queued at the tile,
-        the only future work is injecting a queued word when the revolving
-        table next reaches a ``TILE`` entry of a backlogged connection — a
-        pure function of the cycle count, so the kernel can leap straight to
-        that slot.  No backlog at all means no self-generated events.
-        """
-        if self._live or not self._datapath_idle():
-            return cycle
-        if not self.tile._has_backlog():
-            return None
-        slots = self.slots
-        backlog = self.tile.backlog
-        for offset in range(slots):
-            for _out_port, in_port, connection in self._slot_entries[(cycle + offset) % slots]:
-                if not in_port and backlog(connection):
-                    return cycle + offset
-        return None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        """Book *cycles* cycles, busy or idle, of the constant clocked bits."""
-        self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self._idle_clock_bits * cycles)
-        self.activity.cycles = start_cycle + cycles
-
     def reset(self) -> None:
+        """Back to power-on, slot tables excepted (like the circuit-switched
+        configuration memory): tile, counters, registers, outgoing wires."""
         self.tile.reset()
         self.activity.reset()
-        self._live = 0
         for port in range(self.NUM_PORTS):
             self._out_reg[port] = None
             self._out_prev[port] = 0
-        # Return the attached wires to idle (slot tables survive a reset,
-        # like the circuit-switched configuration memory).
         for tx in self._tx_by_port:
             if tx is not None:
                 tx.reset()
@@ -515,6 +373,242 @@ class SlotTableRouter(ClockedComponent):
     def total_area_mm2(self) -> float:
         """Published silicon area (Table 4 quotes 0.175 mm² after layout)."""
         return self.area_model.total_mm2
+
+
+_PORTS = SlotTableRouter.NUM_PORTS
+#: Where a feed takes its word from (its index in a slot's ``_groups``).
+_FROM_REGISTER, _FROM_TILE, _FROM_WIRE = range(3)
+#: What a register's new word does besides latching (``action`` of a record):
+#: drive a wire a member reads, deliver at the tile, drive a wire read outside
+#: the set, feed a dead wire, or nothing (a fabric edge).
+_TO_MEMBER, _TO_TILE, _TO_OUTSIDE, _TO_DEAD, _TO_NOTHING = range(5)
+
+
+class TdmaDatapath(ClockedComponent):
+    """Clocks a set of :class:`SlotTableRouter` objects from one per-slot schedule.
+
+    Register ``5 × i + port`` is output register *port* of ``routers[i]``.
+    Per slot, ``_feeds`` maps each register a programmed entry feeds to its
+    source and feed ``(register, a, b, connection)``: the upstream register
+    ``a[b]`` (its router's ``_out_reg``, its port), the tile ``a`` (``b``:
+    its router's counter slots) or the external wire ``a``; ``_groups``
+    holds the slot's feeds by source.  An entry whose input wire is missing
+    or dead has no feed: like a register no entry names, it latches idle if
+    it holds a word.  ``_registers`` holds per register what the scatter
+    touches; all state stays in the routers, which share one slot-table size.
+    """
+
+    supports_quiescence = True
+    supports_timed_wake = True
+    settles_at_sync = True  # the slot counters and output registers never gate
+
+    def __init__(self, name: str, routers: Sequence[SlotTableRouter]) -> None:
+        super().__init__(name)
+        self.routers = list(routers)
+        sizes = {router.slots for router in self.routers}
+        if len(sizes) != 1:
+            raise ConfigurationError("a datapath clocks one or more routers of one slot-table size")
+        self.slots = sizes.pop()
+        self._index = {router: index for index, router in enumerate(self.routers)}
+        for router in self.routers:
+            if router.datapath is not None:
+                raise ConfigurationError(f"router {router.name!r} already has a datapath")
+            router.datapath = self
+        self._registers: List[tuple] = [()] * (_PORTS * len(self.routers))
+        self._feeds: List[Dict[int, tuple]] = [{} for _ in range(self.slots)]
+        self._groups: List[tuple] = [((), (), ())] * self.slots
+        #: The word ``evaluate`` last sampled per external wire.
+        self._sampled: Dict[TdmaLink, Optional[int]] = {}
+        #: Registers holding a word (an insertion-ordered set).
+        self._held: Dict[int, None] = {}
+        self._map_wires()
+        for router in self.routers:
+            self._compile(router)
+
+    # -- compiling the schedule, between cycles ----------------------------------------
+
+    def _map_wires(self) -> None:
+        """Who drives and who reads each wire of the set; claim the listeners."""
+        #: Wire -> number of the member register driving it / member reading it.
+        self._writer: Dict[TdmaLink, int] = {}
+        self._reader: Dict[TdmaLink, SlotTableRouter] = {}
+        for index, router in enumerate(self.routers):
+            for port in NEIGHBOR_PORTS:
+                if router._tx_by_port[port] is not None:
+                    self._writer[router._tx_by_port[port]] = _PORTS * index + port
+                if router._rx_by_port[port] is not None:
+                    self._reader[router._rx_by_port[port]] = router
+        #: Incoming wires driven from outside the set: a word on one keeps the
+        #: datapath running.  A wire inside the set is marked only by a fault.
+        self._external = tuple(wire for wire in self._reader if wire not in self._writer)
+        for wire in self._reader:
+            wire.watch_forward(self.wake if wire in self._external else self._member_wire_failed)
+
+    def _compile(self, router: SlotTableRouter, slots: Optional[Sequence[int]] = None) -> None:
+        """Recompile *router*'s feeds of *slots* (default: its records and every slot)."""
+        base = _PORTS * self._index[router]
+        counts = router.activity.slots
+        if slots is None:
+            slots = range(self.slots)
+            for port, wire in enumerate(router._tx_by_port):
+                if not port:
+                    action, wire = _TO_TILE, router.tile
+                elif wire is None:
+                    action = _TO_NOTHING
+                else:
+                    action = _TO_DEAD if wire.dead else _TO_MEMBER if wire in self._reader else _TO_OUTSIDE
+                self._registers[base + port] = (
+                    port, router._out_reg, router._out_prev, counts, router._mask, action, wire,
+                )
+        for slot in slots:
+            feeds = self._feeds[slot]
+            changed = False
+            for out_port, table in enumerate(router._table):
+                register, entry = base + out_port, table[slot]
+                if entry is None and register not in feeds:
+                    continue
+                changed = feeds.pop(register, None) is not None or changed
+                if entry is None:
+                    continue
+                in_port, connection = entry
+                wire = router._rx_by_port[in_port]
+                if not in_port:
+                    feeds[register] = (_FROM_TILE, (register, router.tile, counts, connection))
+                elif wire is None or wire.dead:
+                    continue
+                elif wire in self._writer:
+                    writer = self._writer[wire]
+                    feeds[register] = (_FROM_REGISTER, (
+                        register, self.routers[writer // _PORTS]._out_reg, writer % _PORTS, connection))
+                else:
+                    feeds[register] = (_FROM_WIRE, (register, wire, None, connection))
+                changed = True
+            if changed:
+                groups = ([], [], [])
+                for source, feed in feeds.values():
+                    groups[source].append(feed)
+                self._groups[slot] = tuple(map(tuple, groups))
+
+    def refuse_inside_cycle(self, router: SlotTableRouter) -> None:
+        """Raise unless the kernel is between two cycles (before a slot-table write)."""
+        kernel = self._scheduler
+        if kernel is not None and kernel._phase != "idle":
+            raise SimulationError(f"slot table of router {router.name!r} written inside cycle "
+                                  f"{kernel.cycle} ({kernel._phase} phase); write between cycles")
+
+    def reprogram(self, router: SlotTableRouter, slot: int) -> None:
+        """Recompile *router*'s feeds of *slot* after a slot-table write."""
+        self._compile(router, (slot,))
+        self.wake()
+
+    def relink(self, router: SlotTableRouter) -> None:
+        """Recompile *router* and the members across its wires (a wiring change)."""
+        self._map_wires()
+        self._recompile_ends((*router._rx_by_port, *router._tx_by_port), router)
+
+    def _member_wire_failed(self) -> None:
+        # A wire between two members is marked only when it fails.
+        self._recompile_ends([wire for *_, action, wire in self._registers if action == _TO_MEMBER and wire.dead])
+
+    def _recompile_ends(self, wires, *routers: SlotTableRouter) -> None:
+        """Recompile *routers* and the members at both ends of *wires* (after
+        a fault, a dead wire's register swallows words and its entry reads idle)."""
+        members = dict.fromkeys(routers)
+        for wire in wires:
+            if wire in self._writer:
+                members[self.routers[self._writer[wire] // _PORTS]] = None
+            if wire in self._reader:
+                members[self._reader[wire]] = None
+        for member in members:
+            self._compile(member)
+        self.wake()
+
+    # -- simulation ---------------------------------------------------------------------
+
+    def evaluate(self, cycle: int) -> None:
+        """Sample the external wires feeding an entry of this slot."""
+        for _, wire, _, _ in self._groups[cycle % self.slots][_FROM_WIRE]:
+            self._sampled[wire] = wire.forward
+
+    def commit(self, cycle: int) -> None:
+        slot, held = cycle % self.slots, self._held
+        feeds, (from_registers, from_tiles, from_wires) = self._feeds[slot], self._groups[slot]
+        # Gather every new word from the previous cycle's registers: idle for
+        # a register holding a word no entry names, its source's for a fed
+        # one (idle onto idle moves nothing).
+        moves = [(register, None, None) for register in held if register not in feeds]
+        for register, a, b, connection in from_registers:
+            if a[b] is not None or register in held:
+                moves.append((register, a[b], connection))
+        for register, tile, counts, connection in from_tiles:
+            queue = tile._queued and tile._tx.get(connection)
+            if queue:
+                tile._queued -= 1
+                counts[WORDS_INJECTED] += 1
+                moves.append((register, queue.popleft(), connection))
+            elif register in held:
+                moves.append((register, None, connection))
+        for register, wire, _, connection in from_wires:
+            if self._sampled[wire] is not None or register in held:
+                moves.append((register, self._sampled[wire], connection))
+        registers = self._registers
+        for register, word, connection in moves:
+            port, out_reg, out_prev, counts, mask, action, target = registers[register]
+            payload = word or 0
+            previous = out_prev[port]
+            if payload != previous:
+                toggles = ((previous ^ payload) & mask).bit_count()
+                counts[REG_TOGGLE_BITS] += toggles
+                if port:  # an outgoing wire toggles with its register
+                    counts[LINK_TOGGLE_BITS] += toggles
+                out_prev[port] = payload
+            out_reg[port] = word
+            if word is None:
+                del held[register]
+            else:
+                held[register] = None
+            if action == _TO_MEMBER:
+                target.forward = word
+            elif action == _TO_TILE:
+                if word is not None:
+                    target.received.setdefault(connection, []).append(word)
+                    counts[WORDS_DELIVERED] += 1
+            elif action == _TO_OUTSIDE:
+                if word != target.forward:
+                    target.drive(word)
+            elif action == _TO_DEAD and word is not None:
+                target.dropped += 1  # what TdmaLink.drive counts
+
+    def quiescent(self) -> bool:
+        """True when no register, external wire or tile queue holds a word."""
+        return not (self._held or any(wire.forward is not None for wire in self._external)
+                    or any(router.tile._queued for router in self.routers))
+
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        """Now while a register or an external wire holds a word, else the
+        first injection slot of a connection with a queued tile word."""
+        if self._held:
+            return cycle
+        for wire in self._external:
+            if wire.forward is not None:
+                return cycle
+        groups, slots = self._groups, self.slots
+        for offset in range(slots):
+            for _, tile, _, connection in groups[(cycle + offset) % slots][_FROM_TILE]:
+                if tile._queued and tile._tx.get(connection):
+                    return cycle + offset
+        return None
+
+    def idle_tick(self, start_cycle: int, cycles: int) -> None:
+        """Book *cycles* cycles, busy or idle, of every router's constant clocked bits."""
+        for router in self.routers:
+            router.activity.add(ActivityKeys.REG_CLOCKED_BITS, router._idle_clock_bits * cycles)
+            router.activity.cycles = start_cycle + cycles
+
+    def reset(self) -> None:
+        for router in self.routers:
+            router.reset()
+        self._held.clear()
 
 
 class GtStreamDriver(ClockedComponent):
@@ -616,10 +710,10 @@ class GtLinkStreamDriver(ClockedComponent):
         # downstream router's slot (cycle + 1) % S.
         target_slot = (cycle + 1) % self.slots
         if target_slot in self.inject_slots and self._pacer.should_emit():
-            self.link.drive(self.word_source(), cycle)
+            self.link.drive(self.word_source())
             self.words_sent += 1
         else:
-            self.link.drive(None, cycle)
+            self.link.drive(None)
 
     # -- timed protocol ------------------------------------------------------
     # The pacer is consulted once per owned slot opportunity (never on other
@@ -646,11 +740,10 @@ class GtLinkStreamDriver(ClockedComponent):
         emit_calls = self._pacer.cycles_until_emit()
         if emit_calls is None:
             return None  # zero load: every opportunity drives idle onto idle
-        offsets = sorted(
-            (residue - cycle) % self.slots for residue in self._inject_residues
-        )
-        revolutions, index = divmod(emit_calls - 1, len(offsets))
-        return cycle + offsets[index] + revolutions * self.slots
+        # The k-th opportunity from *cycle* on, counted from this revolution's start.
+        residues, now = self._inject_residues, cycle % self.slots
+        revolutions, index = divmod(emit_calls - 1 + bisect_left(residues, now), len(residues))
+        return cycle - now + residues[index] + revolutions * self.slots
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
         self._pacer.skip(self._opportunities_in(start_cycle, cycles))
@@ -672,8 +765,8 @@ class GtLinkStreamConsumer(ClockedComponent):
     def __init__(self, name: str, link: TdmaLink, slots: int) -> None:
         super().__init__(name)
         self.link = link
-        # Arriving words must wake a parked consumer (routers only watch
-        # their receive wires, so an outgoing wire's dirty-bit is free).
+        # Arriving words must wake a parked consumer (a datapath only watches
+        # its routers' receive wires, so an outgoing wire's dirty-bit is free).
         link.forward_dirty.add_listener(self.wake)
         self.slots = slots
         #: Slot index -> stream id owning it (filled by the test bench).
@@ -751,14 +844,15 @@ class GtStreamEndpoints:
 class TimeDivisionNoC(NocBase):
     """A complete Æthereal-style TDMA guaranteed-throughput network.
 
-    ``schedule="vector"`` (the default) runs as ``schedule="event"`` here
-    and :meth:`schedule_report` says so: which entries a slot-table router
-    latches changes with every slot (it walks the slot's compiled
-    ``(out_port, in_port, connection)`` entries), so there is no static
-    register gather for the columnar fast path (:mod:`repro.sim.vector`) to
-    batch and GT fabrics have no plane.
+    One :class:`TdmaDatapath` (:attr:`datapath`) clocks the routers,
+    registered where the other kinds register theirs, ahead of the streams.
+    Its compiled per-slot gather and scatter over the 8-16 words that move
+    leave no columnar plane (:mod:`repro.sim.vector`) anything to batch:
+    ``schedule="vector"`` (the default) runs as ``"event"`` here, and
+    :meth:`schedule_report` says so.
     """
 
+    datapath: Optional[TdmaDatapath] = None  # a shard may hold no router
     kind = "time_division_gt"
     activity_name = "gt_network"
     performs_admission = True
@@ -790,6 +884,11 @@ class TimeDivisionNoC(NocBase):
         )
 
     # -- construction hooks -----------------------------------------------------------
+
+    def _register_with_kernel(self) -> None:
+        if self.routers:
+            self.datapath = TdmaDatapath(f"{self.activity_name}_datapath", list(self.routers.values()))
+            self.kernel.add(self.datapath)
 
     def _build_router(self, position: Position) -> SlotTableRouter:
         return SlotTableRouter(

@@ -49,7 +49,7 @@ components that have reached a *fixed point*:
   the component sleeps and flushes it in one ``idle_tick`` call on wake-up
   and at the end of every ``run`` — a sleeping component costs zero work per
   simulated cycle.  Where the contribution is the same for a busy cycle (the
-  packet and slot-table routers) the component sets ``settles_at_sync``: its
+  packet router, the GT datapath) the component sets ``settles_at_sync``: its
   ``commit`` books none of it, no wake-up ticks it, and ``sync()`` books
   everything elapsed, awake or asleep, in one call.
 * **Strict mode.**  ``SimulationKernel(schedule="strict")`` runs the original
@@ -75,8 +75,8 @@ clock ticking.  The **timed tier** removes the per-cycle iteration too:
   ``next_event_cycle(cycle)`` — the first cycle at which its
   evaluate/commit could do more than an idle tick, given unchanged inputs
   (``None`` = never; traffic pacers predict their next emission in closed
-  form, the GT slot-table router predicts its next owned injection slot as a
-  pure function of the cycle count).
+  form, the GT datapath predicts the injection slot of the next queued word
+  as a pure function of the cycle count).
 * Under ``schedule="auto"``, when everything on the schedule is timed
   (sleeping components do not count — they have no events by definition)
   and no dense per-cycle hook is registered, ``SimulationKernel._advance``

@@ -124,8 +124,8 @@ everybody agrees" to per-component scheduling.  The rules:
   kernel tracks its first unaccounted cycle and flushes the whole gap
   through ``idle_tick`` when the component next runs (or at ``sync``).
 * Free idle ticks are not called at all: a component whose per-cycle
-  accounting is one constant, busy or idle, or nothing (the packet and
-  slot-table routers, pure sinks) sets ``settles_at_sync``.  Its ``commit``
+  accounting is one constant, busy or idle, or nothing (the packet router,
+  the GT datapath, pure sinks) sets ``settles_at_sync``.  Its ``commit``
   books no constant, no wake or heap pop ticks it, and ``sync()`` /
   ``remove()`` settle it — awake or asleep, under every schedule — with
   one ``idle_tick(start, cycles)`` over everything elapsed since the last.
@@ -151,6 +151,7 @@ from __future__ import annotations
 
 import abc
 import heapq
+import operator
 from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 from repro.common import SimulationError
@@ -167,9 +168,8 @@ SCHEDULES = ("strict", "auto", "event", "vector")
 #: vector plane.
 DEFAULT_SCHEDULE = "vector"
 
-
-def _registration_index(component: "ClockedComponent") -> int:
-    return component._kernel_index
+#: Sort key of the awake and late lists: registration order (a C-level getter).
+_BY_REGISTRATION = operator.attrgetter("_kernel_index")
 
 
 class ClockedComponent(abc.ABC):
@@ -797,7 +797,7 @@ class SimulationKernel:
             woken.clear()
             merged = True
         if merged:
-            awake.sort(key=_registration_index)
+            awake.sort(key=_BY_REGISTRATION)
         self._phase = "evaluate"
         for component in awake:
             component._input_dirty = False
@@ -808,7 +808,7 @@ class SimulationKernel:
                 component._pending_wake = False
             awake.extend(woken)
             woken.clear()
-            awake.sort(key=_registration_index)
+            awake.sort(key=_BY_REGISTRATION)
         self._phase = "commit"
         late = self._late
         for component in awake:
@@ -820,7 +820,7 @@ class SimulationKernel:
             # Replayed commit-phase wakes run after the batch in registration
             # order (see _wake_component); a replayed commit may itself wake
             # further downstream replayers, hence the loop.
-            late.sort(key=_registration_index)
+            late.sort(key=_BY_REGISTRATION)
             component = late.pop(0)
             self._commit_index = component._kernel_index
             component.commit(cycle)
@@ -871,7 +871,7 @@ class SimulationKernel:
         if len(heap) > stats.heap_peak:
             stats.heap_peak = len(heap)
         if replayed:
-            awake.sort(key=_registration_index)
+            awake.sort(key=_BY_REGISTRATION)
 
     def _advance(self, limit: Optional[int] = None) -> None:
         """Run one clock cycle without flushing deferred idle accounting.
@@ -935,7 +935,7 @@ class SimulationKernel:
             # testbench components observe each other through commit-phase
             # method calls — rejoining components must slot back into their
             # original position to stay cycle-exact.
-            awake.sort(key=_registration_index)
+            awake.sort(key=_BY_REGISTRATION)
         self._phase = "evaluate"
         for component in awake:
             component._input_dirty = False
@@ -946,7 +946,7 @@ class SimulationKernel:
                 component._pending_wake = False
             awake.extend(woken)
             woken.clear()
-            awake.sort(key=_registration_index)
+            awake.sort(key=_BY_REGISTRATION)
         self._phase = "commit"
         for component in awake:
             component.commit(cycle)

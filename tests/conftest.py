@@ -14,8 +14,8 @@ from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketSwitchedRouter
-from repro.noc import IrregularMesh, Mesh2D, Torus2D
-from repro.sim.engine import SimulationKernel
+from repro.noc import IrregularMesh, Mesh2D, TdmaDatapath, Torus2D
+from repro.sim.engine import ClockedComponent, SimulationKernel
 
 
 @pytest.fixture
@@ -107,13 +107,14 @@ class FabricScenario:
                 network.kernel.step()
             yield cycle
 
-    def run_in_lockstep(self, build: Callable, reference_build: Callable, snapshot: Callable) -> None:
+    def run_in_lockstep(self, build: Callable, reference_build: Callable, snapshot: Callable,
+                        same_components: bool = True) -> None:
         """Step a network and its reference twin, comparing *snapshot* every cycle."""
         networks = [self.build(factory) for factory in (build, reference_build)]
         for cycle in self.steps(networks):
             assert snapshot(networks[0]) == snapshot(networks[1]), f"diverged in cycle {cycle}"
         stats = [
-            (n.kernel.scheduler_stats.as_dict(), n.stream_statistics(), n.fault_drops())
+            (n.kernel.scheduler_stats.as_dict() if same_components else None, n.stream_statistics(), n.fault_drops())
             for n in networks
         ]
         assert stats[0] == stats[1]
@@ -199,7 +200,8 @@ def fabric_scenarios(draw, max_cycles: int = 220):
 def twin_benches(router_classes, make_link, setup, **router_kwargs):
     """One single-router bench per class (links on all four sides, own kernel),
     populated alike by ``setup(router, links)``, which returns the extra
-    components to clock (or ``None``)."""
+    components to clock (or ``None``).  A router that is no kernel component
+    (a slot-table router) is clocked by a one-router datapath."""
     benches = []
     for router_class in router_classes:
         router = router_class("dut", position=(1, 1), **router_kwargs)
@@ -208,7 +210,8 @@ def twin_benches(router_classes, make_link, setup, **router_kwargs):
             links[port] = (make_link(f"rx_{port.short_name}", router), make_link(f"tx_{port.short_name}", router))
             router.attach_link(port, *links[port])
         kernel = SimulationKernel(25e6)
-        kernel.add_all([*(setup(router, links) or ()), router])
+        clock = router if isinstance(router, ClockedComponent) else TdmaDatapath("dut_datapath", [router])
+        kernel.add_all([*(setup(router, links) or ()), clock])
         benches.append((router, links, kernel))
     return benches
 

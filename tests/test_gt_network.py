@@ -7,12 +7,14 @@ from conftest import fabric_scenarios, step_twins, twin_benches
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import drm, hiperlan2, umts
-from repro.apps.traffic import BitFlipPattern, word_generator
-from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, toggle_count
+from repro.apps.traffic import BitFlipPattern, scenario_by_name, word_generator
+from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, SimulationError, toggle_count
 from repro.energy.activity import ActivityKeys
 from repro.experiments.harness import run_app_traffic, run_gt_scenario, run_scenario
-from repro.noc import Mesh2D, SlotTableAllocator, TimeDivisionNoC, Torus2D, build_network
-from repro.noc.gt_network import SlotTableRouter, TdmaLink, TdmaTileInterface
+from repro.noc import Mesh2D, NocBase, SlotTableAllocator, TimeDivisionNoC, Torus2D, build_network
+from repro.noc.gt_network import (GtLinkStreamConsumer, GtLinkStreamDriver, GtStreamDriver, SlotTableRouter,
+                                  TdmaDatapath, TdmaLink, TdmaTileInterface)
+from repro.sim.engine import ClockedComponent, SimulationKernel
 
 FREQUENCY_HZ = 100e6
 
@@ -209,30 +211,55 @@ class TestAttachChannelParity:
 
 
 # ---------------------------------------------------------------------------
-# The compiled per-slot walk against the code it replaced
+# The compiled per-slot datapath against the code it replaced
 # ---------------------------------------------------------------------------
 #
-# Reference copies of the slot-table router's per-cycle code as it was before
-# the rewrites: a two-phase visit (evaluate() samples every incoming wire,
-# commit() walks all five output ports, drives every attached wire and books
-# the constant clocked bits every cycle, idle_tick() books them for the
-# cycles slept through), the backlog test and _datapath_idle() scan.  Method
-# bodies are verbatim; program()/clear() are inherited and keep ``_table``,
-# which is all the reference reads.
+# A self-contained two-phase reference: each slot-table router is its own
+# kernel component again, as before the rewrites (evaluate() samples every
+# incoming wire, commit() walks all five output ports, drives every attached
+# wire and books the constant clocked bits every cycle, idle_tick() books them
+# for the cycles slept through), with the backlog test, the _datapath_idle()
+# scan and the wake-ups of the old router.  Method bodies are verbatim; the
+# tables, wiring and registers are SlotTableRouter's, with no datapath.
 
 
 class _ReferenceTile(TdmaTileInterface):
+    def send(self, connection, word):
+        super().send(connection, word)
+        self.router.wake()
+
+    def _pop_tx(self, connection):
+        queue = self._tx.get(connection)
+        if queue:
+            self._queued -= 1
+            return queue.popleft()
+        return None
+
     def _has_backlog(self):
         return any(self._tx.values())
 
+    def _deliver(self, connection, word):
+        self.received.setdefault(connection, []).append(word)
 
-class _ReferenceSlotTableRouter(SlotTableRouter):
-    settles_at_sync = False  # books its constants itself, cycle by cycle
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+class _ReferenceSlotTableRouter(SlotTableRouter, ClockedComponent):
+    supports_quiescence = supports_timed_wake = True
+
+    def __init__(self, name, *args, **kwargs):
+        SlotTableRouter.__init__(self, name, *args, **kwargs)
+        ClockedComponent.__init__(self, name)
         self.tile = _ReferenceTile(self)
         self._sampled = [None] * self.NUM_PORTS
+
+    def attach_link(self, port, rx_link, tx_link):
+        super().attach_link(port, rx_link, tx_link)
+        if rx_link is not None:
+            rx_link.watch_forward(self.wake)
+        self.wake()
+
+    def _write_entry(self, out_port, slot, entry):
+        super()._write_entry(out_port, slot, entry)
+        self.wake()
 
     def evaluate(self, cycle):
         sampled = self._sampled
@@ -280,6 +307,9 @@ class _ReferenceSlotTableRouter(SlotTableRouter):
         activity.add(ActivityKeys.REG_CLOCKED_BITS, self._idle_clock_bits)
         activity.cycles = cycle + 1
 
+    def quiescent(self):
+        return not self.tile._has_backlog() and self._datapath_idle()
+
     def _datapath_idle(self):
         for port in NEIGHBOR_PORTS:
             rx = self._rx_by_port[port]
@@ -326,6 +356,8 @@ class _ReferenceSlotTableRouter(SlotTableRouter):
 
 
 class _ReferenceGtNoC(TimeDivisionNoC):
+    _register_with_kernel = NocBase._register_with_kernel  # every router on its own
+
     def _build_router(self, position):
         return _ReferenceSlotTableRouter(
             f"gt_{self.topology.router_name(position)}",
@@ -336,7 +368,7 @@ class _ReferenceGtNoC(TimeDivisionNoC):
         )
 
 
-def _gt_router_state(router, cycle):
+def _gt_router_state(router):
     return {
         "activity": (router.activity.as_dict(), router.activity.cycles),
         "registers": (list(router._out_reg), list(router._out_prev)),
@@ -344,15 +376,21 @@ def _gt_router_state(router, cycle):
             {name: list(queue) for name, queue in router.tile._tx.items()},
             router.tile.received,
         ),
-        "parked": (router.quiescent(), router.next_event_cycle(cycle)),
     }
 
 
+def _parked(clocks, cycle):
+    """Whether all the routers' clocks are quiescent, and the earliest event any predicts."""
+    events = [event for event in (clock.next_event_cycle(cycle) for clock in clocks) if event is not None]
+    return all(clock.quiescent() for clock in clocks), min(events, default=None)
+
+
 def _gt_network_state(network):
-    cycle = network.kernel.cycle
+    clocks = [network.datapath] if network.datapath else list(network.routers.values())
     return (
-        {position: _gt_router_state(router, cycle) for position, router in network.routers.items()},
+        {position: _gt_router_state(router) for position, router in network.routers.items()},
         {key: (link.forward, link.dead, link.dropped) for key, link in network.links.items()},
+        _parked(clocks, network.kernel.cycle),
     )
 
 
@@ -368,11 +406,35 @@ def _gt_twin_benches(setup, **router_kwargs):
 
 def _gt_bench_state(router, links, kernel):
     wires = {port: [(link.forward, link.dropped) for link in pair] for port, pair in links.items()}
-    return _gt_router_state(router, kernel.cycle), wires
+    return _gt_router_state(router), wires, _parked([router.datapath or router], kernel.cycle)
 
 
 def _gt_step_twins(benches, cycles):
     step_twins(benches, cycles, _gt_bench_state)
+
+
+def _table3_setup(name, load, slots=16):
+    """Program and feed a bench like ``run_gt_scenario``: link streams on external wires."""
+
+    def setup(router, links):
+        components, consumers, taken = [], {}, {}
+        for stream in scenario_by_name(name).streams:
+            ports = (stream.input_port, -1 - stream.output_port)  # input and output side
+            owned = frozenset([s for s in range(slots) if all(s not in taken.get(p, ()) for p in ports)][:4])
+            for port in ports:
+                taken.setdefault(port, set()).update(owned)
+            connection, source = f"s{stream.stream_id}", word_generator(BitFlipPattern.TYPICAL, seed=stream.stream_id)
+            for slot in owned:
+                router.program(stream.output_port, slot, stream.input_port, connection)
+            components.append(
+                GtStreamDriver(f"{connection}_src", router, connection, source, load, 4) if stream.enters_at_tile
+                else GtLinkStreamDriver(f"{connection}_src", links[stream.input_port][0], slots, owned, source, load))
+            if not stream.leaves_at_tile:
+                consumers.setdefault(stream.output_port, GtLinkStreamConsumer(
+                    f"{connection}_dst", links[stream.output_port][1], slots))
+        return components + list(consumers.values())
+
+    return setup
 
 
 class TestCommitEqualsReference:
@@ -380,20 +442,33 @@ class TestCommitEqualsReference:
     @settings(max_examples=40, deadline=None)
     def test_lockstep_on_drawn_fabrics(self, scenario, slots):
         """Random admitted channels, loads and one mid-run dead wire on a drawn
-        mesh, torus or irregular mesh: after every cycle the rewritten router
-        equals the reference in counters (key set included), output registers,
-        tile queues and link wires - and it parks exactly when the reference
-        would."""
+        mesh, torus or irregular mesh: after every cycle the datapath leaves
+        every router equal to its reference in counters (key set included),
+        output registers, tile queues and link wires - and it parks exactly
+        when the earliest of the references would."""
         scenario.run_in_lockstep(
             lambda topology, **kw: TimeDivisionNoC(topology, slots=slots, **kw),
             lambda topology, **kw: _ReferenceGtNoC(topology, slots=slots, **kw),
             _gt_network_state,
+            same_components=False,
         )
 
     def test_reference_is_wired_in(self):
-        router = _ReferenceGtNoC(Mesh2D(2, 1)).router_at((0, 0))
+        network = _ReferenceGtNoC(Mesh2D(2, 1))
+        router = network.router_at((0, 0))
         assert type(router) is _ReferenceSlotTableRouter and type(router.tile) is _ReferenceTile
-        assert type(TimeDivisionNoC(Mesh2D(2, 1)).router_at((0, 0))) is SlotTableRouter
+        assert network.datapath is None and router in network.kernel.components
+        network = TimeDivisionNoC(Mesh2D(2, 1))
+        assert type(network.router_at((0, 0))) is SlotTableRouter and network.kernel.components == (network.datapath,)
+
+    @pytest.mark.parametrize("name", ["II", "III", "IV"])
+    @pytest.mark.parametrize("load", [0.35, 1.0])
+    def test_table3_benches_on_external_wires(self, name, load):
+        """The paper's single-router scenarios: link streams drive external
+        wires the datapath samples, the consumers read its outgoing ones."""
+        benches = _gt_twin_benches(_table3_setup(name, load))
+        _gt_step_twins(benches, 150)
+        assert benches[0][0].activity.get(ActivityKeys.REG_TOGGLE_BITS) > 0
 
     def test_slots_cleared_while_a_word_sits_in_the_output_register(self):
         """The connection is torn down with its last word still registered:
@@ -412,7 +487,7 @@ class TestCommitEqualsReference:
             assert router._out_reg[Port.EAST] == 0x00FF == links[Port.EAST][1].forward
             for slot in (0, 1):
                 router.clear(Port.EAST, slot)
-        assert benches[0][0]._slot_entries == [()] * 4 and benches[0][0]._live == 1 << Port.EAST
+        assert benches[0][0].occupied_slots() == 0 and list(benches[0][0].datapath._held) == [Port.EAST]
         before = benches[0][0].activity.get(ActivityKeys.REG_TOGGLE_BITS)
         _gt_step_twins(benches, 1)
         for router, links, _kernel in benches:
@@ -420,7 +495,7 @@ class TestCommitEqualsReference:
             assert router.activity.get(ActivityKeys.REG_TOGGLE_BITS) == before + 8
         _gt_step_twins(benches, 6)
         router, _links, kernel = benches[0]
-        assert router._live == 0 and router.quiescent() and kernel.sleeping_components == 1
+        assert not router.datapath._held and router.datapath.quiescent() and kernel.sleeping_components == 1
         assert router.activity.get(ActivityKeys.REG_TOGGLE_BITS) == before + 8
 
     def test_dead_wire_swallows_and_counts_every_word(self):
@@ -450,23 +525,70 @@ class TestCommitEqualsReference:
         router.attach_link(Port.EAST, rx, tx)
         router.attach_link(Port.WEST, TdmaLink("wrx"), TdmaLink("wtx"))
         router.program(Port.WEST, 0, Port.EAST, "a")
+        datapath = TdmaDatapath("datapath", [router])
         rx.forward = 1 << 16  # a neighbour bypassing drive()
-        router.evaluate(0)
+        datapath.evaluate(0)
         with pytest.raises(ValueError, match="does not fit"):
-            router.commit(0)
+            datapath.commit(0)
 
     def test_backlog_count_follows_send_pop_forget_and_reset(self):
         router = SlotTableRouter("r", slots=2)
-        tile = router.tile
+        datapath, tile = TdmaDatapath("datapath", [router]), router.tile
         router.program(Port.EAST, 0, Port.TILE, "a")
         for word in (1, 2, 3):
             tile.send("a", word)
         tile.send("b", 4)
-        assert tile._queued == 4 and tile._has_backlog()
-        router.evaluate(0), router.commit(0)
+        assert tile._queued == 4 and not datapath.quiescent()
+        datapath.evaluate(0), datapath.commit(0)
         assert tile._queued == 3 and tile.backlog("a") == 2
         tile.forget("a")
-        assert tile._queued == 1 and tile._has_backlog()
+        assert tile._queued == 1 and datapath.next_event_cycle(1) == 1  # the word still registered
         tile.forget("never-seen")
         tile.reset()
-        assert tile._queued == 0 and not tile._has_backlog()
+        assert tile._queued == 0
+
+
+class TestScheduleChangesBetweenCycles:
+    """Frames, slot-table writes and faults between two cycles act at the next; inside one a write raises."""
+
+    def test_boundary_frame_word_then_program_after_clear(self):
+        def setup(router, links):
+            router.program(Port.TILE, 2, Port.WEST, "a")
+            router.program(Port.EAST, 0, Port.TILE, "a")
+
+        benches = _gt_twin_benches(setup, slots=4)
+        _gt_step_twins(benches, 5)
+        assert benches[0][2].sleeping_components == 1
+        for router, links, _kernel in benches:
+            links[Port.WEST][0].forward = 0x7  # what a shard's boundary frame writes
+            links[Port.WEST][0].forward_dirty.mark()
+            router.clear(Port.EAST, 0)
+            router.program(Port.EAST, 0, Port.TILE, "b")
+            router.tile.send("a", 0x22), router.tile.send("b", 0x33)
+        _gt_step_twins(benches, 4)  # cycles 5-8: slots 1, 2, 3, 0
+        for router, links, _kernel in benches:
+            assert router.tile.received == {"a": [0x7]} and links[Port.EAST][1].forward == 0x33
+
+    def test_fault_mid_train_takes_effect_next_cycle(self):
+        networks = [cls(Mesh2D(4, 1), slots=4) for cls in (TimeDivisionNoC, _ReferenceGtNoC)]
+        for network in networks:
+            network.attach_channel("s", (0, 0), (3, 0), 100.0, word_generator(BitFlipPattern.TYPICAL, seed=5))
+        while networks[0].link((1, 0), (2, 0)).forward is None:
+            for network in networks:
+                network.kernel.step()
+        assert [network.fail_link((1, 0), (2, 0)) for network in networks] == [1, 1]
+        for _ in range(40):
+            for network in networks:
+                network.kernel.step()
+            assert _gt_network_state(networks[0]) == _gt_network_state(networks[1])
+        assert networks[0].streams["s"].words_received == 0 and networks[0].fault_drops() > 1
+
+    @pytest.mark.parametrize("phase", ["evaluate", "commit"])
+    def test_slot_table_write_inside_a_cycle_raises(self, phase):
+        router, kernel = SlotTableRouter("victim", slots=4), SimulationKernel(25e6)
+        write = {phase: lambda self, cycle: router.program(Port.EAST, 1, Port.TILE, "a")}
+        writer = type("Writer", (ClockedComponent,), {"evaluate": id, "commit": id, **write})("writer")
+        kernel.add_all([writer, TdmaDatapath("datapath", [router])])
+        with pytest.raises(SimulationError, match="'victim'"):
+            kernel.step()
+        assert router.occupied_slots() == 0

@@ -1,12 +1,12 @@
-"""What lets a visit of the packet and GT routers be one pass.
+"""What lets a visit of the packet router and the GT datapath be one pass.
 
-The routers' ``evaluate`` samples nothing, their ``commit`` books no per-cycle
-constant, and the event schedule asks them one question.  That rests on three
-things, each tested here where it is defined rather than through a fabric:
-wires that remember one clock edge (a reader sees what an evaluate-phase
-sample would have seen, whichever end commits first), constant accounting
-that the kernel settles at ``sync()`` / ``remove()``, and a
-``next_event_cycle`` that covers every ``quiescent`` state.
+The packet router's ``evaluate`` samples nothing, neither books a per-cycle
+constant in ``commit``, and the event schedule asks them one question.  That
+rests on three things, each tested here where it is defined rather than
+through a fabric: packet wires that remember one clock edge (a reader sees
+what an evaluate-phase sample would have seen, whichever end commits first),
+constant accounting that the kernel settles at ``sync()`` / ``remove()``, and
+a ``next_event_cycle`` that covers every ``quiescent`` state.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.core.router import CircuitSwitchedRouter
 from repro.core.testbench import LaneStreamConsumer, TileStreamDriver
 from repro.energy.activity import ActivityKeys
 from repro.noc import build_network
-from repro.noc.gt_network import GtLinkStreamDriver, SlotTableRouter, TdmaLink
+from repro.noc.gt_network import GtLinkStreamDriver, SlotTableRouter, TdmaDatapath, TdmaLink
 from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
 
 SCHEDULES = ("strict", DEFAULT_SCHEDULE)
@@ -48,7 +48,7 @@ class _Script(ClockedComponent):
             self.actions[cycle](cycle)
 
 
-#: The one-pass routers and their two-phase references: all must read a wire alike.
+#: The one-pass readers and their two-phase references: all must read a wire alike.
 GT_READERS = (SlotTableRouter, _ReferenceSlotTableRouter)
 PACKET_READERS = (PacketSwitchedRouter, _ReferenceRouter)
 #: Registration orders of one writer (index 0) around the reader (``None``).
@@ -63,8 +63,9 @@ def _histories(readers, bench, observe, orders=AROUND, cycles=6):
         for schedule in SCHEDULES:
             for order in orders:
                 reader, scripts = bench(reader_class)
+                clock = reader if isinstance(reader, ClockedComponent) else TdmaDatapath("d", [reader])
                 kernel = SimulationKernel(25e6, schedule=schedule)
-                kernel.add_all([reader if index is None else scripts[index] for index in order])
+                kernel.add_all([clock if index is None else scripts[index] for index in order])
                 history = []
                 for _ in range(cycles):
                     kernel.step()
@@ -79,8 +80,8 @@ def _assert_all_equal(histories, expected):
 
 
 class TestWiresRememberOneClockEdge:
-    """One link driven twice around a reader, writer before and after it; the
-    two-phase reference routers read the same wires and must agree."""
+    """One link driven twice around a reader, writer before and after it, read alike by
+    the two-phase references (a TDMA wire keeps no memory: its datapath samples it first)."""
 
     def test_tdma_word(self):
         def bench(reader_class):
@@ -88,32 +89,11 @@ class TestWiresRememberOneClockEdge:
             wire = TdmaLink("west")
             router.attach_link(Port.WEST, wire, None)
             router.program(Port.TILE, 0, Port.WEST, "a")
-            script = _Script("w", {0: lambda c: wire.drive(0x11, c), 1: lambda c: wire.drive(0x22, c),
-                                   2: lambda c: wire.drive(None, c)})
-            return router, [script]
+            words = {0: 0x11, 1: 0x22, 2: None}
+            return router, [_Script("w", {cycle: lambda c: wire.drive(words[c]) for cycle in words})]
 
         histories = _histories(GT_READERS, bench, lambda router: list(router.tile.received.get("a", ())))
         _assert_all_equal(histories, [[], [0x11], [0x11, 0x22], [0x11, 0x22], [0x11, 0x22], [0x11, 0x22]])
-
-    def test_tdma_word_driven_twice_in_one_cycle(self):
-        """Two drives in cycle 1, on either side of the reader or both on one:
-        the reader still sees the word from before the cycle, and the next
-        cycle the one driven last."""
-
-        def bench(reader_class):
-            router = reader_class("dut", slots=1)
-            wire = TdmaLink("west")
-            router.attach_link(Port.WEST, wire, None)
-            router.program(Port.TILE, 0, Port.WEST, "a")
-            first = _Script("w1", {0: lambda c: wire.drive(0x11, c), 1: lambda c: wire.drive(0x22, c)})
-            second = _Script("w2", {1: lambda c: wire.drive(0x33, c), 2: lambda c: wire.drive(None, c)})
-            return router, [first, second]
-
-        orders = ((0, None, 1), (1, None, 0), (0, 1, None), (None, 0, 1), (1, 0, None))
-        histories = _histories(GT_READERS, bench, lambda router: list(router.tile.received.get("a", ())), orders)
-        for (_reader, _schedule, order), history in histories.items():
-            last = 0x33 if order.index(0) < order.index(1) else 0x22
-            assert history == [[], [0x11], [0x11, last]] + [[0x11, last]] * 3, order
 
     def test_flit(self):
         flits = [
@@ -160,41 +140,16 @@ class TestWiresRememberOneClockEdge:
         ])
 
     def test_a_write_between_cycles_is_seen_at_once_and_reset_forgets(self):
-        wire, link = TdmaLink("w"), PacketLink("l")
+        link = PacketLink("l")
         flit = Flit(FlitType.SINGLE, 0, (0, 0), (1, 0), 0, 1, 0)
-        wire.drive(0x5, 3)
         link.drive(flit, 3)
         link.return_credit(1, 1, 3)
-        assert (wire.before, wire.changed_at, link.before, link.changed_at) == (None, 3, None, 3)
-        assert (link.credits_before, link.credited_at) == ([0, 0, 0, 0], 3)
-        wire.drive(0x6)  # no cycle: fresh in none
-        assert (wire.forward, wire.changed_at) == (0x6, -1)
-        for bundle in (wire, link):
-            bundle.reset()
-        assert (wire.forward, wire.changed_at, link.forward, link.changed_at, link.credited_at) == (
-            None, -1, None, -1, -1,
-        )
+        assert (link.before, link.changed_at, link.credits_before, link.credited_at) == (None, 3, [0, 0, 0, 0], 3)
+        link.drive(None)  # no cycle: fresh in none
+        assert (link.forward, link.changed_at) == (None, -1)
+        link.reset()
+        assert (link.forward, link.changed_at, link.credited_at) == (None, -1, -1)
         assert not any(link.credits)
-
-
-    def test_a_change_before_a_reset_does_not_pass_for_one_of_cycle_zero(self):
-        """Reset in the cycle after a drive, then a boundary frame written
-        straight into ``forward`` (as the sharded runner does): cycle 0 must
-        latch it, not what the wire remembered from its first life."""
-        router = SlotTableRouter("dut", slots=1)
-        wire = TdmaLink("west")
-        router.attach_link(Port.WEST, wire, None)
-        router.program(Port.TILE, 0, Port.WEST, "a")
-        kernel = SimulationKernel(25e6)
-        kernel.add_all([_Script("w", {0: lambda c: wire.drive(0x5, c)}), router])
-        wire.drive(0x3)
-        kernel.step()
-        assert (wire.before, wire.changed_at) == (0x3, 0)
-        kernel.reset()
-        wire.reset()
-        wire.forward = 0x7
-        kernel.step()
-        assert router.tile.received == {"a": [0x7]}
 
 
 class TestConstantAccountingSettlesAtSync:
@@ -212,7 +167,8 @@ class TestConstantAccountingSettlesAtSync:
             "src", wire, 4, frozenset({1}), word_generator(BitFlipPattern.TYPICAL, seed=1), load
         )
         kernel = SimulationKernel(25e6, schedule=schedule)
-        kernel.add_all([driver, router])
+        datapath = TdmaDatapath("datapath", [router])
+        kernel.add_all([driver, datapath])
 
         def booked():
             return router.activity.get(ActivityKeys.REG_CLOCKED_BITS), router.activity.cycles
@@ -220,14 +176,14 @@ class TestConstantAccountingSettlesAtSync:
         assert ActivityKeys.REG_CLOCKED_BITS not in router.activity.as_dict()
         kernel.run(37)
         assert booked() == (router._idle_clock_bits * 37, 37)
-        router.commit(37)  # a commit on its own books nothing constant
+        datapath.evaluate(37), datapath.commit(37)  # a cycle on its own books nothing constant
         assert booked() == (router._idle_clock_bits * 37, 37)
         kernel.step()
         assert booked() == (router._idle_clock_bits * 38, 38)
         # Removed in the gap before cycle 44, six cycles after the last sync.
-        kernel.add_post_cycle_hook(lambda c: c == 43 and kernel.defer(lambda: kernel.remove(router)))
+        kernel.add_post_cycle_hook(lambda c: c == 43 and kernel.defer(lambda: kernel.remove(datapath)))
         kernel.run(10)
-        assert kernel.cycle == 48 and router not in kernel.components
+        assert kernel.cycle == 48 and datapath not in kernel.components
         assert booked() == (router._idle_clock_bits * 44, 44)
         assert (router.tile.words_received("a") > 0) == (load > 0)
 
@@ -255,12 +211,13 @@ class TestOneSchedulingQuestion:
         extra = {"clock_gating": True} if gated else {}
         network = scenario.build(lambda topology, **kw: build_network(name, topology, **extra, **kw))
         quiescent = 0
+        clocks = [network.datapath] if name == "gt" else network.routers.values()
         for _cycle in scenario.steps([network]):
             now = network.kernel.cycle
-            for router in network.routers.values():
-                if router.quiescent():
+            for clock in clocks:
+                if clock.quiescent():
                     quiescent += 1
-                    assert router.next_event_cycle(now) is None, f"{router.name} at cycle {now}"
+                    assert clock.next_event_cycle(now) is None, f"{clock.name} at cycle {now}"
         assert quiescent > 0
 
     def test_gated_circuit_router_sleeps_between_words(self):
@@ -300,5 +257,6 @@ class TestOneSchedulingQuestion:
 
         ((router, _links, kernel),) = twin_benches(classes, make_link, setup)
         kernel.run(60)
-        assert router.quiescent() and router.next_event_cycle(kernel.cycle) is None
+        clock = getattr(router, "datapath", None) or router
+        assert clock.quiescent() and clock.next_event_cycle(kernel.cycle) is None
         assert kernel.sleeping_components == 1

@@ -438,6 +438,7 @@ class TestPacedNetworkLeaping:
             GtLinkStreamConsumer,
             GtLinkStreamDriver,
             SlotTableRouter,
+            TdmaDatapath,
             TdmaLink,
         )
 
@@ -456,7 +457,7 @@ class TestPacedNetworkLeaping:
             consumer = GtLinkStreamConsumer("dst", tx, slots)
             consumer.claim(0, stream_slots)
             kernel = SimulationKernel(FREQUENCY_HZ, schedule=schedule)
-            kernel.add_all([driver, consumer, router])
+            kernel.add_all([driver, consumer, TdmaDatapath("datapath", [router])])
             kernel.run(1200)
             return kernel, (
                 driver.words_sent,

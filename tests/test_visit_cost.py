@@ -4,7 +4,7 @@ The packet and GT phases are what the three-kind workloads of
 ``benchmarks/e2e`` spend their time in, and this host's wall clock moves
 1.2-1.9x within minutes, so the floor is a count: interpreted bytecodes
 (``sys.settrace`` with ``f_trace_opcodes``) per simulated cycle, which repeats
-exactly on one interpreter version, hence the CPython 3.11 gate.  Four rows:
+exactly on one interpreter version, hence the CPython 3.11 gate.  Five rows:
 
 * ``gt`` / ``packet`` / ``circuit`` - the warmed 8x8 row fabrics of
   ``saturated_default`` (one full-load west-to-east channel per row) under
@@ -12,22 +12,27 @@ exactly on one interpreter version, hence the CPython 3.11 gate.  Four rows:
   row sends one 17-flit packet per 256 cycles, all rows at once): that
   window holds exactly one burst.  The circuit fabric batches in NumPy; its
   row is there so the plane's fold and the word edges cannot regress unseen.
+* ``gt paced`` - the GT fabric of ``app_traffic``: HiperLAN/2 and UMTS
+  admitted by a CCN on a 6x6 mesh at half load, cycles 800-2400.
 * ``circuit bench`` - the paper's own single-router bench,
   ``run_scenario("circuit", "IV", cycles=1000)`` after one untimed call.
 
-==============  ===========================  ==========  ================
-row             before a visit was one pass  one pass    counters by slot
-==============  ===========================  ==========  ================
-gt              4 281                        3 500       3 118
-packet          8 426                        7 454       6 653
-circuit         -                            1 477       1 428
-circuit bench   -                            3 587       3 093
-==============  ===========================  ==========  ================
+==============  ===========================  ========  ================  ===============
+row             before a visit was one pass  one pass  counters by slot  one GT datapath
+==============  ===========================  ========  ================  ===============
+gt              4 281                        3 500     3 118             1 220
+gt paced        -                            -         2 022             1 294
+packet          8 426                        7 454     6 653             6 645
+circuit         -                            1 477     1 428             1 420
+circuit bench   -                            3 587     3 093             3 085
+==============  ===========================  ========  ================  ===============
 
 "One pass" replaced a sampling ``evaluate``, constants booked in every
 ``commit`` and one ``ActivityCounters.add`` per counter; "by slot" replaced
 the dictionary update behind a call with ``slots[SLOT] += n`` at the site and
-``toggle_count`` with its masked ``bit_count`` inline.
+``toggle_count`` with its masked ``bit_count`` inline; "one GT datapath"
+replaced a visit per slot-table router with one compiled gather and scatter
+per cycle (the other rows moved by the kernel's sort key).
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ import sys
 
 import pytest
 
+from repro.apps import hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, word_generator
 from repro.experiments.harness import run_scenario
-from repro.noc import Mesh2D, build_network
+from repro.noc import CentralCoordinationNode, Mesh2D, build_network
 
 SIZE = 8
 WARMUP_CYCLES = 200
@@ -46,7 +52,7 @@ COUNTED_CYCLES = 160
 BENCH_CYCLES = 1000
 
 #: Bytecodes per simulated cycle each row may cost.
-CEILINGS = {"gt": 3300, "packet": 6950, "circuit": 1500, "circuit bench": 3250}
+CEILINGS = {"gt": 1700, "gt paced": 1500, "packet": 6950, "circuit": 1500, "circuit bench": 3250}
 
 
 def _row_fabric(kind):
@@ -56,6 +62,15 @@ def _row_fabric(kind):
             f"row{row}", (0, row), (SIZE - 1, row), 100.0,
             word_generator(BitFlipPattern.TYPICAL, seed=row), load=1.0,
         )
+    return network
+
+
+def _paced_gt_fabric():
+    network = build_network("gt", Mesh2D(6, 6), frequency_hz=100e6)
+    ccn, source = CentralCoordinationNode(network=network), word_generator(BitFlipPattern.TYPICAL, seed=11)
+    for graph in (hiperlan2.build_process_graph(), umts.build_process_graph()):
+        ccn.admit(graph)
+        ccn.attach_traffic(graph.name, source, load=0.5)
     return network
 
 
@@ -89,9 +104,10 @@ def bytecodes_per_cycle(row):
 
         bench()  # imports, caches
         return _bytecodes(bench) / BENCH_CYCLES
-    network = _row_fabric(row)
-    network.run(WARMUP_CYCLES)
-    return _bytecodes(lambda: network.run(COUNTED_CYCLES)) / COUNTED_CYCLES
+    network = _paced_gt_fabric() if row == "gt paced" else _row_fabric(row)
+    warmup, counted = (800, 1600) if row == "gt paced" else (WARMUP_CYCLES, COUNTED_CYCLES)
+    network.run(warmup)
+    return _bytecodes(lambda: network.run(counted)) / counted
 
 
 cpython_3_11 = pytest.mark.skipif(
@@ -101,7 +117,7 @@ cpython_3_11 = pytest.mark.skipif(
 
 
 @cpython_3_11
-@pytest.mark.parametrize("kind", ["circuit", "gt", "packet"])
+@pytest.mark.parametrize("kind", ["circuit", "gt", "packet", "gt paced"])
 def test_row_fabric_cycle_stays_under_its_bytecode_ceiling(kind):
     assert bytecodes_per_cycle(kind) <= CEILINGS[kind]
 
