@@ -251,7 +251,6 @@ class PacketSwitchedRouter(ClockedComponent):
 
     # -- simulation -----------------------------------------------------------------------
 
-    supports_quiescence = True
     settles_at_sync = True  # the cycle count is all it books per cycle
 
     def evaluate(self, cycle: int) -> None:
@@ -386,24 +385,6 @@ class PacketSwitchedRouter(ClockedComponent):
                     tx.drive(None, cycle)
         self._driven = driven
 
-    def quiescent(self) -> bool:
-        """True when another cycle with unchanged inputs would change nothing.
-
-        Empty input buffers, an empty injection queue, idle flit wires in
-        both directions and no uncollected credits mean every commit step
-        degenerates to a no-op (the round-robin arbiters do not advance
-        without requests).  The *outgoing* wires must be idle because a
-        just-driven flit is a transient: the next commit replaces it with
-        ``None``, and sleeping before that would leave it on the wire for
-        the downstream router to re-sample.  Packets parked mid-route
-        (routed/allocated states with an empty buffer) are fine: they resume
-        when the upstream router places the next flit on the wire, which
-        wakes this router.
-        """
-        if self.tile._injection_queue or self._occupied[0]:
-            return False
-        return self._wires_idle()
-
     def _wires_idle(self) -> bool:
         """True with no flit on any wire and no uncollected credit."""
         for _port, rx in self._rx_attached:
@@ -421,10 +402,11 @@ class PacketSwitchedRouter(ClockedComponent):
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """``None`` (park until a dirty-bit wake) when provably blocked.
 
-        This is the one question the event schedule asks, so the answer
-        covers every :meth:`quiescent` state; beyond those the router can
-        park while *stalled*: all wires idle, nothing to inject, and
-        every occupied input VC's head-of-line flit immovable (tile-bound
+        This is the one question the event schedule asks.  The router
+        parks when all wires are idle in both directions with no uncollected
+        credit (a just-driven flit is a transient the next commit replaces
+        with ``None``), nothing is to inject, and every occupied input VC's
+        head-of-line flit is immovable (tile-bound
         flits always move; a head awaiting VC allocation is stuck only with
         no free output VC; an allocated flit is stuck only with a missing
         output link or zero credit).  Every commit then degenerates to the

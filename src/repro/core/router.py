@@ -221,8 +221,6 @@ class CircuitSwitchedRouter(ClockedComponent):
 
     # -- simulation ---------------------------------------------------------------------
 
-    supports_quiescence = True
-
     def _refresh_sparse(self) -> None:
         """Rebuild the event-schedule sampling and drive lists.
 
@@ -387,35 +385,6 @@ class CircuitSwitchedRouter(ClockedComponent):
 
         self.activity.cycles = cycle + 1
 
-    def quiescent(self) -> bool:
-        """True when another cycle with unchanged inputs would be an idle tick.
-
-        Requires a fully drained data converter plus a crossbar at a fixed
-        point with respect to the *live* input values.  The live distinction
-        matters on the tile port: serialiser outputs and deserialiser
-        acknowledge pulses advance during the converter tick, i.e. after the
-        crossbar sampled them within the same commit.  Neighbour-port inputs
-        cannot have moved since the evaluate-phase snapshot — any link write
-        marks the input-dirty flag and the kernel then skips this check
-        entirely — so the snapshot arrays double as the live values there.
-        """
-        if self.crossbar.busy:
-            # The last commit latched a change: visibly active, and the
-            # fixed-point inspection can wait until the registers settle
-            # (costs at most one extra awake cycle per idle transition).
-            return False
-        if not self.converter.quiescent():
-            return False
-        # A quiescent converter drives all-zero phits and no acknowledge
-        # pulses; overwrite the tile entries of the snapshots with these
-        # live values before the fixed-point check.
-        values = self._input_vals
-        acks = self._ack_vals
-        for lane in range(self.lanes_per_port):
-            values[lane] = 0
-            acks[lane] = False
-        return self.crossbar.is_fixed_point(values, acks)
-
     # -- timed protocol: a router generates no events of its own --------------
 
     supports_timed_wake = True
@@ -423,15 +392,19 @@ class CircuitSwitchedRouter(ClockedComponent):
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """``None`` (park until a dirty-bit wake) when provably frozen.
 
-        This is the one question the event schedule asks, so the answer
-        covers every :meth:`quiescent` state; beyond those the only
-        parkable state is a *window stall*: every serialiser either drained
-        or blocked on flow control with an idle output lane, deserialisers
-        drained, crossbar settled at a fixed point.  Nothing then moves until
-        an acknowledge or a new word arrives, both of which wake the router.
+        This is the one question the event schedule asks.  A router is
+        frozen when another cycle with unchanged inputs would be an idle
+        tick: the last commit latched no change, the data converter is
+        drained or in a *window stall* (every serialiser drained or blocked
+        on flow control with an idle output lane, deserialisers drained), and
+        the crossbar sits at a fixed point of the *live* inputs.  Nothing then
+        moves until an acknowledge or a new word arrives, both of which wake
+        the router.  The live inputs differ from the evaluate-phase snapshot
+        on the tile port only: a drained converter drives all-zero phits and
+        no acknowledge pulse; a neighbour-port input that moved since the
+        snapshot marked the router dirty, and the kernel then does not ask.
         Clock gating excludes the stall case: a stalled serialiser still
-        clocks its registers where :meth:`idle_tick` would gate them, so a
-        gated router parks exactly where it is :meth:`quiescent`.
+        clocks its registers where :meth:`idle_tick` would gate them.
         """
         if self.crossbar.busy:
             return cycle

@@ -398,7 +398,6 @@ class TdmaDatapath(ClockedComponent):
     touches; all state stays in the routers, which share one slot-table size.
     """
 
-    supports_quiescence = True
     supports_timed_wake = True
     settles_at_sync = True  # the slot counters and output registers never gate
 
@@ -578,11 +577,6 @@ class TdmaDatapath(ClockedComponent):
                     target.drive(word)
             elif action == _TO_DEAD and word is not None:
                 target.dropped += 1  # what TdmaLink.drive counts
-
-    def quiescent(self) -> bool:
-        """True when no register, external wire or tile queue holds a word."""
-        return not (self._held or any(wire.forward is not None for wire in self._external)
-                    or any(router.tile._queued for router in self.routers))
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Now while a register or an external wire holds a word, else the

@@ -99,8 +99,7 @@ class CircuitSwitchedNoC(NocBase):
         kernel's event schedule runs them as it would without a plane.  The
         plane refuses members it cannot batch (clock gating, a lane packet
         too wide for an ``int64`` column) and needs an importable NumPy;
-        the routers then run plain event-driven (the kernel treats
-        ``"vector"`` as ``"event"`` either way) and :attr:`plane_refusal`
+        the routers then run on the event heap alone and :attr:`plane_refusal`
         keeps the reason for :meth:`schedule_report`.
         """
         plane = None

@@ -179,8 +179,7 @@ loaded 8×8 mesh and the ≥0.9× floor on every row that carries traffic.
 
 from repro.sim.engine import ClockedComponent, SimulationKernel
 from repro.sim.signals import DirtyBit, Register, RegisterBank, Wire
-from repro.sim.stats import Counter, SchedulerStats, StatsCollector, Histogram
-from repro.sim.trace import TraceEvent, TraceRecorder
+from repro.sim.stats import SchedulerStats
 
 __all__ = [
     "ClockedComponent",
@@ -191,12 +190,7 @@ __all__ = [
     "RegisterBank",
     "Wire",
     "DirtyBit",
-    "Counter",
     "SchedulerStats",
-    "StatsCollector",
-    "Histogram",
-    "TraceEvent",
-    "TraceRecorder",
     "VectorPlane",
 ]
 

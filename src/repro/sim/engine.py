@@ -1,13 +1,13 @@
-"""Quiescence-aware two-phase synchronous simulation engine.
+"""Two-phase synchronous simulation engine that skips idle components.
 
 The kernel keeps the classic two-phase model (``evaluate`` = combinational
-logic, ``commit`` = clock edge) but no longer pays for components whose state
+logic, ``commit`` = clock edge) but need not pay for components whose state
 cannot change.  The insight mirrors the paper's clock-gating argument
 (Section 7.3): most of a circuit-switched fabric is idle most of the time, so
 simulation cost should be proportional to *signal activity*, not to component
 count.
 
-Four schedules are available (:data:`SCHEDULES`), all bit-identical;
+Two schedules are available (:data:`SCHEDULES`), bit-identical;
 :data:`DEFAULT_SCHEDULE` names the one every constructor defaults to:
 
 ``strict``
@@ -15,111 +15,72 @@ Four schedules are available (:data:`SCHEDULES`), all bit-identical;
     the original, seed-equivalent schedule.  The oracle of the equivalence
     tests.
 
-``auto``
-    The first quiescence-aware schedule, kept selectable for its own tests
-    and bench column: a per-cycle scan of the awake components, dominated
-    by ``event`` on every recorded row.  Components that implement the
-    quiescence protocol (see below) are taken off the schedule once they
-    report a fixed point and are only woken when one of their inputs
-    changes.  Wake-up is driven by dirty-bits on the wire bundles
+``vector`` (default)
+    The discrete-event schedule: a timestamp-ordered binary heap of
+    ``(due_cycle, registration_index, seq, component)`` entries.  After every
+    executed cycle each component either stays on the dense per-cycle batch
+    (inputs dirty, no prediction available, or due immediately), parks until
+    a dirty-bit wake (no future self-event), or is pushed onto the heap at its
+    predicted ``next_event_cycle``.  The kernel pops the batch of same-cycle
+    entries, evaluates/commits only those, and jumps the clock between
+    batches — simulation cost is proportional to *events* rather than
+    cycles × components.  Wake-up is driven by dirty-bits on the wire bundles
     (:mod:`repro.core.lane`, :mod:`repro.baseline.link`) and by the external
     interfaces (tile send/receive, configuration writes): any write that
     actually changes a value calls :meth:`ClockedComponent.wake` on the
-    reading component.
-
-``event``
-    The discrete-event native schedule: a timestamp-ordered binary heap of
-    ``(due_cycle, registration_index, component)`` entries.  After every
-    executed cycle each component either stays on the dense per-cycle batch
-    (inputs dirty, no prediction available, or due immediately), parks until
-    a dirty-bit wake (quiescent, or a timed component with no future
-    self-event), or is pushed onto the heap at its predicted
-    ``next_event_cycle``.  The kernel pops the batch of same-cycle entries,
-    evaluates/commits only those, and jumps the clock between batches — no
-    per-cycle scan of awake components at all, so simulation cost is
-    proportional to *events* rather than cycles × components.  See
-    "Event-queue contract" below.
-
-``vector`` (default)
-    The event schedule plus a struct-of-arrays batch plane
-    (:mod:`repro.sim.vector`).  Network builders that support it (the
-    circuit-switched fabric) register one composite
+    reading component.  Network builders that support it (the
+    circuit-switched fabric) also register one composite
     :class:`~repro.sim.vector.VectorPlane` component behind their routers.
-    The plane gates itself on the live routes of the current
-    configuration: at or above its threshold it parks the routers
-    (:meth:`SimulationKernel.park`) and one busy cycle of the whole fabric
-    is a handful of NumPy gathers/XORs/popcounts; below it the plane sleeps
-    and the routers are ordinary components of the event schedule.
-    The kernel itself treats ``"vector"`` exactly like ``"event"`` —
-    builders that have no plane (packet, GT, clock-gated runs, a bare
-    kernel) run the event heap and say so
-    (:meth:`repro.noc.fabric.NocBase.schedule_report`).  Bit-identity to
-    ``strict`` is preserved: toggle counts come from vectorised
-    ``popcount(xor(new, old))``, which equals the scalar ``int.bit_count``
-    path exactly.
+    The plane gates itself on the live routes of the current configuration:
+    at or above its threshold it parks the routers
+    (:meth:`SimulationKernel.park`) and one busy cycle of the whole fabric is
+    a handful of NumPy gathers/XORs/popcounts; below it the plane sleeps and
+    the routers are ordinary components of the event heap.  Builders that
+    have no plane (packet, GT, clock-gated runs, a bare kernel) run the heap
+    alone and say so (:meth:`repro.noc.fabric.NocBase.schedule_report`).
+    Toggle counts come from vectorised ``popcount(xor(new, old))``, which
+    equals the scalar ``int.bit_count`` path exactly.
 
-Quiescence protocol
--------------------
+``"auto"`` and ``"event"``, the names of two earlier schedules, are still
+accepted: the constructor maps both to ``"vector"``.
 
-A component opts in by setting the class attribute ``supports_quiescence``
-and implementing two methods:
+Timed protocol
+--------------
 
-* :meth:`ClockedComponent.quiescent` — called after ``commit``; must return
-  ``True`` only when another evaluate/commit round with unchanged inputs
-  would neither change any observable state nor record anything beyond a
-  constant per-cycle activity contribution (clocked/gated register bits).
-* :meth:`ClockedComponent.idle_tick` — applies *n* cycles worth of that
-  constant idle accounting in one call.  While a component sleeps the kernel
-  defers this accounting entirely; it is flushed when the component wakes and
-  at the end of every :meth:`SimulationKernel.run` (see
-  :meth:`SimulationKernel.sync`), so a sleeping component costs *zero* work
-  per cycle.
-
-Components that do not opt in (ad-hoc test components) are always on the
-schedule, which keeps the kernel a drop-in replacement.
-
-Timed components and cycle leaping
-----------------------------------
-
-Quiescence alone cannot skip *cycles*: a paced traffic driver is never
-quiescent (it will emit again), so one driver keeps the kernel iterating
-every simulated cycle even while the whole fabric sleeps.  The timed tier
-fixes that.  A component sets ``supports_timed_wake`` and implements
+A component opts in to being skipped by setting the class attribute
+``supports_timed_wake`` and implementing
 
 * :meth:`ClockedComponent.next_event_cycle` — given unchanged inputs, the
   first cycle at which its evaluate/commit could do anything beyond the
   constant accounting of :meth:`ClockedComponent.idle_tick` (``None`` =
-  never), and
-* :meth:`ClockedComponent.idle_tick` — which for a timed component must also
-  fast-forward its deterministic per-cycle bookkeeping (pacer credit) over
-  the skipped cycles.
+  never: the component parks until an input changes), and
+* :meth:`ClockedComponent.idle_tick` — applies *n* cycles worth of that
+  constant accounting (clocked/gated register bits) in one call, and
+  fast-forwards the component's deterministic per-cycle bookkeeping (pacer
+  credit) over the skipped cycles.  While a component is off the batch the
+  kernel defers this accounting entirely; it is flushed when the component
+  runs again and at the end of every :meth:`SimulationKernel.run` (see
+  :meth:`SimulationKernel.sync`), so a parked component costs *zero* work
+  per cycle.
 
-Under ``auto``, when every component on the schedule is timed (and no dense
-per-cycle hook is registered), :meth:`SimulationKernel._advance` leaps the
-clock straight to the earliest next event — the *event horizon* — in one
-jump: the skipped cycles are bulk-applied through ``idle_tick``, sleeping
-components stay asleep (nothing runs during a leap, so nothing can wake
-them — asserted), and the event cycle itself is then executed normally.  Leaping is exact by
-construction: a cycle is only skipped when every scheduled component has
-declared it an idle tick, which is precisely what the strict schedule would
-have executed.
+Components that do not opt in (ad-hoc test components) run every cycle,
+which keeps the kernel a drop-in replacement.
 
 Event-queue contract
 --------------------
 
-The ``event`` schedule generalises the timed tier from "leap only when
-everybody agrees" to per-component scheduling.  The rules:
-
 * One question per executed component: a timed component is asked
-  ``next_event_cycle`` only (``None`` parks it until a dirty-bit wake), so
-  the answer must cover every state in which it is ``quiescent()``; that
-  is asked only of components with nothing else (the vector plane).
+  ``next_event_cycle`` only (``None`` parks it until a dirty-bit wake).
 * ``next_event_cycle`` must be *sound*: every cycle in ``[cycle, result)``
   must be an idle tick given unchanged inputs.  It need not be tight — a
   component unsure of its horizon may return ``cycle`` and simply stays on
   the dense batch.  Executing a component on extra cycles is always safe —
   the strict schedule executes everything every cycle — only *skipping*
   needs the idle-tick guarantee.
+* With the dense batch empty and no dense hook registered, the clock jumps
+  straight to the earliest heap entry or timed-hook cycle: the only leap.
+  Nothing executes inside the jump, so nothing may wake — the kernel
+  rejects a wake while it flushes deferred accounting or asks predictions.
 * A parked or heap-scheduled component's idle accounting is deferred: the
   kernel tracks its first unaccounted cycle and flushes the whole gap
   through ``idle_tick`` when the component next runs (or at ``sync``).
@@ -127,7 +88,7 @@ everybody agrees" to per-component scheduling.  The rules:
   accounting is one constant, busy or idle, or nothing (the packet router,
   the GT datapath, pure sinks) sets ``settles_at_sync``.  Its ``commit``
   books no constant, no wake or heap pop ticks it, and ``sync()`` /
-  ``remove()`` settle it — awake or asleep, under every schedule — with
+  ``remove()`` settle it — awake or asleep, under both schedules — with
   one ``idle_tick(start, cycles)`` over everything elapsed since the last.
 * Dirty-bit wakes invalidate a pending heap entry (lazy deletion: the entry
   stays in the heap and is discarded when popped), so a component woken
@@ -159,14 +120,18 @@ from repro.sim.stats import SchedulerStats
 
 __all__ = ["ClockedComponent", "SimulationKernel", "SCHEDULES", "DEFAULT_SCHEDULE"]
 
-#: Every accepted schedule name.  ``strict`` is the oracle the others must
-#: equal bit for bit.
-SCHEDULES = ("strict", "auto", "event", "vector")
+#: Every schedule name.  ``strict`` is the oracle ``vector`` must equal bit
+#: for bit.
+SCHEDULES = ("strict", "vector")
 
 #: What every constructor and experiment that takes a ``schedule`` defaults
 #: to: the event heap plus, where the network kind has one, the self-gating
 #: vector plane.
 DEFAULT_SCHEDULE = "vector"
+
+#: Names of earlier schedules the constructor still accepts, and what they
+#: run now.
+_ALIASES = {"auto": "vector", "event": "vector"}
 
 #: Sort key of the awake and late lists: registration order (a C-level getter).
 _BY_REGISTRATION = operator.attrgetter("_kernel_index")
@@ -178,19 +143,17 @@ class ClockedComponent(abc.ABC):
     Subclasses implement :meth:`evaluate` and :meth:`commit`.  The split
     mirrors a synchronous hardware description: ``evaluate`` is the
     combinational logic in front of the registers, ``commit`` is the clock
-    edge.  Components whose idle behaviour is a fixed point may additionally
-    opt in to the quiescence protocol documented in the module docstring.
+    edge.  Components whose idle behaviour is predictable may additionally
+    opt in to the timed protocol documented in the module docstring.
     """
 
-    #: Set by subclasses that implement :meth:`quiescent` / :meth:`idle_tick`.
-    supports_quiescence: ClassVar[bool] = False
     #: Set by subclasses that implement :meth:`next_event_cycle` /
     #: :meth:`idle_tick`: the component can predict its next interesting
-    #: cycle, so the kernel may leap over the gap (see the module docstring).
+    #: cycle, so the kernel may skip it until then (see the module docstring).
     supports_timed_wake: ClassVar[bool] = False
     #: Set by subclasses whose *commit* reads live state another component
     #: drives during the same commit phase (the stream testbenches).  Under
-    #: ``schedule="event"`` a commit-phase wake from a lower-index component
+    #: ``schedule="vector"`` a commit-phase wake from a lower-index component
     #: then replays the current cycle in registration order instead of
     #: deferring to the next cycle (see "Event-queue contract").
     commit_wake_replays_cycle: ClassVar[bool] = False
@@ -217,9 +180,9 @@ class ClockedComponent(abc.ABC):
         #: but not yet merged back into the awake set).
         self._pending_wake = False
         #: Set by :meth:`wake`, cleared when the component next evaluates.
-        #: Guards the sleep decision against inputs that change *after* the
+        #: Guards the park decision against inputs that change *after* the
         #: component sampled them (e.g. during the commit phase of the same
-        #: cycle, before the kernel's end-of-cycle quiescence check).
+        #: cycle, before the kernel's end-of-cycle reschedule).
         self._input_dirty = False
         #: Back-reference installed by :meth:`SimulationKernel.add`.
         self._scheduler: Optional["SimulationKernel"] = None
@@ -229,7 +192,7 @@ class ClockedComponent(abc.ABC):
         #: Due cycle of this component's valid event-heap entry (``None``
         #: when dense or parked); doubles as the lazy-deletion validity tag.
         self._due: Optional[int] = None
-        #: True while registered with an ``schedule="event"`` kernel; lets
+        #: True while registered with a ``schedule="vector"`` kernel; lets
         #: components pick event-native fast paths without consulting the
         #: scheduler on the hot path.
         self._event_mode = False
@@ -245,26 +208,21 @@ class ClockedComponent(abc.ABC):
     def reset(self) -> None:  # pragma: no cover - default is a no-op
         """Return the component to its power-on state (optional)."""
 
-    # -- quiescence protocol ----------------------------------------------
-
-    def quiescent(self) -> bool:
-        """True when evaluate/commit with unchanged inputs is an idle tick."""
-        return False
+    # -- timed protocol -----------------------------------------------------
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
         """Apply *cycles* skipped cycles worth of idle evaluate/commit rounds.
 
         Must have exactly the effect *cycles* known-idle evaluate/commit
-        rounds would have had: for quiescence-only components that is the
-        constant per-cycle activity accounting (functional state untouched);
-        a ``supports_timed_wake`` component must additionally fast-forward
-        its deterministic per-cycle bookkeeping (pacer credit) so that
-        leaping is bit-identical to single-stepping.  It must never change
-        an input another component observes.
+        rounds would have had: the constant per-cycle activity accounting
+        (functional state untouched), plus a fast-forward of deterministic
+        per-cycle bookkeeping (pacer credit) so that skipping is
+        bit-identical to single-stepping.  It must never change an input
+        another component observes.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} declares supports_quiescence or "
-            "supports_timed_wake but does not implement idle_tick()"
+            f"{type(self).__name__} is skipped by the kernel (supports_timed_wake, "
+            "settles_at_sync or parked) but does not implement idle_tick()"
         )
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
@@ -316,34 +274,28 @@ class SimulationKernel:
         One of :data:`SCHEDULES`.  ``"vector"`` (:data:`DEFAULT_SCHEDULE`)
         runs the heap-based discrete-event schedule plus the columnar NumPy
         fast path for builders that register a
-        :class:`repro.sim.vector.VectorPlane`; on a bare kernel it is
-        ``"event"`` (cost proportional to events).  ``"auto"`` is the older
-        per-cycle scan that skips quiescent components, ``"strict"`` the
-        seed-equivalent every-component schedule.  All schedules produce
-        bit-identical results; ``strict`` exists as the reference for the
-        equivalence tests and for debugging.
+        :class:`repro.sim.vector.VectorPlane`; ``"strict"`` evaluates and
+        commits every component every cycle.  Both produce bit-identical
+        results; ``strict`` exists as the reference for the equivalence tests
+        and for debugging.  ``"auto"`` and ``"event"`` are accepted as
+        aliases of ``"vector"``.
     """
-
-    #: Cycles to wait before re-scanning the event horizon after a failed
-    #: leap attempt (some component pinned the horizon to "now").  A busy
-    #: fabric thus pays for at most one scan per interval instead of one per
-    #: cycle; a component going to sleep — the usual moment a horizon opens —
-    #: or leaving the kernel resets the wait immediately.
-    LEAP_RETRY_CYCLES = 8
 
     def __init__(
         self, frequency_hz: float = 25e6, schedule: str = DEFAULT_SCHEDULE
     ) -> None:
         if frequency_hz <= 0:
             raise ValueError("frequency_hz must be positive")
+        schedule = _ALIASES.get(schedule, schedule)
         if schedule not in SCHEDULES:
             raise ValueError(
-                f"schedule must be one of {', '.join(map(repr, SCHEDULES))}, "
+                f"schedule must be one of {', '.join(map(repr, SCHEDULES))} "
+                f"(aliases of 'vector': {', '.join(map(repr, _ALIASES))}), "
                 f"got {schedule!r}"
             )
         self.frequency_hz = float(frequency_hz)
         self.schedule = schedule
-        self._event = schedule in ("event", "vector")
+        self._event = schedule == "vector"
         self._components: list[ClockedComponent] = []
         self._names: set[str] = set()
         #: Monotonic registration counter; indices stay unique across
@@ -364,9 +316,6 @@ class SimulationKernel:
         #: ``settles_at_sync`` components mapped to their first unsettled cycle.
         self._unsettled: dict[ClockedComponent, int] = {}
         self._phase = "idle"
-        #: First cycle at which a leap may be attempted again (backoff after
-        #: a failed horizon scan; see LEAP_RETRY_CYCLES).
-        self._next_leap_attempt = 0
         # Event-schedule state: the timestamp-ordered heap of
         # (due, registration_index, sequence, component) entries (stale
         # entries are lazily discarded — see ClockedComponent._due), the
@@ -452,8 +401,6 @@ class SimulationKernel:
         # lazy-deletion validity check compares the registration index).
         component._due = None
         component._event_mode = False
-        # A departing component may have been the one pinning the horizon.
-        self._next_leap_attempt = 0
         return component
 
     def park(self, components: Iterable[ClockedComponent]) -> None:
@@ -461,13 +408,17 @@ class SimulationKernel:
 
         For a component that executes others in its own way for a while (the
         vector plane batching its member routers).  A parked component sleeps
-        exactly like a quiescent one, whatever it would have predicted
-        itself: its idle accounting is deferred from the current cycle on
-        and paid through ``idle_tick`` (which it must implement) when it
-        wakes or at :meth:`sync`.  Only between cycles, like :meth:`remove`.
+        exactly like one that predicted no event of its own, whatever it
+        would have predicted itself: its idle accounting is deferred from the
+        current cycle on and paid through ``idle_tick`` (which it must
+        implement) when it wakes or at :meth:`sync`.  Only between cycles,
+        like :meth:`remove`; a no-op under ``strict``, where everything runs
+        every cycle.
         """
         if self._phase != "idle":
             raise SimulationError("components can only be parked between cycles")
+        if not self._event:
+            return
         cycle = self._cycle
         sleeping = self._sleeping
         for component in components:
@@ -507,8 +458,8 @@ class SimulationKernel:
         and disables cycle leaping entirely (the kernel must single-step so
         the hook observes every cycle — bit-identical to the strict
         schedule).  With ``every=N`` the hook is *timed*: it runs only on
-        cycles divisible by *N* in every schedule, and leaps are bounded so
-        no scheduled hook cycle is ever skipped.
+        cycles divisible by *N* under both schedules, and leaps are bounded
+        so no scheduled hook cycle is ever skipped.
 
         A hook sees the kernel between two cycles with the deferred
         bookkeeping still owed: sleeping components have not booked their
@@ -594,14 +545,13 @@ class SimulationKernel:
                 component.commit_wake_replays_cycle
                 and self._commit_index < component._kernel_index
             ):
-                # Event schedule only (the other schedules never sleep a
-                # commit-phase live-state reader): the waker would have
-                # committed *before* this component under the strict
-                # schedule, so this component's commit of the current cycle
-                # must still run and must observe the waker's output.
-                # Replay the cycle: flush the skipped gap, evaluate now
-                # (flag-setting components' evaluate reads no wires), and
-                # queue the commit to run after the batch in index order.
+                # The waker would have committed *before* this component
+                # under the strict schedule, so this component's commit of
+                # the current cycle must still run and must observe the
+                # waker's output.  Replay the cycle: flush the skipped gap,
+                # evaluate now (flag-setting components' evaluate reads no
+                # wires), and queue the commit to run after the batch in
+                # index order.
                 if cycle > start:
                     if not component.settles_at_sync:
                         component.idle_tick(start, cycle - start)
@@ -668,7 +618,6 @@ class SimulationKernel:
         self._deferred.clear()
         self._commit_index = -1
         self._phase = "idle"
-        self._next_leap_attempt = 0
         self.scheduler_stats = SchedulerStats()
         # Clear all scheduling flags before any component reset runs: a
         # resetting component may drive shared wires, which would otherwise
@@ -694,37 +643,6 @@ class SimulationKernel:
                         return cycle
                     target = due
         return target
-
-    def _component_horizon(self, cycle: int, limit: int) -> int:
-        """Earliest of *limit* and the next event any scheduled component
-        predicts.  Any component without the timed protocol (or with a
-        freshly dirtied input) pins the horizon to the current cycle."""
-        target = limit
-        for component in self._awake:
-            if not component.supports_timed_wake or component._input_dirty:
-                return cycle
-            event = component.next_event_cycle(cycle)
-            if event is not None and event < target:
-                if event <= cycle:
-                    return cycle
-                target = event
-        return target
-
-    def _leap(self, cycle: int, target: int) -> None:
-        """Skip cycles ``[cycle, target)`` in one jump (all declared idle)."""
-        skipped = target - cycle
-        # idle_tick must not wake anybody: _wake_component asserts against
-        # this phase, making a wake during the leap window a loud error.
-        self._phase = "leap"
-        for component in self._awake:
-            if not component.settles_at_sync:
-                component.idle_tick(cycle, skipped)
-        self._phase = "idle"
-        self._cycle = target
-        stats = self.scheduler_stats
-        stats.skipped += skipped * len(self._awake)
-        stats.leaps += 1
-        stats.leaped_cycles += skipped
 
     def _advance_event(self, limit: Optional[int] = None) -> None:
         """Run one batch of the event schedule (at most one executed cycle).
@@ -767,7 +685,7 @@ class SimulationKernel:
         merged = False
         if heap and heap[0][0] <= cycle:
             # Pop the batch of entries due now.  Flushing the deferred idle
-            # accounting must not wake anybody (same guard as a leap).
+            # accounting must not wake anybody (the leap guard).
             sleeping = self._sleeping
             self._phase = "leap"
             try:
@@ -797,6 +715,10 @@ class SimulationKernel:
             woken.clear()
             merged = True
         if merged:
+            # The strict schedule runs components in registration order, and
+            # testbench components observe each other through commit-phase
+            # method calls — rejoining components must slot back into their
+            # original position to stay cycle-exact.
             awake.sort(key=_BY_REGISTRATION)
         self._phase = "evaluate"
         for component in awake:
@@ -832,25 +754,20 @@ class SimulationKernel:
             if cycle % every == 0:
                 hook(cycle)
         stats.evaluated += len(awake)
-        # Reschedule every batch member with one question — a timed
-        # component's next_event_cycle(), quiescent() only where that is all
-        # a component implements: stay dense (input dirty, no protocol, or
-        # due immediately), park (no future self-event; dirty-bit wakes cover
-        # it), or push onto the heap at the predicted due cycle.  The
-        # predictions run under the leap guard: they must not wake anybody.
+        # Reschedule every batch member with one question, a timed
+        # component's next_event_cycle(): stay dense (input dirty, no
+        # protocol, or due immediately), park (no future self-event;
+        # dirty-bit wakes cover it), or push onto the heap at the predicted
+        # due cycle.  The predictions run under the leap guard: they must
+        # not wake anybody.
         sleeping = self._sleeping
         next_cycle = self._cycle
         self._phase = "leap"
         try:
             write = 0
             for component in awake:
-                if not component._input_dirty:
-                    if component.supports_timed_wake:
-                        event = component.next_event_cycle(next_cycle)
-                    elif component.supports_quiescence and component.quiescent():
-                        event = None
-                    else:
-                        event = next_cycle
+                if not component._input_dirty and component.supports_timed_wake:
+                    event = component.next_event_cycle(next_cycle)
                     if event is None or event > next_cycle:
                         component._asleep = True
                         sleeping[component] = next_cycle
@@ -874,13 +791,9 @@ class SimulationKernel:
             awake.sort(key=_BY_REGISTRATION)
 
     def _advance(self, limit: Optional[int] = None) -> None:
-        """Run one clock cycle without flushing deferred idle accounting.
-
-        Under the ``auto`` schedule, when every scheduled component is timed
-        (and no dense hook is registered), the kernel first leaps over the
-        skippable gap up to *limit* (exclusive bound of this run); if the
-        whole remaining window is skippable no cycle is executed at all.
-        """
+        """Run one clock cycle — under ``vector`` one batch of the event
+        schedule, bounded by *limit* — without flushing deferred idle
+        accounting."""
         if self._deferred:
             deferred, self._deferred = self._deferred, []
             for callback in deferred:
@@ -888,94 +801,25 @@ class SimulationKernel:
         if self._event:
             self._advance_event(limit)
             return
-        if not self._components:
+        components = self._components
+        if not components:
             raise SimulationError("cannot step a kernel with no components")
         cycle = self._cycle
-        if (
-            limit is not None
-            and limit > cycle
-            and cycle >= self._next_leap_attempt
-            and self.schedule == "auto"
-            and not self._has_dense_hooks
-            and not self._woken
-        ):
-            bound = self._hook_bound(cycle, limit)
-            if bound > cycle:  # a hook due right now is no reason to back off
-                # The leap phase covers the horizon scan as well: a
-                # next_event_cycle() that wakes a sleeper is rejected just
-                # as loudly as a side-effecting idle_tick().
-                self._phase = "leap"
-                try:
-                    target = self._component_horizon(cycle, bound)
-                finally:
-                    self._phase = "idle"
-                if target > cycle:
-                    self._leap(cycle, target)
-                    if target >= limit:
-                        return
-                    cycle = target
-                else:
-                    # A component pinned the horizon; back off before paying
-                    # for another scan (sleeps/removals reset the wait).
-                    self._next_leap_attempt = cycle + self.LEAP_RETRY_CYCLES
-        awake = self._awake
         for hook, every in self._pre_cycle_hooks:
             if cycle % every == 0:
                 hook(cycle)
-        # Components woken since the previous commit phase (between runs, by
-        # a pre-cycle hook, or at the previous cycle's clock edge) join the
-        # schedule before the evaluate phase so they run this full cycle.
-        woken = self._woken
-        if woken:
-            for component in woken:
-                component._pending_wake = False
-            awake.extend(woken)
-            woken.clear()
-            # The strict schedule runs components in registration order, and
-            # testbench components observe each other through commit-phase
-            # method calls — rejoining components must slot back into their
-            # original position to stay cycle-exact.
-            awake.sort(key=_BY_REGISTRATION)
         self._phase = "evaluate"
-        for component in awake:
-            component._input_dirty = False
+        for component in components:
             component.evaluate(cycle)
-        if woken:
-            # Woken mid-evaluate; already evaluated inside _wake_component.
-            for component in woken:
-                component._pending_wake = False
-            awake.extend(woken)
-            woken.clear()
-            awake.sort(key=_BY_REGISTRATION)
         self._phase = "commit"
-        for component in awake:
+        for component in components:
             component.commit(cycle)
         self._phase = "idle"
         self._cycle = cycle + 1
         for hook, every in self._post_cycle_hooks:
             if cycle % every == 0:
                 hook(cycle)
-        stats = self.scheduler_stats
-        stats.evaluated += len(awake)
-        if self.schedule == "auto":
-            sleeping = self._sleeping
-            write = 0
-            for component in awake:
-                if (
-                    component.supports_quiescence
-                    and not component._input_dirty
-                    and component.quiescent()
-                ):
-                    component._asleep = True
-                    sleeping[component] = self._cycle
-                    stats.sleeps += 1
-                else:
-                    awake[write] = component
-                    write += 1
-            if write != len(awake):
-                # Somebody just went to sleep: the horizon may have opened.
-                self._next_leap_attempt = 0
-            del awake[write:]
+        self.scheduler_stats.evaluated += len(components)
 
     def activity_horizon(self, limit: int) -> int:
         """First cycle ≥ :attr:`cycle` at which anything local may happen.
@@ -990,36 +834,24 @@ class SimulationKernel:
         never runs a cycle, never changes observable state.
         """
         cycle = self._cycle
-        if cycle >= limit:
-            return cycle
-        if self._woken or self._deferred or self._has_dense_hooks:
+        if (
+            cycle >= limit
+            or not self._event
+            or self._awake
+            or self._woken
+            or self._deferred
+            or self._has_dense_hooks
+        ):
             return cycle
         target = self._hook_bound(cycle, limit)
-        if target <= cycle:
-            return cycle
-        if self._event:
-            if self._awake:
-                return cycle
-            heap = self._heap
-            while heap:
-                due, idx, _seq, component = heap[0]
-                if component._due == due and component._kernel_index == idx:
-                    if due < target:
-                        target = due
-                    break
-                heapq.heappop(heap)
-            return max(cycle, min(target, limit))
-        if self.schedule == "strict":
-            return cycle
-        # auto: scan the awake set under the leap guard, exactly like a
-        # leap attempt (sleeping components only wake on input changes, so
-        # they never bound the horizon).
-        self._phase = "leap"
-        try:
-            target = self._component_horizon(cycle, target)
-        finally:
-            self._phase = "idle"
-        return target
+        heap = self._heap
+        while heap:
+            due, idx, _seq, component = heap[0]
+            if component._due == due and component._kernel_index == idx:
+                target = min(target, due)
+                break
+            heapq.heappop(heap)
+        return max(cycle, target)
 
     def step(self) -> int:
         """Advance the simulation by one clock cycle and return the new count."""
@@ -1063,8 +895,8 @@ class SimulationKernel:
         default ``1`` the predicate sees every cycle (the original
         behaviour); a larger stride runs that many cycles per check, which
         both amortises an expensive predicate and opens a leap window for
-        the timed scheduler between checks.  The returned cycle count may
-        then overshoot the first satisfying cycle by up to one stride.
+        the event heap between checks.  The returned cycle count may then
+        overshoot the first satisfying cycle by up to one stride.
         """
         if check_every < 1:
             raise ValueError("check_every must be positive")

@@ -52,8 +52,7 @@ How it stays bit-identical to the strict reference schedule:
   routes of its members (:attr:`VectorPlane.live_routes`, counted once per
   configuration change) reach :data:`MIN_BATCH_ROUTES`.  Below that the members are ordinary
   components of the kernel's event schedule — the plane itself sleeps — so a
-  small or idle fabric costs exactly what it costs under
-  ``schedule="event"``.  The gate reads a property of the input, not a
+  small or idle fabric costs exactly what the event heap alone costs.  The gate reads a property of the input, not a
   parameter.
 * **Version guards and the scalar cycle.**  While the plane batches, a
   member's dirty-bit wake (a tile write, a boundary-frame drive) goes to
@@ -110,7 +109,7 @@ endpoints — and therefore the commit-phase replay semantics of the event
 schedule — is the same.  GT slot wires are *not* vectorised: the TDMA
 router's per-slot table walk is control flow, not a static gather, so
 ``schedule="vector"`` on a GT (or packet, or clock-gated circuit) network
-runs as ``schedule="event"`` and
+runs on the event heap alone and
 :meth:`repro.noc.fabric.NocBase.schedule_report` says so.
 """
 
@@ -161,9 +160,9 @@ class VectorPlane(ClockedComponent):
         Kernel component name (one plane per kernel).
     """
 
-    #: Quiescence only: the plane generates no event of its own, so parking
-    #: until a dirty-bit wake is all the timed protocol could add.
-    supports_quiescence = True
+    #: The plane generates no event of its own: it answers ``None`` (park
+    #: until a dirty-bit wake) or "now".
+    supports_timed_wake = True
 
     def __init__(self, members: List[Any], name: str = "vector_plane") -> None:
         super().__init__(name)
@@ -893,10 +892,10 @@ class VectorPlane(ClockedComponent):
                 self.member_dirty(member)
         pending.fill(0)
 
-    # -- quiescence protocol -----------------------------------------------
+    # -- timed protocol ----------------------------------------------------
 
-    def quiescent(self) -> bool:
-        """True when another cycle would latch nothing anywhere.
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        """``None`` when another cycle would latch nothing anywhere, else *cycle*.
 
         Batching, that requires a settled batch: the previous batched commit
         latched no register change, flipped no acknowledge, crossed no word
@@ -906,8 +905,8 @@ class VectorPlane(ClockedComponent):
         schedule the plane only waits for the next configuration write.
         """
         if self._dirty or self._structural or self._sweeping or self._taking_over:
-            return False
-        return self._settled or not self._compiled
+            return cycle
+        return None if self._settled or not self._compiled else cycle
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
         """Nothing: the members' idle accounting is the kernel's, batched or not."""

@@ -193,7 +193,7 @@ def fabric_scenarios(draw, max_cycles: int = 220):
         [(src, dst, mbps, load) for (src, dst), mbps, load in channels],
         cycles,
         (draw(st.integers(5, cycles - 5)), a, b, reroute),
-        draw(st.sampled_from([None, "strict", "event"])),
+        draw(st.sampled_from([None, "strict"])),
     )
 
 

@@ -538,7 +538,7 @@ def _router_state(router):
             list(router.tile.received_words),
             len(router.tile.received_packets),
         ),
-        "parked": (router.quiescent(), router.next_event_cycle(router.activity.cycles)),
+        "parked": router.next_event_cycle(router.activity.cycles),
     }
 
 
@@ -656,7 +656,6 @@ class TestDirectedSwitchAllocation:
             assert router.activity.get(ActivityKeys.FLITS_ROUTED) == 4
             assert router.output_allocators[Port.EAST].credits(router.vc_states[(Port.TILE, 0)].out_vc) == 0
             assert router.buffers[(Port.TILE, 0)].is_full() and router.tile.injection_backlog
-            assert not router.quiescent()
             assert router.next_event_cycle(kernel.cycle) is None
             assert kernel.sleeping_components == 1
             links[Port.EAST][1].return_credit(router.vc_states[(Port.TILE, 0)].out_vc, 1)

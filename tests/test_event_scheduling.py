@@ -22,7 +22,7 @@ from repro.noc.fabric import build_network
 from repro.noc.topology import Mesh2D
 
 FREQUENCY_HZ = 100e6
-SCHEDULES = ("strict", "auto", "event")
+SCHEDULES = ("strict", "vector")
 KINDS = ("circuit", "packet", "gt")
 MESHES = ((3, 3), (4, 2), (4, 4))
 
@@ -100,7 +100,7 @@ def test_random_scenarios_are_trimodal_identical(seed):
     plan = _random_plan(seed)
     nets = {schedule: _execute(plan, schedule) for schedule in SCHEDULES}
     reference = _snapshot(nets["strict"])
-    for schedule in ("auto", "event"):
+    for schedule in ("vector",):
         assert _snapshot(nets[schedule]) == reference, (
             f"seed {seed}: {schedule} diverged from strict "
             f"(kind={plan['kind']}, mesh={plan['width']}x{plan['height']}, "
@@ -126,7 +126,7 @@ def test_live_fault_mid_run_is_trimodal_identical(kind):
         network.run(250)
         nets[schedule] = network
     reference = _snapshot(nets["strict"])
-    for schedule in ("auto", "event"):
+    for schedule in ("vector",):
         assert _snapshot(nets[schedule]) == reference, (
             f"{schedule} diverged from strict after a live fault ({kind})"
         )
@@ -141,7 +141,7 @@ def test_event_heap_is_deterministic_under_removal(kind):
 
     def run_once():
         network = build_network(
-            kind, Mesh2D(4, 2), frequency_hz=FREQUENCY_HZ, schedule="event"
+            kind, Mesh2D(4, 2), frequency_hz=FREQUENCY_HZ, schedule="vector"
         )
         generator = word_generator(BitFlipPattern.TYPICAL, seed=7)
         network.attach_channel("a", (0, 0), (3, 1), 100.0, generator, load=0.6)

@@ -301,13 +301,13 @@ class TestStormDeterminism:
                 kind, topology=Mesh2D(5, 5), storm_size=1, seed=2, schedule=schedule,
                 apps=[("hiperlan2", hiperlan2.build_process_graph)],
             )
-            for schedule in ("strict", "auto")
+            for schedule in ("strict", "vector")
         }
-        strict, auto = outcomes["strict"].result, outcomes["auto"].result
+        strict, auto = outcomes["strict"].result, outcomes["vector"].result
         assert telemetry_columns(strict) == telemetry_columns(auto)
         assert strict.displaced == auto.displaced
-        assert outcomes["auto"].recovered_or_rejected
-        assert outcomes["auto"].leak_free
+        assert outcomes["vector"].recovered_or_rejected
+        assert outcomes["vector"].leak_free
 
     def test_telemetry_is_columnar_and_json_safe(self):
         outcome = run_storm(

@@ -27,7 +27,7 @@ from repro.noc.path_allocation import LaneAllocator
 from repro.noc.topology import Mesh2D, Torus2D
 
 FREQUENCY_HZ = 100e6
-SCHEDULES = ("strict", "auto", "event", "vector")
+SCHEDULES = ("strict", "vector")
 
 
 def _snapshot(network):
@@ -74,7 +74,7 @@ class TestIdleMesh:
             nets[schedule] = network
         _assert_equivalent(nets)
         # Idle routers sleep from the second cycle onward.
-        stats = nets["auto"].kernel.scheduler_stats
+        stats = nets["vector"].kernel.scheduler_stats
         assert stats.skipped > stats.evaluated
 
     def test_idle_clock_gated_mesh_is_identical(self):
@@ -116,7 +116,7 @@ class TestSingleStream:
             nets[schedule] = network
         _assert_equivalent(nets)
         if load >= 0.3:
-            assert nets["auto"].streams["s"].words_received > 0
+            assert nets["vector"].streams["s"].words_received > 0
 
     @settings(max_examples=6, deadline=None)
     @given(load=st.sampled_from([0.1, 0.5, 1.0]), seed=st.integers(min_value=0, max_value=2**16))
@@ -148,7 +148,7 @@ class TestCrossingStreams:
             network.run(600)
             nets[schedule] = network
         _assert_equivalent(nets)
-        for endpoint in nets["auto"].streams.values():
+        for endpoint in nets["vector"].streams.values():
             assert endpoint.words_received > 0
 
 
@@ -167,7 +167,7 @@ class TestApplicationTraffic:
             network.run(800)
             nets[schedule] = network
         _assert_equivalent(nets)
-        delivered = sum(s["received"] for s in nets["auto"].stream_statistics().values())
+        delivered = sum(s["received"] for s in nets["vector"].stream_statistics().values())
         assert delivered > 0
 
 
@@ -196,7 +196,7 @@ class TestMidRunReconfiguration:
             network.run(400)
             nets[schedule] = network
         _assert_equivalent(nets)
-        assert nets["auto"].streams["second"].words_received > 0
+        assert nets["vector"].streams["second"].words_received > 0
 
 
 class TestResetClearsWires:
@@ -218,7 +218,7 @@ class TestResetClearsWires:
             network.run(300)
             nets[schedule] = network
         _assert_equivalent(nets)
-        assert nets["auto"].streams["s"].words_received > 0
+        assert nets["vector"].streams["s"].words_received > 0
 
 
     @pytest.mark.parametrize("kind", ["circuit", "packet", "gt"])
@@ -291,7 +291,7 @@ class TestGtNetwork:
             network.run(500)
             nets[schedule] = network
         _assert_equivalent(nets)
-        stats = nets["auto"].kernel.scheduler_stats
+        stats = nets["vector"].kernel.scheduler_stats
         assert stats.skipped > stats.evaluated
 
     def test_configured_but_unloaded_gt_mesh_sleeps(self):
@@ -306,7 +306,7 @@ class TestGtNetwork:
             network.run(400)
             nets[schedule] = network
         _assert_equivalent(nets)
-        stats = nets["auto"].kernel.scheduler_stats
+        stats = nets["vector"].kernel.scheduler_stats
         assert stats.skipped > 0
 
     @pytest.mark.parametrize("load", [0.1, 0.6, 1.0])
@@ -322,7 +322,7 @@ class TestGtNetwork:
             network.run(1000)
             nets[schedule] = network
         _assert_equivalent(nets)
-        for endpoint in nets["auto"].streams.values():
+        for endpoint in nets["vector"].streams.values():
             assert endpoint.words_received > 0
 
     @pytest.mark.parametrize("app", [hiperlan2, umts], ids=["hiperlan2", "umts"])
@@ -337,7 +337,7 @@ class TestGtNetwork:
             )
             nets[schedule] = result.network
         _assert_equivalent(nets)
-        delivered = sum(s["received"] for s in nets["auto"].stream_statistics().values())
+        delivered = sum(s["received"] for s in nets["vector"].stream_statistics().values())
         assert delivered > 0
 
     def test_gt_on_torus_is_identical(self):
@@ -352,8 +352,8 @@ class TestGtNetwork:
             network.run(600)
             nets[schedule] = network
         _assert_equivalent(nets)
-        assert nets["auto"].streams["wrap"].words_received > 0
-        assert nets["auto"].streams["wrap"].allocation.hop_count == 2
+        assert nets["vector"].streams["wrap"].words_received > 0
+        assert nets["vector"].streams["wrap"].allocation.hop_count == 2
 
     def test_gt_mid_run_reconfiguration_is_identical(self):
         """Tear a slot schedule down mid-run and program a new one through
@@ -377,7 +377,7 @@ class TestGtNetwork:
             network.run(400)
             nets[schedule] = network
         _assert_equivalent(nets)
-        assert nets["auto"].streams["second"].words_received > 0
+        assert nets["vector"].streams["second"].words_received > 0
 
 
 class TestCcnLifecycleReconfiguration:
@@ -415,7 +415,7 @@ class TestCcnLifecycleReconfiguration:
             nets[schedule] = network
         _assert_equivalent(nets)
         delivered = sum(
-            s["received"] for s in nets["auto"].stream_statistics().values()
+            s["received"] for s in nets["vector"].stream_statistics().values()
         )
         assert delivered > 0
         # Released streams really left the schedule on both kernels.
@@ -535,7 +535,7 @@ class TestGenericComponentsNeverSkipped:
             def commit(self, cycle):
                 self.ticks += 1
 
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel()
         component = kernel.add(Plain())
         kernel.run(250)
         assert component.ticks == 250

@@ -6,7 +6,7 @@ rests on three things, each tested here where it is defined rather than
 through a fabric: packet wires that remember one clock edge (a reader sees
 what an evaluate-phase sample would have seen, whichever end commits first),
 constant accounting that the kernel settles at ``sync()`` / ``remove()``, and
-a ``next_event_cycle`` that covers every ``quiescent`` state.
+a ``next_event_cycle`` that covers every quiescent state.
 """
 
 from __future__ import annotations
@@ -197,9 +197,26 @@ class TestConstantAccountingSettlesAtSync:
         assert router.activity.cycles == kernel.cycle == 7
 
 
+def _quiescent(clock):
+    """The sleep test of the retired per-cycle schedule: another cycle with
+    unchanged inputs would change nothing."""
+    if isinstance(clock, TdmaDatapath):
+        return not (clock._held or any(wire.forward is not None for wire in clock._external)
+                    or any(router.tile._queued for router in clock.routers))
+    if isinstance(clock, PacketSwitchedRouter):
+        return not (clock.tile._injection_queue or clock._occupied[0]) and clock._wires_idle()
+    if clock.crossbar.busy or not clock.converter.quiescent():
+        return False
+    values, acks = clock._input_vals, clock._ack_vals
+    for lane in range(clock.lanes_per_port):
+        values[lane] = 0
+        acks[lane] = False
+    return clock.crossbar.is_fixed_point(values, acks)
+
+
 class TestOneSchedulingQuestion:
     """Under the event schedule a timed component is asked next_event_cycle()
-    only, so the answer must cover every quiescent() state."""
+    only, so the answer must cover every quiescent state."""
 
     @given(
         scenario=fabric_scenarios(max_cycles=120),
@@ -215,7 +232,7 @@ class TestOneSchedulingQuestion:
         for _cycle in scenario.steps([network]):
             now = network.kernel.cycle
             for clock in clocks:
-                if clock.quiescent():
+                if _quiescent(clock):
                     quiescent += 1
                     assert clock.next_event_cycle(now) is None, f"{clock.name} at cycle {now}"
         assert quiescent > 0
@@ -237,7 +254,7 @@ class TestOneSchedulingQuestion:
         slept = 0
         for _ in range(400):
             kernel.step()
-            if router.quiescent():
+            if _quiescent(router):
                 assert router.next_event_cycle(kernel.cycle) is None
                 slept += router._asleep
         assert slept > 100
@@ -258,5 +275,5 @@ class TestOneSchedulingQuestion:
         ((router, _links, kernel),) = twin_benches(classes, make_link, setup)
         kernel.run(60)
         clock = getattr(router, "datapath", None) or router
-        assert clock.quiescent() and clock.next_event_cycle(kernel.cycle) is None
+        assert _quiescent(clock) and clock.next_event_cycle(kernel.cycle) is None
         assert kernel.sleeping_components == 1

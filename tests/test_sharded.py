@@ -86,7 +86,7 @@ def _random_plan(seed: int) -> dict:
 
 def _execute(plan: dict, shards: int | None = None, transport: str | None = None):
     """Build and run one drawn scenario, sharded or single-process."""
-    params = {"frequency_hz": FREQUENCY_HZ, "schedule": "auto"}
+    params = {"frequency_hz": FREQUENCY_HZ, "schedule": "vector"}
     if shards is not None:
         params["shards"] = shards
     if transport is not None:
@@ -142,7 +142,7 @@ def test_live_fault_mid_run_is_shard_identical(kind):
     the single network drops — mirror-copy drops must not double-count."""
 
     def run_once(shards=None):
-        params = {"frequency_hz": FREQUENCY_HZ, "schedule": "auto"}
+        params = {"frequency_hz": FREQUENCY_HZ, "schedule": "vector"}
         if shards is not None:
             params["shards"] = shards
         network = build_network(kind, Mesh2D(4, 2), **params)
@@ -178,7 +178,7 @@ def test_boundary_frame_exchange_is_deterministic(kind):
             kind,
             Mesh2D(4, 4),
             frequency_hz=FREQUENCY_HZ,
-            schedule="auto",
+            schedule="vector",
             shards=4,
         )
         generator = word_generator(BitFlipPattern.TYPICAL, seed=7)
@@ -283,7 +283,7 @@ def test_mincut_transport_identity_with_live_fault(kind):
     for transport in ("pipe", "shm"):
         params = {
             "frequency_hz": FREQUENCY_HZ,
-            "schedule": "auto",
+            "schedule": "vector",
             "shards": 2,
             "transport": transport,
             "partition_mode": "mincut",
@@ -321,7 +321,7 @@ def test_irregular_mesh_transport_identity_with_live_fault(kind):
     ]
 
     def execute(extra=None):
-        params = {"frequency_hz": FREQUENCY_HZ, "schedule": "auto"}
+        params = {"frequency_hz": FREQUENCY_HZ, "schedule": "vector"}
         params.update(extra or {})
         network = build_network(kind, _mincut_fixture(), **params)
         for channel in channels:
@@ -358,7 +358,7 @@ def test_shm_frames_are_smaller_than_pipe_frames():
     for transport in ("pipe", "shm"):
         network = build_network(
             "circuit", Mesh2D(4, 2), frequency_hz=FREQUENCY_HZ,
-            schedule="auto", shards=2, transport=transport,
+            schedule="vector", shards=2, transport=transport,
         )
         network.attach_channel(
             "a", (0, 0), (3, 1), 100.0,
@@ -401,7 +401,7 @@ def test_shared_word_source_across_cut_is_shard_identical(kind):
     statistics inside the activity snapshot — match the single process."""
 
     def run_once(shards=None, transport=None):
-        params = {"frequency_hz": FREQUENCY_HZ, "schedule": "auto"}
+        params = {"frequency_hz": FREQUENCY_HZ, "schedule": "vector"}
         if shards is not None:
             params.update(shards=shards, transport=transport)
         network = build_network(kind, Mesh2D(4, 2), **params)
@@ -442,7 +442,7 @@ def test_worker_crash_mid_run_releases_shared_segment():
     no zombie workers."""
     network = build_network(
         "circuit", Mesh2D(4, 2), frequency_hz=FREQUENCY_HZ,
-        schedule="auto", shards=2, transport="shm",
+        schedule="vector", shards=2, transport="shm",
     )
     network.attach_channel(
         "a", (0, 0), (3, 1), 100.0,
@@ -467,7 +467,7 @@ def test_worker_crash_mid_run_releases_shared_segment():
 def test_close_unlinks_segment_on_clean_shutdown():
     network = build_network(
         "circuit", Mesh2D(4, 2), frequency_hz=FREQUENCY_HZ,
-        schedule="auto", shards=2, transport="shm",
+        schedule="vector", shards=2, transport="shm",
     )
     network.run(20)
     segment = f"/dev/shm/{network._shm.name}"
@@ -629,7 +629,7 @@ def test_activity_horizon_reports_idle_gap():
 
 def test_activity_horizon_is_clamped_and_monotonic():
     network = build_network(
-        "gt", Mesh2D(2, 2), frequency_hz=FREQUENCY_HZ, schedule="event"
+        "gt", Mesh2D(2, 2), frequency_hz=FREQUENCY_HZ
     )
     generator = word_generator(BitFlipPattern.TYPICAL, seed=2)
     network.attach_channel("a", (0, 0), (1, 1), 50.0, generator, load=0.1)
@@ -708,5 +708,4 @@ def test_packet_hotspot_stays_trimodal_identical():
         return _snapshot(network)
 
     reference = run_once("strict")
-    assert run_once("auto") == reference
-    assert run_once("event") == reference
+    assert run_once("vector") == reference

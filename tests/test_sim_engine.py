@@ -165,9 +165,9 @@ class TestTwoPhaseSemantics:
 
 
 class _Sleeper(ClockedComponent):
-    """Quiescence-capable component used to test removal accounting."""
+    """Timed component with no event of its own, used to test removal accounting."""
 
-    supports_quiescence = True
+    supports_timed_wake = True
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
@@ -180,8 +180,8 @@ class _Sleeper(ClockedComponent):
     def commit(self, cycle: int) -> None:
         self.ticks += 1
 
-    def quiescent(self) -> bool:
-        return True
+    def next_event_cycle(self, cycle: int):
+        return None
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
         self.idle_cycles += cycles
@@ -238,10 +238,10 @@ class TestComponentRemoval:
 
 
 class _Busy(_Sleeper):
-    """Never quiescent by itself: only :meth:`SimulationKernel.park` stops it."""
+    """Always due now: only :meth:`SimulationKernel.park` stops it."""
 
-    def quiescent(self) -> bool:
-        return False
+    def next_event_cycle(self, cycle: int):
+        return cycle
 
 
 class TestParkAndDefer:

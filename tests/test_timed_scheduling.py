@@ -2,11 +2,13 @@
 
 The quiescence protocol (PR 1) made simulation cost proportional to
 *component* activity; the timed tier makes it proportional to *event*
-activity: when everything on the schedule can predict its next interesting
-cycle, the kernel leaps the clock straight there.  These tests pin down the
+activity: every component that can predict its next interesting cycle waits
+for it on the event heap, and when nothing else is scheduled the kernel leaps
+the clock straight there.  A component runs on the cycle it is registered,
+then only at its predicted events.  These tests pin down the
 leap semantics — exact emission schedules, leap boundaries, the
 impossibility of wakes inside a leap window, removal of timed components —
-and the strict-vs-auto bit-identity with mixed timed/untimed components.
+and the strict-vs-default bit-identity with mixed timed/untimed components.
 """
 
 from __future__ import annotations
@@ -91,9 +93,9 @@ class _Plain(ClockedComponent):
 
 
 class _Sleeper(ClockedComponent):
-    """Quiescence-only component that sleeps immediately."""
+    """Timed component with no event of its own: parks after its first cycle."""
 
-    supports_quiescence = True
+    supports_timed_wake = True
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
@@ -106,8 +108,8 @@ class _Sleeper(ClockedComponent):
     def commit(self, cycle: int) -> None:
         self.ticks += 1
 
-    def quiescent(self) -> bool:
-        return True
+    def next_event_cycle(self, cycle: int):
+        return None
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
         self.idle_cycles += cycles
@@ -156,48 +158,49 @@ class TestCycleLeaping:
 
     def test_leaped_schedule_emits_on_identical_cycles(self):
         strict_kernel, strict_emitter, _ = self._run("strict", 0.1, 1000)
-        auto_kernel, auto_emitter, _ = self._run("auto", 0.1, 1000)
-        assert auto_emitter.emissions == strict_emitter.emissions
-        assert auto_kernel.cycle == strict_kernel.cycle == 1000
-        # The auto schedule really leapt: only emission cycles were executed.
-        assert auto_kernel.scheduler_stats.leaps > 0
-        assert auto_emitter.executed == auto_emitter.emissions
+        kernel, emitter, _ = self._run("vector", 0.1, 1000)
+        assert emitter.emissions == strict_emitter.emissions
+        assert kernel.cycle == strict_kernel.cycle == 1000
+        # The default schedule really leapt: after the registration cycle
+        # only emission cycles were executed.
+        assert kernel.scheduler_stats.leaps > 0
+        assert emitter.executed == [0] + emitter.emissions
         # Every skipped cycle was idle-accounted exactly once.
-        assert len(auto_emitter.executed) + auto_emitter.idle_cycles == 1000
+        assert len(emitter.executed) + emitter.idle_cycles == 1000
 
     def test_event_exactly_at_leap_target_runs(self):
         """The event cycle itself is executed, never skipped."""
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         emitter = kernel.add(_PacedEmitter("emitter", 0.5, cycles_per_word=10))
         kernel.run(20)
         # load 0.5, threshold 10: emission on the 20th call (cycle 19).
         assert emitter.emissions == [19]
-        assert emitter.executed == [19]
+        assert emitter.executed == [0, 19]
 
     def test_run_boundary_inside_leap_window(self):
         """A run ending before the next event executes no cycle at all, and
         the event still lands on the correct absolute cycle afterwards."""
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         emitter = kernel.add(_PacedEmitter("emitter", 0.5, cycles_per_word=10))
-        kernel.run(7)  # entirely inside the [0, 19) silent window
+        kernel.run(7)  # inside the [0, 19) silent window
         assert kernel.cycle == 7
-        assert emitter.executed == []
-        assert emitter.idle_cycles == 7
+        assert emitter.executed == [0]
+        assert emitter.idle_cycles == 6
         kernel.run(13)
         assert kernel.cycle == 20
         assert emitter.emissions == [19]
 
     def test_sink_only_kernel_leaps_to_the_horizon(self):
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         sink = kernel.add(_Sink("sink"))
         kernel.run(500)
         assert kernel.cycle == 500
-        assert sink.executed == 0
+        assert sink.executed == 1  # its registration cycle
         assert kernel.scheduler_stats.leaps == 1
-        assert kernel.scheduler_stats.leaped_cycles == 500
+        assert kernel.scheduler_stats.leaped_cycles == 499
 
     def test_sleeping_components_stay_asleep_across_leaps(self):
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         sleeper = kernel.add(_Sleeper("sleeper"))
         emitter = kernel.add(_PacedEmitter("emitter", 0.05))
         kernel.run(600)
@@ -218,7 +221,7 @@ class TestCycleLeaping:
                 super().idle_tick(start_cycle, cycles)
                 self.victim.wake()  # nothing runs during a leap: illegal
 
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         victim = kernel.add(_Sleeper("victim"))
         kernel.add(_Malicious("malicious", victim))
         with pytest.raises(SimulationError, match="cycle leap"):
@@ -237,7 +240,7 @@ class TestCycleLeaping:
                 self.victim.wake()  # scanning must not change inputs
                 return super().next_event_cycle(cycle)
 
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         victim = kernel.add(_Sleeper("victim"))
         kernel.add(_ImpureScanner("impure", victim))
         with pytest.raises(SimulationError, match="cycle leap"):
@@ -251,13 +254,14 @@ class TestCycleLeaping:
 
 class TestMixedTimedAndUntimed:
     def test_untimed_component_pins_the_horizon(self):
-        """One plain component forces single-stepping; results stay exact."""
+        """One plain component forces single-stepping, while the timed one
+        still runs only at its events; results stay exact."""
         strict = SimulationKernel(schedule="strict")
         strict_emitter = strict.add(_PacedEmitter("emitter", 0.1))
         strict.add(_Plain("plain"))
         strict.run(500)
 
-        auto = SimulationKernel(schedule="auto")
+        auto = SimulationKernel(schedule="vector")
         auto_emitter = auto.add(_PacedEmitter("emitter", 0.1))
         plain = auto.add(_Plain("plain"))
         auto.run(500)
@@ -265,11 +269,12 @@ class TestMixedTimedAndUntimed:
         assert auto.scheduler_stats.leaps == 0
         assert plain.ticks == 500
         assert auto_emitter.emissions == strict_emitter.emissions
-        assert len(auto_emitter.executed) == 500
+        assert auto_emitter.executed == [0] + auto_emitter.emissions
+        assert len(auto_emitter.executed) + auto_emitter.idle_cycles == 500
 
     def test_input_dirty_component_blocks_the_leap(self):
         """A freshly woken component must run before leaping resumes."""
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         sleeper = kernel.add(_Sleeper("sleeper"))
         kernel.add(_PacedEmitter("emitter", 0.05))
         kernel.run(100)
@@ -284,7 +289,7 @@ class TestMixedTimedAndUntimed:
 
 class TestTimedComponentRemoval:
     def test_remove_timed_component_after_leaps(self):
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         emitter = kernel.add(_PacedEmitter("emitter", 0.05))
         keep = kernel.add(_Sink("sink"))
         kernel.run(300)
@@ -299,7 +304,7 @@ class TestTimedComponentRemoval:
         kernel.add(_PacedEmitter("emitter", 0.5))
 
     def test_remove_sleeping_component_mid_leap_era_flushes_exactly(self):
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         sleeper = kernel.add(_Sleeper("sleeper"))
         kernel.add(_PacedEmitter("emitter", 0.05))
         kernel.run(250)
@@ -308,7 +313,7 @@ class TestTimedComponentRemoval:
 
     def test_remove_pending_wake_component_between_runs(self):
         """A component woken but not yet rescheduled leaves via the woken list."""
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         sleeper = kernel.add(_Sleeper("sleeper"))
         kernel.add(_Plain("keepalive"))
         kernel.run(50)
@@ -324,17 +329,17 @@ class TestTimedComponentRemoval:
 class TestTimedHooks:
     def test_timed_hook_runs_identical_cycles_under_both_schedules(self):
         seen = {}
-        for schedule in ("strict", "auto"):
+        for schedule in ("strict", "vector"):
             kernel = SimulationKernel(schedule=schedule)
             kernel.add(_PacedEmitter("emitter", 0.05))
             cycles: list[int] = []
             kernel.add_pre_cycle_hook(cycles.append, every=50)
             kernel.run(300)
             seen[schedule] = cycles
-        assert seen["auto"] == seen["strict"] == [0, 50, 100, 150, 200, 250]
+        assert seen["vector"] == seen["strict"] == [0, 50, 100, 150, 200, 250]
 
     def test_timed_post_hook_bounds_the_leap(self):
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         kernel.add(_Sink("sink"))
         cycles: list[int] = []
         kernel.add_post_cycle_hook(cycles.append, every=100)
@@ -344,7 +349,7 @@ class TestTimedHooks:
         assert kernel.scheduler_stats.leaped_cycles == 350 - 4
 
     def test_dense_hook_forces_single_stepping(self):
-        kernel = SimulationKernel(schedule="auto")
+        kernel = SimulationKernel(schedule="vector")
         kernel.add(_Sink("sink"))
         cycles: list[int] = []
         kernel.add_pre_cycle_hook(cycles.append)
@@ -423,7 +428,7 @@ class TestPacedNetworkLeaping:
     def test_paced_circuit_stream_is_identical_and_leaps(self, load):
         strict = self._build("strict", load)
         strict.run(1500)
-        auto = self._build("auto", load)
+        auto = self._build("vector", load)
         auto.run(1500)
         assert self._snapshot(auto) == self._snapshot(strict)
         assert auto.kernel.scheduler_stats.leaps > 0
@@ -467,7 +472,7 @@ class TestPacedNetworkLeaping:
             )
 
         strict_kernel, strict_obs = run("strict")
-        auto_kernel, auto_obs = run("auto")
+        auto_kernel, auto_obs = run("vector")
         assert auto_obs == strict_obs
         assert strict_obs[0] > 0
         assert auto_kernel.scheduler_stats.leaps > 0
@@ -478,7 +483,7 @@ class TestPacedNetworkLeaping:
 
     def test_paced_gt_stream_is_identical_and_leaps(self):
         nets = {}
-        for schedule in ("strict", "auto"):
+        for schedule in ("strict", "vector"):
             network = build_network(
                 "gt", Mesh2D(3, 1), frequency_hz=FREQUENCY_HZ, schedule=schedule
             )
@@ -487,6 +492,6 @@ class TestPacedNetworkLeaping:
             network.attach_channel("a", (0, 0), (2, 0), 40.0, generator, load=0.5)
             network.run(1500)
             nets[schedule] = network
-        assert self._snapshot(nets["auto"]) == self._snapshot(nets["strict"])
-        assert nets["auto"].kernel.scheduler_stats.leaps > 0
-        assert nets["auto"].streams["a"].words_received > 0
+        assert self._snapshot(nets["vector"]) == self._snapshot(nets["strict"])
+        assert nets["vector"].kernel.scheduler_stats.leaps > 0
+        assert nets["vector"].streams["a"].words_received > 0

@@ -225,7 +225,7 @@ class TestTopologyGenericNetworks:
     def test_strict_and_auto_schedules_agree_on_torus(self):
         """The PR-1 kernel invariant holds beyond the mesh."""
         snapshots = {}
-        for schedule in ("strict", "auto"):
+        for schedule in ("strict", "vector"):
             torus = Torus2D(3, 3)
             network = CircuitSwitchedNoC(torus, frequency_hz=FREQUENCY_HZ, schedule=schedule)
             allocation = LaneAllocator(torus).allocate("s", (0, 0), (2, 2), 100.0, FREQUENCY_HZ)
@@ -238,7 +238,7 @@ class TestTopologyGenericNetworks:
                 network.stream_statistics(),
                 network.kernel.cycle,
             )
-        assert snapshots["strict"] == snapshots["auto"]
+        assert snapshots["strict"] == snapshots["vector"]
 
 
 class TestCcnOnAlternativeTopologies:

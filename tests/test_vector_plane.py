@@ -172,18 +172,18 @@ def _full_load_circuit(schedule, size=4):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_scenarios_are_quadmodal_identical(seed):
-    """Drawn kind × fabric × load × churn × fault scenarios: strict = auto
-    = event = vector (the gate as shipped, and batching every route),
-    per-router and per-stream."""
+    """Drawn kind × fabric × load × churn × fault scenarios: strict = vector
+    (the gate as shipped, and batching every route), per-router and
+    per-stream."""
     plan = _random_plan(seed)
     nets = {
         schedule: _execute(plan, schedule)
-        for schedule in ("strict", "auto", "event", "vector")
+        for schedule in ("strict", "vector")
     }
     with _gate(1):
         nets["vector from one route"] = _execute(plan, "vector")
     reference = _snapshot(nets["strict"])
-    for schedule in ("auto", "event", "vector", "vector from one route"):
+    for schedule in ("vector", "vector from one route"):
         assert _snapshot(nets[schedule]) == reference, (
             f"seed {seed}: {schedule} diverged from strict "
             f"(kind={plan['kind']}, fabric={plan['family']}{plan['extent']}, "
@@ -876,7 +876,7 @@ def test_sharded_vector_matches_single_process(transport):
 
 
 class TestCorrelatedFaults:
-    def _loaded_network(self, schedule="auto"):
+    def _loaded_network(self, schedule="vector"):
         network = build_network(
             "circuit", Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ, schedule=schedule
         )
@@ -944,7 +944,7 @@ class TestCorrelatedFaults:
             return network
 
         reference = _snapshot(scenario("strict"))
-        for schedule in ("auto", "event", "vector"):
+        for schedule in ("vector",):
             assert _snapshot(scenario(schedule)) == reference, schedule
 
     def test_storm_schedule_wires_correlated_choosers(self):
