@@ -4,9 +4,8 @@ Measures simulated cycles per wall-clock second for circuit-switched meshes
 of 2×2, 4×4 and 8×8 routers at 0 %, 25 % and 100 % row occupancy (a row at
 occupancy carries one full-load lane circuit west→east, so the fabric's lane
 occupancy is at most the row fraction), under the strict (seed-equivalent)
-schedule, the quiescence-aware ``auto`` schedule, the event-queue native
-``event`` schedule and the columnar ``vector`` schedule (the event kernel
-plus the struct-of-arrays wire plane of :mod:`repro.sim.vector`).
+schedule and the default ``vector`` schedule (the event heap plus the
+self-gating struct-of-arrays wire plane of :mod:`repro.sim.vector`).
 
 A second scenario family exercises the timed tier: ``paced-stream`` rows
 carry the same row circuits at a low offered load (one word per 50 cycles —
@@ -21,7 +20,7 @@ paced) put 6 and 8 live routes around the vector plane's gate
 ``min_batch_routes``; every row records the ``live_routes`` its plane
 counted), so the constant is read off committed rows on both sides.
 
-Every measurement also verifies the tentpole invariant: all four schedules
+Every measurement also verifies the tentpole invariant: both schedules
 must produce bit-identical merged activity counters and delivered word
 counts.  Every schedule's time is the best of :data:`SAMPLES` independent
 samples, taken in turns, so no ratio compares two single samples.
@@ -34,16 +33,16 @@ at the repository root::
 ``--quick`` runs the 8×8 low-occupancy scenario plus the 8×8 paced-stream
 scenario with fewer cycles and asserts ``identical_results`` without
 touching the JSON file (the CI smoke); it also runs the full-load 8×8 GT and
-packet row fabrics under all four schedules and asserts identical merged
+packet row fabrics under both schedules and asserts identical merged
 activity, stream statistics and energy per bit.  ``--profile`` runs the hottest
-scenario (the fully loaded 8×8 mesh) under cProfile for the event and
-vector schedules and prints the top-20 functions by cumulative time plus
+scenario (the fully loaded 8×8 mesh) under cProfile for the default
+schedule and prints the top-20 functions by cumulative time plus
 each layer's share of the profiled self time (converter, plane, routers,
 endpoints, kernel), so the next hot layer is read off the same table.
 
 A third scenario family exercises the sharded kernel (:mod:`repro.sim.shard`):
 a fully loaded 16×16 mesh partitioned across 4 worker processes, timed
-against the single-process event kernel, with unconditional bit-identity of
+against the single-process default kernel, with unconditional bit-identity of
 activity, delivered words and energy per bit.
 
 A fourth family compares the two shard transports head to head: the same
@@ -53,15 +52,11 @@ preallocated shared-memory rings, the parent demoted to a control plane),
 recording frames, bytes per exchange window and overlap hits for each.
 
 Future PRs regress against that file: the 8×8 mesh at ≤25 % occupancy must
-stay ≥3× faster under ``auto`` than under ``strict``, the 8×8 paced-stream
-row must stay ≥8× (cycle leaping), the fully loaded 8×8 mesh must stay
-≥3× faster under ``event`` than under ``auto`` (sparse per-event work) and
-≥4.36× faster under ``vector`` than under ``event`` (the columnar plane,
-converter lanes included; 0.6× of the recorded ratio), ``vector`` — the
-default schedule, whose plane
-gates itself on live routes — must stay ≥0.9× of ``event`` on every row
-that carries traffic, the
-sharded 16×16 row must stay bit-identical everywhere and ≥2× faster on
+stay ≥3× faster under ``vector`` than under ``strict``, the 8×8 paced-stream
+row must stay ≥8× (cycle leaping), the fully loaded 8×8 mesh must keep 0.6×
+of its recorded ``vector``/``strict`` ratio (the columnar plane, converter
+lanes included), a busy row below the plane's live-route gate must run
+gated at ≥0.9× of the plane batching it regardless, the sharded 16×16 row must stay bit-identical everywhere and ≥2× faster on
 hosts whose recorded ``host_cpus`` is at least 4, and the shm transport
 rows must move strictly fewer bytes per exchange window than the pipe rows.
 """
@@ -94,20 +89,14 @@ OCCUPANCIES = (0.0, 0.25, 1.0)
 #: first cycles run every component before quiescence engages).
 CYCLES = {2: 8000, 4: 1500, 8: 800}
 SPEEDUP_TARGET = 3.0
-#: The event schedule must beat auto by this much on the *fully loaded*
-#: 8×8 mesh — the regime where quiescence and leaping cannot help and only
-#: event-proportional per-cycle work (sparse lane/route visits) remains.
-EVENT_FULL_LOAD_TARGET = 3.0
-#: The columnar vector schedule must beat event by this much on the same
-#: fully loaded 8×8 mesh — the regime where even event-proportional work is
-#: dominated by the pure-Python per-route and per-lane loops the NumPy plane
-#: replaces.  0.6× of the ratio ``BENCH_kernel.json`` records (7.27).
-VECTOR_FULL_LOAD_TARGET = 4.36
-#: The self-gating plane must never cost more than this against plain
-#: ``event`` on any row that carries traffic: below its live-route gate the
-#: kernel schedules its members exactly as ``event`` does, so what remains
-#: is host noise between two best-of-:data:`SAMPLES` times.
-VECTOR_FLOOR_VS_EVENT = 0.9
+#: The default schedule must beat strict by this much on the *fully loaded*
+#: 8×8 mesh — the regime where only the NumPy plane helps: 0.6× of the
+#: ratio ``BENCH_kernel.json`` records (19.38).
+VECTOR_FULL_LOAD_TARGET = 11.6
+#: Below its live-route gate the plane sleeps; gated, such a busy row must
+#: run at least this fast against the plane batching it regardless (what
+#: remains is host noise between two best-of-:data:`SAMPLES` times).
+GATE_FLOOR = 0.9
 #: Independent samples per schedule and row: each builds its own network, the
 #: schedules take turns within a sample, and the row keeps every schedule's
 #: best time (the host moves ±15 % within minutes).
@@ -174,7 +163,7 @@ def _observe(network: CircuitSwitchedNoC) -> tuple:
 def run_benchmark(
     size: int, occupancy: float, cycles: int, load: float = 1.0, samples: int = SAMPLES
 ) -> dict:
-    """Time all four schedules on one scenario and verify bit-identity."""
+    """Time both schedules on one scenario and verify bit-identity."""
     best = dict.fromkeys(SCHEDULES, math.inf)
     observables = {}
     schedulers = {}
@@ -199,11 +188,10 @@ def run_benchmark(
         finally:
             vector_plane.MIN_BATCH_ROUTES = MIN_BATCH_ROUTES
         observables["vector, gate open"] = _observe(network)
-        ungated = {"vector_ungated_speedup": round(best["event"] / elapsed, 2)}
+        # Gated over gate-open: what the gate buys this row.
+        ungated = {"vector_ungated_speedup": round(elapsed / best["vector"], 2)}
     results = {schedule: cycles / elapsed for schedule, elapsed in best.items()}
     identical = all(observed == observables["strict"] for observed in observables.values())
-    auto_stats = schedulers["auto"]
-    event_stats = schedulers["event"]
     vector_stats = schedulers["vector"]
     return {
         "scenario": "row-stream" if load >= 1.0 else "paced-stream",
@@ -214,39 +202,33 @@ def run_benchmark(
         "load": load,
         "cycles": cycles,
         "strict_cycles_per_sec": round(results["strict"], 1),
-        "auto_cycles_per_sec": round(results["auto"], 1),
-        "event_cycles_per_sec": round(results["event"], 1),
         "vector_cycles_per_sec": round(results["vector"], 1),
-        "speedup": round(results["auto"] / results["strict"], 2),
-        "event_speedup": round(results["event"] / results["auto"], 2),
-        "vector_speedup": round(results["vector"] / results["event"], 2),
+        "speedup": round(results["vector"] / results["strict"], 2),
         **ungated,
-        "auto_schedule_occupancy": round(auto_stats.occupancy, 4),
-        "leaps": auto_stats.leaps,
-        "leaped_cycles": auto_stats.leaped_cycles,
-        "events_processed": event_stats.events_processed,
-        "heap_peak": event_stats.heap_peak,
+        "occupancy_evaluated": round(vector_stats.occupancy, 4),
+        "leaps": vector_stats.leaps,
+        "leaped_cycles": vector_stats.leaped_cycles,
+        "events_processed": vector_stats.events_processed,
+        "heap_peak": vector_stats.heap_peak,
         "vector_batches": vector_stats.vector_batches,
         "vector_components": vector_stats.vector_components,
         "identical_results": identical,
     }
 
 
-def vector_floor_violations(rows: list[dict]) -> list[str]:
-    """Rows with traffic on which ``vector`` fell below its floor against ``event``."""
+def gate_floor_violations(rows: list[dict]) -> list[str]:
+    """Busy rows below the gate that ran gated slower than the floor allows."""
     return [
         f"{row['scenario']} {row['mesh']} occ={row['occupancy']}: "
-        f"vector at {row['vector_speedup']}x of event"
+        f"gated at {row['vector_ungated_speedup']}x of the open gate"
         for row in rows
-        if "vector_speedup" in row
-        and row["occupancy"] > 0
-        and row["vector_speedup"] < VECTOR_FLOOR_VS_EVENT
+        if row.get("vector_ungated_speedup", GATE_FLOOR) < GATE_FLOOR
     ]
 
 
 def _fabric_scenario(
     size: int, shards: int | None = None, transport: str | None = None,
-    kind: str = "circuit", schedule: str = "event",
+    kind: str = "circuit", schedule: str = DEFAULT_SCHEDULE,
 ):
     """A size×size full-load row-stream mesh of *kind* through the fabric front door.
 
@@ -285,7 +267,7 @@ def run_sharded_benchmark(
     workers: int = SHARDED_WORKERS,
     cycles: int = SHARDED_CYCLES,
 ) -> dict:
-    """Time the single-process event kernel against *workers* shard processes.
+    """Time the single-process default kernel against *workers* shard processes.
 
     Bit-identity (activity counters, delivered words, energy per bit) is
     checked unconditionally; the recorded ``host_cpus`` lets CI require the
@@ -420,7 +402,7 @@ def test_kernel_idle_mesh_cost_is_activity_proportional(once):
 
 
 def test_kernel_full_load_has_no_regression(once):
-    """At 100 % occupancy the auto schedule must not be slower than strict."""
+    """At 100 % occupancy the default schedule must not be slower than strict."""
     row = once(run_benchmark, 4, 1.0, 1000)
     assert row["identical_results"]
     assert row["speedup"] >= 0.85
@@ -459,22 +441,13 @@ def test_kernel_shm_transport_moves_fewer_bytes_per_window(once):
     assert shm["overlap_hits"] > 0 and pipe["overlap_hits"] == 0
 
 
-def test_kernel_event_schedule_wins_at_full_load(once):
-    """The event schedule's acceptance bar: ≥3× over auto on a saturated 8×8
-    mesh — the regime where sleeping and leaping cannot help — with
-    bit-identical results."""
-    row = once(run_benchmark, 8, 1.0, 600)
-    assert row["identical_results"]
-    assert row["event_speedup"] >= EVENT_FULL_LOAD_TARGET
-
-
 def test_kernel_vector_schedule_wins_at_full_load(once):
-    """The columnar plane's acceptance bar: ≥4.36× over event on the saturated
-    8×8 mesh — the regime where even event-proportional Python loops
-    dominate — with bit-identical results and real batched coverage."""
+    """The columnar plane's acceptance bar on the saturated 8×8 mesh — the
+    regime where sleeping and leaping cannot help — with bit-identical
+    results and real batched coverage."""
     row = once(run_benchmark, 8, 1.0, 600)
     assert row["identical_results"]
-    assert row["vector_speedup"] >= VECTOR_FULL_LOAD_TARGET
+    assert row["speedup"] >= VECTOR_FULL_LOAD_TARGET
     assert row["vector_batches"] > 0
     assert row["vector_components"] >= row["vector_batches"]
 
@@ -488,8 +461,7 @@ def quick_smoke() -> None:
         row = run_benchmark(8, occupancy, cycles, load=load, samples=1)
         print(
             f"{row['scenario']} {row['mesh']} occ={row['occupancy']} "
-            f"speedup={row['speedup']}x event={row['event_speedup']}x "
-            f"vector={row['vector_speedup']}x leaps={row['leaps']} "
+            f"speedup={row['speedup']}x leaps={row['leaps']} "
             f"identical={row['identical_results']}"
         )
         if not row["identical_results"]:
@@ -576,11 +548,11 @@ def layer_shares(stats) -> dict[str, float]:
 def profile_hottest(cycles: int = 400, top: int = 20) -> None:
     """cProfile the hottest scenario (full-load 8×8) and print the top
     functions by cumulative time and the per-layer self-time shares, once
-    per optimised schedule."""
+    under the default schedule."""
     import cProfile
     import pstats
 
-    for schedule in ("event", "vector"):
+    for schedule in (DEFAULT_SCHEDULE,):
         network = build_scenario(8, 1.0, schedule)
         profiler = cProfile.Profile()
         profiler.enable()
@@ -605,7 +577,7 @@ def main() -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="cProfile the full-load 8x8 scenario (event and vector), print the "
+        help="cProfile the full-load 8x8 scenario (default schedule), print the "
         "top-20 cumulative functions and the per-layer self-time shares "
         "(converter, plane, routers, ...), no JSON rewrite",
     )
@@ -621,25 +593,24 @@ def main() -> None:
         "benchmark": "kernel",
         "description": (
             "Simulated cycles/second of the circuit-switched mesh under the "
-            "strict (every-component), quiescence-aware (auto), "
-            "event-queue (event) and columnar (vector) schedules; "
-            "identical_results asserts bit-identical activity counters and "
-            "delivered words between all four.  row-stream rows carry "
-            "full-load circuits; paced-stream rows carry the same circuits "
-            "at one word per 50 cycles, where the timed tier leaps the "
-            "clock between word injections.  speedup is auto vs strict; "
-            "event_speedup is event vs auto; vector_speedup is vector vs "
-            "event (the struct-of-arrays wire plane batching whole fabric "
-            "cycles through NumPy at or above its live-route gate; below it "
-            "the kernel schedules the routers as under event; min_batch_routes "
-            "is that gate, live_routes what a row's plane counted against it, "
-            "and the two-row 3x3 / 4x4 rows put 6 and 8 live routes around it; a "
-            "busy row below the gate also records vector_ungated_speedup, the "
-            "plane batching it regardless against event).  "
+            "strict (every-component) and the default vector schedule (the "
+            "event heap plus the struct-of-arrays wire plane batching whole "
+            "fabric cycles through NumPy at or above its live-route gate; below "
+            "it the routers run on the event heap); identical_results asserts "
+            "bit-identical activity counters and delivered words between the "
+            "two.  row-stream rows carry full-load circuits; paced-stream rows "
+            "carry the same circuits at one word per 50 cycles, where the heap "
+            "leaps the clock between word injections.  speedup is vector vs "
+            "strict; leaps, events_processed, heap_peak and vector_batches are "
+            "the vector run's.  min_batch_routes is the plane's gate, "
+            "live_routes what a row's plane counted against it, and the two-row "
+            "3x3 / 4x4 rows put 6 and 8 live routes around it; a busy row below "
+            "the gate also records vector_ungated_speedup, the gated rate over "
+            "the rate of the plane batching it regardless.  "
             "Every schedule's rate is the best of samples_per_schedule "
             "independent samples.  The sharded row times the 16x16 full-load "
             "fabric split over worker processes against the single-process "
-            "event kernel; its speedup is single vs sharded wall-clock and "
+            "default kernel; its speedup is single vs sharded wall-clock and "
             "only binds on hosts with host_cpus >= 4.  shard-transport rows "
             "run the same sharded fabric over the pipe transport (pickled "
             "frames through the parent) and the shared-memory transport "
@@ -658,9 +629,8 @@ def main() -> None:
         "samples_per_schedule": SAMPLES,
         "speedup_target_8x8_low_occupancy": SPEEDUP_TARGET,
         "speedup_target_paced_stream": PACED_SPEEDUP_TARGET,
-        "speedup_target_event_full_load": EVENT_FULL_LOAD_TARGET,
         "speedup_target_vector_full_load": VECTOR_FULL_LOAD_TARGET,
-        "vector_floor_vs_event": VECTOR_FLOOR_VS_EVENT,
+        "gate_floor": GATE_FLOOR,
         "speedup_target_sharded": SHARDED_SPEEDUP_TARGET,
         "results": rows,
     }
@@ -691,18 +661,15 @@ def main() -> None:
         print(
             f"{row['scenario']:<13} {row['mesh']} occ={row['occupancy']:<6} "
             f"routes={row['live_routes']:<3} strict={row['strict_cycles_per_sec']:>9} cyc/s "
-            f"auto={row['auto_cycles_per_sec']:>9} cyc/s "
-            f"event={row['event_cycles_per_sec']:>9} cyc/s "
             f"vector={row['vector_cycles_per_sec']:>9} cyc/s "
-            f"speedup={row['speedup']:>6}x event_speedup={row['event_speedup']:>6}x "
-            f"vector_speedup={row['vector_speedup']:>6}x "
+            f"speedup={row['speedup']:>7}x "
             f"identical={row['identical_results']}"
         )
     if not all(row["identical_results"] for row in rows):
         raise SystemExit("schedule results diverged — the kernel optimisation is unsound")
-    violations = vector_floor_violations(rows)
+    violations = gate_floor_violations(rows)
     if violations:
-        raise SystemExit("the default schedule fell below event:\n  " + "\n  ".join(violations))
+        raise SystemExit("the plane's gate cost a busy row:\n  " + "\n  ".join(violations))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ lane link it is a pure wire bundle — the registers driving it live in the
 routers at either end.
 
 Both directions carry a :class:`repro.sim.signals.DirtyBit` so the
-quiescence-aware kernel can sleep the routers at either end: a flit placed on
+event-driven kernel can park the routers at either end: a flit placed on
 the wire wakes the receiver, a credit returned wakes the sender.  Driving the
 idle value (``None``) onto an already idle wire — every cycle of an idle
 fabric — costs a single comparison.

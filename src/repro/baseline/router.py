@@ -14,7 +14,7 @@ register, and toggles the link wires; every arbitration decision and every
 grant change is recorded.
 
 Like the circuit-switched router, the baseline router participates in the
-kernel's quiescence protocol (incoming flits, returned credits and tile
+kernel's timed protocol (incoming flits, returned credits and tile
 injections wake it; with empty buffers and idle wires it sleeps).  An awake
 router's cycle costs what can move, not what is built: the buffers keep a bit
 mask of the occupied input VCs, one pass over those does route computation

@@ -16,7 +16,7 @@ crossbar; during ``commit`` it latches the crossbar output registers, steps
 the data converter and drives its outgoing lane links — exactly one cycle of
 latency per hop, as in the hardware.
 
-The router participates in the kernel's quiescence protocol: its incoming
+The router participates in the kernel's timed protocol: its incoming
 lane bundles and its tile/configuration interfaces wake it when anything
 changes, and while fully idle it reports a fixed point so the kernel can
 skip it, bulk-applying the constant per-cycle clocked/gated register bits

@@ -21,7 +21,7 @@ ToggleSink = Callable[[int, int], None]
 WakeListener = Callable[[], None]
 """Callback fired by a signal/wire bundle when a committed value changes.
 
-The quiescence-aware kernel (:mod:`repro.sim.engine`) hands the bound
+The event-driven kernel (:mod:`repro.sim.engine`) hands the bound
 ``wake`` method of the reading component to the wire bundles that feed it;
 the bundles call it only on an actual value change, which is what turns the
 wires into the kernel's dirty-bit network.
@@ -34,7 +34,7 @@ class DirtyBit:
     Wire bundles with structured payloads (lane bundles, flit channels) embed
     one of these per direction: writers call :meth:`mark` when a value
     actually changed, and the attached :class:`WakeListener` — the reading
-    component's ``wake`` in the quiescence-aware kernel — is invoked
+    component's ``wake`` in the event-driven kernel — is invoked
     immediately so a sleeping reader is rescheduled.  The stored flag is a
     sticky "has ever changed" indicator kept for debugging; wake-up is
     entirely listener-driven.

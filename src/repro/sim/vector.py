@@ -1,6 +1,6 @@
 """The columnar fast path: a struct-of-arrays wire plane for busy fabrics.
 
-Every prior scheduling tier (quiescence wakes, timed leaps, the event heap,
+Every prior scheduling tier (dirty-bit wakes, the event heap and its leaps,
 sharding) attacks *idle* cost; a fully loaded fabric still pays a pure-Python
 per-component loop on every busy cycle.  The :class:`VectorPlane` flattens
 that loop: the crossbar output and acknowledge registers a whole

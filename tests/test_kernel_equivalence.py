@@ -1,14 +1,13 @@
-"""Equivalence of the strict, quiescence-aware and event-queue schedules.
+"""Equivalence of the strict and the default (``vector``) schedule.
 
-The optimised schedulers must be an *invisible* optimisation: for every
-tier-1 scenario — an idle mesh, a single stream, crossing streams, the full
+The default schedule must be an *invisible* optimisation: for every tier-1
+scenario — an idle mesh, a single stream, crossing streams, the full
 UMTS / HiperLAN/2 application traffic, a mid-run reconfiguration, and the
-clock-gated router variant — both the ``auto`` (quiescence + event-horizon
-leaping) and ``event`` (timestamp-ordered event queue) schedules have to
-reproduce the ``strict`` (seed-equivalent) schedule bit for bit: identical
-cycle counts, identical activity counters, identical delivered data,
-identical power numbers.  These tests run each scenario under all three
-schedules and compare.
+clock-gated router variant — the event heap with its self-gating vector plane
+has to reproduce the ``strict`` (seed-equivalent) schedule bit for bit:
+identical cycle counts, identical activity counters, identical delivered
+data, identical power numbers.  The names of two retired schedules, ``auto``
+and ``event``, are aliases of ``vector``.
 """
 
 from __future__ import annotations
@@ -540,3 +539,30 @@ class TestGenericComponentsNeverSkipped:
         kernel.run(250)
         assert component.ticks == 250
         assert kernel.scheduler_stats.skipped == 0
+
+
+class TestScheduleAliases:
+    """``auto`` and ``event`` name retired schedules and run the default."""
+
+    @pytest.mark.parametrize("alias", ["auto", "event"])
+    def test_alias_reports_vector(self, alias):
+        from repro.sim.engine import SimulationKernel
+
+        assert SimulationKernel(schedule=alias).schedule == "vector"
+
+    def test_unknown_schedule_lists_the_accepted_names(self):
+        from repro.sim.engine import SimulationKernel
+
+        with pytest.raises(ValueError, match="'strict', 'vector'.*'auto', 'event'"):
+            SimulationKernel(schedule="quiescent")
+
+    def test_event_alias_on_a_circuit_fabric_gets_the_plane(self):
+        nets = {}
+        for schedule in ("strict", "event"):
+            mesh, network = _circuit_network(schedule, width=4, height=4)
+            TestDefaultSchedule._rows(network, range(4))
+            network.run(300)
+            nets[schedule] = network
+        assert nets["event"].vector_plane is not None
+        assert nets["event"].kernel.scheduler_stats.vector_batches > 0
+        _assert_equivalent(nets)
