@@ -6,6 +6,14 @@ flit carrying the destination, a number of 16-bit payload flits and a tail
 flit.  The default payload size of 16 data words per packet keeps the header
 overhead near 6 %, comparable to the 4-bit-per-word header of the
 circuit-switched lane packet (25 % on the wire but at 4× narrower lanes).
+
+Inside the simulator a flit is one ``int`` (:func:`pack_packet` at the tile
+or stream driver, :func:`unpack` to read one back), fields from the least
+significant bit up: virtual channel, head and tail bits, payload, sequence,
+destination x / y, source x / y, packet id.  A VC change is a mask-and-or,
+and everything above :data:`SRC_SHIFT` names the packet a flit belongs to.
+The frozen :class:`Flit` is the public value type and the encode/decode
+reference.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import ClassVar, Iterable, List, Sequence, Tuple
 
 from repro.common import check_field
 
-__all__ = ["FlitType", "Flit", "Packet", "packetize", "depacketize"]
+__all__ = ["FlitType", "Flit", "Packet", "packetize", "depacketize", "pack", "pack_packet", "unpack"]
 
 #: Payload width of one flit in bits (the link width of the baseline router).
 FLIT_PAYLOAD_BITS = 16
@@ -25,6 +33,23 @@ FLIT_PAYLOAD_BITS = 16
 FLIT_CONTROL_BITS = 2
 
 _packet_ids = itertools.count(1)
+
+#: Bit layout of a packed flit (see the module docstring).
+VC_BITS = 8
+VC_MASK = (1 << VC_BITS) - 1
+HEAD_BIT = 1 << VC_BITS
+TAIL_BIT = HEAD_BIT << 1
+PAYLOAD_SHIFT = VC_BITS + 2
+PAYLOAD_MASK = (1 << FLIT_PAYLOAD_BITS) - 1
+SEQUENCE_SHIFT = PAYLOAD_SHIFT + FLIT_PAYLOAD_BITS
+SEQUENCE_BITS = 16
+COORD_BITS = 16
+COORD_MASK = (1 << COORD_BITS) - 1
+DEST_SHIFT = SEQUENCE_SHIFT + SEQUENCE_BITS
+SRC_SHIFT = DEST_SHIFT + 2 * COORD_BITS
+ID_SHIFT = SRC_SHIFT + 2 * COORD_BITS
+#: Buffer bits of one flit (payload plus the type encoding).
+STORAGE_BITS = FLIT_PAYLOAD_BITS + FLIT_CONTROL_BITS
 
 
 class FlitType(enum.Enum):
@@ -68,23 +93,6 @@ class Flit:
             raise ValueError("virtual channel id must be non-negative")
         if self.sequence < 0:
             raise ValueError("sequence number must be non-negative")
-
-    def with_vc(self, vc: int) -> "Flit":
-        """This flit on virtual channel *vc*: itself, or a copy with only *vc* checked."""
-        if vc == self.vc:
-            return self
-        if vc < 0:
-            raise ValueError("virtual channel id must be non-negative")
-        clone = object.__new__(Flit)
-        write = object.__setattr__  # a frozen dataclass is written past its own __setattr__
-        write(clone, "flit_type", self.flit_type)
-        write(clone, "payload", self.payload)
-        write(clone, "dest", self.dest)
-        write(clone, "src", self.src)
-        write(clone, "vc", vc)
-        write(clone, "packet_id", self.packet_id)
-        write(clone, "sequence", self.sequence)
-        return clone
 
 
 @dataclass
@@ -180,3 +188,62 @@ def split_words(words: Iterable[int], words_per_packet: int) -> List[List[int]]:
     if current:
         chunks.append(current)
     return chunks
+
+
+_TYPE_BITS = {
+    FlitType.HEAD: HEAD_BIT, FlitType.BODY: 0, FlitType.TAIL: TAIL_BIT, FlitType.SINGLE: HEAD_BIT | TAIL_BIT,
+}
+_TYPES = {bits: flit_type for flit_type, bits in _TYPE_BITS.items()}
+
+
+def _packet_bits(dest: Tuple[int, int], src: Tuple[int, int], packet_id: int, vc: int) -> int:
+    """The fields every flit of a packet shares, checked and packed."""
+    check_field(vc, VC_BITS, "virtual channel")
+    for coordinate in (*dest, *src):
+        check_field(coordinate, COORD_BITS, "flit coordinate")
+    if packet_id < 0:
+        raise ValueError("packet id must be non-negative")
+    return (
+        packet_id << ID_SHIFT
+        | src[1] << SRC_SHIFT + COORD_BITS | src[0] << SRC_SHIFT
+        | dest[1] << DEST_SHIFT + COORD_BITS | dest[0] << DEST_SHIFT
+        | vc
+    )
+
+
+def pack(flit: Flit) -> int:
+    """*flit* as the simulator's packed ``int``."""
+    check_field(flit.sequence, SEQUENCE_BITS, "flit sequence")
+    return (
+        _packet_bits(flit.dest, flit.src, flit.packet_id, flit.vc)
+        | flit.sequence << SEQUENCE_SHIFT | flit.payload << PAYLOAD_SHIFT | _TYPE_BITS[flit.flit_type]
+    )
+
+
+def unpack(word: int) -> Flit:
+    """The :class:`Flit` a packed ``int`` encodes (inverse of :func:`pack`)."""
+    return Flit(
+        _TYPES[word & (HEAD_BIT | TAIL_BIT)],
+        word >> PAYLOAD_SHIFT & PAYLOAD_MASK,
+        (word >> DEST_SHIFT & COORD_MASK, word >> DEST_SHIFT + COORD_BITS & COORD_MASK),
+        (word >> SRC_SHIFT & COORD_MASK, word >> SRC_SHIFT + COORD_BITS & COORD_MASK),
+        word & VC_MASK,
+        word >> ID_SHIFT,
+        word >> SEQUENCE_SHIFT & (1 << SEQUENCE_BITS) - 1,
+    )
+
+
+def pack_packet(packet: Packet, vc: int = 0) -> List[int]:
+    """``[pack(f) for f in packetize(packet, vc)]``, every field checked once."""
+    words = packet.words
+    check_field(len(words), SEQUENCE_BITS, "packet length")
+    base = _packet_bits(packet.dest, packet.src, packet.packet_id, vc)
+    head = base | _encode_destination(packet.dest, packet.src, len(words)) << PAYLOAD_SHIFT
+    if not words:
+        return [head | HEAD_BIT | TAIL_BIT]
+    flits = [head | HEAD_BIT]
+    for sequence, word in enumerate(words, 1):
+        check_field(word, FLIT_PAYLOAD_BITS, "flit payload")
+        flits.append(base | sequence << SEQUENCE_SHIFT | word << PAYLOAD_SHIFT)
+    flits[-1] |= TAIL_BIT
+    return flits

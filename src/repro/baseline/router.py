@@ -13,31 +13,29 @@ is written to and read from an input FIFO, traverses the output crossbar
 register, and toggles the link wires; every arbitration decision and every
 grant change is recorded.
 
-Like the circuit-switched router, the baseline router participates in the
-kernel's timed protocol (incoming flits, returned credits and tile
-injections wake it; with empty buffers and idle wires it sleeps).  An awake
-router's cycle costs what can move, not what is built: the buffers keep a bit
-mask of the occupied input VCs, one pass over those does route computation
-and VC allocation and files each movable head-of-line flit under the output
-port it requests, and only ports with a request arbitrate.  The loops index
-preallocated port- and VC-indexed lists and never hash a ``(port, vc)`` key.
+A :class:`PacketSwitchedRouter` holds its state in flat lists indexed
+``port × num_vcs + vc`` (FIFOs of packed flits, route and output VC per input
+VC, credits per output VC) plus, per output port, a free-VC mask and the last
+VC and switch grants; a bit mask names the occupied input VCs.  It is no
+kernel component: one :class:`PacketDatapath` clocks every router of a
+fabric, a shard region or a single-router bench.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.baseline.arbiter import RoundRobinArbiter
-from repro.baseline.buffer import VirtualChannelBuffer
-from repro.baseline.flit import FLIT_PAYLOAD_BITS, Flit, Packet, packetize
+from repro.baseline.flit import (
+    COORD_BITS, COORD_MASK, DEST_SHIFT, FLIT_PAYLOAD_BITS, HEAD_BIT, PAYLOAD_MASK, PAYLOAD_SHIFT, SRC_SHIFT,
+    ID_SHIFT, STORAGE_BITS, TAIL_BIT, VC_MASK, Packet, pack_packet,
+)
 from repro.baseline.link import PacketLink
 from repro.baseline.routing import RouteFunction, xy_route
-from repro.baseline.vc import OutputVcAllocator, vc_state_table
-from repro.common import ALL_PORTS, NEIGHBOR_PORTS, ConfigurationError, Port, bit_mask
+from repro.common import ALL_PORTS, NEIGHBOR_PORTS, CapacityError, ConfigurationError, Port, bit_mask
 from repro.energy.activity import (
-    ARBITER_DECISIONS, ARBITER_GRANT_CHANGES, FLITS_ROUTED, LINK_TOGGLE_BITS, PACKETS_ROUTED,
-    REG_TOGGLE_BITS, VC_ALLOCATIONS, WORDS_DELIVERED, ActivityCounters,
+    ARBITER_DECISIONS, ARBITER_GRANT_CHANGES, BUFFER_READ_BITS, BUFFER_WRITE_BITS, FLITS_ROUTED, LINK_TOGGLE_BITS,
+    PACKETS_ROUTED, REG_TOGGLE_BITS, VC_ALLOCATIONS, WORDS_DELIVERED, ActivityCounters,
 )
 from repro.energy.area import PacketSwitchedRouterArea
 from repro.energy.power import PowerBreakdown, PowerModel
@@ -45,9 +43,7 @@ from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.energy.timing import PacketSwitchedTiming
 from repro.sim.engine import ClockedComponent
 
-__all__ = ["PacketSwitchedRouter", "PacketTileInterface"]
-
-_PAYLOAD_MASK = bit_mask(FLIT_PAYLOAD_BITS)
+__all__ = ["PacketSwitchedRouter", "PacketTileInterface", "PacketDatapath"]
 
 
 class PacketTileInterface:
@@ -58,9 +54,11 @@ class PacketTileInterface:
             raise ValueError("words_per_packet must be positive")
         self.router = router
         self.words_per_packet = words_per_packet
-        self._injection_queue: Deque[Flit] = deque()
+        self._injection_queue: Deque[int] = deque()
         self._next_vc = 0
-        self._partial: Dict[Tuple[Tuple[int, int], int], List[Flit]] = {}
+        #: Payload words of the packets still arriving, by ``flit >> SRC_SHIFT``
+        #: (source and packet id).
+        self._partial: Dict[int, List[int]] = {}
         self.received_packets: List[Packet] = []
         self.received_words: List[int] = []
         #: Payload words delivered so far, per source tile.
@@ -71,12 +69,16 @@ class PacketTileInterface:
 
     def send_packet(self, packet: Packet, vc: Optional[int] = None) -> None:
         """Queue a whole packet for injection into the network."""
+        router = self.router
         if vc is None:
             vc = self._next_vc
-            self._next_vc = (self._next_vc + 1) % self.router.num_vcs
-        self._injection_queue.extend(packetize(packet, vc))
+            self._next_vc = (vc + 1) % router.num_vcs
+        elif not 0 <= vc < router.num_vcs:
+            raise IndexError(f"virtual channel {vc} out of range 0..{router.num_vcs - 1}")
+        self._injection_queue.extend(pack_packet(packet, vc))
         self.words_queued += len(packet.words)
-        self.router.wake()
+        if router.datapath is not None:
+            router.datapath.inject(router)
 
     def send_words(self, dest: Tuple[int, int], words: List[int], vc: Optional[int] = None) -> int:
         """Split *words* into packets towards *dest* and queue them; returns packet count."""
@@ -92,19 +94,22 @@ class PacketTileInterface:
         """Flits queued at the tile but not yet accepted by the router."""
         return len(self._injection_queue)
 
-    # -- receiving (driven by the router) ------------------------------------------------
+    # -- receiving (driven by the datapath) ----------------------------------------------
 
-    def _deliver(self, flit: Flit) -> None:
-        key = (flit.src, flit.packet_id)
-        flits = self._partial.setdefault(key, [])
-        flits.append(flit)
-        if flit.flit_type.is_tail:
+    def _deliver(self, flit: int) -> None:
+        key = flit >> SRC_SHIFT
+        words = self._partial.get(key)
+        if words is None:
+            words = self._partial[key] = []
+        if not flit & HEAD_BIT:
+            words.append(flit >> PAYLOAD_SHIFT & PAYLOAD_MASK)
+        if flit & TAIL_BIT:
             del self._partial[key]
-            words = [f.payload for f in flits if not f.flit_type.is_head]
-            packet = Packet(src=flit.src, dest=flit.dest, words=words, packet_id=flit.packet_id)
-            self.received_packets.append(packet)
+            src = (key & COORD_MASK, key >> COORD_BITS & COORD_MASK)
+            dest = (flit >> DEST_SHIFT & COORD_MASK, flit >> DEST_SHIFT + COORD_BITS & COORD_MASK)
+            self.received_packets.append(Packet(src=src, dest=dest, words=words, packet_id=flit >> ID_SHIFT))
             self.received_words.extend(words)
-            self.words_from[flit.src] = self.words_from.get(flit.src, 0) + len(words)
+            self.words_from[src] = self.words_from.get(src, 0) + len(words)
 
     @property
     def words_received(self) -> int:
@@ -122,7 +127,7 @@ class PacketTileInterface:
         self._next_vc = 0
 
 
-class PacketSwitchedRouter(ClockedComponent):
+class PacketSwitchedRouter:
     """Cycle-accurate model of the virtual-channel wormhole baseline router."""
 
     NUM_PORTS = 5
@@ -138,12 +143,16 @@ class PacketSwitchedRouter(ClockedComponent):
         tech: Technology = TSMC_130NM_LVHP,
         route: Optional[RouteFunction] = None,
     ) -> None:
-        super().__init__(name)
         if data_width != FLIT_PAYLOAD_BITS:
             raise ConfigurationError(
                 f"the baseline router models {FLIT_PAYLOAD_BITS}-bit links; "
                 f"got data_width={data_width}"
             )
+        if not 1 <= num_vcs <= VC_MASK + 1:
+            raise ValueError(f"need 1..{VC_MASK + 1} virtual channels, got {num_vcs}")
+        if fifo_depth < 1:
+            raise ValueError("buffer depth must be positive")
+        self.name = name
         self.position = position
         #: Routing decision ``(current, dest) -> Port``; XY dimension order by
         #: default, a topology-derived table when built by the fabric layer.
@@ -152,64 +161,40 @@ class PacketSwitchedRouter(ClockedComponent):
         self.fifo_depth = fifo_depth
         self.data_width = data_width
         self.tech = tech
+        #: The datapath clocking this router (set when one adopts it).
+        self.datapath: Optional["PacketDatapath"] = None
 
         self.activity = ActivityCounters(name)
         self.area_model = PacketSwitchedRouterArea(
             self.NUM_PORTS, data_width, num_vcs, fifo_depth, tech=tech
         )
         self.timing_model = PacketSwitchedTiming(self.NUM_PORTS, num_vcs, fifo_depth, tech)
-
         self.ports: Tuple[Port, ...] = ALL_PORTS[: self.NUM_PORTS]
-        self.buffers: Dict[Tuple[Port, int], VirtualChannelBuffer] = {
-            (port, vc): VirtualChannelBuffer(f"{name}.{port.short_name}{vc}", fifo_depth, self.activity)
-            for port in self.ports
-            for vc in range(num_vcs)
-        }
-        self.vc_states = vc_state_table(list(self.ports), num_vcs)
-        self.output_allocators: Dict[Port, OutputVcAllocator] = {
-            port: OutputVcAllocator(port, num_vcs, fifo_depth) for port in self.ports
-        }
-        self.switch_arbiters: Dict[Port, RoundRobinArbiter] = {
-            port: RoundRobinArbiter(self.NUM_PORTS * num_vcs) for port in self.ports
-        }
-        self._input_index: List[Tuple[Port, int]] = [
-            (port, vc) for port in self.ports for vc in range(num_vcs)
-        ]
-        # Parallel flat views of the input side, aligned with _input_index,
-        # so the switch-allocation loops never hash dictionary keys.
-        self._input_buffers: List[VirtualChannelBuffer] = [
-            self.buffers[key] for key in self._input_index
-        ]
-        #: Per input port, its VC buffers: an out-of-range flit VC is an IndexError.
-        self._port_buffers = [
-            self._input_buffers[port * num_vcs : (port + 1) * num_vcs] for port in self.ports
-        ]
-        #: Bit mask (in a shared cell) of the input VCs holding a flit, kept
-        #: by the buffers' push/pop.
-        self._occupied: List[int] = [0]
-        for index, buffer in enumerate(self._input_buffers):
-            buffer._occupied, buffer._bit = self._occupied, 1 << index
-        self._input_states = [self.vc_states[key] for key in self._input_index]
-        self._port_allocators = [self.output_allocators[p] for p in self.ports]
-        self._port_arbiters = [self.switch_arbiters[p] for p in self.ports]
-
         self.tile = PacketTileInterface(self, words_per_packet)
 
-        self._rx_links: Dict[Port, Optional[PacketLink]] = {p: None for p in NEIGHBOR_PORTS}
-        self._tx_links: Dict[Port, Optional[PacketLink]] = {p: None for p in NEIGHBOR_PORTS}
-        # Port-indexed flat working state (index = int(Port)); entry 0 (the
-        # tile port) stays at its idle value in the link-related lists.
-        num_ports = self.NUM_PORTS
-        self._rx_by_port: List[Optional[PacketLink]] = [None] * num_ports
-        self._tx_by_port: List[Optional[PacketLink]] = [None] * num_ports
-        #: ``(port, link)`` of the attached links only, for the per-cycle sweeps.
-        self._rx_attached: Tuple[Tuple[Port, PacketLink], ...] = ()
-        self._tx_attached: Tuple[Tuple[Port, PacketLink], ...] = ()
-        self._output_prev_payload: List[int] = [0] * num_ports
-        #: Bit mask of the output ports whose wire the last commit drove a flit onto.
+        size, ports = self.NUM_PORTS * num_vcs, self.NUM_PORTS
+        # Input side, per input VC: FIFO, route (output port) and output VC of
+        # the packet at its head; bit i of _occupied is set while FIFO i holds a flit.
+        self._fifos: List[Deque[int]] = [deque() for _ in range(size)]
+        self._occupied = 0
+        self._route: List[Optional[int]] = [None] * size
+        self._out_vc: List[Optional[int]] = [None] * size
+        # Output side: downstream credit per output VC; per output port the
+        # free output VCs (a mask), the last VC and switch grants (-1: none yet).
+        self._credits: List[int] = [fifo_depth] * size
+        self._free: List[int] = [bit_mask(num_vcs)] * ports
+        self._vc_last: List[int] = [-1] * ports
+        self._grant_last: List[int] = [-1] * ports
+        self._prev_payload: List[int] = [0] * ports
+        #: Per-cycle scratch: the request mask filed under each output port.
+        self._requests: List[int] = [0] * ports
+        #: Bit mask of the ports whose outside wire the last visit drove a flit onto.
         self._driven = 0
-        # Per-cycle scratch: the request mask filed under each output port.
-        self._port_requests: List[int] = [0] * num_ports
+
+        self._rx_by_port: List[Optional[PacketLink]] = [None] * ports
+        self._tx_by_port: List[Optional[PacketLink]] = [None] * ports
+        #: What the datapath compiled for this router (:meth:`PacketDatapath._compile`).
+        self._state: tuple = ()
 
     # -- wiring ------------------------------------------------------------------------
 
@@ -223,251 +208,40 @@ class PacketSwitchedRouter(ClockedComponent):
                 raise ConfigurationError(
                     f"link {link.name!r} has {link.num_vcs} VCs, router expects {self.num_vcs}"
                 )
-        self._rx_links[port] = rx_link
-        self._tx_links[port] = tx_link
-        # The port dictionaries are the source of truth; the flat lists the
-        # hot loops index are rebuilt from them wholesale so the two views
-        # can never drift apart.
-        for neighbor in NEIGHBOR_PORTS:
-            self._rx_by_port[neighbor] = self._rx_links[neighbor]
-            self._tx_by_port[neighbor] = self._tx_links[neighbor]
-        self._rx_attached = tuple((p, l) for p, l in self._rx_links.items() if l is not None)
-        self._tx_attached = tuple((p, l) for p, l in self._tx_links.items() if l is not None)
-        if rx_link is not None:
-            # A flit arriving here must wake a sleeping router.
-            rx_link.watch_flits(self.wake)
-        if tx_link is not None:
-            # Credits returned by the downstream router likewise.
-            tx_link.watch_credits(self.wake)
-        self.wake()
+        datapath = self.datapath
+        if datapath is not None:
+            datapath.refuse_inside_cycle(f"links of router {self.name!r} attached")
+        self._rx_by_port[port] = rx_link
+        self._tx_by_port[port] = tx_link
+        if datapath is not None:
+            datapath.relink()
 
     def rx_link(self, port: Port) -> Optional[PacketLink]:
         """Incoming flit channel at *port* (``None`` at a mesh edge)."""
-        return self._rx_links[Port(port)]
+        return self._rx_by_port[Port(port)]
 
     def tx_link(self, port: Port) -> Optional[PacketLink]:
         """Outgoing flit channel at *port* (``None`` at a mesh edge)."""
-        return self._tx_links[Port(port)]
-
-    # -- simulation -----------------------------------------------------------------------
-
-    settles_at_sync = True  # the cycle count is all it books per cycle
-
-    def evaluate(self, cycle: int) -> None:
-        """Nothing: the links remember what :meth:`commit` must see."""
-
-    def commit(self, cycle: int) -> None:
-        allocators = self._port_allocators
-        input_buffers = self._input_buffers
-        port_buffers = self._port_buffers
-
-        # 1. Credits returned by downstream routers before this cycle (see PacketLink).
-        for port, tx in self._tx_attached:
-            credits = tx.credits
-            if any(credits):
-                returned = tx.credits_before if tx.credited_at == cycle else credits
-                for vc, amount in enumerate(returned):
-                    if amount:
-                        allocators[port]._credits[vc] += amount
-                        credits[vc] -= amount
-
-        # 2. Accept the flits the incoming wires held when this cycle began.
-        for port, rx in self._rx_attached:
-            flit = rx.before if rx.changed_at == cycle else rx.forward
-            if flit is not None:
-                port_buffers[port][flit.vc].push(flit)
-
-        # 3. Tile injection (local port): one flit per cycle if space allows.
-        queue = self.tile._injection_queue
-        if queue:
-            buffer = port_buffers[Port.TILE][queue[0].vc]
-            if not buffer.is_full():
-                buffer.push(queue.popleft())
-
-        # 4. One pass over the occupied input VCs: route computation and
-        # output-VC allocation for head-of-line head flits, then every flit
-        # that can move (output VC held; towards a neighbour, a link and a
-        # credit) is filed under the one output port it requests.
-        input_index = self._input_index
-        input_states = self._input_states
-        tx_by_port = self._tx_by_port
-        requests = self._port_requests
-        counts = self.activity.slots
-        vc_allocations = 0
-        pending = self._occupied[0]
-        while pending:
-            bit = pending & -pending
-            pending ^= bit
-            index = bit.bit_length() - 1
-            state = input_states[index]
-            out_port = state.out_port
-            if out_port is None:
-                flit = input_buffers[index]._fifo[0]
-                if not flit.flit_type.is_head:
-                    continue
-                out_port = state.out_port = self.route(self.position, flit.dest)
-            out_vc = state.out_vc
-            if out_vc is None:
-                out_vc = state.out_vc = allocators[out_port].try_allocate(input_index[index])
-                if out_vc is None:
-                    continue
-                vc_allocations += 1
-            if out_port and (
-                tx_by_port[out_port] is None or allocators[out_port]._credits[out_vc] <= 0
-            ):
-                continue
-            requests[out_port] |= bit
-        if vc_allocations:
-            counts[VC_ALLOCATIONS] += vc_allocations
-
-        # 5. Switch allocation and flit traversal: one winner per requested port.
-        routed = grant_changes = packets = reg_toggles = link_toggles = 0
-        driven = 0
-        prev_payload = self._output_prev_payload
-        for out_port, mask in enumerate(requests):
-            if not mask:
-                continue
-            requests[out_port] = 0
-            arbiter = self._port_arbiters[out_port]
-            last_winner = arbiter._last_grant
-            winner_index = arbiter.grant(mask)
-            if last_winner is not None and last_winner != winner_index:
-                grant_changes += 1
-            routed += 1
-
-            state = input_states[winner_index]
-            out_flit = input_buffers[winner_index].pop().with_vc(state.out_vc)
-
-            # Crossbar traversal and output register toggles.
-            payload = out_flit.payload
-            toggles = ((prev_payload[out_port] ^ payload) & _PAYLOAD_MASK).bit_count()
-            reg_toggles += toggles
-            prev_payload[out_port] = payload
-
-            if out_port:
-                allocators[out_port]._credits[state.out_vc] -= 1  # step 4 saw it positive
-                tx_by_port[out_port].drive(out_flit, cycle)
-                driven |= 1 << out_port
-                link_toggles += toggles
-            else:
-                self.tile._deliver(out_flit)
-                # A head flit creates the counter and adds nothing to it.
-                counts[WORDS_DELIVERED] += 0 if out_flit.flit_type.is_head else 1
-
-            # Return a credit to the upstream router for the freed buffer slot.
-            in_port, in_vc = input_index[winner_index]
-            if in_port:
-                rx = self._rx_by_port[in_port]
-                if rx is not None:
-                    rx.return_credit(in_vc, 1, cycle)
-
-            if out_flit.flit_type.is_tail:
-                allocators[out_port].release(state.out_vc)
-                state.release()
-                packets += 1
-        if routed:
-            counts[ARBITER_DECISIONS] += routed
-            counts[FLITS_ROUTED] += routed
-            if grant_changes:
-                counts[ARBITER_GRANT_CHANGES] += grant_changes
-            if packets:
-                counts[PACKETS_ROUTED] += packets
-            if reg_toggles:
-                counts[REG_TOGGLE_BITS] += reg_toggles
-                if link_toggles:  # an outgoing wire toggles with its register only
-                    counts[LINK_TOGGLE_BITS] += link_toggles
-
-        # 6. Outgoing wires not driven this cycle fall idle.
-        stale = self._driven & ~driven
-        if stale:
-            for port, tx in self._tx_attached:
-                if stale >> port & 1:
-                    tx.drive(None, cycle)
-        self._driven = driven
-
-    def _wires_idle(self) -> bool:
-        """True with no flit on any wire and no uncollected credit."""
-        for _port, rx in self._rx_attached:
-            if rx.forward is not None:
-                return False
-        for _port, tx in self._tx_attached:
-            if tx.forward is not None or any(tx.credits):
-                return False
-        return True
-
-    # -- timed protocol: predict "blocked until an input changes" ------------
-
-    supports_timed_wake = True
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """``None`` (park until a dirty-bit wake) when provably blocked.
-
-        This is the one question the event schedule asks.  The router
-        parks when all wires are idle in both directions with no uncollected
-        credit (a just-driven flit is a transient the next commit replaces
-        with ``None``), nothing is to inject, and every occupied input VC's
-        head-of-line flit is immovable (tile-bound
-        flits always move; a head awaiting VC allocation is stuck only with
-        no free output VC; an allocated flit is stuck only with a missing
-        output link or zero credit).  Every commit then degenerates to the
-        idle tick — the no-request arbiter and failing VC allocation are
-        both pure — until a flit, credit or injection wakes the router.
-
-        A backlogged injection queue is an event only while the tile buffer
-        it feeds has space: a back-pressured worm whose target VC buffer is
-        full cannot inject either, and that buffer can only drain through
-        this router's own traversal — covered by the head-of-line scan
-        below — so the router parks until the credits that unblock the
-        worm arrive (a dirty-bit wake on the output link).
-        """
-        queue = self.tile._injection_queue
-        if queue and not self._port_buffers[Port.TILE][queue[0].vc].is_full():
-            return cycle
-        if not self._wires_idle():
-            return cycle
-        pending = self._occupied[0]
-        while pending:
-            bit = pending & -pending
-            pending ^= bit
-            state = self._input_states[bit.bit_length() - 1]
-            if state.out_port is None:
-                return cycle  # route computation still pending
-            if state.out_port == Port.TILE:
-                return cycle  # tile delivery never blocks
-            if state.out_vc is None:
-                if self._port_allocators[state.out_port].has_free_vc():
-                    return cycle  # VC allocation would succeed
-                continue
-            if (
-                self._tx_by_port[state.out_port] is not None
-                and self._port_allocators[state.out_port].credits(state.out_vc) > 0
-            ):
-                return cycle  # switch traversal would succeed
-        return None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        """Count *cycles* cycles, busy or idle: the energy model is event-based
-        (buffer accesses, arbitration, traversals), so a cycle books nothing else."""
-        self.activity.cycles = start_cycle + cycles
+        return self._tx_by_port[Port(port)]
 
     def reset(self) -> None:
-        for buffer in self.buffers.values():
-            buffer.reset()
-        for state in self.vc_states.values():
-            state.release()
-        for allocator in self.output_allocators.values():
-            allocator.reset(self.fifo_depth)
-        for arbiter in self.switch_arbiters.values():
-            arbiter.reset()
+        """Back to power-on: buffers, VC state, credits, arbiters, tile,
+        counters and the wires this router drives."""
+        num_vcs, depth = self.num_vcs, self.fifo_depth
+        for index, fifo in enumerate(self._fifos):
+            fifo.clear()
+            self._route[index] = self._out_vc[index] = None
+            self._credits[index] = depth
+        self._occupied = self._driven = 0
+        for port in range(self.NUM_PORTS):
+            self._free[port] = bit_mask(num_vcs)
+            self._vc_last[port] = self._grant_last[port] = -1
+            self._prev_payload[port] = self._requests[port] = 0
         self.tile.reset()
         self.activity.reset()
-        self._driven = 0
-        for port in range(self.NUM_PORTS):
-            self._output_prev_payload[port] = 0
-            self._port_requests[port] = 0
-        # Return the wires this router drives to idle: flits forward, credits back.
-        for _port, tx in self._tx_attached:
-            tx.reset()
+        for tx in self._tx_by_port:
+            if tx is not None:
+                tx.reset()
 
     # -- reporting -----------------------------------------------------------------------
 
@@ -484,3 +258,362 @@ class PacketSwitchedRouter(ClockedComponent):
     def total_area_mm2(self) -> float:
         """Silicon area of this router instance (Table 4)."""
         return self.area_model.total_mm2
+
+
+#: What an output port does with the flit it sends (first field of its record).
+_TO_MEMBER, _TO_OUTSIDE, _TO_DEAD = range(3)
+
+
+def _overflow(router: PacketSwitchedRouter, index: int) -> CapacityError:
+    port, vc = divmod(index, router.num_vcs)
+    return CapacityError(
+        f"buffer {router.name}.{Port(port).short_name}{vc} overflow: "
+        "upstream ignored credit-based flow control"
+    )
+
+
+class PacketDatapath(ClockedComponent):
+    """Clocks a set of :class:`PacketSwitchedRouter` objects as one component.
+
+    A cycle has two phases.  *Ingest* takes what the wires between members
+    carried out of the previous cycle — ``_returns`` (credit records
+    ``(wire credits, router credits, index, vc, router)``) and ``_arrivals``
+    (flit records ``(link, router, fifos, counters, base, depth)``), each
+    cleared as it is read — then what :meth:`evaluate` sampled from the
+    wires with an end outside the set.  *Move* visits the routers that moved
+    or injected in the previous cycle or got a flit, a credit or an
+    injection since: injection, route computation and VC allocation over the
+    occupied input VCs, then one round-robin switch grant per requested
+    output port, each winner's flit leaving with its output VC written in.
+    A router with nothing that can move is not visited again until a flit,
+    credit or injection reaches it.  All state stays in the routers.
+    """
+
+    supports_timed_wake = True
+    settles_at_sync = True  # a cycle books no constant: the count settles at sync()
+
+    def __init__(self, name: str, routers: Sequence[PacketSwitchedRouter]) -> None:
+        super().__init__(name)
+        self.routers = list(routers)
+        for router in self.routers:
+            if router.datapath is not None:
+                raise ConfigurationError(f"router {router.name!r} already has a datapath")
+            router.datapath = self
+        #: Routers to visit in the next move phase (an insertion-ordered set):
+        #: all of them first, whatever they were handed before adoption.
+        self._next: Dict[PacketSwitchedRouter, None] = dict.fromkeys(self.routers)
+        self._returns: List[tuple] = []
+        self._arrivals: List[tuple] = []
+        #: What :meth:`evaluate` took off the outside wires.
+        self._sampled_flits: List[tuple] = []
+        self._sampled_credits: List[tuple] = []
+        self._map_wires()
+        for router in self.routers:
+            self._compile(router)
+
+    # -- compiling, between cycles ---------------------------------------------------------
+
+    def _map_wires(self) -> None:
+        """Who drives and who reads each wire of the set; claim the listeners."""
+        #: Wire -> ``(member, port)`` driving it / reading it.
+        self._writer: Dict[PacketLink, Tuple[PacketSwitchedRouter, int]] = {}
+        self._reader: Dict[PacketLink, Tuple[PacketSwitchedRouter, int]] = {}
+        for router in self.routers:
+            for port in NEIGHBOR_PORTS:
+                if router._tx_by_port[port] is not None:
+                    self._writer[router._tx_by_port[port]] = (router, port)
+                if router._rx_by_port[port] is not None:
+                    self._reader[router._rx_by_port[port]] = (router, port)
+        ours = self._member_wire_changed
+        self._outside_rx = []
+        for link, (router, port) in self._reader.items():
+            if link in self._writer:
+                link.watch_flits(ours)
+                link.watch_credits(ours)
+            else:
+                link.watch_flits(self.wake)
+                self._outside_rx.append(self._arrival(link, router, port))
+        self._outside_tx = []
+        for link, (router, port) in self._writer.items():
+            if link not in self._reader:
+                link.watch_credits(self.wake)
+                self._outside_tx.append((link, router, router._credits, port * router.num_vcs))
+
+    @staticmethod
+    def _arrival(link: PacketLink, router: PacketSwitchedRouter, port: int) -> tuple:
+        return (link, router, router._fifos, router.activity.slots, port * router.num_vcs, router.fifo_depth)
+
+    def _return(self, link: PacketLink, vc: int) -> tuple:
+        """The record that hands a credit on member wire *link* to its writer."""
+        writer, port = self._writer[link]
+        return (link.credits, writer._credits, port * writer.num_vcs + vc, vc, writer)
+
+    def _compile(self, router: PacketSwitchedRouter) -> None:
+        """Build *router*'s send records (per output port) and credit records
+        (per input VC) from its wiring, and its state tuple."""
+        num_vcs = router.num_vcs
+        send: List[Optional[tuple]] = [None] * router.NUM_PORTS
+        give: List[Optional[tuple]] = [None] * (router.NUM_PORTS * num_vcs)
+        for port in NEIGHBOR_PORTS:
+            tx = router._tx_by_port[port]
+            if tx in self._reader and tx.dead:
+                send[port] = (_TO_DEAD, tx, tuple(self._return(tx, vc) for vc in range(num_vcs)))
+            elif tx in self._reader:
+                send[port] = (_TO_MEMBER, tx, self._arrival(tx, *self._reader[tx]))
+            elif tx is not None:
+                send[port] = (_TO_OUTSIDE, tx, None)
+            rx = router._rx_by_port[port]
+            for vc in range(num_vcs if rx is not None else 0):
+                if rx in self._writer:
+                    give[port * num_vcs + vc] = (rx.credits, vc, self._return(rx, vc))
+                else:
+                    give[port * num_vcs + vc] = (None, vc, rx)
+        router._state = (
+            router._fifos, router._route, router._out_vc, router._credits, router._free, router._vc_last,
+            router._grant_last, router._prev_payload, router._requests, send, give, router.activity.slots,
+            router.tile, router.tile._injection_queue, num_vcs, router.fifo_depth,
+        )
+
+    def relink(self) -> None:
+        """Recompile every member after a wiring change, and visit them."""
+        self._map_wires()
+        for member in self.routers:
+            self._compile(member)
+        self._next.update(dict.fromkeys(self.routers))
+        self.wake()
+
+    def _member_wire_changed(self) -> None:
+        # Only a fault marks a wire between two members: recompile the writer
+        # of every dead one and queue the credit fail() gave back.
+        for link, (writer, _port) in self._writer.items():
+            if link in self._reader and link.dead:
+                self._compile(writer)
+                for vc, amount in enumerate(link.credits):
+                    if amount:
+                        self._returns.append(self._return(link, vc))
+        self.wake()
+
+    def inject(self, router: PacketSwitchedRouter) -> None:
+        """*router*'s tile queued flits: visit it in the next move phase."""
+        self._next[router] = None
+        self.wake()
+
+    # -- simulation ---------------------------------------------------------------------
+
+    def evaluate(self, cycle: int) -> None:
+        """Sample the outside wires: flits in, credits (taken) back."""
+        for record in self._outside_rx:
+            flit = record[0].forward
+            if flit is not None:
+                self._sampled_flits.append((record, flit))
+        for link, router, credits, base in self._outside_tx:
+            wire = link.credits
+            if any(wire):
+                self._sampled_credits.append((router, credits, base, wire[:]))
+                wire[:] = [0] * len(wire)
+
+    def commit(self, cycle: int) -> None:
+        visit = self._next
+        self._next = nxt = {}
+        # Ingest: credits, then flits the member wires carried out of the last cycle.
+        returns, arrivals = self._returns, self._arrivals
+        if returns:
+            self._returns = []
+            for wire, credits, index, vc, writer in returns:
+                amount = wire[vc]
+                if amount:
+                    credits[index] += amount
+                    wire[vc] = 0
+                    visit[writer] = None
+            returns = self._returns
+        if arrivals:
+            self._arrivals = []
+            for link, reader, fifos, counts, base, depth in arrivals:
+                flit = link.forward
+                if flit is not None:
+                    link.forward = None
+                    index = base + (flit & VC_MASK)
+                    fifo = fifos[index]
+                    if len(fifo) >= depth:
+                        raise _overflow(reader, index)
+                    fifo.append(flit)
+                    reader._occupied |= 1 << index
+                    counts[BUFFER_WRITE_BITS] += STORAGE_BITS
+                    visit[reader] = None
+            arrivals = self._arrivals
+        if self._sampled_credits:
+            sampled, self._sampled_credits = self._sampled_credits, []
+            for router, credits, base, amounts in sampled:
+                for vc, amount in enumerate(amounts):
+                    credits[base + vc] += amount
+                visit[router] = None
+        if self._sampled_flits:
+            sampled, self._sampled_flits = self._sampled_flits, []
+            for (_link, reader, fifos, counts, base, depth), flit in sampled:
+                vc = flit & VC_MASK
+                if vc >= reader.num_vcs:
+                    raise IndexError(f"virtual channel {vc} out of range 0..{reader.num_vcs - 1}")
+                index = base + vc
+                if len(fifos[index]) >= depth:
+                    raise _overflow(reader, index)
+                fifos[index].append(flit)
+                reader._occupied |= 1 << index
+                counts[BUFFER_WRITE_BITS] += STORAGE_BITS
+                visit[reader] = None
+
+        # Move.
+        for router in visit:
+            (fifos, route, out_vc, credits, free, vc_last, grant_last, prev, requests, send, give, counts,
+             tile, queue, num_vcs, depth) = router._state
+            occupied = router._occupied
+            moved = False
+            if queue:  # tile injection: one flit per cycle if its buffer has space
+                vc = queue[0] & VC_MASK
+                if len(fifos[vc]) < depth:
+                    fifos[vc].append(queue.popleft())
+                    occupied |= 1 << vc
+                    counts[BUFFER_WRITE_BITS] += STORAGE_BITS
+                    moved = True
+
+            # One pass over the occupied input VCs: route computation and
+            # output-VC allocation for head-of-line head flits, then every
+            # flit that can move (output VC held; towards a neighbour, a
+            # link and a credit) is filed under the output port it requests.
+            ports = vc_allocations = 0
+            pending = occupied
+            while pending:
+                bit = pending & -pending
+                pending ^= bit
+                index = bit.bit_length() - 1
+                out_port = route[index]
+                if out_port is None:
+                    flit = fifos[index][0]
+                    if not flit & HEAD_BIT:
+                        continue
+                    dest = (flit >> DEST_SHIFT & COORD_MASK, flit >> DEST_SHIFT + COORD_BITS & COORD_MASK)
+                    out_port = route[index] = int(router.route(router.position, dest))
+                ovc = out_vc[index]
+                if ovc is None:
+                    mask = free[out_port]
+                    if not mask:
+                        continue
+                    last = vc_last[out_port]
+                    ahead = mask >> last + 1  # round robin from the VC after the last grant
+                    ovc = last + (ahead & -ahead).bit_length() if ahead else (mask & -mask).bit_length() - 1
+                    vc_last[out_port] = out_vc[index] = ovc
+                    free[out_port] = mask ^ 1 << ovc
+                    vc_allocations += 1
+                if out_port and (send[out_port] is None or credits[out_port * num_vcs + ovc] <= 0):
+                    continue
+                requests[out_port] |= bit
+                ports |= 1 << out_port
+            if vc_allocations:
+                counts[VC_ALLOCATIONS] += vc_allocations
+
+            # Switch allocation and traversal: one winner per requested port.
+            driven = 0
+            if ports:
+                moved = True
+                routed = changes = packets = reg_toggles = link_toggles = 0
+                while ports:
+                    port_bit = ports & -ports
+                    ports ^= port_bit
+                    out_port = port_bit.bit_length() - 1
+                    mask = requests[out_port]
+                    requests[out_port] = 0
+                    last = grant_last[out_port]
+                    ahead = mask >> last + 1
+                    winner = last + (ahead & -ahead).bit_length() if ahead else (mask & -mask).bit_length() - 1
+                    if winner != last and last >= 0:
+                        changes += 1
+                    grant_last[out_port] = winner
+                    routed += 1
+
+                    fifo = fifos[winner]
+                    ovc = out_vc[winner]
+                    flit = fifo.popleft() & ~VC_MASK | ovc
+                    if not fifo:
+                        occupied ^= 1 << winner
+                    payload = flit >> PAYLOAD_SHIFT & PAYLOAD_MASK
+                    toggles = (prev[out_port] ^ payload).bit_count()
+                    reg_toggles += toggles
+                    prev[out_port] = payload
+                    if out_port:
+                        credits[out_port * num_vcs + ovc] -= 1  # the pass saw it positive
+                        link_toggles += toggles
+                        action, link, extra = send[out_port]
+                        if action == _TO_MEMBER:
+                            link.forward = flit
+                            arrivals.append(extra)
+                        elif action == _TO_OUTSIDE:
+                            link.drive(flit)
+                            driven |= port_bit
+                        else:  # a dead wire swallows the flit and gives its credit back
+                            link.dropped += 1
+                            link.credits[ovc] += 1
+                            returns.append(extra[ovc])
+                    else:
+                        tile._deliver(flit)
+                        # A head flit creates the counter and adds nothing to it.
+                        counts[WORDS_DELIVERED] += 0 if flit & HEAD_BIT else 1
+
+                    # Return a credit upstream for the freed buffer slot.
+                    target = give[winner]
+                    if target is not None:
+                        wire, vc, record = target
+                        if wire is not None:
+                            wire[vc] += 1
+                            returns.append(record)
+                        else:
+                            record.return_credit(vc)
+
+                    if flit & TAIL_BIT:
+                        free[out_port] |= 1 << ovc
+                        route[winner] = out_vc[winner] = None
+                        packets += 1
+                counts[ARBITER_DECISIONS] += routed
+                counts[FLITS_ROUTED] += routed
+                counts[BUFFER_READ_BITS] += STORAGE_BITS * routed
+                if changes:
+                    counts[ARBITER_GRANT_CHANGES] += changes
+                if packets:
+                    counts[PACKETS_ROUTED] += packets
+                if reg_toggles:
+                    counts[REG_TOGGLE_BITS] += reg_toggles
+                    if link_toggles:  # an outgoing wire toggles with its register only
+                        counts[LINK_TOGGLE_BITS] += link_toggles
+            router._occupied = occupied
+            if router._driven != driven:  # outside wires not driven this cycle fall idle
+                stale = router._driven & ~driven
+                for port in NEIGHBOR_PORTS:
+                    if stale >> port & 1:
+                        send[port][1].drive(None)
+                router._driven = driven
+            if moved:
+                nxt[router] = None
+
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        """Now while a router is to be visited or a wire holds a flit or a
+        credit; else park until an injection or an outside wire wakes us."""
+        if self._next or self._arrivals or self._returns:
+            return cycle
+        for record in self._outside_rx:
+            if record[0].forward is not None:
+                return cycle
+        for link, _router, _credits, _base in self._outside_tx:
+            if any(link.credits):
+                return cycle
+        return None
+
+    def idle_tick(self, start_cycle: int, cycles: int) -> None:
+        """Count *cycles* cycles, busy or idle: the energy model is event-based
+        (buffer accesses, arbitration, traversals), so a cycle books nothing else."""
+        for router in self.routers:
+            router.activity.cycles = start_cycle + cycles
+
+    def reset(self) -> None:
+        for router in self.routers:
+            router.reset()
+        self._next = {}
+        self._returns, self._arrivals = [], []
+        self._sampled_flits, self._sampled_credits = [], []

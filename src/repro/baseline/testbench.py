@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.baseline.flit import Flit, Packet, packetize
+from repro.baseline.flit import HEAD_BIT, PAYLOAD_MASK, PAYLOAD_SHIFT, VC_MASK, Packet, pack_packet
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketSwitchedRouter
 from repro.core.header import phits_per_packet
@@ -79,7 +79,7 @@ class PacketStreamDriver(ClockedComponent):
         # the flit side of its receive links, so the credit side is free).
         link.credit_dirty.add_listener(self.wake)
         self._buffer_depth = self._credits = downstream_buffer_depth
-        self._flit_queue: Deque[Flit] = deque()
+        self._flit_queue: Deque[int] = deque()
         self._pending_words: List[int] = []
         self.words_offered = 0
         self.words_sent = 0
@@ -98,7 +98,7 @@ class PacketStreamDriver(ClockedComponent):
         if not self._pending_words:
             return
         packet = Packet(src=self.src, dest=self.dest, words=list(self._pending_words))
-        self._flit_queue.extend(packetize(packet, self.vc))
+        self._flit_queue.extend(pack_packet(packet, self.vc))
         self.words_sent += len(self._pending_words)
         self._pending_words.clear()
 
@@ -107,9 +107,9 @@ class PacketStreamDriver(ClockedComponent):
             flit = self._flit_queue.popleft()
             self._credits -= 1
             self.flits_sent += 1
-            self.link.drive(flit, cycle)
+            self.link.drive(flit)
         else:
-            self.link.drive(None, cycle)
+            self.link.drive(None)
 
     # -- timed protocol ------------------------------------------------------
 
@@ -147,9 +147,9 @@ class PacketStreamConsumer(ClockedComponent):
         # Arriving flits must wake a parked consumer (the router only watches
         # the credit side of its transmit links, so the flit side is free).
         link.flit_dirty.add_listener(self.wake)
-        self.received_flits: List[Flit] = []
+        self.received_flits: List[int] = []
         self.received_words: List[int] = []
-        self._sampled: Optional[Flit] = None
+        self._sampled: Optional[int] = None
 
     def evaluate(self, cycle: int) -> None:
         self._sampled = self.link.read()
@@ -159,10 +159,10 @@ class PacketStreamConsumer(ClockedComponent):
         if flit is None:
             return
         self.received_flits.append(flit)
-        if not flit.flit_type.is_head:
-            self.received_words.append(flit.payload)
+        if not flit & HEAD_BIT:
+            self.received_words.append(flit >> PAYLOAD_SHIFT & PAYLOAD_MASK)
         # An always-consuming downstream immediately frees the buffer slot.
-        self.link.return_credit(flit.vc, 1, cycle)
+        self.link.return_credit(flit & VC_MASK)
 
     # -- timed protocol: a pure sink never generates events of its own -------
 

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional
 from repro.apps.kpn import ProcessGraph, TrafficClass
 from repro.apps.traffic import BitFlipPattern, Scenario, StreamSpec, scenario_by_name, word_generator
 from repro.baseline.link import PacketLink
-from repro.baseline.router import PacketSwitchedRouter
+from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.baseline.testbench import (
     PacketStreamConsumer,
     PacketStreamDriver,
@@ -159,7 +159,8 @@ def _attach_neighbor_links(router, make_link):
 
 
 def _run_testbench(kernel: SimulationKernel, components, router, cycles: int) -> None:
-    """Register the endpoints (deduplicated) and the router, then run.
+    """Register the endpoints (deduplicated) and the router (or the datapath
+    clocking it), then run.
 
     Several streams may share one physical consumer; registration
     deduplicates by object identity.  The router is appended last so stream
@@ -331,7 +332,7 @@ def run_packet_scenario(
         consumers[stream.stream_id] = consumer
         components.extend([driver, consumer])
 
-    _run_testbench(kernel, components, router, cycles)
+    _run_testbench(kernel, components, PacketDatapath("dut_datapath", [router]), cycles)
 
     result = _scenario_result(
         "packet_switched", scenario, pattern, load, frequency_hz, cycles, router, drivers

@@ -57,7 +57,6 @@ from repro.common import (
     NEIGHBOR_PORTS,
     ConfigurationError,
     Port,
-    SimulationError,
     bit_mask,
 )
 from repro.core.testbench import LoadPacer
@@ -327,7 +326,7 @@ class SlotTableRouter:
     def _write_entry(self, out_port: Port, slot: int, entry: Optional[Tuple[Port, str]]) -> None:
         datapath = self.datapath
         if datapath is not None:
-            datapath.refuse_inside_cycle(self)
+            datapath.refuse_inside_cycle(f"slot table of router {self.name!r} written")
         self._table[out_port][slot] = entry
         self.activity.add(ActivityKeys.CONFIG_WRITES, 1)
         if datapath is not None:
@@ -487,13 +486,6 @@ class TdmaDatapath(ClockedComponent):
                 for source, feed in feeds.values():
                     groups[source].append(feed)
                 self._groups[slot] = tuple(map(tuple, groups))
-
-    def refuse_inside_cycle(self, router: SlotTableRouter) -> None:
-        """Raise unless the kernel is between two cycles (before a slot-table write)."""
-        kernel = self._scheduler
-        if kernel is not None and kernel._phase != "idle":
-            raise SimulationError(f"slot table of router {router.name!r} written inside cycle "
-                                  f"{kernel.cycle} ({kernel._phase} phase); write between cycles")
 
     def reprogram(self, router: SlotTableRouter, slot: int) -> None:
         """Recompile *router*'s feeds of *slot* after a slot-table write."""

@@ -9,6 +9,9 @@ is needed — packets find their way with the topology's routing table
 degraded mesh) — which is the flexibility the paper acknowledges the
 packet-switched approach keeps, at the cost of buffering and arbitration
 energy.
+
+One :class:`~repro.baseline.router.PacketDatapath` (:attr:`PacketSwitchedNoC
+.datapath`) clocks the routers; wiring and routing change between cycles only.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.baseline.link import PacketLink
-from repro.baseline.router import PacketSwitchedRouter
+from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.baseline.testbench import TilePacketDriver
 from repro.common import ConfigurationError
 from repro.core.header import phits_per_packet
@@ -50,6 +53,7 @@ class PacketStreamEndpoints:
 class PacketSwitchedNoC(NocBase):
     """A complete packet-switched network on any topology."""
 
+    datapath: Optional[PacketDatapath] = None  # a shard may hold no router
     kind = "packet_switched"
     activity_name = "packet_network"
     fault_drop_unit = "flit"
@@ -83,6 +87,11 @@ class PacketSwitchedNoC(NocBase):
         )
 
     # -- construction hooks -----------------------------------------------------------
+
+    def _register_with_kernel(self) -> None:
+        if self.routers:
+            self.datapath = PacketDatapath(f"{self.activity_name}_datapath", list(self.routers.values()))
+            self.kernel.add(self.datapath)
 
     def _build_router(self, position: Position) -> PacketSwitchedRouter:
         return PacketSwitchedRouter(
@@ -121,8 +130,10 @@ class PacketSwitchedNoC(NocBase):
         The routers hold a bound reference to ``self.routing.port_for``, so
         the in-place rebuild redirects every packet head decided from the
         next cycle on; worms already past the dead link keep their reserved
-        path on the surviving wires.
+        path on the surviving wires.  Between cycles only.
         """
+        if self.datapath is not None:
+            self.datapath.refuse_inside_cycle(f"routing of {self.datapath.name!r} rebuilt")
         self.routing.rebuild(degraded)
 
     # -- traffic -----------------------------------------------------------------------------

@@ -60,7 +60,7 @@ reason) — applies to simulation cost as well:
   bits, the cycle counter itself, pacer credit).  The kernel defers it and
   flushes it in one ``idle_tick`` call when the component runs again and at
   the end of every ``run``.  Where the contribution is the same for a busy
-  cycle (the packet router, the GT datapath) the component sets
+  cycle (the packet and GT datapaths) the component sets
   ``settles_at_sync``: its ``commit`` books none of it, no wake-up ticks it,
   and ``sync()`` books everything elapsed, awake or asleep, in one call.
 * **Timed hooks.**  ``add_pre_cycle_hook(hook, every=N)`` runs the hook on
@@ -105,7 +105,7 @@ every data converter — serialiser shift register and output phit,
 deserialiser collected phits, owed and committed acknowledge pulses — is
 columns of the same plane, shifted for all lanes at once; only the word
 edges (load a queued word, return credit, deliver a word to the tile) stay
-scalar.  GT slot tables, packet routers and clock-gated fabrics do not
+scalar.  The GT and packet datapaths and clock-gated fabrics do not
 register a plane and run on the event heap alone;
 ``network.schedule_report()`` names the requested and the effective
 schedule and the reason they differ.

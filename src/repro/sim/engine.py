@@ -85,8 +85,8 @@ Event-queue contract
   kernel tracks its first unaccounted cycle and flushes the whole gap
   through ``idle_tick`` when the component next runs (or at ``sync``).
 * Free idle ticks are not called at all: a component whose per-cycle
-  accounting is one constant, busy or idle, or nothing (the packet router,
-  the GT datapath, pure sinks) sets ``settles_at_sync``.  Its ``commit``
+  accounting is one constant, busy or idle, or nothing (the packet and GT
+  datapaths, pure sinks) sets ``settles_at_sync``.  Its ``commit``
   books no constant, no wake or heap pop ticks it, and ``sync()`` /
   ``remove()`` settle it — awake or asleep, under both schedules — with
   one ``idle_tick(start, cycles)`` over everything elapsed since the last.
@@ -239,6 +239,15 @@ class ClockedComponent(abc.ABC):
             f"{type(self).__name__} declares supports_timed_wake but does "
             "not implement next_event_cycle()"
         )
+
+    def refuse_inside_cycle(self, what: str) -> None:
+        """Raise :class:`SimulationError` unless this component's kernel is
+        between two cycles (*what* names the refused write, for the message)."""
+        kernel = self._scheduler
+        if kernel is not None and kernel._phase != "idle":
+            raise SimulationError(
+                f"{what} inside cycle {kernel.cycle} ({kernel._phase} phase); write between cycles"
+            )
 
     def wake(self) -> None:
         """Put this component back on the schedule (input changed).

@@ -139,18 +139,16 @@ def _collect_fwd(link: Any, shadow: List[Any]) -> Optional[Any]:
         return changed
     if type(link) is PacketLink:
         flit = link.forward
-        previous = shadow[0]
         if flit is None:
-            if previous is None:
+            if shadow[0] is None:
                 return None
             shadow[0] = None
             return ("idle",)
-        # Identity, not equality: consecutive flits of one worm may carry
-        # equal field values, but the driving router places a distinct
-        # object per drive — an unchanged object means an unchanged wire.
-        if flit is previous:
+        # The drive stamp, not the value: two flits on consecutive cycles
+        # may be equal integers (a reused packet id), each one a new drive.
+        if link.drives == shadow[1]:
             return None
-        shadow[0] = flit
+        shadow[0], shadow[1] = flit, link.drives
         return ("flit", flit)
     # TdmaLink: drive() itself is equality-filtered, so value equality is
     # exactly the wire's change predicate.
@@ -519,6 +517,8 @@ class _ShardHarness:
 def _fwd_shadow(link: Any) -> List[Any]:
     if type(link) is LaneLink:
         return list(link.forward)
+    if type(link) is PacketLink:
+        return [link.forward, link.drives]
     return [link.forward]
 
 

@@ -67,21 +67,8 @@ _U8 = struct.Struct("<B")
 _LANE_VAL = struct.Struct("<BI")  # lane, value
 _LANE_ACK = struct.Struct("<BB")  # lane, ack
 _CREDIT = struct.Struct("<BI")  # vc, amount
-_FLIT = struct.Struct("<BIHHHHBQI")  # type, payload, dest x/y, src x/y, vc, id, seq
+_FLIT_BYTES = 22  # a packed flit (repro.baseline.flit), packet ids below 2**70
 _TDMA = struct.Struct("<BQ")  # presence flag, word
-
-#: Stable order of :class:`repro.baseline.flit.FlitType` members for the
-#: one-byte wire encoding (enum definition order).
-_FLIT_TYPES: Optional[Tuple[Any, ...]] = None
-
-
-def _flit_types() -> Tuple[Any, ...]:
-    global _FLIT_TYPES
-    if _FLIT_TYPES is None:
-        from repro.baseline.flit import FlitType
-
-        _FLIT_TYPES = tuple(FlitType)
-    return _FLIT_TYPES
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +138,7 @@ def _record_bounds(geometry: Dict[str, int]) -> Tuple[int, int]:
     if kind == "packet":
         vcs = geometry["num_vcs"]
         return (
-            _REC_HDR.size + _FLIT.size,
+            _REC_HDR.size + _FLIT_BYTES,
             _REC_HDR.size + _U8.size + vcs * _CREDIT.size,
         )
     if kind == "tdma":
@@ -168,19 +155,8 @@ def _encode_fwd(out: bytearray, position: int, payload: Any) -> None:
         return
     tag = payload[0]
     if tag == "flit":
-        flit = payload[1]
         out += _REC_HDR.pack(position, _TAG_PKT_FLIT)
-        out += _FLIT.pack(
-            _flit_types().index(flit.flit_type),
-            flit.payload,
-            flit.dest[0],
-            flit.dest[1],
-            flit.src[0],
-            flit.src[1],
-            flit.vc,
-            flit.packet_id,
-            flit.sequence,
-        )
+        out += payload[1].to_bytes(_FLIT_BYTES, "little")
         return
     if tag == "idle":
         out += _REC_HDR.pack(position, _TAG_PKT_IDLE)
@@ -224,16 +200,8 @@ def _decode_payload(tag: int, data: memoryview, offset: int) -> Tuple[Any, int]:
             offset += _LANE_ACK.size
         return payload, offset
     if tag == _TAG_PKT_FLIT:
-        from repro.baseline.flit import Flit
-
-        kind, word, dx, dy, sx, sy, vc, packet_id, sequence = _FLIT.unpack_from(
-            data, offset
-        )
-        offset += _FLIT.size
-        flit = Flit(
-            _flit_types()[kind], word, (dx, dy), (sx, sy), vc, packet_id, sequence
-        )
-        return ("flit", flit), offset
+        flit = int.from_bytes(data[offset : offset + _FLIT_BYTES], "little")
+        return ("flit", flit), offset + _FLIT_BYTES
     if tag == _TAG_PKT_IDLE:
         return ("idle",), offset
     if tag == _TAG_PKT_CREDITS:

@@ -13,7 +13,7 @@ from repro.common import NEIGHBOR_PORTS, AllocationError, Port
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
 from repro.baseline.link import PacketLink
-from repro.baseline.router import PacketSwitchedRouter
+from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.noc import IrregularMesh, Mesh2D, TdmaDatapath, Torus2D
 from repro.sim.engine import ClockedComponent, SimulationKernel
 
@@ -197,11 +197,19 @@ def fabric_scenarios(draw, max_cycles: int = 220):
     )
 
 
+def clock_of(router):
+    """What the kernel clocks for *router*: itself, or a one-router datapath
+    when it is no kernel component (a packet or slot-table router)."""
+    if isinstance(router, ClockedComponent):
+        return router
+    datapath = PacketDatapath if isinstance(router, PacketSwitchedRouter) else TdmaDatapath
+    return datapath("dut_datapath", [router])
+
+
 def twin_benches(router_classes, make_link, setup, **router_kwargs):
     """One single-router bench per class (links on all four sides, own kernel),
     populated alike by ``setup(router, links)``, which returns the extra
-    components to clock (or ``None``).  A router that is no kernel component
-    (a slot-table router) is clocked by a one-router datapath."""
+    components to clock (or ``None``), clocked by :func:`clock_of`."""
     benches = []
     for router_class in router_classes:
         router = router_class("dut", position=(1, 1), **router_kwargs)
@@ -210,8 +218,7 @@ def twin_benches(router_classes, make_link, setup, **router_kwargs):
             links[port] = (make_link(f"rx_{port.short_name}", router), make_link(f"tx_{port.short_name}", router))
             router.attach_link(port, *links[port])
         kernel = SimulationKernel(25e6)
-        clock = router if isinstance(router, ClockedComponent) else TdmaDatapath("dut_datapath", [router])
-        kernel.add_all([*(setup(router, links) or ()), clock])
+        kernel.add_all([*(setup(router, links) or ()), clock_of(router)])
         benches.append((router, links, kernel))
     return benches
 

@@ -1,18 +1,17 @@
-"""Tests for the baseline router's building blocks: buffers, arbiter, VC
-allocation, routing and the Æthereal reference."""
+"""Tests for the baseline router's building blocks: the reference buffers,
+arbiter and VC allocation (:mod:`test_baseline_router` keeps them as the
+oracle's parts), links, routing and the Æthereal reference."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
+from test_baseline_router import OutputVcAllocator, RoundRobinArbiter, VirtualChannelBuffer
 
 from repro.baseline.aethereal import AETHEREAL, AetherealReference
-from repro.baseline.arbiter import RoundRobinArbiter
-from repro.baseline.buffer import VirtualChannelBuffer
-from repro.baseline.flit import Flit, FlitType
+from repro.baseline.flit import Flit, FlitType, pack
 from repro.baseline.link import PacketLink
 from repro.baseline.routing import path_ports, route_distance, xy_route
-from repro.baseline.vc import OutputVcAllocator
 from repro.common import CapacityError, Port
 from repro.energy.activity import ActivityCounters, ActivityKeys
 
@@ -215,9 +214,11 @@ class TestPacketLink:
     def test_drive_and_read(self):
         link = PacketLink("l")
         assert link.read() is None
-        flit = _flit(5)
+        flit = pack(_flit(5))
         link.drive(flit)
-        assert link.read() is flit
+        assert link.read() == flit and link.drives == 1
+        link.drive(flit)  # the same flit again is another drive
+        assert link.drives == 2
 
     def test_credit_return_and_take(self):
         link = PacketLink("l", num_vcs=2)
@@ -233,7 +234,7 @@ class TestPacketLink:
 
     def test_reset(self):
         link = PacketLink("l")
-        link.drive(_flit())
+        link.drive(pack(_flit()))
         link.return_credit(0)
         link.reset()
         assert link.read() is None

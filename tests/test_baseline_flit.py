@@ -11,9 +11,13 @@ from repro.baseline.flit import (
     Flit,
     FlitType,
     Packet,
+    VC_MASK,
     depacketize,
+    pack,
+    pack_packet,
     packetize,
     split_words,
+    unpack,
 )
 
 
@@ -35,24 +39,23 @@ class TestFlit:
         assert flit.storage_bits == FLIT_PAYLOAD_BITS + FLIT_CONTROL_BITS
 
     def test_with_vc_preserves_everything_else(self):
+        """A VC change on a packed flit is a mask-and-or: the other fields stay."""
         flit = Flit(FlitType.HEAD, 0x1, (2, 3), (0, 0), 0, 7, 0)
-        moved = flit.with_vc(3)
+        moved = unpack(pack(flit) & ~VC_MASK | 3)
         assert moved.vc == 3
-        assert (moved.payload, moved.dest, moved.packet_id) == (0x1, (2, 3), 7)
+        assert (moved.flit_type, moved.payload, moved.dest, moved.packet_id) == (FlitType.HEAD, 0x1, (2, 3), 7)
 
     def test_with_vc_checks_only_the_new_channel(self, monkeypatch):
-        """A hop that changes VC copies the validated flit: a distinct, equal
-        object (the shard codec tells wire changes by identity), the payload
-        not checked again, the new channel still checked."""
+        """Fields are checked once, when a flit is packed: the rewrite checks
+        nothing, and packing a channel wider than its field is refused."""
         flit = Flit(FlitType.BODY, 0xBEEF, (2, 3), (0, 1), 0, 7, 4)
-        expected = Flit(FlitType.BODY, 0xBEEF, (2, 3), (0, 1), 3, 7, 4)
-        assert flit.with_vc(0) is flit
+        expected = pack(Flit(FlitType.BODY, 0xBEEF, (2, 3), (0, 1), 3, 7, 4))
+        word = pack(flit)
         monkeypatch.setattr("repro.baseline.flit.check_field", pytest.fail)
-        moved = flit.with_vc(3)
-        assert moved == expected and hash(moved) == hash(expected)
-        assert moved is not flit and moved is not flit.with_vc(3)
+        assert word & ~VC_MASK | 3 == expected
+        monkeypatch.undo()
         with pytest.raises(ValueError):
-            flit.with_vc(-1)
+            pack(Flit(FlitType.BODY, 0, (0, 0), (0, 0), VC_MASK + 1, 1, 0))
 
     def test_negative_vc_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +109,34 @@ class TestPacketize:
     def test_roundtrip_property(self, words):
         packet = Packet(src=(0, 0), dest=(3, 3), words=list(words))
         assert depacketize(packetize(packet)).words == list(words)
+
+
+class TestPackedFlits:
+    @given(
+        words=st.lists(st.integers(0, 0xFFFF), max_size=20),
+        src=st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)),
+        dest=st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)),
+        vc=st.integers(0, VC_MASK),
+        packet_id=st.integers(0, 2**64),
+    )
+    def test_pack_packet_equals_packing_the_reference_flits(self, words, src, dest, vc, packet_id):
+        packet = Packet(src=src, dest=dest, words=words, packet_id=packet_id)
+        flits = packetize(packet, vc)
+        packed = pack_packet(packet, vc)
+        assert packed == [pack(flit) for flit in flits]
+        assert [unpack(word) for word in packed] == flits
+
+    def test_fields_are_checked_when_packed(self):
+        for bad in (
+            Packet(src=(0, 0), dest=(1, 0), words=[1 << 16]),
+            Packet(src=(-1, 0), dest=(1, 0), words=[1]),
+            Packet(src=(0, 0), dest=(1 << 16, 0), words=[1]),
+            Packet(src=(0, 0), dest=(1, 0), words=[1], packet_id=-1),
+        ):
+            with pytest.raises(ValueError):
+                pack_packet(bad)
+        with pytest.raises(ValueError):
+            pack_packet(Packet(src=(0, 0), dest=(1, 0), words=[1]), vc=VC_MASK + 1)
 
 
 class TestSplitWords:

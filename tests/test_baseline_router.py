@@ -1,33 +1,50 @@
-"""Tests for the packet-switched baseline router."""
+"""Tests for the packet-switched baseline router and its datapath.
+
+The independent oracle is a two-phase reference router kept here: the
+parent's buffer, VC-state, allocator, arbiter and tile code verbatim (flits
+as :class:`Flit` objects) clocked per router, ``evaluate`` sampling every
+incoming wire and collecting every credit.  It shares nothing with the
+production routers but the wires, which carry packed flits.
+"""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 import pytest
-from conftest import fabric_scenarios, step_twins, twin_benches
+from conftest import FabricScenario, fabric_scenarios, step_twins, twin_benches
 from hypothesis import given, settings, strategies as st
 
-from repro.baseline.flit import FLIT_PAYLOAD_BITS, Flit, FlitType, Packet
+from repro.apps.traffic import BitFlipPattern, scenario_by_name, word_generator
+from repro.baseline.flit import FLIT_PAYLOAD_BITS, VC_MASK, Flit, FlitType, Packet, pack, packetize, unpack
 from repro.baseline.link import PacketLink
-from repro.baseline.router import PacketSwitchedRouter
+from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
+from repro.baseline.routing import xy_route
 from repro.baseline.testbench import (
     PacketStreamConsumer,
     PacketStreamDriver,
     TilePacketConsumer,
     TilePacketDriver,
 )
-from repro.common import NEIGHBOR_PORTS, CapacityError, ConfigurationError, Port, toggle_count
-from repro.energy.activity import ActivityKeys
+from repro.common import (
+    ALL_PORTS, NEIGHBOR_PORTS, CapacityError, ConfigurationError, Port, SimulationError, bit_mask, port_offset,
+    toggle_count,
+)
+from repro.energy.activity import ActivityCounters, ActivityKeys, BUFFER_READ_BITS, BUFFER_WRITE_BITS
 from repro.noc import Mesh2D, PacketSwitchedNoC
-from repro.sim.engine import SimulationKernel
+from repro.sim.engine import ClockedComponent, SimulationKernel
 
 
 def words(seed: int = 0):
     rng = random.Random(seed)
     return lambda: rng.getrandbits(16)
+
+
+def _clocked(*routers):
+    return PacketDatapath("dut_datapath", routers)
 
 
 class TestConstruction:
@@ -49,7 +66,8 @@ class TestConstruction:
 
     def test_buffer_inventory(self):
         router = PacketSwitchedRouter("r", num_vcs=4)
-        assert len(router.buffers) == 5 * 4
+        assert len(router._fifos) == len(router._route) == len(router._credits) == 5 * 4
+        assert len(router._free) == len(router._grant_last) == 5
 
 
 class TestSingleRouterTraffic:
@@ -57,7 +75,7 @@ class TestSingleRouterTraffic:
         router, links = ps_router_with_links
         driver = TilePacketDriver("src", router, words(1), dest=(2, 1), load=1.0, vc=0)
         consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
-        kernel_25mhz.add_all([driver, consumer, router])
+        kernel_25mhz.add_all([driver, consumer, _clocked(router)])
         kernel_25mhz.run(600)
         assert driver.words_sent > 0
         assert consumer.words_received >= driver.words_sent - router.tile.words_per_packet
@@ -72,7 +90,7 @@ class TestSingleRouterTraffic:
             "src", links[Port.NORTH][0], words(2), dest=(1, 1), src=(1, 2), load=1.0, vc=1
         )
         consumer = TilePacketConsumer("dst", router)
-        kernel_25mhz.add_all([driver, consumer, router])
+        kernel_25mhz.add_all([driver, consumer, _clocked(router)])
         kernel_25mhz.run(600)
         assert consumer.words_received >= driver.words_sent - 32
 
@@ -82,7 +100,7 @@ class TestSingleRouterTraffic:
             "src", links[Port.WEST][0], words(3), dest=(2, 1), src=(0, 1), load=1.0, vc=2
         )
         consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
-        kernel_25mhz.add_all([driver, consumer, router])
+        kernel_25mhz.add_all([driver, consumer, _clocked(router)])
         kernel_25mhz.run(600)
         assert consumer.words_received > 0
         assert router.activity.get(ActivityKeys.FLITS_ROUTED) > 0
@@ -98,7 +116,7 @@ class TestSingleRouterTraffic:
             "src_w", links[Port.WEST][0], words(5), dest=(2, 1), src=(0, 1), load=1.0, vc=1
         )
         consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
-        kernel_25mhz.add_all([tile_driver, west_driver, consumer, router])
+        kernel_25mhz.add_all([tile_driver, west_driver, consumer, _clocked(router)])
         kernel_25mhz.run(1000)
         assert router.activity.get(ActivityKeys.ARBITER_GRANT_CHANGES) > 0
         sent = tile_driver.words_sent + west_driver.words_sent
@@ -106,7 +124,7 @@ class TestSingleRouterTraffic:
 
     def test_idle_router_moves_no_flits(self, ps_router_with_links, kernel_25mhz):
         router, _ = ps_router_with_links
-        kernel_25mhz.add(router)
+        kernel_25mhz.add(_clocked(router))
         kernel_25mhz.run(200)
         assert router.activity.get(ActivityKeys.FLITS_ROUTED) == 0
         assert router.activity.get(ActivityKeys.BUFFER_WRITE_BITS) == 0
@@ -115,11 +133,11 @@ class TestSingleRouterTraffic:
         router, links = ps_router_with_links
         driver = TilePacketDriver("src", router, words(6), dest=(2, 1), load=1.0, vc=0)
         consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
-        kernel_25mhz.add_all([driver, consumer, router])
+        kernel_25mhz.add_all([driver, consumer, _clocked(router)])
         kernel_25mhz.run(100)
         router.reset()
         assert router.activity.cycles == 0
-        assert all(buffer.is_empty() for buffer in router.buffers.values())
+        assert not router._occupied and not any(router._fifos)
 
 
 class TestTileInterface:
@@ -133,7 +151,7 @@ class TestTileInterface:
         router = PacketSwitchedRouter("r")
         for _ in range(router.num_vcs + 1):
             router.tile.send_packet(Packet(src=router.position, dest=(2, 1), words=[1]))
-        backlog_vcs = {flit.vc for flit in router.tile._injection_queue}
+        backlog_vcs = {flit & VC_MASK for flit in router.tile._injection_queue}
         assert len(backlog_vcs) == router.num_vcs
 
     def test_two_router_link(self):
@@ -148,128 +166,352 @@ class TestTileInterface:
 
         kernel = SimulationKernel(25e6)
         driver = TilePacketDriver("src", left, words(7), dest=(1, 0), load=1.0, vc=0)
-        kernel.add_all([driver, left, right])
+        kernel.add_all([driver, _clocked(left, right)])
         kernel.run(800)
         assert driver.words_sent > 0
         assert right.tile.words_received >= driver.words_sent - left.tile.words_per_packet
 
 
 # ---------------------------------------------------------------------------
-# The switch-allocation rewrite against the code it replaced
+# The reference: the parent's router parts, verbatim, in a two-phase router
 # ---------------------------------------------------------------------------
-#
-# Reference copies of the router's per-cycle code as it was before the
-# rewrites: a two-phase visit (evaluate() samples every incoming wire and
-# collects every credit, commit() counts its cycle), Sequence[bool] arbiter,
-# per-call free list, the nested 5 x 20 request scan, per-event counter adds,
-# buffer-scanning quiescent() and next_event_cycle().  Method bodies are
-# verbatim; only the scratch state the new router no longer builds is set up
-# in __init__.
 
 
-class _ReferenceArbiter:
-    def __init__(self, num_requesters):
+class RoundRobinArbiter:
+    """A classic rotating-priority arbiter.
+
+    The arbiter remembers the last granted requester; the search for the next
+    grant starts just after it, which guarantees that every persistent
+    requester is eventually served (fairness) and that a single persistent
+    requester keeps its grant (no spurious switching).
+    """
+
+    def __init__(self, num_requesters: int) -> None:
+        if num_requesters < 1:
+            raise ValueError("an arbiter needs at least one requester")
         self.num_requesters = num_requesters
+        self._all = bit_mask(num_requesters)
         self._pointer = 0
-        self._last_grant = None
+        self._last_grant: Optional[int] = None
         self.decisions = 0
         self.grant_changes = 0
-
-    def grant(self, requests):
-        if len(requests) != self.num_requesters:
-            raise ValueError(
-                f"expected {self.num_requesters} request lines, got {len(requests)}"
-            )
-        if not any(requests):
-            return None
-        self.decisions += 1
-        # Rotating priority: start searching just after the pointer.
-        for offset in range(self.num_requesters):
-            candidate = (self._pointer + offset) % self.num_requesters
-            if requests[candidate]:
-                if self._last_grant is not None and candidate != self._last_grant:
-                    self.grant_changes += 1
-                self._last_grant = candidate
-                self._pointer = (candidate + 1) % self.num_requesters
-                return candidate
-        return None  # pragma: no cover - unreachable, any(requests) is true
-
-    def reset(self):
-        self._pointer = 0
-        self._last_grant = None
-        self.decisions = 0
-        self.grant_changes = 0
-
-
-@dataclass
-class _ReferenceOutputVc:
-    vc: int
-    credits: int
-    holder: Optional[tuple] = None
 
     @property
-    def free(self):
-        return self.holder is None
+    def last_grant(self) -> Optional[int]:
+        """The requester granted on the most recent decision (``None`` initially)."""
+        return self._last_grant
+
+    def grant(self, requests: int) -> Optional[int]:
+        """Pick one requester from the bit mask *requests*; ``None`` when it is 0.
+
+        Bit ``i`` set means requester ``i`` requests.  Statistics (number of
+        decisions, number of grant changes) are updated as a side effect; the
+        router copies them into its activity counters.
+        """
+        if not 0 <= requests <= self._all:
+            raise ValueError(
+                f"request mask {requests:#x} does not fit {self.num_requesters} request lines"
+            )
+        if not requests:
+            return None
+        self.decisions += 1
+        # Rotating priority: the lowest set bit at or above the pointer,
+        # else (wrap-around) the lowest set bit.
+        ahead = requests >> self._pointer
+        if ahead:
+            candidate = self._pointer + (ahead & -ahead).bit_length() - 1
+        else:
+            candidate = (requests & -requests).bit_length() - 1
+        if self._last_grant is not None and candidate != self._last_grant:
+            self.grant_changes += 1
+        self._last_grant = candidate
+        self._pointer = (candidate + 1) % self.num_requesters
+        return candidate
+
+    def reset(self) -> None:
+        """Forget all arbitration history."""
+        self._pointer = 0
+        self._last_grant = None
+        self.decisions = 0
+        self.grant_changes = 0
 
 
-class _ReferenceAllocator:
-    def __init__(self, port, num_vcs, downstream_buffer_depth):
+class VirtualChannelBuffer:
+    """A FIFO of flits for one (input port, virtual channel) pair."""
+
+    def __init__(
+        self,
+        name: str,
+        depth: int = 8,
+        activity: ActivityCounters | None = None,
+    ) -> None:
+        if depth < 1:
+            raise ValueError("buffer depth must be positive")
+        self.name = name
+        self.depth = depth
+        self.activity = activity if activity is not None else ActivityCounters(name)
+        self._fifo: Deque[Flit] = deque()
+        #: ``[mask]`` cell and this buffer's bit in it: set while a flit is
+        #: stored.  A router points its buffers at one shared cell, so its
+        #: per-cycle loops visit the occupied buffers only.
+        self._occupied: List[int] = [0]
+        self._bit = 1
+        self.total_writes = 0
+        self.total_reads = 0
+        self.max_occupancy = 0
+
+    # -- occupancy ----------------------------------------------------------------
+
+    @property
+    def occupancy(self) -> int:
+        """Number of flits currently stored."""
+        return len(self._fifo)
+
+    @property
+    def free_slots(self) -> int:
+        """Remaining capacity in flits."""
+        return self.depth - len(self._fifo)
+
+    def is_empty(self) -> bool:
+        """True when no flit is stored."""
+        return not self._fifo
+
+    def is_full(self) -> bool:
+        """True when no further flit can be accepted."""
+        return len(self._fifo) >= self.depth
+
+    # -- data movement ----------------------------------------------------------------
+
+    def push(self, flit: Flit) -> None:
+        """Write one flit into the FIFO (records buffer-write energy)."""
+        fifo = self._fifo
+        if len(fifo) >= self.depth:
+            raise CapacityError(
+                f"buffer {self.name} overflow: upstream ignored credit-based flow control"
+            )
+        fifo.append(flit)
+        self._occupied[0] |= self._bit
+        self.total_writes += 1
+        if len(fifo) > self.max_occupancy:
+            self.max_occupancy = len(fifo)
+        self.activity.slots[BUFFER_WRITE_BITS] += flit.storage_bits
+
+    def front(self) -> Optional[Flit]:
+        """The head-of-line flit without removing it (``None`` when empty)."""
+        return self._fifo[0] if self._fifo else None
+
+    def pop(self) -> Flit:
+        """Remove and return the head-of-line flit (records buffer-read energy)."""
+        fifo = self._fifo
+        if not fifo:
+            raise CapacityError(f"buffer {self.name} underflow: pop from an empty FIFO")
+        flit = fifo.popleft()
+        if not fifo:
+            self._occupied[0] &= ~self._bit
+        self.total_reads += 1
+        self.activity.slots[BUFFER_READ_BITS] += flit.storage_bits
+        return flit
+
+    def reset(self) -> None:
+        """Drop all stored flits and statistics."""
+        self._fifo.clear()
+        self._occupied[0] &= ~self._bit
+        self.total_writes = 0
+        self.total_reads = 0
+        self.max_occupancy = 0
+
+
+@dataclass(slots=True)
+class InputVcState:
+    """Book-keeping of one input virtual channel of the router."""
+
+    port: Port
+    vc: int
+    #: Output port chosen by route computation for the packet currently
+    #: occupying this VC (``None`` when idle or not yet routed).
+    out_port: Optional[Port] = None
+    #: Output VC allocated on that port (``None`` until VC allocation wins).
+    out_vc: Optional[int] = None
+
+    @property
+    def routed(self) -> bool:
+        """True once route computation has run for the current packet."""
+        return self.out_port is not None
+
+    @property
+    def allocated(self) -> bool:
+        """True once an output VC has been granted to the current packet."""
+        return self.out_vc is not None
+
+    def release(self) -> None:
+        """Forget all per-packet state (called after the tail flit leaves)."""
+        self.out_port = None
+        self.out_vc = None
+
+
+class OutputVcAllocator:
+    """Per-output-port allocator of output virtual channels and credits."""
+
+    def __init__(self, port: Port, num_vcs: int, downstream_buffer_depth: int) -> None:
+        if num_vcs < 1:
+            raise ValueError("need at least one virtual channel")
+        if downstream_buffer_depth < 1:
+            raise ValueError("downstream buffer depth must be positive")
         self.port = port
         self.num_vcs = num_vcs
-        self._vcs = [
-            _ReferenceOutputVc(vc=i, credits=downstream_buffer_depth) for i in range(num_vcs)
-        ]
-        self._arbiter = _ReferenceArbiter(num_vcs)
+        #: Remaining downstream buffer credit per output VC.
+        self._credits: List[int] = [downstream_buffer_depth] * num_vcs
+        #: Input ``(port, vc)`` holding each output VC (``None`` = free) and
+        #: the same as a bit mask of the free ones, kept by allocate/release.
+        self._holders: List[Optional[tuple[Port, int]]] = [None] * num_vcs
+        self._free = bit_mask(num_vcs)
+        self._arbiter = RoundRobinArbiter(num_vcs)
         self.allocations = 0
 
-    def try_allocate(self, requester):
-        free = [vc.free for vc in self._vcs]
-        if not any(free):
-            return None
-        choice = self._arbiter.grant(free)
-        if choice is None:  # pragma: no cover - any(free) guarantees a grant
-            return None
-        self._vcs[choice].holder = requester
-        self.allocations += 1
+    # -- allocation ----------------------------------------------------------------
+
+    def try_allocate(self, requester: tuple[Port, int]) -> Optional[int]:
+        """Grant a free output VC to *requester* (an input ``(port, vc)``)."""
+        choice = self._arbiter.grant(self._free)
+        if choice is not None:
+            self._holders[choice] = requester
+            self._free &= ~(1 << choice)
+            self.allocations += 1
         return choice
 
-    def has_free_vc(self):
-        return any(vc.free for vc in self._vcs)
+    def has_free_vc(self) -> bool:
+        """True when :meth:`try_allocate` would currently succeed.
 
-    def release(self, vc):
-        self._check_vc(vc)
-        self._vcs[vc].holder = None
+        Pure inspection (the round-robin pointer does not move) — used by
+        the router's event-schedule stall prediction.
+        """
+        return self._free != 0
 
-    def holder(self, vc):
+    def release(self, vc: int) -> None:
+        """Free an output VC after the packet's tail flit has left."""
         self._check_vc(vc)
-        return self._vcs[vc].holder
+        self._holders[vc] = None
+        self._free |= 1 << vc
 
-    def credits(self, vc):
+    def holder(self, vc: int) -> Optional[tuple[Port, int]]:
+        """The input (port, vc) currently holding output VC *vc*."""
         self._check_vc(vc)
-        return self._vcs[vc].credits
+        return self._holders[vc]
 
-    def consume_credit(self, vc):
+    # -- credits ----------------------------------------------------------------------
+
+    def credits(self, vc: int) -> int:
+        """Remaining downstream buffer credit of output VC *vc*."""
         self._check_vc(vc)
-        if self._vcs[vc].credits <= 0:
+        return self._credits[vc]
+
+    def consume_credit(self, vc: int) -> None:
+        """Spend one credit when a flit is sent on output VC *vc*."""
+        self._check_vc(vc)
+        if self._credits[vc] <= 0:
             raise ValueError(f"no credit left on {self.port.name} VC {vc}")
-        self._vcs[vc].credits -= 1
+        self._credits[vc] -= 1
 
-    def add_credits(self, vc, amount):
+    def add_credits(self, vc: int, amount: int) -> None:
+        """Return *amount* credits (downstream freed buffer slots)."""
         self._check_vc(vc)
         if amount < 0:
             raise ValueError("credit amount must be non-negative")
-        self._vcs[vc].credits += amount
+        self._credits[vc] += amount
 
-    def reset(self, downstream_buffer_depth):
-        for entry in self._vcs:
-            entry.credits = downstream_buffer_depth
-            entry.holder = None
+    def reset(self, downstream_buffer_depth: int) -> None:
+        """Return to the power-on state with fresh credit counters."""
+        for vc in range(self.num_vcs):
+            self._credits[vc] = downstream_buffer_depth
+            self._holders[vc] = None
+        self._free = bit_mask(self.num_vcs)
         self._arbiter.reset()
         self.allocations = 0
 
-    def _check_vc(self, vc):
+    def _check_vc(self, vc: int) -> None:
         if not 0 <= vc < self.num_vcs:
             raise IndexError(f"virtual channel {vc} out of range 0..{self.num_vcs - 1}")
+
+
+def vc_state_table(ports: List[Port], num_vcs: int) -> Dict[tuple[Port, int], InputVcState]:
+    """Build the input-VC state table for a router with the given ports."""
+    return {
+        (port, vc): InputVcState(port=port, vc=vc)
+        for port in ports
+        for vc in range(num_vcs)
+    }
+
+
+class PacketTileInterface:
+    """Word/packet-level interface between a processing tile and its router."""
+
+    def __init__(self, router: "PacketSwitchedRouter", words_per_packet: int = 16) -> None:
+        if words_per_packet < 1:
+            raise ValueError("words_per_packet must be positive")
+        self.router = router
+        self.words_per_packet = words_per_packet
+        self._injection_queue: Deque[Flit] = deque()
+        self._next_vc = 0
+        self._partial: Dict[Tuple[Tuple[int, int], int], List[Flit]] = {}
+        self.received_packets: List[Packet] = []
+        self.received_words: List[int] = []
+        #: Payload words delivered so far, per source tile.
+        self.words_from: Dict[Tuple[int, int], int] = {}
+        self.words_queued = 0
+
+    # -- sending --------------------------------------------------------------------
+
+    def send_packet(self, packet: Packet, vc: Optional[int] = None) -> None:
+        """Queue a whole packet for injection into the network."""
+        if vc is None:
+            vc = self._next_vc
+            self._next_vc = (self._next_vc + 1) % self.router.num_vcs
+        self._injection_queue.extend(packetize(packet, vc))
+        self.words_queued += len(packet.words)
+        self.router.wake()
+
+    def send_words(self, dest: Tuple[int, int], words: List[int], vc: Optional[int] = None) -> int:
+        """Split *words* into packets towards *dest* and queue them; returns packet count."""
+        count = 0
+        for start in range(0, len(words), self.words_per_packet):
+            chunk = list(words[start : start + self.words_per_packet])
+            self.send_packet(Packet(src=self.router.position, dest=dest, words=chunk), vc)
+            count += 1
+        return count
+
+    @property
+    def injection_backlog(self) -> int:
+        """Flits queued at the tile but not yet accepted by the router."""
+        return len(self._injection_queue)
+
+    # -- receiving (driven by the router) ------------------------------------------------
+
+    def _deliver(self, flit: Flit) -> None:
+        key = (flit.src, flit.packet_id)
+        flits = self._partial.setdefault(key, [])
+        flits.append(flit)
+        if flit.flit_type.is_tail:
+            del self._partial[key]
+            words = [f.payload for f in flits if not f.flit_type.is_head]
+            packet = Packet(src=flit.src, dest=flit.dest, words=words, packet_id=flit.packet_id)
+            self.received_packets.append(packet)
+            self.received_words.extend(words)
+            self.words_from[flit.src] = self.words_from.get(flit.src, 0) + len(words)
+
+    @property
+    def words_received(self) -> int:
+        """Total payload words delivered to this tile."""
+        return len(self.received_words)
+
+    def reset(self) -> None:
+        """Drop all queued and partially received data."""
+        self._injection_queue.clear()
+        self._partial.clear()
+        self.received_packets.clear()
+        self.received_words.clear()
+        self.words_from.clear()
+        self.words_queued = 0
+        self._next_vc = 0
 
 
 def _reference_take_all_credits(link, into):
@@ -283,33 +525,66 @@ def _reference_with_vc(flit, vc):
     return Flit(flit.flit_type, flit.payload, flit.dest, flit.src, vc, flit.packet_id, flit.sequence)
 
 
-class _ReferenceRouter(PacketSwitchedRouter):
-    settles_at_sync = False  # counts its cycles itself, cycle by cycle
+class _ReferenceRouter(ClockedComponent):
+    """The parent's per-router state clocked in two phases: ``evaluate``
+    samples every incoming wire and collects every credit, ``commit`` counts
+    its cycle; a nested request scan per output port, per-event counter adds."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        num_ports, num_vcs = self.NUM_PORTS, self.num_vcs
-        self.output_allocators = {
-            port: _ReferenceAllocator(port, num_vcs, self.fifo_depth) for port in self.ports
+    NUM_PORTS = 5
+    supports_timed_wake = True
+
+    def __init__(self, name, position=(0, 0), num_vcs=4, fifo_depth=8, data_width=16, words_per_packet=16,
+                 tech=None, route=None):
+        super().__init__(name)
+        self.position = position
+        self.route = route if route is not None else xy_route
+        self.num_vcs, self.fifo_depth = num_vcs, fifo_depth
+        self.activity = ActivityCounters(name)
+        self.ports = ALL_PORTS[: self.NUM_PORTS]
+        self.buffers = {
+            (port, vc): VirtualChannelBuffer(f"{name}.{port.short_name}{vc}", fifo_depth, self.activity)
+            for port in self.ports
+            for vc in range(num_vcs)
         }
-        self.switch_arbiters = {
-            port: _ReferenceArbiter(num_ports * num_vcs) for port in self.ports
-        }
+        self.vc_states = vc_state_table(list(self.ports), num_vcs)
+        self.output_allocators = {port: OutputVcAllocator(port, num_vcs, fifo_depth) for port in self.ports}
+        self.switch_arbiters = {port: RoundRobinArbiter(self.NUM_PORTS * num_vcs) for port in self.ports}
+        self._input_index = [(port, vc) for port in self.ports for vc in range(num_vcs)]
+        self._input_buffers = [self.buffers[key] for key in self._input_index]
+        self._input_states = [self.vc_states[key] for key in self._input_index]
         self._port_allocators = [self.output_allocators[p] for p in self.ports]
         self._port_arbiters = [self.switch_arbiters[p] for p in self.ports]
-        self._last_winner = [None] * num_ports
-        self._sampled_flits = [None] * num_ports
-        self._sampled_credits = [[0] * num_vcs for _ in range(num_ports)]
-        self._requests = [False] * (num_ports * num_vcs)
-        self._driven = [None] * num_ports
-        self._credit_returns = [[] for _ in range(num_ports)]
+        self.tile = PacketTileInterface(self, words_per_packet)
+        self._rx_by_port = [None] * self.NUM_PORTS
+        self._tx_by_port = [None] * self.NUM_PORTS
+        self._output_prev_payload = [0] * self.NUM_PORTS
+        self._last_winner = [None] * self.NUM_PORTS
+        self._sampled_flits = [None] * self.NUM_PORTS
+        self._sampled_credits = [[0] * num_vcs for _ in range(self.NUM_PORTS)]
+        self._driven = [None] * self.NUM_PORTS
+        self._credit_returns = [[] for _ in range(self.NUM_PORTS)]
+
+    def attach_link(self, port, rx_link, tx_link):
+        port = Port(port)
+        self._rx_by_port[port], self._tx_by_port[port] = rx_link, tx_link
+        if rx_link is not None:
+            rx_link.watch_flits(self.wake)
+        if tx_link is not None:
+            tx_link.watch_credits(self.wake)
+        self.wake()
+
+    def rx_link(self, port):
+        return self._rx_by_port[Port(port)]
+
+    def tx_link(self, port):
+        return self._tx_by_port[Port(port)]
 
     def evaluate(self, cycle):
         sampled_flits = self._sampled_flits
         sampled_credits = self._sampled_credits
         for port in NEIGHBOR_PORTS:
             rx = self._rx_by_port[port]
-            sampled_flits[port] = rx.forward if rx is not None else None
+            sampled_flits[port] = unpack(rx.forward) if rx is not None and rx.forward is not None else None
             tx = self._tx_by_port[port]
             credits = sampled_credits[port]
             if tx is not None:
@@ -362,11 +637,11 @@ class _ReferenceRouter(PacketSwitchedRouter):
         # 5. Switch allocation and flit traversal, one winner per output port.
         credit_returns = self._credit_returns
         driven = self._driven
-        requests = self._requests
         for out_port in self.ports:
             is_neighbor = out_port is not Port.TILE
             allocator = self._port_allocators[out_port]
             tx_missing = is_neighbor and self._tx_by_port[out_port] is None
+            requests = 0
             for index, buffer in enumerate(input_buffers):
                 state = input_states[index]
                 wants = (
@@ -376,7 +651,8 @@ class _ReferenceRouter(PacketSwitchedRouter):
                 )
                 if wants and is_neighbor:
                     wants = not tx_missing and allocator.credits(state.out_vc) > 0
-                requests[index] = wants
+                if wants:
+                    requests |= 1 << index
             winner_index = self._port_arbiters[out_port].grant(requests)
             if winner_index is None:
                 continue
@@ -423,7 +699,7 @@ class _ReferenceRouter(PacketSwitchedRouter):
         for port in NEIGHBOR_PORTS:
             tx = self._tx_by_port[port]
             if tx is not None:
-                tx.drive(driven[port])
+                tx.drive(None if driven[port] is None else pack(driven[port]))
                 driven[port] = None
             rx = self._rx_by_port[port]
             returns = credit_returns[port]
@@ -437,21 +713,6 @@ class _ReferenceRouter(PacketSwitchedRouter):
 
     def idle_tick(self, start_cycle, cycles):
         self.activity.cycles = start_cycle + cycles
-
-    def quiescent(self):
-        if self.tile._injection_queue:
-            return False
-        for port in NEIGHBOR_PORTS:
-            rx = self._rx_by_port[port]
-            if rx is not None and rx.forward is not None:
-                return False
-            tx = self._tx_by_port[port]
-            if tx is not None and (tx.forward is not None or any(tx.credits)):
-                return False
-        for buffer in self._input_buffers:
-            if buffer._fifo:
-                return False
-        return True
 
     def next_event_cycle(self, cycle):
         queue = self.tile._injection_queue
@@ -485,6 +746,24 @@ class _ReferenceRouter(PacketSwitchedRouter):
                 return cycle  # switch traversal would succeed
         return None
 
+    def reset(self):
+        for buffer in self.buffers.values():
+            buffer.reset()
+        for state in self.vc_states.values():
+            state.release()
+        for allocator in self.output_allocators.values():
+            allocator.reset(self.fifo_depth)
+        for arbiter in self.switch_arbiters.values():
+            arbiter.reset()
+        self.tile.reset()
+        self.activity.reset()
+        for port in range(self.NUM_PORTS):
+            self._output_prev_payload[port] = 0
+            self._last_winner[port] = None
+        for tx in self._tx_by_port:
+            if tx is not None:
+                tx.reset()
+
 
 class _ReferencePacketNoC(PacketSwitchedNoC):
     def _build_router(self, position):
@@ -493,63 +772,84 @@ class _ReferencePacketNoC(PacketSwitchedNoC):
             position=position,
             num_vcs=self.num_vcs,
             fifo_depth=self.fifo_depth,
-            data_width=self.data_width,
             words_per_packet=self.words_per_packet,
-            tech=self.tech,
             route=self.routing.port_for,
         )
 
+    def _register_with_kernel(self):
+        for router in self.routers.values():
+            self.kernel.add(router)
 
-def _arbiter_state(arbiter):
-    return (arbiter._pointer, arbiter._last_grant, arbiter.decisions, arbiter.grant_changes)
+
+def _fields(flit):
+    """A comparable flit: everything but the process-global packet id."""
+    return flit and (flit.flit_type, flit.payload, flit.dest, flit.src, flit.vc, flit.sequence)
 
 
-def _flits(flits):
-    """Comparable flits: everything but the process-global packet id."""
-    return [
-        flit and (flit.flit_type, flit.payload, flit.dest, flit.src, flit.vc, flit.sequence)
-        for flit in flits
-    ]
+def _wire(flit):
+    return None if flit is None else _fields(unpack(flit))
+
+
+def _last(arbiter):
+    return -1 if arbiter._last_grant is None else arbiter._last_grant
 
 
 def _router_state(router):
-    """Everything a commit can change, in comparable form (old and new internals)."""
-    vcs = range(router.num_vcs)
-    return {
-        "activity": (router.activity.as_dict(), router.activity.cycles),
-        "buffers": {
-            key: (_flits(b._fifo), b.total_writes, b.total_reads, b.max_occupancy)
-            for key, b in router.buffers.items()
-        },
-        "vc_states": {key: (s.out_port, s.out_vc) for key, s in router.vc_states.items()},
-        "switch": {port: _arbiter_state(a) for port, a in router.switch_arbiters.items()},
-        "outputs": {
-            port: (
-                [(a.credits(vc), a.holder(vc)) for vc in vcs],
-                a.has_free_vc(),
-                a.allocations,
-                _arbiter_state(a._arbiter),
-            )
-            for port, a in router.output_allocators.items()
-        },
-        "registers": list(router._output_prev_payload),
-        "tile": (
-            _flits(router.tile._injection_queue),
-            list(router.tile.received_words),
-            len(router.tile.received_packets),
-        ),
-        "parked": router.next_event_cycle(router.activity.cycles),
-    }
+    """Everything a cycle can change, in one form for both router models."""
+    tile = router.tile
+    if isinstance(router, _ReferenceRouter):
+        allocators = router._port_allocators
+        state = (
+            [[_fields(flit) for flit in buffer._fifo] for buffer in router._input_buffers],
+            [(state.out_port, state.out_vc) for state in router._input_states],
+            [allocator.credits(vc) for allocator in allocators for vc in range(router.num_vcs)],
+            [allocator._free for allocator in allocators],
+            [_last(allocator._arbiter) for allocator in allocators],
+            [_last(arbiter) for arbiter in router._port_arbiters],
+            list(router._output_prev_payload),
+            [_fields(flit) for flit in tile._injection_queue],
+        )
+    else:
+        state = (
+            [[_wire(flit) for flit in fifo] for fifo in router._fifos],
+            list(zip(router._route, router._out_vc)),
+            list(router._credits),
+            list(router._free),
+            list(router._vc_last),
+            list(router._grant_last),
+            list(router._prev_payload),
+            [_wire(flit) for flit in tile._injection_queue],
+        )
+    received = [(packet.src, packet.dest, packet.words) for packet in tile.received_packets]
+    return (router.activity.as_dict(), router.activity.cycles), state, (received, dict(tile.words_from))
+
+
+def _link_state(link):
+    return _wire(link.forward), list(link.credits), link.dead, link.dropped
 
 
 def _network_state(network):
     return (
         {position: _router_state(router) for position, router in network.routers.items()},
-        {
-            key: (_flits([link.forward]), list(link.credits), link.dead, link.dropped)
-            for key, link in network.links.items()
-        },
+        {key: _link_state(link) for key, link in network.links.items()},
     )
+
+
+def _run_lockstep(scenario, **sizes):
+    """Step a datapath fabric and its reference twin through *scenario*: equal
+    after every cycle, and the datapath parks only where every reference would."""
+    networks = [
+        scenario.build(lambda topology, **kw: cls(topology, **sizes, **kw))
+        for cls in (PacketSwitchedNoC, _ReferencePacketNoC)
+    ]
+    production, reference = networks
+    for cycle in scenario.steps(networks):
+        assert _network_state(production) == _network_state(reference), f"diverged in cycle {cycle}"
+        now = production.kernel.cycle
+        if production.datapath.next_event_cycle(now) is None:
+            assert all(router.next_event_cycle(now) is None for router in reference.routers.values()), now
+    assert production.stream_statistics() == reference.stream_statistics()
+    assert production.fault_drops() == reference.fault_drops()
 
 
 class TestCommitEqualsReference:
@@ -562,27 +862,36 @@ class TestCommitEqualsReference:
     @settings(max_examples=40, deadline=None)
     def test_lockstep_on_drawn_fabrics(self, scenario, num_vcs, fifo_depth, words_per_packet):
         """Random channels, loads and one mid-run link fault on a drawn mesh,
-        torus or irregular mesh: after every cycle the rewritten router equals
-        the reference in counters (key set included), buffers, VC states,
-        arbiter pointers and statistics, credits and link wires - and it parks
-        exactly when the reference would."""
-        sizes = dict(num_vcs=num_vcs, fifo_depth=fifo_depth, words_per_packet=words_per_packet)
-        scenario.run_in_lockstep(
-            lambda topology, **kw: PacketSwitchedNoC(topology, **sizes, **kw),
-            lambda topology, **kw: _ReferencePacketNoC(topology, **sizes, **kw),
-            _network_state,
-        )
+        torus or irregular mesh, under both schedules: after every cycle the
+        datapath leaves every router equal to its reference in counters (key
+        set included), FIFOs, routes and VCs, credits, free masks, grant
+        pointers, registers and tiles, and every wire (flit, credits, dead,
+        dropped) equal."""
+        _run_lockstep(scenario, num_vcs=num_vcs, fifo_depth=fifo_depth, words_per_packet=words_per_packet)
+
+    @pytest.mark.parametrize("schedule", [None, "strict"])
+    @pytest.mark.parametrize("fifo_depth", [1, 2])
+    def test_backpressured_hotspot_with_a_link_fault(self, schedule, fifo_depth):
+        """Every tile floods one: credits run out, worms stall and restart on
+        returned credits, and a link into the hotspot dies mid-run."""
+        topology = Mesh2D(4, 4)
+        hot = (1, 2)
+        channels = [(src, hot, 2000.0, 1.0) for src in sorted(topology.positions()) if src != hot]
+        scenario = FabricScenario(topology, channels, 260, (120, (1, 1), hot, True), schedule)
+        _run_lockstep(scenario, num_vcs=2, fifo_depth=fifo_depth, words_per_packet=3)
 
     def test_reference_is_wired_in(self):
         network = _ReferencePacketNoC(Mesh2D(2, 1))
         router = network.router_at((0, 0))
-        assert type(router) is _ReferenceRouter
-        assert isinstance(router._port_arbiters[0], _ReferenceArbiter)
-        assert type(PacketSwitchedNoC(Mesh2D(2, 1)).router_at((0, 0))) is PacketSwitchedRouter
+        assert type(router) is _ReferenceRouter and type(router.tile) is PacketTileInterface
+        assert network.datapath is None and router in network.kernel.components
+        network = PacketSwitchedNoC(Mesh2D(2, 1))
+        assert type(network.router_at((0, 0))) is PacketSwitchedRouter
+        assert network.kernel.components == (network.datapath,)
 
 
 def _twin_benches(setup, **router_kwargs):
-    """A new and a reference single-router bench, populated alike by *setup*."""
+    """A datapath and a reference single-router bench, populated alike by *setup*."""
     return twin_benches(
         (PacketSwitchedRouter, _ReferenceRouter),
         lambda name, router: PacketLink(name, router.num_vcs),
@@ -592,10 +901,7 @@ def _twin_benches(setup, **router_kwargs):
 
 
 def _bench_state(router, links, _kernel):
-    wires = {
-        port: [(_flits([link.forward]), list(link.credits)) for link in pair]
-        for port, pair in links.items()
-    }
+    wires = {port: [(_wire(link.forward), list(link.credits)) for link in pair] for port, pair in links.items()}
     return _router_state(router), wires
 
 
@@ -609,11 +915,43 @@ def _worm(router, words_in_packet, vc, dest=(2, 1)):
     )
 
 
+def _table3_setup(name, load):
+    """Feed a bench like ``run_packet_scenario``: link streams on outside wires."""
+
+    def setup(router, links):
+        components, consumers = [], {}
+        for index, stream in enumerate(scenario_by_name(name).streams):
+            source = word_generator(BitFlipPattern.TYPICAL, seed=stream.stream_id)
+            dx, dy = (0, 0) if stream.leaves_at_tile else port_offset(stream.output_port)
+            dest = (1 + dx, 1 + dy)
+            vc = index % router.num_vcs
+            if stream.enters_at_tile:
+                components.append(TilePacketDriver(f"s{index}", router, source, dest, load, vc, 4))
+            else:
+                dx, dy = port_offset(stream.input_port)
+                components.append(PacketStreamDriver(
+                    f"s{index}", links[stream.input_port][0], source, dest, (1 + dx, 1 + dy), load, vc, 4))
+            if not stream.leaves_at_tile and stream.output_port not in consumers:
+                consumers[stream.output_port] = PacketStreamConsumer(f"d{index}", links[stream.output_port][1])
+        return components + list(consumers.values())
+
+    return setup
+
+
 class TestDirectedSwitchAllocation:
+    @pytest.mark.parametrize("name", ["II", "III", "IV"])
+    @pytest.mark.parametrize("load", [0.35, 1.0])
+    def test_table3_benches_on_outside_wires(self, name, load):
+        """The paper's single-router scenarios: stream drivers drive wires the
+        datapath samples, consumers read and credit the ones it drives."""
+        benches = _twin_benches(_table3_setup(name, load))
+        _step_twins(benches, 300)
+        assert benches[0][0].activity.get(ActivityKeys.FLITS_ROUTED) > 0
+
     def test_two_worms_collide_on_one_output_port(self):
         """A tile worm and a west worm both want East: the switch allocator
         alternates, every alternation is one grant change, and the counters
-        the router reports are the arbiters' own statistics."""
+        the router reports are the (reference) arbiters' own statistics."""
 
         def setup(router, links):
             for _ in range(4):  # 68 flits back to back: East is busy every cycle
@@ -628,22 +966,22 @@ class TestDirectedSwitchAllocation:
 
         benches = _twin_benches(setup)
         _step_twins(benches, 120)
-        router = benches[0][0]
-        east = router.switch_arbiters[Port.EAST]
-        counts = router.activity
+        reference = benches[1][0]
+        east = reference.switch_arbiters[Port.EAST]
+        counts = benches[0][0].activity
         assert east.grant_changes >= 8, "the two worms never interleaved"
         assert counts.get(ActivityKeys.ARBITER_GRANT_CHANGES) == sum(
-            arbiter.grant_changes for arbiter in router.switch_arbiters.values()
+            arbiter.grant_changes for arbiter in reference.switch_arbiters.values()
         )
         assert counts.get(ActivityKeys.ARBITER_DECISIONS) == counts.get(ActivityKeys.FLITS_ROUTED)
         assert counts.get(ActivityKeys.FLITS_ROUTED) == sum(
-            arbiter.decisions for arbiter in router.switch_arbiters.values()
+            arbiter.decisions for arbiter in reference.switch_arbiters.values()
         )
         assert east.decisions <= 120, "one grant per output port per cycle"
 
     def test_zero_credit_stall_parks_and_resumes_on_the_credit_wake(self):
         """Nobody drains East: after fifo_depth flits the worm stalls with a
-        full tile buffer and a backlogged injection queue, the router parks
+        full tile buffer and a backlogged injection queue, the bench parks
         (no self-event), and one returned credit moves exactly one flit."""
 
         def setup(router, links):
@@ -652,13 +990,16 @@ class TestDirectedSwitchAllocation:
 
         benches = _twin_benches(setup, fifo_depth=4)
         _step_twins(benches, 30)
+        (router, links, kernel), (reference, _, _) = benches
+        out_vc = router._out_vc[0]
+        assert out_vc == reference.vc_states[(Port.TILE, 0)].out_vc
+        assert router._credits[Port.EAST * router.num_vcs + out_vc] == 0
+        assert len(router._fifos[0]) == 4 and router.tile.injection_backlog
         for router, links, kernel in benches:
             assert router.activity.get(ActivityKeys.FLITS_ROUTED) == 4
-            assert router.output_allocators[Port.EAST].credits(router.vc_states[(Port.TILE, 0)].out_vc) == 0
-            assert router.buffers[(Port.TILE, 0)].is_full() and router.tile.injection_backlog
-            assert router.next_event_cycle(kernel.cycle) is None
+            assert kernel.components[-1].next_event_cycle(kernel.cycle) is None
             assert kernel.sleeping_components == 1
-            links[Port.EAST][1].return_credit(router.vc_states[(Port.TILE, 0)].out_vc, 1)
+            links[Port.EAST][1].return_credit(out_vc, 1)
             assert kernel.sleeping_components == 0
         _step_twins(benches, 30)
         for router, _links, kernel in benches:
@@ -684,36 +1025,36 @@ class TestDirectedSwitchAllocation:
         benches = _twin_benches(setup, num_vcs=1, fifo_depth=2)
         _step_twins(benches, 80)
         router, links, _kernel = benches[0]
-        assert router.switch_arbiters[Port.EAST].num_requesters == 5
+        assert len(router._fifos) == 5 and router._free == [1] * 5
         assert router.activity.get(ActivityKeys.PACKETS_ROUTED) >= 2
         assert router.tile.words_received > 0
         assert router.tile.words_from == {(1, 2): router.tile.words_received}
 
     def test_validation_still_fires_in_the_hot_path(self):
-        """Overflow, an out-of-range flit VC and a spent credit are errors, as before."""
+        """Overflow and an out-of-range flit VC are errors, as before; a tile
+        VC and the flit fields are checked once, when a packet is queued."""
         router = PacketSwitchedRouter("r", position=(1, 1), num_vcs=2, fifo_depth=1)
         rx, tx = PacketLink("rx", 2), PacketLink("tx", 2)
         router.attach_link(Port.WEST, rx, tx)
-        flit = Flit(FlitType.HEAD, 0, (3, 1), (0, 1), 0, 1, 0)
+        datapath = PacketDatapath("d", [router])
+        flit = pack(Flit(FlitType.HEAD, 0, (3, 1), (0, 1), 0, 1, 0))
         rx.drive(flit)
-        router.evaluate(0), router.commit(0)  # fills the depth-1 buffer; no tx link: it stays
+        datapath.evaluate(0), datapath.commit(0)  # fills the depth-1 buffer; no east link: it stays
         rx.drive(flit)  # the upstream ignores its exhausted credit
-        router.evaluate(1)
+        datapath.evaluate(1)
         with pytest.raises(CapacityError, match="overflow"):
-            router.commit(1)
-        rx.drive(flit.with_vc(5))
-        router.evaluate(2)
+            datapath.commit(1)
+        rx.drive(flit & ~VC_MASK | 5)
+        datapath.evaluate(2)
         with pytest.raises(IndexError):
-            router.commit(2)
+            datapath.commit(2)
         rx.drive(None)
-        router.tile.send_packet(Packet(src=(1, 1), dest=(2, 1), words=[1]), vc=2)
-        router.evaluate(3)
         with pytest.raises(IndexError):
-            router.commit(3)
-        allocator = router.output_allocators[Port.EAST]
-        allocator.consume_credit(0)
-        with pytest.raises(ValueError, match="no credit left"):
-            allocator.consume_credit(0)
+            router.tile.send_packet(Packet(src=(1, 1), dest=(2, 1), words=[1]), vc=2)
+        with pytest.raises(ValueError):
+            router.tile.send_packet(Packet(src=(1, 1), dest=(2, 1), words=[1 << 16]))
+        with pytest.raises(ValueError):
+            PacketSwitchedRouter("r", num_vcs=0)
 
     def test_reset_then_rerun_matches_a_fresh_router(self):
         """reset() mid-worm clears the occupancy mask, the free masks and the
@@ -726,20 +1067,59 @@ class TestDirectedSwitchAllocation:
 
         (router, links, kernel), _ = _twin_benches(setup)
         kernel.run(30)  # the second worm is out of credits: buffer occupied, output VC held
-        assert router._occupied[0] == 1 << 1 and router.vc_states[(Port.TILE, 1)].allocated
+        assert router._occupied == 1 << 1 and router._out_vc[1] is not None
         kernel.reset()
         for pair in links.values():
             for link in pair:
                 link.reset()
-        assert router._occupied == [0]
-        assert all(a.has_free_vc() and a._free == 0b1111 for a in router.output_allocators.values())
+        assert router._occupied == 0 and not any(router._requests)
+        assert router._free == [0b1111] * 5
         setup(router, links)
         kernel.run(60)
         (fresh, _links, fresh_kernel), _ = _twin_benches(setup)
         fresh_kernel.run(60)
         mine, theirs = _router_state(router), _router_state(fresh)
         assert mine == theirs
-        assert mine["activity"][0][ActivityKeys.PACKETS_ROUTED] == 1  # the other worm is stalled
+        assert mine[0][0][ActivityKeys.PACKETS_ROUTED] == 1  # the other worm is stalled
+
+
+class TestChangesBetweenCyclesOnly:
+    """Wiring and routing feed the compiled datapath: inside a cycle they raise."""
+
+    def test_attach_link_inside_a_cycle_raises(self):
+        router = PacketSwitchedRouter("victim", position=(1, 1))
+        kernel = SimulationKernel(25e6)
+        kernel.add(PacketDatapath("d", [router]))
+        kernel.add_pre_cycle_hook(lambda c: router.attach_link(Port.EAST, PacketLink("a"), None))
+        kernel.run(1)  # a hook runs between cycles: allowed
+        assert router.tx_link(Port.EAST) is None and router.rx_link(Port.EAST).name == "a"
+
+        class Rewire(ClockedComponent):
+            def evaluate(self, cycle):
+                pass
+
+            def commit(self, cycle):
+                router.attach_link(Port.EAST, PacketLink("b"), None)
+
+        kernel.add(Rewire("rewire"))
+        with pytest.raises(SimulationError, match="'victim'.*inside cycle 1 .commit phase"):
+            kernel.step()
+
+    def test_refresh_routing_inside_a_cycle_raises(self):
+        network = PacketSwitchedNoC(Mesh2D(3, 1))
+        degraded = network.degraded_topology()
+
+        class Reroute(ClockedComponent):
+            def evaluate(self, cycle):
+                network.refresh_routing(degraded)
+
+            def commit(self, cycle):
+                pass
+
+        network.refresh_routing(degraded)  # between cycles: fine
+        network.kernel.add(Reroute("reroute"))
+        with pytest.raises(SimulationError, match="packet_network_datapath.*inside cycle 0 .evaluate phase"):
+            network.run(1)
 
 
 class TestWordsReceivedPerSource:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps import hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, word_generator
-from repro.baseline.flit import Flit, FlitType
+from repro.baseline.flit import Flit, FlitType, pack
 from repro.baseline.link import PacketLink
 from repro.common import AllocationError, FaultError, ReproError
 from repro.core.lane import LaneLink
@@ -64,13 +64,13 @@ class TestLinkFailSemantics:
 
     def test_packet_link_synthesises_credits_for_dropped_flits(self):
         link = PacketLink("pk", num_vcs=2)
-        flit = Flit(FlitType.HEAD, 0xAB, (1, 0), (0, 0), 1, 7, 0)
+        flit = pack(Flit(FlitType.HEAD, 0xAB, (1, 0), (0, 0), 1, 7, 0))
         link.drive(flit)
         assert link.fail() == 1
         assert link.read() is None
         # The lost flit's credit came back, so the sender's accounting heals.
         assert link.take_credits(1) == 1
-        link.drive(Flit(FlitType.TAIL, 0x1, (1, 0), (0, 0), 0, 7, 1))
+        link.drive(pack(Flit(FlitType.TAIL, 0x1, (1, 0), (0, 0), 0, 7, 1)))
         assert link.dropped == 2
         assert link.take_credits(0) == 1
 

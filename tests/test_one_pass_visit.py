@@ -1,26 +1,26 @@
-"""What lets a visit of the packet router and the GT datapath be one pass.
+"""What lets the packet and GT datapaths run a cycle in one pass.
 
-The packet router's ``evaluate`` samples nothing, neither books a per-cycle
-constant in ``commit``, and the event schedule asks them one question.  That
-rests on three things, each tested here where it is defined rather than
-through a fabric: packet wires that remember one clock edge (a reader sees
-what an evaluate-phase sample would have seen, whichever end commits first),
-constant accounting that the kernel settles at ``sync()`` / ``remove()``, and
-a ``next_event_cycle`` that covers every quiescent state.
+Neither datapath books a per-cycle constant in ``commit``, and the event
+schedule asks each one question.  That rests on three things, each tested
+here where it is defined rather than through a fabric: a reader sees a wire
+as it stood when the cycle began, whichever end registered first (the
+datapaths sample the wires driven from outside in ``evaluate``), constant
+accounting that the kernel settles at ``sync()`` / ``remove()``, and a
+``next_event_cycle`` that covers every quiescent state.
 """
 
 from __future__ import annotations
 
 import pytest
-from conftest import fabric_scenarios, twin_benches
+from conftest import clock_of, fabric_scenarios, twin_benches
 from hypothesis import given, settings, strategies as st
 from test_baseline_router import _ReferenceRouter
 from test_gt_network import _ReferenceSlotTableRouter
 
 from repro.apps.traffic import BitFlipPattern, word_generator
-from repro.baseline.flit import Flit, FlitType
+from repro.baseline.flit import Flit, FlitType, pack
 from repro.baseline.link import PacketLink
-from repro.baseline.router import PacketSwitchedRouter
+from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.common import Port
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
@@ -63,7 +63,7 @@ def _histories(readers, bench, observe, orders=AROUND, cycles=6):
         for schedule in SCHEDULES:
             for order in orders:
                 reader, scripts = bench(reader_class)
-                clock = reader if isinstance(reader, ClockedComponent) else TdmaDatapath("d", [reader])
+                clock = clock_of(reader)
                 kernel = SimulationKernel(25e6, schedule=schedule)
                 kernel.add_all([clock if index is None else scripts[index] for index in order])
                 history = []
@@ -80,8 +80,9 @@ def _assert_all_equal(histories, expected):
 
 
 class TestWiresRememberOneClockEdge:
-    """One link driven twice around a reader, writer before and after it, read alike by
-    the two-phase references (a TDMA wire keeps no memory: its datapath samples it first)."""
+    """One link driven twice around a reader, writer registered before and after
+    it: the datapaths read it as the two-phase references do, as it stood when
+    the cycle began (the wires keep no memory; the datapath samples them first)."""
 
     def test_tdma_word(self):
         def bench(reader_class):
@@ -97,21 +98,22 @@ class TestWiresRememberOneClockEdge:
 
     def test_flit(self):
         flits = [
-            Flit(FlitType.HEAD, 0x1, (1, 1), (0, 1), 0, 1, 0),
-            Flit(FlitType.TAIL, 0xABCD, (1, 1), (0, 1), 0, 1, 1),
+            pack(Flit(FlitType.HEAD, 0x1, (1, 1), (0, 1), 0, 1, 0)),
+            pack(Flit(FlitType.TAIL, 0xABCD, (1, 1), (0, 1), 0, 1, 1)),
         ]
 
         def bench(reader_class):
             router = reader_class("dut", position=(1, 1))
             wire = PacketLink("west", router.num_vcs)
             router.attach_link(Port.WEST, wire, None)
-            script = _Script("w", {0: lambda c: wire.drive(flits[0], c), 1: lambda c: wire.drive(flits[1], c),
-                                   2: lambda c: wire.drive(None, c)})
+            script = _Script("w", {0: lambda c: wire.drive(flits[0]), 1: lambda c: wire.drive(flits[1]),
+                                   2: lambda c: wire.drive(None)})
             return router, [script]
 
         def observe(router):
             wire = router.rx_link(Port.WEST)
-            return router.buffers[(Port.WEST, 0)].total_writes, list(router.tile.received_words), list(wire.credits)
+            writes = router.activity.get(ActivityKeys.BUFFER_WRITE_BITS) // Flit.storage_bits
+            return writes, list(router.tile.received_words), list(wire.credits)
 
         histories = _histories(PACKET_READERS, bench, observe)
         # Driven in cycles 0 and 1, so in - and through to the tile, the credit
@@ -124,13 +126,16 @@ class TestWiresRememberOneClockEdge:
             router = reader_class("dut", position=(1, 1))
             wire = PacketLink("east", router.num_vcs)
             router.attach_link(Port.EAST, None, wire)
-            script = _Script("w", {0: lambda c: wire.return_credit(2, 1, c), 1: lambda c: wire.return_credit(2, 1, c),
-                                   3: lambda c: (wire.return_credit(1, 1, c), wire.return_credit(2, 1, c))})
+            script = _Script("w", {0: lambda c: wire.return_credit(2), 1: lambda c: wire.return_credit(2),
+                                   3: lambda c: (wire.return_credit(1), wire.return_credit(2))})
             return router, [script]
 
         def observe(router):
-            allocator = router.output_allocators[Port.EAST]
-            return [allocator.credits(vc) for vc in (1, 2)], list(router.tx_link(Port.EAST).credits)
+            if isinstance(router, PacketSwitchedRouter):
+                credits = [router._credits[Port.EAST * router.num_vcs + vc] for vc in (1, 2)]
+            else:
+                credits = [router.output_allocators[Port.EAST].credits(vc) for vc in (1, 2)]
+            return credits, list(router.tx_link(Port.EAST).credits)
 
         histories = _histories(PACKET_READERS, bench, observe)
         # A credit returned in cycle c sits on the wire after c and is the sender's after c + 1.
@@ -140,16 +145,22 @@ class TestWiresRememberOneClockEdge:
         ])
 
     def test_a_write_between_cycles_is_seen_at_once_and_reset_forgets(self):
-        link = PacketLink("l")
-        flit = Flit(FlitType.SINGLE, 0, (0, 0), (1, 0), 0, 1, 0)
-        link.drive(flit, 3)
-        link.return_credit(1, 1, 3)
-        assert (link.before, link.changed_at, link.credits_before, link.credited_at) == (None, 3, [0, 0, 0, 0], 3)
-        link.drive(None)  # no cycle: fresh in none
-        assert (link.forward, link.changed_at) == (None, -1)
-        link.reset()
-        assert (link.forward, link.changed_at, link.credited_at) == (None, -1, -1)
-        assert not any(link.credits)
+        """A flit and a credit written between cycles are there for the next
+        cycle's sample; reset() clears both (the drive stamp keeps counting)."""
+        router = PacketSwitchedRouter("dut", position=(1, 1))
+        rx, tx = PacketLink("rx"), PacketLink("tx")
+        router.attach_link(Port.WEST, rx, tx)
+        datapath = PacketDatapath("d", [router])
+        rx.drive(pack(Flit(FlitType.HEAD, 0, (2, 1), (0, 1), 2, 1, 0)))
+        tx.return_credit(1)
+        datapath.evaluate(0)
+        datapath.commit(0)
+        assert list(router._fifos[Port.WEST * 4 + 2]) == [rx.forward]
+        assert router._credits[Port.WEST * 4 + 1] == 9 and not any(tx.credits)
+        rx.return_credit(3)
+        rx.reset()
+        assert (rx.forward, rx.drives) == (None, 1)
+        assert not any(rx.credits)
 
 
 class TestConstantAccountingSettlesAtSync:
@@ -190,7 +201,7 @@ class TestConstantAccountingSettlesAtSync:
     def test_reset_starts_the_settled_span_over(self):
         router = PacketSwitchedRouter("dut")
         kernel = SimulationKernel(25e6)
-        kernel.add(router)
+        kernel.add(PacketDatapath("datapath", [router]))
         kernel.run(20)
         kernel.reset()
         kernel.run(7)
@@ -203,8 +214,13 @@ def _quiescent(clock):
     if isinstance(clock, TdmaDatapath):
         return not (clock._held or any(wire.forward is not None for wire in clock._external)
                     or any(router.tile._queued for router in clock.routers))
-    if isinstance(clock, PacketSwitchedRouter):
-        return not (clock.tile._injection_queue or clock._occupied[0]) and clock._wires_idle()
+    if isinstance(clock, PacketDatapath):
+        return not any(
+            router.tile._injection_queue or router._occupied or router._driven
+            or any(wire is not None and (wire.forward is not None or any(wire.credits))
+                   for wire in (*router._rx_by_port, *router._tx_by_port))
+            for router in clock.routers
+        )
     if clock.crossbar.busy or not clock.converter.quiescent():
         return False
     values, acks = clock._input_vals, clock._ack_vals
@@ -228,7 +244,7 @@ class TestOneSchedulingQuestion:
         extra = {"clock_gating": True} if gated else {}
         network = scenario.build(lambda topology, **kw: build_network(name, topology, **extra, **kw))
         quiescent = 0
-        clocks = [network.datapath] if name == "gt" else network.routers.values()
+        clocks = [network.datapath] if name in ("gt", "packet") else network.routers.values()
         for _cycle in scenario.steps([network]):
             now = network.kernel.cycle
             for clock in clocks:
@@ -274,6 +290,6 @@ class TestOneSchedulingQuestion:
 
         ((router, _links, kernel),) = twin_benches(classes, make_link, setup)
         kernel.run(60)
-        clock = getattr(router, "datapath", None) or router
+        clock = kernel.components[-1]
         assert _quiescent(clock) and clock.next_event_cycle(kernel.cycle) is None
         assert kernel.sleeping_components == 1

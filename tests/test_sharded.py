@@ -27,8 +27,10 @@ import signal
 import pytest
 
 from repro.apps.traffic import BitFlipPattern, word_generator
-from repro.common import Port
+from repro.baseline.flit import VC_MASK, Packet
+from repro.noc import fabric
 from repro.noc.fabric import build_network
+from repro.noc.packet_network import PacketSwitchedNoC
 from repro.noc.topology import IrregularMesh, Mesh2D, Torus2D, partition_topology
 
 FREQUENCY_HZ = 100e6
@@ -650,10 +652,9 @@ def test_activity_horizon_is_clamped_and_monotonic():
 
 def test_backpressured_worm_parks_until_credits():
     """A hotspot fabric: sources whose tile VC buffer is full and whose
-    head-of-line worm is credit-starved must report ``None`` (park) from
-    ``next_event_cycle`` instead of claiming an injection event every
-    cycle.  Before the buffer-aware predicate this could never happen with
-    a non-empty injection queue."""
+    head-of-line worm is credit-starved drop out of the datapath's visits
+    instead of claiming an injection every cycle; a source left out while
+    its injection queue is backlogged always has that buffer full."""
     network = build_network(
         "packet", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule="strict"
     )
@@ -678,8 +679,8 @@ def test_backpressured_worm_parks_until_credits():
             queue = router.tile._injection_queue
             if not queue:
                 continue
-            if router.next_event_cycle(cycle) is None:
-                assert router.buffers[(Port.TILE, queue[0].vc)].is_full()
+            if router not in network.datapath._next:
+                assert len(router._fifos[queue[0] & VC_MASK]) == router.fifo_depth
                 parked_with_backlog.append(cycle)
 
     network.kernel.add_pre_cycle_hook(probe, every=5)
@@ -709,3 +710,47 @@ def test_packet_hotspot_stays_trimodal_identical():
 
     reference = run_once("strict")
     assert run_once("vector") == reference
+
+
+# ---------------------------------------------------------------------------
+# Packed flits at the boundary
+# ---------------------------------------------------------------------------
+
+
+class _ExplicitIdPacketNoC(PacketSwitchedNoC):
+    """A packet fabric whose tiles queue packets with a chosen id (the
+    sharded runner replays the call in every shard; the source's shard sends)."""
+
+    def send_empty_packets(self, src, dst, packet_id, count):
+        if self.is_local(src):
+            for _ in range(count):
+                self.router_at(src).tile.send_packet(Packet(src, dst, [], packet_id), vc=0)
+
+
+@pytest.mark.parametrize("transport", ["pipe", "shm"])
+def test_bit_identical_back_to_back_flits_cross_the_cut(monkeypatch, transport):
+    """Three single-flit packets with one reused id on one VC are the same
+    integer on consecutive cycles of the cut wire: the boundary tells them
+    apart by the link's drive stamp, so every one arrives, as in one process."""
+    monkeypatch.setitem(fabric._NETWORK_KINDS, "packet_explicit_ids", _ExplicitIdPacketNoC)
+    topology, params = Mesh2D(4, 1), dict(frequency_hz=FREQUENCY_HZ, num_vcs=1)
+    single = _ExplicitIdPacketNoC(topology, **params)
+    sharded = build_network(
+        "packet_explicit_ids", topology, shards=2, partition_mode="cols", transport=transport, **params
+    )
+    try:
+        assert sharded.transport == transport
+        cut = single.link((1, 0), (2, 0))
+        seen = []
+        single.kernel.add_post_cycle_hook(lambda cycle: seen.append(cut.forward))
+        single.send_empty_packets((0, 0), (3, 0), 7, 3)
+        sharded._call("send_empty_packets", (0, 0), (3, 0), 7, 3)
+        single.run(40)
+        sharded.run(40)
+        flits = [flit for flit in seen if flit is not None]
+        assert len(flits) == 3 and len(set(flits)) == 1
+        assert seen.index(flits[0]) + 2 == len(seen) - 1 - seen[::-1].index(flits[0])  # back to back
+        assert len(single.router_at((3, 0)).tile.received_packets) == 3
+        assert _snapshot(sharded) == _snapshot(single)
+    finally:
+        sharded.close()

@@ -4,7 +4,7 @@ The packet and GT phases are what the three-kind workloads of
 ``benchmarks/e2e`` spend their time in, and this host's wall clock moves
 1.2-1.9x within minutes, so the floor is a count: interpreted bytecodes
 (``sys.settrace`` with ``f_trace_opcodes``) per simulated cycle, which repeats
-exactly on one interpreter version, hence the CPython 3.11 gate.  Five rows:
+exactly on one interpreter version, hence the CPython 3.11 gate.  Six rows:
 
 * ``gt`` / ``packet`` / ``circuit`` - the warmed 8x8 row fabrics of
   ``saturated_default`` (one full-load west-to-east channel per row) under
@@ -14,25 +14,29 @@ exactly on one interpreter version, hence the CPython 3.11 gate.  Five rows:
   row is there so the plane's fold and the word edges cannot regress unseen.
 * ``gt paced`` - the GT fabric of ``app_traffic``: HiperLAN/2 and UMTS
   admitted by a CCN on a 6x6 mesh at half load, cycles 800-2400.
-* ``circuit bench`` - the paper's own single-router bench,
-  ``run_scenario("circuit", "IV", cycles=1000)`` after one untimed call.
+* ``circuit bench`` / ``packet bench`` - the paper's own single-router
+  bench, ``run_scenario(kind, "IV", cycles=1000)`` after one untimed call.
 
-==============  ===========================  ========  ================  ===============
-row             before a visit was one pass  one pass  counters by slot  one GT datapath
-==============  ===========================  ========  ================  ===============
-gt              4 281                        3 500     3 118             1 220
-gt paced        -                            -         2 022             1 294
-packet          8 426                        7 454     6 653             6 645
-circuit         -                            1 477     1 428             1 420
-circuit bench   -                            3 587     3 093             3 085
-==============  ===========================  ========  ================  ===============
+==============  ===========================  ========  ================  ===============  ===================
+row             before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath
+==============  ===========================  ========  ================  ===============  ===================
+gt              4 281                        3 500     3 118             1 220            1 219
+gt paced        -                            -         2 022             1 294            1 293
+packet          8 426                        7 454     6 653             6 645            3 534
+packet bench    -                            -         -                 1 113            979
+circuit         -                            1 477     1 428             1 420            1 416
+circuit bench   -                            3 587     3 093             3 085            3 084
+==============  ===========================  ========  ================  ===============  ===================
 
 "One pass" replaced a sampling ``evaluate``, constants booked in every
 ``commit`` and one ``ActivityCounters.add`` per counter; "by slot" replaced
 the dictionary update behind a call with ``slots[SLOT] += n`` at the site and
 ``toggle_count`` with its masked ``bit_count`` inline; "one GT datapath"
 replaced a visit per slot-table router with one compiled gather and scatter
-per cycle (the other rows moved by the kernel's sort key).
+per cycle (the other rows moved by the kernel's sort key); "one packet
+datapath" replaced a visit per packet router, flit objects and per-VC
+buffer, allocator and arbiter objects with packed-integer flits, flat lists
+and wires between routers the datapath itself reads and clears.
 """
 
 from __future__ import annotations
@@ -52,7 +56,9 @@ COUNTED_CYCLES = 160
 BENCH_CYCLES = 1000
 
 #: Bytecodes per simulated cycle each row may cost.
-CEILINGS = {"gt": 1700, "gt paced": 1500, "packet": 6950, "circuit": 1500, "circuit bench": 3250}
+CEILINGS = {
+    "gt": 1700, "gt paced": 1500, "packet": 3820, "packet bench": 1200, "circuit": 1500, "circuit bench": 3250,
+}
 
 
 def _row_fabric(kind):
@@ -98,9 +104,9 @@ def _bytecodes(run):
 
 def bytecodes_per_cycle(row):
     """Bytecodes per simulated cycle of *row* (a key of :data:`CEILINGS`)."""
-    if row == "circuit bench":
+    if row.endswith(" bench"):
         def bench():
-            run_scenario("circuit", "IV", cycles=BENCH_CYCLES)
+            run_scenario(row.split()[0], "IV", cycles=BENCH_CYCLES)
 
         bench()  # imports, caches
         return _bytecodes(bench) / BENCH_CYCLES
@@ -125,6 +131,11 @@ def test_row_fabric_cycle_stays_under_its_bytecode_ceiling(kind):
 @cpython_3_11
 def test_circuit_bench_cycle_stays_under_its_bytecode_ceiling():
     assert bytecodes_per_cycle("circuit bench") <= CEILINGS["circuit bench"]
+
+
+@cpython_3_11
+def test_packet_bench_cycle_stays_under_its_bytecode_ceiling():
+    assert bytecodes_per_cycle("packet bench") <= CEILINGS["packet bench"]
 
 
 if __name__ == "__main__":
