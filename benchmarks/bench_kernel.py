@@ -91,8 +91,8 @@ CYCLES = {2: 8000, 4: 1500, 8: 800}
 SPEEDUP_TARGET = 3.0
 #: The default schedule must beat strict by this much on the *fully loaded*
 #: 8×8 mesh — the regime where only the NumPy plane helps: 0.6× of the
-#: ratio ``BENCH_kernel.json`` records (19.38).
-VECTOR_FULL_LOAD_TARGET = 11.6
+#: ratio ``BENCH_kernel.json`` records (3.91).
+VECTOR_FULL_LOAD_TARGET = 2.3
 #: Below its live-route gate the plane sleeps; gated, such a busy row must
 #: run at least this fast against the plane batching it regardless (what
 #: remains is host noise between two best-of-:data:`SAMPLES` times).

@@ -19,9 +19,14 @@ toggles, clocked vs. clock-gated bits) in the router's
 Implementation note: all per-lane state lives in flat lists indexed by the
 dense lane index ``port * lanes_per_port + lane`` and the active routes are
 cached per configuration version, so the per-cycle loops allocate nothing
-and inactive lanes cost no work during ``evaluate``.  The mapping-based
-``evaluate`` remains available for direct (non-router) users; the router hot
-path feeds preallocated flat lists through :meth:`evaluate_flat`.
+and inactive lanes cost no work during ``evaluate``.  The ``(port,
+lane)``-keyed :meth:`Crossbar.evaluate` and :meth:`Crossbar.commit` serve
+direct users and the unit tests; :class:`repro.core.router.CircuitSwitchedRouter`
+compiles :meth:`Crossbar.active_routes` / :meth:`Crossbar.ack_fanins` into
+its own route program, which writes the next-state lists
+(:attr:`Crossbar.next_data` / :attr:`Crossbar.next_acks`) and latches the
+registers itself, and calls :meth:`Crossbar.commit` once per configuration
+version as the sweep that flushes lanes a reconfiguration stranded.
 """
 
 from __future__ import annotations
@@ -69,9 +74,6 @@ class Crossbar:
         # Next state computed during evaluate.
         self._next_out: List[int] = [0] * total
         self._next_ack: List[bool] = [False] * total
-        # Scratch buffers for the mapping-based evaluate wrapper.
-        self._scratch_in: List[int] = [0] * total
-        self._scratch_ack: List[bool] = [False] * total
         # Configuration caches, refreshed when config.version changes:
         #   _routes        (out_idx, src_idx) per active output lane,
         #   _active_flags  per-lane activation (drives the clock gate),
@@ -81,15 +83,6 @@ class Crossbar:
         self._active_flags: List[bool] = [False] * total
         self._ack_routes: List[Tuple[int, Tuple[int, ...]]] = []
         self._cached_version = -1
-        # Configuration version already flushed by a full commit sweep; a
-        # sparse commit after a reconfiguration must first run one dense
-        # commit to clear lanes the new configuration no longer drives.
-        self._sweep_version = -1
-        # True when the most recent commit latched at least one changed bit.
-        # Purely a fast-path hint for the quiescence check: a commit that
-        # latched changes means the router is visibly active, so the (more
-        # expensive) fixed-point inspection can be skipped that cycle.
-        self._commit_changed = True
 
     # -- configuration cache ----------------------------------------------------
 
@@ -129,48 +122,34 @@ class Crossbar:
         input_data: Mapping[LaneKey, int],
         downstream_ack: Mapping[LaneKey, bool],
     ) -> None:
-        """Compute the next register values from ``(port, lane)``-keyed maps.
-
-        Convenience wrapper used by direct crossbar users and the unit
-        tests; missing keys read as the idle value.  The router hot loop
-        uses :meth:`evaluate_flat` instead.
-        """
-        values = self._scratch_in
-        acks = self._scratch_ack
-        for index, key in enumerate(self._lanes):
-            values[index] = input_data.get(key, 0)
-            acks[index] = downstream_ack.get(key, False)
-        self.evaluate_flat(values, acks)
-
-    def evaluate_flat(self, input_values: List[int], downstream_acks: List[bool]) -> None:
         """Compute the next output/acknowledge register values.
 
-        Parameters
-        ----------
-        input_values:
-            Committed value of every input lane, indexed by the dense lane
-            index ``port * lanes_per_port + lane``.
-        downstream_acks:
-            Acknowledge value observed *behind* every output lane (from the
-            downstream router on neighbour ports, from the local deserialiser
-            on tile-port output lanes), same indexing.
+        *input_data* maps ``(port, lane)`` to the committed value of an input
+        lane, *downstream_ack* to the acknowledge observed *behind* an output
+        lane (from the downstream router on neighbour ports, from the local
+        deserialiser on tile-port output lanes); missing keys read as idle.
         """
         if self._cached_version != self.config.version:
             self._refresh_cache()
+        lanes = self._lanes
         next_out = self._next_out
         for out_idx, src_idx in self._routes:
-            next_out[out_idx] = input_values[src_idx]
+            next_out[out_idx] = input_data.get(lanes[src_idx], 0)
         next_ack = self._next_ack
         for in_idx, outs in self._ack_routes:
-            value = False
-            for out_idx in outs:
-                if downstream_acks[out_idx]:
-                    value = True
-                    break
-            next_ack[in_idx] = value
+            next_ack[in_idx] = any(downstream_ack.get(lanes[out_idx], False) for out_idx in outs)
 
-    def commit(self, clock_gating: bool = False) -> None:
-        """Latch the output and acknowledge registers; record activity."""
+    def commit(self, clock_gating: bool = False) -> bool:
+        """Latch every output and acknowledge register; record activity.
+
+        Returns whether any register changed.  With *clock_gating* only the
+        lanes with an active output route clock: the data register *and the
+        acknowledge register of the same lane index* latch, every other lane
+        holds and counts as gated.  (The acknowledge register of index ``i``
+        belongs to *input* lane ``i``, so a fan-in whose input index carries
+        no active output never latches under gating: the clock-gated benches
+        stall once their window is spent.  Kept as modelled; see ROADMAP.)
+        """
         if self._cached_version != self.config.version:
             self._refresh_cache()
         slots = self.activity.slots
@@ -220,7 +199,6 @@ class Crossbar:
                     reg_toggles += 1
                     ack_out[idx] = new_ack
 
-        self._commit_changed = reg_toggles != 0
         if reg_toggles:
             slots[REG_TOGGLE_BITS] += reg_toggles
         if xbar_toggles:
@@ -229,83 +207,9 @@ class Crossbar:
             slots[REG_CLOCKED_BITS] += clocked_bits
         if gated_bits:
             slots[REG_GATED_BITS] += gated_bits
-
-    def commit_sparse(self) -> None:
-        """Non-gated commit that visits only route-active lanes.
-
-        Bit-identical to ``commit(clock_gating=False)``: inactive output
-        lanes are pinned to the idle next-state when the configuration cache
-        refreshes and unfed acknowledge registers are pinned to ``False``,
-        so after one full sweep per configuration version only the active
-        routes and acknowledge fan-ins can latch a change.  This is the
-        event-native crossbar path — a mesh router's cost is proportional to
-        its configured circuits, not its lane count.
-        """
-        if self._sweep_version != self.config.version:
-            # One dense sweep flushes lanes a reconfiguration stranded.
-            self._sweep_version = self.config.version
-            self.commit(False)
-            return
-        slots = self.activity.slots
-        mask = self._lane_mask
-        out_data = self._out_data
-        next_out = self._next_out
-        ack_out = self._ack_out
-        next_ack = self._next_ack
-        reg_toggles = 0
-        xbar_toggles = 0
-        for out_idx, _src_idx in self._routes:
-            new_value = next_out[out_idx]
-            old_value = out_data[out_idx]
-            if new_value != old_value:
-                toggles = ((old_value ^ new_value) & mask).bit_count()
-                reg_toggles += toggles
-                xbar_toggles += toggles
-                out_data[out_idx] = new_value
-        for in_idx, _outs in self._ack_routes:
-            new_ack = next_ack[in_idx]
-            if new_ack != ack_out[in_idx]:
-                reg_toggles += 1
-                ack_out[in_idx] = new_ack
-        self._commit_changed = reg_toggles != 0
-        if reg_toggles:
-            slots[REG_TOGGLE_BITS] += reg_toggles
-        if xbar_toggles:
-            slots[XBAR_TOGGLE_BITS] += xbar_toggles
-        slots[REG_CLOCKED_BITS] += self._total * (self.lane_width + 1)
+        return reg_toggles != 0
 
     # -- quiescence support ----------------------------------------------------------
-
-    @property
-    def busy(self) -> bool:
-        """True when the last commit latched a change (cannot be quiescent yet)."""
-        return self._commit_changed
-
-    def is_fixed_point(self, input_values: List[int], downstream_acks: List[bool]) -> bool:
-        """True when evaluate+commit with these inputs would latch no change.
-
-        Checks every active data route and acknowledge fan-in against the
-        committed register values; inactive lanes cannot change (they are
-        pinned to the idle pattern, or held when clock-gated), so they need
-        no inspection.  Used by the router's quiescence check with *live*
-        input values.
-        """
-        if self._cached_version != self.config.version:
-            self._refresh_cache()
-        out_data = self._out_data
-        for out_idx, src_idx in self._routes:
-            if out_data[out_idx] != input_values[src_idx]:
-                return False
-        ack_out = self._ack_out
-        for in_idx, outs in self._ack_routes:
-            expected = False
-            for out_idx in outs:
-                if downstream_acks[out_idx]:
-                    expected = True
-                    break
-            if ack_out[in_idx] != expected:
-                return False
-        return True
 
     def idle_cycle_bits(self, clock_gating: bool) -> Tuple[int, int]:
         """Per-cycle ``(clocked_bits, gated_bits)`` of a quiescent crossbar."""
@@ -343,6 +247,22 @@ class Crossbar:
         return self._ack_routes
 
     @property
+    def next_data(self) -> List[int]:
+        """Next-state output-lane values, dense-indexed.
+
+        The owning router's route program writes the routed entries during
+        its evaluate phase; the rest hold the idle value the cache refresh
+        pinned them to.
+        """
+        return self._next_out
+
+    @property
+    def next_acks(self) -> List[bool]:
+        """Next-state acknowledge values, dense-indexed (same convention as
+        :attr:`next_data`, for the acknowledge fan-ins)."""
+        return self._next_ack
+
+    @property
     def committed_data(self) -> List[int]:
         """Committed output-lane values, dense-indexed (read-only by convention)."""
         return self._out_data
@@ -373,5 +293,3 @@ class Crossbar:
             self._next_out[idx] = 0
             self._next_ack[idx] = False
         self._cached_version = -1
-        self._sweep_version = -1
-        self._commit_changed = True

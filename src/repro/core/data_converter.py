@@ -31,7 +31,7 @@ the scalar classes stay the one definition of what a word boundary does.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, NamedTuple, Optional, Tuple
+from typing import Callable, Deque, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.common import CapacityError, bit_mask, check_field, toggle_count
 from repro.core.flow_control import AckGenerator, FlowControlConfig, WindowCounterSource
@@ -404,7 +404,18 @@ class LaneDeserializer:
 
 
 class DataConverter:
-    """All serialisers and deserialisers of one router's tile port."""
+    """All serialisers and deserialisers of one router's tile port.
+
+    A cycle ticks only the *listed* lane units: the ones the owning router's
+    routes read or feed (:meth:`route_lanes`, once per configuration
+    version), plus the ones holding state when the lists were last built —
+    a ``send`` or ``receive`` on a lane no route touches rebuilds them, and
+    such a unit leaves them once quiescent again.  Every other unit is
+    quiescent and sees idle inputs, so its tick would only book its idle
+    register bits; those are booked as one constant.  Whatever may move a
+    unit behind the lists' back (a flow reconfiguration, the vector plane
+    handing its lanes back) calls :meth:`rescan`.
+    """
 
     def __init__(
         self,
@@ -432,39 +443,72 @@ class DataConverter:
         self.wake_hook = None
         #: Register bits of a fully idle converter per cycle (constant: the
         #: per-lane idle widths depend only on the geometry, never on flow
-        #: reconfiguration), used by the batch branch of :meth:`tick_sparse`.
+        #: reconfiguration).
         self._idle_bits_total = sum(s.idle_cycle_bits for s in self.serializers) + sum(
             d.idle_cycle_bits for d in self.deserializers
         )
-        #: True when the previous :meth:`tick_sparse` left every lane unit
-        #: quiescent; invalidated by any tile-interface access (see
-        #: :meth:`TileInterface._notify`).  Only trusted when True.
-        self._sparse_idle = False
+        #: Lanes whose unit a route reads or feeds.  Every lane until the
+        #: owning router says otherwise (:meth:`route_lanes`), so a converter
+        #: driven directly ticks every unit.
+        self._routed_tx = self._routed_rx = frozenset(range(lanes_per_port))
+        #: ``(lane, unit)`` of the ticked units: the routed ones and the ones
+        #: holding state, as of the last :meth:`_relist`.
+        self._ticking_tx: List[Tuple[int, LaneSerializer]] = []
+        self._ticking_rx: List[Tuple[int, LaneDeserializer]] = []
+        #: The ticked units no route touches: the lists are rebuilt once one
+        #: of them is quiescent again.
+        self._transients: list = []
+        #: Idle register bits of the units not ticked.
+        self._unlisted_bits = 0
+        #: The lists must be rebuilt before the next tick.
+        self._stale = True
         self.interface = TileInterface(self)
 
-    def quiescent(self) -> bool:
-        """True when ticking with idle inputs would change no converter state."""
-        for serializer in self.serializers:
-            if not serializer.quiescent:
-                return False
-        for deserializer in self.deserializers:
-            if not deserializer.quiescent:
-                return False
-        return True
+    # -- the live lists -----------------------------------------------------------------
 
-    def quiescent_or_stalled(self) -> bool:
-        """True when idle-input ticks only clock registers (no state motion).
+    def route_lanes(self, tx_lanes: Iterable[int], rx_lanes: Iterable[int]) -> None:
+        """Name the lanes whose units a route reads or feeds: the serialisers
+        whose acknowledge register may be set, the deserialisers whose output
+        register may be non-idle.  Every other unit sees idle inputs."""
+        self._routed_tx = frozenset(tx_lanes)
+        self._routed_rx = frozenset(rx_lanes)
+        self._stale = True
 
-        Like :meth:`quiescent` but additionally admits serialisers that are
-        window-stalled with an idle output lane: functionally frozen until
-        credit returns, though their registers still clock.  Used by the
-        router's event-schedule prediction — valid only without clock gating
-        (a stalled lane clocks where :meth:`idle_cycle_bits` would gate).
-        """
-        for serializer in self.serializers:
-            if not (serializer.quiescent or serializer.window_stalled):
+    def rescan(self) -> None:
+        """List every unit that holds state before the next tick."""
+        self._stale = True
+
+    def _relist(self) -> None:
+        routed_tx = self._routed_tx
+        routed_rx = self._routed_rx
+        self._ticking_tx = ticking_tx = [
+            (lane, unit) for lane, unit in enumerate(self.serializers) if lane in routed_tx or not unit.quiescent
+        ]
+        self._ticking_rx = ticking_rx = [
+            (lane, unit) for lane, unit in enumerate(self.deserializers) if lane in routed_rx or not unit.quiescent
+        ]
+        self._transients = [unit for lane, unit in ticking_tx if lane not in routed_tx] + [
+            unit for lane, unit in ticking_rx if lane not in routed_rx
+        ]
+        lanes = self.lanes_per_port
+        self._unlisted_bits = (lanes - len(ticking_tx)) * self.serializers[0].idle_cycle_bits + (
+            lanes - len(ticking_rx)
+        ) * self.deserializers[0].idle_cycle_bits
+        self._stale = False
+
+    # -- state ---------------------------------------------------------------------------
+
+    def at_rest(self, clock_gating: bool) -> bool:
+        """True when idle-input ticks would only book register bits: every
+        listed unit is quiescent (an unlisted one is by construction) or,
+        without clock gating, a window-stalled serialiser with an idle output
+        lane — frozen until credit returns, though still clocking."""
+        if self._stale:
+            self._relist()
+        for _lane, serializer in self._ticking_tx:
+            if not (serializer.quiescent or (not clock_gating and serializer.window_stalled)):
                 return False
-        for deserializer in self.deserializers:
+        for _lane, deserializer in self._ticking_rx:
             if not deserializer.quiescent:
                 return False
         return True
@@ -490,102 +534,37 @@ class DataConverter:
     ) -> None:
         """Advance all serialisers and deserialisers by one cycle.
 
-        Parameters
-        ----------
-        rx_phits:
-            Committed crossbar output values of the tile-port output lanes.
-        tx_acks:
-            Committed crossbar acknowledge values routed back to the tile-port
-            input lanes.
-        cycle:
-            Current simulation cycle (used to timestamp received words).
-        clock_gating:
-            Enables activity-level clock gating of idle lanes.
+        *rx_phits* / *tx_acks* are the committed crossbar output and
+        acknowledge registers, dense-indexed (tile-port lanes first); *cycle*
+        timestamps received words.  Only the listed units tick; the rest
+        book what their ticks would have: their idle bits, clocked with a
+        zero toggle contribution or gated.
         """
-        for lane, serializer in enumerate(self.serializers):
+        if self._stale:
+            self._relist()
+        for lane, serializer in self._ticking_tx:
             serializer.tick(tx_acks[lane], clock_gating)
-        for lane, deserializer in enumerate(self.deserializers):
+        for lane, deserializer in self._ticking_rx:
             deserializer.tick(rx_phits[lane], cycle, clock_gating)
-
-    def tick_sparse(
-        self,
-        rx_phits: List[int],
-        tx_acks: List[bool],
-        cycle: int,
-        clock_gating: bool = False,
-    ) -> None:
-        """Advance one cycle touching only the lane units that can do work.
-
-        Bit-identical to :meth:`tick`: a quiescent serialiser seeing no
-        acknowledge, or a quiescent deserialiser seeing a zero phit, performs
-        exactly the constant idle accounting (its ``idle_cycle_bits`` as
-        clocked — or gated — register bits and, when clocked, a zero toggle
-        contribution), so those lanes are summed in one batch instead of
-        ticked individually.  This is the event-native converter path: cost
-        proportional to *active* lanes, which on a mesh router forwarding
-        through its crossbar is usually zero.
-        """
-        slots = self.activity.slots
-        if self._sparse_idle and not any(tx_acks) and not any(rx_phits):
-            # Transit-router fast path: a converter that ended the previous
-            # cycle fully quiescent, with idle crossbar outputs and no
-            # acknowledges this cycle, stays frozen — one constant batch
-            # accounting covers all lane units.
+        for unit in self._transients:
+            if unit.quiescent:
+                self._stale = True
+        idle_bits = self._unlisted_bits
+        if idle_bits:
+            slots = self.activity.slots
             if clock_gating:
-                slots[REG_GATED_BITS] += self._idle_bits_total
+                slots[REG_GATED_BITS] += idle_bits
             else:
-                slots[REG_CLOCKED_BITS] += self._idle_bits_total
-                # Key-existence parity with the dense path, which records a
-                # (possibly zero) toggle count for every clocked lane.
-                slots[REG_TOGGLE_BITS] += 0
-            return
-        # The skip tests spell out the units' ``quiescent`` properties: eight
-        # property calls per endpoint router and cycle are the largest slice
-        # of this path.
-        idle_bits = 0
-        idle = True
-        for lane, serializer in enumerate(self.serializers):
-            if (
-                tx_acks[lane]
-                or serializer._remaining_phits
-                or serializer._queue
-                or serializer._current_phit
-            ):
-                serializer.tick(tx_acks[lane], clock_gating)
-                if not serializer.quiescent:
-                    idle = False
-            else:
-                idle_bits += serializer.idle_cycle_bits
-        for lane, deserializer in enumerate(self.deserializers):
-            if (
-                rx_phits[lane]
-                or deserializer._collected
-                or deserializer._previous_phit
-                or deserializer._pending_ack_pulses
-                or deserializer._ack_pulse
-            ):
-                deserializer.tick(rx_phits[lane], cycle, clock_gating)
-                if not deserializer.quiescent:
-                    idle = False
-            else:
-                idle_bits += deserializer.idle_cycle_bits
-        self._sparse_idle = idle
-        if not idle_bits:
-            return
-        if clock_gating:
-            # A skipped lane is fully idle, which is exactly what gets gated.
-            slots[REG_GATED_BITS] += idle_bits
-        else:
-            slots[REG_CLOCKED_BITS] += idle_bits
-            slots[REG_TOGGLE_BITS] += 0  # key-existence parity, as above
+                slots[REG_CLOCKED_BITS] += idle_bits
+                slots[REG_TOGGLE_BITS] += 0  # marks the key, as a clocked tick does
 
     def reset(self) -> None:
         """Reset every serialiser and deserialiser."""
-        self._sparse_idle = False
         for serializer in self.serializers:
             serializer.reset()
         for deserializer in self.deserializers:
             deserializer.reset()
+        self._stale = True
 
 
 class TileInterface:
@@ -609,17 +588,16 @@ class TileInterface:
     def configure_tx(self, lane: int, flow: FlowControlConfig = FlowControlConfig()) -> None:
         """Configure the window-counter flow control of an outgoing lane."""
         self._converter.serializers[lane].configure_flow(flow)
+        self._converter.rescan()
         self._notify()
 
     def configure_rx(self, lane: int, flow: FlowControlConfig = FlowControlConfig()) -> None:
         """Configure acknowledge generation of an incoming lane."""
         self._converter.deserializers[lane].configure_flow(flow)
+        self._converter.rescan()
         self._notify()
 
     def _notify(self) -> None:
-        # Any tile access can move converter state (submitted words, pending
-        # acknowledge pulses): drop the sparse-tick idle hint before waking.
-        self._converter._sparse_idle = False
         hook = self._converter.wake_hook
         if hook is not None:
             hook()
@@ -641,11 +619,16 @@ class TileInterface:
 
     def send(self, lane: int, data: int, *, sob: bool = False, eob: bool = False, user: bool = False) -> bool:
         """Submit one data word; returns ``False`` when the lane queue is full."""
-        serializer = self._converter.serializers[lane]
+        converter = self._converter
+        serializer = converter.serializers[lane]
         if not serializer.can_accept():
             return False
         serializer.submit_word(data, sob, eob, user)
-        self._notify()
+        if lane not in converter._routed_tx:
+            converter._stale = True  # a unit no route touches joins the ticked ones
+        hook = converter.wake_hook
+        if hook is not None:
+            hook()
         return True
 
     def tx_pending(self, lane: int) -> int:
@@ -660,11 +643,16 @@ class TileInterface:
 
     def receive(self, lane: int) -> Optional[ReceivedWord]:
         """Read the oldest word from *lane* (``None`` when empty)."""
-        word = self._converter.deserializers[lane].receive()
+        converter = self._converter
+        word = converter.deserializers[lane].receive()
         if word is not None:
             # Reading feeds the acknowledge generator, which may schedule an
             # acknowledge pulse on the reverse path next cycle.
-            self._notify()
+            if lane not in converter._routed_rx:
+                converter._stale = True
+            hook = converter.wake_hook
+            if hook is not None:
+                hook()
         return word
 
     # -- statistics ---------------------------------------------------------------------

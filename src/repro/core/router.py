@@ -9,21 +9,28 @@ The router consists of the three major parts the paper names:
   attached to the best-effort network (:mod:`repro.core.config_memory`,
   :mod:`repro.core.configuration`).
 
-The router is a :class:`repro.sim.ClockedComponent`: during ``evaluate`` it
-samples the committed values on its incoming lane links and the committed
-outputs of its own serialisers, and feeds them through the (combinational)
-crossbar; during ``commit`` it latches the crossbar output registers, steps
-the data converter and drives its outgoing lane links — exactly one cycle of
-latency per hop, as in the hardware.
+The router is a :class:`repro.sim.ClockedComponent` whose cycle is one
+compiled *route program*.  Per configuration version (and per
+:meth:`~CircuitSwitchedRouter.attach_link`) the router compiles the
+crossbar's active routes and acknowledge fan-ins, together with the attached
+links, into flat records: what each routed output register and each
+acknowledge register samples, which wire each of them drives, and which
+data-converter lanes a route touches.  ``evaluate`` runs the sampling records
+into the crossbar's next-state lists; ``commit`` latches the routed
+registers, counts their toggles and drives the wires of the ones that
+changed, then books the constant register bits and steps the data converter,
+which ticks only its live lanes — exactly one cycle of latency per hop, as
+in the hardware.  The first commit of every version is the dense sweep
+(:meth:`repro.core.crossbar.Crossbar.commit` plus a drive of every attached
+wire), which flushes lanes a reconfiguration stranded; after it only routed
+registers can change.
 
-The router participates in the kernel's timed protocol: its incoming
-lane bundles and its tile/configuration interfaces wake it when anything
-changes, and while fully idle it reports a fixed point so the kernel can
-skip it, bulk-applying the constant per-cycle clocked/gated register bits
-through :meth:`CircuitSwitchedRouter.idle_tick`.  The per-cycle loops index
-preallocated flat lists by the dense lane index ``port * lanes_per_port +
-lane`` — no dictionaries, no per-cycle allocation, no repeated ``Port``
-coercion.
+Both schedules run this same program.  Under the event schedule the router's
+incoming lane bundles and its tile/configuration interfaces wake it when
+anything changes, and :meth:`~CircuitSwitchedRouter.next_event_cycle` reads
+the same records to decide when it may park, bulk-applying the constant
+per-cycle clocked/gated register bits through
+:meth:`~CircuitSwitchedRouter.idle_tick` meanwhile.
 """
 
 from __future__ import annotations
@@ -39,9 +46,12 @@ from repro.common import (
 from repro.core.config_memory import ConfigurationMemory, LaneConfig
 from repro.core.configuration import ConfigurationCommand
 from repro.core.crossbar import Crossbar
-from repro.core.data_converter import DataConverter, TileInterface
+from repro.core.data_converter import DataConverter, LaneDeserializer, LaneSerializer, TileInterface
 from repro.core.lane import LaneLink
-from repro.energy.activity import LINK_TOGGLE_BITS, ActivityCounters, ActivityKeys
+from repro.energy.activity import (
+    LINK_TOGGLE_BITS, REG_CLOCKED_BITS, REG_GATED_BITS, REG_TOGGLE_BITS, XBAR_TOGGLE_BITS,
+    ActivityCounters, ActivityKeys,
+)
 from repro.energy.area import CircuitSwitchedRouterArea
 from repro.energy.power import PowerBreakdown, PowerModel
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
@@ -112,29 +122,44 @@ class CircuitSwitchedRouter(ClockedComponent):
         # Flat per-lane working state, indexed by port * lanes_per_port + lane.
         total = self.NUM_PORTS * lanes_per_port
         self._total_lanes = total
-        self._input_vals: list[int] = [0] * total
-        self._ack_vals: list[bool] = [False] * total
+        #: Last value driven onto each outgoing forward wire; link toggles
+        #: count against it.
         self._tx_previous: list[int] = [0] * total
-        # (base index, link) pairs for the attached neighbour ports, in port
-        # order; rebuilt by attach_link so the per-cycle loops never touch
-        # the port dictionaries or construct Port values.
-        self._rx_flat: list[Tuple[int, LaneLink]] = []
-        self._tx_flat: list[Tuple[int, LaneLink]] = []
+        # The attached links by port number (None at the tile port and at a
+        # mesh edge).
+        self._rx_of: list[Optional[LaneLink]] = [None] * self.NUM_PORTS
+        self._tx_of: list[Optional[LaneLink]] = [None] * self.NUM_PORTS
+        # The crossbar's registers and next-state lists, which the route
+        # program reads and writes in place.
+        self._out_data = self.crossbar.committed_data
+        self._ack_out = self.crossbar.committed_acks
+        self._next_data = self.crossbar.next_data
+        self._next_acks = self.crossbar.next_acks
 
-        # Event-schedule sparse loops, rebuilt per configuration version:
-        # which crossbar indices evaluate must sample and which wires commit
-        # must drive, restricted to the configured routes.  One dense drive
-        # sweep runs after every configuration change (flushing wires the
-        # new configuration no longer drives) before the sparse loops take
-        # over; see evaluate/commit.
-        self._sparse_version = -1
-        self._drive_version = -1
-        self._sample_tile: list[int] = []
-        self._sample_rx: list[Tuple[int, LaneLink, int]] = []
-        self._ack_tile: list[int] = []
-        self._ack_tx: list[Tuple[int, LaneLink, int]] = []
-        self._drive_out: list[Tuple[LaneLink, int, int]] = []
-        self._drive_ack: list[Tuple[LaneLink, int, int]] = []
+        # The route program (see _compile): the configuration version it was
+        # compiled for and the version the last dense sweep flushed; -1
+        # forces both (attach_link, reset).
+        self._version = -1
+        self._swept = -1
+        # Evaluate records: (output, serialiser), (output, rx forward wires,
+        # lane); (input, deserialiser), (input, tx ack wires, lane) and
+        # (input, deserialisers, (wires, lane) pairs) for an OR of several.
+        self._eval_tile: list[Tuple[int, LaneSerializer]] = []
+        self._eval_rx: list[Tuple[int, list, int]] = []
+        self._ack_tile: list[Tuple[int, LaneDeserializer]] = []
+        self._ack_wire: list[Tuple[int, list, int]] = []
+        self._ack_any: list[Tuple[int, tuple, tuple]] = []
+        # Commit records: (register, the link it drives or None, lane), and
+        # the constant clocked and gated register bits of one cycle.
+        self._latch_data: list[Tuple[int, Optional[LaneLink], int]] = []
+        self._latch_ack: list[Tuple[int, Optional[LaneLink], int]] = []
+        self._clocked_bits = 0
+        self._gated_bits = 0
+        # Park records: (input, (tx ack wires, lane) pairs) of the fan-ins a
+        # commit may leave off their inputs' fixed point (next_event_cycle).
+        self._park_ack: list[Tuple[int, tuple]] = []
+        #: The last commit latched a changed register bit.
+        self._latched = True
 
         # External activity reschedules a quiescent router.
         self.config.on_change = self.wake
@@ -174,20 +199,11 @@ class CircuitSwitchedRouter(ClockedComponent):
         if tx_link is not None:
             # Acknowledges returned by the downstream router likewise.
             tx_link.watch_ack(self.wake)
-        lanes_per_port = self.lanes_per_port
-        self._rx_flat = [
-            (int(p) * lanes_per_port, link)
-            for p, link in self._rx_links.items()
-            if link is not None
-        ]
-        self._tx_flat = [
-            (int(p) * lanes_per_port, link)
-            for p, link in self._tx_links.items()
-            if link is not None
-        ]
-        # The sparse route lists hold direct link references.
-        self._sparse_version = -1
-        self._drive_version = -1
+        self._rx_of[port] = rx_link
+        self._tx_of[port] = tx_link
+        # The route program holds direct wire references.
+        self._version = -1
+        self._swept = -1
         self.wake()
 
     def rx_link(self, port: Port) -> Optional[LaneLink]:
@@ -221,150 +237,177 @@ class CircuitSwitchedRouter(ClockedComponent):
 
     # -- simulation ---------------------------------------------------------------------
 
-    def _refresh_sparse(self) -> None:
-        """Rebuild the event-schedule sampling and drive lists.
+    def _compile(self) -> None:
+        """Compile the route program of the current configuration version.
 
-        The crossbar only reads input values at the source index of a
-        configured route and acknowledge values behind a configured output
-        lane, and only those lanes' registers can change; sampling and
-        driving anything else is dead work the dense loops pay every cycle.
+        A routed output register samples a serialiser's phit, a forward wire
+        or — behind an unattached port — the idle value, pinned here once; an
+        acknowledge register ORs what is behind the outputs its input feeds.
+        The routed registers latch, and the fan-in acknowledge registers —
+        under clock gating those of the same *index* as a routed output
+        instead (see :meth:`repro.core.crossbar.Crossbar.commit`).  Every
+        other register holds what the sweep left in it.
         """
-        lanes_per_port = self.lanes_per_port
-        sample_tile: set[int] = set()
-        sample_rx: list[Tuple[int, LaneLink, int]] = []
-        ack_tile: set[int] = set()
-        ack_tx: list[Tuple[int, LaneLink, int]] = []
-        drive_out: list[Tuple[LaneLink, int, int]] = []
-        drive_ack: list[Tuple[LaneLink, int, int]] = []
-        acked_sources: set[int] = set()
-        for out_port, out_lane, cfg in self.config.active_entries():
-            out_idx = int(out_port) * lanes_per_port + out_lane
-            src_port = cfg.source_port
-            src_lane = cfg.source_lane
-            src_idx = int(src_port) * lanes_per_port + src_lane
-            if src_port == Port.TILE:
-                sample_tile.add(src_lane)
+        crossbar = self.crossbar
+        routes = crossbar.active_routes()
+        fanins = crossbar.ack_fanins()
+        lanes = self.lanes_per_port
+        serializers = self.converter.serializers
+        deserializers = self.converter.deserializers
+        rx_of = self._rx_of
+        tx_of = self._tx_of
+        gated = self.clock_gating
+        eval_tile = []
+        eval_rx = []
+        latch_data = []
+        tx_lanes = []
+        rx_lanes = []
+        for out_idx, src_idx in routes:
+            port, lane = divmod(src_idx, lanes)
+            if not port:
+                eval_tile.append((out_idx, serializers[lane]))
+                tx_lanes.append(lane)
+            elif rx_of[port] is not None:
+                eval_rx.append((out_idx, rx_of[port].forward, lane))
             else:
-                rx = self._rx_links[src_port]
-                if rx is not None:
-                    sample_rx.append((src_idx, rx, src_lane))
-                    if src_idx not in acked_sources:
-                        acked_sources.add(src_idx)
-                        drive_ack.append((rx, src_lane, src_idx))
-            if out_port == Port.TILE:
-                ack_tile.add(out_lane)
+                self._next_data[out_idx] = 0
+            port, lane = divmod(out_idx, lanes)
+            latch_data.append((out_idx, tx_of[port], lane))
+            if not port:
+                rx_lanes.append(lane)
+        if gated:
+            fed = {in_idx for in_idx, _outs in fanins}
+            latched = [out_idx for out_idx, _src in routes if out_idx in fed]
+        else:
+            latched = [in_idx for in_idx, _outs in fanins]
+        ack_tile = []
+        ack_wire = []
+        ack_any = []
+        park_ack = []
+        for in_idx, outs in fanins:
+            pulses = []
+            wires = []
+            for out_idx in outs:
+                port, lane = divmod(out_idx, lanes)
+                if not port:
+                    pulses.append(deserializers[lane])
+                elif tx_of[port] is not None:
+                    wires.append((tx_of[port].ack, lane))
+            if len(pulses) + len(wires) > 1:
+                ack_any.append((in_idx, tuple(pulses), tuple(wires)))
+            elif pulses:
+                ack_tile.append((in_idx, pulses[0]))
+            elif wires:
+                ack_wire.append((in_idx, *wires[0]))
             else:
-                tx = self._tx_links[out_port]
-                if tx is not None:
-                    ack_tx.append((out_idx, tx, out_lane))
-                    drive_out.append((tx, out_lane, out_idx))
-        self._sample_tile = sorted(sample_tile)
-        self._sample_rx = sample_rx
-        self._ack_tile = sorted(ack_tile)
-        self._ack_tx = ack_tx
-        self._drive_out = drive_out
-        self._drive_ack = drive_ack
-        self._sparse_version = self.config.version
+                self._next_acks[in_idx] = False
+            if pulses or (gated and in_idx not in latched):
+                park_ack.append((in_idx, tuple(wires)))
+        self._eval_tile = eval_tile
+        self._eval_rx = eval_rx
+        self._ack_tile = ack_tile
+        self._ack_wire = ack_wire
+        self._ack_any = ack_any
+        self._latch_data = latch_data
+        self._latch_ack = [(idx, rx_of[idx // lanes], idx % lanes) for idx in latched]
+        self._clocked_bits, self._gated_bits = crossbar.idle_cycle_bits(gated)
+        self._park_ack = park_ack
+        # The converter units whose inputs may be non-idle: tile lanes a
+        # route starts or ends at, the tile lanes of the acknowledge
+        # registers that latch and — under clock gating — those whose held
+        # register is not idle.
+        tx_lanes += [idx for idx in latched if idx < lanes]
+        if gated:
+            tx_lanes += [lane for lane in range(lanes) if self._ack_out[lane]]
+            rx_lanes += [lane for lane in range(lanes) if self._out_data[lane]]
+        self.converter.route_lanes(tx_lanes, rx_lanes)
+        self._version = self.config.version
 
     def evaluate(self, cycle: int) -> None:
-        lanes_per_port = self.lanes_per_port
-        values = self._input_vals
-        acks = self._ack_vals
-
-        if self._event_mode:
-            if self._sparse_version != self.config.version:
-                self._refresh_sparse()
-            # Sample only the lanes a configured route actually reads;
-            # every other entry is never consumed (unattached ports keep
-            # their preset idle values, deconfigured sources go unread).
-            serializers = self.converter.serializers
-            for lane in self._sample_tile:
-                values[lane] = serializers[lane].output_phit
-            for idx, rx, lane in self._sample_rx:
-                values[idx] = rx.forward[lane]
-            deserializers = self.converter.deserializers
-            for lane in self._ack_tile:
-                acks[lane] = deserializers[lane].ack_pulse
-            for idx, tx, lane in self._ack_tx:
-                acks[idx] = tx.ack[lane]
-            self.crossbar.evaluate_flat(values, acks)
-            return
-
-        # 1. Committed values on every crossbar input lane (tile-port lanes
-        #    occupy indices 0..lanes_per_port-1; unattached neighbour ports
-        #    keep their preset idle values).
-        serializers = self.converter.serializers
-        for lane in range(lanes_per_port):
-            values[lane] = serializers[lane].output_phit
-        for base, link in self._rx_flat:
-            values[base : base + lanes_per_port] = link.forward
-
-        # 2. Committed acknowledge values observed behind every output lane.
-        deserializers = self.converter.deserializers
-        for lane in range(lanes_per_port):
-            acks[lane] = deserializers[lane].ack_pulse
-        for base, link in self._tx_flat:
-            acks[base : base + lanes_per_port] = link.ack
-
-        self.crossbar.evaluate_flat(values, acks)
+        if self._version != self.config.version:
+            self._compile()
+        next_data = self._next_data
+        for out_idx, serializer in self._eval_tile:
+            next_data[out_idx] = serializer._current_phit
+        for out_idx, wires, lane in self._eval_rx:
+            next_data[out_idx] = wires[lane]
+        next_acks = self._next_acks
+        for in_idx, deserializer in self._ack_tile:
+            next_acks[in_idx] = deserializer._ack_pulse
+        for in_idx, wires, lane in self._ack_wire:
+            next_acks[in_idx] = wires[lane]
+        for in_idx, pulses, sources in self._ack_any:
+            next_acks[in_idx] = any(d._ack_pulse for d in pulses) or any(
+                wires[lane] for wires, lane in sources
+            )
 
     def commit(self, cycle: int) -> None:
+        if self._swept != self.config.version:
+            self._sweep(cycle)
+            return
+        # 1. Latch the routed output registers; a change drives its wire.
+        mask = self._lane_mask
+        out_data = self._out_data
+        next_data = self._next_data
+        previous = self._tx_previous
+        toggles = 0
+        link_toggles = 0
+        for out_idx, link, lane in self._latch_data:
+            new = next_data[out_idx]
+            old = out_data[out_idx]
+            if new != old:
+                bits = ((old ^ new) & mask).bit_count()
+                toggles += bits
+                out_data[out_idx] = new
+                if link is not None:
+                    link_toggles += bits
+                    previous[out_idx] = new
+                    link.drive_forward(lane, new)
+        slots = self.activity.slots
+        if toggles:
+            slots[XBAR_TOGGLE_BITS] += toggles
+        # 2. Latch the acknowledge registers; a change drives its wire.
+        ack_out = self._ack_out
+        next_acks = self._next_acks
+        for in_idx, link, lane in self._latch_ack:
+            new = next_acks[in_idx]
+            if new != ack_out[in_idx]:
+                toggles += 1
+                ack_out[in_idx] = new
+                if link is not None:
+                    link.drive_ack(lane, new)
+        self._latched = toggles != 0
+        if toggles:
+            slots[REG_TOGGLE_BITS] += toggles
+        # 3. The constant register bits, the converter, the link toggles.
+        if self._clocked_bits:
+            slots[REG_CLOCKED_BITS] += self._clocked_bits
+        if self._gated_bits:
+            slots[REG_GATED_BITS] += self._gated_bits
+        self.converter.tick(out_data, ack_out, cycle, self.clock_gating)
+        if link_toggles:
+            slots[LINK_TOGGLE_BITS] += link_toggles
+        self.activity.cycles = cycle + 1
+
+    def _sweep(self, cycle: int) -> None:
+        """The first commit of a version (or after :meth:`attach_link` /
+        :meth:`reset`): latch every register and drive every attached wire,
+        flushing lanes the configuration no longer drives."""
+        if self._version != self.config.version:
+            self._compile()  # written between this cycle's evaluate and commit
+        self._latched = self.crossbar.commit(self.clock_gating)
+        out_data = self._out_data
+        ack_out = self._ack_out
+        self.converter.tick(out_data, ack_out, cycle, self.clock_gating)
         lanes_per_port = self.lanes_per_port
-        crossbar = self.crossbar
-
-        # 1. Latch the crossbar output and acknowledge registers.
-        if self._event_mode and not self.clock_gating:
-            # Event-native path: only route-active lanes are visited
-            # (bit-identical; see Crossbar.commit_sparse).
-            crossbar.commit_sparse()
-        else:
-            crossbar.commit(self.clock_gating)
-        out_data = crossbar.committed_data
-        ack_data = crossbar.committed_acks
-
-        # 2. Step the data converter with the freshly latched tile-port values
-        #    (the tile port occupies the first lanes_per_port indices).
-        tile_rx = out_data[:lanes_per_port]
-        tile_ack = ack_data[:lanes_per_port]
-        if self._event_mode:
-            # Event-native path: idle lane units are batch-accounted instead
-            # of ticked (bit-identical; see DataConverter.tick_sparse).  A
-            # transit router — crossbar busy, converter idle — then pays for
-            # zero lane units per cycle.
-            self.converter.tick_sparse(tile_rx, tile_ack, cycle, self.clock_gating)
-        else:
-            self.converter.tick(tile_rx, tile_ack, cycle, self.clock_gating)
-
-        # 3. Drive the outgoing links (data forward, acknowledges backward).
         previous = self._tx_previous
         link_toggles = 0
         mask = self._lane_mask
-        if (
-            self._event_mode
-            and self._drive_version == self.config.version
-            and self._sparse_version == self.config.version
-        ):
-            # Event-native path: only configured routes can move a wire (a
-            # dense sweep flushed everything else when the configuration
-            # last changed).
-            for tx_link, lane, idx in self._drive_out:
-                value = out_data[idx]
-                if value != previous[idx]:
-                    link_toggles += ((previous[idx] ^ value) & mask).bit_count()
-                    previous[idx] = value
-                    tx_link.drive_forward(lane, value)
-            if link_toggles:
-                self.activity.slots[LINK_TOGGLE_BITS] += link_toggles
-            for rx_link, lane, idx in self._drive_ack:
-                value = ack_data[idx]
-                if rx_link.ack[lane] != value:
-                    rx_link.drive_ack(lane, value)
-            self.activity.cycles = cycle + 1
-            return
-
-        for base, tx_link in self._tx_flat:
+        for port, tx_link in enumerate(self._tx_of):
+            if tx_link is None:
+                continue
             for lane in range(lanes_per_port):
-                idx = base + lane
+                idx = port * lanes_per_port + lane
                 value = out_data[idx]
                 if value != previous[idx]:
                     link_toggles += ((previous[idx] ^ value) & mask).bit_count()
@@ -372,17 +415,15 @@ class CircuitSwitchedRouter(ClockedComponent):
                     tx_link.drive_forward(lane, value)
         if link_toggles:
             self.activity.slots[LINK_TOGGLE_BITS] += link_toggles
-        for base, rx_link in self._rx_flat:
+        for port, rx_link in enumerate(self._rx_of):
+            if rx_link is None:
+                continue
             link_ack = rx_link.ack
             for lane in range(lanes_per_port):
-                value = ack_data[base + lane]
+                value = ack_out[port * lanes_per_port + lane]
                 if link_ack[lane] != value:
                     rx_link.drive_ack(lane, value)
-        if self._event_mode:
-            # The dense sweep above flushed every wire for this version; the
-            # sparse drive loops may take over from the next commit on.
-            self._drive_version = self.config.version
-
+        self._swept = self._version
         self.activity.cycles = cycle + 1
 
     # -- timed protocol: a router generates no events of its own --------------
@@ -394,30 +435,30 @@ class CircuitSwitchedRouter(ClockedComponent):
 
         This is the one question the event schedule asks.  A router is
         frozen when another cycle with unchanged inputs would be an idle
-        tick: the last commit latched no change, the data converter is
-        drained or in a *window stall* (every serialiser drained or blocked
-        on flow control with an idle output lane, deserialisers drained), and
-        the crossbar sits at a fixed point of the *live* inputs.  Nothing then
-        moves until an acknowledge or a new word arrives, both of which wake
-        the router.  The live inputs differ from the evaluate-phase snapshot
-        on the tile port only: a drained converter drives all-zero phits and
-        no acknowledge pulse; a neighbour-port input that moved since the
-        snapshot marked the router dirty, and the kernel then does not ask.
-        Clock gating excludes the stall case: a stalled serialiser still
-        clocks its registers where :meth:`idle_tick` would gate them.
+        tick: the last commit latched no change, the data converter is at
+        rest (every unit drained or, without clock gating, window-stalled
+        with an idle output lane — a stalled serialiser still clocks its
+        registers where :meth:`idle_tick` would gate them), and the crossbar
+        sits at a fixed point of the live inputs.  A commit latches every
+        register the program samples, so only an output fed by a serialiser
+        (at rest, it drives the idle phit) and a fan-in that samples a
+        deserialiser pulse (at rest, none) or that the commit does not latch
+        (clock gating) can differ from what the next evaluate would sample.
+        Nothing then moves until an acknowledge or a new word arrives, both
+        of which wake the router.
         """
-        if self.crossbar.busy:
+        if self._latched or self._swept != self.config.version:
             return cycle
-        converter = self.converter
-        if not (converter.quiescent() if self.clock_gating else converter.quiescent_or_stalled()):
+        if not self.converter.at_rest(self.clock_gating):
             return cycle
-        values = self._input_vals
-        acks = self._ack_vals
-        for lane in range(self.lanes_per_port):
-            values[lane] = 0
-            acks[lane] = False
-        if not self.crossbar.is_fixed_point(values, acks):
-            return cycle
+        out_data = self._out_data
+        for out_idx, _serializer in self._eval_tile:
+            if out_data[out_idx]:
+                return cycle
+        ack_out = self._ack_out
+        for in_idx, sources in self._park_ack:
+            if ack_out[in_idx] != any(wires[lane] for wires, lane in sources):
+                return cycle
         return None
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
@@ -439,18 +480,21 @@ class CircuitSwitchedRouter(ClockedComponent):
         self.crossbar.reset()
         self.converter.reset()
         self.activity.reset()
+        self._version = -1
+        self._swept = -1
+        self._latched = True
         for idx in range(self._total_lanes):
             self._tx_previous[idx] = 0
         # Drive the attached wires back to idle.  The commit loop only
         # drives lanes whose register value changed, so a stale wire value
         # would otherwise survive a reset forever (the change-mirror
         # _tx_previous was just zeroed along with the registers).
-        for _base, tx_link in self._tx_flat:
+        for tx_link, rx_link in zip(self._tx_of, self._rx_of):
             for lane in range(self.lanes_per_port):
-                tx_link.drive_forward(lane, 0)
-        for _base, rx_link in self._rx_flat:
-            for lane in range(self.lanes_per_port):
-                rx_link.drive_ack(lane, False)
+                if tx_link is not None:
+                    tx_link.drive_forward(lane, 0)
+                if rx_link is not None:
+                    rx_link.drive_ack(lane, False)
 
     # -- reporting -----------------------------------------------------------------------
 

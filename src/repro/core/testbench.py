@@ -142,8 +142,11 @@ class LaneStreamDriver(ClockedComponent):
         flow: FlowControlConfig = FlowControlConfig(),
     ) -> None:
         super().__init__(name)
+        link.read_forward(lane)  # the lane is checked once, here
         self.link = link
         self.lane = lane
+        self._forward = link.forward
+        self._ack = link.ack
         self.word_source = word_source
         self.data_width = data_width
         self.activity = ActivityCounters(name)
@@ -167,9 +170,12 @@ class LaneStreamDriver(ClockedComponent):
                 self.words_dropped += 1
 
     def commit(self, cycle: int) -> None:
-        ack = self.link.read_ack(self.lane)
-        self.serializer.tick(ack)
-        self.link.drive_forward(self.lane, self.serializer.output_phit)
+        lane = self.lane
+        serializer = self.serializer
+        serializer.tick(self._ack[lane])
+        phit = serializer._current_phit
+        if phit != self._forward[lane]:
+            self.link.drive_forward(lane, phit)
 
     # -- timed protocol: between emissions an idle serialiser only clocks ----
 
@@ -179,7 +185,7 @@ class LaneStreamDriver(ClockedComponent):
     commit_wake_replays_cycle = True
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        if not self.serializer.quiescent or self.link.read_ack(self.lane):
+        if not self.serializer.quiescent or self._ack[self.lane]:
             return cycle
         return self._pacer.next_emit_cycle(cycle)
 
@@ -199,6 +205,8 @@ class LaneStreamDriver(ClockedComponent):
         self._pacer.reset()
         self.words_offered = 0
         self.words_dropped = 0
+        # The wire is this driver's register output: back to idle with it.
+        self.link.drive_forward(self.lane, 0)
 
 
 class LaneStreamConsumer(ClockedComponent):
@@ -213,8 +221,11 @@ class LaneStreamConsumer(ClockedComponent):
         flow: FlowControlConfig = FlowControlConfig(),
     ) -> None:
         super().__init__(name)
+        link.read_forward(lane)  # the lane is checked once, here
         self.link = link
         self.lane = lane
+        self._forward = link.forward
+        self._ack = link.ack
         self.activity = ActivityCounters(name)
         self.deserializer = LaneDeserializer(
             lane, link.lane_width, data_width, flow=flow, activity=self.activity
@@ -228,12 +239,15 @@ class LaneStreamConsumer(ClockedComponent):
         pass
 
     def commit(self, cycle: int) -> None:
-        phit = self.link.read_forward(self.lane)
-        self.deserializer.tick(phit, cycle)
+        lane = self.lane
+        deserializer = self.deserializer
+        deserializer.tick(self._forward[lane], cycle)
         # The destination tile reads everything immediately (it never stalls).
-        while (word := self.deserializer.receive()) is not None:
+        while (word := deserializer.receive()) is not None:
             self.received.append(word)
-        self.link.drive_ack(self.lane, self.deserializer.ack_pulse)
+        pulse = deserializer._ack_pulse
+        if pulse != self._ack[lane]:
+            self.link.drive_ack(lane, pulse)
 
     # -- timed protocol: a pure sink never generates events of its own -------
 
@@ -244,7 +258,7 @@ class LaneStreamConsumer(ClockedComponent):
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         if (
-            self.link.read_forward(self.lane)
+            self._forward[self.lane]
             or not self.deserializer.quiescent
             or self.deserializer.available()
         ):
@@ -264,6 +278,7 @@ class LaneStreamConsumer(ClockedComponent):
     def reset(self) -> None:
         self.deserializer.reset()
         self.received.clear()
+        self.link.drive_ack(self.lane, False)
 
 
 class TileStreamDriver(ClockedComponent):

@@ -69,11 +69,12 @@ reason) — applies to simulation cost as well:
   that reads router activity, link wires or converter lanes calls
   ``kernel.sync()`` first: parked components owe their idle accounting and
   a batching vector plane holds the wires in its columns until then.
-* **Sparse router paths.**  Under ``vector`` the circuit router samples
-  only configured lanes, commits only active routes, and a fully idle data
-  converter books its constant idle activity in O(1); every sparse path is
-  guarded by a configuration version and swept densely once per
-  reconfiguration, so stale lanes cannot linger.
+* **Compiled router cycles.**  Under both schedules the circuit router
+  runs one route program per configuration version: it samples, latches and
+  drives only routed registers, its data converter ticks only live lanes
+  and books the idle ones as one constant, and the first commit of every
+  version sweeps every register and wire densely, so stale lanes cannot
+  linger.  Components never ask which schedule runs them.
 
 Components that do not opt in are simply evaluated every cycle.  Ordering
 stays deterministic: batches commit in registration-index order (the order
@@ -98,7 +99,8 @@ handful of ``take``/``xor``/``bitwise_count`` calls; toggle accounting is
 vectorised popcounts that equal the scalar ``int.bit_count`` path exactly.
 A configuration write hands the routers back to the kernel for one cycle
 before the recompile — reconfiguration, live faults and post-start channel
-attach all invalidate the compiled gather exactly like the sparse sweeps —
+attach all invalidate the compiled gather exactly like the router's own
+per-version sweeps —
 and a flush at every ``sync`` folds the columnar state back into the scalar
 objects, so external readers never observe the plane.  The network side of
 every data converter — serialiser shift register and output phit,
@@ -112,7 +114,9 @@ schedule and the reason they differ.
 
 Bit-identity with ``strict`` is asserted by
 ``tests/test_kernel_equivalence.py``, ``tests/test_timed_scheduling.py``,
-``tests/test_event_scheduling.py`` and ``tests/test_vector_plane.py``;
+``tests/test_event_scheduling.py`` and ``tests/test_vector_plane.py``, and
+both schedules against the dense per-lane reference router by
+``tests/test_circuit_reference.py``;
 ``BENCH_kernel.json`` tracks what ``vector`` buys over ``strict`` on the
 8×8 mesh: ≥3× at 25 % row occupancy, ≥8× on paced streams, and at full load
 at least 0.6× of the recorded ratio.

@@ -192,10 +192,6 @@ class ClockedComponent(abc.ABC):
         #: Due cycle of this component's valid event-heap entry (``None``
         #: when dense or parked); doubles as the lazy-deletion validity tag.
         self._due: Optional[int] = None
-        #: True while registered with a ``schedule="vector"`` kernel; lets
-        #: components pick event-native fast paths without consulting the
-        #: scheduler on the hot path.
-        self._event_mode = False
 
     @abc.abstractmethod
     def evaluate(self, cycle: int) -> None:
@@ -365,7 +361,6 @@ class SimulationKernel:
         component._asleep = False
         component._pending_wake = False
         component._due = None
-        component._event_mode = self._event
         self._awake.append(component)
         if component.settles_at_sync:
             self._unsettled[component] = self._cycle
@@ -409,7 +404,6 @@ class SimulationKernel:
         # Any heap entry of the departing component goes stale here (the
         # lazy-deletion validity check compares the registration index).
         component._due = None
-        component._event_mode = False
         return component
 
     def park(self, components: Iterable[ClockedComponent]) -> None:

@@ -133,14 +133,14 @@ _COLUMN_BITS = 62
 #: Live route-hops (configured crossbar routes summed over the members) from
 #: which one NumPy batch beats the kernel scheduling the members themselves,
 #: read off ``BENCH_kernel.json`` (every row records its ``live_routes``, every
-#: rate is the best of three samples).  At the gate, 4 live routes: 1.25× and
-#: 1.51× of ``event`` at full load (4×4 at one row, 2×2 at two), 1.15× paced
-#: at load 0.1.  Above: 1.46× / 1.9× paced with 6 (3×3 at two rows), 2.13× /
-#: 2.05× with 8 (4×4 at two rows), 2.9–7.3× from 16 up.  Below: the 2×2 at one
-#: row, 2 live routes, runs ``event``'s own code (1.04×) and records what
-#: batching it regardless costs as ``vector_ungated_speedup``: 0.7×.  No row
-#: carries 3, where a scratch run of the same fixture read 1.0× / 1.1× paced.
-MIN_BATCH_ROUTES = 4
+#: rate is the best of three samples) and resident-worker pairs of its rows.
+#: With 4 live routes (a 4×4 at one row, a 2×2 at two) batching runs at
+#: 0.64–0.78× of the routers' own compiled cycles on the event heap, full
+#: load and paced alike; with 6 on two rows of a 3×3 at 1.23× (1.35× paced),
+#: with 8 on two rows of a 4×4 at 1.10× / 1.31×, and 1.8× at 16.  One long
+#: row is the soft spot: 6 or 7 hops on a single row batch at 0.82–0.91×, 8
+#: break even, 10 and 12 win (1.09–1.25×).
+MIN_BATCH_ROUTES = 6
 
 
 class VectorPlane(ClockedComponent):
@@ -339,8 +339,8 @@ class VectorPlane(ClockedComponent):
         self._dirty.clear()
         for member in self._members:
             member._batch_plane = None
-            # The lanes moved in the columns, behind the sparse tick's hint.
-            member.converter._sparse_idle = False
+            # The lanes moved in the columns, behind the converter's lists.
+            member.converter.rescan()
             member.wake()
 
     def _take_over(self) -> None:

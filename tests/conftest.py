@@ -206,10 +206,11 @@ def clock_of(router):
     return datapath("dut_datapath", [router])
 
 
-def twin_benches(router_classes, make_link, setup, **router_kwargs):
-    """One single-router bench per class (links on all four sides, own kernel),
-    populated alike by ``setup(router, links)``, which returns the extra
-    components to clock (or ``None``), clocked by :func:`clock_of`."""
+def twin_benches(router_classes, make_link, setup, *, schedule=None, **router_kwargs):
+    """One single-router bench per class (links on all four sides, own kernel,
+    under *schedule* or the default), populated alike by ``setup(router,
+    links)``, which returns the extra components to clock (or ``None``),
+    clocked by :func:`clock_of`."""
     benches = []
     for router_class in router_classes:
         router = router_class("dut", position=(1, 1), **router_kwargs)
@@ -217,7 +218,7 @@ def twin_benches(router_classes, make_link, setup, **router_kwargs):
         for port in NEIGHBOR_PORTS:
             links[port] = (make_link(f"rx_{port.short_name}", router), make_link(f"tx_{port.short_name}", router))
             router.attach_link(port, *links[port])
-        kernel = SimulationKernel(25e6)
+        kernel = SimulationKernel(25e6, **({"schedule": schedule} if schedule else {}))
         kernel.add_all([*(setup(router, links) or ()), clock_of(router)])
         benches.append((router, links, kernel))
     return benches

@@ -16,7 +16,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import pytest
 from conftest import FabricScenario, fabric_scenarios, step_twins, twin_benches
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.traffic import BitFlipPattern, scenario_by_name, word_generator
 from repro.baseline.flit import FLIT_PAYLOAD_BITS, VC_MASK, Flit, FlitType, Packet, pack, packetize, unpack
@@ -34,7 +34,7 @@ from repro.common import (
     toggle_count,
 )
 from repro.energy.activity import ActivityCounters, ActivityKeys, BUFFER_READ_BITS, BUFFER_WRITE_BITS
-from repro.noc import Mesh2D, PacketSwitchedNoC
+from repro.noc import IrregularMesh, Mesh2D, PacketSwitchedNoC
 from repro.sim.engine import ClockedComponent, SimulationKernel
 
 
@@ -733,12 +733,12 @@ class _ReferenceRouter(ClockedComponent):
             state = input_states[index]
             if state.out_port is None:
                 return cycle  # route computation still pending
-            if state.out_port == Port.TILE:
-                return cycle  # tile delivery never blocks
             if state.out_vc is None:
                 if self._port_allocators[state.out_port].has_free_vc():
                     return cycle  # VC allocation would succeed
                 continue
+            if state.out_port == Port.TILE:
+                return cycle  # an allocated tile VC always delivers
             if (
                 self._tx_by_port[state.out_port] is not None
                 and self._port_allocators[state.out_port].credits(state.out_vc) > 0
@@ -860,6 +860,16 @@ class TestCommitEqualsReference:
         words_per_packet=st.sampled_from([1, 3, 16]),
     )
     @settings(max_examples=40, deadline=None)
+    @example(  # a head flit waits on the only tile VC, held by a packet whose tail died with a link
+        scenario=FabricScenario(
+            IrregularMesh(Mesh2D(2, 2), [((0, 1), (1, 1))]),
+            [(src, (1, 0), 200.0, 1.0) for src in ((0, 0), (0, 1), (1, 1))],
+            120,
+            (25, (0, 0), (0, 1), False),
+            None,
+        ),
+        num_vcs=1, fifo_depth=2, words_per_packet=3,
+    )
     def test_lockstep_on_drawn_fabrics(self, scenario, num_vcs, fifo_depth, words_per_packet):
         """Random channels, loads and one mid-run link fault on a drawn mesh,
         torus or irregular mesh, under both schedules: after every cycle the

@@ -1,0 +1,605 @@
+"""The circuit router's route program against the dense per-lane reference.
+
+``_ReferenceCircuitRouter`` is the router as it was before it compiled its
+routes: every cycle it samples every lane into flat lists, runs the
+crossbar's route loop (:class:`_ReferenceCrossbar`), latches every register
+(or, clock-gated, every lane with an active output route), ticks every
+serialiser and deserialiser (:class:`_ReferenceConverter`) and drives every
+attached wire.  It shares with production only what the route program does
+not touch: the configuration memory, the lane wires, the lane units'
+per-cycle ``tick`` and the activity counters.  Both run under both
+schedules: the reference on the kernel's event heap with its own park rule,
+production with the vector plane where the fabric allows one.  After every
+cycle the registers, wires (forward, acknowledge, dead, dropped), every lane
+unit's state and ``activity.as_dict()`` must be equal; on a bench without a
+plane the scheduler statistics too, which makes the two park rules agree.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import deque
+from typing import Callable, List, Optional, Tuple
+
+import pytest
+from conftest import FabricScenario, fabric_scenarios, twin_benches
+from hypothesis import given, settings, strategies as st
+
+from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, bit_mask
+from repro.core.config_memory import ConfigurationMemory, LaneConfig
+from repro.core.data_converter import LaneDeserializer, LaneSerializer, ReceivedWord
+from repro.core.flow_control import FlowControlConfig
+from repro.core.lane import LaneLink
+from repro.core.router import CircuitSwitchedRouter
+from repro.core.testbench import LaneStreamConsumer, LaneStreamDriver, TileStreamConsumer, TileStreamDriver
+from repro.energy.activity import LINK_TOGGLE_BITS, REG_CLOCKED_BITS, REG_GATED_BITS, REG_TOGGLE_BITS, \
+    XBAR_TOGGLE_BITS, ActivityCounters, ActivityKeys
+from repro.noc import Mesh2D
+from repro.noc.network import CircuitSwitchedNoC
+from repro.sim.engine import ClockedComponent
+
+
+class _ReferenceCrossbar:
+    """The crossbar's dense commit and flat-list evaluate, verbatim."""
+
+    def __init__(self, config, lane_width=4, activity=None):
+        self.config = config
+        self.lane_width = lane_width
+        self._lane_mask = bit_mask(lane_width)
+        self.activity = activity
+        total = len(list(config.iter_lanes()))
+        self._total = total
+        self._out_data = [0] * total
+        self._ack_out = [False] * total
+        self._next_out = [0] * total
+        self._next_ack = [False] * total
+        self._routes = []
+        self._active_flags = [False] * total
+        self._ack_routes = []
+        self._cached_version = -1
+        self._commit_changed = True
+
+    def _refresh_cache(self):
+        config = self.config
+        lanes_per_port = config.lanes_per_port
+        routes = []
+        flags = [False] * self._total
+        reverse = {}
+        for out_port, out_lane, cfg in config.active_entries():
+            out_idx = out_port * lanes_per_port + out_lane
+            src_idx = cfg.source_port * lanes_per_port + cfg.source_lane
+            routes.append((out_idx, src_idx))
+            flags[out_idx] = True
+            reverse.setdefault(src_idx, []).append(out_idx)
+        self._routes = routes
+        self._active_flags = flags
+        self._ack_routes = [(in_idx, tuple(outs)) for in_idx, outs in sorted(reverse.items())]
+        next_out = self._next_out
+        next_ack = self._next_ack
+        fed = set(reverse)
+        for idx in range(self._total):
+            if not flags[idx]:
+                next_out[idx] = 0
+            if idx not in fed:
+                next_ack[idx] = False
+        self._cached_version = config.version
+
+    def evaluate_flat(self, input_values, downstream_acks):
+        if self._cached_version != self.config.version:
+            self._refresh_cache()
+        next_out = self._next_out
+        for out_idx, src_idx in self._routes:
+            next_out[out_idx] = input_values[src_idx]
+        next_ack = self._next_ack
+        for in_idx, outs in self._ack_routes:
+            value = False
+            for out_idx in outs:
+                if downstream_acks[out_idx]:
+                    value = True
+                    break
+            next_ack[in_idx] = value
+
+    def commit(self, clock_gating=False):
+        if self._cached_version != self.config.version:
+            self._refresh_cache()
+        slots = self.activity.slots
+        width = self.lane_width
+        mask = self._lane_mask
+        out_data = self._out_data
+        next_out = self._next_out
+        ack_out = self._ack_out
+        next_ack = self._next_ack
+        reg_toggles = 0
+        clocked_bits = 0
+        gated_bits = 0
+        xbar_toggles = 0
+        if clock_gating:
+            flags = self._active_flags
+            active_count = len(self._routes)
+            gated_bits = (self._total - active_count) * (width + 1)
+            clocked_bits = active_count * (width + 1)
+            for idx, active in enumerate(flags):
+                if not active:
+                    continue
+                new_value = next_out[idx]
+                old_value = out_data[idx]
+                if new_value != old_value:
+                    toggles = ((old_value ^ new_value) & mask).bit_count()
+                    reg_toggles += toggles
+                    xbar_toggles += toggles
+                    out_data[idx] = new_value
+                new_ack = next_ack[idx]
+                if new_ack != ack_out[idx]:
+                    reg_toggles += 1
+                    ack_out[idx] = new_ack
+        else:
+            clocked_bits = self._total * (width + 1)
+            for idx in range(self._total):
+                new_value = next_out[idx]
+                old_value = out_data[idx]
+                if new_value != old_value:
+                    toggles = ((old_value ^ new_value) & mask).bit_count()
+                    reg_toggles += toggles
+                    xbar_toggles += toggles
+                    out_data[idx] = new_value
+                new_ack = next_ack[idx]
+                if new_ack != ack_out[idx]:
+                    reg_toggles += 1
+                    ack_out[idx] = new_ack
+        self._commit_changed = reg_toggles != 0
+        if reg_toggles:
+            slots[REG_TOGGLE_BITS] += reg_toggles
+        if xbar_toggles:
+            slots[XBAR_TOGGLE_BITS] += xbar_toggles
+        if clocked_bits:
+            slots[REG_CLOCKED_BITS] += clocked_bits
+        if gated_bits:
+            slots[REG_GATED_BITS] += gated_bits
+
+    def is_fixed_point(self, input_values, downstream_acks):
+        if self._cached_version != self.config.version:
+            self._refresh_cache()
+        out_data = self._out_data
+        for out_idx, src_idx in self._routes:
+            if out_data[out_idx] != input_values[src_idx]:
+                return False
+        ack_out = self._ack_out
+        for in_idx, outs in self._ack_routes:
+            expected = False
+            for out_idx in outs:
+                if downstream_acks[out_idx]:
+                    expected = True
+                    break
+            if ack_out[in_idx] != expected:
+                return False
+        return True
+
+    def idle_cycle_bits(self, clock_gating):
+        if self._cached_version != self.config.version:
+            self._refresh_cache()
+        per_lane = self.lane_width + 1
+        if clock_gating:
+            active_count = len(self._routes)
+            return active_count * per_lane, (self._total - active_count) * per_lane
+        return self._total * per_lane, 0
+
+    @property
+    def committed_data(self):
+        return self._out_data
+
+    @property
+    def committed_acks(self):
+        return self._ack_out
+
+    def reset(self):
+        for idx in range(self._total):
+            self._out_data[idx] = 0
+            self._ack_out[idx] = False
+            self._next_out[idx] = 0
+            self._next_ack[idx] = False
+        self._cached_version = -1
+        self._commit_changed = True
+
+
+class _ReferenceConverter:
+    """The data converter's every-unit tick and quiescence checks, verbatim."""
+
+    def __init__(self, lanes_per_port=4, lane_width=4, data_width=16, activity=None):
+        self.lanes_per_port = lanes_per_port
+        self.activity = activity
+        self.serializers = [LaneSerializer(lane, lane_width, data_width, 4, activity=activity)
+                            for lane in range(lanes_per_port)]
+        self.deserializers = [LaneDeserializer(lane, lane_width, data_width, activity=activity)
+                              for lane in range(lanes_per_port)]
+        self.wake_hook = None
+        self._idle_bits_total = sum(s.idle_cycle_bits for s in self.serializers) + sum(
+            d.idle_cycle_bits for d in self.deserializers)
+        self.interface = _ReferenceTile(self)
+
+    def quiescent(self):
+        return all(s.quiescent for s in self.serializers) and all(d.quiescent for d in self.deserializers)
+
+    def quiescent_or_stalled(self):
+        return all(s.quiescent or s.window_stalled for s in self.serializers) and all(
+            d.quiescent for d in self.deserializers)
+
+    def idle_cycle_bits(self):
+        return self._idle_bits_total
+
+    def tick(self, rx_phits, tx_acks, cycle, clock_gating=False):
+        for lane, serializer in enumerate(self.serializers):
+            serializer.tick(tx_acks[lane], clock_gating)
+        for lane, deserializer in enumerate(self.deserializers):
+            deserializer.tick(rx_phits[lane], cycle, clock_gating)
+
+    def reset(self):
+        for serializer in self.serializers:
+            serializer.reset()
+        for deserializer in self.deserializers:
+            deserializer.reset()
+
+
+class _ReferenceTile:
+    """The word-level tile interface, verbatim (what the benches call)."""
+
+    def __init__(self, converter):
+        self._converter = converter
+
+    def configure_tx(self, lane, flow=FlowControlConfig()):
+        self._converter.serializers[lane].configure_flow(flow)
+        self._notify()
+
+    def _notify(self):
+        hook = self._converter.wake_hook
+        if hook is not None:
+            hook()
+
+    def watch_rx(self, lane, listener):
+        self._converter.deserializers[lane].on_deliver = listener
+
+    def send(self, lane, data, *, sob=False, eob=False, user=False):
+        serializer = self._converter.serializers[lane]
+        if not serializer.can_accept():
+            return False
+        serializer.submit_word(data, sob, eob, user)
+        self._notify()
+        return True
+
+    def rx_available(self, lane):
+        return self._converter.deserializers[lane].available()
+
+    def receive(self, lane) -> Optional[ReceivedWord]:
+        word = self._converter.deserializers[lane].receive()
+        if word is not None:
+            self._notify()
+        return word
+
+
+class _ReferenceCircuitRouter(ClockedComponent):
+    """The circuit router's dense evaluate/commit and park rule, verbatim."""
+
+    NUM_PORTS = 5
+    supports_timed_wake = True
+
+    def __init__(self, name, lanes_per_port=4, lane_width=4, data_width=16, position=(0, 0),
+                 clock_gating=False):
+        super().__init__(name)
+        self.lanes_per_port = lanes_per_port
+        self.lane_width = lane_width
+        self._lane_mask = bit_mask(lane_width)
+        self.data_width = data_width
+        self.position = position
+        self.clock_gating = clock_gating
+        self.activity = ActivityCounters(name)
+        self.config = ConfigurationMemory(self.NUM_PORTS, lanes_per_port)
+        self.crossbar = _ReferenceCrossbar(self.config, lane_width, self.activity)
+        self.converter = _ReferenceConverter(lanes_per_port, lane_width, data_width, self.activity)
+        self._rx_links = {p: None for p in NEIGHBOR_PORTS}
+        self._tx_links = {p: None for p in NEIGHBOR_PORTS}
+        total = self.NUM_PORTS * lanes_per_port
+        self._total_lanes = total
+        self._input_vals = [0] * total
+        self._ack_vals = [False] * total
+        self._tx_previous = [0] * total
+        self._rx_flat = []
+        self._tx_flat = []
+        self.config.on_change = self.wake
+        self.converter.wake_hook = self.wake
+
+    @property
+    def tile(self):
+        return self.converter.interface
+
+    def attach_link(self, port, rx_link, tx_link):
+        port = Port(port)
+        if port not in NEIGHBOR_PORTS:
+            raise ConfigurationError("links can only be attached to neighbour ports")
+        self._rx_links[port] = rx_link
+        self._tx_links[port] = tx_link
+        if rx_link is not None:
+            rx_link.watch_forward(self.wake)
+        if tx_link is not None:
+            tx_link.watch_ack(self.wake)
+        lanes_per_port = self.lanes_per_port
+        self._rx_flat = [(int(p) * lanes_per_port, link) for p, link in self._rx_links.items() if link is not None]
+        self._tx_flat = [(int(p) * lanes_per_port, link) for p, link in self._tx_links.items() if link is not None]
+        self.wake()
+
+    def rx_link(self, port):
+        return self._rx_links[Port(port)]
+
+    def tx_link(self, port):
+        return self._tx_links[Port(port)]
+
+    def configure(self, out_port, out_lane, in_port, in_lane):
+        self.config.set_entry(out_port, out_lane, LaneConfig(True, Port(in_port), in_lane))
+        self.activity.add(ActivityKeys.CONFIG_WRITES, 1)
+
+    def deconfigure(self, out_port, out_lane):
+        self.config.set_entry(out_port, out_lane, None)
+        self.activity.add(ActivityKeys.CONFIG_WRITES, 1)
+
+    def evaluate(self, cycle):
+        lanes_per_port = self.lanes_per_port
+        values = self._input_vals
+        acks = self._ack_vals
+        serializers = self.converter.serializers
+        for lane in range(lanes_per_port):
+            values[lane] = serializers[lane].output_phit
+        for base, link in self._rx_flat:
+            values[base : base + lanes_per_port] = link.forward
+        deserializers = self.converter.deserializers
+        for lane in range(lanes_per_port):
+            acks[lane] = deserializers[lane].ack_pulse
+        for base, link in self._tx_flat:
+            acks[base : base + lanes_per_port] = link.ack
+        self.crossbar.evaluate_flat(values, acks)
+
+    def commit(self, cycle):
+        lanes_per_port = self.lanes_per_port
+        crossbar = self.crossbar
+        crossbar.commit(self.clock_gating)
+        out_data = crossbar.committed_data
+        ack_data = crossbar.committed_acks
+        self.converter.tick(out_data[:lanes_per_port], ack_data[:lanes_per_port], cycle, self.clock_gating)
+        previous = self._tx_previous
+        link_toggles = 0
+        mask = self._lane_mask
+        for base, tx_link in self._tx_flat:
+            for lane in range(lanes_per_port):
+                idx = base + lane
+                value = out_data[idx]
+                if value != previous[idx]:
+                    link_toggles += ((previous[idx] ^ value) & mask).bit_count()
+                    previous[idx] = value
+                    tx_link.drive_forward(lane, value)
+        if link_toggles:
+            self.activity.slots[LINK_TOGGLE_BITS] += link_toggles
+        for base, rx_link in self._rx_flat:
+            link_ack = rx_link.ack
+            for lane in range(lanes_per_port):
+                value = ack_data[base + lane]
+                if link_ack[lane] != value:
+                    rx_link.drive_ack(lane, value)
+        self.activity.cycles = cycle + 1
+
+    def next_event_cycle(self, cycle):
+        if self.crossbar._commit_changed:
+            return cycle
+        converter = self.converter
+        if not (converter.quiescent() if self.clock_gating else converter.quiescent_or_stalled()):
+            return cycle
+        values = self._input_vals
+        acks = self._ack_vals
+        for lane in range(self.lanes_per_port):
+            values[lane] = 0
+            acks[lane] = False
+        if not self.crossbar.is_fixed_point(values, acks):
+            return cycle
+        return None
+
+    def idle_tick(self, start_cycle, cycles):
+        activity = self.activity
+        clocked, gated = self.crossbar.idle_cycle_bits(self.clock_gating)
+        converter_bits = self.converter.idle_cycle_bits()
+        if self.clock_gating:
+            gated += converter_bits
+        else:
+            clocked += converter_bits
+        if clocked:
+            activity.add(ActivityKeys.REG_CLOCKED_BITS, clocked * cycles)
+        if gated:
+            activity.add(ActivityKeys.REG_GATED_BITS, gated * cycles)
+        activity.cycles = start_cycle + cycles
+
+    def reset(self):
+        self.crossbar.reset()
+        self.converter.reset()
+        self.activity.reset()
+        for idx in range(self._total_lanes):
+            self._tx_previous[idx] = 0
+        for _base, tx_link in self._tx_flat:
+            for lane in range(self.lanes_per_port):
+                tx_link.drive_forward(lane, 0)
+        for _base, rx_link in self._rx_flat:
+            for lane in range(self.lanes_per_port):
+                rx_link.drive_ack(lane, False)
+
+
+class _ReferenceCircuitNoC(CircuitSwitchedNoC):
+    """A circuit fabric of reference routers on the kernel's own schedule."""
+
+    def _build_router(self, position):
+        return _ReferenceCircuitRouter(
+            self.topology.router_name(position), lanes_per_port=self.lanes_per_port,
+            lane_width=self.lane_width, data_width=self.data_width, position=position,
+            clock_gating=self.clock_gating,
+        )
+
+    def _register_with_kernel(self):
+        for router in self.routers.values():
+            self.kernel.add(router)
+
+
+# ---------------------------------------------------------------------------
+# What a cycle can change
+# ---------------------------------------------------------------------------
+
+
+def _unit_state(unit):
+    """A lane unit's whole state (its flow-control objects by value)."""
+    state = {}
+    for key, value in vars(unit).items():
+        if key in ("activity", "on_deliver"):
+            continue
+        if key in ("window", "ack_generator"):
+            value = vars(value)
+        elif isinstance(value, deque):
+            value = list(value)
+        state[key] = value
+    return state
+
+
+def _router_state(router):
+    converter = router.converter
+    return (
+        (router.activity.as_dict(), router.activity.cycles),
+        list(router.crossbar.committed_data),
+        list(router.crossbar.committed_acks),
+        [_unit_state(unit) for unit in (*converter.serializers, *converter.deserializers)],
+    )
+
+
+def _wire_state(link):
+    return list(link.forward), list(link.ack), link.dead, link.dropped
+
+
+def _network_state(network):
+    return (
+        {position: _router_state(router) for position, router in network.routers.items()},
+        {key: _wire_state(link) for key, link in network.links.items()},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Drawn fabrics
+# ---------------------------------------------------------------------------
+
+
+class TestFabricsEqualTheReference:
+    @given(scenario=fabric_scenarios(max_cycles=160), clock_gating=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_lockstep_on_drawn_fabrics(self, scenario, clock_gating):
+        """Random channels and one mid-run link fault (re-routed or not) on a
+        drawn mesh, torus or irregular mesh, under the drawn schedule: equal
+        registers, wires, lane units and counters after every cycle, equal
+        stream statistics and drops at the end.  A clock-gated fabric has no
+        vector plane, so there both kernels run the same component set and
+        must also agree on every park decision."""
+        scenario.run_in_lockstep(
+            lambda topology, **kw: CircuitSwitchedNoC(topology, clock_gating=clock_gating, **kw),
+            lambda topology, **kw: _ReferenceCircuitNoC(topology, clock_gating=clock_gating, **kw),
+            _network_state,
+            same_components=clock_gating or scenario.schedule == "strict",
+        )
+
+    @pytest.mark.parametrize("schedule", [None, "strict"])
+    def test_full_load_rows_with_a_fault(self, schedule):
+        """Every row of a 4×4 mesh at full load (the plane batches), one link
+        on the second row dies and the channel re-routes."""
+        topology = Mesh2D(4, 4)
+        channels = [((0, row), (3, row), 200.0, 1.0) for row in range(4)]
+        scenario = FabricScenario(topology, channels, 200, (90, (1, 1), (2, 1), True), schedule)
+        scenario.run_in_lockstep(CircuitSwitchedNoC, _ReferenceCircuitNoC, _network_state,
+                                 same_components=schedule == "strict")
+
+    def test_reference_is_wired_in(self):
+        network = _ReferenceCircuitNoC(Mesh2D(2, 1))
+        assert type(network.router_at((0, 0))) is _ReferenceCircuitRouter
+        assert network.vector_plane is None
+        assert CircuitSwitchedNoC(Mesh2D(2, 1)).vector_plane is not None
+
+
+# ---------------------------------------------------------------------------
+# Single-router benches
+# ---------------------------------------------------------------------------
+
+
+def _words(seed):
+    rng = random.Random(seed)
+    return lambda: rng.getrandbits(16)
+
+
+def _table3_setup(router, links):
+    """Scenario IV of Table 3 plus a stray tile driver on a lane no route reads."""
+    router.configure(Port.EAST, 0, Port.TILE, 0)
+    router.configure(Port.TILE, 0, Port.NORTH, 0)
+    router.configure(Port.EAST, 1, Port.WEST, 0)
+    return [
+        TileStreamDriver("s1_src", router, 0, _words(1), load=1.0),
+        LaneStreamConsumer("s1_dst", links[Port.EAST][1], 0),
+        LaneStreamDriver("s2_src", links[Port.NORTH][0], 0, _words(2), load=0.7),
+        TileStreamConsumer("s2_dst", router, 0),
+        LaneStreamDriver("s3_src", links[Port.WEST][0], 0, _words(3), load=1.0),
+        LaneStreamConsumer("s3_dst", links[Port.EAST][1], 1),
+        TileStreamDriver("stray", router, 2, _words(4), load=0.3),
+    ]
+
+
+def _bench_state(router, links, kernel):
+    return (
+        _router_state(router),
+        {port: (_wire_state(rx), _wire_state(tx)) for port, (rx, tx) in links.items()},
+        kernel.scheduler_stats.as_dict(),
+    )
+
+
+#: Between-cycle writes: (cycle, what to do to a router).
+_RECONFIGURATIONS: List[Tuple[int, Callable]] = [
+    (70, lambda router: router.deconfigure(Port.EAST, 0)),          # a driven route goes
+    (140, lambda router: router.configure(Port.EAST, 0, Port.TILE, 0)),   # and comes back
+    (190, lambda router: router.configure(Port.EAST, 1, Port.NORTH, 1)),  # reroute to an idle lane
+    (230, lambda router: router.configure(Port.EAST, 1, Port.WEST, 0)),   # and back
+    (260, lambda router: router.configure(Port.SOUTH, 3, Port.TILE, 2)),  # the stray lane joins
+    (280, lambda router: router.configure(Port.NORTH, 2, Port.TILE, 2)),  # and multicasts
+    (300, lambda router: router.deconfigure(Port.TILE, 0)),          # the sink loses its route
+    (340, lambda router: router.tile.configure_tx(0, FlowControlConfig(window_size=2))),
+]
+
+
+class TestBenchesEqualTheReference:
+    @pytest.mark.parametrize("clock_gating", [False, True])
+    @pytest.mark.parametrize("schedule", [None, "strict"])
+    def test_table3_bench_through_reconfigurations(self, clock_gating, schedule):
+        benches = twin_benches(
+            (CircuitSwitchedRouter, _ReferenceCircuitRouter),
+            lambda name, router: LaneLink(name, router.lanes_per_port, router.lane_width),
+            _table3_setup,
+            schedule=schedule,
+            clock_gating=clock_gating,
+        )
+        writes = dict(_RECONFIGURATIONS)
+        for cycle in range(420):
+            for router, _links, kernel in benches:
+                if cycle in writes:
+                    writes[cycle](router)
+                kernel.step()
+            states = [_bench_state(*bench) for bench in benches]
+            assert states[0] == states[1], f"diverged in cycle {cycle}"
+
+    def test_reset_then_rerun_matches_the_reference(self):
+        benches = twin_benches(
+            (CircuitSwitchedRouter, _ReferenceCircuitRouter),
+            lambda name, router: LaneLink(name, router.lanes_per_port, router.lane_width),
+            _table3_setup,
+        )
+        for router, _links, kernel in benches:
+            kernel.run(83)
+            router.deconfigure(Port.EAST, 1)
+            kernel.run(40)
+            kernel.reset()
+        for _ in range(150):
+            for _router, _links, kernel in benches:
+                kernel.step()
+            states = [_bench_state(*bench) for bench in benches]
+            assert states[0] == states[1]

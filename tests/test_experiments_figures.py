@@ -58,6 +58,21 @@ class TestHarness:
         assert gated.power.total_uw < ungated.power.total_uw
         assert gated.delivery_ok()  # gating must not break the data path
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="clock-gated acknowledge registers latch by output lane: the source's window runs dry (ROADMAP)",
+    )
+    @pytest.mark.parametrize("scenario", ["II", "III", "IV"])
+    def test_clock_gating_delivers_what_the_ungated_router_delivers(self, scenario):
+        """``delivery_ok`` above compares received with *sent* words, and an
+        offer the full serialiser queue drops is never sent: a stalled gated
+        stream passes it.  Gated II sends 12 words and delivers 8 where the
+        ungated router delivers 198; in III and IV the streams entering at
+        a neighbour port deliver 8."""
+        gated = run_circuit_scenario(scenario, cycles=1000, clock_gating=True)
+        ungated = run_circuit_scenario(scenario, cycles=1000)
+        assert gated.words_received == ungated.words_received
+
 
 class TestFigure9:
     @pytest.fixture(scope="class")

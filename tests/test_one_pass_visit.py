@@ -221,13 +221,25 @@ def _quiescent(clock):
                    for wire in (*router._rx_by_port, *router._tx_by_port))
             for router in clock.routers
         )
-    if clock.crossbar.busy or not clock.converter.quiescent():
+    converter = clock.converter
+    if clock._latched or not all(unit.quiescent for unit in (*converter.serializers, *converter.deserializers)):
         return False
-    values, acks = clock._input_vals, clock._ack_vals
-    for lane in range(clock.lanes_per_port):
-        values[lane] = 0
-        acks[lane] = False
-    return clock.crossbar.is_fixed_point(values, acks)
+    # A fixed point of the live inputs: a drained converter drives idle
+    # phits and no acknowledge pulse, the neighbour ports what their wires hold.
+    lanes, crossbar = clock.lanes_per_port, clock.crossbar
+
+    def wire(idx, link_of, values):
+        port, lane = divmod(idx, lanes)
+        link = link_of(port) if port else None
+        return getattr(link, values)[lane] if link is not None else 0
+
+    return all(
+        crossbar.committed_data[out_idx] == wire(src_idx, clock.rx_link, "forward")
+        for out_idx, src_idx in crossbar.active_routes()
+    ) and all(
+        crossbar.committed_acks[in_idx] == any(wire(out_idx, clock.tx_link, "ack") for out_idx in outs)
+        for in_idx, outs in crossbar.ack_fanins()
+    )
 
 
 class TestOneSchedulingQuestion:

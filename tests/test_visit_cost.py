@@ -4,7 +4,7 @@ The packet and GT phases are what the three-kind workloads of
 ``benchmarks/e2e`` spend their time in, and this host's wall clock moves
 1.2-1.9x within minutes, so the floor is a count: interpreted bytecodes
 (``sys.settrace`` with ``f_trace_opcodes``) per simulated cycle, which repeats
-exactly on one interpreter version, hence the CPython 3.11 gate.  Six rows:
+exactly on one interpreter version, hence the CPython 3.11 gate.  Seven rows:
 
 * ``gt`` / ``packet`` / ``circuit`` - the warmed 8x8 row fabrics of
   ``saturated_default`` (one full-load west-to-east channel per row) under
@@ -15,18 +15,20 @@ exactly on one interpreter version, hence the CPython 3.11 gate.  Six rows:
 * ``gt paced`` - the GT fabric of ``app_traffic``: HiperLAN/2 and UMTS
   admitted by a CCN on a 6x6 mesh at half load, cycles 800-2400.
 * ``circuit bench`` / ``packet bench`` - the paper's own single-router
-  bench, ``run_scenario(kind, "IV", cycles=1000)`` after one untimed call.
+  bench, ``run_scenario(kind, "IV", cycles=1000)`` after one untimed call;
+  ``circuit bench gated`` the same with ``clock_gating=True`` (Section 7.3).
 
-==============  ===========================  ========  ================  ===============  ===================
-row             before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath
-==============  ===========================  ========  ================  ===============  ===================
-gt              4 281                        3 500     3 118             1 220            1 219
-gt paced        -                            -         2 022             1 294            1 293
-packet          8 426                        7 454     6 653             6 645            3 534
-packet bench    -                            -         -                 1 113            979
-circuit         -                            1 477     1 428             1 420            1 416
-circuit bench   -                            3 587     3 093             3 085            3 084
-==============  ===========================  ========  ================  ===============  ===================
+===================  ===========================  ========  ================  ===============  ===================  =================
+row                  before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath  one route program
+===================  ===========================  ========  ================  ===============  ===================  =================
+gt                   4 281                        3 500     3 118             1 220            1 219                1 219
+gt paced             -                            -         2 022             1 294            1 293                1 293
+packet               8 426                        7 454     6 653             6 645            3 534                3 534
+packet bench         -                            -         -                 1 113            979                  978
+circuit              -                            1 477     1 428             1 420            1 416                1 412
+circuit bench        -                            3 587     3 093             3 085            3 084                2 469
+circuit bench gated  -                            -         -                 -                2 606                1 821
+===================  ===========================  ========  ================  ===============  ===================  =================
 
 "One pass" replaced a sampling ``evaluate``, constants booked in every
 ``commit`` and one ``ActivityCounters.add`` per counter; "by slot" replaced
@@ -36,7 +38,11 @@ replaced a visit per slot-table router with one compiled gather and scatter
 per cycle (the other rows moved by the kernel's sort key); "one packet
 datapath" replaced a visit per packet router, flit objects and per-VC
 buffer, allocator and arbiter objects with packed-integer flits, flat lists
-and wires between routers the datapath itself reads and clears.
+and wires between routers the datapath itself reads and clears; "one route
+program" replaced the circuit router's sampling, crossbar, drive and
+converter passes with one compiled record walk per phase, a converter that
+ticks only its live lanes and stream endpoints that read their wire lists.
+The bench ceilings are the recorded value + 8 %.
 """
 
 from __future__ import annotations
@@ -57,7 +63,8 @@ BENCH_CYCLES = 1000
 
 #: Bytecodes per simulated cycle each row may cost.
 CEILINGS = {
-    "gt": 1700, "gt paced": 1500, "packet": 3820, "packet bench": 1200, "circuit": 1500, "circuit bench": 3250,
+    "gt": 1700, "gt paced": 1500, "packet": 3820, "packet bench": 1200, "circuit": 1500,
+    "circuit bench": 2666, "circuit bench gated": 1967,
 }
 
 
@@ -104,9 +111,12 @@ def _bytecodes(run):
 
 def bytecodes_per_cycle(row):
     """Bytecodes per simulated cycle of *row* (a key of :data:`CEILINGS`)."""
-    if row.endswith(" bench"):
+    if " bench" in row:
+        kind, _, gated = row.partition(" bench")
+        options = {"clock_gating": True} if gated else {}
+
         def bench():
-            run_scenario(row.split()[0], "IV", cycles=BENCH_CYCLES)
+            run_scenario(kind, "IV", cycles=BENCH_CYCLES, **options)
 
         bench()  # imports, caches
         return _bytecodes(bench) / BENCH_CYCLES
@@ -131,6 +141,11 @@ def test_row_fabric_cycle_stays_under_its_bytecode_ceiling(kind):
 @cpython_3_11
 def test_circuit_bench_cycle_stays_under_its_bytecode_ceiling():
     assert bytecodes_per_cycle("circuit bench") <= CEILINGS["circuit bench"]
+
+
+@cpython_3_11
+def test_gated_circuit_bench_cycle_stays_under_its_bytecode_ceiling():
+    assert bytecodes_per_cycle("circuit bench gated") <= CEILINGS["circuit bench gated"]
 
 
 @cpython_3_11
