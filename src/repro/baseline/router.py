@@ -18,7 +18,8 @@ A :class:`PacketSwitchedRouter` holds its state in flat lists indexed
 VC, credits per output VC) plus, per output port, a free-VC mask and the last
 VC and switch grants; a bit mask names the occupied input VCs.  It is no
 kernel component: one :class:`PacketDatapath` clocks every router of a
-fabric, a shard region or a single-router bench.
+fabric, a shard region or a single-router bench, and fires the tile stream
+drivers (:class:`~repro.baseline.testbench.TilePacketDriver`) feeding them.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.baseline.flit import (
 from repro.baseline.link import PacketLink
 from repro.baseline.routing import RouteFunction, xy_route
 from repro.common import ALL_PORTS, NEIGHBOR_PORTS, CapacityError, ConfigurationError, Port, bit_mask
+from repro.core.testbench import DriverSchedule
 from repro.energy.activity import (
     ARBITER_DECISIONS, ARBITER_GRANT_CHANGES, BUFFER_READ_BITS, BUFFER_WRITE_BITS, FLITS_ROUTED, LINK_TOGGLE_BITS,
     PACKETS_ROUTED, REG_TOGGLE_BITS, VC_ALLOCATIONS, WORDS_DELIVERED, ActivityCounters,
@@ -286,10 +288,11 @@ class PacketDatapath(ClockedComponent):
     occupied input VCs, then one round-robin switch grant per requested
     output port, each winner's flit leaving with its output VC written in.
     A router with nothing that can move is not visited again until a flit,
-    credit or injection reaches it.  All state stays in the routers.
+    credit or injection reaches it.  All state stays in the routers.  The
+    tile stream drivers in :attr:`drivers` are fired before the ingest, so a
+    packet one completes is injected in the same cycle.
     """
 
-    supports_timed_wake = True
     settles_at_sync = True  # a cycle books no constant: the count settles at sync()
 
     def __init__(self, name: str, routers: Sequence[PacketSwitchedRouter]) -> None:
@@ -307,6 +310,8 @@ class PacketDatapath(ClockedComponent):
         #: What :meth:`evaluate` took off the outside wires.
         self._sampled_flits: List[tuple] = []
         self._sampled_credits: List[tuple] = []
+        #: The tile stream drivers this datapath fires.
+        self.drivers = DriverSchedule(self)
         self._map_wires()
         for router in self.routers:
             self._compile(router)
@@ -413,6 +418,8 @@ class PacketDatapath(ClockedComponent):
                 wire[:] = [0] * len(wire)
 
     def commit(self, cycle: int) -> None:
+        if self.drivers.next_due == cycle:
+            self.drivers.fire(cycle)
         visit = self._next
         self._next = nxt = {}
         # Ingest: credits, then flits the member wires carried out of the last cycle.
@@ -594,7 +601,8 @@ class PacketDatapath(ClockedComponent):
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Now while a router is to be visited or a wire holds a flit or a
-        credit; else park until an injection or an outside wire wakes us."""
+        credit; else the cycle the next driver is due, or park until an
+        injection or an outside wire wakes us."""
         if self._next or self._arrivals or self._returns:
             return cycle
         for record in self._outside_rx:
@@ -603,7 +611,7 @@ class PacketDatapath(ClockedComponent):
         for link, _router, _credits, _base in self._outside_tx:
             if any(link.credits):
                 return cycle
-        return None
+        return self.drivers.next_due
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
         """Count *cycles* cycles, busy or idle: the energy model is event-based
@@ -617,3 +625,4 @@ class PacketDatapath(ClockedComponent):
         self._next = {}
         self._returns, self._arrivals = [], []
         self._sampled_flits, self._sampled_credits = [], []
+        self.drivers.reset()

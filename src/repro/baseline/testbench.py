@@ -4,7 +4,8 @@ These mirror :mod:`repro.core.testbench` for the packet-switched router so the
 power scenarios of Section 6 can be applied to both routers with identical
 traffic: a paced word stream of a given load and bit-flip statistic entering
 through a neighbour port or through the local tile interface, and a consumer
-that drains the corresponding output.
+that drains the corresponding output.  The tile driver is no kernel
+component: the datapath clocking its router fires it.
 """
 
 from __future__ import annotations
@@ -27,21 +28,6 @@ __all__ = [
 ]
 
 WordSource = Callable[[], int]
-
-
-class _WordPacer(LoadPacer):
-    """Accumulates stream words at the scenario's offered load.
-
-    A "stream" in the paper's scenarios is a 16-bit word every five cycles at
-    100 % load (80 Mbit/s at 25 MHz), regardless of which router carries it —
-    this keeps the circuit- and packet-switched experiments identical.  The
-    exact (and therefore leapable) credit arithmetic lives in
-    :class:`repro.core.testbench.LoadPacer`.
-    """
-
-    def words_this_cycle(self) -> int:
-        """Number of new stream words produced this cycle (0 or 1)."""
-        return 1 if self.should_emit() else 0
 
 
 class PacketStreamDriver(ClockedComponent):
@@ -74,7 +60,10 @@ class PacketStreamDriver(ClockedComponent):
         self.src = src
         self.vc = vc
         self.words_per_packet = words_per_packet
-        self._pacer = _WordPacer(load, phits_per_packet(data_width, lane_width))
+        # A stream word every five cycles at 100 % load (80 Mbit/s at 25 MHz),
+        # whichever router carries it: the circuit- and packet-switched
+        # experiments offer identical traffic.
+        self._pacer = LoadPacer(load, phits_per_packet(data_width, lane_width))
         # Returned credits must wake a parked driver (the router only watches
         # the flit side of its receive links, so the credit side is free).
         link.credit_dirty.add_listener(self.wake)
@@ -88,7 +77,7 @@ class PacketStreamDriver(ClockedComponent):
     def evaluate(self, cycle: int) -> None:
         # Collect credits returned by the router for our virtual channel.
         self._credits += self.link.take_credits(self.vc)
-        if self._pacer.words_this_cycle():
+        if self._pacer.should_emit():
             self.words_offered += 1
             self._pending_words.append(self.word_source())
             if len(self._pending_words) >= self.words_per_packet:
@@ -112,8 +101,6 @@ class PacketStreamDriver(ClockedComponent):
             self.link.drive(None)
 
     # -- timed protocol ------------------------------------------------------
-
-    supports_timed_wake = True
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         if (
@@ -166,7 +153,6 @@ class PacketStreamConsumer(ClockedComponent):
 
     # -- timed protocol: a pure sink never generates events of its own -------
 
-    supports_timed_wake = True
     settles_at_sync = True  # nothing to book, idle or busy
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
@@ -188,8 +174,14 @@ class PacketStreamConsumer(ClockedComponent):
         self._sampled = None
 
 
-class TilePacketDriver(ClockedComponent):
-    """Feeds a paced word stream into the router through its tile interface."""
+class TilePacketDriver:
+    """Feeds a paced word stream into the router through its tile interface.
+
+    No kernel component: the :class:`~repro.baseline.router.PacketDatapath`
+    clocking the router fires it at the top of the cycle its pacer is due
+    (:class:`~repro.core.testbench.DriverSchedule`); every full packet's
+    worth of words goes to the tile's injection queue at once.
+    """
 
     def __init__(
         self,
@@ -203,44 +195,30 @@ class TilePacketDriver(ClockedComponent):
         data_width: int = 16,
         lane_width: int = 4,
     ) -> None:
-        super().__init__(name)
+        self.name = name
         self.router = router
         self.word_source = word_source
         self.dest = dest
         self.vc = vc
         self.words_per_packet = words_per_packet or router.tile.words_per_packet
-        self._pacer = _WordPacer(load, phits_per_packet(data_width, lane_width))
+        self.pacer = LoadPacer(load, phits_per_packet(data_width, lane_width))
         self._pending_words: List[int] = []
         self.words_offered = 0
         self.words_sent = 0
 
-    def evaluate(self, cycle: int) -> None:
-        if self._pacer.words_this_cycle():
-            self.words_offered += 1
-            self._pending_words.append(self.word_source())
-            if len(self._pending_words) >= self.words_per_packet:
-                packet = Packet(
-                    src=self.router.position, dest=self.dest, words=list(self._pending_words)
-                )
-                self.router.tile.send_packet(packet, self.vc)
-                self.words_sent += len(self._pending_words)
-                self._pending_words.clear()
-
-    def commit(self, cycle: int) -> None:  # the router owns all clocked state
-        pass
-
-    # -- timed protocol: the pacer is the driver's only per-cycle state ------
-
-    supports_timed_wake = True
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        return self._pacer.next_emit_cycle(cycle)
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        self._pacer.skip(cycles)
+    def emit(self, cycle: int) -> None:
+        """Take one word; send the packet it completes."""
+        self.words_offered += 1
+        pending = self._pending_words
+        pending.append(self.word_source())
+        if len(pending) >= self.words_per_packet:
+            packet = Packet(src=self.router.position, dest=self.dest, words=list(pending))
+            self.router.tile.send_packet(packet, self.vc)
+            self.words_sent += len(pending)
+            pending.clear()
 
     def reset(self) -> None:
-        self._pacer.reset()
+        self.pacer.reset()
         self._pending_words.clear()
         self.words_offered = 0
         self.words_sent = 0
@@ -261,7 +239,6 @@ class TilePacketConsumer(ClockedComponent):
 
     # -- timed protocol: pure statistics façade, never an event source -------
 
-    supports_timed_wake = True
     settles_at_sync = True  # nothing to book, idle or busy
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:

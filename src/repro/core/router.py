@@ -428,8 +428,6 @@ class CircuitSwitchedRouter(ClockedComponent):
 
     # -- timed protocol: a router generates no events of its own --------------
 
-    supports_timed_wake = True
-
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """``None`` (park until a dirty-bit wake) when provably frozen.
 

@@ -59,7 +59,7 @@ from repro.noc.gt_network import (
 )
 from repro.noc.mapping import Mapping
 from repro.noc.topology import Topology
-from repro.sim.engine import DEFAULT_SCHEDULE, SimulationKernel
+from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
 
 __all__ = [
     "ScenarioRunResult",
@@ -163,15 +163,20 @@ def _run_testbench(kernel: SimulationKernel, components, router, cycles: int) ->
     clocking it), then run.
 
     Several streams may share one physical consumer; registration
-    deduplicates by object identity.  The router is appended last so stream
-    pacing decisions see the router state committed in the same cycle.
+    deduplicates by object identity.  A tile stream driver of the GT or
+    packet router is no component: the datapath adopts it.  The router is
+    appended last so stream pacing decisions see the router state committed
+    in the same cycle.
     """
     seen: set[int] = set()
     for component in components:
         if id(component) in seen:
             continue
         seen.add(id(component))
-        kernel.add(component)
+        if isinstance(component, ClockedComponent):
+            kernel.add(component)
+        else:
+            router.drivers.adopt(component, kernel.cycle)
     kernel.add(router)
     kernel.run(cycles)
 

@@ -25,7 +25,7 @@ from repro.energy.power import PowerBreakdown
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.noc.topology import IrregularMesh, Position, Topology
 from repro.noc.word_proxy import WordSourceRegistry
-from repro.sim.engine import DEFAULT_SCHEDULE, SimulationKernel
+from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
 
 __all__ = [
     "NocBase",
@@ -282,21 +282,32 @@ class NocBase:
         if registry is not None:
             registry.deactivate(name, self.kernel.cycle)
 
+    def _adopt_driver(self, driver: Any) -> Any:
+        """Hand a tile stream driver to the datapath clocking its router
+        (GT and packet); returns what the stream's endpoints record."""
+        driver.router.datapath.drivers.adopt(driver, self.kernel.cycle)
+        return driver
+
     def _remove_component(self, component: Any) -> None:
-        """Take one endpoint component off the kernel (tolerates absence).
+        """Take one endpoint component off the kernel, or a tile stream
+        driver off its datapath (tolerates absence).
 
         Halting a stream removes its source driver early; the later full
         detach must not trip over the already-removed component.
         """
-        if component is not None and component._scheduler is self.kernel:
-            self.kernel.remove(component)
+        if isinstance(component, ClockedComponent):
+            if component._scheduler is self.kernel:
+                self.kernel.remove(component)
+        elif component is not None:
+            component.router.datapath.drivers.release(component)
 
     def _detach_stream_components(self, endpoints: Any) -> None:
         """Take one stream's driver/sink components off the kernel."""
         raise NotImplementedError
 
     def halt_stream(self, name: str) -> None:
-        """Stop one stream's injection (its source driver leaves the kernel).
+        """Stop one stream's injection (its source driver leaves the kernel
+        or the datapath that fires it).
 
         The first phase of a clean run-time teardown: the application stops
         producing, but the sink endpoints stay attached so words already in
@@ -315,8 +326,8 @@ class NocBase:
 
         The run-time counterpart of stream attachment: the departing
         application's drivers and sinks leave the simulation kernel (their
-        names become reusable), while routers, links and any admitted
-        configuration stay untouched — tearing those down is
+        names become reusable) or their datapath, while routers, links and
+        any admitted configuration stay untouched — tearing those down is
         :meth:`remove_allocation` / :meth:`detach_channel` territory.
         Returns the removed endpoints record.
         """

@@ -14,7 +14,8 @@ it a third *running* network kind on :class:`repro.noc.fabric.NocBase`:
   arbitrate or acknowledge),
 * :class:`SlotTableRouter` — the slot tables and one output register per
   port; slot ``cycle % S`` selects which input each output latches,
-* :class:`TdmaDatapath` — the kernel component clocking a set of routers,
+* :class:`TdmaDatapath` — the kernel component clocking a set of routers and
+  firing the :class:`GtStreamDriver` records that feed their tiles,
 * :class:`TimeDivisionNoC` — the full network, registered with
   :func:`repro.noc.fabric.build_network` as ``"gt"`` / ``"aethereal"`` /
   ``"tdma"``, admission-controlled by
@@ -33,7 +34,10 @@ a wire driven from outside the set) into its output register, and each
 register no entry names that holds a word latches idle.  The datapath
 compiles that move per slot and runs a cycle as one gather from the previous
 cycle's registers and one scatter into the routers' own registers, counters,
-outgoing wires and tiles; an idle fabric sleeps until a queued word's slot.
+outgoing wires and tiles.  The stream drivers feeding the tiles are records
+the datapath fires first thing in its ``commit``, so a word offered in a
+cycle can leave in that cycle's slot; an idle fabric sleeps until a queued
+word's slot or the next driver's due cycle, whichever comes first.
 It recompiles per router, between cycles only: a slot after ``program`` /
 ``clear``, a router after ``attach_link``, both ends of a wire after its
 ``fail``.  A slot-table write inside a cycle raises
@@ -59,7 +63,7 @@ from repro.common import (
     Port,
     bit_mask,
 )
-from repro.core.testbench import LoadPacer
+from repro.core.testbench import DriverSchedule, LoadPacer
 from repro.energy.activity import (
     LINK_TOGGLE_BITS, REG_TOGGLE_BITS, WORDS_DELIVERED, WORDS_INJECTED, ActivityCounters, ActivityKeys,
 )
@@ -395,9 +399,10 @@ class TdmaDatapath(ClockedComponent):
     or dead has no feed: like a register no entry names, it latches idle if
     it holds a word.  ``_registers`` holds per register what the scatter
     touches; all state stays in the routers, which share one slot-table size.
+    :attr:`drivers` holds the :class:`GtStreamDriver` objects feeding the
+    members' tiles; the top of :meth:`commit` fires the ones due.
     """
 
-    supports_timed_wake = True
     settles_at_sync = True  # the slot counters and output registers never gate
 
     def __init__(self, name: str, routers: Sequence[SlotTableRouter]) -> None:
@@ -419,6 +424,8 @@ class TdmaDatapath(ClockedComponent):
         self._sampled: Dict[TdmaLink, Optional[int]] = {}
         #: Registers holding a word (an insertion-ordered set).
         self._held: Dict[int, None] = {}
+        #: The tile stream drivers this datapath fires.
+        self.drivers = DriverSchedule(self)
         self._map_wires()
         for router in self.routers:
             self._compile(router)
@@ -522,6 +529,8 @@ class TdmaDatapath(ClockedComponent):
             self._sampled[wire] = wire.forward
 
     def commit(self, cycle: int) -> None:
+        if self.drivers.next_due == cycle:
+            self.drivers.fire(cycle)
         slot, held = cycle % self.slots, self._held
         feeds, (from_registers, from_tiles, from_wires) = self._feeds[slot], self._groups[slot]
         # Gather every new word from the previous cycle's registers: idle for
@@ -572,18 +581,19 @@ class TdmaDatapath(ClockedComponent):
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Now while a register or an external wire holds a word, else the
-        first injection slot of a connection with a queued tile word."""
+        earlier of the first injection slot of a connection with a queued
+        tile word and the cycle the next driver is due."""
         if self._held:
             return cycle
         for wire in self._external:
             if wire.forward is not None:
                 return cycle
-        groups, slots = self._groups, self.slots
-        for offset in range(slots):
+        due, groups, slots = self.drivers.next_due, self._groups, self.slots
+        for offset in range(slots if due is None else min(slots, due - cycle)):
             for _, tile, _, connection in groups[(cycle + offset) % slots][_FROM_TILE]:
                 if tile._queued and tile._tx.get(connection):
                     return cycle + offset
-        return None
+        return due
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
         """Book *cycles* cycles, busy or idle, of every router's constant clocked bits."""
@@ -595,16 +605,19 @@ class TdmaDatapath(ClockedComponent):
         for router in self.routers:
             router.reset()
         self._held.clear()
+        self.drivers.reset()
 
 
-class GtStreamDriver(ClockedComponent):
+class GtStreamDriver:
     """Feeds a paced word stream into a slot-table router's tile interface.
 
     The driver keeps the connection's injection queue topped up at ``load`` ×
     the connection's guaranteed rate (one word per owned slot per table
     revolution); words offered while the queue is full are dropped and
     counted, so a mis-paced stream shows up in the statistics instead of
-    accumulating unbounded backlog.
+    accumulating unbounded backlog.  It is no kernel component: the
+    :class:`TdmaDatapath` clocking its router fires it at the top of the
+    cycle its pacer is due (:class:`~repro.core.testbench.DriverSchedule`).
     """
 
     def __init__(
@@ -617,41 +630,35 @@ class GtStreamDriver(ClockedComponent):
         cycles_per_word: int = 1,
         queue_limit: int = 8,
     ) -> None:
-        super().__init__(name)
+        self.name = name
         self.router = router
         self.connection = connection
         self.word_source = word_source
         self.queue_limit = queue_limit
-        self._pacer = LoadPacer(load, cycles_per_word)
+        self.pacer = LoadPacer(load, cycles_per_word)
         self.words_offered = 0
         self.words_sent = 0
         self.words_dropped = 0
 
-    def evaluate(self, cycle: int) -> None:
-        if not self._pacer.should_emit():
-            return
+    def emit(self, cycle: int) -> None:
+        """Offer one word: queue it unless the connection's backlog is full."""
         self.words_offered += 1
-        if self.router.tile.backlog(self.connection) < self.queue_limit:
-            self.router.tile.send(self.connection, self.word_source())
-            self.words_sent += 1
-        else:
+        tile = self.router.tile
+        queue = tile._tx.get(self.connection)
+        if queue is None:
+            queue = tile._tx[self.connection] = deque()
+        if len(queue) >= self.queue_limit:
             self.words_dropped += 1
-
-    def commit(self, cycle: int) -> None:  # the router itself owns the clocked state
-        pass
-
-    # -- timed protocol: the pacer is the driver's only per-cycle state ------
-
-    supports_timed_wake = True
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        return self._pacer.next_emit_cycle(cycle)
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        self._pacer.skip(cycles)
+            return
+        word = self.word_source()
+        if not 0 <= word <= self.router._mask:
+            raise ValueError(f"word {word:#x} does not fit in {self.router.data_width} bits")
+        queue.append(word)
+        tile._queued += 1
+        self.words_sent += 1
 
     def reset(self) -> None:
-        self._pacer.reset()
+        self.pacer.reset()
         self.words_offered = 0
         self.words_sent = 0
         self.words_dropped = 0
@@ -708,8 +715,6 @@ class GtLinkStreamDriver(ClockedComponent):
     # leaped window fast-forwards the pacer by the number of opportunity
     # cycles it contains.  The cycle after driving a word stays dense (the
     # word must be replaced by idle).
-
-    supports_timed_wake = True
 
     def _opportunities_in(self, start_cycle: int, cycles: int) -> int:
         """Owned slot opportunities in the window [start_cycle, start_cycle + cycles)."""
@@ -778,7 +783,6 @@ class GtLinkStreamConsumer(ClockedComponent):
 
     # -- timed protocol: a pure sink never generates events of its own -------
 
-    supports_timed_wake = True
     settles_at_sync = True  # nothing to book, idle or busy
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
@@ -830,10 +834,11 @@ class GtStreamEndpoints:
 class TimeDivisionNoC(NocBase):
     """A complete Æthereal-style TDMA guaranteed-throughput network.
 
-    One :class:`TdmaDatapath` (:attr:`datapath`) clocks the routers,
-    registered where the other kinds register theirs, ahead of the streams.
-    Its compiled per-slot gather and scatter over the 8-16 words that move
-    leave no columnar plane (:mod:`repro.sim.vector`) anything to batch:
+    One :class:`TdmaDatapath` (:attr:`datapath`) clocks the routers and
+    fires the :class:`GtStreamDriver` of every stream whose source tile it
+    holds: the fabric's kernel clocks that one component.  Its compiled
+    per-slot gather and scatter over the 8-16 words that move leave no
+    columnar plane (:mod:`repro.sim.vector`) anything to batch:
     ``schedule="vector"`` (the default) runs as ``"event"`` here, and
     :meth:`schedule_report` says so.
     """
@@ -979,15 +984,14 @@ class TimeDivisionNoC(NocBase):
         )
         driver = sink = None
         if self.is_local(allocation.src):
-            driver = GtStreamDriver(
+            driver = self._adopt_driver(GtStreamDriver(
                 f"{name}_src",
                 self.router_at(allocation.src),
                 allocation.channel_name,
                 word_source,
                 load,
                 cycles_per_word=cycles_per_word,
-            )
-            self.kernel.add(driver)
+            ))
         if self.is_local(allocation.dst):
             sink = self.router_at(allocation.dst).tile
         endpoints = GtStreamEndpoints(name, driver, sink, allocation)

@@ -11,7 +11,9 @@ packet-switched approach keeps, at the cost of buffering and arbitration
 energy.
 
 One :class:`~repro.baseline.router.PacketDatapath` (:attr:`PacketSwitchedNoC
-.datapath`) clocks the routers; wiring and routing change between cycles only.
+.datapath`) clocks the routers and fires the tile stream drivers: the fabric's
+kernel clocks that one component.  Wiring and routing change between cycles
+only.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ class PacketSwitchedNoC(NocBase):
         )
         driver = None
         if self.is_local(src):
-            driver = TilePacketDriver(
+            driver = self._adopt_driver(TilePacketDriver(
                 f"{name}_src",
                 self.router_at(src),
                 word_source,
@@ -176,8 +178,7 @@ class PacketSwitchedNoC(NocBase):
                 load=load,
                 vc=vc,
                 words_per_packet=words_per_packet or self.words_per_packet,
-            )
-            self.kernel.add(driver)
+            ))
         endpoints = PacketStreamEndpoints(name, driver, src, dst)
         self.streams[name] = endpoints
         return endpoints

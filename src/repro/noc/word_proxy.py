@@ -44,64 +44,43 @@ class PacedPullModel:
     Both :class:`~repro.core.testbench.TileStreamDriver` and
     :class:`~repro.baseline.testbench.TilePacketDriver` pull one word from
     their source on every pacer emission, unconditionally — the pull
-    schedule *is* the pacer schedule, advanced one step per simulated
-    cycle from the cycle the stream was attached.
+    schedule *is* the pacer schedule, one :meth:`LoadPacer.emit_from` per
+    pull from the cycle the stream was attached.
     """
 
     def __init__(self, load: float, cycles_per_word: int, start_cycle: int) -> None:
         self._pacer = LoadPacer(load, cycles_per_word)
-        self._cycle = start_cycle
-        self._evaluated = False
+        #: The cycle of the next pull (``None``: never).
+        self._due = self._pacer.emit_from(start_cycle)
         self._halt: Optional[int] = None
 
     def halt(self, cycle: int) -> None:
         """The remote driver left the kernel before *cycle* ran."""
         self._halt = cycle if self._halt is None else min(self._halt, cycle)
 
+    def _stop(self, cycle: int, include_current: bool) -> int:
+        stop = cycle + 1 if include_current else cycle
+        return stop if self._halt is None else min(stop, self._halt)
+
     def burn(self, replica: Callable[[], int], cycle: int, include_current: bool) -> None:
         """Replay this user's pulls up to *cycle* (inclusive iff *include_current*)."""
-        limit = cycle if self._halt is None else min(cycle, self._halt)
-        self._burn_range(replica, limit)
-        if (
-            include_current
-            and self._cycle == cycle
-            and not self._evaluated
-            and (self._halt is None or cycle < self._halt)
-        ):
-            if self._pacer.should_emit():
-                replica()
-            self._evaluated = True
-
-    def _burn_range(self, replica: Callable[[], int], stop: int) -> None:
-        if self._evaluated:
-            if self._cycle >= stop:
-                return
-            self._cycle += 1
-            self._evaluated = False
-        remaining = stop - self._cycle
-        while remaining > 0:
-            gap = self._pacer.cycles_until_emit()
-            if gap is None or gap > remaining:
-                self._pacer.skip(remaining)
-                self._cycle = stop
-                return
-            self._pacer.skip(gap - 1)
-            self._pacer.should_emit()
+        stop, due = self._stop(cycle, include_current), self._due
+        while due is not None and due < stop:
             replica()
-            self._cycle += gap
-            remaining -= gap
+            due = self._pacer.emit_from(due + 1)
+        self._due = due
 
 
-class GtPullModel:
+class GtPullModel(PacedPullModel):
     """Pull times of a remote :class:`~repro.noc.gt_network.GtStreamDriver`.
 
     The TDMA driver pulls *conditionally*: a pacer emission only pulls a
     word while the connection's injection backlog is below the queue bound
     (a full queue drops the offer without touching the source).  The
     backlog drains through the source router's slot table — one word per
-    programmed injection slot per revolution — so the model tracks it
-    exactly: pacer fires push (bounded), slot hits pop, both counted in
-    closed form between emissions.
+    programmed injection slot per revolution, after that cycle's emission —
+    so the model tracks it exactly: pacer fires push (bounded), slot hits
+    pop, counted in closed form between emissions.
     """
 
     def __init__(
@@ -113,18 +92,13 @@ class GtPullModel:
         queue_limit: int,
         start_cycle: int,
     ) -> None:
-        self._pacer = LoadPacer(load, cycles_per_word)
+        super().__init__(load, cycles_per_word, start_cycle)
         self._slots = slots
         self._pop_residues = sorted(slot % slots for slot in pop_slots)
         self._queue_limit = queue_limit
         self._backlog = 0
-        self._cycle = start_cycle
-        self._evaluated = False
-        self._halt: Optional[int] = None
-
-    def halt(self, cycle: int) -> None:
-        """The remote driver left the kernel before *cycle* ran."""
-        self._halt = cycle if self._halt is None else min(self._halt, cycle)
+        #: The first cycle whose pops the backlog does not reflect yet.
+        self._popped_to = start_cycle
 
     def _pops_in(self, start: int, stop: int) -> int:
         """Slot-table pop opportunities in the cycle window [start, stop)."""
@@ -135,52 +109,17 @@ class GtPullModel:
                 count += 1
         return count
 
-    def _finish_cycle(self) -> None:
-        self._backlog -= min(
-            self._backlog, self._pops_in(self._cycle, self._cycle + 1)
-        )
-        self._cycle += 1
-        self._evaluated = False
-
     def burn(self, replica: Callable[[], int], cycle: int, include_current: bool) -> None:
         """Replay this user's pulls up to *cycle* (inclusive iff *include_current*)."""
-        limit = cycle if self._halt is None else min(cycle, self._halt)
-        self._burn_range(replica, limit)
-        if (
-            include_current
-            and self._cycle == cycle
-            and not self._evaluated
-            and (self._halt is None or cycle < self._halt)
-        ):
-            if self._pacer.should_emit() and self._backlog < self._queue_limit:
-                replica()
-                self._backlog += 1
-            self._evaluated = True
-
-    def _burn_range(self, replica: Callable[[], int], stop: int) -> None:
-        if self._evaluated:
-            if self._cycle >= stop:
-                return
-            self._finish_cycle()
-        while self._cycle < stop:
-            gap = self._pacer.cycles_until_emit()
-            fire = None if gap is None else self._cycle + gap - 1
-            if fire is None or fire >= stop:
-                span = stop - self._cycle
-                self._backlog -= min(self._backlog, self._pops_in(self._cycle, stop))
-                self._pacer.skip(span)
-                self._cycle = stop
-                return
-            if fire > self._cycle:
-                self._backlog -= min(self._backlog, self._pops_in(self._cycle, fire))
-                self._pacer.skip(fire - self._cycle)
-                self._cycle = fire
-            self._pacer.should_emit()
+        stop, due = self._stop(cycle, include_current), self._due
+        while due is not None and due < stop:
+            self._backlog -= min(self._backlog, self._pops_in(self._popped_to, due))
+            self._popped_to = due
             if self._backlog < self._queue_limit:
                 replica()
                 self._backlog += 1
-            self._evaluated = True
-            self._finish_cycle()
+            due = self._pacer.emit_from(due + 1)
+        self._due = due
 
 
 class _SharedSource:

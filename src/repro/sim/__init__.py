@@ -22,8 +22,7 @@ and is the oracle.  ``vector`` — the event heap plus the self-gating vector
 plane where the network kind has one — is
 :data:`repro.sim.engine.DEFAULT_SCHEDULE`: what ``SimulationKernel``,
 ``build_network`` and every experiment hand out when no ``schedule`` is
-passed.  ``"auto"`` and ``"event"``, the names of two earlier schedules, are
-accepted as its aliases.
+passed.
 
 Skipping idle components
 ------------------------
@@ -32,12 +31,12 @@ The paper's central energy argument — most of a circuit-switched fabric is
 idle most of the time (Section 7.3 proposes clock gating for exactly this
 reason) — applies to simulation cost as well:
 
-* **Predicted events.**  A component that sets ``supports_timed_wake``
-  implements ``next_event_cycle(cycle)`` — the first cycle at which its
-  evaluate/commit could do more than an idle tick, given unchanged inputs
-  (``None`` = never; traffic pacers predict their next emission in closed
-  form, the GT datapath the injection slot of the next queued word, a
-  router answers ``None`` once frozen).  After each executed cycle the
+* **Predicted events.**  Every component answers ``next_event_cycle(cycle)``
+  — the first cycle at which its evaluate/commit could do more than an idle
+  tick, given unchanged inputs (``None`` = never; the default, "due now",
+  runs it every cycle; traffic pacers predict their next emission in closed
+  form, the GT and packet datapaths their next driver's due cycle or the
+  injection slot of a queued word, a router answers ``None`` once frozen).  After each executed cycle the
   kernel parks it, puts it on a timestamp-ordered heap of ``(due, index,
   seq, component)`` entries, or keeps it on the dense batch; entries are
   lazily invalidated, so wakes and removals never search the heap.
@@ -76,8 +75,7 @@ reason) — applies to simulation cost as well:
   version sweeps every register and wire densely, so stale lanes cannot
   linger.  Components never ask which schedule runs them.
 
-Components that do not opt in are simply evaluated every cycle.  Ordering
-stays deterministic: batches commit in registration-index order (the order
+Ordering stays deterministic: batches commit in registration-index order (the order
 ``strict`` uses), and the ``seq`` tiebreaker makes heap order independent of
 hash seeds or insertion history.
 
@@ -107,8 +105,9 @@ every data converter — serialiser shift register and output phit,
 deserialiser collected phits, owed and committed acknowledge pulses — is
 columns of the same plane, shifted for all lanes at once; only the word
 edges (load a queued word, return credit, deliver a word to the tile) stay
-scalar.  The GT and packet datapaths and clock-gated fabrics do not
-register a plane and run on the event heap alone;
+scalar.  The GT and packet datapaths (one kernel component per fabric,
+firing the fabric's tile stream drivers themselves) and clock-gated
+fabrics do not register a plane and run on the event heap alone;
 ``network.schedule_report()`` names the requested and the effective
 schedule and the reason they differ.
 

@@ -41,19 +41,17 @@ Two schedules are available (:data:`SCHEDULES`), bit-identical;
     Toggle counts come from vectorised ``popcount(xor(new, old))``, which
     equals the scalar ``int.bit_count`` path exactly.
 
-``"auto"`` and ``"event"``, the names of two earlier schedules, are still
-accepted: the constructor maps both to ``"vector"``.
-
 Timed protocol
 --------------
 
-A component opts in to being skipped by setting the class attribute
-``supports_timed_wake`` and implementing
+Every component is asked one question after each cycle it ran:
 
 * :meth:`ClockedComponent.next_event_cycle` — given unchanged inputs, the
   first cycle at which its evaluate/commit could do anything beyond the
   constant accounting of :meth:`ClockedComponent.idle_tick` (``None`` =
-  never: the component parks until an input changes), and
+  never: the component parks until an input changes).  The default answer
+  is the cycle asked about ("due now"), which keeps the component on the
+  dense batch.  A component that predicts anything later also implements
 * :meth:`ClockedComponent.idle_tick` — applies *n* cycles worth of that
   constant accounting (clocked/gated register bits) in one call, and
   fast-forwards the component's deterministic per-cycle bookkeeping (pacer
@@ -63,13 +61,13 @@ A component opts in to being skipped by setting the class attribute
   :meth:`SimulationKernel.sync`), so a parked component costs *zero* work
   per cycle.
 
-Components that do not opt in (ad-hoc test components) run every cycle,
-which keeps the kernel a drop-in replacement.
+A component that keeps the default (an ad-hoc test component) runs every
+cycle, which keeps the kernel a drop-in replacement.
 
 Event-queue contract
 --------------------
 
-* One question per executed component: a timed component is asked
+* One question per executed component: it is asked
   ``next_event_cycle`` only (``None`` parks it until a dirty-bit wake).
 * ``next_event_cycle`` must be *sound*: every cycle in ``[cycle, result)``
   must be an idle tick given unchanged inputs.  It need not be tight — a
@@ -129,10 +127,6 @@ SCHEDULES = ("strict", "vector")
 #: vector plane.
 DEFAULT_SCHEDULE = "vector"
 
-#: Names of earlier schedules the constructor still accepts, and what they
-#: run now.
-_ALIASES = {"auto": "vector", "event": "vector"}
-
 #: Sort key of the awake and late lists: registration order (a C-level getter).
 _BY_REGISTRATION = operator.attrgetter("_kernel_index")
 
@@ -143,14 +137,11 @@ class ClockedComponent(abc.ABC):
     Subclasses implement :meth:`evaluate` and :meth:`commit`.  The split
     mirrors a synchronous hardware description: ``evaluate`` is the
     combinational logic in front of the registers, ``commit`` is the clock
-    edge.  Components whose idle behaviour is predictable may additionally
-    opt in to the timed protocol documented in the module docstring.
+    edge.  Components whose idle behaviour is predictable override
+    :meth:`next_event_cycle` and :meth:`idle_tick` (the timed protocol of the
+    module docstring).
     """
 
-    #: Set by subclasses that implement :meth:`next_event_cycle` /
-    #: :meth:`idle_tick`: the component can predict its next interesting
-    #: cycle, so the kernel may skip it until then (see the module docstring).
-    supports_timed_wake: ClassVar[bool] = False
     #: Set by subclasses whose *commit* reads live state another component
     #: drives during the same commit phase (the stream testbenches).  Under
     #: ``schedule="vector"`` a commit-phase wake from a lower-index component
@@ -217,24 +208,21 @@ class ClockedComponent(abc.ABC):
         another component observes.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} is skipped by the kernel (supports_timed_wake, "
+            f"{type(self).__name__} is skipped by the kernel (a later next_event_cycle(), "
             "settles_at_sync or parked) but does not implement idle_tick()"
         )
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """First cycle ≥ *cycle* whose evaluate/commit may exceed an idle tick.
 
-        Only called on components with ``supports_timed_wake``, and only
-        while the component is on the schedule.  The contract: given that no
-        input changes in the meantime, every cycle in ``[cycle, result)`` is
-        an idle tick for this component.  Return *cycle* itself when the
-        component is (or may be) active right now, and ``None`` when no
-        future self-generated event exists (a pure sink).
+        Only called while the component is on the schedule.  The contract:
+        given that no input changes in the meantime, every cycle in
+        ``[cycle, result)`` is an idle tick for this component.  Return
+        *cycle* itself when the component is (or may be) active right now —
+        the default, which runs it every cycle — and ``None`` when no future
+        self-generated event exists (a pure sink).
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} declares supports_timed_wake but does "
-            "not implement next_event_cycle()"
-        )
+        return cycle
 
     def refuse_inside_cycle(self, what: str) -> None:
         """Raise :class:`SimulationError` unless this component's kernel is
@@ -282,8 +270,7 @@ class SimulationKernel:
         :class:`repro.sim.vector.VectorPlane`; ``"strict"`` evaluates and
         commits every component every cycle.  Both produce bit-identical
         results; ``strict`` exists as the reference for the equivalence tests
-        and for debugging.  ``"auto"`` and ``"event"`` are accepted as
-        aliases of ``"vector"``.
+        and for debugging.
     """
 
     def __init__(
@@ -291,12 +278,9 @@ class SimulationKernel:
     ) -> None:
         if frequency_hz <= 0:
             raise ValueError("frequency_hz must be positive")
-        schedule = _ALIASES.get(schedule, schedule)
         if schedule not in SCHEDULES:
             raise ValueError(
-                f"schedule must be one of {', '.join(map(repr, SCHEDULES))} "
-                f"(aliases of 'vector': {', '.join(map(repr, _ALIASES))}), "
-                f"got {schedule!r}"
+                f"schedule must be one of {', '.join(map(repr, SCHEDULES))}, got {schedule!r}"
             )
         self.frequency_hz = float(frequency_hz)
         self.schedule = schedule
@@ -757,19 +741,18 @@ class SimulationKernel:
             if cycle % every == 0:
                 hook(cycle)
         stats.evaluated += len(awake)
-        # Reschedule every batch member with one question, a timed
-        # component's next_event_cycle(): stay dense (input dirty, no
-        # protocol, or due immediately), park (no future self-event;
-        # dirty-bit wakes cover it), or push onto the heap at the predicted
-        # due cycle.  The predictions run under the leap guard: they must
-        # not wake anybody.
+        # Reschedule every batch member with one question, its
+        # next_event_cycle(): stay dense (input dirty or due immediately),
+        # park (no future self-event; dirty-bit wakes cover it), or push
+        # onto the heap at the predicted due cycle.  The predictions run
+        # under the leap guard: they must not wake anybody.
         sleeping = self._sleeping
         next_cycle = self._cycle
         self._phase = "leap"
         try:
             write = 0
             for component in awake:
-                if not component._input_dirty and component.supports_timed_wake:
+                if not component._input_dirty:
                     event = component.next_event_cycle(next_cycle)
                     if event is None or event > next_cycle:
                         component._asleep = True

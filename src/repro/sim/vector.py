@@ -160,10 +160,6 @@ class VectorPlane(ClockedComponent):
         Kernel component name (one plane per kernel).
     """
 
-    #: The plane generates no event of its own: it answers ``None`` (park
-    #: until a dirty-bit wake) or "now".
-    supports_timed_wake = True
-
     def __init__(self, members: List[Any], name: str = "vector_plane") -> None:
         super().__init__(name)
         if not members:

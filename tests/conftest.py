@@ -209,7 +209,8 @@ def clock_of(router):
 def twin_benches(router_classes, make_link, setup, *, schedule=None, **router_kwargs):
     """One single-router bench per class (links on all four sides, own kernel,
     under *schedule* or the default), populated alike by ``setup(router,
-    links)``, which returns the extra components to clock (or ``None``),
+    links)``, which returns the extra components to clock (or ``None``) —
+    tile stream drivers of a datapath (no components) are adopted by it —
     clocked by :func:`clock_of`."""
     benches = []
     for router_class in router_classes:
@@ -219,7 +220,13 @@ def twin_benches(router_classes, make_link, setup, *, schedule=None, **router_kw
             links[port] = (make_link(f"rx_{port.short_name}", router), make_link(f"tx_{port.short_name}", router))
             router.attach_link(port, *links[port])
         kernel = SimulationKernel(25e6, **({"schedule": schedule} if schedule else {}))
-        kernel.add_all([*(setup(router, links) or ()), clock_of(router)])
+        clock, components = clock_of(router), []
+        for component in setup(router, links) or ():
+            if isinstance(component, ClockedComponent):
+                components.append(component)
+            else:
+                clock.drivers.adopt(component, 0)
+        kernel.add_all([*components, clock])
         benches.append((router, links, kernel))
     return benches
 

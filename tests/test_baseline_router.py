@@ -33,6 +33,8 @@ from repro.common import (
     ALL_PORTS, NEIGHBOR_PORTS, CapacityError, ConfigurationError, Port, SimulationError, bit_mask, port_offset,
     toggle_count,
 )
+from repro.core.header import phits_per_packet
+from repro.core.testbench import LoadPacer
 from repro.energy.activity import ActivityCounters, ActivityKeys, BUFFER_READ_BITS, BUFFER_WRITE_BITS
 from repro.noc import IrregularMesh, Mesh2D, PacketSwitchedNoC
 from repro.sim.engine import ClockedComponent, SimulationKernel
@@ -43,8 +45,12 @@ def words(seed: int = 0):
     return lambda: rng.getrandbits(16)
 
 
-def _clocked(*routers):
-    return PacketDatapath("dut_datapath", routers)
+def _clocked(*routers, drivers=()):
+    """A datapath clocking *routers* and firing the tile stream *drivers*."""
+    datapath = PacketDatapath("dut_datapath", routers)
+    for driver in drivers:
+        datapath.drivers.adopt(driver, 0)
+    return datapath
 
 
 class TestConstruction:
@@ -75,7 +81,7 @@ class TestSingleRouterTraffic:
         router, links = ps_router_with_links
         driver = TilePacketDriver("src", router, words(1), dest=(2, 1), load=1.0, vc=0)
         consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
-        kernel_25mhz.add_all([driver, consumer, _clocked(router)])
+        kernel_25mhz.add_all([consumer, _clocked(router, drivers=[driver])])
         kernel_25mhz.run(600)
         assert driver.words_sent > 0
         assert consumer.words_received >= driver.words_sent - router.tile.words_per_packet
@@ -116,7 +122,7 @@ class TestSingleRouterTraffic:
             "src_w", links[Port.WEST][0], words(5), dest=(2, 1), src=(0, 1), load=1.0, vc=1
         )
         consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
-        kernel_25mhz.add_all([tile_driver, west_driver, consumer, _clocked(router)])
+        kernel_25mhz.add_all([west_driver, consumer, _clocked(router, drivers=[tile_driver])])
         kernel_25mhz.run(1000)
         assert router.activity.get(ActivityKeys.ARBITER_GRANT_CHANGES) > 0
         sent = tile_driver.words_sent + west_driver.words_sent
@@ -133,7 +139,7 @@ class TestSingleRouterTraffic:
         router, links = ps_router_with_links
         driver = TilePacketDriver("src", router, words(6), dest=(2, 1), load=1.0, vc=0)
         consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
-        kernel_25mhz.add_all([driver, consumer, _clocked(router)])
+        kernel_25mhz.add_all([consumer, _clocked(router, drivers=[driver])])
         kernel_25mhz.run(100)
         router.reset()
         assert router.activity.cycles == 0
@@ -166,7 +172,7 @@ class TestTileInterface:
 
         kernel = SimulationKernel(25e6)
         driver = TilePacketDriver("src", left, words(7), dest=(1, 0), load=1.0, vc=0)
-        kernel.add_all([driver, _clocked(left, right)])
+        kernel.add(_clocked(left, right, drivers=[driver]))
         kernel.run(800)
         assert driver.words_sent > 0
         assert right.tile.words_received >= driver.words_sent - left.tile.words_per_packet
@@ -531,7 +537,6 @@ class _ReferenceRouter(ClockedComponent):
     its cycle; a nested request scan per output port, per-event counter adds."""
 
     NUM_PORTS = 5
-    supports_timed_wake = True
 
     def __init__(self, name, position=(0, 0), num_vcs=4, fifo_depth=8, data_width=16, words_per_packet=16,
                  tech=None, route=None):
@@ -765,6 +770,57 @@ class _ReferenceRouter(ClockedComponent):
                 tx.reset()
 
 
+class _ReferenceTilePacketDriver(ClockedComponent):
+    """The tile stream driver as a kernel component, verbatim: paced in
+    evaluate() one cycle at a time, skipped through idle_tick()."""
+
+    def __init__(self, name, router, word_source, dest, load=1.0, vc=0, words_per_packet=None, data_width=16,
+                 lane_width=4):
+        super().__init__(name)
+        self.router = router
+        self.word_source = word_source
+        self.dest = dest
+        self.vc = vc
+        self.words_per_packet = words_per_packet or router.tile.words_per_packet
+        self._pacer = LoadPacer(load, phits_per_packet(data_width, lane_width))
+        self._pending_words = []
+        self.words_offered = 0
+        self.words_sent = 0
+
+    def evaluate(self, cycle):
+        if self._pacer.should_emit():
+            self.words_offered += 1
+            self._pending_words.append(self.word_source())
+            if len(self._pending_words) >= self.words_per_packet:
+                packet = Packet(
+                    src=self.router.position, dest=self.dest, words=list(self._pending_words)
+                )
+                self.router.tile.send_packet(packet, self.vc)
+                self.words_sent += len(self._pending_words)
+                self._pending_words.clear()
+
+    def commit(self, cycle):  # the router owns all clocked state
+        pass
+
+    def next_event_cycle(self, cycle):
+        return self._pacer.next_emit_cycle(cycle)
+
+    def idle_tick(self, start_cycle, cycles):
+        self._pacer.skip(cycles)
+
+    def reset(self):
+        self._pacer.reset()
+        self._pending_words.clear()
+        self.words_offered = 0
+        self.words_sent = 0
+
+
+def _reference_packet_driver(driver):
+    """The kernel-component twin of a :class:`TilePacketDriver` record."""
+    return _ReferenceTilePacketDriver(driver.name, driver.router, driver.word_source, driver.dest,
+                                      driver.pacer.load, driver.vc, driver.words_per_packet)
+
+
 class _ReferencePacketNoC(PacketSwitchedNoC):
     def _build_router(self, position):
         return _ReferenceRouter(
@@ -779,6 +835,9 @@ class _ReferencePacketNoC(PacketSwitchedNoC):
     def _register_with_kernel(self):
         for router in self.routers.values():
             self.kernel.add(router)
+
+    def _adopt_driver(self, driver):
+        return self.kernel.add(_reference_packet_driver(driver))
 
 
 def _fields(flit):
@@ -843,11 +902,14 @@ def _run_lockstep(scenario, **sizes):
         for cls in (PacketSwitchedNoC, _ReferencePacketNoC)
     ]
     production, reference = networks
+    never = float("inf")
     for cycle in scenario.steps(networks):
         assert _network_state(production) == _network_state(reference), f"diverged in cycle {cycle}"
         now = production.kernel.cycle
-        if production.datapath.next_event_cycle(now) is None:
-            assert all(router.next_event_cycle(now) is None for router in reference.routers.values()), now
+        # The datapath sleeps no longer than the reference routers and drivers all would.
+        events = [clock.next_event_cycle(now) for clock in reference.kernel.components]
+        parked = production.datapath.next_event_cycle(now)
+        assert (never if parked is None else parked) <= min((e for e in events if e is not None), default=never), now
     assert production.stream_statistics() == reference.stream_statistics()
     assert production.fault_drops() == reference.fault_drops()
 
@@ -936,7 +998,8 @@ def _table3_setup(name, load):
             dest = (1 + dx, 1 + dy)
             vc = index % router.num_vcs
             if stream.enters_at_tile:
-                components.append(TilePacketDriver(f"s{index}", router, source, dest, load, vc, 4))
+                driver = TilePacketDriver(f"s{index}", router, source, dest, load, vc, 4)
+                components.append(_reference_packet_driver(driver) if isinstance(router, _ReferenceRouter) else driver)
             else:
                 dx, dy = port_offset(stream.input_port)
                 components.append(PacketStreamDriver(

@@ -279,7 +279,6 @@ class _ReferenceCircuitRouter(ClockedComponent):
     """The circuit router's dense evaluate/commit and park rule, verbatim."""
 
     NUM_PORTS = 5
-    supports_timed_wake = True
 
     def __init__(self, name, lanes_per_port=4, lane_width=4, data_width=16, position=(0, 0),
                  clock_gating=False):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import drm, hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, scenario_by_name, word_generator
 from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, SimulationError, toggle_count
+from repro.core.testbench import LoadPacer
 from repro.energy.activity import ActivityKeys
 from repro.experiments.harness import run_app_traffic, run_gt_scenario, run_scenario
 from repro.noc import Mesh2D, NocBase, SlotTableAllocator, TimeDivisionNoC, Torus2D, build_network
@@ -220,7 +221,8 @@ class TestAttachChannelParity:
 # wire and books the constant clocked bits every cycle, idle_tick() books them
 # for the cycles slept through), with the backlog test, the _datapath_idle()
 # scan and the wake-ups of the old router.  Method bodies are verbatim; the
-# tables, wiring and registers are SlotTableRouter's, with no datapath.
+# tables, wiring and registers are SlotTableRouter's, with no datapath.  The
+# tile stream drivers are kernel components again too (_ReferenceGtStreamDriver).
 
 
 class _ReferenceTile(TdmaTileInterface):
@@ -243,7 +245,7 @@ class _ReferenceTile(TdmaTileInterface):
 
 
 class _ReferenceSlotTableRouter(SlotTableRouter, ClockedComponent):
-    supports_quiescence = supports_timed_wake = True
+    supports_quiescence = True
 
     def __init__(self, name, *args, **kwargs):
         SlotTableRouter.__init__(self, name, *args, **kwargs)
@@ -355,8 +357,58 @@ class _ReferenceSlotTableRouter(SlotTableRouter, ClockedComponent):
                 tx.drive(None)
 
 
+class _ReferenceGtStreamDriver(ClockedComponent):
+    """The tile stream driver as a kernel component, verbatim: paced in
+    evaluate() one cycle at a time, skipped through idle_tick()."""
+
+    def __init__(self, name, router, connection, word_source, load=1.0, cycles_per_word=1, queue_limit=8):
+        super().__init__(name)
+        self.router = router
+        self.connection = connection
+        self.word_source = word_source
+        self.queue_limit = queue_limit
+        self._pacer = LoadPacer(load, cycles_per_word)
+        self.words_offered = 0
+        self.words_sent = 0
+        self.words_dropped = 0
+
+    def evaluate(self, cycle):
+        if not self._pacer.should_emit():
+            return
+        self.words_offered += 1
+        if self.router.tile.backlog(self.connection) < self.queue_limit:
+            self.router.tile.send(self.connection, self.word_source())
+            self.words_sent += 1
+        else:
+            self.words_dropped += 1
+
+    def commit(self, cycle):  # the router itself owns the clocked state
+        pass
+
+    def next_event_cycle(self, cycle):
+        return self._pacer.next_emit_cycle(cycle)
+
+    def idle_tick(self, start_cycle, cycles):
+        self._pacer.skip(cycles)
+
+    def reset(self):
+        self._pacer.reset()
+        self.words_offered = 0
+        self.words_sent = 0
+        self.words_dropped = 0
+
+
+def _reference_gt_driver(driver):
+    """The kernel-component twin of a :class:`GtStreamDriver` record."""
+    return _ReferenceGtStreamDriver(driver.name, driver.router, driver.connection, driver.word_source,
+                                    driver.pacer.load, driver.pacer.cycles_per_word, driver.queue_limit)
+
+
 class _ReferenceGtNoC(TimeDivisionNoC):
     _register_with_kernel = NocBase._register_with_kernel  # every router on its own
+
+    def _adopt_driver(self, driver):
+        return self.kernel.add(_reference_gt_driver(driver))
 
     def _build_router(self, position):
         return _ReferenceSlotTableRouter(
@@ -380,13 +432,19 @@ def _gt_router_state(router):
 
 
 def _parked(clocks, cycle):
-    """The earliest event any of the routers' clocks predicts."""
+    """The earliest event any of the clocks predicts: the datapath, or the
+    reference routers and tile stream drivers together."""
     events = [event for event in (clock.next_event_cycle(cycle) for clock in clocks) if event is not None]
     return min(events, default=None)
 
 
+def _reference_clocks(kernel):
+    """What a reference bench or fabric clocks in place of a datapath."""
+    return [c for c in kernel.components if isinstance(c, (_ReferenceSlotTableRouter, _ReferenceGtStreamDriver))]
+
+
 def _gt_network_state(network):
-    clocks = [network.datapath] if network.datapath else list(network.routers.values())
+    clocks = [network.datapath] if network.datapath else _reference_clocks(network.kernel)
     return (
         {position: _gt_router_state(router) for position, router in network.routers.items()},
         {key: (link.forward, link.dead, link.dropped) for key, link in network.links.items()},
@@ -406,7 +464,8 @@ def _gt_twin_benches(setup, **router_kwargs):
 
 def _gt_bench_state(router, links, kernel):
     wires = {port: [(link.forward, link.dropped) for link in pair] for port, pair in links.items()}
-    return _gt_router_state(router), wires, _parked([router.datapath or router], kernel.cycle)
+    clocks = [router.datapath] if router.datapath else _reference_clocks(kernel)
+    return _gt_router_state(router), wires, _parked(clocks, kernel.cycle)
 
 
 def _gt_step_twins(benches, cycles):
@@ -426,9 +485,13 @@ def _table3_setup(name, load, slots=16):
             connection, source = f"s{stream.stream_id}", word_generator(BitFlipPattern.TYPICAL, seed=stream.stream_id)
             for slot in owned:
                 router.program(stream.output_port, slot, stream.input_port, connection)
-            components.append(
-                GtStreamDriver(f"{connection}_src", router, connection, source, load, 4) if stream.enters_at_tile
-                else GtLinkStreamDriver(f"{connection}_src", links[stream.input_port][0], slots, owned, source, load))
+            if stream.enters_at_tile:
+                driver = GtStreamDriver(f"{connection}_src", router, connection, source, load, 4)
+                reference = isinstance(router, _ReferenceSlotTableRouter)
+                components.append(_reference_gt_driver(driver) if reference else driver)
+            else:
+                components.append(
+                    GtLinkStreamDriver(f"{connection}_src", links[stream.input_port][0], slots, owned, source, load))
             if not stream.leaves_at_tile:
                 consumers.setdefault(stream.output_port, GtLinkStreamConsumer(
                     f"{connection}_dst", links[stream.output_port][1], slots))
@@ -593,3 +656,28 @@ class TestScheduleChangesBetweenCycles:
         with pytest.raises(SimulationError, match="'victim'"):
             kernel.step()
         assert router.occupied_slots() == 0
+
+
+class TestDriversInTheDatapath:
+    """Tile stream drivers are records the datapath fires, not kernel components."""
+
+    @pytest.mark.parametrize("kind", ["gt", "packet"])
+    def test_two_channels_sharing_a_source_pull_in_adoption_order(self, kind):
+        """Both channels are due in the same cycles: their drivers pull the
+        one source in the order they were adopted (the kernel registration
+        order they had as components), whatever their names."""
+        network = build_network(kind, Mesh2D(3, 1), frequency_hz=FREQUENCY_HZ)
+        pulls = iter(range(1 << 16))
+        for name, dst in (("z_first", (2, 0)), ("a_second", (1, 0))):
+            network.attach_channel(name, (0, 0), dst, 100.0, lambda: next(pulls), load=1.0)
+        assert network.kernel.components == (network.datapath,)
+        with pytest.raises(TypeError):
+            network.kernel.add(network.streams["z_first"].source)
+        network.run(400)
+        if kind == "gt":
+            first, second = (network.router_at(dst).tile.received[name]
+                             for name, dst in (("z_first", (2, 0)), ("a_second", (1, 0))))
+        else:
+            first, second = (network.router_at(dst).tile.received_words for dst in ((2, 0), (1, 0)))
+        assert len(first) > 8 and len(second) > 8
+        assert first == list(range(0, 2 * len(first), 2)) and second == list(range(1, 2 * len(second), 2))

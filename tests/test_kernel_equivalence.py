@@ -524,6 +524,8 @@ class TestGenericComponentsNeverSkipped:
         from repro.sim.engine import ClockedComponent, SimulationKernel
 
         class Plain(ClockedComponent):
+            """Keeps the default next_event_cycle(), "due now": always dense."""
+
             def __init__(self):
                 super().__init__("plain")
                 self.ticks = 0
@@ -541,28 +543,12 @@ class TestGenericComponentsNeverSkipped:
         assert kernel.scheduler_stats.skipped == 0
 
 
-class TestScheduleAliases:
-    """``auto`` and ``event`` name retired schedules and run the default."""
-
-    @pytest.mark.parametrize("alias", ["auto", "event"])
-    def test_alias_reports_vector(self, alias):
-        from repro.sim.engine import SimulationKernel
-
-        assert SimulationKernel(schedule=alias).schedule == "vector"
+class TestScheduleNames:
+    """The two schedules are the only names the kernel accepts."""
 
     def test_unknown_schedule_lists_the_accepted_names(self):
         from repro.sim.engine import SimulationKernel
 
-        with pytest.raises(ValueError, match="'strict', 'vector'.*'auto', 'event'"):
-            SimulationKernel(schedule="quiescent")
-
-    def test_event_alias_on_a_circuit_fabric_gets_the_plane(self):
-        nets = {}
-        for schedule in ("strict", "event"):
-            mesh, network = _circuit_network(schedule, width=4, height=4)
-            TestDefaultSchedule._rows(network, range(4))
-            network.run(300)
-            nets[schedule] = network
-        assert nets["event"].vector_plane is not None
-        assert nets["event"].kernel.scheduler_stats.vector_batches > 0
-        _assert_equivalent(nets)
+        for name in ("quiescent", "auto", "event"):  # the last two named retired schedules
+            with pytest.raises(ValueError, match=f"one of 'strict', 'vector', got '{name}'"):
+                SimulationKernel(schedule=name)

@@ -433,6 +433,39 @@ def test_shared_word_source_across_cut_is_shard_identical(kind):
             sharded.close()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_pull_models_equal_a_per_cycle_driver(seed):
+    """The remote pull models advance in closed form between emissions; a
+    driver simulated one cycle at a time - pacer call, bounded push, then the
+    slot-table pops of that cycle - pulls at the same cycles, halt included,
+    also while the injection queue is full."""
+    from repro.core.testbench import LoadPacer
+    from repro.noc.word_proxy import GtPullModel, PacedPullModel
+
+    rng = random.Random(seed)
+    for _ in range(200):
+        load, cpw, slots = rng.choice([0.0, 0.3, 0.7, 1.0, rng.random()]), rng.randint(1, 5), rng.choice([2, 4, 8])
+        pops, limit, start = rng.sample(range(slots), rng.randint(0, slots)), rng.randint(1, 3), rng.randint(0, 20)
+        bounded = rng.random() < 0.7
+        model = (GtPullModel(load, cpw, slots, pops, limit, start) if bounded
+                 else PacedPullModel(load, cpw, start))
+        pacer, backlog, halt, pulled, replayed = LoadPacer(load, cpw), 0, None, 0, [0]
+        cycle = start
+        for _ in range(40):
+            target, inclusive = cycle + rng.randint(0, 6), rng.random() < 0.5
+            if rng.random() < 0.05:
+                halt = target + rng.randint(0, 4) if halt is None else halt
+                model.halt(halt)
+            stop = min(target + inclusive, halt if halt is not None else target + inclusive)
+            while cycle < stop:
+                if pacer.should_emit() and (not bounded or backlog < limit):
+                    pulled, backlog = pulled + 1, backlog + 1
+                backlog -= min(backlog, sum(cycle % slots == pop for pop in pops))
+                cycle += 1
+            model.burn(lambda: replayed.__setitem__(0, replayed[0] + 1), target, inclusive)
+            assert replayed[0] == pulled
+
+
 # ---------------------------------------------------------------------------
 # Worker teardown and segment lifecycle
 # ---------------------------------------------------------------------------

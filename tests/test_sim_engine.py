@@ -10,7 +10,8 @@ from repro.sim.engine import ClockedComponent, SimulationKernel
 
 
 class _Counter(ClockedComponent):
-    """Counts clock cycles through the evaluate/commit protocol."""
+    """Counts clock cycles through the evaluate/commit protocol (the default
+    next_event_cycle(), "due now", keeps it on every cycle)."""
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
@@ -33,7 +34,8 @@ class _Counter(ClockedComponent):
 
 
 class _Follower(ClockedComponent):
-    """Registers the committed value of another component (one-cycle delay)."""
+    """Registers the committed value of another component (one-cycle delay;
+    always due, like :class:`_Counter`)."""
 
     def __init__(self, name: str, source: _Counter) -> None:
         super().__init__(name)
@@ -166,8 +168,6 @@ class TestTwoPhaseSemantics:
 
 class _Sleeper(ClockedComponent):
     """Timed component with no event of its own, used to test removal accounting."""
-
-    supports_timed_wake = True
 
     def __init__(self, name: str) -> None:
         super().__init__(name)

@@ -30,8 +30,6 @@ FREQUENCY_HZ = 100e6
 class _PacedEmitter(ClockedComponent):
     """Minimal timed component: a load pacer plus execution bookkeeping."""
 
-    supports_timed_wake = True
-
     def __init__(self, name: str, load: float, cycles_per_word: int = 5) -> None:
         super().__init__(name)
         self._pacer = LoadPacer(load, cycles_per_word)
@@ -59,8 +57,6 @@ class _PacedEmitter(ClockedComponent):
 class _Sink(ClockedComponent):
     """Timed pure sink: never generates an event of its own."""
 
-    supports_timed_wake = True
-
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self.executed = 0
@@ -79,7 +75,7 @@ class _Sink(ClockedComponent):
 
 
 class _Plain(ClockedComponent):
-    """A component without any scheduling protocol: always dense."""
+    """A component that keeps the default next_event_cycle() ("due now"): always dense."""
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
@@ -94,8 +90,6 @@ class _Plain(ClockedComponent):
 
 class _Sleeper(ClockedComponent):
     """Timed component with no event of its own: parks after its first cycle."""
-
-    supports_timed_wake = True
 
     def __init__(self, name: str) -> None:
         super().__init__(name)

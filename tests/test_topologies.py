@@ -241,6 +241,28 @@ class TestTopologyGenericNetworks:
         assert snapshots["strict"] == snapshots["vector"]
 
 
+class TestPacketRingTraffic:
+    """Every tile of a 5x5 fabric streams two hops east, one VC, shallow FIFOs."""
+
+    @pytest.mark.parametrize("topology", [
+        pytest.param(Mesh2D(5, 5), id="mesh"),
+        pytest.param(Torus2D(5, 5), id="torus", marks=pytest.mark.xfail(
+            strict=True, reason="packet routing on a torus deadlocks silently: 0 words delivered (ROADMAP item 11)")),
+    ])
+    def test_every_word_is_delivered_after_a_drain(self, topology):
+        network = build_network("packet", topology, num_vcs=1, fifo_depth=2, words_per_packet=16)
+        for x, y in topology.positions():
+            network.attach_channel(f"t{x}_{y}", (x, y), ((x + 2) % 5, y), 80.0,
+                                   word_generator(BitFlipPattern.TYPICAL, seed=5 * x + y), load=1.0)
+        network.run(2000)
+        for name in list(network.streams):
+            network.halt_stream(name)
+        network.run(2000)
+        stats = network.stream_statistics()
+        assert all(s["sent"] >= 300 for s in stats.values())
+        assert {name: s["received"] for name, s in stats.items()} == {name: s["sent"] for name, s in stats.items()}
+
+
 class TestCcnOnAlternativeTopologies:
     @pytest.mark.parametrize(
         "topology",

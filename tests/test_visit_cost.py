@@ -4,7 +4,7 @@ The packet and GT phases are what the three-kind workloads of
 ``benchmarks/e2e`` spend their time in, and this host's wall clock moves
 1.2-1.9x within minutes, so the floor is a count: interpreted bytecodes
 (``sys.settrace`` with ``f_trace_opcodes``) per simulated cycle, which repeats
-exactly on one interpreter version, hence the CPython 3.11 gate.  Seven rows:
+exactly on one interpreter version, hence the CPython 3.11 gate.  Eight rows:
 
 * ``gt`` / ``packet`` / ``circuit`` - the warmed 8x8 row fabrics of
   ``saturated_default`` (one full-load west-to-east channel per row) under
@@ -12,23 +12,25 @@ exactly on one interpreter version, hence the CPython 3.11 gate.  Seven rows:
   row sends one 17-flit packet per 256 cycles, all rows at once): that
   window holds exactly one burst.  The circuit fabric batches in NumPy; its
   row is there so the plane's fold and the word edges cannot regress unseen.
-* ``gt paced`` - the GT fabric of ``app_traffic``: HiperLAN/2 and UMTS
-  admitted by a CCN on a 6x6 mesh at half load, cycles 800-2400.
+* ``gt paced`` / ``packet paced`` - the GT and packet fabrics of
+  ``app_traffic``: HiperLAN/2 and UMTS admitted by a CCN on a 6x6 mesh at
+  half load, cycles 800-2400.
 * ``circuit bench`` / ``packet bench`` - the paper's own single-router
   bench, ``run_scenario(kind, "IV", cycles=1000)`` after one untimed call;
   ``circuit bench gated`` the same with ``clock_gating=True`` (Section 7.3).
 
-===================  ===========================  ========  ================  ===============  ===================  =================
-row                  before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath  one route program
-===================  ===========================  ========  ================  ===============  ===================  =================
-gt                   4 281                        3 500     3 118             1 220            1 219                1 219
-gt paced             -                            -         2 022             1 294            1 293                1 293
-packet               8 426                        7 454     6 653             6 645            3 534                3 534
-packet bench         -                            -         -                 1 113            979                  978
-circuit              -                            1 477     1 428             1 420            1 416                1 412
-circuit bench        -                            3 587     3 093             3 085            3 084                2 469
-circuit bench gated  -                            -         -                 -                2 606                1 821
-===================  ===========================  ========  ================  ===============  ===================  =================
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================
+row                  before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath  one route program  drivers in the datapath
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================
+gt                   4 281                        3 500     3 118             1 220            1 219                1 219              1 084
+gt paced             -                            -         2 022             1 294            1 293                1 293              964
+packet               8 426                        7 454     6 653             6 645            3 534                3 534              3 440
+packet paced         -                            -         -                 -                -                    1 859              1 663
+packet bench         -                            -         -                 1 113            979                  978                977
+circuit              -                            1 477     1 428             1 420            1 416                1 412              1 406
+circuit bench        -                            3 587     3 093             3 085            3 084                2 469              2 463
+circuit bench gated  -                            -         -                 -                2 606                1 821              1 812
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================
 
 "One pass" replaced a sampling ``evaluate``, constants booked in every
 ``commit`` and one ``ActivityCounters.add`` per counter; "by slot" replaced
@@ -41,8 +43,11 @@ buffer, allocator and arbiter objects with packed-integer flits, flat lists
 and wires between routers the datapath itself reads and clears; "one route
 program" replaced the circuit router's sampling, crossbar, drive and
 converter passes with one compiled record walk per phase, a converter that
-ticks only its live lanes and stream endpoints that read their wire lists.
-The bench ceilings are the recorded value + 8 %.
+ticks only its live lanes and stream endpoints that read their wire lists;
+"drivers in the datapath" replaced the GT and packet tile stream drivers'
+kernel components with records each datapath fires from its own due-ordered
+heap, and the kernel's per-component protocol flag with one question.
+The bench and paced ceilings are the recorded value + 8 %.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ BENCH_CYCLES = 1000
 
 #: Bytecodes per simulated cycle each row may cost.
 CEILINGS = {
-    "gt": 1700, "gt paced": 1500, "packet": 3820, "packet bench": 1200, "circuit": 1500,
+    "gt": 1700, "gt paced": 1041, "packet": 3820, "packet paced": 1796, "packet bench": 1200, "circuit": 1500,
     "circuit bench": 2666, "circuit bench gated": 1967,
 }
 
@@ -78,8 +83,8 @@ def _row_fabric(kind):
     return network
 
 
-def _paced_gt_fabric():
-    network = build_network("gt", Mesh2D(6, 6), frequency_hz=100e6)
+def _paced_fabric(kind):
+    network = build_network(kind, Mesh2D(6, 6), frequency_hz=100e6)
     ccn, source = CentralCoordinationNode(network=network), word_generator(BitFlipPattern.TYPICAL, seed=11)
     for graph in (hiperlan2.build_process_graph(), umts.build_process_graph()):
         ccn.admit(graph)
@@ -120,8 +125,9 @@ def bytecodes_per_cycle(row):
 
         bench()  # imports, caches
         return _bytecodes(bench) / BENCH_CYCLES
-    network = _paced_gt_fabric() if row == "gt paced" else _row_fabric(row)
-    warmup, counted = (800, 1600) if row == "gt paced" else (WARMUP_CYCLES, COUNTED_CYCLES)
+    kind, paced, _ = row.partition(" paced")
+    network = _paced_fabric(kind) if paced else _row_fabric(kind)
+    warmup, counted = (800, 1600) if paced else (WARMUP_CYCLES, COUNTED_CYCLES)
     network.run(warmup)
     return _bytecodes(lambda: network.run(counted)) / counted
 
@@ -133,7 +139,7 @@ cpython_3_11 = pytest.mark.skipif(
 
 
 @cpython_3_11
-@pytest.mark.parametrize("kind", ["circuit", "gt", "packet", "gt paced"])
+@pytest.mark.parametrize("kind", ["circuit", "gt", "packet", "gt paced", "packet paced"])
 def test_row_fabric_cycle_stays_under_its_bytecode_ceiling(kind):
     assert bytecodes_per_cycle(kind) <= CEILINGS[kind]
 
