@@ -21,8 +21,8 @@ paced) put 6 and 8 live routes around the vector plane's gate
 counted), so the constant is read off committed rows on both sides.
 
 Every measurement also verifies the tentpole invariant: both schedules
-must produce bit-identical merged activity counters and delivered word
-counts.  Every schedule's time is the best of :data:`SAMPLES` independent
+must leave the same ``network.snapshot()`` (per-router activity counters,
+delivered words, fault drops, energy per bit, cycle).  Every schedule's time is the best of :data:`SAMPLES` independent
 samples, taken in turns, so no ratio compares two single samples.
 
 Run as a script to (re)generate the perf-trajectory file ``BENCH_kernel.json``
@@ -33,8 +33,7 @@ at the repository root::
 ``--quick`` runs the 8×8 low-occupancy scenario plus the 8×8 paced-stream
 scenario with fewer cycles and asserts ``identical_results`` without
 touching the JSON file (the CI smoke); it also runs the full-load 8×8 GT and
-packet row fabrics under both schedules and asserts identical merged
-activity, stream statistics and energy per bit.  ``--profile`` runs the hottest
+packet row fabrics under both schedules and asserts identical snapshots.  ``--profile`` runs the hottest
 scenario (the fully loaded 8×8 mesh) under cProfile for the default
 schedule and prints the top-20 functions by cumulative time plus
 each layer's share of the profiled self time (converter, plane, routers,
@@ -151,15 +150,6 @@ def _measure(network: CircuitSwitchedNoC, cycles: int) -> float:
     return time.perf_counter() - start
 
 
-def _observe(network: CircuitSwitchedNoC) -> tuple:
-    """What every schedule must agree on."""
-    return (
-        network.merged_activity().as_dict(),
-        network.stream_statistics(),
-        network.kernel.cycle,
-    )
-
-
 def run_benchmark(
     size: int, occupancy: float, cycles: int, load: float = 1.0, samples: int = SAMPLES
 ) -> dict:
@@ -172,7 +162,7 @@ def run_benchmark(
             network = build_scenario(size, occupancy, schedule, load=load)
             best[schedule] = min(best[schedule], _measure(network, cycles))
             # Every sample of a schedule simulates the same thing.
-            observables[schedule] = _observe(network)
+            observables[schedule] = network.snapshot()
             schedulers[schedule] = network.kernel.scheduler_stats
             if schedule == "vector":
                 live_routes = network.schedule_report()["live_routes"]
@@ -187,7 +177,7 @@ def run_benchmark(
                 elapsed = min(elapsed, _measure(network, cycles))
         finally:
             vector_plane.MIN_BATCH_ROUTES = MIN_BATCH_ROUTES
-        observables["vector, gate open"] = _observe(network)
+        observables["vector, gate open"] = network.snapshot()
         # Gated over gate-open: what the gate buys this row.
         ungated = {"vector_ungated_speedup": round(elapsed / best["vector"], 2)}
     results = {schedule: cycles / elapsed for schedule, elapsed in best.items()}
@@ -254,14 +244,6 @@ def _fabric_scenario(
     return network
 
 
-def _fabric_snapshot(network) -> tuple:
-    return (
-        network.merged_activity().as_dict(),
-        network.stream_statistics(),
-        network.energy_per_delivered_bit_pj(),
-    )
-
-
 def run_sharded_benchmark(
     size: int = SHARDED_MESH,
     workers: int = SHARDED_WORKERS,
@@ -269,19 +251,18 @@ def run_sharded_benchmark(
 ) -> dict:
     """Time the single-process default kernel against *workers* shard processes.
 
-    Bit-identity (activity counters, delivered words, energy per bit) is
-    checked unconditionally; the recorded ``host_cpus`` lets CI require the
+    Bit-identity (``network.snapshot()``) is checked unconditionally; the recorded ``host_cpus`` lets CI require the
     ≥2× speedup only where the hardware can physically provide it.
     """
     single = _fabric_scenario(size)
     single_elapsed = _measure(single, cycles)
-    single_snapshot = _fabric_snapshot(single)
+    single_snapshot = single.snapshot()
 
     sharded = _fabric_scenario(size, shards=workers)
     start = time.perf_counter()
     sharded.run(cycles)
     sharded_elapsed = time.perf_counter() - start
-    sharded_snapshot = _fabric_snapshot(sharded)
+    sharded_snapshot = sharded.snapshot()
     transport = sharded.transport
     sharded.close()
 
@@ -318,13 +299,13 @@ def run_transport_benchmark(
     """
     single = _fabric_scenario(size)
     single.run(cycles)
-    reference = _fabric_snapshot(single)
+    reference = single.snapshot()
 
     rows = []
     for transport in ("pipe", "shm"):
         network = _fabric_scenario(size, shards=workers, transport=transport)
         elapsed = _measure(network, cycles)
-        snapshot = _fabric_snapshot(network)
+        snapshot = network.snapshot()
         stats = network.stats
         network.close()
         # exchange_windows is merged over all workers; each fleet-wide
@@ -473,7 +454,7 @@ def quick_smoke() -> None:
         for schedule in SCHEDULES:
             network = _fabric_scenario(8, kind=kind, schedule=schedule)
             network.run(300)
-            snapshots.append(_fabric_snapshot(network))
+            snapshots.append(network.snapshot())
         identical = all(snapshot == snapshots[0] for snapshot in snapshots)
         print(f"row-stream {kind} 8x8 occ=1.0 {' == '.join(SCHEDULES)}: identical={identical}")
         if not identical:

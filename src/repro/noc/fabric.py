@@ -613,17 +613,21 @@ class NocBase:
             (router.activity for router in self.routers.values()), name=self.activity_name
         )
 
-    def activity_snapshot(self) -> Dict[Position, Tuple[Dict[str, float], int]]:
-        """Per-router ``(counters, cycles)`` in plain comparable form.
-
-        The equivalence tests diff this across schedules and against the
-        sharded network's cross-shard aggregate
-        (:meth:`repro.sim.shard.ShardedNetwork.activity_snapshot`).
-        """
+    def snapshot(self) -> Dict[str, Any]:
+        """What every schedule, gate side and shard layout must leave alike, JSON-encodable:
+        the cycle, per-router activity and cycles keyed ``"x,y"``, stream statistics, fault
+        drops and energy per bit (not per-router power, a pure function of the activity)."""
         return {
-            position: (router.activity.as_dict(), router.activity.cycles)
-            for position, router in self.routers.items()
+            "cycle": self.kernel.cycle,
+            "routers": {f"{x},{y}": activity for (x, y), activity in self._router_activity()},
+            "streams": self.stream_statistics(),
+            "fault_drops": self.fault_drops(),
+            "energy_pj_per_bit": self.energy_per_delivered_bit_pj(),
         }
+
+    def _router_activity(self) -> Iterable[Tuple[Position, List[Any]]]:
+        """``(position, [counters, cycles])`` per router, for :meth:`snapshot`."""
+        return ((p, [r.activity.as_dict(), r.activity.cycles]) for p, r in self.routers.items())
 
     def total_area_mm2(self) -> float:
         """Total router area of the network (Table 4 per-router area × routers)."""

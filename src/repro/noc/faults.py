@@ -245,7 +245,7 @@ class FaultInjector:
         if (a, b) not in self.network.links and (b, a) not in self.network.links:
             raise FaultError(f"no link between {a} and {b} to kill")
         degraded = self._candidate(add_link=link)
-        return self._execute("link", link, degraded, [link], [])
+        return self._kill("link", link, degraded, [link], [])
 
     def kill_router(self, position: Position) -> FaultReport:
         """Kill the router at *position* (and every incident link) and recover."""
@@ -259,7 +259,7 @@ class FaultInjector:
                 "system coordination would be lost"
             )
         degraded = self._candidate(add_router=position)
-        return self._execute("router", position, degraded, [], [position])
+        return self._kill("router", position, degraded, [], [position])
 
     def kill_link_group(self, links: List[Link]) -> FaultReport:
         """Kill several links as *one* correlated fault event.
@@ -280,7 +280,7 @@ class FaultInjector:
         if not group:
             raise FaultError("a correlated link kill needs at least one link")
         degraded = self._candidate(add_links=tuple(group))
-        return self._execute("link_group", tuple(group), degraded, group, [])
+        return self._kill("link_group", tuple(group), degraded, group, [])
 
     def kill_router_group(self, positions: List[Position]) -> FaultReport:
         """Kill several routers as *one* correlated fault event (power domain)."""
@@ -300,7 +300,7 @@ class FaultInjector:
         if not group:
             raise FaultError("a correlated router kill needs at least one router")
         degraded = self._candidate(add_routers=tuple(group))
-        return self._execute("router_group", tuple(group), degraded, [], group)
+        return self._kill("router_group", tuple(group), degraded, [], group)
 
     def inject(self, spec: FaultSpec) -> FaultReport:
         """Resolve and execute one :class:`FaultSpec`.
@@ -327,7 +327,7 @@ class FaultInjector:
             return self.kill_router(target)
         return self.kill_router_group(list(target))
 
-    def _execute(
+    def _kill(
         self,
         kind: str,
         target: Any,

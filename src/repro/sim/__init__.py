@@ -111,9 +111,9 @@ fabrics do not register a plane and run on the event heap alone;
 ``network.schedule_report()`` names the requested and the effective
 schedule and the reason they differ.
 
-Bit-identity with ``strict`` is asserted by
-``tests/test_kernel_equivalence.py``, ``tests/test_timed_scheduling.py``,
-``tests/test_event_scheduling.py`` and ``tests/test_vector_plane.py``, and
+Bit-identity with ``strict`` (``network.snapshot()``) is asserted by
+``tests/test_kernel_equivalence.py`` (drawn scenarios included),
+``tests/test_timed_scheduling.py`` and ``tests/test_vector_plane.py``, and
 both schedules against the dense per-lane reference router by
 ``tests/test_circuit_reference.py``;
 ``BENCH_kernel.json`` tracks what ``vector`` buys over ``strict`` on the

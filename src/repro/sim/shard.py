@@ -76,14 +76,14 @@ import multiprocessing
 import pickle
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.baseline.link import PacketLink
 from repro.common import ConfigurationError, SimulationError
 from repro.core.lane import LaneLink
 from repro.energy.activity import ActivityCounters
 from repro.energy.power import PowerBreakdown
-from repro.noc.fabric import resolve_network_kind
+from repro.noc.fabric import NocBase, resolve_network_kind
 from repro.noc.gt_network import TdmaLink
 from repro.noc.topology import IrregularMesh, Position, Topology, partition_topology
 from repro.sim.shard_transport import (
@@ -480,10 +480,7 @@ class _ShardHarness:
         if what == "stats":
             return network.stream_statistics()
         if what == "activity":
-            return {
-                position: (router.activity.as_dict(), router.activity.cycles)
-                for position, router in network.routers.items()
-            }
+            return dict(network._router_activity())
         if what == "areas":
             return {
                 position: router.total_area_mm2
@@ -1121,12 +1118,11 @@ class ShardedNetwork:
                 into["received"] += entry["received"]
         return merged
 
-    def activity_snapshot(self) -> Dict[Position, Tuple[Dict[str, float], int]]:
-        """Per-router ``(counters, cycles)`` across every shard."""
-        snapshot: Dict[Position, Tuple[Dict[str, float], int]] = {}
-        for part in self._query_all("activity"):
-            snapshot.update(part)
-        return snapshot
+    snapshot = NocBase.snapshot
+
+    def _router_activity(self) -> Iterable[Tuple[Position, List[Any]]]:
+        """Every shard's routers, for :meth:`snapshot`."""
+        return (item for part in self._query_all("activity") for item in part.items())
 
     def _by_position(self, parts: List[Dict[Position, Any]]) -> List[Any]:
         """Per-router values from every shard, in global topology order.

@@ -15,7 +15,13 @@ from repro.core.router import CircuitSwitchedRouter
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.noc import IrregularMesh, Mesh2D, TdmaDatapath, Torus2D
+from repro.noc.fabric import build_network
 from repro.sim.engine import ClockedComponent, SimulationKernel
+
+from oracle import SHIPPED_GATE, gate_at
+
+#: The three network kinds, in the order the differential tests draw them.
+KINDS = ("circuit", "packet", "gt")
 
 
 @pytest.fixture
@@ -71,7 +77,8 @@ def neighbor_of(position: tuple[int, int], port: Port) -> tuple[int, int]:
 
 @dataclass
 class FabricScenario:
-    """A small fabric, random channels over it, and one link that dies mid-run."""
+    """A small fabric, random channels over it, one link that dies mid-run,
+    and for the differential oracle a kind, a mid-run teardown and a gate."""
 
     topology: object
     #: ``(src, dst, bandwidth_mbps, load)`` per channel.
@@ -80,10 +87,21 @@ class FabricScenario:
     #: ``(cycle, a, b, reroute)``: the link *a*-*b* fails before that cycle.
     fault: Tuple[int, tuple, tuple, bool]
     schedule: Optional[str]
+    kind: str = "circuit"
+    #: ``(cycle, drain_cycles)``: the first admitted channel is detached then.
+    churn: Optional[Tuple[int, int]] = None
+    #: The vector plane's live-route gate while it runs (``None``: as it is).
+    gate: Optional[int] = None
 
     def build(self, factory: Callable):
         """``factory(topology, **schedule)`` with this scenario's channels attached."""
         network = factory(self.topology, **({"schedule": self.schedule} if self.schedule else {}))
+        self._attach(network)
+        return network
+
+    def _attach(self, network) -> List[str]:
+        """Attach every channel admission takes; returns their names."""
+        attached = []
         for index, (src, dst, mbps, load) in enumerate(self.channels):
             rng = random.Random(index)
             try:
@@ -91,7 +109,27 @@ class FabricScenario:
                     f"ch{index}", src, dst, mbps, lambda rng=rng: rng.getrandbits(16), load=load
                 )
             except AllocationError:
-                pass  # GT admission may refuse; it refuses every twin alike
+                continue  # GT admission may refuse; it refuses every twin alike
+            attached.append(f"ch{index}")
+        return attached
+
+    def __call__(self, **params):
+        """``build_network(kind, topology, **params)`` run through in whole
+        ``run()`` calls, the fault and the churn included; returns the network."""
+        with gate_at(self.gate):
+            network = build_network(self.kind, self.topology, **params)
+            attached = self._attach(network)
+            fault_cycle, a, b, reroute = self.fault
+            events = [(fault_cycle, None)] + ([self.churn] if self.churn and attached else [])
+            for cycle, drain in sorted(events, key=lambda event: event[0]):
+                network.run(max(0, cycle - network.kernel.cycle))
+                if drain is not None:
+                    network.detach_channel(attached[0], drain_cycles=drain)
+                    continue
+                network.fail_link(a, b)
+                if reroute:
+                    network.refresh_routing(network.degraded_topology())
+            network.run(max(0, self.cycles - network.kernel.cycle))
         return network
 
     def steps(self, networks):
@@ -154,7 +192,8 @@ def topologies(draw, irregular=None, min_side=1):
 
 @st.composite
 def fabric_scenarios(draw, max_cycles: int = 220):
-    """Mesh, torus or either with a link already broken; 1-8 channels; one fault."""
+    """Mesh, torus or either with a link already broken; 1-8 channels; one
+    fault; a kind, a channel torn down mid-run or not, and a gate side."""
     if draw(st.booleans()):
         width = draw(st.integers(1, 4))
         base = Mesh2D(width, draw(st.integers(2 if width == 1 else 1, 3)))
@@ -194,6 +233,9 @@ def fabric_scenarios(draw, max_cycles: int = 220):
         cycles,
         (draw(st.integers(5, cycles - 5)), a, b, reroute),
         draw(st.sampled_from([None, "strict"])),
+        kind=draw(st.sampled_from(KINDS)),
+        churn=draw(st.none() | st.tuples(st.integers(5, cycles - 5), st.sampled_from([0, 32]))),
+        gate=draw(st.sampled_from([1, SHIPPED_GATE])),
     )
 
 

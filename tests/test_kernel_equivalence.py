@@ -1,20 +1,27 @@
 """Equivalence of the strict and the default (``vector``) schedule.
 
-The default schedule must be an *invisible* optimisation: for every tier-1
-scenario — an idle mesh, a single stream, crossing streams, the full
-UMTS / HiperLAN/2 application traffic, a mid-run reconfiguration, and the
-clock-gated router variant — the event heap with its self-gating vector plane
-has to reproduce the ``strict`` (seed-equivalent) schedule bit for bit:
-identical cycle counts, identical activity counters, identical delivered
-data, identical power numbers.  The names of two retired schedules, ``auto``
-and ``event``, are aliases of ``vector``.
+The default schedule must be an *invisible* optimisation: the event heap
+with its self-gating vector plane has to reproduce the ``strict``
+(seed-equivalent) schedule bit for bit, as :func:`oracle.assert_identical`
+compares it through ``network.snapshot()``.  One test draws the scenarios
+(kind × mesh / torus / irregular × 1–8 channels × load × mid-run churn ×
+live fault × gate side); the named cases below pin the mechanisms a draw
+may miss: an idle mesh, crossing streams, the UMTS / HiperLAN/2
+application traffic, CCN admit / release, a mid-run reconfiguration,
+``reset()``, strided hooks, clock gating, event-heap determinism and the
+snapshot's own sensitivity.  Any schedule name but ``strict`` and
+``vector`` raises.
 """
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import json
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from conftest import KINDS, FabricScenario, fabric_scenarios
+from oracle import SCHEDULES, assert_identical, ran
 from repro.apps import hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, word_generator
 from repro.energy.activity import ActivityKeys
@@ -26,74 +33,91 @@ from repro.noc.path_allocation import LaneAllocator
 from repro.noc.topology import Mesh2D, Torus2D
 
 FREQUENCY_HZ = 100e6
-SCHEDULES = ("strict", "vector")
 
 
-def _snapshot(network):
-    """Everything the experiments read from a network, in comparable form."""
-    activity = {
-        position: (router.activity.as_dict(), router.activity.cycles)
-        for position, router in network.routers.items()
-    }
-    power = {
-        position: network.routers[position].power(FREQUENCY_HZ).as_dict()
-        for position in network.routers
-    }
-    return {
-        "cycle": network.kernel.cycle,
-        "activity": activity,
-        "power": power,
-        "streams": network.stream_statistics(),
-    }
+def _identical(scenario):
+    """:func:`oracle.assert_identical` over :data:`oracle.SCHEDULES`; strict never skips a cycle."""
+    networks = assert_identical(scenario)
+    assert networks["strict"].kernel.scheduler_stats.skipped == 0
+    return networks
 
 
-def _assert_equivalent(nets):
-    reference = _snapshot(nets["strict"])
-    for schedule, network in nets.items():
-        if schedule == "strict":
-            continue
-        assert _snapshot(network) == reference, f"{schedule} diverged from strict"
-    # Only the optimised schedules may skip cycles; strict never does.
-    assert nets["strict"].kernel.scheduler_stats.skipped == 0
-
-
-def _circuit_network(schedule, width=3, height=3, clock_gating=False):
+def _circuit_network(width=3, height=3, clock_gating=False, **params):
     mesh = Mesh2D(width, height)
-    return mesh, CircuitSwitchedNoC(
-        mesh, frequency_hz=FREQUENCY_HZ, clock_gating=clock_gating, schedule=schedule
-    )
+    return mesh, CircuitSwitchedNoC(mesh, frequency_hz=FREQUENCY_HZ, clock_gating=clock_gating, **params)
+
+
+def _live_fault(kind):
+    """Two crossing channels on a 4×2 mesh whose middle link dies mid-run."""
+    channels = [((0, 0), (3, 0), 100.0, 0.7), ((3, 1), (0, 1), 100.0, 0.4)]
+    return FabricScenario(Mesh2D(4, 2), channels, 500, (250, (1, 0), (2, 0), False), None, kind=kind)
+
+
+@settings(max_examples=20, deadline=None)
+@given(scenario=fabric_scenarios(max_cycles=400))
+@example(scenario=_live_fault("circuit"))
+@example(scenario=_live_fault("packet"))
+@example(scenario=_live_fault("gt"))
+def test_drawn_scenarios_are_identical(scenario):
+    _identical(scenario)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_event_heap_is_deterministic_under_removal(kind):
+    """The identical churn-and-fault scenario twice under the default
+    schedule reproduces the observables *and* the heap statistics —
+    component removal (lazy heap deletion) and fault injection introduce no
+    ordering dependent on anything but the scenario."""
+    channels = [((0, 0), (3, 1), 100.0, 0.6), ((3, 0), (0, 1), 100.0, 0.3)]
+    scenario = FabricScenario(Mesh2D(4, 2), channels, 550, (400, (1, 0), (2, 0), False), None,
+                              kind=kind, churn=(250, 32))
+
+    def heap(network):
+        stats = network.kernel.scheduler_stats
+        return stats.events_processed, stats.heap_peak
+
+    networks = assert_identical(scenario, {"first": {}, "second": {}}, extra_state=heap)
+    assert heap(networks["first"])[0] > 0  # the default schedule actually ran off the heap
+
+
+class TestSnapshot:
+    """``network.snapshot()`` sees one unit of divergence anywhere and encodes as JSON."""
+
+    @pytest.mark.parametrize("change", ["activity", "one word fewer", "fault drop", "cycle"])
+    def test_one_change_makes_the_snapshot_differ(self, change):
+        scenario = FabricScenario(Mesh2D(3, 2), [((0, 0), (2, 0), 100.0, 1.0)], 300,
+                                  (150, (1, 0), (2, 0), False), None)
+        network, twin = scenario(), scenario()
+        assert network.snapshot() == twin.snapshot()
+        assert json.loads(json.dumps(network.snapshot(), sort_keys=True))["fault_drops"] > 0
+        if change == "activity":
+            network.router_at((1, 1)).activity.add(ActivityKeys.REG_TOGGLE_BITS)
+        elif change == "one word fewer":
+            network.streams["ch0#0"].sink.received.pop()  # the channel stripes two lanes
+        elif change == "fault drop":
+            network.link((1, 0), (2, 0)).dropped += 1
+        else:
+            network.run(1)
+        assert network.snapshot() != twin.snapshot()
 
 
 class TestIdleMesh:
     def test_idle_circuit_mesh_is_identical_and_mostly_skipped(self):
-        nets = {}
-        for schedule in SCHEDULES:
-            _, network = _circuit_network(schedule)
-            network.run(500)
-            nets[schedule] = network
-        _assert_equivalent(nets)
+        networks = _identical(lambda **params: ran(_circuit_network(**params)[1], 500))
         # Idle routers sleep from the second cycle onward.
-        stats = nets["vector"].kernel.scheduler_stats
+        stats = networks["default"].kernel.scheduler_stats
         assert stats.skipped > stats.evaluated
 
     def test_idle_clock_gated_mesh_is_identical(self):
-        nets = {}
-        for schedule in SCHEDULES:
-            _, network = _circuit_network(schedule, clock_gating=True)
-            network.run(500)
-            nets[schedule] = network
-        _assert_equivalent(nets)
+        _identical(lambda **params: ran(_circuit_network(clock_gating=True, **params)[1], 500))
 
     def test_idle_packet_mesh_is_identical(self):
-        nets = {}
-        for schedule in SCHEDULES:
-            mesh = Mesh2D(3, 3)
-            network = PacketSwitchedNoC(mesh, frequency_hz=FREQUENCY_HZ, schedule=schedule)
-            gen = word_generator(BitFlipPattern.TYPICAL, seed=1)
-            network.add_stream("idle", (0, 0), (2, 2), gen, load=0.0)
-            network.run(500)
-            nets[schedule] = network
-        _assert_equivalent(nets)
+        def scenario(**params):
+            network = PacketSwitchedNoC(Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, **params)
+            network.add_stream("idle", (0, 0), (2, 2), word_generator(BitFlipPattern.TYPICAL, seed=1), load=0.0)
+            return ran(network, 500)
+
+        _identical(scenario)
 
 
 class TestSingleStream:
@@ -104,70 +128,63 @@ class TestSingleStream:
         gating=st.booleans(),
     )
     def test_stream_over_line_is_identical(self, load, seed, gating):
-        nets = {}
-        for schedule in SCHEDULES:
-            mesh, network = _circuit_network(schedule, width=4, height=1, clock_gating=gating)
+        def scenario(**params):
+            mesh, network = _circuit_network(width=4, height=1, clock_gating=gating, **params)
             allocation = LaneAllocator(mesh).allocate("s", (0, 0), (3, 0), 100.0, FREQUENCY_HZ)
             network.apply_allocation(allocation)
-            generator = word_generator(BitFlipPattern.TYPICAL, seed=seed)
-            network.add_stream("s", allocation, generator, load=load)
-            network.run(1200)
-            nets[schedule] = network
-        _assert_equivalent(nets)
+            network.add_stream("s", allocation, word_generator(BitFlipPattern.TYPICAL, seed=seed), load=load)
+            return ran(network, 1200)
+
+        networks = _identical(scenario)
         if load >= 0.3:
-            assert nets["vector"].streams["s"].words_received > 0
+            assert networks["default"].streams["s"].words_received > 0
 
     @settings(max_examples=6, deadline=None)
     @given(load=st.sampled_from([0.1, 0.5, 1.0]), seed=st.integers(min_value=0, max_value=2**16))
     def test_packet_stream_is_identical(self, load, seed):
-        nets = {}
-        for schedule in SCHEDULES:
-            mesh = Mesh2D(4, 2)
-            network = PacketSwitchedNoC(mesh, frequency_hz=FREQUENCY_HZ, schedule=schedule)
-            generator = word_generator(BitFlipPattern.TYPICAL, seed=seed)
-            network.add_stream("s", (0, 0), (3, 1), generator, load=load)
-            network.run(1200)
-            nets[schedule] = network
-        _assert_equivalent(nets)
+        def scenario(**params):
+            network = PacketSwitchedNoC(Mesh2D(4, 2), frequency_hz=FREQUENCY_HZ, **params)
+            network.add_stream("s", (0, 0), (3, 1), word_generator(BitFlipPattern.TYPICAL, seed=seed), load=load)
+            return ran(network, 1200)
+
+        _identical(scenario)
 
 
 class TestCrossingStreams:
     def test_four_streams_through_center_router(self):
-        nets = {}
-        for schedule in SCHEDULES:
-            mesh, network = _circuit_network(schedule)
+        def scenario(**params):
+            mesh, network = _circuit_network(**params)
             allocator = LaneAllocator(mesh)
             pairs = [((0, 1), (2, 1)), ((2, 1), (0, 1)), ((1, 0), (1, 2)), ((1, 2), (1, 0))]
             for index, (src, dst) in enumerate(pairs):
-                name = f"s{index}"
-                allocation = allocator.allocate(name, src, dst, 100.0, FREQUENCY_HZ)
+                allocation = allocator.allocate(f"s{index}", src, dst, 100.0, FREQUENCY_HZ)
                 network.apply_allocation(allocation)
                 generator = word_generator(BitFlipPattern.TYPICAL, seed=index)
-                network.add_stream(name, allocation, generator, load=0.8)
-            network.run(600)
-            nets[schedule] = network
-        _assert_equivalent(nets)
-        for endpoint in nets["vector"].streams.values():
+                network.add_stream(f"s{index}", allocation, generator, load=0.8)
+            return ran(network, 600)
+
+        networks = _identical(scenario)
+        for endpoint in networks["default"].streams.values():
             assert endpoint.words_received > 0
+
+
+def _delivered(network):
+    return sum(s["received"] for s in network.stream_statistics().values())
 
 
 class TestApplicationTraffic:
     @pytest.mark.parametrize("app", [hiperlan2, umts], ids=["hiperlan2", "umts"])
     def test_admitted_application_is_identical(self, app):
-        nets = {}
-        for schedule in SCHEDULES:
+        def scenario(**params):
             mesh = Mesh2D(4, 4)
             ccn = CentralCoordinationNode(mesh, network_frequency_hz=FREQUENCY_HZ)
-            network = CircuitSwitchedNoC(mesh, frequency_hz=FREQUENCY_HZ, schedule=schedule)
-            admission = ccn.admit(app.build_process_graph(), network)
+            network = CircuitSwitchedNoC(mesh, frequency_hz=FREQUENCY_HZ, **params)
             generator = word_generator(BitFlipPattern.TYPICAL, seed=42)
-            for allocation in admission.allocations:
+            for allocation in ccn.admit(app.build_process_graph(), network).allocations:
                 network.add_stream(allocation.channel_name, allocation, generator, load=0.6)
-            network.run(800)
-            nets[schedule] = network
-        _assert_equivalent(nets)
-        delivered = sum(s["received"] for s in nets["vector"].stream_statistics().values())
-        assert delivered > 0
+            return ran(network, 800)
+
+        assert _delivered(_identical(scenario)["default"]) > 0
 
 
 class TestMidRunReconfiguration:
@@ -176,51 +193,46 @@ class TestMidRunReconfiguration:
         one through different routers and stream again — the sequence every
         CCN reconfiguration performs, exercising sleeping routers being woken
         by configuration writes."""
-        nets = {}
-        for schedule in SCHEDULES:
-            mesh, network = _circuit_network(schedule)
+
+        def scenario(**params):
+            mesh, network = _circuit_network(**params)
             allocator = LaneAllocator(mesh)
             first = allocator.allocate("first", (0, 0), (2, 0), 100.0, FREQUENCY_HZ)
             network.apply_allocation(first)
             generator = word_generator(BitFlipPattern.TYPICAL, seed=9)
             network.add_stream("first", first, generator, load=0.7)
             network.run(400)
-
             # Tear the first circuit down and route a second one elsewhere;
             # the routers of row 2 were quiescent the whole first phase.
             network.remove_allocation(first)
             second = allocator.allocate("second", (0, 2), (2, 2), 100.0, FREQUENCY_HZ)
             network.apply_allocation(second)
             network.add_stream("second", second, generator, load=0.7)
-            network.run(400)
-            nets[schedule] = network
-        _assert_equivalent(nets)
-        assert nets["vector"].streams["second"].words_received > 0
+            return ran(network, 400)
+
+        assert _identical(scenario)["default"].streams["second"].words_received > 0
 
 
 class TestResetClearsWires:
     def test_reset_mid_stream_leaves_no_stale_phits_on_links(self):
         """The change-gated link drive must not let a pre-reset phit survive
         kernel.reset(): the wires go back to idle with the registers."""
-        nets = {}
-        for schedule in SCHEDULES:
-            mesh, network = _circuit_network(schedule, width=3, height=1)
+
+        def scenario(**params):
+            mesh, network = _circuit_network(width=3, height=1, **params)
             allocation = LaneAllocator(mesh).allocate("s", (0, 0), (2, 0), 100.0, FREQUENCY_HZ)
             network.apply_allocation(allocation)
-            generator = word_generator(BitFlipPattern.TYPICAL, seed=4)
-            network.add_stream("s", allocation, generator, load=1.0)
+            network.add_stream("s", allocation, word_generator(BitFlipPattern.TYPICAL, seed=4), load=1.0)
             network.run(37)  # mid-packet: phits are on the wires
             network.kernel.reset()
             for link in network.links.values():
                 assert link.idle()
                 assert not any(link.ack)
-            network.run(300)
-            nets[schedule] = network
-        _assert_equivalent(nets)
-        assert nets["vector"].streams["s"].words_received > 0
+            return ran(network, 300)
 
+        assert _identical(scenario)["default"].streams["s"].words_received > 0
 
-    @pytest.mark.parametrize("kind", ["circuit", "packet", "gt"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_reset_returns_paced_endpoints_to_power_on(self, kind):
         """A reset fabric sends and delivers at the cycles a fresh one does:
         the pacers' accumulated credit is cleared with everything else (the
@@ -279,104 +291,81 @@ class TestResetClearsWires:
 
 
 class TestGtNetwork:
-    """Strict-vs-auto equivalence of the Æthereal-style TDMA network."""
+    """Strict-vs-default equivalence of the Æthereal-style TDMA network."""
+
+    @staticmethod
+    def _gt(width=3, height=3, topology=Mesh2D, **params):
+        return build_network("gt", topology(width, height), frequency_hz=FREQUENCY_HZ, **params)
 
     def test_idle_gt_mesh_is_identical_and_mostly_skipped(self):
-        nets = {}
-        for schedule in SCHEDULES:
-            network = build_network(
-                "gt", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule=schedule
-            )
-            network.run(500)
-            nets[schedule] = network
-        _assert_equivalent(nets)
-        stats = nets["vector"].kernel.scheduler_stats
+        stats = _identical(lambda **params: ran(self._gt(**params), 500))["default"].kernel.scheduler_stats
         assert stats.skipped > stats.evaluated
 
     def test_configured_but_unloaded_gt_mesh_sleeps(self):
         """Programmed slot tables without traffic are still a fixed point."""
-        nets = {}
-        for schedule in SCHEDULES:
-            network = build_network(
-                "gt", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule=schedule
-            )
-            allocation = network.admission.allocate("s", (0, 0), (2, 2), 100.0, FREQUENCY_HZ)
-            network.apply_allocation(allocation)
-            network.run(400)
-            nets[schedule] = network
-        _assert_equivalent(nets)
-        stats = nets["vector"].kernel.scheduler_stats
-        assert stats.skipped > 0
+
+        def scenario(**params):
+            network = self._gt(**params)
+            network.apply_allocation(network.admission.allocate("s", (0, 0), (2, 2), 100.0, FREQUENCY_HZ))
+            return ran(network, 400)
+
+        assert _identical(scenario)["default"].kernel.scheduler_stats.skipped > 0
 
     @pytest.mark.parametrize("load", [0.1, 0.6, 1.0])
     def test_gt_streams_are_identical(self, load):
-        nets = {}
-        for schedule in SCHEDULES:
-            network = build_network(
-                "gt", Mesh2D(4, 2), frequency_hz=FREQUENCY_HZ, schedule=schedule
-            )
+        def scenario(**params):
+            network = self._gt(4, 2, **params)
             generator = word_generator(BitFlipPattern.TYPICAL, seed=17)
             network.attach_channel("a", (0, 0), (3, 1), 200.0, generator, load=load)
             network.attach_channel("b", (3, 0), (0, 0), 100.0, generator, load=load)
-            network.run(1000)
-            nets[schedule] = network
-        _assert_equivalent(nets)
-        for endpoint in nets["vector"].streams.values():
+            return ran(network, 1000)
+
+        for endpoint in _identical(scenario)["default"].streams.values():
             assert endpoint.words_received > 0
 
     @pytest.mark.parametrize("app", [hiperlan2, umts], ids=["hiperlan2", "umts"])
     def test_gt_application_traffic_is_identical(self, app):
         from repro.experiments.harness import run_app_traffic
 
-        nets = {}
-        for schedule in SCHEDULES:
-            result = run_app_traffic(
+        def scenario(**params):
+            return run_app_traffic(
                 "gt", Mesh2D(4, 4), app.build_process_graph(),
-                frequency_hz=FREQUENCY_HZ, cycles=800, load=0.6, schedule=schedule,
-            )
-            nets[schedule] = result.network
-        _assert_equivalent(nets)
-        delivered = sum(s["received"] for s in nets["vector"].stream_statistics().values())
-        assert delivered > 0
+                frequency_hz=FREQUENCY_HZ, cycles=800, load=0.6, **params,
+            ).network
+
+        assert _delivered(_identical(scenario)["default"]) > 0
 
     def test_gt_on_torus_is_identical(self):
-        nets = {}
-        for schedule in SCHEDULES:
-            network = build_network(
-                "gt", Torus2D(4, 4), frequency_hz=FREQUENCY_HZ, schedule=schedule
-            )
-            generator = word_generator(BitFlipPattern.TYPICAL, seed=5)
+        def scenario(**params):
+            network = self._gt(4, 4, Torus2D, **params)
             # The wraparound link makes this a 2-hop route instead of 4.
-            network.attach_channel("wrap", (0, 0), (3, 0), 300.0, generator, load=0.8)
-            network.run(600)
-            nets[schedule] = network
-        _assert_equivalent(nets)
-        assert nets["vector"].streams["wrap"].words_received > 0
-        assert nets["vector"].streams["wrap"].allocation.hop_count == 2
+            network.attach_channel("wrap", (0, 0), (3, 0), 300.0,
+                                   word_generator(BitFlipPattern.TYPICAL, seed=5), load=0.8)
+            return ran(network, 600)
+
+        wrap = _identical(scenario)["default"].streams["wrap"]
+        assert wrap.words_received > 0
+        assert wrap.allocation.hop_count == 2
 
     def test_gt_mid_run_reconfiguration_is_identical(self):
         """Tear a slot schedule down mid-run and program a new one through
         routers that were quiescent the whole first phase."""
-        nets = {}
-        for schedule in SCHEDULES:
-            network = build_network(
-                "gt", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule=schedule
-            )
+
+        def scenario(**params):
+            network = self._gt(**params)
             generator = word_generator(BitFlipPattern.TYPICAL, seed=23)
             first = network.admission.allocate("first", (0, 0), (2, 0), 100.0, FREQUENCY_HZ)
             network.apply_allocation(first)
             network.add_stream("first", first, generator, load=0.7)
             network.run(400)
-
             network.remove_allocation(first)
             network.admission.release("first")
             second = network.admission.allocate("second", (0, 2), (2, 2), 100.0, FREQUENCY_HZ)
             network.apply_allocation(second)
             network.add_stream("second", second, generator, load=0.7)
-            network.run(400)
-            nets[schedule] = network
-        _assert_equivalent(nets)
-        assert nets["vector"].streams["second"].words_received > 0
+            return ran(network, 400)
+
+        assert _identical(scenario)["default"].streams["second"].words_received > 0
 
 
 class TestCcnLifecycleReconfiguration:
@@ -389,39 +378,27 @@ class TestCcnLifecycleReconfiguration:
     scheduler on all three network kinds.
     """
 
-    @pytest.mark.parametrize("kind", ["circuit", "packet", "gt"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_ccn_admit_release_admit_is_identical(self, kind):
-        from repro.apps.drm import build_process_graph as build_drm
-
-        nets = {}
-        for schedule in SCHEDULES:
-            network = build_network(
-                kind, Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ, schedule=schedule
-            )
+        def scenario(**params):
+            network = build_network(kind, Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ, **params)
             ccn = CentralCoordinationNode(network=network)
             generator = word_generator(BitFlipPattern.TYPICAL, seed=31)
-
             first = hiperlan2.build_process_graph()
             ccn.admit(first)
             ccn.attach_traffic(first.name, generator, load=0.6)
             network.run(400)
-
             ccn.release(first.name)
             second = umts.build_process_graph()
             ccn.admit(second)
             ccn.attach_traffic(second.name, generator, load=0.6)
-            network.run(400)
-            nets[schedule] = network
-        _assert_equivalent(nets)
-        delivered = sum(
-            s["received"] for s in nets["vector"].stream_statistics().values()
-        )
-        assert delivered > 0
+            return ran(network, 400)
+
+        networks = _identical(scenario)
+        assert _delivered(networks["default"]) > 0
         # Released streams really left the schedule on both kernels.
-        for network in nets.values():
-            assert not any(
-                name.startswith("hiperlan2") for name in network.streams
-            )
+        for network in networks.values():
+            assert not any(name.startswith("hiperlan2") for name in network.streams)
 
 
 class TestDefaultSchedule:
@@ -475,26 +452,21 @@ class TestDefaultSchedule:
         "scenario", ["_paced_app", "_full_rows", "_reconfiguration", "_link_fault"]
     )
     @pytest.mark.parametrize("topology", [Mesh2D, Torus2D])
-    @pytest.mark.parametrize("kind", ["circuit", "packet", "gt"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_default_equals_strict(self, kind, topology, scenario):
-        nets = {}
-        for name, params in (("strict", {"schedule": "strict"}), ("default", {})):
-            network = build_network(
-                kind, topology(self.SIZE, self.SIZE), frequency_hz=FREQUENCY_HZ, **params
-            )
+        def run(**params):
+            network = build_network(kind, topology(self.SIZE, self.SIZE), frequency_hz=FREQUENCY_HZ, **params)
             getattr(self, scenario)(network)
-            nets[name] = network
-        _assert_equivalent(nets)
-        assert nets["default"].fault_drops() == nets["strict"].fault_drops()
-        delivered = sum(s["received"] for s in nets["default"].stream_statistics().values())
-        assert delivered > 0
+            return network
+
+        assert _delivered(_identical(run)["default"]) > 0
 
     def test_strided_hook_that_syncs_observes_strict_wires_and_activity(self):
         """A ``every=7`` post-cycle hook that calls ``kernel.sync()`` first
         reads the link wires and merged activity ``strict`` shows it, while
         the plane batches between the hook cycles."""
         observed = {}
-        for name, params in (("strict", {"schedule": "strict"}), ("default", {})):
+        for name, params in SCHEDULES.items():
             network = build_network(
                 "circuit", Mesh2D(self.SIZE, self.SIZE), frequency_hz=FREQUENCY_HZ, **params
             )

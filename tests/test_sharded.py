@@ -2,13 +2,14 @@
 
 The sharded kernel (:mod:`repro.sim.shard`) promises that a fabric
 partitioned over worker processes is *bit-identical* to the single-process
-network: activity counters, delivered word counts, energy figures and drop
-totals.  Mirroring :mod:`tests.test_event_scheduling`, a seeded RNG draws
-scenarios — kind × mesh/torus × shard count × load, with mid-run channel
-churn and live link faults — and every observable is diffed against the
-unsharded reference.  A second family pins the boundary-frame exchange
-itself: running the identical sharded scenario twice must reproduce the
-same observables and the same cross-shard scheduler statistics.
+network: ``network.snapshot()`` (activity counters, delivered word counts,
+energy figures, drop totals) comes out alike.  Hypothesis draws the
+scenarios — kind × mesh / torus / irregular × shard count × channels ×
+load, with mid-run channel churn and live link faults — and
+:func:`oracle.assert_identical` diffs them over both transports against the
+unsharded run.  A second family pins the boundary-frame exchange itself:
+running the identical sharded scenario twice must reproduce the same
+observables and the same cross-shard scheduler statistics.
 
 Also here: unit coverage for the deterministic partitioner
 (:func:`repro.noc.topology.partition_topology`), the kernel's
@@ -19,102 +20,32 @@ buffer parks instead of reporting an injection event every cycle).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import random
 import signal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import KINDS, FabricScenario, fabric_scenarios
+from oracle import assert_identical, assert_same, ran
 from repro.apps.traffic import BitFlipPattern, word_generator
 from repro.baseline.flit import VC_MASK, Packet
 from repro.noc import fabric
 from repro.noc.fabric import build_network
 from repro.noc.packet_network import PacketSwitchedNoC
-from repro.noc.topology import IrregularMesh, Mesh2D, Torus2D, partition_topology
+from repro.noc.topology import IrregularMesh, Mesh2D, partition_topology
 
 FREQUENCY_HZ = 100e6
-KINDS = ("circuit", "packet", "gt")
-FABRICS = (("mesh", (3, 3)), ("mesh", (4, 2)), ("mesh", (4, 4)), ("torus", (4, 3)))
 
 
-def _build_topology(family: str, extent: tuple) -> object:
-    width, height = extent
-    return Mesh2D(width, height) if family == "mesh" else Torus2D(width, height)
-
-
-def _snapshot(network) -> dict:
-    """Everything the experiments read, identical in form for both builds."""
-    return {
-        "cycle": network.kernel.cycle,
-        "activity": network.activity_snapshot(),
-        "streams": network.stream_statistics(),
-        "fault_drops": network.fault_drops(),
-        "energy": network.energy_per_delivered_bit_pj(),
-    }
-
-
-def _random_plan(seed: int) -> dict:
-    """Draw one deterministic scenario (kind, fabric, channels, churn, fault)."""
-    rng = random.Random(seed)
-    kind = rng.choice(KINDS)
-    family, extent = rng.choice(FABRICS)
-    width, height = extent
-    tiles = [(x, y) for x in range(width) for y in range(height)]
-    channels = []
-    for index in range(rng.randint(2, 3)):
-        src, dst = rng.sample(tiles, 2)
-        channels.append(
-            {
-                "name": f"ch{index}",
-                "src": src,
-                "dst": dst,
-                "bandwidth": rng.choice((50.0, 100.0)),
-                "load": rng.choice((0.1, 0.5, 1.0)),
-                "seed": rng.randint(0, 2**16),
-            }
-        )
-    return {
-        "kind": kind,
-        "family": family,
-        "extent": extent,
-        "channels": channels,
-        "churn": rng.random() < 0.5,
-        "fault": rng.random() < 0.5,
-        "shards": rng.choice((2, 3, 4)),
-        "phase_cycles": rng.choice((250, 400)),
-    }
-
-
-def _execute(plan: dict, shards: int | None = None, transport: str | None = None):
-    """Build and run one drawn scenario, sharded or single-process."""
-    params = {"frequency_hz": FREQUENCY_HZ, "schedule": "vector"}
-    if shards is not None:
-        params["shards"] = shards
-    if transport is not None:
-        params["transport"] = transport
-    network = build_network(
-        plan["kind"], _build_topology(plan["family"], plan["extent"]), **params
-    )
-    for channel in plan["channels"]:
-        generator = word_generator(BitFlipPattern.TYPICAL, seed=channel["seed"])
-        network.attach_channel(
-            channel["name"],
-            channel["src"],
-            channel["dst"],
-            channel["bandwidth"],
-            generator,
-            load=channel["load"],
-        )
-    network.run(plan["phase_cycles"])
-    if plan["fault"]:
-        network.fail_link((1, 0), (2, 0))
-        network.refresh_routing(network.degraded_topology())
-        network.run(plan["phase_cycles"])
-    if plan["churn"]:
-        network.detach_channel(plan["channels"][0]["name"], drain_cycles=64)
-        network.run(plan["phase_cycles"])
-    return network
+def _sharded(shards=2, **params):
+    """The single process, then *shards* workers over each transport."""
+    return {"single": {}, **{
+        transport: {"shards": shards, "transport": transport, **params} for transport in ("pipe", "shm")
+    }}
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +53,26 @@ def _execute(plan: dict, shards: int | None = None, transport: str | None = None
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_random_scenarios_are_shard_identical(seed):
-    plan = _random_plan(seed)
-    single = _execute(plan)
-    sharded = _execute(plan, shards=plan["shards"])
-    try:
-        assert _snapshot(sharded) == _snapshot(single), (
-            f"seed {seed}: sharded diverged from single "
-            f"(kind={plan['kind']}, fabric={plan['family']}{plan['extent']}, "
-            f"shards={plan['shards']}, churn={plan['churn']}, "
-            f"fault={plan['fault']})"
-        )
-    finally:
-        sharded.close()
+@settings(max_examples=6, deadline=None)
+@given(scenario=fabric_scenarios(max_cycles=400), data=st.data())
+def test_drawn_scenarios_are_shard_identical(scenario, data):
+    """The single process and its pipe- and shm-sharded twins agree on one
+    drawn scenario: the frame codec, the seqlock window protocol, the fault
+    broadcast and the replicated configuration are invisible.  Channels the
+    single process refuses are left out first: a sharded fabric admits in
+    its workers, once the first run() has started them."""
+    admitted = scenario._attach(build_network(scenario.kind, scenario.topology))
+    scenario = dataclasses.replace(
+        scenario, channels=[c for i, c in enumerate(scenario.channels) if f"ch{i}" in admitted]
+    )
+    counts = []
+    for count in (2, 3, 4):
+        try:
+            partition_topology(scenario.topology, count)
+        except ValueError:
+            continue
+        counts.append(count)
+    assert_identical(scenario, _sharded(data.draw(st.sampled_from(counts), label="shards")))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -143,11 +80,10 @@ def test_live_fault_mid_run_is_shard_identical(kind):
     """The fault broadcast must drop exactly the in-flight boundary payload
     the single network drops — mirror-copy drops must not double-count."""
 
-    def run_once(shards=None):
-        params = {"frequency_hz": FREQUENCY_HZ, "schedule": "vector"}
-        if shards is not None:
-            params["shards"] = shards
-        network = build_network(kind, Mesh2D(4, 2), **params)
+    dropped = []
+
+    def scenario(**params):
+        network = build_network(kind, Mesh2D(4, 2), frequency_hz=FREQUENCY_HZ, **params)
         network.attach_channel(
             "a", (0, 0), (3, 0), 100.0,
             word_generator(BitFlipPattern.TYPICAL, seed=13), load=0.7,
@@ -158,14 +94,11 @@ def test_live_fault_mid_run_is_shard_identical(kind):
         )
         network.run(250)
         # The failed link is a *boundary* link of the 2-column partition.
-        dropped = network.fail_link((1, 0), (2, 0))
-        network.run(250)
-        snapshot = (_snapshot(network), dropped)
-        if shards is not None:
-            network.close()
-        return snapshot
+        dropped.append(network.fail_link((1, 0), (2, 0)))
+        return ran(network, 250)
 
-    assert run_once(shards=2) == run_once()
+    assert_identical(scenario, {"single": {}, "sharded": {"shards": 2}})
+    assert dropped[0] == dropped[1]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -175,26 +108,19 @@ def test_boundary_frame_exchange_is_deterministic(kind):
     scenario (worker replies are folded in shard-index order, frames in
     sorted link order)."""
 
-    def run_once():
-        network = build_network(
-            kind,
-            Mesh2D(4, 4),
-            frequency_hz=FREQUENCY_HZ,
-            schedule="vector",
-            shards=4,
-        )
+    def scenario(**params):
+        network = build_network(kind, Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ, shards=4, **params)
         generator = word_generator(BitFlipPattern.TYPICAL, seed=7)
         network.attach_channel("a", (0, 0), (3, 3), 100.0, generator, load=0.6)
         network.attach_channel("b", (3, 0), (0, 3), 100.0, generator, load=0.3)
         network.run(250)
         network.detach_channel("a", drain_cycles=32)
-        network.run(150)
-        stats = network.stats
-        snapshot = _snapshot(network)
-        network.close()
-        return snapshot, (stats.evaluated, stats.wakes, stats.events_processed)
+        return ran(network, 150)
 
-    assert run_once() == run_once()
+    def stats(network):
+        return network.stats.evaluated, network.stats.wakes, network.stats.events_processed
+
+    assert_identical(scenario, {"first": {}, "second": {}}, extra_state=stats)
 
 
 def test_sharded_scheduler_stats_merge_across_shards():
@@ -243,71 +169,14 @@ def test_post_start_attach_crosses_the_pipe():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_random_scenarios_are_transport_identical(seed):
-    """Every observable must agree across single-process, pipe-sharded and
-    shm-sharded builds of the same drawn scenario — the binary frame codec
-    and the seqlock window protocol must be invisible."""
-    plan = _random_plan(seed)
-    reference = _snapshot(_execute(plan))
-    for transport in ("pipe", "shm"):
-        sharded = _execute(plan, shards=plan["shards"], transport=transport)
-        try:
-            assert sharded.transport == transport
-            assert _snapshot(sharded) == reference, (
-                f"seed {seed}: {transport} diverged from single "
-                f"(kind={plan['kind']}, fabric={plan['family']}{plan['extent']}, "
-                f"shards={plan['shards']})"
-            )
-        finally:
-            sharded.close()
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_mincut_transport_identity_with_live_fault(kind):
     """Min-cut partitions and the shm transport compose with live boundary
     faults and routing refreshes without losing bit-identity."""
-    plan = {
-        "kind": kind,
-        "family": "mesh",
-        "extent": (4, 4),
-        "channels": [
-            {"name": "c0", "src": (0, 0), "dst": (3, 3), "bandwidth": 100.0,
-             "load": 0.8, "seed": 21},
-            {"name": "c1", "src": (3, 0), "dst": (0, 3), "bandwidth": 50.0,
-             "load": 0.4, "seed": 22},
-        ],
-        "churn": True,
-        "fault": True,
-        "phase_cycles": 300,
-    }
-    reference = _snapshot(_execute(plan))
-    for transport in ("pipe", "shm"):
-        params = {
-            "frequency_hz": FREQUENCY_HZ,
-            "schedule": "vector",
-            "shards": 2,
-            "transport": transport,
-            "partition_mode": "mincut",
-        }
-        sharded = build_network(kind, Mesh2D(4, 4), **params)
-        try:
-            for channel in plan["channels"]:
-                sharded.attach_channel(
-                    channel["name"], channel["src"], channel["dst"],
-                    channel["bandwidth"],
-                    word_generator(BitFlipPattern.TYPICAL, seed=channel["seed"]),
-                    load=channel["load"],
-                )
-            sharded.run(300)
-            sharded.fail_link((1, 0), (2, 0))
-            sharded.refresh_routing(sharded.degraded_topology())
-            sharded.run(300)
-            sharded.detach_channel("c0", drain_cycles=64)
-            sharded.run(300)
-            assert _snapshot(sharded) == reference
-        finally:
-            sharded.close()
+    channels = [((0, 0), (3, 3), 100.0, 0.8), ((3, 0), (0, 3), 50.0, 0.4)]
+    scenario = FabricScenario(Mesh2D(4, 4), channels, 964, (300, (1, 0), (2, 0), True), None,
+                              kind=kind, churn=(600, 64))
+    assert_identical(scenario, _sharded(partition_mode="mincut"))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -315,43 +184,10 @@ def test_irregular_mesh_transport_identity_with_live_fault(kind):
     """Both transports stay bit-identical on an irregular fabric whose
     min-cut seam funnels all cross-region traffic through one link, with a
     mid-run fault and churn on top."""
-    channels = [
-        {"name": "c0", "src": (0, 0), "dst": (7, 7), "bandwidth": 50.0,
-         "load": 0.6, "seed": 31},
-        {"name": "c1", "src": (7, 0), "dst": (0, 6), "bandwidth": 50.0,
-         "load": 0.3, "seed": 32},
-    ]
-
-    def execute(extra=None):
-        params = {"frequency_hz": FREQUENCY_HZ, "schedule": "vector"}
-        params.update(extra or {})
-        network = build_network(kind, _mincut_fixture(), **params)
-        for channel in channels:
-            network.attach_channel(
-                channel["name"], channel["src"], channel["dst"],
-                channel["bandwidth"],
-                word_generator(BitFlipPattern.TYPICAL, seed=channel["seed"]),
-                load=channel["load"],
-            )
-        network.run(250)
-        network.fail_link((1, 0), (2, 0))
-        network.refresh_routing(network.degraded_topology())
-        network.run(250)
-        network.detach_channel("c1", drain_cycles=64)
-        network.run(250)
-        return network
-
-    reference = _snapshot(execute())
-    for transport in ("pipe", "shm"):
-        sharded = execute(
-            {"shards": 2, "transport": transport, "partition_mode": "mincut"}
-        )
-        try:
-            assert _snapshot(sharded) == reference, (
-                f"{kind} over {transport} diverged on the irregular mesh"
-            )
-        finally:
-            sharded.close()
+    channels = [((7, 0), (0, 6), 50.0, 0.3), ((0, 0), (7, 7), 50.0, 0.6)]  # the first is torn down
+    scenario = FabricScenario(_mincut_fixture(), channels, 814, (250, (1, 0), (2, 0), True), None,
+                              kind=kind, churn=(500, 64))
+    assert_identical(scenario, _sharded(partition_mode="mincut"))
 
 
 def test_shm_frames_are_smaller_than_pipe_frames():
@@ -400,13 +236,10 @@ def test_shared_word_source_across_cut_is_shard_identical(kind):
     """One stateful generator feeding channels whose sources live in
     *different* shards: the word-source registry must replay the remote
     channels' pull schedules so word contents — and with them the toggle
-    statistics inside the activity snapshot — match the single process."""
+    statistics inside the snapshot — match the single process."""
 
-    def run_once(shards=None, transport=None):
-        params = {"frequency_hz": FREQUENCY_HZ, "schedule": "vector"}
-        if shards is not None:
-            params.update(shards=shards, transport=transport)
-        network = build_network(kind, Mesh2D(4, 2), **params)
+    def scenario(**params):
+        network = build_network(kind, Mesh2D(4, 2), frequency_hz=FREQUENCY_HZ, **params)
         shared = word_generator(BitFlipPattern.TYPICAL, seed=11)
         # Source tiles (0, 0) and (3, 0) land in different column shards.
         network.attach_channel("left", (0, 0), (2, 1), 100.0, shared, load=0.7)
@@ -419,18 +252,9 @@ def test_shared_word_source_across_cut_is_shard_identical(kind):
         # Churn: the halted sharer's pulls must stop in the remote models
         # exactly when its driver leaves the kernel.
         network.detach_channel("right", drain_cycles=64)
-        network.run(200)
-        return network
+        return ran(network, 200)
 
-    reference = _snapshot(run_once())
-    for transport in ("pipe", "shm"):
-        sharded = run_once(shards=2, transport=transport)
-        try:
-            assert _snapshot(sharded) == reference, (
-                f"{kind}/{transport}: shared cross-cut source diverged"
-            )
-        finally:
-            sharded.close()
+    assert_identical(scenario, _sharded())
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -721,28 +545,20 @@ def test_backpressured_worm_parks_until_credits():
     assert parked_with_backlog, "no source ever parked while back-pressured"
 
 
-def test_packet_hotspot_stays_trimodal_identical():
+def test_packet_hotspot_stays_identical():
     """The parking refinement must not change what the fabric delivers."""
 
-    def run_once(schedule):
-        network = build_network(
-            "packet", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule=schedule
-        )
+    def scenario(**params):
+        network = build_network("packet", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, **params)
         sources = [p for p in network.topology.positions() if p != (1, 1)]
         for index, src in enumerate(sources):
             network.attach_channel(
-                f"hot{index}",
-                src,
-                (1, 1),
-                2000.0,
-                word_generator(BitFlipPattern.TYPICAL, seed=index),
-                load=1.0,
+                f"hot{index}", src, (1, 1), 2000.0,
+                word_generator(BitFlipPattern.TYPICAL, seed=index), load=1.0,
             )
-        network.run(600)
-        return _snapshot(network)
+        return ran(network, 600)
 
-    reference = run_once("strict")
-    assert run_once("vector") == reference
+    assert_identical(scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +600,6 @@ def test_bit_identical_back_to_back_flits_cross_the_cut(monkeypatch, transport):
         assert len(flits) == 3 and len(set(flits)) == 1
         assert seen.index(flits[0]) + 2 == len(seen) - 1 - seen[::-1].index(flits[0])  # back to back
         assert len(single.router_at((3, 0)).tile.received_packets) == 3
-        assert _snapshot(sharded) == _snapshot(single)
+        assert_same({"single": single, "sharded": sharded})
     finally:
         sharded.close()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracle import assert_identical, ran
 from repro.apps.traffic import BitFlipPattern, word_generator
 from repro.common import SimulationError
 from repro.core.testbench import LoadPacer
@@ -402,31 +403,19 @@ class TestRunUntilStride:
 class TestPacedNetworkLeaping:
     """End-to-end: a paced circuit stream leaps between word injections."""
 
-    def _build(self, schedule, load):
-        mesh = Mesh2D(4, 1)
-        network = CircuitSwitchedNoC(mesh, frequency_hz=FREQUENCY_HZ, schedule=schedule)
-        allocation = LaneAllocator(mesh).allocate("s", (0, 0), (3, 0), 100.0, FREQUENCY_HZ)
-        network.apply_allocation(allocation)
-        generator = word_generator(BitFlipPattern.TYPICAL, seed=11)
-        network.add_stream("s", allocation, generator, load=load)
-        return network
-
-    def _snapshot(self, network):
-        return (
-            network.kernel.cycle,
-            {p: (r.activity.as_dict(), r.activity.cycles) for p, r in network.routers.items()},
-            network.stream_statistics(),
-        )
-
     @pytest.mark.parametrize("load", [0.05, 0.1])
     def test_paced_circuit_stream_is_identical_and_leaps(self, load):
-        strict = self._build("strict", load)
-        strict.run(1500)
-        auto = self._build("vector", load)
-        auto.run(1500)
-        assert self._snapshot(auto) == self._snapshot(strict)
-        assert auto.kernel.scheduler_stats.leaps > 0
-        assert auto.streams["s"].words_received > 0
+        def scenario(**params):
+            mesh = Mesh2D(4, 1)
+            network = CircuitSwitchedNoC(mesh, frequency_hz=FREQUENCY_HZ, **params)
+            allocation = LaneAllocator(mesh).allocate("s", (0, 0), (3, 0), 100.0, FREQUENCY_HZ)
+            network.apply_allocation(allocation)
+            network.add_stream("s", allocation, word_generator(BitFlipPattern.TYPICAL, seed=11), load=load)
+            return ran(network, 1500)
+
+        default = assert_identical(scenario)["default"]
+        assert default.kernel.scheduler_stats.leaps > 0
+        assert default.streams["s"].words_received > 0
 
     @pytest.mark.parametrize("load", [0.1, 0.37, 1.0])
     def test_gt_link_driver_scenario_is_identical_and_leaps(self, load):
@@ -476,16 +465,13 @@ class TestPacedNetworkLeaping:
             assert auto_kernel.scheduler_stats.leaped_cycles > 600
 
     def test_paced_gt_stream_is_identical_and_leaps(self):
-        nets = {}
-        for schedule in ("strict", "vector"):
-            network = build_network(
-                "gt", Mesh2D(3, 1), frequency_hz=FREQUENCY_HZ, schedule=schedule
-            )
+        def scenario(**params):
+            network = build_network("gt", Mesh2D(3, 1), frequency_hz=FREQUENCY_HZ, **params)
             generator = word_generator(BitFlipPattern.TYPICAL, seed=7)
             # Low bandwidth relative to slot capacity: long silent windows.
             network.attach_channel("a", (0, 0), (2, 0), 40.0, generator, load=0.5)
-            network.run(1500)
-            nets[schedule] = network
-        assert self._snapshot(nets["vector"]) == self._snapshot(nets["strict"])
-        assert nets["vector"].kernel.scheduler_stats.leaps > 0
-        assert nets["vector"].streams["a"].words_received > 0
+            return ran(network, 1500)
+
+        default = assert_identical(scenario)["default"]
+        assert default.kernel.scheduler_stats.leaps > 0
+        assert default.streams["a"].words_received > 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import assert_identical, ran
 from repro.apps.traffic import BitFlipPattern, word_generator
 from repro.common import Port, opposite_port
 from repro.noc import (
@@ -224,21 +225,17 @@ class TestTopologyGenericNetworks:
 
     def test_strict_and_auto_schedules_agree_on_torus(self):
         """The PR-1 kernel invariant holds beyond the mesh."""
-        snapshots = {}
-        for schedule in ("strict", "vector"):
+
+        def scenario(**params):
             torus = Torus2D(3, 3)
-            network = CircuitSwitchedNoC(torus, frequency_hz=FREQUENCY_HZ, schedule=schedule)
+            network = CircuitSwitchedNoC(torus, frequency_hz=FREQUENCY_HZ, **params)
             allocation = LaneAllocator(torus).allocate("s", (0, 0), (2, 2), 100.0, FREQUENCY_HZ)
             network.apply_allocation(allocation)
             generator = word_generator(BitFlipPattern.TYPICAL, seed=11)
             network.add_stream("s", allocation, generator, load=0.6)
-            network.run(400)
-            snapshots[schedule] = (
-                network.merged_activity().as_dict(),
-                network.stream_statistics(),
-                network.kernel.cycle,
-            )
-        assert snapshots["strict"] == snapshots["vector"]
+            return ran(network, 400)
+
+        assert_identical(scenario)
 
 
 class TestPacketRingTraffic:

@@ -1,21 +1,20 @@
-"""The columnar vector schedule: quad-modal bit-identity and plane guards.
+"""The columnar vector schedule: bit-identity with strict and plane guards.
 
-The :class:`repro.sim.vector.VectorPlane` is tier four of the scheduling
-stack and, like every tier before it, must be an *invisible* optimisation:
-``schedule="vector"`` has to reproduce the strict reference bit for bit —
-per-router activity counters, delivered words, drop counts, cycle counts —
-on every scenario the event schedule handles, including mid-run
-reconfiguration, live faults and sharded execution.  These tests stress
-that contract on drawn scenarios (kind × mesh/torus × load × churn × live
-fault), pin the plane's version guards (reconfiguration and fault
-injection must invalidate the compiled gather), and cover the correlated
-fault models (row cuts, power-domain region kills) that ride along in this
-PR.
+The :class:`repro.sim.vector.VectorPlane` must be an *invisible*
+optimisation: ``schedule="vector"`` has to leave the strict reference's
+``network.snapshot()`` — per-router activity counters, delivered words,
+drop counts, cycle counts — and, after every ``run()``, its converter
+lanes (:func:`_lane_state`) on either side of the live-route gate,
+including mid-run reconfiguration, live faults and sharded execution.  The
+drawn scenarios of ``tests/test_kernel_equivalence.py`` cover both gate
+sides; these tests pin the plane's version guards (reconfiguration and
+fault injection must invalidate the compiled gather), its gate, its lane
+columns and the correlated fault models (row cuts, power-domain region
+kills).
 """
 
 from __future__ import annotations
 
-import contextlib
 import random
 
 import pytest
@@ -36,113 +35,23 @@ from repro.noc.faults import (
     region_chooser,
     row_cut_chooser,
 )
-from repro.noc.topology import Mesh2D, Torus2D
-from repro.sim import vector as vector_module
+from repro.noc.topology import Mesh2D
+
+from conftest import FabricScenario
+from oracle import SCHEDULES, SHIPPED_GATE, assert_identical, assert_same, gate_at, ran
 
 FREQUENCY_HZ = 100e6
-KINDS = ("circuit", "packet", "gt")
 
-
-#: The plane's live-route gate as shipped.
-REAL_GATE = vector_module.MIN_BATCH_ROUTES
-
-
-@contextlib.contextmanager
-def _gate(routes):
-    """Run with the plane's live-route gate at *routes*."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(vector_module, "MIN_BATCH_ROUTES", routes)
-        yield
+#: Strict against the vector schedule named outright.
+VECTOR = {"strict": {"schedule": "strict"}, "vector": {"schedule": "vector"}}
 
 
 @pytest.fixture
 def open_gate():
     """One live route batches: for tests about the columns whose fabric is
     smaller than the shipped gate.  Every other test runs the gate as shipped."""
-    with _gate(1):
+    with gate_at(1):
         yield
-
-
-FABRICS = (("mesh", (3, 3)), ("mesh", (4, 2)), ("mesh", (4, 4)), ("torus", (4, 3)))
-
-
-def _build_topology(family, extent):
-    width, height = extent
-    return Mesh2D(width, height) if family == "mesh" else Torus2D(width, height)
-
-
-def _snapshot(network):
-    """Everything the experiments read from a network, in comparable form."""
-    activity = {
-        position: (router.activity.as_dict(), router.activity.cycles)
-        for position, router in network.routers.items()
-    }
-    return {
-        "cycle": network.kernel.cycle,
-        "activity": activity,
-        "streams": network.stream_statistics(),
-        "fault_drops": network.fault_drops(),
-    }
-
-
-def _random_plan(seed: int) -> dict:
-    """Draw one deterministic scenario from *seed*."""
-    rng = random.Random(seed)
-    kind = rng.choice(KINDS)
-    family, extent = rng.choice(FABRICS)
-    width, height = extent
-    tiles = [(x, y) for x in range(width) for y in range(height)]
-    channels = []
-    for index in range(rng.randint(2, 3)):
-        src, dst = rng.sample(tiles, 2)
-        channels.append(
-            {
-                "name": f"ch{index}",
-                "src": src,
-                "dst": dst,
-                "bandwidth": rng.choice((50.0, 100.0)),
-                "load": rng.choice((0.1, 0.5, 1.0)),
-                "seed": rng.randint(0, 2**16),
-            }
-        )
-    return {
-        "kind": kind,
-        "family": family,
-        "extent": extent,
-        "channels": channels,
-        "churn": rng.random() < 0.5,
-        "fault": rng.random() < 0.5,
-        "phase_cycles": rng.choice((250, 400)),
-    }
-
-
-def _execute(plan: dict, schedule: str):
-    """Build and run one drawn scenario under *schedule*."""
-    network = build_network(
-        plan["kind"],
-        _build_topology(plan["family"], plan["extent"]),
-        frequency_hz=FREQUENCY_HZ,
-        schedule=schedule,
-    )
-    for channel in plan["channels"]:
-        generator = word_generator(BitFlipPattern.TYPICAL, seed=channel["seed"])
-        network.attach_channel(
-            channel["name"],
-            channel["src"],
-            channel["dst"],
-            channel["bandwidth"],
-            generator,
-            load=channel["load"],
-        )
-    network.run(plan["phase_cycles"])
-    if plan["fault"]:
-        network.fail_link((1, 0), (2, 0))
-        network.refresh_routing(network.degraded_topology())
-        network.run(plan["phase_cycles"])
-    if plan["churn"]:
-        network.detach_channel(plan["channels"][0]["name"], drain_cycles=64)
-        network.run(plan["phase_cycles"])
-    return network
 
 
 def _full_load_circuit(schedule, size=4):
@@ -150,9 +59,7 @@ def _full_load_circuit(schedule, size=4):
     from repro.noc.path_allocation import LaneAllocator
 
     mesh = Mesh2D(size, size)
-    network = build_network(
-        "circuit", mesh, frequency_hz=FREQUENCY_HZ, schedule=schedule
-    )
+    network = build_network("circuit", mesh, frequency_hz=FREQUENCY_HZ, schedule=schedule)
     allocator = LaneAllocator(mesh)
     for row in range(size):
         name = f"row{row}"
@@ -165,40 +72,10 @@ def _full_load_circuit(schedule, size=4):
     return network
 
 
-# ---------------------------------------------------------------------------
-# Quad-modal bit-identity
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_random_scenarios_are_quadmodal_identical(seed):
-    """Drawn kind × fabric × load × churn × fault scenarios: strict = vector
-    (the gate as shipped, and batching every route), per-router and
-    per-stream."""
-    plan = _random_plan(seed)
-    nets = {
-        schedule: _execute(plan, schedule)
-        for schedule in ("strict", "vector")
-    }
-    with _gate(1):
-        nets["vector from one route"] = _execute(plan, "vector")
-    reference = _snapshot(nets["strict"])
-    for schedule in ("vector", "vector from one route"):
-        assert _snapshot(nets[schedule]) == reference, (
-            f"seed {seed}: {schedule} diverged from strict "
-            f"(kind={plan['kind']}, fabric={plan['family']}{plan['extent']}, "
-            f"churn={plan['churn']}, fault={plan['fault']})"
-        )
-
-
 def test_vector_plane_batches_busy_cycles():
     """On a saturated circuit fabric the plane must actually take the fast
     path (batched fabric-wide cycles), not silently fall back."""
-    strict = _full_load_circuit("strict")
-    vector = _full_load_circuit("vector")
-    strict.run(400)
-    vector.run(400)
-    assert _snapshot(vector) == _snapshot(strict)
+    vector = assert_identical(lambda schedule: ran(_full_load_circuit(schedule), 400), VECTOR)["vector"]
     stats = vector.kernel.scheduler_stats
     assert stats.vector_batches > 300
     assert stats.vector_components == stats.vector_batches * len(vector.routers)
@@ -264,12 +141,9 @@ def test_reconfiguration_invalidates_compiled_gather():
         )
         network.run(250)
         network.remove_allocation(first)
-        network.run(150)
-        return network
+        return ran(network, 150)
 
-    strict = scenario("strict")
-    vector = scenario("vector")
-    assert _snapshot(vector) == _snapshot(strict)
+    vector = assert_identical(scenario, VECTOR)["vector"]
     plane = vector.vector_plane
     assert plane is not None
     # The plane ended the run recompiled against the *current* configuration.
@@ -286,14 +160,10 @@ def test_live_fault_desyncs_and_recompiles_the_plane():
         network.run(200)
         network.fail_link((1, 1), (2, 1))
         network.refresh_routing(network.degraded_topology())
-        network.run(200)
-        return network
+        return ran(network, 200)
 
-    strict = scenario("strict")
-    vector = scenario("vector")
-    assert _snapshot(vector) == _snapshot(strict)
     # The dead bundle swallowed the identical in-flight payload.
-    assert vector.fault_drops() == strict.fault_drops()
+    vector = assert_identical(scenario, VECTOR)["vector"]
     assert vector.fault_drops() > 0
     assert vector.vector_plane._compiled
 
@@ -341,7 +211,7 @@ def test_plane_crosses_its_gate_both_ways_and_stays_identical():
     stage equals ``strict`` lane for lane, and the report shows that the
     routers ran both on the event heap and batched."""
     size = 3
-    assert size < REAL_GATE <= size * size
+    assert size < SHIPPED_GATE <= size * size
 
     def rows(network, which):
         for row in which:
@@ -352,7 +222,7 @@ def test_plane_crosses_its_gate_both_ways_and_stays_identical():
 
     networks = {
         name: build_network("circuit", Mesh2D(size, size), frequency_hz=FREQUENCY_HZ, **params)
-        for name, params in (("strict", {"schedule": "strict"}), ("default", {}))
+        for name, params in SCHEDULES.items()
     }
     default = networks["default"]
     reports = []
@@ -366,7 +236,7 @@ def test_plane_crosses_its_gate_both_ways_and_stays_identical():
                 for row in range(1, size):
                     network.detach_channel(f"row{row}", drain_cycles=23)
             network.run(131)  # never a multiple of the packet length
-        _assert_lanes_identical(default, networks["strict"], stage)
+        assert_same(networks, _lane_state, stage)
         reports.append(default.schedule_report())
 
     below, above, below_again = reports
@@ -392,7 +262,7 @@ def test_idle_fabric_parks_without_batching():
     assert network.schedule_report()["live_routes"] is None  # not counted yet
     network.run(500)
     strict.run(500)
-    assert _snapshot(network) == _snapshot(strict)
+    assert_same({"strict": strict, "default": network})
     report = network.schedule_report()
     assert report["batched_cycles"] == 0 and report["scalar_cycles"] == 500
     assert report["live_routes"] == 0
@@ -455,11 +325,6 @@ def _flow_stream(network, name, src, dst, load, flow, seed):
     return network.add_stream(name, allocation, generator, load=load)
 
 
-def _assert_lanes_identical(vector, strict, where):
-    assert _lane_state(vector) == _lane_state(strict), where
-    assert _snapshot(vector) == _snapshot(strict), where
-
-
 #: What may happen to the live set between two stops of a lane scenario: a
 #: driver on a tile lane no route reads, the sink hop of a circuit cut under
 #: its collecting deserialiser, unread words read after their channel is
@@ -512,18 +377,18 @@ def test_lane_columns_flush_to_the_strict_lane_state(scenario):
     """Two channels sharing a source or sink tile, drawn loads and window
     configurations: after every run() the scalar lane units under
     ``vector`` hold exactly what ``strict`` left in them."""
-    with _gate(1):
+    with gate_at(1):
         vector = _check_lane_scenario(scenario)
     assert vector.kernel.scheduler_stats.vector_batches > 0
 
 
-@pytest.mark.parametrize("gate", (REAL_GATE, 10**9))
+@pytest.mark.parametrize("gate", (SHIPPED_GATE, 10**9))
 @settings(max_examples=8, deadline=None)
 @given(scenario=_lane_scenarios())
 def test_lane_state_matches_strict_on_either_side_of_the_gate(gate, scenario):
     """The same draws with the gate as shipped (the two channels may or may
     not reach it) and with a gate nothing reaches."""
-    with _gate(gate):
+    with gate_at(gate):
         _check_lane_scenario(scenario)
 
 
@@ -532,7 +397,7 @@ def test_lane_state_matches_strict_on_either_side_of_the_gate(gate, scenario):
 @given(data=st.data())
 def test_lanes_entering_and_leaving_the_live_set_match_strict(edge, data):
     """Every edge of the live set on its own draws, batching from one route."""
-    with _gate(1):
+    with gate_at(1):
         _check_lane_scenario(data.draw(_lane_scenarios(edge=st.just(edge))))
 
 
@@ -549,7 +414,7 @@ def _check_lane_scenario(scenario):
     for index, stop in enumerate(stops):
         for network in networks.values():
             network.run(max(0, stop - network.kernel.cycle))
-        _assert_lanes_identical(networks["vector"], networks["strict"], f"cycle {stop}")
+        assert_same(networks, _lane_state, f"cycle {stop}")
         if index == 0 and edge is not None:
             _cross_lane_edge(networks, edge, channels[0])
             _step_both(networks, edge, 3 * PHITS_PER_PACKET)
@@ -564,7 +429,7 @@ def _step_both(networks, where, cycles, until=lambda strict: False):
             break
         for network in networks.values():
             network.run(1)
-        _assert_lanes_identical(networks["vector"], networks["strict"], where)
+        assert_same(networks, _lane_state, where)
 
 
 def _unread_tile_lane(network, position):
@@ -620,7 +485,7 @@ def _cross_lane_edge(networks, edge, channel):
             tile = network.router_at(circuit.dst).tile
             while tile.receive(sink_lane) is not None:
                 pass
-    _assert_lanes_identical(networks["vector"], networks["strict"], edge)
+    assert_same(networks, _lane_state, edge)
 
 
 def _unread_stream(schedule, tx_flow, rx_flow):
@@ -665,9 +530,8 @@ def test_window_stall_and_resume_matches_strict():
 
     strict, strict_stalled, strict_words = scenario("strict")
     vector, vector_stalled, vector_words = scenario("vector")
-    assert vector_stalled == strict_stalled
-    assert vector_words == strict_words
-    _assert_lanes_identical(vector, strict, "after the resume")
+    assert (vector_stalled, vector_words) == (strict_stalled, strict_words)
+    assert_same({"strict": strict, "vector": vector}, _lane_state, "after the resume")
 
 
 @pytest.mark.usefixtures("open_gate")
@@ -718,7 +582,7 @@ def test_surgery_on_a_half_shifted_word_matches_strict(surgery):
     strict, strict_before = scenario("strict")
     vector, vector_before = scenario("vector")
     assert vector_before == strict_before
-    _assert_lanes_identical(vector, strict, f"after {surgery}")
+    assert_same({"strict": strict, "vector": vector}, _lane_state, f"after {surgery}")
 
 
 @pytest.mark.usefixtures("open_gate")
@@ -749,7 +613,7 @@ def test_reconfiguration_right_after_a_read_keeps_the_owed_pulse():
         vector, vector_owed = scenario("vector", stop)
         assert vector_owed == owed
         boundaries_with_a_pulse_owed += bool(owed)
-        _assert_lanes_identical(vector, strict, f"reconfigured at cycle {stop}")
+        assert_same({"strict": strict, "vector": vector}, _lane_state, f"reconfigured at cycle {stop}")
     assert boundaries_with_a_pulse_owed
 
 
@@ -780,7 +644,7 @@ def test_multicast_ors_its_acknowledges_like_strict():
         states = []
         for cycles in (7, 51, 73):
             network.run(cycles)
-            states.append((_lane_state(network), _snapshot(network), [s.received for s in sinks]))
+            states.append((_lane_state(network), network.snapshot(), [s.received for s in sinks]))
         return network, states
 
     strict, strict_states = scenario("strict")
@@ -822,7 +686,7 @@ def test_lane_geometries_match_strict_or_fall_back(lane_width, data_width, batch
     for stop in (7, 58, 131):
         for network in networks.values():
             network.run(stop - network.kernel.cycle)
-        _assert_lanes_identical(networks["vector"], networks["strict"], f"cycle {stop}")
+        assert_same(networks, _lane_state, f"cycle {stop}")
     report = networks["vector"].schedule_report()
     assert report["effective"] == ("vector" if batched else "event")
     assert batched or "int64 column" in report["reason"]
@@ -839,35 +703,12 @@ def test_sharded_vector_matches_single_process(transport):
     """Each shard builds its own plane; boundary links take the scalar wire
     path and the partitioned run must equal the single-process strict run."""
 
-    def run_once(schedule, shards=None):
-        params = {"frequency_hz": FREQUENCY_HZ, "schedule": schedule}
-        if shards is not None:
-            params["shards"] = shards
-            params["transport"] = transport
-        network = build_network("circuit", Mesh2D(4, 4), **params)
-        network.attach_channel(
-            "a", (0, 0), (3, 3), 100.0,
-            word_generator(BitFlipPattern.TYPICAL, seed=13), load=0.8,
-        )
-        network.attach_channel(
-            "b", (3, 0), (0, 3), 100.0,
-            word_generator(BitFlipPattern.TYPICAL, seed=14), load=0.4,
-        )
-        network.run(250)
-        network.fail_link((1, 0), (2, 0))
-        network.refresh_routing(network.degraded_topology())
-        network.run(250)
-        snapshot = {
-            "cycle": network.kernel.cycle,
-            "activity": network.activity_snapshot(),
-            "streams": network.stream_statistics(),
-            "fault_drops": network.fault_drops(),
-        }
-        if shards is not None:
-            network.close()
-        return snapshot
-
-    assert run_once("vector", shards=2) == run_once("strict")
+    channels = [((0, 0), (3, 3), 100.0, 0.8), ((3, 0), (0, 3), 100.0, 0.4)]
+    scenario = FabricScenario(Mesh2D(4, 4), channels, 500, (250, (1, 0), (2, 0), True), None)
+    assert_identical(scenario, {
+        "strict": {"schedule": "strict"},
+        "sharded": {"schedule": "vector", "shards": 2, "transport": transport},
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -935,17 +776,13 @@ class TestCorrelatedFaults:
         assert not network.dead_links  # nothing was touched
 
     @pytest.mark.usefixtures("open_gate")
-    def test_row_cut_is_quadmodal_identical(self):
+    def test_row_cut_is_identical(self):
         def scenario(schedule):
             network = self._loaded_network(schedule)
-            injector = FaultInjector(network)
-            injector.inject(FaultSpec("link", chooser=row_cut_chooser(seed=3, row=1)))
-            network.run(200)
-            return network
+            FaultInjector(network).inject(FaultSpec("link", chooser=row_cut_chooser(seed=3, row=1)))
+            return ran(network, 200)
 
-        reference = _snapshot(scenario("strict"))
-        for schedule in ("vector",):
-            assert _snapshot(scenario(schedule)) == reference, schedule
+        assert_identical(scenario, VECTOR)
 
     def test_storm_schedule_wires_correlated_choosers(self):
         events, _ = storm_schedule(
