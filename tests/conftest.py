@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import Phase, given, seed, settings, strategies as st
 
 from repro.common import NEIGHBOR_PORTS, AllocationError, Port
 from repro.core.lane import LaneLink
@@ -237,6 +237,21 @@ def fabric_scenarios(draw, max_cycles: int = 220):
         churn=draw(st.none() | st.tuples(st.integers(5, cycles - 5), st.sampled_from([0, 32]))),
         gate=draw(st.sampled_from([1, SHIPPED_GATE])),
     )
+
+
+def drawn(strategy, number: int):
+    """The example *strategy* draws under hypothesis seed *number*: the same
+    on every run, so a seeded test id always names the same scenario."""
+    examples = []
+
+    @seed(number)
+    @settings(max_examples=1, database=None, phases=[Phase.generate], deadline=None)
+    @given(strategy)
+    def pick(example):
+        examples.append(example)
+
+    pick()
+    return examples[0]
 
 
 def clock_of(router):

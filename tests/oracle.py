@@ -84,3 +84,10 @@ def assert_identical(
                 network.close()
     assert_states(states)
     return networks
+
+
+def assert_schedules_identical(scenario: Callable[..., Any]) -> Dict[str, Any]:
+    """:func:`assert_identical` over :data:`SCHEDULES`; strict never skips a cycle."""
+    networks = assert_identical(scenario)
+    assert networks["strict"].kernel.scheduler_stats.skipped == 0
+    return networks

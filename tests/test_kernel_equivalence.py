@@ -3,14 +3,12 @@
 The default schedule must be an *invisible* optimisation: the event heap
 with its self-gating vector plane has to reproduce the ``strict``
 (seed-equivalent) schedule bit for bit, as :func:`oracle.assert_identical`
-compares it through ``network.snapshot()``.  One test draws the scenarios
-(kind × mesh / torus / irregular × 1–8 channels × load × mid-run churn ×
-live fault × gate side); the named cases below pin the mechanisms a draw
-may miss: an idle mesh, crossing streams, the UMTS / HiperLAN/2
-application traffic, CCN admit / release, a mid-run reconfiguration,
-``reset()``, strided hooks, clock gating, event-heap determinism and the
-snapshot's own sensitivity.  Any schedule name but ``strict`` and
-``vector`` raises.
+compares it through ``network.snapshot()``.  :mod:`tests.test_event_scheduling`
+draws the scenarios; the named cases here pin the mechanisms a draw may
+miss: an idle mesh, crossing streams, the UMTS / HiperLAN/2 application
+traffic, CCN admit / release, a mid-run reconfiguration, ``reset()``,
+strided hooks, clock gating and the snapshot's own sensitivity.  Any
+schedule name but ``strict`` and ``vector`` raises.
 """
 
 from __future__ import annotations
@@ -18,10 +16,10 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import KINDS, FabricScenario, fabric_scenarios
-from oracle import SCHEDULES, assert_identical, ran
+from conftest import KINDS, FabricScenario
+from oracle import SCHEDULES, assert_schedules_identical, ran
 from repro.apps import hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, word_generator
 from repro.energy.activity import ActivityKeys
@@ -35,49 +33,9 @@ from repro.noc.topology import Mesh2D, Torus2D
 FREQUENCY_HZ = 100e6
 
 
-def _identical(scenario):
-    """:func:`oracle.assert_identical` over :data:`oracle.SCHEDULES`; strict never skips a cycle."""
-    networks = assert_identical(scenario)
-    assert networks["strict"].kernel.scheduler_stats.skipped == 0
-    return networks
-
-
 def _circuit_network(width=3, height=3, clock_gating=False, **params):
     mesh = Mesh2D(width, height)
     return mesh, CircuitSwitchedNoC(mesh, frequency_hz=FREQUENCY_HZ, clock_gating=clock_gating, **params)
-
-
-def _live_fault(kind):
-    """Two crossing channels on a 4×2 mesh whose middle link dies mid-run."""
-    channels = [((0, 0), (3, 0), 100.0, 0.7), ((3, 1), (0, 1), 100.0, 0.4)]
-    return FabricScenario(Mesh2D(4, 2), channels, 500, (250, (1, 0), (2, 0), False), None, kind=kind)
-
-
-@settings(max_examples=20, deadline=None)
-@given(scenario=fabric_scenarios(max_cycles=400))
-@example(scenario=_live_fault("circuit"))
-@example(scenario=_live_fault("packet"))
-@example(scenario=_live_fault("gt"))
-def test_drawn_scenarios_are_identical(scenario):
-    _identical(scenario)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_event_heap_is_deterministic_under_removal(kind):
-    """The identical churn-and-fault scenario twice under the default
-    schedule reproduces the observables *and* the heap statistics —
-    component removal (lazy heap deletion) and fault injection introduce no
-    ordering dependent on anything but the scenario."""
-    channels = [((0, 0), (3, 1), 100.0, 0.6), ((3, 0), (0, 1), 100.0, 0.3)]
-    scenario = FabricScenario(Mesh2D(4, 2), channels, 550, (400, (1, 0), (2, 0), False), None,
-                              kind=kind, churn=(250, 32))
-
-    def heap(network):
-        stats = network.kernel.scheduler_stats
-        return stats.events_processed, stats.heap_peak
-
-    networks = assert_identical(scenario, {"first": {}, "second": {}}, extra_state=heap)
-    assert heap(networks["first"])[0] > 0  # the default schedule actually ran off the heap
 
 
 class TestSnapshot:
@@ -103,13 +61,13 @@ class TestSnapshot:
 
 class TestIdleMesh:
     def test_idle_circuit_mesh_is_identical_and_mostly_skipped(self):
-        networks = _identical(lambda **params: ran(_circuit_network(**params)[1], 500))
+        networks = assert_schedules_identical(lambda **params: ran(_circuit_network(**params)[1], 500))
         # Idle routers sleep from the second cycle onward.
         stats = networks["default"].kernel.scheduler_stats
         assert stats.skipped > stats.evaluated
 
     def test_idle_clock_gated_mesh_is_identical(self):
-        _identical(lambda **params: ran(_circuit_network(clock_gating=True, **params)[1], 500))
+        assert_schedules_identical(lambda **params: ran(_circuit_network(clock_gating=True, **params)[1], 500))
 
     def test_idle_packet_mesh_is_identical(self):
         def scenario(**params):
@@ -117,7 +75,7 @@ class TestIdleMesh:
             network.add_stream("idle", (0, 0), (2, 2), word_generator(BitFlipPattern.TYPICAL, seed=1), load=0.0)
             return ran(network, 500)
 
-        _identical(scenario)
+        assert_schedules_identical(scenario)
 
 
 class TestSingleStream:
@@ -135,7 +93,7 @@ class TestSingleStream:
             network.add_stream("s", allocation, word_generator(BitFlipPattern.TYPICAL, seed=seed), load=load)
             return ran(network, 1200)
 
-        networks = _identical(scenario)
+        networks = assert_schedules_identical(scenario)
         if load >= 0.3:
             assert networks["default"].streams["s"].words_received > 0
 
@@ -147,7 +105,7 @@ class TestSingleStream:
             network.add_stream("s", (0, 0), (3, 1), word_generator(BitFlipPattern.TYPICAL, seed=seed), load=load)
             return ran(network, 1200)
 
-        _identical(scenario)
+        assert_schedules_identical(scenario)
 
 
 class TestCrossingStreams:
@@ -163,7 +121,7 @@ class TestCrossingStreams:
                 network.add_stream(f"s{index}", allocation, generator, load=0.8)
             return ran(network, 600)
 
-        networks = _identical(scenario)
+        networks = assert_schedules_identical(scenario)
         for endpoint in networks["default"].streams.values():
             assert endpoint.words_received > 0
 
@@ -184,7 +142,7 @@ class TestApplicationTraffic:
                 network.add_stream(allocation.channel_name, allocation, generator, load=0.6)
             return ran(network, 800)
 
-        assert _delivered(_identical(scenario)["default"]) > 0
+        assert _delivered(assert_schedules_identical(scenario)["default"]) > 0
 
 
 class TestMidRunReconfiguration:
@@ -210,7 +168,7 @@ class TestMidRunReconfiguration:
             network.add_stream("second", second, generator, load=0.7)
             return ran(network, 400)
 
-        assert _identical(scenario)["default"].streams["second"].words_received > 0
+        assert assert_schedules_identical(scenario)["default"].streams["second"].words_received > 0
 
 
 class TestResetClearsWires:
@@ -230,7 +188,7 @@ class TestResetClearsWires:
                 assert not any(link.ack)
             return ran(network, 300)
 
-        assert _identical(scenario)["default"].streams["s"].words_received > 0
+        assert assert_schedules_identical(scenario)["default"].streams["s"].words_received > 0
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_reset_returns_paced_endpoints_to_power_on(self, kind):
@@ -298,7 +256,7 @@ class TestGtNetwork:
         return build_network("gt", topology(width, height), frequency_hz=FREQUENCY_HZ, **params)
 
     def test_idle_gt_mesh_is_identical_and_mostly_skipped(self):
-        stats = _identical(lambda **params: ran(self._gt(**params), 500))["default"].kernel.scheduler_stats
+        stats = assert_schedules_identical(lambda **params: ran(self._gt(**params), 500))["default"].kernel.scheduler_stats
         assert stats.skipped > stats.evaluated
 
     def test_configured_but_unloaded_gt_mesh_sleeps(self):
@@ -309,7 +267,7 @@ class TestGtNetwork:
             network.apply_allocation(network.admission.allocate("s", (0, 0), (2, 2), 100.0, FREQUENCY_HZ))
             return ran(network, 400)
 
-        assert _identical(scenario)["default"].kernel.scheduler_stats.skipped > 0
+        assert assert_schedules_identical(scenario)["default"].kernel.scheduler_stats.skipped > 0
 
     @pytest.mark.parametrize("load", [0.1, 0.6, 1.0])
     def test_gt_streams_are_identical(self, load):
@@ -320,7 +278,7 @@ class TestGtNetwork:
             network.attach_channel("b", (3, 0), (0, 0), 100.0, generator, load=load)
             return ran(network, 1000)
 
-        for endpoint in _identical(scenario)["default"].streams.values():
+        for endpoint in assert_schedules_identical(scenario)["default"].streams.values():
             assert endpoint.words_received > 0
 
     @pytest.mark.parametrize("app", [hiperlan2, umts], ids=["hiperlan2", "umts"])
@@ -333,7 +291,7 @@ class TestGtNetwork:
                 frequency_hz=FREQUENCY_HZ, cycles=800, load=0.6, **params,
             ).network
 
-        assert _delivered(_identical(scenario)["default"]) > 0
+        assert _delivered(assert_schedules_identical(scenario)["default"]) > 0
 
     def test_gt_on_torus_is_identical(self):
         def scenario(**params):
@@ -343,7 +301,7 @@ class TestGtNetwork:
                                    word_generator(BitFlipPattern.TYPICAL, seed=5), load=0.8)
             return ran(network, 600)
 
-        wrap = _identical(scenario)["default"].streams["wrap"]
+        wrap = assert_schedules_identical(scenario)["default"].streams["wrap"]
         assert wrap.words_received > 0
         assert wrap.allocation.hop_count == 2
 
@@ -365,7 +323,7 @@ class TestGtNetwork:
             network.add_stream("second", second, generator, load=0.7)
             return ran(network, 400)
 
-        assert _identical(scenario)["default"].streams["second"].words_received > 0
+        assert assert_schedules_identical(scenario)["default"].streams["second"].words_received > 0
 
 
 class TestCcnLifecycleReconfiguration:
@@ -394,7 +352,7 @@ class TestCcnLifecycleReconfiguration:
             ccn.attach_traffic(second.name, generator, load=0.6)
             return ran(network, 400)
 
-        networks = _identical(scenario)
+        networks = assert_schedules_identical(scenario)
         assert _delivered(networks["default"]) > 0
         # Released streams really left the schedule on both kernels.
         for network in networks.values():
@@ -459,7 +417,7 @@ class TestDefaultSchedule:
             getattr(self, scenario)(network)
             return network
 
-        assert _delivered(_identical(run)["default"]) > 0
+        assert _delivered(assert_schedules_identical(run)["default"]) > 0
 
     def test_strided_hook_that_syncs_observes_strict_wires_and_activity(self):
         """A ``every=7`` post-cycle hook that calls ``kernel.sync()`` first

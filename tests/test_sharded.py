@@ -3,13 +3,14 @@
 The sharded kernel (:mod:`repro.sim.shard`) promises that a fabric
 partitioned over worker processes is *bit-identical* to the single-process
 network: ``network.snapshot()`` (activity counters, delivered word counts,
-energy figures, drop totals) comes out alike.  Hypothesis draws the
-scenarios — kind × mesh / torus / irregular × shard count × channels ×
-load, with mid-run channel churn and live link faults — and
-:func:`oracle.assert_identical` diffs them over both transports against the
-unsharded run.  A second family pins the boundary-frame exchange itself:
-running the identical sharded scenario twice must reproduce the same
-observables and the same cross-shard scheduler statistics.
+energy figures, drop totals) comes out alike.  Seeded draws of
+:func:`conftest.fabric_scenarios` — kind × mesh / torus / irregular ×
+shard count × channels × load, with mid-run channel churn and live link
+faults — are diffed by :func:`oracle.assert_identical` against the
+unsharded run, over either transport.  A second family pins the
+boundary-frame exchange itself: running the identical sharded scenario
+twice must reproduce the same observables and the same cross-shard
+scheduler statistics.
 
 Also here: unit coverage for the deterministic partitioner
 (:func:`repro.noc.topology.partition_topology`), the kernel's
@@ -27,9 +28,8 @@ import random
 import signal
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from conftest import KINDS, FabricScenario, fabric_scenarios
+from conftest import KINDS, FabricScenario, drawn, fabric_scenarios
 from oracle import assert_identical, assert_same, ran
 from repro.apps.traffic import BitFlipPattern, word_generator
 from repro.baseline.flit import VC_MASK, Packet
@@ -53,14 +53,12 @@ def _sharded(shards=2, **params):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=6, deadline=None)
-@given(scenario=fabric_scenarios(max_cycles=400), data=st.data())
-def test_drawn_scenarios_are_shard_identical(scenario, data):
-    """The single process and its pipe- and shm-sharded twins agree on one
-    drawn scenario: the frame codec, the seqlock window protocol, the fault
-    broadcast and the replicated configuration are invisible.  Channels the
-    single process refuses are left out first: a sharded fabric admits in
-    its workers, once the first run() has started them."""
+def _shardable(seed):
+    """Seeded draw *seed* of :func:`conftest.fabric_scenarios` less the
+    channels the single process refuses (a sharded fabric admits in its
+    workers, once the first run() has started them), and a shard count
+    its topology partitions into."""
+    scenario = drawn(fabric_scenarios(max_cycles=400), seed)
     admitted = scenario._attach(build_network(scenario.kind, scenario.topology))
     scenario = dataclasses.replace(
         scenario, channels=[c for i, c in enumerate(scenario.channels) if f"ch{i}" in admitted]
@@ -72,7 +70,15 @@ def test_drawn_scenarios_are_shard_identical(scenario, data):
         except ValueError:
             continue
         counts.append(count)
-    assert_identical(scenario, _sharded(data.draw(st.sampled_from(counts), label="shards")))
+    return scenario, random.Random(seed).choice(counts)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_scenarios_are_shard_identical(seed):
+    """The sharded twin of a drawn scenario equals the single process: the
+    fault broadcast and the replicated configuration are invisible."""
+    scenario, shards = _shardable(seed)
+    assert_identical(scenario, {"single": {}, "sharded": {"shards": shards}})
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -167,6 +173,16 @@ def test_post_start_attach_crosses_the_pipe():
 # ---------------------------------------------------------------------------
 # Transport equivalence: shm vs pipe vs single process
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_scenarios_are_transport_identical(seed):
+    """Single-process, pipe-sharded and shm-sharded builds of one drawn
+    scenario agree: the binary frame codec and the seqlock window protocol
+    are invisible."""
+    scenario, shards = _shardable(8 + seed)
+    networks = assert_identical(scenario, _sharded(shards))
+    assert [networks[transport].transport for transport in ("pipe", "shm")] == ["pipe", "shm"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -545,7 +561,7 @@ def test_backpressured_worm_parks_until_credits():
     assert parked_with_backlog, "no source ever parked while back-pressured"
 
 
-def test_packet_hotspot_stays_identical():
+def test_packet_hotspot_stays_trimodal_identical():
     """The parking refinement must not change what the fabric delivers."""
 
     def scenario(**params):

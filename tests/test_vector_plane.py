@@ -5,16 +5,16 @@ optimisation: ``schedule="vector"`` has to leave the strict reference's
 ``network.snapshot()`` — per-router activity counters, delivered words,
 drop counts, cycle counts — and, after every ``run()``, its converter
 lanes (:func:`_lane_state`) on either side of the live-route gate,
-including mid-run reconfiguration, live faults and sharded execution.  The
-drawn scenarios of ``tests/test_kernel_equivalence.py`` cover both gate
-sides; these tests pin the plane's version guards (reconfiguration and
-fault injection must invalidate the compiled gather), its gate, its lane
-columns and the correlated fault models (row cuts, power-domain region
-kills).
+including mid-run reconfiguration, live faults and sharded execution.
+Seeded draws compare strict with both gate sides; these tests also pin the
+plane's version guards (reconfiguration and fault injection must
+invalidate the compiled gather), its gate, its lane columns and the
+correlated fault models (row cuts, power-domain region kills).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -37,7 +37,7 @@ from repro.noc.faults import (
 )
 from repro.noc.topology import Mesh2D
 
-from conftest import FabricScenario
+from conftest import FabricScenario, drawn, fabric_scenarios
 from oracle import SCHEDULES, SHIPPED_GATE, assert_identical, assert_same, gate_at, ran
 
 FREQUENCY_HZ = 100e6
@@ -70,6 +70,17 @@ def _full_load_circuit(schedule, size=4):
         generator = word_generator(BitFlipPattern.TYPICAL, seed=row)
         network.add_stream(name, allocation, generator, load=1.0)
     return network
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_scenarios_are_quadmodal_identical(seed):
+    """A seeded draw of :func:`conftest.fabric_scenarios` (kind × mesh /
+    torus / irregular × channels × load × churn × live fault): strict =
+    vector with the gate as shipped = vector batching from one route, per
+    router and per stream.  ("Quadmodal" is from when four schedules were
+    compared.)"""
+    scenario = dataclasses.replace(drawn(fabric_scenarios(max_cycles=400), seed), gate=None)
+    assert_identical(scenario, {**VECTOR, "vector from one route": {"schedule": "vector", "gate": 1}})
 
 
 def test_vector_plane_batches_busy_cycles():
@@ -776,7 +787,7 @@ class TestCorrelatedFaults:
         assert not network.dead_links  # nothing was touched
 
     @pytest.mark.usefixtures("open_gate")
-    def test_row_cut_is_identical(self):
+    def test_row_cut_is_quadmodal_identical(self):
         def scenario(schedule):
             network = self._loaded_network(schedule)
             FaultInjector(network).inject(FaultSpec("link", chooser=row_cut_chooser(seed=3, row=1)))
