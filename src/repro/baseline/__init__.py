@@ -31,7 +31,6 @@ from repro.baseline.aethereal import AETHEREAL, AetherealReference
 from repro.baseline.testbench import (
     PacketStreamConsumer,
     PacketStreamDriver,
-    TilePacketConsumer,
     TilePacketDriver,
 )
 
@@ -59,6 +58,5 @@ __all__ = [
     "AetherealReference",
     "PacketStreamConsumer",
     "PacketStreamDriver",
-    "TilePacketConsumer",
     "TilePacketDriver",
 ]

@@ -34,7 +34,6 @@ from repro.baseline.flit import (
 from repro.baseline.link import PacketLink
 from repro.baseline.routing import RouteFunction, xy_route
 from repro.common import ALL_PORTS, NEIGHBOR_PORTS, CapacityError, ConfigurationError, Port, bit_mask
-from repro.core.testbench import DriverSchedule
 from repro.energy.activity import (
     ARBITER_DECISIONS, ARBITER_GRANT_CHANGES, BUFFER_READ_BITS, BUFFER_WRITE_BITS, FLITS_ROUTED, LINK_TOGGLE_BITS,
     PACKETS_ROUTED, REG_TOGGLE_BITS, VC_ALLOCATIONS, WORDS_DELIVERED, ActivityCounters,
@@ -43,7 +42,7 @@ from repro.energy.area import PacketSwitchedRouterArea
 from repro.energy.power import PowerBreakdown, PowerModel
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.energy.timing import PacketSwitchedTiming
-from repro.sim.engine import ClockedComponent
+from repro.sim.datapath import DatapathMember, FabricDatapath
 
 __all__ = ["PacketSwitchedRouter", "PacketTileInterface", "PacketDatapath"]
 
@@ -129,7 +128,7 @@ class PacketTileInterface:
         self._next_vc = 0
 
 
-class PacketSwitchedRouter:
+class PacketSwitchedRouter(DatapathMember):
     """Cycle-accurate model of the virtual-channel wormhole baseline router."""
 
     NUM_PORTS = 5
@@ -163,8 +162,6 @@ class PacketSwitchedRouter:
         self.fifo_depth = fifo_depth
         self.data_width = data_width
         self.tech = tech
-        #: The datapath clocking this router (set when one adopts it).
-        self.datapath: Optional["PacketDatapath"] = None
 
         self.activity = ActivityCounters(name)
         self.area_model = PacketSwitchedRouterArea(
@@ -200,31 +197,9 @@ class PacketSwitchedRouter:
 
     # -- wiring ------------------------------------------------------------------------
 
-    def attach_link(self, port: Port, rx_link: Optional[PacketLink], tx_link: Optional[PacketLink]) -> None:
-        """Attach the incoming and outgoing flit channels of a neighbour port."""
-        port = Port(port)
-        if port not in NEIGHBOR_PORTS:
-            raise ConfigurationError("links can only be attached to neighbour ports")
-        for link in (rx_link, tx_link):
-            if link is not None and link.num_vcs != self.num_vcs:
-                raise ConfigurationError(
-                    f"link {link.name!r} has {link.num_vcs} VCs, router expects {self.num_vcs}"
-                )
-        datapath = self.datapath
-        if datapath is not None:
-            datapath.refuse_inside_cycle(f"links of router {self.name!r} attached")
-        self._rx_by_port[port] = rx_link
-        self._tx_by_port[port] = tx_link
-        if datapath is not None:
-            datapath.relink()
-
-    def rx_link(self, port: Port) -> Optional[PacketLink]:
-        """Incoming flit channel at *port* (``None`` at a mesh edge)."""
-        return self._rx_by_port[Port(port)]
-
-    def tx_link(self, port: Port) -> Optional[PacketLink]:
-        """Outgoing flit channel at *port* (``None`` at a mesh edge)."""
-        return self._tx_by_port[Port(port)]
+    def _check_link(self, link: PacketLink) -> None:
+        if link.num_vcs != self.num_vcs:
+            raise ConfigurationError(f"link {link.name!r} has {link.num_vcs} VCs, router expects {self.num_vcs}")
 
     def reset(self) -> None:
         """Back to power-on: buffers, VC state, credits, arbiters, tile,
@@ -274,7 +249,7 @@ def _overflow(router: PacketSwitchedRouter, index: int) -> CapacityError:
     )
 
 
-class PacketDatapath(ClockedComponent):
+class PacketDatapath(FabricDatapath):
     """Clocks a set of :class:`PacketSwitchedRouter` objects as one component.
 
     A cycle has two phases.  *Ingest* takes what the wires between members
@@ -288,65 +263,37 @@ class PacketDatapath(ClockedComponent):
     occupied input VCs, then one round-robin switch grant per requested
     output port, each winner's flit leaving with its output VC written in.
     A router with nothing that can move is not visited again until a flit,
-    credit or injection reaches it.  All state stays in the routers.  The
-    tile stream drivers in :attr:`drivers` are fired before the ingest, so a
-    packet one completes is injected in the same cycle.
+    credit or injection reaches it, or it is recompiled.  All state stays in
+    the routers.  The :class:`~repro.sim.datapath.FabricDatapath` skeleton
+    holds the adoption, the wire maps and the tile stream drivers in
+    :attr:`drivers`, fired before the ingest, so a packet one completes is
+    injected in the same cycle.
     """
 
-    settles_at_sync = True  # a cycle books no constant: the count settles at sync()
+    wire_watchers = ("watch_flits", "watch_credits")
+    _transient = ("_next", "_returns", "_arrivals", "_sampled_flits", "_sampled_credits")
 
     def __init__(self, name: str, routers: Sequence[PacketSwitchedRouter]) -> None:
-        super().__init__(name)
-        self.routers = list(routers)
-        for router in self.routers:
-            if router.datapath is not None:
-                raise ConfigurationError(f"router {router.name!r} already has a datapath")
-            router.datapath = self
-        #: Routers to visit in the next move phase (an insertion-ordered set):
-        #: all of them first, whatever they were handed before adoption.
-        self._next: Dict[PacketSwitchedRouter, None] = dict.fromkeys(self.routers)
+        super().__init__(name, routers)
+        #: Routers to visit in the next move phase (an insertion-ordered set).
+        self._next: Dict[PacketSwitchedRouter, None] = {}
         self._returns: List[tuple] = []
         self._arrivals: List[tuple] = []
         #: What :meth:`evaluate` took off the outside wires.
         self._sampled_flits: List[tuple] = []
         self._sampled_credits: List[tuple] = []
-        #: The tile stream drivers this datapath fires.
-        self.drivers = DriverSchedule(self)
-        self._map_wires()
-        for router in self.routers:
-            self._compile(router)
+        self._rewire()
 
     # -- compiling, between cycles ---------------------------------------------------------
 
-    def _map_wires(self) -> None:
-        """Who drives and who reads each wire of the set; claim the listeners."""
-        #: Wire -> ``(member, port)`` driving it / reading it.
-        self._writer: Dict[PacketLink, Tuple[PacketSwitchedRouter, int]] = {}
-        self._reader: Dict[PacketLink, Tuple[PacketSwitchedRouter, int]] = {}
-        for router in self.routers:
-            for port in NEIGHBOR_PORTS:
-                if router._tx_by_port[port] is not None:
-                    self._writer[router._tx_by_port[port]] = (router, port)
-                if router._rx_by_port[port] is not None:
-                    self._reader[router._rx_by_port[port]] = (router, port)
-        ours = self._member_wire_changed
-        self._outside_rx = []
-        for link, (router, port) in self._reader.items():
-            if link in self._writer:
-                link.watch_flits(ours)
-                link.watch_credits(ours)
-            else:
-                link.watch_flits(self.wake)
-                self._outside_rx.append(self._arrival(link, router, port))
-        self._outside_tx = []
-        for link, (router, port) in self._writer.items():
-            if link not in self._reader:
-                link.watch_credits(self.wake)
-                self._outside_tx.append((link, router, router._credits, port * router.num_vcs))
+    @staticmethod
+    def _rx_record(link: PacketLink, router: PacketSwitchedRouter, port: int) -> tuple:
+        """The arrival record of a flit *router* reads off *link* at *port*."""
+        return (link, router, router._fifos, router.activity.slots, port * router.num_vcs, router.fifo_depth)
 
     @staticmethod
-    def _arrival(link: PacketLink, router: PacketSwitchedRouter, port: int) -> tuple:
-        return (link, router, router._fifos, router.activity.slots, port * router.num_vcs, router.fifo_depth)
+    def _tx_record(link: PacketLink, router: PacketSwitchedRouter, port: int) -> tuple:
+        return (link, router, router._credits, port * router.num_vcs)
 
     def _return(self, link: PacketLink, vc: int) -> tuple:
         """The record that hands a credit on member wire *link* to its writer."""
@@ -355,7 +302,7 @@ class PacketDatapath(ClockedComponent):
 
     def _compile(self, router: PacketSwitchedRouter) -> None:
         """Build *router*'s send records (per output port) and credit records
-        (per input VC) from its wiring, and its state tuple."""
+        (per input VC) from its wiring, and its state tuple; visit it next."""
         num_vcs = router.num_vcs
         send: List[Optional[tuple]] = [None] * router.NUM_PORTS
         give: List[Optional[tuple]] = [None] * (router.NUM_PORTS * num_vcs)
@@ -364,7 +311,7 @@ class PacketDatapath(ClockedComponent):
             if tx in self._reader and tx.dead:
                 send[port] = (_TO_DEAD, tx, tuple(self._return(tx, vc) for vc in range(num_vcs)))
             elif tx in self._reader:
-                send[port] = (_TO_MEMBER, tx, self._arrival(tx, *self._reader[tx]))
+                send[port] = (_TO_MEMBER, tx, self._rx_record(tx, *self._reader[tx]))
             elif tx is not None:
                 send[port] = (_TO_OUTSIDE, tx, None)
             rx = router._rx_by_port[port]
@@ -378,25 +325,13 @@ class PacketDatapath(ClockedComponent):
             router._grant_last, router._prev_payload, router._requests, send, give, router.activity.slots,
             router.tile, router.tile._injection_queue, num_vcs, router.fifo_depth,
         )
+        self._next[router] = None
 
-    def relink(self) -> None:
-        """Recompile every member after a wiring change, and visit them."""
-        self._map_wires()
-        for member in self.routers:
-            self._compile(member)
-        self._next.update(dict.fromkeys(self.routers))
-        self.wake()
-
-    def _member_wire_changed(self) -> None:
-        # Only a fault marks a wire between two members: recompile the writer
-        # of every dead one and queue the credit fail() gave back.
-        for link, (writer, _port) in self._writer.items():
-            if link in self._reader and link.dead:
-                self._compile(writer)
-                for vc, amount in enumerate(link.credits):
-                    if amount:
-                        self._returns.append(self._return(link, vc))
-        self.wake()
+    def _wire_died(self, link: PacketLink) -> None:
+        # Hand the credits fail() gave back to the writer.
+        for vc, amount in enumerate(link.credits):
+            if amount:
+                self._returns.append(self._return(link, vc))
 
     def inject(self, router: PacketSwitchedRouter) -> None:
         """*router*'s tile queued flits: visit it in the next move phase."""
@@ -612,17 +547,3 @@ class PacketDatapath(ClockedComponent):
             if any(link.credits):
                 return cycle
         return self.drivers.next_due
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        """Count *cycles* cycles, busy or idle: the energy model is event-based
-        (buffer accesses, arbitration, traversals), so a cycle books nothing else."""
-        for router in self.routers:
-            router.activity.cycles = start_cycle + cycles
-
-    def reset(self) -> None:
-        for router in self.routers:
-            router.reset()
-        self._next = {}
-        self._returns, self._arrivals = [], []
-        self._sampled_flits, self._sampled_credits = [], []
-        self.drivers.reset()

@@ -4,8 +4,9 @@ These mirror :mod:`repro.core.testbench` for the packet-switched router so the
 power scenarios of Section 6 can be applied to both routers with identical
 traffic: a paced word stream of a given load and bit-flip statistic entering
 through a neighbour port or through the local tile interface, and a consumer
-that drains the corresponding output.  The tile driver is no kernel
-component: the datapath clocking its router fires it.
+that drains the corresponding output link (words delivered at the tile are
+read off its interface).  The tile driver is no kernel component: the
+datapath clocking its router fires it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "PacketStreamDriver",
     "PacketStreamConsumer",
     "TilePacketDriver",
-    "TilePacketConsumer",
 ]
 
 WordSource = Callable[[], int]
@@ -179,7 +179,7 @@ class TilePacketDriver:
 
     No kernel component: the :class:`~repro.baseline.router.PacketDatapath`
     clocking the router fires it at the top of the cycle its pacer is due
-    (:class:`~repro.core.testbench.DriverSchedule`); every full packet's
+    (:class:`~repro.sim.datapath.DriverSchedule`); every full packet's
     worth of words goes to the tile's injection queue at once.
     """
 
@@ -222,32 +222,3 @@ class TilePacketDriver:
         self._pending_words.clear()
         self.words_offered = 0
         self.words_sent = 0
-
-
-class TilePacketConsumer(ClockedComponent):
-    """Collects the words the router delivers to its local tile."""
-
-    def __init__(self, name: str, router: PacketSwitchedRouter) -> None:
-        super().__init__(name)
-        self.router = router
-
-    def evaluate(self, cycle: int) -> None:
-        pass
-
-    def commit(self, cycle: int) -> None:
-        pass
-
-    # -- timed protocol: pure statistics façade, never an event source -------
-
-    settles_at_sync = True  # nothing to book, idle or busy
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        return None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        pass
-
-    @property
-    def words_received(self) -> int:
-        """Payload words delivered to the router's tile interface."""
-        return self.router.tile.words_received

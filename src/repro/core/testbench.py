@@ -17,13 +17,13 @@ and the local processing tile:
 They are ordinary :class:`repro.sim.ClockedComponent` objects, so a scenario
 is simply a kernel containing the router under test plus a handful of these.
 The GT and packet tile drivers are no components: the datapath clocking
-their router fires them from its own :class:`DriverSchedule`.
+their router fires them from its own
+:class:`~repro.sim.datapath.DriverSchedule`.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappush, heapreplace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.data_converter import LaneDeserializer, LaneSerializer, ReceivedWord
 from repro.core.flow_control import FlowControlConfig
@@ -36,7 +36,6 @@ from repro.sim.engine import ClockedComponent
 __all__ = [
     "WordSource",
     "LoadPacer",
-    "DriverSchedule",
     "LaneStreamDriver",
     "LaneStreamConsumer",
     "TileStreamDriver",
@@ -128,71 +127,6 @@ class LoadPacer:
     def reset(self) -> None:
         """Back to the power-on state: no credit accumulated."""
         self._credit = 0
-
-
-class DriverSchedule:
-    """The tile stream drivers one datapath fires itself, in due order.
-
-    The GT and packet datapaths own their tile drivers (plain records with a
-    ``pacer``, an ``emit(cycle)`` and a ``reset()``): the top of the
-    datapath's ``commit`` fires the drivers due that cycle, and its
-    ``next_event_cycle`` is no later than :attr:`next_due`.  A heap keyed
-    ``(due cycle, adoption number)`` orders them, so drivers sharing a word
-    source pull in adoption order within a cycle — the registration order
-    they had as kernel components.  Each driver's pacer advances in closed
-    form, one :meth:`LoadPacer.emit_from` per emission.
-    """
-
-    __slots__ = ("_owner", "_heap", "_adopted", "_count", "next_due")
-
-    def __init__(self, owner: Any) -> None:
-        #: The datapath: woken when a driver joins between two cycles.
-        self._owner = owner
-        self._heap: List[tuple] = []
-        #: Adopted driver -> adoption number, in adoption order.
-        self._adopted: Dict[Any, int] = {}
-        self._count = 0
-        #: The earliest cycle any driver is due (``None``: none ever is).
-        self.next_due: Optional[int] = None
-
-    def adopt(self, driver: Any, cycle: int) -> None:
-        """Take *driver* on: it offers its first word at or after *cycle*."""
-        number = self._adopted[driver] = self._count
-        self._count += 1
-        due = driver.pacer.emit_from(cycle)
-        if due is not None:
-            heappush(self._heap, (due, number, driver))
-            self.next_due = self._heap[0][0]
-        self._owner.wake()
-
-    def release(self, driver: Any) -> None:
-        """Drop *driver* (tolerates one that was never adopted or already left)."""
-        if self._adopted.pop(driver, None) is None:
-            return
-        self._heap = [entry for entry in self._heap if entry[2] is not driver]
-        heapify(self._heap)
-        self.next_due = self._heap[0][0] if self._heap else None
-
-    def fire(self, cycle: int) -> None:
-        """Emit every driver due at *cycle* (which must be :attr:`next_due`)."""
-        heap = self._heap
-        while heap[0][0] == cycle:
-            _due, number, driver = heap[0]
-            driver.emit(cycle)
-            # pacer.emit_from(cycle + 1), inlined: a driver that emitted has a load.
-            pacer = driver.pacer
-            step, threshold = pacer._step, pacer._threshold
-            gap = -((pacer._credit - threshold) // step)
-            pacer._credit += step * gap - threshold
-            heapreplace(heap, (cycle + gap, number, driver))
-        self.next_due = heap[0][0]
-
-    def reset(self) -> None:
-        """Reset every driver; each offers its first word from cycle 0 on."""
-        drivers, self._adopted, self._heap, self.next_due = list(self._adopted), {}, [], None
-        for driver in drivers:  # in adoption order
-            driver.reset()
-            self.adopt(driver, 0)
 
 
 class LaneStreamDriver(ClockedComponent):

@@ -33,7 +33,6 @@ from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.baseline.testbench import (
     PacketStreamConsumer,
     PacketStreamDriver,
-    TilePacketConsumer,
     TilePacketDriver,
 )
 from repro.common import NEIGHBOR_PORTS, Port, ReproError, port_offset
@@ -292,7 +291,6 @@ def run_packet_scenario(
     drivers: Dict[int, object] = {}
     consumers: Dict[int, object] = {}
     link_consumers: Dict[Port, PacketStreamConsumer] = {}
-    tile_consumer: Optional[TilePacketConsumer] = None
     components = []
     next_vc = 0
     for stream in scenario.streams:
@@ -322,9 +320,7 @@ def run_packet_scenario(
                 router.fifo_depth,
             )
         if stream.leaves_at_tile:
-            if tile_consumer is None:
-                tile_consumer = TilePacketConsumer(f"s{stream.stream_id}_dst", router)
-            consumer = tile_consumer
+            consumer = None  # delivery is read off the tile interface
         else:
             # Streams sharing an output port share one physical downstream
             # router; model it with a single consumer per link.
@@ -335,7 +331,9 @@ def run_packet_scenario(
             consumer = link_consumers[stream.output_port]
         drivers[stream.stream_id] = driver
         consumers[stream.stream_id] = consumer
-        components.extend([driver, consumer])
+        components.append(driver)
+        if consumer is not None:
+            components.append(consumer)
 
     _run_testbench(kernel, components, PacketDatapath("dut_datapath", [router]), cycles)
 
@@ -349,8 +347,8 @@ def run_packet_scenario(
     shared: Dict[int, List[int]] = {}
     shared_consumers: Dict[int, PacketStreamConsumer] = {}
     for stream_id, consumer in consumers.items():
-        if isinstance(consumer, TilePacketConsumer):
-            result.words_received[stream_id] = consumer.words_received
+        if consumer is None:
+            result.words_received[stream_id] = router.tile.words_received
         else:
             shared.setdefault(id(consumer), []).append(stream_id)
             shared_consumers[id(consumer)] = consumer

@@ -72,6 +72,10 @@ class NocBase:
     #: Why a kind that has a plane installed none on this network (set by
     #: :meth:`_register_with_kernel`, read by :meth:`schedule_report`).
     plane_refusal: Optional[str] = None
+    #: The :class:`~repro.sim.datapath.FabricDatapath` class clocking this
+    #: kind's routers, and its one instance (``None``: no router needs one).
+    datapath_class: Optional[type] = None
+    datapath: Optional[Any] = None
 
     def __init__(
         self,
@@ -145,14 +149,23 @@ class NocBase:
     def _register_with_kernel(self) -> None:
         """Register the routers with the simulation kernel.
 
-        The default puts every router on the schedule individually; kinds
-        with a columnar fast path extend it to register one
-        :class:`repro.sim.vector.VectorPlane` right behind the routers under
-        ``schedule="vector"``.  Runs before any stream endpoint is added, so
-        the registration-index ordering routers-before-streams holds.
+        A router that is a kernel component goes on the schedule on its own;
+        the others are clocked by one :attr:`datapath_class` component,
+        :attr:`datapath`.  Kinds with a columnar fast path extend this to
+        register one :class:`repro.sim.vector.VectorPlane` right behind the
+        routers under ``schedule="vector"``.  Runs before any stream endpoint
+        is added, so the registration-index ordering routers-before-streams
+        holds.
         """
+        members = []
         for router in self.routers.values():
-            self.kernel.add(router)
+            if isinstance(router, ClockedComponent):
+                self.kernel.add(router)
+            else:
+                members.append(router)
+        if members:
+            self.datapath = self.datapath_class(f"{self.activity_name}_datapath", members)
+            self.kernel.add(self.datapath)
 
     # -- construction hooks -----------------------------------------------------------
 

@@ -38,14 +38,16 @@ outgoing wires and tiles.  The stream drivers feeding the tiles are records
 the datapath fires first thing in its ``commit``, so a word offered in a
 cycle can leave in that cycle's slot; an idle fabric sleeps until a queued
 word's slot or the next driver's due cycle, whichever comes first.
-It recompiles per router, between cycles only: a slot after ``program`` /
-``clear``, a router after ``attach_link``, both ends of a wire after its
-``fail``.  A slot-table write inside a cycle raises
-:class:`~repro.common.SimulationError`.  A wire between two routers of the
-set is never read (the entry reads the register behind it); an *external*
-wire (a :class:`GtLinkStreamDriver`'s, a shard's boundary mirror) is sampled
-in ``evaluate``, before anything commits — so wires need no memory of the
-previous cycle, whichever side registered first.  Every schedule runs this
+It recompiles between cycles only: a slot after ``program`` / ``clear``,
+every router after ``attach_link``, both ends of a wire after its ``fail``
+(the last two, with adoption and the wire maps, are the
+:class:`~repro.sim.datapath.FabricDatapath` skeleton it shares with the
+packet datapath).  A slot-table write or an ``attach_link`` inside a cycle
+raises :class:`~repro.common.SimulationError`.  A wire between two routers
+of the set is never read (the entry reads the register behind it); an
+*external* wire (a :class:`GtLinkStreamDriver`'s, a shard's boundary mirror)
+is sampled in ``evaluate``, before anything commits — so wires need no
+memory of the previous cycle, whichever side registered first.  Every schedule runs this
 datapath; its independent reference is the two-phase per-router model in
 ``tests/test_gt_network.py``.
 """
@@ -57,13 +59,8 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.baseline.aethereal import AETHEREAL
-from repro.common import (
-    NEIGHBOR_PORTS,
-    ConfigurationError,
-    Port,
-    bit_mask,
-)
-from repro.core.testbench import DriverSchedule, LoadPacer
+from repro.common import ConfigurationError, Port, bit_mask
+from repro.core.testbench import LoadPacer
 from repro.energy.activity import (
     LINK_TOGGLE_BITS, REG_TOGGLE_BITS, WORDS_DELIVERED, WORDS_INJECTED, ActivityCounters, ActivityKeys,
 )
@@ -74,6 +71,7 @@ from repro.noc.fabric import NocBase, WordSource, register_network_kind
 from repro.noc.slot_table import SlotAllocation, SlotCircuit, SlotTableAllocator
 from repro.noc.topology import Position, Topology
 from repro.noc.word_proxy import GtPullModel
+from repro.sim.datapath import DatapathMember, FabricDatapath
 from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent
 from repro.sim.signals import DirtyBit, WakeListener
 
@@ -224,7 +222,7 @@ class TdmaTileInterface:
         self.received.clear()
 
 
-class SlotTableRouter:
+class SlotTableRouter(DatapathMember):
     """Model of an Æthereal-style slot-table router.
 
     Per output port the router holds a revolving table of ``slots`` entries;
@@ -255,9 +253,6 @@ class SlotTableRouter:
         self._mask = bit_mask(data_width)
         self.position = position
         self.tech = tech
-        #: The datapath clocking this router (set when one adopts it).
-        self.datapath: Optional["TdmaDatapath"] = None
-
         self.activity = ActivityCounters(name)
         self.area_model = AetherealRouterArea(tech)
 
@@ -283,29 +278,12 @@ class SlotTableRouter:
 
     # -- wiring -------------------------------------------------------------------
 
-    def attach_link(self, port: Port, rx_link: Optional[TdmaLink], tx_link: Optional[TdmaLink]) -> None:
-        """Attach the incoming and outgoing word wires of a neighbour port."""
-        port = Port(port)
-        if port not in NEIGHBOR_PORTS:
-            raise ConfigurationError("links can only be attached to neighbour ports")
-        for link in (rx_link, tx_link):
-            if link is not None and link.data_width != self.data_width:
-                raise ConfigurationError(
-                    f"link {link.name!r} is {link.data_width} bits wide, router "
-                    f"{self.name!r} expects {self.data_width}"
-                )
-        self._rx_by_port[port] = rx_link
-        self._tx_by_port[port] = tx_link
-        if self.datapath is not None:
-            self.datapath.relink(self)
-
-    def rx_link(self, port: Port) -> Optional[TdmaLink]:
-        """Incoming word wire at *port* (``None`` at a fabric edge)."""
-        return self._rx_by_port[Port(port)]
-
-    def tx_link(self, port: Port) -> Optional[TdmaLink]:
-        """Outgoing word wire at *port* (``None`` at a fabric edge)."""
-        return self._tx_by_port[Port(port)]
+    def _check_link(self, link: TdmaLink) -> None:
+        if link.data_width != self.data_width:
+            raise ConfigurationError(
+                f"link {link.name!r} is {link.data_width} bits wide, router "
+                f"{self.name!r} expects {self.data_width}"
+            )
 
     # -- slot-table configuration ----------------------------------------------------
 
@@ -387,7 +365,7 @@ _FROM_REGISTER, _FROM_TILE, _FROM_WIRE = range(3)
 _TO_MEMBER, _TO_TILE, _TO_OUTSIDE, _TO_DEAD, _TO_NOTHING = range(5)
 
 
-class TdmaDatapath(ClockedComponent):
+class TdmaDatapath(FabricDatapath):
     """Clocks a set of :class:`SlotTableRouter` objects from one per-slot schedule.
 
     Register ``5 × i + port`` is output register *port* of ``routers[i]``.
@@ -399,24 +377,19 @@ class TdmaDatapath(ClockedComponent):
     or dead has no feed: like a register no entry names, it latches idle if
     it holds a word.  ``_registers`` holds per register what the scatter
     touches; all state stays in the routers, which share one slot-table size.
-    :attr:`drivers` holds the :class:`GtStreamDriver` objects feeding the
-    members' tiles; the top of :meth:`commit` fires the ones due.
+    The top of :meth:`commit` fires the :class:`GtStreamDriver` objects in
+    :attr:`drivers`; :attr:`_outside_rx` lists the external wires.
     """
 
-    settles_at_sync = True  # the slot counters and output registers never gate
+    _transient = ("_held",)
 
     def __init__(self, name: str, routers: Sequence[SlotTableRouter]) -> None:
-        super().__init__(name)
-        self.routers = list(routers)
-        sizes = {router.slots for router in self.routers}
+        sizes = {router.slots for router in routers}
         if len(sizes) != 1:
             raise ConfigurationError("a datapath clocks one or more routers of one slot-table size")
+        super().__init__(name, routers)
         self.slots = sizes.pop()
         self._index = {router: index for index, router in enumerate(self.routers)}
-        for router in self.routers:
-            if router.datapath is not None:
-                raise ConfigurationError(f"router {router.name!r} already has a datapath")
-            router.datapath = self
         self._registers: List[tuple] = [()] * (_PORTS * len(self.routers))
         self._feeds: List[Dict[int, tuple]] = [{} for _ in range(self.slots)]
         self._groups: List[tuple] = [((), (), ())] * self.slots
@@ -424,30 +397,9 @@ class TdmaDatapath(ClockedComponent):
         self._sampled: Dict[TdmaLink, Optional[int]] = {}
         #: Registers holding a word (an insertion-ordered set).
         self._held: Dict[int, None] = {}
-        #: The tile stream drivers this datapath fires.
-        self.drivers = DriverSchedule(self)
-        self._map_wires()
-        for router in self.routers:
-            self._compile(router)
+        self._rewire()
 
     # -- compiling the schedule, between cycles ----------------------------------------
-
-    def _map_wires(self) -> None:
-        """Who drives and who reads each wire of the set; claim the listeners."""
-        #: Wire -> number of the member register driving it / member reading it.
-        self._writer: Dict[TdmaLink, int] = {}
-        self._reader: Dict[TdmaLink, SlotTableRouter] = {}
-        for index, router in enumerate(self.routers):
-            for port in NEIGHBOR_PORTS:
-                if router._tx_by_port[port] is not None:
-                    self._writer[router._tx_by_port[port]] = _PORTS * index + port
-                if router._rx_by_port[port] is not None:
-                    self._reader[router._rx_by_port[port]] = router
-        #: Incoming wires driven from outside the set: a word on one keeps the
-        #: datapath running.  A wire inside the set is marked only by a fault.
-        self._external = tuple(wire for wire in self._reader if wire not in self._writer)
-        for wire in self._reader:
-            wire.watch_forward(self.wake if wire in self._external else self._member_wire_failed)
 
     def _compile(self, router: SlotTableRouter, slots: Optional[Sequence[int]] = None) -> None:
         """Recompile *router*'s feeds of *slots* (default: its records and every slot)."""
@@ -482,9 +434,8 @@ class TdmaDatapath(ClockedComponent):
                 elif wire is None or wire.dead:
                     continue
                 elif wire in self._writer:
-                    writer = self._writer[wire]
-                    feeds[register] = (_FROM_REGISTER, (
-                        register, self.routers[writer // _PORTS]._out_reg, writer % _PORTS, connection))
+                    writer, port = self._writer[wire]
+                    feeds[register] = (_FROM_REGISTER, (register, writer._out_reg, port, connection))
                 else:
                     feeds[register] = (_FROM_WIRE, (register, wire, None, connection))
                 changed = True
@@ -497,28 +448,6 @@ class TdmaDatapath(ClockedComponent):
     def reprogram(self, router: SlotTableRouter, slot: int) -> None:
         """Recompile *router*'s feeds of *slot* after a slot-table write."""
         self._compile(router, (slot,))
-        self.wake()
-
-    def relink(self, router: SlotTableRouter) -> None:
-        """Recompile *router* and the members across its wires (a wiring change)."""
-        self._map_wires()
-        self._recompile_ends((*router._rx_by_port, *router._tx_by_port), router)
-
-    def _member_wire_failed(self) -> None:
-        # A wire between two members is marked only when it fails.
-        self._recompile_ends([wire for *_, action, wire in self._registers if action == _TO_MEMBER and wire.dead])
-
-    def _recompile_ends(self, wires, *routers: SlotTableRouter) -> None:
-        """Recompile *routers* and the members at both ends of *wires* (after
-        a fault, a dead wire's register swallows words and its entry reads idle)."""
-        members = dict.fromkeys(routers)
-        for wire in wires:
-            if wire in self._writer:
-                members[self.routers[self._writer[wire] // _PORTS]] = None
-            if wire in self._reader:
-                members[self._reader[wire]] = None
-        for member in members:
-            self._compile(member)
         self.wake()
 
     # -- simulation ---------------------------------------------------------------------
@@ -585,7 +514,7 @@ class TdmaDatapath(ClockedComponent):
         tile word and the cycle the next driver is due."""
         if self._held:
             return cycle
-        for wire in self._external:
+        for wire in self._outside_rx:
             if wire.forward is not None:
                 return cycle
         due, groups, slots = self.drivers.next_due, self._groups, self.slots
@@ -594,18 +523,6 @@ class TdmaDatapath(ClockedComponent):
                 if tile._queued and tile._tx.get(connection):
                     return cycle + offset
         return due
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        """Book *cycles* cycles, busy or idle, of every router's constant clocked bits."""
-        for router in self.routers:
-            router.activity.add(ActivityKeys.REG_CLOCKED_BITS, router._idle_clock_bits * cycles)
-            router.activity.cycles = start_cycle + cycles
-
-    def reset(self) -> None:
-        for router in self.routers:
-            router.reset()
-        self._held.clear()
-        self.drivers.reset()
 
 
 class GtStreamDriver:
@@ -617,7 +534,7 @@ class GtStreamDriver:
     counted, so a mis-paced stream shows up in the statistics instead of
     accumulating unbounded backlog.  It is no kernel component: the
     :class:`TdmaDatapath` clocking its router fires it at the top of the
-    cycle its pacer is due (:class:`~repro.core.testbench.DriverSchedule`).
+    cycle its pacer is due (:class:`~repro.sim.datapath.DriverSchedule`).
     """
 
     def __init__(
@@ -843,7 +760,7 @@ class TimeDivisionNoC(NocBase):
     :meth:`schedule_report` says so.
     """
 
-    datapath: Optional[TdmaDatapath] = None  # a shard may hold no router
+    datapath_class = TdmaDatapath
     kind = "time_division_gt"
     activity_name = "gt_network"
     performs_admission = True
@@ -875,11 +792,6 @@ class TimeDivisionNoC(NocBase):
         )
 
     # -- construction hooks -----------------------------------------------------------
-
-    def _register_with_kernel(self) -> None:
-        if self.routers:
-            self.datapath = TdmaDatapath(f"{self.activity_name}_datapath", list(self.routers.values()))
-            self.kernel.add(self.datapath)
 
     def _build_router(self, position: Position) -> SlotTableRouter:
         return SlotTableRouter(

@@ -55,7 +55,7 @@ class PacketStreamEndpoints:
 class PacketSwitchedNoC(NocBase):
     """A complete packet-switched network on any topology."""
 
-    datapath: Optional[PacketDatapath] = None  # a shard may hold no router
+    datapath_class = PacketDatapath
     kind = "packet_switched"
     activity_name = "packet_network"
     fault_drop_unit = "flit"
@@ -89,11 +89,6 @@ class PacketSwitchedNoC(NocBase):
         )
 
     # -- construction hooks -----------------------------------------------------------
-
-    def _register_with_kernel(self) -> None:
-        if self.routers:
-            self.datapath = PacketDatapath(f"{self.activity_name}_datapath", list(self.routers.values()))
-            self.kernel.add(self.datapath)
 
     def _build_router(self, position: Position) -> PacketSwitchedRouter:
         return PacketSwitchedRouter(

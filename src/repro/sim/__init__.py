@@ -105,11 +105,11 @@ every data converter — serialiser shift register and output phit,
 deserialiser collected phits, owed and committed acknowledge pulses — is
 columns of the same plane, shifted for all lanes at once; only the word
 edges (load a queued word, return credit, deliver a word to the tile) stay
-scalar.  The GT and packet datapaths (one kernel component per fabric,
-firing the fabric's tile stream drivers themselves) and clock-gated
-fabrics do not register a plane and run on the event heap alone;
-``network.schedule_report()`` names the requested and the effective
-schedule and the reason they differ.
+scalar.  The GT and packet datapaths (one kernel component per fabric on
+the :mod:`repro.sim.datapath` skeleton, firing the fabric's tile stream
+drivers themselves) and clock-gated fabrics do not register a plane and run
+on the event heap alone; ``network.schedule_report()`` names the requested
+and the effective schedule and the reason they differ.
 
 Bit-identity with ``strict`` (``network.snapshot()``) is asserted by
 ``tests/test_kernel_equivalence.py`` (drawn scenarios included),

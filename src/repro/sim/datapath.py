@@ -1,0 +1,253 @@
+"""The skeleton the compiled GT and packet datapaths share.
+
+A datapath is one kernel component clocking a set of routers that are no
+components themselves.  :class:`FabricDatapath` holds what does not depend on
+the router kind, :class:`DatapathMember` the routers' wiring; a kind keeps
+its per-member compile and its own ``evaluate``, ``commit`` and
+``next_event_cycle``, so the skeleton adds no call to a cycle.
+"""
+
+from __future__ import annotations
+
+from heapq import heapify, heappush, heapreplace
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
+
+from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port
+from repro.energy.activity import ActivityKeys
+from repro.sim.engine import ClockedComponent
+
+__all__ = ["DatapathMember", "DriverSchedule", "FabricDatapath"]
+
+_CLOCKED_BITS = ActivityKeys.REG_CLOCKED_BITS
+
+
+class DriverSchedule:
+    """The tile stream drivers one datapath fires itself, in due order.
+
+    The GT and packet datapaths own their tile drivers (plain records with a
+    ``pacer``, an ``emit(cycle)`` and a ``reset()``): the top of the
+    datapath's ``commit`` fires the drivers due that cycle, and its
+    ``next_event_cycle`` is no later than :attr:`next_due`.  A heap keyed
+    ``(due cycle, adoption number)`` orders them, so drivers sharing a word
+    source pull in adoption order within a cycle — the registration order
+    they had as kernel components.  Each driver's pacer advances in closed
+    form, one :meth:`~repro.core.testbench.LoadPacer.emit_from` per emission.
+    """
+
+    __slots__ = ("_owner", "_heap", "_adopted", "_count", "next_due")
+
+    def __init__(self, owner: Any) -> None:
+        #: The datapath: woken when a driver joins between two cycles.
+        self._owner = owner
+        self._heap: List[tuple] = []
+        #: Adopted driver -> adoption number, in adoption order.
+        self._adopted: Dict[Any, int] = {}
+        self._count = 0
+        #: The earliest cycle any driver is due (``None``: none ever is).
+        self.next_due: Optional[int] = None
+
+    def adopt(self, driver: Any, cycle: int) -> None:
+        """Take *driver* on: it offers its first word at or after *cycle*."""
+        number = self._adopted[driver] = self._count
+        self._count += 1
+        due = driver.pacer.emit_from(cycle)
+        if due is not None:
+            heappush(self._heap, (due, number, driver))
+            self.next_due = self._heap[0][0]
+        self._owner.wake()
+
+    def release(self, driver: Any) -> None:
+        """Drop *driver* (tolerates one that was never adopted or already left)."""
+        if self._adopted.pop(driver, None) is None:
+            return
+        self._heap = [entry for entry in self._heap if entry[2] is not driver]
+        heapify(self._heap)
+        self.next_due = self._heap[0][0] if self._heap else None
+
+    def fire(self, cycle: int) -> None:
+        """Emit every driver due at *cycle* (which must be :attr:`next_due`)."""
+        heap = self._heap
+        while heap[0][0] == cycle:
+            _due, number, driver = heap[0]
+            driver.emit(cycle)
+            # pacer.emit_from(cycle + 1), inlined: a driver that emitted has a load.
+            pacer = driver.pacer
+            step, threshold = pacer._step, pacer._threshold
+            gap = -((pacer._credit - threshold) // step)
+            pacer._credit += step * gap - threshold
+            heapreplace(heap, (cycle + gap, number, driver))
+        self.next_due = heap[0][0]
+
+    def reset(self) -> None:
+        """Reset every driver; each offers its first word from cycle 0 on."""
+        drivers, self._adopted, self._heap, self.next_due = list(self._adopted), {}, [], None
+        for driver in drivers:  # in adoption order
+            driver.reset()
+            self.adopt(driver, 0)
+
+
+class DatapathMember:
+    """The wiring of a router a :class:`FabricDatapath` clocks.
+
+    A subclass holds its wires in ``_rx_by_port`` / ``_tx_by_port`` and
+    rejects a link that does not fit it in :meth:`_check_link`.
+    """
+
+    #: The datapath clocking this router (set when one adopts it).
+    datapath: Optional["FabricDatapath"] = None
+    #: Register bits clocked every cycle, busy or idle (none where the
+    #: energy model is event-based).
+    _idle_clock_bits = 0
+
+    def _check_link(self, link: Any) -> None:
+        """Raise :class:`ConfigurationError` unless *link* fits this router."""
+
+    def attach_link(self, port: Port, rx_link: Any, tx_link: Any) -> None:
+        """Attach the incoming and outgoing wires of a neighbour port."""
+        port = Port(port)
+        if port not in NEIGHBOR_PORTS:
+            raise ConfigurationError("links can only be attached to neighbour ports")
+        for link in (rx_link, tx_link):
+            if link is not None:
+                self._check_link(link)
+        if self.datapath is not None:
+            self.datapath.relink(self, port, rx_link, tx_link)
+        else:
+            self._rx_by_port[port] = rx_link
+            self._tx_by_port[port] = tx_link
+
+    def rx_link(self, port: Port) -> Any:
+        """Incoming wire at *port* (``None`` at a fabric edge)."""
+        return self._rx_by_port[Port(port)]
+
+    def tx_link(self, port: Port) -> Any:
+        """Outgoing wire at *port* (``None`` at a fabric edge)."""
+        return self._tx_by_port[Port(port)]
+
+
+class FabricDatapath(ClockedComponent):
+    """Clocks a set of routers that are no kernel components, as one component.
+
+    Members are :class:`DatapathMember` objects and keep all their state.
+    :attr:`_writer` / :attr:`_reader` map each wire to the ``(member, port)``
+    driving / reading it.  A wire with both ends in the set is the datapath's
+    own: only a fault marks it.  Each wire a member reads from outside the set
+    (a stream driver's, a shard's boundary mirror) wakes the datapath with its
+    forward dirty-bit and adds a ``_rx_record`` to :attr:`_outside_rx`; each
+    wire a member drives out of the set wakes it with its reverse dirty-bits
+    and adds a ``_tx_record`` to :attr:`_outside_tx`.  A kind's ``__init__``
+    calls :meth:`_rewire` once its own containers exist.
+    """
+
+    settles_at_sync = True  # a cycle books the same constant, busy or idle
+    #: The wires' listener-claiming methods: the forward direction's first,
+    #: then the reverse ones.
+    wire_watchers: ClassVar[Tuple[str, ...]] = ("watch_forward",)
+    #: The per-cycle containers :meth:`reset` empties.
+    _transient: ClassVar[Tuple[str, ...]] = ()
+
+    def __init__(self, name: str, routers: Sequence[Any]) -> None:
+        super().__init__(name)
+        self.routers = list(routers)
+        for router in self.routers:
+            if router.datapath is not None:
+                raise ConfigurationError(f"router {router.name!r} already has a datapath")
+        for router in self.routers:
+            router.datapath = self
+        #: The members' counters, then those of the members that clock
+        #: register bits every cycle, with the bit count.
+        self._counters = [router.activity for router in self.routers]
+        self._clocked = [(r.activity, r._idle_clock_bits) for r in self.routers if r._idle_clock_bits]
+        #: The tile stream drivers this datapath fires.
+        self.drivers = DriverSchedule(self)
+
+    # -- hooks ---------------------------------------------------------------------------
+
+    def _compile(self, router: Any) -> None:
+        """Build the records *router*'s cycle walks from its wiring and state."""
+        raise NotImplementedError
+
+    def _wire_died(self, wire: Any) -> None:
+        """What a dead wire between two members does besides recompiling its ends."""
+
+    def _rx_record(self, wire: Any, router: Any, port: int) -> Any:
+        """What :attr:`_outside_rx` holds for *wire*, read by *router* at *port*."""
+        return wire
+
+    def _tx_record(self, wire: Any, router: Any, port: int) -> Any:
+        """What :attr:`_outside_tx` holds for *wire*, driven by *router* at *port*."""
+        return wire
+
+    # -- wiring, between cycles ----------------------------------------------------------
+
+    def _map_wires(self) -> None:
+        """Who drives and who reads each wire of the set; claim the listeners."""
+        self._writer: Dict[Any, Tuple[Any, int]] = {}
+        self._reader: Dict[Any, Tuple[Any, int]] = {}
+        for router in self.routers:
+            for port in NEIGHBOR_PORTS:
+                if router._tx_by_port[port] is not None:
+                    self._writer[router._tx_by_port[port]] = (router, port)
+                if router._rx_by_port[port] is not None:
+                    self._reader[router._rx_by_port[port]] = (router, port)
+        forward, *reverse = self.wire_watchers
+        #: Live wires between two members (an insertion-ordered set).
+        self._member_wires: Dict[Any, None] = {}
+        self._outside_rx: List[Any] = []
+        for wire, (router, port) in self._reader.items():
+            if wire in self._writer:
+                if not wire.dead:
+                    self._member_wires[wire] = None
+                for watch in self.wire_watchers:
+                    getattr(wire, watch)(self._member_wire_marked)
+            else:
+                getattr(wire, forward)(self.wake)
+                self._outside_rx.append(self._rx_record(wire, router, port))
+        self._outside_tx: List[Any] = []
+        for wire, (router, port) in self._writer.items():
+            if wire not in self._reader:
+                for watch in reverse:
+                    getattr(wire, watch)(self.wake)
+                self._outside_tx.append(self._tx_record(wire, router, port))
+
+    def _rewire(self) -> None:
+        """Map the wires and compile every member."""
+        self._map_wires()
+        for member in self.routers:
+            self._compile(member)
+
+    def relink(self, router: Any, port: int, rx_link: Any, tx_link: Any) -> None:
+        """Attach *router*'s wires at *port* and recompile (between cycles only)."""
+        self.refuse_inside_cycle(f"links of router {router.name!r} attached")
+        router._rx_by_port[port] = rx_link
+        router._tx_by_port[port] = tx_link
+        self._rewire()
+        self.wake()
+
+    def _member_wire_marked(self) -> None:
+        # Only a fault marks a wire between two members: recompile both ends
+        # of every one that died since the last mark.
+        for wire in [wire for wire in self._member_wires if wire.dead]:
+            del self._member_wires[wire]
+            self._compile(self._writer[wire][0])
+            self._compile(self._reader[wire][0])
+            self._wire_died(wire)
+        self.wake()
+
+    # -- simulation ----------------------------------------------------------------------
+
+    def idle_tick(self, start_cycle: int, cycles: int) -> None:
+        """Book *cycles* cycles, busy or idle: every member's constant clocked
+        bits and its cycle count (the rest of the energy model is event-based)."""
+        end = start_cycle + cycles
+        for activity in self._counters:
+            activity.cycles = end
+        for activity, bits in self._clocked:
+            activity.add(_CLOCKED_BITS, bits * cycles)
+
+    def reset(self) -> None:
+        for router in self.routers:
+            router.reset()
+        for name in self._transient:
+            getattr(self, name).clear()
+        self.drivers.reset()

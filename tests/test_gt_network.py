@@ -657,6 +657,18 @@ class TestScheduleChangesBetweenCycles:
             kernel.step()
         assert router.occupied_slots() == 0
 
+    def test_attach_link_inside_a_cycle_raises(self):
+        router, kernel = SlotTableRouter("victim", slots=4), SimulationKernel(25e6)
+        kernel.add(TdmaDatapath("datapath", [router]))
+        kernel.add_pre_cycle_hook(lambda cycle: router.attach_link(Port.EAST, TdmaLink("a"), None))
+        kernel.run(1)  # a hook runs between cycles: allowed
+        assert router.tx_link(Port.EAST) is None and router.rx_link(Port.EAST).name == "a"
+        rewire = {"commit": lambda self, cycle: router.attach_link(Port.EAST, TdmaLink("b"), None)}
+        kernel.add(type("Rewire", (ClockedComponent,), {"evaluate": id, **rewire})("rewire"))
+        with pytest.raises(SimulationError, match="'victim'.*inside cycle 1 .commit phase"):
+            kernel.step()
+        assert router.rx_link(Port.EAST).name == "a"
+
 
 class TestDriversInTheDatapath:
     """Tile stream drivers are records the datapath fires, not kernel components."""

@@ -212,7 +212,7 @@ def _quiescent(clock):
     """The sleep test of the retired per-cycle schedule: another cycle with
     unchanged inputs would change nothing."""
     if isinstance(clock, TdmaDatapath):
-        return not (clock._held or any(wire.forward is not None for wire in clock._external)
+        return not (clock._held or any(wire.forward is not None for wire in clock._outside_rx)
                     or any(router.tile._queued for router in clock.routers))
     if isinstance(clock, PacketDatapath):
         return not any(
