@@ -577,7 +577,7 @@ def main() -> None:
             "strict (every-component) and the default vector schedule (the "
             "event heap plus the struct-of-arrays wire plane batching whole "
             "fabric cycles through NumPy at or above its live-route gate; below "
-            "it the routers run on the event heap); identical_results asserts "
+            "it the datapath walks the routers' own programs); identical_results asserts "
             "bit-identical activity counters and delivered words between the "
             "two.  row-stream rows carry full-load circuits; paced-stream rows "
             "carry the same circuits at one word per 50 cycles, where the heap "

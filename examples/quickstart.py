@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import random
 
-from repro import CircuitSwitchedRouter, LaneLink, Port
+from repro import CircuitSwitchedRouter, LaneDatapath, LaneLink, Port
 from repro.core.testbench import LaneStreamConsumer, TileStreamDriver
 from repro.sim import SimulationKernel
 
@@ -51,9 +51,10 @@ def main() -> None:
     driver = TileStreamDriver("source", router, lane=0, word_source=lambda: rng.getrandbits(16), load=1.0)
     consumer = LaneStreamConsumer("sink", east_tx, lane=0)
 
-    # 4. Run 200 us at 25 MHz (the paper's power-experiment operating point).
+    # 4. Run 200 us at 25 MHz (the paper's power-experiment operating point);
+    #    a one-router datapath clocks the router.
     kernel = SimulationKernel(frequency_hz=25e6)
-    kernel.add_all([driver, consumer, router])
+    kernel.add_all([driver, consumer, LaneDatapath("datapath", [router])])
     kernel.run(5000)
 
     # 5. Report.
@@ -117,7 +118,7 @@ def mesh_demo(shards: int) -> None:
     )
     print(
         f"                      {report['batched_cycles']} cycles batched in NumPy, "
-        f"{report['scalar_cycles']} on the event heap, "
+        f"{report['scalar_cycles']} on the routers' own programs, "
         f"{report['live_routes']} live routes at the gate"
     )
     if not shards:

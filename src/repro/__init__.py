@@ -24,7 +24,7 @@ The library provides, in pure Python:
 
 Quickstart::
 
-    from repro import CircuitSwitchedRouter, LaneLink, Port
+    from repro import CircuitSwitchedRouter, LaneDatapath, LaneLink, Port
     from repro.sim import SimulationKernel
 
     router = CircuitSwitchedRouter("r0")
@@ -32,7 +32,7 @@ Quickstart::
     router.configure(Port.EAST, 0, Port.TILE, 0)   # tile lane 0 -> east lane 0
     router.tile.send(0, 0xBEEF)
     kernel = SimulationKernel(frequency_hz=25e6)
-    kernel.add(router)
+    kernel.add(LaneDatapath("datapath", [router]))   # clocks the router
     kernel.run(10)
 
 See ``examples/`` for complete, runnable scenarios and ``benchmarks/`` for the
@@ -45,6 +45,7 @@ from repro.core import (
     ConfigurationCommand,
     ConfigurationMemory,
     FlowControlConfig,
+    LaneDatapath,
     LaneHeader,
     LaneLink,
     LanePacket,
@@ -85,6 +86,7 @@ __all__ = [
     "ConfigurationCommand",
     "ConfigurationMemory",
     "FlowControlConfig",
+    "LaneDatapath",
     "LaneHeader",
     "LaneLink",
     "LanePacket",

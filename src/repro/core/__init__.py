@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`~repro.core.router.CircuitSwitchedRouter` — the 5-port router with
   lane-division multiplexing, a 16×20 crossbar with registered output lanes,
-  a 100-bit configuration memory and the tile-side data converter.
+  a 100-bit configuration memory and the tile-side data converter, clocked
+  by a :class:`~repro.core.router.LaneDatapath` (one per fabric or bench).
 * :class:`~repro.core.lane.LaneLink` — the wire bundle between two routers
   (four 4-bit lanes plus per-lane reverse acknowledge).
 * :class:`~repro.core.header.LanePacket` / ``LaneHeader`` — the 20-bit packet
@@ -32,7 +33,7 @@ from repro.core.configuration import (
 )
 from repro.core.crossbar import Crossbar
 from repro.core.data_converter import DataConverter, ReceivedWord, TileInterface
-from repro.core.router import CircuitSwitchedRouter
+from repro.core.router import CircuitSwitchedRouter, LaneDatapath
 from repro.core.clock_gating import ClockGatingEstimate, estimate_gated_offset
 from repro.core.testbench import (
     LaneStreamConsumer,
@@ -63,6 +64,7 @@ __all__ = [
     "ReceivedWord",
     "TileInterface",
     "CircuitSwitchedRouter",
+    "LaneDatapath",
     "ClockGatingEstimate",
     "estimate_gated_offset",
     "LaneStreamConsumer",

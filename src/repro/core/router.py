@@ -9,44 +9,43 @@ The router consists of the three major parts the paper names:
   attached to the best-effort network (:mod:`repro.core.config_memory`,
   :mod:`repro.core.configuration`).
 
-The router is a :class:`repro.sim.ClockedComponent` whose cycle is one
-compiled *route program*.  Per configuration version (and per
-:meth:`~CircuitSwitchedRouter.attach_link`) the router compiles the
-crossbar's active routes and acknowledge fan-ins, together with the attached
-links, into flat records: what each routed output register and each
-acknowledge register samples, which wire each of them drives, and which
-data-converter lanes a route touches.  ``evaluate`` runs the sampling records
-into the crossbar's next-state lists; ``commit`` latches the routed
-registers, counts their toggles and drives the wires of the ones that
-changed, then books the constant register bits and steps the data converter,
-which ticks only its live lanes — exactly one cycle of latency per hop, as
-in the hardware.  The first commit of every version is the dense sweep
+A router's cycle is one compiled *route program*.  Per configuration version
+(and after a relink) the router compiles the crossbar's active routes and
+acknowledge fan-ins, together with the attached links, into flat records:
+what each routed output register and each acknowledge register samples,
+which wire each of them drives, and which data-converter lanes a route
+touches.  ``evaluate`` runs the sampling records into the crossbar's
+next-state lists; ``commit`` latches the routed registers, counts their
+toggles and drives the wires of the ones that changed, then books the
+constant register bits and steps the data converter, which ticks only its
+live lanes — exactly one cycle of latency per hop, as in the hardware.  The
+first commit of every version is the dense sweep
 (:meth:`repro.core.crossbar.Crossbar.commit` plus a drive of every attached
 wire), which flushes lanes a reconfiguration stranded; after it only routed
 registers can change.
 
-Both schedules run this same program.  Under the event schedule the router's
-incoming lane bundles and its tile/configuration interfaces wake it when
-anything changes, and :meth:`~CircuitSwitchedRouter.next_event_cycle` reads
-the same records to decide when it may park, bulk-applying the constant
-per-cycle clocked/gated register bits through
-:meth:`~CircuitSwitchedRouter.idle_tick` meanwhile.
+The router is no kernel component.  One :class:`LaneDatapath` clocks every
+router of a fabric, a shard region or a single-router bench: it walks the
+programs of the routers that can move and parks the others, booking their
+constant per-cycle register bits in one step when they move again or at
+``sync``.  A wire change, a tile ``send`` / ``receive`` or a converter
+``configure_*`` marks its router active inside the datapath.  Under
+``schedule="vector"`` the fabric also gives the datapath a batch mode
+(:mod:`repro.sim.vector`) it enters from its live-route gate up.  A
+configuration write or a relink inside a cycle raises
+:class:`~repro.common.SimulationError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common import (
-    NEIGHBOR_PORTS,
-    ConfigurationError,
-    Port,
-    bit_mask,
-)
+from repro.common import ConfigurationError, Port, SimulationError, bit_mask
 from repro.core.config_memory import ConfigurationMemory, LaneConfig
 from repro.core.configuration import ConfigurationCommand
 from repro.core.crossbar import Crossbar
-from repro.core.data_converter import DataConverter, LaneDeserializer, LaneSerializer, TileInterface
+from repro.core.data_converter import DataConverter, LaneSerializer, TileInterface
 from repro.core.lane import LaneLink
 from repro.energy.activity import (
     LINK_TOGGLE_BITS, REG_CLOCKED_BITS, REG_GATED_BITS, REG_TOGGLE_BITS, XBAR_TOGGLE_BITS,
@@ -56,12 +55,15 @@ from repro.energy.area import CircuitSwitchedRouterArea
 from repro.energy.power import PowerBreakdown, PowerModel
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.energy.timing import CircuitSwitchedTiming
-from repro.sim.engine import ClockedComponent
+from repro.sim.datapath import DatapathMember, FabricDatapath
 
-__all__ = ["CircuitSwitchedRouter"]
+__all__ = ["CircuitSwitchedRouter", "LaneDatapath"]
+
+#: What :attr:`LaneDatapath._walk` holds outside its evaluate-to-commit span.
+_NOT_WALKING: frozenset = frozenset()
 
 
-class CircuitSwitchedRouter(ClockedComponent):
+class CircuitSwitchedRouter(DatapathMember):
     """Bit- and cycle-accurate model of the paper's circuit-switched router.
 
     Parameters
@@ -93,7 +95,7 @@ class CircuitSwitchedRouter(ClockedComponent):
         clock_gating: bool = False,
         tech: Technology = TSMC_130NM_LVHP,
     ) -> None:
-        super().__init__(name)
+        self.name = name
         self.lanes_per_port = lanes_per_port
         self.lane_width = lane_width
         self._lane_mask = bit_mask(lane_width)
@@ -115,10 +117,6 @@ class CircuitSwitchedRouter(ClockedComponent):
             self.NUM_PORTS, lanes_per_port, lane_width, tech
         )
 
-        # Incoming / outgoing lane links per neighbour port (None = mesh edge).
-        self._rx_links: Dict[Port, Optional[LaneLink]] = {p: None for p in NEIGHBOR_PORTS}
-        self._tx_links: Dict[Port, Optional[LaneLink]] = {p: None for p in NEIGHBOR_PORTS}
-
         # Flat per-lane working state, indexed by port * lanes_per_port + lane.
         total = self.NUM_PORTS * lanes_per_port
         self._total_lanes = total
@@ -127,8 +125,8 @@ class CircuitSwitchedRouter(ClockedComponent):
         self._tx_previous: list[int] = [0] * total
         # The attached links by port number (None at the tile port and at a
         # mesh edge).
-        self._rx_of: list[Optional[LaneLink]] = [None] * self.NUM_PORTS
-        self._tx_of: list[Optional[LaneLink]] = [None] * self.NUM_PORTS
+        self._rx_by_port: List[Optional[LaneLink]] = [None] * self.NUM_PORTS
+        self._tx_by_port: List[Optional[LaneLink]] = [None] * self.NUM_PORTS
         # The crossbar's registers and next-state lists, which the route
         # program reads and writes in place.
         self._out_data = self.crossbar.committed_data
@@ -136,34 +134,23 @@ class CircuitSwitchedRouter(ClockedComponent):
         self._next_data = self.crossbar.next_data
         self._next_acks = self.crossbar.next_acks
 
-        # The route program (see _compile): the configuration version it was
-        # compiled for and the version the last dense sweep flushed; -1
-        # forces both (attach_link, reset).
-        self._version = -1
-        self._swept = -1
-        # Evaluate records: (output, serialiser), (output, rx forward wires,
+        # The route program (see _compile), which the datapath walks.  The
+        # sampling records: (output, serialiser), (output, rx forward wires,
         # lane); (input, deserialiser), (input, tx ack wires, lane) and
-        # (input, deserialisers, (wires, lane) pairs) for an OR of several.
-        self._eval_tile: list[Tuple[int, LaneSerializer]] = []
-        self._eval_rx: list[Tuple[int, list, int]] = []
-        self._ack_tile: list[Tuple[int, LaneDeserializer]] = []
-        self._ack_wire: list[Tuple[int, list, int]] = []
-        self._ack_any: list[Tuple[int, tuple, tuple]] = []
-        # Commit records: (register, the link it drives or None, lane), and
-        # the constant clocked and gated register bits of one cycle.
-        self._latch_data: list[Tuple[int, Optional[LaneLink], int]] = []
-        self._latch_ack: list[Tuple[int, Optional[LaneLink], int]] = []
-        self._clocked_bits = 0
-        self._gated_bits = 0
-        # Park records: (input, (tx ack wires, lane) pairs) of the fan-ins a
-        # commit may leave off their inputs' fixed point (next_event_cycle).
-        self._park_ack: list[Tuple[int, tuple]] = []
+        # (input, deserialisers, (wires, lane) pairs) for an OR of several;
+        # then the next-state lists they write.
+        self._sample: tuple = ((), (), (), (), (), self._next_data, self._next_acks)
+        # The latch: (register, the link it drives or None, lane) per routed
+        # output and per latched acknowledge register, then what a commit
+        # reads and books (_compile).
+        self._latch: tuple = ()
+        # Park records: the serialiser-fed outputs, and (input, (tx ack
+        # wires, lane) pairs) of the fan-ins a commit may leave off their
+        # inputs' fixed point (LaneDatapath.frozen).
+        self._eval_tile: List[Tuple[int, LaneSerializer]] = []
+        self._park_ack: List[Tuple[int, tuple]] = []
         #: The last commit latched a changed register bit.
         self._latched = True
-
-        # External activity reschedules a quiescent router.
-        self.config.on_change = self.wake
-        self.converter.wake_hook = self.wake
 
     # -- wiring -------------------------------------------------------------------
 
@@ -172,64 +159,40 @@ class CircuitSwitchedRouter(ClockedComponent):
         """The word-level tile interface of this router."""
         return self.converter.interface
 
-    def attach_link(self, port: Port, rx_link: Optional[LaneLink], tx_link: Optional[LaneLink]) -> None:
-        """Attach the incoming and outgoing lane bundles of a neighbour port.
-
-        ``rx_link`` carries data *towards* this router (we read its forward
-        lanes and drive its acknowledge wires); ``tx_link`` carries data away
-        from it (we drive its forward lanes and read its acknowledge wires).
-        Either may be ``None`` on the edge of the mesh.
-        """
-        port = Port(port)
-        if port not in NEIGHBOR_PORTS:
-            raise ConfigurationError("links can only be attached to neighbour ports")
-        for link in (rx_link, tx_link):
-            if link is None:
-                continue
-            if link.num_lanes != self.lanes_per_port or link.lane_width != self.lane_width:
-                raise ConfigurationError(
-                    f"link {link.name!r} geometry ({link.num_lanes}x{link.lane_width}) does "
-                    f"not match router {self.name!r} ({self.lanes_per_port}x{self.lane_width})"
-                )
-        self._rx_links[port] = rx_link
-        self._tx_links[port] = tx_link
-        if rx_link is not None:
-            # Forward data arriving here must wake a sleeping router.
-            rx_link.watch_forward(self.wake)
-        if tx_link is not None:
-            # Acknowledges returned by the downstream router likewise.
-            tx_link.watch_ack(self.wake)
-        self._rx_of[port] = rx_link
-        self._tx_of[port] = tx_link
-        # The route program holds direct wire references.
-        self._version = -1
-        self._swept = -1
-        self.wake()
-
-    def rx_link(self, port: Port) -> Optional[LaneLink]:
-        """The incoming lane bundle attached at *port* (``None`` at a mesh edge)."""
-        return self._rx_links[Port(port)]
-
-    def tx_link(self, port: Port) -> Optional[LaneLink]:
-        """The outgoing lane bundle attached at *port* (``None`` at a mesh edge)."""
-        return self._tx_links[Port(port)]
+    def _check_link(self, link: LaneLink) -> None:
+        if link.num_lanes != self.lanes_per_port or link.lane_width != self.lane_width:
+            raise ConfigurationError(
+                f"link {link.name!r} geometry ({link.num_lanes}x{link.lane_width}) does "
+                f"not match router {self.name!r} ({self.lanes_per_port}x{self.lane_width})"
+            )
 
     # -- configuration ---------------------------------------------------------------
 
     def configure(self, out_port: Port, out_lane: int, in_port: Port, in_lane: int) -> None:
         """Connect ``in_port.in_lane`` to ``out_port.out_lane`` (direct CCN access)."""
+        self._configuring()
         self.config.set_entry(out_port, out_lane, LaneConfig(True, Port(in_port), in_lane))
         self.activity.add(ActivityKeys.CONFIG_WRITES, 1)
 
     def deconfigure(self, out_port: Port, out_lane: int) -> None:
         """Tear down the circuit using ``out_port.out_lane``."""
+        self._configuring()
         self.config.set_entry(out_port, out_lane, None)
         self.activity.add(ActivityKeys.CONFIG_WRITES, 1)
 
     def apply_command(self, command: ConfigurationCommand) -> None:
         """Apply a 10-bit configuration command received over the BE network."""
+        self._configuring()
         command.apply(self.config)
         self.activity.add(ActivityKeys.CONFIG_WRITES, 1)
+
+    def _configuring(self) -> None:
+        """Refuse a configuration write inside a cycle; before one, the
+        datapath books this router's idle cycles under the old configuration."""
+        datapath = self.datapath
+        if datapath is not None:
+            datapath.refuse_inside_cycle(f"configuration of router {self.name!r} written")
+            datapath.mark(self)
 
     def active_circuits(self) -> int:
         """Number of active output lanes (concurrent streams through the router)."""
@@ -254,8 +217,8 @@ class CircuitSwitchedRouter(ClockedComponent):
         lanes = self.lanes_per_port
         serializers = self.converter.serializers
         deserializers = self.converter.deserializers
-        rx_of = self._rx_of
-        tx_of = self._tx_of
+        rx_of = self._rx_by_port
+        tx_of = self._tx_by_port
         gated = self.clock_gating
         eval_tile = []
         eval_rx = []
@@ -304,14 +267,14 @@ class CircuitSwitchedRouter(ClockedComponent):
             if pulses or (gated and in_idx not in latched):
                 park_ack.append((in_idx, tuple(wires)))
         self._eval_tile = eval_tile
-        self._eval_rx = eval_rx
-        self._ack_tile = ack_tile
-        self._ack_wire = ack_wire
-        self._ack_any = ack_any
-        self._latch_data = latch_data
-        self._latch_ack = [(idx, rx_of[idx // lanes], idx % lanes) for idx in latched]
-        self._clocked_bits, self._gated_bits = crossbar.idle_cycle_bits(gated)
         self._park_ack = park_ack
+        self._sample = (eval_tile, eval_rx, ack_tile, ack_wire, ack_any, self._next_data, self._next_acks)
+        clocked_bits, gated_bits = crossbar.idle_cycle_bits(gated)
+        self._latch = (
+            latch_data, [(idx, rx_of[idx // lanes], idx % lanes) for idx in latched],
+            self._out_data, self._next_data, self._ack_out, self._next_acks, self._tx_previous,
+            self._lane_mask, self.activity.slots, clocked_bits, gated_bits, self.converter.tick, gated,
+        )
         # The converter units whose inputs may be non-idle: tile lanes a
         # route starts or ends at, the tile lanes of the acknowledge
         # registers that latch and — under clock gating — those whose held
@@ -321,80 +284,11 @@ class CircuitSwitchedRouter(ClockedComponent):
             tx_lanes += [lane for lane in range(lanes) if self._ack_out[lane]]
             rx_lanes += [lane for lane in range(lanes) if self._out_data[lane]]
         self.converter.route_lanes(tx_lanes, rx_lanes)
-        self._version = self.config.version
-
-    def evaluate(self, cycle: int) -> None:
-        if self._version != self.config.version:
-            self._compile()
-        next_data = self._next_data
-        for out_idx, serializer in self._eval_tile:
-            next_data[out_idx] = serializer._current_phit
-        for out_idx, wires, lane in self._eval_rx:
-            next_data[out_idx] = wires[lane]
-        next_acks = self._next_acks
-        for in_idx, deserializer in self._ack_tile:
-            next_acks[in_idx] = deserializer._ack_pulse
-        for in_idx, wires, lane in self._ack_wire:
-            next_acks[in_idx] = wires[lane]
-        for in_idx, pulses, sources in self._ack_any:
-            next_acks[in_idx] = any(d._ack_pulse for d in pulses) or any(
-                wires[lane] for wires, lane in sources
-            )
-
-    def commit(self, cycle: int) -> None:
-        if self._swept != self.config.version:
-            self._sweep(cycle)
-            return
-        # 1. Latch the routed output registers; a change drives its wire.
-        mask = self._lane_mask
-        out_data = self._out_data
-        next_data = self._next_data
-        previous = self._tx_previous
-        toggles = 0
-        link_toggles = 0
-        for out_idx, link, lane in self._latch_data:
-            new = next_data[out_idx]
-            old = out_data[out_idx]
-            if new != old:
-                bits = ((old ^ new) & mask).bit_count()
-                toggles += bits
-                out_data[out_idx] = new
-                if link is not None:
-                    link_toggles += bits
-                    previous[out_idx] = new
-                    link.drive_forward(lane, new)
-        slots = self.activity.slots
-        if toggles:
-            slots[XBAR_TOGGLE_BITS] += toggles
-        # 2. Latch the acknowledge registers; a change drives its wire.
-        ack_out = self._ack_out
-        next_acks = self._next_acks
-        for in_idx, link, lane in self._latch_ack:
-            new = next_acks[in_idx]
-            if new != ack_out[in_idx]:
-                toggles += 1
-                ack_out[in_idx] = new
-                if link is not None:
-                    link.drive_ack(lane, new)
-        self._latched = toggles != 0
-        if toggles:
-            slots[REG_TOGGLE_BITS] += toggles
-        # 3. The constant register bits, the converter, the link toggles.
-        if self._clocked_bits:
-            slots[REG_CLOCKED_BITS] += self._clocked_bits
-        if self._gated_bits:
-            slots[REG_GATED_BITS] += self._gated_bits
-        self.converter.tick(out_data, ack_out, cycle, self.clock_gating)
-        if link_toggles:
-            slots[LINK_TOGGLE_BITS] += link_toggles
-        self.activity.cycles = cycle + 1
 
     def _sweep(self, cycle: int) -> None:
-        """The first commit of a version (or after :meth:`attach_link` /
-        :meth:`reset`): latch every register and drive every attached wire,
-        flushing lanes the configuration no longer drives."""
-        if self._version != self.config.version:
-            self._compile()  # written between this cycle's evaluate and commit
+        """The commit after a compile (a new configuration version, a relink,
+        a fault, :meth:`reset`): latch every register and drive every
+        attached wire, flushing lanes the configuration no longer drives."""
         self._latched = self.crossbar.commit(self.clock_gating)
         out_data = self._out_data
         ack_out = self._ack_out
@@ -403,7 +297,7 @@ class CircuitSwitchedRouter(ClockedComponent):
         previous = self._tx_previous
         link_toggles = 0
         mask = self._lane_mask
-        for port, tx_link in enumerate(self._tx_of):
+        for port, tx_link in enumerate(self._tx_by_port):
             if tx_link is None:
                 continue
             for lane in range(lanes_per_port):
@@ -415,7 +309,7 @@ class CircuitSwitchedRouter(ClockedComponent):
                     tx_link.drive_forward(lane, value)
         if link_toggles:
             self.activity.slots[LINK_TOGGLE_BITS] += link_toggles
-        for port, rx_link in enumerate(self._rx_of):
+        for port, rx_link in enumerate(self._rx_by_port):
             if rx_link is None:
                 continue
             link_ack = rx_link.ack
@@ -423,63 +317,11 @@ class CircuitSwitchedRouter(ClockedComponent):
                 value = ack_out[port * lanes_per_port + lane]
                 if link_ack[lane] != value:
                     rx_link.drive_ack(lane, value)
-        self._swept = self._version
-        self.activity.cycles = cycle + 1
-
-    # -- timed protocol: a router generates no events of its own --------------
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """``None`` (park until a dirty-bit wake) when provably frozen.
-
-        This is the one question the event schedule asks.  A router is
-        frozen when another cycle with unchanged inputs would be an idle
-        tick: the last commit latched no change, the data converter is at
-        rest (every unit drained or, without clock gating, window-stalled
-        with an idle output lane — a stalled serialiser still clocks its
-        registers where :meth:`idle_tick` would gate them), and the crossbar
-        sits at a fixed point of the live inputs.  A commit latches every
-        register the program samples, so only an output fed by a serialiser
-        (at rest, it drives the idle phit) and a fan-in that samples a
-        deserialiser pulse (at rest, none) or that the commit does not latch
-        (clock gating) can differ from what the next evaluate would sample.
-        Nothing then moves until an acknowledge or a new word arrives, both
-        of which wake the router.
-        """
-        if self._latched or self._swept != self.config.version:
-            return cycle
-        if not self.converter.at_rest(self.clock_gating):
-            return cycle
-        out_data = self._out_data
-        for out_idx, _serializer in self._eval_tile:
-            if out_data[out_idx]:
-                return cycle
-        ack_out = self._ack_out
-        for in_idx, sources in self._park_ack:
-            if ack_out[in_idx] != any(wires[lane] for wires, lane in sources):
-                return cycle
-        return None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        """Apply *cycles* of the constant idle activity contribution."""
-        activity = self.activity
-        clocked, gated = self.crossbar.idle_cycle_bits(self.clock_gating)
-        converter_bits = self.converter.idle_cycle_bits()
-        if self.clock_gating:
-            gated += converter_bits
-        else:
-            clocked += converter_bits
-        if clocked:
-            activity.add(ActivityKeys.REG_CLOCKED_BITS, clocked * cycles)
-        if gated:
-            activity.add(ActivityKeys.REG_GATED_BITS, gated * cycles)
-        activity.cycles = start_cycle + cycles
 
     def reset(self) -> None:
         self.crossbar.reset()
         self.converter.reset()
         self.activity.reset()
-        self._version = -1
-        self._swept = -1
         self._latched = True
         for idx in range(self._total_lanes):
             self._tx_previous[idx] = 0
@@ -487,7 +329,7 @@ class CircuitSwitchedRouter(ClockedComponent):
         # drives lanes whose register value changed, so a stale wire value
         # would otherwise survive a reset forever (the change-mirror
         # _tx_previous was just zeroed along with the registers).
-        for tx_link, rx_link in zip(self._tx_of, self._rx_of):
+        for tx_link, rx_link in zip(self._tx_by_port, self._rx_by_port):
             for lane in range(self.lanes_per_port):
                 if tx_link is not None:
                     tx_link.drive_forward(lane, 0)
@@ -509,3 +351,369 @@ class CircuitSwitchedRouter(ClockedComponent):
     def total_area_mm2(self) -> float:
         """Silicon area of this router instance (Table 4)."""
         return self.area_model.total_mm2
+
+
+class _MemberWireWatch:
+    """What a change on a wire between two routers of a :class:`LaneDatapath`
+    calls: a mark of the router that sees it, or the fault dispatch once the
+    wire died."""
+
+    __slots__ = ("datapath", "wire", "router")
+
+    def __init__(self, datapath: "LaneDatapath", wire: LaneLink, router: CircuitSwitchedRouter) -> None:
+        self.datapath, self.wire, self.router = datapath, wire, router
+
+    def __call__(self) -> None:
+        if self.wire.dead:
+            self.datapath._member_wire_marked()
+        else:
+            self.datapath.mark(self.router)
+
+
+class LaneDatapath(FabricDatapath):
+    """Clocks a set of :class:`CircuitSwitchedRouter` objects as one component.
+
+    A cycle walks the route programs of the routers that can move, in
+    :attr:`_next`: all of them evaluate, then all of them commit.  A router
+    whose commit leaves it frozen (:meth:`frozen`) is parked in
+    :attr:`_parked` with the first cycle whose constant register bits it
+    owes; a mark (:meth:`mark`) books them and puts it back on the walk, in
+    the cycle in flight when it comes during the evaluate phase (with the
+    next state it sampled last, which nothing has changed since) and in the
+    next one otherwise, and ``sync`` books them for every parked router
+    (:meth:`idle_tick`).  A wire between two routers marks its reader on a
+    forward change and its writer on an acknowledge change, and checks for a
+    fault; a wire to the outside marks its router, as do the tile interfaces
+    and configuration writes.
+
+    With a :attr:`plane` (:meth:`use_plane`), the commit that sweeps a new
+    configuration version — the first cycle, and the one after a fault or
+    relink that released the plane — counts the live routes
+    (:attr:`live_routes`) and, from :data:`repro.sim.vector.MIN_BATCH_ROUTES`
+    up, compiles the plane: from the next cycle every router is parked and
+    the plane runs its busy cycles, the marks landing in its dirty list.  A
+    configuration write or a dead wire between two routers releases it: its
+    columns go back into the routers, which all walk the next cycle.
+    """
+
+    wire_watchers = ("watch_forward", "watch_ack")
+
+    def __init__(self, name: str, routers: Sequence[CircuitSwitchedRouter]) -> None:
+        super().__init__(name, routers)
+        #: Routers to walk in the next cycle, and the ones walked in the cycle
+        #: in flight, from this datapath's evaluate to the end of its commit
+        #: (insertion-ordered sets).
+        self._next: Dict[CircuitSwitchedRouter, None] = {}
+        self._walk: Dict[CircuitSwitchedRouter, None] = _NOT_WALKING
+        #: Routers whose program compiles at the next evaluate (a new
+        #: configuration version, a relink, a fault, a reset), and the ones
+        #: whose commit in the cycle in flight is the sweep that follows.
+        self._stale: Dict[CircuitSwitchedRouter, None] = {}
+        self._sweeps: Dict[CircuitSwitchedRouter, None] = {}
+        #: Parked router -> the first cycle whose idle register bits it owes.
+        self._parked: Dict[CircuitSwitchedRouter, int] = {}
+        #: The plane runs the routers' cycles.
+        self._batching = False
+        #: Configured route-hops over all routers as counted at the last gate
+        #: (``None`` before the first).
+        self.live_routes: Optional[int] = None
+        #: Cycles the routers ran their own programs up to the last time the
+        #: plane took over, and the cycle it last let go of them.
+        self._scalar_cycles = 0
+        self._released_at = 0
+        #: Per router, what its tile interface and its wires to the outside call.
+        self._marks = {router: partial(self.mark, router) for router in self.routers}
+        for router in self.routers:
+            router.converter.wake_hook = self._marks[router]
+            router.config.on_change = partial(self._compile, router)
+        self._rewire()
+
+    def use_plane(self) -> None:
+        """Batch busy cycles in a :class:`repro.sim.vector.VectorPlane`, or
+        keep in :attr:`plane_refusal` why the routers cannot be."""
+        try:
+            from repro.sim.vector import VectorPlane
+
+            self.plane = VectorPlane(self.routers)
+        except ImportError:
+            self.plane_refusal = "NumPy is not importable"
+        except SimulationError as refusal:
+            self.plane_refusal = str(refusal)
+
+    # -- marks -----------------------------------------------------------------------------
+
+    def _listener(self, wire: LaneLink, router: CircuitSwitchedRouter):
+        if wire in self._reader and wire in self._writer:
+            return _MemberWireWatch(self, wire, router)
+        return self._marks[router]
+
+    def mark(self, router: CircuitSwitchedRouter) -> None:
+        """An input of *router* changed: it walks from the first cycle that
+        can see the change, its idle cycles booked up to there."""
+        active = self._next
+        if router in active:
+            return
+        if router in self._walk:
+            # It evaluated in the cycle in flight: it walks the next one too.
+            active[router] = None
+            return
+        if self._batching:
+            self.plane._dirty[router] = None
+        else:
+            kernel = self._scheduler
+            phase, cycle = (kernel._phase, kernel.cycle) if kernel is not None else ("idle", 0)
+            if phase == "evaluate" and self._walk is not _NOT_WALKING:
+                # Joins the cycle in flight.  Its next state is what it last
+                # sampled: nothing it samples changed since it parked, and
+                # nothing does before the commit phase.
+                self._book(router, self._parked.pop(router), cycle)
+                self._walk[router] = None
+                return
+            if router in self._parked:
+                # At a clock edge the change is seen from the next cycle on.
+                self._book(router, self._parked.pop(router), cycle + (phase == "commit"))
+            active[router] = None
+        if self._asleep:
+            self.wake()
+
+    def _compile(self, router: CircuitSwitchedRouter) -> None:
+        # Also the routers' configuration ``on_change`` hook.  The route
+        # program holds direct wire references and the routes of one
+        # configuration version: compile it at the next evaluate.
+        if self._batching:
+            self._release()
+        self._stale[router] = None
+        self.mark(router)
+
+    # -- simulation ------------------------------------------------------------------------
+
+    def evaluate(self, cycle: int) -> None:
+        if self._batching:
+            plane = self.plane
+            if plane._dirty:
+                plane._drain_dirty(cycle)
+            plane._eval_batched()
+            return
+        walk = self._walk = self._next
+        self._next = {}
+        if self._stale:
+            for router in self._stale:
+                router._compile()
+            self._sweeps, self._stale = self._stale, {}
+        for router in walk:
+            eval_tile, eval_rx, ack_tile, ack_wire, ack_any, next_data, next_acks = router._sample
+            for out_idx, serializer in eval_tile:
+                next_data[out_idx] = serializer._current_phit
+            for out_idx, wires, lane in eval_rx:
+                next_data[out_idx] = wires[lane]
+            for in_idx, deserializer in ack_tile:
+                next_acks[in_idx] = deserializer._ack_pulse
+            for in_idx, wires, lane in ack_wire:
+                next_acks[in_idx] = wires[lane]
+            for in_idx, pulses, sources in ack_any:
+                next_acks[in_idx] = any(d._ack_pulse for d in pulses) or any(
+                    wires[lane] for wires, lane in sources
+                )
+
+    def commit(self, cycle: int) -> None:
+        if self._batching:
+            plane = self.plane
+            if plane._dirty:
+                # Dirtied after this datapath evaluated (a driver's tile write
+                # in the evaluate phase): still part of this cycle.
+                plane._drain_dirty(cycle)
+            plane._commit_batched(cycle)
+            stats = self._scheduler.scheduler_stats
+            stats.vector_batches += 1
+            stats.vector_components += len(self.routers)
+            return
+        active, sweeps, sleepers = self._next, self._sweeps, []
+        for router in self._walk:
+            if sweeps and router in sweeps:
+                router._sweep(cycle)
+                latched = router._latched
+            else:
+                (latch_data, latch_ack, out_data, next_data, ack_out, next_acks, previous, mask, slots,
+                 clocked_bits, gated_bits, tick, gated) = router._latch
+                # 1. Latch the routed output registers; a change drives its wire.
+                toggles = link_toggles = 0
+                for out_idx, link, lane in latch_data:
+                    new = next_data[out_idx]
+                    old = out_data[out_idx]
+                    if new != old:
+                        bits = ((old ^ new) & mask).bit_count()
+                        toggles += bits
+                        out_data[out_idx] = new
+                        if link is not None:
+                            link_toggles += bits
+                            previous[out_idx] = new
+                            link.drive_forward(lane, new)
+                if toggles:
+                    slots[XBAR_TOGGLE_BITS] += toggles
+                # 2. Latch the acknowledge registers; a change drives its wire.
+                for in_idx, link, lane in latch_ack:
+                    new = next_acks[in_idx]
+                    if new != ack_out[in_idx]:
+                        toggles += 1
+                        ack_out[in_idx] = new
+                        if link is not None:
+                            link.drive_ack(lane, new)
+                latched = router._latched = toggles != 0
+                if toggles:
+                    slots[REG_TOGGLE_BITS] += toggles
+                # 3. The constant register bits, the converter, the link toggles.
+                if clocked_bits:
+                    slots[REG_CLOCKED_BITS] += clocked_bits
+                if gated_bits:
+                    slots[REG_GATED_BITS] += gated_bits
+                tick(out_data, ack_out, cycle, gated)
+                if link_toggles:
+                    slots[LINK_TOGGLE_BITS] += link_toggles
+            # A router stays on the walk while it moves or once marked since
+            # it evaluated.
+            if latched or router in active or not self.frozen(router):
+                active[router] = None
+            else:
+                sleepers.append(router)
+        if sleepers:
+            for router in sleepers:
+                if router not in active:  # unless a later commit marked it
+                    self._parked[router] = cycle + 1
+        self._walk = _NOT_WALKING
+        if sweeps:
+            self._sweeps = {}
+            if self.plane is not None:
+                self._gate(cycle)
+
+    def frozen(self, router: CircuitSwitchedRouter) -> bool:
+        """True when another cycle of *router* with unchanged inputs would
+        only book its constant register bits.
+
+        That holds when the last commit latched no change, the data converter
+        is at rest (every unit drained or, without clock gating,
+        window-stalled with an idle output lane — a stalled serialiser still
+        clocks its registers where the idle booking would gate them), and the
+        crossbar sits at a fixed point of the live inputs.  A commit latches
+        every register the program samples, so only an output fed by a
+        serialiser (at rest, it drives the idle phit) and a fan-in that
+        samples a deserialiser pulse (at rest, none) or that the commit does
+        not latch (clock gating) can differ from what the next evaluate would
+        sample.  Nothing then moves until an acknowledge or a new word
+        arrives, and either marks the router.
+        """
+        if router._latched or router in self._stale:
+            return False
+        if not router.converter.at_rest(router.clock_gating):
+            return False
+        out_data = router._out_data
+        for out_idx, _serializer in router._eval_tile:
+            if out_data[out_idx]:
+                return False
+        ack_out = router._ack_out
+        for in_idx, sources in router._park_ack:
+            if ack_out[in_idx] != any(wires[lane] for wires, lane in sources):
+                return False
+        return True
+
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        """Now while a router walks or the plane is not at a fixed point, else park."""
+        if self._next:
+            return cycle
+        if self._batching:
+            plane = self.plane
+            return None if plane._settled and not plane._dirty else cycle
+        return None
+
+    def _book(self, router: CircuitSwitchedRouter, start: int, end: int) -> None:
+        """Book *router*'s constant register bits of the idle cycles ``[start, end)``."""
+        if end <= start:
+            return
+        cycles = end - start
+        clocked, gated = router.crossbar.idle_cycle_bits(router.clock_gating)
+        if router.clock_gating:
+            gated += router.converter.idle_cycle_bits()
+        else:
+            clocked += router.converter.idle_cycle_bits()
+        if clocked:
+            router.activity.add(ActivityKeys.REG_CLOCKED_BITS, clocked * cycles)
+        if gated:
+            router.activity.add(ActivityKeys.REG_GATED_BITS, gated * cycles)
+
+    def idle_tick(self, start_cycle: int, cycles: int) -> None:
+        """At ``sync``: the plane's columns back into the routers, every
+        parked router's idle cycles booked up to now, and every router's
+        cycle count."""
+        if self._batching:
+            self.plane.flush()
+        end = start_cycle + cycles
+        parked = self._parked
+        for router, start in parked.items():
+            self._book(router, start, end)
+            parked[router] = end
+        for activity in self._counters:
+            activity.cycles = end
+
+    def reset(self) -> None:
+        """Every router back to power-on and on the walk; the plane waits for the gate."""
+        self._batching = False
+        if self.plane is not None:
+            self.plane._dirty.clear()
+        self.live_routes = None
+        self._scalar_cycles = self._released_at = 0
+        self._parked.clear()
+        self._walk, self._sweeps = _NOT_WALKING, {}
+        self._next = dict.fromkeys(self.routers)
+        self._stale = dict.fromkeys(self.routers)
+        super().reset()
+
+    # -- the vector batch mode -----------------------------------------------------------
+
+    def _gate(self, cycle: int) -> None:
+        """Read the live-route gate at the end of *cycle*'s commit; from it up,
+        park every router and let the plane run from the next cycle."""
+        from repro.sim import vector
+
+        self.live_routes = sum(len(router.crossbar.active_routes()) for router in self.routers)
+        if self.live_routes < vector.MIN_BATCH_ROUTES:
+            return
+        for router in self._next:
+            self._parked[router] = cycle + 1
+        self._next.clear()
+        self._scalar_cycles += cycle + 1 - self._released_at
+        self._batching = True
+        self.plane._compile(cycle + 1)
+
+    def _release(self) -> None:
+        """Leave the batch mode between two cycles: the columns back into the
+        routers, every router on the walk of the next cycle."""
+        self.plane.flush()
+        self.plane._dirty.clear()  # what the dirty routers were owed is in their lanes again
+        self._batching = False
+        self._released_at = self._scheduler.cycle
+        for router in self.routers:
+            # The lanes moved in the columns, behind the converter's lists.
+            router.converter.rescan()
+            self.mark(router)
+
+    @property
+    def scalar_cycles(self) -> int:
+        """Simulated cycles the routers ran their own programs (slept-through
+        ones included), not batched in the plane."""
+        total = self._scalar_cycles
+        if not self._batching and self._scheduler is not None:
+            total += self._scheduler.cycle - self._released_at
+        return total
+
+    def gate_reason(self) -> Optional[str]:
+        """Why the routers run their own programs right now (``None`` while
+        the plane batches them)."""
+        from repro.sim import vector
+
+        if self._batching:
+            return None
+        routes = self.live_routes
+        if routes is None:
+            return "the live-route gate is read after the first cycle"
+        if routes < vector.MIN_BATCH_ROUTES:
+            return f"below the live-route gate ({routes} live routes < {vector.MIN_BATCH_ROUTES})"
+        return "one cycle on the routers themselves before the recompile"

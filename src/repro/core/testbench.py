@@ -15,7 +15,8 @@ and the local processing tile:
   streams that start or end at the router's own tile interface.
 
 They are ordinary :class:`repro.sim.ClockedComponent` objects, so a scenario
-is simply a kernel containing the router under test plus a handful of these.
+is simply a kernel containing a handful of these plus the one-router
+:class:`~repro.core.router.LaneDatapath` clocking the router under test.
 The GT and packet tile drivers are no components: the datapath clocking
 their router fires them from its own
 :class:`~repro.sim.datapath.DriverSchedule`.

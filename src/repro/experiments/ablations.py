@@ -32,7 +32,7 @@ from repro.common import Port
 from repro.core.clock_gating import estimate_gated_offset
 from repro.core.flow_control import FlowControlConfig
 from repro.core.lane import LaneLink
-from repro.core.router import CircuitSwitchedRouter
+from repro.core.router import CircuitSwitchedRouter, LaneDatapath
 from repro.core.testbench import LaneStreamConsumer, TileStreamDriver
 from repro.apps.traffic import word_generator
 from repro.energy.area import CircuitSwitchedRouterArea
@@ -134,7 +134,7 @@ def window_counter_sweep(
             "src", router, 0, word_generator(BitFlipPattern.TYPICAL, seed=window), load=1.0
         )
         consumer = LaneStreamConsumer("dst", tx, 0, flow=flow)
-        kernel.add_all([driver, consumer, router])
+        kernel.add_all([driver, consumer, LaneDatapath("dut_datapath", [router])])
         kernel.run(cycles)
 
         ideal_words = cycles / 5.0

@@ -37,7 +37,7 @@ from repro.baseline.testbench import (
 )
 from repro.common import NEIGHBOR_PORTS, Port, ReproError, port_offset
 from repro.core.lane import LaneLink
-from repro.core.router import CircuitSwitchedRouter
+from repro.core.router import CircuitSwitchedRouter, LaneDatapath
 from repro.core.testbench import (
     LaneStreamConsumer,
     LaneStreamDriver,
@@ -157,13 +157,13 @@ def _attach_neighbor_links(router, make_link):
     return links
 
 
-def _run_testbench(kernel: SimulationKernel, components, router, cycles: int) -> None:
-    """Register the endpoints (deduplicated) and the router (or the datapath
-    clocking it), then run.
+def _run_testbench(kernel: SimulationKernel, components, datapath, cycles: int) -> None:
+    """Register the endpoints (deduplicated) and the one-router *datapath*
+    clocking the router under test, then run.
 
     Several streams may share one physical consumer; registration
     deduplicates by object identity.  A tile stream driver of the GT or
-    packet router is no component: the datapath adopts it.  The router is
+    packet router is no component: the datapath adopts it.  The datapath is
     appended last so stream pacing decisions see the router state committed
     in the same cycle.
     """
@@ -175,8 +175,8 @@ def _run_testbench(kernel: SimulationKernel, components, router, cycles: int) ->
         if isinstance(component, ClockedComponent):
             kernel.add(component)
         else:
-            router.drivers.adopt(component, kernel.cycle)
-    kernel.add(router)
+            datapath.drivers.adopt(component, kernel.cycle)
+    kernel.add(datapath)
     kernel.run(cycles)
 
 
@@ -255,7 +255,7 @@ def run_circuit_scenario(
         consumers[stream.stream_id] = consumer
         components.extend([driver, consumer])
 
-    _run_testbench(kernel, components, router, cycles)
+    _run_testbench(kernel, components, LaneDatapath("dut_datapath", [router]), cycles)
 
     result = _scenario_result(
         "circuit_switched", scenario, pattern, load, frequency_hz, cycles, router, drivers

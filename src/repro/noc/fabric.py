@@ -64,14 +64,6 @@ class NocBase:
     #: kind (``"phit"`` / ``"flit"`` / ``"word"``) — the unit of
     #: :meth:`fault_drops`.
     fault_drop_unit: str = "word"
-    #: The columnar batch plane under ``schedule="vector"`` (kinds that
-    #: support one install it in :meth:`_register_with_kernel`); ``None``
-    #: everywhere else.  Fault injection must desynchronise it before
-    #: touching wires — see :meth:`fail_link` / :meth:`fail_router`.
-    vector_plane: Optional[Any] = None
-    #: Why a kind that has a plane installed none on this network (set by
-    #: :meth:`_register_with_kernel`, read by :meth:`schedule_report`).
-    plane_refusal: Optional[str] = None
     #: The :class:`~repro.sim.datapath.FabricDatapath` class clocking this
     #: kind's routers, and its one instance (``None``: no router needs one).
     datapath_class: Optional[type] = None
@@ -151,9 +143,8 @@ class NocBase:
 
         A router that is a kernel component goes on the schedule on its own;
         the others are clocked by one :attr:`datapath_class` component,
-        :attr:`datapath`.  Kinds with a columnar fast path extend this to
-        register one :class:`repro.sim.vector.VectorPlane` right behind the
-        routers under ``schedule="vector"``.  Runs before any stream endpoint
+        :attr:`datapath`, which under ``schedule="vector"`` also takes a
+        vector plane where its kind has one.  Runs before any stream endpoint
         is added, so the registration-index ordering routers-before-streams
         holds.
         """
@@ -165,6 +156,8 @@ class NocBase:
                 members.append(router)
         if members:
             self.datapath = self.datapath_class(f"{self.activity_name}_datapath", members)
+            if self.kernel.schedule == "vector":
+                self.datapath.use_plane()
             self.kernel.add(self.datapath)
 
     # -- construction hooks -----------------------------------------------------------
@@ -442,7 +435,9 @@ class NocBase:
         Returns the number of wire-level units (:attr:`fault_drop_unit`)
         that were in flight.  Pure wire surgery — deriving the degraded
         topology view and rebuilding routing is
-        :class:`repro.noc.faults.FaultInjector` territory.
+        :class:`repro.noc.faults.FaultInjector` territory.  Between two runs
+        (or from a hook after ``kernel.sync()``) the wires hold what
+        ``strict`` leaves in them, so the count is exact under every schedule.
         """
         if (a, b) not in self.links and (b, a) not in self.links:
             if self.region is None:
@@ -451,12 +446,6 @@ class NocBase:
             # degraded-topology view matches every other shard's.
             self.dead_links.add((a, b) if a <= b else (b, a))
             return 0
-        if self.vector_plane is not None:
-            # The plane owns the internal wire state while batching; bring
-            # the wires back to scalar coherence (so the in-flight drop
-            # count reads true values) and force a recompile that
-            # reclassifies the dead bundle onto the scalar drive path.
-            self.vector_plane.desync()
         dropped = 0
         for key in ((a, b), (b, a)):
             link = self.links.get(key)
@@ -481,8 +470,6 @@ class NocBase:
         """
         if position not in self.routers and self.region is None:
             raise ConfigurationError(f"no router at position {position}")
-        if self.vector_plane is not None:
-            self.vector_plane.desync()
         dropped = 0
         for (src, dst), link in self.links.items():
             if position in (src, dst):
@@ -577,7 +564,7 @@ class NocBase:
         followed a configuration write, sit below its gate — in particular
         before the first cycle.  A plane that crossed the gate during the
         run shows in both cycle counts: ``batched_cycles`` it executed in
-        its columns, ``scalar_cycles`` the routers spent on the event heap.
+        its columns, ``scalar_cycles`` the routers ran their own programs.
         ``live_routes`` is the gate's input, the plane's count of configured
         route-hops (``None`` without a plane and before its first swept cycle).
         """
@@ -590,13 +577,14 @@ class NocBase:
             "scalar_cycles": 0,
             "live_routes": None,
         }
-        plane = self.vector_plane
-        if plane is not None:
-            report["scalar_cycles"] = plane.scalar_cycles
-            report["live_routes"] = plane.live_routes
-            report["reason"] = plane.gate_reason()
+        datapath = self.datapath
+        if datapath is not None and datapath.plane is not None:
+            report["scalar_cycles"] = datapath.scalar_cycles
+            report["live_routes"] = datapath.live_routes
+            report["reason"] = datapath.gate_reason()
         elif requested == "vector":
-            report["reason"] = self.plane_refusal or f"the {self.kind} kind has no vector plane"
+            refusal = datapath.plane_refusal if datapath is not None else None
+            report["reason"] = refusal or f"the {self.kind} kind has no vector plane"
         if report["reason"] is not None:
             report["effective"] = "event"
         return report

@@ -6,7 +6,9 @@ building blocks of :mod:`repro.core`: one
 :class:`~repro.core.lane.LaneLink` bundles between neighbours, and word-level
 stream endpoints at the tile interfaces.  The CCN configures circuits through
 :meth:`CircuitSwitchedNoC.apply_allocation`; application traffic is attached
-with :meth:`CircuitSwitchedNoC.add_stream`.  Construction, wiring and the
+with :meth:`CircuitSwitchedNoC.add_stream`.  One
+:class:`~repro.core.router.LaneDatapath` clocks the routers, in its vector
+batch mode where the fabric gives it one.  Construction, wiring and the
 reporting surface live in :class:`~repro.noc.fabric.NocBase`, so the same
 network builds on the paper's mesh, a torus or a degraded mesh.
 """
@@ -16,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.common import ConfigurationError, SimulationError
+from repro.common import ConfigurationError
 from repro.core.configuration import COMMAND_BITS
 from repro.core.header import phits_per_packet
 from repro.core.lane import LaneLink
-from repro.core.router import CircuitSwitchedRouter
+from repro.core.router import CircuitSwitchedRouter, LaneDatapath
 from repro.core.testbench import TileStreamConsumer, TileStreamDriver
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.noc.fabric import NocBase, WordSource, register_network_kind
@@ -58,6 +60,7 @@ class CircuitSwitchedNoC(NocBase):
 
     kind = "circuit_switched"
     activity_name = "network"
+    datapath_class = LaneDatapath
     performs_admission = True
     fault_drop_unit = "phit"
     #: One 10-bit lane command per router hop (Section 5.1).
@@ -88,35 +91,6 @@ class CircuitSwitchedNoC(NocBase):
         )
 
     # -- construction hooks -----------------------------------------------------------
-
-    def _register_with_kernel(self) -> None:
-        """Register routers — and a vector plane when the schedule asks.
-
-        Under ``schedule="vector"`` a single
-        :class:`~repro.sim.vector.VectorPlane` component is registered
-        right behind the routers.  From its live-route gate up it parks
-        them and batches busy cycles through flat NumPy arrays; below, the
-        kernel's event schedule runs them as it would without a plane.  The
-        plane refuses members it cannot batch (clock gating, a lane packet
-        too wide for an ``int64`` column) and needs an importable NumPy;
-        the routers then run on the event heap alone and :attr:`plane_refusal`
-        keeps the reason for :meth:`schedule_report`.
-        """
-        plane = None
-        if self.kernel.schedule == "vector" and self.routers:
-            try:
-                from repro.sim.vector import VectorPlane
-
-                plane = VectorPlane(list(self.routers.values()))
-            except ImportError:
-                self.plane_refusal = "NumPy is not importable"
-            except SimulationError as refusal:
-                self.plane_refusal = str(refusal)
-        super()._register_with_kernel()
-        if plane is not None:
-            self.kernel.add(plane)
-            self.kernel.add_sync_hook(plane.flush)
-            self.vector_plane = plane
 
     def _build_router(self, position: Position) -> CircuitSwitchedRouter:
         return CircuitSwitchedRouter(

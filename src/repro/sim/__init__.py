@@ -19,7 +19,7 @@ property-based tests.
 Two schedules execute that model (:data:`repro.sim.engine.SCHEDULES`),
 bit-identical.  ``strict`` evaluates and commits every component every cycle
 and is the oracle.  ``vector`` — the event heap plus the self-gating vector
-plane where the network kind has one — is
+batch mode where the network kind has one — is
 :data:`repro.sim.engine.DEFAULT_SCHEDULE`: what ``SimulationKernel``,
 ``build_network`` and every experiment hand out when no ``schedule`` is
 passed.
@@ -36,7 +36,8 @@ reason) — applies to simulation cost as well:
   tick, given unchanged inputs (``None`` = never; the default, "due now",
   runs it every cycle; traffic pacers predict their next emission in closed
   form, the GT and packet datapaths their next driver's due cycle or the
-  injection slot of a queued word, a router answers ``None`` once frozen).  After each executed cycle the
+  injection slot of a queued word, the circuit datapath ``None`` once every
+  router it clocks is frozen).  After each executed cycle the
   kernel parks it, puts it on a timestamp-ordered heap of ``(due, index,
   seq, component)`` entries, or keeps it on the dense batch; entries are
   lazily invalidated, so wakes and removals never search the heap.
@@ -59,57 +60,61 @@ reason) — applies to simulation cost as well:
   bits, the cycle counter itself, pacer credit).  The kernel defers it and
   flushes it in one ``idle_tick`` call when the component runs again and at
   the end of every ``run``.  Where the contribution is the same for a busy
-  cycle (the packet and GT datapaths) the component sets
-  ``settles_at_sync``: its ``commit`` books none of it, no wake-up ticks it,
-  and ``sync()`` books everything elapsed, awake or asleep, in one call.
+  cycle (the packet and GT datapaths), or the component books what its parts
+  owe itself (the circuit datapath, per parked router), it sets
+  ``settles_at_sync``: no wake-up ticks it, and ``sync()`` settles
+  everything elapsed, awake or asleep, in one call.
 * **Timed hooks.**  ``add_pre_cycle_hook(hook, every=N)`` runs the hook on
   cycles divisible by ``N`` under both schedules, and leaps never skip a
   scheduled hook cycle; a dense hook (``every=1``) disables leaping.  A hook
   that reads router activity, link wires or converter lanes calls
   ``kernel.sync()`` first: parked components owe their idle accounting and
-  a batching vector plane holds the wires in its columns until then.
-* **Compiled router cycles.**  Under both schedules the circuit router
-  runs one route program per configuration version: it samples, latches and
-  drives only routed registers, its data converter ticks only live lanes
-  and books the idle ones as one constant, and the first commit of every
-  version sweeps every register and wire densely, so stale lanes cannot
-  linger.  Components never ask which schedule runs them.
+  a datapath in its vector batch mode holds the wires in its columns until
+  then.
+* **Compiled router cycles.**  Under both schedules one
+  :class:`~repro.core.router.LaneDatapath` walks the route programs of the
+  circuit routers that can move, one per router and configuration version:
+  it samples, latches and drives only routed registers, the data converter
+  ticks only live lanes and books the idle ones as one constant, and the
+  first commit of every version sweeps every register and wire densely, so
+  stale lanes cannot linger.  A frozen router is parked inside the datapath
+  until a wire, tile or configuration write marks it.  Components never ask
+  which schedule runs them.
 
 Ordering stays deterministic: batches commit in registration-index order (the order
 ``strict`` uses), and the ``seq`` tiebreaker makes heap order independent of
 hash seeds or insertion history.
 
-The columnar vector plane
--------------------------
+The columnar vector batch mode
+------------------------------
 
-A fully loaded fabric still pays a pure-Python per-component loop on every
-busy cycle.  Under ``vector`` a circuit-switched fabric therefore registers
-one :class:`~repro.sim.vector.VectorPlane` component behind its routers
-(:mod:`repro.sim.vector`), holding every crossbar output/acknowledge
-register in flat preallocated NumPy arrays.  The plane gates itself on the
-live routes of the current configuration
-(:data:`repro.sim.vector.MIN_BATCH_ROUTES`): from the gate up it parks the
-routers in the kernel and batches them, below it the plane sleeps and the
-kernel schedules the routers on the event heap, so a small or idle fabric
-never pays for NumPy.  The active routes compile into a route-index gather
-per configuration version, so one busy cycle over the whole fabric becomes a
-handful of ``take``/``xor``/``bitwise_count`` calls; toggle accounting is
-vectorised popcounts that equal the scalar ``int.bit_count`` path exactly.
-A configuration write hands the routers back to the kernel for one cycle
+A fully loaded fabric still pays a pure-Python per-router loop on every busy
+cycle.  Under ``vector`` a circuit-switched fabric therefore gives its
+datapath a :class:`~repro.sim.vector.VectorPlane` (:mod:`repro.sim.vector`),
+which holds every crossbar output/acknowledge register in flat preallocated
+NumPy arrays.  The datapath gates it on the live routes of the current
+configuration (:data:`repro.sim.vector.MIN_BATCH_ROUTES`), read at the end
+of the commit that sweeps a new version: from the gate up the plane runs the
+routers' busy cycles, below it the routers run their own programs, so a
+small or idle fabric never pays for NumPy.  The active routes compile into a
+route-index gather per configuration version, so one busy cycle over the
+whole fabric becomes a handful of ``take``/``xor``/``bitwise_count`` calls;
+toggle accounting is vectorised popcounts that equal the scalar
+``int.bit_count`` path exactly.  A configuration write or a dead wire
+between two routers hands the routers back to their programs for one cycle
 before the recompile — reconfiguration, live faults and post-start channel
-attach all invalidate the compiled gather exactly like the router's own
-per-version sweeps —
-and a flush at every ``sync`` folds the columnar state back into the scalar
-objects, so external readers never observe the plane.  The network side of
-every data converter — serialiser shift register and output phit,
-deserialiser collected phits, owed and committed acknowledge pulses — is
-columns of the same plane, shifted for all lanes at once; only the word
-edges (load a queued word, return credit, deliver a word to the tile) stay
-scalar.  The GT and packet datapaths (one kernel component per fabric on
+attach all invalidate the compiled gather exactly like the routers' own
+per-version sweeps — and a flush at every ``sync`` folds the columnar state
+back into the scalar objects, so external readers never observe the plane.
+The network side of every data converter — serialiser shift register and
+output phit, deserialiser collected phits, owed and committed acknowledge
+pulses — is columns of the same plane, shifted for all lanes at once; only
+the word edges (load a queued word, return credit, deliver a word to the
+tile) stay scalar.  The GT and packet datapaths (one kernel component per fabric on
 the :mod:`repro.sim.datapath` skeleton, firing the fabric's tile stream
-drivers themselves) and clock-gated fabrics do not register a plane and run
-on the event heap alone; ``network.schedule_report()`` names the requested
-and the effective schedule and the reason they differ.
+drivers themselves) and clock-gated circuit fabrics get no plane;
+``network.schedule_report()`` names the requested and the effective schedule
+and the reason they differ.
 
 Bit-identity with ``strict`` (``network.snapshot()``) is asserted by
 ``tests/test_kernel_equivalence.py`` (drawn scenarios included),

@@ -1,4 +1,4 @@
-"""The skeleton the compiled GT and packet datapaths share.
+"""The skeleton the compiled circuit, GT and packet datapaths share.
 
 A datapath is one kernel component clocking a set of routers that are no
 components themselves.  :class:`FabricDatapath` holds what does not depend on
@@ -10,7 +10,7 @@ its per-member compile and its own ``evaluate``, ``commit`` and
 from __future__ import annotations
 
 from heapq import heapify, heappush, heapreplace
-from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port
 from repro.energy.activity import ActivityKeys
@@ -131,12 +131,13 @@ class FabricDatapath(ClockedComponent):
     Members are :class:`DatapathMember` objects and keep all their state.
     :attr:`_writer` / :attr:`_reader` map each wire to the ``(member, port)``
     driving / reading it.  A wire with both ends in the set is the datapath's
-    own: only a fault marks it.  Each wire a member reads from outside the set
-    (a stream driver's, a shard's boundary mirror) wakes the datapath with its
-    forward dirty-bit and adds a ``_rx_record`` to :attr:`_outside_rx`; each
-    wire a member drives out of the set wakes it with its reverse dirty-bits
-    and adds a ``_tx_record`` to :attr:`_outside_tx`.  A kind's ``__init__``
-    calls :meth:`_rewire` once its own containers exist.
+    own: by default only a fault marks it.  Each wire a member reads from
+    outside the set (a stream driver's, a shard's boundary mirror) wakes the
+    datapath with its forward dirty-bit and adds a ``_rx_record`` to
+    :attr:`_outside_rx`; each wire a member drives out of the set wakes it
+    with its reverse dirty-bits and adds a ``_tx_record`` to
+    :attr:`_outside_tx`.  A kind that hears more (:meth:`_listener`) says so.
+    A kind's ``__init__`` calls :meth:`_rewire` once its own containers exist.
     """
 
     settles_at_sync = True  # a cycle books the same constant, busy or idle
@@ -145,6 +146,10 @@ class FabricDatapath(ClockedComponent):
     wire_watchers: ClassVar[Tuple[str, ...]] = ("watch_forward",)
     #: The per-cycle containers :meth:`reset` empties.
     _transient: ClassVar[Tuple[str, ...]] = ()
+    #: The columns of a vector batch mode (:class:`repro.sim.vector.VectorPlane`)
+    #: once :meth:`use_plane` gave it one, and why it got none.
+    plane: Optional[Any] = None
+    plane_refusal: Optional[str] = None
 
     def __init__(self, name: str, routers: Sequence[Any]) -> None:
         super().__init__(name)
@@ -170,6 +175,12 @@ class FabricDatapath(ClockedComponent):
     def _wire_died(self, wire: Any) -> None:
         """What a dead wire between two members does besides recompiling its ends."""
 
+    def _listener(self, wire: Any, router: Any) -> Callable[[], None]:
+        """What a mark on *wire* calls, *router* reading it (the forward
+        watcher) or driving it (the reverse ones): a fault check for a wire
+        between two members, else a wake."""
+        return self._member_wire_marked if wire in self._reader and wire in self._writer else self.wake
+
     def _rx_record(self, wire: Any, router: Any, port: int) -> Any:
         """What :attr:`_outside_rx` holds for *wire*, read by *router* at *port*."""
         return wire
@@ -177,6 +188,9 @@ class FabricDatapath(ClockedComponent):
     def _tx_record(self, wire: Any, router: Any, port: int) -> Any:
         """What :attr:`_outside_tx` holds for *wire*, driven by *router* at *port*."""
         return wire
+
+    def use_plane(self) -> None:
+        """Batch busy cycles in a vector plane, for a kind that has one (this one has none)."""
 
     # -- wiring, between cycles ----------------------------------------------------------
 
@@ -195,19 +209,17 @@ class FabricDatapath(ClockedComponent):
         self._member_wires: Dict[Any, None] = {}
         self._outside_rx: List[Any] = []
         for wire, (router, port) in self._reader.items():
+            getattr(wire, forward)(self._listener(wire, router))
             if wire in self._writer:
                 if not wire.dead:
                     self._member_wires[wire] = None
-                for watch in self.wire_watchers:
-                    getattr(wire, watch)(self._member_wire_marked)
             else:
-                getattr(wire, forward)(self.wake)
                 self._outside_rx.append(self._rx_record(wire, router, port))
         self._outside_tx: List[Any] = []
         for wire, (router, port) in self._writer.items():
+            for watch in reverse:
+                getattr(wire, watch)(self._listener(wire, router))
             if wire not in self._reader:
-                for watch in reverse:
-                    getattr(wire, watch)(self.wake)
                 self._outside_tx.append(self._tx_record(wire, router, port))
 
     def _rewire(self) -> None:

@@ -13,7 +13,9 @@ Two schedules are available (:data:`SCHEDULES`), bit-identical;
 ``strict``
     Every registered component is evaluated and committed on every cycle —
     the original, seed-equivalent schedule.  The oracle of the equivalence
-    tests.
+    tests.  (A datapath walks only the routers that can move under either
+    schedule; its independent references are the per-router models of the
+    tests.)
 
 ``vector`` (default)
     The discrete-event schedule: a timestamp-ordered binary heap of
@@ -28,18 +30,16 @@ Two schedules are available (:data:`SCHEDULES`), bit-identical;
     (:mod:`repro.core.lane`, :mod:`repro.baseline.link`) and by the external
     interfaces (tile send/receive, configuration writes): any write that
     actually changes a value calls :meth:`ClockedComponent.wake` on the
-    reading component.  Network builders that support it (the
-    circuit-switched fabric) also register one composite
-    :class:`~repro.sim.vector.VectorPlane` component behind their routers.
-    The plane gates itself on the live routes of the current configuration:
-    at or above its threshold it parks the routers
-    (:meth:`SimulationKernel.park`) and one busy cycle of the whole fabric is
-    a handful of NumPy gathers/XORs/popcounts; below it the plane sleeps and
-    the routers are ordinary components of the event heap.  Builders that
-    have no plane (packet, GT, clock-gated runs, a bare kernel) run the heap
-    alone and say so (:meth:`repro.noc.fabric.NocBase.schedule_report`).
-    Toggle counts come from vectorised ``popcount(xor(new, old))``, which
-    equals the scalar ``int.bit_count`` path exactly.
+    reading component.  A network registers one compiled datapath
+    (:class:`repro.sim.datapath.FabricDatapath`) that clocks all its routers
+    and answers for them as one component.  Under this schedule the
+    circuit-switched one (:class:`repro.core.router.LaneDatapath`) also has
+    the columnar batch mode of :mod:`repro.sim.vector`: from its live-route
+    gate up a busy cycle of the whole fabric is a handful of NumPy
+    gathers/XORs/popcounts, whose toggle counts (``popcount(xor(new,
+    old))``) equal the scalar ``int.bit_count`` path exactly.  Below the
+    gate, and for every other kind, the routers run their compiled programs
+    (:meth:`repro.noc.fabric.NocBase.schedule_report` says which).
 
 Timed protocol
 --------------
@@ -83,9 +83,9 @@ Event-queue contract
   kernel tracks its first unaccounted cycle and flushes the whole gap
   through ``idle_tick`` when the component next runs (or at ``sync``).
 * Free idle ticks are not called at all: a component whose per-cycle
-  accounting is one constant, busy or idle, or nothing (the packet and GT
-  datapaths, pure sinks) sets ``settles_at_sync``.  Its ``commit``
-  books no constant, no wake or heap pop ticks it, and ``sync()`` /
+  accounting is one constant, busy or idle, or nothing, or that books what
+  its parts owe itself (the datapaths, pure sinks) sets
+  ``settles_at_sync``.  No wake or heap pop ticks it, and ``sync()`` /
   ``remove()`` settle it — awake or asleep, under both schedules — with
   one ``idle_tick(start, cycles)`` over everything elapsed since the last.
 * Dirty-bit wakes invalidate a pending heap entry (lazy deletion: the entry
@@ -124,7 +124,7 @@ SCHEDULES = ("strict", "vector")
 
 #: What every constructor and experiment that takes a ``schedule`` defaults
 #: to: the event heap plus, where the network kind has one, the self-gating
-#: vector plane.
+#: vector batch mode of its datapath.
 DEFAULT_SCHEDULE = "vector"
 
 #: Sort key of the awake and late lists: registration order (a C-level getter).
@@ -152,15 +152,6 @@ class ClockedComponent(abc.ABC):
     #: cycle as for an idle one: called once per :meth:`SimulationKernel.sync`
     #: over everything elapsed, never at a wake (see "Event-queue contract").
     settles_at_sync: ClassVar[bool] = False
-    #: Installed (as an *instance* attribute) by
-    #: :class:`repro.sim.vector.VectorPlane` on its members while it batches
-    #: them (they are parked, see :meth:`SimulationKernel.park`): a dirty-bit
-    #: wake then goes to the plane instead of the kernel, because the plane
-    #: must know when a member's inputs changed outside its own execution
-    #: (reconfiguration, tile writes, boundary-frame drives).  Class default
-    #: ``None`` keeps the hot path a single attribute test.
-    _batch_plane: ClassVar[Optional[object]] = None
-
     def __init__(self, name: str) -> None:
         if not name:
             raise ValueError("component name must be non-empty")
@@ -240,10 +231,6 @@ class ClockedComponent(abc.ABC):
         only marks the input-dirty flag, which makes it cheap enough for
         per-wire dirty-bit hooks.
         """
-        plane = self._batch_plane
-        if plane is not None:
-            plane.member_dirty(self)
-            return
         self._input_dirty = True
         if self._asleep:
             scheduler = self._scheduler
@@ -265,9 +252,9 @@ class SimulationKernel:
         experiments of the paper (Section 7.2).
     schedule:
         One of :data:`SCHEDULES`.  ``"vector"`` (:data:`DEFAULT_SCHEDULE`)
-        runs the heap-based discrete-event schedule plus the columnar NumPy
-        fast path for builders that register a
-        :class:`repro.sim.vector.VectorPlane`; ``"strict"`` evaluates and
+        runs the heap-based discrete-event schedule plus, for fabrics whose
+        datapath has one, the columnar NumPy batch mode of
+        :mod:`repro.sim.vector`; ``"strict"`` evaluates and
         commits every component every cycle.  Both produce bit-identical
         results; ``strict`` exists as the reference for the equivalence tests
         and for debugging.
@@ -316,13 +303,6 @@ class SimulationKernel:
         self._late: list[ClockedComponent] = []
         self._commit_index = -1
         self._event_seq = 0
-        #: Hooks run at the end of every :meth:`sync` — the vector plane
-        #: flushes its batched activity/wire state here so external readers
-        #: (benchmarks, tests, the sharded runner's merge) always observe
-        #: scalar-coherent state between runs.
-        self._sync_hooks: list[Callable[[], None]] = []
-        #: One-shot callbacks for the next gap between two cycles (:meth:`defer`).
-        self._deferred: list[Callable[[], None]] = []
         self.scheduler_stats = SchedulerStats()
 
     # -- construction -----------------------------------------------------
@@ -390,49 +370,6 @@ class SimulationKernel:
         component._due = None
         return component
 
-    def park(self, components: Iterable[ClockedComponent]) -> None:
-        """Take *components* off the schedule until each one's next wake.
-
-        For a component that executes others in its own way for a while (the
-        vector plane batching its member routers).  A parked component sleeps
-        exactly like one that predicted no event of its own, whatever it
-        would have predicted itself: its idle accounting is deferred from the
-        current cycle on and paid through ``idle_tick`` (which it must
-        implement) when it wakes or at :meth:`sync`.  Only between cycles,
-        like :meth:`remove`; a no-op under ``strict``, where everything runs
-        every cycle.
-        """
-        if self._phase != "idle":
-            raise SimulationError("components can only be parked between cycles")
-        if not self._event:
-            return
-        cycle = self._cycle
-        sleeping = self._sleeping
-        for component in components:
-            if component._scheduler is not self:
-                raise SimulationError(
-                    f"component {component.name!r} is not registered with this kernel"
-                )
-            component._due = None  # a pending heap entry goes stale
-            component._input_dirty = False
-            component._pending_wake = False
-            if not component._asleep:
-                component._asleep = True
-                sleeping[component] = cycle
-                self.scheduler_stats.sleeps += 1
-        # In place: _advance_event holds both lists in locals.
-        self._awake[:] = [c for c in self._awake if not c._asleep]
-        self._woken[:] = [c for c in self._woken if not c._asleep]
-
-    def defer(self, callback: Callable[[], None]) -> None:
-        """Run *callback()* once in the next gap between two cycles.
-
-        That is before the next cycle is executed or leapt over, with the
-        kernel idle — where :meth:`park` and :meth:`remove` are allowed,
-        which a component cannot call from its own ``evaluate``/``commit``.
-        """
-        self._deferred.append(callback)
-
     def add_all(self, components: Iterable[ClockedComponent]) -> None:
         """Register several components at once."""
         for component in components:
@@ -450,9 +387,10 @@ class SimulationKernel:
 
         A hook sees the kernel between two cycles with the deferred
         bookkeeping still owed: sleeping components have not booked their
-        idle ticks, and a batching vector plane holds link wires, crossbar
-        registers and converter lanes in its columns.  A hook that reads any
-        of those calls :meth:`sync` first; the values then equal ``strict``.
+        idle ticks, and a datapath in its vector batch mode holds link
+        wires, crossbar registers and converter lanes in its columns.  A
+        hook that reads any of those calls :meth:`sync` first; the values
+        then equal ``strict``.
         """
         if every < 1:
             raise ValueError("hook stride must be positive")
@@ -470,18 +408,6 @@ class SimulationKernel:
             raise ValueError("hook stride must be positive")
         self._post_cycle_hooks.append((hook, every))
         self._has_dense_hooks = self._has_dense_hooks or every == 1
-
-    def add_sync_hook(self, hook: Callable[[], None]) -> None:
-        """Run *hook()* at the end of every :meth:`sync`.
-
-        Sync hooks bring lazily batched state (the vector plane's columnar
-        arrays and deferred activity sums) back into the scalar component
-        objects whenever deferred accounting is flushed — i.e. at the end of
-        every :meth:`run` / :meth:`step` and on manual :meth:`sync` calls.
-        Hooks must be idempotent and must not change observable simulation
-        state beyond completing deferred bookkeeping.
-        """
-        self._sync_hooks.append(hook)
 
     # -- inspection --------------------------------------------------------
 
@@ -589,8 +515,6 @@ class SimulationKernel:
             if cycle > start:
                 component.idle_tick(start, cycle - start)
                 self._unsettled[component] = cycle
-        for hook in self._sync_hooks:
-            hook()
 
     # -- execution ---------------------------------------------------------
 
@@ -602,7 +526,6 @@ class SimulationKernel:
         self._woken.clear()
         self._heap.clear()
         self._late.clear()
-        self._deferred.clear()
         self._commit_index = -1
         self._phase = "idle"
         self.scheduler_stats = SchedulerStats()
@@ -750,12 +673,12 @@ class SimulationKernel:
         next_cycle = self._cycle
         self._phase = "leap"
         try:
-            write = 0
+            slept = False
             for component in awake:
                 if not component._input_dirty:
                     event = component.next_event_cycle(next_cycle)
                     if event is None or event > next_cycle:
-                        component._asleep = True
+                        component._asleep = slept = True
                         sleeping[component] = next_cycle
                         stats.sleeps += 1
                         if event is not None:
@@ -765,10 +688,8 @@ class SimulationKernel:
                                 heap,
                                 (event, component._kernel_index, self._event_seq, component),
                             )
-                        continue
-                awake[write] = component
-                write += 1
-            del awake[write:]
+            if slept:
+                awake[:] = [component for component in awake if not component._asleep]
         finally:
             self._phase = "idle"
         if len(heap) > stats.heap_peak:
@@ -780,10 +701,6 @@ class SimulationKernel:
         """Run one clock cycle — under ``vector`` one batch of the event
         schedule, bounded by *limit* — without flushing deferred idle
         accounting."""
-        if self._deferred:
-            deferred, self._deferred = self._deferred, []
-            for callback in deferred:
-                callback()
         if self._event:
             self._advance_event(limit)
             return
@@ -825,7 +742,6 @@ class SimulationKernel:
             or not self._event
             or self._awake
             or self._woken
-            or self._deferred
             or self._has_dense_hooks
         ):
             return cycle

@@ -41,34 +41,29 @@ How it stays bit-identical to the strict reference schedule:
   at :meth:`flush` time, so the per-router totals match the strict schedule
   ULP-exactly (they are integer sums either way).  Without clock gating
   every register clocks on every cycle, so the clocked-bit count is the
-  members' own constant ``idle_tick``: batched members are *parked* in the
-  kernel (:meth:`repro.sim.engine.SimulationKernel.park`), which pays that
-  accounting like any sleeper's when they wake or at ``sync``.
+  members' constant idle booking: the datapath parks every member while the
+  plane batches them and books those bits like any parked member's, when it
+  lets go of them or at ``sync``.
 * **Self-gating on live routes.**  One batched cycle costs eight NumPy calls
   while no converter lane is mid-word (the gather, the four of the latch,
   three emptiness tests) and nineteen with serialisers, deserialisers and
   acknowledge pulses all busy (a word edge adds two to four per kind),
-  however few lanes move, so the plane batches only when the configured
-  routes of its members (:attr:`VectorPlane.live_routes`, counted once per
-  configuration change) reach :data:`MIN_BATCH_ROUTES`.  Below that the members are ordinary
-  components of the kernel's event schedule — the plane itself sleeps — so a
-  small or idle fabric costs exactly what the event heap alone costs.  The gate reads a property of the input, not a
-  parameter.
-* **Version guards and the scalar cycle.**  While the plane batches, a
-  member's dirty-bit wake (a tile write, a boundary-frame drive) goes to
-  the plane's dirty list instead of the kernel
-  (:attr:`repro.sim.engine.ClockedComponent._batch_plane`).  A
-  configuration write (the plane hooks every member's
-  ``ConfigurationMemory.on_change``) *releases* the members: the plane
-  flushes its arrays back into the scalar objects and wakes every member,
-  so the kernel runs their own ``evaluate``/``commit`` for one cycle — each
-  router sweeps its registers and wires once for the new version, exactly
-  as under the event schedule.  At the end of that cycle the plane re-reads
-  the gate; at or above it, it parks the members again in the next gap
-  between two cycles (:meth:`repro.sim.engine.SimulationKernel.defer`) and
-  recompiles.  Fault injection calls :meth:`desync` *before* wires die, so
-  in-flight drop counts read true wire state and dead bundles reclassify
-  onto the scalar drive path.
+  however few lanes move, so the owning
+  :class:`~repro.core.router.LaneDatapath` batches only when the configured
+  routes of its members (counted once per configuration change) reach
+  :data:`MIN_BATCH_ROUTES`.  Below that the members run their own compiled
+  route programs, so a small or idle fabric costs exactly what the walk
+  alone costs.  The gate reads a property of the input, not a parameter.
+* **Version guards.**  The plane is the datapath's batch mode, not a kernel
+  component.  While it batches, a member's mark (a tile write, an outside
+  wire's drive) lands in the plane's dirty list, drained at the next
+  evaluate or commit.  A configuration write or a dead wire between two
+  members makes the datapath *release* the members before the next cycle:
+  :meth:`flush` stores the columns back into the scalar objects and every
+  member runs its own program for a cycle, so each router sweeps its
+  registers and wires once for the new version.  At the end of that commit
+  the datapath reads the gate again and, at or above it, compiles the plane
+  at once.  The dead bundle then reclassifies onto the scalar drive path.
 * **Converter lanes are columns, word edges are scalar batches.**  Per live
   tile lane the plane holds the serialiser's shift register and output phit,
   the deserialiser's collected phits, pending-acknowledge count and
@@ -99,23 +94,22 @@ How it stays bit-identical to the strict reference schedule:
 * **Flush writes back the slots that moved.**  :meth:`flush` stores the
   registers (and in-plane wires) whose slot toggled since the last flush and
   the columns of every live lane into the scalar objects, so mid-packet
-  ``run()`` boundaries, fault surgery, ``reset()`` and the conservation-based
-  drain predicate see scalar-coherent state.
+  ``run()`` boundaries, fault surgery and the conservation-based drain
+  predicate see scalar-coherent state.  The datapath flushes at every
+  ``sync`` and before it lets go of the members.
 
-The plane registers with the kernel right after its member routers and
-before any stream endpoint, so whether the members commit themselves or the
-plane commits them in one batch, the registration-index ordering against the
-endpoints — and therefore the commit-phase replay semantics of the event
-schedule — is the same.  GT slot wires are *not* vectorised: the TDMA
-router's per-slot table walk is control flow, not a static gather, so
-``schedule="vector"`` on a GT (or packet, or clock-gated circuit) network
-runs on the event heap alone and
-:meth:`repro.noc.fabric.NocBase.schedule_report` says so.
+The plane runs inside the datapath's own ``evaluate`` and ``commit``, so
+whether the members run their programs or the plane runs them in one batch,
+the registration-index ordering against the stream endpoints — and therefore
+the commit-phase replay semantics of the event schedule — is the same.  GT
+slot wires are *not* vectorised: the TDMA router's per-slot table walk is
+control flow, not a static gather, so ``schedule="vector"`` on a GT (or
+packet, or clock-gated circuit) network runs its datapath without a plane
+and :meth:`repro.noc.fabric.NocBase.schedule_report` says so.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -123,7 +117,6 @@ import numpy as np
 from repro.common import SimulationError, toggle_count
 from repro.core.header import VALID_MASK
 from repro.energy.activity import LINK_TOGGLE_BITS, REG_TOGGLE_BITS, XBAR_TOGGLE_BITS
-from repro.sim.engine import ClockedComponent
 
 __all__ = ["VectorPlane", "MIN_BATCH_ROUTES"]
 
@@ -131,11 +124,11 @@ __all__ = ["VectorPlane", "MIN_BATCH_ROUTES"]
 _COLUMN_BITS = 62
 
 #: Live route-hops (configured crossbar routes summed over the members) from
-#: which one NumPy batch beats the kernel scheduling the members themselves,
+#: which one NumPy batch beats the members running their own programs,
 #: read off ``BENCH_kernel.json`` (every row records its ``live_routes``, every
 #: rate is the best of three samples) and resident-worker pairs of its rows.
 #: With 4 live routes (a 4×4 at one row, a 2×2 at two) batching runs at
-#: 0.64–0.78× of the routers' own compiled cycles on the event heap, full
+#: 0.64–0.78× of the routers' own compiled cycles, full
 #: load and paced alike; with 6 on two rows of a 3×3 at 1.23× (1.35× paced),
 #: with 8 on two rows of a 4×4 at 1.10× / 1.31×, and 1.8× at 16.  One long
 #: row is the soft spot: 6 or 7 hops on a single row batch at 0.82–0.91×, 8
@@ -143,25 +136,23 @@ _COLUMN_BITS = 62
 MIN_BATCH_ROUTES = 6
 
 
-class VectorPlane(ClockedComponent):
-    """Columnar batch executor for a set of circuit-switched routers.
+class VectorPlane:
+    """Columnar batch executor for the routers of one
+    :class:`~repro.core.router.LaneDatapath`, which compiles it, runs its
+    cycles and flushes it.
 
     Parameters
     ----------
     members:
-        The routers to batch, in registration order; the caller registers
-        them with the same kernel as the plane, ahead of it.  All must share
-        one lane geometry and have clock gating disabled (the gated commit
-        path holds register values the columnar latch would overwrite), and
-        a lane packet must fit an ``int64`` column.  Raises
-        :class:`~repro.common.SimulationError` otherwise; the network then
-        runs without a plane and records the message as its fallback reason.
-    name:
-        Kernel component name (one plane per kernel).
+        The datapath's routers.  All must share one lane geometry and have
+        clock gating disabled (the gated commit path holds register values
+        the columnar latch would overwrite), and a lane packet must fit an
+        ``int64`` column.  Raises :class:`~repro.common.SimulationError`
+        otherwise; the datapath then runs without a plane and records the
+        message as its fallback reason.
     """
 
-    def __init__(self, members: List[Any], name: str = "vector_plane") -> None:
-        super().__init__(name)
+    def __init__(self, members: List[Any]) -> None:
         if not members:
             raise SimulationError("a vector plane needs at least one member")
         first = members[0]
@@ -209,66 +200,25 @@ class VectorPlane(ClockedComponent):
         #: A collected value at or above this is a complete packet.
         self._packet_full = 1 << self._deserializers[0]._full_shift
 
-        # Scheduling state ------------------------------------------------
-        #: Members woken while batched (parked in the kernel, this plane
-        #: their ``_batch_plane``); otherwise the kernel schedules them.
-        self._dirty: List[Any] = []
-        self._compiled = False
-        #: A member's configuration was written (:meth:`_config_written`)
-        #: since this plane last evaluated: the members must run a cycle of
-        #: their own (sweeping registers and wires for the new version)
-        #: before the gate is read and the gather recompiled.
-        self._structural = True
-        #: That cycle is in flight; :meth:`commit` reads the gate.
-        self._sweeping = False
-        #: :meth:`_take_over` is queued for the next gap between two cycles.
-        self._taking_over = False
-        #: Configured routes over all members as counted after the last
-        #: swept cycle (``None`` before the first); the gate compares it
-        #: with :data:`MIN_BATCH_ROUTES`.
-        self.live_routes: Optional[int] = None
-        #: Simulated cycles the members spent on the kernel's own schedule,
-        #: up to the last takeover (see :attr:`scalar_cycles`).
-        self._scalar_cycles = 0
-        self._released_at = 0
+        #: Members marked while batched: their tile lanes are drained next.
+        self._dirty: Dict[Any, None] = {}
         #: The last batched commit latched no change, crossed no word edge
-        #: and left every converter lane idle — the plane is at a fixed point
-        #: and may park.
+        #: and left every converter lane idle — the plane is at a fixed point.
         self._settled = False
         #: Batched commits not yet folded into the members' activity.
         self._batched = 0
         self._pending_link = [0] * self._r
-
         for index, member in enumerate(members):
             member._plane_index = index
-            member._plane_pending = False
-            # Configuration writes reach the plane first, then wake the
-            # router as its own hook did.
-            member.config.on_change = partial(self._config_written, member)
 
-    # -- wake plumbing -----------------------------------------------------
-
-    def member_dirty(self, member: Any) -> None:
-        """A batched member's input changed outside the plane's execution of
-        it (its :meth:`~repro.sim.engine.ClockedComponent.wake`, diverted
-        here while ``member._batch_plane`` is this plane)."""
-        if not member._plane_pending:
-            member._plane_pending = True
-            self._dirty.append(member)
-            self.wake()
-
-    def _config_written(self, member: Any) -> None:
-        """*member*'s configuration memory changed (its ``on_change`` hook)."""
-        self._structural = True
-        self.wake()
-        member.wake()
+    # -- the dirty list ------------------------------------------------------
 
     def _drain_dirty(self, cycle: int) -> None:
         """Take in the batched members dirtied since the previous drain: a
         tile access may have queued a word, replaced a window counter or
         scheduled acknowledge pulses on any of their lanes."""
         dirty = self._dirty
-        self._dirty = []
+        self._dirty = {}
         self._settled = False
         armed = self._armed
         ser_slot = self._ser_slot
@@ -276,7 +226,6 @@ class VectorPlane(ClockedComponent):
         pending = self._pending
         outside = False
         for member in dirty:
-            member._plane_pending = False
             for lane, serializer, deserializer in self._lane_units[member._plane_index]:
                 if serializer._queue and serializer.window.can_send():
                     slot = ser_slot[lane]
@@ -306,50 +255,6 @@ class VectorPlane(ClockedComponent):
         self._armed[slot] = True
         self._load_at.setdefault(cycle, []).append(slot)
 
-    def desync(self) -> None:
-        """Flush and drop the compiled gather (called before wire surgery).
-
-        Fault injection reads and mutates wire state directly
-        (:meth:`repro.core.lane.LaneLink.fail` counts in-flight phits), so
-        a batching plane must first write its columnar state back and then
-        recompile — the recompile reclassifies dead bundles onto the exact
-        scalar drive path.  As after a configuration write, the members run
-        one cycle of their own in between.  Released members hold no state
-        here: the dying bundle wakes both ends itself.
-        """
-        if self._compiled:
-            self._release()
-            self._structural = True
-            self.wake()
-
-    def _release(self) -> None:
-        """Leave the batched mode: scalar state coherent, every member awake
-        on the kernel's schedule (which pays their deferred idle accounting)."""
-        self.flush()
-        self._compiled = False
-        self._settled = False
-        self._released_at = self._scheduler.cycle
-        # What the dirty members were owed is in their scalar units again.
-        for member in self._dirty:
-            member._plane_pending = False
-        self._dirty.clear()
-        for member in self._members:
-            member._batch_plane = None
-            # The lanes moved in the columns, behind the converter's lists.
-            member.converter.rescan()
-            member.wake()
-
-    def _take_over(self) -> None:
-        """Park the members and compile (deferred by :meth:`commit` to the
-        gap before the next cycle, where the kernel allows parking)."""
-        self._taking_over = False
-        if self._structural:
-            return  # written again since the swept cycle: evaluate starts over
-        kernel = self._scheduler
-        kernel.park(self._members)
-        self._scalar_cycles += kernel.cycle - self._released_at
-        self._compile(kernel.cycle)
-
     # -- compilation -------------------------------------------------------
 
     def _compile(self, cycle: int) -> None:
@@ -363,8 +268,6 @@ class VectorPlane(ClockedComponent):
         drives is idle.
         """
         members = self._members
-        for member in members:
-            member._batch_plane = self
         lanes = self._l
         t = self._t
 
@@ -374,20 +277,20 @@ class VectorPlane(ClockedComponent):
         ambiguous: set = set()
         for index, member in enumerate(members):
             base = index * t
-            for port, link in member._tx_links.items():
+            for port, link in enumerate(member._tx_by_port):
                 if link is None:
                     continue
                 key = id(link)
                 if key in tx_map:
                     ambiguous.add(key)
-                tx_map[key] = base + int(port) * lanes
-            for port, link in member._rx_links.items():
+                tx_map[key] = base + port * lanes
+            for port, link in enumerate(member._rx_by_port):
                 if link is None:
                     continue
                 key = id(link)
                 if key in rx_map:
                     ambiguous.add(key)
-                rx_map[key] = base + int(port) * lanes
+                rx_map[key] = base + port * lanes
         for key in ambiguous:
             # A link object attached at more than one port cannot be indexed
             # unambiguously; both endpoints take the scalar wire path, which
@@ -476,7 +379,7 @@ class VectorPlane(ClockedComponent):
                 src.append(ser_base + ser_slot[index * lanes + route_src])
             else:
                 port, lane = divmod(route_src, lanes)
-                rx = member._rx_links[port]
+                rx = member._rx_by_port[port]
                 if rx is None:
                     # Unattached port: the scalar snapshot keeps its preset
                     # idle value, which the sentinel reproduces.
@@ -489,7 +392,7 @@ class VectorPlane(ClockedComponent):
             wire = None
             port, lane = divmod(out_idx, lanes)
             if port:
-                tx = member._tx_links[port]
+                tx = member._tx_by_port[port]
                 if tx is None:
                     pass
                 elif tx.dead or id(tx) not in rx_map:
@@ -509,7 +412,7 @@ class VectorPlane(ClockedComponent):
                 if not port:
                     src.append(live + des_slot[index * lanes + lane])
                     continue
-                tx = member._tx_links[port]
+                tx = member._tx_by_port[port]
                 if tx is None:
                     src.append(sentinel)
                 elif tx.dead or id(tx) not in rx_map:
@@ -520,7 +423,7 @@ class VectorPlane(ClockedComponent):
             wire = None
             port, lane = divmod(in_idx, lanes)
             if port:
-                rx = member._rx_links[port]
+                rx = member._rx_by_port[port]
                 if rx is None:
                     pass
                 elif rx.dead or id(rx) not in tx_map:
@@ -611,45 +514,8 @@ class VectorPlane(ClockedComponent):
         self._batched = 0
         self._pending_link = [0] * self._r
         self._settled = False
-        self._compiled = True
 
-    # -- two-phase execution ----------------------------------------------
-
-    def evaluate(self, cycle: int) -> None:
-        if self._structural:
-            # The kernel runs this cycle on the members themselves.
-            self._structural = False
-            self._sweeping = True
-            if self._compiled:
-                self._release()
-        if self._compiled:
-            if self._dirty:
-                self._drain_dirty(cycle)
-            self._eval_batched()
-
-    def _count_routes(self) -> int:
-        return sum(len(member.crossbar.active_routes()) for member in self._members)
-
-    @property
-    def scalar_cycles(self) -> int:
-        """Simulated cycles the members spent on the kernel's event schedule
-        (slept-through ones included), not batched here."""
-        total = self._scalar_cycles
-        if not self._compiled and self._scheduler is not None:
-            total += self._scheduler.cycle - self._released_at
-        return total
-
-    def gate_reason(self) -> Optional[str]:
-        """Why the kernel, not this plane, runs the members right now
-        (``None`` while the plane batches them)."""
-        if self._compiled:
-            return None
-        routes = self.live_routes
-        if routes is None:
-            return "the live-route gate is read after the first cycle"
-        if routes < MIN_BATCH_ROUTES:
-            return f"below the live-route gate ({routes} live routes < {MIN_BATCH_ROUTES})"
-        return "one cycle on the members themselves before the recompile"
+    # -- one batched cycle -------------------------------------------------
 
     def _eval_batched(self) -> None:
         gathered = self._gathered
@@ -660,23 +526,6 @@ class VectorPlane(ClockedComponent):
             m = self._m
             self._next[:m] = gathered[:m]
             np.bitwise_or.reduceat(gathered[m:], self._seg_starts, out=self._next[m : m + self._q])
-
-    def commit(self, cycle: int) -> None:
-        if self._compiled:
-            if self._dirty:
-                # Dirtied after this plane evaluated (a driver's tile write
-                # in the evaluate phase): still part of this cycle.
-                self._drain_dirty(cycle)
-            self._commit_batched(cycle)
-        elif self._sweeping and not self._structural:
-            # Every member whose configuration was written was awake for
-            # this cycle (the write woke it) and has swept its registers and
-            # wires for the new version.
-            self._sweeping = False
-            self.live_routes = self._count_routes()
-            if self.live_routes >= MIN_BATCH_ROUTES:
-                self._taking_over = True
-                self._scheduler.defer(self._take_over)
 
     def _commit_batched(self, cycle: int) -> None:
         # A word edge was crossed this cycle: not a fixed point.
@@ -782,25 +631,20 @@ class VectorPlane(ClockedComponent):
             or self._pulsing
             or np.count_nonzero(xor)
         )
-        stats = self._scheduler.scheduler_stats
-        stats.vector_batches += 1
-        stats.vector_components += self._r
 
     # -- flush -------------------------------------------------------------
 
     def flush(self) -> None:
         """Fold the batched state back into the scalar component objects.
 
-        Registered as a kernel sync hook, so it runs at the end of every
-        ``run``/``step`` — external readers (benchmarks, equivalence tests,
-        the sharded aggregation) always observe scalar-coherent registers,
-        wires, converter lanes and activity counters.  Idempotent.  The
-        members' constant per-cycle accounting is not owed here: the kernel
-        pays it like any sleeper's.  Nothing to do while the members run
-        themselves.
+        The datapath calls it at every ``sync`` — at the end of every
+        ``run``/``step`` — so external readers (benchmarks, equivalence
+        tests, the sharded aggregation) always observe scalar-coherent
+        registers, wires, converter lanes and activity counters, and before
+        it lets go of the members.  Idempotent.  The members' constant
+        per-cycle accounting is not owed here: the datapath books it like any
+        parked member's.
         """
-        if not self._compiled:
-            return
         if self._batched:
             self._fold_batches()
         # Even with nothing batched a drain may have moved owed acknowledge
@@ -885,44 +729,8 @@ class VectorPlane(ClockedComponent):
             deserializer._ack_pulse = pulse != 0
             if owed:
                 deserializer._pending_ack_pulses += owed
-                self.member_dirty(member)
+                self._dirty[member] = None
         pending.fill(0)
 
-    # -- timed protocol ----------------------------------------------------
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """``None`` when another cycle would latch nothing anywhere, else *cycle*.
-
-        Batching, that requires a settled batch: the previous batched commit
-        latched no register change, flipped no acknowledge, crossed no word
-        edge and left no converter lane mid-word or owing a pulse — so every
-        gather source is provably frozen (a tile or foreign wire write would
-        have landed in the dirty list).  With the members on the kernel's
-        schedule the plane only waits for the next configuration write.
-        """
-        if self._dirty or self._structural or self._sweeping or self._taking_over:
-            return cycle
-        return None if self._settled or not self._compiled else cycle
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        """Nothing: the members' idle accounting is the kernel's, batched or not."""
-
-    def reset(self) -> None:
-        """Back to the state after construction (the kernel resets the members)."""
-        self._compiled = False
-        self._structural = True
-        self._sweeping = False
-        self._taking_over = False
-        self.live_routes = None
-        self._scalar_cycles = 0
-        self._released_at = 0
-        self._settled = False
-        self._batched = 0
-        self._pending_link = [0] * self._r
-        self._dirty.clear()
-        for member in self._members:
-            member._batch_plane = None
-            member._plane_pending = False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<VectorPlane {self.name!r} members={self._r} compiled={self._compiled}>"
+        return f"<VectorPlane members={self._r}>"

@@ -11,7 +11,7 @@ from hypothesis import Phase, given, seed, settings, strategies as st
 
 from repro.common import NEIGHBOR_PORTS, AllocationError, Port
 from repro.core.lane import LaneLink
-from repro.core.router import CircuitSwitchedRouter
+from repro.core.router import CircuitSwitchedRouter, LaneDatapath
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.noc import IrregularMesh, Mesh2D, TdmaDatapath, Torus2D
@@ -145,16 +145,12 @@ class FabricScenario:
                 network.kernel.step()
             yield cycle
 
-    def run_in_lockstep(self, build: Callable, reference_build: Callable, snapshot: Callable,
-                        same_components: bool = True) -> None:
+    def run_in_lockstep(self, build: Callable, reference_build: Callable, snapshot: Callable) -> None:
         """Step a network and its reference twin, comparing *snapshot* every cycle."""
         networks = [self.build(factory) for factory in (build, reference_build)]
         for cycle in self.steps(networks):
             assert snapshot(networks[0]) == snapshot(networks[1]), f"diverged in cycle {cycle}"
-        stats = [
-            (n.kernel.scheduler_stats.as_dict() if same_components else None, n.stream_statistics(), n.fault_drops())
-            for n in networks
-        ]
+        stats = [(n.stream_statistics(), n.fault_drops()) for n in networks]
         assert stats[0] == stats[1]
 
 
@@ -255,10 +251,12 @@ def drawn(strategy, number: int):
 
 
 def clock_of(router):
-    """What the kernel clocks for *router*: itself, or a one-router datapath
-    when it is no kernel component (a packet or slot-table router)."""
+    """What the kernel clocks for *router*: itself (a reference router), or a
+    one-router datapath (a circuit, packet or slot-table router)."""
     if isinstance(router, ClockedComponent):
         return router
+    if isinstance(router, CircuitSwitchedRouter):
+        return LaneDatapath("dut_datapath", [router])
     datapath = PacketDatapath if isinstance(router, PacketSwitchedRouter) else TdmaDatapath
     return datapath("dut_datapath", [router])
 

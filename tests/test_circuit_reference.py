@@ -8,11 +8,13 @@ serialiser and deserialiser (:class:`_ReferenceConverter`) and drives every
 attached wire.  It shares with production only what the route program does
 not touch: the configuration memory, the lane wires, the lane units'
 per-cycle ``tick`` and the activity counters.  Both run under both
-schedules: the reference on the kernel's event heap with its own park rule,
-production with the vector plane where the fabric allows one.  After every
-cycle the registers, wires (forward, acknowledge, dead, dropped), every lane
-unit's state and ``activity.as_dict()`` must be equal; on a bench without a
-plane the scheduler statistics too, which makes the two park rules agree.
+schedules: the reference routers as kernel components with their own park
+rule, production in its :class:`~repro.core.router.LaneDatapath`, batched in
+its vector plane where the fabric allows one.  After every cycle the
+registers, wires (forward, acknowledge, dead, dropped), every lane unit's
+state and ``activity.as_dict()`` must be equal, and under the event schedule
+without a plane the park answers too: the datapath parks exactly when every
+reference router would (:func:`_parked`).
 """
 
 from __future__ import annotations
@@ -473,10 +475,25 @@ def _wire_state(link):
     return list(link.forward), list(link.ack), link.dead, link.dropped
 
 
+def _parked(kernel, routers, batched=False):
+    """Whether the routers' clock parks: the datapath's answer, or every
+    reference router's (its input unchanged since it evaluated and its own
+    answer ``None``).  ``None`` under ``strict``, whose kernel parks nothing,
+    and on a fabric whose datapath may batch in a vector plane (*batched*),
+    which parks once the whole batch is at a fixed point."""
+    if kernel.schedule != "vector" or batched:
+        return None
+    datapath = getattr(next(iter(routers)), "datapath", None)
+    if datapath is not None:
+        return datapath.next_event_cycle(kernel.cycle) is None
+    return all(not r._input_dirty and r.next_event_cycle(kernel.cycle) is None for r in routers)
+
+
 def _network_state(network):
     return (
         {position: _router_state(router) for position, router in network.routers.items()},
         {key: _wire_state(link) for key, link in network.links.items()},
+        _parked(network.kernel, network.routers.values(), batched=not network.clock_gating),
     )
 
 
@@ -491,15 +508,12 @@ class TestFabricsEqualTheReference:
     def test_lockstep_on_drawn_fabrics(self, scenario, clock_gating):
         """Random channels and one mid-run link fault (re-routed or not) on a
         drawn mesh, torus or irregular mesh, under the drawn schedule: equal
-        registers, wires, lane units and counters after every cycle, equal
-        stream statistics and drops at the end.  A clock-gated fabric has no
-        vector plane, so there both kernels run the same component set and
-        must also agree on every park decision."""
+        registers, wires, lane units, counters and park answers after every
+        cycle, equal stream statistics and drops at the end."""
         scenario.run_in_lockstep(
             lambda topology, **kw: CircuitSwitchedNoC(topology, clock_gating=clock_gating, **kw),
             lambda topology, **kw: _ReferenceCircuitNoC(topology, clock_gating=clock_gating, **kw),
             _network_state,
-            same_components=clock_gating or scenario.schedule == "strict",
         )
 
     @pytest.mark.parametrize("schedule", [None, "strict"])
@@ -509,14 +523,14 @@ class TestFabricsEqualTheReference:
         topology = Mesh2D(4, 4)
         channels = [((0, row), (3, row), 200.0, 1.0) for row in range(4)]
         scenario = FabricScenario(topology, channels, 200, (90, (1, 1), (2, 1), True), schedule)
-        scenario.run_in_lockstep(CircuitSwitchedNoC, _ReferenceCircuitNoC, _network_state,
-                                 same_components=schedule == "strict")
+        scenario.run_in_lockstep(CircuitSwitchedNoC, _ReferenceCircuitNoC, _network_state)
 
     def test_reference_is_wired_in(self):
         network = _ReferenceCircuitNoC(Mesh2D(2, 1))
         assert type(network.router_at((0, 0))) is _ReferenceCircuitRouter
-        assert network.vector_plane is None
-        assert CircuitSwitchedNoC(Mesh2D(2, 1)).vector_plane is not None
+        assert network.datapath is None and network.router_at((0, 0)) in network.kernel.components
+        network = CircuitSwitchedNoC(Mesh2D(2, 1))
+        assert network.kernel.components == (network.datapath,) and network.datapath.plane is not None
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +563,7 @@ def _bench_state(router, links, kernel):
     return (
         _router_state(router),
         {port: (_wire_state(rx), _wire_state(tx)) for port, (rx, tx) in links.items()},
-        kernel.scheduler_stats.as_dict(),
+        _parked(kernel, [router]),
     )
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from conftest import clock_of
 
-from repro.common import ConfigurationError, Port
+from repro.common import ConfigurationError, Port, SimulationError
 from repro.core.configuration import ConfigurationCommand
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
@@ -17,7 +19,7 @@ from repro.core.testbench import (
     TileStreamDriver,
 )
 from repro.energy.activity import ActivityKeys
-from repro.sim.engine import SimulationKernel
+from repro.sim.engine import SCHEDULES, ClockedComponent, SimulationKernel
 
 
 def words(seed: int = 0):
@@ -62,13 +64,57 @@ class TestRouterConstruction:
         assert router.active_circuits() == 0
 
 
+class TestWritesBetweenCycles:
+    """A relink or a configuration write inside a cycle raises, under either
+    schedule, as a GT or packet router's does; between cycles (a hook) it is
+    allowed."""
+
+    WRITES = {
+        "configure": lambda router: router.configure(Port.EAST, 0, Port.TILE, 0),
+        "deconfigure": lambda router: router.deconfigure(Port.NORTH, 1),
+        "apply_command": lambda router: router.apply_command(ConfigurationCommand(Port.EAST, 0, True, Port.TILE, 0)),
+    }
+
+    @staticmethod
+    def _writer(write):
+        """A component whose commit at cycle 1 calls *write*."""
+        commit = {"commit": lambda self, cycle: cycle == 1 and write()}
+        return type("Writer", (ClockedComponent,), {"evaluate": id, **commit})("writer")
+
+    def test_attach_link_inside_a_cycle_raises(self):
+        for schedule in SCHEDULES:
+            router, kernel = CircuitSwitchedRouter("victim"), SimulationKernel(25e6, schedule=schedule)
+            kernel.add(clock_of(router))
+            kernel.add_pre_cycle_hook(lambda cycle: cycle == 0 and router.attach_link(Port.EAST, LaneLink("a"), None))
+            kernel.run(1)
+            assert router.tx_link(Port.EAST) is None and router.rx_link(Port.EAST).name == "a"
+            kernel.add(self._writer(lambda: router.attach_link(Port.EAST, LaneLink("b"), None)))
+            with pytest.raises(SimulationError, match="'victim'.*inside cycle 1 .commit phase"):
+                kernel.run(4)
+            assert router.rx_link(Port.EAST).name == "a", schedule
+
+    def test_configuration_write_inside_a_cycle_raises(self):
+        for schedule, (name, write) in itertools.product(SCHEDULES, self.WRITES.items()):
+            router, kernel = CircuitSwitchedRouter("victim"), SimulationKernel(25e6, schedule=schedule)
+            router.configure(Port.NORTH, 1, Port.TILE, 1)
+            kernel.add(clock_of(router))
+            kernel.add_pre_cycle_hook(lambda cycle: cycle == 0 and router.configure(Port.SOUTH, 2, Port.TILE, 2))
+            kernel.run(1)
+            assert router.active_circuits() == 2
+            kernel.add(self._writer(lambda: write(router)))
+            with pytest.raises(SimulationError, match="'victim'.*inside cycle 1 .commit phase"):
+                kernel.run(4)
+            assert router.active_circuits() == 2, (schedule, name)
+            assert router.activity.get(ActivityKeys.CONFIG_WRITES) == 2, (schedule, name)
+
+
 class TestRouterDataPath:
     def test_tile_to_east_stream(self, cs_router_with_links, kernel_25mhz):
         router, links = cs_router_with_links
         router.configure(Port.EAST, 0, Port.TILE, 0)
         driver = TileStreamDriver("src", router, 0, words(1), load=1.0)
         consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 0)
-        kernel_25mhz.add_all([driver, consumer, router])
+        kernel_25mhz.add_all([driver, consumer, clock_of(router)])
         kernel_25mhz.run(200)
         assert driver.words_sent >= 35
         assert consumer.words_received >= driver.words_sent - 3
@@ -82,7 +128,7 @@ class TestRouterDataPath:
         router.configure(Port.TILE, 0, Port.NORTH, 0)
         driver = LaneStreamDriver("src", links[Port.NORTH][0], 0, words(2), load=1.0)
         consumer = TileStreamConsumer("dst", router, 0)
-        kernel_25mhz.add_all([driver, consumer, router])
+        kernel_25mhz.add_all([driver, consumer, clock_of(router)])
         kernel_25mhz.run(200)
         assert consumer.words_received >= driver.words_sent - 3
 
@@ -91,7 +137,7 @@ class TestRouterDataPath:
         router.configure(Port.EAST, 1, Port.WEST, 0)
         driver = LaneStreamDriver("src", links[Port.WEST][0], 0, words(3), load=1.0)
         consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 1)
-        kernel_25mhz.add_all([driver, consumer, router])
+        kernel_25mhz.add_all([driver, consumer, clock_of(router)])
         kernel_25mhz.run(200)
         assert consumer.words_received >= driver.words_sent - 3
 
@@ -104,7 +150,7 @@ class TestRouterDataPath:
         west_driver = LaneStreamDriver("src_west", links[Port.WEST][0], 0, lambda: 0x2222, load=1.0)
         east0 = LaneStreamConsumer("dst0", links[Port.EAST][1], 0)
         east1 = LaneStreamConsumer("dst1", links[Port.EAST][1], 1)
-        kernel_25mhz.add_all([tile_driver, west_driver, east0, east1, router])
+        kernel_25mhz.add_all([tile_driver, west_driver, east0, east1, clock_of(router)])
         kernel_25mhz.run(300)
         assert east0.words_received > 0 and east1.words_received > 0
         assert {w.data for w in east0.received} == {0x1111}
@@ -116,14 +162,14 @@ class TestRouterDataPath:
         router, links = cs_router_with_links
         router.configure(Port.EAST, 0, Port.TILE, 0)
         driver = TileStreamDriver("src", router, 0, words(4), load=1.0)
-        kernel_25mhz.add_all([driver, router])  # no consumer: nobody acknowledges
+        kernel_25mhz.add_all([driver, clock_of(router)])  # no consumer: nobody acknowledges
         kernel_25mhz.run(300)
         window = router.converter.serializers[0].window.config.window_size
         assert router.converter.serializers[0].window.packets_sent == window
 
     def test_no_links_attached_router_still_runs(self, kernel_25mhz):
         router = CircuitSwitchedRouter("isolated")
-        kernel_25mhz.add(router)
+        kernel_25mhz.add(clock_of(router))
         kernel_25mhz.run(10)
         assert router.activity.cycles == 10
 
@@ -132,7 +178,7 @@ class TestRouterDataPath:
         router.configure(Port.EAST, 0, Port.TILE, 0)
         driver = TileStreamDriver("src", router, 0, words(5), load=1.0)
         consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 0)
-        kernel_25mhz.add_all([driver, consumer, router])
+        kernel_25mhz.add_all([driver, consumer, clock_of(router)])
         kernel_25mhz.run(50)
         router.reset()
         assert router.activity.cycles == 0
@@ -142,7 +188,7 @@ class TestRouterDataPath:
 class TestRouterActivityAndPower:
     def test_idle_router_has_no_toggles(self, cs_router_with_links, kernel_25mhz):
         router, _ = cs_router_with_links
-        kernel_25mhz.add(router)
+        kernel_25mhz.add(clock_of(router))
         kernel_25mhz.run(100)
         assert router.activity.get(ActivityKeys.REG_TOGGLE_BITS) == 0
         assert router.activity.get(ActivityKeys.LINK_TOGGLE_BITS) == 0
@@ -152,7 +198,7 @@ class TestRouterActivityAndPower:
         router.configure(Port.EAST, 0, Port.TILE, 0)
         driver = TileStreamDriver("src", router, 0, words(6), load=1.0)
         consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 0)
-        kernel_25mhz.add_all([driver, consumer, router])
+        kernel_25mhz.add_all([driver, consumer, clock_of(router)])
         kernel_25mhz.run(200)
         activity = router.activity
         assert activity.get(ActivityKeys.REG_TOGGLE_BITS) > 0
@@ -166,15 +212,14 @@ class TestRouterActivityAndPower:
             rx, tx = LaneLink("rx"), LaneLink("tx")
             router.attach_link(Port.EAST, rx, tx)
             kernel = SimulationKernel(25e6)
-            components = [router]
+            components = []
             if configured:
                 router.configure(Port.EAST, 0, Port.TILE, 0)
                 components = [
                     TileStreamDriver("src", router, 0, words(7), load=1.0),
                     LaneStreamConsumer("dst", tx, 0),
-                    router,
                 ]
-            kernel.add_all(components)
+            kernel.add_all([*components, clock_of(router)])
             kernel.run(500)
             return router.power(25e6).total_uw
 
@@ -184,7 +229,7 @@ class TestRouterActivityAndPower:
         def run(gating: bool) -> float:
             router = CircuitSwitchedRouter("r", clock_gating=gating)
             kernel = SimulationKernel(25e6)
-            kernel.add(router)
+            kernel.add(clock_of(router))
             kernel.run(500)
             return router.power(25e6).total_uw
 

@@ -513,7 +513,6 @@ class TestCommitEqualsReference:
             lambda topology, **kw: TimeDivisionNoC(topology, slots=slots, **kw),
             lambda topology, **kw: _ReferenceGtNoC(topology, slots=slots, **kw),
             _gt_network_state,
-            same_components=False,
         )
 
     def test_reference_is_wired_in(self):

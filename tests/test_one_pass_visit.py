@@ -191,9 +191,10 @@ class TestConstantAccountingSettlesAtSync:
         assert booked() == (router._idle_clock_bits * 37, 37)
         kernel.step()
         assert booked() == (router._idle_clock_bits * 38, 38)
-        # Removed in the gap before cycle 44, six cycles after the last sync.
-        kernel.add_post_cycle_hook(lambda c: c == 43 and kernel.defer(lambda: kernel.remove(datapath)))
-        kernel.run(10)
+        # Removed between two runs, before cycle 44.
+        kernel.run(6)
+        kernel.remove(datapath)
+        kernel.run(4)
         assert kernel.cycle == 48 and datapath not in kernel.components
         assert booked() == (router._idle_clock_bits * 44, 44)
         assert (router.tile.words_received("a") > 0) == (load > 0)
@@ -262,9 +263,11 @@ class TestOneSchedulingQuestion:
             for clock in clocks:
                 if _quiescent(clock):
                     quiescent += 1
+                    if name == "circuit":  # the lane datapath's question about one router
+                        assert network.datapath.frozen(clock), f"{clock.name} at cycle {now}"
+                        continue
                     # A datapath's own answer is "never": it waits for its earliest driver only.
-                    due = clock.drivers.next_due if name in ("gt", "packet") else None
-                    assert clock.next_event_cycle(now) == due, f"{clock.name} at cycle {now}"
+                    assert clock.next_event_cycle(now) == clock.drivers.next_due, f"{clock.name} at cycle {now}"
         assert quiescent > 0
 
     def test_gated_circuit_router_sleeps_between_words(self):
@@ -275,18 +278,18 @@ class TestOneSchedulingQuestion:
         router.attach_link(Port.EAST, LaneLink("rx_e"), tx)
         router.configure(Port.EAST, 0, Port.TILE, 0)
         source = word_generator(BitFlipPattern.TYPICAL, width=router.data_width, seed=3)
-        kernel = SimulationKernel(25e6)
+        kernel, datapath = SimulationKernel(25e6), clock_of(router)
         kernel.add_all([
             TileStreamDriver("src", router, 0, source, load=0.1),
             LaneStreamConsumer("dst", tx, 0),
-            router,
+            datapath,
         ])
         slept = 0
         for _ in range(400):
             kernel.step()
             if _quiescent(router):
-                assert router.next_event_cycle(kernel.cycle) is None
-                slept += router._asleep
+                assert datapath.frozen(router)
+                slept += datapath._asleep
         assert slept > 100
 
     @pytest.mark.parametrize("classes,make_link", [

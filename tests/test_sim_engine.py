@@ -235,53 +235,3 @@ class TestComponentRemoval:
         # value of the same cycle (one-cycle delay), before and after removal.
         assert follower.value == counter.value - 1
         assert late.value == counter.value - 1
-
-
-class _Busy(_Sleeper):
-    """Always due now: only :meth:`SimulationKernel.park` stops it."""
-
-    def next_event_cycle(self, cycle: int):
-        return cycle
-
-
-class TestParkAndDefer:
-    def test_parked_component_sleeps_until_woken_with_exact_accounting(self):
-        kernel = SimulationKernel()
-        busy = kernel.add(_Busy("busy"))
-        kernel.add(_Counter("keepalive"))
-        kernel.run(5)
-        assert busy.ticks == 5
-        kernel.park([busy])
-        kernel.run(10)
-        assert (busy.ticks, busy.idle_cycles) == (5, 10)  # sync paid the gap
-        busy.wake()
-        kernel.run(3)
-        assert (busy.ticks, busy.idle_cycles) == (8, 10)
-
-    def test_park_takes_a_pending_wake_back(self):
-        kernel = SimulationKernel()
-        sleeper = kernel.add(_Sleeper("s"))
-        kernel.add(_Counter("keepalive"))
-        kernel.run(2)
-        sleeper.wake()  # between cycles: queued for the next one
-        kernel.park([sleeper])
-        kernel.run(4)
-        assert sleeper.ticks == 1 and sleeper.ticks + sleeper.idle_cycles == 6
-
-    def test_deferred_callback_runs_once_between_cycles(self):
-        kernel = SimulationKernel()
-        busy = kernel.add(_Busy("busy"))
-        seen = []
-
-        class Asker(_Counter):
-            def commit(self, cycle: int) -> None:
-                super().commit(cycle)
-                if cycle == 2:
-                    with pytest.raises(SimulationError, match="between cycles"):
-                        kernel.park([busy])
-                    kernel.defer(lambda: (seen.append(kernel.cycle), kernel.park([busy])))
-
-        kernel.add(Asker("asker"))
-        kernel.run(6)
-        assert seen == [3]  # before cycle 3 ran, and never again
-        assert (busy.ticks, busy.idle_cycles) == (3, 3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from conftest import clock_of
 
 from repro.baseline.link import PacketLink
 from repro.baseline.testbench import PacketStreamConsumer, PacketStreamDriver
@@ -98,7 +99,7 @@ class TestTileStreamDriverBlocks:
         driver = TileStreamDriver("src", router, 0, lambda: 0x1234, load=1.0, mark_blocks=4)
         consumer = LaneStreamConsumer("dst", tx, 0)
         kernel = SimulationKernel(25e6)
-        kernel.add_all([driver, consumer, router])
+        kernel.add_all([driver, consumer, clock_of(router)])
         kernel.run(200)
         received = consumer.received
         assert len(received) >= 8

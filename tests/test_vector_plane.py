@@ -99,7 +99,7 @@ def test_vector_on_gt_and_packet_degrades_to_event():
         network = build_network(
             kind, Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule="vector"
         )
-        assert network.vector_plane is None
+        assert network.datapath.plane is None
         report = network.schedule_report()
         assert (report["requested"], report["effective"]) == ("vector", "event")
         assert "no vector plane" in report["reason"] and report["live_routes"] is None
@@ -117,7 +117,7 @@ def test_clock_gated_circuit_registers_no_plane():
     network = CircuitSwitchedNoC(
         Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule="vector", clock_gating=True
     )
-    assert network.vector_plane is None
+    assert network.datapath.plane is None
     report = network.schedule_report()
     assert report["effective"] == "event" and "clock gating" in report["reason"]
 
@@ -155,16 +155,16 @@ def test_reconfiguration_invalidates_compiled_gather():
         return ran(network, 150)
 
     vector = assert_identical(scenario, VECTOR)["vector"]
-    plane = vector.vector_plane
-    assert plane is not None
+    assert vector.datapath.plane is not None
     # The plane ended the run recompiled against the *current* configuration.
-    assert plane._compiled
-    assert plane.live_routes == vector.configured_circuits() > 0
+    assert vector.schedule_report()["effective"] == "vector"
+    assert vector.datapath.live_routes == vector.configured_circuits() > 0
 
 
 def test_live_fault_desyncs_and_recompiles_the_plane():
-    """Fault injection flushes the plane before wires die (exact in-flight
-    drop counts) and reclassifies the dead bundle on recompile."""
+    """A live fault between two runs finds the wires flushed (exact
+    in-flight drop counts), releases the plane and reclassifies the dead
+    bundle on recompile."""
 
     def scenario(schedule):
         network = _full_load_circuit(schedule)
@@ -176,7 +176,7 @@ def test_live_fault_desyncs_and_recompiles_the_plane():
     # The dead bundle swallowed the identical in-flight payload.
     vector = assert_identical(scenario, VECTOR)["vector"]
     assert vector.fault_drops() > 0
-    assert vector.vector_plane._compiled
+    assert vector.schedule_report()["effective"] == "vector"
 
 
 def test_sync_flush_makes_scalar_state_observable():
@@ -201,13 +201,12 @@ def test_kernel_reset_resets_the_plane():
     network.run(200)
     assert network.kernel.scheduler_stats.vector_batches > 0
     network.kernel.reset()
-    plane = network.vector_plane
-    assert not plane._compiled
-    assert plane._batched == 0
+    report = network.schedule_report()
+    assert report["effective"] == "event" and report["live_routes"] is None
     assert network.kernel.scheduler_stats.vector_batches == 0
     # The plane comes back: the routers run the first cycle, then batching.
     network.run(120)
-    assert plane._compiled
+    assert network.schedule_report()["effective"] == "vector"
     assert network.kernel.scheduler_stats.vector_batches > 0
 
 
@@ -220,7 +219,7 @@ def test_plane_crosses_its_gate_both_ways_and_stays_identical():
     """One row (3 live routes, below the gate) → all rows (9, above) → one
     row again, under the default schedule and the gate as shipped: every
     stage equals ``strict`` lane for lane, and the report shows that the
-    routers ran both on the event heap and batched."""
+    routers ran both their own programs and batched."""
     size = 3
     assert size < SHIPPED_GATE <= size * size
 
@@ -266,8 +265,8 @@ def test_plane_crosses_its_gate_both_ways_and_stays_identical():
 
 
 def test_idle_fabric_parks_without_batching():
-    """No live route: the kernel puts every router to sleep after the first
-    cycle and the plane with them — nothing is ever compiled."""
+    """No live route: the datapath parks every router after the first cycle
+    and the kernel parks the datapath — nothing is ever compiled."""
     network = build_network("circuit", Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ)
     strict = build_network("circuit", Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ, schedule="strict")
     assert network.schedule_report()["live_routes"] is None  # not counted yet
@@ -277,9 +276,8 @@ def test_idle_fabric_parks_without_batching():
     report = network.schedule_report()
     assert report["batched_cycles"] == 0 and report["scalar_cycles"] == 500
     assert report["live_routes"] == 0
-    components = len(network.routers) + 1
-    assert network.kernel.sleeping_components == components
-    assert network.kernel.scheduler_stats.evaluated == components  # cycle 0 only
+    assert network.kernel.components == (network.datapath,) and network.kernel.sleeping_components == 1
+    assert network.kernel.scheduler_stats.evaluated == 1  # cycle 0 only
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +691,7 @@ def test_lane_geometries_match_strict_or_fall_back(lane_width, data_width, batch
             "a", allocation, lambda words=words: words.getrandbits(data_width), load=1.0
         )
         networks[schedule] = network
-    assert (networks["vector"].vector_plane is not None) == batched
+    assert (networks["vector"].datapath.plane is not None) == batched
     for stop in (7, 58, 131):
         for network in networks.values():
             network.run(stop - network.kernel.cycle)

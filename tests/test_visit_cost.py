@@ -19,18 +19,18 @@ exactly on one interpreter version, hence the CPython 3.11 gate.  Eight rows:
   bench, ``run_scenario(kind, "IV", cycles=1000)`` after one untimed call;
   ``circuit bench gated`` the same with ``clock_gating=True`` (Section 7.3).
 
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================
-row                  before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath  one route program  drivers in the datapath
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================
-gt                   4 281                        3 500     3 118             1 220            1 219                1 219              1 084
-gt paced             -                            -         2 022             1 294            1 293                1 293              964
-packet               8 426                        7 454     6 653             6 645            3 534                3 534              3 440
-packet paced         -                            -         -                 -                -                    1 859              1 663
-packet bench         -                            -         -                 1 113            979                  978                977
-circuit              -                            1 477     1 428             1 420            1 416                1 412              1 406
-circuit bench        -                            3 587     3 093             3 085            3 084                2 469              2 463
-circuit bench gated  -                            -         -                 -                2 606                1 821              1 812
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================
+row                  before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath  one route program  drivers in the datapath  circuit datapath
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================
+gt                   4 281                        3 500     3 118             1 220            1 219                1 219              1 084                    1 077
+gt paced             -                            -         2 022             1 294            1 293                1 293              964                      958
+packet               8 426                        7 454     6 653             6 645            3 534                3 534              3 440                    3 438
+packet paced         -                            -         -                 -                -                    1 859              1 663                    1 654
+packet bench         -                            -         -                 1 113            979                  978                977                      963
+circuit              -                            1 477     1 428             1 420            1 416                1 412              1 406                    1 377
+circuit bench        -                            3 587     3 093             3 085            3 084                2 469              2 463                    2 455
+circuit bench gated  -                            -         -                 -                2 606                1 821              1 812                    1 802
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================
 
 "One pass" replaced a sampling ``evaluate``, constants booked in every
 ``commit`` and one ``ActivityCounters.add`` per counter; "by slot" replaced
@@ -46,7 +46,11 @@ converter passes with one compiled record walk per phase, a converter that
 ticks only its live lanes and stream endpoints that read their wire lists;
 "drivers in the datapath" replaced the GT and packet tile stream drivers'
 kernel components with records each datapath fires from its own due-ordered
-heap, and the kernel's per-component protocol flag with one question.
+heap, and the kernel's per-component protocol flag with one question;
+"circuit datapath" replaced a kernel component per circuit router with one
+datapath walking their route programs from per-router tuples, and the
+kernel's compaction of its awake list after every cycle with a rebuild only
+when a component slept.
 The bench and paced ceilings are the recorded value + 8 %.
 """
 
