@@ -170,6 +170,26 @@ class TestMidRunReconfiguration:
 
         assert assert_schedules_identical(scenario)["default"].streams["second"].words_received > 0
 
+    def test_gated_teardown_from_a_hook_books_the_old_routes_idle_bits(self):
+        """A clock-gated circuit drains and its routers park; a hook then
+        tears it down mid-run, no sync in between: the parked routers' idle
+        cycles book the clocked/gated split of the routes they ran with, as
+        ``strict`` books them cycle by cycle."""
+
+        def scenario(**params):
+            _mesh, network = _circuit_network(3, 1, clock_gating=True, **params)
+            generator = word_generator(BitFlipPattern.TYPICAL, seed=1)
+            network.attach_channel("a", (0, 0), (2, 0), 100.0, generator, load=1.0)
+            network.run(60)
+            network.halt_stream("a")
+            allocation = network.admission.allocation("a")
+            network.kernel.add_pre_cycle_hook(
+                lambda cycle: cycle == 150 and network.remove_allocation(allocation), every=50
+            )
+            return ran(network, 200)
+
+        assert_schedules_identical(scenario)
+
 
 class TestResetClearsWires:
     def test_reset_mid_stream_leaves_no_stale_phits_on_links(self):
