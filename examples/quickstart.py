@@ -52,9 +52,12 @@ def main() -> None:
     consumer = LaneStreamConsumer("sink", east_tx, lane=0)
 
     # 4. Run 200 us at 25 MHz (the paper's power-experiment operating point);
-    #    a one-router datapath clocks the router.
+    #    a one-router datapath clocks the router and runs both endpoints.
+    datapath = LaneDatapath("datapath", [router])
+    datapath.adopt(driver)
+    datapath.adopt(consumer)
     kernel = SimulationKernel(frequency_hz=25e6)
-    kernel.add_all([driver, consumer, LaneDatapath("datapath", [router])])
+    kernel.add(datapath)
     kernel.run(5000)
 
     # 5. Report.

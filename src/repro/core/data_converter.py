@@ -278,9 +278,8 @@ class LaneDeserializer:
         self._ack_pulse = False  # committed one-cycle pulse
         self.words_received = 0
         self.max_occupancy = 0
-        #: Callback fired when a reassembled word enters the receive queue;
-        #: the event schedule parks tile-side consumers on it (see
-        #: :meth:`TileInterface.watch_rx`).
+        #: Callback fired when a reassembled word enters the receive queue
+        #: (:meth:`TileInterface.watch_rx`).
         self.on_deliver: Optional[Callable[[], None]] = None
 
     # -- tile-side API -------------------------------------------------------------
@@ -438,8 +437,7 @@ class DataConverter:
             for lane in range(lanes_per_port)
         ]
         #: Callback fired when the tile interface injects or consumes data;
-        #: the owning router installs its ``wake`` here so that external
-        #: tile activity reschedules a quiescent router.
+        #: the datapath clocking the router installs its mark of the router.
         self.wake_hook = None
         #: Register bits of a fully idle converter per cycle (constant: the
         #: per-lane idle widths depend only on the geometry, never on flow
@@ -603,12 +601,8 @@ class TileInterface:
             hook()
 
     def watch_rx(self, lane: int, listener: Callable[[], None]) -> None:
-        """Invoke *listener* whenever a word is delivered on *lane*.
-
-        The event schedule parks a tile-side consumer when nothing is
-        pending; the delivery callback — fired from the owning router's
-        commit — is what puts it back on the batch.
-        """
+        """Invoke *listener* whenever a word is delivered on *lane* (the
+        datapath running the lane's consumer queues it for a drain)."""
         self._converter.deserializers[lane].on_deliver = listener
 
     # -- sending ----------------------------------------------------------------------

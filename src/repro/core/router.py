@@ -25,14 +25,14 @@ wire), which flushes lanes a reconfiguration stranded; after it only routed
 registers can change.
 
 The router is no kernel component.  One :class:`LaneDatapath` clocks every
-router of a fabric, a shard region or a single-router bench: it walks the
-programs of the routers that can move and parks the others, booking their
-constant per-cycle register bits in one step when they move again or at
-``sync``.  A wire change, a tile ``send`` / ``receive`` or a converter
-``configure_*`` marks its router active inside the datapath.  Under
-``schedule="vector"`` the fabric also gives the datapath a batch mode
-(:mod:`repro.sim.vector`) it enters from its live-route gate up.  A
-configuration write or a relink inside a cycle raises
+router of a fabric, a shard region or a single-router bench, and runs the
+stream endpoints feeding them: it walks the programs of the routers that can
+move and parks the others, booking their constant per-cycle register bits in
+one step when they move again or at ``sync``.  A wire change, a tile
+``send`` / ``receive`` or a converter ``configure_*`` marks its router active
+inside the datapath.  Under ``schedule="vector"`` the fabric also gives the
+datapath a batch mode (:mod:`repro.sim.vector`) it enters from its
+live-route gate up.  A configuration write or a relink inside a cycle raises
 :class:`~repro.common.SimulationError`.
 """
 
@@ -394,6 +394,8 @@ class LaneDatapath(FabricDatapath):
     the plane runs its busy cycles, the marks landing in its dirty list.  A
     configuration write or a dead wire between two routers releases it: its
     columns go back into the routers, which all walk the next cycle.
+
+    The stream endpoints it adopted run inside its cycle (:meth:`adopt`).
     """
 
     wire_watchers = ("watch_forward", "watch_ack")
@@ -421,6 +423,15 @@ class LaneDatapath(FabricDatapath):
         #: plane took over, and the cycle it last let go of them.
         self._scalar_cycles = 0
         self._released_at = 0
+        #: The stream endpoints (:meth:`adopt`).  Drivers numbered below
+        #: ``_early_drivers`` fire ahead of the routers, the rest after them;
+        #: the lane units and the drain queues act ahead of the routers'
+        #: commit (``_before``) or after it (``_after``).  A lane unit at rest
+        #: waits in ``_resting``; ``_owed`` maps a unit to its first unbooked
+        #: idle cycle, ``_sinks`` a tile consumer to its drain queue.
+        self._early_drivers = 0
+        self._units_before, self._units_after, self._resting, self._owed = {}, {}, {}, {}
+        self._sinks, self._drain_before, self._drain_after = {}, {}, {}
         #: Per router, what its tile interface and its wires to the outside call.
         self._marks = {router: partial(self.mark, router) for router in self.routers}
         for router in self.routers:
@@ -439,6 +450,72 @@ class LaneDatapath(FabricDatapath):
             self.plane_refusal = "NumPy is not importable"
         except SimulationError as refusal:
             self.plane_refusal = str(refusal)
+
+    # -- stream endpoints ------------------------------------------------------------------
+
+    def adopt(self, record):
+        """Take a circuit stream endpoint on and return it (twice raises
+        :class:`ConfigurationError`).  A record with a ``pacer`` fires from
+        :attr:`drivers`; one with a ``step`` has its lane unit stepped at the
+        clock edge until it rests; one with a ``drain`` drains after each
+        delivery on its lane.  Adopted before this datapath joined a kernel
+        it acts ahead of the routers in every cycle, else after them."""
+        if record in self._units_before or record in self._units_after or record in self._sinks:
+            raise ConfigurationError(f"{record.name!r} is already adopted")
+        early = self._scheduler is None
+        if hasattr(record, "pacer"):
+            number = self.drivers.adopt(record, self._cycle())
+            if early:
+                self._early_drivers = number + 1
+        if hasattr(record, "step"):
+            (self._units_before if early else self._units_after)[record] = None
+            record.listen(partial(self._stir, record))
+        elif hasattr(record, "drain"):
+            queue = self._sinks[record] = self._drain_before if early else self._drain_after
+            record.router.tile.watch_rx(record.lane, partial(self._delivered, record))
+            queue[record] = None  # what already waits drains at its first turn
+        self.wake()
+        return record
+
+    def release(self, record) -> None:
+        """Let go of *record*, booking what its lane unit owes (tolerates one
+        never adopted or already released)."""
+        self.drivers.release(record)
+        for units in (self._units_before, self._units_after):
+            if record in units:
+                del units[record]
+                self._resting.pop(record, None)
+                start, now = self._owed.pop(record, None), self._cycle()
+                if start is not None and now > start:
+                    record.book_idle(now - start)
+        self._sinks.pop(record, {}).pop(record, None)
+
+    def _stir(self, unit) -> None:
+        """*unit*'s wire changed or its driver queued a word: it steps from its next turn on."""
+        if unit in self._resting:
+            del self._resting[unit]
+            if self._asleep:
+                self.wake()
+
+    def _delivered(self, sink) -> None:
+        """A word arrived on *sink*'s lane: unless released, it drains at its next turn."""
+        if sink in self._sinks:
+            self._sinks[sink][sink] = None
+
+    def _turn(self, units: Dict, drain: Dict, cycle: int) -> None:
+        """Step the lane units of *units* not at rest, then drain the consumers in *drain*."""
+        resting, owed = self._resting, self._owed
+        for unit in units:
+            if unit not in resting:
+                start = owed.pop(unit, cycle)
+                if cycle > start:
+                    unit.book_idle(cycle - start)
+                if not unit.step(cycle):
+                    owed[unit] = cycle + 1
+                    resting[unit] = None
+        for sink in drain:
+            sink.drain()
+        drain.clear()
 
     # -- marks -----------------------------------------------------------------------------
 
@@ -488,34 +565,41 @@ class LaneDatapath(FabricDatapath):
     # -- simulation ------------------------------------------------------------------------
 
     def evaluate(self, cycle: int) -> None:
+        drivers = self.drivers
+        if drivers.next_due == cycle and self._early_drivers:
+            drivers.fire(cycle, self._early_drivers)
         if self._batching:
             plane = self.plane
             if plane._dirty:
                 plane._drain_dirty(cycle)
             plane._eval_batched()
-            return
-        walk = self._walk = self._next
-        self._next = {}
-        if self._stale:
-            for router in self._stale:
-                router._compile()
-            self._sweeps, self._stale = self._stale, {}
-        for router in walk:
-            eval_tile, eval_rx, ack_tile, ack_wire, ack_any, next_data, next_acks = router._sample
-            for out_idx, serializer in eval_tile:
-                next_data[out_idx] = serializer._current_phit
-            for out_idx, wires, lane in eval_rx:
-                next_data[out_idx] = wires[lane]
-            for in_idx, deserializer in ack_tile:
-                next_acks[in_idx] = deserializer._ack_pulse
-            for in_idx, wires, lane in ack_wire:
-                next_acks[in_idx] = wires[lane]
-            for in_idx, pulses, sources in ack_any:
-                next_acks[in_idx] = any(d._ack_pulse for d in pulses) or any(
-                    wires[lane] for wires, lane in sources
-                )
+        else:
+            walk = self._walk = self._next
+            self._next = {}
+            if self._stale:
+                for router in self._stale:
+                    router._compile()
+                self._sweeps, self._stale = self._stale, {}
+            for router in walk:
+                eval_tile, eval_rx, ack_tile, ack_wire, ack_any, next_data, next_acks = router._sample
+                for out_idx, serializer in eval_tile:
+                    next_data[out_idx] = serializer._current_phit
+                for out_idx, wires, lane in eval_rx:
+                    next_data[out_idx] = wires[lane]
+                for in_idx, deserializer in ack_tile:
+                    next_acks[in_idx] = deserializer._ack_pulse
+                for in_idx, wires, lane in ack_wire:
+                    next_acks[in_idx] = wires[lane]
+                for in_idx, pulses, sources in ack_any:
+                    next_acks[in_idx] = any(d._ack_pulse for d in pulses) or any(
+                        wires[lane] for wires, lane in sources
+                    )
+        if drivers.next_due == cycle:
+            drivers.fire(cycle)
 
     def commit(self, cycle: int) -> None:
+        if self._units_before or self._drain_before:
+            self._turn(self._units_before, self._drain_before, cycle)
         if self._batching:
             plane = self.plane
             if plane._dirty:
@@ -526,64 +610,66 @@ class LaneDatapath(FabricDatapath):
             stats = self._scheduler.scheduler_stats
             stats.vector_batches += 1
             stats.vector_components += len(self.routers)
-            return
-        active, sweeps, sleepers = self._next, self._sweeps, []
-        for router in self._walk:
-            if sweeps and router in sweeps:
-                router._sweep(cycle)
-                latched = router._latched
-            else:
-                (latch_data, latch_ack, out_data, next_data, ack_out, next_acks, previous, mask, slots,
-                 clocked_bits, gated_bits, tick, gated) = router._latch
-                # 1. Latch the routed output registers; a change drives its wire.
-                toggles = link_toggles = 0
-                for out_idx, link, lane in latch_data:
-                    new = next_data[out_idx]
-                    old = out_data[out_idx]
-                    if new != old:
-                        bits = ((old ^ new) & mask).bit_count()
-                        toggles += bits
-                        out_data[out_idx] = new
-                        if link is not None:
-                            link_toggles += bits
-                            previous[out_idx] = new
-                            link.drive_forward(lane, new)
-                if toggles:
-                    slots[XBAR_TOGGLE_BITS] += toggles
-                # 2. Latch the acknowledge registers; a change drives its wire.
-                for in_idx, link, lane in latch_ack:
-                    new = next_acks[in_idx]
-                    if new != ack_out[in_idx]:
-                        toggles += 1
-                        ack_out[in_idx] = new
-                        if link is not None:
-                            link.drive_ack(lane, new)
-                latched = router._latched = toggles != 0
-                if toggles:
-                    slots[REG_TOGGLE_BITS] += toggles
-                # 3. The constant register bits, the converter, the link toggles.
-                if clocked_bits:
-                    slots[REG_CLOCKED_BITS] += clocked_bits
-                if gated_bits:
-                    slots[REG_GATED_BITS] += gated_bits
-                tick(out_data, ack_out, cycle, gated)
-                if link_toggles:
-                    slots[LINK_TOGGLE_BITS] += link_toggles
-            # A router stays on the walk while it moves or once marked since
-            # it evaluated.
-            if latched or router in active or not self.frozen(router):
-                active[router] = None
-            else:
-                sleepers.append(router)
-        if sleepers:
-            for router in sleepers:
-                if router not in active:  # unless a later commit marked it
-                    self._parked[router] = cycle + 1
-        self._walk = _NOT_WALKING
-        if sweeps:
-            self._sweeps = {}
-            if self.plane is not None:
-                self._gate(cycle)
+        else:
+            active, sweeps, sleepers = self._next, self._sweeps, []
+            for router in self._walk:
+                if sweeps and router in sweeps:
+                    router._sweep(cycle)
+                    latched = router._latched
+                else:
+                    (latch_data, latch_ack, out_data, next_data, ack_out, next_acks, previous, mask, slots,
+                     clocked_bits, gated_bits, tick, gated) = router._latch
+                    # 1. Latch the routed output registers; a change drives its wire.
+                    toggles = link_toggles = 0
+                    for out_idx, link, lane in latch_data:
+                        new = next_data[out_idx]
+                        old = out_data[out_idx]
+                        if new != old:
+                            bits = ((old ^ new) & mask).bit_count()
+                            toggles += bits
+                            out_data[out_idx] = new
+                            if link is not None:
+                                link_toggles += bits
+                                previous[out_idx] = new
+                                link.drive_forward(lane, new)
+                    if toggles:
+                        slots[XBAR_TOGGLE_BITS] += toggles
+                    # 2. Latch the acknowledge registers; a change drives its wire.
+                    for in_idx, link, lane in latch_ack:
+                        new = next_acks[in_idx]
+                        if new != ack_out[in_idx]:
+                            toggles += 1
+                            ack_out[in_idx] = new
+                            if link is not None:
+                                link.drive_ack(lane, new)
+                    latched = router._latched = toggles != 0
+                    if toggles:
+                        slots[REG_TOGGLE_BITS] += toggles
+                    # 3. The constant register bits, the converter, the link toggles.
+                    if clocked_bits:
+                        slots[REG_CLOCKED_BITS] += clocked_bits
+                    if gated_bits:
+                        slots[REG_GATED_BITS] += gated_bits
+                    tick(out_data, ack_out, cycle, gated)
+                    if link_toggles:
+                        slots[LINK_TOGGLE_BITS] += link_toggles
+                # A router stays on the walk while it moves or once marked since
+                # it evaluated.
+                if latched or router in active or not self.frozen(router):
+                    active[router] = None
+                else:
+                    sleepers.append(router)
+            if sleepers:
+                for router in sleepers:
+                    if router not in active:  # unless a later commit marked it
+                        self._parked[router] = cycle + 1
+            self._walk = _NOT_WALKING
+            if sweeps:
+                self._sweeps = {}
+                if self.plane is not None:
+                    self._gate(cycle)
+        if self._units_after or self._drain_after:
+            self._turn(self._units_after, self._drain_after, cycle)
 
     def frozen(self, router: CircuitSwitchedRouter) -> bool:
         """True when another cycle of *router* with unchanged inputs would
@@ -616,13 +702,15 @@ class LaneDatapath(FabricDatapath):
         return True
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Now while a router walks or the plane is not at a fixed point, else park."""
-        if self._next:
+        """Now while a router walks, a lane unit is not at rest, a consumer ahead of
+        the routers has words or the plane moves; else when the next driver is due."""
+        if self._next or self._drain_before or len(self._resting) < len(self._units_before) + len(self._units_after):
             return cycle
         if self._batching:
             plane = self.plane
-            return None if plane._settled and not plane._dirty else cycle
-        return None
+            if not plane._settled or plane._dirty:
+                return cycle
+        return self.drivers.next_due
 
     def _book(self, router: CircuitSwitchedRouter, start: int, end: int) -> None:
         """Book *router*'s constant register bits of the idle cycles ``[start, end)``."""
@@ -650,11 +738,16 @@ class LaneDatapath(FabricDatapath):
         for router, start in parked.items():
             self._book(router, start, end)
             parked[router] = end
+        owed = self._owed
+        for unit, start in owed.items():
+            if end > start:
+                unit.book_idle(end - start)
+            owed[unit] = end
         for activity in self._counters:
             activity.cycles = end
 
     def reset(self) -> None:
-        """Every router back to power-on and on the walk; the plane waits for the gate."""
+        """Routers and endpoints back to power-on, all on the walk; the plane waits for the gate."""
         self._batching = False
         if self.plane is not None:
             self.plane._dirty.clear()
@@ -664,6 +757,10 @@ class LaneDatapath(FabricDatapath):
         self._walk, self._sweeps = _NOT_WALKING, {}
         self._next = dict.fromkeys(self.routers)
         self._stale = dict.fromkeys(self.routers)
+        for container in (self._resting, self._owed, self._drain_before, self._drain_after):
+            container.clear()
+        for record in (*self._units_before, *self._units_after, *self._sinks):
+            record.reset()  # a link driver again with the drivers, after its pacer's
         super().reset()
 
     # -- the vector batch mode -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Test-bench components that emulate the surroundings of a single router.
+"""Stream endpoints that emulate the surroundings of a router.
 
 The power experiments of Section 6/7 exercise one router with streams that
 enter or leave through its neighbour ports (Table 3: Tile→East, North→Tile,
@@ -14,12 +14,11 @@ and the local processing tile:
 * :class:`TileStreamDriver` / :class:`TileStreamConsumer` — the same roles for
   streams that start or end at the router's own tile interface.
 
-They are ordinary :class:`repro.sim.ClockedComponent` objects, so a scenario
-is simply a kernel containing a handful of these plus the one-router
-:class:`~repro.core.router.LaneDatapath` clocking the router under test.
-The GT and packet tile drivers are no components: the datapath clocking
-their router fires them from its own
-:class:`~repro.sim.datapath.DriverSchedule`.
+They are records, not kernel components: the
+:class:`~repro.core.router.LaneDatapath` clocking the router adopts them
+(``datapath.adopt(record)``) and runs them inside its cycle — ahead of the
+routers (reading what they committed the cycle before) when adopted before
+it joined a kernel, as a bench does, and after them otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.core.header import phits_per_packet
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
 from repro.energy.activity import REG_TOGGLE_BITS, ActivityCounters, ActivityKeys
-from repro.sim.engine import ClockedComponent
 
 __all__ = [
     "WordSource",
@@ -130,7 +128,36 @@ class LoadPacer:
         self._credit = 0
 
 
-class LaneStreamDriver(ClockedComponent):
+class _LinkEndpoint:
+    """One lane of a link and the lane unit behind it, which the datapath of
+    the router at the other end of the wire steps (``step``: False once it
+    rests) and books idle (:meth:`book_idle`) until a change on the wire
+    direction that router does not watch marks it (:meth:`listen`)."""
+
+    #: The dirty-bit of that direction.
+    _wakes_on = ""
+
+    def __init__(self, name: str, link: LaneLink, lane: int) -> None:
+        link.read_forward(lane)  # the lane is checked once, here
+        self.name = name
+        self.link = link
+        self.lane = lane
+        self._forward = link.forward
+        self._ack = link.ack
+        self.activity = ActivityCounters(name)
+
+    def listen(self, mark: Callable[[], None]) -> None:
+        """Call the adopting datapath's *mark* of this unit on a change of the wire it watches."""
+        self.mark = mark
+        getattr(self.link, self._wakes_on).add_listener(mark)
+
+    def book_idle(self, cycles: int) -> None:
+        """What *cycles* idle ticks of the lane unit record."""
+        self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self._unit.idle_cycle_bits * cycles)
+        self.activity.slots[REG_TOGGLE_BITS] += 0
+
+
+class LaneStreamDriver(_LinkEndpoint):
     """Drives one lane of a link *into* the router under test.
 
     Parameters
@@ -145,7 +172,12 @@ class LaneStreamDriver(ClockedComponent):
     load:
         Offered load as a fraction of the lane's capacity (1.0 = a word every
         5 cycles at the default geometry).
+
+    The adopting datapath fires it (:meth:`emit`) and steps its serialiser
+    while a queued word or an acknowledge moves it.
     """
+
+    _wakes_on = "ack_dirty"
 
     def __init__(
         self,
@@ -157,58 +189,35 @@ class LaneStreamDriver(ClockedComponent):
         data_width: int = 16,
         flow: FlowControlConfig = FlowControlConfig(),
     ) -> None:
-        super().__init__(name)
-        link.read_forward(lane)  # the lane is checked once, here
-        self.link = link
-        self.lane = lane
-        self._forward = link.forward
-        self._ack = link.ack
+        super().__init__(name, link, lane)
         self.word_source = word_source
         self.data_width = data_width
-        self.activity = ActivityCounters(name)
-        self.serializer = LaneSerializer(
+        self.serializer = self._unit = LaneSerializer(
             lane, link.lane_width, data_width, tx_queue_depth=4, flow=flow, activity=self.activity
         )
-        self._pacer = LoadPacer(load, phits_per_packet(data_width, link.lane_width))
+        self.pacer = LoadPacer(load, phits_per_packet(data_width, link.lane_width))
         self.words_offered = 0
         self.words_dropped = 0
-        # Event schedule: an acknowledge arriving while the driver is parked
-        # between emissions must put it back on the batch (the router end of
-        # the bundle owns the forward dirty-bit; the ack one fans out here).
-        link.ack_dirty.add_listener(self.wake)
 
-    def evaluate(self, cycle: int) -> None:
-        if self._pacer.should_emit():
-            self.words_offered += 1
-            if self.serializer.can_accept():
-                self.serializer.submit_word(self.word_source())
-            else:
-                self.words_dropped += 1
+    def emit(self, cycle: int) -> None:
+        """Offer one word: queue it in the serialiser unless its queue is full."""
+        self.words_offered += 1
+        if self.serializer.can_accept():
+            self.serializer.submit_word(self.word_source())
+            self.mark()
+        else:
+            self.words_dropped += 1
 
-    def commit(self, cycle: int) -> None:
+    def step(self, cycle: int) -> bool:
+        """The serialiser takes the acknowledge and drives its phit; False
+        once, idle and unacknowledged, it would only clock."""
         lane = self.lane
         serializer = self.serializer
         serializer.tick(self._ack[lane])
         phit = serializer._current_phit
         if phit != self._forward[lane]:
             self.link.drive_forward(lane, phit)
-
-    # -- timed protocol: between emissions an idle serialiser only clocks ----
-
-    #: The driver samples the acknowledge wire in its commit; a commit-phase
-    #: ack from an earlier-committing router must replay the cycle.
-    commit_wake_replays_cycle = True
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        if not self.serializer.quiescent or self._ack[self.lane]:
-            return cycle
-        return self._pacer.next_emit_cycle(cycle)
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        self._pacer.skip(cycles)
-        # What `cycles` idle serialiser ticks would have recorded.
-        self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self.serializer.idle_cycle_bits * cycles)
-        self.activity.slots[REG_TOGGLE_BITS] += 0
+        return not serializer.quiescent or self._ack[lane]
 
     @property
     def words_sent(self) -> int:
@@ -217,15 +226,19 @@ class LaneStreamDriver(ClockedComponent):
 
     def reset(self) -> None:
         self.serializer.reset()
-        self._pacer.reset()
+        self.pacer.reset()
         self.words_offered = 0
         self.words_dropped = 0
         # The wire is this driver's register output: back to idle with it.
         self.link.drive_forward(self.lane, 0)
 
 
-class LaneStreamConsumer(ClockedComponent):
-    """Consumes one lane of a link *out of* the router under test."""
+class LaneStreamConsumer(_LinkEndpoint):
+    """Consumes one lane of a link *out of* the router under test: the
+    adopting :class:`~repro.core.router.LaneDatapath` steps its deserialiser
+    while a phit or an acknowledge moves it."""
+
+    _wakes_on = "forward_dirty"
 
     def __init__(
         self,
@@ -235,54 +248,25 @@ class LaneStreamConsumer(ClockedComponent):
         data_width: int = 16,
         flow: FlowControlConfig = FlowControlConfig(),
     ) -> None:
-        super().__init__(name)
-        link.read_forward(lane)  # the lane is checked once, here
-        self.link = link
-        self.lane = lane
-        self._forward = link.forward
-        self._ack = link.ack
-        self.activity = ActivityCounters(name)
-        self.deserializer = LaneDeserializer(
+        super().__init__(name, link, lane)
+        self.deserializer = self._unit = LaneDeserializer(
             lane, link.lane_width, data_width, flow=flow, activity=self.activity
         )
         self.received: List[ReceivedWord] = []
-        # Event schedule: a phit arriving while the consumer is parked must
-        # put it back on the batch (the router end owns the ack dirty-bit).
-        link.forward_dirty.add_listener(self.wake)
 
-    def evaluate(self, cycle: int) -> None:  # all work happens at the clock edge
-        pass
-
-    def commit(self, cycle: int) -> None:
+    def step(self, cycle: int) -> bool:
+        """The deserialiser samples the lane, the destination tile reads every
+        word at once (it never stalls), the acknowledge is driven; False once
+        an idle lane into a quiescent deserialiser would only clock."""
         lane = self.lane
         deserializer = self.deserializer
         deserializer.tick(self._forward[lane], cycle)
-        # The destination tile reads everything immediately (it never stalls).
         while (word := deserializer.receive()) is not None:
             self.received.append(word)
         pulse = deserializer._ack_pulse
         if pulse != self._ack[lane]:
             self.link.drive_ack(lane, pulse)
-
-    # -- timed protocol: a pure sink never generates events of its own -------
-
-    #: The consumer samples the forward wire in its commit; a commit-phase
-    #: phit from an earlier-committing router must replay the cycle.
-    commit_wake_replays_cycle = True
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        if (
-            self._forward[self.lane]
-            or not self.deserializer.quiescent
-            or self.deserializer.available()
-        ):
-            return cycle
-        return None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        # What `cycles` idle deserialiser ticks would have recorded.
-        self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self.deserializer.idle_cycle_bits * cycles)
-        self.activity.slots[REG_TOGGLE_BITS] += 0
+        return self._forward[lane] or not deserializer.quiescent
 
     @property
     def words_received(self) -> int:
@@ -295,8 +279,9 @@ class LaneStreamConsumer(ClockedComponent):
         self.link.drive_ack(self.lane, False)
 
 
-class TileStreamDriver(ClockedComponent):
-    """Feeds a stream into the router through its own tile interface."""
+class TileStreamDriver:
+    """Feeds a stream into the router through its own tile interface: the
+    datapath clocking *router* fires it (:meth:`emit`)."""
 
     def __init__(
         self,
@@ -307,22 +292,19 @@ class TileStreamDriver(ClockedComponent):
         load: float = 1.0,
         mark_blocks: Optional[int] = None,
     ) -> None:
-        super().__init__(name)
+        self.name = name
         self.router = router
         self.lane = lane
         self.word_source = word_source
         self.mark_blocks = mark_blocks
-        self._pacer = LoadPacer(
-            load, phits_per_packet(router.data_width, router.lane_width)
-        )
+        self.pacer = LoadPacer(load, phits_per_packet(router.data_width, router.lane_width))
         self.words_offered = 0
         self.words_sent = 0
         self.words_dropped = 0
         self._index = 0
 
-    def evaluate(self, cycle: int) -> None:
-        if not self._pacer.should_emit():
-            return
+    def emit(self, cycle: int) -> None:
+        """Offer one word at the tile interface (dropped when the lane queue is full)."""
         self.words_offered += 1
         sob = eob = False
         if self.mark_blocks:
@@ -335,58 +317,29 @@ class TileStreamDriver(ClockedComponent):
         else:
             self.words_dropped += 1
 
-    def commit(self, cycle: int) -> None:  # the router itself owns the clocked state
-        pass
-
-    # -- timed protocol: the pacer is the driver's only per-cycle state ------
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        return self._pacer.next_emit_cycle(cycle)
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        self._pacer.skip(cycles)
-
     def reset(self) -> None:
-        self._pacer.reset()
+        self.pacer.reset()
         self.words_offered = 0
         self.words_sent = 0
         self.words_dropped = 0
         self._index = 0
 
 
-class TileStreamConsumer(ClockedComponent):
-    """Drains words arriving at the router's tile interface."""
+class TileStreamConsumer:
+    """Drains words arriving at the router's tile interface: a delivery on
+    its lane queues it in the datapath clocking *router* (:meth:`drain`)."""
 
     def __init__(self, name: str, router: CircuitSwitchedRouter, lane: int) -> None:
-        super().__init__(name)
+        self.name = name
         self.router = router
         self.lane = lane
         self.received: List[ReceivedWord] = []
-        # Event schedule: a word delivered to the tile interface while the
-        # consumer is parked must put it back on the batch.
-        router.tile.watch_rx(lane, self.wake)
 
-    def evaluate(self, cycle: int) -> None:
-        pass
-
-    def commit(self, cycle: int) -> None:
+    def drain(self) -> None:
+        """Read every word waiting on the lane."""
         receive = self.router.tile.receive
         while (word := receive(self.lane)) is not None:
             self.received.append(word)
-
-    # -- timed protocol: a pure sink never generates events of its own -------
-
-    #: The consumer drains the tile interface in its commit; a delivery from
-    #: an earlier-committing router must replay the cycle.
-    commit_wake_replays_cycle = True
-
-    settles_at_sync = True  # nothing to book, idle or busy
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        return cycle if self.router.tile.rx_available(self.lane) else None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        pass
 
     @property
     def words_received(self) -> int:

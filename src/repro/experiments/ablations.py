@@ -130,11 +130,12 @@ def window_counter_sweep(
         router.tile.configure_tx(0, flow)
 
         kernel = SimulationKernel(frequency_hz)
-        driver = TileStreamDriver(
+        datapath = LaneDatapath("dut_datapath", [router])
+        driver = datapath.adopt(TileStreamDriver(
             "src", router, 0, word_generator(BitFlipPattern.TYPICAL, seed=window), load=1.0
-        )
-        consumer = LaneStreamConsumer("dst", tx, 0, flow=flow)
-        kernel.add_all([driver, consumer, LaneDatapath("dut_datapath", [router])])
+        ))
+        consumer = datapath.adopt(LaneStreamConsumer("dst", tx, 0, flow=flow))
+        kernel.add(datapath)
         kernel.run(cycles)
 
         ideal_words = cycles / 5.0

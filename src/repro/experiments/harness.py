@@ -162,10 +162,10 @@ def _run_testbench(kernel: SimulationKernel, components, datapath, cycles: int) 
     clocking the router under test, then run.
 
     Several streams may share one physical consumer; registration
-    deduplicates by object identity.  A tile stream driver of the GT or
-    packet router is no component: the datapath adopts it.  The datapath is
-    appended last so stream pacing decisions see the router state committed
-    in the same cycle.
+    deduplicates by object identity.  A stream endpoint record is adopted
+    by the datapath, before it joins the kernel, so it acts ahead of the
+    router in every cycle; a link-side GT or packet endpoint is a kernel
+    component, registered ahead of the datapath for the same reason.
     """
     seen: set[int] = set()
     for component in components:
@@ -175,7 +175,7 @@ def _run_testbench(kernel: SimulationKernel, components, datapath, cycles: int) 
         if isinstance(component, ClockedComponent):
             kernel.add(component)
         else:
-            datapath.drivers.adopt(component, kernel.cycle)
+            datapath.adopt(component)
     kernel.add(datapath)
     kernel.run(cycles)
 

@@ -25,7 +25,7 @@ from repro.energy.power import PowerBreakdown
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.noc.topology import IrregularMesh, Position, Topology
 from repro.noc.word_proxy import WordSourceRegistry
-from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
+from repro.sim.engine import DEFAULT_SCHEDULE, SimulationKernel
 
 __all__ = [
     "NocBase",
@@ -116,8 +116,8 @@ class NocBase:
                 rx = self.links[(neighbor, position)]
                 router.attach_link(port, rx, tx)
 
-        # Streams are appended to the kernel after the routers so that their
-        # pacing decisions see the routers' committed state of the same cycle.
+        # The datapath joins the kernel before any stream endpoint is adopted,
+        # so the endpoints see the routers' committed state of the same cycle.
         self._register_with_kernel()
 
         self.streams: Dict[str, Any] = {}
@@ -139,26 +139,15 @@ class NocBase:
         return self.region is None or position in self.region
 
     def _register_with_kernel(self) -> None:
-        """Register the routers with the simulation kernel.
-
-        A router that is a kernel component goes on the schedule on its own;
-        the others are clocked by one :attr:`datapath_class` component,
-        :attr:`datapath`, which under ``schedule="vector"`` also takes a
+        """Register one :attr:`datapath_class` component, :attr:`datapath`,
+        clocking every router; under ``schedule="vector"`` it also takes a
         vector plane where its kind has one.  Runs before any stream endpoint
-        is added, so the registration-index ordering routers-before-streams
-        holds.
+        is adopted, so every endpoint acts after the routers in a cycle.
         """
-        members = []
-        for router in self.routers.values():
-            if isinstance(router, ClockedComponent):
-                self.kernel.add(router)
-            else:
-                members.append(router)
-        if members:
-            self.datapath = self.datapath_class(f"{self.activity_name}_datapath", members)
-            if self.kernel.schedule == "vector":
-                self.datapath.use_plane()
-            self.kernel.add(self.datapath)
+        self.datapath = self.datapath_class(f"{self.activity_name}_datapath", list(self.routers.values()))
+        if self.kernel.schedule == "vector":
+            self.datapath.use_plane()
+        self.kernel.add(self.datapath)
 
     # -- construction hooks -----------------------------------------------------------
 
@@ -288,32 +277,31 @@ class NocBase:
         if registry is not None:
             registry.deactivate(name, self.kernel.cycle)
 
-    def _adopt_driver(self, driver: Any) -> Any:
-        """Hand a tile stream driver to the datapath clocking its router
-        (GT and packet); returns what the stream's endpoints record."""
-        driver.router.datapath.drivers.adopt(driver, self.kernel.cycle)
-        return driver
+    def _adopt_driver(self, endpoint: Any) -> Any:
+        """Hand a tile stream endpoint record to the datapath clocking its
+        router; returns what the stream's endpoints record."""
+        return endpoint.router.datapath.adopt(endpoint)
 
-    def _remove_component(self, component: Any) -> None:
-        """Take one endpoint component off the kernel, or a tile stream
-        driver off its datapath (tolerates absence).
+    #: The same for a stream's sink (a test reference NoC tells the two apart).
+    _adopt_sink = _adopt_driver
 
-        Halting a stream removes its source driver early; the later full
-        detach must not trip over the already-removed component.
+    def _remove_component(self, endpoint: Any) -> None:
+        """Take one stream endpoint record off the datapath that runs it
+        (tolerates absence).
+
+        Halting a stream releases its source driver early; the later full
+        detach must not trip over the already-released record.
         """
-        if isinstance(component, ClockedComponent):
-            if component._scheduler is self.kernel:
-                self.kernel.remove(component)
-        elif component is not None:
-            component.router.datapath.drivers.release(component)
+        if endpoint is not None:
+            endpoint.router.datapath.release(endpoint)
 
     def _detach_stream_components(self, endpoints: Any) -> None:
-        """Take one stream's driver/sink components off the kernel."""
+        """Release one stream's driver and sink records."""
         raise NotImplementedError
 
     def halt_stream(self, name: str) -> None:
-        """Stop one stream's injection (its source driver leaves the kernel
-        or the datapath that fires it).
+        """Stop one stream's injection (its source driver leaves the
+        datapath that fires it).
 
         The first phase of a clean run-time teardown: the application stops
         producing, but the sink endpoints stay attached so words already in
@@ -331,8 +319,8 @@ class NocBase:
         """Remove one registered stream's endpoints from the network.
 
         The run-time counterpart of stream attachment: the departing
-        application's drivers and sinks leave the simulation kernel (their
-        names become reusable) or their datapath, while routers, links and
+        application's drivers and sinks leave their datapath (their names
+        become reusable), while routers, links and
         any admitted configuration stay untouched — tearing those down is
         :meth:`remove_allocation` / :meth:`detach_channel` territory.
         Returns the removed endpoints record.

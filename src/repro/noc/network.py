@@ -193,20 +193,18 @@ class CircuitSwitchedNoC(NocBase):
         )
         driver = sink = None
         if self.is_local(circuit.src):
-            driver = TileStreamDriver(
+            driver = self._adopt_driver(TileStreamDriver(
                 f"{name}_src",
                 self.router_at(circuit.src),
                 circuit.source_tile_lane,
                 word_source,
                 load,
                 mark_blocks=mark_blocks,
-            )
-            self.kernel.add(driver)
+            ))
         if self.is_local(circuit.dst):
-            sink = TileStreamConsumer(
+            sink = self._adopt_sink(TileStreamConsumer(
                 f"{name}_dst", self.router_at(circuit.dst), circuit.destination_tile_lane
-            )
-            self.kernel.add(sink)
+            ))
         endpoints = StreamEndpoints(name, driver, sink, allocation)
         self.streams[name] = endpoints
         return endpoints

@@ -1,7 +1,7 @@
 """Cross-shard word-source proxy: exact global pull order for shared sources.
 
 A word source shared between channels is pulled in a global interleaving
-determined by the kernel's component order: at each cycle, every firing
+determined by the drivers' adoption order: at each cycle, every firing
 driver pulls in the order the drivers were added.  A single process gets
 this for free.  A sharded run (:mod:`repro.sim.shard`) replicates the
 source per shard, but each shard only hosts the drivers whose source tile

@@ -31,39 +31,12 @@ The paper's central energy argument — most of a circuit-switched fabric is
 idle most of the time (Section 7.3 proposes clock gating for exactly this
 reason) — applies to simulation cost as well:
 
-* **Predicted events.**  Every component answers ``next_event_cycle(cycle)``
-  — the first cycle at which its evaluate/commit could do more than an idle
-  tick, given unchanged inputs (``None`` = never; the default, "due now",
-  runs it every cycle; traffic pacers predict their next emission in closed
-  form, the GT and packet datapaths their next driver's due cycle or the
-  injection slot of a queued word, the circuit datapath ``None`` once every
-  router it clocks is frozen).  After each executed cycle the
-  kernel parks it, puts it on a timestamp-ordered heap of ``(due, index,
-  seq, component)`` entries, or keeps it on the dense batch; entries are
-  lazily invalidated, so wakes and removals never search the heap.
-* **Dirty-bit wakes.**  The wire bundles between routers
-  (:class:`repro.core.lane.LaneLink`, :class:`repro.baseline.link.PacketLink`)
-  carry a :class:`repro.sim.signals.DirtyBit` per direction.  A write that
-  actually changes a committed value marks the bit and wakes the reading
-  component; so do its external interface (tile send/receive,
-  configuration-memory writes) and a kernel reset.  Wakes during the
-  evaluate phase rejoin the *current* cycle (matching the strict schedule
-  exactly); wakes at a clock edge rejoin the next cycle.
-* **Leaping.**  Each step pops the batch of entries due at the earliest
-  cycle and runs exactly those components (plus the dense ones); when
-  nothing is dense and no per-cycle hook is registered, the clock jumps
-  straight to the next batch, so cost is proportional to *events*, not
-  cycles.  Nothing executes inside the jump, so no wire can change and no
-  parked component can wake — the kernel rejects a ``wake()`` there.
-* **Deferred idle accounting.**  A parked component still accrues a
-  constant per-cycle activity contribution (clocked or clock-gated register
-  bits, the cycle counter itself, pacer credit).  The kernel defers it and
-  flushes it in one ``idle_tick`` call when the component runs again and at
-  the end of every ``run``.  Where the contribution is the same for a busy
-  cycle (the packet and GT datapaths), or the component books what its parts
-  owe itself (the circuit datapath, per parked router), it sets
-  ``settles_at_sync``: no wake-up ticks it, and ``sync()`` settles
-  everything elapsed, awake or asleep, in one call.
+* **Events, not cycles.**  Under ``vector`` a component that ran answers
+  ``next_event_cycle``: it stays dense, parks until a dirty-bit wake
+  (:class:`repro.sim.signals.DirtyBit`, a tile or configuration write) or
+  waits on a heap; with nothing dense the clock leaps, and idle accounting
+  is deferred to one ``idle_tick``.  A datapath at rest answers its next
+  driver's due cycle.  :mod:`repro.sim.engine` specifies the protocol.
 * **Timed hooks.**  ``add_pre_cycle_hook(hook, every=N)`` runs the hook on
   cycles divisible by ``N`` under both schedules, and leaps never skip a
   scheduled hook cycle; a dense hook (``every=1``) disables leaping.  A hook
@@ -78,12 +51,13 @@ reason) — applies to simulation cost as well:
   ticks only live lanes and books the idle ones as one constant, and the
   first commit of every version sweeps every register and wire densely, so
   stale lanes cannot linger.  A frozen router is parked inside the datapath
-  until a wire, tile or configuration write marks it.  Components never ask
-  which schedule runs them.
+  until a wire, tile or configuration write marks it, and so is a link-side
+  stream endpoint's lane unit.  Components never ask which schedule runs
+  them.
 
-Ordering stays deterministic: batches commit in registration-index order (the order
-``strict`` uses), and the ``seq`` tiebreaker makes heap order independent of
-hash seeds or insertion history.
+Ordering stays deterministic: batches commit in registration-index order
+(the order ``strict`` uses), and heap order is independent of hash seeds or
+insertion history.
 
 The columnar vector batch mode
 ------------------------------
@@ -111,8 +85,9 @@ output phit, deserialiser collected phits, owed and committed acknowledge
 pulses — is columns of the same plane, shifted for all lanes at once; only
 the word edges (load a queued word, return credit, deliver a word to the
 tile) stay scalar.  The GT and packet datapaths (one kernel component per fabric on
-the :mod:`repro.sim.datapath` skeleton, firing the fabric's tile stream
-drivers themselves) and clock-gated circuit fabrics get no plane;
+the :mod:`repro.sim.datapath` skeleton, like the circuit one, each running
+the fabric's stream endpoints itself) and clock-gated circuit fabrics get no
+plane;
 ``network.schedule_report()`` names the requested and the effective schedule
 and the reason they differ.
 
@@ -127,7 +102,7 @@ at least 0.6× of the recorded ratio.
 """
 
 from repro.sim.engine import ClockedComponent, SimulationKernel
-from repro.sim.signals import DirtyBit, Register, RegisterBank, Wire
+from repro.sim.signals import DirtyBit
 from repro.sim.stats import SchedulerStats
 
 __all__ = [
@@ -135,9 +110,6 @@ __all__ = [
     "SimulationKernel",
     "ShardedNetwork",
     "ShardedSimulation",
-    "Register",
-    "RegisterBank",
-    "Wire",
     "DirtyBit",
     "SchedulerStats",
     "VectorPlane",

@@ -1,15 +1,17 @@
 """The skeleton the compiled circuit, GT and packet datapaths share.
 
 A datapath is one kernel component clocking a set of routers that are no
-components themselves.  :class:`FabricDatapath` holds what does not depend on
-the router kind, :class:`DatapathMember` the routers' wiring; a kind keeps
-its per-member compile and its own ``evaluate``, ``commit`` and
+components themselves, and running the stream endpoint records that feed
+them (:meth:`FabricDatapath.adopt`).  :class:`FabricDatapath` holds what does
+not depend on the router kind, :class:`DatapathMember` the routers' wiring; a
+kind keeps its per-member compile and its own ``evaluate``, ``commit`` and
 ``next_event_cycle``, so the skeleton adds no call to a cycle.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappush, heapreplace
+from sys import maxsize
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port
@@ -22,16 +24,17 @@ _CLOCKED_BITS = ActivityKeys.REG_CLOCKED_BITS
 
 
 class DriverSchedule:
-    """The tile stream drivers one datapath fires itself, in due order.
+    """The stream drivers one datapath fires itself, in due order.
 
-    The GT and packet datapaths own their tile drivers (plain records with a
-    ``pacer``, an ``emit(cycle)`` and a ``reset()``): the top of the
-    datapath's ``commit`` fires the drivers due that cycle, and its
-    ``next_event_cycle`` is no later than :attr:`next_due`.  A heap keyed
-    ``(due cycle, adoption number)`` orders them, so drivers sharing a word
-    source pull in adoption order within a cycle — the registration order
-    they had as kernel components.  Each driver's pacer advances in closed
-    form, one :meth:`~repro.core.testbench.LoadPacer.emit_from` per emission.
+    Every datapath owns its drivers (plain records with a ``pacer``, an
+    ``emit(cycle)`` and a ``reset()``): the GT and packet ones fire the
+    drivers due that cycle at the top of their ``commit``, the circuit one in
+    its evaluate phase, and each one's ``next_event_cycle`` is no later than
+    :attr:`next_due`.  A heap keyed ``(due cycle, adoption number)`` orders
+    them, so drivers sharing a word source pull in adoption order within a
+    cycle — the registration order they had as kernel components.  Each
+    driver's pacer advances in closed form, one
+    :meth:`~repro.core.testbench.LoadPacer.emit_from` per emission.
     """
 
     __slots__ = ("_owner", "_heap", "_adopted", "_count", "next_due")
@@ -46,15 +49,22 @@ class DriverSchedule:
         #: The earliest cycle any driver is due (``None``: none ever is).
         self.next_due: Optional[int] = None
 
-    def adopt(self, driver: Any, cycle: int) -> None:
-        """Take *driver* on: it offers its first word at or after *cycle*."""
+    def adopt(self, driver: Any, cycle: int) -> int:
+        """Take *driver* on (twice raises :class:`ConfigurationError`): it offers
+        its first word at or after *cycle*.  Returns its adoption number."""
+        if driver in self._adopted:
+            raise ConfigurationError(f"driver {driver.name!r} is already adopted")
         number = self._adopted[driver] = self._count
         self._count += 1
+        self._schedule(driver, number, cycle)
+        self._owner.wake()
+        return number
+
+    def _schedule(self, driver: Any, number: int, cycle: int) -> None:
         due = driver.pacer.emit_from(cycle)
         if due is not None:
             heappush(self._heap, (due, number, driver))
             self.next_due = self._heap[0][0]
-        self._owner.wake()
 
     def release(self, driver: Any) -> None:
         """Drop *driver* (tolerates one that was never adopted or already left)."""
@@ -64,26 +74,29 @@ class DriverSchedule:
         heapify(self._heap)
         self.next_due = self._heap[0][0] if self._heap else None
 
-    def fire(self, cycle: int) -> None:
-        """Emit every driver due at *cycle* (which must be :attr:`next_due`)."""
+    def fire(self, cycle: int, below: int = maxsize) -> None:
+        """Emit every driver due at *cycle* (:attr:`next_due`) numbered below *below*."""
         heap = self._heap
-        while heap[0][0] == cycle:
-            _due, number, driver = heap[0]
+        entry = heap[0]
+        while entry[0] == cycle and entry[1] < below:
+            driver = entry[2]
             driver.emit(cycle)
             # pacer.emit_from(cycle + 1), inlined: a driver that emitted has a load.
             pacer = driver.pacer
             step, threshold = pacer._step, pacer._threshold
             gap = -((pacer._credit - threshold) // step)
             pacer._credit += step * gap - threshold
-            heapreplace(heap, (cycle + gap, number, driver))
-        self.next_due = heap[0][0]
+            heapreplace(heap, (cycle + gap, entry[1], driver))
+            entry = heap[0]
+        self.next_due = entry[0]
 
     def reset(self) -> None:
-        """Reset every driver; each offers its first word from cycle 0 on."""
-        drivers, self._adopted, self._heap, self.next_due = list(self._adopted), {}, [], None
-        for driver in drivers:  # in adoption order
+        """Reset every driver, due again from cycle 0 on under its adoption number."""
+        self._heap, self.next_due = [], None
+        for driver, number in self._adopted.items():
             driver.reset()
-            self.adopt(driver, 0)
+            self._schedule(driver, number, 0)
+        self._owner.wake()
 
 
 class DatapathMember:
@@ -191,6 +204,22 @@ class FabricDatapath(ClockedComponent):
 
     def use_plane(self) -> None:
         """Batch busy cycles in a vector plane, for a kind that has one (this one has none)."""
+
+    # -- stream endpoints ----------------------------------------------------------------
+
+    def adopt(self, record: Any) -> Any:
+        """Take a stream endpoint record on and return it (here a tile stream driver)."""
+        self.drivers.adopt(record, self._cycle())
+        return record
+
+    def release(self, record: Any) -> None:
+        """Let go of *record* (tolerates one never adopted or already released)."""
+        self.drivers.release(record)
+
+    def _cycle(self) -> int:
+        """The kernel's cycle, 0 before this datapath joined one."""
+        kernel = self._scheduler
+        return kernel.cycle if kernel is not None else 0
 
     # -- wiring, between cycles ----------------------------------------------------------
 

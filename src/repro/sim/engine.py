@@ -31,10 +31,11 @@ Two schedules are available (:data:`SCHEDULES`), bit-identical;
     interfaces (tile send/receive, configuration writes): any write that
     actually changes a value calls :meth:`ClockedComponent.wake` on the
     reading component.  A network registers one compiled datapath
-    (:class:`repro.sim.datapath.FabricDatapath`) that clocks all its routers
-    and answers for them as one component.  Under this schedule the
-    circuit-switched one (:class:`repro.core.router.LaneDatapath`) also has
-    the columnar batch mode of :mod:`repro.sim.vector`: from its live-route
+    (:class:`repro.sim.datapath.FabricDatapath`) that clocks all its routers,
+    runs the stream endpoints feeding them and answers for all of them as
+    one component.  Under this schedule the circuit-switched one
+    (:class:`repro.core.router.LaneDatapath`) also has the columnar batch
+    mode of :mod:`repro.sim.vector`: from its live-route
     gate up a busy cycle of the whole fabric is a handful of NumPy
     gathers/XORs/popcounts, whose toggle counts (``popcount(xor(new,
     old))``) equal the scalar ``int.bit_count`` path exactly.  Below the
@@ -91,19 +92,11 @@ Event-queue contract
 * Dirty-bit wakes invalidate a pending heap entry (lazy deletion: the entry
   stays in the heap and is discarded when popped), so a component woken
   early simply rejoins the dense batch.
-* Components that *read live state during their commit phase* (the stream
-  testbenches, which observe wires through commit-phase method calls) set
-  the class attribute ``commit_wake_replays_cycle``.  When such a component
-  is woken during the commit phase by a component with a *lower*
-  registration index — one that would have committed before it under the
-  strict schedule — the kernel replays the woken component's evaluate and
-  appends its commit after the batch, in registration order, exactly
-  reproducing the strict interleaving.  (A wake from a higher-index
-  component means the sleeper's own commit slot had already passed with
-  unchanged inputs, so the current cycle stays an idle tick and it rejoins
-  at the next cycle — also exactly strict.)  A flag-setting component must
-  have a single live-state source per cycle, which holds for every stream
-  endpoint in this repository.
+* A component woken during the evaluate phase rejoins the cycle in flight
+  (matching ``strict`` exactly); one woken during the commit phase rejoins
+  at the next cycle: its own commit of the current one was an idle tick.
+  Whatever must see a change in the cycle it happens belongs inside the
+  component that makes it — a datapath runs its stream endpoints itself.
 """
 
 from __future__ import annotations
@@ -127,7 +120,7 @@ SCHEDULES = ("strict", "vector")
 #: vector batch mode of its datapath.
 DEFAULT_SCHEDULE = "vector"
 
-#: Sort key of the awake and late lists: registration order (a C-level getter).
+#: Sort key of the awake list: registration order (a C-level getter).
 _BY_REGISTRATION = operator.attrgetter("_kernel_index")
 
 
@@ -139,18 +132,13 @@ class ClockedComponent(abc.ABC):
     combinational logic in front of the registers, ``commit`` is the clock
     edge.  Components whose idle behaviour is predictable override
     :meth:`next_event_cycle` and :meth:`idle_tick` (the timed protocol of the
-    module docstring).
+    module docstring).  :attr:`settles_at_sync` is the one protocol switch.
     """
 
-    #: Set by subclasses whose *commit* reads live state another component
-    #: drives during the same commit phase (the stream testbenches).  Under
-    #: ``schedule="vector"`` a commit-phase wake from a lower-index component
-    #: then replays the current cycle in registration order instead of
-    #: deferring to the next cycle (see "Event-queue contract").
-    commit_wake_replays_cycle: ClassVar[bool] = False
     #: Set by subclasses whose :meth:`idle_tick` books the same for a busy
-    #: cycle as for an idle one: called once per :meth:`SimulationKernel.sync`
-    #: over everything elapsed, never at a wake (see "Event-queue contract").
+    #: cycle as for an idle one, or that book what their parts owe
+    #: themselves: called once per :meth:`SimulationKernel.sync` over
+    #: everything elapsed, never at a wake (see "Event-queue contract").
     settles_at_sync: ClassVar[bool] = False
     def __init__(self, name: str) -> None:
         if not name:
@@ -294,14 +282,10 @@ class SimulationKernel:
         self._phase = "idle"
         # Event-schedule state: the timestamp-ordered heap of
         # (due, registration_index, sequence, component) entries (stale
-        # entries are lazily discarded — see ClockedComponent._due), the
-        # late-commit list of replayed commit-phase wakes, the registration
-        # index of the component currently committing (for the replay-order
-        # decision) and a monotonic push sequence that keeps duplicate
-        # entries of one component from ever comparing the component objects.
+        # entries are lazily discarded — see ClockedComponent._due) and a
+        # monotonic push sequence that keeps duplicate entries of one
+        # component from ever comparing the component objects.
         self._heap: list[tuple[int, int, int, ClockedComponent]] = []
-        self._late: list[ClockedComponent] = []
-        self._commit_index = -1
         self._event_seq = 0
         self.scheduler_stats = SchedulerStats()
 
@@ -331,7 +315,7 @@ class SimulationKernel:
         return component
 
     def remove(self, component: ClockedComponent) -> ClockedComponent:
-        """Unregister a component (run-time departure of a stream endpoint).
+        """Unregister a component (a run-time departure).
 
         The component's deferred idle accounting is flushed first, so its
         activity counters stay exact; its name becomes available again for a
@@ -453,35 +437,10 @@ class SimulationKernel:
         start = self._sleeping.pop(component)
         cycle = self._cycle
         phase = self._phase
-        if phase == "commit":
-            if (
-                component.commit_wake_replays_cycle
-                and self._commit_index < component._kernel_index
-            ):
-                # The waker would have committed *before* this component
-                # under the strict schedule, so this component's commit of
-                # the current cycle must still run and must observe the
-                # waker's output.  Replay the cycle: flush the skipped gap,
-                # evaluate now (flag-setting components' evaluate reads no
-                # wires), and queue the commit to run after the batch in
-                # index order.
-                if cycle > start:
-                    if not component.settles_at_sync:
-                        component.idle_tick(start, cycle - start)
-                    self.scheduler_stats.skipped += cycle - start
-                component._input_dirty = False
-                component.evaluate(cycle)
-                self._late.append(component)
-                self.scheduler_stats.wakes += 1
-                return
-            # The input changed at this cycle's clock edge; the component's
-            # own commit of the current cycle is still an idle tick.
-            boundary = cycle + 1
-        else:
-            # Woken during the evaluate phase (e.g. a word submitted at the
-            # tile interface) or between cycles: the component rejoins the
-            # current cycle, so only fully skipped cycles are idle-accounted.
-            boundary = cycle
+        # Woken at a clock edge, its own commit of this cycle was an idle tick;
+        # woken in the evaluate phase or between cycles, it rejoins this
+        # cycle, so only fully skipped cycles are idle-accounted.
+        boundary = cycle + 1 if phase == "commit" else cycle
         if boundary > start:
             if not component.settles_at_sync:
                 component.idle_tick(start, boundary - start)
@@ -525,8 +484,6 @@ class SimulationKernel:
         self._unsettled = dict.fromkeys(self._unsettled, 0)
         self._woken.clear()
         self._heap.clear()
-        self._late.clear()
-        self._commit_index = -1
         self._phase = "idle"
         self.scheduler_stats = SchedulerStats()
         # Clear all scheduling flags before any component reset runs: a
@@ -625,10 +582,8 @@ class SimulationKernel:
             woken.clear()
             merged = True
         if merged:
-            # The strict schedule runs components in registration order, and
-            # testbench components observe each other through commit-phase
-            # method calls — rejoining components must slot back into their
-            # original position to stay cycle-exact.
+            # The strict schedule runs components in registration order:
+            # rejoining components slot back into their original position.
             awake.sort(key=_BY_REGISTRATION)
         self._phase = "evaluate"
         for component in awake:
@@ -642,22 +597,8 @@ class SimulationKernel:
             woken.clear()
             awake.sort(key=_BY_REGISTRATION)
         self._phase = "commit"
-        late = self._late
         for component in awake:
-            self._commit_index = component._kernel_index
             component.commit(cycle)
-        # Replayed components rejoin at the end of the batch, out of order.
-        replayed = bool(late)
-        while late:
-            # Replayed commit-phase wakes run after the batch in registration
-            # order (see _wake_component); a replayed commit may itself wake
-            # further downstream replayers, hence the loop.
-            late.sort(key=_BY_REGISTRATION)
-            component = late.pop(0)
-            self._commit_index = component._kernel_index
-            component.commit(cycle)
-            awake.append(component)
-        self._commit_index = -1
         self._phase = "idle"
         self._cycle = cycle + 1
         for hook, every in self._post_cycle_hooks:
@@ -694,8 +635,6 @@ class SimulationKernel:
             self._phase = "idle"
         if len(heap) > stats.heap_peak:
             stats.heap_peak = len(heap)
-        if replayed:
-            awake.sort(key=_BY_REGISTRATION)
 
     def _advance(self, limit: Optional[int] = None) -> None:
         """Run one clock cycle — under ``vector`` one batch of the event

@@ -250,23 +250,29 @@ def drawn(strategy, number: int):
     return examples[0]
 
 
-def clock_of(router):
+def clock_of(router, *endpoints):
     """What the kernel clocks for *router*: itself (a reference router), or a
-    one-router datapath (a circuit, packet or slot-table router)."""
+    one-router datapath (a circuit, packet or slot-table router) that adopts
+    the stream endpoint records *endpoints*."""
     if isinstance(router, ClockedComponent):
         return router
     if isinstance(router, CircuitSwitchedRouter):
-        return LaneDatapath("dut_datapath", [router])
-    datapath = PacketDatapath if isinstance(router, PacketSwitchedRouter) else TdmaDatapath
-    return datapath("dut_datapath", [router])
+        clock = LaneDatapath("dut_datapath", [router])
+    else:
+        datapath = PacketDatapath if isinstance(router, PacketSwitchedRouter) else TdmaDatapath
+        clock = datapath("dut_datapath", [router])
+    for endpoint in endpoints:
+        clock.adopt(endpoint)
+    return clock
 
 
 def twin_benches(router_classes, make_link, setup, *, schedule=None, **router_kwargs):
     """One single-router bench per class (links on all four sides, own kernel,
-    under *schedule* or the default), populated alike by ``setup(router,
-    links)``, which returns the extra components to clock (or ``None``) —
-    tile stream drivers of a datapath (no components) are adopted by it —
-    clocked by :func:`clock_of`."""
+    under *schedule* or the default, or under the class's ``bench_schedule``
+    where it names one), populated alike by ``setup(router, links)``, which
+    returns the extra components to clock (or ``None``) — stream endpoint
+    records (no components) are adopted by the datapath — clocked by
+    :func:`clock_of`."""
     benches = []
     for router_class in router_classes:
         router = router_class("dut", position=(1, 1), **router_kwargs)
@@ -274,13 +280,14 @@ def twin_benches(router_classes, make_link, setup, *, schedule=None, **router_kw
         for port in NEIGHBOR_PORTS:
             links[port] = (make_link(f"rx_{port.short_name}", router), make_link(f"tx_{port.short_name}", router))
             router.attach_link(port, *links[port])
-        kernel = SimulationKernel(25e6, **({"schedule": schedule} if schedule else {}))
+        bench_schedule = getattr(router_class, "bench_schedule", None) or schedule
+        kernel = SimulationKernel(25e6, **({"schedule": bench_schedule} if bench_schedule else {}))
         clock, components = clock_of(router), []
         for component in setup(router, links) or ():
             if isinstance(component, ClockedComponent):
                 components.append(component)
             else:
-                clock.drivers.adopt(component, 0)
+                clock.adopt(component)
         kernel.add_all([*components, clock])
         benches.append((router, links, kernel))
     return benches

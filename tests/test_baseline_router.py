@@ -837,6 +837,10 @@ class _ReferencePacketNoC(PacketSwitchedNoC):
     def _adopt_driver(self, driver):
         return self.kernel.add(_reference_packet_driver(driver))
 
+    def _remove_component(self, component):
+        if component is not None and component._scheduler is self.kernel:
+            self.kernel.remove(component)
+
 
 def _fields(flit):
     """A comparable flit: everything but the process-global packet id."""

@@ -130,16 +130,20 @@ class TestLifecycleChurn:
             assert network.streams == {}
 
     def test_kernel_component_count_returns_to_baseline(self):
+        """The kernel clocks the datapath alone; the stream endpoints it
+        adopts for an application leave it with the application."""
         network, ccn = _network_and_ccn("circuit")
-        baseline = len(network.kernel.components)
+        datapath = network.datapath
         graph = hiperlan2.build_process_graph()
         generator = word_generator(BitFlipPattern.TYPICAL, seed=3)
         ccn.admit(graph)
         ccn.attach_traffic(graph.name, generator, load=0.5)
-        assert len(network.kernel.components) > baseline
+        assert network.kernel.components == (datapath,)
+        assert datapath._sinks and datapath.drivers.next_due is not None
         network.run(50)
         ccn.release(graph.name)
-        assert len(network.kernel.components) == baseline
+        assert network.kernel.components == (datapath,)
+        assert not datapath._sinks and datapath.drivers.next_due is None
 
     def test_two_applications_depart_independently(self):
         network, ccn = _network_and_ccn("gt", Mesh2D(4, 5))

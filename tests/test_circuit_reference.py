@@ -7,14 +7,16 @@ crossbar's route loop (:class:`_ReferenceCrossbar`), latches every register
 serialiser and deserialiser (:class:`_ReferenceConverter`) and drives every
 attached wire.  It shares with production only what the route program does
 not touch: the configuration memory, the lane wires, the lane units'
-per-cycle ``tick`` and the activity counters.  Both run under both
-schedules: the reference routers as kernel components with their own park
-rule, production in its :class:`~repro.core.router.LaneDatapath`, batched in
-its vector plane where the fabric allows one.  After every cycle the
-registers, wires (forward, acknowledge, dead, dropped), every lane unit's
-state and ``activity.as_dict()`` must be equal, and under the event schedule
-without a plane the park answers too: the datapath parks exactly when every
-reference router would (:func:`_parked`).
+per-cycle ``tick`` and the activity counters.  Production runs under both
+schedules in its :class:`~repro.core.router.LaneDatapath`, batched in its
+vector plane where the fabric allows one, with the stream endpoints as
+records the datapath runs.  The reference routers and the four endpoints as
+they were (``_Reference*``) are kernel components under ``strict``.  After
+every cycle the registers, wires (forward, acknowledge, dead, dropped),
+every lane unit's state, ``activity.as_dict()`` and what every endpoint
+counted and received must be equal, and under the event schedule without a
+plane the park answers too: the datapath parks its routers exactly when
+every reference router would (:func:`_parked`).
 """
 
 from __future__ import annotations
@@ -31,14 +33,17 @@ from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, bit_mask
 from repro.core.config_memory import ConfigurationMemory, LaneConfig
 from repro.core.data_converter import LaneDeserializer, LaneSerializer, ReceivedWord
 from repro.core.flow_control import FlowControlConfig
+from repro.core.header import phits_per_packet
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
-from repro.core.testbench import LaneStreamConsumer, LaneStreamDriver, TileStreamConsumer, TileStreamDriver
+from repro.core.testbench import (
+    LaneStreamConsumer, LaneStreamDriver, LoadPacer, TileStreamConsumer, TileStreamDriver, WordSource,
+)
 from repro.energy.activity import LINK_TOGGLE_BITS, REG_CLOCKED_BITS, REG_GATED_BITS, REG_TOGGLE_BITS, \
     XBAR_TOGGLE_BITS, ActivityCounters, ActivityKeys
 from repro.noc import Mesh2D
 from repro.noc.network import CircuitSwitchedNoC
-from repro.sim.engine import ClockedComponent
+from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent
 
 
 class _ReferenceCrossbar:
@@ -278,9 +283,15 @@ class _ReferenceTile:
 
 
 class _ReferenceCircuitRouter(ClockedComponent):
-    """The circuit router's dense evaluate/commit and park rule, verbatim."""
+    """The circuit router's dense evaluate/commit and park rule, verbatim.
+
+    Its bench runs ``strict`` (the reference endpoints need it), where no
+    kernel clears the input-dirty flag the park rule reads: ``evaluate``
+    does, as the event schedule did right before it.
+    """
 
     NUM_PORTS = 5
+    bench_schedule = "strict"
 
     def __init__(self, name, lanes_per_port=4, lane_width=4, data_width=16, position=(0, 0),
                  clock_gating=False):
@@ -341,6 +352,7 @@ class _ReferenceCircuitRouter(ClockedComponent):
         self.activity.add(ActivityKeys.CONFIG_WRITES, 1)
 
     def evaluate(self, cycle):
+        self._input_dirty = False
         lanes_per_port = self.lanes_per_port
         values = self._input_vals
         acks = self._ack_vals
@@ -427,8 +439,286 @@ class _ReferenceCircuitRouter(ClockedComponent):
                 rx_link.drive_ack(lane, False)
 
 
+# ---------------------------------------------------------------------------
+# The stream endpoints as kernel components
+# ---------------------------------------------------------------------------
+
+# The four circuit endpoints as they were before they became records of their
+# datapath, verbatim but for the commit-phase replay flag: their commits read
+# live wires and tiles, which only that replay made exact under the event
+# schedule, so every reference kernel runs ``strict``.
+
+class _ReferenceLaneStreamDriver(ClockedComponent):
+    """Drives one lane of a link *into* the router under test.
+
+    Parameters
+    ----------
+    link:
+        The :class:`LaneLink` attached as the router's incoming bundle on the
+        chosen port; the driver plays the role of the upstream router.
+    lane:
+        Which lane of the bundle the stream occupies.
+    word_source:
+        Callable returning the next 16-bit data word.
+    load:
+        Offered load as a fraction of the lane's capacity (1.0 = a word every
+        5 cycles at the default geometry).
+    """
+
+    def __init__(
+        self,
+        name: str,
+        link: LaneLink,
+        lane: int,
+        word_source: WordSource,
+        load: float = 1.0,
+        data_width: int = 16,
+        flow: FlowControlConfig = FlowControlConfig(),
+    ) -> None:
+        super().__init__(name)
+        link.read_forward(lane)  # the lane is checked once, here
+        self.link = link
+        self.lane = lane
+        self._forward = link.forward
+        self._ack = link.ack
+        self.word_source = word_source
+        self.data_width = data_width
+        self.activity = ActivityCounters(name)
+        self.serializer = LaneSerializer(
+            lane, link.lane_width, data_width, tx_queue_depth=4, flow=flow, activity=self.activity
+        )
+        self._pacer = LoadPacer(load, phits_per_packet(data_width, link.lane_width))
+        self.words_offered = 0
+        self.words_dropped = 0
+        # Event schedule: an acknowledge arriving while the driver is parked
+        # between emissions must put it back on the batch (the router end of
+        # the bundle owns the forward dirty-bit; the ack one fans out here).
+        link.ack_dirty.add_listener(self.wake)
+
+    def evaluate(self, cycle: int) -> None:
+        if self._pacer.should_emit():
+            self.words_offered += 1
+            if self.serializer.can_accept():
+                self.serializer.submit_word(self.word_source())
+            else:
+                self.words_dropped += 1
+
+    def commit(self, cycle: int) -> None:
+        lane = self.lane
+        serializer = self.serializer
+        serializer.tick(self._ack[lane])
+        phit = serializer._current_phit
+        if phit != self._forward[lane]:
+            self.link.drive_forward(lane, phit)
+
+    # -- timed protocol: between emissions an idle serialiser only clocks ----
+
+
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        if not self.serializer.quiescent or self._ack[self.lane]:
+            return cycle
+        return self._pacer.next_emit_cycle(cycle)
+
+    def idle_tick(self, start_cycle: int, cycles: int) -> None:
+        self._pacer.skip(cycles)
+        # What `cycles` idle serialiser ticks would have recorded.
+        self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self.serializer.idle_cycle_bits * cycles)
+        self.activity.slots[REG_TOGGLE_BITS] += 0
+
+    @property
+    def words_sent(self) -> int:
+        """Words actually loaded into the lane."""
+        return self.serializer.words_loaded
+
+    def reset(self) -> None:
+        self.serializer.reset()
+        self._pacer.reset()
+        self.words_offered = 0
+        self.words_dropped = 0
+        # The wire is this driver's register output: back to idle with it.
+        self.link.drive_forward(self.lane, 0)
+
+
+class _ReferenceLaneStreamConsumer(ClockedComponent):
+    """Consumes one lane of a link *out of* the router under test."""
+
+    def __init__(
+        self,
+        name: str,
+        link: LaneLink,
+        lane: int,
+        data_width: int = 16,
+        flow: FlowControlConfig = FlowControlConfig(),
+    ) -> None:
+        super().__init__(name)
+        link.read_forward(lane)  # the lane is checked once, here
+        self.link = link
+        self.lane = lane
+        self._forward = link.forward
+        self._ack = link.ack
+        self.activity = ActivityCounters(name)
+        self.deserializer = LaneDeserializer(
+            lane, link.lane_width, data_width, flow=flow, activity=self.activity
+        )
+        self.received: List[ReceivedWord] = []
+        # Event schedule: a phit arriving while the consumer is parked must
+        # put it back on the batch (the router end owns the ack dirty-bit).
+        link.forward_dirty.add_listener(self.wake)
+
+    def evaluate(self, cycle: int) -> None:  # all work happens at the clock edge
+        pass
+
+    def commit(self, cycle: int) -> None:
+        lane = self.lane
+        deserializer = self.deserializer
+        deserializer.tick(self._forward[lane], cycle)
+        # The destination tile reads everything immediately (it never stalls).
+        while (word := deserializer.receive()) is not None:
+            self.received.append(word)
+        pulse = deserializer._ack_pulse
+        if pulse != self._ack[lane]:
+            self.link.drive_ack(lane, pulse)
+
+    # -- timed protocol: a pure sink never generates events of its own -------
+
+
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        if (
+            self._forward[self.lane]
+            or not self.deserializer.quiescent
+            or self.deserializer.available()
+        ):
+            return cycle
+        return None
+
+    def idle_tick(self, start_cycle: int, cycles: int) -> None:
+        # What `cycles` idle deserialiser ticks would have recorded.
+        self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self.deserializer.idle_cycle_bits * cycles)
+        self.activity.slots[REG_TOGGLE_BITS] += 0
+
+    @property
+    def words_received(self) -> int:
+        """Words fully reassembled and consumed."""
+        return len(self.received)
+
+    def reset(self) -> None:
+        self.deserializer.reset()
+        self.received.clear()
+        self.link.drive_ack(self.lane, False)
+
+
+class _ReferenceTileStreamDriver(ClockedComponent):
+    """Feeds a stream into the router through its own tile interface."""
+
+    def __init__(
+        self,
+        name: str,
+        router: CircuitSwitchedRouter,
+        lane: int,
+        word_source: WordSource,
+        load: float = 1.0,
+        mark_blocks: Optional[int] = None,
+    ) -> None:
+        super().__init__(name)
+        self.router = router
+        self.lane = lane
+        self.word_source = word_source
+        self.mark_blocks = mark_blocks
+        self._pacer = LoadPacer(
+            load, phits_per_packet(router.data_width, router.lane_width)
+        )
+        self.words_offered = 0
+        self.words_sent = 0
+        self.words_dropped = 0
+        self._index = 0
+
+    def evaluate(self, cycle: int) -> None:
+        if not self._pacer.should_emit():
+            return
+        self.words_offered += 1
+        sob = eob = False
+        if self.mark_blocks:
+            position = self._index % self.mark_blocks
+            sob = position == 0
+            eob = position == self.mark_blocks - 1
+        if self.router.tile.send(self.lane, self.word_source(), sob=sob, eob=eob):
+            self.words_sent += 1
+            self._index += 1
+        else:
+            self.words_dropped += 1
+
+    def commit(self, cycle: int) -> None:  # the router itself owns the clocked state
+        pass
+
+    # -- timed protocol: the pacer is the driver's only per-cycle state ------
+
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        return self._pacer.next_emit_cycle(cycle)
+
+    def idle_tick(self, start_cycle: int, cycles: int) -> None:
+        self._pacer.skip(cycles)
+
+    def reset(self) -> None:
+        self._pacer.reset()
+        self.words_offered = 0
+        self.words_sent = 0
+        self.words_dropped = 0
+        self._index = 0
+
+
+class _ReferenceTileStreamConsumer(ClockedComponent):
+    """Drains words arriving at the router's tile interface."""
+
+    def __init__(self, name: str, router: CircuitSwitchedRouter, lane: int) -> None:
+        super().__init__(name)
+        self.router = router
+        self.lane = lane
+        self.received: List[ReceivedWord] = []
+        # Event schedule: a word delivered to the tile interface while the
+        # consumer is parked must put it back on the batch.
+        router.tile.watch_rx(lane, self.wake)
+
+    def evaluate(self, cycle: int) -> None:
+        pass
+
+    def commit(self, cycle: int) -> None:
+        receive = self.router.tile.receive
+        while (word := receive(self.lane)) is not None:
+            self.received.append(word)
+
+    # -- timed protocol: a pure sink never generates events of its own -------
+
+
+    settles_at_sync = True  # nothing to book, idle or busy
+
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        return cycle if self.router.tile.rx_available(self.lane) else None
+
+    def idle_tick(self, start_cycle: int, cycles: int) -> None:
+        pass
+
+    @property
+    def words_received(self) -> int:
+        """Words delivered to the local tile."""
+        return len(self.received)
+
+    def reset(self) -> None:
+        self.received.clear()
+
+
+def _reference_tile_driver(driver):
+    """The kernel-component twin of a :class:`TileStreamDriver` record."""
+    return _ReferenceTileStreamDriver(driver.name, driver.router, driver.lane, driver.word_source,
+                                      driver.pacer.load, driver.mark_blocks)
+
+
 class _ReferenceCircuitNoC(CircuitSwitchedNoC):
-    """A circuit fabric of reference routers on the kernel's own schedule."""
+    """A circuit fabric of reference routers and reference endpoints, under
+    ``strict``; :attr:`compared_schedule` is the one its twin runs."""
+
+    def __init__(self, topology, schedule=DEFAULT_SCHEDULE, **kwargs):
+        self.compared_schedule = schedule
+        super().__init__(topology, schedule="strict", **kwargs)
 
     def _build_router(self, position):
         return _ReferenceCircuitRouter(
@@ -440,6 +730,16 @@ class _ReferenceCircuitNoC(CircuitSwitchedNoC):
     def _register_with_kernel(self):
         for router in self.routers.values():
             self.kernel.add(router)
+
+    def _adopt_driver(self, driver):
+        return self.kernel.add(_reference_tile_driver(driver))
+
+    def _adopt_sink(self, sink):
+        return self.kernel.add(_ReferenceTileStreamConsumer(sink.name, sink.router, sink.lane))
+
+    def _remove_component(self, component):
+        if component is not None and component._scheduler is self.kernel:
+            self.kernel.remove(component)
 
 
 # ---------------------------------------------------------------------------
@@ -475,25 +775,28 @@ def _wire_state(link):
     return list(link.forward), list(link.ack), link.dead, link.dropped
 
 
-def _parked(kernel, routers, batched=False):
-    """Whether the routers' clock parks: the datapath's answer, or every
-    reference router's (its input unchanged since it evaluated and its own
-    answer ``None``).  ``None`` under ``strict``, whose kernel parks nothing,
+def _parked(schedule, cycle, routers, batched=False):
+    """Whether the routers park after this cycle under the event *schedule*:
+    the datapath walks none of them next cycle, or every reference router
+    would park (its input unchanged since it evaluated and its own answer
+    ``None``).  ``None`` under ``strict``, which parks no reference router,
     and on a fabric whose datapath may batch in a vector plane (*batched*),
     which parks once the whole batch is at a fixed point."""
-    if kernel.schedule != "vector" or batched:
+    if schedule != "vector" or batched:
         return None
     datapath = getattr(next(iter(routers)), "datapath", None)
     if datapath is not None:
-        return datapath.next_event_cycle(kernel.cycle) is None
-    return all(not r._input_dirty and r.next_event_cycle(kernel.cycle) is None for r in routers)
+        return not datapath._next
+    return all(not r._input_dirty and r.next_event_cycle(cycle) is None for r in routers)
 
 
 def _network_state(network):
+    schedule = getattr(network, "compared_schedule", network.kernel.schedule)
     return (
         {position: _router_state(router) for position, router in network.routers.items()},
         {key: _wire_state(link) for key, link in network.links.items()},
-        _parked(network.kernel, network.routers.values(), batched=not network.clock_gating),
+        _parked(schedule, network.kernel.cycle, network.routers.values(), batched=not network.clock_gating),
+        network.stream_statistics(),  # a word counts in the cycle it is delivered
     )
 
 
@@ -544,27 +847,68 @@ def _words(seed):
 
 
 def _table3_setup(router, links):
-    """Scenario IV of Table 3 plus a stray tile driver on a lane no route reads."""
+    """Scenario IV of Table 3 plus a stray tile driver on a lane no route
+    reads: records, or the reference components on a reference router."""
     router.configure(Port.EAST, 0, Port.TILE, 0)
     router.configure(Port.TILE, 0, Port.NORTH, 0)
     router.configure(Port.EAST, 1, Port.WEST, 0)
+    if isinstance(router, _ReferenceCircuitRouter):
+        tile_driver, tile_sink = _ReferenceTileStreamDriver, _ReferenceTileStreamConsumer
+        lane_driver, lane_sink = _ReferenceLaneStreamDriver, _ReferenceLaneStreamConsumer
+    else:
+        tile_driver, tile_sink, lane_driver, lane_sink = (
+            TileStreamDriver, TileStreamConsumer, LaneStreamDriver, LaneStreamConsumer)
     return [
-        TileStreamDriver("s1_src", router, 0, _words(1), load=1.0),
-        LaneStreamConsumer("s1_dst", links[Port.EAST][1], 0),
-        LaneStreamDriver("s2_src", links[Port.NORTH][0], 0, _words(2), load=0.7),
-        TileStreamConsumer("s2_dst", router, 0),
-        LaneStreamDriver("s3_src", links[Port.WEST][0], 0, _words(3), load=1.0),
-        LaneStreamConsumer("s3_dst", links[Port.EAST][1], 1),
-        TileStreamDriver("stray", router, 2, _words(4), load=0.3),
+        tile_driver("s1_src", router, 0, _words(1), load=1.0),
+        lane_sink("s1_dst", links[Port.EAST][1], 0),
+        lane_driver("s2_src", links[Port.NORTH][0], 0, _words(2), load=0.7),
+        tile_sink("s2_dst", router, 0),
+        lane_driver("s3_src", links[Port.WEST][0], 0, _words(3), load=1.0),
+        lane_sink("s3_dst", links[Port.EAST][1], 1),
+        tile_driver("stray", router, 2, _words(4), load=0.3),
     ]
 
 
-def _bench_state(router, links, kernel):
-    return (
-        _router_state(router),
-        {port: (_wire_state(rx), _wire_state(tx)) for port, (rx, tx) in links.items()},
-        _parked(kernel, [router]),
+def _table3_benches(**kwargs):
+    """Twin :func:`_table3_setup` benches, production first; each bench
+    carries its endpoints last."""
+    endpoints = {}
+
+    def setup(router, links):
+        endpoints[router] = _table3_setup(router, links)
+        return endpoints[router]
+
+    benches = twin_benches(
+        (CircuitSwitchedRouter, _ReferenceCircuitRouter),
+        lambda name, router: LaneLink(name, router.lanes_per_port, router.lane_width),
+        setup,
+        **kwargs,
     )
+    return [(router, links, kernel, endpoints[router]) for router, links, kernel in benches]
+
+
+def _endpoint_state(endpoint):
+    """What a bench endpoint counted and received so far, and its lane unit's state."""
+    unit = getattr(endpoint, "serializer", None) or getattr(endpoint, "deserializer", None)
+    return (
+        [getattr(endpoint, key, None) for key in ("words_offered", "words_sent", "words_dropped")],
+        list(getattr(endpoint, "received", ())),
+        unit and (_unit_state(unit), endpoint.activity.as_dict()),
+    )
+
+
+def _bench_states(benches):
+    """Every bench's state, the park answers under the first bench's schedule."""
+    schedule = benches[0][2].schedule
+    return [
+        (
+            _router_state(router),
+            {port: (_wire_state(rx), _wire_state(tx)) for port, (rx, tx) in links.items()},
+            _parked(schedule, kernel.cycle, [router]),
+            [_endpoint_state(endpoint) for endpoint in endpoints],
+        )
+        for router, links, kernel, endpoints in benches
+    ]
 
 
 #: Between-cycle writes: (cycle, what to do to a router).
@@ -584,35 +928,25 @@ class TestBenchesEqualTheReference:
     @pytest.mark.parametrize("clock_gating", [False, True])
     @pytest.mark.parametrize("schedule", [None, "strict"])
     def test_table3_bench_through_reconfigurations(self, clock_gating, schedule):
-        benches = twin_benches(
-            (CircuitSwitchedRouter, _ReferenceCircuitRouter),
-            lambda name, router: LaneLink(name, router.lanes_per_port, router.lane_width),
-            _table3_setup,
-            schedule=schedule,
-            clock_gating=clock_gating,
-        )
+        benches = _table3_benches(schedule=schedule, clock_gating=clock_gating)
         writes = dict(_RECONFIGURATIONS)
         for cycle in range(420):
-            for router, _links, kernel in benches:
+            for router, _links, kernel, _endpoints in benches:
                 if cycle in writes:
                     writes[cycle](router)
                 kernel.step()
-            states = [_bench_state(*bench) for bench in benches]
+            states = _bench_states(benches)
             assert states[0] == states[1], f"diverged in cycle {cycle}"
 
     def test_reset_then_rerun_matches_the_reference(self):
-        benches = twin_benches(
-            (CircuitSwitchedRouter, _ReferenceCircuitRouter),
-            lambda name, router: LaneLink(name, router.lanes_per_port, router.lane_width),
-            _table3_setup,
-        )
-        for router, _links, kernel in benches:
+        benches = _table3_benches()
+        for router, _links, kernel, _endpoints in benches:
             kernel.run(83)
             router.deconfigure(Port.EAST, 1)
             kernel.run(40)
             kernel.reset()
         for _ in range(150):
-            for _router, _links, kernel in benches:
+            for _router, _links, kernel, _endpoints in benches:
                 kernel.step()
-            states = [_bench_state(*bench) for bench in benches]
+            states = _bench_states(benches)
             assert states[0] == states[1]

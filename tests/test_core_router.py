@@ -114,7 +114,7 @@ class TestRouterDataPath:
         router.configure(Port.EAST, 0, Port.TILE, 0)
         driver = TileStreamDriver("src", router, 0, words(1), load=1.0)
         consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 0)
-        kernel_25mhz.add_all([driver, consumer, clock_of(router)])
+        kernel_25mhz.add(clock_of(router, driver, consumer))
         kernel_25mhz.run(200)
         assert driver.words_sent >= 35
         assert consumer.words_received >= driver.words_sent - 3
@@ -128,7 +128,7 @@ class TestRouterDataPath:
         router.configure(Port.TILE, 0, Port.NORTH, 0)
         driver = LaneStreamDriver("src", links[Port.NORTH][0], 0, words(2), load=1.0)
         consumer = TileStreamConsumer("dst", router, 0)
-        kernel_25mhz.add_all([driver, consumer, clock_of(router)])
+        kernel_25mhz.add(clock_of(router, driver, consumer))
         kernel_25mhz.run(200)
         assert consumer.words_received >= driver.words_sent - 3
 
@@ -137,7 +137,7 @@ class TestRouterDataPath:
         router.configure(Port.EAST, 1, Port.WEST, 0)
         driver = LaneStreamDriver("src", links[Port.WEST][0], 0, words(3), load=1.0)
         consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 1)
-        kernel_25mhz.add_all([driver, consumer, clock_of(router)])
+        kernel_25mhz.add(clock_of(router, driver, consumer))
         kernel_25mhz.run(200)
         assert consumer.words_received >= driver.words_sent - 3
 
@@ -150,7 +150,7 @@ class TestRouterDataPath:
         west_driver = LaneStreamDriver("src_west", links[Port.WEST][0], 0, lambda: 0x2222, load=1.0)
         east0 = LaneStreamConsumer("dst0", links[Port.EAST][1], 0)
         east1 = LaneStreamConsumer("dst1", links[Port.EAST][1], 1)
-        kernel_25mhz.add_all([tile_driver, west_driver, east0, east1, clock_of(router)])
+        kernel_25mhz.add(clock_of(router, tile_driver, west_driver, east0, east1))
         kernel_25mhz.run(300)
         assert east0.words_received > 0 and east1.words_received > 0
         assert {w.data for w in east0.received} == {0x1111}
@@ -162,7 +162,7 @@ class TestRouterDataPath:
         router, links = cs_router_with_links
         router.configure(Port.EAST, 0, Port.TILE, 0)
         driver = TileStreamDriver("src", router, 0, words(4), load=1.0)
-        kernel_25mhz.add_all([driver, clock_of(router)])  # no consumer: nobody acknowledges
+        kernel_25mhz.add(clock_of(router, driver))  # no consumer: nobody acknowledges
         kernel_25mhz.run(300)
         window = router.converter.serializers[0].window.config.window_size
         assert router.converter.serializers[0].window.packets_sent == window
@@ -178,7 +178,7 @@ class TestRouterDataPath:
         router.configure(Port.EAST, 0, Port.TILE, 0)
         driver = TileStreamDriver("src", router, 0, words(5), load=1.0)
         consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 0)
-        kernel_25mhz.add_all([driver, consumer, clock_of(router)])
+        kernel_25mhz.add(clock_of(router, driver, consumer))
         kernel_25mhz.run(50)
         router.reset()
         assert router.activity.cycles == 0
@@ -198,7 +198,7 @@ class TestRouterActivityAndPower:
         router.configure(Port.EAST, 0, Port.TILE, 0)
         driver = TileStreamDriver("src", router, 0, words(6), load=1.0)
         consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 0)
-        kernel_25mhz.add_all([driver, consumer, clock_of(router)])
+        kernel_25mhz.add(clock_of(router, driver, consumer))
         kernel_25mhz.run(200)
         activity = router.activity
         assert activity.get(ActivityKeys.REG_TOGGLE_BITS) > 0
@@ -219,7 +219,7 @@ class TestRouterActivityAndPower:
                     TileStreamDriver("src", router, 0, words(7), load=1.0),
                     LaneStreamConsumer("dst", tx, 0),
                 ]
-            kernel.add_all([*components, clock_of(router)])
+            kernel.add(clock_of(router, *components))
             kernel.run(500)
             return router.power(25e6).total_uw
 

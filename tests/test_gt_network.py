@@ -12,7 +12,7 @@ from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, SimulationErr
 from repro.core.testbench import LoadPacer
 from repro.energy.activity import ActivityKeys
 from repro.experiments.harness import run_app_traffic, run_gt_scenario, run_scenario
-from repro.noc import Mesh2D, NocBase, SlotTableAllocator, TimeDivisionNoC, Torus2D, build_network
+from repro.noc import Mesh2D, SlotTableAllocator, TimeDivisionNoC, Torus2D, build_network
 from repro.noc.gt_network import (GtLinkStreamConsumer, GtLinkStreamDriver, GtStreamDriver, SlotTableRouter,
                                   TdmaDatapath, TdmaLink, TdmaTileInterface)
 from repro.sim.engine import ClockedComponent, SimulationKernel
@@ -405,10 +405,16 @@ def _reference_gt_driver(driver):
 
 
 class _ReferenceGtNoC(TimeDivisionNoC):
-    _register_with_kernel = NocBase._register_with_kernel  # every router on its own
+    def _register_with_kernel(self):
+        for router in self.routers.values():
+            self.kernel.add(router)
 
     def _adopt_driver(self, driver):
         return self.kernel.add(_reference_gt_driver(driver))
+
+    def _remove_component(self, component):
+        if component is not None and component._scheduler is self.kernel:
+            self.kernel.remove(component)
 
     def _build_router(self, position):
         return _ReferenceSlotTableRouter(

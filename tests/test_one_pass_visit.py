@@ -278,12 +278,11 @@ class TestOneSchedulingQuestion:
         router.attach_link(Port.EAST, LaneLink("rx_e"), tx)
         router.configure(Port.EAST, 0, Port.TILE, 0)
         source = word_generator(BitFlipPattern.TYPICAL, width=router.data_width, seed=3)
-        kernel, datapath = SimulationKernel(25e6), clock_of(router)
-        kernel.add_all([
-            TileStreamDriver("src", router, 0, source, load=0.1),
-            LaneStreamConsumer("dst", tx, 0),
-            datapath,
-        ])
+        kernel = SimulationKernel(25e6)
+        datapath = clock_of(
+            router, TileStreamDriver("src", router, 0, source, load=0.1), LaneStreamConsumer("dst", tx, 0)
+        )
+        kernel.add(datapath)
         slept = 0
         for _ in range(400):
             kernel.step()

@@ -9,7 +9,7 @@ from repro.baseline.link import PacketLink
 from repro.baseline.testbench import PacketStreamConsumer, PacketStreamDriver
 from repro.common import Port
 from repro.core.lane import LaneLink
-from repro.core.router import CircuitSwitchedRouter
+from repro.core.router import CircuitSwitchedRouter, LaneDatapath
 from repro.core.testbench import (
     LaneStreamConsumer,
     LaneStreamDriver,
@@ -41,6 +41,14 @@ class TestLoadPacer:
             LoadPacer(0.5, 0)
 
 
+def _routerless(*endpoints):
+    """A datapath over no router running link-side endpoints wired back to back."""
+    datapath = LaneDatapath("direct", [])
+    for endpoint in endpoints:
+        datapath.adopt(endpoint)
+    return datapath
+
+
 class TestLaneStreamDriverConsumer:
     def test_driver_to_consumer_without_router(self):
         """Driver and consumer wired back to back over one LaneLink behave like
@@ -49,7 +57,7 @@ class TestLaneStreamDriverConsumer:
         driver = LaneStreamDriver("src", link, 0, lambda: 0xCAFE, load=1.0)
         consumer = LaneStreamConsumer("dst", link, 0)
         kernel = SimulationKernel(25e6)
-        kernel.add_all([driver, consumer])
+        kernel.add(_routerless(driver, consumer))
         kernel.run(500)
         assert driver.words_sent == pytest.approx(100, abs=2)
         assert consumer.words_received >= driver.words_sent - 2
@@ -61,7 +69,7 @@ class TestLaneStreamDriverConsumer:
         driver = LaneStreamDriver("src", link, 0, lambda: 1, load=0.25)
         consumer = LaneStreamConsumer("dst", link, 0)
         kernel = SimulationKernel(25e6)
-        kernel.add_all([driver, consumer])
+        kernel.add(_routerless(driver, consumer))
         kernel.run(400)
         assert driver.words_offered == pytest.approx(20, abs=1)
 
@@ -70,7 +78,7 @@ class TestLaneStreamDriverConsumer:
         link = LaneLink("direct")
         driver = LaneStreamDriver("src", link, 0, lambda: 2, load=1.0)
         kernel = SimulationKernel(25e6)
-        kernel.add(driver)
+        kernel.add(_routerless(driver))
         kernel.run(400)
         window = driver.serializer.window.config.window_size
         assert driver.serializer.words_loaded == window
@@ -80,7 +88,7 @@ class TestLaneStreamDriverConsumer:
         driver = LaneStreamDriver("src", link, 0, lambda: 3, load=1.0)
         consumer = LaneStreamConsumer("dst", link, 0)
         kernel = SimulationKernel(25e6)
-        kernel.add_all([driver, consumer])
+        kernel.add(_routerless(driver, consumer))
         kernel.run(50)
         driver.reset()
         consumer.reset()
@@ -99,7 +107,7 @@ class TestTileStreamDriverBlocks:
         driver = TileStreamDriver("src", router, 0, lambda: 0x1234, load=1.0, mark_blocks=4)
         consumer = LaneStreamConsumer("dst", tx, 0)
         kernel = SimulationKernel(25e6)
-        kernel.add_all([driver, consumer, clock_of(router)])
+        kernel.add(clock_of(router, driver, consumer))
         kernel.run(200)
         received = consumer.received
         assert len(received) >= 8

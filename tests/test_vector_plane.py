@@ -462,7 +462,7 @@ def _cross_lane_edge(networks, edge, channel):
         for network in networks.values():
             router, lane = _unread_tile_lane(network, src)
             words = word_generator(BitFlipPattern.TYPICAL, seed=channel["seed"])
-            network.kernel.add(TileStreamDriver("stray", router, lane, words, load=1.0))
+            network.datapath.adopt(TileStreamDriver("stray", router, lane, words, load=1.0))
     elif edge == "late join":
         # A tile write between two run() calls, a word half shifted elsewhere.
         _step_both(
@@ -485,7 +485,7 @@ def _cross_lane_edge(networks, edge, channel):
         assert edge == "read after detach"
         # Nobody reads the sink any more: words queue up to the window.
         for network in networks.values():
-            network.kernel.remove(network.streams[name].sink)
+            network.datapath.release(network.streams[name].sink)
         _step_both(networks, edge, 120, until=lambda strict: sink_unit(strict).available())
         for network in networks.values():
             network.detach_channel(name)
@@ -512,7 +512,7 @@ def _unread_stream(schedule, tx_flow, rx_flow):
         word_generator(BitFlipPattern.TYPICAL, seed=3),
         load=1.0,
     )
-    network.kernel.add(driver)
+    network.datapath.adopt(driver)
     return network, circuit
 
 
@@ -647,9 +647,9 @@ def test_multicast_ors_its_acknowledges_like_strict():
             router = network.router_at(position)
             router.configure(Port.TILE, 0, in_port, 0)
             router.tile.configure_rx(0, flow)
-            sinks.append(network.kernel.add(TileStreamConsumer(f"sink{position}", router, 0)))
+            sinks.append(network.datapath.adopt(TileStreamConsumer(f"sink{position}", router, 0)))
         words = word_generator(BitFlipPattern.TYPICAL, seed=6)
-        network.kernel.add(TileStreamDriver("source", centre, 0, words, load=1.0))
+        network.datapath.adopt(TileStreamDriver("source", centre, 0, words, load=1.0))
         states = []
         for cycles in (7, 51, 73):
             network.run(cycles)
