@@ -18,8 +18,8 @@ A :class:`PacketSwitchedRouter` holds its state in flat lists indexed
 VC, credits per output VC) plus, per output port, a free-VC mask and the last
 VC and switch grants; a bit mask names the occupied input VCs.  It is no
 kernel component: one :class:`PacketDatapath` clocks every router of a
-fabric, a shard region or a single-router bench, and fires the tile stream
-drivers (:class:`~repro.baseline.testbench.TilePacketDriver`) feeding them.
+fabric, a shard region or a single-router bench, and runs the stream
+endpoint records (:mod:`repro.baseline.testbench`) feeding them.
 """
 
 from __future__ import annotations
@@ -265,9 +265,9 @@ class PacketDatapath(FabricDatapath):
     A router with nothing that can move is not visited again until a flit,
     credit or injection reaches it, or it is recompiled.  All state stays in
     the routers.  The :class:`~repro.sim.datapath.FabricDatapath` skeleton
-    holds the adoption, the wire maps and the tile stream drivers in
-    :attr:`drivers`, fired before the ingest, so a packet one completes is
-    injected in the same cycle.
+    holds the adoption, the wire maps and the stream drivers in
+    :attr:`drivers`, fired before the ingest (a packet one completes is
+    injected in the same cycle), and a bench's link stream units.
     """
 
     wire_watchers = ("watch_flits", "watch_credits")
@@ -355,6 +355,8 @@ class PacketDatapath(FabricDatapath):
     def commit(self, cycle: int) -> None:
         if self.drivers.next_due == cycle:
             self.drivers.fire(cycle)
+        if self._units:  # a bench's link streams: ahead of the ingest, whenever adopted
+            self._turn(self._units, cycle)
         visit = self._next
         self._next = nxt = {}
         # Ingest: credits, then flits the member wires carried out of the last cycle.
@@ -535,10 +537,10 @@ class PacketDatapath(FabricDatapath):
                 nxt[router] = None
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Now while a router is to be visited or a wire holds a flit or a
-        credit; else the cycle the next driver is due, or park until an
-        injection or an outside wire wakes us."""
-        if self._next or self._arrivals or self._returns:
+        """Now while a router is to be visited, a wire holds a flit or a
+        credit or a link stream unit is not at rest; else the cycle the next
+        driver is due, or park until an injection or an outside wire wakes us."""
+        if self._next or self._arrivals or self._returns or self._units and len(self._resting) < len(self._units):
             return cycle
         for record in self._outside_rx:
             if record[0].forward is not None:

@@ -5,8 +5,9 @@ power scenarios of Section 6 can be applied to both routers with identical
 traffic: a paced word stream of a given load and bit-flip statistic entering
 through a neighbour port or through the local tile interface, and a consumer
 that drains the corresponding output link (words delivered at the tile are
-read off its interface).  The tile driver is no kernel component: the
-datapath clocking its router fires it.
+read off its interface).  They are records, not kernel components: the
+:class:`~repro.baseline.router.PacketDatapath` clocking the router adopts
+them and runs them inside its cycle.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketSwitchedRouter
 from repro.core.header import phits_per_packet
 from repro.core.testbench import LoadPacer
-from repro.sim.engine import ClockedComponent
+from repro.sim.datapath import LinkEndpoint
 
 __all__ = [
     "PacketStreamDriver",
@@ -30,14 +31,21 @@ __all__ = [
 WordSource = Callable[[], int]
 
 
-class PacketStreamDriver(ClockedComponent):
+class PacketStreamDriver(LinkEndpoint):
     """Emulates an upstream router injecting a word stream through a link.
 
     The driver groups the stream words into packets of *words_per_packet*,
     respects the credit-based flow control of the router's input buffer and
     sends at most one flit per cycle — exactly what a real upstream router
-    would do.
+    would do.  It is a record the :class:`~repro.baseline.router.PacketDatapath`
+    clocking that router runs: fired (:meth:`emit`) when its pacer is due,
+    its unit takes the returned credits and sends (:meth:`step`) at the top
+    of the commit while it has a flit to send and a credit to send it with.
+    Returned credits mark it (the router only watches the flit side of its
+    receive links).
     """
+
+    _wakes_on = "credit_dirty"
 
     def __init__(
         self,
@@ -53,8 +61,7 @@ class PacketStreamDriver(ClockedComponent):
         data_width: int = 16,
         lane_width: int = 4,
     ) -> None:
-        super().__init__(name)
-        self.link = link
+        super().__init__(name, link)
         self.word_source = word_source
         self.dest = dest
         self.src = src
@@ -63,10 +70,7 @@ class PacketStreamDriver(ClockedComponent):
         # A stream word every five cycles at 100 % load (80 Mbit/s at 25 MHz),
         # whichever router carries it: the circuit- and packet-switched
         # experiments offer identical traffic.
-        self._pacer = LoadPacer(load, phits_per_packet(data_width, lane_width))
-        # Returned credits must wake a parked driver (the router only watches
-        # the flit side of its receive links, so the credit side is free).
-        link.credit_dirty.add_listener(self.wake)
+        self.pacer = LoadPacer(load, phits_per_packet(data_width, lane_width))
         self._buffer_depth = self._credits = downstream_buffer_depth
         self._flit_queue: Deque[int] = deque()
         self._pending_words: List[int] = []
@@ -74,48 +78,32 @@ class PacketStreamDriver(ClockedComponent):
         self.words_sent = 0
         self.flits_sent = 0
 
-    def evaluate(self, cycle: int) -> None:
-        # Collect credits returned by the router for our virtual channel.
+    def emit(self, cycle: int) -> None:
+        """Take one word; queue the flits of the packet it completes."""
+        self.words_offered += 1
+        pending = self._pending_words
+        pending.append(self.word_source())
+        if len(pending) >= self.words_per_packet:
+            packet = Packet(src=self.src, dest=self.dest, words=list(pending))
+            self._flit_queue.extend(pack_packet(packet, self.vc))
+            self.words_sent += len(pending)
+            pending.clear()
+            self.mark()
+
+    def step(self, cycle: int) -> bool:
+        """Collect the returned credits and send one flit if one may go, else
+        idle; False once nothing more can go without a credit or a packet."""
         self._credits += self.link.take_credits(self.vc)
-        if self._pacer.should_emit():
-            self.words_offered += 1
-            self._pending_words.append(self.word_source())
-            if len(self._pending_words) >= self.words_per_packet:
-                self._flush()
-
-    def _flush(self) -> None:
-        if not self._pending_words:
-            return
-        packet = Packet(src=self.src, dest=self.dest, words=list(self._pending_words))
-        self._flit_queue.extend(pack_packet(packet, self.vc))
-        self.words_sent += len(self._pending_words)
-        self._pending_words.clear()
-
-    def commit(self, cycle: int) -> None:
         if self._flit_queue and self._credits > 0:
-            flit = self._flit_queue.popleft()
             self._credits -= 1
             self.flits_sent += 1
-            self.link.drive(flit)
-        else:
-            self.link.drive(None)
-
-    # -- timed protocol ------------------------------------------------------
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        if (
-            self._flit_queue
-            or self.link.credits[self.vc]
-            or self.link.forward is not None
-        ):
-            return cycle
-        return self._pacer.next_emit_cycle(cycle)
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        self._pacer.skip(cycles)
+            self.link.drive(self._flit_queue.popleft())
+            return True
+        self.link.drive(None)
+        return False
 
     def reset(self) -> None:
-        self._pacer.reset()
+        self.pacer.reset()
         self.link.reset()  # flits forward and credits back: both start over
         self._credits = self._buffer_depth
         self._flit_queue.clear()
@@ -125,43 +113,30 @@ class PacketStreamDriver(ClockedComponent):
         self.flits_sent = 0
 
 
-class PacketStreamConsumer(ClockedComponent):
-    """Emulates a downstream router / tile draining one outgoing link."""
+class PacketStreamConsumer(LinkEndpoint):
+    """Emulates a downstream router / tile draining one outgoing link: a
+    record the datapath clocking the router runs, whose unit takes every
+    flit the router drives at the top of the next commit and returns its
+    credit at once (the router only watches the credit side of its
+    transmit links)."""
+
+    _wakes_on = "flit_dirty"
 
     def __init__(self, name: str, link: PacketLink) -> None:
-        super().__init__(name)
-        self.link = link
-        # Arriving flits must wake a parked consumer (the router only watches
-        # the credit side of its transmit links, so the flit side is free).
-        link.flit_dirty.add_listener(self.wake)
+        super().__init__(name, link)
         self.received_flits: List[int] = []
         self.received_words: List[int] = []
-        self._sampled: Optional[int] = None
 
-    def evaluate(self, cycle: int) -> None:
-        self._sampled = self.link.read()
-
-    def commit(self, cycle: int) -> None:
-        flit = self._sampled
-        if flit is None:
-            return
-        self.received_flits.append(flit)
-        if not flit & HEAD_BIT:
-            self.received_words.append(flit >> PAYLOAD_SHIFT & PAYLOAD_MASK)
-        # An always-consuming downstream immediately frees the buffer slot.
-        self.link.return_credit(flit & VC_MASK)
-
-    # -- timed protocol: a pure sink never generates events of its own -------
-
-    settles_at_sync = True  # nothing to book, idle or busy
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        if self.link.forward is not None or self._sampled is not None:
-            return cycle
-        return None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        pass
+    def step(self, cycle: int) -> bool:
+        """Take the flit on the wire; rest until the next one."""
+        flit = self.link.forward
+        if flit is not None:
+            self.received_flits.append(flit)
+            if not flit & HEAD_BIT:
+                self.received_words.append(flit >> PAYLOAD_SHIFT & PAYLOAD_MASK)
+            # An always-consuming downstream immediately frees the buffer slot.
+            self.link.return_credit(flit & VC_MASK)
+        return False
 
     @property
     def words_received(self) -> int:
@@ -171,7 +146,6 @@ class PacketStreamConsumer(ClockedComponent):
     def reset(self) -> None:
         self.received_flits.clear()
         self.received_words.clear()
-        self._sampled = None
 
 
 class TilePacketDriver:

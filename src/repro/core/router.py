@@ -423,14 +423,8 @@ class LaneDatapath(FabricDatapath):
         #: plane took over, and the cycle it last let go of them.
         self._scalar_cycles = 0
         self._released_at = 0
-        #: The stream endpoints (:meth:`adopt`).  Drivers numbered below
-        #: ``_early_drivers`` fire ahead of the routers, the rest after them;
-        #: the lane units and the drain queues act ahead of the routers'
-        #: commit (``_before``) or after it (``_after``).  A lane unit at rest
-        #: waits in ``_resting``; ``_owed`` maps a unit to its first unbooked
-        #: idle cycle, ``_sinks`` a tile consumer to its drain queue.
-        self._early_drivers = 0
-        self._units_before, self._units_after, self._resting, self._owed = {}, {}, {}, {}
+        #: The tile consumers (:meth:`_adopt_sink`), each mapped to its drain
+        #: queue: one drained ahead of the routers' commit, or after it.
         self._sinks, self._drain_before, self._drain_after = {}, {}, {}
         #: Per router, what its tile interface and its wires to the outside call.
         self._marks = {router: partial(self.mark, router) for router in self.routers}
@@ -453,69 +447,22 @@ class LaneDatapath(FabricDatapath):
 
     # -- stream endpoints ------------------------------------------------------------------
 
-    def adopt(self, record):
-        """Take a circuit stream endpoint on and return it (twice raises
-        :class:`ConfigurationError`).  A record with a ``pacer`` fires from
-        :attr:`drivers`; one with a ``step`` has its lane unit stepped at the
-        clock edge until it rests; one with a ``drain`` drains after each
-        delivery on its lane.  Adopted before this datapath joined a kernel
-        it acts ahead of the routers in every cycle, else after them."""
-        if record in self._units_before or record in self._units_after or record in self._sinks:
-            raise ConfigurationError(f"{record.name!r} is already adopted")
-        early = self._scheduler is None
-        if hasattr(record, "pacer"):
-            number = self.drivers.adopt(record, self._cycle())
-            if early:
-                self._early_drivers = number + 1
-        if hasattr(record, "step"):
-            (self._units_before if early else self._units_after)[record] = None
-            record.listen(partial(self._stir, record))
-        elif hasattr(record, "drain"):
-            queue = self._sinks[record] = self._drain_before if early else self._drain_after
-            record.router.tile.watch_rx(record.lane, partial(self._delivered, record))
-            queue[record] = None  # what already waits drains at its first turn
-        self.wake()
-        return record
+    def _adopt_sink(self, sink, early: bool) -> None:
+        """A tile consumer drains after each delivery on its lane, what
+        already waits at its first turn."""
+        if sink in self._sinks:
+            raise ConfigurationError(f"{sink.name!r} is already adopted")
+        queue = self._sinks[sink] = self._drain_before if early else self._drain_after
+        sink.router.tile.watch_rx(sink.lane, partial(self._delivered, sink))
+        queue[sink] = None
 
-    def release(self, record) -> None:
-        """Let go of *record*, booking what its lane unit owes (tolerates one
-        never adopted or already released)."""
-        self.drivers.release(record)
-        for units in (self._units_before, self._units_after):
-            if record in units:
-                del units[record]
-                self._resting.pop(record, None)
-                start, now = self._owed.pop(record, None), self._cycle()
-                if start is not None and now > start:
-                    record.book_idle(now - start)
-        self._sinks.pop(record, {}).pop(record, None)
-
-    def _stir(self, unit) -> None:
-        """*unit*'s wire changed or its driver queued a word: it steps from its next turn on."""
-        if unit in self._resting:
-            del self._resting[unit]
-            if self._asleep:
-                self.wake()
+    def _release_sink(self, sink) -> None:
+        self._sinks.pop(sink, {}).pop(sink, None)
 
     def _delivered(self, sink) -> None:
         """A word arrived on *sink*'s lane: unless released, it drains at its next turn."""
         if sink in self._sinks:
             self._sinks[sink][sink] = None
-
-    def _turn(self, units: Dict, drain: Dict, cycle: int) -> None:
-        """Step the lane units of *units* not at rest, then drain the consumers in *drain*."""
-        resting, owed = self._resting, self._owed
-        for unit in units:
-            if unit not in resting:
-                start = owed.pop(unit, cycle)
-                if cycle > start:
-                    unit.book_idle(cycle - start)
-                if not unit.step(cycle):
-                    owed[unit] = cycle + 1
-                    resting[unit] = None
-        for sink in drain:
-            sink.drain()
-        drain.clear()
 
     # -- marks -----------------------------------------------------------------------------
 
@@ -598,8 +545,12 @@ class LaneDatapath(FabricDatapath):
             drivers.fire(cycle)
 
     def commit(self, cycle: int) -> None:
-        if self._units_before or self._drain_before:
-            self._turn(self._units_before, self._drain_before, cycle)
+        if self._units_before:
+            self._turn(self._units_before, cycle)
+        if self._drain_before:
+            for sink in self._drain_before:
+                sink.drain()
+            self._drain_before.clear()
         if self._batching:
             plane = self.plane
             if plane._dirty:
@@ -668,8 +619,12 @@ class LaneDatapath(FabricDatapath):
                 self._sweeps = {}
                 if self.plane is not None:
                     self._gate(cycle)
-        if self._units_after or self._drain_after:
-            self._turn(self._units_after, self._drain_after, cycle)
+        if self._units_after:
+            self._turn(self._units_after, cycle)
+        if self._drain_after:
+            for sink in self._drain_after:
+                sink.drain()
+            self._drain_after.clear()
 
     def frozen(self, router: CircuitSwitchedRouter) -> bool:
         """True when another cycle of *router* with unchanged inputs would
@@ -704,7 +659,7 @@ class LaneDatapath(FabricDatapath):
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Now while a router walks, a lane unit is not at rest, a consumer ahead of
         the routers has words or the plane moves; else when the next driver is due."""
-        if self._next or self._drain_before or len(self._resting) < len(self._units_before) + len(self._units_after):
+        if self._next or self._drain_before or self._units and len(self._resting) < len(self._units):
             return cycle
         if self._batching:
             plane = self.plane
@@ -729,8 +684,8 @@ class LaneDatapath(FabricDatapath):
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
         """At ``sync``: the plane's columns back into the routers, every
-        parked router's idle cycles booked up to now, and every router's
-        cycle count."""
+        parked router's idle cycles booked up to now, then the skeleton's
+        booking."""
         if self._batching:
             self.plane.flush()
         end = start_cycle + cycles
@@ -738,13 +693,7 @@ class LaneDatapath(FabricDatapath):
         for router, start in parked.items():
             self._book(router, start, end)
             parked[router] = end
-        owed = self._owed
-        for unit, start in owed.items():
-            if end > start:
-                unit.book_idle(end - start)
-            owed[unit] = end
-        for activity in self._counters:
-            activity.cycles = end
+        super().idle_tick(start_cycle, cycles)
 
     def reset(self) -> None:
         """Routers and endpoints back to power-on, all on the walk; the plane waits for the gate."""
@@ -757,10 +706,10 @@ class LaneDatapath(FabricDatapath):
         self._walk, self._sweeps = _NOT_WALKING, {}
         self._next = dict.fromkeys(self.routers)
         self._stale = dict.fromkeys(self.routers)
-        for container in (self._resting, self._owed, self._drain_before, self._drain_after):
-            container.clear()
-        for record in (*self._units_before, *self._units_after, *self._sinks):
-            record.reset()  # a link driver again with the drivers, after its pacer's
+        self._drain_before.clear()
+        self._drain_after.clear()
+        for sink in self._sinks:
+            sink.reset()
         super().reset()
 
     # -- the vector batch mode -----------------------------------------------------------

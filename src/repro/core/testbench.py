@@ -31,6 +31,7 @@ from repro.core.header import phits_per_packet
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
 from repro.energy.activity import REG_TOGGLE_BITS, ActivityCounters, ActivityKeys
+from repro.sim.datapath import LinkEndpoint
 
 __all__ = [
     "WordSource",
@@ -128,28 +129,17 @@ class LoadPacer:
         self._credit = 0
 
 
-class _LinkEndpoint:
-    """One lane of a link and the lane unit behind it, which the datapath of
-    the router at the other end of the wire steps (``step``: False once it
-    rests) and books idle (:meth:`book_idle`) until a change on the wire
-    direction that router does not watch marks it (:meth:`listen`)."""
-
-    #: The dirty-bit of that direction.
-    _wakes_on = ""
+class _LinkEndpoint(LinkEndpoint):
+    """One lane of a link and the lane unit behind it, whose idle cycles
+    book its constant register bits."""
 
     def __init__(self, name: str, link: LaneLink, lane: int) -> None:
         link.read_forward(lane)  # the lane is checked once, here
-        self.name = name
-        self.link = link
+        super().__init__(name, link)
         self.lane = lane
         self._forward = link.forward
         self._ack = link.ack
         self.activity = ActivityCounters(name)
-
-    def listen(self, mark: Callable[[], None]) -> None:
-        """Call the adopting datapath's *mark* of this unit on a change of the wire it watches."""
-        self.mark = mark
-        getattr(self.link, self._wakes_on).add_listener(mark)
 
     def book_idle(self, cycles: int) -> None:
         """What *cycles* idle ticks of the lane unit record."""
@@ -298,14 +288,17 @@ class TileStreamDriver:
         self.word_source = word_source
         self.mark_blocks = mark_blocks
         self.pacer = LoadPacer(load, phits_per_packet(router.data_width, router.lane_width))
-        self.words_offered = 0
         self.words_sent = 0
         self.words_dropped = 0
         self._index = 0
 
+    @property
+    def words_offered(self) -> int:
+        """Words the pacer offered, sent or dropped."""
+        return self.words_sent + self.words_dropped
+
     def emit(self, cycle: int) -> None:
         """Offer one word at the tile interface (dropped when the lane queue is full)."""
-        self.words_offered += 1
         sob = eob = False
         if self.mark_blocks:
             position = self._index % self.mark_blocks
@@ -319,7 +312,6 @@ class TileStreamDriver:
 
     def reset(self) -> None:
         self.pacer.reset()
-        self.words_offered = 0
         self.words_sent = 0
         self.words_dropped = 0
         self._index = 0

@@ -58,7 +58,7 @@ from repro.noc.gt_network import (
 )
 from repro.noc.mapping import Mapping
 from repro.noc.topology import Topology
-from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
+from repro.sim.engine import DEFAULT_SCHEDULE, SimulationKernel
 
 __all__ = [
     "ScenarioRunResult",
@@ -157,25 +157,16 @@ def _attach_neighbor_links(router, make_link):
     return links
 
 
-def _run_testbench(kernel: SimulationKernel, components, datapath, cycles: int) -> None:
-    """Register the endpoints (deduplicated) and the one-router *datapath*
-    clocking the router under test, then run.
+def _run_testbench(kernel: SimulationKernel, endpoints, datapath, cycles: int) -> None:
+    """Let the one-router *datapath* clocking the router under test adopt the
+    stream endpoint records (deduplicated), register it, then run.
 
-    Several streams may share one physical consumer; registration
-    deduplicates by object identity.  A stream endpoint record is adopted
-    by the datapath, before it joins the kernel, so it acts ahead of the
-    router in every cycle; a link-side GT or packet endpoint is a kernel
-    component, registered ahead of the datapath for the same reason.
+    Several streams may share one physical consumer; adoption deduplicates
+    by object identity.  Adopted before the datapath joins the kernel, every
+    endpoint acts ahead of the router in every cycle.
     """
-    seen: set[int] = set()
-    for component in components:
-        if id(component) in seen:
-            continue
-        seen.add(id(component))
-        if isinstance(component, ClockedComponent):
-            kernel.add(component)
-        else:
-            datapath.adopt(component)
+    for endpoint in dict.fromkeys(endpoints):
+        datapath.adopt(endpoint)
     kernel.add(datapath)
     kernel.run(cycles)
 
@@ -230,7 +221,7 @@ def run_circuit_scenario(
     in_lane_use: Dict[Port, int] = {}
 
     # Build one driver/consumer pair per stream and configure the crossbar.
-    components = []
+    endpoints = []
     for stream in scenario.streams:
         source = word_generator(pattern, width=router.data_width, seed=seed + stream.stream_id)
         out_lane = out_lane_use.get(stream.output_port, 0)
@@ -253,9 +244,9 @@ def run_circuit_scenario(
             )
         drivers[stream.stream_id] = driver
         consumers[stream.stream_id] = consumer
-        components.extend([driver, consumer])
+        endpoints.extend([driver, consumer])
 
-    _run_testbench(kernel, components, LaneDatapath("dut_datapath", [router]), cycles)
+    _run_testbench(kernel, endpoints, LaneDatapath("dut_datapath", [router]), cycles)
 
     result = _scenario_result(
         "circuit_switched", scenario, pattern, load, frequency_hz, cycles, router, drivers
@@ -291,7 +282,7 @@ def run_packet_scenario(
     drivers: Dict[int, object] = {}
     consumers: Dict[int, object] = {}
     link_consumers: Dict[Port, PacketStreamConsumer] = {}
-    components = []
+    endpoints = []
     next_vc = 0
     for stream in scenario.streams:
         source = word_generator(pattern, width=router.data_width, seed=seed + stream.stream_id)
@@ -331,11 +322,9 @@ def run_packet_scenario(
             consumer = link_consumers[stream.output_port]
         drivers[stream.stream_id] = driver
         consumers[stream.stream_id] = consumer
-        components.append(driver)
-        if consumer is not None:
-            components.append(consumer)
+        endpoints += [driver] if consumer is None else [driver, consumer]
 
-    _run_testbench(kernel, components, PacketDatapath("dut_datapath", [router]), cycles)
+    _run_testbench(kernel, endpoints, PacketDatapath("dut_datapath", [router]), cycles)
 
     result = _scenario_result(
         "packet_switched", scenario, pattern, load, frequency_hz, cycles, router, drivers
@@ -392,7 +381,7 @@ def run_gt_scenario(
     drivers: Dict[int, object] = {}
     consumers: Dict[int, object] = {}
     link_consumers: Dict[Port, GtLinkStreamConsumer] = {}
-    components = []
+    endpoints = []
     for stream in scenario.streams:
         # Disjoint slots on both the input and the output side of the stream.
         taken_in = in_used.setdefault(stream.input_port, set())
@@ -443,11 +432,9 @@ def run_gt_scenario(
             consumer.claim(stream.stream_id, frozenset(stream_slots))
         drivers[stream.stream_id] = driver
         consumers[stream.stream_id] = consumer
-        components.append(driver)
-        if consumer is not None:
-            components.append(consumer)
+        endpoints += [driver] if consumer is None else [driver, consumer]
 
-    _run_testbench(kernel, components, TdmaDatapath("dut_datapath", [router]), cycles)
+    _run_testbench(kernel, endpoints, TdmaDatapath("dut_datapath", [router]), cycles)
 
     result = _scenario_result(
         "time_division_gt", scenario, pattern, load, frequency_hz, cycles, router, drivers

@@ -15,7 +15,9 @@ it a third *running* network kind on :class:`repro.noc.fabric.NocBase`:
 * :class:`SlotTableRouter` — the slot tables and one output register per
   port; slot ``cycle % S`` selects which input each output latches,
 * :class:`TdmaDatapath` — the kernel component clocking a set of routers and
-  firing the :class:`GtStreamDriver` records that feed their tiles,
+  running the stream endpoint records that feed them: :class:`GtStreamDriver`
+  at a tile, :class:`GtLinkStreamDriver` / :class:`GtLinkStreamConsumer` on
+  a bench's outside wires,
 * :class:`TimeDivisionNoC` — the full network, registered with
   :func:`repro.noc.fabric.build_network` as ``"gt"`` / ``"aethereal"`` /
   ``"tdma"``, admission-controlled by
@@ -34,10 +36,11 @@ a wire driven from outside the set) into its output register, and each
 register no entry names that holds a word latches idle.  The datapath
 compiles that move per slot and runs a cycle as one gather from the previous
 cycle's registers and one scatter into the routers' own registers, counters,
-outgoing wires and tiles.  The stream drivers feeding the tiles are records
-the datapath fires first thing in its ``commit``, so a word offered in a
-cycle can leave in that cycle's slot; an idle fabric sleeps until a queued
-word's slot or the next driver's due cycle, whichever comes first.
+outgoing wires and tiles.  The stream drivers are records the datapath
+fires first thing in its ``commit``, so a word offered in a cycle can leave
+in that cycle's slot, and the link streams' units step right after them;
+an idle fabric sleeps until a queued word's slot or the next driver's due
+cycle, whichever comes first.
 It recompiles between cycles only: a slot after ``program`` / ``clear``,
 every router after ``attach_link``, both ends of a wire after its ``fail``
 (the last two, with adoption and the wire maps, are the
@@ -45,16 +48,15 @@ every router after ``attach_link``, both ends of a wire after its ``fail``
 packet datapath).  A slot-table write or an ``attach_link`` inside a cycle
 raises :class:`~repro.common.SimulationError`.  A wire between two routers
 of the set is never read (the entry reads the register behind it); an
-*external* wire (a :class:`GtLinkStreamDriver`'s, a shard's boundary mirror)
+*external* wire (a bench's link stream driver's, a shard's boundary mirror)
 is sampled in ``evaluate``, before anything commits — so wires need no
-memory of the previous cycle, whichever side registered first.  Every schedule runs this
-datapath; its independent reference is the two-phase per-router model in
+memory of the previous cycle.  Every schedule runs this datapath; its
+independent reference is the two-phase per-router model in
 ``tests/test_gt_network.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -71,8 +73,8 @@ from repro.noc.fabric import NocBase, WordSource, register_network_kind
 from repro.noc.slot_table import SlotAllocation, SlotCircuit, SlotTableAllocator
 from repro.noc.topology import Position, Topology
 from repro.noc.word_proxy import GtPullModel
-from repro.sim.datapath import DatapathMember, FabricDatapath
-from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent
+from repro.sim.datapath import DatapathMember, FabricDatapath, LinkEndpoint
+from repro.sim.engine import DEFAULT_SCHEDULE
 from repro.sim.signals import DirtyBit, WakeListener
 
 __all__ = [
@@ -120,21 +122,21 @@ class TdmaLink:
         self.forward_dirty.listener = listener
 
     def drive(self, word: Optional[int]) -> None:
-        """Set the wire at the clock edge.  Only a word wakes the reader: it
-        cannot sleep while a word is on the wire, so word → idle needs none."""
-        if word == self.forward:
+        """Set the wire at the clock edge.  Every word wakes the reader, the
+        same word two cycles running too (a link consumer counts each one);
+        idle never does: the reader cannot sleep while a word is on the wire."""
+        if word is None:
+            self.forward = None
             return
         if self.dead:
             # A broken wire swallows the slot's word; there is no flow
             # control to unwind (admission guarantees contention-freedom).
-            if word is not None:
-                self.dropped += 1
+            self.dropped += 1
             return
-        if word is not None and not 0 <= word <= self._mask:
+        if not 0 <= word <= self._mask:
             raise ValueError(f"word {word:#x} does not fit in {self.data_width} bits")
         self.forward = word
-        if word is not None:
-            self.forward_dirty.mark()
+        self.forward_dirty.mark()
 
     def read(self) -> Optional[int]:
         """Sample the word currently on the wire."""
@@ -360,9 +362,9 @@ _PORTS = SlotTableRouter.NUM_PORTS
 #: Where a feed takes its word from (its index in a slot's ``_groups``).
 _FROM_REGISTER, _FROM_TILE, _FROM_WIRE = range(3)
 #: What a register's new word does besides latching (``action`` of a record):
-#: drive a wire a member reads, deliver at the tile, drive a wire read outside
-#: the set, feed a dead wire, or nothing (a fabric edge).
-_TO_MEMBER, _TO_TILE, _TO_OUTSIDE, _TO_DEAD, _TO_NOTHING = range(5)
+#: set a live wire a member reads, deliver at the tile, ``drive`` a wire read
+#: outside the set or a dead one (which counts it dropped), or nothing.
+_TO_MEMBER, _TO_TILE, _TO_WIRE, _TO_NOTHING = range(4)
 
 
 class TdmaDatapath(FabricDatapath):
@@ -413,7 +415,7 @@ class TdmaDatapath(FabricDatapath):
                 elif wire is None:
                     action = _TO_NOTHING
                 else:
-                    action = _TO_DEAD if wire.dead else _TO_MEMBER if wire in self._reader else _TO_OUTSIDE
+                    action = _TO_MEMBER if wire in self._reader and not wire.dead else _TO_WIRE
                 self._registers[base + port] = (
                     port, router._out_reg, router._out_prev, counts, router._mask, action, wire,
                 )
@@ -445,6 +447,12 @@ class TdmaDatapath(FabricDatapath):
                     groups[source].append(feed)
                 self._groups[slot] = tuple(map(tuple, groups))
 
+    def adopt(self, record):
+        """:meth:`FabricDatapath.adopt`, for a link stream of this slot count only."""
+        if getattr(record, "slots", self.slots) != self.slots:
+            raise ConfigurationError(f"{record.name!r} counts {record.slots} slots, not {self.slots}")
+        return super().adopt(record)
+
     def reprogram(self, router: SlotTableRouter, slot: int) -> None:
         """Recompile *router*'s feeds of *slot* after a slot-table write."""
         self._compile(router, (slot,))
@@ -460,6 +468,8 @@ class TdmaDatapath(FabricDatapath):
     def commit(self, cycle: int) -> None:
         if self.drivers.next_due == cycle:
             self.drivers.fire(cycle)
+        if self._units:  # a bench's link streams: ahead of the scatter, whenever adopted
+            self._turn(self._units, cycle)
         slot, held = cycle % self.slots, self._held
         feeds, (from_registers, from_tiles, from_wires) = self._feeds[slot], self._groups[slot]
         # Gather every new word from the previous cycle's registers: idle for
@@ -502,17 +512,15 @@ class TdmaDatapath(FabricDatapath):
                 if word is not None:
                     target.received.setdefault(connection, []).append(word)
                     counts[WORDS_DELIVERED] += 1
-            elif action == _TO_OUTSIDE:
-                if word != target.forward:
-                    target.drive(word)
-            elif action == _TO_DEAD and word is not None:
-                target.dropped += 1  # what TdmaLink.drive counts
+            elif action == _TO_WIRE:
+                target.drive(word)
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Now while a register or an external wire holds a word, else the
-        earlier of the first injection slot of a connection with a queued
-        tile word and the cycle the next driver is due."""
-        if self._held:
+        """Now while a register or an external wire holds a word or a link
+        stream unit is not at rest, else the earlier of the first injection
+        slot of a connection with a queued tile word and the cycle the next
+        driver is due."""
+        if self._held or self._units and len(self._resting) < len(self._units):
             return cycle
         for wire in self._outside_rx:
             if wire.forward is not None:
@@ -553,13 +561,16 @@ class GtStreamDriver:
         self.word_source = word_source
         self.queue_limit = queue_limit
         self.pacer = LoadPacer(load, cycles_per_word)
-        self.words_offered = 0
         self.words_sent = 0
         self.words_dropped = 0
 
+    @property
+    def words_offered(self) -> int:
+        """Words the pacer offered, sent or dropped."""
+        return self.words_sent + self.words_dropped
+
     def emit(self, cycle: int) -> None:
         """Offer one word: queue it unless the connection's backlog is full."""
-        self.words_offered += 1
         tile = self.router.tile
         queue = tile._tx.get(self.connection)
         if queue is None:
@@ -576,18 +587,48 @@ class GtStreamDriver:
 
     def reset(self) -> None:
         self.pacer.reset()
-        self.words_offered = 0
         self.words_sent = 0
         self.words_dropped = 0
 
 
-class GtLinkStreamDriver(ClockedComponent):
+class _SlotPacer(LoadPacer):
+    """A :class:`LoadPacer` consulted once per owned slot opportunity, not
+    per cycle: cycle ``c`` is one when ``c % slots`` is in *residues*, and
+    :meth:`emit_from` returns the opportunity cycle whose consultation emits."""
+
+    def __init__(self, load: float, slots: int, residues: List[int]) -> None:
+        super().__init__(load, 1)
+        self._slots = slots
+        #: Per cycle residue, how far ahead the opportunities of one revolution lie.
+        self._ahead = [sorted((residue - now) % slots for residue in residues) for now in range(slots)]
+
+    def emit_from(self, cycle: int) -> Optional[int]:
+        step = self._step
+        if not step:
+            return None
+        calls = -(-(self._threshold - self._credit) // step)  # consultations up to the emitting one
+        self._credit += step * calls - self._threshold
+        ahead = self._ahead[cycle % self._slots]
+        revolutions, index = divmod(calls - 1, len(ahead))
+        return cycle + ahead[index] + revolutions * self._slots
+
+
+def _check_slots(slots: int, owned: frozenset) -> None:
+    if not owned or not set(owned) <= set(range(slots)):
+        raise ValueError(f"a link stream owns one or more slots of 0..{slots - 1}, not {sorted(owned)}")
+
+
+class GtLinkStreamDriver(LinkEndpoint):
     """Emulates an upstream slot-table router driving one incoming wire.
 
     The single-router power scenarios (Table 3) feed streams in through
     neighbour ports; this driver places a word on the wire exactly when the
     router under test will latch it — i.e. during the cycle *before* each of
-    the stream's owned slots comes around.
+    the stream's owned slots comes around.  It is a record the
+    :class:`TdmaDatapath` clocking that router runs: fired (:meth:`emit`) at
+    the owned slot opportunities its pacer picks, it drives the word, and
+    its unit lets the wire fall idle (:meth:`step`) at the next commit
+    unless a word was fired in it too.
     """
 
     def __init__(
@@ -599,116 +640,68 @@ class GtLinkStreamDriver(ClockedComponent):
         word_source: WordSource,
         load: float = 1.0,
     ) -> None:
-        super().__init__(name)
-        if not inject_slots:
-            raise ValueError("a link stream needs at least one slot")
-        self.link = link
+        _check_slots(slots, inject_slots)
+        super().__init__(name, link)
         self.slots = slots
         self.inject_slots = frozenset(inject_slots)
         self.word_source = word_source
-        self._pacer = LoadPacer(load, 1)  # gated once per slot opportunity
-        #: Cycle residues (mod slots) at which this driver commits into an
-        #: owned slot: cycle c feeds slot (c+1) % slots.
-        self._inject_residues = sorted((s - 1) % slots for s in self.inject_slots)
+        # Cycle c feeds slot (c + 1) % slots: the residues of the opportunities.
+        self.pacer = _SlotPacer(load, slots, sorted((s - 1) % slots for s in self.inject_slots))
         self.words_sent = 0
+        self._sent = -1  # the cycle of the last word
 
-    def evaluate(self, cycle: int) -> None:  # the wire is driven at the clock edge
-        pass
+    def emit(self, cycle: int) -> None:
+        """Drive a word for the owned slot of the next cycle."""
+        self.link.drive(self.word_source())
+        self.words_sent += 1
+        self._sent = cycle
+        self.mark()
 
-    def commit(self, cycle: int) -> None:
-        # A word committed now is sampled during cycle + 1 and latched at the
-        # downstream router's slot (cycle + 1) % S.
-        target_slot = (cycle + 1) % self.slots
-        if target_slot in self.inject_slots and self._pacer.should_emit():
-            self.link.drive(self.word_source())
-            self.words_sent += 1
-        else:
-            self.link.drive(None)
-
-    # -- timed protocol ------------------------------------------------------
-    # The pacer is consulted once per owned slot opportunity (never on other
-    # cycles), so its credit counts *opportunities*: the next emission falls
-    # on the k-th future opportunity cycle, k = cycles_until_emit(), and a
-    # leaped window fast-forwards the pacer by the number of opportunity
-    # cycles it contains.  The cycle after driving a word stays dense (the
-    # word must be replaced by idle).
-
-    def _opportunities_in(self, start_cycle: int, cycles: int) -> int:
-        """Owned slot opportunities in the window [start_cycle, start_cycle + cycles)."""
-        revolutions, remainder = divmod(cycles, self.slots)
-        count = revolutions * len(self._inject_residues)
-        for residue in self._inject_residues:
-            if (residue - start_cycle) % self.slots < remainder:
-                count += 1
-        return count
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        if self.link.forward is not None:
-            return cycle
-        emit_calls = self._pacer.cycles_until_emit()
-        if emit_calls is None:
-            return None  # zero load: every opportunity drives idle onto idle
-        # The k-th opportunity from *cycle* on, counted from this revolution's start.
-        residues, now = self._inject_residues, cycle % self.slots
-        revolutions, index = divmod(emit_calls - 1 + bisect_left(residues, now), len(residues))
-        return cycle - now + residues[index] + revolutions * self.slots
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        self._pacer.skip(self._opportunities_in(start_cycle, cycles))
+    def step(self, cycle: int) -> bool:
+        """The cycle after a word the wire falls idle and the unit rests."""
+        if self._sent == cycle:
+            return True
+        self.link.drive(None)
+        return False
 
     def reset(self) -> None:
-        self._pacer.reset()
+        self.pacer.reset()
         self.link.reset()
         self.words_sent = 0
+        self._sent = -1
 
 
-class GtLinkStreamConsumer(ClockedComponent):
+class GtLinkStreamConsumer(LinkEndpoint):
     """Emulates the downstream router behind one outgoing wire.
 
     A word latched at slot ``s`` sits on the wire during the following cycle,
     so the slot that owns a sampled word is ``(cycle - 1) % S``; the consumer
-    attributes every word to the stream owning that slot.
+    attributes every word to the stream owning that slot.  It is a record
+    the :class:`TdmaDatapath` clocking the router runs: a word the router
+    drives marks its unit, which counts it at the top of the next commit.
     """
 
+    _wakes_on = "forward_dirty"
+
     def __init__(self, name: str, link: TdmaLink, slots: int) -> None:
-        super().__init__(name)
-        self.link = link
-        # Arriving words must wake a parked consumer (a datapath only watches
-        # its routers' receive wires, so an outgoing wire's dirty-bit is free).
-        link.forward_dirty.add_listener(self.wake)
+        super().__init__(name, link)
         self.slots = slots
-        #: Slot index -> stream id owning it (filled by the test bench).
-        self.slot_owner: Dict[int, int] = {}
+        #: Slot index -> stream id owning it, -1 for none (see :meth:`claim`).
+        self.slot_owner = [-1] * slots
         self.received: Dict[int, int] = {}
-        self._sampled: Optional[int] = None
-        self._sampled_slot = 0
 
     def claim(self, stream_id: int, slots: frozenset) -> None:
         """Record that *stream_id* owns the given latch slots."""
+        _check_slots(self.slots, slots)
         for slot in slots:
             self.slot_owner[slot] = stream_id
 
-    def evaluate(self, cycle: int) -> None:
-        self._sampled = self.link.forward
-        self._sampled_slot = (cycle - 1) % self.slots
-
-    def commit(self, cycle: int) -> None:
-        if self._sampled is not None:
-            owner = self.slot_owner.get(self._sampled_slot, -1)
+    def step(self, cycle: int) -> bool:
+        """Count the word on the wire; rest until the next one."""
+        if self.link.forward is not None:
+            owner = self.slot_owner[(cycle - 1) % self.slots]
             self.received[owner] = self.received.get(owner, 0) + 1
-            self._sampled = None
-
-    # -- timed protocol: a pure sink never generates events of its own -------
-
-    settles_at_sync = True  # nothing to book, idle or busy
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        if self.link.forward is not None or self._sampled is not None:
-            return cycle
-        return None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        pass
+        return False
 
     def words_received_for(self, stream_id: int) -> int:
         """Words attributed to *stream_id*."""
@@ -716,7 +709,6 @@ class GtLinkStreamConsumer(ClockedComponent):
 
     def reset(self) -> None:
         self.received.clear()
-        self._sampled = None
 
 
 class GtStreamEndpoints:

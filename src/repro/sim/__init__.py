@@ -51,8 +51,9 @@ reason) — applies to simulation cost as well:
   ticks only live lanes and books the idle ones as one constant, and the
   first commit of every version sweeps every register and wire densely, so
   stale lanes cannot linger.  A frozen router is parked inside the datapath
-  until a wire, tile or configuration write marks it, and so is a link-side
-  stream endpoint's lane unit.  Components never ask which schedule runs
+  until a wire, tile or configuration write marks it, and so is the unit of
+  a link-side stream endpoint of any kind: every network and bench kernel
+  clocks its datapath alone.  Components never ask which schedule runs
   them.
 
 Ordering stays deterministic: batches commit in registration-index order

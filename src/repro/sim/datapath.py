@@ -3,13 +3,16 @@
 A datapath is one kernel component clocking a set of routers that are no
 components themselves, and running the stream endpoint records that feed
 them (:meth:`FabricDatapath.adopt`).  :class:`FabricDatapath` holds what does
-not depend on the router kind, :class:`DatapathMember` the routers' wiring; a
-kind keeps its per-member compile and its own ``evaluate``, ``commit`` and
-``next_event_cycle``, so the skeleton adds no call to a cycle.
+not depend on the router kind — adoption, the drivers, the link endpoints'
+units (:class:`LinkEndpoint`) — and :class:`DatapathMember` the routers'
+wiring; a kind keeps its per-member compile and its own ``evaluate``,
+``commit`` and ``next_event_cycle``, which call the skeleton's
+:meth:`~FabricDatapath._turn` where a bench has units to step.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heapify, heappush, heapreplace
 from sys import maxsize
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
@@ -18,7 +21,7 @@ from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port
 from repro.energy.activity import ActivityKeys
 from repro.sim.engine import ClockedComponent
 
-__all__ = ["DatapathMember", "DriverSchedule", "FabricDatapath"]
+__all__ = ["DatapathMember", "DriverSchedule", "FabricDatapath", "LinkEndpoint"]
 
 _CLOCKED_BITS = ActivityKeys.REG_CLOCKED_BITS
 
@@ -33,8 +36,9 @@ class DriverSchedule:
     :attr:`next_due`.  A heap keyed ``(due cycle, adoption number)`` orders
     them, so drivers sharing a word source pull in adoption order within a
     cycle — the registration order they had as kernel components.  Each
-    driver's pacer advances in closed form, one
-    :meth:`~repro.core.testbench.LoadPacer.emit_from` per emission.
+    driver's pacer advances in closed form, one ``pacer.emit_from`` per
+    emission (:meth:`~repro.core.testbench.LoadPacer.emit_from`, or a GT
+    link driver's per slot opportunity).
     """
 
     __slots__ = ("_owner", "_heap", "_adopted", "_count", "next_due")
@@ -81,12 +85,8 @@ class DriverSchedule:
         while entry[0] == cycle and entry[1] < below:
             driver = entry[2]
             driver.emit(cycle)
-            # pacer.emit_from(cycle + 1), inlined: a driver that emitted has a load.
-            pacer = driver.pacer
-            step, threshold = pacer._step, pacer._threshold
-            gap = -((pacer._credit - threshold) // step)
-            pacer._credit += step * gap - threshold
-            heapreplace(heap, (cycle + gap, entry[1], driver))
+            # A driver that emitted has a load: it is due again.
+            heapreplace(heap, (driver.pacer.emit_from(cycle + 1), entry[1], driver))
             entry = heap[0]
         self.next_due = entry[0]
 
@@ -97,6 +97,31 @@ class DriverSchedule:
             driver.reset()
             self._schedule(driver, number, 0)
         self._owner.wake()
+
+
+class LinkEndpoint:
+    """A stream endpoint standing in for the router at the far end of a
+    link.  The datapath of the router at the near end steps its unit at the
+    clock edge (``step(cycle)``: False once it rests), books its idle cycles
+    (:meth:`book_idle`) and lets a change on the wire direction that router
+    does not watch, or the endpoint's own driver, mark it (:meth:`listen`)."""
+
+    #: The dirty-bit of that direction ("" for none).
+    _wakes_on = ""
+
+    def __init__(self, name: str, link: Any) -> None:
+        self.name = name
+        self.link = link
+
+    def listen(self, mark: Callable[[], None]) -> None:
+        """Keep the adopting datapath's *mark* of this unit and call it on a
+        change of the wire direction this endpoint watches."""
+        self.mark = mark
+        if self._wakes_on:
+            getattr(self.link, self._wakes_on).add_listener(mark)
+
+    def book_idle(self, cycles: int) -> None:
+        """What *cycles* idle cycles of the unit record (here nothing)."""
 
 
 class DatapathMember:
@@ -176,8 +201,19 @@ class FabricDatapath(ClockedComponent):
         #: register bits every cycle, with the bit count.
         self._counters = [router.activity for router in self.routers]
         self._clocked = [(r.activity, r._idle_clock_bits) for r in self.routers if r._idle_clock_bits]
-        #: The tile stream drivers this datapath fires.
+        #: The stream drivers this datapath fires.
         self.drivers = DriverSchedule(self)
+        #: The endpoints' units in adoption order, all and split by whether
+        #: adopted before this datapath joined a kernel (for a kind acting
+        #: between the two, as it fires drivers below ``_early_drivers``).
+        #: A unit at rest waits in ``_resting``, owing from ``_owed``; while
+        #: one is not, the kind's ``next_event_cycle`` answers now.
+        self._units: Dict[Any, None] = {}
+        self._units_before: Dict[Any, None] = {}
+        self._units_after: Dict[Any, None] = {}
+        self._resting: Dict[Any, None] = {}
+        self._owed: Dict[Any, int] = {}
+        self._early_drivers = 0
 
     # -- hooks ---------------------------------------------------------------------------
 
@@ -208,13 +244,67 @@ class FabricDatapath(ClockedComponent):
     # -- stream endpoints ----------------------------------------------------------------
 
     def adopt(self, record: Any) -> Any:
-        """Take a stream endpoint record on and return it (here a tile stream driver)."""
-        self.drivers.adopt(record, self._cycle())
+        """Take a stream endpoint record on and return it (twice raises
+        :class:`ConfigurationError`).  A record with a ``pacer`` fires from
+        :attr:`drivers`; one with a ``step`` has its unit stepped at the
+        clock edge until it rests (:meth:`_turn`); any other is the kind's
+        (:meth:`_adopt_sink`).  Adopted before this datapath joined a kernel
+        it acts ahead of the routers in every cycle, else after them."""
+        early = self._scheduler is None
+        if hasattr(record, "pacer"):
+            number = self.drivers.adopt(record, self._cycle())
+            if early:
+                self._early_drivers = number + 1
+        if hasattr(record, "step"):
+            if record in self._units:
+                raise ConfigurationError(f"{record.name!r} is already adopted")
+            self._units[record] = None
+            (self._units_before if early else self._units_after)[record] = None
+            record.listen(partial(self._stir, record))
+        elif not hasattr(record, "pacer"):
+            self._adopt_sink(record, early)
+        self.wake()
         return record
 
+    def _adopt_sink(self, record: Any, early: bool) -> None:
+        """Take on a record that is neither a driver nor a stepped unit."""
+        raise ConfigurationError(f"{record.name!r} is no stream endpoint of {self.name!r}")
+
     def release(self, record: Any) -> None:
-        """Let go of *record* (tolerates one never adopted or already released)."""
+        """Let go of *record*, booking what its unit owes (tolerates one never
+        adopted or already released)."""
         self.drivers.release(record)
+        if record not in self._units:
+            self._release_sink(record)
+            return
+        for container in (self._units, self._units_before, self._units_after, self._resting):
+            container.pop(record, None)
+        start, now = self._owed.pop(record, None), self._cycle()
+        if start is not None and now > start:
+            record.book_idle(now - start)
+
+    def _release_sink(self, record: Any) -> None:
+        """Let go of a record :meth:`_adopt_sink` took on, or of a driver."""
+
+    def _stir(self, unit: Any) -> None:
+        """*unit*'s wire changed or its own driver emitted: it steps from its next turn on."""
+        if unit in self._resting:
+            del self._resting[unit]
+            if self._asleep:
+                self.wake()
+
+    def _turn(self, units: Dict[Any, None], cycle: int) -> None:
+        """Step the units of *units* not at rest, in adoption order; one whose
+        ``step`` returns False rests, its idle cycles owed from the next on."""
+        resting, owed = self._resting, self._owed
+        for unit in units:
+            if unit not in resting:
+                start = owed.pop(unit, cycle)
+                if cycle > start:
+                    unit.book_idle(cycle - start)
+                if not unit.step(cycle):
+                    owed[unit] = cycle + 1
+                    resting[unit] = None
 
     def _cycle(self) -> int:
         """The kernel's cycle, 0 before this datapath joined one."""
@@ -278,15 +368,26 @@ class FabricDatapath(ClockedComponent):
     # -- simulation ----------------------------------------------------------------------
 
     def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        """Book *cycles* cycles, busy or idle: every member's constant clocked
-        bits and its cycle count (the rest of the energy model is event-based)."""
+        """Book *cycles* cycles, busy or idle: the idle cycles the resting
+        units owe, every member's constant clocked bits and its cycle count
+        (the rest of the energy model is event-based)."""
         end = start_cycle + cycles
+        owed = self._owed
+        for unit, start in owed.items():
+            if end > start:
+                unit.book_idle(end - start)
+            owed[unit] = end
         for activity in self._counters:
             activity.cycles = end
         for activity, bits in self._clocked:
             activity.add(_CLOCKED_BITS, bits * cycles)
 
     def reset(self) -> None:
+        """Endpoints, routers and drivers back to power-on, every unit stepping."""
+        for unit in self._units:
+            unit.reset()  # a link driver again with the drivers, after its pacer's
+        self._resting.clear()
+        self._owed.clear()
         for router in self.routers:
             router.reset()
         for name in self._transient:

@@ -30,10 +30,10 @@ Two schedules are available (:data:`SCHEDULES`), bit-identical;
     (:mod:`repro.core.lane`, :mod:`repro.baseline.link`) and by the external
     interfaces (tile send/receive, configuration writes): any write that
     actually changes a value calls :meth:`ClockedComponent.wake` on the
-    reading component.  A network registers one compiled datapath
-    (:class:`repro.sim.datapath.FabricDatapath`) that clocks all its routers,
-    runs the stream endpoints feeding them and answers for all of them as
-    one component.  Under this schedule the circuit-switched one
+    reading component.  A network or a single-router bench registers one
+    compiled datapath (:class:`repro.sim.datapath.FabricDatapath`) that
+    clocks all its routers, runs every stream endpoint feeding them and
+    answers for all of them as one component.  Under this schedule the circuit-switched one
     (:class:`repro.core.router.LaneDatapath`) also has the columnar batch
     mode of :mod:`repro.sim.vector`: from its live-route
     gate up a busy cycle of the whole fabric is a handful of NumPy
@@ -85,7 +85,7 @@ Event-queue contract
   through ``idle_tick`` when the component next runs (or at ``sync``).
 * Free idle ticks are not called at all: a component whose per-cycle
   accounting is one constant, busy or idle, or nothing, or that books what
-  its parts owe itself (the datapaths, pure sinks) sets
+  its parts owe itself (the datapaths) sets
   ``settles_at_sync``.  No wake or heap pop ticks it, and ``sync()`` /
   ``remove()`` settle it — awake or asleep, under both schedules — with
   one ``idle_tick(start, cycles)`` over everything elapsed since the last.

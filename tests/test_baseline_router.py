@@ -19,7 +19,10 @@ from conftest import FabricScenario, fabric_scenarios, step_twins, twin_benches
 from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.traffic import BitFlipPattern, scenario_by_name, word_generator
-from repro.baseline.flit import FLIT_PAYLOAD_BITS, VC_MASK, Flit, FlitType, Packet, pack, packetize, unpack
+from repro.baseline.flit import (
+    FLIT_PAYLOAD_BITS, HEAD_BIT, PAYLOAD_MASK, PAYLOAD_SHIFT, VC_MASK, Flit, FlitType, Packet, pack, pack_packet,
+    packetize, unpack,
+)
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.baseline.routing import xy_route
@@ -44,11 +47,11 @@ def words(seed: int = 0):
     return lambda: rng.getrandbits(16)
 
 
-def _clocked(*routers, drivers=()):
-    """A datapath clocking *routers* and firing the tile stream *drivers*."""
+def _clocked(*routers, endpoints=()):
+    """A datapath clocking *routers* and running the stream *endpoints*."""
     datapath = PacketDatapath("dut_datapath", routers)
-    for driver in drivers:
-        datapath.drivers.adopt(driver, 0)
+    for endpoint in endpoints:
+        datapath.adopt(endpoint)
     return datapath
 
 
@@ -80,7 +83,7 @@ class TestSingleRouterTraffic:
         router, links = ps_router_with_links
         driver = TilePacketDriver("src", router, words(1), dest=(2, 1), load=1.0, vc=0)
         consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
-        kernel_25mhz.add_all([consumer, _clocked(router, drivers=[driver])])
+        kernel_25mhz.add(_clocked(router, endpoints=[driver, consumer]))
         kernel_25mhz.run(600)
         assert driver.words_sent > 0
         assert consumer.words_received >= driver.words_sent - router.tile.words_per_packet
@@ -94,7 +97,7 @@ class TestSingleRouterTraffic:
         driver = PacketStreamDriver(
             "src", links[Port.NORTH][0], words(2), dest=(1, 1), src=(1, 2), load=1.0, vc=1
         )
-        kernel_25mhz.add_all([driver, _clocked(router)])
+        kernel_25mhz.add(_clocked(router, endpoints=[driver]))
         kernel_25mhz.run(600)
         assert router.tile.words_received >= driver.words_sent - 32
 
@@ -104,7 +107,7 @@ class TestSingleRouterTraffic:
             "src", links[Port.WEST][0], words(3), dest=(2, 1), src=(0, 1), load=1.0, vc=2
         )
         consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
-        kernel_25mhz.add_all([driver, consumer, _clocked(router)])
+        kernel_25mhz.add(_clocked(router, endpoints=[driver, consumer]))
         kernel_25mhz.run(600)
         assert consumer.words_received > 0
         assert router.activity.get(ActivityKeys.FLITS_ROUTED) > 0
@@ -120,7 +123,7 @@ class TestSingleRouterTraffic:
             "src_w", links[Port.WEST][0], words(5), dest=(2, 1), src=(0, 1), load=1.0, vc=1
         )
         consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
-        kernel_25mhz.add_all([west_driver, consumer, _clocked(router, drivers=[tile_driver])])
+        kernel_25mhz.add(_clocked(router, endpoints=[west_driver, consumer, tile_driver]))
         kernel_25mhz.run(1000)
         assert router.activity.get(ActivityKeys.ARBITER_GRANT_CHANGES) > 0
         sent = tile_driver.words_sent + west_driver.words_sent
@@ -137,7 +140,7 @@ class TestSingleRouterTraffic:
         router, links = ps_router_with_links
         driver = TilePacketDriver("src", router, words(6), dest=(2, 1), load=1.0, vc=0)
         consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
-        kernel_25mhz.add_all([consumer, _clocked(router, drivers=[driver])])
+        kernel_25mhz.add(_clocked(router, endpoints=[consumer, driver]))
         kernel_25mhz.run(100)
         router.reset()
         assert router.activity.cycles == 0
@@ -170,7 +173,7 @@ class TestTileInterface:
 
         kernel = SimulationKernel(25e6)
         driver = TilePacketDriver("src", left, words(7), dest=(1, 0), load=1.0, vc=0)
-        kernel.add(_clocked(left, right, drivers=[driver]))
+        kernel.add(_clocked(left, right, endpoints=[driver]))
         kernel.run(800)
         assert driver.words_sent > 0
         assert right.tile.words_received >= driver.words_sent - left.tile.words_per_packet
@@ -819,6 +822,134 @@ def _reference_packet_driver(driver):
                                       driver.pacer.load, driver.vc, driver.words_per_packet)
 
 
+class _ReferencePacketStreamDriver(ClockedComponent):
+    """The link stream driver as a kernel component, verbatim: paced in
+    evaluate() one cycle at a time, woken by returned credits."""
+
+    def __init__(self, name, link, word_source, dest, src, load=1.0, vc=0, words_per_packet=16,
+                 downstream_buffer_depth=8, data_width=16, lane_width=4):
+        super().__init__(name)
+        self.link = link
+        self.word_source = word_source
+        self.dest = dest
+        self.src = src
+        self.vc = vc
+        self.words_per_packet = words_per_packet
+        self._pacer = LoadPacer(load, phits_per_packet(data_width, lane_width))
+        # Returned credits must wake a parked driver (the router only watches
+        # the flit side of its receive links, so the credit side is free).
+        link.credit_dirty.add_listener(self.wake)
+        self._buffer_depth = self._credits = downstream_buffer_depth
+        self._flit_queue = deque()
+        self._pending_words = []
+        self.words_offered = 0
+        self.words_sent = 0
+        self.flits_sent = 0
+
+    def evaluate(self, cycle):
+        # Collect credits returned by the router for our virtual channel.
+        self._credits += self.link.take_credits(self.vc)
+        if self._pacer.should_emit():
+            self.words_offered += 1
+            self._pending_words.append(self.word_source())
+            if len(self._pending_words) >= self.words_per_packet:
+                self._flush()
+
+    def _flush(self):
+        if not self._pending_words:
+            return
+        packet = Packet(src=self.src, dest=self.dest, words=list(self._pending_words))
+        self._flit_queue.extend(pack_packet(packet, self.vc))
+        self.words_sent += len(self._pending_words)
+        self._pending_words.clear()
+
+    def commit(self, cycle):
+        if self._flit_queue and self._credits > 0:
+            flit = self._flit_queue.popleft()
+            self._credits -= 1
+            self.flits_sent += 1
+            self.link.drive(flit)
+        else:
+            self.link.drive(None)
+
+    def next_event_cycle(self, cycle):
+        if (
+            self._flit_queue
+            or self.link.credits[self.vc]
+            or self.link.forward is not None
+        ):
+            return cycle
+        return self._pacer.next_emit_cycle(cycle)
+
+    def idle_tick(self, start_cycle, cycles):
+        self._pacer.skip(cycles)
+
+    def reset(self):
+        self._pacer.reset()
+        self.link.reset()  # flits forward and credits back: both start over
+        self._credits = self._buffer_depth
+        self._flit_queue.clear()
+        self._pending_words.clear()
+        self.words_offered = 0
+        self.words_sent = 0
+        self.flits_sent = 0
+
+
+class _ReferencePacketStreamConsumer(ClockedComponent):
+    """The link stream consumer as a kernel component, verbatim: samples the
+    wire in evaluate(), takes the flit and returns its credit in commit()."""
+
+    def __init__(self, name, link):
+        super().__init__(name)
+        self.link = link
+        # Arriving flits must wake a parked consumer (the router only watches
+        # the credit side of its transmit links, so the flit side is free).
+        link.flit_dirty.add_listener(self.wake)
+        self.received_flits = []
+        self.received_words = []
+        self._sampled = None
+
+    def evaluate(self, cycle):
+        self._sampled = self.link.read()
+
+    def commit(self, cycle):
+        flit = self._sampled
+        if flit is None:
+            return
+        self.received_flits.append(flit)
+        if not flit & HEAD_BIT:
+            self.received_words.append(flit >> PAYLOAD_SHIFT & PAYLOAD_MASK)
+        # An always-consuming downstream immediately frees the buffer slot.
+        self.link.return_credit(flit & VC_MASK)
+
+    settles_at_sync = True  # nothing to book, idle or busy
+
+    def next_event_cycle(self, cycle):
+        if self.link.forward is not None or self._sampled is not None:
+            return cycle
+        return None
+
+    def idle_tick(self, start_cycle, cycles):
+        pass
+
+    @property
+    def words_received(self):
+        return len(self.received_words)
+
+    def reset(self):
+        self.received_flits.clear()
+        self.received_words.clear()
+        self._sampled = None
+
+
+def _link_streams(router):
+    """The link stream endpoint classes a bench of *router* runs: the records,
+    or their reference components on a reference router."""
+    if isinstance(router, _ReferenceRouter):
+        return _ReferencePacketStreamDriver, _ReferencePacketStreamConsumer
+    return PacketStreamDriver, PacketStreamConsumer
+
+
 class _ReferencePacketNoC(PacketSwitchedNoC):
     def _build_router(self, position):
         return _ReferenceRouter(
@@ -994,6 +1125,7 @@ def _table3_setup(name, load):
 
     def setup(router, links):
         components, consumers = [], {}
+        stream_driver, stream_consumer = _link_streams(router)
         for index, stream in enumerate(scenario_by_name(name).streams):
             source = word_generator(BitFlipPattern.TYPICAL, seed=stream.stream_id)
             dx, dy = (0, 0) if stream.leaves_at_tile else port_offset(stream.output_port)
@@ -1004,10 +1136,10 @@ def _table3_setup(name, load):
                 components.append(_reference_packet_driver(driver) if isinstance(router, _ReferenceRouter) else driver)
             else:
                 dx, dy = port_offset(stream.input_port)
-                components.append(PacketStreamDriver(
+                components.append(stream_driver(
                     f"s{index}", links[stream.input_port][0], source, dest, (1 + dx, 1 + dy), load, vc, 4))
             if not stream.leaves_at_tile and stream.output_port not in consumers:
-                consumers[stream.output_port] = PacketStreamConsumer(f"d{index}", links[stream.output_port][1])
+                consumers[stream.output_port] = stream_consumer(f"d{index}", links[stream.output_port][1])
         return components + list(consumers.values())
 
     return setup
@@ -1031,12 +1163,13 @@ class TestDirectedSwitchAllocation:
         def setup(router, links):
             for _ in range(4):  # 68 flits back to back: East is busy every cycle
                 _worm(router, 16, vc=0)
+            stream_driver, stream_consumer = _link_streams(router)
             return [
-                PacketStreamDriver(  # a 5-flit burst every 20 cycles
+                stream_driver(  # a 5-flit burst every 20 cycles
                     "west", links[Port.WEST][0], words(5), dest=(2, 1), src=(0, 1), vc=1,
                     words_per_packet=4,
                 ),
-                PacketStreamConsumer("east", links[Port.EAST][1]),
+                stream_consumer("east", links[Port.EAST][1]),
             ]
 
         benches = _twin_benches(setup)
@@ -1089,12 +1222,13 @@ class TestDirectedSwitchAllocation:
         def setup(router, links):
             _worm(router, 5, vc=0)
             _worm(router, 3, vc=0)
+            stream_driver, stream_consumer = _link_streams(router)
             return [
-                PacketStreamDriver(
+                stream_driver(
                     "north", links[Port.NORTH][0], words(7), dest=(1, 1), src=(1, 2), vc=0,
                     words_per_packet=2, downstream_buffer_depth=2,
                 ),
-                PacketStreamConsumer("east", links[Port.EAST][1]),
+                stream_consumer("east", links[Port.EAST][1]),
             ]
 
         benches = _twin_benches(setup, num_vcs=1, fifo_depth=2)
@@ -1138,7 +1272,7 @@ class TestDirectedSwitchAllocation:
         def setup(router, links):
             _worm(router, 16, vc=0)
             _worm(router, 16, vc=1, dest=(1, 2))
-            return [PacketStreamConsumer("east", links[Port.EAST][1])]
+            return [_link_streams(router)[1]("east", links[Port.EAST][1])]
 
         (router, links, kernel), _ = _twin_benches(setup)
         kernel.run(30)  # the second worm is out of credits: buffer occupied, output VC held

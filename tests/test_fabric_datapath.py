@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baseline.flit import COORD_MASK, SRC_SHIFT
+from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
+from repro.baseline.testbench import PacketStreamConsumer, PacketStreamDriver, TilePacketDriver
 from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter, LaneDatapath
 from repro.core.testbench import LaneStreamConsumer, LaneStreamDriver, TileStreamConsumer, TileStreamDriver
 from repro.noc import Mesh2D, build_network
-from repro.noc.gt_network import GtStreamDriver, SlotTableRouter, TdmaDatapath
+from repro.noc.gt_network import (
+    GtLinkStreamConsumer, GtLinkStreamDriver, GtStreamDriver, SlotTableRouter, TdmaDatapath, TdmaLink,
+)
 from repro.sim.engine import SimulationKernel
 
 KINDS = {"gt": (TdmaDatapath, SlotTableRouter), "packet": (PacketDatapath, PacketSwitchedRouter)}
@@ -54,25 +59,73 @@ def test_a_driver_adopted_twice_raises_and_fires_once():
     assert driver.words_offered == 16
 
 
-def _circuit_bench_endpoints(router, links):
-    return [
-        TileStreamDriver("src", router, 0, lambda: 0x1234),
-        LaneStreamConsumer("dst", links[Port.EAST][1], 0),
-        LaneStreamDriver("in", links[Port.NORTH][0], 0, lambda: 0x4321, load=0.5),
-        TileStreamConsumer("out", router, 0),
-    ]
+def _attach(router, make_link):
+    links = {port: (make_link(f"rx_{port.short_name}"), make_link(f"tx_{port.short_name}")) for port in NEIGHBOR_PORTS}
+    for port, pair in links.items():
+        router.attach_link(port, *pair)
+    return links
 
 
-def test_a_circuit_bench_kernel_clocks_only_its_datapath():
+def _circuit_bench():
     router = CircuitSwitchedRouter("dut")
-    links = {}
-    for port in NEIGHBOR_PORTS:
-        links[port] = (LaneLink(f"rx_{port.short_name}"), LaneLink(f"tx_{port.short_name}"))
-        router.attach_link(port, *links[port])
+    links = _attach(router, LaneLink)
     router.configure(Port.EAST, 0, Port.TILE, 0)
     router.configure(Port.TILE, 0, Port.NORTH, 0)
-    datapath = LaneDatapath("datapath", [router])
-    endpoints = _circuit_bench_endpoints(router, links)
+    router.configure(Port.EAST, 1, Port.WEST, 0)
+    endpoints = [
+        TileStreamDriver("s1_src", router, 0, lambda: 0x1234),
+        LaneStreamConsumer("s1_dst", links[Port.EAST][1], 0),
+        LaneStreamDriver("s2_src", links[Port.NORTH][0], 0, lambda: 0x4321, load=0.5),
+        TileStreamConsumer("s2_dst", router, 0),
+        LaneStreamDriver("s3_src", links[Port.WEST][0], 0, lambda: 0x5678),
+        LaneStreamConsumer("s3_dst", links[Port.EAST][1], 1),
+    ]
+    return LaneDatapath("datapath", [router]), endpoints, lambda: [e.words_received for e in endpoints[1::2]]
+
+
+def _gt_bench():
+    router = SlotTableRouter("dut", slots=16)
+    links = _attach(router, TdmaLink)
+    for slot in range(4):
+        router.program(Port.EAST, slot, Port.TILE, "s1")
+        router.program(Port.TILE, slot, Port.NORTH, "s2")
+        router.program(Port.EAST, slot + 4, Port.WEST, "s3")
+    east = GtLinkStreamConsumer("east_dst", links[Port.EAST][1], 16)
+    east.claim(1, frozenset(range(4)))
+    east.claim(3, frozenset(range(4, 8)))
+    endpoints = [
+        GtStreamDriver("s1_src", router, "s1", lambda: 0x1234, cycles_per_word=4),
+        east,
+        GtLinkStreamDriver("s2_src", links[Port.NORTH][0], 16, frozenset(range(4)), lambda: 0x4321, load=0.5),
+        GtLinkStreamDriver("s3_src", links[Port.WEST][0], 16, frozenset(range(4, 8)), lambda: 0x5678),
+    ]
+    delivered = lambda: [east.words_received_for(1), router.tile.words_received("s2"), east.words_received_for(3)]
+    return TdmaDatapath("datapath", [router]), endpoints, delivered
+
+
+def _packet_bench():
+    router = PacketSwitchedRouter("dut", position=(1, 1))
+    links = _attach(router, PacketLink)
+    east = PacketStreamConsumer("east_dst", links[Port.EAST][1])
+    endpoints = [
+        TilePacketDriver("s1_src", router, lambda: 0x1234, dest=(2, 1), vc=0),
+        east,
+        PacketStreamDriver("s2_src", links[Port.NORTH][0], lambda: 0x4321, dest=(1, 1), src=(1, 2), load=0.5, vc=1),
+        PacketStreamDriver("s3_src", links[Port.WEST][0], lambda: 0x5678, dest=(2, 1), src=(0, 1), vc=2),
+    ]
+    def delivered():  # East's flits by the x of their source (the tile's 1, West's 0), the tile's words
+        senders = [flit >> SRC_SHIFT & COORD_MASK for flit in east.received_flits]
+        return [senders.count(1), senders.count(0), router.tile.words_received]
+
+    return PacketDatapath("datapath", [router]), endpoints, delivered
+
+
+#: Scenario IV of Table 3 (tile to East, North to tile, West to East) on one router of each kind.
+_BENCHES = {"circuit": _circuit_bench, "gt": _gt_bench, "packet": _packet_bench}
+
+
+def _bench_kernel_clocks_only_its_datapath(kind):
+    datapath, endpoints, delivered = _BENCHES[kind]()
     for endpoint in endpoints:
         assert datapath.adopt(endpoint) is endpoint
         with pytest.raises(ConfigurationError, match="already adopted"):
@@ -84,7 +137,17 @@ def test_a_circuit_bench_kernel_clocks_only_its_datapath():
             kernel.add(endpoint)
     kernel.run(300)
     assert kernel.components == (datapath,)
-    assert endpoints[1].words_received > 40 and endpoints[3].words_received > 20
+    assert all(words > 10 for words in delivered())
+
+
+def test_a_circuit_bench_kernel_clocks_only_its_datapath():
+    _bench_kernel_clocks_only_its_datapath("circuit")
+
+
+@pytest.mark.parametrize("kind", ["gt", "packet"])
+def test_a_gt_or_packet_bench_kernel_clocks_only_its_datapath(kind):
+    """Its link stream endpoints too, which used to be kernel components."""
+    _bench_kernel_clocks_only_its_datapath(kind)
 
 
 def test_a_circuit_fabric_kernel_clocks_only_its_datapath():

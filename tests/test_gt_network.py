@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import pytest
 from conftest import fabric_scenarios, step_twins, twin_benches
 from hypothesis import given, settings, strategies as st
@@ -404,6 +406,118 @@ def _reference_gt_driver(driver):
                                     driver.pacer.load, driver.pacer.cycles_per_word, driver.queue_limit)
 
 
+class _ReferenceGtLinkStreamDriver(ClockedComponent):
+    """The link stream driver as a kernel component, verbatim: drives a word
+    or idle in every commit it runs, its pacer consulted per owned slot
+    opportunity and skipped over the opportunities of idle_tick()."""
+
+    def __init__(self, name, link, slots, inject_slots, word_source, load=1.0):
+        super().__init__(name)
+        if not inject_slots:
+            raise ValueError("a link stream needs at least one slot")
+        self.link = link
+        self.slots = slots
+        self.inject_slots = frozenset(inject_slots)
+        self.word_source = word_source
+        self._pacer = LoadPacer(load, 1)  # gated once per slot opportunity
+        #: Cycle residues (mod slots) at which this driver commits into an
+        #: owned slot: cycle c feeds slot (c+1) % slots.
+        self._inject_residues = sorted((s - 1) % slots for s in self.inject_slots)
+        self.words_sent = 0
+
+    def evaluate(self, cycle):  # the wire is driven at the clock edge
+        pass
+
+    def commit(self, cycle):
+        # A word committed now is sampled during cycle + 1 and latched at the
+        # downstream router's slot (cycle + 1) % S.
+        target_slot = (cycle + 1) % self.slots
+        if target_slot in self.inject_slots and self._pacer.should_emit():
+            self.link.drive(self.word_source())
+            self.words_sent += 1
+        else:
+            self.link.drive(None)
+
+    def _opportunities_in(self, start_cycle, cycles):
+        """Owned slot opportunities in the window [start_cycle, start_cycle + cycles)."""
+        revolutions, remainder = divmod(cycles, self.slots)
+        count = revolutions * len(self._inject_residues)
+        for residue in self._inject_residues:
+            if (residue - start_cycle) % self.slots < remainder:
+                count += 1
+        return count
+
+    def next_event_cycle(self, cycle):
+        if self.link.forward is not None:
+            return cycle
+        emit_calls = self._pacer.cycles_until_emit()
+        if emit_calls is None:
+            return None  # zero load: every opportunity drives idle onto idle
+        # The k-th opportunity from *cycle* on, counted from this revolution's start.
+        residues, now = self._inject_residues, cycle % self.slots
+        revolutions, index = divmod(emit_calls - 1 + bisect_left(residues, now), len(residues))
+        return cycle - now + residues[index] + revolutions * self.slots
+
+    def idle_tick(self, start_cycle, cycles):
+        self._pacer.skip(self._opportunities_in(start_cycle, cycles))
+
+    def reset(self):
+        self._pacer.reset()
+        self.link.reset()
+        self.words_sent = 0
+
+
+class _ReferenceGtLinkStreamConsumer(ClockedComponent):
+    """The link stream consumer as a kernel component, verbatim: samples the
+    wire in evaluate(), counts the word in commit()."""
+
+    def __init__(self, name, link, slots):
+        super().__init__(name)
+        self.link = link
+        # Arriving words must wake a parked consumer (a datapath only watches
+        # its routers' receive wires, so an outgoing wire's dirty-bit is free).
+        link.forward_dirty.add_listener(self.wake)
+        self.slots = slots
+        #: Slot index -> stream id owning it (filled by the test bench).
+        self.slot_owner = {}
+        self.received = {}
+        self._sampled = None
+        self._sampled_slot = 0
+
+    def claim(self, stream_id, slots):
+        """Record that *stream_id* owns the given latch slots."""
+        for slot in slots:
+            self.slot_owner[slot] = stream_id
+
+    def evaluate(self, cycle):
+        self._sampled = self.link.forward
+        self._sampled_slot = (cycle - 1) % self.slots
+
+    def commit(self, cycle):
+        if self._sampled is not None:
+            owner = self.slot_owner.get(self._sampled_slot, -1)
+            self.received[owner] = self.received.get(owner, 0) + 1
+            self._sampled = None
+
+    settles_at_sync = True  # nothing to book, idle or busy
+
+    def next_event_cycle(self, cycle):
+        if self.link.forward is not None or self._sampled is not None:
+            return cycle
+        return None
+
+    def idle_tick(self, start_cycle, cycles):
+        pass
+
+    def words_received_for(self, stream_id):
+        """Words attributed to *stream_id*."""
+        return self.received.get(stream_id, 0)
+
+    def reset(self):
+        self.received.clear()
+        self._sampled = None
+
+
 class _ReferenceGtNoC(TimeDivisionNoC):
     def _register_with_kernel(self):
         for router in self.routers.values():
@@ -446,7 +560,8 @@ def _parked(clocks, cycle):
 
 def _reference_clocks(kernel):
     """What a reference bench or fabric clocks in place of a datapath."""
-    return [c for c in kernel.components if isinstance(c, (_ReferenceSlotTableRouter, _ReferenceGtStreamDriver))]
+    return [c for c in kernel.components if isinstance(c, (
+        _ReferenceSlotTableRouter, _ReferenceGtStreamDriver, _ReferenceGtLinkStreamDriver, _ReferenceGtLinkStreamConsumer))]
 
 
 def _gt_network_state(network):
@@ -483,6 +598,9 @@ def _table3_setup(name, load, slots=16):
 
     def setup(router, links):
         components, consumers, taken = [], {}, {}
+        reference = isinstance(router, _ReferenceSlotTableRouter)
+        link_driver, link_consumer = ((_ReferenceGtLinkStreamDriver, _ReferenceGtLinkStreamConsumer) if reference
+                                      else (GtLinkStreamDriver, GtLinkStreamConsumer))
         for stream in scenario_by_name(name).streams:
             ports = (stream.input_port, -1 - stream.output_port)  # input and output side
             owned = frozenset([s for s in range(slots) if all(s not in taken.get(p, ()) for p in ports)][:4])
@@ -493,17 +611,41 @@ def _table3_setup(name, load, slots=16):
                 router.program(stream.output_port, slot, stream.input_port, connection)
             if stream.enters_at_tile:
                 driver = GtStreamDriver(f"{connection}_src", router, connection, source, load, 4)
-                reference = isinstance(router, _ReferenceSlotTableRouter)
                 components.append(_reference_gt_driver(driver) if reference else driver)
             else:
                 components.append(
-                    GtLinkStreamDriver(f"{connection}_src", links[stream.input_port][0], slots, owned, source, load))
+                    link_driver(f"{connection}_src", links[stream.input_port][0], slots, owned, source, load))
             if not stream.leaves_at_tile:
-                consumers.setdefault(stream.output_port, GtLinkStreamConsumer(
+                consumer = consumers.setdefault(stream.output_port, link_consumer(
                     f"{connection}_dst", links[stream.output_port][1], slots))
+                consumer.claim(stream.stream_id, owned)
         return components + list(consumers.values())
 
     return setup
+
+
+def _table3_benches(name, load):
+    """Twin :func:`_table3_setup` benches, production first; each bench
+    carries its endpoints last."""
+    endpoints, setup = {}, _table3_setup(name, load)
+
+    def keep(router, links):
+        endpoints[router] = setup(router, links)
+        return endpoints[router]
+
+    return [(router, links, kernel, endpoints[router]) for router, links, kernel in _gt_twin_benches(keep)]
+
+
+def _step_table3(benches, cycles):
+    """Step the benches together: equal bench states and equal endpoint
+    counters and receptions after every cycle."""
+    keys = ("words_offered", "words_sent", "words_dropped", "received")
+    for _ in range(cycles):
+        for _router, _links, kernel, _endpoints in benches:
+            kernel.step()
+        states = [(_gt_bench_state(router, links, kernel), [[getattr(e, key, None) for key in keys] for e in endpoints])
+                  for router, links, kernel, endpoints in benches]
+        assert states[0] == states[1], f"diverged in cycle {benches[0][2].cycle - 1}"
 
 
 class TestCommitEqualsReference:
@@ -534,9 +676,43 @@ class TestCommitEqualsReference:
     def test_table3_benches_on_external_wires(self, name, load):
         """The paper's single-router scenarios: link streams drive external
         wires the datapath samples, the consumers read its outgoing ones."""
-        benches = _gt_twin_benches(_table3_setup(name, load))
-        _gt_step_twins(benches, 150)
+        benches = _table3_benches(name, load)
+        _step_table3(benches, 150)
         assert benches[0][0].activity.get(ActivityKeys.REG_TOGGLE_BITS) > 0
+
+    def test_reset_then_rerun_matches_the_reference(self):
+        """The datapath resets its link stream records with its routers: after
+        a run, a slot-table write and ``kernel.reset()`` the rerun equals the
+        reference bench's, whose kernel resets its endpoint components."""
+        benches = _table3_benches("IV", 1.0)
+        for router, _links, kernel, _endpoints in benches:
+            kernel.run(83)
+            router.clear(Port.EAST, 4)  # the west stream loses one of its slots
+            kernel.run(40)
+            kernel.reset()
+        assert all(endpoint.words_sent == 0 for endpoint in benches[0][3] if hasattr(endpoint, "pacer"))
+        _step_table3(benches, 150)
+        assert benches[0][3][-1].words_received_for(3) > 0
+
+    def test_a_word_repeated_on_an_outside_wire_counts_twice(self):
+        """The same word leaves in two consecutive slots: the wire holds it two
+        cycles running, and the link consumer counts it twice."""
+        consumers = {}
+
+        def setup(router, links):
+            for slot in (0, 1):
+                router.program(Port.EAST, slot, Port.TILE, "a")
+                router.tile.send("a", 0x1234)
+            reference = isinstance(router, _ReferenceSlotTableRouter)
+            consumer = (_ReferenceGtLinkStreamConsumer if reference else GtLinkStreamConsumer)(
+                "dst", links[Port.EAST][1], 4)
+            consumer.claim(7, frozenset({0, 1}))
+            consumers[router] = consumer
+            return [consumer]
+
+        benches = _gt_twin_benches(setup, slots=4)
+        _gt_step_twins(benches, 6)
+        assert [consumers[router].received for router, _links, _kernel in benches] == [{7: 2}, {7: 2}]
 
     def test_slots_cleared_while_a_word_sits_in_the_output_register(self):
         """The connection is torn down with its last word still registered:
@@ -615,6 +791,33 @@ class TestCommitEqualsReference:
         tile.forget("never-seen")
         tile.reset()
         assert tile._queued == 0
+
+
+class TestLinkStreamSlots:
+    """A link stream's slots are checked where it is built and where it is adopted."""
+
+    def test_a_slot_outside_the_table_raises(self):
+        """Owning slot 16 of a 16-slot table used to send nothing, with no error."""
+        for owned in (frozenset({16}), frozenset({-1, 3}), frozenset()):
+            with pytest.raises(ValueError, match="slots of 0..15"):
+                GtLinkStreamDriver("src", TdmaLink("rx"), 16, owned, lambda: 1)
+        consumer = GtLinkStreamConsumer("dst", TdmaLink("tx"), 16)
+        with pytest.raises(ValueError, match="slots of 0..15"):
+            consumer.claim(1, frozenset({16}))
+        assert consumer.slot_owner == [-1] * 16
+
+    def test_a_link_stream_of_another_slot_count_is_refused(self):
+        """A driver and a consumer built for 8 slots on a 16-slot router used to
+        run: 40 words sent, 20 received."""
+        router = SlotTableRouter("dut", slots=16)
+        rx, tx = TdmaLink("rx"), TdmaLink("tx")
+        router.attach_link(Port.WEST, rx, TdmaLink("west_tx"))
+        router.attach_link(Port.EAST, TdmaLink("east_rx"), tx)
+        datapath = TdmaDatapath("datapath", [router])
+        for record in (GtLinkStreamDriver("src", rx, 8, frozenset({1}), lambda: 1), GtLinkStreamConsumer("dst", tx, 8)):
+            with pytest.raises(ConfigurationError, match="'(src|dst)' counts 8 slots, not 16"):
+                datapath.adopt(record)
+        assert not datapath._units and datapath.drivers.next_due is None
 
 
 class TestScheduleChangesBetweenCycles:

@@ -179,7 +179,9 @@ class TestConstantAccountingSettlesAtSync:
         )
         kernel = SimulationKernel(25e6, schedule=schedule)
         datapath = TdmaDatapath("datapath", [router])
-        kernel.add_all([driver, datapath])
+        datapath.adopt(driver)
+        # An idle bystander keeps the kernel clocking once the datapath leaves it.
+        kernel.add_all([datapath, TdmaDatapath("bystander", [SlotTableRouter("idle", slots=4)])])
 
         def booked():
             return router.activity.get(ActivityKeys.REG_CLOCKED_BITS), router.activity.cycles

@@ -6,6 +6,7 @@ import pytest
 from conftest import clock_of
 
 from repro.baseline.link import PacketLink
+from repro.baseline.router import PacketDatapath
 from repro.baseline.testbench import PacketStreamConsumer, PacketStreamDriver
 from repro.common import Port
 from repro.core.lane import LaneLink
@@ -41,9 +42,9 @@ class TestLoadPacer:
             LoadPacer(0.5, 0)
 
 
-def _routerless(*endpoints):
+def _routerless(*endpoints, datapath_class=LaneDatapath):
     """A datapath over no router running link-side endpoints wired back to back."""
-    datapath = LaneDatapath("direct", [])
+    datapath = datapath_class("direct", [])
     for endpoint in endpoints:
         datapath.adopt(endpoint)
     return datapath
@@ -125,7 +126,7 @@ class TestPacketStreamDriverConsumer:
         )
         consumer = PacketStreamConsumer("dst", link)
         kernel = SimulationKernel(25e6)
-        kernel.add_all([driver, consumer])
+        kernel.add(_routerless(driver, consumer, datapath_class=PacketDatapath))
         kernel.run(600)
         assert driver.words_sent > 0
         assert consumer.words_received >= driver.words_sent - 8
@@ -140,7 +141,7 @@ class TestPacketStreamDriverConsumer:
             words_per_packet=4, downstream_buffer_depth=6,
         )
         kernel = SimulationKernel(25e6)
-        kernel.add(driver)
+        kernel.add(_routerless(driver, datapath_class=PacketDatapath))
         kernel.run(400)
         assert driver.flits_sent == 6
 
@@ -151,7 +152,7 @@ class TestPacketStreamDriverConsumer:
         )
         consumer = PacketStreamConsumer("dst", link)
         kernel = SimulationKernel(25e6)
-        kernel.add_all([driver, consumer])
+        kernel.add(_routerless(driver, consumer, datapath_class=PacketDatapath))
         kernel.run(200)
         driver.reset()
         consumer.reset()

@@ -445,7 +445,9 @@ class TestPacedNetworkLeaping:
             consumer = GtLinkStreamConsumer("dst", tx, slots)
             consumer.claim(0, stream_slots)
             kernel = SimulationKernel(FREQUENCY_HZ, schedule=schedule)
-            kernel.add_all([driver, consumer, TdmaDatapath("datapath", [router])])
+            datapath = TdmaDatapath("datapath", [router])
+            datapath.adopt(driver), datapath.adopt(consumer)
+            kernel.add(datapath)
             kernel.run(1200)
             return kernel, (
                 driver.words_sent,
