@@ -423,8 +423,13 @@ class LaneDatapath(FabricDatapath):
         #: plane took over, and the cycle it last let go of them.
         self._scalar_cycles = 0
         self._released_at = 0
-        #: The tile consumers (:meth:`_adopt_sink`), each mapped to its drain
-        #: queue: one drained ahead of the routers' commit, or after it.
+        #: The lane units adopted before this datapath joined a kernel and
+        #: after, each stepped on its own side of the routers' commit
+        #: (:meth:`_place`); the drivers numbered below ``_early_drivers``
+        #: fire ahead of the routers' evaluate.
+        self._units_before, self._units_after, self._early_drivers = {}, {}, 0
+        #: The tile consumers, each mapped to its drain queue: one drained
+        #: ahead of the routers' commit, or after it.
         self._sinks, self._drain_before, self._drain_after = {}, {}, {}
         #: Per router, what its tile interface and its wires to the outside call.
         self._marks = {router: partial(self.mark, router) for router in self.routers}
@@ -447,17 +452,26 @@ class LaneDatapath(FabricDatapath):
 
     # -- stream endpoints ------------------------------------------------------------------
 
-    def _adopt_sink(self, sink, early: bool) -> None:
-        """A tile consumer drains after each delivery on its lane, what
-        already waits at its first turn."""
-        if sink in self._sinks:
-            raise ConfigurationError(f"{sink.name!r} is already adopted")
-        queue = self._sinks[sink] = self._drain_before if early else self._drain_after
-        sink.router.tile.watch_rx(sink.lane, partial(self._delivered, sink))
-        queue[sink] = None
+    def _place(self, record, early: bool) -> None:
+        """A record adopted before this datapath joined a kernel acts ahead of
+        the routers in every cycle, one adopted later after them.  A tile
+        consumer drains after each delivery on its lane, what already waits
+        at its first turn."""
+        if hasattr(record, "pacer") and early:
+            self._early_drivers = self.drivers.count
+        if hasattr(record, "step"):
+            (self._units_before if early else self._units_after)[record] = None
+        elif not hasattr(record, "pacer"):
+            if record in self._sinks:
+                raise ConfigurationError(f"{record.name!r} is already adopted")
+            queue = self._sinks[record] = self._drain_before if early else self._drain_after
+            record.router.tile.watch_rx(record.lane, partial(self._delivered, record))
+            queue[record] = None
 
-    def _release_sink(self, sink) -> None:
-        self._sinks.pop(sink, {}).pop(sink, None)
+    def _unplace(self, record) -> None:
+        self._units_before.pop(record, None)
+        self._units_after.pop(record, None)
+        self._sinks.pop(record, {}).pop(record, None)
 
     def _delivered(self, sink) -> None:
         """A word arrived on *sink*'s lane: unless released, it drains at its next turn."""

@@ -55,10 +55,9 @@ class LoadPacer:
 
     The credit arithmetic is exact: the load is split into its integer
     numerator/denominator (every float is a dyadic rational) and the credit
-    is an integer in units of ``1/denominator``.  Exactness is what makes the
-    pacer *leapable* — :meth:`cycles_until_emit` predicts the next emission
-    cycle in closed form and :meth:`skip` fast-forwards over known-silent
-    cycles, both bit-identical to calling :meth:`should_emit` once per cycle.
+    is an integer in units of ``1/denominator``.  Exactness is what lets
+    :meth:`emit_from` leap from one emission to the next in closed form,
+    bit-identical to consulting the pacer once per cycle.
     """
 
     def __init__(self, load: float, cycles_per_word: int) -> None:
@@ -73,50 +72,11 @@ class LoadPacer:
         self._threshold = cycles_per_word * denominator
         self._credit = 0
 
-    def should_emit(self) -> bool:
-        """Advance one cycle and report whether a word should be offered now."""
-        credit = self._credit + self._step
-        if credit >= self._threshold:
-            self._credit = credit - self._threshold
-            return True
-        self._credit = credit
-        return False
-
-    def cycles_until_emit(self) -> Optional[int]:
-        """Number of :meth:`should_emit` calls until the next ``True``.
-
-        ``1`` means the very next call emits; ``None`` means never (zero
-        load).  Pure prediction — the pacer state is not advanced.
-        """
-        if self._step == 0:
-            return None
-        deficit = self._threshold - self._credit
-        return -(-deficit // self._step) if deficit > 0 else 1
-
-    def skip(self, cycles: int) -> None:
-        """Fast-forward over *cycles* calls known not to emit.
-
-        Exactly equivalent to *cycles* :meth:`should_emit` calls that all
-        return ``False``; the caller guarantees the emission horizon from
-        :meth:`cycles_until_emit` is not crossed.
-        """
-        self._credit += self._step * cycles
-
-    def next_emit_cycle(self, cycle: int) -> Optional[int]:
-        """The cycle of the next emission, for one call per cycle from *cycle*.
-
-        The timed-driver protocol in one place: a driver that consults the
-        pacer once per evaluate can report this directly as its
-        ``next_event_cycle`` (``None`` = zero load, never).
-        """
-        gap = self.cycles_until_emit()
-        return None if gap is None else cycle + gap - 1
-
     def emit_from(self, cycle: int) -> Optional[int]:
         """Emit at the first due cycle from *cycle* on and return it (``None``:
-        zero load, never): one :meth:`should_emit` per cycle from *cycle* up
-        to the one that returns ``True``, in closed form.  The next emission
-        is ``emit_from(due + 1)``."""
+        zero load, never): the first cycle whose ``load`` credit, accrued
+        once per cycle from *cycle* on, reaches a packet's worth.  The next
+        emission is ``emit_from(due + 1)``."""
         step = self._step
         if not step:
             return None

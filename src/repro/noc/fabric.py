@@ -142,7 +142,8 @@ class NocBase:
         """Register one :attr:`datapath_class` component, :attr:`datapath`,
         clocking every router; under ``schedule="vector"`` it also takes a
         vector plane where its kind has one.  Runs before any stream endpoint
-        is adopted, so every endpoint acts after the routers in a cycle.
+        is adopted, so a circuit fabric's endpoints act after its routers in
+        a cycle (:meth:`repro.core.router.LaneDatapath._place`).
         """
         self.datapath = self.datapath_class(f"{self.activity_name}_datapath", list(self.routers.values()))
         if self.kernel.schedule == "vector":

@@ -38,10 +38,10 @@ class DriverSchedule:
     cycle — the registration order they had as kernel components.  Each
     driver's pacer advances in closed form, one ``pacer.emit_from`` per
     emission (:meth:`~repro.core.testbench.LoadPacer.emit_from`, or a GT
-    link driver's per slot opportunity).
+    link driver's per slot opportunity), which the heap entry keeps bound.
     """
 
-    __slots__ = ("_owner", "_heap", "_adopted", "_count", "next_due")
+    __slots__ = ("_owner", "_heap", "_adopted", "count", "next_due")
 
     def __init__(self, owner: Any) -> None:
         #: The datapath: woken when a driver joins between two cycles.
@@ -49,25 +49,26 @@ class DriverSchedule:
         self._heap: List[tuple] = []
         #: Adopted driver -> adoption number, in adoption order.
         self._adopted: Dict[Any, int] = {}
-        self._count = 0
+        #: Adoption numbers handed out.
+        self.count = 0
         #: The earliest cycle any driver is due (``None``: none ever is).
         self.next_due: Optional[int] = None
 
-    def adopt(self, driver: Any, cycle: int) -> int:
+    def adopt(self, driver: Any, cycle: int) -> None:
         """Take *driver* on (twice raises :class:`ConfigurationError`): it offers
-        its first word at or after *cycle*.  Returns its adoption number."""
+        its first word at or after *cycle*."""
         if driver in self._adopted:
             raise ConfigurationError(f"driver {driver.name!r} is already adopted")
-        number = self._adopted[driver] = self._count
-        self._count += 1
+        number = self._adopted[driver] = self.count
+        self.count += 1
         self._schedule(driver, number, cycle)
         self._owner.wake()
-        return number
 
     def _schedule(self, driver: Any, number: int, cycle: int) -> None:
-        due = driver.pacer.emit_from(cycle)
+        emit_from = driver.pacer.emit_from
+        due = emit_from(cycle)
         if due is not None:
-            heappush(self._heap, (due, number, driver))
+            heappush(self._heap, (due, number, driver, emit_from))
             self.next_due = self._heap[0][0]
 
     def release(self, driver: Any) -> None:
@@ -83,10 +84,10 @@ class DriverSchedule:
         heap = self._heap
         entry = heap[0]
         while entry[0] == cycle and entry[1] < below:
-            driver = entry[2]
+            _, number, driver, emit_from = entry
             driver.emit(cycle)
             # A driver that emitted has a load: it is due again.
-            heapreplace(heap, (driver.pacer.emit_from(cycle + 1), entry[1], driver))
+            heapreplace(heap, (emit_from(cycle + 1), number, driver, emit_from))
             entry = heap[0]
         self.next_due = entry[0]
 
@@ -203,17 +204,12 @@ class FabricDatapath(ClockedComponent):
         self._clocked = [(r.activity, r._idle_clock_bits) for r in self.routers if r._idle_clock_bits]
         #: The stream drivers this datapath fires.
         self.drivers = DriverSchedule(self)
-        #: The endpoints' units in adoption order, all and split by whether
-        #: adopted before this datapath joined a kernel (for a kind acting
-        #: between the two, as it fires drivers below ``_early_drivers``).
-        #: A unit at rest waits in ``_resting``, owing from ``_owed``; while
-        #: one is not, the kind's ``next_event_cycle`` answers now.
+        #: The endpoints' units in adoption order.  A unit at rest waits in
+        #: ``_resting``, owing from ``_owed``; while one is not, the kind's
+        #: ``next_event_cycle`` answers now.
         self._units: Dict[Any, None] = {}
-        self._units_before: Dict[Any, None] = {}
-        self._units_after: Dict[Any, None] = {}
         self._resting: Dict[Any, None] = {}
         self._owed: Dict[Any, int] = {}
-        self._early_drivers = 0
 
     # -- hooks ---------------------------------------------------------------------------
 
@@ -247,44 +243,41 @@ class FabricDatapath(ClockedComponent):
         """Take a stream endpoint record on and return it (twice raises
         :class:`ConfigurationError`).  A record with a ``pacer`` fires from
         :attr:`drivers`; one with a ``step`` has its unit stepped at the
-        clock edge until it rests (:meth:`_turn`); any other is the kind's
-        (:meth:`_adopt_sink`).  Adopted before this datapath joined a kernel
-        it acts ahead of the routers in every cycle, else after them."""
-        early = self._scheduler is None
+        clock edge until it rests (:meth:`_turn`); the kind places it in its
+        cycle (:meth:`_place`)."""
         if hasattr(record, "pacer"):
-            number = self.drivers.adopt(record, self._cycle())
-            if early:
-                self._early_drivers = number + 1
+            self.drivers.adopt(record, self._cycle())
         if hasattr(record, "step"):
             if record in self._units:
                 raise ConfigurationError(f"{record.name!r} is already adopted")
             self._units[record] = None
-            (self._units_before if early else self._units_after)[record] = None
             record.listen(partial(self._stir, record))
-        elif not hasattr(record, "pacer"):
-            self._adopt_sink(record, early)
+        self._place(record, self._scheduler is None)
         self.wake()
         return record
 
-    def _adopt_sink(self, record: Any, early: bool) -> None:
-        """Take on a record that is neither a driver nor a stepped unit."""
-        raise ConfigurationError(f"{record.name!r} is no stream endpoint of {self.name!r}")
+    def _place(self, record: Any, early: bool) -> None:
+        """Where *record*, adopted before this datapath joined a kernel if
+        *early*, acts in the kind's cycle.  Here the kind fires every driver
+        and steps every unit where it calls :meth:`_turn`, and refuses any
+        other record."""
+        if not hasattr(record, "pacer") and not hasattr(record, "step"):
+            raise ConfigurationError(f"{record.name!r} is no stream endpoint of {self.name!r}")
 
     def release(self, record: Any) -> None:
         """Let go of *record*, booking what its unit owes (tolerates one never
         adopted or already released)."""
         self.drivers.release(record)
-        if record not in self._units:
-            self._release_sink(record)
-            return
-        for container in (self._units, self._units_before, self._units_after, self._resting):
-            container.pop(record, None)
-        start, now = self._owed.pop(record, None), self._cycle()
-        if start is not None and now > start:
-            record.book_idle(now - start)
+        self._unplace(record)
+        if record in self._units:
+            del self._units[record]
+            self._resting.pop(record, None)
+            start, now = self._owed.pop(record, None), self._cycle()
+            if start is not None and now > start:
+                record.book_idle(now - start)
 
-    def _release_sink(self, record: Any) -> None:
-        """Let go of a record :meth:`_adopt_sink` took on, or of a driver."""
+    def _unplace(self, record: Any) -> None:
+        """Undo what :meth:`_place` did for *record*."""
 
     def _stir(self, unit: Any) -> None:
         """*unit*'s wire changed or its own driver emitted: it steps from its next turn on."""

@@ -294,9 +294,10 @@ def twin_benches(router_classes, make_link, setup, *, schedule=None, **router_kw
 
 
 def step_twins(benches, cycles: int, state: Callable) -> None:
-    """Step the benches together; ``state(router, links, kernel)`` must stay equal."""
+    """Step the benches together; ``state(router, links, kernel, ...)`` (what
+    else a bench carries after its kernel too) must stay equal."""
     for _ in range(cycles):
-        for _router, _links, kernel in benches:
+        for _router, _links, kernel, *_ in benches:
             kernel.step()
         states = [state(*bench) for bench in benches]
         assert all(s == states[0] for s in states), f"diverged in cycle {benches[0][2].cycle - 1}"

@@ -16,6 +16,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import pytest
 from conftest import FabricScenario, fabric_scenarios, step_twins, twin_benches
+from pacing import CyclePacer
 from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.traffic import BitFlipPattern, scenario_by_name, word_generator
@@ -36,7 +37,6 @@ from repro.common import (
     toggle_count,
 )
 from repro.core.header import phits_per_packet
-from repro.core.testbench import LoadPacer
 from repro.energy.activity import ActivityCounters, ActivityKeys, BUFFER_READ_BITS, BUFFER_WRITE_BITS
 from repro.noc import IrregularMesh, Mesh2D, PacketSwitchedNoC
 from repro.sim.engine import ClockedComponent, SimulationKernel
@@ -783,7 +783,7 @@ class _ReferenceTilePacketDriver(ClockedComponent):
         self.dest = dest
         self.vc = vc
         self.words_per_packet = words_per_packet or router.tile.words_per_packet
-        self._pacer = LoadPacer(load, phits_per_packet(data_width, lane_width))
+        self._pacer = CyclePacer(load, phits_per_packet(data_width, lane_width))
         self._pending_words = []
         self.words_offered = 0
         self.words_sent = 0
@@ -835,7 +835,7 @@ class _ReferencePacketStreamDriver(ClockedComponent):
         self.src = src
         self.vc = vc
         self.words_per_packet = words_per_packet
-        self._pacer = LoadPacer(load, phits_per_packet(data_width, lane_width))
+        self._pacer = CyclePacer(load, phits_per_packet(data_width, lane_width))
         # Returned credits must wake a parked driver (the router only watches
         # the flit side of its receive links, so the credit side is free).
         link.credit_dirty.add_listener(self.wake)
@@ -1114,6 +1114,31 @@ def _step_twins(benches, cycles):
     step_twins(benches, cycles, _bench_state)
 
 
+def _endpoint_benches(setup, **router_kwargs):
+    """:func:`_twin_benches`, each bench carrying the endpoints *setup* made last."""
+    endpoints = {}
+
+    def keep(router, links):
+        endpoints[router] = setup(router, links)
+        return endpoints[router]
+
+    return [(*bench, endpoints[bench[0]]) for bench in _twin_benches(keep, **router_kwargs)]
+
+
+def _endpoint_state(router, links, kernel, endpoints):
+    """The bench state, then every endpoint's counters and receptions."""
+    counters = [
+        ([getattr(endpoint, key, None) for key in ("words_offered", "words_sent", "flits_sent", "received_words")],
+         [_wire(flit) for flit in getattr(endpoint, "received_flits", ())])
+        for endpoint in endpoints
+    ]
+    return _bench_state(router, links, kernel), counters
+
+
+def _step_endpoint_twins(benches, cycles):
+    step_twins(benches, cycles, _endpoint_state)
+
+
 def _worm(router, words_in_packet, vc, dest=(2, 1)):
     router.tile.send_packet(
         Packet(src=router.position, dest=dest, words=list(range(1, words_in_packet + 1))), vc=vc
@@ -1151,8 +1176,8 @@ class TestDirectedSwitchAllocation:
     def test_table3_benches_on_outside_wires(self, name, load):
         """The paper's single-router scenarios: stream drivers drive wires the
         datapath samples, consumers read and credit the ones it drives."""
-        benches = _twin_benches(_table3_setup(name, load))
-        _step_twins(benches, 300)
+        benches = _endpoint_benches(_table3_setup(name, load))
+        _step_endpoint_twins(benches, 300)
         assert benches[0][0].activity.get(ActivityKeys.FLITS_ROUTED) > 0
 
     def test_two_worms_collide_on_one_output_port(self):
@@ -1172,8 +1197,8 @@ class TestDirectedSwitchAllocation:
                 stream_consumer("east", links[Port.EAST][1]),
             ]
 
-        benches = _twin_benches(setup)
-        _step_twins(benches, 120)
+        benches = _endpoint_benches(setup)
+        _step_endpoint_twins(benches, 120)
         reference = benches[1][0]
         east = reference.switch_arbiters[Port.EAST]
         counts = benches[0][0].activity
@@ -1231,9 +1256,9 @@ class TestDirectedSwitchAllocation:
                 stream_consumer("east", links[Port.EAST][1]),
             ]
 
-        benches = _twin_benches(setup, num_vcs=1, fifo_depth=2)
-        _step_twins(benches, 80)
-        router, links, _kernel = benches[0]
+        benches = _endpoint_benches(setup, num_vcs=1, fifo_depth=2)
+        _step_endpoint_twins(benches, 80)
+        router, _links, _kernel, _endpoints = benches[0]
         assert len(router._fifos) == 5 and router._free == [1] * 5
         assert router.activity.get(ActivityKeys.PACKETS_ROUTED) >= 2
         assert router.tile.words_received > 0

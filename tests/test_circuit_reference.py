@@ -28,6 +28,7 @@ from typing import Callable, List, Optional, Tuple
 import pytest
 from conftest import FabricScenario, fabric_scenarios, twin_benches
 from hypothesis import given, settings, strategies as st
+from pacing import CyclePacer
 
 from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, bit_mask
 from repro.core.config_memory import ConfigurationMemory, LaneConfig
@@ -37,7 +38,7 @@ from repro.core.header import phits_per_packet
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
 from repro.core.testbench import (
-    LaneStreamConsumer, LaneStreamDriver, LoadPacer, TileStreamConsumer, TileStreamDriver, WordSource,
+    LaneStreamConsumer, LaneStreamDriver, TileStreamConsumer, TileStreamDriver, WordSource,
 )
 from repro.energy.activity import LINK_TOGGLE_BITS, REG_CLOCKED_BITS, REG_GATED_BITS, REG_TOGGLE_BITS, \
     XBAR_TOGGLE_BITS, ActivityCounters, ActivityKeys
@@ -487,7 +488,7 @@ class _ReferenceLaneStreamDriver(ClockedComponent):
         self.serializer = LaneSerializer(
             lane, link.lane_width, data_width, tx_queue_depth=4, flow=flow, activity=self.activity
         )
-        self._pacer = LoadPacer(load, phits_per_packet(data_width, link.lane_width))
+        self._pacer = CyclePacer(load, phits_per_packet(data_width, link.lane_width))
         self.words_offered = 0
         self.words_dropped = 0
         # Event schedule: an acknowledge arriving while the driver is parked
@@ -624,7 +625,7 @@ class _ReferenceTileStreamDriver(ClockedComponent):
         self.lane = lane
         self.word_source = word_source
         self.mark_blocks = mark_blocks
-        self._pacer = LoadPacer(
+        self._pacer = CyclePacer(
             load, phits_per_packet(router.data_width, router.lane_width)
         )
         self.words_offered = 0

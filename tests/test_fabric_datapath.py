@@ -113,19 +113,25 @@ def _packet_bench():
         PacketStreamDriver("s2_src", links[Port.NORTH][0], lambda: 0x4321, dest=(1, 1), src=(1, 2), load=0.5, vc=1),
         PacketStreamDriver("s3_src", links[Port.WEST][0], lambda: 0x5678, dest=(2, 1), src=(0, 1), vc=2),
     ]
-    def delivered():  # East's flits by the x of their source (the tile's 1, West's 0), the tile's words
+    def delivered():  # East's flits by the x of their source (the tile's 1, West's 0) around the tile's words
         senders = [flit >> SRC_SHIFT & COORD_MASK for flit in east.received_flits]
-        return [senders.count(1), senders.count(0), router.tile.words_received]
+        return [senders.count(1), router.tile.words_received, senders.count(0)]
 
     return PacketDatapath("datapath", [router]), endpoints, delivered
 
 
-#: Scenario IV of Table 3 (tile to East, North to tile, West to East) on one router of each kind.
-_BENCHES = {"circuit": _circuit_bench, "gt": _gt_bench, "packet": _packet_bench}
+#: Scenario IV of Table 3 (tile to East, North to tile, West to East) on one router of each kind,
+#: with the fewest words each stream delivers in 300 cycles.
+_BENCHES = {
+    "circuit": (_circuit_bench, (40, 20, 40)),
+    "gt": (_gt_bench, (60, 30, 60)),
+    "packet": (_packet_bench, (40, 12, 40)),
+}
 
 
 def _bench_kernel_clocks_only_its_datapath(kind):
-    datapath, endpoints, delivered = _BENCHES[kind]()
+    build, minimums = _BENCHES[kind]
+    datapath, endpoints, delivered = build()
     for endpoint in endpoints:
         assert datapath.adopt(endpoint) is endpoint
         with pytest.raises(ConfigurationError, match="already adopted"):
@@ -137,7 +143,7 @@ def _bench_kernel_clocks_only_its_datapath(kind):
             kernel.add(endpoint)
     kernel.run(300)
     assert kernel.components == (datapath,)
-    assert all(words > 10 for words in delivered())
+    assert all(words > least for words, least in zip(delivered(), minimums))
 
 
 def test_a_circuit_bench_kernel_clocks_only_its_datapath():
@@ -148,6 +154,25 @@ def test_a_circuit_bench_kernel_clocks_only_its_datapath():
 def test_a_gt_or_packet_bench_kernel_clocks_only_its_datapath(kind):
     """Its link stream endpoints too, which used to be kernel components."""
     _bench_kernel_clocks_only_its_datapath(kind)
+
+
+@pytest.mark.parametrize("kind", sorted(_BENCHES))
+def test_a_released_link_consumer_counts_no_more(kind):
+    """Released mid-run, a bench's East consumers are stepped no more: the
+    two streams to East stop counting while North to tile keeps delivering."""
+    datapath, endpoints, delivered = _BENCHES[kind][0]()
+    for endpoint in endpoints:
+        datapath.adopt(endpoint)
+    kernel = SimulationKernel(25e6)
+    kernel.add(datapath)
+    kernel.run(150)
+    for endpoint in endpoints:
+        if hasattr(endpoint, "step") and not hasattr(endpoint, "pacer"):
+            datapath.release(endpoint)
+    before = delivered()
+    kernel.run(150)
+    after = delivered()
+    assert after[0::2] == before[0::2] and after[1] > before[1]
 
 
 def test_a_circuit_fabric_kernel_clocks_only_its_datapath():

@@ -7,11 +7,11 @@ from bisect import bisect_left
 import pytest
 from conftest import fabric_scenarios, step_twins, twin_benches
 from hypothesis import given, settings, strategies as st
+from pacing import CyclePacer
 
 from repro.apps import drm, hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, scenario_by_name, word_generator
 from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, SimulationError, toggle_count
-from repro.core.testbench import LoadPacer
 from repro.energy.activity import ActivityKeys
 from repro.experiments.harness import run_app_traffic, run_gt_scenario, run_scenario
 from repro.noc import Mesh2D, SlotTableAllocator, TimeDivisionNoC, Torus2D, build_network
@@ -369,7 +369,7 @@ class _ReferenceGtStreamDriver(ClockedComponent):
         self.connection = connection
         self.word_source = word_source
         self.queue_limit = queue_limit
-        self._pacer = LoadPacer(load, cycles_per_word)
+        self._pacer = CyclePacer(load, cycles_per_word)
         self.words_offered = 0
         self.words_sent = 0
         self.words_dropped = 0
@@ -419,7 +419,7 @@ class _ReferenceGtLinkStreamDriver(ClockedComponent):
         self.slots = slots
         self.inject_slots = frozenset(inject_slots)
         self.word_source = word_source
-        self._pacer = LoadPacer(load, 1)  # gated once per slot opportunity
+        self._pacer = CyclePacer(load, 1)  # gated once per slot opportunity
         #: Cycle residues (mod slots) at which this driver commits into an
         #: owned slot: cycle c feeds slot (c+1) % slots.
         self._inject_residues = sorted((s - 1) % slots for s in self.inject_slots)

@@ -279,7 +279,7 @@ def test_pull_models_equal_a_per_cycle_driver(seed):
     driver simulated one cycle at a time - pacer call, bounded push, then the
     slot-table pops of that cycle - pulls at the same cycles, halt included,
     also while the injection queue is full."""
-    from repro.core.testbench import LoadPacer
+    from pacing import CyclePacer
     from repro.noc.word_proxy import GtPullModel, PacedPullModel
 
     rng = random.Random(seed)
@@ -289,7 +289,7 @@ def test_pull_models_equal_a_per_cycle_driver(seed):
         bounded = rng.random() < 0.7
         model = (GtPullModel(load, cpw, slots, pops, limit, start) if bounded
                  else PacedPullModel(load, cpw, start))
-        pacer, backlog, halt, pulled, replayed = LoadPacer(load, cpw), 0, None, 0, [0]
+        pacer, backlog, halt, pulled, replayed = CyclePacer(load, cpw), 0, None, 0, [0]
         cycle = start
         for _ in range(40):
             target, inclusive = cycle + rng.randint(0, 6), rng.random() < 0.5

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from conftest import clock_of
+from pacing import emissions
 
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath
@@ -22,18 +23,13 @@ from repro.sim.engine import SimulationKernel
 
 class TestLoadPacer:
     def test_full_load_emits_every_five_cycles(self):
-        pacer = LoadPacer(1.0, 5)
-        emissions = sum(pacer.should_emit() for _ in range(100))
-        assert emissions == 20
+        assert len(emissions(LoadPacer(1.0, 5), 100)) == 20
 
     def test_half_load_emits_every_ten_cycles(self):
-        pacer = LoadPacer(0.5, 5)
-        emissions = sum(pacer.should_emit() for _ in range(100))
-        assert emissions == 10
+        assert len(emissions(LoadPacer(0.5, 5), 100)) == 10
 
     def test_zero_load_never_emits(self):
-        pacer = LoadPacer(0.0, 5)
-        assert not any(pacer.should_emit() for _ in range(50))
+        assert LoadPacer(0.0, 5).emit_from(0) is None
 
     def test_invalid_load_rejected(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from oracle import assert_identical, ran
+from pacing import CyclePacer, emissions
 from repro.apps.traffic import BitFlipPattern, word_generator
 from repro.common import SimulationError
 from repro.core.testbench import LoadPacer
@@ -33,7 +34,7 @@ class _PacedEmitter(ClockedComponent):
 
     def __init__(self, name: str, load: float, cycles_per_word: int = 5) -> None:
         super().__init__(name)
-        self._pacer = LoadPacer(load, cycles_per_word)
+        self._pacer = CyclePacer(load, cycles_per_word)
         self.executed: list[int] = []
         self.emissions: list[int] = []
         self.idle_cycles = 0
@@ -113,34 +114,17 @@ class _Sleeper(ClockedComponent):
 class TestLoadPacerExactness:
     @pytest.mark.parametrize("load", [0.05, 0.1, 0.25, 0.3, 0.6, 0.8, 1.0])
     def test_prediction_matches_sequential_emission(self, load):
-        """cycles_until_emit + skip reproduce should_emit cycle for cycle."""
-        stepped = LoadPacer(load, 5)
-        leaped = LoadPacer(load, 5)
+        """emit_from's leaps reproduce a per-cycle consultation cycle for cycle."""
+        stepped = CyclePacer(load, 5)
         stepped_emissions = [c for c in range(2000) if stepped.should_emit()]
-        leaped_emissions = []
-        cycle = 0
-        while cycle < 2000:
-            gap = leaped.cycles_until_emit()
-            assert gap is not None and gap >= 1
-            # Skip the silent prefix, then emit on the predicted call.
-            leaped.skip(gap - 1)
-            cycle += gap - 1
-            if cycle >= 2000:
-                break
-            assert leaped.should_emit()
-            leaped_emissions.append(cycle)
-            cycle += 1
-        assert leaped_emissions == stepped_emissions
+        assert emissions(LoadPacer(load, 5), 2000) == stepped_emissions
 
     def test_zero_load_never_emits(self):
-        pacer = LoadPacer(0.0, 5)
-        assert pacer.cycles_until_emit() is None
-        assert not pacer.should_emit()
+        assert LoadPacer(0.0, 5).emit_from(0) is None
+        assert not CyclePacer(0.0, 5).should_emit()
 
     def test_full_load_period_is_exact(self):
-        pacer = LoadPacer(1.0, 5)
-        emissions = [c for c in range(50) if pacer.should_emit()]
-        assert emissions == [4, 9, 14, 19, 24, 29, 34, 39, 44, 49]
+        assert emissions(LoadPacer(1.0, 5), 50) == [4, 9, 14, 19, 24, 29, 34, 39, 44, 49]
 
 
 class TestCycleLeaping:

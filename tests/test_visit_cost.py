@@ -32,7 +32,7 @@ packet bench         -                            -         -                 1 
 circuit              -                            1 477     1 428             1 420            1 416                1 412              1 406                    1 377             1 206              1 191
 circuit paced        -                            -         -                 -                -                    -                  -                        2 205             1 828              1 810
 circuit bench        -                            3 587     3 093             3 085            3 084                2 469              2 463                    2 455             2 324              2 323
-circuit bench gated  -                            -         -                 -                2 606                1 821              1 812                    1 802             1 718              1 715
+circuit bench gated  -                            -         -                 -                2 606                1 821              1 812                    1 802             1 718              1 716
 ===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============
 
 "One pass" replaced a sampling ``evaluate``, constants booked in every
