@@ -4,15 +4,14 @@ Measures simulated cycles per wall-clock second for circuit-switched meshes
 of 2×2, 4×4 and 8×8 routers at 0 %, 25 % and 100 % row occupancy (a row at
 occupancy carries one full-load lane circuit west→east, so the fabric's lane
 occupancy is at most the row fraction), under the strict (seed-equivalent)
-schedule and the default ``vector`` schedule (the event heap plus the
+schedule and the default ``vector`` schedule (the leaping clock plus the
 self-gating struct-of-arrays wire plane of :mod:`repro.sim.vector`).
 
-A second scenario family exercises the timed tier: ``paced-stream`` rows
-carry the same row circuits at a low offered load (one word per 50 cycles —
-the pacing a bandwidth-admitted application channel produces), so between
-word injections the only scheduled components are timed drivers/sinks and
-the kernel leaps the clock from word to word instead of iterating every
-cycle.
+A second scenario family exercises the leap: ``paced-stream`` rows carry
+the same row circuits at a low offered load (one word per 50 cycles — the
+pacing a bandwidth-admitted application channel produces), so between word
+injections the datapath answers its next driver's due cycle and the kernel
+leaps the clock from word to word instead of iterating every cycle.
 
 Two more row-stream scenarios (3×3 and 4×4 with two rows, full load and
 paced) put 6 and 8 live routes around the vector plane's gate
@@ -198,8 +197,6 @@ def run_benchmark(
         "occupancy_evaluated": round(vector_stats.occupancy, 4),
         "leaps": vector_stats.leaps,
         "leaped_cycles": vector_stats.leaped_cycles,
-        "events_processed": vector_stats.events_processed,
-        "heap_peak": vector_stats.heap_peak,
         "vector_batches": vector_stats.vector_batches,
         "vector_components": vector_stats.vector_components,
         "identical_results": identical,
@@ -424,7 +421,7 @@ def test_kernel_shm_transport_moves_fewer_bytes_per_window(once):
 
 def test_kernel_vector_schedule_wins_at_full_load(once):
     """The columnar plane's acceptance bar on the saturated 8×8 mesh — the
-    regime where sleeping and leaping cannot help — with bit-identical
+    regime where parking and leaping cannot help — with bit-identical
     results and real batched coverage."""
     row = once(run_benchmark, 8, 1.0, 600)
     assert row["identical_results"]
@@ -575,14 +572,14 @@ def main() -> None:
         "description": (
             "Simulated cycles/second of the circuit-switched mesh under the "
             "strict (every-component) and the default vector schedule (the "
-            "event heap plus the struct-of-arrays wire plane batching whole "
+            "leaping clock plus the struct-of-arrays wire plane batching whole "
             "fabric cycles through NumPy at or above its live-route gate; below "
             "it the datapath walks the routers' own programs); identical_results asserts "
             "bit-identical activity counters and delivered words between the "
             "two.  row-stream rows carry full-load circuits; paced-stream rows "
-            "carry the same circuits at one word per 50 cycles, where the heap "
+            "carry the same circuits at one word per 50 cycles, where the kernel "
             "leaps the clock between word injections.  speedup is vector vs "
-            "strict; leaps, events_processed, heap_peak and vector_batches are "
+            "strict; leaps, leaped_cycles and vector_batches are "
             "the vector run's.  min_batch_routes is the plane's gate, "
             "live_routes what a row's plane counted against it, and the two-row "
             "3x3 / 4x4 rows put 6 and 8 live routes around it; a busy row below "

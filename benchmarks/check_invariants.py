@@ -81,8 +81,8 @@ def check_kernel() -> None:
     busy = [r for r in data["results"] if "vector_batches" in r and r["occupancy"] > 0]
     assert len(busy) >= 12, "busy schedule rows are missing"
     # The plane's gate is the shipped constant, and busy rows sit on
-    # both sides of it: below, the heap ran the routers; at and above,
-    # batches.  Below it, gating must not cost the row.
+    # both sides of it: below, the routers ran their own programs; at and
+    # above, batches.  Below it, gating must not cost the row.
     gate = data["min_batch_routes"]
     assert gate == MIN_BATCH_ROUTES, "BENCH_kernel.json was recorded under another gate"
     assert {6, 8} <= {r["live_routes"] for r in busy}, "the rows at 6 and 8 live routes are missing"

@@ -83,10 +83,10 @@ def main() -> None:
     print(f"active circuits       : {router.active_circuits()} of 20 output lanes")
 
     # A bare kernel has no network around it and hence no vector plane: the
-    # default schedule runs as the event heap here (see mesh_demo below for
-    # what a network reports).
+    # default schedule is the leaping clock alone here (see mesh_demo below
+    # for what a network reports).
     print()
-    print("scheduler (bare kernel, event heap):")
+    print("scheduler (bare kernel, leaping clock):")
     for key, value in kernel.scheduler_stats.as_dict().items():
         print(f"  {key:<16}: {value}")
 

@@ -12,7 +12,8 @@ itself: a flit placed in ``forward`` and a credit added to ``credits`` in
 cycle *c* are taken (and cleared) in cycle *c + 1*.  A link with an end
 outside the datapath (a stream driver's or consumer's, a shard's boundary
 mirror) goes through :meth:`drive` / :meth:`return_credit`, whose dirty-bits
-wake the other end, and the datapath samples it when a cycle begins.
+mark a stream endpoint at the other end, and the datapath samples it when a
+cycle begins.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.baseline.flit import VC_MASK
-from repro.sim.signals import DirtyBit, WakeListener
+from repro.sim.signals import DirtyBit, Listener
 
 __all__ = ["PacketLink"]
 
@@ -53,9 +54,9 @@ class PacketLink:
         #: Flits :meth:`drive` has placed so far: tells two equal flits on
         #: consecutive cycles apart (the shard boundary ships changes).
         self.drives = 0
-        #: Dirty-bit of the flit wire; its listener is the receiver's ``wake``.
+        #: Dirty-bit of the flit wire; its listener is the receiver's mark.
         self.flit_dirty = DirtyBit()
-        #: Dirty-bit of the credit wires; its listener is the sender's ``wake``.
+        #: Dirty-bit of the credit wires; its listener is the sender's mark.
         self.credit_dirty = DirtyBit()
         #: True once :meth:`fail` killed the channel (fault model).
         self.dead = False
@@ -65,12 +66,12 @@ class PacketLink:
 
     # -- dirty-bit wiring --------------------------------------------------------
 
-    def watch_flits(self, listener: WakeListener) -> None:
-        """Wake *listener* whenever a flit is placed on the wire."""
+    def watch_flits(self, listener: Listener) -> None:
+        """Call *listener* whenever a flit is placed on the wire."""
         self.flit_dirty.listener = listener
 
-    def watch_credits(self, listener: WakeListener) -> None:
-        """Wake *listener* whenever credits are returned."""
+    def watch_credits(self, listener: Listener) -> None:
+        """Call *listener* whenever credits are returned."""
         self.credit_dirty.listener = listener
 
     # -- forward flit -------------------------------------------------------------
@@ -78,9 +79,8 @@ class PacketLink:
     def drive(self, flit: Optional[int]) -> None:
         """Place *flit* (``None`` = idle) on the wire at the clock edge.
 
-        Only a new flit wakes the receiver: the receiver cannot have been
-        asleep while a flit was on the wire, so the flit→idle transition
-        needs no wake-up.
+        Only a new flit marks the receiver: it cannot have been at rest while
+        a flit was on the wire, so the flit→idle transition needs no mark.
         """
         if flit is None:
             self.forward = None
@@ -132,7 +132,7 @@ class PacketLink:
         Returns the number of in-flight flits lost (0 or 1 — the wire holds
         at most one committed flit).  The lost flit's credit is synthesised
         back so the upstream router's credit accounting recovers; both ends
-        are woken to re-sample the dead wire.
+        are marked to re-sample the dead wire.
         """
         if self.dead:
             return 0

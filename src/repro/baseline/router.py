@@ -336,7 +336,6 @@ class PacketDatapath(FabricDatapath):
     def inject(self, router: PacketSwitchedRouter) -> None:
         """*router*'s tile queued flits: visit it in the next move phase."""
         self._next[router] = None
-        self.wake()
 
     # -- simulation ---------------------------------------------------------------------
 
@@ -539,7 +538,7 @@ class PacketDatapath(FabricDatapath):
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Now while a router is to be visited, a wire holds a flit or a
         credit or a link stream unit is not at rest; else the cycle the next
-        driver is due, or park until an injection or an outside wire wakes us."""
+        driver is due (``None``: none is, until an injection or an outside wire)."""
         if self._next or self._arrivals or self._returns or self._units and len(self._resting) < len(self._units):
             return cycle
         for record in self._outside_rx:

@@ -45,7 +45,7 @@ class PacketStreamDriver(LinkEndpoint):
     receive links).
     """
 
-    _wakes_on = "credit_dirty"
+    _listens_to = "credit_dirty"
 
     def __init__(
         self,
@@ -120,7 +120,7 @@ class PacketStreamConsumer(LinkEndpoint):
     credit at once (the router only watches the credit side of its
     transmit links)."""
 
-    _wakes_on = "flit_dirty"
+    _listens_to = "flit_dirty"
 
     def __init__(self, name: str, link: PacketLink) -> None:
         super().__init__(name, link)

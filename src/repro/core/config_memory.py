@@ -56,8 +56,8 @@ class ConfigurationMemory:
         #: cache its routing tables.
         self.version = 0
         #: Optional callback fired after every change (version bump).  The
-        #: owning router installs its ``wake`` here so that configuration
-        #: writes reschedule a quiescent router.
+        #: datapath clocking the router installs its recompile here, so a
+        #: configuration write puts a parked router back on the walk.
         self.on_change: Optional[Callable[[], None]] = None
 
     def _bump_version(self) -> None:

@@ -322,7 +322,7 @@ class LaneDeserializer:
         """True when a tick with an idle (zero) input would change nothing.
 
         Words already queued for the tile are allowed: they sit still until
-        the tile reads them, and reading wakes the owning router through the
+        the tile reads them, and reading marks the owning router through the
         tile-interface hook.
         """
         return not (
@@ -438,7 +438,7 @@ class DataConverter:
         ]
         #: Callback fired when the tile interface injects or consumes data;
         #: the datapath clocking the router installs its mark of the router.
-        self.wake_hook = None
+        self.mark_hook = None
         #: Register bits of a fully idle converter per cycle (constant: the
         #: per-lane idle widths depend only on the geometry, never on flow
         #: reconfiguration).
@@ -596,7 +596,7 @@ class TileInterface:
         self._notify()
 
     def _notify(self) -> None:
-        hook = self._converter.wake_hook
+        hook = self._converter.mark_hook
         if hook is not None:
             hook()
 
@@ -620,7 +620,7 @@ class TileInterface:
         serializer.submit_word(data, sob, eob, user)
         if lane not in converter._routed_tx:
             converter._stale = True  # a unit no route touches joins the ticked ones
-        hook = converter.wake_hook
+        hook = converter.mark_hook
         if hook is not None:
             hook()
         return True
@@ -644,7 +644,7 @@ class TileInterface:
             # acknowledge pulse on the reverse path next cycle.
             if lane not in converter._routed_rx:
                 converter._stale = True
-            hook = converter.wake_hook
+            hook = converter.mark_hook
             if hook is not None:
                 hook()
         return word

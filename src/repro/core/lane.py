@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.common import bit_mask
-from repro.sim.signals import DirtyBit, WakeListener
+from repro.sim.signals import DirtyBit, Listener
 
 __all__ = ["LaneLink", "link_width_bits"]
 
@@ -78,10 +78,10 @@ class LaneLink:
         self.forward: List[int] = [0] * num_lanes
         self.ack: List[bool] = [False] * num_lanes
         #: Dirty-bit of the forward wires; its listener is the reading
-        #: (destination) component's ``wake``.
+        #: (destination) side's mark.
         self.forward_dirty = DirtyBit()
         #: Dirty-bit of the acknowledge wires; its listener is the source
-        #: component's ``wake``.
+        #: side's mark.
         self.ack_dirty = DirtyBit()
         #: True once :meth:`fail` killed the bundle (fault model).
         self.dead = False
@@ -91,12 +91,12 @@ class LaneLink:
 
     # -- dirty-bit wiring ------------------------------------------------------
 
-    def watch_forward(self, listener: WakeListener) -> None:
-        """Wake *listener* whenever a forward wire changes value."""
+    def watch_forward(self, listener: Listener) -> None:
+        """Call *listener* whenever a forward wire changes value."""
         self.forward_dirty.listener = listener
 
-    def watch_ack(self, listener: WakeListener) -> None:
-        """Wake *listener* whenever an acknowledge wire changes value."""
+    def watch_ack(self, listener: Listener) -> None:
+        """Call *listener* whenever an acknowledge wire changes value."""
         self.ack_dirty.listener = listener
 
     # -- forward data --------------------------------------------------------
@@ -152,8 +152,8 @@ class LaneLink:
 
         Used only by the vector plane's flush: both endpoints of an
         internal link are plane members whose batched execution already
-        accounted for the change, so waking the reader here would be a
-        spurious (though harmless) wake.  Never call this on a wire whose
+        accounted for the change, so marking the reader here would be a
+        spurious (though harmless) mark.  Never call this on a wire whose
         reader is outside the plane.
         """
         self.forward[lane] = value
@@ -186,8 +186,8 @@ class LaneLink:
         """Kill the bundle: wires fall to idle and future drives are swallowed.
 
         Returns the number of in-flight phits lost on the wires.  Both ends
-        are woken so they re-sample the now-idle bundle (a fault is injected
-        between cycles, where wakes are legal in every schedule).
+        are marked so they re-sample the now-idle bundle (a fault is
+        injected between cycles).
         """
         if self.dead:
             return 0

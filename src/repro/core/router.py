@@ -381,7 +381,7 @@ class LaneDatapath(FabricDatapath):
     the cycle in flight when it comes during the evaluate phase (with the
     next state it sampled last, which nothing has changed since) and in the
     next one otherwise, and ``sync`` books them for every parked router
-    (:meth:`idle_tick`).  A wire between two routers marks its reader on a
+    (:meth:`settle`).  A wire between two routers marks its reader on a
     forward change and its writer on an acknowledge change, and checks for a
     fault; a wire to the outside marks its router, as do the tile interfaces
     and configuration writes.
@@ -434,7 +434,7 @@ class LaneDatapath(FabricDatapath):
         #: Per router, what its tile interface and its wires to the outside call.
         self._marks = {router: partial(self.mark, router) for router in self.routers}
         for router in self.routers:
-            router.converter.wake_hook = self._marks[router]
+            router.converter.mark_hook = self._marks[router]
             router.config.on_change = partial(self._compile, router)
         self._rewire()
 
@@ -511,8 +511,6 @@ class LaneDatapath(FabricDatapath):
                 # At a clock edge the change is seen from the next cycle on.
                 self._book(router, self._parked.pop(router), cycle + (phase == "commit"))
             active[router] = None
-        if self._asleep:
-            self.wake()
 
     def _compile(self, router: CircuitSwitchedRouter) -> None:
         # Also the routers' configuration ``on_change`` hook.  The route
@@ -696,7 +694,7 @@ class LaneDatapath(FabricDatapath):
         if gated:
             router.activity.add(ActivityKeys.REG_GATED_BITS, gated * cycles)
 
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
+    def settle(self, start_cycle: int, cycles: int) -> None:
         """At ``sync``: the plane's columns back into the routers, every
         parked router's idle cycles booked up to now, then the skeleton's
         booking."""
@@ -707,7 +705,7 @@ class LaneDatapath(FabricDatapath):
         for router, start in parked.items():
             self._book(router, start, end)
             parked[router] = end
-        super().idle_tick(start_cycle, cycles)
+        super().settle(start_cycle, cycles)
 
     def reset(self) -> None:
         """Routers and endpoints back to power-on, all on the walk; the plane waits for the gate."""

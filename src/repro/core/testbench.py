@@ -127,7 +127,7 @@ class LaneStreamDriver(_LinkEndpoint):
     while a queued word or an acknowledge moves it.
     """
 
-    _wakes_on = "ack_dirty"
+    _listens_to = "ack_dirty"
 
     def __init__(
         self,
@@ -188,7 +188,7 @@ class LaneStreamConsumer(_LinkEndpoint):
     adopting :class:`~repro.core.router.LaneDatapath` steps its deserialiser
     while a phit or an acknowledge moves it."""
 
-    _wakes_on = "forward_dirty"
+    _listens_to = "forward_dirty"
 
     def __init__(
         self,

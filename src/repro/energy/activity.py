@@ -30,7 +30,7 @@ A reader that wants the number adds ``0.0`` (``-0.0 + 0.0`` is ``+0.0``).
 which would also break the presence rule.  A slot site skips that check, so it
 adds only what cannot be negative: an ``int.bit_count()`` result, a ``len()``,
 a literal or a register-bit constant.  Anything multiplied by elapsed cycles
-(every ``idle_tick``) goes through :meth:`~ActivityCounters.add`.
+(every ``settle``) goes through :meth:`~ActivityCounters.add`.
 """
 
 from __future__ import annotations

@@ -409,7 +409,7 @@ class NocBase:
 
         # The deadline is part of the predicate, so run_until never raises
         # for it — a SimulationError out of here is a real kernel error
-        # (wake during a leap, empty kernel) and must stay loud.
+        # (an empty kernel) and must stay loud.
         self.kernel.run_until(
             settled, max_cycles=max_cycles + check_every, check_every=check_every
         )
@@ -425,8 +425,8 @@ class NocBase:
         that were in flight.  Pure wire surgery — deriving the degraded
         topology view and rebuilding routing is
         :class:`repro.noc.faults.FaultInjector` territory.  Between two runs
-        (or from a hook after ``kernel.sync()``) the wires hold what
-        ``strict`` leaves in them, so the count is exact under every schedule.
+        the wires hold what ``strict`` leaves in them, so the count is exact
+        under every schedule.
         """
         if (a, b) not in self.links and (b, a) not in self.links:
             if self.region is None:
@@ -548,7 +548,9 @@ class NocBase:
         ``effective`` differs from ``requested`` only under
         ``schedule="vector"``: without a plane (``reason`` names why: the
         kind has none, clock gating, a lane packet wider than an ``int64``
-        column, NumPy missing) the routers run ``"event"``, and so they do
+        column, NumPy missing) ``effective`` reads ``"event"`` — the
+        leaping clock without a plane, under a name kept from the retired
+        event schedule until ROADMAP item 8's report — and so it does
         while the plane's live routes, as counted after the last cycle that
         followed a configuration write, sit below its gate — in particular
         before the first cycle.  A plane that crossed the gate during the

@@ -39,8 +39,8 @@ cycle's registers and one scatter into the routers' own registers, counters,
 outgoing wires and tiles.  The stream drivers are records the datapath
 fires first thing in its ``commit``, so a word offered in a cycle can leave
 in that cycle's slot, and the link streams' units step right after them;
-an idle fabric sleeps until a queued word's slot or the next driver's due
-cycle, whichever comes first.
+an idle fabric answers the kernel a queued word's slot or the next
+driver's due cycle, whichever comes first, and the kernel leaps to it.
 It recompiles between cycles only: a slot after ``program`` / ``clear``,
 every router after ``attach_link``, both ends of a wire after its ``fail``
 (the last two, with adoption and the wire maps, are the
@@ -75,7 +75,7 @@ from repro.noc.topology import Position, Topology
 from repro.noc.word_proxy import GtPullModel
 from repro.sim.datapath import DatapathMember, FabricDatapath, LinkEndpoint
 from repro.sim.engine import DEFAULT_SCHEDULE
-from repro.sim.signals import DirtyBit, WakeListener
+from repro.sim.signals import DirtyBit, Listener
 
 __all__ = [
     "TdmaLink",
@@ -117,14 +117,14 @@ class TdmaLink:
         #: every word driven afterwards).
         self.dropped = 0
 
-    def watch_forward(self, listener: WakeListener) -> None:
+    def watch_forward(self, listener: Listener) -> None:
         """Call *listener* whenever a word is placed on the wire."""
         self.forward_dirty.listener = listener
 
     def drive(self, word: Optional[int]) -> None:
-        """Set the wire at the clock edge.  Every word wakes the reader, the
+        """Set the wire at the clock edge.  Every word marks the reader, the
         same word two cycles running too (a link consumer counts each one);
-        idle never does: the reader cannot sleep while a word is on the wire."""
+        idle never does: the reader cannot rest while a word is on the wire."""
         if word is None:
             self.forward = None
             return
@@ -198,8 +198,6 @@ class TdmaTileInterface:
             )
         self._tx.setdefault(connection, deque()).append(word)
         self._queued += 1
-        if self.router.datapath is not None:
-            self.router.datapath.wake()
 
     def backlog(self, connection: str) -> int:
         """Words queued at the tile but not yet injected."""
@@ -456,7 +454,6 @@ class TdmaDatapath(FabricDatapath):
     def reprogram(self, router: SlotTableRouter, slot: int) -> None:
         """Recompile *router*'s feeds of *slot* after a slot-table write."""
         self._compile(router, (slot,))
-        self.wake()
 
     # -- simulation ---------------------------------------------------------------------
 
@@ -681,7 +678,7 @@ class GtLinkStreamConsumer(LinkEndpoint):
     drives marks its unit, which counts it at the top of the next commit.
     """
 
-    _wakes_on = "forward_dirty"
+    _listens_to = "forward_dirty"
 
     def __init__(self, name: str, link: TdmaLink, slots: int) -> None:
         super().__init__(name, link)
@@ -748,8 +745,8 @@ class TimeDivisionNoC(NocBase):
     holds: the fabric's kernel clocks that one component.  Its compiled
     per-slot gather and scatter over the 8-16 words that move leave no
     columnar plane (:mod:`repro.sim.vector`) anything to batch:
-    ``schedule="vector"`` (the default) runs as ``"event"`` here, and
-    :meth:`schedule_report` says so.
+    ``schedule="vector"`` (the default) is the leaping clock alone here,
+    and :meth:`schedule_report` says so.
     """
 
     datapath_class = TdmaDatapath

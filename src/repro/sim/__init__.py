@@ -18,32 +18,26 @@ property-based tests.
 
 Two schedules execute that model (:data:`repro.sim.engine.SCHEDULES`),
 bit-identical.  ``strict`` evaluates and commits every component every cycle
-and is the oracle.  ``vector`` — the event heap plus the self-gating vector
-batch mode where the network kind has one — is
+and is the oracle.  ``vector`` — the same loop plus the leap, and the
+self-gating vector batch mode where the network kind has one — is
 :data:`repro.sim.engine.DEFAULT_SCHEDULE`: what ``SimulationKernel``,
 ``build_network`` and every experiment hand out when no ``schedule`` is
 passed.
 
-Skipping idle components
-------------------------
+Skipping idle work
+------------------
 
 The paper's central energy argument — most of a circuit-switched fabric is
 idle most of the time (Section 7.3 proposes clock gating for exactly this
 reason) — applies to simulation cost as well:
 
-* **Events, not cycles.**  Under ``vector`` a component that ran answers
-  ``next_event_cycle``: it stays dense, parks until a dirty-bit wake
-  (:class:`repro.sim.signals.DirtyBit`, a tile or configuration write) or
-  waits on a heap; with nothing dense the clock leaps, and idle accounting
-  is deferred to one ``idle_tick``.  A datapath at rest answers its next
-  driver's due cycle.  :mod:`repro.sim.engine` specifies the protocol.
-* **Timed hooks.**  ``add_pre_cycle_hook(hook, every=N)`` runs the hook on
-  cycles divisible by ``N`` under both schedules, and leaps never skip a
-  scheduled hook cycle; a dense hook (``every=1``) disables leaping.  A hook
-  that reads router activity, link wires or converter lanes calls
-  ``kernel.sync()`` first: parked components owe their idle accounting and
-  a datapath in its vector batch mode holds the wires in its columns until
-  then.
+* **The clock leaps.**  Under ``vector`` the kernel asks every component
+  ``next_event_cycle`` once before each cycle and, when every answer lies
+  later, moves the clock straight to the earliest one.  A datapath at rest
+  answers its next driver's due cycle (or a queued word's slot).  Each
+  component settles what the cycles owe in one ``settle`` call at every
+  ``sync`` (the end of every ``run``).  :mod:`repro.sim.engine` states the
+  loop contract.
 * **Compiled router cycles.**  Under both schedules one
   :class:`~repro.core.router.LaneDatapath` walks the route programs of the
   circuit routers that can move, one per router and configuration version:
@@ -51,14 +45,13 @@ reason) — applies to simulation cost as well:
   ticks only live lanes and books the idle ones as one constant, and the
   first commit of every version sweeps every register and wire densely, so
   stale lanes cannot linger.  A frozen router is parked inside the datapath
-  until a wire, tile or configuration write marks it, and so is the unit of
-  a link-side stream endpoint of any kind: every network and bench kernel
-  clocks its datapath alone.  Components never ask which schedule runs
-  them.
+  until a wire, tile or configuration write marks it
+  (:class:`repro.sim.signals.DirtyBit`), and so is the unit of a link-side
+  stream endpoint of any kind: every network and bench kernel clocks its
+  datapath alone.  Components never ask which schedule runs them.
 
-Ordering stays deterministic: batches commit in registration-index order
-(the order ``strict`` uses), and heap order is independent of hash seeds or
-insertion history.
+Ordering stays deterministic: every executed cycle evaluates, then commits,
+the components in registration order (the order ``strict`` uses).
 
 The columnar vector batch mode
 ------------------------------

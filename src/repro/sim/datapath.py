@@ -8,6 +8,12 @@ units (:class:`LinkEndpoint`) — and :class:`DatapathMember` the routers'
 wiring; a kind keeps its per-member compile and its own ``evaluate``,
 ``commit`` and ``next_event_cycle``, which call the skeleton's
 :meth:`~FabricDatapath._turn` where a bench has units to step.
+
+The kernel asks the datapath ``next_event_cycle`` before every cycle and
+leaps while the answer lies later: a tile write, a driver's adoption, a
+configuration write or a word on an outside wire is state the kind's answer
+reads (through a mark where it needs one), and
+:meth:`FabricDatapath.settle` books what the parts owe at every ``sync``.
 """
 
 from __future__ import annotations
@@ -41,11 +47,9 @@ class DriverSchedule:
     link driver's per slot opportunity), which the heap entry keeps bound.
     """
 
-    __slots__ = ("_owner", "_heap", "_adopted", "count", "next_due")
+    __slots__ = ("_heap", "_adopted", "count", "next_due")
 
-    def __init__(self, owner: Any) -> None:
-        #: The datapath: woken when a driver joins between two cycles.
-        self._owner = owner
+    def __init__(self) -> None:
         self._heap: List[tuple] = []
         #: Adopted driver -> adoption number, in adoption order.
         self._adopted: Dict[Any, int] = {}
@@ -62,7 +66,6 @@ class DriverSchedule:
         number = self._adopted[driver] = self.count
         self.count += 1
         self._schedule(driver, number, cycle)
-        self._owner.wake()
 
     def _schedule(self, driver: Any, number: int, cycle: int) -> None:
         emit_from = driver.pacer.emit_from
@@ -97,7 +100,6 @@ class DriverSchedule:
         for driver, number in self._adopted.items():
             driver.reset()
             self._schedule(driver, number, 0)
-        self._owner.wake()
 
 
 class LinkEndpoint:
@@ -108,7 +110,7 @@ class LinkEndpoint:
     does not watch, or the endpoint's own driver, mark it (:meth:`listen`)."""
 
     #: The dirty-bit of that direction ("" for none).
-    _wakes_on = ""
+    _listens_to = ""
 
     def __init__(self, name: str, link: Any) -> None:
         self.name = name
@@ -118,8 +120,8 @@ class LinkEndpoint:
         """Keep the adopting datapath's *mark* of this unit and call it on a
         change of the wire direction this endpoint watches."""
         self.mark = mark
-        if self._wakes_on:
-            getattr(self.link, self._wakes_on).add_listener(mark)
+        if self._listens_to:
+            getattr(self.link, self._listens_to).add_listener(mark)
 
     def book_idle(self, cycles: int) -> None:
         """What *cycles* idle cycles of the unit record (here nothing)."""
@@ -171,15 +173,14 @@ class FabricDatapath(ClockedComponent):
     :attr:`_writer` / :attr:`_reader` map each wire to the ``(member, port)``
     driving / reading it.  A wire with both ends in the set is the datapath's
     own: by default only a fault marks it.  Each wire a member reads from
-    outside the set (a stream driver's, a shard's boundary mirror) wakes the
-    datapath with its forward dirty-bit and adds a ``_rx_record`` to
-    :attr:`_outside_rx`; each wire a member drives out of the set wakes it
-    with its reverse dirty-bits and adds a ``_tx_record`` to
-    :attr:`_outside_tx`.  A kind that hears more (:meth:`_listener`) says so.
-    A kind's ``__init__`` calls :meth:`_rewire` once its own containers exist.
+    outside the set (a stream driver's, a shard's boundary mirror) adds a
+    ``_rx_record`` to :attr:`_outside_rx`, and each wire a member drives out
+    of the set a ``_tx_record`` to :attr:`_outside_tx`: the kind's
+    ``next_event_cycle`` reads them.  A kind that hears more on them
+    (:meth:`_listener`) says so.  A kind's ``__init__`` calls
+    :meth:`_rewire` once its own containers exist.
     """
 
-    settles_at_sync = True  # a cycle books the same constant, busy or idle
     #: The wires' listener-claiming methods: the forward direction's first,
     #: then the reverse ones.
     wire_watchers: ClassVar[Tuple[str, ...]] = ("watch_forward",)
@@ -203,7 +204,7 @@ class FabricDatapath(ClockedComponent):
         self._counters = [router.activity for router in self.routers]
         self._clocked = [(r.activity, r._idle_clock_bits) for r in self.routers if r._idle_clock_bits]
         #: The stream drivers this datapath fires.
-        self.drivers = DriverSchedule(self)
+        self.drivers = DriverSchedule()
         #: The endpoints' units in adoption order.  A unit at rest waits in
         #: ``_resting``, owing from ``_owed``; while one is not, the kind's
         #: ``next_event_cycle`` answers now.
@@ -220,11 +221,11 @@ class FabricDatapath(ClockedComponent):
     def _wire_died(self, wire: Any) -> None:
         """What a dead wire between two members does besides recompiling its ends."""
 
-    def _listener(self, wire: Any, router: Any) -> Callable[[], None]:
+    def _listener(self, wire: Any, router: Any) -> Optional[Callable[[], None]]:
         """What a mark on *wire* calls, *router* reading it (the forward
         watcher) or driving it (the reverse ones): a fault check for a wire
-        between two members, else a wake."""
-        return self._member_wire_marked if wire in self._reader and wire in self._writer else self.wake
+        between two members, else nothing."""
+        return self._member_wire_marked if wire in self._reader and wire in self._writer else None
 
     def _rx_record(self, wire: Any, router: Any, port: int) -> Any:
         """What :attr:`_outside_rx` holds for *wire*, read by *router* at *port*."""
@@ -253,7 +254,6 @@ class FabricDatapath(ClockedComponent):
             self._units[record] = None
             record.listen(partial(self._stir, record))
         self._place(record, self._scheduler is None)
-        self.wake()
         return record
 
     def _place(self, record: Any, early: bool) -> None:
@@ -281,10 +281,7 @@ class FabricDatapath(ClockedComponent):
 
     def _stir(self, unit: Any) -> None:
         """*unit*'s wire changed or its own driver emitted: it steps from its next turn on."""
-        if unit in self._resting:
-            del self._resting[unit]
-            if self._asleep:
-                self.wake()
+        self._resting.pop(unit, None)
 
     def _turn(self, units: Dict[Any, None], cycle: int) -> None:
         """Step the units of *units* not at rest, in adoption order; one whose
@@ -346,7 +343,6 @@ class FabricDatapath(ClockedComponent):
         router._rx_by_port[port] = rx_link
         router._tx_by_port[port] = tx_link
         self._rewire()
-        self.wake()
 
     def _member_wire_marked(self) -> None:
         # Only a fault marks a wire between two members: recompile both ends
@@ -356,11 +352,10 @@ class FabricDatapath(ClockedComponent):
             self._compile(self._writer[wire][0])
             self._compile(self._reader[wire][0])
             self._wire_died(wire)
-        self.wake()
 
     # -- simulation ----------------------------------------------------------------------
 
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
+    def settle(self, start_cycle: int, cycles: int) -> None:
         """Book *cycles* cycles, busy or idle: the idle cycles the resting
         units owe, every member's constant clocked bits and its cycle count
         (the rest of the energy model is event-based)."""

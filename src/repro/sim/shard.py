@@ -17,7 +17,7 @@ neighbours.  This module exploits that:
   owns the reverse (ack / credit) wires, and each side's mirror copy of the
   other direction is kept coherent by exchanging *frames* — the per-cycle
   deltas of the committed wire state (changed lanes, flits, slot words,
-  credit returns) plus the dirty-bit marks that wake the reading component.
+  credit returns) plus the dirty-bit marks the reading datapath listens to.
 * A parent-side window loop advances all shards in lockstep.  The
   synchronisation window is one cycle whenever any shard is active; when
   every shard reports an idle horizon (:meth:`SimulationKernel.
@@ -182,8 +182,8 @@ def _apply_fwd(link: Any, payload: Any) -> None:
     word = payload[1]
     link.forward = word
     if word is not None:
-        # Mirrors TdmaLink.drive: only a word wakes the receiver — it
-        # cannot have been asleep while one sat on its rx wire.
+        # Mirrors TdmaLink.drive: only a word marks the receiver — it
+        # cannot have been at rest while one sat on its rx wire.
         link.forward_dirty.mark()
 
 

@@ -1,53 +1,47 @@
-"""The dirty-bit network the wire bundles wake their readers through.
+"""The dirty-bits the wire bundles mark their readers' datapaths through.
 
 Each direction of a wire bundle (:class:`repro.core.lane.LaneLink`,
 :class:`repro.baseline.link.PacketLink`, ...) embeds a :class:`DirtyBit`;
 a write that actually changes a value marks it and calls the listener the
-reading side attached.
+datapath or stream endpoint on the other side attached.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-__all__ = ["DirtyBit", "WakeListener"]
+__all__ = ["DirtyBit", "Listener"]
 
-WakeListener = Callable[[], None]
-"""Callback fired by a signal/wire bundle when a committed value changes.
+Listener = Callable[[], None]
+"""Callback fired by a wire bundle when a committed value changes.
 
-The event-driven kernel (:mod:`repro.sim.engine`) hands the bound
-``wake`` method of the reading component to the wire bundles that feed it;
-the bundles call it only on an actual value change, which is what turns the
-wires into the kernel's dirty-bit network.
+A datapath hands its mark of the reading router, its fault check of a wire
+between two of its routers, or a stream endpoint's unit mark to the wire
+bundles; the bundles call it only on an actual value change.
 """
 
 
 class DirtyBit:
-    """A change-notification bit with an attached wake listener.
+    """A change notification with an attached listener.
 
     Wire bundles with structured payloads (lane bundles, flit channels) embed
     one of these per direction: writers call :meth:`mark` when a value
-    actually changed, and the attached :class:`WakeListener` — the reading
-    component's ``wake`` in the event-driven kernel — is invoked
-    immediately so a sleeping reader is rescheduled.  The stored flag is a
-    sticky "has ever changed" indicator kept for debugging; wake-up is
-    entirely listener-driven.
+    actually changed, and the attached :data:`Listener` is invoked
+    immediately.
     """
 
-    __slots__ = ("dirty", "listener")
+    __slots__ = ("listener",)
 
-    def __init__(self, listener: WakeListener | None = None) -> None:
-        self.dirty = False
+    def __init__(self, listener: Listener | None = None) -> None:
         self.listener = listener
 
     def mark(self) -> None:
-        """Record a value change and wake the attached listener (if any)."""
-        self.dirty = True
+        """Call the attached listener (if any): a value changed."""
         listener = self.listener
         if listener is not None:
             listener()
 
-    def add_listener(self, listener: WakeListener) -> None:
+    def add_listener(self, listener: Listener) -> None:
         """Attach *listener* without displacing an existing one.
 
         Whoever owns the wire keeps the plain :attr:`listener` slot (routers

@@ -17,19 +17,13 @@ class SchedulerStats:
     """Scheduling counters of the simulation kernel.
 
     ``evaluated`` counts component-cycles that actually ran evaluate/commit;
-    ``skipped`` counts component-cycles covered by deferred idle accounting —
-    cycles parked components slept through and cycles heap-scheduled ones
-    waited out.  Together they measure how well the kernel exploits fabric
-    idleness: the :attr:`occupancy` of a fully loaded mesh is 1.0, of an
-    idle mesh near 0.  ``leaps`` counts clock jumps between event batches
-    and ``leaped_cycles`` the clock cycles they covered — cycles on which the
-    kernel did no per-cycle work at all.
-
-    Two further counters describe the event queue: ``events_processed``
-    counts heap entries popped and executed (components scheduled at a
-    predicted due-cycle), and ``heap_peak`` is the largest number of pending
-    entries the queue ever held.  Under ``schedule="strict"``, which skips
-    nothing, every counter but ``evaluated`` stays 0.
+    ``skipped`` counts the component-cycles the clock leaped (leaped cycles
+    × registered components).  Together they measure how well the kernel
+    exploits fabric idleness: the :attr:`occupancy` of a fully loaded mesh
+    is 1.0, of an idle mesh near 0.  ``leaps`` counts clock jumps and
+    ``leaped_cycles`` the clock cycles they covered — cycles on which the
+    kernel did no per-cycle work at all.  Under ``schedule="strict"``, which
+    never leaps, every counter but ``evaluated`` stays 0.
 
     The columnar fast path (:mod:`repro.sim.vector`) adds two counters:
     ``vector_batches`` counts fabric-wide batched cycles executed through the
@@ -37,8 +31,7 @@ class SchedulerStats:
     run themselves, below the plane's live-route gate or after a
     reconfiguration, do not count), and ``vector_components`` the member
     component-cycles those batches covered.  Both stay 0 where no plane
-    batches.  The routers of a batching plane are parked in the kernel, so
-    their cycles also count as ``skipped``.
+    batches.
 
     Sharded runs (:mod:`repro.sim.shard`) add four transport counters,
     all 0 on a single-process kernel: ``frames_sent`` counts boundary
@@ -55,12 +48,8 @@ class SchedulerStats:
 
     evaluated: int = 0
     skipped: int = 0
-    wakes: int = 0
-    sleeps: int = 0
     leaps: int = 0
     leaped_cycles: int = 0
-    events_processed: int = 0
-    heap_peak: int = 0
     vector_batches: int = 0
     vector_components: int = 0
     frames_sent: int = 0
@@ -83,19 +72,14 @@ class SchedulerStats:
     def merged(cls, parts: Iterable["SchedulerStats"]) -> "SchedulerStats":
         """Fold several kernels' stats into one (sharded runs).
 
-        Work counters add up across the shard kernels; ``heap_peak`` is a
-        high-water mark per heap, so the merge keeps the largest.
+        Every counter adds up across the shard kernels.
         """
         result = cls()
         for part in parts:
             result.evaluated += part.evaluated
             result.skipped += part.skipped
-            result.wakes += part.wakes
-            result.sleeps += part.sleeps
             result.leaps += part.leaps
             result.leaped_cycles += part.leaped_cycles
-            result.events_processed += part.events_processed
-            result.heap_peak = max(result.heap_peak, part.heap_peak)
             result.vector_batches += part.vector_batches
             result.vector_components += part.vector_components
             result.frames_sent += part.frames_sent
@@ -105,16 +89,20 @@ class SchedulerStats:
         return result
 
     def as_dict(self) -> Dict[str, float]:
-        """Summary suitable for report tables."""
+        """Summary suitable for report tables.
+
+        ``events_processed`` and ``heap_peak`` described an event queue the
+        kernel no longer has; they stay in the summary, always 0, only
+        because the end-to-end benchmark's aggregation reads those keys,
+        until its next re-record drops them.
+        """
         return {
             "evaluated": float(self.evaluated),
             "skipped": float(self.skipped),
-            "wakes": float(self.wakes),
-            "sleeps": float(self.sleeps),
             "leaps": float(self.leaps),
             "leaped_cycles": float(self.leaped_cycles),
-            "events_processed": float(self.events_processed),
-            "heap_peak": float(self.heap_peak),
+            "events_processed": 0.0,
+            "heap_peak": 0.0,
             "vector_batches": float(self.vector_batches),
             "vector_components": float(self.vector_components),
             "frames_sent": float(self.frames_sent),

@@ -1,7 +1,7 @@
 """The columnar fast path: a struct-of-arrays wire plane for busy fabrics.
 
-Every prior scheduling tier (dirty-bit wakes, the event heap and its leaps,
-sharding) attacks *idle* cost; a fully loaded fabric still pays a pure-Python
+Every other scheduling tier (the datapaths parking their idle parts, the
+kernel's leaps, sharding) attacks *idle* cost; a fully loaded fabric still pays a pure-Python
 per-component loop on every busy cycle.  The :class:`VectorPlane` flattens
 that loop: the crossbar output and acknowledge registers a whole
 circuit-switched fabric *uses*, and the network side of every data converter
@@ -100,8 +100,7 @@ How it stays bit-identical to the strict reference schedule:
 
 The plane runs inside the datapath's own ``evaluate`` and ``commit``, so
 whether the members run their programs or the plane runs them in one batch,
-the registration-index ordering against the stream endpoints — and therefore
-the commit-phase replay semantics of the event schedule — is the same.  GT
+the order against the stream endpoints the datapath runs is the same.  GT
 slot wires are *not* vectorised: the TDMA router's per-slot table walk is
 control flow, not a static gather, so ``schedule="vector"`` on a GT (or
 packet, or clock-gated circuit) network runs its datapath without a plane

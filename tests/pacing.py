@@ -3,8 +3,8 @@
 :class:`repro.core.testbench.LoadPacer` only leaps from one emission to the
 next (``emit_from``).  The reference components of the tests keep the
 per-cycle interface the stream endpoints had as kernel components: one
-:meth:`CyclePacer.should_emit` per evaluate, the next emission as their
-``next_event_cycle`` and :meth:`CyclePacer.skip` over idle cycles.
+:meth:`CyclePacer.should_emit` per evaluate and the next emission as their
+``next_event_cycle``.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ class CyclePacer(LoadPacer):
             return None
         deficit = self._threshold - self._credit
         return -(-deficit // self._step) if deficit > 0 else 1
-
-    def skip(self, cycles: int) -> None:
-        """Fast-forward over *cycles* calls known not to emit."""
-        self._credit += self._step * cycles
 
     def next_emit_cycle(self, cycle: int) -> Optional[int]:
         """The cycle of the next emission, for one call per cycle from *cycle*."""

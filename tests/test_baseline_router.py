@@ -39,7 +39,7 @@ from repro.common import (
 from repro.core.header import phits_per_packet
 from repro.energy.activity import ActivityCounters, ActivityKeys, BUFFER_READ_BITS, BUFFER_WRITE_BITS
 from repro.noc import IrregularMesh, Mesh2D, PacketSwitchedNoC
-from repro.sim.engine import ClockedComponent, SimulationKernel
+from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
 
 
 def words(seed: int = 0):
@@ -475,7 +475,6 @@ class PacketTileInterface:
             self._next_vc = (self._next_vc + 1) % self.router.num_vcs
         self._injection_queue.extend(packetize(packet, vc))
         self.words_queued += len(packet.words)
-        self.router.wake()
 
     def send_words(self, dest: Tuple[int, int], words: List[int], vc: Optional[int] = None) -> int:
         """Split *words* into packets towards *dest* and queue them; returns packet count."""
@@ -535,9 +534,12 @@ def _reference_with_vc(flit, vc):
 class _ReferenceRouter(ClockedComponent):
     """The parent's per-router state clocked in two phases: ``evaluate``
     samples every incoming wire and collects every credit, ``commit`` counts
-    its cycle; a nested request scan per output port, per-event counter adds."""
+    its cycle; a nested request scan per output port, per-event counter adds.
+    Its kernel runs ``strict``: it never leaps, and its next_event_cycle() is
+    only compared with the datapath's."""
 
     NUM_PORTS = 5
+    bench_schedule = "strict"
 
     def __init__(self, name, position=(0, 0), num_vcs=4, fifo_depth=8, data_width=16, words_per_packet=16,
                  tech=None, route=None):
@@ -573,11 +575,6 @@ class _ReferenceRouter(ClockedComponent):
     def attach_link(self, port, rx_link, tx_link):
         port = Port(port)
         self._rx_by_port[port], self._tx_by_port[port] = rx_link, tx_link
-        if rx_link is not None:
-            rx_link.watch_flits(self.wake)
-        if tx_link is not None:
-            tx_link.watch_credits(self.wake)
-        self.wake()
 
     def rx_link(self, port):
         return self._rx_by_port[Port(port)]
@@ -717,9 +714,6 @@ class _ReferenceRouter(ClockedComponent):
 
         activity.cycles = cycle + 1
 
-    def idle_tick(self, start_cycle, cycles):
-        self.activity.cycles = start_cycle + cycles
-
     def next_event_cycle(self, cycle):
         queue = self.tile._injection_queue
         if queue and not self.buffers[(Port.TILE, queue[0].vc)].is_full():
@@ -773,7 +767,7 @@ class _ReferenceRouter(ClockedComponent):
 
 class _ReferenceTilePacketDriver(ClockedComponent):
     """The tile stream driver as a kernel component, verbatim: paced in
-    evaluate() one cycle at a time, skipped through idle_tick()."""
+    evaluate() one cycle at a time."""
 
     def __init__(self, name, router, word_source, dest, load=1.0, vc=0, words_per_packet=None, data_width=16,
                  lane_width=4):
@@ -806,9 +800,6 @@ class _ReferenceTilePacketDriver(ClockedComponent):
     def next_event_cycle(self, cycle):
         return self._pacer.next_emit_cycle(cycle)
 
-    def idle_tick(self, start_cycle, cycles):
-        self._pacer.skip(cycles)
-
     def reset(self):
         self._pacer.reset()
         self._pending_words.clear()
@@ -824,7 +815,7 @@ def _reference_packet_driver(driver):
 
 class _ReferencePacketStreamDriver(ClockedComponent):
     """The link stream driver as a kernel component, verbatim: paced in
-    evaluate() one cycle at a time, woken by returned credits."""
+    evaluate() one cycle at a time."""
 
     def __init__(self, name, link, word_source, dest, src, load=1.0, vc=0, words_per_packet=16,
                  downstream_buffer_depth=8, data_width=16, lane_width=4):
@@ -836,9 +827,6 @@ class _ReferencePacketStreamDriver(ClockedComponent):
         self.vc = vc
         self.words_per_packet = words_per_packet
         self._pacer = CyclePacer(load, phits_per_packet(data_width, lane_width))
-        # Returned credits must wake a parked driver (the router only watches
-        # the flit side of its receive links, so the credit side is free).
-        link.credit_dirty.add_listener(self.wake)
         self._buffer_depth = self._credits = downstream_buffer_depth
         self._flit_queue = deque()
         self._pending_words = []
@@ -881,9 +869,6 @@ class _ReferencePacketStreamDriver(ClockedComponent):
             return cycle
         return self._pacer.next_emit_cycle(cycle)
 
-    def idle_tick(self, start_cycle, cycles):
-        self._pacer.skip(cycles)
-
     def reset(self):
         self._pacer.reset()
         self.link.reset()  # flits forward and credits back: both start over
@@ -902,9 +887,6 @@ class _ReferencePacketStreamConsumer(ClockedComponent):
     def __init__(self, name, link):
         super().__init__(name)
         self.link = link
-        # Arriving flits must wake a parked consumer (the router only watches
-        # the credit side of its transmit links, so the flit side is free).
-        link.flit_dirty.add_listener(self.wake)
         self.received_flits = []
         self.received_words = []
         self._sampled = None
@@ -922,15 +904,10 @@ class _ReferencePacketStreamConsumer(ClockedComponent):
         # An always-consuming downstream immediately frees the buffer slot.
         self.link.return_credit(flit & VC_MASK)
 
-    settles_at_sync = True  # nothing to book, idle or busy
-
     def next_event_cycle(self, cycle):
         if self.link.forward is not None or self._sampled is not None:
             return cycle
         return None
-
-    def idle_tick(self, start_cycle, cycles):
-        pass
 
     @property
     def words_received(self):
@@ -951,6 +928,10 @@ def _link_streams(router):
 
 
 class _ReferencePacketNoC(PacketSwitchedNoC):
+    def __init__(self, topology, schedule=DEFAULT_SCHEDULE, **kwargs):
+        # The reference routers never leap: *schedule* is the production twin's.
+        super().__init__(topology, schedule="strict", **kwargs)
+
     def _build_router(self, position):
         return _ReferenceRouter(
             f"ps_{self.topology.router_name(position)}",
@@ -1229,16 +1210,18 @@ class TestDirectedSwitchAllocation:
         assert router._credits[Port.EAST * router.num_vcs + out_vc] == 0
         assert len(router._fifos[0]) == 4 and router.tile.injection_backlog
         for router, links, kernel in benches:
+            clock = kernel.components[-1]
             assert router.activity.get(ActivityKeys.FLITS_ROUTED) == 4
-            assert kernel.components[-1].next_event_cycle(kernel.cycle) is None
-            assert kernel.sleeping_components == 1
+            assert clock.next_event_cycle(kernel.cycle) is None
             links[Port.EAST][1].return_credit(out_vc, 1)
-            assert kernel.sleeping_components == 0
+            assert clock.next_event_cycle(kernel.cycle) == kernel.cycle
+        leaped = benches[0][2].scheduler_stats.leaped_cycles
         _step_twins(benches, 30)
         for router, _links, kernel in benches:
             assert router.activity.get(ActivityKeys.FLITS_ROUTED) == 5
             assert router.activity.cycles == kernel.cycle == 60
-            assert kernel.sleeping_components == 1
+            assert kernel.components[-1].next_event_cycle(kernel.cycle) is None
+        assert benches[0][2].scheduler_stats.leaped_cycles > leaped  # the datapath's kernel leapt the stall
 
     def test_single_vc_router(self):
         """num_vcs=1: masks one bit wide per port; two back-to-back worms
@@ -1324,8 +1307,8 @@ class TestChangesBetweenCyclesOnly:
         router = PacketSwitchedRouter("victim", position=(1, 1))
         kernel = SimulationKernel(25e6)
         kernel.add(PacketDatapath("d", [router]))
-        kernel.add_pre_cycle_hook(lambda c: router.attach_link(Port.EAST, PacketLink("a"), None))
-        kernel.run(1)  # a hook runs between cycles: allowed
+        router.attach_link(Port.EAST, PacketLink("a"), None)  # between cycles: allowed
+        kernel.run(1)
         assert router.tx_link(Port.EAST) is None and router.rx_link(Port.EAST).name == "a"
 
         class Rewire(ClockedComponent):

@@ -286,9 +286,10 @@ class _ReferenceTile:
 class _ReferenceCircuitRouter(ClockedComponent):
     """The circuit router's dense evaluate/commit and park rule, verbatim.
 
-    Its bench runs ``strict`` (the reference endpoints need it), where no
-    kernel clears the input-dirty flag the park rule reads: ``evaluate``
-    does, as the event schedule did right before it.
+    Its bench runs ``strict`` (the reference endpoints need it).  The park
+    rule reads an input-dirty flag: :meth:`wake`, which its wires, tile and
+    configuration call, sets it and ``evaluate`` clears it, as the event
+    schedule the rule was written for did.
     """
 
     NUM_PORTS = 5
@@ -316,8 +317,12 @@ class _ReferenceCircuitRouter(ClockedComponent):
         self._tx_previous = [0] * total
         self._rx_flat = []
         self._tx_flat = []
+        self._input_dirty = False
         self.config.on_change = self.wake
         self.converter.wake_hook = self.wake
+
+    def wake(self):
+        self._input_dirty = True
 
     @property
     def tile(self):
@@ -412,20 +417,6 @@ class _ReferenceCircuitRouter(ClockedComponent):
             return cycle
         return None
 
-    def idle_tick(self, start_cycle, cycles):
-        activity = self.activity
-        clocked, gated = self.crossbar.idle_cycle_bits(self.clock_gating)
-        converter_bits = self.converter.idle_cycle_bits()
-        if self.clock_gating:
-            gated += converter_bits
-        else:
-            clocked += converter_bits
-        if clocked:
-            activity.add(ActivityKeys.REG_CLOCKED_BITS, clocked * cycles)
-        if gated:
-            activity.add(ActivityKeys.REG_GATED_BITS, gated * cycles)
-        activity.cycles = start_cycle + cycles
-
     def reset(self):
         self.crossbar.reset()
         self.converter.reset()
@@ -445,9 +436,10 @@ class _ReferenceCircuitRouter(ClockedComponent):
 # ---------------------------------------------------------------------------
 
 # The four circuit endpoints as they were before they became records of their
-# datapath, verbatim but for the commit-phase replay flag: their commits read
-# live wires and tiles, which only that replay made exact under the event
-# schedule, so every reference kernel runs ``strict``.
+# datapath, verbatim but for the commit-phase replay flag and the wakes and
+# idle ticks of the event schedule: their commits read live wires and tiles,
+# which only that replay made exact under the event schedule, so every
+# reference kernel runs ``strict``.
 
 class _ReferenceLaneStreamDriver(ClockedComponent):
     """Drives one lane of a link *into* the router under test.
@@ -491,10 +483,6 @@ class _ReferenceLaneStreamDriver(ClockedComponent):
         self._pacer = CyclePacer(load, phits_per_packet(data_width, link.lane_width))
         self.words_offered = 0
         self.words_dropped = 0
-        # Event schedule: an acknowledge arriving while the driver is parked
-        # between emissions must put it back on the batch (the router end of
-        # the bundle owns the forward dirty-bit; the ack one fans out here).
-        link.ack_dirty.add_listener(self.wake)
 
     def evaluate(self, cycle: int) -> None:
         if self._pacer.should_emit():
@@ -512,19 +500,10 @@ class _ReferenceLaneStreamDriver(ClockedComponent):
         if phit != self._forward[lane]:
             self.link.drive_forward(lane, phit)
 
-    # -- timed protocol: between emissions an idle serialiser only clocks ----
-
-
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         if not self.serializer.quiescent or self._ack[self.lane]:
             return cycle
         return self._pacer.next_emit_cycle(cycle)
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        self._pacer.skip(cycles)
-        # What `cycles` idle serialiser ticks would have recorded.
-        self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self.serializer.idle_cycle_bits * cycles)
-        self.activity.slots[REG_TOGGLE_BITS] += 0
 
     @property
     def words_sent(self) -> int:
@@ -562,9 +541,6 @@ class _ReferenceLaneStreamConsumer(ClockedComponent):
             lane, link.lane_width, data_width, flow=flow, activity=self.activity
         )
         self.received: List[ReceivedWord] = []
-        # Event schedule: a phit arriving while the consumer is parked must
-        # put it back on the batch (the router end owns the ack dirty-bit).
-        link.forward_dirty.add_listener(self.wake)
 
     def evaluate(self, cycle: int) -> None:  # all work happens at the clock edge
         pass
@@ -580,9 +556,6 @@ class _ReferenceLaneStreamConsumer(ClockedComponent):
         if pulse != self._ack[lane]:
             self.link.drive_ack(lane, pulse)
 
-    # -- timed protocol: a pure sink never generates events of its own -------
-
-
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         if (
             self._forward[self.lane]
@@ -591,11 +564,6 @@ class _ReferenceLaneStreamConsumer(ClockedComponent):
         ):
             return cycle
         return None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        # What `cycles` idle deserialiser ticks would have recorded.
-        self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self.deserializer.idle_cycle_bits * cycles)
-        self.activity.slots[REG_TOGGLE_BITS] += 0
 
     @property
     def words_received(self) -> int:
@@ -651,13 +619,8 @@ class _ReferenceTileStreamDriver(ClockedComponent):
     def commit(self, cycle: int) -> None:  # the router itself owns the clocked state
         pass
 
-    # -- timed protocol: the pacer is the driver's only per-cycle state ------
-
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         return self._pacer.next_emit_cycle(cycle)
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        self._pacer.skip(cycles)
 
     def reset(self) -> None:
         self._pacer.reset()
@@ -675,9 +638,6 @@ class _ReferenceTileStreamConsumer(ClockedComponent):
         self.router = router
         self.lane = lane
         self.received: List[ReceivedWord] = []
-        # Event schedule: a word delivered to the tile interface while the
-        # consumer is parked must put it back on the batch.
-        router.tile.watch_rx(lane, self.wake)
 
     def evaluate(self, cycle: int) -> None:
         pass
@@ -687,16 +647,8 @@ class _ReferenceTileStreamConsumer(ClockedComponent):
         while (word := receive(self.lane)) is not None:
             self.received.append(word)
 
-    # -- timed protocol: a pure sink never generates events of its own -------
-
-
-    settles_at_sync = True  # nothing to book, idle or busy
-
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         return cycle if self.router.tile.rx_available(self.lane) else None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        pass
 
     @property
     def words_received(self) -> int:

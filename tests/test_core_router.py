@@ -85,7 +85,7 @@ class TestWritesBetweenCycles:
         for schedule in SCHEDULES:
             router, kernel = CircuitSwitchedRouter("victim"), SimulationKernel(25e6, schedule=schedule)
             kernel.add(clock_of(router))
-            kernel.add_pre_cycle_hook(lambda cycle: cycle == 0 and router.attach_link(Port.EAST, LaneLink("a"), None))
+            router.attach_link(Port.EAST, LaneLink("a"), None)  # between cycles: allowed
             kernel.run(1)
             assert router.tx_link(Port.EAST) is None and router.rx_link(Port.EAST).name == "a"
             kernel.add(self._writer(lambda: router.attach_link(Port.EAST, LaneLink("b"), None)))
@@ -98,7 +98,7 @@ class TestWritesBetweenCycles:
             router, kernel = CircuitSwitchedRouter("victim"), SimulationKernel(25e6, schedule=schedule)
             router.configure(Port.NORTH, 1, Port.TILE, 1)
             kernel.add(clock_of(router))
-            kernel.add_pre_cycle_hook(lambda cycle: cycle == 0 and router.configure(Port.SOUTH, 2, Port.TILE, 2))
+            router.configure(Port.SOUTH, 2, Port.TILE, 2)  # between cycles: allowed
             kernel.run(1)
             assert router.active_circuits() == 2
             kernel.add(self._writer(lambda: write(router)))

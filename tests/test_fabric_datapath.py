@@ -22,7 +22,7 @@ from repro.noc import Mesh2D, build_network
 from repro.noc.gt_network import (
     GtLinkStreamConsumer, GtLinkStreamDriver, GtStreamDriver, SlotTableRouter, TdmaDatapath, TdmaLink,
 )
-from repro.sim.engine import SimulationKernel
+from repro.sim.engine import SCHEDULES, SimulationKernel
 
 KINDS = {"gt": (TdmaDatapath, SlotTableRouter), "packet": (PacketDatapath, PacketSwitchedRouter)}
 
@@ -192,3 +192,25 @@ def test_a_circuit_fabric_kernel_clocks_only_its_datapath():
     network.run(100)
     assert network.kernel.components == only_the_datapath
     assert all(entry["received"] > 0 for entry in network.stream_statistics().values())
+
+
+@pytest.mark.parametrize("load", [0.1, 1.0])
+def test_a_bench_tile_consumer_drains_the_cycle_after_a_delivery(load):
+    """A lane stream into the tile of a one-router bench whose endpoints were
+    adopted before the datapath joined its kernel: the consumer reads each
+    word in the cycle after its delivery under the default schedule as
+    under ``strict`` - also when the router parks at the delivery (a word
+    whose last phit is idle) and the next driver is due cycles later."""
+    received = {}
+    for schedule in SCHEDULES:
+        router, rx = CircuitSwitchedRouter("dut"), LaneLink("rx")
+        router.attach_link(Port.WEST, rx, LaneLink("west_tx"))
+        router.configure(Port.TILE, 0, Port.WEST, 0)
+        consumer = TileStreamConsumer("dst", router, 0)
+        datapath = LaneDatapath("datapath", [router])
+        datapath.adopt(LaneStreamDriver("src", rx, 0, lambda: 0x0F00, load))
+        datapath.adopt(consumer)
+        kernel = SimulationKernel(25e6, schedule=schedule)
+        kernel.add(datapath)
+        received[schedule] = [kernel.step() and len(consumer.received) for _ in range(300)]
+    assert received["vector"] == received["strict"] and received["strict"][-1] > 0

@@ -17,7 +17,7 @@ from repro.experiments.harness import run_app_traffic, run_gt_scenario, run_scen
 from repro.noc import Mesh2D, SlotTableAllocator, TimeDivisionNoC, Torus2D, build_network
 from repro.noc.gt_network import (GtLinkStreamConsumer, GtLinkStreamDriver, GtStreamDriver, SlotTableRouter,
                                   TdmaDatapath, TdmaLink, TdmaTileInterface)
-from repro.sim.engine import ClockedComponent, SimulationKernel
+from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
 
 FREQUENCY_HZ = 100e6
 
@@ -220,18 +220,16 @@ class TestAttachChannelParity:
 # A self-contained two-phase reference: each slot-table router is its own
 # kernel component again, as before the rewrites (evaluate() samples every
 # incoming wire, commit() walks all five output ports, drives every attached
-# wire and books the constant clocked bits every cycle, idle_tick() books them
-# for the cycles slept through), with the backlog test, the _datapath_idle()
-# scan and the wake-ups of the old router.  Method bodies are verbatim; the
-# tables, wiring and registers are SlotTableRouter's, with no datapath.  The
-# tile stream drivers are kernel components again too (_ReferenceGtStreamDriver).
+# wire and books the constant clocked bits every cycle), with the backlog test
+# and the _datapath_idle() scan of the old router.  Method bodies are
+# verbatim; the tables, wiring and registers are SlotTableRouter's, with no
+# datapath.  The tile stream drivers are kernel components again too
+# (_ReferenceGtStreamDriver).  Every reference kernel runs ``strict``: the
+# references never leap, and their next_event_cycle() is only compared with
+# the datapath's.
 
 
 class _ReferenceTile(TdmaTileInterface):
-    def send(self, connection, word):
-        super().send(connection, word)
-        self.router.wake()
-
     def _pop_tx(self, connection):
         queue = self._tx.get(connection)
         if queue:
@@ -247,23 +245,13 @@ class _ReferenceTile(TdmaTileInterface):
 
 
 class _ReferenceSlotTableRouter(SlotTableRouter, ClockedComponent):
-    supports_quiescence = True
+    bench_schedule = "strict"
 
     def __init__(self, name, *args, **kwargs):
         SlotTableRouter.__init__(self, name, *args, **kwargs)
         ClockedComponent.__init__(self, name)
         self.tile = _ReferenceTile(self)
         self._sampled = [None] * self.NUM_PORTS
-
-    def attach_link(self, port, rx_link, tx_link):
-        super().attach_link(port, rx_link, tx_link)
-        if rx_link is not None:
-            rx_link.watch_forward(self.wake)
-        self.wake()
-
-    def _write_entry(self, out_port, slot, entry):
-        super()._write_entry(out_port, slot, entry)
-        self.wake()
 
     def evaluate(self, cycle):
         sampled = self._sampled
@@ -343,10 +331,6 @@ class _ReferenceSlotTableRouter(SlotTableRouter, ClockedComponent):
                     return cycle + offset
         return None
 
-    def idle_tick(self, start_cycle, cycles):
-        self.activity.add(ActivityKeys.REG_CLOCKED_BITS, self._idle_clock_bits * cycles)
-        self.activity.cycles = start_cycle + cycles
-
     def reset(self):
         self.tile.reset()
         self.activity.reset()
@@ -361,7 +345,7 @@ class _ReferenceSlotTableRouter(SlotTableRouter, ClockedComponent):
 
 class _ReferenceGtStreamDriver(ClockedComponent):
     """The tile stream driver as a kernel component, verbatim: paced in
-    evaluate() one cycle at a time, skipped through idle_tick()."""
+    evaluate() one cycle at a time."""
 
     def __init__(self, name, router, connection, word_source, load=1.0, cycles_per_word=1, queue_limit=8):
         super().__init__(name)
@@ -390,9 +374,6 @@ class _ReferenceGtStreamDriver(ClockedComponent):
     def next_event_cycle(self, cycle):
         return self._pacer.next_emit_cycle(cycle)
 
-    def idle_tick(self, start_cycle, cycles):
-        self._pacer.skip(cycles)
-
     def reset(self):
         self._pacer.reset()
         self.words_offered = 0
@@ -409,7 +390,7 @@ def _reference_gt_driver(driver):
 class _ReferenceGtLinkStreamDriver(ClockedComponent):
     """The link stream driver as a kernel component, verbatim: drives a word
     or idle in every commit it runs, its pacer consulted per owned slot
-    opportunity and skipped over the opportunities of idle_tick()."""
+    opportunity."""
 
     def __init__(self, name, link, slots, inject_slots, word_source, load=1.0):
         super().__init__(name)
@@ -438,15 +419,6 @@ class _ReferenceGtLinkStreamDriver(ClockedComponent):
         else:
             self.link.drive(None)
 
-    def _opportunities_in(self, start_cycle, cycles):
-        """Owned slot opportunities in the window [start_cycle, start_cycle + cycles)."""
-        revolutions, remainder = divmod(cycles, self.slots)
-        count = revolutions * len(self._inject_residues)
-        for residue in self._inject_residues:
-            if (residue - start_cycle) % self.slots < remainder:
-                count += 1
-        return count
-
     def next_event_cycle(self, cycle):
         if self.link.forward is not None:
             return cycle
@@ -457,9 +429,6 @@ class _ReferenceGtLinkStreamDriver(ClockedComponent):
         residues, now = self._inject_residues, cycle % self.slots
         revolutions, index = divmod(emit_calls - 1 + bisect_left(residues, now), len(residues))
         return cycle - now + residues[index] + revolutions * self.slots
-
-    def idle_tick(self, start_cycle, cycles):
-        self._pacer.skip(self._opportunities_in(start_cycle, cycles))
 
     def reset(self):
         self._pacer.reset()
@@ -474,9 +443,6 @@ class _ReferenceGtLinkStreamConsumer(ClockedComponent):
     def __init__(self, name, link, slots):
         super().__init__(name)
         self.link = link
-        # Arriving words must wake a parked consumer (a datapath only watches
-        # its routers' receive wires, so an outgoing wire's dirty-bit is free).
-        link.forward_dirty.add_listener(self.wake)
         self.slots = slots
         #: Slot index -> stream id owning it (filled by the test bench).
         self.slot_owner = {}
@@ -499,15 +465,10 @@ class _ReferenceGtLinkStreamConsumer(ClockedComponent):
             self.received[owner] = self.received.get(owner, 0) + 1
             self._sampled = None
 
-    settles_at_sync = True  # nothing to book, idle or busy
-
     def next_event_cycle(self, cycle):
         if self.link.forward is not None or self._sampled is not None:
             return cycle
         return None
-
-    def idle_tick(self, start_cycle, cycles):
-        pass
 
     def words_received_for(self, stream_id):
         """Words attributed to *stream_id*."""
@@ -519,6 +480,10 @@ class _ReferenceGtLinkStreamConsumer(ClockedComponent):
 
 
 class _ReferenceGtNoC(TimeDivisionNoC):
+    def __init__(self, topology, schedule=DEFAULT_SCHEDULE, **kwargs):
+        # The reference routers never leap: *schedule* is the production twin's.
+        super().__init__(topology, schedule="strict", **kwargs)
+
     def _register_with_kernel(self):
         for router in self.routers.values():
             self.kernel.add(router)
@@ -740,7 +705,6 @@ class TestCommitEqualsReference:
         _gt_step_twins(benches, 6)
         router, _links, kernel = benches[0]
         assert not router.datapath._held and router.datapath.next_event_cycle(kernel.cycle) is None
-        assert kernel.sleeping_components == 1
         assert router.activity.get(ActivityKeys.REG_TOGGLE_BITS) == before + 8
 
     def test_dead_wire_swallows_and_counts_every_word(self):
@@ -830,7 +794,7 @@ class TestScheduleChangesBetweenCycles:
 
         benches = _gt_twin_benches(setup, slots=4)
         _gt_step_twins(benches, 5)
-        assert benches[0][2].sleeping_components == 1
+        assert benches[0][0].datapath.next_event_cycle(benches[0][2].cycle) is None
         for router, links, _kernel in benches:
             links[Port.WEST][0].forward = 0x7  # what a shard's boundary frame writes
             links[Port.WEST][0].forward_dirty.mark()
@@ -868,8 +832,8 @@ class TestScheduleChangesBetweenCycles:
     def test_attach_link_inside_a_cycle_raises(self):
         router, kernel = SlotTableRouter("victim", slots=4), SimulationKernel(25e6)
         kernel.add(TdmaDatapath("datapath", [router]))
-        kernel.add_pre_cycle_hook(lambda cycle: router.attach_link(Port.EAST, TdmaLink("a"), None))
-        kernel.run(1)  # a hook runs between cycles: allowed
+        router.attach_link(Port.EAST, TdmaLink("a"), None)  # between cycles: allowed
+        kernel.run(1)
         assert router.tx_link(Port.EAST) is None and router.rx_link(Port.EAST).name == "a"
         rewire = {"commit": lambda self, cycle: router.attach_link(Port.EAST, TdmaLink("b"), None)}
         kernel.add(type("Rewire", (ClockedComponent,), {"evaluate": id, **rewire})("rewire"))

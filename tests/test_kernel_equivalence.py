@@ -171,10 +171,10 @@ class TestMidRunReconfiguration:
         assert assert_schedules_identical(scenario)["default"].streams["second"].words_received > 0
 
     def test_gated_teardown_from_a_hook_books_the_old_routes_idle_bits(self):
-        """A clock-gated circuit drains and its routers park; a hook then
-        tears it down mid-run, no sync in between: the parked routers' idle
-        cycles book the clocked/gated split of the routes they ran with, as
-        ``strict`` books them cycle by cycle."""
+        """A clock-gated circuit drains and its routers park; between two
+        run windows the circuit is torn down: the parked routers' idle cycles
+        book the clocked/gated split of the routes they ran with, and the
+        later ones that of none, as ``strict`` books them cycle by cycle."""
 
         def scenario(**params):
             _mesh, network = _circuit_network(3, 1, clock_gating=True, **params)
@@ -182,11 +182,9 @@ class TestMidRunReconfiguration:
             network.attach_channel("a", (0, 0), (2, 0), 100.0, generator, load=1.0)
             network.run(60)
             network.halt_stream("a")
-            allocation = network.admission.allocation("a")
-            network.kernel.add_pre_cycle_hook(
-                lambda cycle: cycle == 150 and network.remove_allocation(allocation), every=50
-            )
-            return ran(network, 200)
+            network.run(90)
+            network.remove_allocation(network.admission.allocation("a"))
+            return ran(network, 110)
 
         assert_schedules_identical(scenario)
 
@@ -440,9 +438,9 @@ class TestDefaultSchedule:
         assert _delivered(assert_schedules_identical(run)["default"]) > 0
 
     def test_strided_hook_that_syncs_observes_strict_wires_and_activity(self):
-        """A ``every=7`` post-cycle hook that calls ``kernel.sync()`` first
-        reads the link wires and merged activity ``strict`` shows it, while
-        the plane batches between the hook cycles."""
+        """A sample after every ``run(7)`` window reads the link wires and
+        merged activity ``strict`` shows it, while the plane batches between
+        the samples."""
         observed = {}
         for name, params in SCHEDULES.items():
             network = build_network(
@@ -450,17 +448,13 @@ class TestDefaultSchedule:
             )
             self._rows(network, range(self.SIZE), load=0.8)
             samples = []
-
-            def hook(cycle, network=network, samples=samples):
-                network.kernel.sync()
+            while network.kernel.cycle < 200:
+                network.run(min(7, 200 - network.kernel.cycle))
                 wires = {
                     key: (tuple(link.forward), tuple(link.ack))
                     for key, link in network.links.items()
                 }
-                samples.append((cycle, wires, network.merged_activity().as_dict()))
-
-            network.kernel.add_post_cycle_hook(hook, every=7)
-            network.run(200)
+                samples.append((network.kernel.cycle, wires, network.merged_activity().as_dict()))
             observed[name] = samples
         assert len(observed["strict"]) == len(range(0, 200, 7))
         assert observed["default"] == observed["strict"]

@@ -290,7 +290,7 @@ class TestOneSchedulingQuestion:
             kernel.step()
             if _quiescent(router):
                 assert datapath.frozen(router)
-                slept += datapath._asleep
+                slept += datapath.next_event_cycle(kernel.cycle) != kernel.cycle
         assert slept > 100
 
     @pytest.mark.parametrize("classes,make_link", [
@@ -310,4 +310,4 @@ class TestOneSchedulingQuestion:
         kernel.run(60)
         clock = kernel.components[-1]
         assert _quiescent(clock) and clock.next_event_cycle(kernel.cycle) is None
-        assert kernel.sleeping_components == 1
+        assert kernel.scheduler_stats.leaped_cycles > 0

@@ -124,7 +124,7 @@ def test_boundary_frame_exchange_is_deterministic(kind):
         return ran(network, 150)
 
     def stats(network):
-        return network.stats.evaluated, network.stats.wakes, network.stats.events_processed
+        return network.stats.evaluated, network.stats.leaps, network.stats.leaped_cycles
 
     assert_identical(scenario, {"first": {}, "second": {}}, extra_state=stats)
 
@@ -556,8 +556,9 @@ def test_backpressured_worm_parks_until_credits():
                 assert len(router._fifos[queue[0] & VC_MASK]) == router.fifo_depth
                 parked_with_backlog.append(cycle)
 
-    network.kernel.add_pre_cycle_hook(probe, every=5)
-    network.run(600)
+    for _ in range(120):
+        probe(network.kernel.cycle)
+        network.run(5)
     assert parked_with_backlog, "no source ever parked while back-pressured"
 
 
@@ -607,10 +608,11 @@ def test_bit_identical_back_to_back_flits_cross_the_cut(monkeypatch, transport):
         assert sharded.transport == transport
         cut = single.link((1, 0), (2, 0))
         seen = []
-        single.kernel.add_post_cycle_hook(lambda cycle: seen.append(cut.forward))
         single.send_empty_packets((0, 0), (3, 0), 7, 3)
         sharded._call("send_empty_packets", (0, 0), (3, 0), 7, 3)
-        single.run(40)
+        for _ in range(40):
+            single.run(1)
+            seen.append(cut.forward)
         sharded.run(40)
         flits = [flit for flit in seen if flit is not None]
         assert len(flits) == 3 and len(set(flits)) == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common import SimulationError
-from repro.sim.engine import ClockedComponent, SimulationKernel
+from repro.sim.engine import SCHEDULES, ClockedComponent, SimulationKernel
 
 
 class _Counter(ClockedComponent):
@@ -121,16 +121,6 @@ class TestKernelBasics:
         assert kernel.cycle == 0
         assert counter.value == 0
 
-    def test_hooks_run_each_cycle(self):
-        kernel = SimulationKernel()
-        kernel.add(_Counter("c"))
-        seen = {"pre": [], "post": []}
-        kernel.add_pre_cycle_hook(lambda cycle: seen["pre"].append(cycle))
-        kernel.add_post_cycle_hook(lambda cycle: seen["post"].append(cycle))
-        kernel.run(3)
-        assert seen["pre"] == [0, 1, 2]
-        assert seen["post"] == [0, 1, 2]
-
     def test_components_view_is_readonly_tuple(self):
         kernel = SimulationKernel()
         counter = kernel.add(_Counter("c"))
@@ -172,7 +162,7 @@ class _Sleeper(ClockedComponent):
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self.ticks = 0
-        self.idle_cycles = 0
+        self.settled = 0
 
     def evaluate(self, cycle: int) -> None:
         pass
@@ -183,8 +173,8 @@ class _Sleeper(ClockedComponent):
     def next_event_cycle(self, cycle: int):
         return None
 
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        self.idle_cycles += cycles
+    def settle(self, start_cycle: int, cycles: int) -> None:
+        self.settled += cycles
 
 
 class TestComponentRemoval:
@@ -214,12 +204,12 @@ class TestComponentRemoval:
         sleeper = kernel.add(_Sleeper("s"))
         kernel.add(_Counter("keepalive"))
         kernel.run(20)
-        assert sleeper.ticks == 1  # slept after the first commit
+        assert sleeper.ticks == 20  # the counter is due every cycle
         kernel.remove(sleeper)
-        # Every skipped cycle was idle-accounted exactly once.
-        assert sleeper.ticks + sleeper.idle_cycles == 20
+        # Every cycle was settled exactly once, and none after the removal.
+        assert sleeper.settled == 20
         kernel.run(4)
-        assert sleeper.ticks + sleeper.idle_cycles == 20
+        assert sleeper.ticks == sleeper.settled == 20
 
     def test_registration_order_survives_interleaved_removal(self):
         kernel = SimulationKernel()
@@ -235,3 +225,25 @@ class TestComponentRemoval:
         # value of the same cycle (one-cycle delay), before and after removal.
         assert follower.value == counter.value - 1
         assert late.value == counter.value - 1
+
+
+class TestChangesBetweenCyclesOnly:
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_add_inside_a_cycle_is_refused(self, schedule):
+        """A component added from another's commit used to commit in that
+        cycle without having evaluated in it."""
+        kernel = SimulationKernel(schedule=schedule)
+        late = _Counter("late")
+
+        class Adder(ClockedComponent):
+            def evaluate(self, cycle):
+                pass
+
+            def commit(self, cycle):
+                kernel.add(late)
+
+        kernel.add(Adder("adder"))
+        with pytest.raises(SimulationError, match="added between cycles"):
+            kernel.run(1)
+        assert late.value == 0 and late._scheduler is None
+        assert kernel.components[-1].name == "adder"

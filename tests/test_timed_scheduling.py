@@ -1,14 +1,12 @@
-"""Tests for the timed-component tier and event-horizon cycle leaping.
+"""Tests for the leaping clock.
 
-The quiescence protocol (PR 1) made simulation cost proportional to
-*component* activity; the timed tier makes it proportional to *event*
-activity: every component that can predict its next interesting cycle waits
-for it on the event heap, and when nothing else is scheduled the kernel leaps
-the clock straight there.  A component runs on the cycle it is registered,
-then only at its predicted events.  These tests pin down the
-leap semantics — exact emission schedules, leap boundaries, the
-impossibility of wakes inside a leap window, removal of timed components —
-and the strict-vs-default bit-identity with mixed timed/untimed components.
+Before each cycle the default schedule asks every component for its next
+interesting cycle and, when every answer lies later, leaps the clock
+straight to the earliest one; nothing runs inside a leap, and every
+component settles over everything elapsed at the end of each run.  These
+tests pin down the leap semantics — exact emission schedules, leap
+boundaries, removal of timed components — and the strict-vs-default
+bit-identity with mixed timed/untimed components.
 """
 
 from __future__ import annotations
@@ -29,86 +27,48 @@ from repro.sim.engine import ClockedComponent, SimulationKernel
 FREQUENCY_HZ = 100e6
 
 
-class _PacedEmitter(ClockedComponent):
-    """Minimal timed component: a load pacer plus execution bookkeeping."""
+class _Settling(ClockedComponent):
+    """Counts the cycles it ran and the cycles it settled."""
 
-    def __init__(self, name: str, load: float, cycles_per_word: int = 5) -> None:
+    def __init__(self, name: str) -> None:
         super().__init__(name)
-        self._pacer = CyclePacer(load, cycles_per_word)
         self.executed: list[int] = []
-        self.emissions: list[int] = []
-        self.idle_cycles = 0
+        self.settled = 0
 
     def evaluate(self, cycle: int) -> None:
         self.executed.append(cycle)
-        if self._pacer.should_emit():
-            self.emissions.append(cycle)
 
     def commit(self, cycle: int) -> None:
         pass
 
+    def settle(self, start_cycle: int, cycles: int) -> None:
+        self.settled += cycles
+
+
+class _PacedEmitter(_Settling):
+    """Minimal timed component: emits at its pacer's cycles, in closed form."""
+
+    def __init__(self, name: str, load: float, cycles_per_word: int = 5) -> None:
+        super().__init__(name)
+        self._pacer = LoadPacer(load, cycles_per_word)
+        self._due = self._pacer.emit_from(0)
+        self.emissions: list[int] = []
+
+    def evaluate(self, cycle: int) -> None:
+        super().evaluate(cycle)
+        if cycle == self._due:
+            self.emissions.append(cycle)
+            self._due = self._pacer.emit_from(cycle + 1)
+
     def next_event_cycle(self, cycle: int):
-        gap = self._pacer.cycles_until_emit()
-        return None if gap is None else cycle + gap - 1
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        self._pacer.skip(cycles)
-        self.idle_cycles += cycles
+        return self._due
 
 
-class _Sink(ClockedComponent):
+class _Sink(_Settling):
     """Timed pure sink: never generates an event of its own."""
 
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.executed = 0
-
-    def evaluate(self, cycle: int) -> None:
-        self.executed += 1
-
-    def commit(self, cycle: int) -> None:
-        pass
-
     def next_event_cycle(self, cycle: int):
         return None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        pass
-
-
-class _Plain(ClockedComponent):
-    """A component that keeps the default next_event_cycle() ("due now"): always dense."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.ticks = 0
-
-    def evaluate(self, cycle: int) -> None:
-        pass
-
-    def commit(self, cycle: int) -> None:
-        self.ticks += 1
-
-
-class _Sleeper(ClockedComponent):
-    """Timed component with no event of its own: parks after its first cycle."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-        self.ticks = 0
-        self.idle_cycles = 0
-
-    def evaluate(self, cycle: int) -> None:
-        pass
-
-    def commit(self, cycle: int) -> None:
-        self.ticks += 1
-
-    def next_event_cycle(self, cycle: int):
-        return None
-
-    def idle_tick(self, start_cycle: int, cycles: int) -> None:
-        self.idle_cycles += cycles
 
 
 class TestLoadPacerExactness:
@@ -137,15 +97,17 @@ class TestCycleLeaping:
 
     def test_leaped_schedule_emits_on_identical_cycles(self):
         strict_kernel, strict_emitter, _ = self._run("strict", 0.1, 1000)
-        kernel, emitter, _ = self._run("vector", 0.1, 1000)
+        kernel, emitter, sink = self._run("vector", 0.1, 1000)
         assert emitter.emissions == strict_emitter.emissions
         assert kernel.cycle == strict_kernel.cycle == 1000
-        # The default schedule really leapt: after the registration cycle
-        # only emission cycles were executed.
-        assert kernel.scheduler_stats.leaps > 0
-        assert emitter.executed == [0] + emitter.emissions
-        # Every skipped cycle was idle-accounted exactly once.
-        assert len(emitter.executed) + emitter.idle_cycles == 1000
+        # The default schedule really leapt: only emission cycles ran, for
+        # every component, and every cycle was settled exactly once.
+        stats = kernel.scheduler_stats
+        assert stats.leaps > 0
+        assert emitter.executed == sink.executed == emitter.emissions
+        assert len(emitter.executed) + stats.leaped_cycles == 1000
+        assert stats.skipped == 2 * stats.leaped_cycles
+        assert emitter.settled == sink.settled == 1000
 
     def test_event_exactly_at_leap_target_runs(self):
         """The event cycle itself is executed, never skipped."""
@@ -154,7 +116,7 @@ class TestCycleLeaping:
         kernel.run(20)
         # load 0.5, threshold 10: emission on the 20th call (cycle 19).
         assert emitter.emissions == [19]
-        assert emitter.executed == [0, 19]
+        assert emitter.executed == [19]
 
     def test_run_boundary_inside_leap_window(self):
         """A run ending before the next event executes no cycle at all, and
@@ -163,8 +125,8 @@ class TestCycleLeaping:
         emitter = kernel.add(_PacedEmitter("emitter", 0.5, cycles_per_word=10))
         kernel.run(7)  # inside the [0, 19) silent window
         assert kernel.cycle == 7
-        assert emitter.executed == [0]
-        assert emitter.idle_cycles == 6
+        assert emitter.executed == []
+        assert emitter.settled == 7
         kernel.run(13)
         assert kernel.cycle == 20
         assert emitter.emissions == [19]
@@ -174,56 +136,20 @@ class TestCycleLeaping:
         sink = kernel.add(_Sink("sink"))
         kernel.run(500)
         assert kernel.cycle == 500
-        assert sink.executed == 1  # its registration cycle
+        assert sink.executed == []
         assert kernel.scheduler_stats.leaps == 1
-        assert kernel.scheduler_stats.leaped_cycles == 499
+        assert kernel.scheduler_stats.leaped_cycles == 500
 
     def test_sleeping_components_stay_asleep_across_leaps(self):
+        """A component with no event of its own runs only in the cycles
+        another one needs, and settles over every cycle."""
         kernel = SimulationKernel(schedule="vector")
-        sleeper = kernel.add(_Sleeper("sleeper"))
+        sink = kernel.add(_Sink("sink"))
         emitter = kernel.add(_PacedEmitter("emitter", 0.05))
         kernel.run(600)
         assert kernel.scheduler_stats.leaps > 0
-        assert sleeper.ticks + sleeper.idle_cycles == 600
-        assert len(emitter.executed) + emitter.idle_cycles == 600
-
-    def test_wake_during_leap_window_is_impossible_and_asserted(self):
-        """idle_tick must not change observable inputs; the kernel turns a
-        wake inside the leap window into a loud error."""
-
-        class _Malicious(_PacedEmitter):
-            def __init__(self, name, victim):
-                super().__init__(name, 0.1)
-                self.victim = victim
-
-            def idle_tick(self, start_cycle, cycles):
-                super().idle_tick(start_cycle, cycles)
-                self.victim.wake()  # nothing runs during a leap: illegal
-
-        kernel = SimulationKernel(schedule="vector")
-        victim = kernel.add(_Sleeper("victim"))
-        kernel.add(_Malicious("malicious", victim))
-        with pytest.raises(SimulationError, match="cycle leap"):
-            kernel.run(300)
-
-    def test_wake_during_horizon_scan_is_asserted_too(self):
-        """next_event_cycle must be a pure prediction; a side-effecting one
-        is rejected as loudly as a side-effecting idle_tick."""
-
-        class _ImpureScanner(_PacedEmitter):
-            def __init__(self, name, victim):
-                super().__init__(name, 0.1)
-                self.victim = victim
-
-            def next_event_cycle(self, cycle):
-                self.victim.wake()  # scanning must not change inputs
-                return super().next_event_cycle(cycle)
-
-        kernel = SimulationKernel(schedule="vector")
-        victim = kernel.add(_Sleeper("victim"))
-        kernel.add(_ImpureScanner("impure", victim))
-        with pytest.raises(SimulationError, match="cycle leap"):
-            kernel.run(300)
+        assert sink.executed == emitter.executed == emitter.emissions
+        assert sink.settled == emitter.settled == 600
 
     def test_strict_schedule_never_leaps(self):
         kernel, emitter, _ = self._run("strict", 0.05, 400)
@@ -233,37 +159,20 @@ class TestCycleLeaping:
 
 class TestMixedTimedAndUntimed:
     def test_untimed_component_pins_the_horizon(self):
-        """One plain component forces single-stepping, while the timed one
-        still runs only at its events; results stay exact."""
+        """One plain component forces single-stepping; results stay exact."""
         strict = SimulationKernel(schedule="strict")
         strict_emitter = strict.add(_PacedEmitter("emitter", 0.1))
-        strict.add(_Plain("plain"))
+        strict.add(_Settling("plain"))
         strict.run(500)
 
         auto = SimulationKernel(schedule="vector")
         auto_emitter = auto.add(_PacedEmitter("emitter", 0.1))
-        plain = auto.add(_Plain("plain"))
+        plain = auto.add(_Settling("plain"))
         auto.run(500)
 
         assert auto.scheduler_stats.leaps == 0
-        assert plain.ticks == 500
+        assert plain.executed == auto_emitter.executed == list(range(500))
         assert auto_emitter.emissions == strict_emitter.emissions
-        assert auto_emitter.executed == [0] + auto_emitter.emissions
-        assert len(auto_emitter.executed) + auto_emitter.idle_cycles == 500
-
-    def test_input_dirty_component_blocks_the_leap(self):
-        """A freshly woken component must run before leaping resumes."""
-        kernel = SimulationKernel(schedule="vector")
-        sleeper = kernel.add(_Sleeper("sleeper"))
-        kernel.add(_PacedEmitter("emitter", 0.05))
-        kernel.run(100)
-        assert sleeper._asleep
-        sleeper.wake()  # external wake between runs
-        kernel.run(100)
-        assert kernel.cycle == 200
-        # The woken component ran again (then went back to sleep).
-        assert sleeper.ticks >= 2
-        assert sleeper.ticks + sleeper.idle_cycles == 200
 
 
 class TestTimedComponentRemoval:
@@ -274,74 +183,23 @@ class TestTimedComponentRemoval:
         kernel.run(300)
         assert kernel.scheduler_stats.leaps > 0
         kernel.remove(emitter)
-        assert len(emitter.executed) + emitter.idle_cycles == 300
+        assert emitter.settled == 300
         kernel.run(200)  # only the sink remains: pure horizon leaps
         assert kernel.cycle == 500
-        assert len(emitter.executed) + emitter.idle_cycles == 300
+        assert emitter.settled == 300 and keep.settled == 500
         assert keep._scheduler is kernel
         # The name is immediately reusable.
         kernel.add(_PacedEmitter("emitter", 0.5))
 
     def test_remove_sleeping_component_mid_leap_era_flushes_exactly(self):
         kernel = SimulationKernel(schedule="vector")
-        sleeper = kernel.add(_Sleeper("sleeper"))
-        kernel.add(_PacedEmitter("emitter", 0.05))
+        sink = kernel.add(_Sink("sink"))
+        emitter = kernel.add(_PacedEmitter("emitter", 0.05))
         kernel.run(250)
-        kernel.remove(sleeper)
-        assert sleeper.ticks + sleeper.idle_cycles == 250
-
-    def test_remove_pending_wake_component_between_runs(self):
-        """A component woken but not yet rescheduled leaves via the woken list."""
-        kernel = SimulationKernel(schedule="vector")
-        sleeper = kernel.add(_Sleeper("sleeper"))
-        kernel.add(_Plain("keepalive"))
+        kernel.remove(sink)
+        assert sink.settled == 250 and sink.executed == emitter.executed
         kernel.run(50)
-        assert sleeper._asleep
-        sleeper.wake()
-        assert sleeper._pending_wake
-        kernel.remove(sleeper)
-        assert not sleeper._pending_wake
-        kernel.run(10)
-        assert sleeper.ticks + sleeper.idle_cycles == 50
-
-
-class TestTimedHooks:
-    def test_timed_hook_runs_identical_cycles_under_both_schedules(self):
-        seen = {}
-        for schedule in ("strict", "vector"):
-            kernel = SimulationKernel(schedule=schedule)
-            kernel.add(_PacedEmitter("emitter", 0.05))
-            cycles: list[int] = []
-            kernel.add_pre_cycle_hook(cycles.append, every=50)
-            kernel.run(300)
-            seen[schedule] = cycles
-        assert seen["vector"] == seen["strict"] == [0, 50, 100, 150, 200, 250]
-
-    def test_timed_post_hook_bounds_the_leap(self):
-        kernel = SimulationKernel(schedule="vector")
-        kernel.add(_Sink("sink"))
-        cycles: list[int] = []
-        kernel.add_post_cycle_hook(cycles.append, every=100)
-        kernel.run(350)
-        assert cycles == [0, 100, 200, 300]
-        # Leaps covered everything except the four hook cycles.
-        assert kernel.scheduler_stats.leaped_cycles == 350 - 4
-
-    def test_dense_hook_forces_single_stepping(self):
-        kernel = SimulationKernel(schedule="vector")
-        kernel.add(_Sink("sink"))
-        cycles: list[int] = []
-        kernel.add_pre_cycle_hook(cycles.append)
-        kernel.run(40)
-        assert cycles == list(range(40))
-        assert kernel.scheduler_stats.leaps == 0
-
-    def test_invalid_hook_stride_rejected(self):
-        kernel = SimulationKernel()
-        with pytest.raises(ValueError):
-            kernel.add_pre_cycle_hook(lambda cycle: None, every=0)
-        with pytest.raises(ValueError):
-            kernel.add_post_cycle_hook(lambda cycle: None, every=-3)
+        assert sink.settled == 250 and emitter.settled == 300
 
 
 class TestRunUntilStride:

@@ -266,7 +266,7 @@ def test_plane_crosses_its_gate_both_ways_and_stays_identical():
 
 def test_idle_fabric_parks_without_batching():
     """No live route: the datapath parks every router after the first cycle
-    and the kernel parks the datapath — nothing is ever compiled."""
+    and the kernel leaps the rest — nothing is ever compiled."""
     network = build_network("circuit", Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ)
     strict = build_network("circuit", Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ, schedule="strict")
     assert network.schedule_report()["live_routes"] is None  # not counted yet
@@ -276,8 +276,9 @@ def test_idle_fabric_parks_without_batching():
     report = network.schedule_report()
     assert report["batched_cycles"] == 0 and report["scalar_cycles"] == 500
     assert report["live_routes"] == 0
-    assert network.kernel.components == (network.datapath,) and network.kernel.sleeping_components == 1
+    assert network.kernel.components == (network.datapath,)
     assert network.kernel.scheduler_stats.evaluated == 1  # cycle 0 only
+    assert network.kernel.scheduler_stats.leaped_cycles == 499
 
 
 # ---------------------------------------------------------------------------

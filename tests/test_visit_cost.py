@@ -20,20 +20,20 @@ exactly on one interpreter version, hence the CPython 3.11 gate.  Ten rows:
   untimed call; ``circuit bench gated`` the same with ``clock_gating=True``
   (Section 7.3).
 
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============
-row                  before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath  one route program  drivers in the datapath  circuit datapath  circuit endpoints  link endpoints
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============
-gt                   4 281                        3 500     3 118             1 220            1 219                1 219              1 084                    1 077             1 069              1 072
-gt paced             -                            -         2 022             1 294            1 293                1 293              964                      958               952                958
-gt bench             -                            -         -                 -                -                    -                  -                        -                 593                592
-packet               8 426                        7 454     6 653             6 645            3 534                3 534              3 440                    3 438             3 437              3 443
-packet paced         -                            -         -                 -                -                    1 859              1 663                    1 654             1 645              1 659
-packet bench         -                            -         -                 1 113            979                  978                977                      963               949                863
-circuit              -                            1 477     1 428             1 420            1 416                1 412              1 406                    1 377             1 206              1 191
-circuit paced        -                            -         -                 -                -                    -                  -                        2 205             1 828              1 810
-circuit bench        -                            3 587     3 093             3 085            3 084                2 469              2 463                    2 455             2 324              2 323
-circuit bench gated  -                            -         -                 -                2 606                1 821              1 812                    1 802             1 718              1 716
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============
+row                  before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath  one route program  drivers in the datapath  circuit datapath  circuit endpoints  link endpoints  one clock loop
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============
+gt                   4 281                        3 500     3 118             1 220            1 219                1 219              1 084                    1 077             1 069              1 072           1 024
+gt paced             -                            -         2 022             1 294            1 293                1 293              964                      958               952                958             881
+gt bench             -                            -         -                 -                -                    -                  -                        -                 593                592             525
+packet               8 426                        7 454     6 653             6 645            3 534                3 534              3 440                    3 438             3 437              3 443           3 419
+packet paced         -                            -         -                 -                -                    1 859              1 663                    1 654             1 645              1 659           1 590
+packet bench         -                            -         -                 1 113            979                  978                977                      963               949                863             798
+circuit              -                            1 477     1 428             1 420            1 416                1 412              1 406                    1 377             1 206              1 191           1 132
+circuit paced        -                            -         -                 -                -                    -                  -                        2 205             1 828              1 810           1 746
+circuit bench        -                            3 587     3 093             3 085            3 084                2 469              2 463                    2 455             2 324              2 323           2 267
+circuit bench gated  -                            -         -                 -                2 606                1 821              1 812                    1 802             1 718              1 716           1 655
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============
 
 "One pass" replaced a sampling ``evaluate``, constants booked in every
 ``commit`` and one ``ActivityCounters.add`` per counter; "by slot" replaced
@@ -59,9 +59,10 @@ from its heap, link-side lane units walked while they move, tile consumers
 drained after a delivery) and deleted the kernel's commit-phase replay;
 "link endpoints" did the same for the GT and packet link stream endpoints
 of the benches (one adoption and unit protocol in the datapath skeleton,
-every driver rescheduled through its pacer's ``emit_from``).
-The bench and paced ceilings are the recorded value + 8 %; ``gt bench``'s
-is the value before "link endpoints" + 8 %.
+every driver rescheduled through its pacer's ``emit_from``); "one clock
+loop" replaced the kernel's event heap, wake network and cycle hooks with
+one ``next_event_cycle`` question per cycle and a leap to the earliest
+answer, and dropped the unread flag every wire mark stored.  The bench and paced ceilings are the "one clock loop" value + 8 %.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ BENCH_CYCLES = 1000
 
 #: Bytecodes per simulated cycle each row may cost.
 CEILINGS = {
-    "gt": 1700, "gt paced": 1041, "gt bench": 640, "packet": 3820, "packet paced": 1796, "packet bench": 1200,
-    "circuit": 1500, "circuit paced": 1974, "circuit bench": 2666, "circuit bench gated": 1967,
+    "gt": 1700, "gt paced": 951, "gt bench": 567, "packet": 3820, "packet paced": 1717, "packet bench": 861,
+    "circuit": 1500, "circuit paced": 1885, "circuit bench": 2448, "circuit bench gated": 1787,
 }
 
 
