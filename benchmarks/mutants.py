@@ -82,11 +82,75 @@ MUTANTS = (
         ("tests/test_gt_network.py::TestCommitEqualsReference::test_table3_benches_on_external_wires",),
     ),
     Mutant(
-        "mark-at-clock-edge",  # a router marked at a clock edge books its idle bits one cycle short
+        "mark-at-clock-edge",  # a router marked from the latch on books its idle bits one cycle short
         "src/repro/core/router.py",
-        'self._book(router, self._parked.pop(router), cycle + (phase == "commit"))',
+        "self._book(router, self._parked.pop(router), max(cycle, self._edge))",
         "self._book(router, self._parked.pop(router), cycle)",
         ("tests/test_circuit_reference.py::TestBenchesEqualTheReference",),
+    ),
+    Mutant(
+        "circuit-join-late",  # a mark between the walk and the latch waits for the next cycle
+        "src/repro/core/router.py",
+        "        if walk is not _NOT_WALKING:\n",
+        "        if False:\n",
+        ("tests/test_circuit_reference.py::TestFabricsEqualTheReference::test_full_load_rows_with_a_fault",),
+    ),
+    Mutant(
+        "gt-sample-late",  # the GT outside wires are sampled after the drivers fire and the units turn
+        "src/repro/noc/gt_network.py",
+        "        if from_wires:  # the external wires, sampled before anything drives them\n"
+        "            sampled = [wire.forward for _, wire, _, _ in from_wires]\n"
+        "        if self.drivers.next_due == cycle:\n"
+        "            self.drivers.fire(cycle)\n"
+        "        if self._units:  # a bench's link streams: ahead of the scatter, whenever adopted\n"
+        "            self._turn(self._units, cycle)\n",
+        "        if self.drivers.next_due == cycle:\n"
+        "            self.drivers.fire(cycle)\n"
+        "        if self._units:\n"
+        "            self._turn(self._units, cycle)\n"
+        "        if from_wires:\n"
+        "            sampled = [wire.forward for _, wire, _, _ in from_wires]\n",
+        ("tests/test_gt_network.py::TestCommitEqualsReference::test_table3_benches_on_external_wires",),
+    ),
+    Mutant(
+        "packet-sample-late",  # the packet outside wires are sampled after the units turn
+        "src/repro/baseline/router.py",
+        "        sampled_flits, sampled_credits = [], []\n"
+        "        for record in self._outside_rx:\n"
+        "            flit = record[0].forward\n"
+        "            if flit is not None:\n"
+        "                sampled_flits.append((record, flit))\n"
+        "        for link, router, credits, base in self._outside_tx:\n"
+        "            wire = link.credits\n"
+        "            if any(wire):\n"
+        "                sampled_credits.append((router, credits, base, wire[:]))\n"
+        "                wire[:] = [0] * len(wire)\n"
+        "        if self.drivers.next_due == cycle:\n"
+        "            self.drivers.fire(cycle)\n"
+        "        if self._units:  # a bench's link streams: ahead of the ingest, whenever adopted\n"
+        "            self._turn(self._units, cycle)\n",
+        "        if self.drivers.next_due == cycle:\n"
+        "            self.drivers.fire(cycle)\n"
+        "        if self._units:\n"
+        "            self._turn(self._units, cycle)\n"
+        "        sampled_flits, sampled_credits = [], []\n"
+        "        for record in self._outside_rx:\n"
+        "            flit = record[0].forward\n"
+        "            if flit is not None:\n"
+        "                sampled_flits.append((record, flit))\n"
+        "        for link, router, credits, base in self._outside_tx:\n"
+        "            wire = link.credits\n"
+        "            if any(wire):\n"
+        "                sampled_credits.append((router, credits, base, wire[:]))\n"
+        "                wire[:] = [0] * len(wire)\n",
+        ("tests/test_baseline_router.py::TestDirectedSwitchAllocation",),
+    ),
+    Mutant(
+        "adopt-inside-cycle",  # a stream endpoint adopted inside a cycle is no longer refused
+        "src/repro/sim/datapath.py",
+        '        self.refuse_inside_cycle(f"{record.name!r} adopted")\n',
+        "",
+        ("tests/test_fabric_datapath.py::test_a_driver_adopted_inside_a_cycle_is_refused",),
     ),
     Mutant(
         "drain-before",  # a bench's tile consumer with words waiting no longer keeps the circuit datapath running

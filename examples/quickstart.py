@@ -13,7 +13,7 @@ activity, and the static / internal / switching power estimate at the paper's
 25 MHz operating point.
 
 A second part runs a small circuit-switched mesh under the default schedule
-and prints which schedule actually executed its routers and why
+and prints whether a NumPy plane batched its routers, and why not
 (``network.schedule_report()``).  With ``--shards N`` that mesh is
 partitioned across ``N`` worker processes (:mod:`repro.sim.shard`) and the
 cross-shard merged scheduler statistics are printed next to the delivered
@@ -116,8 +116,7 @@ def mesh_demo(shards: int) -> None:
     report = network.schedule_report()
     print(
         f"schedule            : requested {report['requested']!r}, "
-        f"routers run {report['effective']!r}"
-        + (f" ({report['reason']})" if report["reason"] else "")
+        + (f"routers run their own programs ({report['reason']})" if report["reason"] else "plane batches")
     )
     print(
         f"                      {report['batched_cycles']} cycles batched in NumPy, "

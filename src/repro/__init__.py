@@ -19,8 +19,9 @@ The library provides, in pure Python:
   (HiperLAN/2, UMTS, DRM) and the benchmark traffic scenarios,
 * :mod:`repro.experiments` — harnesses that regenerate every table and figure
   of the paper's evaluation,
-* :mod:`repro.sim` — the two-phase synchronous simulation kernel everything
-  runs on.
+* :mod:`repro.sim` — the synchronous simulation kernel everything runs on:
+  one ``commit`` per component per cycle, each datapath sampling its
+  routers' inputs at the top of it and then latching them.
 
 Quickstart::
 

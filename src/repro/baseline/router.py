@@ -256,12 +256,13 @@ class PacketDatapath(FabricDatapath):
     carried out of the previous cycle — ``_returns`` (credit records
     ``(wire credits, router credits, index, vc, router)``) and ``_arrivals``
     (flit records ``(link, router, fifos, counters, base, depth)``), each
-    cleared as it is read — then what :meth:`evaluate` sampled from the
-    wires with an end outside the set.  *Move* visits the routers that moved
-    or injected in the previous cycle or got a flit, a credit or an
-    injection since: injection, route computation and VC allocation over the
-    occupied input VCs, then one round-robin switch grant per requested
-    output port, each winner's flit leaving with its output VC written in.
+    cleared as it is read — then what the top of :meth:`commit` sampled
+    from the wires with an end outside the set, before the drivers fired.
+    *Move* visits the routers that moved or injected in the previous cycle
+    or got a flit, a credit or an injection since: injection, route
+    computation and VC allocation over the occupied input VCs, then one
+    round-robin switch grant per requested output port, each winner's flit
+    leaving with its output VC written in.
     A router with nothing that can move is not visited again until a flit,
     credit or injection reaches it, or it is recompiled.  All state stays in
     the routers.  The :class:`~repro.sim.datapath.FabricDatapath` skeleton
@@ -271,7 +272,7 @@ class PacketDatapath(FabricDatapath):
     """
 
     wire_watchers = ("watch_flits", "watch_credits")
-    _transient = ("_next", "_returns", "_arrivals", "_sampled_flits", "_sampled_credits")
+    _transient = ("_next", "_returns", "_arrivals")
 
     def __init__(self, name: str, routers: Sequence[PacketSwitchedRouter]) -> None:
         super().__init__(name, routers)
@@ -279,9 +280,6 @@ class PacketDatapath(FabricDatapath):
         self._next: Dict[PacketSwitchedRouter, None] = {}
         self._returns: List[tuple] = []
         self._arrivals: List[tuple] = []
-        #: What :meth:`evaluate` took off the outside wires.
-        self._sampled_flits: List[tuple] = []
-        self._sampled_credits: List[tuple] = []
         self._rewire()
 
     # -- compiling, between cycles ---------------------------------------------------------
@@ -339,19 +337,19 @@ class PacketDatapath(FabricDatapath):
 
     # -- simulation ---------------------------------------------------------------------
 
-    def evaluate(self, cycle: int) -> None:
-        """Sample the outside wires: flits in, credits (taken) back."""
+    def commit(self, cycle: int) -> None:
+        # Sample the outside wires before anything drives them: flits in,
+        # credits (taken) back.
+        sampled_flits, sampled_credits = [], []
         for record in self._outside_rx:
             flit = record[0].forward
             if flit is not None:
-                self._sampled_flits.append((record, flit))
+                sampled_flits.append((record, flit))
         for link, router, credits, base in self._outside_tx:
             wire = link.credits
             if any(wire):
-                self._sampled_credits.append((router, credits, base, wire[:]))
+                sampled_credits.append((router, credits, base, wire[:]))
                 wire[:] = [0] * len(wire)
-
-    def commit(self, cycle: int) -> None:
         if self.drivers.next_due == cycle:
             self.drivers.fire(cycle)
         if self._units:  # a bench's link streams: ahead of the ingest, whenever adopted
@@ -384,15 +382,13 @@ class PacketDatapath(FabricDatapath):
                     counts[BUFFER_WRITE_BITS] += STORAGE_BITS
                     visit[reader] = None
             arrivals = self._arrivals
-        if self._sampled_credits:
-            sampled, self._sampled_credits = self._sampled_credits, []
-            for router, credits, base, amounts in sampled:
+        if sampled_credits:
+            for router, credits, base, amounts in sampled_credits:
                 for vc, amount in enumerate(amounts):
                     credits[base + vc] += amount
                 visit[router] = None
-        if self._sampled_flits:
-            sampled, self._sampled_flits = self._sampled_flits, []
-            for (_link, reader, fifos, counts, base, depth), flit in sampled:
+        if sampled_flits:
+            for (_link, reader, fifos, counts, base, depth), flit in sampled_flits:
                 vc = flit & VC_MASK
                 if vc >= reader.num_vcs:
                     raise IndexError(f"virtual channel {vc} out of range 0..{reader.num_vcs - 1}")

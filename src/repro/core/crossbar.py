@@ -250,8 +250,8 @@ class Crossbar:
     def next_data(self) -> List[int]:
         """Next-state output-lane values, dense-indexed.
 
-        The owning router's route program writes the routed entries during
-        its evaluate phase; the rest hold the idle value the cache refresh
+        The owning router's route program writes the routed entries in its
+        sampling walk; the rest hold the idle value the cache refresh
         pinned them to.
         """
         return self._next_out

@@ -8,9 +8,9 @@ running in the reverse direction (Section 5.2, Fig. 7).
 A :class:`LaneLink` is a pure wire bundle: it stores the values most recently
 *committed* by the routers at either end.  The registers driving those values
 live inside the routers (the crossbar output stage is registered), so the
-link itself has no clocked state; it only needs to be written during the
-commit phase and read during the evaluate phase of the two-phase simulation
-model.
+link itself has no clocked state: the datapath clocking the routers reads
+it in a cycle's sampling walk, before any register latches, and writes it
+when a register latches a change.
 
 The bundle doubles as the kernel's dirty-bit network: each direction carries
 a :class:`repro.sim.signals.DirtyBit`, and a write that actually changes a

@@ -14,9 +14,9 @@ A router's cycle is one compiled *route program*.  Per configuration version
 acknowledge fan-ins, together with the attached links, into flat records:
 what each routed output register and each acknowledge register samples,
 which wire each of them drives, and which data-converter lanes a route
-touches.  ``evaluate`` runs the sampling records into the crossbar's
-next-state lists; ``commit`` latches the routed registers, counts their
-toggles and drives the wires of the ones that changed, then books the
+touches.  A cycle first runs every walking router's sampling records into
+the crossbar's next-state lists, then latches the routed registers, counts
+their toggles and drives the wires of the ones that changed, books the
 constant register bits and steps the data converter, which ticks only its
 live lanes — exactly one cycle of latency per hop, as in the hardware.  The
 first commit of every version is the dense sweep
@@ -59,7 +59,7 @@ from repro.sim.datapath import DatapathMember, FabricDatapath
 
 __all__ = ["CircuitSwitchedRouter", "LaneDatapath"]
 
-#: What :attr:`LaneDatapath._walk` holds outside its evaluate-to-commit span.
+#: What :attr:`LaneDatapath._walk` holds outside its sample-to-latch span.
 _NOT_WALKING: frozenset = frozenset()
 
 
@@ -373,18 +373,19 @@ class _MemberWireWatch:
 class LaneDatapath(FabricDatapath):
     """Clocks a set of :class:`CircuitSwitchedRouter` objects as one component.
 
-    A cycle walks the route programs of the routers that can move, in
-    :attr:`_next`: all of them evaluate, then all of them commit.  A router
-    whose commit leaves it frozen (:meth:`frozen`) is parked in
-    :attr:`_parked` with the first cycle whose constant register bits it
-    owes; a mark (:meth:`mark`) books them and puts it back on the walk, in
-    the cycle in flight when it comes during the evaluate phase (with the
-    next state it sampled last, which nothing has changed since) and in the
-    next one otherwise, and ``sync`` books them for every parked router
-    (:meth:`settle`).  A wire between two routers marks its reader on a
-    forward change and its writer on an acknowledge change, and checks for a
-    fault; a wire to the outside marks its router, as do the tile interfaces
-    and configuration writes.
+    A cycle is one :meth:`commit`: the early drivers fire, the routers that
+    can move (:attr:`_next`) sample their inputs, the late drivers fire,
+    then every one of them latches.  A router whose latch leaves it frozen
+    (:meth:`frozen`) is parked in :attr:`_parked` with the first cycle whose
+    constant register bits it owes; a mark (:meth:`mark`) books them and
+    puts it back on the walk — of the cycle in flight when it comes before
+    the sampling walk or between the walk and the latch (joining with the
+    next state it sampled last, which nothing has changed since), of the
+    next cycle from the latch on — and ``sync`` books them for every parked
+    router (:meth:`settle`).  A wire between two routers marks its reader on
+    a forward change and its writer on an acknowledge change, and checks for
+    a fault; a wire to the outside marks its router, as do the tile
+    interfaces and configuration writes.
 
     With a :attr:`plane` (:meth:`use_plane`), the commit that sweeps a new
     configuration version — the first cycle, and the one after a fault or
@@ -403,11 +404,14 @@ class LaneDatapath(FabricDatapath):
     def __init__(self, name: str, routers: Sequence[CircuitSwitchedRouter]) -> None:
         super().__init__(name, routers)
         #: Routers to walk in the next cycle, and the ones walked in the cycle
-        #: in flight, from this datapath's evaluate to the end of its commit
-        #: (insertion-ordered sets).
+        #: in flight, from their sampling to their latch (insertion-ordered
+        #: sets).
         self._next: Dict[CircuitSwitchedRouter, None] = {}
         self._walk: Dict[CircuitSwitchedRouter, None] = _NOT_WALKING
-        #: Routers whose program compiles at the next evaluate (a new
+        #: The cycle after the last one that latched: a mark from the latch
+        #: on is seen from this cycle on.
+        self._edge = 0
+        #: Routers whose program compiles at the next walk (a new
         #: configuration version, a relink, a fault, a reset), and the ones
         #: whose commit in the cycle in flight is the sweep that follows.
         self._stale: Dict[CircuitSwitchedRouter, None] = {}
@@ -426,7 +430,7 @@ class LaneDatapath(FabricDatapath):
         #: The lane units adopted before this datapath joined a kernel and
         #: after, each stepped on its own side of the routers' commit
         #: (:meth:`_place`); the drivers numbered below ``_early_drivers``
-        #: fire ahead of the routers' evaluate.
+        #: fire ahead of the routers' sampling.
         self._units_before, self._units_after, self._early_drivers = {}, {}, 0
         #: The tile consumers, each mapped to its drain queue: one drained
         #: ahead of the routers' commit, or after it.
@@ -491,31 +495,33 @@ class LaneDatapath(FabricDatapath):
         active = self._next
         if router in active:
             return
-        if router in self._walk:
-            # It evaluated in the cycle in flight: it walks the next one too.
+        if router not in self._parked:
+            # It sampled in the cycle in flight: it walks the next one too.
             active[router] = None
             return
         if self._batching:
             self.plane._dirty[router] = None
-        else:
-            kernel = self._scheduler
-            phase, cycle = (kernel._phase, kernel.cycle) if kernel is not None else ("idle", 0)
-            if phase == "evaluate" and self._walk is not _NOT_WALKING:
-                # Joins the cycle in flight.  Its next state is what it last
-                # sampled: nothing it samples changed since it parked, and
-                # nothing does before the commit phase.
-                self._book(router, self._parked.pop(router), cycle)
-                self._walk[router] = None
-                return
-            if router in self._parked:
-                # At a clock edge the change is seen from the next cycle on.
-                self._book(router, self._parked.pop(router), cycle + (phase == "commit"))
-            active[router] = None
+            return
+        kernel = self._scheduler
+        cycle = kernel.cycle if kernel is not None else 0
+        walk = self._walk
+        if walk is not _NOT_WALKING:
+            # Between the walk and the latch: joins the cycle in flight.  Its
+            # next state is what it last sampled: nothing it samples changed
+            # since it parked, and nothing does before the latch.
+            assert self._edge <= cycle, "a mark joined a cycle that latched"
+            self._book(router, self._parked.pop(router), cycle)
+            walk[router] = None
+            return
+        # Before the walk the change is seen in this cycle, from the latch on
+        # in the next one.
+        self._book(router, self._parked.pop(router), max(cycle, self._edge))
+        active[router] = None
 
     def _compile(self, router: CircuitSwitchedRouter) -> None:
         # Also the routers' configuration ``on_change`` hook.  The route
         # program holds direct wire references and the routes of one
-        # configuration version: compile it at the next evaluate.
+        # configuration version: compile it at the next walk.
         if self._batching:
             self._release()
         self._stale[router] = None
@@ -523,7 +529,8 @@ class LaneDatapath(FabricDatapath):
 
     # -- simulation ------------------------------------------------------------------------
 
-    def evaluate(self, cycle: int) -> None:
+    def commit(self, cycle: int) -> None:
+        # Before the walk: the early drivers, then every walking router samples.
         drivers = self.drivers
         if drivers.next_due == cycle and self._early_drivers:
             drivers.fire(cycle, self._early_drivers)
@@ -553,10 +560,11 @@ class LaneDatapath(FabricDatapath):
                     next_acks[in_idx] = any(d._ack_pulse for d in pulses) or any(
                         wires[lane] for wires, lane in sources
                     )
+        # Between the walk and the latch: the late drivers, a mark joining this cycle.
         if drivers.next_due == cycle:
             drivers.fire(cycle)
-
-    def commit(self, cycle: int) -> None:
+        # From the latch on a mark is seen in the next cycle.
+        self._edge, self._walk = cycle + 1, _NOT_WALKING
         if self._units_before:
             self._turn(self._units_before, cycle)
         if self._drain_before:
@@ -566,8 +574,8 @@ class LaneDatapath(FabricDatapath):
         if self._batching:
             plane = self.plane
             if plane._dirty:
-                # Dirtied after this datapath evaluated (a driver's tile write
-                # in the evaluate phase): still part of this cycle.
+                # Dirtied after the sampling (a late driver's tile write, a
+                # unit ahead of the routers): still part of this cycle.
                 plane._drain_dirty(cycle)
             plane._commit_batched(cycle)
             stats = self._scheduler.scheduler_stats
@@ -575,7 +583,7 @@ class LaneDatapath(FabricDatapath):
             stats.vector_components += len(self.routers)
         else:
             active, sweeps, sleepers = self._next, self._sweeps, []
-            for router in self._walk:
+            for router in walk:
                 if sweeps and router in sweeps:
                     router._sweep(cycle)
                     latched = router._latched
@@ -617,16 +625,15 @@ class LaneDatapath(FabricDatapath):
                     if link_toggles:
                         slots[LINK_TOGGLE_BITS] += link_toggles
                 # A router stays on the walk while it moves or once marked since
-                # it evaluated.
+                # it sampled.
                 if latched or router in active or not self.frozen(router):
                     active[router] = None
                 else:
                     sleepers.append(router)
             if sleepers:
                 for router in sleepers:
-                    if router not in active:  # unless a later commit marked it
+                    if router not in active:  # unless a later latch marked it
                         self._parked[router] = cycle + 1
-            self._walk = _NOT_WALKING
             if sweeps:
                 self._sweeps = {}
                 if self.plane is not None:
@@ -650,7 +657,7 @@ class LaneDatapath(FabricDatapath):
         every register the program samples, so only an output fed by a
         serialiser (at rest, it drives the idle phit) and a fan-in that
         samples a deserialiser pulse (at rest, none) or that the commit does
-        not latch (clock gating) can differ from what the next evaluate would
+        not latch (clock gating) can differ from what the next walk would
         sample.  Nothing then moves until an acknowledge or a new word
         arrives, and either marks the router.
         """
@@ -715,7 +722,7 @@ class LaneDatapath(FabricDatapath):
         self.live_routes = None
         self._scalar_cycles = self._released_at = 0
         self._parked.clear()
-        self._walk, self._sweeps = _NOT_WALKING, {}
+        self._walk, self._sweeps, self._edge = _NOT_WALKING, {}, 0
         self._next = dict.fromkeys(self.routers)
         self._stale = dict.fromkeys(self.routers)
         self._drain_before.clear()

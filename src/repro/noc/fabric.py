@@ -542,27 +542,25 @@ class NocBase:
     # -- reporting --------------------------------------------------------------------------
 
     def schedule_report(self) -> Dict[str, Any]:
-        """Which schedule was requested, which one runs the routers right
-        now, and why.
+        """Which schedule was requested, whether a vector plane batches the
+        routers right now, and why not.
 
-        ``effective`` differs from ``requested`` only under
-        ``schedule="vector"``: without a plane (``reason`` names why: the
-        kind has none, clock gating, a lane packet wider than an ``int64``
-        column, NumPy missing) ``effective`` reads ``"event"`` — the
-        leaping clock without a plane, under a name kept from the retired
-        event schedule until ROADMAP item 8's report — and so it does
-        while the plane's live routes, as counted after the last cycle that
-        followed a configuration write, sit below its gate — in particular
-        before the first cycle.  A plane that crossed the gate during the
-        run shows in both cycle counts: ``batched_cycles`` it executed in
-        its columns, ``scalar_cycles`` the routers ran their own programs.
+        Under ``schedule="vector"`` ``reason`` is ``None`` while the plane
+        batches; otherwise it names why the routers run their own
+        programs: the kind has no plane, clock gating, a lane packet wider
+        than an ``int64`` column, NumPy missing, or the plane's live routes,
+        as counted after the last cycle that followed a configuration
+        write, sit below its gate — in particular before the first cycle.
+        Under ``strict`` it is ``None`` and no plane runs.  A plane that
+        crossed the gate during the run shows in both cycle counts:
+        ``batched_cycles`` it executed in its columns, ``scalar_cycles`` the
+        routers ran their own programs.
         ``live_routes`` is the gate's input, the plane's count of configured
         route-hops (``None`` without a plane and before its first swept cycle).
         """
         requested = self.kernel.schedule
         report: Dict[str, Any] = {
             "requested": requested,
-            "effective": requested,
             "reason": None,
             "batched_cycles": self.kernel.scheduler_stats.vector_batches,
             "scalar_cycles": 0,
@@ -576,8 +574,6 @@ class NocBase:
         elif requested == "vector":
             refusal = datapath.plane_refusal if datapath is not None else None
             report["reason"] = refusal or f"the {self.kind} kind has no vector plane"
-        if report["reason"] is not None:
-            report["effective"] = "event"
         return report
 
     def stream_statistics(self) -> Dict[str, Dict[str, int]]:

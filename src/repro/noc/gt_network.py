@@ -49,10 +49,10 @@ packet datapath).  A slot-table write or an ``attach_link`` inside a cycle
 raises :class:`~repro.common.SimulationError`.  A wire between two routers
 of the set is never read (the entry reads the register behind it); an
 *external* wire (a bench's link stream driver's, a shard's boundary mirror)
-is sampled in ``evaluate``, before anything commits — so wires need no
-memory of the previous cycle.  Every schedule runs this datapath; its
-independent reference is the two-phase per-router model in
-``tests/test_gt_network.py``.
+is sampled first thing in ``commit``, before the drivers fire and the link
+streams' units turn — so wires need no memory of the previous cycle.  Every
+schedule runs this datapath; its independent reference is the two-phase
+per-router model in ``tests/test_gt_network.py``.
 """
 
 from __future__ import annotations
@@ -393,8 +393,6 @@ class TdmaDatapath(FabricDatapath):
         self._registers: List[tuple] = [()] * (_PORTS * len(self.routers))
         self._feeds: List[Dict[int, tuple]] = [{} for _ in range(self.slots)]
         self._groups: List[tuple] = [((), (), ())] * self.slots
-        #: The word ``evaluate`` last sampled per external wire.
-        self._sampled: Dict[TdmaLink, Optional[int]] = {}
         #: Registers holding a word (an insertion-ordered set).
         self._held: Dict[int, None] = {}
         self._rewire()
@@ -457,18 +455,15 @@ class TdmaDatapath(FabricDatapath):
 
     # -- simulation ---------------------------------------------------------------------
 
-    def evaluate(self, cycle: int) -> None:
-        """Sample the external wires feeding an entry of this slot."""
-        for _, wire, _, _ in self._groups[cycle % self.slots][_FROM_WIRE]:
-            self._sampled[wire] = wire.forward
-
     def commit(self, cycle: int) -> None:
+        slot, held = cycle % self.slots, self._held
+        feeds, (from_registers, from_tiles, from_wires) = self._feeds[slot], self._groups[slot]
+        if from_wires:  # the external wires, sampled before anything drives them
+            sampled = [wire.forward for _, wire, _, _ in from_wires]
         if self.drivers.next_due == cycle:
             self.drivers.fire(cycle)
         if self._units:  # a bench's link streams: ahead of the scatter, whenever adopted
             self._turn(self._units, cycle)
-        slot, held = cycle % self.slots, self._held
-        feeds, (from_registers, from_tiles, from_wires) = self._feeds[slot], self._groups[slot]
         # Gather every new word from the previous cycle's registers: idle for
         # a register holding a word no entry names, its source's for a fed
         # one (idle onto idle moves nothing).
@@ -484,9 +479,10 @@ class TdmaDatapath(FabricDatapath):
                 moves.append((register, queue.popleft(), connection))
             elif register in held:
                 moves.append((register, None, connection))
-        for register, wire, _, connection in from_wires:
-            if self._sampled[wire] is not None or register in held:
-                moves.append((register, self._sampled[wire], connection))
+        if from_wires:
+            for (register, _, _, connection), word in zip(from_wires, sampled):
+                if word is not None or register in held:
+                    moves.append((register, word, connection))
         registers = self._registers
         for register, word, connection in moves:
             port, out_reg, out_prev, counts, mask, action, target = registers[register]

@@ -2,23 +2,18 @@
 
 The routers of the paper are synchronous designs whose state only changes at
 clock edges (Section 5: "the tiles and NoC are synchronized by the same
-clock", and the crossbar output lanes are registered).  The kernel therefore
-uses a classic two-phase model:
-
-1. ``evaluate(cycle)`` — every scheduled component computes its next state
-   from the *committed* outputs of all components (the values latched at the
-   previous clock edge).  No component may observe another component's next
-   state.
-2. ``commit(cycle)`` — every scheduled component latches its next state,
-   which becomes visible to everybody in the following cycle.
-
-Because ``evaluate`` only reads committed state, the order in which
-components are evaluated cannot change the result; this is asserted by the
-property-based tests.
+clock", and the crossbar output lanes are registered): every register
+samples what was latched before the clock edge, then latches.  The kernel
+runs a cycle as one ``commit(cycle)`` per component, and that two-phase
+behaviour lives inside the component: a network or a bench registers one
+datapath, which samples its routers' inputs at the top of its ``commit`` —
+the wires driven from outside its router set before anything drives them
+again — and then latches them, so a value latched in a cycle is seen in the
+next one.
 
 Two schedules execute that model (:data:`repro.sim.engine.SCHEDULES`),
-bit-identical.  ``strict`` evaluates and commits every component every cycle
-and is the oracle.  ``vector`` — the same loop plus the leap, and the
+bit-identical.  ``strict`` commits every component every cycle and is the
+oracle.  ``vector`` — the same loop plus the leap, and the
 self-gating vector batch mode where the network kind has one — is
 :data:`repro.sim.engine.DEFAULT_SCHEDULE`: what ``SimulationKernel``,
 ``build_network`` and every experiment hand out when no ``schedule`` is
@@ -50,8 +45,9 @@ reason) — applies to simulation cost as well:
   stream endpoint of any kind: every network and bench kernel clocks its
   datapath alone.  Components never ask which schedule runs them.
 
-Ordering stays deterministic: every executed cycle evaluates, then commits,
-the components in registration order (the order ``strict`` uses).
+Ordering stays deterministic: every executed cycle commits the components
+in registration order (the order ``strict`` uses), and each datapath orders
+its own parts inside its ``commit``.
 
 The columnar vector batch mode
 ------------------------------
@@ -82,8 +78,8 @@ tile) stay scalar.  The GT and packet datapaths (one kernel component per fabric
 the :mod:`repro.sim.datapath` skeleton, like the circuit one, each running
 the fabric's stream endpoints itself) and clock-gated circuit fabrics get no
 plane;
-``network.schedule_report()`` names the requested and the effective schedule
-and the reason they differ.
+``network.schedule_report()`` names the requested schedule and why no plane
+batches the routers right now.
 
 Bit-identity with ``strict`` (``network.snapshot()``) is asserted by
 ``tests/test_kernel_equivalence.py`` (drawn scenarios included),

@@ -5,9 +5,13 @@ components themselves, and running the stream endpoint records that feed
 them (:meth:`FabricDatapath.adopt`).  :class:`FabricDatapath` holds what does
 not depend on the router kind — adoption, the drivers, the link endpoints'
 units (:class:`LinkEndpoint`) — and :class:`DatapathMember` the routers'
-wiring; a kind keeps its per-member compile and its own ``evaluate``,
-``commit`` and ``next_event_cycle``, which call the skeleton's
-:meth:`~FabricDatapath._turn` where a bench has units to step.
+wiring; a kind keeps its per-member compile and its own ``commit`` and
+``next_event_cycle``, which call the skeleton's
+:meth:`~FabricDatapath._turn` where a bench has units to step.  A cycle is
+one ``commit``: at its top the routers' registers sample their inputs (the
+wires driven from outside the set before any driver or unit drives them
+again), then they latch — the two phases of the synchronous hardware,
+ordered inside the datapath.
 
 The kernel asks the datapath ``next_event_cycle`` before every cycle and
 leaps while the answer lies later: a tile write, a driver's adoption, a
@@ -37,8 +41,9 @@ class DriverSchedule:
 
     Every datapath owns its drivers (plain records with a ``pacer``, an
     ``emit(cycle)`` and a ``reset()``): the GT and packet ones fire the
-    drivers due that cycle at the top of their ``commit``, the circuit one in
-    its evaluate phase, and each one's ``next_event_cycle`` is no later than
+    drivers due that cycle at the top of their ``commit``, right after
+    sampling the outside wires, the circuit one around its routers' sampling
+    walk, and each one's ``next_event_cycle`` is no later than
     :attr:`next_due`.  A heap keyed ``(due cycle, adoption number)`` orders
     them, so drivers sharing a word source pull in adoption order within a
     cycle — the registration order they had as kernel components.  Each
@@ -241,11 +246,12 @@ class FabricDatapath(ClockedComponent):
     # -- stream endpoints ----------------------------------------------------------------
 
     def adopt(self, record: Any) -> Any:
-        """Take a stream endpoint record on and return it (twice raises
-        :class:`ConfigurationError`).  A record with a ``pacer`` fires from
-        :attr:`drivers`; one with a ``step`` has its unit stepped at the
-        clock edge until it rests (:meth:`_turn`); the kind places it in its
-        cycle (:meth:`_place`)."""
+        """Take a stream endpoint record on and return it (between cycles only;
+        twice raises :class:`ConfigurationError`).  A record with a ``pacer``
+        fires from :attr:`drivers`; one with a ``step`` has its unit stepped
+        at the clock edge until it rests (:meth:`_turn`); the kind places it
+        in its cycle (:meth:`_place`)."""
+        self.refuse_inside_cycle(f"{record.name!r} adopted")
         if hasattr(record, "pacer"):
             self.drivers.adopt(record, self._cycle())
         if hasattr(record, "step"):

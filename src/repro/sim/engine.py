@@ -1,23 +1,26 @@
-"""Two-phase synchronous simulation engine: a clock that leaps idle cycles.
+"""Synchronous simulation engine: one call per component per cycle, and a
+clock that leaps idle cycles.
 
-The kernel keeps the classic two-phase model (``evaluate`` = combinational
-logic, ``commit`` = clock edge) but need not pay for cycles in which nothing
-can change.  The insight mirrors the paper's clock-gating argument
-(Section 7.3): most of a circuit-switched fabric is idle most of the time, so
-simulation cost should be proportional to *signal activity*, not to
-component count.  That work lives inside the components: a network or a
-single-router bench registers one compiled datapath
-(:class:`repro.sim.datapath.FabricDatapath`) that clocks all its routers,
-runs every stream endpoint feeding them, parks its own idle parts and
-answers for all of them.
+A cycle is one :meth:`ClockedComponent.commit` per registered component.
+The paper's routers are synchronous designs — every register samples what
+was latched before the clock edge, then latches — and that two-phase
+behaviour lives inside each component: a network or a single-router bench
+registers one compiled datapath (:class:`repro.sim.datapath.FabricDatapath`)
+that clocks all its routers, samples their inputs at the top of its
+``commit`` and then latches them, runs every stream endpoint feeding them,
+parks its own idle parts and answers for all of them.  The kernel need not
+pay for cycles in which nothing can change.  The insight mirrors the
+paper's clock-gating argument (Section 7.3): most of a circuit-switched
+fabric is idle most of the time, so simulation cost should be proportional
+to *signal activity*, not to component count.
 
 Two schedules are available (:data:`SCHEDULES`), bit-identical;
 :data:`DEFAULT_SCHEDULE` names the one every constructor defaults to:
 
 ``strict``
-    Every registered component is evaluated and committed on every cycle —
-    the seed-equivalent schedule and the oracle of the equivalence tests.
-    (A datapath walks only the routers that can move under either schedule;
+    Every registered component is committed on every cycle — the
+    seed-equivalent schedule and the oracle of the equivalence tests.  (A
+    datapath walks only the routers that can move under either schedule;
     its independent references are the per-router models of the tests.)
 
 ``vector`` (default)
@@ -36,17 +39,17 @@ The loop contract
 
 * **One question per cycle.**  Before each cycle, under ``vector``, every
   component is asked ``next_event_cycle(cycle)`` once.  If one answers
-  *cycle* (or earlier) the cycle runs: every component evaluates, then every
-  component commits, in registration order.  Otherwise the clock leaps to
-  the earliest answer; ``None`` from everybody, or an answer past the end
-  of the run, ends the run there.  Nothing executes inside a leap.
+  *cycle* (or earlier) the cycle runs: every component commits once, in
+  registration order.  Otherwise the clock leaps to the earliest answer;
+  ``None`` from everybody, or an answer past the end of the run, ends the
+  run there.  Nothing executes inside a leap.
 * **Soundness.**  ``next_event_cycle`` must be sound given the current
-  inputs: every cycle in ``[cycle, result)`` must be one whose
-  evaluate/commit would do nothing beyond the constant accounting
-  :meth:`ClockedComponent.settle` books.  It need not be tight — answering
-  *cycle* is always safe, and is the default.  Since no component runs
-  inside a leap, no input can change there either; a write between two
-  :meth:`SimulationKernel.run` calls is seen by the next question.
+  inputs: every cycle in ``[cycle, result)`` must be one whose commit would
+  do nothing beyond the constant accounting :meth:`ClockedComponent.settle`
+  books.  It need not be tight — answering *cycle* is always safe, and is
+  the default.  Since no component runs inside a leap, no input can change
+  there either; a write between two :meth:`SimulationKernel.run` calls is
+  seen by the next question.
 * **Settling.**  A component books the constant accounting of the cycles it
   did not run (and of those it did, where they book the same) in one
   :meth:`ClockedComponent.settle` call over everything elapsed since the
@@ -82,10 +85,9 @@ DEFAULT_SCHEDULE = "vector"
 class ClockedComponent(abc.ABC):
     """Base class for everything driven by the simulation clock.
 
-    Subclasses implement :meth:`evaluate` and :meth:`commit`.  The split
-    mirrors a synchronous hardware description: ``evaluate`` is the
-    combinational logic in front of the registers, ``commit`` is the clock
-    edge.  A component whose idle cycles are predictable overrides
+    Subclasses implement :meth:`commit`, one clock cycle: a component with
+    registers samples their inputs first, then latches them.  A component
+    whose idle cycles are predictable overrides
     :meth:`next_event_cycle` and books their constant accounting in
     :meth:`settle` (the loop contract of the module docstring).
     """
@@ -98,12 +100,8 @@ class ClockedComponent(abc.ABC):
         self._scheduler: Optional["SimulationKernel"] = None
 
     @abc.abstractmethod
-    def evaluate(self, cycle: int) -> None:
-        """Compute the next state from the currently committed state."""
-
-    @abc.abstractmethod
     def commit(self, cycle: int) -> None:
-        """Latch the next state computed by :meth:`evaluate`."""
+        """Run clock cycle *cycle*."""
 
     def reset(self) -> None:  # pragma: no cover - default is a no-op
         """Return the component to its power-on state (optional)."""
@@ -118,7 +116,7 @@ class ClockedComponent(abc.ABC):
         """
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """First cycle ≥ *cycle* whose evaluate/commit may do more than
+        """First cycle ≥ *cycle* whose commit may do more than
         :meth:`settle` books, given the current inputs.
 
         Return *cycle* itself when the component is (or may be) active right
@@ -131,10 +129,8 @@ class ClockedComponent(abc.ABC):
         """Raise :class:`SimulationError` unless this component's kernel is
         between two cycles (*what* names the refused write, for the message)."""
         kernel = self._scheduler
-        if kernel is not None and kernel._phase != "idle":
-            raise SimulationError(
-                f"{what} inside cycle {kernel.cycle} ({kernel._phase} phase); write between cycles"
-            )
+        if kernel is not None and kernel._in_cycle:
+            raise SimulationError(f"{what} inside cycle {kernel.cycle}; write between cycles")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -153,8 +149,8 @@ class SimulationKernel:
         One of :data:`SCHEDULES`.  ``"vector"`` (:data:`DEFAULT_SCHEDULE`)
         leaps the cycles no component needs plus, for fabrics whose datapath
         has one, runs the columnar NumPy batch mode of
-        :mod:`repro.sim.vector`; ``"strict"`` evaluates and commits every
-        component every cycle.  Both produce bit-identical results;
+        :mod:`repro.sim.vector`; ``"strict"`` commits every component every
+        cycle.  Both produce bit-identical results;
         ``strict`` exists as the reference for the equivalence tests and for
         debugging.
     """
@@ -175,7 +171,8 @@ class SimulationKernel:
         self._cycle = 0
         #: The first cycle the components have not settled.
         self._settled = 0
-        self._phase = "idle"
+        #: True while a cycle's commits run.
+        self._in_cycle = False
         self.scheduler_stats = SchedulerStats()
 
     # -- construction -----------------------------------------------------
@@ -186,7 +183,7 @@ class SimulationKernel:
             raise TypeError(
                 f"expected a ClockedComponent, got {type(component).__name__}"
             )
-        if self._phase != "idle":
+        if self._in_cycle:
             raise SimulationError("components can only be added between cycles")
         if any(other.name == component.name for other in self._components):
             raise SimulationError(
@@ -203,7 +200,7 @@ class SimulationKernel:
         The component is settled first, so its activity counters stay exact;
         its name becomes available again for a later :meth:`add`
         (re-admission of a released application).  Must not be called from
-        within a component's ``evaluate``/``commit`` — remove between
+        within a component's ``commit`` — remove between
         :meth:`run` calls, where both schedules observe the identical
         component set.
         """
@@ -211,7 +208,7 @@ class SimulationKernel:
             raise SimulationError(
                 f"component {component.name!r} is not registered with this kernel"
             )
-        if self._phase != "idle":
+        if self._in_cycle:
             raise SimulationError("components can only be removed between cycles")
         self.sync()
         self._components.remove(component)
@@ -263,7 +260,7 @@ class SimulationKernel:
     def reset(self) -> None:
         """Reset the cycle counter and every component."""
         self._cycle = self._settled = 0
-        self._phase = "idle"
+        self._in_cycle = False
         self.scheduler_stats = SchedulerStats()
         for component in self._components:
             component.reset()
@@ -296,13 +293,10 @@ class SimulationKernel:
                 self._cycle = cycle = target
                 if cycle >= end:
                     return
-        self._phase = "evaluate"
-        for component in components:
-            component.evaluate(cycle)
-        self._phase = "commit"
+        self._in_cycle = True
         for component in components:
             component.commit(cycle)
-        self._phase = "idle"
+        self._in_cycle = False
         self._cycle = cycle + 1
         self.scheduler_stats.evaluated += len(components)
 

@@ -1,11 +1,12 @@
 """Sharded parallel simulation: the fabric partitioned across worker processes.
 
-The synchronous two-phase kernel gives every wire exactly one cycle of
-latency: values are written only during ``commit`` and read only during the
-next cycle's ``evaluate``.  That hop *is* a conservative lookahead of one
-cycle — a shard that knows the committed state of its boundary wires at
-cycle *c* can simulate cycle *c* without hearing anything else from its
-neighbours.  This module exploits that:
+Every wire has exactly one cycle of latency: a datapath drives a wire when
+a register latches in cycle *c* and the reading datapath samples it at the
+top of its commit of cycle *c + 1*.  That hop *is* a conservative lookahead
+of one cycle — a shard that knows the state its boundary wires were left in
+after cycle *c - 1* can simulate cycle *c* without hearing anything else
+from its neighbours: the frames of one window are applied between windows,
+before the next cycle runs.  This module exploits that:
 
 * :func:`repro.noc.topology.partition_topology` cuts the topology into
   contiguous regions (row / column / grid cuts, deterministic).
@@ -885,8 +886,8 @@ class ShardedNetwork:
         shard_of = self.shard_of
         while self._cycle < end:
             cycle = self._cycle
-            # A shard with undelivered frames must evaluate the very next
-            # cycle — its boundary inputs changed at this window edge.
+            # A shard with undelivered frames must run the very next cycle —
+            # its boundary inputs changed at this window edge.
             horizon = min(
                 cycle if self._pending[index] else max(self._horizons[index], cycle)
                 for index in range(self.shards)
@@ -1181,14 +1182,12 @@ class ShardedNetwork:
 
         Every shard is built with the same parameters, so ``requested``
         agrees; each region gates its own plane on its own live routes, so
-        ``effective`` reads ``"mixed"`` when the shards differ, the distinct
-        reasons are joined and the cycle counts and live routes add up
+        the distinct reasons are joined (``None`` only while every shard's
+        plane batches) and the cycle counts and live routes add up
         (``live_routes`` over the shards that have counted theirs).
         """
         reports = self._query_all("schedule")
         merged = dict(reports[0])
-        effective = {report["effective"] for report in reports}
-        merged["effective"] = effective.pop() if len(effective) == 1 else "mixed"
         reasons = sorted({report["reason"] for report in reports} - {None})
         merged["reason"] = "; ".join(reasons) or None
         for key in ("batched_cycles", "scalar_cycles"):

@@ -16,7 +16,7 @@ __all__ = ["SchedulerStats"]
 class SchedulerStats:
     """Scheduling counters of the simulation kernel.
 
-    ``evaluated`` counts component-cycles that actually ran evaluate/commit;
+    ``evaluated`` counts component-cycles that actually ran (commits);
     ``skipped`` counts the component-cycles the clock leaped (leaped cycles
     × registered components).  Together they measure how well the kernel
     exploits fabric idleness: the :attr:`occupancy` of a fully loaded mesh

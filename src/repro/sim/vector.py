@@ -20,7 +20,7 @@ How it stays bit-identical to the strict reference schedule:
   latched — the acknowledge pulses of the live deserialisers, an idle
   sentinel and the odd constant.  Acknowledges are the integers 0 and 1 in
   the same vector.  ``next = current[src]`` replays exactly the scalar
-  evaluate-phase sampling, because an internal lane wire always equals the
+  sampling walk, because an internal lane wire always equals the
   driving router's committed register (the scalar commit drives the wire on
   every register change), and ``current[:live] = next`` is the latch: no
   scatter, no mirror of the old values.  Everything a word edge reads is a
@@ -56,8 +56,8 @@ How it stays bit-identical to the strict reference schedule:
   alone costs.  The gate reads a property of the input, not a parameter.
 * **Version guards.**  The plane is the datapath's batch mode, not a kernel
   component.  While it batches, a member's mark (a tile write, an outside
-  wire's drive) lands in the plane's dirty list, drained at the next
-  evaluate or commit.  A configuration write or a dead wire between two
+  wire's drive) lands in the plane's dirty list, drained before the next
+  gather or latch.  A configuration write or a dead wire between two
   members makes the datapath *release* the members before the next cycle:
   :meth:`flush` stores the columns back into the scalar objects and every
   member runs its own program for a cycle, so each router sweeps its
@@ -98,7 +98,7 @@ How it stays bit-identical to the strict reference schedule:
   predicate see scalar-coherent state.  The datapath flushes at every
   ``sync`` and before it lets go of the members.
 
-The plane runs inside the datapath's own ``evaluate`` and ``commit``, so
+The plane runs inside the datapath's own ``commit``, so
 whether the members run their programs or the plane runs them in one batch,
 the order against the stream endpoints the datapath runs is the same.  GT
 slot wires are *not* vectorised: the TDMA router's per-slot table walk is

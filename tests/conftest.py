@@ -19,6 +19,7 @@ from repro.noc.fabric import build_network
 from repro.sim.engine import ClockedComponent, SimulationKernel
 
 from oracle import SHIPPED_GATE, gate_at
+from two_phase import TwoPhase
 
 #: The three network kinds, in the order the differential tests draw them.
 KINDS = ("circuit", "packet", "gt")
@@ -251,11 +252,11 @@ def drawn(strategy, number: int):
 
 
 def clock_of(router, *endpoints):
-    """What the kernel clocks for *router*: itself (a reference router), or a
-    one-router datapath (a circuit, packet or slot-table router) that adopts
-    the stream endpoint records *endpoints*."""
+    """What the kernel clocks for *router*: a reference router in a two-phase
+    group behind its reference components *endpoints*, or a one-router
+    datapath that adopts the stream endpoint records *endpoints*."""
     if isinstance(router, ClockedComponent):
-        return router
+        return TwoPhase("reference_clock", [*endpoints, router])
     if isinstance(router, CircuitSwitchedRouter):
         clock = LaneDatapath("dut_datapath", [router])
     else:
@@ -270,9 +271,7 @@ def twin_benches(router_classes, make_link, setup, *, schedule=None, **router_kw
     """One single-router bench per class (links on all four sides, own kernel,
     under *schedule* or the default, or under the class's ``bench_schedule``
     where it names one), populated alike by ``setup(router, links)``, which
-    returns the extra components to clock (or ``None``) — stream endpoint
-    records (no components) are adopted by the datapath — clocked by
-    :func:`clock_of`."""
+    returns the stream endpoints (or ``None``), clocked by :func:`clock_of`."""
     benches = []
     for router_class in router_classes:
         router = router_class("dut", position=(1, 1), **router_kwargs)
@@ -282,13 +281,13 @@ def twin_benches(router_classes, make_link, setup, *, schedule=None, **router_kw
             router.attach_link(port, *links[port])
         bench_schedule = getattr(router_class, "bench_schedule", None) or schedule
         kernel = SimulationKernel(25e6, **({"schedule": bench_schedule} if bench_schedule else {}))
-        clock, components = clock_of(router), []
-        for component in setup(router, links) or ():
-            if isinstance(component, ClockedComponent):
-                components.append(component)
-            else:
-                clock.adopt(component)
-        kernel.add_all([*components, clock])
+        if isinstance(router, ClockedComponent):  # a reference router: one two-phase group
+            kernel.add(clock_of(router, *(setup(router, links) or ())))
+        else:  # the datapath exists before setup writes the router, joins the kernel after
+            clock = clock_of(router)
+            for record in setup(router, links) or ():
+                clock.adopt(record)
+            kernel.add(clock)
         benches.append((router, links, kernel))
     return benches
 

@@ -2,8 +2,8 @@
 
 The independent oracle is a two-phase reference router kept here: the
 parent's buffer, VC-state, allocator, arbiter and tile code verbatim (flits
-as :class:`Flit` objects) clocked per router, ``evaluate`` sampling every
-incoming wire and collecting every credit.  It shares nothing with the
+as :class:`Flit` objects) clocked per router under :class:`two_phase.TwoPhase`,
+``evaluate`` sampling every incoming wire and collecting every credit.  It shares nothing with the
 production routers but the wires, which carry packed flits.
 """
 
@@ -17,6 +17,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 import pytest
 from conftest import FabricScenario, fabric_scenarios, step_twins, twin_benches
 from pacing import CyclePacer
+from two_phase import TwoPhase
 from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.traffic import BitFlipPattern, scenario_by_name, word_generator
@@ -943,15 +944,14 @@ class _ReferencePacketNoC(PacketSwitchedNoC):
         )
 
     def _register_with_kernel(self):
-        for router in self.routers.values():
-            self.kernel.add(router)
+        self.clock = self.kernel.add(TwoPhase("reference_clock", self.routers.values()))
 
     def _adopt_driver(self, driver):
-        return self.kernel.add(_reference_packet_driver(driver))
+        return self.clock.add(_reference_packet_driver(driver))
 
     def _remove_component(self, component):
         if component is not None and component._scheduler is self.kernel:
-            self.kernel.remove(component)
+            self.clock.remove(component)
 
 
 def _fields(flit):
@@ -1070,7 +1070,7 @@ class TestCommitEqualsReference:
         network = _ReferencePacketNoC(Mesh2D(2, 1))
         router = network.router_at((0, 0))
         assert type(router) is _ReferenceRouter and type(router.tile) is PacketTileInterface
-        assert network.datapath is None and router in network.kernel.components
+        assert network.datapath is None and router in network.clock.members
         network = PacketSwitchedNoC(Mesh2D(2, 1))
         assert type(network.router_at((0, 0))) is PacketSwitchedRouter
         assert network.kernel.components == (network.datapath,)
@@ -1256,13 +1256,11 @@ class TestDirectedSwitchAllocation:
         datapath = PacketDatapath("d", [router])
         flit = pack(Flit(FlitType.HEAD, 0, (3, 1), (0, 1), 0, 1, 0))
         rx.drive(flit)
-        datapath.evaluate(0), datapath.commit(0)  # fills the depth-1 buffer; no east link: it stays
+        datapath.commit(0)  # fills the depth-1 buffer; no east link: it stays
         rx.drive(flit)  # the upstream ignores its exhausted credit
-        datapath.evaluate(1)
         with pytest.raises(CapacityError, match="overflow"):
             datapath.commit(1)
         rx.drive(flit & ~VC_MASK | 5)
-        datapath.evaluate(2)
         with pytest.raises(IndexError):
             datapath.commit(2)
         rx.drive(None)
@@ -1312,14 +1310,11 @@ class TestChangesBetweenCyclesOnly:
         assert router.tx_link(Port.EAST) is None and router.rx_link(Port.EAST).name == "a"
 
         class Rewire(ClockedComponent):
-            def evaluate(self, cycle):
-                pass
-
             def commit(self, cycle):
                 router.attach_link(Port.EAST, PacketLink("b"), None)
 
         kernel.add(Rewire("rewire"))
-        with pytest.raises(SimulationError, match="'victim'.*inside cycle 1 .commit phase"):
+        with pytest.raises(SimulationError, match="'victim'.*inside cycle 1; write between cycles"):
             kernel.step()
 
     def test_refresh_routing_inside_a_cycle_raises(self):
@@ -1327,15 +1322,12 @@ class TestChangesBetweenCyclesOnly:
         degraded = network.degraded_topology()
 
         class Reroute(ClockedComponent):
-            def evaluate(self, cycle):
-                network.refresh_routing(degraded)
-
             def commit(self, cycle):
-                pass
+                network.refresh_routing(degraded)
 
         network.refresh_routing(degraded)  # between cycles: fine
         network.kernel.add(Reroute("reroute"))
-        with pytest.raises(SimulationError, match="packet_network_datapath.*inside cycle 0 .evaluate phase"):
+        with pytest.raises(SimulationError, match="packet_network_datapath.*inside cycle 0; write between cycles"):
             network.run(1)
 
 

@@ -11,7 +11,8 @@ per-cycle ``tick`` and the activity counters.  Production runs under both
 schedules in its :class:`~repro.core.router.LaneDatapath`, batched in its
 vector plane where the fabric allows one, with the stream endpoints as
 records the datapath runs.  The reference routers and the four endpoints as
-they were (``_Reference*``) are kernel components under ``strict``.  After
+they were (``_Reference*``) run in two phases under one
+:class:`two_phase.TwoPhase` component, under ``strict``.  After
 every cycle the registers, wires (forward, acknowledge, dead, dropped),
 every lane unit's state, ``activity.as_dict()`` and what every endpoint
 counted and received must be equal, and under the event schedule without a
@@ -29,6 +30,7 @@ import pytest
 from conftest import FabricScenario, fabric_scenarios, twin_benches
 from hypothesis import given, settings, strategies as st
 from pacing import CyclePacer
+from two_phase import TwoPhase
 
 from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, bit_mask
 from repro.core.config_memory import ConfigurationMemory, LaneConfig
@@ -681,18 +683,17 @@ class _ReferenceCircuitNoC(CircuitSwitchedNoC):
         )
 
     def _register_with_kernel(self):
-        for router in self.routers.values():
-            self.kernel.add(router)
+        self.clock = self.kernel.add(TwoPhase("reference_clock", self.routers.values()))
 
     def _adopt_driver(self, driver):
-        return self.kernel.add(_reference_tile_driver(driver))
+        return self.clock.add(_reference_tile_driver(driver))
 
     def _adopt_sink(self, sink):
-        return self.kernel.add(_ReferenceTileStreamConsumer(sink.name, sink.router, sink.lane))
+        return self.clock.add(_ReferenceTileStreamConsumer(sink.name, sink.router, sink.lane))
 
     def _remove_component(self, component):
         if component is not None and component._scheduler is self.kernel:
-            self.kernel.remove(component)
+            self.clock.remove(component)
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +785,7 @@ class TestFabricsEqualTheReference:
     def test_reference_is_wired_in(self):
         network = _ReferenceCircuitNoC(Mesh2D(2, 1))
         assert type(network.router_at((0, 0))) is _ReferenceCircuitRouter
-        assert network.datapath is None and network.router_at((0, 0)) in network.kernel.components
+        assert network.datapath is None and network.router_at((0, 0)) in network.clock.members
         network = CircuitSwitchedNoC(Mesh2D(2, 1))
         assert network.kernel.components == (network.datapath,) and network.datapath.plane is not None
 

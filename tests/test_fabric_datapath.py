@@ -14,7 +14,7 @@ from repro.baseline.flit import COORD_MASK, SRC_SHIFT
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.baseline.testbench import PacketStreamConsumer, PacketStreamDriver, TilePacketDriver
-from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port
+from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, SimulationError
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter, LaneDatapath
 from repro.core.testbench import LaneStreamConsumer, LaneStreamDriver, TileStreamConsumer, TileStreamDriver
@@ -22,7 +22,7 @@ from repro.noc import Mesh2D, build_network
 from repro.noc.gt_network import (
     GtLinkStreamConsumer, GtLinkStreamDriver, GtStreamDriver, SlotTableRouter, TdmaDatapath, TdmaLink,
 )
-from repro.sim.engine import SCHEDULES, SimulationKernel
+from repro.sim.engine import SCHEDULES, ClockedComponent, SimulationKernel
 
 KINDS = {"gt": (TdmaDatapath, SlotTableRouter), "packet": (PacketDatapath, PacketSwitchedRouter)}
 
@@ -57,6 +57,32 @@ def test_a_driver_adopted_twice_raises_and_fires_once():
     kernel.add(datapath)
     kernel.run(64)
     assert driver.words_offered == 16
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_a_driver_adopted_inside_a_cycle_is_refused(schedule):
+    """A driver adopted from another component's commit used to be due in a cycle
+    already past: it sent 0 words in 100 cycles, 100 when adopted between cycles."""
+
+    def bench():
+        router = SlotTableRouter("dut", slots=4)
+        for slot in range(4):
+            router.program(Port.EAST, slot, Port.TILE, "a")
+        datapath = TdmaDatapath("datapath", [router])
+        kernel = SimulationKernel(25e6, schedule=schedule)
+        kernel.add(datapath)
+        kernel.run(12)
+        return datapath, kernel, GtStreamDriver("src", router, "a", lambda: 1, load=1.0)
+
+    datapath, kernel, driver = bench()
+    kernel.add(type("Adopter", (ClockedComponent,), {"commit": lambda self, cycle: datapath.adopt(driver)})("a"))
+    with pytest.raises(SimulationError, match="'src' adopted inside cycle 12"):
+        kernel.step()
+    assert driver.words_offered == 0 and datapath.drivers.next_due is None and not datapath.drivers.count
+    datapath, kernel, driver = bench()
+    datapath.adopt(driver)
+    kernel.run(100)
+    assert driver.words_sent == 100
 
 
 def _attach(router, make_link):

@@ -8,6 +8,7 @@ import pytest
 from conftest import fabric_scenarios, step_twins, twin_benches
 from hypothesis import given, settings, strategies as st
 from pacing import CyclePacer
+from two_phase import TwoPhase
 
 from repro.apps import drm, hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, scenario_by_name, word_generator
@@ -218,7 +219,8 @@ class TestAttachChannelParity:
 # ---------------------------------------------------------------------------
 #
 # A self-contained two-phase reference: each slot-table router is its own
-# kernel component again, as before the rewrites (evaluate() samples every
+# component again, clocked with the others by a TwoPhase group as before the
+# rewrites (evaluate() samples every
 # incoming wire, commit() walks all five output ports, drives every attached
 # wire and books the constant clocked bits every cycle), with the backlog test
 # and the _datapath_idle() scan of the old router.  Method bodies are
@@ -485,15 +487,14 @@ class _ReferenceGtNoC(TimeDivisionNoC):
         super().__init__(topology, schedule="strict", **kwargs)
 
     def _register_with_kernel(self):
-        for router in self.routers.values():
-            self.kernel.add(router)
+        self.clock = self.kernel.add(TwoPhase("reference_clock", self.routers.values()))
 
     def _adopt_driver(self, driver):
-        return self.kernel.add(_reference_gt_driver(driver))
+        return self.clock.add(_reference_gt_driver(driver))
 
     def _remove_component(self, component):
         if component is not None and component._scheduler is self.kernel:
-            self.kernel.remove(component)
+            self.clock.remove(component)
 
     def _build_router(self, position):
         return _ReferenceSlotTableRouter(
@@ -523,14 +524,8 @@ def _parked(clocks, cycle):
     return min(events, default=None)
 
 
-def _reference_clocks(kernel):
-    """What a reference bench or fabric clocks in place of a datapath."""
-    return [c for c in kernel.components if isinstance(c, (
-        _ReferenceSlotTableRouter, _ReferenceGtStreamDriver, _ReferenceGtLinkStreamDriver, _ReferenceGtLinkStreamConsumer))]
-
-
 def _gt_network_state(network):
-    clocks = [network.datapath] if network.datapath else _reference_clocks(network.kernel)
+    clocks = [network.datapath or network.clock]
     return (
         {position: _gt_router_state(router) for position, router in network.routers.items()},
         {key: (link.forward, link.dead, link.dropped) for key, link in network.links.items()},
@@ -550,7 +545,7 @@ def _gt_twin_benches(setup, **router_kwargs):
 
 def _gt_bench_state(router, links, kernel):
     wires = {port: [(link.forward, link.dropped) for link in pair] for port, pair in links.items()}
-    clocks = [router.datapath] if router.datapath else _reference_clocks(kernel)
+    clocks = [router.datapath] if router.datapath else kernel.components
     return _gt_router_state(router), wires, _parked(clocks, kernel.cycle)
 
 
@@ -632,7 +627,7 @@ class TestCommitEqualsReference:
         network = _ReferenceGtNoC(Mesh2D(2, 1))
         router = network.router_at((0, 0))
         assert type(router) is _ReferenceSlotTableRouter and type(router.tile) is _ReferenceTile
-        assert network.datapath is None and router in network.kernel.components
+        assert network.datapath is None and router in network.clock.members
         network = TimeDivisionNoC(Mesh2D(2, 1))
         assert type(network.router_at((0, 0))) is SlotTableRouter and network.kernel.components == (network.datapath,)
 
@@ -736,7 +731,6 @@ class TestCommitEqualsReference:
         router.program(Port.WEST, 0, Port.EAST, "a")
         datapath = TdmaDatapath("datapath", [router])
         rx.forward = 1 << 16  # a neighbour bypassing drive()
-        datapath.evaluate(0)
         with pytest.raises(ValueError, match="does not fit"):
             datapath.commit(0)
 
@@ -748,7 +742,7 @@ class TestCommitEqualsReference:
             tile.send("a", word)
         tile.send("b", 4)
         assert tile._queued == 4 and datapath.next_event_cycle(0) == 0
-        datapath.evaluate(0), datapath.commit(0)
+        datapath.commit(0)
         assert tile._queued == 3 and tile.backlog("a") == 2
         tile.forget("a")
         assert tile._queued == 1 and datapath.next_event_cycle(1) == 1  # the word still registered
@@ -819,12 +813,13 @@ class TestScheduleChangesBetweenCycles:
             assert _gt_network_state(networks[0]) == _gt_network_state(networks[1])
         assert networks[0].streams["s"].words_received == 0 and networks[0].fault_drops() > 1
 
-    @pytest.mark.parametrize("phase", ["evaluate", "commit"])
-    def test_slot_table_write_inside_a_cycle_raises(self, phase):
+    @pytest.mark.parametrize("writer_first", [True, False])
+    def test_slot_table_write_inside_a_cycle_raises(self, writer_first):
         router, kernel = SlotTableRouter("victim", slots=4), SimulationKernel(25e6)
-        write = {phase: lambda self, cycle: router.program(Port.EAST, 1, Port.TILE, "a")}
-        writer = type("Writer", (ClockedComponent,), {"evaluate": id, "commit": id, **write})("writer")
-        kernel.add_all([writer, TdmaDatapath("datapath", [router])])
+        write = {"commit": lambda self, cycle: router.program(Port.EAST, 1, Port.TILE, "a")}
+        writer = type("Writer", (ClockedComponent,), write)("writer")
+        datapath = TdmaDatapath("datapath", [router])
+        kernel.add_all([writer, datapath] if writer_first else [datapath, writer])
         with pytest.raises(SimulationError, match="'victim'"):
             kernel.step()
         assert router.occupied_slots() == 0
@@ -836,8 +831,8 @@ class TestScheduleChangesBetweenCycles:
         kernel.run(1)
         assert router.tx_link(Port.EAST) is None and router.rx_link(Port.EAST).name == "a"
         rewire = {"commit": lambda self, cycle: router.attach_link(Port.EAST, TdmaLink("b"), None)}
-        kernel.add(type("Rewire", (ClockedComponent,), {"evaluate": id, **rewire})("rewire"))
-        with pytest.raises(SimulationError, match="'victim'.*inside cycle 1 .commit phase"):
+        kernel.add(type("Rewire", (ClockedComponent,), rewire)("rewire"))
+        with pytest.raises(SimulationError, match="'victim'.*inside cycle 1; write between cycles"):
             kernel.step()
         assert router.rx_link(Port.EAST).name == "a"
 

@@ -474,9 +474,6 @@ class TestGenericComponentsNeverSkipped:
                 super().__init__("plain")
                 self.ticks = 0
 
-            def evaluate(self, cycle):
-                pass
-
             def commit(self, cycle):
                 self.ticks += 1
 

@@ -3,8 +3,8 @@
 Neither datapath books a per-cycle constant in ``commit``, and the event
 schedule asks each one question.  That rests on three things, each tested
 here where it is defined rather than through a fabric: a reader sees a wire
-as it stood when the cycle began, whichever end registered first (the
-datapaths sample the wires driven from outside in ``evaluate``), constant
+as it stood when the cycle began (the datapaths sample the wires driven from
+outside at the top of ``commit``), constant
 accounting that the kernel settles at ``sync()`` / ``remove()``, and a
 ``next_event_cycle`` that covers every quiescent state.
 """
@@ -28,49 +28,33 @@ from repro.core.testbench import LaneStreamConsumer, TileStreamDriver
 from repro.energy.activity import ActivityKeys
 from repro.noc import build_network
 from repro.noc.gt_network import GtLinkStreamDriver, SlotTableRouter, TdmaDatapath, TdmaLink
-from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
+from repro.sim.engine import DEFAULT_SCHEDULE, SimulationKernel
 
 SCHEDULES = ("strict", DEFAULT_SCHEDULE)
-
-
-class _Script(ClockedComponent):
-    """Writes wires at the clock edge: ``actions[cycle](cycle)`` in its commit."""
-
-    def __init__(self, name, actions):
-        super().__init__(name)
-        self.actions = actions
-
-    def evaluate(self, cycle):
-        pass
-
-    def commit(self, cycle):
-        if cycle in self.actions:
-            self.actions[cycle](cycle)
 
 
 #: The one-pass readers and their two-phase references: all must read a wire alike.
 GT_READERS = (SlotTableRouter, _ReferenceSlotTableRouter)
 PACKET_READERS = (PacketSwitchedRouter, _ReferenceRouter)
-#: Registration orders of one writer (index 0) around the reader (``None``).
-AROUND = ((0, None), (None, 0))
 
 
-def _histories(readers, bench, observe, orders=AROUND, cycles=6):
-    """Per-cycle observations of every reader class x schedule x registration
-    order (``bench(reader_class)`` returns the reader and its writer scripts)."""
+def _histories(readers, bench, observe, cycles=6):
+    """Per-cycle observations of every reader class x schedule
+    (``bench(reader_class)`` returns the reader and its writes: ``writes[c](c)``
+    runs right after cycle *c*, before the observation)."""
     histories = {}
     for reader_class in readers:
         for schedule in SCHEDULES:
-            for order in orders:
-                reader, scripts = bench(reader_class)
-                clock = clock_of(reader)
-                kernel = SimulationKernel(25e6, schedule=schedule)
-                kernel.add_all([clock if index is None else scripts[index] for index in order])
-                history = []
-                for _ in range(cycles):
-                    kernel.step()
-                    history.append(observe(reader))
-                histories[reader_class.__name__, schedule, order] = history
+            reader, writes = bench(reader_class)
+            kernel = SimulationKernel(25e6, schedule=schedule)
+            kernel.add(clock_of(reader))
+            history = []
+            for cycle in range(cycles):
+                kernel.step()
+                if cycle in writes:
+                    writes[cycle](cycle)
+                history.append(observe(reader))
+            histories[reader_class.__name__, schedule] = history
     return histories
 
 
@@ -80,9 +64,9 @@ def _assert_all_equal(histories, expected):
 
 
 class TestWiresRememberOneClockEdge:
-    """One link driven twice around a reader, writer registered before and after
-    it: the datapaths read it as the two-phase references do, as it stood when
-    the cycle began (the wires keep no memory; the datapath samples them first)."""
+    """One link driven twice between the cycles of a reader: the datapaths
+    read it as the two-phase references do, as it stood when the cycle began
+    (the wires keep no memory; the datapath samples them first)."""
 
     def test_tdma_word(self):
         def bench(reader_class):
@@ -91,7 +75,7 @@ class TestWiresRememberOneClockEdge:
             router.attach_link(Port.WEST, wire, None)
             router.program(Port.TILE, 0, Port.WEST, "a")
             words = {0: 0x11, 1: 0x22, 2: None}
-            return router, [_Script("w", {cycle: lambda c: wire.drive(words[c]) for cycle in words})]
+            return router, {cycle: lambda c: wire.drive(words[c]) for cycle in words}
 
         histories = _histories(GT_READERS, bench, lambda router: list(router.tile.received.get("a", ())))
         _assert_all_equal(histories, [[], [0x11], [0x11, 0x22], [0x11, 0x22], [0x11, 0x22], [0x11, 0x22]])
@@ -106,9 +90,8 @@ class TestWiresRememberOneClockEdge:
             router = reader_class("dut", position=(1, 1))
             wire = PacketLink("west", router.num_vcs)
             router.attach_link(Port.WEST, wire, None)
-            script = _Script("w", {0: lambda c: wire.drive(flits[0]), 1: lambda c: wire.drive(flits[1]),
-                                   2: lambda c: wire.drive(None)})
-            return router, [script]
+            return router, {0: lambda c: wire.drive(flits[0]), 1: lambda c: wire.drive(flits[1]),
+                            2: lambda c: wire.drive(None)}
 
         def observe(router):
             wire = router.rx_link(Port.WEST)
@@ -126,9 +109,8 @@ class TestWiresRememberOneClockEdge:
             router = reader_class("dut", position=(1, 1))
             wire = PacketLink("east", router.num_vcs)
             router.attach_link(Port.EAST, None, wire)
-            script = _Script("w", {0: lambda c: wire.return_credit(2), 1: lambda c: wire.return_credit(2),
-                                   3: lambda c: (wire.return_credit(1), wire.return_credit(2))})
-            return router, [script]
+            return router, {0: lambda c: wire.return_credit(2), 1: lambda c: wire.return_credit(2),
+                            3: lambda c: (wire.return_credit(1), wire.return_credit(2))}
 
         def observe(router):
             if isinstance(router, PacketSwitchedRouter):
@@ -153,7 +135,6 @@ class TestWiresRememberOneClockEdge:
         datapath = PacketDatapath("d", [router])
         rx.drive(pack(Flit(FlitType.HEAD, 0, (2, 1), (0, 1), 2, 1, 0)))
         tx.return_credit(1)
-        datapath.evaluate(0)
         datapath.commit(0)
         assert list(router._fifos[Port.WEST * 4 + 2]) == [rx.forward]
         assert router._credits[Port.WEST * 4 + 1] == 9 and not any(tx.credits)
@@ -189,7 +170,7 @@ class TestConstantAccountingSettlesAtSync:
         assert ActivityKeys.REG_CLOCKED_BITS not in router.activity.as_dict()
         kernel.run(37)
         assert booked() == (router._idle_clock_bits * 37, 37)
-        datapath.evaluate(37), datapath.commit(37)  # a cycle on its own books nothing constant
+        datapath.commit(37)  # a cycle on its own books nothing constant
         assert booked() == (router._idle_clock_bits * 37, 37)
         kernel.step()
         assert booked() == (router._idle_clock_bits * 38, 38)

@@ -1,53 +1,39 @@
-"""Tests for the two-phase simulation kernel."""
+"""Tests for the simulation kernel: one commit per component per cycle."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.common import SimulationError
 from repro.sim.engine import SCHEDULES, ClockedComponent, SimulationKernel
 
 
 class _Counter(ClockedComponent):
-    """Counts clock cycles through the evaluate/commit protocol (the default
-    next_event_cycle(), "due now", keeps it on every cycle)."""
+    """Counts clock cycles (the default next_event_cycle(), "due now", keeps
+    it on every cycle)."""
 
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self.value = 0
-        self._next = 0
-        self.evaluations = 0
-        self.commits = 0
-
-    def evaluate(self, cycle: int) -> None:
-        self.evaluations += 1
-        self._next = self.value + 1
 
     def commit(self, cycle: int) -> None:
-        self.commits += 1
-        self.value = self._next
+        self.value += 1
 
     def reset(self) -> None:
         self.value = 0
-        self._next = 0
 
 
 class _Follower(ClockedComponent):
-    """Registers the committed value of another component (one-cycle delay;
-    always due, like :class:`_Counter`)."""
+    """Copies another component's value in its commit (always due, like
+    :class:`_Counter`)."""
 
     def __init__(self, name: str, source: _Counter) -> None:
         super().__init__(name)
         self.source = source
         self.value = 0
-        self._next = 0
-
-    def evaluate(self, cycle: int) -> None:
-        self._next = self.source.value
 
     def commit(self, cycle: int) -> None:
-        self.value = self._next
+        self.value = self.source.value
 
 
 class TestKernelBasics:
@@ -80,7 +66,6 @@ class TestKernelBasics:
         kernel.run(10)
         assert kernel.cycle == 10
         assert counter.value == 10
-        assert counter.evaluations == counter.commits == 10
 
     def test_negative_run_rejected(self):
         kernel = SimulationKernel()
@@ -127,35 +112,6 @@ class TestKernelBasics:
         assert kernel.components == (counter,)
 
 
-class TestTwoPhaseSemantics:
-    def test_follower_sees_previous_cycle_value(self):
-        """A register-to-register connection must show exactly one cycle of delay."""
-        kernel = SimulationKernel()
-        counter = _Counter("counter")
-        follower = _Follower("follower", counter)
-        kernel.add(counter)
-        kernel.add(follower)
-        kernel.run(5)
-        assert counter.value == 5
-        assert follower.value == 4  # lags by one clock edge
-
-    @given(st.permutations([0, 1, 2]), st.integers(min_value=1, max_value=20))
-    def test_registration_order_does_not_change_results(self, order, cycles):
-        """Evaluate reads only committed state, so component order is irrelevant."""
-        def build(registration_order):
-            kernel = SimulationKernel()
-            counter = _Counter("counter")
-            follower_a = _Follower("follower_a", counter)
-            follower_b = _Follower("follower_b", counter)
-            components = [counter, follower_a, follower_b]
-            for index in registration_order:
-                kernel.add(components[index])
-            kernel.run(cycles)
-            return (counter.value, follower_a.value, follower_b.value)
-
-        assert build(order) == build([0, 1, 2])
-
-
 class _Sleeper(ClockedComponent):
     """Timed component with no event of its own, used to test removal accounting."""
 
@@ -163,9 +119,6 @@ class _Sleeper(ClockedComponent):
         super().__init__(name)
         self.ticks = 0
         self.settled = 0
-
-    def evaluate(self, cycle: int) -> None:
-        pass
 
     def commit(self, cycle: int) -> None:
         self.ticks += 1
@@ -221,24 +174,21 @@ class TestComponentRemoval:
         kernel.remove(doomed)
         late = kernel.add(_Follower("late", counter))
         kernel.run(5)
-        # Followers registered after the counter still observe the committed
-        # value of the same cycle (one-cycle delay), before and after removal.
-        assert follower.value == counter.value - 1
-        assert late.value == counter.value - 1
+        # Followers registered after the counter commit after it, so they copy
+        # the value it committed in the same cycle, before and after removal.
+        assert follower.value == counter.value == 10
+        assert late.value == counter.value
 
 
 class TestChangesBetweenCyclesOnly:
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_add_inside_a_cycle_is_refused(self, schedule):
-        """A component added from another's commit used to commit in that
-        cycle without having evaluated in it."""
+        """A component added from another's commit is refused: the set of
+        components changes between cycles only."""
         kernel = SimulationKernel(schedule=schedule)
         late = _Counter("late")
 
         class Adder(ClockedComponent):
-            def evaluate(self, cycle):
-                pass
-
             def commit(self, cycle):
                 kernel.add(late)
 

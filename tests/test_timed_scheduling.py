@@ -35,11 +35,8 @@ class _Settling(ClockedComponent):
         self.executed: list[int] = []
         self.settled = 0
 
-    def evaluate(self, cycle: int) -> None:
-        self.executed.append(cycle)
-
     def commit(self, cycle: int) -> None:
-        pass
+        self.executed.append(cycle)
 
     def settle(self, start_cycle: int, cycles: int) -> None:
         self.settled += cycles
@@ -54,8 +51,8 @@ class _PacedEmitter(_Settling):
         self._due = self._pacer.emit_from(0)
         self.emissions: list[int] = []
 
-    def evaluate(self, cycle: int) -> None:
-        super().evaluate(cycle)
+    def commit(self, cycle: int) -> None:
+        super().commit(cycle)
         if cycle == self._due:
             self.emissions.append(cycle)
             self._due = self._pacer.emit_from(cycle + 1)
@@ -207,9 +204,6 @@ class TestRunUntilStride:
         def __init__(self):
             super().__init__("counter")
             self.value = 0
-
-        def evaluate(self, cycle):
-            pass
 
         def commit(self, cycle):
             self.value += 1

@@ -101,8 +101,7 @@ def test_vector_on_gt_and_packet_degrades_to_event():
         )
         assert network.datapath.plane is None
         report = network.schedule_report()
-        assert (report["requested"], report["effective"]) == ("vector", "event")
-        assert "no vector plane" in report["reason"] and report["live_routes"] is None
+        assert report["requested"] == "vector" and "no vector plane" in report["reason"] and report["live_routes"] is None
         generator = word_generator(BitFlipPattern.TYPICAL, seed=5)
         network.attach_channel("a", (0, 0), (2, 2), 100.0, generator, load=0.5)
         network.run(300)
@@ -119,7 +118,7 @@ def test_clock_gated_circuit_registers_no_plane():
     )
     assert network.datapath.plane is None
     report = network.schedule_report()
-    assert report["effective"] == "event" and "clock gating" in report["reason"]
+    assert "clock gating" in report["reason"]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ def test_reconfiguration_invalidates_compiled_gather():
     vector = assert_identical(scenario, VECTOR)["vector"]
     assert vector.datapath.plane is not None
     # The plane ended the run recompiled against the *current* configuration.
-    assert vector.schedule_report()["effective"] == "vector"
+    assert vector.schedule_report()["reason"] is None
     assert vector.datapath.live_routes == vector.configured_circuits() > 0
 
 
@@ -176,7 +175,7 @@ def test_live_fault_desyncs_and_recompiles_the_plane():
     # The dead bundle swallowed the identical in-flight payload.
     vector = assert_identical(scenario, VECTOR)["vector"]
     assert vector.fault_drops() > 0
-    assert vector.schedule_report()["effective"] == "vector"
+    assert vector.schedule_report()["reason"] is None
 
 
 def test_sync_flush_makes_scalar_state_observable():
@@ -202,11 +201,11 @@ def test_kernel_reset_resets_the_plane():
     assert network.kernel.scheduler_stats.vector_batches > 0
     network.kernel.reset()
     report = network.schedule_report()
-    assert report["effective"] == "event" and report["live_routes"] is None
+    assert report["reason"] is not None and report["live_routes"] is None
     assert network.kernel.scheduler_stats.vector_batches == 0
     # The plane comes back: the routers run the first cycle, then batching.
     network.run(120)
-    assert network.schedule_report()["effective"] == "vector"
+    assert network.schedule_report()["reason"] is None
     assert network.kernel.scheduler_stats.vector_batches > 0
 
 
@@ -251,13 +250,13 @@ def test_plane_crosses_its_gate_both_ways_and_stays_identical():
 
     below, above, below_again = reports
     assert below["requested"] == above["requested"] == "vector"
-    assert below["effective"] == "event" and "live-route gate" in below["reason"]
+    assert "live-route gate" in below["reason"]
     assert below["batched_cycles"] == 0 and below["scalar_cycles"] > 0
     # The gate's input reads off the report, not out of the reason string.
     assert [r["live_routes"] for r in reports] == [size, size * size, size]
-    assert above["effective"] == "vector" and above["reason"] is None
+    assert above["reason"] is None
     assert above["batched_cycles"] > 100
-    assert below_again["effective"] == "event" and "live-route gate" in below_again["reason"]
+    assert "live-route gate" in below_again["reason"]
     # Back below the gate the kernel runs the routers again: only the
     # teardown drains were still batched.
     assert below_again["scalar_cycles"] > above["scalar_cycles"] + 100
@@ -459,7 +458,7 @@ def _cross_lane_edge(networks, edge, channel):
         return network.router_at(circuit.dst).converter.deserializers[sink_lane]
 
     if edge == "stray driver":
-        # Sends from a driver's evaluate, while the plane batches the cycle.
+        # Sends from a driver the datapath fires while the plane batches the cycle.
         for network in networks.values():
             router, lane = _unread_tile_lane(network, src)
             words = word_generator(BitFlipPattern.TYPICAL, seed=channel["seed"])
@@ -698,7 +697,7 @@ def test_lane_geometries_match_strict_or_fall_back(lane_width, data_width, batch
             network.run(stop - network.kernel.cycle)
         assert_same(networks, _lane_state, f"cycle {stop}")
     report = networks["vector"].schedule_report()
-    assert report["effective"] == ("vector" if batched else "event")
+    assert (report["reason"] is None) == batched
     assert batched or "int64 column" in report["reason"]
 
 
