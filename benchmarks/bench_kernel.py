@@ -5,7 +5,7 @@ of 2×2, 4×4 and 8×8 routers at 0 %, 25 % and 100 % row occupancy (a row at
 occupancy carries one full-load lane circuit west→east, so the fabric's lane
 occupancy is at most the row fraction), under the strict (seed-equivalent)
 schedule and the default ``vector`` schedule (the leaping clock plus the
-self-gating struct-of-arrays wire plane of :mod:`repro.sim.vector`).
+circuit datapath's pipe, :class:`repro.core.router.LaneDatapath`).
 
 A second scenario family exercises the leap: ``paced-stream`` rows carry
 the same row circuits at a low offered load (one word per 50 cycles — the
@@ -14,10 +14,9 @@ injections the datapath answers its next driver's due cycle and the kernel
 leaps the clock from word to word instead of iterating every cycle.
 
 Two more row-stream scenarios (3×3 and 4×4 with two rows, full load and
-paced) put 6 and 8 live routes around the vector plane's gate
-(:data:`repro.sim.vector.MIN_BATCH_ROUTES`, recorded in the header as
-``min_batch_routes``; every row records the ``live_routes`` its plane
-counted), so the constant is read off committed rows on both sides.
+paced) carry 6 and 8 live routes (every row records the ``live_routes`` the
+datapath counted when it laid its lines); the committed file recorded them
+around the live-route gate of the NumPy plane the pipe replaced.
 
 Every measurement also verifies the tentpole invariant: both schedules
 must leave the same ``network.snapshot()`` (per-router activity counters,
@@ -35,7 +34,7 @@ touching the JSON file (the CI smoke); it also runs the full-load 8×8 GT and
 packet row fabrics under both schedules and asserts identical snapshots.  ``--profile`` runs the hottest
 scenario (the fully loaded 8×8 mesh) under cProfile for the default
 schedule and prints the top-20 functions by cumulative time plus
-each layer's share of the profiled self time (converter, plane, routers,
+each layer's share of the profiled self time (converter, routers and pipe,
 endpoints, kernel), so the next hot layer is read off the same table.
 
 A third scenario family exercises the sharded kernel (:mod:`repro.sim.shard`):
@@ -52,9 +51,7 @@ recording frames, bytes per exchange window and overlap hits for each.
 Future PRs regress against that file: the 8×8 mesh at ≤25 % occupancy must
 stay ≥3× faster under ``vector`` than under ``strict``, the 8×8 paced-stream
 row must stay ≥8× (cycle leaping), the fully loaded 8×8 mesh must keep 0.6×
-of its recorded ``vector``/``strict`` ratio (the columnar plane, converter
-lanes included), a busy row below the plane's live-route gate must run
-gated at ≥0.9× of the plane batching it regardless, the sharded 16×16 row must stay bit-identical everywhere and ≥2× faster on
+of its recorded ``vector``/``strict`` ratio, the sharded 16×16 row must stay bit-identical everywhere and ≥2× faster on
 hosts whose recorded ``host_cpus`` is at least 4, and the shm transport
 rows must move strictly fewer bytes per exchange window than the pipe rows.
 """
@@ -76,9 +73,7 @@ from repro.noc.fabric import build_network
 from repro.noc.network import CircuitSwitchedNoC
 from repro.noc.path_allocation import LaneAllocator
 from repro.noc.topology import Mesh2D
-from repro.sim import vector as vector_plane
 from repro.sim.engine import DEFAULT_SCHEDULE, SCHEDULES
-from repro.sim.vector import MIN_BATCH_ROUTES
 
 FREQUENCY_HZ = 100e6
 MESH_SIZES = (2, 4, 8)
@@ -88,20 +83,15 @@ OCCUPANCIES = (0.0, 0.25, 1.0)
 CYCLES = {2: 8000, 4: 1500, 8: 800}
 SPEEDUP_TARGET = 3.0
 #: The default schedule must beat strict by this much on the *fully loaded*
-#: 8×8 mesh — the regime where only the NumPy plane helps: 0.6× of the
-#: ratio ``BENCH_kernel.json`` records (3.91).
+#: 8×8 mesh — the regime where parking cannot help: 0.6× of the ratio
+#: ``BENCH_kernel.json`` records (3.91).
 VECTOR_FULL_LOAD_TARGET = 2.3
-#: Below its live-route gate the plane sleeps; gated, such a busy row must
-#: run at least this fast against the plane batching it regardless (what
-#: remains is host noise between two best-of-:data:`SAMPLES` times).
-GATE_FLOOR = 0.9
 #: Independent samples per schedule and row: each builds its own network, the
 #: schedules take turns within a sample, and the row keeps every schedule's
 #: best time (the host moves ±15 % within minutes).
 SAMPLES = 3
-#: Two-row scenarios around the plane's live-route gate, mesh size -> cycles:
-#: a row circuit crosses ``size`` routers, so 3×3 carries 6 live routes and
-#: 4×4 carries 8.
+#: Two-row scenarios, mesh size -> cycles: a row circuit crosses ``size``
+#: routers, so 3×3 carries 6 live routes and 4×4 carries 8.
 GATE_BRACKET_CYCLES = {3: 3000, 4: 1500}
 GATE_BRACKET_ROWS = 2
 #: Offered load of the paced-stream scenario: one word per 50 cycles — what
@@ -165,20 +155,6 @@ def run_benchmark(
             schedulers[schedule] = network.kernel.scheduler_stats
             if schedule == "vector":
                 live_routes = network.schedule_report()["live_routes"]
-    ungated = {}
-    if 0 < live_routes < MIN_BATCH_ROUTES:
-        # What the gate spares this row: the plane batching it regardless.
-        vector_plane.MIN_BATCH_ROUTES = 1
-        try:
-            elapsed = math.inf
-            for _ in range(samples):
-                network = build_scenario(size, occupancy, "vector", load=load)
-                elapsed = min(elapsed, _measure(network, cycles))
-        finally:
-            vector_plane.MIN_BATCH_ROUTES = MIN_BATCH_ROUTES
-        observables["vector, gate open"] = network.snapshot()
-        # Gated over gate-open: what the gate buys this row.
-        ungated = {"vector_ungated_speedup": round(elapsed / best["vector"], 2)}
     results = {schedule: cycles / elapsed for schedule, elapsed in best.items()}
     identical = all(observed == observables["strict"] for observed in observables.values())
     vector_stats = schedulers["vector"]
@@ -193,7 +169,6 @@ def run_benchmark(
         "strict_cycles_per_sec": round(results["strict"], 1),
         "vector_cycles_per_sec": round(results["vector"], 1),
         "speedup": round(results["vector"] / results["strict"], 2),
-        **ungated,
         "occupancy_evaluated": round(vector_stats.occupancy, 4),
         "leaps": vector_stats.leaps,
         "leaped_cycles": vector_stats.leaped_cycles,
@@ -201,16 +176,6 @@ def run_benchmark(
         "vector_components": vector_stats.vector_components,
         "identical_results": identical,
     }
-
-
-def gate_floor_violations(rows: list[dict]) -> list[str]:
-    """Busy rows below the gate that ran gated slower than the floor allows."""
-    return [
-        f"{row['scenario']} {row['mesh']} occ={row['occupancy']}: "
-        f"gated at {row['vector_ungated_speedup']}x of the open gate"
-        for row in rows
-        if row.get("vector_ungated_speedup", GATE_FLOOR) < GATE_FLOOR
-    ]
 
 
 def _fabric_scenario(
@@ -344,7 +309,7 @@ def run_all(cycles_override: int | None = None) -> list[dict]:
         rows.append(
             run_benchmark(size, 0.25, cycles_override or cycles, load=PACED_LOAD)
         )
-    # The plane's gate, from both sides: two rows at full load and paced.
+    # Two rows at full load and paced: 6 and 8 live routes.
     for size, cycles in GATE_BRACKET_CYCLES.items():
         for load in (1.0, PACED_LOAD):
             rows.append(
@@ -420,9 +385,9 @@ def test_kernel_shm_transport_moves_fewer_bytes_per_window(once):
 
 
 def test_kernel_vector_schedule_wins_at_full_load(once):
-    """The columnar plane's acceptance bar on the saturated 8×8 mesh — the
-    regime where parking and leaping cannot help — with bit-identical
-    results and real batched coverage."""
+    """The pipe's acceptance bar on the saturated 8×8 mesh — the regime
+    where parking cannot help — with bit-identical results and real piped
+    coverage."""
     row = once(run_benchmark, 8, 1.0, 600)
     assert row["identical_results"]
     assert row["speedup"] >= VECTOR_FULL_LOAD_TARGET
@@ -487,7 +452,6 @@ def quick_smoke() -> None:
 #: Source files of the layers ``--profile`` attributes self time to.
 PROFILE_LAYERS = {
     "converter": ("core/data_converter.py",),
-    "plane": ("sim/vector.py",),
     "routers": ("core/router.py", "core/crossbar.py", "core/lane.py", "core/flow_control.py"),
     "endpoints": ("core/testbench.py", "apps/traffic.py"),
     "kernel": ("sim/engine.py", "sim/signals.py"),
@@ -557,7 +521,7 @@ def main() -> None:
         action="store_true",
         help="cProfile the full-load 8x8 scenario (default schedule), print the "
         "top-20 cumulative functions and the per-layer self-time shares "
-        "(converter, plane, routers, ...), no JSON rewrite",
+        "(converter, routers and pipe, ...), no JSON rewrite",
     )
     arguments = parser.parse_args()
     if arguments.profile:
@@ -572,19 +536,16 @@ def main() -> None:
         "description": (
             "Simulated cycles/second of the circuit-switched mesh under the "
             "strict (every-component) and the default vector schedule (the "
-            "leaping clock plus the struct-of-arrays wire plane batching whole "
-            "fabric cycles through NumPy at or above its live-route gate; below "
-            "it the datapath walks the routers' own programs); identical_results asserts "
+            "leaping clock plus the circuit datapath's pipe, which runs every "
+            "configured route as a delay line that books each word once); "
+            "identical_results asserts "
             "bit-identical activity counters and delivered words between the "
             "two.  row-stream rows carry full-load circuits; paced-stream rows "
             "carry the same circuits at one word per 50 cycles, where the kernel "
             "leaps the clock between word injections.  speedup is vector vs "
             "strict; leaps, leaped_cycles and vector_batches are "
-            "the vector run's.  min_batch_routes is the plane's gate, "
-            "live_routes what a row's plane counted against it, and the two-row "
-            "3x3 / 4x4 rows put 6 and 8 live routes around it; a busy row below "
-            "the gate also records vector_ungated_speedup, the gated rate over "
-            "the rate of the plane batching it regardless.  "
+            "the vector run's.  live_routes is what a row's datapath counted "
+            "when it laid its lines, 6 and 8 on the two-row 3x3 / 4x4 rows.  "
             "Every schedule's rate is the best of samples_per_schedule "
             "independent samples.  The sharded row times the 16x16 full-load "
             "fabric split over worker processes against the single-process "
@@ -603,12 +564,10 @@ def main() -> None:
         ),
         "frequency_hz": FREQUENCY_HZ,
         "default_schedule": DEFAULT_SCHEDULE,
-        "min_batch_routes": MIN_BATCH_ROUTES,
         "samples_per_schedule": SAMPLES,
         "speedup_target_8x8_low_occupancy": SPEEDUP_TARGET,
         "speedup_target_paced_stream": PACED_SPEEDUP_TARGET,
         "speedup_target_vector_full_load": VECTOR_FULL_LOAD_TARGET,
-        "gate_floor": GATE_FLOOR,
         "speedup_target_sharded": SHARDED_SPEEDUP_TARGET,
         "results": rows,
     }
@@ -645,9 +604,6 @@ def main() -> None:
         )
     if not all(row["identical_results"] for row in rows):
         raise SystemExit("schedule results diverged — the kernel optimisation is unsound")
-    violations = gate_floor_violations(rows)
-    if violations:
-        raise SystemExit("the plane's gate cost a busy row:\n  " + "\n  ".join(violations))
 
 
 if __name__ == "__main__":

@@ -50,9 +50,8 @@ def check_storm() -> None:
 
 
 def check_kernel() -> None:
-    """BENCH_kernel.json: strict == vector identity, speedups, the plane's gate, sharded equivalence."""
-    from repro.sim.vector import MIN_BATCH_ROUTES
-
+    """BENCH_kernel.json: strict == vector identity, speedups, the recorded rows around
+    the retired plane's gate, sharded equivalence."""
     data = json.loads((ROOT / "BENCH_kernel.json").read_text())
     # identical_results: strict == vector on every row, no exceptions.
     assert all(r["identical_results"] for r in data["results"]), "schedule divergence"
@@ -80,20 +79,15 @@ def check_kernel() -> None:
     assert data["default_schedule"] == "vector", "the bench header names another default"
     busy = [r for r in data["results"] if "vector_batches" in r and r["occupancy"] > 0]
     assert len(busy) >= 12, "busy schedule rows are missing"
-    # The plane's gate is the shipped constant, and busy rows sit on
-    # both sides of it: below, the routers ran their own programs; at and
-    # above, batches.  Below it, gating must not cost the row.
+    # The file was recorded under the retired plane's live-route gate, with
+    # busy rows on both sides of it: below, the routers ran their own
+    # programs; at and above, batches.
     gate = data["min_batch_routes"]
-    assert gate == MIN_BATCH_ROUTES, "BENCH_kernel.json was recorded under another gate"
     assert {6, 8} <= {r["live_routes"] for r in busy}, "the rows at 6 and 8 live routes are missing"
     below = [r for r in busy if r["live_routes"] < gate]
     above = [r for r in busy if r["live_routes"] >= gate]
     assert below and all(r["vector_batches"] == 0 for r in below), "no busy row below the gate"
     assert above and all(r["vector_batches"] > 0 for r in above), "a row at the gate never batched"
-    for r in below:
-        assert r["vector_ungated_speedup"] >= data["gate_floor"] == 0.9, (
-            f"{r['scenario']} {r['mesh']} occ={r['occupancy']}: gating cost the row"
-        )
     sharded = [r for r in data["results"] if r["scenario"] == "sharded"]
     assert sharded, "sharded 16x16 row missing"
     for r in sharded:

@@ -155,9 +155,39 @@ MUTANTS = (
     Mutant(
         "drain-before",  # a bench's tile consumer with words waiting no longer keeps the circuit datapath running
         "src/repro/core/router.py",
-        "        if self._next or self._drain_before or self._units and len(self._resting) < len(self._units):\n",
-        "        if self._next or self._units and len(self._resting) < len(self._units):\n",
+        "        if self._next or self._drain_before or self._pipe_dirty:\n",
+        "        if self._next or self._pipe_dirty:\n",
         ("tests/test_fabric_datapath.py::test_a_bench_tile_consumer_drains_the_cycle_after_a_delivery",),
+    ),
+    Mutant(
+        "pipe-delivery-late",  # the pipe delivers a word one cycle after the walk would
+        "src/repro/core/router.py",
+        "            arrival = end - 1 + self.d_off\n",
+        "            arrival = end + self.d_off\n",
+        ("tests/test_vector_plane.py::test_window_stall_and_resume_matches_strict",),
+    ),
+    Mutant(
+        "pipe-toggles-hop-short",  # the pipe books the toggles of one hop too few
+        "src/repro/core/router.py",
+        "            self.observers.append((k, slots, out_link is not None))\n",
+        "            if k > 1:\n"
+        "                self.observers.append((k, slots, out_link is not None))\n",
+        ("tests/test_vector_plane.py::test_vector_plane_batches_busy_cycles",),
+    ),
+    Mutant(
+        "pipe-ack-early",  # an acknowledge reaches the pipe's source one hop early
+        "src/repro/core/router.py",
+        "        self.s_off = depth + s_late\n",
+        "        self.s_off = depth - 1 + s_late\n",
+        ("tests/test_vector_plane.py::test_window_stall_and_resume_matches_strict",),
+    ),
+    Mutant(
+        "pipe-sync-skips-link-wire",  # materialising a line leaves the forward wires behind its registers stale
+        "src/repro/core/router.py",
+        "                if not out_link.dead:\n"
+        "                    out_link.forward[out_lane] = value\n",
+        "",
+        ("tests/test_vector_plane.py::test_sync_flush_makes_scalar_state_observable",),
     ),
 )
 

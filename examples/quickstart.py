@@ -13,7 +13,7 @@ activity, and the static / internal / switching power estimate at the paper's
 25 MHz operating point.
 
 A second part runs a small circuit-switched mesh under the default schedule
-and prints whether a NumPy plane batched its routers, and why not
+and prints whether the circuit datapath's pipe ran its routers, and why not
 (``network.schedule_report()``).  With ``--shards N`` that mesh is
 partitioned across ``N`` worker processes (:mod:`repro.sim.shard`) and the
 cross-shard merged scheduler statistics are printed next to the delivered
@@ -82,9 +82,9 @@ def main() -> None:
     print(f"maximum clock         : {router.max_frequency_mhz():.0f} MHz")
     print(f"active circuits       : {router.active_circuits()} of 20 output lanes")
 
-    # A bare kernel has no network around it and hence no vector plane: the
-    # default schedule is the leaping clock alone here (see mesh_demo below
-    # for what a network reports).
+    # The bench's datapath ran its one route as the pipe under the default
+    # schedule: the kernel leapt every cycle without a word edge (see
+    # mesh_demo below for what a network reports).
     print()
     print("scheduler (bare kernel, leaping clock):")
     for key, value in kernel.scheduler_stats.as_dict().items():
@@ -116,12 +116,12 @@ def mesh_demo(shards: int) -> None:
     report = network.schedule_report()
     print(
         f"schedule            : requested {report['requested']!r}, "
-        + (f"routers run their own programs ({report['reason']})" if report["reason"] else "plane batches")
+        + (f"routers walk ({report['reason']})" if report["reason"] else "the pipe runs the routers")
     )
     print(
-        f"                      {report['batched_cycles']} cycles batched in NumPy, "
-        f"{report['scalar_cycles']} on the routers' own programs, "
-        f"{report['live_routes']} live routes at the gate"
+        f"                      {report['batched_cycles']} cycles piped, "
+        f"{report['scalar_cycles']} walked, "
+        f"{report['live_routes']} live routes"
     )
     if not shards:
         return

@@ -228,8 +228,8 @@ class Crossbar:
 
         Dense lane indexing (``port * lanes_per_port + lane``), one entry per
         active route of the current configuration version.  Used by the
-        vector plane (:mod:`repro.sim.vector`) to compile its gather indices;
-        the returned list is the live cache — treat it as read-only.
+        router's route program and the circuit datapath's pipe to lay its
+        lines; the returned list is the live cache — treat it as read-only.
         """
         if self._cached_version != self.config.version:
             self._refresh_cache()

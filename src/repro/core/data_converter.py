@@ -21,11 +21,13 @@ under a set marker bit, next phit lowest), so "shift out" is a mask and a
 right shift and "empty" is zero even when the trailing data phits are.  The
 deserialiser keeps the collected phits header first; the header's ``VALID``
 bit makes the value non-zero from the first phit on and reaches a fixed bit
-position exactly when the packet is complete.  The vector plane
-(:mod:`repro.sim.vector`) holds the same two integers per lane in NumPy
-columns and calls only the *word edges* here — :meth:`LaneSerializer.load_word`,
-:meth:`LaneSerializer.acknowledge` and :meth:`LaneDeserializer.deliver` — so
-the scalar classes stay the one definition of what a word boundary does.
+position exactly when the packet is complete.  The circuit datapath's pipe
+(:class:`repro.core.router.LaneDatapath`) ticks no unit: it keeps each
+route's phit sequence, calls only the *word edges* here —
+:meth:`LaneSerializer.take_word`, :meth:`LaneSerializer.acknowledge` and
+:meth:`LaneDeserializer.deliver` — at the cycles the walk would, and writes
+the same two integers back at ``sync``, so the scalar classes stay the one
+definition of what a word boundary does.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.common import CapacityError, bit_mask, check_field, toggle_count
+from repro.common import CapacityError, bit_mask, check_field
 from repro.core.flow_control import AckGenerator, FlowControlConfig, WindowCounterSource
 from repro.core.header import (
     EOB_MASK,
@@ -84,6 +86,7 @@ class LaneSerializer:
         self.phits_per_packet = phits_per_packet(data_width, lane_width)
         #: Width of the packet shift register.
         self.packet_bits = self.phits_per_packet * lane_width
+        self._packet_mask = bit_mask(self.packet_bits)
         #: Register bits this serialiser clocks (or gates) per idle cycle.
         self.idle_cycle_bits = self.packet_bits + lane_width
         self._phit_mask = bit_mask(lane_width)
@@ -171,31 +174,21 @@ class LaneSerializer:
         self.window.on_ack()
         self.activity.slots[ACKS_DELIVERED] += 1
 
-    def load_word(self) -> Tuple[int, int]:
-        """Take the next queued packet for the shift register.
+    def take_word(self) -> int:
+        """Take the next queued packet for the shift register and book it.
 
         The caller has checked that the shifter is empty, a packet is queued
-        and the window counter allows sending.  Returns the header phit (the
-        output register's next value) and the packed data phits (the new
-        ``_remaining_phits``), which the caller stores where it keeps them.
+        and the window counter allows sending.  Returns the encoded packet
+        (header above the data word).
         """
         encoded = self._queue.popleft()
         self.window.on_send()
-        width = self.lane_width
-        mask = self._phit_mask
-        marker = mask + 1
-        data = encoded & self._data_mask
-        remaining = 0
-        for _ in range(self.phits_per_packet - 1):
-            # Least significant phit first: it is sent last, so ends up highest.
-            remaining = (remaining << (width + 1)) | marker | (data & mask)
-            data >>= width
         slots = self.activity.slots
-        slots[REG_TOGGLE_BITS] += toggle_count(self._hold_register, encoded, self.packet_bits)
+        slots[REG_TOGGLE_BITS] += ((self._hold_register ^ encoded) & self._packet_mask).bit_count()
         self._hold_register = encoded
         self.words_loaded += 1
         slots[WORDS_INJECTED] += 1
-        return encoded >> self.data_width, remaining
+        return encoded
 
     # -- clocking ----------------------------------------------------------------------
 
@@ -221,7 +214,20 @@ class LaneSerializer:
             next_phit = remaining & self._phit_mask
             self._remaining_phits = remaining >> (self.lane_width + 1)
         elif self._queue and self.window.can_send():
-            next_phit, self._remaining_phits = self.load_word()
+            # A word loads: the header phit goes out now, the data phits
+            # wait packed in the shifter, least significant phit (sent
+            # last) highest.
+            encoded = self.take_word()
+            width = self.lane_width
+            mask = self._phit_mask
+            marker = mask + 1
+            data = encoded & self._data_mask
+            remaining = 0
+            for _ in range(self.phits_per_packet - 1):
+                remaining = (remaining << (width + 1)) | marker | (data & mask)
+                data >>= width
+            self._remaining_phits = remaining
+            next_phit = encoded >> self.data_width
         else:
             next_phit = 0
 
@@ -412,8 +418,8 @@ class DataConverter:
     such a unit leaves them once quiescent again.  Every other unit is
     quiescent and sees idle inputs, so its tick would only book its idle
     register bits; those are booked as one constant.  Whatever may move a
-    unit behind the lists' back (a flow reconfiguration, the vector plane
-    handing its lanes back) calls :meth:`rescan`.
+    unit behind the lists' back (a flow reconfiguration, the pipe handing
+    its lanes back to the walk) calls :meth:`rescan`.
     """
 
     def __init__(

@@ -145,26 +145,6 @@ class LaneLink:
         self._check_lane(lane)
         return self.ack[lane]
 
-    # -- silent synchronisation (vector plane) ---------------------------------
-
-    def sync_forward_silent(self, lane: int, value: int) -> None:
-        """Write a forward wire without marking the dirty-bit.
-
-        Used only by the vector plane's flush: both endpoints of an
-        internal link are plane members whose batched execution already
-        accounted for the change, so marking the reader here would be a
-        spurious (though harmless) mark.  Never call this on a wire whose
-        reader is outside the plane.
-        """
-        self.forward[lane] = value
-
-    def sync_ack_silent(self, lane: int, value: bool) -> None:
-        """Write an acknowledge wire without marking the dirty-bit.
-
-        Same contract as :meth:`sync_forward_silent`, reverse direction.
-        """
-        self.ack[lane] = value
-
     # -- helpers ---------------------------------------------------------------
 
     @property

@@ -30,15 +30,32 @@ stream endpoints feeding them: it walks the programs of the routers that can
 move and parks the others, booking their constant per-cycle register bits in
 one step when they move again or at ``sync``.  A wire change, a tile
 ``send`` / ``receive`` or a converter ``configure_*`` marks its router active
-inside the datapath.  Under ``schedule="vector"`` the fabric also gives the
-datapath a batch mode (:mod:`repro.sim.vector`) it enters from its
-live-route gate up.  A configuration write or a relink inside a cycle raises
-:class:`~repro.common.SimulationError`.
+inside the datapath.  A configuration write or a relink inside a cycle
+raises :class:`~repro.common.SimulationError`.
+
+A configured circuit has no arbitration and no buffering, so once it is
+set up it is a fixed-latency pipe: every register on it holds the source's
+phit sequence one cycle later than the one before it.  Under
+``schedule="vector"`` without clock gating the datapath therefore runs its
+routers as *the pipe*: one delay line per route (:class:`_Line`), which
+books a word once, when its source loads it — its delivery
+``hops + phits - 1`` cycles on, its phits in one sequence every register's
+toggles are read off — and replays the acknowledge pulses the same way
+along the reverse path.  A cycle then handles only its events (a load, a
+delivery, an acknowledge reaching a source, a driver's word), the kernel
+leaps the cycles between them, and at ``sync`` or before the routers walk
+again the lines write back exactly what the walk holds.  ``strict``
+always walks, so every differential test compares the pipe against it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import deque
 from functools import partial
+from heapq import heappop, heappush
+from itertools import accumulate, count, repeat
+from operator import and_, rshift, xor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common import ConfigurationError, Port, SimulationError, bit_mask
@@ -46,6 +63,7 @@ from repro.core.config_memory import ConfigurationMemory, LaneConfig
 from repro.core.configuration import ConfigurationCommand
 from repro.core.crossbar import Crossbar
 from repro.core.data_converter import DataConverter, LaneSerializer, TileInterface
+from repro.core.header import VALID_MASK
 from repro.core.lane import LaneLink
 from repro.energy.activity import (
     LINK_TOGGLE_BITS, REG_CLOCKED_BITS, REG_GATED_BITS, REG_TOGGLE_BITS, XBAR_TOGGLE_BITS,
@@ -61,6 +79,13 @@ __all__ = ["CircuitSwitchedRouter", "LaneDatapath"]
 
 #: What :attr:`LaneDatapath._walk` holds outside its sample-to-latch span.
 _NOT_WALKING: frozenset = frozenset()
+
+#: The pipe's event kinds, in the order a cycle handles them: an acknowledge
+#: reaches a source, a source's shifter empties, a word is delivered.
+_ACK, _LOAD, _DELIVER = 0, 1, 2
+
+#: Phits a line stores before it books and forgets the ones behind it.
+_STORED_PHITS = 512
 
 
 class CircuitSwitchedRouter(DatapathMember):
@@ -370,6 +395,312 @@ class _MemberWireWatch:
             self.datapath.mark(self.router)
 
 
+class _Line:
+    """One configured circuit under the pipe: a delay line from a source lane
+    unit through the registers of its route to a sink lane unit.
+
+    Every register on the line holds the source's phit sequence shifted by
+    its position, so the line keeps that sequence once — :attr:`p`, one phit
+    per source cycle from :attr:`base` on, idle after the last one stored —
+    and the sink's acknowledge pulses once — :attr:`pulses` and their rising
+    and falling :attr:`edges`.  An *observer* at offset ``o`` (the source
+    unit at 0, the output register of hop ``k`` at ``k``, the sink unit at
+    :attr:`d_off`) holds ``p[t - o]`` after the latch of cycle ``t``, and the
+    acknowledge register of hop ``k`` the pulse of cycle ``t - (H - k + 1)``.
+    A word is booked once, when the source loads it: its phits join the
+    sequence and its delivery, ``d_off + phits - 1`` cycles on, joins the
+    agenda; the sink is idle whenever a header reaches it, so the delivered
+    packet is the loaded one.  :meth:`book` adds the toggles each observer
+    saw since the last booking and :meth:`materialise` writes back what the
+    walk would hold.
+
+    The line starts from the walk's state after the latch of ``cycle - 1``:
+    the registers and the source's shifter give the phits in flight, the
+    sink's collected phits and the acknowledge registers the rest.  Its sink
+    must be able to finish what it collects from phits already known
+    (:attr:`misaligned` otherwise).
+    """
+
+    __slots__ = (
+        "owner", "agenda", "seq", "src", "dst", "consumer", "regs", "s_wire", "d_wire", "s_off", "d_off",
+        "span", "width", "phits", "mask", "shifts", "observers", "ack_observers", "base", "p", "cum",
+        "s_free", "load_at", "booked", "deliveries", "pulses", "edges", "edges_dropped", "pulse_free",
+        "owed", "misaligned",
+    )
+
+    def __init__(self, cycle, geometry, src, hops, dst, *, s_wire=None, d_wire=None, consumer=None,
+                 s_late=False, d_late=False, head=0):
+        self.src, self.dst, self.consumer, self.s_wire, self.d_wire = src, dst, consumer, s_wire, d_wire
+        width, phits = self.width, self.phits = geometry
+        #: Where each data phit sits in a data word, in the order it is sent.
+        self.shifts = range((phits - 2) * width, -1, -width)
+        self.mask = bit_mask(width)
+        #: The cycle of the source's next look at its queue on the agenda.
+        self.load_at = None
+        depth = len(hops)
+        # A bench endpoint adopted before its datapath joined a kernel acts
+        # ahead of the routers: it drives the wire the cycle after its tick
+        # (*s_late*) or ticks with what the wire held the cycle before (*d_late*).
+        self.s_off = depth + s_late
+        self.d_off = d_off = depth + d_late
+        self.span = span = max(depth, d_off if dst is not None else 0)
+        self.regs = []
+        self.observers = [(0, src.activity.slots, None)] if src is not None else []
+        self.ack_observers = []
+        p = [0] * (span + 1)
+        p[span] = src._current_phit if src is not None else head
+        pulses = []
+        for k, (router, out_idx, in_idx) in enumerate(hops, 1):
+            lanes = router.lanes_per_port
+            out_port, out_lane = divmod(out_idx, lanes)
+            in_port, in_lane = divmod(in_idx, lanes)
+            out_link = router._tx_by_port[out_port] if out_port else None
+            self.regs.append((
+                router._out_data, out_idx, out_link, out_lane, router._tx_previous,
+                router._ack_out, in_idx, router._rx_by_port[in_port] if in_port else None, in_lane,
+            ))
+            slots = router.activity.slots
+            self.observers.append((k, slots, out_link is not None))
+            self.ack_observers.append((depth - k + 1, slots))
+            p[span - k] = router._out_data[out_idx]
+            if router._ack_out[in_idx]:
+                pulses.append(cycle - 1 - (depth - k + 1))
+        if dst is not None:
+            self.observers.append((d_off, dst.activity.slots, None))
+            p[span - d_off] = dst._previous_phit
+            if dst._ack_pulse:
+                pulses.append(cycle - 1)
+        self.base = cycle - 1 - span
+        if src is not None:
+            remaining = src._remaining_phits
+            while remaining:
+                p.append(remaining & self.mask)
+                remaining >>= width + 1
+            self.s_free = self.base + len(p)
+        self.p, self.cum, self.booked = p, [0], cycle
+        self.pulses, self.edges, self.edges_dropped, self.pulse_free, self.owed = [], [], 0, cycle, 0
+        for pulse in pulses:
+            self._pulse(pulse)
+        # What the sink delivers from the phits already in flight.
+        self.deliveries = deque()
+        self.misaligned = False
+        if dst is not None:
+            # The sink's ticks, as LaneDeserializer.tick collects, up to the
+            # last stored phit — and on over idle ones without a source.
+            collected, t, stored = dst._collected, cycle, self.base + len(p)
+            while True:
+                index = t - d_off
+                if index < stored:
+                    phit = p[index - self.base]
+                elif not collected:
+                    break
+                elif src is not None:
+                    self.misaligned = True  # the rest of the word is not sent yet
+                    break
+                else:
+                    phit = 0
+                if collected:
+                    collected = (collected << width) | phit
+                    if collected >> dst._full_shift:
+                        self.deliveries.append((t, collected))
+                        collected = 0
+                elif phit & VALID_MASK:
+                    collected = phit
+                t += 1
+
+    def start(self, owner: "LaneDatapath", agenda: list, seq) -> None:
+        """Put the line's events on *agenda*: the source's next load, the
+        deliveries and acknowledges in flight, the pulses the sink owes."""
+        self.owner, self.agenda, self.seq = owner, agenda, seq
+        cycle = self.booked
+        if self.src is not None:
+            if self.src._queue:
+                self.load_at = self.s_free
+                heappush(agenda, (self.s_free, _LOAD, next(seq), self))
+            for pulse in self.pulses:
+                if pulse + self.s_off >= cycle:
+                    heappush(agenda, (pulse + self.s_off, _ACK, next(seq), self))
+        for delivery in self.deliveries:
+            heappush(agenda, (delivery[0], _DELIVER, next(seq), self))
+        if self.dst is not None:
+            self.take_pulses(cycle)
+
+    # -- the word edges ------------------------------------------------------------------
+
+    def load(self, cycle: int) -> None:
+        """Offer the source's next queued word at *cycle*: it loads if the
+        shifter is empty and the window allows, which books the word's phits
+        and delivery; a word waiting behind a busy shifter is offered again
+        when it empties, one held by the window when an acknowledge arrives."""
+        src = self.src
+        if not src._queue:
+            return
+        if self.s_free > cycle:
+            if self.load_at != self.s_free:
+                self.load_at = self.s_free
+                heappush(self.agenda, (self.s_free, _LOAD, next(self.seq), self))
+            return
+        if not src.window.can_send():
+            return
+        encoded = src.take_word()
+        head, data = encoded >> src.data_width, encoded & src._data_mask
+        p = self.p
+        gap = cycle - self.base - len(p)
+        if gap > _STORED_PHITS:
+            # A long idle stretch: book up to here and keep only idle phits behind the word.
+            self.book(cycle)
+            idle = self._tail()
+            self.base = cycle - 1 - self.span
+            self.p = p = [0] * (self.span + 1)
+            self.cum = [idle] * (self.span + 1)
+        elif gap:
+            p.extend([0] * gap)
+        p.append(head)
+        p += map(and_, map(rshift, repeat(data), self.shifts), repeat(self.mask))
+        self.s_free = end = cycle + self.phits
+        if src._queue:
+            self.load_at = end
+            heappush(self.agenda, (end, _LOAD, next(self.seq), self))
+        dst = self.dst
+        if dst is not None:
+            if not head & VALID_MASK:
+                # The sink would not take this header: the routers walk from the next cycle.
+                self.owner._pipe_check = True
+                return
+            arrival = end - 1 + self.d_off
+            self.deliveries.append((arrival, (head << dst._header_shift) | data))
+            heappush(self.agenda, (arrival, _DELIVER, next(self.seq), self))
+        if len(p) > _STORED_PHITS:
+            self.book(cycle)
+            self._trim(cycle)
+
+    def take_pulses(self, cycle: int) -> None:
+        """Schedule the acknowledge pulses a read queued at the sink since the
+        last look, the first at *cycle*: one per cycle, after those owed."""
+        dst = self.dst
+        count = dst._pending_ack_pulses - self.owed
+        if count > 0:
+            dst._pending_ack_pulses = self.owed
+            for _ in range(count):
+                pulse = self._pulse(max(cycle, self.pulse_free))
+                if self.src is not None:
+                    heappush(self.agenda, (pulse + self.s_off, _ACK, next(self.seq), self))
+
+    def _pulse(self, cycle: int) -> int:
+        self.pulses.append(cycle)
+        edges = self.edges
+        if edges and edges[-1] == cycle:
+            edges[-1] = cycle + 1
+        else:
+            edges += (cycle, cycle + 1)
+        self.pulse_free = cycle + 1
+        return cycle
+
+    # -- booking and write-back ---------------------------------------------------------
+
+    def _tail(self) -> int:
+        """The cumulative toggle count from the last stored phit on (every later one is idle)."""
+        p, cum = self.p, self.cum
+        done = len(cum)
+        if done < len(p):
+            cum += accumulate(map(int.bit_count, map(xor, p[done - 1 :], p[done:])), initial=cum.pop())
+        return cum[-1] + p[-1].bit_count()
+
+    def book(self, cycle: int) -> None:
+        """Book the toggles every observer saw up to the latch of ``cycle - 1``."""
+        start = self.booked
+        if cycle <= start:
+            return
+        tail = self._tail()
+        cum, last = self.cum, len(self.p) - 1
+        for offset, slots, link in self.observers:
+            now = cycle - 1 - offset - self.base
+            then = start - 1 - offset - self.base
+            bits = (cum[now] if now <= last else tail) - (cum[then] if then <= last else tail)
+            if bits:
+                if link is not None:  # a crossbar output register
+                    slots[XBAR_TOGGLE_BITS] += bits
+                    if link:
+                        slots[LINK_TOGGLE_BITS] += bits
+                slots[REG_TOGGLE_BITS] += bits
+        edges = self.edges
+        if edges:
+            for delay, slots in self.ack_observers:
+                bits = bisect_right(edges, cycle - 1 - delay) - bisect_right(edges, start - 1 - delay)
+                if bits:
+                    slots[REG_TOGGLE_BITS] += bits
+        self.booked = cycle
+
+    def materialise(self, cycle: int) -> None:
+        """Book and write back what the walk holds after the latch of ``cycle - 1``:
+        registers, wires, the shifter, the collected phits and the pulses."""
+        dst = self.dst
+        if dst is not None:
+            self.take_pulses(cycle)
+        self.book(cycle)
+        p, base, last, width = self.p, self.base, cycle - 1, self.width
+        stored = len(p)
+
+        def at(index: int) -> int:
+            index -= base
+            return p[index] if index < stored else 0
+
+        edges, dropped, depth = self.edges, self.edges_dropped, len(self.regs)
+        for k, (data, out_idx, out_link, out_lane, previous, acks, in_idx, in_link, in_lane) in enumerate(
+            self.regs, 1
+        ):
+            data[out_idx] = value = at(last - k)
+            if out_link is not None:
+                previous[out_idx] = value
+                if not out_link.dead:
+                    out_link.forward[out_lane] = value
+            acks[in_idx] = high = (dropped + bisect_right(edges, last - (depth - k + 1))) % 2 == 1
+            if in_link is not None and not in_link.dead:
+                in_link.ack[in_lane] = high
+        src = self.src
+        if src is not None:
+            src._current_phit = at(last)
+            remaining, marker = 0, 1 << width
+            for index in range(self.s_free - 1, last, -1):
+                remaining = (remaining << (width + 1)) | marker | at(index)
+            src._remaining_phits = remaining
+            if self.s_wire is not None:
+                link, lane = self.s_wire
+                if not link.dead:
+                    link.forward[lane] = src._current_phit
+        if dst is not None:
+            dst._previous_phit = at(last - self.d_off)
+            collected = 0
+            if self.deliveries:
+                arrival, packet = self.deliveries[0]
+                if arrival - self.phits < last:
+                    collected = packet >> ((arrival - last) * width)
+            dst._collected = collected
+            dst._ack_pulse = pulse = (dropped + bisect_right(edges, last)) % 2 == 1
+            pulses = self.pulses
+            dst._pending_ack_pulses = self.owed = len(pulses) - bisect_left(pulses, cycle)
+            if self.d_wire is not None:
+                link, lane = self.d_wire
+                if not link.dead:
+                    link.ack[lane] = pulse
+        self._trim(cycle)
+
+    def _trim(self, cycle: int) -> None:
+        """Forget the phits, pulses and edges no observer reads again."""
+        cut = cycle - 1 - self.span - self.base
+        if cut >= len(self.p):
+            self.p, self.cum, self.base = [0], [self._tail()], cycle - 1 - self.span
+        elif cut > 0:
+            del self.p[:cut]
+            del self.cum[:cut]
+            self.base += cut
+        del self.pulses[: bisect_left(self.pulses, cycle)]
+        cut = bisect_right(self.edges, cycle - 2 - len(self.regs))
+        if cut:
+            del self.edges[:cut]
+            self.edges_dropped += cut
+
+
 class LaneDatapath(FabricDatapath):
     """Clocks a set of :class:`CircuitSwitchedRouter` objects as one component.
 
@@ -387,14 +718,27 @@ class LaneDatapath(FabricDatapath):
     a fault; a wire to the outside marks its router, as do the tile
     interfaces and configuration writes.
 
-    With a :attr:`plane` (:meth:`use_plane`), the commit that sweeps a new
-    configuration version — the first cycle, and the one after a fault or
-    relink that released the plane — counts the live routes
-    (:attr:`live_routes`) and, from :data:`repro.sim.vector.MIN_BATCH_ROUTES`
-    up, compiles the plane: from the next cycle every router is parked and
-    the plane runs its busy cycles, the marks landing in its dirty list.  A
-    configuration write or a dead wire between two routers releases it: its
-    columns go back into the routers, which all walk the next cycle.
+    **The pipe.**  Under ``schedule="vector"`` without clock gating, the end
+    of a commit that follows a configuration write, a relink, a fault, an
+    endpoint's adoption or release (and the first commit) lays the *lines*
+    (:class:`_Line`): every configured route from a
+    :class:`~repro.core.data_converter.LaneSerializer` (a tile lane's or an
+    adopted :class:`~repro.core.testbench.LaneStreamDriver`'s) through the
+    routers to a :class:`~repro.core.data_converter.LaneDeserializer` (a
+    tile lane's or an adopted
+    :class:`~repro.core.testbench.LaneStreamConsumer`'s), or to nowhere, and
+    every unit off a route that holds state.  From the next cycle every
+    router is parked and every endpoint unit rests; a cycle handles only
+    its events — an acknowledge reaching a source, a source's shifter
+    emptying, a delivery (:attr:`_agenda`) — and the loads that the drivers'
+    and tiles' writes make possible, and :meth:`next_event_cycle` answers
+    the earliest of them, so the kernel leaps the cycles between.  ``sync``
+    materialises every line; a configuration write, a relink, a fault or an
+    endpoint's adoption or release materialises them and puts every router
+    back on the walk.  The routers walk instead while a route has a
+    multicast acknowledge fan-in, reads or drives a wire to the outside no
+    adopted endpoint stands behind (a shard boundary), or crosses a dead
+    wire (:meth:`pipe_reason`).
 
     The stream endpoints it adopted run inside its cycle (:meth:`adopt`).
     """
@@ -418,15 +762,6 @@ class LaneDatapath(FabricDatapath):
         self._sweeps: Dict[CircuitSwitchedRouter, None] = {}
         #: Parked router -> the first cycle whose idle register bits it owes.
         self._parked: Dict[CircuitSwitchedRouter, int] = {}
-        #: The plane runs the routers' cycles.
-        self._batching = False
-        #: Configured route-hops over all routers as counted at the last gate
-        #: (``None`` before the first).
-        self.live_routes: Optional[int] = None
-        #: Cycles the routers ran their own programs up to the last time the
-        #: plane took over, and the cycle it last let go of them.
-        self._scalar_cycles = 0
-        self._released_at = 0
         #: The lane units adopted before this datapath joined a kernel and
         #: after, each stepped on its own side of the routers' commit
         #: (:meth:`_place`); the drivers numbered below ``_early_drivers``
@@ -440,19 +775,26 @@ class LaneDatapath(FabricDatapath):
         for router in self.routers:
             router.converter.mark_hook = self._marks[router]
             router.config.on_change = partial(self._compile, router)
+        self._reset_pipe()
         self._rewire()
 
-    def use_plane(self) -> None:
-        """Batch busy cycles in a :class:`repro.sim.vector.VectorPlane`, or
-        keep in :attr:`plane_refusal` why the routers cannot be."""
-        try:
-            from repro.sim.vector import VectorPlane
-
-            self.plane = VectorPlane(self.routers)
-        except ImportError:
-            self.plane_refusal = "NumPy is not importable"
-        except SimulationError as refusal:
-            self.plane_refusal = str(refusal)
+    def _reset_pipe(self) -> None:
+        #: The pipe runs the routers' cycles.
+        self._piping = False
+        #: Lay the lines at the end of the next commit.
+        self._pipe_check = True
+        #: Why the routers walk (None while the pipe runs them).
+        self._pipe_reason: Optional[str] = "the pipe is laid at the end of the first cycle"
+        #: The lines, each lane unit's, the events ``(cycle, kind, number,
+        #: line)`` and what a mark, a tile write or a driver's word dirtied.
+        self._lines: List[_Line] = []
+        self._line_of: Dict[object, _Line] = {}
+        self._agenda: list = []
+        self._pipe_dirty: Dict[object, None] = {}
+        #: Configured route-hops over all routers when the lines were last laid.
+        self.live_routes: Optional[int] = None
+        #: Cycles the pipe ran up to its last booking, and the cycle of that booking.
+        self._piped = self._piped_since = 0
 
     # -- stream endpoints ------------------------------------------------------------------
 
@@ -460,10 +802,13 @@ class LaneDatapath(FabricDatapath):
         """A record adopted before this datapath joined a kernel acts ahead of
         the routers in every cycle, one adopted later after them.  A tile
         consumer drains after each delivery on its lane, what already waits
-        at its first turn."""
+        at its first turn.  A lane unit adopted under the pipe puts the
+        routers back on the walk."""
         if hasattr(record, "pacer") and early:
             self._early_drivers = self.drivers.count
         if hasattr(record, "step"):
+            if self._piping:
+                self._pipe_release()
             (self._units_before if early else self._units_after)[record] = None
         elif not hasattr(record, "pacer"):
             if record in self._sinks:
@@ -473,6 +818,8 @@ class LaneDatapath(FabricDatapath):
             queue[record] = None
 
     def _unplace(self, record) -> None:
+        if self._piping and record in self._units:
+            self._pipe_release()
         self._units_before.pop(record, None)
         self._units_after.pop(record, None)
         self._sinks.pop(record, {}).pop(record, None)
@@ -481,6 +828,16 @@ class LaneDatapath(FabricDatapath):
         """A word arrived on *sink*'s lane: unless released, it drains at its next turn."""
         if sink in self._sinks:
             self._sinks[sink][sink] = None
+
+    def _stir(self, unit) -> None:
+        # A link endpoint's driver emitted: under the pipe its source may
+        # load.  A fault on its wire puts the routers back on the walk.
+        if not self._piping:
+            self._resting.pop(unit, None)
+        elif unit.link.dead:
+            self._pipe_release()
+        else:
+            self._pipe_dirty[unit] = None
 
     # -- marks -----------------------------------------------------------------------------
 
@@ -491,16 +848,17 @@ class LaneDatapath(FabricDatapath):
 
     def mark(self, router: CircuitSwitchedRouter) -> None:
         """An input of *router* changed: it walks from the first cycle that
-        can see the change, its idle cycles booked up to there."""
+        can see the change, its idle cycles booked up to there (under the
+        pipe, its tile lanes are looked at in the next cycle)."""
+        if self._piping:
+            self._pipe_dirty[router] = None
+            return
         active = self._next
         if router in active:
             return
         if router not in self._parked:
             # It sampled in the cycle in flight: it walks the next one too.
             active[router] = None
-            return
-        if self._batching:
-            self.plane._dirty[router] = None
             return
         kernel = self._scheduler
         cycle = kernel.cycle if kernel is not None else 0
@@ -522,44 +880,42 @@ class LaneDatapath(FabricDatapath):
         # Also the routers' configuration ``on_change`` hook.  The route
         # program holds direct wire references and the routes of one
         # configuration version: compile it at the next walk.
-        if self._batching:
-            self._release()
+        if self._piping:
+            self._pipe_release()
+        self._pipe_check = True
         self._stale[router] = None
         self.mark(router)
 
     # -- simulation ------------------------------------------------------------------------
 
     def commit(self, cycle: int) -> None:
+        if self._piping:
+            self._pipe_commit(cycle)
+            return
         # Before the walk: the early drivers, then every walking router samples.
         drivers = self.drivers
         if drivers.next_due == cycle and self._early_drivers:
             drivers.fire(cycle, self._early_drivers)
-        if self._batching:
-            plane = self.plane
-            if plane._dirty:
-                plane._drain_dirty(cycle)
-            plane._eval_batched()
-        else:
-            walk = self._walk = self._next
-            self._next = {}
-            if self._stale:
-                for router in self._stale:
-                    router._compile()
-                self._sweeps, self._stale = self._stale, {}
-            for router in walk:
-                eval_tile, eval_rx, ack_tile, ack_wire, ack_any, next_data, next_acks = router._sample
-                for out_idx, serializer in eval_tile:
-                    next_data[out_idx] = serializer._current_phit
-                for out_idx, wires, lane in eval_rx:
-                    next_data[out_idx] = wires[lane]
-                for in_idx, deserializer in ack_tile:
-                    next_acks[in_idx] = deserializer._ack_pulse
-                for in_idx, wires, lane in ack_wire:
-                    next_acks[in_idx] = wires[lane]
-                for in_idx, pulses, sources in ack_any:
-                    next_acks[in_idx] = any(d._ack_pulse for d in pulses) or any(
-                        wires[lane] for wires, lane in sources
-                    )
+        walk = self._walk = self._next
+        self._next = {}
+        if self._stale:
+            for router in self._stale:
+                router._compile()
+            self._sweeps, self._stale = self._stale, {}
+        for router in walk:
+            eval_tile, eval_rx, ack_tile, ack_wire, ack_any, next_data, next_acks = router._sample
+            for out_idx, serializer in eval_tile:
+                next_data[out_idx] = serializer._current_phit
+            for out_idx, wires, lane in eval_rx:
+                next_data[out_idx] = wires[lane]
+            for in_idx, deserializer in ack_tile:
+                next_acks[in_idx] = deserializer._ack_pulse
+            for in_idx, wires, lane in ack_wire:
+                next_acks[in_idx] = wires[lane]
+            for in_idx, pulses, sources in ack_any:
+                next_acks[in_idx] = any(d._ack_pulse for d in pulses) or any(
+                    wires[lane] for wires, lane in sources
+                )
         # Between the walk and the latch: the late drivers, a mark joining this cycle.
         if drivers.next_due == cycle:
             drivers.fire(cycle)
@@ -571,79 +927,68 @@ class LaneDatapath(FabricDatapath):
             for sink in self._drain_before:
                 sink.drain()
             self._drain_before.clear()
-        if self._batching:
-            plane = self.plane
-            if plane._dirty:
-                # Dirtied after the sampling (a late driver's tile write, a
-                # unit ahead of the routers): still part of this cycle.
-                plane._drain_dirty(cycle)
-            plane._commit_batched(cycle)
-            stats = self._scheduler.scheduler_stats
-            stats.vector_batches += 1
-            stats.vector_components += len(self.routers)
-        else:
-            active, sweeps, sleepers = self._next, self._sweeps, []
-            for router in walk:
-                if sweeps and router in sweeps:
-                    router._sweep(cycle)
-                    latched = router._latched
-                else:
-                    (latch_data, latch_ack, out_data, next_data, ack_out, next_acks, previous, mask, slots,
-                     clocked_bits, gated_bits, tick, gated) = router._latch
-                    # 1. Latch the routed output registers; a change drives its wire.
-                    toggles = link_toggles = 0
-                    for out_idx, link, lane in latch_data:
-                        new = next_data[out_idx]
-                        old = out_data[out_idx]
-                        if new != old:
-                            bits = ((old ^ new) & mask).bit_count()
-                            toggles += bits
-                            out_data[out_idx] = new
-                            if link is not None:
-                                link_toggles += bits
-                                previous[out_idx] = new
-                                link.drive_forward(lane, new)
-                    if toggles:
-                        slots[XBAR_TOGGLE_BITS] += toggles
-                    # 2. Latch the acknowledge registers; a change drives its wire.
-                    for in_idx, link, lane in latch_ack:
-                        new = next_acks[in_idx]
-                        if new != ack_out[in_idx]:
-                            toggles += 1
-                            ack_out[in_idx] = new
-                            if link is not None:
-                                link.drive_ack(lane, new)
-                    latched = router._latched = toggles != 0
-                    if toggles:
-                        slots[REG_TOGGLE_BITS] += toggles
-                    # 3. The constant register bits, the converter, the link toggles.
-                    if clocked_bits:
-                        slots[REG_CLOCKED_BITS] += clocked_bits
-                    if gated_bits:
-                        slots[REG_GATED_BITS] += gated_bits
-                    tick(out_data, ack_out, cycle, gated)
-                    if link_toggles:
-                        slots[LINK_TOGGLE_BITS] += link_toggles
-                # A router stays on the walk while it moves or once marked since
-                # it sampled.
-                if latched or router in active or not self.frozen(router):
-                    active[router] = None
-                else:
-                    sleepers.append(router)
-            if sleepers:
-                for router in sleepers:
-                    if router not in active:  # unless a later latch marked it
-                        self._parked[router] = cycle + 1
-            if sweeps:
-                self._sweeps = {}
-                if self.plane is not None:
-                    self._gate(cycle)
+        active, sweeps, sleepers = self._next, self._sweeps, []
+        for router in walk:
+            if sweeps and router in sweeps:
+                router._sweep(cycle)
+                latched = router._latched
+            else:
+                (latch_data, latch_ack, out_data, next_data, ack_out, next_acks, previous, mask, slots,
+                 clocked_bits, gated_bits, tick, gated) = router._latch
+                # 1. Latch the routed output registers; a change drives its wire.
+                toggles = link_toggles = 0
+                for out_idx, link, lane in latch_data:
+                    new = next_data[out_idx]
+                    old = out_data[out_idx]
+                    if new != old:
+                        bits = ((old ^ new) & mask).bit_count()
+                        toggles += bits
+                        out_data[out_idx] = new
+                        if link is not None:
+                            link_toggles += bits
+                            previous[out_idx] = new
+                            link.drive_forward(lane, new)
+                if toggles:
+                    slots[XBAR_TOGGLE_BITS] += toggles
+                # 2. Latch the acknowledge registers; a change drives its wire.
+                for in_idx, link, lane in latch_ack:
+                    new = next_acks[in_idx]
+                    if new != ack_out[in_idx]:
+                        toggles += 1
+                        ack_out[in_idx] = new
+                        if link is not None:
+                            link.drive_ack(lane, new)
+                latched = router._latched = toggles != 0
+                if toggles:
+                    slots[REG_TOGGLE_BITS] += toggles
+                # 3. The constant register bits, the converter, the link toggles.
+                if clocked_bits:
+                    slots[REG_CLOCKED_BITS] += clocked_bits
+                if gated_bits:
+                    slots[REG_GATED_BITS] += gated_bits
+                tick(out_data, ack_out, cycle, gated)
+                if link_toggles:
+                    slots[LINK_TOGGLE_BITS] += link_toggles
+            # A router stays on the walk while it moves or once marked since
+            # it sampled.
+            if latched or router in active or not self.frozen(router):
+                active[router] = None
+            else:
+                sleepers.append(router)
+        if sleepers:
+            for router in sleepers:
+                if router not in active:  # unless a later latch marked it
+                    self._parked[router] = cycle + 1
+        if sweeps:
+            self._sweeps = {}
         if self._units_after:
             self._turn(self._units_after, cycle)
         if self._drain_after:
             for sink in self._drain_after:
                 sink.drain()
             self._drain_after.clear()
+        if self._pipe_check:
+            self._lay_pipe(cycle + 1)
 
     def frozen(self, router: CircuitSwitchedRouter) -> bool:
         """True when another cycle of *router* with unchanged inputs would
@@ -677,14 +1022,17 @@ class LaneDatapath(FabricDatapath):
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Now while a router walks, a lane unit is not at rest, a consumer ahead of
-        the routers has words or the plane moves; else when the next driver is due."""
-        if self._next or self._drain_before or self._units and len(self._resting) < len(self._units):
+        the routers has words or the pipe has a write to look at; else the
+        pipe's next event or when the next driver is due, whichever is first."""
+        if self._next or self._drain_before or self._pipe_dirty:
             return cycle
-        if self._batching:
-            plane = self.plane
-            if not plane._settled or plane._dirty:
-                return cycle
-        return self.drivers.next_due
+        if self._units and len(self._resting) < len(self._units):
+            return cycle
+        due = self.drivers.next_due
+        agenda = self._agenda
+        if agenda and (due is None or agenda[0][0] < due):
+            return agenda[0][0]
+        return due
 
     def _book(self, router: CircuitSwitchedRouter, start: int, end: int) -> None:
         """Book *router*'s constant register bits of the idle cycles ``[start, end)``."""
@@ -702,12 +1050,11 @@ class LaneDatapath(FabricDatapath):
             router.activity.add(ActivityKeys.REG_GATED_BITS, gated * cycles)
 
     def settle(self, start_cycle: int, cycles: int) -> None:
-        """At ``sync``: the plane's columns back into the routers, every
-        parked router's idle cycles booked up to now, then the skeleton's
-        booking."""
-        if self._batching:
-            self.plane.flush()
+        """At ``sync``: every line materialised, every parked router's idle
+        cycles booked up to now, then the skeleton's booking."""
         end = start_cycle + cycles
+        if self._piping:
+            self._pipe_sync(end)
         parked = self._parked
         for router, start in parked.items():
             self._book(router, start, end)
@@ -715,12 +1062,8 @@ class LaneDatapath(FabricDatapath):
         super().settle(start_cycle, cycles)
 
     def reset(self) -> None:
-        """Routers and endpoints back to power-on, all on the walk; the plane waits for the gate."""
-        self._batching = False
-        if self.plane is not None:
-            self.plane._dirty.clear()
-        self.live_routes = None
-        self._scalar_cycles = self._released_at = 0
+        """Routers and endpoints back to power-on, all on the walk; the pipe is laid after the first cycle."""
+        self._reset_pipe()
         self._parked.clear()
         self._walk, self._sweeps, self._edge = _NOT_WALKING, {}, 0
         self._next = dict.fromkeys(self.routers)
@@ -731,54 +1074,257 @@ class LaneDatapath(FabricDatapath):
             sink.reset()
         super().reset()
 
-    # -- the vector batch mode -----------------------------------------------------------
+    # -- the pipe --------------------------------------------------------------------------
 
-    def _gate(self, cycle: int) -> None:
-        """Read the live-route gate at the end of *cycle*'s commit; from it up,
-        park every router and let the plane run from the next cycle."""
-        from repro.sim import vector
+    def _pipe_commit(self, cycle: int) -> None:
+        """One cycle under the pipe: every driver due (the early ones first,
+        by their numbers), the consumers ahead of the routers, the marks
+        since the last cycle and the events due, the consumers after them."""
+        drivers = self.drivers
+        if drivers.next_due == cycle:
+            drivers.fire(cycle)
+        self._edge = cycle + 1
+        if self._drain_before:
+            for sink in self._drain_before:
+                sink.drain()
+            self._drain_before.clear()
+        if self._pipe_dirty:
+            self._pipe_stir(cycle)
+        agenda = self._agenda
+        while agenda and agenda[0][0] == cycle:
+            _, kind, _, line = heappop(agenda)
+            if kind == _LOAD:
+                line.load(cycle)
+            elif kind == _ACK:
+                line.src.acknowledge()
+                line.load(cycle)
+            else:
+                _, packet = line.deliveries.popleft()
+                dst = line.dst
+                dst.deliver(packet, cycle)
+                consumer = line.consumer
+                if consumer is not None:
+                    # A link consumer reads every word as it ticks; the pulses follow.
+                    received = consumer.received
+                    while (word := dst.receive()) is not None:
+                        received.append(word)
+                    line.take_pulses(cycle + 1)
+        if self._drain_after:
+            for sink in self._drain_after:
+                sink.drain()
+            self._drain_after.clear()
+        if self._pipe_check:
+            # A word the sink would not take: the walk from the next cycle.
+            self._pipe_release(cycle + 1)
+            self._lay_pipe(cycle + 1)
 
-        self.live_routes = sum(len(router.crossbar.active_routes()) for router in self.routers)
-        if self.live_routes < vector.MIN_BATCH_ROUTES:
+    def _pipe_stir(self, cycle: int) -> None:
+        """Look at what the marks since the last cycle dirtied: a tile lane may
+        have a word to load or pulses to send, a link driver a word."""
+        dirty, self._pipe_dirty = self._pipe_dirty, {}
+        line_of = self._line_of
+        for key in dirty:
+            if not isinstance(key, CircuitSwitchedRouter):  # a link driver's word
+                line = line_of.get(key.serializer)
+                if line is not None:
+                    line.load(cycle)
+                continue
+            converter = key.converter
+            for serializer in converter.serializers:
+                if serializer._queue:
+                    line = line_of.get(serializer) or self._start_line(
+                        _Line(cycle, self._geometry(key), serializer, (), None)
+                    )
+                    line.load(cycle)
+            for deserializer in converter.deserializers:
+                if deserializer._pending_ack_pulses:
+                    line = line_of.get(deserializer) or self._start_line(
+                        _Line(cycle, self._geometry(key), None, (), deserializer)
+                    )
+                    line.take_pulses(cycle)
+
+    @staticmethod
+    def _geometry(router: CircuitSwitchedRouter) -> Tuple[int, int]:
+        return router.lane_width, router.converter.serializers[0].phits_per_packet
+
+    def _start_line(self, line: _Line) -> _Line:
+        line.start(self, self._agenda, self._sequence)
+        self._lines.append(line)
+        for unit in (line.src, line.dst):
+            if unit is not None:
+                self._line_of[unit] = line
+        return line
+
+    def _lay_pipe(self, cycle: int) -> None:
+        """At the end of the commit before *cycle*: lay the lines and park every
+        router, or keep why the routers walk."""
+        kernel = self._scheduler
+        if kernel is None or kernel.schedule != "vector":
+            self._pipe_check, self._pipe_reason = False, None
             return
+        lines, self._pipe_reason, self._pipe_check = self._lines_at(cycle)
+        if lines is None:
+            return
+        self._piping, self._piped_since = True, cycle
+        self._agenda, self._sequence = [], count()
+        for line in lines:
+            self._start_line(line)
+        parked = self._parked
         for router in self._next:
-            self._parked[router] = cycle + 1
+            parked[router] = cycle
         self._next.clear()
-        self._scalar_cycles += cycle + 1 - self._released_at
-        self._batching = True
-        self.plane._compile(cycle + 1)
+        resting, owed = self._resting, self._owed
+        for unit in self._units:
+            if unit not in resting:
+                resting[unit] = None
+                owed.setdefault(unit, cycle)
 
-    def _release(self) -> None:
-        """Leave the batch mode between two cycles: the columns back into the
-        routers, every router on the walk of the next cycle."""
-        self.plane.flush()
-        self.plane._dirty.clear()  # what the dirty routers were owed is in their lanes again
-        self._batching = False
-        self._released_at = self._scheduler.cycle
+    def _lines_at(self, cycle: int):
+        """The lines of the state after the latch of ``cycle - 1`` — or
+        ``None``, why the routers must walk and whether to look again after
+        the next cycle (a word half collected) — and ``None, False``."""
+        routers = self.routers
+        if any(router.clock_gating for router in routers):
+            return None, "clock gating keeps the routers on the walk", False
+        drivers, consumers = {}, {}
+        for unit in self._units:
+            (drivers if hasattr(unit, "serializer") else consumers)[unit.link, unit.lane] = unit
+        routed: Dict[Tuple[CircuitSwitchedRouter, int], int] = {}
+        outputs = set()
+        for router in routers:
+            for _in_idx, outs in router.crossbar.ack_fanins():
+                if len(outs) > 1:
+                    return None, f"a multicast acknowledge fan-in at router {router.name!r}", False
+            for out_idx, src_idx in router.crossbar.active_routes():
+                routed[router, src_idx] = out_idx
+                outputs.add((router, out_idx))
+        self.live_routes = len(routed)
+        lines, hops_laid, used = [], 0, set()
+        for (router, src_idx), out_idx in routed.items():
+            lanes = router.lanes_per_port
+            port, lane = divmod(src_idx, lanes)
+            src = s_wire = None
+            s_late = False
+            if not port:
+                src = router.converter.serializers[lane]
+            else:
+                rx = router._rx_by_port[port]
+                if rx is not None:
+                    if rx.dead:
+                        return None, f"a route at router {router.name!r} crosses the dead wire {rx.name!r}", False
+                    writer = self._writer.get(rx)
+                    if writer is not None:
+                        if (writer[0], writer[1] * lanes + lane) in outputs:
+                            continue  # not the head of its line
+                    else:
+                        driver = drivers.get((rx, lane))
+                        if driver is None:
+                            reason = f"a route at router {router.name!r} reads {rx.name!r}"
+                            return None, reason + ", which no adopted driver drives", False
+                        src, s_wire, s_late = driver.serializer, (rx, lane), driver in self._units_before
+                        used.add(driver)
+            hops = [(router, out_idx, src_idx)]
+            dst = d_wire = consumer = None
+            while True:
+                hop_router, hop_out, _ = hops[-1]
+                port, lane = divmod(hop_out, lanes)
+                if not port:
+                    dst = hop_router.converter.deserializers[lane]
+                    break
+                tx = hop_router._tx_by_port[port]
+                if tx is None:
+                    break
+                if tx.dead:
+                    return None, f"a route at router {hop_router.name!r} crosses the dead wire {tx.name!r}", False
+                reader = self._reader.get(tx)
+                if reader is None:
+                    consumer = consumers.get((tx, lane))
+                    if consumer is None:
+                        reason = f"router {hop_router.name!r} drives {tx.name!r}, which no adopted consumer reads"
+                        return None, reason, False
+                    used.add(consumer)
+                    dst, d_wire = consumer.deserializer, (tx, lane)
+                    break
+                in_idx = reader[1] * lanes + lane
+                next_out = routed.get((reader[0], in_idx))
+                if next_out is None:
+                    break
+                hops.append((reader[0], next_out, in_idx))
+            hops_laid += len(hops)
+            lines.append(_Line(
+                cycle, self._geometry(router), src, hops, dst, s_wire=s_wire, d_wire=d_wire, consumer=consumer,
+                s_late=s_late, d_late=consumer is not None and consumer in self._units_before,
+            ))
+        if hops_laid < len(routed):
+            return None, "a ring of routes feeds itself", False
+        # The tile lanes off every route that hold state.
+        laid = {line.src for line in lines} | {line.dst for line in lines}
+        for router in routers:
+            geometry = self._geometry(router)
+            for serializer, deserializer in zip(router.converter.serializers, router.converter.deserializers):
+                if serializer not in laid and not serializer.quiescent:
+                    lines.append(_Line(cycle, geometry, serializer, (), None))
+                if deserializer not in laid and not deserializer.quiescent:
+                    lines.append(_Line(cycle, geometry, None, (), deserializer))
+        for unit in self._units:
+            if unit in used:
+                continue
+            if (unit.link, unit.lane) in drivers and (unit.link, unit.lane) in consumers:
+                return None, f"{unit.link.name!r} joins a driver to a consumer with no route between", False
+            if unit.link.dead:
+                return None, f"{unit.name!r} drives or reads the dead wire {unit.link.name!r}", False
+            late, wire = unit in self._units_before, (unit.link, unit.lane)
+            if hasattr(unit, "serializer"):
+                geometry = (unit.link.lane_width, unit.serializer.phits_per_packet)
+                lines.append(_Line(cycle, geometry, unit.serializer, (), None, s_wire=wire, s_late=late))
+            else:
+                geometry = (unit.link.lane_width, unit.deserializer.phits_per_packet)
+                lines.append(_Line(
+                    cycle, geometry, None, (), unit.deserializer, d_wire=wire, consumer=unit, d_late=late,
+                    head=unit.link.forward[unit.lane],
+                ))
+        for line in lines:
+            if line.misaligned:
+                return None, f"a half-collected word waits at {line.dst!r} for phits not yet sent", True
+        return lines, None, False
+
+    def _pipe_sync(self, cycle: int) -> None:
+        """Materialise every line at *cycle* and count the piped cycles."""
+        for line in self._lines:
+            line.materialise(cycle)
+        if cycle > self._piped_since:
+            stats = self._scheduler.scheduler_stats
+            stats.vector_batches += cycle - self._piped_since
+            stats.vector_components += (cycle - self._piped_since) * len(self.routers)
+            self._piped += cycle - self._piped_since
+            self._piped_since = cycle
+
+    def _pipe_release(self, cycle: Optional[int] = None) -> None:
+        """Between two cycles (or at the end of the one before *cycle*): every
+        line materialised, every router back on the walk and every endpoint
+        unit stepping from the next cycle."""
+        self._pipe_sync(self._cycle() if cycle is None else cycle)
+        self._piping = False
+        self._lines, self._line_of, self._agenda, self._pipe_dirty = [], {}, [], {}
+        self._pipe_check = True
+        self._pipe_reason = "the pipe is laid again at the end of the next cycle"
         for router in self.routers:
-            # The lanes moved in the columns, behind the converter's lists.
+            # The lane units moved behind the converters' lists.
             router.converter.rescan()
             self.mark(router)
+        for unit in self._units:
+            self._resting.pop(unit, None)
 
     @property
     def scalar_cycles(self) -> int:
-        """Simulated cycles the routers ran their own programs (slept-through
-        ones included), not batched in the plane."""
-        total = self._scalar_cycles
-        if not self._batching and self._scheduler is not None:
-            total += self._scheduler.cycle - self._released_at
-        return total
+        """Simulated cycles the routers walked (slept-through ones included),
+        not run by the pipe."""
+        kernel = self._scheduler
+        if kernel is None:
+            return 0
+        piped = self._piped + (kernel.cycle - self._piped_since if self._piping else 0)
+        return kernel.cycle - piped
 
-    def gate_reason(self) -> Optional[str]:
-        """Why the routers run their own programs right now (``None`` while
-        the plane batches them)."""
-        from repro.sim import vector
-
-        if self._batching:
-            return None
-        routes = self.live_routes
-        if routes is None:
-            return "the live-route gate is read after the first cycle"
-        if routes < vector.MIN_BATCH_ROUTES:
-            return f"below the live-route gate ({routes} live routes < {vector.MIN_BATCH_ROUTES})"
-        return "one cycle on the routers themselves before the recompile"
+    def pipe_reason(self) -> Optional[str]:
+        """Why the routers walk right now (``None`` while the pipe runs them)."""
+        return None if self._piping else self._pipe_reason

@@ -140,14 +140,11 @@ class NocBase:
 
     def _register_with_kernel(self) -> None:
         """Register one :attr:`datapath_class` component, :attr:`datapath`,
-        clocking every router; under ``schedule="vector"`` it also takes a
-        vector plane where its kind has one.  Runs before any stream endpoint
-        is adopted, so a circuit fabric's endpoints act after its routers in
-        a cycle (:meth:`repro.core.router.LaneDatapath._place`).
+        clocking every router.  Runs before any stream endpoint is adopted,
+        so a circuit fabric's endpoints act after its routers in a cycle
+        (:meth:`repro.core.router.LaneDatapath._place`).
         """
         self.datapath = self.datapath_class(f"{self.activity_name}_datapath", list(self.routers.values()))
-        if self.kernel.schedule == "vector":
-            self.datapath.use_plane()
         self.kernel.add(self.datapath)
 
     # -- construction hooks -----------------------------------------------------------
@@ -542,21 +539,23 @@ class NocBase:
     # -- reporting --------------------------------------------------------------------------
 
     def schedule_report(self) -> Dict[str, Any]:
-        """Which schedule was requested, whether a vector plane batches the
-        routers right now, and why not.
+        """Which schedule was requested, whether the circuit datapath's pipe
+        runs the routers right now, and why not.
 
-        Under ``schedule="vector"`` ``reason`` is ``None`` while the plane
-        batches; otherwise it names why the routers run their own
-        programs: the kind has no plane, clock gating, a lane packet wider
-        than an ``int64`` column, NumPy missing, or the plane's live routes,
-        as counted after the last cycle that followed a configuration
-        write, sit below its gate — in particular before the first cycle.
-        Under ``strict`` it is ``None`` and no plane runs.  A plane that
-        crossed the gate during the run shows in both cycle counts:
-        ``batched_cycles`` it executed in its columns, ``scalar_cycles`` the
-        routers ran their own programs.
-        ``live_routes`` is the gate's input, the plane's count of configured
-        route-hops (``None`` without a plane and before its first swept cycle).
+        Under ``schedule="vector"`` ``reason`` is ``None`` while the pipe
+        runs the routers (:class:`repro.core.router.LaneDatapath`);
+        otherwise it names why they walk: the kind has no pipe, clock
+        gating, a multicast acknowledge fan-in, a route that reads or drives
+        a wire to the outside no adopted stream endpoint stands behind (a
+        shard boundary), one across a dead wire, a ring of routes, a word
+        half collected from phits not yet sent (looked at again every
+        cycle) — or, before the first cycle, that the pipe is laid at the
+        end of it.  Under ``strict`` it is ``None`` and no pipe runs.
+        ``batched_cycles`` counts the cycles the pipe ran (leaped ones
+        included) and ``scalar_cycles`` those the routers walked, both as of
+        the last ``sync``; ``live_routes`` is the count of configured
+        route-hops when the lines were last laid (``None`` without a pipe
+        and before the first cycle).
         """
         requested = self.kernel.schedule
         report: Dict[str, Any] = {
@@ -567,13 +566,14 @@ class NocBase:
             "live_routes": None,
         }
         datapath = self.datapath
-        if datapath is not None and datapath.plane is not None:
-            report["scalar_cycles"] = datapath.scalar_cycles
-            report["live_routes"] = datapath.live_routes
-            report["reason"] = datapath.gate_reason()
-        elif requested == "vector":
-            refusal = datapath.plane_refusal if datapath is not None else None
-            report["reason"] = refusal or f"the {self.kind} kind has no vector plane"
+        pipe_reason = getattr(datapath, "pipe_reason", None)
+        if requested == "vector":
+            if pipe_reason is None:
+                report["reason"] = f"the {self.kind} kind has no pipe"
+            else:
+                report["reason"] = pipe_reason()
+                report["scalar_cycles"] = datapath.scalar_cycles
+                report["live_routes"] = datapath.live_routes
         return report
 
     def stream_statistics(self) -> Dict[str, Dict[str, int]]:

@@ -739,10 +739,10 @@ class TimeDivisionNoC(NocBase):
     One :class:`TdmaDatapath` (:attr:`datapath`) clocks the routers and
     fires the :class:`GtStreamDriver` of every stream whose source tile it
     holds: the fabric's kernel clocks that one component.  Its compiled
-    per-slot gather and scatter over the 8-16 words that move leave no
-    columnar plane (:mod:`repro.sim.vector`) anything to batch:
-    ``schedule="vector"`` (the default) is the leaping clock alone here,
-    and :meth:`schedule_report` says so.
+    per-slot gather and scatter over the 8-16 words that move is what a
+    cycle costs: ``schedule="vector"`` (the default) is the leaping clock
+    alone here (the pipe is the circuit kind's), and :meth:`schedule_report`
+    says so.
     """
 
     datapath_class = TdmaDatapath

@@ -13,11 +13,10 @@ next one.
 
 Two schedules execute that model (:data:`repro.sim.engine.SCHEDULES`),
 bit-identical.  ``strict`` commits every component every cycle and is the
-oracle.  ``vector`` — the same loop plus the leap, and the
-self-gating vector batch mode where the network kind has one — is
-:data:`repro.sim.engine.DEFAULT_SCHEDULE`: what ``SimulationKernel``,
-``build_network`` and every experiment hand out when no ``schedule`` is
-passed.
+oracle.  ``vector`` — the same loop plus the leap, and the circuit
+datapath's pipe — is :data:`repro.sim.engine.DEFAULT_SCHEDULE`: what
+``SimulationKernel``, ``build_network`` and every experiment hand out when
+no ``schedule`` is passed.
 
 Skipping idle work
 ------------------
@@ -49,37 +48,31 @@ Ordering stays deterministic: every executed cycle commits the components
 in registration order (the order ``strict`` uses), and each datapath orders
 its own parts inside its ``commit``.
 
-The columnar vector batch mode
-------------------------------
+The pipe
+--------
 
-A fully loaded fabric still pays a pure-Python per-router loop on every busy
-cycle.  Under ``vector`` a circuit-switched fabric therefore gives its
-datapath a :class:`~repro.sim.vector.VectorPlane` (:mod:`repro.sim.vector`),
-which holds every crossbar output/acknowledge register in flat preallocated
-NumPy arrays.  The datapath gates it on the live routes of the current
-configuration (:data:`repro.sim.vector.MIN_BATCH_ROUTES`), read at the end
-of the commit that sweeps a new version: from the gate up the plane runs the
-routers' busy cycles, below it the routers run their own programs, so a
-small or idle fabric never pays for NumPy.  The active routes compile into a
-route-index gather per configuration version, so one busy cycle over the
-whole fabric becomes a handful of ``take``/``xor``/``bitwise_count`` calls;
-toggle accounting is vectorised popcounts that equal the scalar
-``int.bit_count`` path exactly.  A configuration write or a dead wire
-between two routers hands the routers back to their programs for one cycle
-before the recompile — reconfiguration, live faults and post-start channel
-attach all invalidate the compiled gather exactly like the routers' own
-per-version sweeps — and a flush at every ``sync`` folds the columnar state
-back into the scalar objects, so external readers never observe the plane.
-The network side of every data converter — serialiser shift register and
-output phit, deserialiser collected phits, owed and committed acknowledge
-pulses — is columns of the same plane, shifted for all lanes at once; only
-the word edges (load a queued word, return credit, deliver a word to the
-tile) stay scalar.  The GT and packet datapaths (one kernel component per fabric on
-the :mod:`repro.sim.datapath` skeleton, like the circuit one, each running
-the fabric's stream endpoints itself) and clock-gated circuit fabrics get no
-plane;
-``network.schedule_report()`` names the requested schedule and why no plane
-batches the routers right now.
+A busy circuit fabric still walks every register of every route on every
+cycle, although a configured circuit has no arbitration and no buffering:
+it is a fixed-latency pipe.  Under ``vector`` (and without clock gating)
+the :class:`~repro.core.router.LaneDatapath` therefore lays one delay line
+per configured route, from the serialiser feeding it (a tile lane's or an
+adopted link driver's) to the deserialiser it ends at, and books a word
+once, when its source loads it: its delivery, the phits every register on
+the route sees (shifted by its position) and, after the destination reads
+it, the acknowledge pulses coming back.  A cycle handles only its events —
+a load, a delivery, an acknowledge reaching a source, a driver's word — and
+the kernel leaps the cycles between them.  At every ``sync``, and before a
+configuration write, a relink, a fault or an endpoint's adoption puts the
+routers back on the walk, every line writes back the registers, wires,
+shift registers, pending pulses and toggle counts the walk would hold, so
+external readers never observe the pipe.  A multicast acknowledge fan-in, a
+route that reads or drives a wire to the outside no adopted endpoint stands
+behind (a shard boundary), a route across a dead wire and clock gating keep
+the routers on the walk; the GT and packet datapaths (one kernel component
+per fabric on the :mod:`repro.sim.datapath` skeleton, like the circuit one,
+each running the fabric's stream endpoints itself) have no pipe;
+``network.schedule_report()`` names the requested schedule and why the
+routers walk right now.
 
 Bit-identity with ``strict`` (``network.snapshot()``) is asserted by
 ``tests/test_kernel_equivalence.py`` (drawn scenarios included),
@@ -102,7 +95,6 @@ __all__ = [
     "ShardedSimulation",
     "DirtyBit",
     "SchedulerStats",
-    "VectorPlane",
 ]
 
 
@@ -114,10 +106,4 @@ def __getattr__(name):  # PEP 562 lazy export
         from repro.sim import shard
 
         return getattr(shard, name)
-    if name == "VectorPlane":
-        # Lazy as well: the plane needs NumPy, which the kernel itself does
-        # not.
-        from repro.sim.vector import VectorPlane
-
-        return VectorPlane
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

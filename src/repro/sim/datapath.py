@@ -191,10 +191,6 @@ class FabricDatapath(ClockedComponent):
     wire_watchers: ClassVar[Tuple[str, ...]] = ("watch_forward",)
     #: The per-cycle containers :meth:`reset` empties.
     _transient: ClassVar[Tuple[str, ...]] = ()
-    #: The columns of a vector batch mode (:class:`repro.sim.vector.VectorPlane`)
-    #: once :meth:`use_plane` gave it one, and why it got none.
-    plane: Optional[Any] = None
-    plane_refusal: Optional[str] = None
 
     def __init__(self, name: str, routers: Sequence[Any]) -> None:
         super().__init__(name)
@@ -239,9 +235,6 @@ class FabricDatapath(ClockedComponent):
     def _tx_record(self, wire: Any, router: Any, port: int) -> Any:
         """What :attr:`_outside_tx` holds for *wire*, driven by *router* at *port*."""
         return wire
-
-    def use_plane(self) -> None:
-        """Batch busy cycles in a vector plane, for a kind that has one (this one has none)."""
 
     # -- stream endpoints ----------------------------------------------------------------
 

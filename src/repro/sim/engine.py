@@ -28,11 +28,10 @@ Two schedules are available (:data:`SCHEDULES`), bit-identical;
     component :meth:`ClockedComponent.next_event_cycle` once, and when every
     answer lies later it moves the clock straight to the earliest one.
     Under this schedule the circuit-switched datapath
-    (:class:`repro.core.router.LaneDatapath`) also has the columnar batch
-    mode of :mod:`repro.sim.vector`: from its live-route gate up a busy
-    cycle of the whole fabric is a handful of NumPy gathers/XORs/popcounts,
-    whose toggle counts equal the scalar ``int.bit_count`` path exactly
-    (:meth:`repro.noc.fabric.NocBase.schedule_report` says which ran).
+    (:class:`repro.core.router.LaneDatapath`) also runs its configured
+    routes as the pipe: fixed-latency delay lines that book each word once,
+    so only the cycles with a word edge run
+    (:meth:`repro.noc.fabric.NocBase.schedule_report` says whether it ran).
 
 The loop contract
 -----------------
@@ -77,8 +76,7 @@ __all__ = ["ClockedComponent", "SimulationKernel", "SCHEDULES", "DEFAULT_SCHEDUL
 SCHEDULES = ("strict", "vector")
 
 #: What every constructor and experiment that takes a ``schedule`` defaults
-#: to: the leaping clock plus, where the network kind has one, the
-#: self-gating vector batch mode of its datapath.
+#: to: the leaping clock plus, for the circuit kind, its datapath's pipe.
 DEFAULT_SCHEDULE = "vector"
 
 
@@ -147,10 +145,10 @@ class SimulationKernel:
         experiments of the paper (Section 7.2).
     schedule:
         One of :data:`SCHEDULES`.  ``"vector"`` (:data:`DEFAULT_SCHEDULE`)
-        leaps the cycles no component needs plus, for fabrics whose datapath
-        has one, runs the columnar NumPy batch mode of
-        :mod:`repro.sim.vector`; ``"strict"`` commits every component every
-        cycle.  Both produce bit-identical results;
+        leaps the cycles no component needs plus, for circuit datapaths,
+        runs the configured routes as the pipe
+        (:class:`repro.core.router.LaneDatapath`); ``"strict"`` commits
+        every component every cycle.  Both produce bit-identical results;
         ``strict`` exists as the reference for the equivalence tests and for
         debugging.
     """
@@ -294,9 +292,11 @@ class SimulationKernel:
                 if cycle >= end:
                     return
         self._in_cycle = True
-        for component in components:
-            component.commit(cycle)
-        self._in_cycle = False
+        try:
+            for component in components:
+                component.commit(cycle)
+        finally:
+            self._in_cycle = False
         self._cycle = cycle + 1
         self.scheduler_stats.evaluated += len(components)
 

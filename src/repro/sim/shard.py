@@ -1181,10 +1181,10 @@ class ShardedNetwork:
         """The shards' :meth:`~repro.noc.fabric.NocBase.schedule_report` as one.
 
         Every shard is built with the same parameters, so ``requested``
-        agrees; each region gates its own plane on its own live routes, so
-        the distinct reasons are joined (``None`` only while every shard's
-        plane batches) and the cycle counts and live routes add up
-        (``live_routes`` over the shards that have counted theirs).
+        agrees; each region lays its own pipe over its own routes, so the
+        distinct reasons are joined (``None`` only while every shard's pipe
+        runs) and the cycle counts and live routes add up (``live_routes``
+        over the shards that have counted theirs).
         """
         reports = self._query_all("schedule")
         merged = dict(reports[0])

@@ -25,13 +25,13 @@ class SchedulerStats:
     kernel did no per-cycle work at all.  Under ``schedule="strict"``, which
     never leaps, every counter but ``evaluated`` stays 0.
 
-    The columnar fast path (:mod:`repro.sim.vector`) adds two counters:
-    ``vector_batches`` counts fabric-wide batched cycles executed through the
-    NumPy plane (one per committed cycle on the fast path; cycles the routers
-    run themselves, below the plane's live-route gate or after a
-    reconfiguration, do not count), and ``vector_components`` the member
-    component-cycles those batches covered.  Both stay 0 where no plane
-    batches.
+    The circuit datapath's pipe (:class:`repro.core.router.LaneDatapath`)
+    adds two counters, booked at every ``sync``: ``vector_batches`` counts
+    the cycles the pipe ran the routers (leaped ones included; cycles the
+    routers walk, the first one and those after a reconfiguration or
+    wherever the pipe cannot be laid, do not count), and
+    ``vector_components`` the router-cycles those covered.  Both stay 0
+    where no pipe runs.
 
     Sharded runs (:mod:`repro.sim.shard`) add four transport counters,
     all 0 on a single-process kernel: ``frames_sent`` counts boundary

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import cycle as repeat_windows
 from typing import Callable, List, Optional, Tuple
 
 import pytest
@@ -18,7 +19,7 @@ from repro.noc import IrregularMesh, Mesh2D, TdmaDatapath, Torus2D
 from repro.noc.fabric import build_network
 from repro.sim.engine import ClockedComponent, SimulationKernel
 
-from oracle import SHIPPED_GATE, gate_at
+from oracle import materialised
 from two_phase import TwoPhase
 
 #: The three network kinds, in the order the differential tests draw them.
@@ -79,7 +80,8 @@ def neighbor_of(position: tuple[int, int], port: Port) -> tuple[int, int]:
 @dataclass
 class FabricScenario:
     """A small fabric, random channels over it, one link that dies mid-run,
-    and for the differential oracle a kind, a mid-run teardown and a gate."""
+    and for the differential oracle a kind, a mid-run teardown and the
+    windows its run stops after."""
 
     topology: object
     #: ``(src, dst, bandwidth_mbps, load)`` per channel.
@@ -91,8 +93,9 @@ class FabricScenario:
     kind: str = "circuit"
     #: ``(cycle, drain_cycles)``: the first admitted channel is detached then.
     churn: Optional[Tuple[int, int]] = None
-    #: The vector plane's live-route gate while it runs (``None``: as it is).
-    gate: Optional[int] = None
+    #: Cycles per ``run()`` call, repeated; the state after each one is
+    #: recorded (``()``: one call per span between the fault and the churn).
+    windows: Tuple[int, ...] = ()
 
     def build(self, factory: Callable):
         """``factory(topology, **schedule)`` with this scenario's channels attached."""
@@ -115,22 +118,33 @@ class FabricScenario:
         return attached
 
     def __call__(self, **params):
-        """``build_network(kind, topology, **params)`` run through in whole
-        ``run()`` calls, the fault and the churn included; returns the network."""
-        with gate_at(self.gate):
-            network = build_network(self.kind, self.topology, **params)
-            attached = self._attach(network)
-            fault_cycle, a, b, reroute = self.fault
-            events = [(fault_cycle, None)] + ([self.churn] if self.churn and attached else [])
-            for cycle, drain in sorted(events, key=lambda event: event[0]):
-                network.run(max(0, cycle - network.kernel.cycle))
-                if drain is not None:
-                    network.detach_channel(attached[0], drain_cycles=drain)
-                    continue
-                network.fail_link(a, b)
-                if reroute:
-                    network.refresh_routing(network.degraded_topology())
-            network.run(max(0, self.cycles - network.kernel.cycle))
+        """``build_network(kind, topology, **params)`` run through, the fault
+        and the churn included, in ``run()`` calls of the drawn :attr:`windows`
+        (the state after each recorded in ``network.oracle_stops``); returns
+        the network."""
+        network = build_network(self.kind, self.topology, **params)
+        attached = self._attach(network)
+        windows = repeat_windows(self.windows or (None,))
+        network.oracle_stops = stops = []
+
+        def run_to(end):
+            while network.kernel.cycle < end:
+                window = next(windows)
+                network.run(end - network.kernel.cycle if window is None else min(window, end - network.kernel.cycle))
+                if self.windows:
+                    stops.append(materialised(network))
+
+        fault_cycle, a, b, reroute = self.fault
+        events = [(fault_cycle, None)] + ([self.churn] if self.churn and attached else [])
+        for cycle, drain in sorted(events, key=lambda event: event[0]):
+            run_to(cycle)
+            if drain is not None:
+                network.detach_channel(attached[0], drain_cycles=drain)
+                continue
+            network.fail_link(a, b)
+            if reroute:
+                network.refresh_routing(network.degraded_topology())
+        run_to(self.cycles)
         return network
 
     def steps(self, networks):
@@ -190,7 +204,8 @@ def topologies(draw, irregular=None, min_side=1):
 @st.composite
 def fabric_scenarios(draw, max_cycles: int = 220):
     """Mesh, torus or either with a link already broken; 1-8 channels; one
-    fault; a kind, a channel torn down mid-run or not, and a gate side."""
+    fault; a kind, a channel torn down mid-run or not, and the windows the run
+    stops after (a sync mid-word, mid-acknowledge, around the fault)."""
     if draw(st.booleans()):
         width = draw(st.integers(1, 4))
         base = Mesh2D(width, draw(st.integers(2 if width == 1 else 1, 3)))
@@ -232,7 +247,7 @@ def fabric_scenarios(draw, max_cycles: int = 220):
         draw(st.sampled_from([None, "strict"])),
         kind=draw(st.sampled_from(KINDS)),
         churn=draw(st.none() | st.tuples(st.integers(5, cycles - 5), st.sampled_from([0, 32]))),
-        gate=draw(st.sampled_from([1, SHIPPED_GATE])),
+        windows=tuple(draw(st.lists(st.integers(1, 61), max_size=3))),
     )
 
 

@@ -1,39 +1,26 @@
 """The differential oracle: every variant of a run leaves the same snapshot.
 
-A variant is a schedule, a side of the vector plane's live-route gate or a
-shard layout; what must come out alike is
+A variant is a schedule or a shard layout; what must come out alike is
 :meth:`repro.noc.fabric.NocBase.snapshot` (cycle, per-router activity,
 stream statistics, fault drops, energy per bit), plus whatever
 *extra_state* a test reads beyond it (converter lanes, wires, heap
-statistics).
+statistics), plus what a scenario recorded at every stop of its run
+(:func:`materialised`): a scenario run in drawn windows stops mid-word and
+mid-acknowledge, where the default schedule's pipe writes back the state the
+``strict`` walk holds.
 """
 
 from __future__ import annotations
 
-import contextlib
+from collections import deque
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from repro.sim import vector
-
-#: The plane's live-route gate as shipped.
-SHIPPED_GATE = vector.MIN_BATCH_ROUTES
+from repro.core.router import LaneDatapath
 
 #: The reference schedule, and what a user gets without naming one.
 SCHEDULES = {"strict": {"schedule": "strict"}, "default": {}}
 
 ExtraState = Optional[Callable[[Any], Any]]
-
-
-@contextlib.contextmanager
-def gate_at(routes: Optional[int]):
-    """Run with the plane's live-route gate at *routes* (``None``: leave it)."""
-    saved = vector.MIN_BATCH_ROUTES
-    if routes is not None:
-        vector.MIN_BATCH_ROUTES = routes
-    try:
-        yield
-    finally:
-        vector.MIN_BATCH_ROUTES = saved
 
 
 def ran(network: Any, cycles: int) -> Any:
@@ -42,9 +29,47 @@ def ran(network: Any, cycles: int) -> Any:
     return network
 
 
-def state(network: Any, extra_state: ExtraState = None) -> Any:
-    """What is compared: the snapshot, and ``extra_state(network)`` if given."""
-    return network.snapshot(), extra_state(network) if extra_state else None
+def _unit_state(unit: Any) -> Dict[str, Any]:
+    """A lane unit's whole state, its flow-control objects by value."""
+    state = {}
+    for key, value in vars(unit).items():
+        if key in ("activity", "on_deliver"):
+            continue
+        if key in ("window", "ack_generator"):
+            value = vars(value)
+        elif isinstance(value, deque):
+            value = list(value)
+        state[key] = value
+    return state
+
+
+def materialised(network: Any) -> Any:
+    """The snapshot and, on a single-process circuit fabric, every crossbar
+    register, wire and converter lane unit."""
+    lanes = None
+    if isinstance(getattr(network, "datapath", None), LaneDatapath):
+        lanes = (
+            {
+                position: (
+                    list(router.crossbar.committed_data),
+                    list(router.crossbar.committed_acks),
+                    [_unit_state(u) for u in (*router.converter.serializers, *router.converter.deserializers)],
+                )
+                for position, router in network.routers.items()
+            },
+            {key: (list(link.forward), list(link.ack), link.dropped) for key, link in network.links.items()},
+        )
+    return network.snapshot(), lanes
+
+
+def state(network: Any, extra_state: ExtraState = None, lanes: bool = True) -> Any:
+    """What is compared: the snapshot, ``extra_state(network)`` if given and
+    what the scenario recorded at its stops (``network.oracle_stops``; the
+    snapshots alone unless *lanes*)."""
+    stops = getattr(network, "oracle_stops", None)
+    if stops is not None and not lanes:
+        stops = [snapshot for snapshot, _lanes in stops]
+    return network.snapshot(), extra_state(network) if extra_state else None, stops
 
 
 def assert_states(states: Mapping[str, Any], where: str = "") -> None:
@@ -68,17 +93,16 @@ def assert_identical(
 
     *scenario* builds a fabric with *params* as extra build arguments, runs
     it and returns it (a :class:`conftest.FabricScenario` is one).  A
-    variant's ``gate`` entry is the live-route gate while it runs.  A
     sharded network is closed once its state is taken, so no idle worker
-    fleet competes with the next variant.  Returns the networks by variant.
+    fleet competes with the next variant; where one runs, the stops compare
+    snapshots only.  Returns the networks by variant.
     """
     networks, states = {}, {}
+    lanes = not any(params.get("shards") for params in variants.values())
     for name, params in variants.items():
-        params = dict(params)
-        with gate_at(params.pop("gate", None)):
-            network = networks[name] = scenario(**params)
+        network = networks[name] = scenario(**params)
         try:
-            states[name] = state(network, extra_state)
+            states[name] = state(network, extra_state, lanes)
         finally:
             if hasattr(network, "close"):
                 network.close()

@@ -8,16 +8,17 @@ serialiser and deserialiser (:class:`_ReferenceConverter`) and drives every
 attached wire.  It shares with production only what the route program does
 not touch: the configuration memory, the lane wires, the lane units'
 per-cycle ``tick`` and the activity counters.  Production runs under both
-schedules in its :class:`~repro.core.router.LaneDatapath`, batched in its
-vector plane where the fabric allows one, with the stream endpoints as
-records the datapath runs.  The reference routers and the four endpoints as
+schedules in its :class:`~repro.core.router.LaneDatapath` — under the
+default one as the pipe's delay lines wherever the routes allow, with every
+line materialised at each ``sync`` — with the stream endpoints as records
+the datapath runs.  The reference routers and the four endpoints as
 they were (``_Reference*``) run in two phases under one
 :class:`two_phase.TwoPhase` component, under ``strict``.  After
 every cycle the registers, wires (forward, acknowledge, dead, dropped),
 every lane unit's state, ``activity.as_dict()`` and what every endpoint
-counted and received must be equal, and under the event schedule without a
-plane the park answers too: the datapath parks its routers exactly when
-every reference router would (:func:`_parked`).
+counted and received must be equal, and where the datapath walks under the
+default schedule (clock gating) the park answers too: the datapath parks its
+routers exactly when every reference router would (:func:`_parked`).
 """
 
 from __future__ import annotations
@@ -734,8 +735,8 @@ def _parked(schedule, cycle, routers, batched=False):
     the datapath walks none of them next cycle, or every reference router
     would park (its input unchanged since it evaluated and its own answer
     ``None``).  ``None`` under ``strict``, which parks no reference router,
-    and on a fabric whose datapath may batch in a vector plane (*batched*),
-    which parks once the whole batch is at a fixed point."""
+    and where the datapath may run its routers as the pipe (*batched*: no
+    clock gating), which parks every router while it runs."""
     if schedule != "vector" or batched:
         return None
     datapath = getattr(next(iter(routers)), "datapath", None)
@@ -775,7 +776,7 @@ class TestFabricsEqualTheReference:
 
     @pytest.mark.parametrize("schedule", [None, "strict"])
     def test_full_load_rows_with_a_fault(self, schedule):
-        """Every row of a 4×4 mesh at full load (the plane batches), one link
+        """Every row of a 4×4 mesh at full load (the pipe runs it), one link
         on the second row dies and the channel re-routes."""
         topology = Mesh2D(4, 4)
         channels = [((0, row), (3, row), 200.0, 1.0) for row in range(4)]
@@ -787,7 +788,9 @@ class TestFabricsEqualTheReference:
         assert type(network.router_at((0, 0))) is _ReferenceCircuitRouter
         assert network.datapath is None and network.router_at((0, 0)) in network.clock.members
         network = CircuitSwitchedNoC(Mesh2D(2, 1))
-        assert network.kernel.components == (network.datapath,) and network.datapath.plane is not None
+        assert network.kernel.components == (network.datapath,)
+        network.run(1)
+        assert network.datapath.pipe_reason() is None
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +861,7 @@ def _bench_states(benches):
         (
             _router_state(router),
             {port: (_wire_state(rx), _wire_state(tx)) for port, (rx, tx) in links.items()},
-            _parked(schedule, kernel.cycle, [router]),
+            _parked(schedule, kernel.cycle, [router], batched=not router.clock_gating),
             [_endpoint_state(endpoint) for endpoint in endpoints],
         )
         for router, links, kernel, endpoints in benches

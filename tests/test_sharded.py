@@ -139,10 +139,10 @@ def test_sharded_scheduler_stats_merge_across_shards():
     merged = network.stats
     assert merged.evaluated > 0
     assert network.kernel.cycle == 200
-    # Each 4×1 region holds a few hops of the one circuit: both planes stay
-    # below their gate, and the merged report says so.
+    # Each 4×1 region holds a few hops of the one circuit, which crosses the
+    # boundary: both regions walk, and the merged report says why.
     report = network.schedule_report()
-    assert report["requested"] == "vector" and "live-route gate" in report["reason"]
+    assert report["requested"] == "vector" and "no adopted driver" in report["reason"]
     assert report["batched_cycles"] == 0 < report["scalar_cycles"]
     assert report["live_routes"] == 5  # the circuit's hops, summed over both regions
     network.close()

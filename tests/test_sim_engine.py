@@ -197,3 +197,27 @@ class TestChangesBetweenCyclesOnly:
             kernel.run(1)
         assert late.value == 0 and late._scheduler is None
         assert kernel.components[-1].name == "adder"
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_a_commit_that_raises_leaves_the_kernel_between_cycles(self, schedule):
+        """A commit that raises ends its cycle: the kernel then accepts a new
+        component and a circuit configuration write, as between any two cycles."""
+        from repro.common import Port
+        from repro.core.router import CircuitSwitchedRouter, LaneDatapath
+
+        kernel = SimulationKernel(schedule=schedule)
+        router = CircuitSwitchedRouter("dut")
+        kernel.add(LaneDatapath("dut_datapath", [router]))
+
+        class Failing(ClockedComponent):
+            def commit(self, cycle):
+                raise RuntimeError("commit failed")
+
+        failing = kernel.add(Failing("failing"))
+        with pytest.raises(RuntimeError, match="commit failed"):
+            kernel.run(3)
+        kernel.remove(failing)
+        kernel.add(_Counter("late"))
+        router.configure(Port.EAST, 0, Port.TILE, 0)
+        kernel.run(2)
+        assert router.active_circuits() == 1

@@ -1,15 +1,16 @@
-"""The columnar vector schedule: bit-identity with strict and plane guards.
+"""The default schedule's pipe: bit-identity with strict, and its guards.
 
-The :class:`repro.sim.vector.VectorPlane` must be an *invisible*
-optimisation: ``schedule="vector"`` has to leave the strict reference's
-``network.snapshot()`` — per-router activity counters, delivered words,
-drop counts, cycle counts — and, after every ``run()``, its converter
-lanes (:func:`_lane_state`) on either side of the live-route gate,
-including mid-run reconfiguration, live faults and sharded execution.
-Seeded draws compare strict with both gate sides; these tests also pin the
-plane's version guards (reconfiguration and fault injection must
-invalidate the compiled gather), its gate, its lane columns and the
-correlated fault models (row cuts, power-domain region kills).
+The circuit datapath's pipe (:class:`repro.core.router.LaneDatapath`)
+must be an *invisible* optimisation: ``schedule="vector"`` has to leave the
+strict reference's ``network.snapshot()`` — per-router activity counters,
+delivered words, drop counts, cycle counts — and, after every ``run()``,
+its converter lanes (:func:`_lane_state`), including windows that end
+mid-word, mid-acknowledge and inside a window stall, mid-run
+reconfiguration, live faults and sharded execution.  These tests also pin
+what puts the routers back on the walk (a configuration write, a fault, a
+multicast fan-in, clock gating), what the schedule report says, and the
+correlated fault models (row cuts, power-domain region kills).  (Several
+names are from the NumPy plane the pipe replaced.)
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.traffic import BitFlipPattern, word_generator
-from repro.common import CapacityError, FaultError, Port
+from repro.common import NEIGHBOR_PORTS, CapacityError, FaultError, Port
 from repro.core.flow_control import FlowControlConfig
-from repro.core.header import phits_per_packet
-from repro.core.testbench import TileStreamConsumer, TileStreamDriver
+from repro.core.header import LaneHeader, LanePacket, phits_per_packet
+from repro.core.lane import LaneLink
+from repro.core.router import CircuitSwitchedRouter, LaneDatapath
+from repro.core.testbench import LaneStreamConsumer, LaneStreamDriver, TileStreamConsumer, TileStreamDriver
 from repro.experiments.storm import storm_schedule
 from repro.noc.ccn import CentralCoordinationNode
 from repro.noc.fabric import build_network
@@ -36,22 +39,15 @@ from repro.noc.faults import (
     row_cut_chooser,
 )
 from repro.noc.topology import Mesh2D
+from repro.sim.engine import SimulationKernel
 
 from conftest import FabricScenario, drawn, fabric_scenarios
-from oracle import SCHEDULES, SHIPPED_GATE, assert_identical, assert_same, gate_at, ran
+from oracle import SCHEDULES, assert_identical, assert_same, ran
 
 FREQUENCY_HZ = 100e6
 
 #: Strict against the vector schedule named outright.
 VECTOR = {"strict": {"schedule": "strict"}, "vector": {"schedule": "vector"}}
-
-
-@pytest.fixture
-def open_gate():
-    """One live route batches: for tests about the columns whose fabric is
-    smaller than the shipped gate.  Every other test runs the gate as shipped."""
-    with gate_at(1):
-        yield
 
 
 def _full_load_circuit(schedule, size=4):
@@ -75,33 +71,32 @@ def _full_load_circuit(schedule, size=4):
 @pytest.mark.parametrize("seed", range(8))
 def test_random_scenarios_are_quadmodal_identical(seed):
     """A seeded draw of :func:`conftest.fabric_scenarios` (kind × mesh /
-    torus / irregular × channels × load × churn × live fault): strict =
-    vector with the gate as shipped = vector batching from one route, per
-    router and per stream.  ("Quadmodal" is from when four schedules were
-    compared.)"""
-    scenario = dataclasses.replace(drawn(fabric_scenarios(max_cycles=400), seed), gate=None)
-    assert_identical(scenario, {**VECTOR, "vector from one route": {"schedule": "vector", "gate": 1}})
+    torus / irregular × channels × load × churn × live fault), run in its
+    drawn windows or in windows of 7 cycles: strict = vector per router and
+    per stream, and every register, wire and lane unit at every stop.
+    ("Quadmodal" is from when four schedules were compared.)"""
+    scenario = drawn(fabric_scenarios(max_cycles=400), seed)
+    assert_identical(dataclasses.replace(scenario, windows=scenario.windows or (7,)), VECTOR)
 
 
 def test_vector_plane_batches_busy_cycles():
-    """On a saturated circuit fabric the plane must actually take the fast
-    path (batched fabric-wide cycles), not silently fall back."""
+    """On a saturated circuit fabric the pipe must actually run the routers
+    (every cycle after the first piped), not silently fall back."""
     vector = assert_identical(lambda schedule: ran(_full_load_circuit(schedule), 400), VECTOR)["vector"]
     stats = vector.kernel.scheduler_stats
-    assert stats.vector_batches > 300
+    assert stats.vector_batches == 399
     assert stats.vector_components == stats.vector_batches * len(vector.routers)
+    assert stats.evaluated < 400  # the kernel leaps the cycles with no event
 
 
 def test_vector_on_gt_and_packet_degrades_to_event():
-    """Non-circuit fabrics accept schedule="vector" but register no plane,
-    and say so."""
+    """Non-circuit fabrics accept schedule="vector" but have no pipe, and say so."""
     for kind in ("packet", "gt"):
         network = build_network(
             kind, Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule="vector"
         )
-        assert network.datapath.plane is None
         report = network.schedule_report()
-        assert report["requested"] == "vector" and "no vector plane" in report["reason"] and report["live_routes"] is None
+        assert report["requested"] == "vector" and "has no pipe" in report["reason"] and report["live_routes"] is None
         generator = word_generator(BitFlipPattern.TYPICAL, seed=5)
         network.attach_channel("a", (0, 0), (2, 2), 100.0, generator, load=0.5)
         network.run(300)
@@ -109,27 +104,28 @@ def test_vector_on_gt_and_packet_degrades_to_event():
 
 
 def test_clock_gated_circuit_registers_no_plane():
-    """The gated commit holds register values the columnar latch would
-    overwrite, so gated fabrics run plain event-driven."""
+    """Clock-gated routers hold register values of lanes without an active
+    output route, so gated fabrics walk under every schedule."""
     from repro.noc.network import CircuitSwitchedNoC
 
     network = CircuitSwitchedNoC(
         Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule="vector", clock_gating=True
     )
-    assert network.datapath.plane is None
+    network.attach_channel("a", (0, 0), (2, 2), 100.0, word_generator(BitFlipPattern.TYPICAL, seed=5), load=1.0)
+    network.run(50)
     report = network.schedule_report()
     assert "clock gating" in report["reason"]
+    assert report["batched_cycles"] == 0 and report["scalar_cycles"] == 50
 
 
 # ---------------------------------------------------------------------------
-# Version guards: reconfiguration and faults invalidate the compiled gather
+# What puts the routers back on the walk: reconfiguration and faults
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("open_gate")
 def test_reconfiguration_invalidates_compiled_gather():
-    """A post-start circuit write must force a scalar cycle + recompile,
-    and the recompiled plane must still match strict bit for bit."""
+    """A post-start circuit write must materialise the lines, walk the
+    routers for the sweep and lay the lines again, still bit for bit."""
     from repro.noc.path_allocation import LaneAllocator
 
     def scenario(schedule):
@@ -154,33 +150,38 @@ def test_reconfiguration_invalidates_compiled_gather():
         return ran(network, 150)
 
     vector = assert_identical(scenario, VECTOR)["vector"]
-    assert vector.datapath.plane is not None
-    # The plane ended the run recompiled against the *current* configuration.
-    assert vector.schedule_report()["reason"] is None
+    # The pipe ended the run laid out along the *current* configuration.
+    report = vector.schedule_report()
+    assert report["reason"] is None and 2 < report["scalar_cycles"] < 10
     assert vector.datapath.live_routes == vector.configured_circuits() > 0
 
 
 def test_live_fault_desyncs_and_recompiles_the_plane():
-    """A live fault between two runs finds the wires flushed (exact
-    in-flight drop counts), releases the plane and reclassifies the dead
-    bundle on recompile."""
+    """A live fault between two runs finds the wires materialised (exact
+    in-flight drop counts) and puts the routers back on the walk while a
+    route crosses the dead bundle; once the circuit across it is torn down
+    the pipe is laid again."""
 
     def scenario(schedule):
         network = _full_load_circuit(schedule)
         network.run(200)
         network.fail_link((1, 1), (2, 1))
         network.refresh_routing(network.degraded_topology())
-        return ran(network, 200)
+        network.run(100)
+        network.remove_allocation(network.streams["row1"].allocation)
+        return ran(network, 100)
 
     # The dead bundle swallowed the identical in-flight payload.
     vector = assert_identical(scenario, VECTOR)["vector"]
     assert vector.fault_drops() > 0
-    assert vector.schedule_report()["reason"] is None
+    report = vector.schedule_report()
+    assert report["reason"] is None
+    assert 100 < report["scalar_cycles"] < 110 and report["batched_cycles"] > 280
 
 
 def test_sync_flush_makes_scalar_state_observable():
     """After every run() the crossbar registers and wires must hold the
-    same values the strict schedule leaves behind (the flush contract)."""
+    same values the strict schedule leaves behind (the materialisation)."""
     strict = _full_load_circuit("strict")
     vector = _full_load_circuit("vector")
     strict.run(157)
@@ -201,33 +202,42 @@ def test_kernel_reset_resets_the_plane():
     assert network.kernel.scheduler_stats.vector_batches > 0
     network.kernel.reset()
     report = network.schedule_report()
-    assert report["reason"] is not None and report["live_routes"] is None
+    assert "first cycle" in report["reason"] and report["live_routes"] is None
     assert network.kernel.scheduler_stats.vector_batches == 0
-    # The plane comes back: the routers run the first cycle, then batching.
+    # The pipe comes back: the routers walk the first cycle, then it runs them.
     network.run(120)
     assert network.schedule_report()["reason"] is None
     assert network.kernel.scheduler_stats.vector_batches > 0
 
 
 # ---------------------------------------------------------------------------
-# The live-route gate: batch when NumPy pays, step the members otherwise
+# The pipe's gate: the routes it can lay as lines
 # ---------------------------------------------------------------------------
 
 
 def test_plane_crosses_its_gate_both_ways_and_stays_identical():
-    """One row (3 live routes, below the gate) → all rows (9, above) → one
-    row again, under the default schedule and the gate as shipped: every
+    """One row per tile lane (the pipe runs it) → a second circuit from the
+    same tile lane, a multicast acknowledge fan-in (the routers walk) → the
+    multicast torn down (the pipe again), under the default schedule: every
     stage equals ``strict`` lane for lane, and the report shows that the
-    routers ran both their own programs and batched."""
+    routers both walked and were piped."""
     size = 3
-    assert size < SHIPPED_GATE <= size * size
 
-    def rows(network, which):
-        for row in which:
+    def stage(network, which):
+        centre = network.router_at((1, 1))
+        if which == "one row":
             network.attach_channel(
-                f"row{row}", (0, row), (size - 1, row), 100.0,
-                word_generator(BitFlipPattern.TYPICAL, seed=row), load=1.0,
+                "row", (0, 1), (size - 1, 1), 100.0, word_generator(BitFlipPattern.TYPICAL, seed=1), load=1.0,
             )
+            centre.tile.configure_tx(0, FlowControlConfig(window_size=2, credit_per_ack=1))
+            centre.configure(Port.EAST, 3, Port.TILE, 0)
+            network.router_at((2, 1)).configure(Port.TILE, 3, Port.WEST, 3)
+            words = word_generator(BitFlipPattern.TYPICAL, seed=2)
+            network.datapath.adopt(TileStreamDriver("centre", centre, 0, words))
+        elif which == "multicast":
+            centre.configure(Port.NORTH, 3, Port.TILE, 0)
+        else:
+            centre.deconfigure(Port.NORTH, 3)
 
     networks = {
         name: build_network("circuit", Mesh2D(size, size), frequency_hz=FREQUENCY_HZ, **params)
@@ -235,37 +245,25 @@ def test_plane_crosses_its_gate_both_ways_and_stays_identical():
     }
     default = networks["default"]
     reports = []
-    for stage in ("one row", "all rows", "one row again"):
+    for which in ("one row", "multicast", "one row again"):
         for network in networks.values():
-            if stage == "one row":
-                rows(network, [0])
-            elif stage == "all rows":
-                rows(network, range(1, size))
-            else:
-                for row in range(1, size):
-                    network.detach_channel(f"row{row}", drain_cycles=23)
+            stage(network, which)
             network.run(131)  # never a multiple of the packet length
-        assert_same(networks, _lane_state, stage)
+        assert_same(networks, _lane_state, which)
         reports.append(default.schedule_report())
 
-    below, above, below_again = reports
-    assert below["requested"] == above["requested"] == "vector"
-    assert "live-route gate" in below["reason"]
-    assert below["batched_cycles"] == 0 and below["scalar_cycles"] > 0
-    # The gate's input reads off the report, not out of the reason string.
-    assert [r["live_routes"] for r in reports] == [size, size * size, size]
-    assert above["reason"] is None
-    assert above["batched_cycles"] > 100
-    assert "live-route gate" in below_again["reason"]
-    # Back below the gate the kernel runs the routers again: only the
-    # teardown drains were still batched.
-    assert below_again["scalar_cycles"] > above["scalar_cycles"] + 100
-    assert below_again["batched_cycles"] <= above["batched_cycles"] + (size - 1) * 23
+    piped, walked, piped_again = reports
+    assert piped["requested"] == walked["requested"] == "vector"
+    assert piped["reason"] is None and piped["batched_cycles"] == 130 and piped["scalar_cycles"] == 1
+    assert "multicast" in walked["reason"]
+    assert walked["batched_cycles"] == 130 and walked["scalar_cycles"] == 132
+    assert piped_again["reason"] is None
+    assert piped_again["batched_cycles"] == 260 and piped_again["scalar_cycles"] == 133
 
 
 def test_idle_fabric_parks_without_batching():
-    """No live route: the datapath parks every router after the first cycle
-    and the kernel leaps the rest — nothing is ever compiled."""
+    """No live route: the datapath parks every router after the first cycle,
+    lays no line and the kernel leaps the rest."""
     network = build_network("circuit", Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ)
     strict = build_network("circuit", Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ, schedule="strict")
     assert network.schedule_report()["live_routes"] is None  # not counted yet
@@ -273,15 +271,15 @@ def test_idle_fabric_parks_without_batching():
     strict.run(500)
     assert_same({"strict": strict, "default": network})
     report = network.schedule_report()
-    assert report["batched_cycles"] == 0 and report["scalar_cycles"] == 500
-    assert report["live_routes"] == 0
+    assert report["batched_cycles"] == 499 and report["scalar_cycles"] == 1
+    assert report["live_routes"] == 0 and not network.datapath._lines
     assert network.kernel.components == (network.datapath,)
     assert network.kernel.scheduler_stats.evaluated == 1  # cycle 0 only
     assert network.kernel.scheduler_stats.leaped_cycles == 499
 
 
 # ---------------------------------------------------------------------------
-# Converter lanes: the columns must flush back to the strict lane state
+# Converter lanes: the lines must materialise the strict lane state
 # ---------------------------------------------------------------------------
 
 PHITS_PER_PACKET = phits_per_packet()
@@ -386,31 +384,29 @@ def test_lane_columns_flush_to_the_strict_lane_state(scenario):
     """Two channels sharing a source or sink tile, drawn loads and window
     configurations: after every run() the scalar lane units under
     ``vector`` hold exactly what ``strict`` left in them."""
-    with gate_at(1):
-        vector = _check_lane_scenario(scenario)
+    vector = _check_lane_scenario(scenario)
     assert vector.kernel.scheduler_stats.vector_batches > 0
 
 
-@pytest.mark.parametrize("gate", (SHIPPED_GATE, 10**9))
+@pytest.mark.parametrize("stride", (1, 6))
 @settings(max_examples=8, deadline=None)
 @given(scenario=_lane_scenarios())
-def test_lane_state_matches_strict_on_either_side_of_the_gate(gate, scenario):
-    """The same draws with the gate as shipped (the two channels may or may
-    not reach it) and with a gate nothing reaches."""
-    with gate_at(gate):
-        _check_lane_scenario(scenario)
+def test_lane_state_matches_strict_run_in_strides(stride, scenario):
+    """The same draws, stopped every *stride* cycles up to the first stop:
+    the materialised lanes equal the walk's mid-word, mid-acknowledge and in
+    a window stall (the drawn windows of 1 and 2)."""
+    _check_lane_scenario(scenario, stride)
 
 
 @pytest.mark.parametrize("edge", LANE_EDGES)
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_lanes_entering_and_leaving_the_live_set_match_strict(edge, data):
-    """Every edge of the live set on its own draws, batching from one route."""
-    with gate_at(1):
-        _check_lane_scenario(data.draw(_lane_scenarios(edge=st.just(edge))))
+    """Every edge of the live set on its own draws."""
+    _check_lane_scenario(data.draw(_lane_scenarios(edge=st.just(edge))))
 
 
-def _check_lane_scenario(scenario):
+def _check_lane_scenario(scenario, stride=None):
     extent, channels, stops, edge = scenario
     networks = {}
     for schedule in ("strict", "vector"):
@@ -420,6 +416,8 @@ def _check_lane_scenario(scenario):
         for channel in channels:
             _flow_stream(network, **channel)
         networks[schedule] = network
+    if stride is not None:
+        _step_both(networks, f"every {stride} cycles", stops[0] // stride, cycles_per_step=stride)
     for index, stop in enumerate(stops):
         for network in networks.values():
             network.run(max(0, stop - network.kernel.cycle))
@@ -430,14 +428,14 @@ def _check_lane_scenario(scenario):
     return networks["vector"]
 
 
-def _step_both(networks, where, cycles, until=lambda strict: False):
-    """Single-step both networks, equal after every cycle, for *cycles* or
-    until *until(strict network)* holds."""
+def _step_both(networks, where, cycles, until=lambda strict: False, cycles_per_step=1):
+    """Step both networks *cycles_per_step* cycles at a time, equal after
+    every step, *cycles* times or until *until(strict network)* holds."""
     for _ in range(cycles):
         if until(networks["strict"]):
             break
         for network in networks.values():
-            network.run(1)
+            network.run(cycles_per_step)
         assert_same(networks, _lane_state, where)
 
 
@@ -458,7 +456,7 @@ def _cross_lane_edge(networks, edge, channel):
         return network.router_at(circuit.dst).converter.deserializers[sink_lane]
 
     if edge == "stray driver":
-        # Sends from a driver the datapath fires while the plane batches the cycle.
+        # Sends from a driver the datapath fires while the pipe runs the routers.
         for network in networks.values():
             router, lane = _unread_tile_lane(network, src)
             words = word_generator(BitFlipPattern.TYPICAL, seed=channel["seed"])
@@ -516,7 +514,6 @@ def _unread_stream(schedule, tx_flow, rx_flow):
     return network, circuit
 
 
-@pytest.mark.usefixtures("open_gate")
 def test_window_stall_and_resume_matches_strict():
     """The sink stops reading until the serialiser is window-stalled, then
     drains its queue: the credit returns and the stream restarts."""
@@ -543,7 +540,6 @@ def test_window_stall_and_resume_matches_strict():
     assert_same({"strict": strict, "vector": vector}, _lane_state, "after the resume")
 
 
-@pytest.mark.usefixtures("open_gate")
 def test_missized_window_overflows_at_the_strict_cycle():
     """A source window wider than the destination buffer must raise the
     window violation at the very cycle the strict schedule raises it."""
@@ -561,7 +557,6 @@ def test_missized_window_overflows_at_the_strict_cycle():
     assert overflow_cycle("vector") == overflow_cycle("strict")
 
 
-@pytest.mark.usefixtures("open_gate")
 @pytest.mark.parametrize("surgery", ("fail_link", "detach_channel", "apply_allocation"))
 def test_surgery_on_a_half_shifted_word_matches_strict(surgery):
     """Faults, teardown and reconfiguration that arrive while a word is
@@ -594,11 +589,10 @@ def test_surgery_on_a_half_shifted_word_matches_strict(surgery):
     assert_same({"strict": strict, "vector": vector}, _lane_state, f"after {surgery}")
 
 
-@pytest.mark.usefixtures("open_gate")
 def test_reconfiguration_right_after_a_read_keeps_the_owed_pulse():
     """A tile read at the last cycle of a run() leaves an acknowledge pulse
-    owed; a reconfiguration elsewhere before the next cycle sends the plane
-    through a reference cycle, which must still find that pulse."""
+    owed; a reconfiguration elsewhere before the next cycle puts the routers
+    back on the walk, which must still find that pulse."""
 
     def scenario(schedule, stop):
         network = build_network(
@@ -626,11 +620,10 @@ def test_reconfiguration_right_after_a_read_keeps_the_owed_pulse():
     assert boundaries_with_a_pulse_owed
 
 
-@pytest.mark.usefixtures("open_gate")
 def test_multicast_ors_its_acknowledges_like_strict():
     """One tile lane feeds two circuits of equal length: the source's
-    acknowledge register ORs both returning pulses (the plane's only
-    gather that is not one source per slot)."""
+    acknowledge register ORs both returning pulses, which keeps the routers
+    on the walk."""
 
     def scenario(schedule):
         network = build_network(
@@ -660,18 +653,84 @@ def test_multicast_ors_its_acknowledges_like_strict():
     vector, vector_states = scenario("vector")
     assert vector_states == strict_states
     assert len(strict_states[-1][2][0]) > 20  # credit kept returning through the OR
-    assert vector.kernel.scheduler_stats.vector_batches > 100
+    assert "multicast" in vector.schedule_report()["reason"]
+    assert vector.kernel.scheduler_stats.vector_batches == 0
 
 
-@pytest.mark.usefixtures("open_gate")
+def test_a_header_the_sink_would_not_take_walks_like_strict():
+    """A word queued straight into a serialiser with its header's valid bit
+    clear is no word the sink frames: the routers walk while it passes and
+    the pipe is laid again after it."""
+    networks = {}
+    for schedule in ("strict", "vector"):
+        network = build_network("circuit", Mesh2D(3, 2), frequency_hz=FREQUENCY_HZ, schedule=schedule)
+        allocation = _circuit(network, "a", (0, 0), (2, 1), FlowControlConfig(window_size=8, credit_per_ack=1))
+        network.add_stream("a", allocation, word_generator(BitFlipPattern.TYPICAL, seed=3), load=0.6)
+        network.run(33)
+        router = network.router_at((0, 0))
+        serializer = router.converter.serializers[allocation.circuits[0].source_tile_lane]
+        serializer.submit(LanePacket(0x5A5F, LaneHeader(valid=False, sob=True)))
+        router.converter.mark_hook()
+        networks[schedule] = network
+    for stop in (37, 41, 50, 90, 200):
+        for network in networks.values():
+            network.run(stop - network.kernel.cycle)
+        assert_same(networks, _lane_state, f"cycle {stop}")
+    report = networks["vector"].schedule_report()
+    assert report["reason"] is None and 3 < report["scalar_cycles"] < 60
+
+
+def test_a_fault_on_a_bench_link_walks_like_strict():
+    """A single-router bench whose driver's and consumer's wires die between
+    two cycles: the pipe hands the routers to the walk, which sees every
+    swallowed phit."""
+
+    def bench(schedule):
+        router = CircuitSwitchedRouter("dut")
+        links = {port: (LaneLink(f"rx_{port.short_name}"), LaneLink(f"tx_{port.short_name}"))
+                 for port in NEIGHBOR_PORTS}
+        for port, (rx, tx) in links.items():
+            router.attach_link(port, rx, tx)
+        router.configure(Port.EAST, 0, Port.WEST, 0)
+        router.configure(Port.SOUTH, 0, Port.NORTH, 0)
+        datapath = LaneDatapath("dut_datapath", [router])
+        endpoints = [
+            LaneStreamDriver("west", links[Port.WEST][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=1)),
+            LaneStreamConsumer("east", links[Port.EAST][1], 0),
+            LaneStreamDriver("north", links[Port.NORTH][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=2)),
+            LaneStreamConsumer("south", links[Port.SOUTH][1], 0),
+        ]
+        for endpoint in endpoints:
+            datapath.adopt(endpoint)
+        kernel = SimulationKernel(FREQUENCY_HZ, schedule=schedule)
+        kernel.add(datapath)
+        return router, links, kernel, endpoints
+
+    def state(router, links, _kernel, endpoints):
+        wires = [(list(link.forward), list(link.ack), link.dropped) for pair in links.values() for link in pair]
+        return (router.activity.as_dict(), list(router.crossbar.committed_data), wires,
+                [list(getattr(endpoint, "received", ())) for endpoint in endpoints],
+                [endpoint.activity.as_dict() for endpoint in endpoints])
+
+    benches = [bench(schedule) for schedule in ("strict", "vector")]
+    for cycle in range(240):
+        for router, links, kernel, _endpoints in benches:
+            if cycle == 97:
+                links[Port.WEST][0].fail()
+            elif cycle == 161:
+                links[Port.SOUTH][1].fail()
+            kernel.step()
+        assert state(*benches[0]) == state(*benches[1]), f"diverged in cycle {cycle}"
+    assert "crosses the dead wire" in benches[1][0].datapath.pipe_reason()
+
+
 @pytest.mark.parametrize(
-    "lane_width, data_width, batched",
-    [(4, 16, True), (6, 16, True), (8, 32, True), (4, 64, False)],
+    "lane_width, data_width, piped",
+    [(4, 16, True), (6, 16, True), (8, 32, True), (4, 64, True)],
 )
-def test_lane_geometries_match_strict_or_fall_back(lane_width, data_width, batched):
+def test_lane_geometries_match_strict_or_fall_back(lane_width, data_width, piped):
     """Wider phits (sync mask above the header nibble), padded data phits and
-    long packets stay bit-identical; a packet too wide for an int64 column
-    runs without a plane."""
+    long packets stay bit-identical, and every geometry is piped."""
     from repro.noc.network import CircuitSwitchedNoC
 
     networks = {}
@@ -691,14 +750,11 @@ def test_lane_geometries_match_strict_or_fall_back(lane_width, data_width, batch
             "a", allocation, lambda words=words: words.getrandbits(data_width), load=1.0
         )
         networks[schedule] = network
-    assert (networks["vector"].datapath.plane is not None) == batched
     for stop in (7, 58, 131):
         for network in networks.values():
             network.run(stop - network.kernel.cycle)
         assert_same(networks, _lane_state, f"cycle {stop}")
-    report = networks["vector"].schedule_report()
-    assert (report["reason"] is None) == batched
-    assert batched or "int64 column" in report["reason"]
+    assert (networks["vector"].schedule_report()["reason"] is None) == piped
 
 
 # ---------------------------------------------------------------------------
@@ -706,11 +762,11 @@ def test_lane_geometries_match_strict_or_fall_back(lane_width, data_width, batch
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("open_gate")
 @pytest.mark.parametrize("transport", ("pipe", "shm"))
 def test_sharded_vector_matches_single_process(transport):
-    """Each shard builds its own plane; boundary links take the scalar wire
-    path and the partitioned run must equal the single-process strict run."""
+    """Each shard lays its own lines; a route across the boundary keeps its
+    region on the walk, and the partitioned run must equal the
+    single-process strict run."""
 
     channels = [((0, 0), (3, 3), 100.0, 0.8), ((3, 0), (0, 3), 100.0, 0.4)]
     scenario = FabricScenario(Mesh2D(4, 4), channels, 500, (250, (1, 0), (2, 0), True), None)
@@ -784,7 +840,6 @@ class TestCorrelatedFaults:
                                       ((0, 0), (0, 1)), ((1, 0), (1, 1))])
         assert not network.dead_links  # nothing was touched
 
-    @pytest.mark.usefixtures("open_gate")
     def test_row_cut_is_quadmodal_identical(self):
         def scenario(schedule):
             network = self._loaded_network(schedule)
