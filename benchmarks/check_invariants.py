@@ -21,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-#: The workloads CI runs ``e2e`` on: saturated_vector (the plane batches),
+#: The workloads CI runs ``e2e`` on: saturated_vector (the pipe runs it),
 #: app_traffic and saturated_default (three kinds under the default schedule:
 #: timed tier / packet and GT routers at full load) and churn_storm (the
 #: control plane's workload); paper_repro runs in the e2e smoke tests.
@@ -49,10 +49,12 @@ def check_storm() -> None:
     assert any(row["recovery_cycles"] > 0 for row in campaigns), "no kind had anything to drain"
 
 
-def check_kernel() -> None:
-    """BENCH_kernel.json: strict == vector identity, speedups, the recorded rows around
-    the retired plane's gate, sharded equivalence."""
-    data = json.loads((ROOT / "BENCH_kernel.json").read_text())
+def check_kernel(data: dict | None = None) -> None:
+    """BENCH_kernel.json (or the record *data* about to replace it): strict ==
+    vector identity, speedups, the recorded rows around the retired plane's
+    gate, sharded equivalence."""
+    if data is None:
+        data = json.loads((ROOT / "BENCH_kernel.json").read_text())
     # identical_results: strict == vector on every row, no exceptions.
     assert all(r["identical_results"] for r in data["results"]), "schedule divergence"
     low = [

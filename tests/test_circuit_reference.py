@@ -16,9 +16,10 @@ they were (``_Reference*``) run in two phases under one
 :class:`two_phase.TwoPhase` component, under ``strict``.  After
 every cycle the registers, wires (forward, acknowledge, dead, dropped),
 every lane unit's state, ``activity.as_dict()`` and what every endpoint
-counted and received must be equal, and where the datapath walks under the
-default schedule (clock gating) the park answers too: the datapath parks its
-routers exactly when every reference router would (:func:`_parked`).
+counted and received must be equal, and in every cycle the datapath walks
+under the default schedule (the pipe is not running) the park answers too:
+the datapath parks its routers exactly when every reference router would
+(:func:`_parked`).
 """
 
 from __future__ import annotations
@@ -730,14 +731,20 @@ def _wire_state(link):
     return list(link.forward), list(link.ack), link.dead, link.dropped
 
 
-def _parked(schedule, cycle, routers, batched=False):
+def _piping(production) -> bool:
+    """Whether the pipe runs the routers of a production bench or network:
+    it parks every router while it runs.  Read once from the production
+    twin after each cycle and handed to both twins' :func:`_parked`."""
+    return production.datapath.pipe_reason() is None
+
+
+def _parked(schedule, cycle, routers, piping):
     """Whether the routers park after this cycle under the event *schedule*:
     the datapath walks none of them next cycle, or every reference router
     would park (its input unchanged since it evaluated and its own answer
     ``None``).  ``None`` under ``strict``, which parks no reference router,
-    and where the datapath may run its routers as the pipe (*batched*: no
-    clock gating), which parks every router while it runs."""
-    if schedule != "vector" or batched:
+    and while the production datapath is *piping*."""
+    if schedule != "vector" or piping:
         return None
     datapath = getattr(next(iter(routers)), "datapath", None)
     if datapath is not None:
@@ -745,12 +752,12 @@ def _parked(schedule, cycle, routers, batched=False):
     return all(not r._input_dirty and r.next_event_cycle(cycle) is None for r in routers)
 
 
-def _network_state(network):
+def _network_state(network, piping):
     schedule = getattr(network, "compared_schedule", network.kernel.schedule)
     return (
         {position: _router_state(router) for position, router in network.routers.items()},
         {key: _wire_state(link) for key, link in network.links.items()},
-        _parked(schedule, network.kernel.cycle, network.routers.values(), batched=not network.clock_gating),
+        _parked(schedule, network.kernel.cycle, network.routers.values(), piping),
         network.stream_statistics(),  # a word counts in the cycle it is delivered
     )
 
@@ -772,6 +779,7 @@ class TestFabricsEqualTheReference:
             lambda topology, **kw: CircuitSwitchedNoC(topology, clock_gating=clock_gating, **kw),
             lambda topology, **kw: _ReferenceCircuitNoC(topology, clock_gating=clock_gating, **kw),
             _network_state,
+            context=_piping,
         )
 
     @pytest.mark.parametrize("schedule", [None, "strict"])
@@ -781,7 +789,7 @@ class TestFabricsEqualTheReference:
         topology = Mesh2D(4, 4)
         channels = [((0, row), (3, row), 200.0, 1.0) for row in range(4)]
         scenario = FabricScenario(topology, channels, 200, (90, (1, 1), (2, 1), True), schedule)
-        scenario.run_in_lockstep(CircuitSwitchedNoC, _ReferenceCircuitNoC, _network_state)
+        scenario.run_in_lockstep(CircuitSwitchedNoC, _ReferenceCircuitNoC, _network_state, context=_piping)
 
     def test_reference_is_wired_in(self):
         network = _ReferenceCircuitNoC(Mesh2D(2, 1))
@@ -855,13 +863,14 @@ def _endpoint_state(endpoint):
 
 
 def _bench_states(benches):
-    """Every bench's state, the park answers under the first bench's schedule."""
-    schedule = benches[0][2].schedule
+    """Every bench's state, the park answers under the first bench's schedule
+    wherever its datapath walks."""
+    schedule, piping = benches[0][2].schedule, _piping(benches[0][0])
     return [
         (
             _router_state(router),
             {port: (_wire_state(rx), _wire_state(tx)) for port, (rx, tx) in links.items()},
-            _parked(schedule, kernel.cycle, [router], batched=not router.clock_gating),
+            _parked(schedule, kernel.cycle, [router], piping),
             [_endpoint_state(endpoint) for endpoint in endpoints],
         )
         for router, links, kernel, endpoints in benches
