@@ -189,6 +189,21 @@ MUTANTS = (
         "",
         ("tests/test_vector_plane.py::test_sync_flush_makes_scalar_state_observable",),
     ),
+    Mutant(
+        "pipe-walkers-skip-events",  # lines laid beside walking routers never load, deliver or acknowledge
+        "src/repro/core/router.py",
+        "        if self._piping:  # beside the walkers\n"
+        "            self._pipe_events(cycle)\n",
+        "",
+        ("tests/test_vector_plane.py::test_walkers_beside_the_pipe_match_strict_at_every_stop",),
+    ),
+    Mutant(
+        "pipe-walkers-rest",  # the endpoints on a walking route rest when the pipe is laid beside it
+        "src/repro/core/router.py",
+        "            if unit not in resting and unit not in walk_units:\n",
+        "            if unit not in resting:\n",
+        ("tests/test_vector_plane.py::test_bench_endpoints_on_walking_routes_step_beside_the_pipe",),
+    ),
 )
 
 

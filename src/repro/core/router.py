@@ -44,7 +44,8 @@ toggles are read off — and replays the acknowledge pulses the same way
 along the reverse path.  A cycle then handles only its events (a load, a
 delivery, an acknowledge reaching a source, a driver's word), the kernel
 leaps the cycles between them, and at ``sync`` or before the routers walk
-again the lines write back exactly what the walk holds.  ``strict``
+again the lines write back exactly what the walk holds.  The routers a
+route the pipe cannot lay is chained to walk beside it.  ``strict``
 always walks, so every differential test compares the pipe against it.
 """
 
@@ -735,10 +736,12 @@ class LaneDatapath(FabricDatapath):
     the earliest of them, so the kernel leaps the cycles between.  ``sync``
     materialises every line; a configuration write, a relink, a fault or an
     endpoint's adoption or release materialises them and puts every router
-    back on the walk.  The routers walk instead while a route has a
-    multicast acknowledge fan-in, reads or drives a wire to the outside no
-    adopted endpoint stands behind (a shard boundary), or crosses a dead
-    wire (:meth:`pipe_reason`).
+    back on the walk.  A route with a multicast acknowledge fan-in, one
+    that reads or drives a wire to the outside no adopted endpoint stands
+    behind (a shard boundary) and one across a dead wire keep the routers
+    it joins by routes on the walk (:attr:`_walkers`, with the endpoints on
+    their routes), beside the lines of the rest; when that is every router,
+    all walk (:meth:`pipe_reason`).
 
     The stream endpoints it adopted run inside its cycle (:meth:`adopt`).
     """
@@ -779,11 +782,15 @@ class LaneDatapath(FabricDatapath):
         self._rewire()
 
     def _reset_pipe(self) -> None:
-        #: The pipe runs the routers' cycles.
+        #: The pipe runs the routers' cycles, all but :attr:`_walkers`' ones,
+        #: which walk with the endpoint units on their routes
+        #: (:attr:`_walk_units`).
         self._piping = False
+        self._walkers: Dict[CircuitSwitchedRouter, None] = {}
+        self._walk_units: Dict[object, None] = {}
         #: Lay the lines at the end of the next commit.
         self._pipe_check = True
-        #: Why the routers walk (None while the pipe runs them).
+        #: Why routers walk (None while the pipe runs every one).
         self._pipe_reason: Optional[str] = "the pipe is laid at the end of the first cycle"
         #: The lines, each lane unit's, the events ``(cycle, kind, number,
         #: line)`` and what a mark, a tile write or a driver's word dirtied.
@@ -832,7 +839,7 @@ class LaneDatapath(FabricDatapath):
     def _stir(self, unit) -> None:
         # A link endpoint's driver emitted: under the pipe its source may
         # load.  A fault on its wire puts the routers back on the walk.
-        if not self._piping:
+        if not self._piping or unit in self._walk_units:
             self._resting.pop(unit, None)
         elif unit.link.dead:
             self._pipe_release()
@@ -850,7 +857,7 @@ class LaneDatapath(FabricDatapath):
         """An input of *router* changed: it walks from the first cycle that
         can see the change, its idle cycles booked up to there (under the
         pipe, its tile lanes are looked at in the next cycle)."""
-        if self._piping:
+        if self._piping and router not in self._walkers:
             self._pipe_dirty[router] = None
             return
         active = self._next
@@ -889,7 +896,7 @@ class LaneDatapath(FabricDatapath):
     # -- simulation ------------------------------------------------------------------------
 
     def commit(self, cycle: int) -> None:
-        if self._piping:
+        if self._piping and not self._walkers:
             self._pipe_commit(cycle)
             return
         # Before the walk: the early drivers, then every walking router samples.
@@ -981,6 +988,8 @@ class LaneDatapath(FabricDatapath):
                     self._parked[router] = cycle + 1
         if sweeps:
             self._sweeps = {}
+        if self._piping:  # beside the walkers
+            self._pipe_events(cycle)
         if self._units_after:
             self._turn(self._units_after, cycle)
         if self._drain_after:
@@ -988,6 +997,8 @@ class LaneDatapath(FabricDatapath):
                 sink.drain()
             self._drain_after.clear()
         if self._pipe_check:
+            if self._piping:
+                self._pipe_release(cycle + 1)
             self._lay_pipe(cycle + 1)
 
     def frozen(self, router: CircuitSwitchedRouter) -> bool:
@@ -1088,6 +1099,18 @@ class LaneDatapath(FabricDatapath):
             for sink in self._drain_before:
                 sink.drain()
             self._drain_before.clear()
+        self._pipe_events(cycle)
+        if self._drain_after:
+            for sink in self._drain_after:
+                sink.drain()
+            self._drain_after.clear()
+        if self._pipe_check:
+            # A word the sink would not take: the walk from the next cycle.
+            self._pipe_release(cycle + 1)
+            self._lay_pipe(cycle + 1)
+
+    def _pipe_events(self, cycle: int) -> None:
+        """The pipe's part of a cycle: the marks since the last one, then the events due."""
         if self._pipe_dirty:
             self._pipe_stir(cycle)
         agenda = self._agenda
@@ -1109,14 +1132,6 @@ class LaneDatapath(FabricDatapath):
                     while (word := dst.receive()) is not None:
                         received.append(word)
                     line.take_pulses(cycle + 1)
-        if self._drain_after:
-            for sink in self._drain_after:
-                sink.drain()
-            self._drain_after.clear()
-        if self._pipe_check:
-            # A word the sink would not take: the walk from the next cycle.
-            self._pipe_release(cycle + 1)
-            self._lay_pipe(cycle + 1)
 
     def _pipe_stir(self, cycle: int) -> None:
         """Look at what the marks since the last cycle dirtied: a tile lane may
@@ -1157,50 +1172,114 @@ class LaneDatapath(FabricDatapath):
 
     def _lay_pipe(self, cycle: int) -> None:
         """At the end of the commit before *cycle*: lay the lines and park every
-        router, or keep why the routers walk."""
+        router but the walkers, or keep why the routers walk."""
         kernel = self._scheduler
         if kernel is None or kernel.schedule != "vector":
             self._pipe_check, self._pipe_reason = False, None
             return
-        lines, self._pipe_reason, self._pipe_check = self._lines_at(cycle)
+        lines, walkers, walk_units, self._pipe_reason, self._pipe_check = self._lines_at(cycle)
         if lines is None:
             return
         self._piping, self._piped_since = True, cycle
+        self._walkers, self._walk_units = walkers, walk_units
         self._agenda, self._sequence = [], count()
         for line in lines:
             self._start_line(line)
-        parked = self._parked
-        for router in self._next:
-            parked[router] = cycle
-        self._next.clear()
+        parked, walking = self._parked, self._next
+        for router in list(walking):
+            if router not in walkers:
+                parked[router] = cycle
+                del walking[router]
         resting, owed = self._resting, self._owed
         for unit in self._units:
-            if unit not in resting:
+            if unit not in resting and unit not in walk_units:
                 resting[unit] = None
                 owed.setdefault(unit, cycle)
 
     def _lines_at(self, cycle: int):
-        """The lines of the state after the latch of ``cycle - 1`` — or
-        ``None``, why the routers must walk and whether to look again after
-        the next cycle (a word half collected) — and ``None, False``."""
+        """The lines of the state after the latch of ``cycle - 1``, the routers
+        that walk beside them and the endpoint units on their routes, and why
+        those walk (``None`` if none do) — or ``None, None, None``, why every
+        router must walk and whether to look again after the next cycle (a
+        word half collected) — and ``False``.
+
+        Routes chained through wires join their routers into one group; a
+        route the pipe cannot lay keeps its group on the walk, and a group
+        that walks every router keeps them all on it."""
         routers = self.routers
         if any(router.clock_gating for router in routers):
-            return None, "clock gating keeps the routers on the walk", False
+            return None, None, None, "clock gating keeps the routers on the walk", False
         drivers, consumers = {}, {}
         for unit in self._units:
             (drivers if hasattr(unit, "serializer") else consumers)[unit.link, unit.lane] = unit
         routed: Dict[Tuple[CircuitSwitchedRouter, int], int] = {}
         outputs = set()
         for router in routers:
-            for _in_idx, outs in router.crossbar.ack_fanins():
-                if len(outs) > 1:
-                    return None, f"a multicast acknowledge fan-in at router {router.name!r}", False
             for out_idx, src_idx in router.crossbar.active_routes():
                 routed[router, src_idx] = out_idx
                 outputs.add((router, out_idx))
         self.live_routes = len(routed)
+        # The groups (a union-find over the routers), the refused routes'
+        # routers and the bench endpoints each route reads or drives.
+        group = {router: router for router in routers}
+
+        def root(router):
+            while group[router] is not router:
+                group[router] = router = group[group[router]]
+            return router
+
+        refused: Dict[CircuitSwitchedRouter, str] = {}
+        units_of: Dict[CircuitSwitchedRouter, list] = {}
+        for router in routers:
+            for _in_idx, outs in router.crossbar.ack_fanins():
+                if len(outs) > 1:
+                    refused.setdefault(router, f"a multicast acknowledge fan-in at router {router.name!r}")
+            lanes = router.lanes_per_port
+            for out_idx, src_idx in router.crossbar.active_routes():
+                port, lane = divmod(src_idx, lanes)
+                rx = router._rx_by_port[port] if port else None
+                if rx is not None:
+                    writer = self._writer.get(rx)
+                    if rx.dead:
+                        refused.setdefault(router, f"a route at router {router.name!r} crosses the dead wire {rx.name!r}")
+                    elif writer is not None:
+                        if (writer[0], writer[1] * lanes + lane) in outputs:
+                            group[root(router)] = root(writer[0])
+                    elif (rx, lane) in drivers:
+                        units_of.setdefault(router, []).append(drivers[rx, lane])
+                    else:
+                        refused.setdefault(
+                            router, f"a route at router {router.name!r} reads {rx.name!r}, which no adopted driver drives"
+                        )
+                port, lane = divmod(out_idx, lanes)
+                tx = router._tx_by_port[port] if port else None
+                if tx is not None:
+                    if tx.dead:
+                        refused.setdefault(router, f"a route at router {router.name!r} crosses the dead wire {tx.name!r}")
+                    elif tx in self._reader:
+                        pass
+                    elif (tx, lane) in consumers:
+                        units_of.setdefault(router, []).append(consumers[tx, lane])
+                    else:
+                        refused.setdefault(
+                            router, f"router {router.name!r} drives {tx.name!r}, which no adopted consumer reads"
+                        )
+        walkers: Dict[CircuitSwitchedRouter, None] = {}
+        walk_units: Dict[object, None] = {}
+        reason = None
+        if refused:
+            reason = next(iter(refused.values()))
+            stopped = {root(router) for router in refused}
+            walkers = {router: None for router in routers if root(router) in stopped}
+            if len(walkers) == len(routers):
+                return None, None, None, reason, False
+            for router in walkers:
+                walk_units.update(dict.fromkeys(units_of.get(router, ())))
+            reason = f"{len(walkers)} of {len(routers)} routers walk: {reason}"
         lines, hops_laid, used = [], 0, set()
         for (router, src_idx), out_idx in routed.items():
+            if router in walkers:
+                continue
             lanes = router.lanes_per_port
             port, lane = divmod(src_idx, lanes)
             src = s_wire = None
@@ -1210,17 +1289,12 @@ class LaneDatapath(FabricDatapath):
             else:
                 rx = router._rx_by_port[port]
                 if rx is not None:
-                    if rx.dead:
-                        return None, f"a route at router {router.name!r} crosses the dead wire {rx.name!r}", False
                     writer = self._writer.get(rx)
                     if writer is not None:
                         if (writer[0], writer[1] * lanes + lane) in outputs:
                             continue  # not the head of its line
                     else:
-                        driver = drivers.get((rx, lane))
-                        if driver is None:
-                            reason = f"a route at router {router.name!r} reads {rx.name!r}"
-                            return None, reason + ", which no adopted driver drives", False
+                        driver = drivers[rx, lane]
                         src, s_wire, s_late = driver.serializer, (rx, lane), driver in self._units_before
                         used.add(driver)
             hops = [(router, out_idx, src_idx)]
@@ -1234,14 +1308,9 @@ class LaneDatapath(FabricDatapath):
                 tx = hop_router._tx_by_port[port]
                 if tx is None:
                     break
-                if tx.dead:
-                    return None, f"a route at router {hop_router.name!r} crosses the dead wire {tx.name!r}", False
                 reader = self._reader.get(tx)
                 if reader is None:
-                    consumer = consumers.get((tx, lane))
-                    if consumer is None:
-                        reason = f"router {hop_router.name!r} drives {tx.name!r}, which no adopted consumer reads"
-                        return None, reason, False
+                    consumer = consumers[tx, lane]
                     used.add(consumer)
                     dst, d_wire = consumer.deserializer, (tx, lane)
                     break
@@ -1255,11 +1324,13 @@ class LaneDatapath(FabricDatapath):
                 cycle, self._geometry(router), src, hops, dst, s_wire=s_wire, d_wire=d_wire, consumer=consumer,
                 s_late=s_late, d_late=consumer is not None and consumer in self._units_before,
             ))
-        if hops_laid < len(routed):
-            return None, "a ring of routes feeds itself", False
+        if hops_laid < sum(1 for router, _src_idx in routed if router not in walkers):
+            return None, None, None, "a ring of routes feeds itself", False
         # The tile lanes off every route that hold state.
         laid = {line.src for line in lines} | {line.dst for line in lines}
         for router in routers:
+            if router in walkers:
+                continue
             geometry = self._geometry(router)
             for serializer, deserializer in zip(router.converter.serializers, router.converter.deserializers):
                 if serializer not in laid and not serializer.quiescent:
@@ -1267,12 +1338,12 @@ class LaneDatapath(FabricDatapath):
                 if deserializer not in laid and not deserializer.quiescent:
                     lines.append(_Line(cycle, geometry, None, (), deserializer))
         for unit in self._units:
-            if unit in used:
+            if unit in used or unit in walk_units:
                 continue
             if (unit.link, unit.lane) in drivers and (unit.link, unit.lane) in consumers:
-                return None, f"{unit.link.name!r} joins a driver to a consumer with no route between", False
+                return None, None, None, f"{unit.link.name!r} joins a driver to a consumer with no route between", False
             if unit.link.dead:
-                return None, f"{unit.name!r} drives or reads the dead wire {unit.link.name!r}", False
+                return None, None, None, f"{unit.name!r} drives or reads the dead wire {unit.link.name!r}", False
             late, wire = unit in self._units_before, (unit.link, unit.lane)
             if hasattr(unit, "serializer"):
                 geometry = (unit.link.lane_width, unit.serializer.phits_per_packet)
@@ -1285,8 +1356,9 @@ class LaneDatapath(FabricDatapath):
                 ))
         for line in lines:
             if line.misaligned:
-                return None, f"a half-collected word waits at {line.dst!r} for phits not yet sent", True
-        return lines, None, False
+                reason = f"a half-collected word waits at {line.dst!r} for phits not yet sent"
+                return None, None, None, reason, True
+        return lines, walkers, walk_units, reason, False
 
     def _pipe_sync(self, cycle: int) -> None:
         """Materialise every line at *cycle* and count the piped cycles."""
@@ -1295,7 +1367,7 @@ class LaneDatapath(FabricDatapath):
         if cycle > self._piped_since:
             stats = self._scheduler.scheduler_stats
             stats.vector_batches += cycle - self._piped_since
-            stats.vector_components += (cycle - self._piped_since) * len(self.routers)
+            stats.vector_components += (cycle - self._piped_since) * (len(self.routers) - len(self._walkers))
             self._piped += cycle - self._piped_since
             self._piped_since = cycle
 
@@ -1304,7 +1376,7 @@ class LaneDatapath(FabricDatapath):
         line materialised, every router back on the walk and every endpoint
         unit stepping from the next cycle."""
         self._pipe_sync(self._cycle() if cycle is None else cycle)
-        self._piping = False
+        self._piping, self._walkers, self._walk_units = False, {}, {}
         self._lines, self._line_of, self._agenda, self._pipe_dirty = [], {}, [], {}
         self._pipe_check = True
         self._pipe_reason = "the pipe is laid again at the end of the next cycle"
@@ -1317,14 +1389,21 @@ class LaneDatapath(FabricDatapath):
 
     @property
     def scalar_cycles(self) -> int:
-        """Simulated cycles the routers walked (slept-through ones included),
-        not run by the pipe."""
+        """Simulated cycles every router walked (slept-through ones included),
+        the pipe running none of them."""
         kernel = self._scheduler
         if kernel is None:
             return 0
         piped = self._piped + (kernel.cycle - self._piped_since if self._piping else 0)
         return kernel.cycle - piped
 
+    @property
+    def piping(self) -> bool:
+        """Whether the pipe runs some or all of the routers right now."""
+        return self._piping
+
     def pipe_reason(self) -> Optional[str]:
-        """Why the routers walk right now (``None`` while the pipe runs them)."""
-        return None if self._piping else self._pipe_reason
+        """Why some or all of the routers walk right now (``None`` while the
+        pipe runs every one); ``"N of M routers walk: ..."`` while it runs
+        the rest."""
+        return self._pipe_reason

@@ -543,17 +543,20 @@ class NocBase:
         runs the routers right now, and why not.
 
         Under ``schedule="vector"`` ``reason`` is ``None`` while the pipe
-        runs the routers (:class:`repro.core.router.LaneDatapath`);
-        otherwise it names why they walk: the kind has no pipe, clock
+        runs every router (:class:`repro.core.router.LaneDatapath`);
+        otherwise it names why routers walk: the kind has no pipe, clock
         gating, a multicast acknowledge fan-in, a route that reads or drives
         a wire to the outside no adopted stream endpoint stands behind (a
         shard boundary), one across a dead wire, a ring of routes, a word
         half collected from phits not yet sent (looked at again every
         cycle) — or, before the first cycle, that the pipe is laid at the
-        end of it.  Under ``strict`` it is ``None`` and no pipe runs.
-        ``batched_cycles`` counts the cycles the pipe ran (leaped ones
-        included) and ``scalar_cycles`` those the routers walked, both as of
-        the last ``sync``; ``live_routes`` is the count of configured
+        end of it.  The fan-in, boundary and dead-wire reasons keep only the
+        routers chained by routes to the refused one on the walk and read
+        ``"N of M routers walk: …"`` while the pipe runs the rest.  Under
+        ``strict`` it is ``None`` and no pipe runs.  ``batched_cycles``
+        counts the cycles the pipe ran, all routers or some (leaped ones
+        included), and ``scalar_cycles`` those every router walked, both as
+        of the last ``sync``; ``live_routes`` is the count of configured
         route-hops when the lines were last laid (``None`` without a pipe
         and before the first cycle).
         """

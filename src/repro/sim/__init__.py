@@ -67,12 +67,13 @@ routers back on the walk, every line writes back the registers, wires,
 shift registers, pending pulses and toggle counts the walk would hold, so
 external readers never observe the pipe.  A multicast acknowledge fan-in, a
 route that reads or drives a wire to the outside no adopted endpoint stands
-behind (a shard boundary), a route across a dead wire and clock gating keep
-the routers on the walk; the GT and packet datapaths (one kernel component
-per fabric on the :mod:`repro.sim.datapath` skeleton, like the circuit one,
-each running the fabric's stream endpoints itself) have no pipe;
-``network.schedule_report()`` names the requested schedule and why the
-routers walk right now.
+behind (a shard boundary) and a route across a dead wire keep the routers
+chained to it by routes on the walk, beside the pipe's lines through the
+rest; clock gating keeps every router on it.  The GT and packet datapaths
+(one kernel component per fabric on the :mod:`repro.sim.datapath`
+skeleton, like the circuit one, each running the fabric's stream endpoints
+itself) have no pipe; ``network.schedule_report()`` names the requested
+schedule and why routers walk right now.
 
 Bit-identity with ``strict`` (``network.snapshot()``) is asserted by
 ``tests/test_kernel_equivalence.py`` (drawn scenarios included),

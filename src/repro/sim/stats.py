@@ -27,11 +27,11 @@ class SchedulerStats:
 
     The circuit datapath's pipe (:class:`repro.core.router.LaneDatapath`)
     adds two counters, booked at every ``sync``: ``vector_batches`` counts
-    the cycles the pipe ran the routers (leaped ones included; cycles the
-    routers walk, the first one and those after a reconfiguration or
-    wherever the pipe cannot be laid, do not count), and
-    ``vector_components`` the router-cycles those covered.  Both stay 0
-    where no pipe runs.
+    the cycles the pipe ran routers, all or some (leaped ones included;
+    cycles every router walks, the first one and those after a
+    reconfiguration or wherever the pipe cannot be laid, do not count), and
+    ``vector_components`` the router-cycles it ran.  Both stay 0 where no
+    pipe runs.
 
     Sharded runs (:mod:`repro.sim.shard`) add four transport counters,
     all 0 on a single-process kernel: ``frames_sent`` counts boundary

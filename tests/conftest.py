@@ -160,16 +160,11 @@ class FabricScenario:
                 network.kernel.step()
             yield cycle
 
-    def run_in_lockstep(
-        self, build: Callable, reference_build: Callable, snapshot: Callable, context: Optional[Callable] = None
-    ) -> None:
-        """Step a network and its reference twin, comparing *snapshot* every
-        cycle: ``snapshot(network)``, or with *context*
-        ``snapshot(network, context(production))``, both twins read alike."""
+    def run_in_lockstep(self, build: Callable, reference_build: Callable, snapshot: Callable) -> None:
+        """Step a network and its reference twin, comparing *snapshot* every cycle."""
         networks = [self.build(factory) for factory in (build, reference_build)]
         for cycle in self.steps(networks):
-            extra = () if context is None else (context(networks[0]),)
-            assert snapshot(networks[0], *extra) == snapshot(networks[1], *extra), f"diverged in cycle {cycle}"
+            assert snapshot(networks[0]) == snapshot(networks[1]), f"diverged in cycle {cycle}"
         stats = [(n.stream_statistics(), n.fault_drops()) for n in networks]
         assert stats[0] == stats[1]
 

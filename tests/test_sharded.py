@@ -139,11 +139,13 @@ def test_sharded_scheduler_stats_merge_across_shards():
     merged = network.stats
     assert merged.evaluated > 0
     assert network.kernel.cycle == 200
-    # Each 4×1 region holds a few hops of the one circuit, which crosses the
-    # boundary: both regions walk, and the merged report says why.
+    # Each 2×2 region holds a few hops of the one circuit, which crosses the
+    # boundary: in both regions the routers on it walk beside the piped rest
+    # from the second cycle on, and the merged report says why.
     report = network.schedule_report()
     assert report["requested"] == "vector" and "no adopted driver" in report["reason"]
-    assert report["batched_cycles"] == 0 < report["scalar_cycles"]
+    assert "3 of 4 routers walk" in report["reason"] and "2 of 4 routers walk" in report["reason"]
+    assert report["batched_cycles"] == 398 and report["scalar_cycles"] == 2
     assert report["live_routes"] == 5  # the circuit's hops, summed over both regions
     network.close()
 

@@ -42,7 +42,7 @@ from repro.noc.topology import Mesh2D
 from repro.sim.engine import SimulationKernel
 
 from conftest import FabricScenario, drawn, fabric_scenarios
-from oracle import SCHEDULES, assert_identical, assert_same, ran
+from oracle import SCHEDULES, assert_identical, assert_same, materialised, ran
 
 FREQUENCY_HZ = 100e6
 
@@ -158,9 +158,10 @@ def test_reconfiguration_invalidates_compiled_gather():
 
 def test_live_fault_desyncs_and_recompiles_the_plane():
     """A live fault between two runs finds the wires materialised (exact
-    in-flight drop counts) and puts the routers back on the walk while a
-    route crosses the dead bundle; once the circuit across it is torn down
-    the pipe is laid again."""
+    in-flight drop counts) and puts the routers of the row whose circuit
+    crosses the dead bundle back on the walk, the other rows still piped;
+    once that circuit is torn down the pipe runs every router again."""
+    faulted = {}
 
     def scenario(schedule):
         network = _full_load_circuit(schedule)
@@ -168,15 +169,56 @@ def test_live_fault_desyncs_and_recompiles_the_plane():
         network.fail_link((1, 1), (2, 1))
         network.refresh_routing(network.degraded_topology())
         network.run(100)
+        faulted[schedule] = network.schedule_report()
         network.remove_allocation(network.streams["row1"].allocation)
         return ran(network, 100)
 
     # The dead bundle swallowed the identical in-flight payload.
     vector = assert_identical(scenario, VECTOR)["vector"]
     assert vector.fault_drops() > 0
+    reason = faulted["vector"]["reason"]
+    assert reason.startswith("4 of 16 routers walk: ") and "crosses the dead wire" in reason
     report = vector.schedule_report()
     assert report["reason"] is None
-    assert 100 < report["scalar_cycles"] < 110 and report["batched_cycles"] > 280
+    assert report["scalar_cycles"] < 5 and report["batched_cycles"] > 390
+
+
+def test_walkers_beside_the_pipe_match_strict_at_every_stop():
+    """Full-load rows on a 4×4 mesh; a multicast on one row keeps its four
+    routers on the walk, then a dead wire under another row's circuit keeps
+    that row's four on it too, while the pipe runs the other rows.  Stopped
+    after windows that end mid-word and mid-acknowledge, every register,
+    wire and lane unit equals ``strict`` at every stop."""
+    reports = []
+
+    def scenario(schedule):
+        network = _full_load_circuit(schedule)
+        network.oracle_stops = stops = []
+        windows = iter([7, 13, 1, 29, 5, 41, 3, 17, 11, 23] * 5)
+
+        def run_to(end):
+            while network.kernel.cycle < end:
+                network.run(min(next(windows), end - network.kernel.cycle))
+                stops.append(materialised(network))
+
+        run_to(60)
+        router = network.router_at((1, 2))
+        _out_idx, src_idx = next(iter(router.crossbar.active_routes()))
+        port, lane = divmod(src_idx, router.lanes_per_port)
+        router.configure(Port.NORTH, 3, Port(port), lane)
+        run_to(150)
+        reports.append(network.schedule_report())
+        network.fail_link((1, 1), (2, 1))
+        run_to(260)
+        reports.append(network.schedule_report())
+        return network
+
+    vector = assert_identical(scenario, VECTOR)["vector"]
+    multicast, faulted = reports[2:]  # the vector run's
+    assert multicast["reason"].startswith("4 of 16 routers walk: a multicast")
+    assert faulted["reason"].startswith("8 of 16 routers walk: ")
+    assert vector.fault_drops() > 0
+    assert faulted["batched_cycles"] > 250 and faulted["scalar_cycles"] < 5
 
 
 def test_sync_flush_makes_scalar_state_observable():
@@ -217,10 +259,10 @@ def test_kernel_reset_resets_the_plane():
 
 def test_plane_crosses_its_gate_both_ways_and_stays_identical():
     """One row per tile lane (the pipe runs it) → a second circuit from the
-    same tile lane, a multicast acknowledge fan-in (the routers walk) → the
-    multicast torn down (the pipe again), under the default schedule: every
-    stage equals ``strict`` lane for lane, and the report shows that the
-    routers both walked and were piped."""
+    same tile lane, a multicast acknowledge fan-in (its row walks, the pipe
+    runs the rest) → the multicast torn down (the pipe runs every router
+    again), under the default schedule: every stage equals ``strict`` lane
+    for lane, and the report shows which routers walked and were piped."""
     size = 3
 
     def stage(network, which):
@@ -255,10 +297,11 @@ def test_plane_crosses_its_gate_both_ways_and_stays_identical():
     piped, walked, piped_again = reports
     assert piped["requested"] == walked["requested"] == "vector"
     assert piped["reason"] is None and piped["batched_cycles"] == 130 and piped["scalar_cycles"] == 1
-    assert "multicast" in walked["reason"]
-    assert walked["batched_cycles"] == 130 and walked["scalar_cycles"] == 132
+    # Each write puts every router on the walk for one cycle.
+    assert walked["reason"].startswith("3 of 9 routers walk: a multicast")
+    assert walked["batched_cycles"] == 260 and walked["scalar_cycles"] == 2
     assert piped_again["reason"] is None
-    assert piped_again["batched_cycles"] == 260 and piped_again["scalar_cycles"] == 133
+    assert piped_again["batched_cycles"] == 390 and piped_again["scalar_cycles"] == 3
 
 
 def test_idle_fabric_parks_without_batching():
@@ -653,8 +696,10 @@ def test_multicast_ors_its_acknowledges_like_strict():
     vector, vector_states = scenario("vector")
     assert vector_states == strict_states
     assert len(strict_states[-1][2][0]) > 20  # credit kept returning through the OR
-    assert "multicast" in vector.schedule_report()["reason"]
-    assert vector.kernel.scheduler_stats.vector_batches == 0
+    # The row of the multicast walks; the pipe runs the other six routers.
+    assert vector.schedule_report()["reason"].startswith("3 of 9 routers walk: a multicast")
+    stats = vector.kernel.scheduler_stats
+    assert stats.vector_components == 6 * stats.vector_batches > 0
 
 
 def test_a_header_the_sink_would_not_take_walks_like_strict():
@@ -722,6 +767,61 @@ def test_a_fault_on_a_bench_link_walks_like_strict():
             kernel.step()
         assert state(*benches[0]) == state(*benches[1]), f"diverged in cycle {cycle}"
     assert "crosses the dead wire" in benches[1][0].datapath.pipe_reason()
+
+
+def test_bench_endpoints_on_walking_routes_step_beside_the_pipe():
+    """One datapath, two unlinked routers with link endpoints: the first
+    multicasts its driver's lane to two consumers (it walks, its endpoints
+    step), the second carries a plain route (the pipe runs it), cut and
+    restored mid-word, which lays the pipe again each time.  Every cycle
+    equals ``strict``."""
+
+    def bench(schedule):
+        routers = [CircuitSwitchedRouter(f"dut{index}") for index in range(2)]
+        links = {}
+        for router in routers:
+            for port in NEIGHBOR_PORTS:
+                links[router, port] = (LaneLink(f"{router.name}_rx_{port.short_name}"),
+                                       LaneLink(f"{router.name}_tx_{port.short_name}"))
+                router.attach_link(port, *links[router, port])
+        multicast, plain = routers
+        multicast.configure(Port.EAST, 0, Port.WEST, 0)
+        multicast.configure(Port.SOUTH, 0, Port.WEST, 0)
+        plain.configure(Port.EAST, 0, Port.WEST, 0)
+        datapath = LaneDatapath("dut_datapath", routers)
+        endpoints = [
+            LaneStreamDriver("m_in", links[multicast, Port.WEST][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=1)),
+            LaneStreamConsumer("m_east", links[multicast, Port.EAST][1], 0),
+            LaneStreamConsumer("m_south", links[multicast, Port.SOUTH][1], 0),
+            LaneStreamDriver("p_in", links[plain, Port.WEST][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=2),
+                             load=0.6),
+            LaneStreamConsumer("p_east", links[plain, Port.EAST][1], 0),
+        ]
+        for endpoint in endpoints:
+            datapath.adopt(endpoint)
+        kernel = SimulationKernel(FREQUENCY_HZ, schedule=schedule)
+        kernel.add(datapath)
+        return routers, links, kernel, endpoints
+
+    def state(routers, links, _kernel, endpoints):
+        wires = [(list(link.forward), list(link.ack)) for pair in links.values() for link in pair]
+        return ([(router.activity.as_dict(), list(router.crossbar.committed_data)) for router in routers], wires,
+                [list(getattr(endpoint, "received", ())) for endpoint in endpoints],
+                [endpoint.activity.as_dict() for endpoint in endpoints])
+
+    benches = [bench(schedule) for schedule in ("strict", "vector")]
+    for cycle in range(200):
+        for routers, _links, kernel, _endpoints in benches:
+            if cycle in (77, 163):
+                routers[1].deconfigure(Port.EAST, 0)
+            elif cycle == 131:
+                routers[1].configure(Port.EAST, 0, Port.WEST, 0)
+            kernel.step()
+        assert state(*benches[0]) == state(*benches[1]), f"diverged in cycle {cycle}"
+    datapath = benches[1][0][0].datapath
+    assert datapath.piping and datapath.pipe_reason().startswith("1 of 2 routers walk: a multicast")
+    received = [len(endpoint.received) for endpoint in benches[1][3] if hasattr(endpoint, "received")]
+    assert min(received) > 10
 
 
 @pytest.mark.parametrize(
