@@ -740,7 +740,7 @@ class LaneDatapath(FabricDatapath):
     that reads or drives a wire to the outside no adopted endpoint stands
     behind (a shard boundary) and one across a dead wire keep the routers
     it joins by routes on the walk (:attr:`_walkers`, with the endpoints on
-    their routes), beside the lines of the rest; when that is every router,
+    their wires), beside the lines of the rest; when that is every router,
     all walk (:meth:`pipe_reason`).
 
     The stream endpoints it adopted run inside its cycle (:meth:`adopt`).
@@ -783,7 +783,7 @@ class LaneDatapath(FabricDatapath):
 
     def _reset_pipe(self) -> None:
         #: The pipe runs the routers' cycles, all but :attr:`_walkers`' ones,
-        #: which walk with the endpoint units on their routes
+        #: which walk with the endpoint units on their wires
         #: (:attr:`_walk_units`).
         self._piping = False
         self._walkers: Dict[CircuitSwitchedRouter, None] = {}
@@ -1198,7 +1198,7 @@ class LaneDatapath(FabricDatapath):
 
     def _lines_at(self, cycle: int):
         """The lines of the state after the latch of ``cycle - 1``, the routers
-        that walk beside them and the endpoint units on their routes, and why
+        that walk beside them and the endpoint units on their wires, and why
         those walk (``None`` if none do) — or ``None, None, None``, why every
         router must walk and whether to look again after the next cycle (a
         word half collected) — and ``False``.
@@ -1219,17 +1219,7 @@ class LaneDatapath(FabricDatapath):
                 routed[router, src_idx] = out_idx
                 outputs.add((router, out_idx))
         self.live_routes = len(routed)
-        # The groups (a union-find over the routers), the refused routes'
-        # routers and the bench endpoints each route reads or drives.
-        group = {router: router for router in routers}
-
-        def root(router):
-            while group[router] is not router:
-                group[router] = router = group[group[router]]
-            return router
-
         refused: Dict[CircuitSwitchedRouter, str] = {}
-        units_of: Dict[CircuitSwitchedRouter, list] = {}
         for router in routers:
             for _in_idx, outs in router.crossbar.ack_fanins():
                 if len(outs) > 1:
@@ -1239,15 +1229,9 @@ class LaneDatapath(FabricDatapath):
                 port, lane = divmod(src_idx, lanes)
                 rx = router._rx_by_port[port] if port else None
                 if rx is not None:
-                    writer = self._writer.get(rx)
                     if rx.dead:
                         refused.setdefault(router, f"a route at router {router.name!r} crosses the dead wire {rx.name!r}")
-                    elif writer is not None:
-                        if (writer[0], writer[1] * lanes + lane) in outputs:
-                            group[root(router)] = root(writer[0])
-                    elif (rx, lane) in drivers:
-                        units_of.setdefault(router, []).append(drivers[rx, lane])
-                    else:
+                    elif rx not in self._writer and (rx, lane) not in drivers:
                         refused.setdefault(
                             router, f"a route at router {router.name!r} reads {rx.name!r}, which no adopted driver drives"
                         )
@@ -1256,11 +1240,7 @@ class LaneDatapath(FabricDatapath):
                 if tx is not None:
                     if tx.dead:
                         refused.setdefault(router, f"a route at router {router.name!r} crosses the dead wire {tx.name!r}")
-                    elif tx in self._reader:
-                        pass
-                    elif (tx, lane) in consumers:
-                        units_of.setdefault(router, []).append(consumers[tx, lane])
-                    else:
+                    elif tx not in self._reader and (tx, lane) not in consumers:
                         refused.setdefault(
                             router, f"router {router.name!r} drives {tx.name!r}, which no adopted consumer reads"
                         )
@@ -1268,13 +1248,10 @@ class LaneDatapath(FabricDatapath):
         walk_units: Dict[object, None] = {}
         reason = None
         if refused:
+            walkers = self._chained(refused, outputs)
             reason = next(iter(refused.values()))
-            stopped = {root(router) for router in refused}
-            walkers = {router: None for router in routers if root(router) in stopped}
             if len(walkers) == len(routers):
                 return None, None, None, reason, False
-            for router in walkers:
-                walk_units.update(dict.fromkeys(units_of.get(router, ())))
             reason = f"{len(walkers)} of {len(routers)} routers walk: {reason}"
         lines, hops_laid, used = [], 0, set()
         for (router, src_idx), out_idx in routed.items():
@@ -1338,7 +1315,10 @@ class LaneDatapath(FabricDatapath):
                 if deserializer not in laid and not deserializer.quiescent:
                     lines.append(_Line(cycle, geometry, None, (), deserializer))
         for unit in self._units:
-            if unit in used or unit in walk_units:
+            if unit in used:
+                continue
+            if (self._reader if hasattr(unit, "serializer") else self._writer).get(unit.link, (None,))[0] in walkers:
+                walk_units[unit] = None  # it steps with the router on its wire
                 continue
             if (unit.link, unit.lane) in drivers and (unit.link, unit.lane) in consumers:
                 return None, None, None, f"{unit.link.name!r} joins a driver to a consumer with no route between", False
@@ -1359,6 +1339,27 @@ class LaneDatapath(FabricDatapath):
                 reason = f"a half-collected word waits at {line.dst!r} for phits not yet sent"
                 return None, None, None, reason, True
         return lines, walkers, walk_units, reason, False
+
+    def _chained(self, routers, outputs) -> Dict[CircuitSwitchedRouter, None]:
+        """*routers* and every router chained to one of them by routes: a
+        route that reads a wire whose writer routes to it joins the two."""
+        links: Dict[CircuitSwitchedRouter, list] = {}
+        for router in self.routers:
+            lanes = router.lanes_per_port
+            for _out_idx, src_idx in router.crossbar.active_routes():
+                port, lane = divmod(src_idx, lanes)
+                rx = router._rx_by_port[port] if port else None
+                writer = self._writer.get(rx) if rx is not None and not rx.dead else None
+                if writer is not None and (writer[0], writer[1] * lanes + lane) in outputs:
+                    links.setdefault(router, []).append(writer[0])
+                    links.setdefault(writer[0], []).append(router)
+        chained, todo = dict.fromkeys(routers), list(routers)
+        while todo:
+            for other in links.get(todo.pop(), ()):
+                if other not in chained:
+                    chained[other] = None
+                    todo.append(other)
+        return chained
 
     def _pipe_sync(self, cycle: int) -> None:
         """Materialise every line at *cycle* and count the piped cycles."""

@@ -7,10 +7,11 @@ delivered words, drop counts, cycle counts — and, after every ``run()``,
 its converter lanes (:func:`_lane_state`), including windows that end
 mid-word, mid-acknowledge and inside a window stall, mid-run
 reconfiguration, live faults and sharded execution.  These tests also pin
-what puts the routers back on the walk (a configuration write, a fault, a
-multicast fan-in, clock gating), what the schedule report says, and the
-correlated fault models (row cuts, power-domain region kills).  (Several
-names are from the NumPy plane the pipe replaced.)
+what puts the routers back on the walk (a configuration write, a fault,
+clock gating), which routers walk beside the pipe (a multicast fan-in, a
+dead wire, a shard boundary on their routes), what the schedule report
+says, and the correlated fault models (row cuts, power-domain region
+kills).  (Several names are from the NumPy plane the pipe replaced.)
 """
 
 from __future__ import annotations
