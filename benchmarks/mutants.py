@@ -204,6 +204,20 @@ MUTANTS = (
         "            if unit not in resting:\n",
         ("tests/test_vector_plane.py::test_bench_endpoints_on_walking_routes_step_beside_the_pipe",),
     ),
+    Mutant(
+        "pacer-due-late",  # every paced emission lands one cycle after its credit reaches a packet's worth
+        "src/repro/sim/datapath.py",
+        "        return cycle + gap - 1\n",
+        "        return cycle + gap\n",
+        ("tests/test_testbench_drivers.py::TestLoadPacer::test_full_load_emits_every_five_cycles",),
+    ),
+    Mutant(
+        "gt-link-slot-owner",  # a GT link sink credits each word to the stream owning the slot after its own
+        "src/repro/noc/gt_network.py",
+        "self.received.append(self.slot_owner[(cycle - 1) % self.slots])",
+        "self.received.append(self.slot_owner[cycle % self.slots])",
+        ("tests/test_gt_network.py::TestSingleRouterScenarios::test_table3_scenarios_deliver_on_the_gt_router",),
+    ),
 )
 
 

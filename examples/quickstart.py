@@ -30,7 +30,7 @@ import argparse
 import random
 
 from repro import CircuitSwitchedRouter, LaneDatapath, LaneLink, Port
-from repro.core.testbench import LaneStreamConsumer, TileStreamDriver
+from repro.core.testbench import CircuitLinkSink, CircuitTileDriver
 from repro.sim import SimulationKernel
 
 
@@ -48,8 +48,8 @@ def main() -> None:
 
     # 3. A traffic source on the tile interface and a consumer behind the link.
     rng = random.Random(42)
-    driver = TileStreamDriver("source", router, lane=0, word_source=lambda: rng.getrandbits(16), load=1.0)
-    consumer = LaneStreamConsumer("sink", east_tx, lane=0)
+    driver = CircuitTileDriver("source", router, lane=0, word_source=lambda: rng.getrandbits(16), load=1.0)
+    consumer = CircuitLinkSink("sink", east_tx, lane=0)
 
     # 4. Run 200 us at 25 MHz (the paper's power-experiment operating point);
     #    a one-router datapath clocks the router and runs both endpoints.

@@ -29,9 +29,9 @@ from repro.baseline.routing import RouteFunction, path_ports, route_distance, xy
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter, PacketTileInterface
 from repro.baseline.aethereal import AETHEREAL, AetherealReference
 from repro.baseline.testbench import (
-    PacketStreamConsumer,
-    PacketStreamDriver,
-    TilePacketDriver,
+    PacketLinkDriver,
+    PacketLinkSink,
+    PacketTileDriver,
 )
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
     "PacketTileInterface",
     "AETHEREAL",
     "AetherealReference",
-    "PacketStreamConsumer",
-    "PacketStreamDriver",
-    "TilePacketDriver",
+    "PacketLinkDriver",
+    "PacketLinkSink",
+    "PacketTileDriver",
 ]

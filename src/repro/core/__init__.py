@@ -36,10 +36,10 @@ from repro.core.data_converter import DataConverter, ReceivedWord, TileInterface
 from repro.core.router import CircuitSwitchedRouter, LaneDatapath
 from repro.core.clock_gating import ClockGatingEstimate, estimate_gated_offset
 from repro.core.testbench import (
-    LaneStreamConsumer,
-    LaneStreamDriver,
-    TileStreamConsumer,
-    TileStreamDriver,
+    CircuitLinkDriver,
+    CircuitLinkSink,
+    CircuitTileDriver,
+    CircuitTileSink,
 )
 
 __all__ = [
@@ -67,8 +67,8 @@ __all__ = [
     "LaneDatapath",
     "ClockGatingEstimate",
     "estimate_gated_offset",
-    "LaneStreamConsumer",
-    "LaneStreamDriver",
-    "TileStreamConsumer",
-    "TileStreamDriver",
+    "CircuitLinkDriver",
+    "CircuitLinkSink",
+    "CircuitTileDriver",
+    "CircuitTileSink",
 ]

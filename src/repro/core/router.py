@@ -724,10 +724,10 @@ class LaneDatapath(FabricDatapath):
     endpoint's adoption or release (and the first commit) lays the *lines*
     (:class:`_Line`): every configured route from a
     :class:`~repro.core.data_converter.LaneSerializer` (a tile lane's or an
-    adopted :class:`~repro.core.testbench.LaneStreamDriver`'s) through the
+    adopted :class:`~repro.core.testbench.CircuitLinkDriver`'s) through the
     routers to a :class:`~repro.core.data_converter.LaneDeserializer` (a
     tile lane's or an adopted
-    :class:`~repro.core.testbench.LaneStreamConsumer`'s), or to nowhere, and
+    :class:`~repro.core.testbench.CircuitLinkSink`'s), or to nowhere, and
     every unit off a route that holds state.  From the next cycle every
     router is parked and every endpoint unit rests; a cycle handles only
     its events — an acknowledge reaching a source, a source's shifter

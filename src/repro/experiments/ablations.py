@@ -33,7 +33,7 @@ from repro.core.clock_gating import estimate_gated_offset
 from repro.core.flow_control import FlowControlConfig
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter, LaneDatapath
-from repro.core.testbench import LaneStreamConsumer, TileStreamDriver
+from repro.core.testbench import CircuitLinkSink, CircuitTileDriver
 from repro.apps.traffic import word_generator
 from repro.energy.area import CircuitSwitchedRouterArea
 from repro.energy.synthesis import synthesize_router
@@ -131,10 +131,10 @@ def window_counter_sweep(
 
         kernel = SimulationKernel(frequency_hz)
         datapath = LaneDatapath("dut_datapath", [router])
-        driver = datapath.adopt(TileStreamDriver(
+        driver = datapath.adopt(CircuitTileDriver(
             "src", router, 0, word_generator(BitFlipPattern.TYPICAL, seed=window), load=1.0
         ))
-        consumer = datapath.adopt(LaneStreamConsumer("dst", tx, 0, flow=flow))
+        consumer = datapath.adopt(CircuitLinkSink("dst", tx, 0, flow=flow))
         kernel.add(datapath)
         kernel.run(cycles)
 

@@ -30,32 +30,16 @@ from repro.apps.kpn import ProcessGraph, TrafficClass
 from repro.apps.traffic import BitFlipPattern, Scenario, StreamSpec, scenario_by_name, word_generator
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
-from repro.baseline.testbench import (
-    PacketStreamConsumer,
-    PacketStreamDriver,
-    TilePacketDriver,
-)
+from repro.baseline.testbench import PacketLinkDriver, PacketLinkSink, PacketTileDriver
 from repro.common import NEIGHBOR_PORTS, Port, ReproError, port_offset
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter, LaneDatapath
-from repro.core.testbench import (
-    LaneStreamConsumer,
-    LaneStreamDriver,
-    TileStreamConsumer,
-    TileStreamDriver,
-)
+from repro.core.testbench import CircuitLinkDriver, CircuitLinkSink, CircuitTileDriver, CircuitTileSink
 from repro.energy.activity import ActivityCounters
 from repro.energy.power import PowerBreakdown
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.noc.fabric import NocBase, build_network, resolve_network_kind
-from repro.noc.gt_network import (
-    GtLinkStreamConsumer,
-    GtLinkStreamDriver,
-    GtStreamDriver,
-    SlotTableRouter,
-    TdmaDatapath,
-    TdmaLink,
-)
+from repro.noc.gt_network import GtLinkDriver, GtLinkSink, GtTileDriver, SlotTableRouter, TdmaDatapath, TdmaLink
 from repro.noc.mapping import Mapping
 from repro.noc.topology import Topology
 from repro.sim.engine import DEFAULT_SCHEDULE, SimulationKernel
@@ -231,15 +215,15 @@ def run_circuit_scenario(
         router.configure(stream.output_port, out_lane, stream.input_port, in_lane)
 
         if stream.enters_at_tile:
-            driver = TileStreamDriver(f"s{stream.stream_id}_src", router, in_lane, source, load)
+            driver = CircuitTileDriver(f"s{stream.stream_id}_src", router, in_lane, source, load)
         else:
-            driver = LaneStreamDriver(
+            driver = CircuitLinkDriver(
                 f"s{stream.stream_id}_src", links[stream.input_port][0], in_lane, source, load
             )
         if stream.leaves_at_tile:
-            consumer = TileStreamConsumer(f"s{stream.stream_id}_dst", router, out_lane)
+            consumer = CircuitTileSink(f"s{stream.stream_id}_dst", router, out_lane)
         else:
-            consumer = LaneStreamConsumer(
+            consumer = CircuitLinkSink(
                 f"s{stream.stream_id}_dst", links[stream.output_port][1], out_lane
             )
         drivers[stream.stream_id] = driver
@@ -281,7 +265,7 @@ def run_packet_scenario(
 
     drivers: Dict[int, object] = {}
     consumers: Dict[int, object] = {}
-    link_consumers: Dict[Port, PacketStreamConsumer] = {}
+    link_consumers: Dict[Port, PacketLinkSink] = {}
     endpoints = []
     next_vc = 0
     for stream in scenario.streams:
@@ -294,12 +278,12 @@ def run_packet_scenario(
             else _neighbor_position(position, stream.output_port)
         )
         if stream.enters_at_tile:
-            driver = TilePacketDriver(
+            driver = PacketTileDriver(
                 f"s{stream.stream_id}_src", router, source, dest, load, vc, words_per_packet
             )
         else:
             src_position = _neighbor_position(position, stream.input_port)
-            driver = PacketStreamDriver(
+            driver = PacketLinkDriver(
                 f"s{stream.stream_id}_src",
                 links[stream.input_port][0],
                 source,
@@ -316,7 +300,7 @@ def run_packet_scenario(
             # Streams sharing an output port share one physical downstream
             # router; model it with a single consumer per link.
             if stream.output_port not in link_consumers:
-                link_consumers[stream.output_port] = PacketStreamConsumer(
+                link_consumers[stream.output_port] = PacketLinkSink(
                     f"link_{stream.output_port.short_name}_dst", links[stream.output_port][1]
                 )
             consumer = link_consumers[stream.output_port]
@@ -333,18 +317,15 @@ def run_packet_scenario(
     # at the tile interface; streams sharing an output link share one physical
     # consumer, whose total is attributed in equal shares (enough for the
     # delivery sanity checks; power does not depend on it).
-    shared: Dict[int, List[int]] = {}
-    shared_consumers: Dict[int, PacketStreamConsumer] = {}
+    shared: Dict[PacketLinkSink, List[int]] = {}
     for stream_id, consumer in consumers.items():
         if consumer is None:
             result.words_received[stream_id] = router.tile.words_received
         else:
-            shared.setdefault(id(consumer), []).append(stream_id)
-            shared_consumers[id(consumer)] = consumer
-    for consumer_id, stream_ids in shared.items():
-        share = shared_consumers[consumer_id].words_received // len(stream_ids)
+            shared.setdefault(consumer, []).append(stream_id)
+    for consumer, stream_ids in shared.items():
         for stream_id in stream_ids:
-            result.words_received[stream_id] = share
+            result.words_received[stream_id] = consumer.words_received // len(stream_ids)
     return result
 
 
@@ -380,7 +361,7 @@ def run_gt_scenario(
     out_used: Dict[Port, set] = {}
     drivers: Dict[int, object] = {}
     consumers: Dict[int, object] = {}
-    link_consumers: Dict[Port, GtLinkStreamConsumer] = {}
+    link_consumers: Dict[Port, GtLinkSink] = {}
     endpoints = []
     for stream in scenario.streams:
         # Disjoint slots on both the input and the output side of the stream.
@@ -402,7 +383,7 @@ def run_gt_scenario(
 
         source = word_generator(pattern, width=router.data_width, seed=seed + stream.stream_id)
         if stream.enters_at_tile:
-            driver = GtStreamDriver(
+            driver = GtTileDriver(
                 f"s{stream.stream_id}_src",
                 router,
                 connection,
@@ -411,7 +392,7 @@ def run_gt_scenario(
                 cycles_per_word=max(1, slots // slots_per_stream),
             )
         else:
-            driver = GtLinkStreamDriver(
+            driver = GtLinkDriver(
                 f"s{stream.stream_id}_src",
                 links[stream.input_port][0],
                 slots,
@@ -423,7 +404,7 @@ def run_gt_scenario(
             consumer = None  # delivery is read off the tile interface
         else:
             if stream.output_port not in link_consumers:
-                link_consumers[stream.output_port] = GtLinkStreamConsumer(
+                link_consumers[stream.output_port] = GtLinkSink(
                     f"link_{stream.output_port.short_name}_dst",
                     links[stream.output_port][1],
                     slots,
@@ -439,16 +420,10 @@ def run_gt_scenario(
     result = _scenario_result(
         "time_division_gt", scenario, pattern, load, frequency_hz, cycles, router, drivers
     )
-    for stream in scenario.streams:
-        consumer = consumers[stream.stream_id]
-        if consumer is None:
-            result.words_received[stream.stream_id] = router.tile.words_received(
-                f"s{stream.stream_id}"
-            )
-        else:
-            result.words_received[stream.stream_id] = consumer.words_received_for(
-                stream.stream_id
-            )
+    for stream_id, consumer in consumers.items():
+        result.words_received[stream_id] = (
+            router.tile.words_received(f"s{stream_id}") if consumer is None else consumer.words_received_for(stream_id)
+        )
     return result
 
 

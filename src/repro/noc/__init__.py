@@ -49,11 +49,10 @@ from repro.noc.be_network import (
     BestEffortParameters,
     ConfigurationDelivery,
 )
-from repro.noc.fabric import NocBase, build_network, network_kinds, resolve_network_kind
-from repro.noc.network import CircuitSwitchedNoC, StreamEndpoints
-from repro.noc.packet_network import PacketStreamEndpoints, PacketSwitchedNoC
+from repro.noc.fabric import FabricStream, NocBase, build_network, network_kinds, resolve_network_kind
+from repro.noc.network import CircuitSwitchedNoC
+from repro.noc.packet_network import PacketSwitchedNoC
 from repro.noc.gt_network import (
-    GtStreamEndpoints,
     SlotTableRouter,
     TdmaDatapath,
     TdmaLink,
@@ -100,15 +99,13 @@ __all__ = [
     "BestEffortNetwork",
     "BestEffortParameters",
     "ConfigurationDelivery",
+    "FabricStream",
     "NocBase",
     "build_network",
     "network_kinds",
     "resolve_network_kind",
     "CircuitSwitchedNoC",
-    "StreamEndpoints",
-    "PacketStreamEndpoints",
     "PacketSwitchedNoC",
-    "GtStreamEndpoints",
     "SlotTableRouter",
     "TdmaDatapath",
     "TdmaLink",

@@ -48,10 +48,11 @@ from repro.apps.kpn import ProcessGraph, TrafficClass
 from repro.common import AllocationError, ConfigurationError, FaultError, MappingError
 from repro.noc.admission import AdmissionController
 from repro.noc.be_network import BestEffortNetwork, ConfigurationDelivery
-from repro.noc.fabric import NocBase, WordSource, resolve_network_kind
+from repro.noc.fabric import NocBase, resolve_network_kind
 from repro.noc.mapping import Mapping, SpatialMapper
 from repro.noc.tile import TileGrid
 from repro.noc.topology import Position, Topology
+from repro.sim.datapath import WordSource
 
 __all__ = [
     "FeasibilityReport",

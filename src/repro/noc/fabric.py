@@ -17,6 +17,7 @@ about the concrete class.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type, TypeVar
 
 from repro.common import ConfigurationError, ReproError
@@ -25,26 +26,55 @@ from repro.energy.power import PowerBreakdown
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
 from repro.noc.topology import IrregularMesh, Position, Topology
 from repro.noc.word_proxy import WordSourceRegistry
+from repro.sim.datapath import StreamDriver, StreamSink, WordSource
 from repro.sim.engine import DEFAULT_SCHEDULE, SimulationKernel
 
 __all__ = [
+    "FabricStream",
     "NocBase",
-    "WordSource",
     "register_network_kind",
     "network_kinds",
     "resolve_network_kind",
     "build_network",
 ]
 
-WordSource = Callable[[], int]
+
+@dataclass
+class FabricStream:
+    """One word stream a fabric carries, whatever its kind.
+
+    *source* is the tile driver feeding it and *sink* the sink record
+    draining it (each ``None`` where that tile lies in another shard or the
+    channel stays on one tile; the GT and packet kinds read delivery off the
+    destination tile interface and adopt no sink), *allocation* what
+    admission granted the channel (``None`` for a kind that admits nothing)
+    and *delivered* what reads the words delivered at the destination tile
+    (``int``, 0, where no tile of this network receives them).
+    """
+
+    name: str
+    source: Optional[StreamDriver] = None
+    sink: Optional[StreamSink] = None
+    allocation: Any = None
+    delivered: Callable[[], int] = int
+
+    @property
+    def words_sent(self) -> int:
+        """Words the source tile accepted."""
+        return self.source.words_sent if self.source is not None else 0
+
+    @property
+    def words_received(self) -> int:
+        """Words delivered at the destination tile."""
+        return self.delivered()
 
 
 class NocBase:
     """A complete network on an arbitrary topology: routers, links, kernel.
 
     Subclasses implement :meth:`_build_router` / :meth:`_build_link` (the two
-    construction decisions that differ between fabrics) and
-    :meth:`_stream_received` (how delivery is observed); everything else —
+    construction decisions that differ between fabrics) and ``add_stream``
+    (what a :class:`FabricStream` of the kind holds); everything else —
     wiring, execution, statistics and the energy accounting of the mesh
     experiments — is shared here.
     """
@@ -120,7 +150,7 @@ class NocBase:
         # so the endpoints see the routers' committed state of the same cycle.
         self._register_with_kernel()
 
-        self.streams: Dict[str, Any] = {}
+        self.streams: Dict[str, FabricStream] = {}
 
         #: Shard-exact pull routing for word sources shared between
         #: channels (:mod:`repro.noc.word_proxy`).  Region networks only;
@@ -156,21 +186,6 @@ class NocBase:
     def _build_link(self, src: Position, dst: Position) -> Any:
         """Create the directed link channel from *src* to *dst*."""
         raise NotImplementedError
-
-    def _stream_received(self, endpoints: Any) -> int:
-        """Words observed as delivered for one registered stream."""
-        raise NotImplementedError
-
-    def _stream_drained(self, endpoints: Any) -> bool:
-        """True when provably no word of this stream is still in flight.
-
-        Kind-specific conservation check used by :meth:`drain_streams` to
-        finish a teardown drain the moment the fabric is empty, instead of
-        waiting for a full silent polling stride.  The conservative default
-        (``False``) falls back to delivery-stability polling; kinds with
-        exact injection/delivery counters override it.
-        """
-        return False
 
     # -- admission ------------------------------------------------------------------------
 
@@ -229,7 +244,7 @@ class NocBase:
         src: Position,
         dst: Position,
         bandwidth_mbps: float,
-        word_source: "WordSource",
+        word_source: WordSource,
         load: float = 1.0,
         allocation: Any = None,
     ) -> Any:
@@ -250,10 +265,10 @@ class NocBase:
     def _register_stream_source(
         self,
         name: str,
-        word_source: "WordSource",
+        word_source: WordSource,
         local: bool,
         model_factory: Callable[[], Any],
-    ) -> "WordSource":
+    ) -> WordSource:
         """Route one stream's word source through the shard pull registry.
 
         Every ``add_stream`` of a kind calls this exactly once per stream,
@@ -277,7 +292,7 @@ class NocBase:
 
     def _adopt_driver(self, endpoint: Any) -> Any:
         """Hand a tile stream endpoint record to the datapath clocking its
-        router; returns what the stream's endpoints record."""
+        router; returns what the stream's :class:`FabricStream` holds."""
         return endpoint.router.datapath.adopt(endpoint)
 
     #: The same for a stream's sink (a test reference NoC tells the two apart).
@@ -293,9 +308,10 @@ class NocBase:
         if endpoint is not None:
             endpoint.router.datapath.release(endpoint)
 
-    def _detach_stream_components(self, endpoints: Any) -> None:
+    def _detach_stream_components(self, stream: FabricStream) -> None:
         """Release one stream's driver and sink records."""
-        raise NotImplementedError
+        self._remove_component(stream.source)
+        self._remove_component(stream.sink)
 
     def halt_stream(self, name: str) -> None:
         """Stop one stream's injection (its source driver leaves the
@@ -310,7 +326,7 @@ class NocBase:
             endpoints = self.streams[name]
         except KeyError:
             raise ConfigurationError(f"no stream named {name!r}") from None
-        self._remove_component(getattr(endpoints, "source", None))
+        self._remove_component(endpoints.source)
         self._deactivate_stream_source(name)
 
     def detach_stream(self, name: str) -> Any:
@@ -321,7 +337,7 @@ class NocBase:
         become reusable), while routers, links and
         any admitted configuration stay untouched — tearing those down is
         :meth:`remove_allocation` / :meth:`detach_channel` territory.
-        Returns the removed endpoints record.
+        Returns the removed :class:`FabricStream`.
         """
         try:
             endpoints = self.streams.pop(name)
@@ -371,9 +387,10 @@ class NocBase:
         The drain of a clean teardown: injection must already be halted
         (:meth:`halt_stream`); the network then runs in *check_every*-cycle
         strides until the streams are provably empty.  Each check first
-        applies the kind's exact conservation predicate
-        (:meth:`_stream_drained`: every injected word reached its sink), so
-        a clean drain ends at the first stride where the fabric is empty.
+        applies the exact conservation predicate (every word the source tile
+        accepted is queued, on the wires or delivered: equality means the
+        last one has arrived), so a clean drain ends at the first stride
+        where the fabric is empty.
         Streams whose words can never arrive — a fault broke the path —
         fall back to delivery-stability polling: one full stride delivering
         nothing new on any named stream.  Built on
@@ -392,10 +409,8 @@ class NocBase:
             if cycle - start >= max_cycles:
                 return True  # drain deadline: teardown proceeds regardless
             streams = self.streams
-            if all(
-                name in streams and self._stream_drained(streams[name])
-                for name in names
-            ):
+            if all(name in streams and streams[name].words_received == streams[name].words_sent
+                   for name in names):
                 return True  # exact: conservation holds, nothing in flight
             stats = self.stream_statistics()
             current = [stats[name]["received"] for name in names]
@@ -582,7 +597,7 @@ class NocBase:
     def stream_statistics(self) -> Dict[str, Dict[str, int]]:
         """Words sent / received per registered stream."""
         return {
-            name: {"sent": ep.words_sent, "received": self._stream_received(ep)}
+            name: {"sent": ep.words_sent, "received": ep.words_received}
             for name, ep in self.streams.items()
         }
 
@@ -628,7 +643,7 @@ class NocBase:
         """Average network energy per delivered payload bit (mesh experiments)."""
         frequency = frequency_hz if frequency_hz is not None else self.frequency_hz
         delivered_bits = sum(
-            self._stream_received(ep) for ep in self.streams.values()
+            ep.words_received for ep in self.streams.values()
         ) * self.data_width
         if delivered_bits == 0:
             return float("inf")

@@ -15,9 +15,9 @@ it a third *running* network kind on :class:`repro.noc.fabric.NocBase`:
 * :class:`SlotTableRouter` — the slot tables and one output register per
   port; slot ``cycle % S`` selects which input each output latches,
 * :class:`TdmaDatapath` — the kernel component clocking a set of routers and
-  running the stream endpoint records that feed them: :class:`GtStreamDriver`
-  at a tile, :class:`GtLinkStreamDriver` / :class:`GtLinkStreamConsumer` on
-  a bench's outside wires,
+  running the stream endpoint records that feed them: :class:`GtTileDriver`
+  at a tile, :class:`GtLinkDriver` / :class:`GtLinkSink` on a bench's
+  outside wires,
 * :class:`TimeDivisionNoC` — the full network, registered with
   :func:`repro.noc.fabric.build_network` as ``"gt"`` / ``"aethereal"`` /
   ``"tdma"``, admission-controlled by
@@ -58,22 +58,24 @@ per-router model in ``tests/test_gt_network.py``.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.baseline.aethereal import AETHEREAL
 from repro.common import ConfigurationError, Port, bit_mask
-from repro.core.testbench import LoadPacer
 from repro.energy.activity import (
     LINK_TOGGLE_BITS, REG_TOGGLE_BITS, WORDS_DELIVERED, WORDS_INJECTED, ActivityCounters, ActivityKeys,
 )
 from repro.energy.area import AetherealRouterArea
 from repro.energy.power import PowerBreakdown, PowerModel
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
-from repro.noc.fabric import NocBase, WordSource, register_network_kind
+from repro.noc.fabric import FabricStream, NocBase, register_network_kind
 from repro.noc.slot_table import SlotAllocation, SlotCircuit, SlotTableAllocator
 from repro.noc.topology import Position, Topology
 from repro.noc.word_proxy import GtPullModel
-from repro.sim.datapath import DatapathMember, FabricDatapath, LinkEndpoint
+from repro.sim.datapath import (
+    DatapathMember, FabricDatapath, LinkEndpoint, LoadPacer, StreamDriver, StreamSink, WordSource,
+)
 from repro.sim.engine import DEFAULT_SCHEDULE
 from repro.sim.signals import DirtyBit, Listener
 
@@ -82,10 +84,9 @@ __all__ = [
     "TdmaTileInterface",
     "SlotTableRouter",
     "TdmaDatapath",
-    "GtStreamDriver",
-    "GtLinkStreamDriver",
-    "GtLinkStreamConsumer",
-    "GtStreamEndpoints",
+    "GtTileDriver",
+    "GtLinkDriver",
+    "GtLinkSink",
     "TimeDivisionNoC",
 ]
 
@@ -377,7 +378,7 @@ class TdmaDatapath(FabricDatapath):
     or dead has no feed: like a register no entry names, it latches idle if
     it holds a word.  ``_registers`` holds per register what the scatter
     touches; all state stays in the routers, which share one slot-table size.
-    The top of :meth:`commit` fires the :class:`GtStreamDriver` objects in
+    The top of :meth:`commit` fires the :class:`GtTileDriver` objects in
     :attr:`drivers`; :attr:`_outside_rx` lists the external wires.
     """
 
@@ -526,16 +527,16 @@ class TdmaDatapath(FabricDatapath):
         return due
 
 
-class GtStreamDriver:
+class GtTileDriver(StreamDriver):
     """Feeds a paced word stream into a slot-table router's tile interface.
 
     The driver keeps the connection's injection queue topped up at ``load`` ×
     the connection's guaranteed rate (one word per owned slot per table
-    revolution); words offered while the queue is full are dropped and
-    counted, so a mis-paced stream shows up in the statistics instead of
-    accumulating unbounded backlog.  It is no kernel component: the
-    :class:`TdmaDatapath` clocking its router fires it at the top of the
-    cycle its pacer is due (:class:`~repro.sim.datapath.DriverSchedule`).
+    revolution); a word offered while the queue is full is dropped undrawn
+    and counted, so a mis-paced stream shows up in the statistics instead of
+    accumulating unbounded backlog.  The :class:`TdmaDatapath` clocking its
+    router fires it at the top of the cycle its pacer is due
+    (:class:`~repro.sim.datapath.DriverSchedule`).
     """
 
     def __init__(
@@ -548,23 +549,17 @@ class GtStreamDriver:
         cycles_per_word: int = 1,
         queue_limit: int = 8,
     ) -> None:
-        self.name = name
+        super().__init__(name, word_source, LoadPacer(load, cycles_per_word))
         self.router = router
         self.connection = connection
-        self.word_source = word_source
         self.queue_limit = queue_limit
-        self.pacer = LoadPacer(load, cycles_per_word)
-        self.words_sent = 0
-        self.words_dropped = 0
-
-    @property
-    def words_offered(self) -> int:
-        """Words the pacer offered, sent or dropped."""
-        return self.words_sent + self.words_dropped
+        self._tile = router.tile
+        self._wide = ~router._mask
 
     def emit(self, cycle: int) -> None:
-        """Offer one word: queue it unless the connection's backlog is full."""
-        tile = self.router.tile
+        """Offer one word: draw and queue it unless the connection's backlog is full."""
+        self.words_offered += 1
+        tile = self._tile
         queue = tile._tx.get(self.connection)
         if queue is None:
             queue = tile._tx[self.connection] = deque()
@@ -572,16 +567,11 @@ class GtStreamDriver:
             self.words_dropped += 1
             return
         word = self.word_source()
-        if not 0 <= word <= self.router._mask:
+        if word & self._wide:
             raise ValueError(f"word {word:#x} does not fit in {self.router.data_width} bits")
         queue.append(word)
         tile._queued += 1
         self.words_sent += 1
-
-    def reset(self) -> None:
-        self.pacer.reset()
-        self.words_sent = 0
-        self.words_dropped = 0
 
 
 class _SlotPacer(LoadPacer):
@@ -611,17 +601,16 @@ def _check_slots(slots: int, owned: frozenset) -> None:
         raise ValueError(f"a link stream owns one or more slots of 0..{slots - 1}, not {sorted(owned)}")
 
 
-class GtLinkStreamDriver(LinkEndpoint):
+class GtLinkDriver(StreamDriver, LinkEndpoint):
     """Emulates an upstream slot-table router driving one incoming wire.
 
     The single-router power scenarios (Table 3) feed streams in through
     neighbour ports; this driver places a word on the wire exactly when the
     router under test will latch it — i.e. during the cycle *before* each of
-    the stream's owned slots comes around.  It is a record the
-    :class:`TdmaDatapath` clocking that router runs: fired (:meth:`emit`) at
-    the owned slot opportunities its pacer picks, it drives the word, and
-    its unit lets the wire fall idle (:meth:`step`) at the next commit
-    unless a word was fired in it too.
+    the stream's owned slots comes around.  Fired (:meth:`emit`) at the
+    owned slot opportunities its pacer picks, it drives the word, and its
+    unit lets the wire fall idle (:meth:`step`) at the next commit unless a
+    word was fired in it too.  It never drops a word.
     """
 
     def __init__(
@@ -634,19 +623,17 @@ class GtLinkStreamDriver(LinkEndpoint):
         load: float = 1.0,
     ) -> None:
         _check_slots(slots, inject_slots)
-        super().__init__(name, link)
         self.slots = slots
-        self.inject_slots = frozenset(inject_slots)
-        self.word_source = word_source
         # Cycle c feeds slot (c + 1) % slots: the residues of the opportunities.
-        self.pacer = _SlotPacer(load, slots, sorted((s - 1) % slots for s in self.inject_slots))
-        self.words_sent = 0
+        residues = sorted((s - 1) % slots for s in set(inject_slots))
+        super().__init__(name, word_source, _SlotPacer(load, slots, residues))
+        self.link = link
         self._sent = -1  # the cycle of the last word
 
     def emit(self, cycle: int) -> None:
         """Drive a word for the owned slot of the next cycle."""
         self.link.drive(self.word_source())
-        self.words_sent += 1
+        self.words_offered = self.words_sent = self.words_sent + 1  # it never drops an offer
         self._sent = cycle
         self.mark()
 
@@ -658,30 +645,29 @@ class GtLinkStreamDriver(LinkEndpoint):
         return False
 
     def reset(self) -> None:
-        self.pacer.reset()
+        super().reset()
         self.link.reset()
-        self.words_sent = 0
         self._sent = -1
 
 
-class GtLinkStreamConsumer(LinkEndpoint):
+class GtLinkSink(StreamSink, LinkEndpoint):
     """Emulates the downstream router behind one outgoing wire.
 
     A word latched at slot ``s`` sits on the wire during the following cycle,
-    so the slot that owns a sampled word is ``(cycle - 1) % S``; the consumer
-    attributes every word to the stream owning that slot.  It is a record
-    the :class:`TdmaDatapath` clocking the router runs: a word the router
-    drives marks its unit, which counts it at the top of the next commit.
+    so the slot that owns a sampled word is ``(cycle - 1) % S``; the sink
+    collects, per word, the stream owning that slot (:meth:`claim`; -1 for
+    none).  A word the router drives marks its unit, which collects it at the
+    top of the next commit.
     """
 
     _listens_to = "forward_dirty"
 
     def __init__(self, name: str, link: TdmaLink, slots: int) -> None:
-        super().__init__(name, link)
+        super().__init__(name)
+        self.link = link
         self.slots = slots
         #: Slot index -> stream id owning it, -1 for none (see :meth:`claim`).
         self.slot_owner = [-1] * slots
-        self.received: Dict[int, int] = {}
 
     def claim(self, stream_id: int, slots: frozenset) -> None:
         """Record that *stream_id* owns the given latch slots."""
@@ -690,46 +676,14 @@ class GtLinkStreamConsumer(LinkEndpoint):
             self.slot_owner[slot] = stream_id
 
     def step(self, cycle: int) -> bool:
-        """Count the word on the wire; rest until the next one."""
+        """Collect the word on the wire; rest until the next one."""
         if self.link.forward is not None:
-            owner = self.slot_owner[(cycle - 1) % self.slots]
-            self.received[owner] = self.received.get(owner, 0) + 1
+            self.received.append(self.slot_owner[(cycle - 1) % self.slots])
         return False
 
     def words_received_for(self, stream_id: int) -> int:
         """Words attributed to *stream_id*."""
-        return self.received.get(stream_id, 0)
-
-    def reset(self) -> None:
-        self.received.clear()
-
-
-class GtStreamEndpoints:
-    """Book-keeping for one word stream carried by the TDMA network."""
-
-    def __init__(
-        self,
-        name: str,
-        source: Optional[GtStreamDriver],
-        sink: Optional[TdmaTileInterface],
-        allocation: SlotAllocation,
-    ) -> None:
-        self.name = name
-        self.source = source
-        self.sink = sink
-        self.allocation = allocation
-
-    @property
-    def words_sent(self) -> int:
-        """Words accepted into the source tile's injection queue."""
-        return self.source.words_sent if self.source is not None else 0
-
-    @property
-    def words_received(self) -> int:
-        """Words delivered at the destination tile."""
-        if self.sink is None:
-            return 0
-        return self.sink.words_received(self.allocation.channel_name)
+        return self.received.count(stream_id)
 
 
 @register_network_kind("gt", "aethereal", "tdma", "time_division")
@@ -737,7 +691,7 @@ class TimeDivisionNoC(NocBase):
     """A complete Æthereal-style TDMA guaranteed-throughput network.
 
     One :class:`TdmaDatapath` (:attr:`datapath`) clocks the routers and
-    fires the :class:`GtStreamDriver` of every stream whose source tile it
+    fires the :class:`GtTileDriver` of every stream whose source tile it
     holds: the fabric's kernel clocks that one component.  Its compiled
     per-slot gather and scatter over the 8-16 words that move is what a
     cycle costs: ``schedule="vector"`` (the default) is the leaping clock
@@ -792,18 +746,6 @@ class TimeDivisionNoC(NocBase):
             f"gt_{src[0]}_{src[1]}__{dst[0]}_{dst[1]}", self.data_width
         )
 
-    def _stream_received(self, endpoints: GtStreamEndpoints) -> int:
-        return endpoints.words_received
-
-    def _stream_drained(self, endpoints: GtStreamEndpoints) -> bool:
-        # Exact conservation for a halted TDMA connection: every word the
-        # injection queue accepted is either waiting for an owned slot,
-        # riding a slot train, or delivered at the destination tile —
-        # equality means the last train has arrived.  Words a dead wire
-        # swallowed never arrive, so a broken path falls back to the
-        # stability drain.
-        return endpoints.words_received == endpoints.words_sent
-
     def _new_admission_controller(self) -> SlotTableAllocator:
         return SlotTableAllocator(self.topology, self.slots, self.data_width)
 
@@ -849,7 +791,7 @@ class TimeDivisionNoC(NocBase):
         allocation: SlotAllocation,
         word_source: WordSource,
         load: float = 1.0,
-    ) -> GtStreamEndpoints:
+    ) -> FabricStream:
         """Attach a paced word stream to an allocated channel.
 
         Tile-local channels create no network endpoints; their traffic never
@@ -857,10 +799,10 @@ class TimeDivisionNoC(NocBase):
         """
         if name in self.streams:
             raise ConfigurationError(f"stream {name!r} already exists")
+        stream = FabricStream(name, allocation=allocation)
         if allocation.is_local or not allocation.circuits:
-            endpoints = GtStreamEndpoints(name, None, None, allocation)
-            self.streams[name] = endpoints
-            return endpoints
+            self.streams[name] = stream
+            return stream
         cycles_per_word = max(1, round(self.slots / allocation.slots_used))
         # The TDMA driver pulls conditionally (a full injection queue drops
         # the offer), so the remote model needs the queue bound and the
@@ -875,13 +817,12 @@ class TimeDivisionNoC(NocBase):
                 cycles_per_word,
                 self.slots,
                 [circuit.hops[0].slot for circuit in allocation.circuits],
-                8,  # GtStreamDriver's queue_limit default
+                8,  # GtTileDriver's queue_limit default
                 self.kernel.cycle,
             ),
         )
-        driver = sink = None
         if self.is_local(allocation.src):
-            driver = self._adopt_driver(GtStreamDriver(
+            stream.source = self._adopt_driver(GtTileDriver(
                 f"{name}_src",
                 self.router_at(allocation.src),
                 allocation.channel_name,
@@ -890,18 +831,17 @@ class TimeDivisionNoC(NocBase):
                 cycles_per_word=cycles_per_word,
             ))
         if self.is_local(allocation.dst):
-            sink = self.router_at(allocation.dst).tile
-        endpoints = GtStreamEndpoints(name, driver, sink, allocation)
-        self.streams[name] = endpoints
-        return endpoints
+            stream.delivered = partial(self.router_at(allocation.dst).tile.words_received, allocation.channel_name)
+        self.streams[name] = stream
+        return stream
 
-    def _detach_stream_components(self, endpoints: GtStreamEndpoints) -> None:
-        self._remove_component(endpoints.source)
-        if endpoints.sink is not None:
+    def _detach_stream_components(self, stream: FabricStream) -> None:
+        super()._detach_stream_components(stream)
+        if self.is_local(stream.allocation.dst):
             # Drop the departed connection's queued and delivered words so a
             # later same-name admission starts from a clean tile interface,
-            # like the other kinds' fresh endpoint objects do.
-            endpoints.sink.forget(endpoints.allocation.channel_name)
+            # like the other kinds' fresh endpoint records do.
+            self.router_at(stream.allocation.dst).tile.forget(stream.allocation.channel_name)
 
     def attach_channel(
         self,
@@ -912,7 +852,7 @@ class TimeDivisionNoC(NocBase):
         word_source: WordSource,
         load: float = 1.0,
         allocation: Optional[SlotAllocation] = None,
-    ) -> GtStreamEndpoints:
+    ) -> FabricStream:
         if allocation is None:
             allocation = self.admission.allocate(
                 name, src, dst, bandwidth_mbps, self.frequency_hz

@@ -15,7 +15,6 @@ network builds on the paper's mesh, a torus or a degraded mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common import ConfigurationError
@@ -23,35 +22,16 @@ from repro.core.configuration import COMMAND_BITS
 from repro.core.header import phits_per_packet
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter, LaneDatapath
-from repro.core.testbench import TileStreamConsumer, TileStreamDriver
+from repro.core.testbench import CircuitTileDriver, CircuitTileSink
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
-from repro.noc.fabric import NocBase, WordSource, register_network_kind
+from repro.noc.fabric import FabricStream, NocBase, register_network_kind
 from repro.noc.path_allocation import CircuitAllocation, LaneAllocator, LaneCircuit
 from repro.noc.topology import Position, Topology
 from repro.noc.word_proxy import PacedPullModel
+from repro.sim.datapath import WordSource
 from repro.sim.engine import DEFAULT_SCHEDULE
 
-__all__ = ["StreamEndpoints", "CircuitSwitchedNoC"]
-
-
-@dataclass
-class StreamEndpoints:
-    """The injection and delivery endpoints created for one application stream."""
-
-    name: str
-    source: Optional[TileStreamDriver]
-    sink: Optional[TileStreamConsumer]
-    allocation: CircuitAllocation
-
-    @property
-    def words_sent(self) -> int:
-        """Words injected at the source tile."""
-        return self.source.words_sent if self.source is not None else 0
-
-    @property
-    def words_received(self) -> int:
-        """Words delivered at the destination tile."""
-        return self.sink.words_received if self.sink is not None else 0
+__all__ = ["CircuitSwitchedNoC"]
 
 
 @register_network_kind("circuit", "circuit_switched", "cs")
@@ -108,16 +88,6 @@ class CircuitSwitchedNoC(NocBase):
             f"lane_{src[0]}_{src[1]}__{dst[0]}_{dst[1]}", self.lanes_per_port, self.lane_width
         )
 
-    def _stream_received(self, endpoints: StreamEndpoints) -> int:
-        return endpoints.words_received
-
-    def _stream_drained(self, endpoints: StreamEndpoints) -> bool:
-        # Exact conservation for a halted lane circuit: every word the tile
-        # accepted (counted at serialiser submission) sits in the serialiser
-        # queue, on the wires, or in the sink's receive queue until the
-        # consumer drains it — equality means nothing is left in flight.
-        return endpoints.words_received == endpoints.words_sent
-
     def _new_admission_controller(self) -> LaneAllocator:
         return LaneAllocator(
             self.topology, self.lanes_per_port, self.lane_width, self.data_width
@@ -166,7 +136,7 @@ class CircuitSwitchedNoC(NocBase):
         word_source: WordSource,
         load: float = 1.0,
         mark_blocks: Optional[int] = None,
-    ) -> StreamEndpoints:
+    ) -> FabricStream:
         """Attach a paced word stream to an allocated channel.
 
         Tile-local channels (source and destination process on the same tile)
@@ -174,10 +144,10 @@ class CircuitSwitchedNoC(NocBase):
         """
         if name in self.streams:
             raise ConfigurationError(f"stream {name!r} already exists")
+        stream = FabricStream(name, allocation=allocation)
         if allocation.is_local or not allocation.circuits:
-            endpoints = StreamEndpoints(name, None, None, allocation)
-            self.streams[name] = endpoints
-            return endpoints
+            self.streams[name] = stream
+            return stream
         circuit = allocation.circuits[0]
         # The tile driver pulls one word per pacer emission, unconditionally
         # — the remote pull model is the pacer schedule itself.
@@ -191,9 +161,8 @@ class CircuitSwitchedNoC(NocBase):
                 self.kernel.cycle,
             ),
         )
-        driver = sink = None
         if self.is_local(circuit.src):
-            driver = self._adopt_driver(TileStreamDriver(
+            stream.source = self._adopt_driver(CircuitTileDriver(
                 f"{name}_src",
                 self.router_at(circuit.src),
                 circuit.source_tile_lane,
@@ -202,16 +171,12 @@ class CircuitSwitchedNoC(NocBase):
                 mark_blocks=mark_blocks,
             ))
         if self.is_local(circuit.dst):
-            sink = self._adopt_sink(TileStreamConsumer(
+            sink = stream.sink = self._adopt_sink(CircuitTileSink(
                 f"{name}_dst", self.router_at(circuit.dst), circuit.destination_tile_lane
             ))
-        endpoints = StreamEndpoints(name, driver, sink, allocation)
-        self.streams[name] = endpoints
-        return endpoints
-
-    def _detach_stream_components(self, endpoints: StreamEndpoints) -> None:
-        self._remove_component(endpoints.source)
-        self._remove_component(endpoints.sink)
+            stream.delivered = lambda: sink.words_received
+        self.streams[name] = stream
+        return stream
 
     def attach_channel(
         self,
@@ -222,7 +187,7 @@ class CircuitSwitchedNoC(NocBase):
         word_source: WordSource,
         load: float = 1.0,
         allocation: Optional[CircuitAllocation] = None,
-    ) -> List[StreamEndpoints]:
+    ) -> List[FabricStream]:
         if allocation is None:
             allocation = self.admission.allocate(
                 name, src, dst, bandwidth_mbps, self.frequency_hz

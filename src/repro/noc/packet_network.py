@@ -18,37 +18,23 @@ only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
-from repro.baseline.testbench import TilePacketDriver
+from repro.baseline.testbench import PacketTileDriver
 from repro.common import ConfigurationError
 from repro.core.header import phits_per_packet
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
-from repro.noc.fabric import NocBase, WordSource, register_network_kind
+from repro.noc.fabric import FabricStream, NocBase, register_network_kind
 from repro.noc.routing import RoutingTable
 from repro.noc.topology import Position, Topology
 from repro.noc.word_proxy import PacedPullModel
+from repro.sim.datapath import WordSource
 from repro.sim.engine import DEFAULT_SCHEDULE
 
-__all__ = ["PacketStreamEndpoints", "PacketSwitchedNoC"]
-
-
-@dataclass
-class PacketStreamEndpoints:
-    """Book-keeping for one word stream carried by the packet-switched network."""
-
-    name: str
-    source: Optional[TilePacketDriver]
-    src: Position
-    dst: Position
-
-    @property
-    def words_sent(self) -> int:
-        """Words handed to the source tile interface."""
-        return self.source.words_sent if self.source is not None else 0
+__all__ = ["PacketSwitchedNoC"]
 
 
 @register_network_kind("packet", "packet_switched", "ps")
@@ -105,22 +91,6 @@ class PacketSwitchedNoC(NocBase):
     def _build_link(self, src: Position, dst: Position) -> PacketLink:
         return PacketLink(f"pkt_{src[0]}_{src[1]}__{dst[0]}_{dst[1]}", self.num_vcs)
 
-    def _stream_received(self, endpoints: PacketStreamEndpoints) -> int:
-        if not self.is_local(endpoints.dst):
-            return 0
-        return self.words_received_at(endpoints.dst, endpoints.src)
-
-    def _stream_drained(self, endpoints: PacketStreamEndpoints) -> bool:
-        # Exact conservation for a halted packet stream: every packetised
-        # word is either a flit worm somewhere in the buffers/links or a
-        # delivered payload at the destination tile — equality means the
-        # worms are through.  Words a fault swallowed never arrive, so a
-        # broken path falls back to the stability drain.
-        return (
-            self.words_received_at(endpoints.dst, endpoints.src)
-            == endpoints.words_sent
-        )
-
     def refresh_routing(self, degraded: Topology) -> None:
         """Route around dead resources: rebuild the shared routing table.
 
@@ -144,7 +114,7 @@ class PacketSwitchedNoC(NocBase):
         load: float = 1.0,
         vc: Optional[int] = None,
         words_per_packet: Optional[int] = None,
-    ) -> PacketStreamEndpoints:
+    ) -> FabricStream:
         """Attach a paced word stream from the tile at *src* to the tile at *dst*."""
         if name in self.streams:
             raise ConfigurationError(f"stream {name!r} already exists")
@@ -163,9 +133,9 @@ class PacketSwitchedNoC(NocBase):
             self.is_local(src),
             lambda: PacedPullModel(load, phits_per_packet(16, 4), self.kernel.cycle),
         )
-        driver = None
+        stream = FabricStream(name)
         if self.is_local(src):
-            driver = self._adopt_driver(TilePacketDriver(
+            stream.source = self._adopt_driver(PacketTileDriver(
                 f"{name}_src",
                 self.router_at(src),
                 word_source,
@@ -174,12 +144,11 @@ class PacketSwitchedNoC(NocBase):
                 vc=vc,
                 words_per_packet=words_per_packet or self.words_per_packet,
             ))
-        endpoints = PacketStreamEndpoints(name, driver, src, dst)
-        self.streams[name] = endpoints
-        return endpoints
-
-    def _detach_stream_components(self, endpoints: PacketStreamEndpoints) -> None:
-        self._remove_component(endpoints.source)
+        if self.is_local(dst):
+            # The destination tile counts the payload words per source tile.
+            stream.delivered = partial(self.router_at(dst).tile.words_from.get, src, 0)
+        self.streams[name] = stream
+        return stream
 
     def attach_channel(
         self,
@@ -190,7 +159,7 @@ class PacketSwitchedNoC(NocBase):
         word_source: WordSource,
         load: float = 1.0,
         allocation: object = None,
-    ) -> PacketStreamEndpoints:
+    ) -> FabricStream:
         # Packet switching needs no admission — packets simply contend for
         # buffers and links, the flexibility-versus-energy trade the paper
         # discusses — but the stream is paced at the channel's requested

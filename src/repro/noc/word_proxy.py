@@ -15,7 +15,7 @@ every ``add_stream`` call registers its channel as one *user* of its word
 source, in replicated registration order (identical in every shard).  Local
 users pull through a wrapper; remote users are represented by an exact
 **pull model** of their driver — the same integer-credit
-:class:`~repro.core.testbench.LoadPacer` arithmetic, plus for the TDMA kind
+:class:`~repro.sim.datapath.LoadPacer` arithmetic, plus for the TDMA kind
 the driver's bounded injection queue and the slot-table drain schedule
 derived from the replicated allocation.  Before a local pull at cycle *t*
 by the user registered *k*-th, the registry burns every remote user's
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.testbench import LoadPacer
+from repro.sim.datapath import LoadPacer
 
 __all__ = ["PacedPullModel", "GtPullModel", "WordSourceRegistry"]
 
@@ -41,8 +41,8 @@ __all__ = ["PacedPullModel", "GtPullModel", "WordSourceRegistry"]
 class PacedPullModel:
     """Pull times of a remote circuit/packet tile driver.
 
-    Both :class:`~repro.core.testbench.TileStreamDriver` and
-    :class:`~repro.baseline.testbench.TilePacketDriver` pull one word from
+    Both :class:`~repro.core.testbench.CircuitTileDriver` and
+    :class:`~repro.baseline.testbench.PacketTileDriver` pull one word from
     their source on every pacer emission, unconditionally — the pull
     schedule *is* the pacer schedule, one :meth:`LoadPacer.emit_from` per
     pull from the cycle the stream was attached.
@@ -72,7 +72,7 @@ class PacedPullModel:
 
 
 class GtPullModel(PacedPullModel):
-    """Pull times of a remote :class:`~repro.noc.gt_network.GtStreamDriver`.
+    """Pull times of a remote :class:`~repro.noc.gt_network.GtTileDriver`.
 
     The TDMA driver pulls *conditionally*: a pacer emission only pulls a
     word while the connection's injection backlog is below the queue bound

@@ -31,25 +31,71 @@ from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port
 from repro.energy.activity import ActivityKeys
 from repro.sim.engine import ClockedComponent
 
-__all__ = ["DatapathMember", "DriverSchedule", "FabricDatapath", "LinkEndpoint"]
+__all__ = ["DatapathMember", "DriverSchedule", "FabricDatapath", "LinkEndpoint", "LoadPacer", "StreamDriver",
+           "StreamSink", "WordSource"]
 
 _CLOCKED_BITS = ActivityKeys.REG_CLOCKED_BITS
+
+#: A callable producing the next data word of a stream.
+WordSource = Callable[[], int]
+
+
+class LoadPacer:
+    """Turns a load fraction into a word-emission schedule.
+
+    A lane transports one word every ``phits_per_packet`` cycles at 100 %
+    load; the pacer accumulates ``load`` credits per cycle and releases a word
+    whenever a full packet's worth of credit is available.
+
+    The credit arithmetic is exact: the load is split into its integer
+    numerator/denominator (every float is a dyadic rational) and the credit
+    is an integer in units of ``1/denominator``.  Exactness is what lets
+    :meth:`emit_from` leap from one emission to the next in closed form,
+    bit-identical to consulting the pacer once per cycle.
+    """
+
+    def __init__(self, load: float, cycles_per_word: int) -> None:
+        if not 0.0 <= load <= 1.0:
+            raise ValueError("load must be within [0, 1]")
+        if cycles_per_word < 1:
+            raise ValueError("cycles_per_word must be positive")
+        self.load = load
+        self.cycles_per_word = cycles_per_word
+        numerator, denominator = float(load).as_integer_ratio()
+        self._step = numerator
+        self._threshold = cycles_per_word * denominator
+        self._credit = 0
+
+    def emit_from(self, cycle: int) -> Optional[int]:
+        """Emit at the first due cycle from *cycle* on and return it (``None``:
+        zero load, never): the first cycle whose ``load`` credit, accrued
+        once per cycle from *cycle* on, reaches a packet's worth.  The next
+        emission is ``emit_from(due + 1)``."""
+        step = self._step
+        if not step:
+            return None
+        gap = -(-(self._threshold - self._credit) // step)  # >= 1: the credit stays below the threshold
+        self._credit += step * gap - self._threshold
+        return cycle + gap - 1
+
+    def reset(self) -> None:
+        """Back to the power-on state: no credit accumulated."""
+        self._credit = 0
 
 
 class DriverSchedule:
     """The stream drivers one datapath fires itself, in due order.
 
-    Every datapath owns its drivers (plain records with a ``pacer``, an
-    ``emit(cycle)`` and a ``reset()``): the GT and packet ones fire the
-    drivers due that cycle at the top of their ``commit``, right after
-    sampling the outside wires, the circuit one around its routers' sampling
-    walk, and each one's ``next_event_cycle`` is no later than
-    :attr:`next_due`.  A heap keyed ``(due cycle, adoption number)`` orders
+    Every datapath owns its drivers (:class:`StreamDriver` records): the GT
+    and packet ones fire the drivers due that cycle at the top of their
+    ``commit``, right after sampling the outside wires, the circuit one
+    around its routers' sampling walk, and each one's ``next_event_cycle``
+    is no later than :attr:`next_due`.  A heap keyed ``(due cycle, adoption number)`` orders
     them, so drivers sharing a word source pull in adoption order within a
     cycle — the registration order they had as kernel components.  Each
     driver's pacer advances in closed form, one ``pacer.emit_from`` per
-    emission (:meth:`~repro.core.testbench.LoadPacer.emit_from`, or a GT
-    link driver's per slot opportunity), which the heap entry keeps bound.
+    emission (:meth:`LoadPacer.emit_from`, or a GT link driver's per slot
+    opportunity), which the heap entry keeps bound.
     """
 
     __slots__ = ("_heap", "_adopted", "count", "next_due")
@@ -107,19 +153,60 @@ class DriverSchedule:
             self._schedule(driver, number, 0)
 
 
+class StreamDriver:
+    """The source of one paced word stream, whatever the router kind: the
+    record a datapath fires from its :class:`DriverSchedule`.
+
+    It holds what every kind's driver shares — the name, the pacer, the word
+    source and the ``words_offered`` / ``words_sent`` / ``words_dropped``
+    counters.  A kind's subclass adds only its ``emit(cycle)``: how it
+    injects the word its pacer offers (a tile send, a serialiser or flit
+    queue, a slot wire) and which counters that moves; one that also is a
+    :class:`LinkEndpoint` has a unit its datapath steps.
+    """
+
+    def __init__(self, name: str, word_source: WordSource, pacer: LoadPacer) -> None:
+        self.name = name
+        self.word_source = word_source
+        self.pacer = pacer
+        self.words_offered = self.words_sent = self.words_dropped = 0
+
+    def reset(self) -> None:
+        """Back to power-on: no pacer credit, nothing offered."""
+        self.pacer.reset()
+        self.words_offered = self.words_sent = self.words_dropped = 0
+
+
+class StreamSink:
+    """The sink of one word stream, whatever the router kind: what it
+    collected per word arrives in :attr:`received`.  A kind's subclass adds
+    only how it collects a word (a tile drain, a deserialiser, a flit or
+    slot wire)."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.received: List[Any] = []
+
+    @property
+    def words_received(self) -> int:
+        """Words collected."""
+        return len(self.received)
+
+    def reset(self) -> None:
+        """Back to power-on: nothing collected."""
+        self.received.clear()
+
+
 class LinkEndpoint:
-    """A stream endpoint standing in for the router at the far end of a
-    link.  The datapath of the router at the near end steps its unit at the
-    clock edge (``step(cycle)``: False once it rests), books its idle cycles
-    (:meth:`book_idle`) and lets a change on the wire direction that router
-    does not watch, or the endpoint's own driver, mark it (:meth:`listen`)."""
+    """A stream endpoint standing in for the router at the far end of its
+    ``link``.  The datapath of the router at the near end steps its unit at
+    the clock edge (``step(cycle)``: False once it rests), books its idle
+    cycles (:meth:`book_idle`) and lets a change on the wire direction that
+    router does not watch, or the endpoint's own driver, mark it
+    (:meth:`listen`)."""
 
     #: The dirty-bit of that direction ("" for none).
     _listens_to = ""
-
-    def __init__(self, name: str, link: Any) -> None:
-        self.name = name
-        self.link = link
 
     def listen(self, mark: Callable[[], None]) -> None:
         """Keep the adopting datapath's *mark* of this unit and call it on a

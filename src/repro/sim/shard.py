@@ -1004,9 +1004,8 @@ class ShardedNetwork:
         """Cross-shard replica of :meth:`NocBase.drain_streams`.
 
         Same stride, same three-stage predicate — deadline, exact
-        conservation (every kind's ``_stream_drained`` is
-        ``received == sent``, observable here from the summed per-shard
-        statistics), delivery-stability — so a sharded teardown settles on
+        conservation (``received == sent``, observable here from the summed
+        per-shard statistics), delivery-stability — so a sharded teardown settles on
         the same cycle as the single-process one.
         """
         if not names:

@@ -26,6 +26,12 @@ from two_phase import TwoPhase
 KINDS = ("circuit", "packet", "gt")
 
 
+def words(seed: int = 0) -> Callable[[], int]:
+    """A seeded source of random 16-bit stream words."""
+    rng = random.Random(seed)
+    return lambda: rng.getrandbits(16)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     """Deterministic random generator for tests that need arbitrary words."""

@@ -1,6 +1,6 @@
 """A load pacer consulted once per cycle.
 
-:class:`repro.core.testbench.LoadPacer` only leaps from one emission to the
+:class:`repro.sim.datapath.LoadPacer` only leaps from one emission to the
 next (``emit_from``).  The reference components of the tests keep the
 per-cycle interface the stream endpoints had as kernel components: one
 :meth:`CyclePacer.should_emit` per evaluate and the next emission as their
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.testbench import LoadPacer
+from repro.sim.datapath import LoadPacer
 
 
 def emissions(pacer: LoadPacer, cycles: int) -> List[int]:

@@ -9,13 +9,12 @@ production routers but the wires, which carry packed flits.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 import pytest
-from conftest import FabricScenario, fabric_scenarios, step_twins, twin_benches
+from conftest import FabricScenario, fabric_scenarios, step_twins, twin_benches, words
 from pacing import CyclePacer
 from two_phase import TwoPhase
 from hypothesis import example, given, settings, strategies as st
@@ -29,9 +28,9 @@ from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.baseline.routing import xy_route
 from repro.baseline.testbench import (
-    PacketStreamConsumer,
-    PacketStreamDriver,
-    TilePacketDriver,
+    PacketLinkDriver,
+    PacketLinkSink,
+    PacketTileDriver,
 )
 from repro.common import (
     ALL_PORTS, NEIGHBOR_PORTS, CapacityError, ConfigurationError, Port, SimulationError, bit_mask, port_offset,
@@ -41,11 +40,6 @@ from repro.core.header import phits_per_packet
 from repro.energy.activity import ActivityCounters, ActivityKeys, BUFFER_READ_BITS, BUFFER_WRITE_BITS
 from repro.noc import IrregularMesh, Mesh2D, PacketSwitchedNoC
 from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
-
-
-def words(seed: int = 0):
-    rng = random.Random(seed)
-    return lambda: rng.getrandbits(16)
 
 
 def _clocked(*routers, endpoints=()):
@@ -82,8 +76,8 @@ class TestConstruction:
 class TestSingleRouterTraffic:
     def test_tile_to_east(self, ps_router_with_links, kernel_25mhz):
         router, links = ps_router_with_links
-        driver = TilePacketDriver("src", router, words(1), dest=(2, 1), load=1.0, vc=0)
-        consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
+        driver = PacketTileDriver("src", router, words(1), dest=(2, 1), load=1.0, vc=0)
+        consumer = PacketLinkSink("dst", links[Port.EAST][1])
         kernel_25mhz.add(_clocked(router, endpoints=[driver, consumer]))
         kernel_25mhz.run(600)
         assert driver.words_sent > 0
@@ -91,11 +85,11 @@ class TestSingleRouterTraffic:
         # Payload order is preserved by wormhole switching.
         reference = words(1)
         expected = [reference() for _ in range(consumer.words_received)]
-        assert consumer.received_words == expected
+        assert consumer.received == expected
 
     def test_north_to_tile(self, ps_router_with_links, kernel_25mhz):
         router, links = ps_router_with_links
-        driver = PacketStreamDriver(
+        driver = PacketLinkDriver(
             "src", links[Port.NORTH][0], words(2), dest=(1, 1), src=(1, 2), load=1.0, vc=1
         )
         kernel_25mhz.add(_clocked(router, endpoints=[driver]))
@@ -104,10 +98,10 @@ class TestSingleRouterTraffic:
 
     def test_pass_through_west_to_east(self, ps_router_with_links, kernel_25mhz):
         router, links = ps_router_with_links
-        driver = PacketStreamDriver(
+        driver = PacketLinkDriver(
             "src", links[Port.WEST][0], words(3), dest=(2, 1), src=(0, 1), load=1.0, vc=2
         )
-        consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
+        consumer = PacketLinkSink("dst", links[Port.EAST][1])
         kernel_25mhz.add(_clocked(router, endpoints=[driver, consumer]))
         kernel_25mhz.run(600)
         assert consumer.words_received > 0
@@ -119,11 +113,11 @@ class TestSingleRouterTraffic:
         allocator must interleave them, producing grant changes (the paper's
         extra control switching), and both streams must still be delivered."""
         router, links = ps_router_with_links
-        tile_driver = TilePacketDriver("src_t", router, words(4), dest=(2, 1), load=1.0, vc=0)
-        west_driver = PacketStreamDriver(
+        tile_driver = PacketTileDriver("src_t", router, words(4), dest=(2, 1), load=1.0, vc=0)
+        west_driver = PacketLinkDriver(
             "src_w", links[Port.WEST][0], words(5), dest=(2, 1), src=(0, 1), load=1.0, vc=1
         )
-        consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
+        consumer = PacketLinkSink("dst", links[Port.EAST][1])
         kernel_25mhz.add(_clocked(router, endpoints=[west_driver, consumer, tile_driver]))
         kernel_25mhz.run(1000)
         assert router.activity.get(ActivityKeys.ARBITER_GRANT_CHANGES) > 0
@@ -139,8 +133,8 @@ class TestSingleRouterTraffic:
 
     def test_reset(self, ps_router_with_links, kernel_25mhz):
         router, links = ps_router_with_links
-        driver = TilePacketDriver("src", router, words(6), dest=(2, 1), load=1.0, vc=0)
-        consumer = PacketStreamConsumer("dst", links[Port.EAST][1])
+        driver = PacketTileDriver("src", router, words(6), dest=(2, 1), load=1.0, vc=0)
+        consumer = PacketLinkSink("dst", links[Port.EAST][1])
         kernel_25mhz.add(_clocked(router, endpoints=[consumer, driver]))
         kernel_25mhz.run(100)
         router.reset()
@@ -173,7 +167,7 @@ class TestTileInterface:
         right.attach_link(Port.WEST, l2r, r2l)
 
         kernel = SimulationKernel(25e6)
-        driver = TilePacketDriver("src", left, words(7), dest=(1, 0), load=1.0, vc=0)
+        driver = PacketTileDriver("src", left, words(7), dest=(1, 0), load=1.0, vc=0)
         kernel.add(_clocked(left, right, endpoints=[driver]))
         kernel.run(800)
         assert driver.words_sent > 0
@@ -809,7 +803,7 @@ class _ReferenceTilePacketDriver(ClockedComponent):
 
 
 def _reference_packet_driver(driver):
-    """The kernel-component twin of a :class:`TilePacketDriver` record."""
+    """The kernel-component twin of a :class:`PacketTileDriver` record."""
     return _ReferenceTilePacketDriver(driver.name, driver.router, driver.word_source, driver.dest,
                                       driver.pacer.load, driver.vc, driver.words_per_packet)
 
@@ -925,7 +919,7 @@ def _link_streams(router):
     or their reference components on a reference router."""
     if isinstance(router, _ReferenceRouter):
         return _ReferencePacketStreamDriver, _ReferencePacketStreamConsumer
-    return PacketStreamDriver, PacketStreamConsumer
+    return PacketLinkDriver, PacketLinkSink
 
 
 class _ReferencePacketNoC(PacketSwitchedNoC):
@@ -1109,7 +1103,8 @@ def _endpoint_benches(setup, **router_kwargs):
 def _endpoint_state(router, links, kernel, endpoints):
     """The bench state, then every endpoint's counters and receptions."""
     counters = [
-        ([getattr(endpoint, key, None) for key in ("words_offered", "words_sent", "flits_sent", "received_words")],
+        ([getattr(endpoint, key, None) for key in ("words_offered", "words_sent", "flits_sent")],
+         getattr(endpoint, "received_words", getattr(endpoint, "received", None)),  # a reference's, a record's
          [_wire(flit) for flit in getattr(endpoint, "received_flits", ())])
         for endpoint in endpoints
     ]
@@ -1138,7 +1133,7 @@ def _table3_setup(name, load):
             dest = (1 + dx, 1 + dy)
             vc = index % router.num_vcs
             if stream.enters_at_tile:
-                driver = TilePacketDriver(f"s{index}", router, source, dest, load, vc, 4)
+                driver = PacketTileDriver(f"s{index}", router, source, dest, load, vc, 4)
                 components.append(_reference_packet_driver(driver) if isinstance(router, _ReferenceRouter) else driver)
             else:
                 dx, dy = port_offset(stream.input_port)

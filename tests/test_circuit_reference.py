@@ -24,12 +24,11 @@ exactly when every reference router would (:func:`_parked`).
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from typing import Callable, List, Optional, Tuple
 
 import pytest
-from conftest import FabricScenario, fabric_scenarios, twin_benches
+from conftest import FabricScenario, fabric_scenarios, twin_benches, words
 from hypothesis import given, settings, strategies as st
 from pacing import CyclePacer
 from two_phase import TwoPhase
@@ -41,13 +40,12 @@ from repro.core.flow_control import FlowControlConfig
 from repro.core.header import phits_per_packet
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
-from repro.core.testbench import (
-    LaneStreamConsumer, LaneStreamDriver, TileStreamConsumer, TileStreamDriver, WordSource,
-)
+from repro.core.testbench import CircuitLinkDriver, CircuitLinkSink, CircuitTileDriver, CircuitTileSink
 from repro.energy.activity import LINK_TOGGLE_BITS, REG_CLOCKED_BITS, REG_GATED_BITS, REG_TOGGLE_BITS, \
     XBAR_TOGGLE_BITS, ActivityCounters, ActivityKeys
 from repro.noc import Mesh2D
 from repro.noc.network import CircuitSwitchedNoC
+from repro.sim.datapath import WordSource
 from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent
 
 
@@ -664,7 +662,7 @@ class _ReferenceTileStreamConsumer(ClockedComponent):
 
 
 def _reference_tile_driver(driver):
-    """The kernel-component twin of a :class:`TileStreamDriver` record."""
+    """The kernel-component twin of a :class:`CircuitTileDriver` record."""
     return _ReferenceTileStreamDriver(driver.name, driver.router, driver.lane, driver.word_source,
                                       driver.pacer.load, driver.mark_blocks)
 
@@ -803,11 +801,6 @@ class TestFabricsEqualTheReference:
 # ---------------------------------------------------------------------------
 
 
-def _words(seed):
-    rng = random.Random(seed)
-    return lambda: rng.getrandbits(16)
-
-
 def _table3_setup(router, links):
     """Scenario IV of Table 3 plus a stray tile driver on a lane no route
     reads: records, or the reference components on a reference router."""
@@ -819,15 +812,15 @@ def _table3_setup(router, links):
         lane_driver, lane_sink = _ReferenceLaneStreamDriver, _ReferenceLaneStreamConsumer
     else:
         tile_driver, tile_sink, lane_driver, lane_sink = (
-            TileStreamDriver, TileStreamConsumer, LaneStreamDriver, LaneStreamConsumer)
+            CircuitTileDriver, CircuitTileSink, CircuitLinkDriver, CircuitLinkSink)
     return [
-        tile_driver("s1_src", router, 0, _words(1), load=1.0),
+        tile_driver("s1_src", router, 0, words(1), load=1.0),
         lane_sink("s1_dst", links[Port.EAST][1], 0),
-        lane_driver("s2_src", links[Port.NORTH][0], 0, _words(2), load=0.7),
+        lane_driver("s2_src", links[Port.NORTH][0], 0, words(2), load=0.7),
         tile_sink("s2_dst", router, 0),
-        lane_driver("s3_src", links[Port.WEST][0], 0, _words(3), load=1.0),
+        lane_driver("s3_src", links[Port.WEST][0], 0, words(3), load=1.0),
         lane_sink("s3_dst", links[Port.EAST][1], 1),
-        tile_driver("stray", router, 2, _words(4), load=0.3),
+        tile_driver("stray", router, 2, words(4), load=0.3),
     ]
 
 

@@ -3,28 +3,22 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 import pytest
-from conftest import clock_of
+from conftest import clock_of, words
 
 from repro.common import ConfigurationError, Port, SimulationError
 from repro.core.configuration import ConfigurationCommand
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
 from repro.core.testbench import (
-    LaneStreamConsumer,
-    LaneStreamDriver,
-    TileStreamConsumer,
-    TileStreamDriver,
+    CircuitLinkDriver,
+    CircuitLinkSink,
+    CircuitTileDriver,
+    CircuitTileSink,
 )
 from repro.energy.activity import ActivityKeys
 from repro.sim.engine import SCHEDULES, ClockedComponent, SimulationKernel
-
-
-def words(seed: int = 0):
-    rng = random.Random(seed)
-    return lambda: rng.getrandbits(16)
 
 
 class TestRouterConstruction:
@@ -112,8 +106,8 @@ class TestRouterDataPath:
     def test_tile_to_east_stream(self, cs_router_with_links, kernel_25mhz):
         router, links = cs_router_with_links
         router.configure(Port.EAST, 0, Port.TILE, 0)
-        driver = TileStreamDriver("src", router, 0, words(1), load=1.0)
-        consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 0)
+        driver = CircuitTileDriver("src", router, 0, words(1), load=1.0)
+        consumer = CircuitLinkSink("dst", links[Port.EAST][1], 0)
         kernel_25mhz.add(clock_of(router, driver, consumer))
         kernel_25mhz.run(200)
         assert driver.words_sent >= 35
@@ -126,8 +120,8 @@ class TestRouterDataPath:
     def test_link_to_tile_stream(self, cs_router_with_links, kernel_25mhz):
         router, links = cs_router_with_links
         router.configure(Port.TILE, 0, Port.NORTH, 0)
-        driver = LaneStreamDriver("src", links[Port.NORTH][0], 0, words(2), load=1.0)
-        consumer = TileStreamConsumer("dst", router, 0)
+        driver = CircuitLinkDriver("src", links[Port.NORTH][0], 0, words(2), load=1.0)
+        consumer = CircuitTileSink("dst", router, 0)
         kernel_25mhz.add(clock_of(router, driver, consumer))
         kernel_25mhz.run(200)
         assert consumer.words_received >= driver.words_sent - 3
@@ -135,8 +129,8 @@ class TestRouterDataPath:
     def test_pass_through_stream(self, cs_router_with_links, kernel_25mhz):
         router, links = cs_router_with_links
         router.configure(Port.EAST, 1, Port.WEST, 0)
-        driver = LaneStreamDriver("src", links[Port.WEST][0], 0, words(3), load=1.0)
-        consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 1)
+        driver = CircuitLinkDriver("src", links[Port.WEST][0], 0, words(3), load=1.0)
+        consumer = CircuitLinkSink("dst", links[Port.EAST][1], 1)
         kernel_25mhz.add(clock_of(router, driver, consumer))
         kernel_25mhz.run(200)
         assert consumer.words_received >= driver.words_sent - 3
@@ -146,10 +140,10 @@ class TestRouterDataPath:
         router, links = cs_router_with_links
         router.configure(Port.EAST, 0, Port.TILE, 0)
         router.configure(Port.EAST, 1, Port.WEST, 0)
-        tile_driver = TileStreamDriver("src_tile", router, 0, lambda: 0x1111, load=1.0)
-        west_driver = LaneStreamDriver("src_west", links[Port.WEST][0], 0, lambda: 0x2222, load=1.0)
-        east0 = LaneStreamConsumer("dst0", links[Port.EAST][1], 0)
-        east1 = LaneStreamConsumer("dst1", links[Port.EAST][1], 1)
+        tile_driver = CircuitTileDriver("src_tile", router, 0, lambda: 0x1111, load=1.0)
+        west_driver = CircuitLinkDriver("src_west", links[Port.WEST][0], 0, lambda: 0x2222, load=1.0)
+        east0 = CircuitLinkSink("dst0", links[Port.EAST][1], 0)
+        east1 = CircuitLinkSink("dst1", links[Port.EAST][1], 1)
         kernel_25mhz.add(clock_of(router, tile_driver, west_driver, east0, east1))
         kernel_25mhz.run(300)
         assert east0.words_received > 0 and east1.words_received > 0
@@ -161,7 +155,7 @@ class TestRouterDataPath:
         the source after `window_size` words — no data is lost or duplicated."""
         router, links = cs_router_with_links
         router.configure(Port.EAST, 0, Port.TILE, 0)
-        driver = TileStreamDriver("src", router, 0, words(4), load=1.0)
+        driver = CircuitTileDriver("src", router, 0, words(4), load=1.0)
         kernel_25mhz.add(clock_of(router, driver))  # no consumer: nobody acknowledges
         kernel_25mhz.run(300)
         window = router.converter.serializers[0].window.config.window_size
@@ -176,8 +170,8 @@ class TestRouterDataPath:
     def test_reset_clears_activity_and_state(self, cs_router_with_links, kernel_25mhz):
         router, links = cs_router_with_links
         router.configure(Port.EAST, 0, Port.TILE, 0)
-        driver = TileStreamDriver("src", router, 0, words(5), load=1.0)
-        consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 0)
+        driver = CircuitTileDriver("src", router, 0, words(5), load=1.0)
+        consumer = CircuitLinkSink("dst", links[Port.EAST][1], 0)
         kernel_25mhz.add(clock_of(router, driver, consumer))
         kernel_25mhz.run(50)
         router.reset()
@@ -196,8 +190,8 @@ class TestRouterActivityAndPower:
     def test_active_router_records_toggles_and_words(self, cs_router_with_links, kernel_25mhz):
         router, links = cs_router_with_links
         router.configure(Port.EAST, 0, Port.TILE, 0)
-        driver = TileStreamDriver("src", router, 0, words(6), load=1.0)
-        consumer = LaneStreamConsumer("dst", links[Port.EAST][1], 0)
+        driver = CircuitTileDriver("src", router, 0, words(6), load=1.0)
+        consumer = CircuitLinkSink("dst", links[Port.EAST][1], 0)
         kernel_25mhz.add(clock_of(router, driver, consumer))
         kernel_25mhz.run(200)
         activity = router.activity
@@ -216,8 +210,8 @@ class TestRouterActivityAndPower:
             if configured:
                 router.configure(Port.EAST, 0, Port.TILE, 0)
                 components = [
-                    TileStreamDriver("src", router, 0, words(7), load=1.0),
-                    LaneStreamConsumer("dst", tx, 0),
+                    CircuitTileDriver("src", router, 0, words(7), load=1.0),
+                    CircuitLinkSink("dst", tx, 0),
                 ]
             kernel.add(clock_of(router, *components))
             kernel.run(500)

@@ -13,14 +13,14 @@ import pytest
 from repro.baseline.flit import COORD_MASK, SRC_SHIFT
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
-from repro.baseline.testbench import PacketStreamConsumer, PacketStreamDriver, TilePacketDriver
+from repro.baseline.testbench import PacketLinkDriver, PacketLinkSink, PacketTileDriver
 from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, SimulationError
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter, LaneDatapath
-from repro.core.testbench import LaneStreamConsumer, LaneStreamDriver, TileStreamConsumer, TileStreamDriver
+from repro.core.testbench import CircuitLinkDriver, CircuitLinkSink, CircuitTileDriver, CircuitTileSink
 from repro.noc import Mesh2D, build_network
 from repro.noc.gt_network import (
-    GtLinkStreamConsumer, GtLinkStreamDriver, GtStreamDriver, SlotTableRouter, TdmaDatapath, TdmaLink,
+    GtLinkDriver, GtLinkSink, GtTileDriver, SlotTableRouter, TdmaDatapath, TdmaLink,
 )
 from repro.sim.engine import SCHEDULES, ClockedComponent, SimulationKernel
 
@@ -49,7 +49,7 @@ def test_a_driver_adopted_twice_raises_and_fires_once():
     the driver offered twice its words with no error."""
     router = SlotTableRouter("dut", slots=4)
     datapath = TdmaDatapath("datapath", [router])
-    driver = GtStreamDriver("src", router, "a", lambda: 1, load=1.0, cycles_per_word=4)
+    driver = GtTileDriver("src", router, "a", lambda: 1, load=1.0, cycles_per_word=4)
     datapath.drivers.adopt(driver, 0)
     with pytest.raises(ConfigurationError, match="'src' is already adopted"):
         datapath.drivers.adopt(driver, 0)
@@ -72,7 +72,7 @@ def test_a_driver_adopted_inside_a_cycle_is_refused(schedule):
         kernel = SimulationKernel(25e6, schedule=schedule)
         kernel.add(datapath)
         kernel.run(12)
-        return datapath, kernel, GtStreamDriver("src", router, "a", lambda: 1, load=1.0)
+        return datapath, kernel, GtTileDriver("src", router, "a", lambda: 1, load=1.0)
 
     datapath, kernel, driver = bench()
     kernel.add(type("Adopter", (ClockedComponent,), {"commit": lambda self, cycle: datapath.adopt(driver)})("a"))
@@ -99,12 +99,12 @@ def _circuit_bench():
     router.configure(Port.TILE, 0, Port.NORTH, 0)
     router.configure(Port.EAST, 1, Port.WEST, 0)
     endpoints = [
-        TileStreamDriver("s1_src", router, 0, lambda: 0x1234),
-        LaneStreamConsumer("s1_dst", links[Port.EAST][1], 0),
-        LaneStreamDriver("s2_src", links[Port.NORTH][0], 0, lambda: 0x4321, load=0.5),
-        TileStreamConsumer("s2_dst", router, 0),
-        LaneStreamDriver("s3_src", links[Port.WEST][0], 0, lambda: 0x5678),
-        LaneStreamConsumer("s3_dst", links[Port.EAST][1], 1),
+        CircuitTileDriver("s1_src", router, 0, lambda: 0x1234),
+        CircuitLinkSink("s1_dst", links[Port.EAST][1], 0),
+        CircuitLinkDriver("s2_src", links[Port.NORTH][0], 0, lambda: 0x4321, load=0.5),
+        CircuitTileSink("s2_dst", router, 0),
+        CircuitLinkDriver("s3_src", links[Port.WEST][0], 0, lambda: 0x5678),
+        CircuitLinkSink("s3_dst", links[Port.EAST][1], 1),
     ]
     return LaneDatapath("datapath", [router]), endpoints, lambda: [e.words_received for e in endpoints[1::2]]
 
@@ -116,14 +116,14 @@ def _gt_bench():
         router.program(Port.EAST, slot, Port.TILE, "s1")
         router.program(Port.TILE, slot, Port.NORTH, "s2")
         router.program(Port.EAST, slot + 4, Port.WEST, "s3")
-    east = GtLinkStreamConsumer("east_dst", links[Port.EAST][1], 16)
+    east = GtLinkSink("east_dst", links[Port.EAST][1], 16)
     east.claim(1, frozenset(range(4)))
     east.claim(3, frozenset(range(4, 8)))
     endpoints = [
-        GtStreamDriver("s1_src", router, "s1", lambda: 0x1234, cycles_per_word=4),
+        GtTileDriver("s1_src", router, "s1", lambda: 0x1234, cycles_per_word=4),
         east,
-        GtLinkStreamDriver("s2_src", links[Port.NORTH][0], 16, frozenset(range(4)), lambda: 0x4321, load=0.5),
-        GtLinkStreamDriver("s3_src", links[Port.WEST][0], 16, frozenset(range(4, 8)), lambda: 0x5678),
+        GtLinkDriver("s2_src", links[Port.NORTH][0], 16, frozenset(range(4)), lambda: 0x4321, load=0.5),
+        GtLinkDriver("s3_src", links[Port.WEST][0], 16, frozenset(range(4, 8)), lambda: 0x5678),
     ]
     delivered = lambda: [east.words_received_for(1), router.tile.words_received("s2"), east.words_received_for(3)]
     return TdmaDatapath("datapath", [router]), endpoints, delivered
@@ -132,12 +132,12 @@ def _gt_bench():
 def _packet_bench():
     router = PacketSwitchedRouter("dut", position=(1, 1))
     links = _attach(router, PacketLink)
-    east = PacketStreamConsumer("east_dst", links[Port.EAST][1])
+    east = PacketLinkSink("east_dst", links[Port.EAST][1])
     endpoints = [
-        TilePacketDriver("s1_src", router, lambda: 0x1234, dest=(2, 1), vc=0),
+        PacketTileDriver("s1_src", router, lambda: 0x1234, dest=(2, 1), vc=0),
         east,
-        PacketStreamDriver("s2_src", links[Port.NORTH][0], lambda: 0x4321, dest=(1, 1), src=(1, 2), load=0.5, vc=1),
-        PacketStreamDriver("s3_src", links[Port.WEST][0], lambda: 0x5678, dest=(2, 1), src=(0, 1), vc=2),
+        PacketLinkDriver("s2_src", links[Port.NORTH][0], lambda: 0x4321, dest=(1, 1), src=(1, 2), load=0.5, vc=1),
+        PacketLinkDriver("s3_src", links[Port.WEST][0], lambda: 0x5678, dest=(2, 1), src=(0, 1), vc=2),
     ]
     def delivered():  # East's flits by the x of their source (the tile's 1, West's 0) around the tile's words
         senders = [flit >> SRC_SHIFT & COORD_MASK for flit in east.received_flits]
@@ -155,7 +155,9 @@ _BENCHES = {
 }
 
 
-def _bench_kernel_clocks_only_its_datapath(kind):
+@pytest.mark.parametrize("kind", sorted(_BENCHES))
+def test_a_bench_kernel_clocks_only_its_datapath(kind):
+    """Its link stream endpoints too, which used to be kernel components."""
     build, minimums = _BENCHES[kind]
     datapath, endpoints, delivered = build()
     for endpoint in endpoints:
@@ -170,16 +172,6 @@ def _bench_kernel_clocks_only_its_datapath(kind):
     kernel.run(300)
     assert kernel.components == (datapath,)
     assert all(words > least for words, least in zip(delivered(), minimums))
-
-
-def test_a_circuit_bench_kernel_clocks_only_its_datapath():
-    _bench_kernel_clocks_only_its_datapath("circuit")
-
-
-@pytest.mark.parametrize("kind", ["gt", "packet"])
-def test_a_gt_or_packet_bench_kernel_clocks_only_its_datapath(kind):
-    """Its link stream endpoints too, which used to be kernel components."""
-    _bench_kernel_clocks_only_its_datapath(kind)
 
 
 @pytest.mark.parametrize("kind", sorted(_BENCHES))
@@ -232,9 +224,9 @@ def test_a_bench_tile_consumer_drains_the_cycle_after_a_delivery(load):
         router, rx = CircuitSwitchedRouter("dut"), LaneLink("rx")
         router.attach_link(Port.WEST, rx, LaneLink("west_tx"))
         router.configure(Port.TILE, 0, Port.WEST, 0)
-        consumer = TileStreamConsumer("dst", router, 0)
+        consumer = CircuitTileSink("dst", router, 0)
         datapath = LaneDatapath("datapath", [router])
-        datapath.adopt(LaneStreamDriver("src", rx, 0, lambda: 0x0F00, load))
+        datapath.adopt(CircuitLinkDriver("src", rx, 0, lambda: 0x0F00, load))
         datapath.adopt(consumer)
         kernel = SimulationKernel(25e6, schedule=schedule)
         kernel.add(datapath)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 
 import pytest
 from conftest import fabric_scenarios, step_twins, twin_benches
@@ -16,7 +17,7 @@ from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port, SimulationErr
 from repro.energy.activity import ActivityKeys
 from repro.experiments.harness import run_app_traffic, run_gt_scenario, run_scenario
 from repro.noc import Mesh2D, SlotTableAllocator, TimeDivisionNoC, Torus2D, build_network
-from repro.noc.gt_network import (GtLinkStreamConsumer, GtLinkStreamDriver, GtStreamDriver, SlotTableRouter,
+from repro.noc.gt_network import (GtLinkDriver, GtLinkSink, GtTileDriver, SlotTableRouter,
                                   TdmaDatapath, TdmaLink, TdmaTileInterface)
 from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
 
@@ -384,7 +385,7 @@ class _ReferenceGtStreamDriver(ClockedComponent):
 
 
 def _reference_gt_driver(driver):
-    """The kernel-component twin of a :class:`GtStreamDriver` record."""
+    """The kernel-component twin of a :class:`GtTileDriver` record."""
     return _ReferenceGtStreamDriver(driver.name, driver.router, driver.connection, driver.word_source,
                                     driver.pacer.load, driver.pacer.cycles_per_word, driver.queue_limit)
 
@@ -560,7 +561,7 @@ def _table3_setup(name, load, slots=16):
         components, consumers, taken = [], {}, {}
         reference = isinstance(router, _ReferenceSlotTableRouter)
         link_driver, link_consumer = ((_ReferenceGtLinkStreamDriver, _ReferenceGtLinkStreamConsumer) if reference
-                                      else (GtLinkStreamDriver, GtLinkStreamConsumer))
+                                      else (GtLinkDriver, GtLinkSink))
         for stream in scenario_by_name(name).streams:
             ports = (stream.input_port, -1 - stream.output_port)  # input and output side
             owned = frozenset([s for s in range(slots) if all(s not in taken.get(p, ()) for p in ports)][:4])
@@ -570,7 +571,7 @@ def _table3_setup(name, load, slots=16):
             for slot in owned:
                 router.program(stream.output_port, slot, stream.input_port, connection)
             if stream.enters_at_tile:
-                driver = GtStreamDriver(f"{connection}_src", router, connection, source, load, 4)
+                driver = GtTileDriver(f"{connection}_src", router, connection, source, load, 4)
                 components.append(_reference_gt_driver(driver) if reference else driver)
             else:
                 components.append(
@@ -597,13 +598,17 @@ def _table3_benches(name, load):
 
 
 def _step_table3(benches, cycles):
-    """Step the benches together: equal bench states and equal endpoint
-    counters and receptions after every cycle."""
-    keys = ("words_offered", "words_sent", "words_dropped", "received")
+    """Step the benches together: equal bench states, endpoint counters (those
+    the reference keeps) and words received per owning stream (a sink record
+    collects each word's owner, a reference counts them) after every cycle."""
+    keys = [[key for key in ("words_offered", "words_sent", "words_dropped") if hasattr(e, key)]
+            for e in benches[-1][3]]
     for _ in range(cycles):
         for _router, _links, kernel, _endpoints in benches:
             kernel.step()
-        states = [(_gt_bench_state(router, links, kernel), [[getattr(e, key, None) for key in keys] for e in endpoints])
+        states = [(_gt_bench_state(router, links, kernel),
+                   [[getattr(e, key) for key in kept] + [Counter(getattr(e, "received", ()))]
+                    for e, kept in zip(endpoints, keys)])
                   for router, links, kernel, endpoints in benches]
         assert states[0] == states[1], f"diverged in cycle {benches[0][2].cycle - 1}"
 
@@ -664,7 +669,7 @@ class TestCommitEqualsReference:
                 router.program(Port.EAST, slot, Port.TILE, "a")
                 router.tile.send("a", 0x1234)
             reference = isinstance(router, _ReferenceSlotTableRouter)
-            consumer = (_ReferenceGtLinkStreamConsumer if reference else GtLinkStreamConsumer)(
+            consumer = (_ReferenceGtLinkStreamConsumer if reference else GtLinkSink)(
                 "dst", links[Port.EAST][1], 4)
             consumer.claim(7, frozenset({0, 1}))
             consumers[router] = consumer
@@ -672,7 +677,7 @@ class TestCommitEqualsReference:
 
         benches = _gt_twin_benches(setup, slots=4)
         _gt_step_twins(benches, 6)
-        assert [consumers[router].received for router, _links, _kernel in benches] == [{7: 2}, {7: 2}]
+        assert [Counter(consumers[router].received) for router, _links, _kernel in benches] == [{7: 2}, {7: 2}]
 
     def test_slots_cleared_while_a_word_sits_in_the_output_register(self):
         """The connection is torn down with its last word still registered:
@@ -758,8 +763,8 @@ class TestLinkStreamSlots:
         """Owning slot 16 of a 16-slot table used to send nothing, with no error."""
         for owned in (frozenset({16}), frozenset({-1, 3}), frozenset()):
             with pytest.raises(ValueError, match="slots of 0..15"):
-                GtLinkStreamDriver("src", TdmaLink("rx"), 16, owned, lambda: 1)
-        consumer = GtLinkStreamConsumer("dst", TdmaLink("tx"), 16)
+                GtLinkDriver("src", TdmaLink("rx"), 16, owned, lambda: 1)
+        consumer = GtLinkSink("dst", TdmaLink("tx"), 16)
         with pytest.raises(ValueError, match="slots of 0..15"):
             consumer.claim(1, frozenset({16}))
         assert consumer.slot_owner == [-1] * 16
@@ -772,7 +777,7 @@ class TestLinkStreamSlots:
         router.attach_link(Port.WEST, rx, TdmaLink("west_tx"))
         router.attach_link(Port.EAST, TdmaLink("east_rx"), tx)
         datapath = TdmaDatapath("datapath", [router])
-        for record in (GtLinkStreamDriver("src", rx, 8, frozenset({1}), lambda: 1), GtLinkStreamConsumer("dst", tx, 8)):
+        for record in (GtLinkDriver("src", rx, 8, frozenset({1}), lambda: 1), GtLinkSink("dst", tx, 8)):
             with pytest.raises(ConfigurationError, match="'(src|dst)' counts 8 slots, not 16"):
                 datapath.adopt(record)
         assert not datapath._units and datapath.drivers.next_due is None

@@ -24,10 +24,10 @@ from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.common import Port
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter
-from repro.core.testbench import LaneStreamConsumer, TileStreamDriver
+from repro.core.testbench import CircuitLinkSink, CircuitTileDriver
 from repro.energy.activity import ActivityKeys
 from repro.noc import build_network
-from repro.noc.gt_network import GtLinkStreamDriver, SlotTableRouter, TdmaDatapath, TdmaLink
+from repro.noc.gt_network import GtLinkDriver, SlotTableRouter, TdmaDatapath, TdmaLink
 from repro.sim.engine import DEFAULT_SCHEDULE, SimulationKernel
 
 SCHEDULES = ("strict", DEFAULT_SCHEDULE)
@@ -155,7 +155,7 @@ class TestConstantAccountingSettlesAtSync:
         wire = TdmaLink("west")
         router.attach_link(Port.WEST, wire, TdmaLink("unused"))
         router.program(Port.TILE, 1, Port.WEST, "a")
-        driver = GtLinkStreamDriver(
+        driver = GtLinkDriver(
             "src", wire, 4, frozenset({1}), word_generator(BitFlipPattern.TYPICAL, seed=1), load
         )
         kernel = SimulationKernel(25e6, schedule=schedule)
@@ -263,7 +263,7 @@ class TestOneSchedulingQuestion:
         source = word_generator(BitFlipPattern.TYPICAL, width=router.data_width, seed=3)
         kernel = SimulationKernel(25e6)
         datapath = clock_of(
-            router, TileStreamDriver("src", router, 0, source, load=0.1), LaneStreamConsumer("dst", tx, 0)
+            router, CircuitTileDriver("src", router, 0, source, load=0.1), CircuitLinkSink("dst", tx, 0)
         )
         kernel.add(datapath)
         slept = 0

@@ -14,14 +14,13 @@ from __future__ import annotations
 import pytest
 
 from oracle import assert_identical, ran
-from pacing import CyclePacer, emissions
 from repro.apps.traffic import BitFlipPattern, word_generator
 from repro.common import SimulationError
-from repro.core.testbench import LoadPacer
 from repro.noc.fabric import build_network
 from repro.noc.network import CircuitSwitchedNoC
 from repro.noc.path_allocation import LaneAllocator
 from repro.noc.topology import Mesh2D
+from repro.sim.datapath import LoadPacer
 from repro.sim.engine import ClockedComponent, SimulationKernel
 
 FREQUENCY_HZ = 100e6
@@ -66,22 +65,6 @@ class _Sink(_Settling):
 
     def next_event_cycle(self, cycle: int):
         return None
-
-
-class TestLoadPacerExactness:
-    @pytest.mark.parametrize("load", [0.05, 0.1, 0.25, 0.3, 0.6, 0.8, 1.0])
-    def test_prediction_matches_sequential_emission(self, load):
-        """emit_from's leaps reproduce a per-cycle consultation cycle for cycle."""
-        stepped = CyclePacer(load, 5)
-        stepped_emissions = [c for c in range(2000) if stepped.should_emit()]
-        assert emissions(LoadPacer(load, 5), 2000) == stepped_emissions
-
-    def test_zero_load_never_emits(self):
-        assert LoadPacer(0.0, 5).emit_from(0) is None
-        assert not CyclePacer(0.0, 5).should_emit()
-
-    def test_full_load_period_is_exact(self):
-        assert emissions(LoadPacer(1.0, 5), 50) == [4, 9, 14, 19, 24, 29, 34, 39, 44, 49]
 
 
 class TestCycleLeaping:
@@ -259,8 +242,8 @@ class TestPacedNetworkLeaping:
         must leap emission-to-emission (pacer credit counts opportunities)."""
         from repro.common import Port
         from repro.noc.gt_network import (
-            GtLinkStreamConsumer,
-            GtLinkStreamDriver,
+            GtLinkSink,
+            GtLinkDriver,
             SlotTableRouter,
             TdmaDatapath,
             TdmaLink,
@@ -277,8 +260,8 @@ class TestPacedNetworkLeaping:
             for slot in stream_slots:
                 router.program(Port.EAST, slot, Port.WEST, "s0")
             source = word_generator(BitFlipPattern.TYPICAL, seed=13)
-            driver = GtLinkStreamDriver("src", rx, slots, stream_slots, source, load)
-            consumer = GtLinkStreamConsumer("dst", tx, slots)
+            driver = GtLinkDriver("src", rx, slots, stream_slots, source, load)
+            consumer = GtLinkSink("dst", tx, slots)
             consumer.claim(0, stream_slots)
             kernel = SimulationKernel(FREQUENCY_HZ, schedule=schedule)
             datapath = TdmaDatapath("datapath", [router])

@@ -29,7 +29,7 @@ from repro.core.flow_control import FlowControlConfig
 from repro.core.header import LaneHeader, LanePacket, phits_per_packet
 from repro.core.lane import LaneLink
 from repro.core.router import CircuitSwitchedRouter, LaneDatapath
-from repro.core.testbench import LaneStreamConsumer, LaneStreamDriver, TileStreamConsumer, TileStreamDriver
+from repro.core.testbench import CircuitLinkDriver, CircuitLinkSink, CircuitTileDriver, CircuitTileSink
 from repro.experiments.storm import storm_schedule
 from repro.noc.ccn import CentralCoordinationNode
 from repro.noc.fabric import build_network
@@ -276,7 +276,7 @@ def test_plane_crosses_its_gate_both_ways_and_stays_identical():
             centre.configure(Port.EAST, 3, Port.TILE, 0)
             network.router_at((2, 1)).configure(Port.TILE, 3, Port.WEST, 3)
             words = word_generator(BitFlipPattern.TYPICAL, seed=2)
-            network.datapath.adopt(TileStreamDriver("centre", centre, 0, words))
+            network.datapath.adopt(CircuitTileDriver("centre", centre, 0, words))
         elif which == "multicast":
             centre.configure(Port.NORTH, 3, Port.TILE, 0)
         else:
@@ -504,7 +504,7 @@ def _cross_lane_edge(networks, edge, channel):
         for network in networks.values():
             router, lane = _unread_tile_lane(network, src)
             words = word_generator(BitFlipPattern.TYPICAL, seed=channel["seed"])
-            network.datapath.adopt(TileStreamDriver("stray", router, lane, words, load=1.0))
+            network.datapath.adopt(CircuitTileDriver("stray", router, lane, words, load=1.0))
     elif edge == "late join":
         # A tile write between two run() calls, a word half shifted elsewhere.
         _step_both(
@@ -547,7 +547,7 @@ def _unread_stream(schedule, tx_flow, rx_flow):
     allocation = _circuit(network, "a", (0, 0), (2, 1), tx_flow)
     circuit = allocation.circuits[0]
     network.router_at((2, 1)).tile.configure_rx(circuit.destination_tile_lane, rx_flow)
-    driver = TileStreamDriver(
+    driver = CircuitTileDriver(
         "a_src",
         network.router_at((0, 0)),
         circuit.source_tile_lane,
@@ -684,9 +684,9 @@ def test_multicast_ors_its_acknowledges_like_strict():
             router = network.router_at(position)
             router.configure(Port.TILE, 0, in_port, 0)
             router.tile.configure_rx(0, flow)
-            sinks.append(network.datapath.adopt(TileStreamConsumer(f"sink{position}", router, 0)))
+            sinks.append(network.datapath.adopt(CircuitTileSink(f"sink{position}", router, 0)))
         words = word_generator(BitFlipPattern.TYPICAL, seed=6)
-        network.datapath.adopt(TileStreamDriver("source", centre, 0, words, load=1.0))
+        network.datapath.adopt(CircuitTileDriver("source", centre, 0, words, load=1.0))
         states = []
         for cycles in (7, 51, 73):
             network.run(cycles)
@@ -741,10 +741,10 @@ def test_a_fault_on_a_bench_link_walks_like_strict():
         router.configure(Port.SOUTH, 0, Port.NORTH, 0)
         datapath = LaneDatapath("dut_datapath", [router])
         endpoints = [
-            LaneStreamDriver("west", links[Port.WEST][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=1)),
-            LaneStreamConsumer("east", links[Port.EAST][1], 0),
-            LaneStreamDriver("north", links[Port.NORTH][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=2)),
-            LaneStreamConsumer("south", links[Port.SOUTH][1], 0),
+            CircuitLinkDriver("west", links[Port.WEST][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=1)),
+            CircuitLinkSink("east", links[Port.EAST][1], 0),
+            CircuitLinkDriver("north", links[Port.NORTH][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=2)),
+            CircuitLinkSink("south", links[Port.SOUTH][1], 0),
         ]
         for endpoint in endpoints:
             datapath.adopt(endpoint)
@@ -791,12 +791,12 @@ def test_bench_endpoints_on_walking_routes_step_beside_the_pipe():
         plain.configure(Port.EAST, 0, Port.WEST, 0)
         datapath = LaneDatapath("dut_datapath", routers)
         endpoints = [
-            LaneStreamDriver("m_in", links[multicast, Port.WEST][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=1)),
-            LaneStreamConsumer("m_east", links[multicast, Port.EAST][1], 0),
-            LaneStreamConsumer("m_south", links[multicast, Port.SOUTH][1], 0),
-            LaneStreamDriver("p_in", links[plain, Port.WEST][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=2),
+            CircuitLinkDriver("m_in", links[multicast, Port.WEST][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=1)),
+            CircuitLinkSink("m_east", links[multicast, Port.EAST][1], 0),
+            CircuitLinkSink("m_south", links[multicast, Port.SOUTH][1], 0),
+            CircuitLinkDriver("p_in", links[plain, Port.WEST][0], 0, word_generator(BitFlipPattern.TYPICAL, seed=2),
                              load=0.6),
-            LaneStreamConsumer("p_east", links[plain, Port.EAST][1], 0),
+            CircuitLinkSink("p_east", links[plain, Port.EAST][1], 0),
         ]
         for endpoint in endpoints:
             datapath.adopt(endpoint)
