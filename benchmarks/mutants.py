@@ -205,6 +205,20 @@ MUTANTS = (
         ("tests/test_vector_plane.py::test_bench_endpoints_on_walking_routes_step_beside_the_pipe",),
     ),
     Mutant(
+        "gt-line-deliver-late",  # a GT line delivers each word one cycle after the compiled cycle would
+        "src/repro/noc/gt_lines.py",
+        "                    i, j = bisect_left(times, start - k), bisect_right(times, last - k)\n",
+        "                    i, j = bisect_left(times, start - k - 1), bisect_right(times, last - k - 1)\n",
+        ("tests/test_gt_network.py::TestLinesEqualStrict::test_connections_in_adjacent_slots_of_one_register",),
+    ),
+    Mutant(
+        "gt-line-pair-as-idles",  # two GT lines in adjacent slots of one register book their words as isolated
+        "src/repro/noc/gt_lines.py",
+        "                                (word ^ after).bit_count() - word.bit_count() - after.bit_count())\n",
+        "                                0)\n",
+        ("tests/test_gt_network.py::TestLinesEqualStrict::test_connections_in_adjacent_slots_of_one_register",),
+    ),
+    Mutant(
         "pacer-due-late",  # every paced emission lands one cycle after its credit reaches a packet's worth
         "src/repro/sim/datapath.py",
         "        return cycle + gap - 1\n",

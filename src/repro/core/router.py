@@ -55,7 +55,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
-from itertools import accumulate, count, repeat
+from itertools import accumulate, repeat
 from operator import and_, rshift, xor
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -719,34 +719,28 @@ class LaneDatapath(FabricDatapath):
     a fault; a wire to the outside marks its router, as do the tile
     interfaces and configuration writes.
 
-    **The pipe.**  Under ``schedule="vector"`` without clock gating, the end
-    of a commit that follows a configuration write, a relink, a fault, an
-    endpoint's adoption or release (and the first commit) lays the *lines*
-    (:class:`_Line`): every configured route from a
-    :class:`~repro.core.data_converter.LaneSerializer` (a tile lane's or an
-    adopted :class:`~repro.core.testbench.CircuitLinkDriver`'s) through the
-    routers to a :class:`~repro.core.data_converter.LaneDeserializer` (a
-    tile lane's or an adopted
-    :class:`~repro.core.testbench.CircuitLinkSink`'s), or to nowhere, and
-    every unit off a route that holds state.  From the next cycle every
-    router is parked and every endpoint unit rests; a cycle handles only
-    its events — an acknowledge reaching a source, a source's shifter
-    emptying, a delivery (:attr:`_agenda`) — and the loads that the drivers'
-    and tiles' writes make possible, and :meth:`next_event_cycle` answers
-    the earliest of them, so the kernel leaps the cycles between.  ``sync``
-    materialises every line; a configuration write, a relink, a fault or an
-    endpoint's adoption or release materialises them and puts every router
-    back on the walk.  A route with a multicast acknowledge fan-in, one
-    that reads or drives a wire to the outside no adopted endpoint stands
-    behind (a shard boundary) and one across a dead wire keep the routers
-    it joins by routes on the walk (:attr:`_walkers`, with the endpoints on
-    their wires), beside the lines of the rest; when that is every router,
-    all walk (:meth:`pipe_reason`).
+    **The pipe** (the skeleton's protocol, :meth:`FabricDatapath._lay_pipe`).
+    Under ``schedule="vector"`` without clock gating the end of the first
+    commit, and of one after a configuration write, a relink, a fault or an
+    endpoint's adoption or release, lays the *lines* (:class:`_Line`): every
+    configured route from a serialiser (a tile lane's or an adopted
+    :class:`~repro.core.testbench.CircuitLinkDriver`'s) to a deserialiser
+    (a tile lane's or an adopted :class:`~repro.core.testbench.CircuitLinkSink`'s)
+    or to nowhere, and every unit off a route that holds state.  Every router
+    is then parked and every endpoint unit rests; a cycle handles only the
+    agenda's events — an acknowledge reaching a source, a shifter emptying,
+    a delivery — and the loads the drivers' and tiles' writes make possible.
+    A route with a multicast acknowledge fan-in, one that reads or drives a
+    wire to the outside no adopted endpoint stands behind (a shard boundary)
+    and one across a dead wire keep the routers it joins by routes on the
+    walk (:attr:`_walkers`, with the endpoints on their wires), beside the
+    lines of the rest; when that is every router, all walk.
 
     The stream endpoints it adopted run inside its cycle (:meth:`adopt`).
     """
 
     wire_watchers = ("watch_forward", "watch_ack")
+    pipes = True
 
     def __init__(self, name: str, routers: Sequence[CircuitSwitchedRouter]) -> None:
         super().__init__(name, routers)
@@ -778,30 +772,18 @@ class LaneDatapath(FabricDatapath):
         for router in self.routers:
             router.converter.mark_hook = self._marks[router]
             router.config.on_change = partial(self._compile, router)
-        self._reset_pipe()
         self._rewire()
 
     def _reset_pipe(self) -> None:
+        super()._reset_pipe()
         #: The pipe runs the routers' cycles, all but :attr:`_walkers`' ones,
         #: which walk with the endpoint units on their wires
         #: (:attr:`_walk_units`).
-        self._piping = False
         self._walkers: Dict[CircuitSwitchedRouter, None] = {}
         self._walk_units: Dict[object, None] = {}
-        #: Lay the lines at the end of the next commit.
-        self._pipe_check = True
-        #: Why routers walk (None while the pipe runs every one).
-        self._pipe_reason: Optional[str] = "the pipe is laid at the end of the first cycle"
-        #: The lines, each lane unit's, the events ``(cycle, kind, number,
-        #: line)`` and what a mark, a tile write or a driver's word dirtied.
-        self._lines: List[_Line] = []
+        #: Each lane unit's line and what a mark, a tile write or a driver's word dirtied.
         self._line_of: Dict[object, _Line] = {}
-        self._agenda: list = []
         self._pipe_dirty: Dict[object, None] = {}
-        #: Configured route-hops over all routers when the lines were last laid.
-        self.live_routes: Optional[int] = None
-        #: Cycles the pipe ran up to its last booking, and the cycle of that booking.
-        self._piped = self._piped_since = 0
 
     # -- stream endpoints ------------------------------------------------------------------
 
@@ -1039,11 +1021,7 @@ class LaneDatapath(FabricDatapath):
             return cycle
         if self._units and len(self._resting) < len(self._units):
             return cycle
-        due = self.drivers.next_due
-        agenda = self._agenda
-        if agenda and (due is None or agenda[0][0] < due):
-            return agenda[0][0]
-        return due
+        return self._pipe_next_event(cycle)
 
     def _book(self, router: CircuitSwitchedRouter, start: int, end: int) -> None:
         """Book *router*'s constant register bits of the idle cycles ``[start, end)``."""
@@ -1061,11 +1039,9 @@ class LaneDatapath(FabricDatapath):
             router.activity.add(ActivityKeys.REG_GATED_BITS, gated * cycles)
 
     def settle(self, start_cycle: int, cycles: int) -> None:
-        """At ``sync``: every line materialised, every parked router's idle
-        cycles booked up to now, then the skeleton's booking."""
+        """At ``sync``: every parked router's idle cycles booked up to now,
+        then the skeleton's booking (the lines materialised first)."""
         end = start_cycle + cycles
-        if self._piping:
-            self._pipe_sync(end)
         parked = self._parked
         for router, start in parked.items():
             self._book(router, start, end)
@@ -1074,7 +1050,6 @@ class LaneDatapath(FabricDatapath):
 
     def reset(self) -> None:
         """Routers and endpoints back to power-on, all on the walk; the pipe is laid after the first cycle."""
-        self._reset_pipe()
         self._parked.clear()
         self._walk, self._sweeps, self._edge = _NOT_WALKING, {}, 0
         self._next = dict.fromkeys(self.routers)
@@ -1170,19 +1145,12 @@ class LaneDatapath(FabricDatapath):
                 self._line_of[unit] = line
         return line
 
-    def _lay_pipe(self, cycle: int) -> None:
-        """At the end of the commit before *cycle*: lay the lines and park every
-        router but the walkers, or keep why the routers walk."""
-        kernel = self._scheduler
-        if kernel is None or kernel.schedule != "vector":
-            self._pipe_check, self._pipe_reason = False, None
-            return
-        lines, walkers, walk_units, self._pipe_reason, self._pipe_check = self._lines_at(cycle)
-        if lines is None:
-            return
-        self._piping, self._piped_since = True, cycle
+    def _start_pipe(self, plan, cycle: int) -> None:
+        """At the end of the commit before *cycle*: start the lines and park
+        every router but the walkers."""
+        lines, walkers, walk_units = plan
         self._walkers, self._walk_units = walkers, walk_units
-        self._agenda, self._sequence = [], count()
+        self._piped_members = len(self.routers) - len(walkers)
         for line in lines:
             self._start_line(line)
         parked, walking = self._parked, self._next
@@ -1196,19 +1164,19 @@ class LaneDatapath(FabricDatapath):
                 resting[unit] = None
                 owed.setdefault(unit, cycle)
 
-    def _lines_at(self, cycle: int):
+    def _plan_pipe(self, cycle: int):
         """The lines of the state after the latch of ``cycle - 1``, the routers
         that walk beside them and the endpoint units on their wires, and why
-        those walk (``None`` if none do) — or ``None, None, None``, why every
-        router must walk and whether to look again after the next cycle (a
-        word half collected) — and ``False``.
+        those walk (``None`` if none do) — or ``None``, why every router must
+        walk and whether to look again after the next cycle (a word half
+        collected).
 
         Routes chained through wires join their routers into one group; a
         route the pipe cannot lay keeps its group on the walk, and a group
         that walks every router keeps them all on it."""
         routers = self.routers
         if any(router.clock_gating for router in routers):
-            return None, None, None, "clock gating keeps the routers on the walk", False
+            return None, "clock gating keeps the routers on the walk", False
         drivers, consumers = {}, {}
         for unit in self._units:
             (drivers if hasattr(unit, "serializer") else consumers)[unit.link, unit.lane] = unit
@@ -1251,7 +1219,7 @@ class LaneDatapath(FabricDatapath):
             walkers = self._chained(refused, outputs)
             reason = next(iter(refused.values()))
             if len(walkers) == len(routers):
-                return None, None, None, reason, False
+                return None, reason, False
             reason = f"{len(walkers)} of {len(routers)} routers walk: {reason}"
         lines, hops_laid, used = [], 0, set()
         for (router, src_idx), out_idx in routed.items():
@@ -1302,7 +1270,7 @@ class LaneDatapath(FabricDatapath):
                 s_late=s_late, d_late=consumer is not None and consumer in self._units_before,
             ))
         if hops_laid < sum(1 for router, _src_idx in routed if router not in walkers):
-            return None, None, None, "a ring of routes feeds itself", False
+            return None, "a ring of routes feeds itself", False
         # The tile lanes off every route that hold state.
         laid = {line.src for line in lines} | {line.dst for line in lines}
         for router in routers:
@@ -1321,9 +1289,9 @@ class LaneDatapath(FabricDatapath):
                 walk_units[unit] = None  # it steps with the router on its wire
                 continue
             if (unit.link, unit.lane) in drivers and (unit.link, unit.lane) in consumers:
-                return None, None, None, f"{unit.link.name!r} joins a driver to a consumer with no route between", False
+                return None, f"{unit.link.name!r} joins a driver to a consumer with no route between", False
             if unit.link.dead:
-                return None, None, None, f"{unit.name!r} drives or reads the dead wire {unit.link.name!r}", False
+                return None, f"{unit.name!r} drives or reads the dead wire {unit.link.name!r}", False
             late, wire = unit in self._units_before, (unit.link, unit.lane)
             if hasattr(unit, "serializer"):
                 geometry = (unit.link.lane_width, unit.serializer.phits_per_packet)
@@ -1337,8 +1305,8 @@ class LaneDatapath(FabricDatapath):
         for line in lines:
             if line.misaligned:
                 reason = f"a half-collected word waits at {line.dst!r} for phits not yet sent"
-                return None, None, None, reason, True
-        return lines, walkers, walk_units, reason, False
+                return None, reason, True
+        return (lines, walkers, walk_units), reason, False
 
     def _chained(self, routers, outputs) -> Dict[CircuitSwitchedRouter, None]:
         """*routers* and every router chained to one of them by routes: a
@@ -1361,50 +1329,12 @@ class LaneDatapath(FabricDatapath):
                     todo.append(other)
         return chained
 
-    def _pipe_sync(self, cycle: int) -> None:
-        """Materialise every line at *cycle* and count the piped cycles."""
-        for line in self._lines:
-            line.materialise(cycle)
-        if cycle > self._piped_since:
-            stats = self._scheduler.scheduler_stats
-            stats.vector_batches += cycle - self._piped_since
-            stats.vector_components += (cycle - self._piped_since) * (len(self.routers) - len(self._walkers))
-            self._piped += cycle - self._piped_since
-            self._piped_since = cycle
-
-    def _pipe_release(self, cycle: Optional[int] = None) -> None:
-        """Between two cycles (or at the end of the one before *cycle*): every
-        line materialised, every router back on the walk and every endpoint
-        unit stepping from the next cycle."""
-        self._pipe_sync(self._cycle() if cycle is None else cycle)
-        self._piping, self._walkers, self._walk_units = False, {}, {}
-        self._lines, self._line_of, self._agenda, self._pipe_dirty = [], {}, [], {}
-        self._pipe_check = True
-        self._pipe_reason = "the pipe is laid again at the end of the next cycle"
+    def _unpipe(self) -> None:
+        """Every router back on the walk and every endpoint unit stepping from the next cycle."""
+        self._walkers, self._walk_units, self._line_of, self._pipe_dirty = {}, {}, {}, {}
         for router in self.routers:
             # The lane units moved behind the converters' lists.
             router.converter.rescan()
             self.mark(router)
         for unit in self._units:
             self._resting.pop(unit, None)
-
-    @property
-    def scalar_cycles(self) -> int:
-        """Simulated cycles every router walked (slept-through ones included),
-        the pipe running none of them."""
-        kernel = self._scheduler
-        if kernel is None:
-            return 0
-        piped = self._piped + (kernel.cycle - self._piped_since if self._piping else 0)
-        return kernel.cycle - piped
-
-    @property
-    def piping(self) -> bool:
-        """Whether the pipe runs some or all of the routers right now."""
-        return self._piping
-
-    def pipe_reason(self) -> Optional[str]:
-        """Why some or all of the routers walk right now (``None`` while the
-        pipe runs every one); ``"N of M routers walk: ..."`` while it runs
-        the rest."""
-        return self._pipe_reason

@@ -397,10 +397,7 @@ class CentralCoordinationNode:
                         load,
                         allocation=allocation,
                     )
-                    if isinstance(endpoints, list):
-                        names.extend(ep.name for ep in endpoints)
-                    else:
-                        names.append(endpoints.name)
+                    names.extend(ep.name for ep in endpoints)
             else:
                 if graph is None:
                     raise ConfigurationError(
@@ -422,7 +419,7 @@ class CentralCoordinationNode:
                         word_source,
                         load,
                     )
-                    names.append(endpoints.name)
+                    names.extend(ep.name for ep in endpoints)
         except Exception:
             # Transactional: detach exactly the streams this call attached —
             # the recorded names plus any "name#i" partial of the channel

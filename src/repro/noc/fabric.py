@@ -247,14 +247,15 @@ class NocBase:
         word_source: WordSource,
         load: float = 1.0,
         allocation: Any = None,
-    ) -> Any:
+    ) -> List[FabricStream]:
         """Admit one guaranteed-throughput channel and attach its word stream.
 
         The kind-agnostic entry point of the experiments harness: every
         network kind performs whatever admission/configuration it needs
         (lane circuits, slot schedules, or nothing at all for packet
         switching) and registers a paced stream from the tile at *src* to
-        the tile at *dst*.
+        the tile at *dst*.  Returns the streams attached: one, or on the
+        circuit kind one per striped lane.
 
         When *allocation* is given the caller (the CCN) has already admitted
         the channel and programmed the routers; only the paced stream
@@ -554,26 +555,32 @@ class NocBase:
     # -- reporting --------------------------------------------------------------------------
 
     def schedule_report(self) -> Dict[str, Any]:
-        """Which schedule was requested, whether the circuit datapath's pipe
-        runs the routers right now, and why not.
+        """Which schedule was requested, whether the datapath's pipe runs the
+        routers right now, and why not.
 
         Under ``schedule="vector"`` ``reason`` is ``None`` while the pipe
-        runs every router (:class:`repro.core.router.LaneDatapath`);
-        otherwise it names why routers walk: the kind has no pipe, clock
-        gating, a multicast acknowledge fan-in, a route that reads or drives
-        a wire to the outside no adopted stream endpoint stands behind (a
-        shard boundary), one across a dead wire, a ring of routes, a word
-        half collected from phits not yet sent (looked at again every
-        cycle) — or, before the first cycle, that the pipe is laid at the
-        end of it.  The fan-in, boundary and dead-wire reasons keep only the
-        routers chained by routes to the refused one on the walk and read
-        ``"N of M routers walk: …"`` while the pipe runs the rest.  Under
+        runs every router: the circuit datapath's lines through its
+        configured routes (:class:`repro.core.router.LaneDatapath`) or the
+        GT datapath's lines through its slot trains
+        (:class:`repro.noc.gt_network.TdmaDatapath`).  Otherwise it names
+        why routers run: the packet kind has no pipe; clock gating, a
+        multicast acknowledge fan-in, a ring of routes and a word half
+        collected from phits not yet sent (looked at again every cycle)
+        walk the circuit routers; a wire to the outside (a bench's link
+        streams, a shard boundary), a slot train across a dead wire and a
+        word registered off every line (looked at again every cycle) run
+        the GT routers' compiled cycle — or, before the first cycle, that
+        the pipe is laid at the end of it.  On the circuit kind the
+        fan-in, boundary and dead-wire reasons keep only the routers
+        chained by routes to the refused one on the walk and read ``"N of
+        M routers walk: …"`` while the pipe runs the rest.  Under
         ``strict`` it is ``None`` and no pipe runs.  ``batched_cycles``
         counts the cycles the pipe ran, all routers or some (leaped ones
-        included), and ``scalar_cycles`` those every router walked, both as
+        included), and ``scalar_cycles`` those every router ran, both as
         of the last ``sync``; ``live_routes`` is the count of configured
-        route-hops when the lines were last laid (``None`` without a pipe
-        and before the first cycle).
+        route-hops (GT: programmed slot entries on a line) when the lines
+        were last laid (``None`` without a pipe and before the first
+        cycle).
         """
         requested = self.kernel.schedule
         report: Dict[str, Any] = {
@@ -584,12 +591,11 @@ class NocBase:
             "live_routes": None,
         }
         datapath = self.datapath
-        pipe_reason = getattr(datapath, "pipe_reason", None)
         if requested == "vector":
-            if pipe_reason is None:
+            if datapath is None or not datapath.pipes:
                 report["reason"] = f"the {self.kind} kind has no pipe"
             else:
-                report["reason"] = pipe_reason()
+                report["reason"] = datapath.pipe_reason()
                 report["scalar_cycles"] = datapath.scalar_cycles
                 report["live_routes"] = datapath.live_routes
         return report

@@ -50,9 +50,19 @@ raises :class:`~repro.common.SimulationError`.  A wire between two routers
 of the set is never read (the entry reads the register behind it); an
 *external* wire (a bench's link stream driver's, a shard's boundary mirror)
 is sampled first thing in ``commit``, before the drivers fire and the link
-streams' units turn — so wires need no memory of the previous cycle.  Every
-schedule runs this datapath; its independent reference is the two-phase
-per-router model in ``tests/test_gt_network.py``.
+streams' units turn — so wires need no memory of the previous cycle.
+
+A slot train has no arbitration, no flow control and no reverse path, so
+it is a fixed-latency delay line.  Under ``schedule="vector"`` the datapath
+therefore runs a fabric as lines, one per connection and route
+(:mod:`repro.noc.gt_lines`), which book each word once, when its slot pops
+it, and write back what the compiled cycle would hold at every ``sync`` and
+before a slot-table write, relink, fault or link stream adoption hands the
+fabric back to it.  Wires to the outside (a bench's link streams, a shard
+region) and a slot train across a dead wire keep the compiled cycle, which
+``strict`` always runs: it is the lines' in-tree oracle, and the two-phase
+per-router model in ``tests/test_gt_network.py`` is the independent
+reference of both.
 """
 
 from __future__ import annotations
@@ -69,7 +79,9 @@ from repro.energy.activity import (
 from repro.energy.area import AetherealRouterArea
 from repro.energy.power import PowerBreakdown, PowerModel
 from repro.energy.technology import TSMC_130NM_LVHP, Technology
+from repro.noc import gt_lines
 from repro.noc.fabric import FabricStream, NocBase, register_network_kind
+from repro.noc.gt_lines import TO_MEMBER, TO_NOTHING, TO_TILE, TO_WIRE
 from repro.noc.slot_table import SlotAllocation, SlotCircuit, SlotTableAllocator
 from repro.noc.topology import Position, Topology
 from repro.noc.word_proxy import GtPullModel
@@ -360,10 +372,6 @@ class SlotTableRouter(DatapathMember):
 _PORTS = SlotTableRouter.NUM_PORTS
 #: Where a feed takes its word from (its index in a slot's ``_groups``).
 _FROM_REGISTER, _FROM_TILE, _FROM_WIRE = range(3)
-#: What a register's new word does besides latching (``action`` of a record):
-#: set a live wire a member reads, deliver at the tile, ``drive`` a wire read
-#: outside the set or a dead one (which counts it dropped), or nothing.
-_TO_MEMBER, _TO_TILE, _TO_WIRE, _TO_NOTHING = range(4)
 
 
 class TdmaDatapath(FabricDatapath):
@@ -374,15 +382,18 @@ class TdmaDatapath(FabricDatapath):
     source and feed ``(register, a, b, connection)``: the upstream register
     ``a[b]`` (its router's ``_out_reg``, its port), the tile ``a`` (``b``:
     its router's counter slots) or the external wire ``a``; ``_groups``
-    holds the slot's feeds by source.  An entry whose input wire is missing
-    or dead has no feed: like a register no entry names, it latches idle if
-    it holds a word.  ``_registers`` holds per register what the scatter
+    holds the slot's feeds by source, then its ``_feeds``.  An entry whose
+    input wire is missing or dead has no feed: like a register no entry
+    names, it latches idle if it holds a word.  ``_registers`` holds per register what the scatter
     touches; all state stays in the routers, which share one slot-table size.
     The top of :meth:`commit` fires the :class:`GtTileDriver` objects in
-    :attr:`drivers`; :attr:`_outside_rx` lists the external wires.
+    :attr:`drivers`; :attr:`_outside_rx` lists the external wires.  Under
+    ``vector`` the lines (:mod:`repro.noc.gt_lines`) run the routers
+    instead, from the first commit after a change (:meth:`_lay_commit`).
     """
 
     _transient = ("_held",)
+    pipes = True
 
     def __init__(self, name: str, routers: Sequence[SlotTableRouter]) -> None:
         sizes = {router.slots for router in routers}
@@ -393,7 +404,7 @@ class TdmaDatapath(FabricDatapath):
         self._index = {router: index for index, router in enumerate(self.routers)}
         self._registers: List[tuple] = [()] * (_PORTS * len(self.routers))
         self._feeds: List[Dict[int, tuple]] = [{} for _ in range(self.slots)]
-        self._groups: List[tuple] = [((), (), ())] * self.slots
+        self._groups: List[tuple] = [((), (), (), feeds) for feeds in self._feeds]
         #: Registers holding a word (an insertion-ordered set).
         self._held: Dict[int, None] = {}
         self._rewire()
@@ -401,18 +412,21 @@ class TdmaDatapath(FabricDatapath):
     # -- compiling the schedule, between cycles ----------------------------------------
 
     def _compile(self, router: SlotTableRouter, slots: Optional[Sequence[int]] = None) -> None:
-        """Recompile *router*'s feeds of *slots* (default: its records and every slot)."""
+        """Recompile *router*'s feeds of *slots* (default: its records and every
+        slot); the lines are materialised first and laid again at the next commit."""
+        if self._piping or not self._pipe_check:  # else the next commit looks already
+            self._relay()
         base = _PORTS * self._index[router]
         counts = router.activity.slots
         if slots is None:
             slots = range(self.slots)
             for port, wire in enumerate(router._tx_by_port):
                 if not port:
-                    action, wire = _TO_TILE, router.tile
+                    action, wire = TO_TILE, router.tile
                 elif wire is None:
-                    action = _TO_NOTHING
+                    action = TO_NOTHING
                 else:
-                    action = _TO_MEMBER if wire in self._reader and not wire.dead else _TO_WIRE
+                    action = TO_MEMBER if wire in self._reader and not wire.dead else TO_WIRE
                 self._registers[base + port] = (
                     port, router._out_reg, router._out_prev, counts, router._mask, action, wire,
                 )
@@ -442,13 +456,30 @@ class TdmaDatapath(FabricDatapath):
                 groups = ([], [], [])
                 for source, feed in feeds.values():
                     groups[source].append(feed)
-                self._groups[slot] = tuple(map(tuple, groups))
+                self._groups[slot] = (*map(tuple, groups), feeds)
 
     def adopt(self, record):
         """:meth:`FabricDatapath.adopt`, for a link stream of this slot count only."""
         if getattr(record, "slots", self.slots) != self.slots:
             raise ConfigurationError(f"{record.name!r} counts {record.slots} slots, not {self.slots}")
         return super().adopt(record)
+
+    def _place(self, record, early: bool) -> None:
+        # While the lines run a tile driver joins or leaves the lines that
+        # pop its queue; a link stream's unit hands back to the compiled cycle.
+        super()._place(record, early)
+        if self._piping:
+            if hasattr(record, "step"):
+                self._relay()
+            else:
+                self._laid.join(record)
+
+    def _unplace(self, record) -> None:
+        if self._piping:
+            if hasattr(record, "step"):
+                self._relay()
+            else:
+                self._laid.fed.pop(record, None)
 
     def reprogram(self, router: SlotTableRouter, slot: int) -> None:
         """Recompile *router*'s feeds of *slot* after a slot-table write."""
@@ -457,8 +488,8 @@ class TdmaDatapath(FabricDatapath):
     # -- simulation ---------------------------------------------------------------------
 
     def commit(self, cycle: int) -> None:
-        slot, held = cycle % self.slots, self._held
-        feeds, (from_registers, from_tiles, from_wires) = self._feeds[slot], self._groups[slot]
+        from_registers, from_tiles, from_wires, feeds = self._groups[cycle % self.slots]
+        held = self._held
         if from_wires:  # the external wires, sampled before anything drives them
             sampled = [wire.forward for _, wire, _, _ in from_wires]
         if self.drivers.next_due == cycle:
@@ -500,20 +531,20 @@ class TdmaDatapath(FabricDatapath):
                 del held[register]
             else:
                 held[register] = None
-            if action == _TO_MEMBER:
+            if action == TO_MEMBER:
                 target.forward = word
-            elif action == _TO_TILE:
+            elif action == TO_TILE:
                 if word is not None:
                     target.received.setdefault(connection, []).append(word)
                     counts[WORDS_DELIVERED] += 1
-            elif action == _TO_WIRE:
+            elif action == TO_WIRE:
                 target.drive(word)
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Now while a register or an external wire holds a word or a link
         stream unit is not at rest, else the earlier of the first injection
         slot of a connection with a queued tile word and the cycle the next
-        driver is due."""
+        driver is due (under the lines: :meth:`_pipe_next_event`)."""
         if self._held or self._units and len(self._resting) < len(self._units):
             return cycle
         for wire in self._outside_rx:
@@ -525,6 +556,55 @@ class TdmaDatapath(FabricDatapath):
                 if tile._queued and tile._tx.get(connection):
                     return cycle + offset
         return due
+
+    # -- the lines ----------------------------------------------------------------------
+
+    def _reset_pipe(self) -> None:
+        super()._reset_pipe()
+        #: The lines while they run.
+        self._laid: Optional[gt_lines.GtLines] = None
+        self.__dict__.pop("next_event_cycle", None)
+        self.commit = self._lay_commit
+
+    def _relay(self) -> None:
+        """A slot-table write, relink, fault or stream endpoint's adoption or
+        release: the lines are materialised and laid again at the next commit."""
+        if self._piping:
+            self._pipe_release()
+        elif not self._pipe_check:
+            self._pipe_check, self.commit = True, self._lay_commit
+
+    def _lay_commit(self, cycle: int) -> None:
+        """The first commit after a change: lay the lines, then run the cycle
+        on them or compiled.  While the lines run, their ``commit`` and
+        :meth:`_pipe_next_event` shadow :meth:`commit` and
+        :meth:`next_event_cycle`, so the compiled cycle pays nothing for them."""
+        del self.commit
+        self._lay_pipe(cycle)
+        if self._piping:
+            self.commit(cycle)
+            return
+        if self._pipe_check:  # a word off the lines: look again after this cycle
+            self.commit = self._lay_commit
+        type(self).commit(self, cycle)
+
+    def _plan_pipe(self, cycle: int):
+        return gt_lines.plan(self, cycle)
+
+    def _start_pipe(self, plan: gt_lines.GtLines, cycle: int) -> None:
+        self._laid, self._piped_members = plan, len(self.routers)
+        self.commit, self.next_event_cycle = plan.commit, self._pipe_next_event
+
+    def _materialise(self, cycle: int) -> None:
+        self._laid.materialise(cycle)
+
+    def _unpipe(self) -> None:
+        """The compiled cycle runs again from the registers the lines wrote back."""
+        self._held.clear()
+        self._held.update(self._laid.written)
+        self._laid = None
+        del self.next_event_cycle
+        self.commit = self._lay_commit
 
 
 class GtTileDriver(StreamDriver):
@@ -539,6 +619,9 @@ class GtTileDriver(StreamDriver):
     (:class:`~repro.sim.datapath.DriverSchedule`).
     """
 
+    #: The default backlog bound; a shard's remote pull model of the driver reads it too.
+    QUEUE_LIMIT = 8
+
     def __init__(
         self,
         name: str,
@@ -547,7 +630,7 @@ class GtTileDriver(StreamDriver):
         word_source: WordSource,
         load: float = 1.0,
         cycles_per_word: int = 1,
-        queue_limit: int = 8,
+        queue_limit: int = QUEUE_LIMIT,
     ) -> None:
         super().__init__(name, word_source, LoadPacer(load, cycles_per_word))
         self.router = router
@@ -692,11 +775,11 @@ class TimeDivisionNoC(NocBase):
 
     One :class:`TdmaDatapath` (:attr:`datapath`) clocks the routers and
     fires the :class:`GtTileDriver` of every stream whose source tile it
-    holds: the fabric's kernel clocks that one component.  Its compiled
-    per-slot gather and scatter over the 8-16 words that move is what a
-    cycle costs: ``schedule="vector"`` (the default) is the leaping clock
-    alone here (the pipe is the circuit kind's), and :meth:`schedule_report`
-    says so.
+    holds: the fabric's kernel clocks that one component.  Under
+    ``schedule="vector"`` (the default) it runs the slot trains as lines,
+    and a cycle costs only the drivers due in it; under ``strict``, or
+    where :meth:`schedule_report` names why not, a cycle is its compiled
+    per-slot gather and scatter over the words that move.
     """
 
     datapath_class = TdmaDatapath
@@ -817,7 +900,7 @@ class TimeDivisionNoC(NocBase):
                 cycles_per_word,
                 self.slots,
                 [circuit.hops[0].slot for circuit in allocation.circuits],
-                8,  # GtTileDriver's queue_limit default
+                GtTileDriver.QUEUE_LIMIT,
                 self.kernel.cycle,
             ),
         )
@@ -852,7 +935,7 @@ class TimeDivisionNoC(NocBase):
         word_source: WordSource,
         load: float = 1.0,
         allocation: Optional[SlotAllocation] = None,
-    ) -> FabricStream:
+    ) -> List[FabricStream]:
         if allocation is None:
             allocation = self.admission.allocate(
                 name, src, dst, bandwidth_mbps, self.frequency_hz
@@ -863,4 +946,4 @@ class TimeDivisionNoC(NocBase):
         # identical word stream for the same channel.
         capacity = allocation.slots_used * self.admission.slot_capacity_mbps(self.frequency_hz)
         effective_load = min(1.0, load * bandwidth_mbps / capacity) if capacity else load
-        return self.add_stream(name, allocation, word_source, effective_load)
+        return [self.add_stream(name, allocation, word_source, effective_load)]

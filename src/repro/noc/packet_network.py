@@ -19,7 +19,7 @@ only.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
+from typing import List, Optional
 
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
@@ -159,7 +159,7 @@ class PacketSwitchedNoC(NocBase):
         word_source: WordSource,
         load: float = 1.0,
         allocation: object = None,
-    ) -> FabricStream:
+    ) -> List[FabricStream]:
         # Packet switching needs no admission — packets simply contend for
         # buffers and links, the flexibility-versus-energy trade the paper
         # discusses — but the stream is paced at the channel's requested
@@ -177,9 +177,9 @@ class PacketSwitchedNoC(NocBase):
         fill_budget_cycles = 500
         fillable_words = int(effective_load / phits * fill_budget_cycles)
         words_per_packet = max(1, min(self.words_per_packet, fillable_words))
-        return self.add_stream(
+        return [self.add_stream(
             name, src, dst, word_source, effective_load, words_per_packet=words_per_packet
-        )
+        )]
 
     # -- reporting --------------------------------------------------------------------------
 

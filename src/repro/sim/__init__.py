@@ -13,8 +13,8 @@ next one.
 
 Two schedules execute that model (:data:`repro.sim.engine.SCHEDULES`),
 bit-identical.  ``strict`` commits every component every cycle and is the
-oracle.  ``vector`` — the same loop plus the leap, and the circuit
-datapath's pipe — is :data:`repro.sim.engine.DEFAULT_SCHEDULE`: what
+oracle.  ``vector`` — the same loop plus the leap, and the circuit and GT
+datapaths' pipe — is :data:`repro.sim.engine.DEFAULT_SCHEDULE`: what
 ``SimulationKernel``, ``build_network`` and every experiment hand out when
 no ``schedule`` is passed.
 
@@ -69,11 +69,15 @@ external readers never observe the pipe.  A multicast acknowledge fan-in, a
 route that reads or drives a wire to the outside no adopted endpoint stands
 behind (a shard boundary) and a route across a dead wire keep the routers
 chained to it by routes on the walk, beside the pipe's lines through the
-rest; clock gating keeps every router on it.  The GT and packet datapaths
-(one kernel component per fabric on the :mod:`repro.sim.datapath`
-skeleton, like the circuit one, each running the fabric's stream endpoints
-itself) have no pipe; ``network.schedule_report()`` names the requested
-schedule and why routers walk right now.
+rest; clock gating keeps every router on it.  The GT datapath (one kernel
+component per fabric on the :mod:`repro.sim.datapath` skeleton, which holds
+the pipe's protocol, like the circuit and packet ones) runs a line per
+connection and route the same way, with no acknowledges: a word booked
+once, when its slot pops it, its toggles and its delivery ``hops`` cycles
+on written back at ``sync``; wires to the outside and a slot train across a
+dead wire keep its compiled cycle.  The packet datapath has no pipe;
+``network.schedule_report()`` names the requested schedule and why routers
+run right now.
 
 Bit-identity with ``strict`` (``network.snapshot()``) is asserted by
 ``tests/test_kernel_equivalence.py`` (drawn scenarios included),

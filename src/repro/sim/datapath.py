@@ -18,12 +18,16 @@ leaps while the answer lies later: a tile write, a driver's adoption, a
 configuration write or a word on an outside wire is state the kind's answer
 reads (through a mark where it needs one), and
 :meth:`FabricDatapath.settle` books what the parts owe at every ``sync``.
+The circuit and GT kinds run their routes as fixed-latency delay lines
+under ``schedule="vector"`` (*the pipe*); the skeleton holds its protocol
+and each kind says what a line is (:meth:`FabricDatapath._lay_pipe`).
 """
 
 from __future__ import annotations
 
 from functools import partial
 from heapq import heapify, heappush, heapreplace
+from itertools import count
 from sys import maxsize
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
@@ -278,6 +282,8 @@ class FabricDatapath(ClockedComponent):
     wire_watchers: ClassVar[Tuple[str, ...]] = ("watch_forward",)
     #: The per-cycle containers :meth:`reset` empties.
     _transient: ClassVar[Tuple[str, ...]] = ()
+    #: Whether the kind lays the pipe's lines (:meth:`_lay_pipe`).
+    pipes: ClassVar[bool] = False
 
     def __init__(self, name: str, routers: Sequence[Any]) -> None:
         super().__init__(name)
@@ -299,6 +305,7 @@ class FabricDatapath(ClockedComponent):
         self._units: Dict[Any, None] = {}
         self._resting: Dict[Any, None] = {}
         self._owed: Dict[Any, int] = {}
+        self._reset_pipe()
 
     # -- hooks ---------------------------------------------------------------------------
 
@@ -442,10 +449,13 @@ class FabricDatapath(ClockedComponent):
     # -- simulation ----------------------------------------------------------------------
 
     def settle(self, start_cycle: int, cycles: int) -> None:
-        """Book *cycles* cycles, busy or idle: the idle cycles the resting
-        units owe, every member's constant clocked bits and its cycle count
-        (the rest of the energy model is event-based)."""
+        """Book *cycles* cycles, busy or idle: the pipe's lines materialised,
+        the idle cycles the resting units owe, every member's constant
+        clocked bits and its cycle count (the rest of the energy model is
+        event-based)."""
         end = start_cycle + cycles
+        if self._piping:
+            self._pipe_sync(end)
         owed = self._owed
         for unit, start in owed.items():
             if end > start:
@@ -457,7 +467,9 @@ class FabricDatapath(ClockedComponent):
             activity.add(_CLOCKED_BITS, bits * cycles)
 
     def reset(self) -> None:
-        """Endpoints, routers and drivers back to power-on, every unit stepping."""
+        """Endpoints, routers and drivers back to power-on, every unit
+        stepping; the pipe is laid again after the first cycle."""
+        self._reset_pipe()
         for unit in self._units:
             unit.reset()  # a link driver again with the drivers, after its pacer's
         self._resting.clear()
@@ -467,3 +479,88 @@ class FabricDatapath(ClockedComponent):
         for name in self._transient:
             getattr(self, name).clear()
         self.drivers.reset()
+
+    # -- the pipe ------------------------------------------------------------------------
+
+    def _reset_pipe(self) -> None:
+        #: Whether the lines run, whether to lay them at the kind's next look
+        #: and why routers run instead (None while the lines run every one).
+        self._piping, self._pipe_check = False, True
+        self._pipe_reason: Optional[str] = "the pipe is laid at the end of the first cycle"
+        #: The lines and the agenda of their events ``(cycle, kind, number, line)``.
+        self._lines: List[Any] = []
+        self._agenda: List[tuple] = []
+        self._sequence = count()
+        #: Configured route-hops over all routers when the lines were last laid.
+        self.live_routes: Optional[int] = None
+        #: Cycles the lines ran up to their last booking, the cycle of that
+        #: booking and the members they run.
+        self._piped = self._piped_since = self._piped_members = 0
+
+    def _materialise(self, cycle: int) -> None:
+        """Book what the lines owe and write back what the routers hold
+        after the latch of ``cycle - 1``."""
+        for line in self._lines:
+            line.materialise(cycle)
+
+    def _lay_pipe(self, cycle: int) -> None:
+        """Between the latch of ``cycle - 1`` and *cycle*: lay the lines under
+        ``vector``, or keep why the routers run.  The kind's
+        ``_plan_pipe(cycle)`` answers a plan of its lines (``None`` where the
+        routers must run), why routers run and whether to look again after
+        the next cycle; its ``_start_pipe(plan, cycle)`` starts them, and
+        its ``_unpipe()`` hands the routers back after :meth:`_pipe_release`."""
+        kernel = self._scheduler
+        if kernel is None or kernel.schedule != "vector":
+            self._pipe_check, self._pipe_reason = False, None
+            return
+        plan, self._pipe_reason, self._pipe_check = self._plan_pipe(cycle)
+        if plan is None:
+            return
+        self._piping, self._piped_since = True, cycle
+        self._lines, self._agenda, self._sequence = [], [], count()
+        self._start_pipe(plan, cycle)
+
+    def _pipe_next_event(self, cycle: int) -> Optional[int]:
+        """The ``next_event_cycle`` answer while only the lines run: their next
+        event or the cycle the next driver is due, whichever is first."""
+        due, agenda = self.drivers.next_due, self._agenda
+        return agenda[0][0] if agenda and (due is None or agenda[0][0] < due) else due
+
+    def _pipe_sync(self, cycle: int) -> None:
+        """Materialise every line at *cycle* and count the piped cycles."""
+        self._materialise(cycle)
+        piped = cycle - self._piped_since
+        if piped > 0:
+            stats = self._scheduler.scheduler_stats
+            stats.vector_batches += piped
+            stats.vector_components += piped * self._piped_members
+            self._piped, self._piped_since = self._piped + piped, cycle
+
+    def _pipe_release(self, cycle: Optional[int] = None) -> None:
+        """Between two cycles (or at the end of the one before *cycle*): every
+        line materialised and the routers handed back, the lines laid again
+        at the next look."""
+        self._pipe_sync(self._cycle() if cycle is None else cycle)
+        self._piping, self._lines, self._agenda = False, [], []
+        self._pipe_check = True
+        self._pipe_reason = "the pipe is laid again at the end of the next cycle"
+        self._unpipe()
+
+    @property
+    def scalar_cycles(self) -> int:
+        """Simulated cycles the lines ran none of (slept-through ones included)."""
+        kernel = self._scheduler
+        if kernel is None:
+            return 0
+        piped = self._piped + (kernel.cycle - self._piped_since if self._piping else 0)
+        return kernel.cycle - piped
+
+    @property
+    def piping(self) -> bool:
+        """Whether the lines run some or all of the routers right now."""
+        return self._piping
+
+    def pipe_reason(self) -> Optional[str]:
+        """Why routers run right now (``None`` while the lines run every one)."""
+        return self._pipe_reason

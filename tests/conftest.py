@@ -153,24 +153,42 @@ class FabricScenario:
         run_to(self.cycles)
         return network
 
+    def _fail(self, network) -> None:
+        """The scenario's fault on *network*, re-routed around if drawn so."""
+        _cycle, a, b, reroute = self.fault
+        network.fail_link(a, b)
+        if reroute:
+            network.refresh_routing(IrregularMesh(self.topology, [(a, b)]))
+
     def steps(self, networks):
         """Step *networks* together through the scenario, fault included; yields each cycle run."""
-        fault_cycle, a, b, reroute = self.fault
         for cycle in range(self.cycles):
-            if cycle == fault_cycle:
+            if cycle == self.fault[0]:
                 for network in networks:
-                    network.fail_link(a, b)
-                    if reroute:
-                        network.refresh_routing(IrregularMesh(self.topology, [(a, b)]))
+                    self._fail(network)
             for network in networks:
                 network.kernel.step()
             yield cycle
 
-    def run_in_lockstep(self, build: Callable, reference_build: Callable, snapshot: Callable) -> None:
-        """Step a network and its reference twin, comparing *snapshot* every cycle."""
+    def run_in_lockstep(
+        self, build: Callable, reference_build: Callable, snapshot: Callable, windows: Tuple[int, ...] = (1,)
+    ) -> None:
+        """Run a network in ``run()`` calls of *windows* cycles, repeated (every
+        cycle by default; a window ends at the fault), step its reference twin
+        cycle by cycle, and compare *snapshot* at every stop."""
         networks = [self.build(factory) for factory in (build, reference_build)]
-        for cycle in self.steps(networks):
-            assert snapshot(networks[0]) == snapshot(networks[1]), f"diverged in cycle {cycle}"
+        network, reference = networks
+        fault_cycle, sizes = self.fault[0], repeat_windows(windows)
+        while network.kernel.cycle < self.cycles:
+            cycle = network.kernel.cycle
+            if cycle == fault_cycle:
+                for twin in networks:
+                    self._fail(twin)
+            end = min(cycle + next(sizes), self.cycles, fault_cycle if cycle < fault_cycle else self.cycles)
+            network.run(end - cycle)
+            while reference.kernel.cycle < end:
+                reference.kernel.step()
+            assert snapshot(network) == snapshot(reference), f"diverged in cycle {end - 1}"
         stats = [(n.stream_statistics(), n.fault_drops()) for n in networks]
         assert stats[0] == stats[1]
 

@@ -16,6 +16,7 @@ from collections import deque
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.core.router import LaneDatapath
+from repro.noc.gt_network import TdmaDatapath
 
 #: The reference schedule, and what a user gets without naming one.
 SCHEDULES = {"strict": {"schedule": "strict"}, "default": {}}
@@ -45,8 +46,22 @@ def _unit_state(unit: Any) -> Dict[str, Any]:
 
 def materialised(network: Any) -> Any:
     """The snapshot and, on a single-process circuit fabric, every crossbar
-    register, wire and converter lane unit."""
+    register, wire and converter lane unit; on a GT one every output
+    register, tile queue and delivered word, and every wire."""
     lanes = None
+    if isinstance(getattr(network, "datapath", None), TdmaDatapath):
+        lanes = (
+            {
+                position: (
+                    list(router._out_reg),
+                    list(router._out_prev),
+                    {connection: list(queue) for connection, queue in router.tile._tx.items()},
+                    router.tile.received,
+                )
+                for position, router in network.routers.items()
+            },
+            {key: (link.forward, link.dropped) for key, link in network.links.items()},
+        )
     if isinstance(getattr(network, "datapath", None), LaneDatapath):
         lanes = (
             {

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from conftest import fabric_scenarios, step_twins, twin_benches
 from hypothesis import given, settings, strategies as st
+from oracle import assert_identical, materialised
 from pacing import CyclePacer
 from two_phase import TwoPhase
 
@@ -207,6 +208,23 @@ class TestAttachChannelParity:
         total = sum(e.words_received for e in endpoints)
         # Three striped lanes at full load deliver ~3 words per 5 cycles.
         assert total > 1.5 * 1000 / 5
+
+    @pytest.mark.parametrize("kind", ["circuit", "gt", "packet"])
+    def test_every_kind_returns_the_list_of_streams_it_attached(self, kind):
+        network = build_network(kind, Mesh2D(3, 1), frequency_hz=FREQUENCY_HZ)
+        streams = network.attach_channel("s", (0, 0), (2, 0), 20.0, word_generator(BitFlipPattern.TYPICAL, seed=4))
+        assert [stream.name for stream in streams] == ["s"] and streams[0] is network.streams["s"]
+
+    def test_a_sharded_stream_models_its_drivers_queue_bound(self):
+        """The shard that holds a GT stream's source runs its driver; the other
+        replays the driver's pulls with a model bounded by the same backlog."""
+        regions = [TimeDivisionNoC(Mesh2D(4, 1), frequency_hz=FREQUENCY_HZ, region=[(x, 0), (x + 1, 0)])
+                   for x in (0, 2)]
+        for network in regions:
+            network.attach_channel("s", (0, 0), (3, 0), 100.0, word_generator(BitFlipPattern.TYPICAL, seed=4))
+        driver = regions[0].streams["s"].source
+        _source, model = regions[1]._word_registry._streams["s"]
+        assert driver.queue_limit == model._queue_limit == GtTileDriver.QUEUE_LIMIT
 
     def test_verify_scenarios_accepts_registry_aliases(self):
         from repro.experiments.scenarios import verify_scenarios
@@ -525,12 +543,13 @@ def _parked(clocks, cycle):
     return min(events, default=None)
 
 
-def _gt_network_state(network):
+def _gt_network_state(network, parks=True):
+    """A fabric's routers and wires, and its park answer where *parks*."""
     clocks = [network.datapath or network.clock]
     return (
         {position: _gt_router_state(router) for position, router in network.routers.items()},
         {key: (link.forward, link.dead, link.dropped) for key, link in network.links.items()},
-        _parked(clocks, network.kernel.cycle),
+        _parked(clocks, network.kernel.cycle) if parks else None,
     )
 
 
@@ -614,18 +633,32 @@ def _step_table3(benches, cycles):
 
 
 class TestCommitEqualsReference:
-    @given(scenario=fabric_scenarios(), slots=st.sampled_from([4, 8, 16]))
+    @given(
+        scenario=fabric_scenarios(),
+        slots=st.sampled_from([4, 8, 16]),
+        windows=st.just((1,)) | st.lists(st.integers(1, 41), min_size=1, max_size=3).map(tuple),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_lockstep_on_drawn_fabrics(self, scenario, slots):
+    def test_lockstep_on_drawn_fabrics(self, scenario, slots, windows):
         """Random admitted channels, loads and one mid-run dead wire on a drawn
-        mesh, torus or irregular mesh: after every cycle the datapath leaves
-        every router equal to its reference in counters (key set included),
-        output registers, tile queues and link wires - and it parks exactly
-        when the earliest of the references would."""
+        mesh, torus or irregular mesh, the datapath run every cycle or in
+        drawn windows: at every stop it leaves every router equal to its
+        reference, stepped cycle by cycle, in counters (key set included),
+        output registers, tile queues and link wires - and while it runs
+        its compiled cycle (not the lines of ``vector``, which answer only
+        the drivers' due cycles) it parks exactly when the earliest of the
+        references would."""
+        built = []
+
+        def build(topology, **kw):
+            built.append(TimeDivisionNoC(topology, slots=slots, **kw))
+            return built[-1]
+
         scenario.run_in_lockstep(
-            lambda topology, **kw: TimeDivisionNoC(topology, slots=slots, **kw),
+            build,
             lambda topology, **kw: _ReferenceGtNoC(topology, slots=slots, **kw),
-            _gt_network_state,
+            lambda network: _gt_network_state(network, parks=not built[0].datapath.piping),
+            windows,
         )
 
     def test_reference_is_wired_in(self):
@@ -754,6 +787,182 @@ class TestCommitEqualsReference:
         tile.forget("never-seen")
         tile.reset()
         assert tile._queued == 0
+
+
+# ---------------------------------------------------------------------------
+# The lines of schedule="vector" against the compiled cycle of strict
+# ---------------------------------------------------------------------------
+
+#: Cycles per run() call: stops mid-train, one cycle apart and a revolution apart.
+LINE_WINDOWS = (1, 7, 13, 2, 41, 3, 16, 5)
+
+
+def _run_stopping(network, windows=LINE_WINDOWS, between=None):
+    """Run *network* in *windows*, recording every register, queue, delivered
+    word and wire at each stop (``network.oracle_stops``); ``between(network,
+    index)`` acts after the stop of window *index*."""
+    network.oracle_stops = []
+    for index, window in enumerate(windows):
+        network.run(window)
+        network.oracle_stops.append(materialised(network))
+        if between is not None:
+            between(network, index)
+    return network
+
+
+def _hand_fabric(trains, drivers, width=3, slots=4, **params):
+    """A width×1 GT mesh programmed train by train - ``(connection, x, slot,
+    ((out_port, in_port), ...))`` from router *x* on - and fed by
+    ``(connection, x, load, cycles_per_word, seed)`` tile drivers."""
+    network = TimeDivisionNoC(Mesh2D(width, 1), frequency_hz=FREQUENCY_HZ, slots=slots, **params)
+    for connection, x, slot, hops in trains:
+        for hop, (out_port, in_port) in enumerate(hops):
+            network.router_at((x + hop, 0)).program(out_port, (slot + hop) % slots, in_port, connection)
+    for connection, x, load, cycles_per_word, seed in drivers:
+        network.datapath.adopt(GtTileDriver(
+            f"{connection}_src", network.router_at((x, 0)), connection,
+            word_generator(BitFlipPattern.TYPICAL, seed=seed), load, cycles_per_word))
+    return network
+
+
+EAST_TO_TILE = ((Port.EAST, Port.TILE), (Port.EAST, Port.WEST), (Port.TILE, Port.WEST))
+ONE_HOP_EAST = EAST_TO_TILE[:1] + EAST_TO_TILE[2:]
+
+
+class TestLinesEqualStrict:
+    """Under ``vector`` a GT fabric runs as one line per connection and route
+    (``TdmaDatapath._plan_pipe``); at every stop it must hold what strict's
+    compiled cycle holds."""
+
+    def test_connections_in_adjacent_slots_of_one_register(self):
+        """Three connections own consecutive slots of the middle router's east
+        register and of the last router's tile register, one of them two
+        slots in a row: a word followed by another in the next slot toggles
+        once between them, not twice through idle - also where a long run
+        books on the way (every ``_BOOK_EVERY`` cycles)."""
+
+        def fabric(**params):
+            network = _hand_fabric(
+                [("a", 0, 0, EAST_TO_TILE), ("a", 0, 1, EAST_TO_TILE), ("b", 1, 3, ONE_HOP_EAST),
+                 ("c", 1, 0, ONE_HOP_EAST)],
+                [("a", 0, 1.0, 1, 1), ("b", 1, 0.7, 1, 2), ("c", 1, 0.45, 2, 3)],
+                **params,
+            )
+            return _run_stopping(network, LINE_WINDOWS + (2500, 3))
+
+        networks = assert_identical(fabric)
+        datapath = networks["default"].datapath
+        assert datapath.piping and datapath._laid.pairs
+        assert [sorted(line.slots) for line in datapath._laid.lines if len(line.slots) > 1] == [[0, 1]]
+        assert networks["default"].router_at((2, 0)).activity.get(ActivityKeys.WORDS_DELIVERED) > 40
+
+    def test_a_word_forks_and_two_routes_deliver_to_one_tile(self):
+        """A hand-written table the admission never writes: the middle router
+        latches one word into two outputs in the same slot (one towards
+        nothing), and one connection reaches the last tile by two trains
+        whose words interleave in its received list."""
+
+        def fabric(**params):
+            network = _hand_fabric(
+                [("a", 0, 0, EAST_TO_TILE), ("a", 1, 2, ONE_HOP_EAST)],
+                [("a", 0, 1.0, 1, 1), ("a", 1, 0.8, 1, 2)],
+                **params,
+            )
+            network.router_at((1, 0)).program(Port.NORTH, 1, Port.WEST, "a")
+            return _run_stopping(network)
+
+        networks = assert_identical(fabric)
+        datapath = networks["default"].datapath
+        assert datapath.piping and any(len(fed) > 1 for _tile, _connection, _counts, fed in datapath._laid.sinks)
+        assert any(len(line.observers) > line.depth + 1 for line in datapath._laid.lines)
+
+    @pytest.mark.parametrize("rewrite", ["clear", "program"])
+    def test_a_slot_table_write_mid_train(self, rewrite):
+        """A hop of a train is cleared while words are on it, or a train is
+        added beside one in flight: the lines are materialised, the words
+        left off every line finish under the compiled cycle, then the lines
+        come back."""
+
+        def write(network, index):
+            if index == 2:
+                router = network.router_at((1, 0))
+                if rewrite == "clear":
+                    router.clear(Port.EAST, 1)
+                else:
+                    router.program(Port.EAST, 2, Port.TILE, "b")
+                    network.router_at((2, 0)).program(Port.TILE, 3, Port.WEST, "b")
+
+        def fabric(**params):
+            network = _hand_fabric(
+                [("a", 0, 0, EAST_TO_TILE), ("a", 0, 3, EAST_TO_TILE)],
+                [("a", 0, 1.0, 1, 1), ("b", 1, 1.0, 1, 2)],
+                **params,
+            )
+            return _run_stopping(network, between=write)
+
+        networks = assert_identical(fabric)
+        assert networks["default"].datapath.piping
+
+    def test_a_fault_on_a_lines_wire(self):
+        """Every row at full load; the wire in the middle of one row dies with
+        a word on it: the lines hand over to the compiled cycle, which swallows
+        and counts every later word of that train."""
+
+        def fail(network, index):
+            if index == 3:
+                network.fail_link((1, 1), (2, 1))
+
+        def fabric(**params):
+            network = TimeDivisionNoC(Mesh2D(4, 2), frequency_hz=25e6, slots=8, **params)
+            for row in range(2):
+                network.attach_channel(f"row{row}", (0, row), (3, row), 100.0,
+                                       word_generator(BitFlipPattern.TYPICAL, seed=row), load=1.0)
+            return _run_stopping(network, LINE_WINDOWS + (1, 9, 30), between=fail)
+
+        networks = assert_identical(fabric)
+        default = networks["default"]
+        assert default.fault_drops() > 1 and "crosses the dead wire" in default.schedule_report()["reason"]
+
+    def test_a_stream_joins_and_leaves_running_lines(self):
+        """A tile driver adopted onto slot trains already programmed, and one
+        halted, while the lines run: they pop the queue of the one that
+        joined from its first word."""
+        def fabric(**params):
+            words = [word_generator(BitFlipPattern.TYPICAL, seed=seed) for seed in (1, 2)]
+            network = TimeDivisionNoC(Mesh2D(3, 2), frequency_hz=25e6, **params)
+            allocations = [network.admission.allocate(f"s{row}", (0, row), (2, 1 - row), 100.0, 25e6)
+                           for row in range(2)]
+            for allocation in allocations:
+                network.apply_allocation(allocation)
+            network.add_stream("s0", allocations[0], words[0], 0.9)
+
+            def churn(network, index):
+                if index == 1:
+                    network.add_stream("s1", allocations[1], words[1], 1.0)
+                elif index == 4:
+                    network.halt_stream("s0")
+
+            return _run_stopping(network, between=churn)
+
+        default = assert_identical(fabric)["default"]
+        assert default.datapath.piping and list(default.datapath._laid.fed) == [default.streams["s1"].source]
+
+    def test_reset_then_rerun(self):
+        """``kernel.reset()`` mid-train: the rerun under the lines equals
+        strict's, stop by stop."""
+
+        def fabric(**params):
+            network = TimeDivisionNoC(Mesh2D(3, 3), frequency_hz=25e6, **params)
+            for row in range(3):
+                network.attach_channel(f"row{row}", (0, row), (2, (row + 1) % 3), 100.0,
+                                       word_generator(BitFlipPattern.TYPICAL, seed=row), load=0.8)
+            first = _run_stopping(network, (77,) + LINE_WINDOWS).oracle_stops
+            network.kernel.reset()
+            _run_stopping(network, LINE_WINDOWS).oracle_stops[:0] = first
+            return network
+
+        networks = assert_identical(fabric)
+        assert networks["default"].datapath.piping
 
 
 class TestLinkStreamSlots:

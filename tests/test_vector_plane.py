@@ -90,18 +90,43 @@ def test_vector_plane_batches_busy_cycles():
     assert stats.evaluated < 400  # the kernel leaps the cycles with no event
 
 
-def test_vector_on_gt_and_packet_degrades_to_event():
-    """Non-circuit fabrics accept schedule="vector" but have no pipe, and say so."""
-    for kind in ("packet", "gt"):
-        network = build_network(
-            kind, Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule="vector"
-        )
-        report = network.schedule_report()
-        assert report["requested"] == "vector" and "has no pipe" in report["reason"] and report["live_routes"] is None
-        generator = word_generator(BitFlipPattern.TYPICAL, seed=5)
-        network.attach_channel("a", (0, 0), (2, 2), 100.0, generator, load=0.5)
+def test_vector_on_packet_degrades_to_event():
+    """The packet fabric accepts schedule="vector" but has no pipe, and says so."""
+    network = build_network("packet", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule="vector")
+    report = network.schedule_report()
+    assert report["requested"] == "vector" and "has no pipe" in report["reason"] and report["live_routes"] is None
+    generator = word_generator(BitFlipPattern.TYPICAL, seed=5)
+    network.attach_channel("a", (0, 0), (2, 2), 100.0, generator, load=0.5)
+    network.run(300)
+    assert network.kernel.scheduler_stats.vector_batches == 0
+
+
+def test_vector_on_gt_lays_a_line_per_connection():
+    """Under vector the GT datapath runs its slot trains as lines from the
+    first cycle it runs; a dead wire on a train hands it back to the
+    compiled cycle, and the lines come back once it is torn down."""
+    networks = {}
+    for schedule in ("strict", "vector"):
+        network = networks[schedule] = build_network("gt", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule=schedule)
+        network.attach_channel("a", (0, 0), (2, 2), 100.0, word_generator(BitFlipPattern.TYPICAL, seed=5), load=0.5)
         network.run(300)
-        assert network.kernel.scheduler_stats.vector_batches == 0
+    vector = networks["vector"]
+    report = vector.schedule_report()
+    assert report["reason"] is None and report["live_routes"] == 5 and vector.datapath.piping
+    # The kernel leaps to the first word, due in cycle 31, before anything lays the lines.
+    assert (report["scalar_cycles"], report["batched_cycles"]) == (31, 269)
+    assert_same(networks, materialised)
+    path = [hop.position for hop in vector.streams["a"].allocation.circuits[0].hops]
+    for network in networks.values():
+        network.fail_link(path[1], path[2])
+        network.run(40)  # the next word is due within 32 cycles
+    assert "crosses the dead wire" in vector.schedule_report()["reason"] and not vector.datapath.piping
+    for network in networks.values():
+        network.detach_channel("a")
+        network.attach_channel("b", (0, 0), (0, 2), 100.0, word_generator(BitFlipPattern.TYPICAL, seed=6), load=0.5)
+        network.run(300)
+    assert vector.schedule_report()["reason"] is None
+    assert_same(networks, materialised)
 
 
 def test_clock_gated_circuit_registers_no_plane():

@@ -10,9 +10,9 @@ exactly on one interpreter version, hence the CPython 3.11 gate.  Ten rows:
   ``saturated_default`` (one full-load west-to-east channel per row) under
   the default schedule, cycles 200-360.  The packet fabric is bursty (every
   row sends one 17-flit packet per 256 cycles, all rows at once): that
-  window holds exactly one burst.  The circuit datapath runs its fabric as
-  the pipe; its row is there so the word edges and the leaps between them
-  cannot regress unseen.
+  window holds exactly one burst.  The circuit and GT datapaths run their
+  fabrics as the pipe; their rows are there so the word edges and the
+  leaps between them cannot regress unseen.
 * ``gt paced`` / ``packet paced`` / ``circuit paced`` - the three fabrics of
   ``app_traffic``: HiperLAN/2 and UMTS admitted by a CCN on a 6x6 mesh at
   half load, cycles 800-2400.
@@ -21,20 +21,20 @@ exactly on one interpreter version, hence the CPython 3.11 gate.  Ten rows:
   untimed call; ``circuit bench gated`` the same with ``clock_gating=True``
   (Section 7.3).
 
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================
-row                  before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath  one route program  drivers in the datapath  circuit datapath  circuit endpoints  link endpoints  one clock loop  one phase  one pipe  one stream record
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================
-gt                   4 281                        3 500     3 118             1 220            1 219                1 219              1 084                    1 077             1 069              1 072           1 024           1 007      1 009     1 009
-gt paced             -                            -         2 022             1 294            1 293                1 293              964                      958               952                958             881             861        863       863
-gt bench             -                            -         -                 -                -                    -                  -                        -                 593                592             525             512        514       511
-packet               8 426                        7 454     6 653             6 645            3 534                3 534              3 440                    3 438             3 437              3 443           3 419           3 415      3 416     3 416
-packet paced         -                            -         -                 -                -                    1 859              1 663                    1 654             1 645              1 659           1 590           1 577      1 580     1 579
-packet bench         -                            -         -                 1 113            979                  978                977                      963               949                863             798             785        787       787
-circuit              -                            1 477     1 428             1 420            1 416                1 412              1 406                    1 377             1 206              1 191           1 132           1 124      822       827
-circuit paced        -                            -         -                 -                -                    -                  -                        2 205             1 828              1 810           1 746           1 738      1 436     1 450
-circuit bench        -                            3 587     3 093             3 085            3 084                2 469              2 463                    2 455             2 324              2 323           2 267           2 255      812       824
-circuit bench gated  -                            -         -                 -                2 606                1 821              1 812                    1 802             1 718              1 716           1 655           1 644      1 651     1 653
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================  ========
+row                  before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath  one route program  drivers in the datapath  circuit datapath  circuit endpoints  link endpoints  one clock loop  one phase  one pipe  one stream record  GT lines
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================  ========
+gt                   4 281                        3 500     3 118             1 220            1 219                1 219              1 084                    1 077             1 069              1 072           1 024           1 007      1 009     1 009              283
+gt paced             -                            -         2 022             1 294            1 293                1 293              964                      958               952                958             881             861        863       863                501
+gt bench             -                            -         -                 -                -                    -                  -                        -                 593                592             525             512        514       511                507
+packet               8 426                        7 454     6 653             6 645            3 534                3 534              3 440                    3 438             3 437              3 443           3 419           3 415      3 416     3 416              3 416
+packet paced         -                            -         -                 -                -                    1 859              1 663                    1 654             1 645              1 659           1 590           1 577      1 580     1 579              1 579
+packet bench         -                            -         -                 1 113            979                  978                977                      963               949                863             798             785        787       787                787
+circuit              -                            1 477     1 428             1 420            1 416                1 412              1 406                    1 377             1 206              1 191           1 132           1 124      822       827                828
+circuit paced        -                            -         -                 -                -                    -                  -                        2 205             1 828              1 810           1 746           1 738      1 436     1 450              1 453
+circuit bench        -                            3 587     3 093             3 085            3 084                2 469              2 463                    2 455             2 324              2 323           2 267           2 255      812       824                828
+circuit bench gated  -                            -         -                 -                2 606                1 821              1 812                    1 802             1 718              1 716           1 655           1 644      1 651     1 653              1 653
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================  ========
 
 "One pass" replaced a sampling ``evaluate``, constants booked in every
 ``commit`` and one ``ActivityCounters.add`` per counter; "by slot" replaced
@@ -70,9 +70,16 @@ walk of a configured route (and the NumPy plane) with a delay line per
 route that books each word once, when it loads, and runs only the cycles
 with a word edge (the other rows moved by the kernel's ``try``/``finally``
 around a cycle); "one stream record" folded the ten stream endpoint classes
-into one driver and one sink record.  The GT and packet bench and paced
-ceilings and ``circuit bench gated`` are the "one phase" value + 8 %, the
-other five rows the "one pipe" value + 8 %.
+into one driver and one sink record; "GT lines" replaced the GT datapath's
+per-cycle gather and scatter under ``vector`` with a delay line per
+connection and route that books each word once, when its slot pops it
+(worked out when its queue's driver next fires), and its toggles and
+delivery at ``sync``, so a cycle only fires the drivers due (the circuit
+rows moved by one shared call for the pipe's ``next_event_cycle`` answer,
+the GT bench by a slot's feeds read in one tuple).  The ``gt`` and ``gt
+paced`` ceilings are the "GT lines" value + 8 %; the GT and packet bench
+ceilings, ``packet paced`` and ``circuit bench gated`` the "one phase"
+value + 8 %; the other four rows the "one pipe" value + 8 %.
 """
 
 from __future__ import annotations
@@ -93,7 +100,7 @@ BENCH_CYCLES = 1000
 
 #: Bytecodes per simulated cycle each row may cost.
 CEILINGS = {
-    "gt": 1090, "gt paced": 929, "gt bench": 552, "packet": 3690, "packet paced": 1703, "packet bench": 847,
+    "gt": 306, "gt paced": 541, "gt bench": 552, "packet": 3690, "packet paced": 1703, "packet bench": 847,
     "circuit": 887, "circuit paced": 1550, "circuit bench": 876, "circuit bench gated": 1775,
 }
 
