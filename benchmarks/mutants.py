@@ -219,6 +219,28 @@ MUTANTS = (
         ("tests/test_gt_network.py::TestLinesEqualStrict::test_connections_in_adjacent_slots_of_one_register",),
     ),
     Mutant(
+        "packet-line-deliver-late",  # a packet line books and delivers each flit at the tile one cycle late
+        "src/repro/baseline/lines.py",
+        "            a, b = hop.done - base, bisect_right(times, last - i)\n",
+        "            a, b = hop.done - base, bisect_right(times, last - i - (hop.link is None))\n",
+        ("tests/test_baseline_router.py::TestLinesEqualStrict::test_reset_then_rerun",),
+    ),
+    Mutant(
+        "packet-line-first-grant-change",  # a packet line counts a grant change on a port's first grant
+        "src/repro/baseline/lines.py",
+        "            if hop.grant >= 0 and first != hop.grant:\n",
+        "            if first != hop.grant:\n",
+        ("tests/test_baseline_router.py::TestLinesEqualStrict::test_reset_then_rerun",),
+    ),
+    Mutant(
+        "packet-line-credit-off-wire",  # a packet line writes back no credit on its wires
+        "src/repro/baseline/lines.py",
+        "                wire[vc] = 1\n"
+        "                returns.append((wire, credits, first + vc, vc, router))\n",
+        "                pass\n",
+        ("tests/test_baseline_router.py::TestLinesEqualStrict::test_reset_then_rerun",),
+    ),
+    Mutant(
         "pacer-due-late",  # every paced emission lands one cycle after its credit reaches a packet's worth
         "src/repro/sim/datapath.py",
         "        return cycle + gap - 1\n",

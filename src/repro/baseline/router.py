@@ -19,7 +19,9 @@ VC, credits per output VC) plus, per output port, a free-VC mask and the last
 VC and switch grants; a bit mask names the occupied input VCs.  It is no
 kernel component: one :class:`PacketDatapath` clocks every router of a
 fabric, a shard region or a single-router bench, and runs the stream
-endpoint records (:mod:`repro.baseline.testbench`) feeding them.
+endpoint records (:mod:`repro.baseline.testbench`) feeding them.  Under
+``schedule="vector"`` it runs each stream that shares no output port and no
+source tile as a delay line (:mod:`repro.baseline.lines`).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.baseline import lines
 from repro.baseline.flit import (
     COORD_BITS, COORD_MASK, DEST_SHIFT, FLIT_PAYLOAD_BITS, HEAD_BIT, PAYLOAD_MASK, PAYLOAD_SHIFT, SRC_SHIFT,
     ID_SHIFT, STORAGE_BITS, TAIL_BIT, VC_MASK, Packet, pack_packet,
@@ -269,6 +272,13 @@ class PacketDatapath(FabricDatapath):
     holds the adoption, the wire maps and the stream drivers in
     :attr:`drivers`, fired before the ingest (a packet one completes is
     injected in the same cycle), and a bench's link stream units.
+
+    Under ``vector`` the lines (:mod:`repro.baseline.lines`) run the routers
+    instead while no two streams share an output port or a source tile:
+    laid at the first commit after a change that finds the walk parked
+    (:meth:`~repro.sim.datapath.FabricDatapath._lay_commit`), handed back
+    on an adoption or release, :meth:`reroute`, a relink, a fault,
+    :meth:`reset` or a packet queued for a destination no line serves.
     """
 
     wire_watchers = ("watch_flits", "watch_credits")
@@ -280,6 +290,10 @@ class PacketDatapath(FabricDatapath):
         self._next: Dict[PacketSwitchedRouter, None] = {}
         self._returns: List[tuple] = []
         self._arrivals: List[tuple] = []
+        #: Each stream's hops by ``(source router, destination)`` (or why it
+        #: walks) and the paths of every set of streams laid so far (by the
+        #: tuple of those keys): kept until a relink, a fault or :meth:`reroute`.
+        self._paths: Dict[tuple, object] = {}
         self._rewire()
 
     # -- compiling, between cycles ---------------------------------------------------------
@@ -300,7 +314,10 @@ class PacketDatapath(FabricDatapath):
 
     def _compile(self, router: PacketSwitchedRouter) -> None:
         """Build *router*'s send records (per output port) and credit records
-        (per input VC) from its wiring, and its state tuple; visit it next."""
+        (per input VC) from its wiring, and its state tuple; visit it next.
+        The lines are materialised first and the paths found again."""
+        self._relay()
+        self._paths.clear()
         num_vcs = router.num_vcs
         send: List[Optional[tuple]] = [None] * router.NUM_PORTS
         give: List[Optional[tuple]] = [None] * (router.NUM_PORTS * num_vcs)
@@ -332,8 +349,24 @@ class PacketDatapath(FabricDatapath):
                 self._returns.append(self._return(link, vc))
 
     def inject(self, router: PacketSwitchedRouter) -> None:
-        """*router*'s tile queued flits: visit it in the next move phase."""
-        self._next[router] = None
+        """*router*'s tile queued flits: visit it in the next move phase
+        (under the lines: :meth:`repro.baseline.lines.PacketLines.inject`)."""
+        if self._piping:
+            self._lines[0].inject(router)
+        else:
+            self._next[router] = None
+
+    def reroute(self) -> None:
+        """The routing function changed (between cycles): find the paths again."""
+        self._paths.clear()
+        self._relay()
+
+    def _place(self, record, early: bool) -> None:
+        super()._place(record, early)
+        self._relay()
+
+    def _unplace(self, record) -> None:
+        self._relay()
 
     # -- simulation ---------------------------------------------------------------------
 
@@ -534,7 +567,8 @@ class PacketDatapath(FabricDatapath):
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Now while a router is to be visited, a wire holds a flit or a
         credit or a link stream unit is not at rest; else the cycle the next
-        driver is due (``None``: none is, until an injection or an outside wire)."""
+        driver is due (``None``: none is, until an injection or an outside wire;
+        under the lines: :meth:`_pipe_next_event`)."""
         if self._next or self._arrivals or self._returns or self._units and len(self._resting) < len(self._units):
             return cycle
         for record in self._outside_rx:
@@ -544,3 +578,28 @@ class PacketDatapath(FabricDatapath):
             if any(link.credits):
                 return cycle
         return self.drivers.next_due
+
+    # -- the lines ----------------------------------------------------------------------
+
+    # The datapath keeps at most 30 attribute names, the most CPython 3.11
+    # shares between instances: past that every attribute load of the walk
+    # takes the slower path of an unshared dictionary.
+
+    def _reset_pipe(self) -> None:
+        super()._reset_pipe()
+        self._lay_next()
+
+    def _plan_pipe(self, cycle: int):
+        return lines.plan(self, cycle)
+
+    def _start_pipe(self, plan: lines.PacketLines, cycle: int) -> None:
+        # While the lines run, their ``commit`` and :meth:`_pipe_next_event`
+        # shadow :meth:`commit` and :meth:`next_event_cycle`, so the walk
+        # pays nothing for them.
+        self._lines, self._piped_members = [plan], len(self.routers)
+        self.commit, self.next_event_cycle = plan.commit, self._pipe_next_event
+
+    def _unpipe(self) -> None:
+        """The walk runs again from what the lines wrote back."""
+        del self.next_event_cycle
+        self.commit = self._lay_commit

@@ -740,7 +740,6 @@ class LaneDatapath(FabricDatapath):
     """
 
     wire_watchers = ("watch_forward", "watch_ack")
-    pipes = True
 
     def __init__(self, name: str, routers: Sequence[CircuitSwitchedRouter]) -> None:
         super().__init__(name, routers)

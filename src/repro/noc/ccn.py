@@ -174,6 +174,14 @@ def _undirected(link: Any) -> Any:
     return (a, b) if a <= b else (b, a)
 
 
+def _single_process(network: Optional[NocBase]) -> Optional[NocBase]:
+    """*network*, if the CCN can drive it: a sharded fabric raises, since its
+    lifecycle (admission, stream attachment, drains) runs in one process."""
+    if network is not None and not isinstance(network, NocBase):
+        raise ConfigurationError(f"a CentralCoordinationNode drives a single-process fabric, not {network!r}")
+    return network
+
+
 class CentralCoordinationNode:
     """Run-time resource manager of the multi-tile SoC, generic over fabrics.
 
@@ -209,7 +217,7 @@ class CentralCoordinationNode:
         self.topology = topology
         #: Backwards-compatible alias; the attribute predates non-mesh fabrics.
         self.mesh = topology
-        self.network = network
+        self.network = _single_process(network)
         self._network_cls = type(network) if network is not None else resolve_network_kind(kind)
         #: Canonical kind name of the managed fabric.
         self.kind = self._network_cls.kind
@@ -266,7 +274,7 @@ class CentralCoordinationNode:
 
     def _resolve_network(self, network: Optional[NocBase]) -> Optional[NocBase]:
         """The live network of one call (argument wins over the bound one)."""
-        network = network if network is not None else self.network
+        network = _single_process(network) if network is not None else self.network
         if network is not None and type(network).kind != self.kind:
             raise ConfigurationError(
                 f"CCN manages a {self.kind!r} fabric but was given a "

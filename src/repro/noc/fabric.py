@@ -560,16 +560,22 @@ class NocBase:
 
         Under ``schedule="vector"`` ``reason`` is ``None`` while the pipe
         runs every router: the circuit datapath's lines through its
-        configured routes (:class:`repro.core.router.LaneDatapath`) or the
+        configured routes (:class:`repro.core.router.LaneDatapath`), the
         GT datapath's lines through its slot trains
-        (:class:`repro.noc.gt_network.TdmaDatapath`).  Otherwise it names
-        why routers run: the packet kind has no pipe; clock gating, a
+        (:class:`repro.noc.gt_network.TdmaDatapath`) or the packet
+        datapath's lines through its streams
+        (:class:`repro.baseline.router.PacketDatapath`).  Otherwise it names
+        why routers run: clock gating, a
         multicast acknowledge fan-in, a ring of routes and a word half
         collected from phits not yet sent (looked at again every cycle)
         walk the circuit routers; a wire to the outside (a bench's link
         streams, a shard boundary), a slot train across a dead wire and a
         word registered off every line (looked at again every cycle) run
-        the GT routers' compiled cycle — or, before the first cycle, that
+        the GT routers' compiled cycle; a wire to the outside, two streams
+        sharing an output port or a source tile, a route across a dead
+        wire, FIFOs shallower than two flits, a held virtual channel and
+        flits in flight (looked at again every cycle) walk the packet
+        routers — or, before the first cycle, that
         the pipe is laid at the end of it.  On the circuit kind the
         fan-in, boundary and dead-wire reasons keep only the routers
         chained by routes to the refused one on the walk and read ``"N of
@@ -578,9 +584,9 @@ class NocBase:
         counts the cycles the pipe ran, all routers or some (leaped ones
         included), and ``scalar_cycles`` those every router ran, both as
         of the last ``sync``; ``live_routes`` is the count of configured
-        route-hops (GT: programmed slot entries on a line) when the lines
-        were last laid (``None`` without a pipe and before the first
-        cycle).
+        route-hops (GT: programmed slot entries on a line; packet: routers
+        on a stream's route) when the lines were last laid (``None``
+        before the first cycle).
         """
         requested = self.kernel.schedule
         report: Dict[str, Any] = {
@@ -591,13 +597,10 @@ class NocBase:
             "live_routes": None,
         }
         datapath = self.datapath
-        if requested == "vector":
-            if datapath is None or not datapath.pipes:
-                report["reason"] = f"the {self.kind} kind has no pipe"
-            else:
-                report["reason"] = datapath.pipe_reason()
-                report["scalar_cycles"] = datapath.scalar_cycles
-                report["live_routes"] = datapath.live_routes
+        if requested == "vector" and datapath is not None:
+            report["reason"] = datapath.pipe_reason()
+            report["scalar_cycles"] = datapath.scalar_cycles
+            report["live_routes"] = datapath.live_routes
         return report
 
     def stream_statistics(self) -> Dict[str, Dict[str, int]]:

@@ -26,6 +26,7 @@ from heapq import heapreplace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.energy.activity import LINK_TOGGLE_BITS, REG_TOGGLE_BITS, WORDS_DELIVERED, WORDS_INJECTED
+from repro.sim.datapath import BOOK_EVERY
 
 __all__ = ["GtLines", "plan"]
 
@@ -34,9 +35,6 @@ __all__ = ["GtLines", "plan"]
 #: tile, ``drive`` a wire read outside the set or a dead one (which counts it
 #: dropped), or nothing.
 TO_MEMBER, TO_TILE, TO_WIRE, TO_NOTHING = range(4)
-#: Cycles the lines run between two bookings at most: a bound on the words
-#: they store through a long ``run()``.
-BOOK_EVERY = 1024
 
 
 class Line:

@@ -389,11 +389,11 @@ class TdmaDatapath(FabricDatapath):
     The top of :meth:`commit` fires the :class:`GtTileDriver` objects in
     :attr:`drivers`; :attr:`_outside_rx` lists the external wires.  Under
     ``vector`` the lines (:mod:`repro.noc.gt_lines`) run the routers
-    instead, from the first commit after a change (:meth:`_lay_commit`).
+    instead, from the first commit after a change
+    (:meth:`~repro.sim.datapath.FabricDatapath._lay_commit`).
     """
 
     _transient = ("_held",)
-    pipes = True
 
     def __init__(self, name: str, routers: Sequence[SlotTableRouter]) -> None:
         sizes = {router.slots for router in routers}
@@ -563,40 +563,18 @@ class TdmaDatapath(FabricDatapath):
         super()._reset_pipe()
         #: The lines while they run.
         self._laid: Optional[gt_lines.GtLines] = None
-        self.__dict__.pop("next_event_cycle", None)
-        self.commit = self._lay_commit
-
-    def _relay(self) -> None:
-        """A slot-table write, relink, fault or stream endpoint's adoption or
-        release: the lines are materialised and laid again at the next commit."""
-        if self._piping:
-            self._pipe_release()
-        elif not self._pipe_check:
-            self._pipe_check, self.commit = True, self._lay_commit
-
-    def _lay_commit(self, cycle: int) -> None:
-        """The first commit after a change: lay the lines, then run the cycle
-        on them or compiled.  While the lines run, their ``commit`` and
-        :meth:`_pipe_next_event` shadow :meth:`commit` and
-        :meth:`next_event_cycle`, so the compiled cycle pays nothing for them."""
-        del self.commit
-        self._lay_pipe(cycle)
-        if self._piping:
-            self.commit(cycle)
-            return
-        if self._pipe_check:  # a word off the lines: look again after this cycle
-            self.commit = self._lay_commit
-        type(self).commit(self, cycle)
+        self._lay_next()
 
     def _plan_pipe(self, cycle: int):
         return gt_lines.plan(self, cycle)
 
     def _start_pipe(self, plan: gt_lines.GtLines, cycle: int) -> None:
-        self._laid, self._piped_members = plan, len(self.routers)
+        # A slot-table write, relink, fault or link stream's adoption relays
+        # (:meth:`_relay`); while the lines run, their ``commit`` and
+        # :meth:`_pipe_next_event` shadow :meth:`commit` and
+        # :meth:`next_event_cycle`.
+        self._laid, self._lines, self._piped_members = plan, [plan], len(self.routers)
         self.commit, self.next_event_cycle = plan.commit, self._pipe_next_event
-
-    def _materialise(self, cycle: int) -> None:
-        self._laid.materialise(cycle)
 
     def _unpipe(self) -> None:
         """The compiled cycle runs again from the registers the lines wrote back."""

@@ -12,8 +12,9 @@ energy.
 
 One :class:`~repro.baseline.router.PacketDatapath` (:attr:`PacketSwitchedNoC
 .datapath`) clocks the routers and fires the tile stream drivers: the fabric's
-kernel clocks that one component.  Wiring and routing change between cycles
-only.
+kernel clocks that one component.  Under the default schedule it runs the
+streams as delay lines wherever no two share an output port or a source
+tile.  Wiring and routing change between cycles only.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ class PacketSwitchedNoC(NocBase):
         """
         if self.datapath is not None:
             self.datapath.refuse_inside_cycle(f"routing of {self.datapath.name!r} rebuilt")
+            self.datapath.reroute()
         self.routing.rebuild(degraded)
 
     # -- traffic -----------------------------------------------------------------------------

@@ -13,8 +13,8 @@ next one.
 
 Two schedules execute that model (:data:`repro.sim.engine.SCHEDULES`),
 bit-identical.  ``strict`` commits every component every cycle and is the
-oracle.  ``vector`` — the same loop plus the leap, and the circuit and GT
-datapaths' pipe — is :data:`repro.sim.engine.DEFAULT_SCHEDULE`: what
+oracle.  ``vector`` — the same loop plus the leap, and the datapaths'
+pipe — is :data:`repro.sim.engine.DEFAULT_SCHEDULE`: what
 ``SimulationKernel``, ``build_network`` and every experiment hand out when
 no ``schedule`` is passed.
 
@@ -75,9 +75,14 @@ the pipe's protocol, like the circuit and packet ones) runs a line per
 connection and route the same way, with no acknowledges: a word booked
 once, when its slot pops it, its toggles and its delivery ``hops`` cycles
 on written back at ``sync``; wires to the outside and a slot train across a
-dead wire keep its compiled cycle.  The packet datapath has no pipe;
-``network.schedule_report()`` names the requested schedule and why routers
-run right now.
+dead wire keep its compiled cycle.  The packet datapath runs a line per
+stream while no two streams share an output port or a source tile: such a
+stream never contends, so its flits cross one hop per cycle and each is
+booked once per hop at ``sync``, the buffers, VC state, credits and wires
+written back (:mod:`repro.baseline.lines`); a shared port or tile, a wire
+to the outside, a dead wire on a route, FIFOs shallower than two flits and
+flits in flight keep it walking.  ``network.schedule_report()`` names the
+requested schedule and why routers run right now.
 
 Bit-identity with ``strict`` (``network.snapshot()``) is asserted by
 ``tests/test_kernel_equivalence.py`` (drawn scenarios included),

@@ -18,9 +18,11 @@ leaps while the answer lies later: a tile write, a driver's adoption, a
 configuration write or a word on an outside wire is state the kind's answer
 reads (through a mark where it needs one), and
 :meth:`FabricDatapath.settle` books what the parts owe at every ``sync``.
-The circuit and GT kinds run their routes as fixed-latency delay lines
-under ``schedule="vector"`` (*the pipe*); the skeleton holds its protocol
-and each kind says what a line is (:meth:`FabricDatapath._lay_pipe`).
+Every kind runs its routes as fixed-latency delay lines under
+``schedule="vector"`` (*the pipe*): the circuit kind its configured routes,
+the GT kind its slot trains and the packet kind its uncontended streams.
+The skeleton holds the pipe's protocol and each kind says what a line is
+(:meth:`FabricDatapath._lay_pipe`).
 """
 
 from __future__ import annotations
@@ -35,10 +37,13 @@ from repro.common import NEIGHBOR_PORTS, ConfigurationError, Port
 from repro.energy.activity import ActivityKeys
 from repro.sim.engine import ClockedComponent
 
-__all__ = ["DatapathMember", "DriverSchedule", "FabricDatapath", "LinkEndpoint", "LoadPacer", "StreamDriver",
-           "StreamSink", "WordSource"]
+__all__ = ["BOOK_EVERY", "DatapathMember", "DriverSchedule", "FabricDatapath", "LinkEndpoint", "LoadPacer",
+           "StreamDriver", "StreamSink", "WordSource"]
 
 _CLOCKED_BITS = ActivityKeys.REG_CLOCKED_BITS
+#: Cycles the pipe's lines run between two bookings at most: a bound on
+#: the words or flits they store through a long ``run()``.
+BOOK_EVERY = 1024
 
 #: A callable producing the next data word of a stream.
 WordSource = Callable[[], int]
@@ -282,8 +287,6 @@ class FabricDatapath(ClockedComponent):
     wire_watchers: ClassVar[Tuple[str, ...]] = ("watch_forward",)
     #: The per-cycle containers :meth:`reset` empties.
     _transient: ClassVar[Tuple[str, ...]] = ()
-    #: Whether the kind lays the pipe's lines (:meth:`_lay_pipe`).
-    pipes: ClassVar[bool] = False
 
     def __init__(self, name: str, routers: Sequence[Any]) -> None:
         super().__init__(name)
@@ -546,6 +549,43 @@ class FabricDatapath(ClockedComponent):
         self._pipe_check = True
         self._pipe_reason = "the pipe is laid again at the end of the next cycle"
         self._unpipe()
+
+    # The GT and packet kinds lay their lines at the top of a commit: while a
+    # look is due, ``_lay_commit`` shadows ``commit`` as an instance
+    # attribute, and while the lines run their own ``commit`` does, so the
+    # routers' cycle pays nothing for either.
+
+    def _lay_next(self) -> None:
+        """Lay the lines at the next commit, dropping what running ones shadow
+        (at a reset).  By ``del``: reading the instance's ``__dict__`` would
+        turn CPython's inline attribute values into a dictionary and slow
+        every attribute load of the routers' cycle after it."""
+        try:
+            del self.next_event_cycle
+        except AttributeError:
+            pass
+        self.commit = self._lay_commit
+
+    def _relay(self) -> None:
+        """A change between cycles: the lines are materialised and laid again
+        at the next commit."""
+        if self._piping:
+            self._pipe_release()
+        elif not self._pipe_check:
+            self._pipe_check, self.commit = True, self._lay_commit
+
+    def _lay_commit(self, cycle: int) -> None:
+        """The first commit after a change (and every one while the kind asks
+        to look again): lay the lines, then run the cycle on them or on the
+        routers."""
+        del self.commit
+        self._lay_pipe(cycle)
+        if self._piping:
+            self.commit(cycle)
+            return
+        if self._pipe_check:
+            self.commit = self._lay_commit
+        type(self).commit(self, cycle)
 
     @property
     def scalar_cycles(self) -> int:

@@ -27,12 +27,13 @@ Two schedules are available (:data:`SCHEDULES`), bit-identical;
     The same loop, plus the leap: before each cycle the kernel asks every
     component :meth:`ClockedComponent.next_event_cycle` once, and when every
     answer lies later it moves the clock straight to the earliest one.
-    Under this schedule the circuit-switched and GT datapaths
+    Under this schedule the circuit-switched, GT and packet datapaths
     (:class:`repro.core.router.LaneDatapath`,
-    :class:`repro.noc.gt_network.TdmaDatapath`) also run their configured
-    routes and slot trains as the pipe: fixed-latency delay lines that book
-    each word once, so only the cycles with a word edge or a driver's word
-    run (:meth:`repro.noc.fabric.NocBase.schedule_report` says whether it ran).
+    :class:`repro.noc.gt_network.TdmaDatapath`,
+    :class:`repro.baseline.router.PacketDatapath`) also run their configured
+    routes, slot trains and uncontended streams as the pipe: fixed-latency
+    delay lines that book each word or flit once, so only the cycles with a
+    word edge or a driver's word run (:meth:`repro.noc.fabric.NocBase.schedule_report` says whether it ran).
 
 The loop contract
 -----------------
@@ -77,7 +78,7 @@ __all__ = ["ClockedComponent", "SimulationKernel", "SCHEDULES", "DEFAULT_SCHEDUL
 SCHEDULES = ("strict", "vector")
 
 #: What every constructor and experiment that takes a ``schedule`` defaults
-#: to: the leaping clock plus, for the circuit and GT kinds, their datapaths' pipe.
+#: to: the leaping clock plus the datapaths' pipe.
 DEFAULT_SCHEDULE = "vector"
 
 
@@ -146,10 +147,10 @@ class SimulationKernel:
         experiments of the paper (Section 7.2).
     schedule:
         One of :data:`SCHEDULES`.  ``"vector"`` (:data:`DEFAULT_SCHEDULE`)
-        leaps the cycles no component needs plus, for circuit and GT
-        datapaths, runs the configured routes as the pipe
-        (:class:`repro.core.router.LaneDatapath`,
-        :class:`repro.noc.gt_network.TdmaDatapath`); ``"strict"`` commits
+        leaps the cycles no component needs plus runs the datapaths'
+        routes as the pipe (:class:`repro.core.router.LaneDatapath`,
+        :class:`repro.noc.gt_network.TdmaDatapath`,
+        :class:`repro.baseline.router.PacketDatapath`); ``"strict"`` commits
         every component every cycle.  Both produce bit-identical results;
         ``strict`` exists as the reference for the equivalence tests and for
         debugging.

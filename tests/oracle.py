@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Dict, Mapping, Optional
 
+from repro.baseline.flit import COORD_BITS, ID_SHIFT, SRC_SHIFT
+from repro.baseline.router import PacketDatapath
 from repro.core.router import LaneDatapath
 from repro.noc.gt_network import TdmaDatapath
 
@@ -44,11 +46,44 @@ def _unit_state(unit: Any) -> Dict[str, Any]:
     return state
 
 
+#: A packed flit without its packet id, which a process-wide counter hands out.
+_NO_ID = (1 << ID_SHIFT) - 1
+
+
+def _packet_state(datapath: PacketDatapath, network: Any) -> Any:
+    """Every router's buffers, VC and arbiter state and tile, every wire, and
+    the walk's visit set and wire records (as sets: their order moves nothing)."""
+    routers = {}
+    for position, router in network.routers.items():
+        tile = router.tile
+        routers[position] = (
+            [[flit & _NO_ID for flit in fifo] for fifo in router._fifos], router._occupied,
+            list(router._route), list(router._out_vc), list(router._credits), list(router._free),
+            list(router._vc_last), list(router._grant_last), list(router._prev_payload),
+            [flit & _NO_ID for flit in tile._injection_queue],
+            sorted((key & (1 << 2 * COORD_BITS) - 1, words) for key, words in tile._partial.items()),
+            [(packet.src, packet.dest, packet.words) for packet in tile.received_packets],
+            list(tile.received_words), dict(tile.words_from),
+        )
+    wires = {key: (link.forward and link.forward & _NO_ID, list(link.credits), link.dropped)
+             for key, link in network.links.items()}
+    walk = (
+        sorted(router.name for router in datapath._next),
+        sorted(record[0].name for record in datapath._arrivals),
+        sorted({(record[4].name, record[3]) for record in datapath._returns}),
+    )
+    return routers, wires, walk
+
+
 def materialised(network: Any) -> Any:
     """The snapshot and, on a single-process circuit fabric, every crossbar
     register, wire and converter lane unit; on a GT one every output
-    register, tile queue and delivered word, and every wire."""
+    register, tile queue and delivered word, and every wire; on a packet one
+    every buffer, VC, credit, arbiter and tile state, every wire and the
+    walk's visit set and wire records."""
     lanes = None
+    if isinstance(getattr(network, "datapath", None), PacketDatapath):
+        lanes = _packet_state(network.datapath, network)
     if isinstance(getattr(network, "datapath", None), TdmaDatapath):
         lanes = (
             {

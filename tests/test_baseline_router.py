@@ -9,16 +9,19 @@ production routers but the wires, which carry packed flits.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 import pytest
 from conftest import FabricScenario, fabric_scenarios, step_twins, twin_benches, words
+from oracle import SCHEDULES, assert_same, materialised
 from pacing import CyclePacer
 from two_phase import TwoPhase
 from hypothesis import example, given, settings, strategies as st
 
+from repro.apps import hiperlan2
 from repro.apps.traffic import BitFlipPattern, scenario_by_name, word_generator
 from repro.baseline.flit import (
     FLIT_PAYLOAD_BITS, HEAD_BIT, PAYLOAD_MASK, PAYLOAD_SHIFT, VC_MASK, Flit, FlitType, Packet, pack, pack_packet,
@@ -38,7 +41,8 @@ from repro.common import (
 )
 from repro.core.header import phits_per_packet
 from repro.energy.activity import ActivityCounters, ActivityKeys, BUFFER_READ_BITS, BUFFER_WRITE_BITS
-from repro.noc import IrregularMesh, Mesh2D, PacketSwitchedNoC
+from repro.noc import CentralCoordinationNode, IrregularMesh, Mesh2D, PacketSwitchedNoC
+from repro.sim.datapath import BOOK_EVERY
 from repro.sim.engine import DEFAULT_SCHEDULE, ClockedComponent, SimulationKernel
 
 
@@ -1004,7 +1008,8 @@ def _network_state(network):
 
 def _run_lockstep(scenario, **sizes):
     """Step a datapath fabric and its reference twin through *scenario*: equal
-    after every cycle, and the datapath parks only where every reference would."""
+    after every cycle, and while the datapath walks (off the lines, which
+    move their flits in closed form) it parks only where every reference would."""
     networks = [
         scenario.build(lambda topology, **kw: cls(topology, **sizes, **kw))
         for cls in (PacketSwitchedNoC, _ReferencePacketNoC)
@@ -1013,6 +1018,8 @@ def _run_lockstep(scenario, **sizes):
     never = float("inf")
     for cycle in scenario.steps(networks):
         assert _network_state(production) == _network_state(reference), f"diverged in cycle {cycle}"
+        if production.datapath.piping:
+            continue
         now = production.kernel.cycle
         # The datapath sleeps no longer than the reference routers and drivers all would.
         events = [clock.next_event_cycle(now) for clock in reference.kernel.components]
@@ -1342,3 +1349,103 @@ class TestWordsReceivedPerSource:
         assert network.words_received_at((2, 0)) == tile.words_received == sum(tile.words_from.values())
         tile.reset()
         assert tile.words_from == {} and network.words_received_at((2, 0), (0, 0)) == 0
+
+
+def _windows(networks, cycles, seed=0, until=None):
+    """Run *networks* side by side in ``run()`` windows of 1-41 cycles (drawn
+    from *seed*) for *cycles* cycles or until ``until(network)`` holds for
+    the first one; every stop leaves them equal, routers and wires included."""
+    rng = random.Random(seed)
+    first = next(iter(networks.values()))
+    end = first.kernel.cycle + cycles
+    while first.kernel.cycle < end and not (until and until(first)):
+        window = 1 if until else min(rng.randint(1, 41), end - first.kernel.cycle)
+        for network in networks.values():
+            network.run(window)
+        assert_same(networks, materialised, where=f"after cycle {first.kernel.cycle - 1}")
+
+
+def _rows(size, rows=None, **params):
+    """A *size* x *size* packet mesh under strict and the default schedule, one
+    full-load west-to-east stream per row (of *rows*, default every one)."""
+    networks = {}
+    for name, schedule in SCHEDULES.items():
+        network = networks[name] = PacketSwitchedNoC(Mesh2D(size, size), frequency_hz=100e6, **schedule, **params)
+        for row in range(size) if rows is None else rows:
+            network.attach_channel(f"row{row}", (0, row), (size - 1, row), 100.0, words(row), load=1.0)
+    return networks
+
+
+def _holds_a_flit(*key):
+    return lambda network: network.links[key].forward is not None
+
+
+class TestLinesEqualStrict:
+    """Under the default schedule the packet datapath runs each uncontended
+    stream as a line (:mod:`repro.baseline.lines`); at every stop of 1-41-cycle
+    windows its routers, wires and walk records equal strict's walk."""
+
+    @pytest.mark.parametrize("fifo_depth, num_vcs", [(8, 4), (2, 1)])
+    @pytest.mark.parametrize("words_per_packet", [1, 16])
+    def test_rows_of_an_8x8_mesh(self, fifo_depth, num_vcs, words_per_packet):
+        networks = _rows(8, fifo_depth=fifo_depth, num_vcs=num_vcs, words_per_packet=words_per_packet)
+        _windows(networks, 700, seed=fifo_depth + words_per_packet)
+        for network in networks.values():  # the lines book on the way (every BOOK_EVERY cycles)
+            network.run(2 * BOOK_EVERY + 50)
+        assert_same(networks, materialised)
+        report = networks["default"].schedule_report()
+        assert report["reason"] is None and report["live_routes"] == 64 and report["batched_cycles"] > 2700
+
+    @pytest.mark.parametrize("reroute", [False, True])
+    def test_a_fault_on_a_line_wire_mid_packet(self, reroute):
+        networks = _rows(4, rows=(1, 3))
+        _windows(networks, 400, until=_holds_a_flit((1, 1), (2, 1)))
+        assert networks["default"].datapath.piping
+        dropped = [network.fail_link((1, 1), (2, 1)) for network in networks.values()]
+        assert dropped == [1, 1]
+        if reroute:
+            for network in networks.values():
+                network.refresh_routing(network.degraded_topology())
+        _windows(networks, 600, seed=1)
+        reason = networks["default"].schedule_report()["reason"]
+        assert reason is None if reroute else "crosses the dead wire" in reason
+
+    def test_a_ccn_release_mid_packet(self):
+        networks, ccns = {}, {}
+        graph = hiperlan2.build_process_graph()
+        for name, schedule in SCHEDULES.items():
+            network = networks[name] = PacketSwitchedNoC(Mesh2D(4, 4), frequency_hz=100e6, **schedule)
+            ccns[name] = CentralCoordinationNode(network=network)
+            ccns[name].admit(graph)
+            ccns[name].attach_traffic(graph.name, words(3), load=0.5)
+        _windows(networks, 400, until=lambda network: any(link.forward is not None for link in network.links.values()))
+        assert networks["default"].datapath.piping
+        finals = [ccn.release(graph.name) for ccn in ccns.values()]
+        assert finals[0] == finals[1]
+        assert_same(networks, materialised)
+        for ccn in ccns.values():
+            ccn.admit(graph)
+            ccn.attach_traffic(graph.name, words(4), load=0.5)
+        _windows(networks, 300, seed=2)
+        assert networks["default"].schedule_report()["reason"] is None
+
+    def test_a_hand_written_packet(self):
+        networks = _rows(4)
+        _windows(networks, 400, until=_holds_a_flit((0, 2), (1, 2)))
+        for network in networks.values():  # on the line of its tile: the lines keep running
+            network.router_at((0, 2)).tile.send_packet(Packet((0, 2), (3, 2), [1, 2, 3]), vc=1)
+        assert networks["default"].datapath.piping
+        _windows(networks, 90, seed=3)
+        for network in networks.values():  # towards a tile no line serves: the walk takes over
+            network.router_at((0, 1)).tile.send_packet(Packet((0, 1), (2, 3), [4, 5]))
+        assert not networks["default"].datapath.piping
+        _windows(networks, 300, seed=4)
+        assert networks["default"].schedule_report()["reason"] is None
+
+    def test_reset_then_rerun(self):
+        networks = _rows(4, words_per_packet=3)
+        _windows(networks, 150, seed=5)
+        for network in networks.values():
+            network.kernel.reset()
+        _windows(networks, 300, seed=6)
+        assert networks["default"].datapath.piping

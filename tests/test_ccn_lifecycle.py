@@ -31,6 +31,22 @@ def _network_and_ccn(kind, topology=None):
     return network, CentralCoordinationNode(network=network)
 
 
+class TestShardedFabricsAreRefused:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_sharded_network_raises_a_configuration_error(self, kind):
+        """The lifecycle runs in one process: a CCN refuses a sharded fabric,
+        at construction and as a call's network, naming it."""
+        sharded = build_network(kind, Mesh2D(4, 4), frequency_hz=FREQUENCY_HZ, shards=2)
+        try:
+            with pytest.raises(ConfigurationError, match="single-process fabric, not ShardedNetwork"):
+                CentralCoordinationNode(network=sharded)
+            ccn = CentralCoordinationNode(Mesh2D(4, 4), kind=kind, network_frequency_hz=FREQUENCY_HZ)
+            with pytest.raises(ConfigurationError, match="single-process fabric, not ShardedNetwork"):
+                ccn.admit(hiperlan2.build_process_graph(), network=sharded)
+        finally:
+            sharded.close()
+
+
 class TestKindGenericAdmission:
     @pytest.mark.parametrize("kind", KINDS)
     def test_admit_configures_and_release_cleans(self, kind):

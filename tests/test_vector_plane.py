@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, word_generator
 from repro.common import NEIGHBOR_PORTS, CapacityError, FaultError, Port
 from repro.core.flow_control import FlowControlConfig
@@ -90,15 +91,28 @@ def test_vector_plane_batches_busy_cycles():
     assert stats.evaluated < 400  # the kernel leaps the cycles with no event
 
 
-def test_vector_on_packet_degrades_to_event():
-    """The packet fabric accepts schedule="vector" but has no pipe, and says so."""
-    network = build_network("packet", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule="vector")
-    report = network.schedule_report()
-    assert report["requested"] == "vector" and "has no pipe" in report["reason"] and report["live_routes"] is None
-    generator = word_generator(BitFlipPattern.TYPICAL, seed=5)
-    network.attach_channel("a", (0, 0), (2, 2), 100.0, generator, load=0.5)
-    network.run(300)
-    assert network.kernel.scheduler_stats.vector_batches == 0
+def test_vector_on_packet_lays_a_line_per_stream():
+    """Under vector the packet datapath runs a lone stream as a line, equal to
+    strict at every router and wire; the paced application fabric, whose
+    streams share output ports and source tiles, names why it walks."""
+    networks = {}
+    for schedule in ("strict", "vector"):
+        network = networks[schedule] = build_network(
+            "packet", Mesh2D(3, 3), frequency_hz=FREQUENCY_HZ, schedule=schedule)
+        network.attach_channel("a", (0, 0), (2, 2), 100.0, word_generator(BitFlipPattern.TYPICAL, seed=5), load=0.5)
+        network.run(1000)  # a 15-word packet every 480 cycles
+    report = networks["vector"].schedule_report()
+    assert report["reason"] is None and report["batched_cycles"] > 0 and report["live_routes"] == 5
+    assert networks["vector"].datapath.piping and networks["vector"].streams["a"].words_received == 30
+    assert_same(networks, materialised)
+    paced = build_network("packet", Mesh2D(6, 6), frequency_hz=FREQUENCY_HZ)
+    ccn, source = CentralCoordinationNode(network=paced), word_generator(BitFlipPattern.TYPICAL, seed=11)
+    for graph in (hiperlan2.build_process_graph(), umts.build_process_graph()):
+        ccn.admit(graph)
+        ccn.attach_traffic(graph.name, source, load=0.5)
+    paced.run(10)
+    reason = paced.schedule_report()["reason"]
+    assert " share output port " in reason and not paced.datapath.piping
 
 
 def test_vector_on_gt_lays_a_line_per_connection():
