@@ -126,11 +126,17 @@ MUTANTS = (
         "                sampled_credits.append((router, credits, base, wire[:]))\n"
         "                wire[:] = [0] * len(wire)\n"
         "        if self.drivers.next_due == cycle:\n"
-        "            self.drivers.fire(cycle)\n"
+        "            if self._piping:  # lines run beside the walk: they book on the way\n"
+        "                self._lines[0].commit(cycle)\n"
+        "            else:\n"
+        "                self.drivers.fire(cycle)\n"
         "        if self._units:  # a bench's link streams: ahead of the ingest, whenever adopted\n"
         "            self._turn(self._units, cycle)\n",
         "        if self.drivers.next_due == cycle:\n"
-        "            self.drivers.fire(cycle)\n"
+        "            if self._piping:  # lines run beside the walk: they book on the way\n"
+        "                self._lines[0].commit(cycle)\n"
+        "            else:\n"
+        "                self.drivers.fire(cycle)\n"
         "        if self._units:\n"
         "            self._turn(self._units, cycle)\n"
         "        sampled_flits, sampled_credits = [], []\n"
@@ -239,6 +245,27 @@ MUTANTS = (
         "                returns.append((wire, credits, first + vc, vc, router))\n",
         "                pass\n",
         ("tests/test_baseline_router.py::TestLinesEqualStrict::test_reset_then_rerun",),
+    ),
+    Mutant(
+        "packet-group-steals-queue",  # the walk injects from the tile queue of a line's source router
+        "src/repro/baseline/router.py",
+        "                self._inject_from(router, _NO_QUEUE)\n",
+        "                pass\n",
+        ("tests/test_baseline_router.py::TestLinesBesideTheWalk::test_lined_routers_on_a_walked_path",),
+    ),
+    Mutant(
+        "packet-group-ingests-writeback",  # a write-back hands the lines' arrival records to the running walk
+        "src/repro/baseline/lines.py",
+        "        self.records = moved, arrivals, returns = {}, [], []\n",
+        "        self.records = moved, arrivals, returns = {}, self.datapath._arrivals, []\n",
+        ("tests/test_baseline_router.py::TestLinesBesideTheWalk::test_the_application_fabric",),
+    ),
+    Mutant(
+        "packet-group-ejection-shared",  # streams into one tile are not grouped by its ejection port
+        "src/repro/baseline/lines.py",
+        "for router, _in_port, out_port in path]\n",
+        "for router, _in_port, out_port in path if out_port]\n",
+        ("tests/test_baseline_router.py::TestLinesBesideTheWalk::test_lined_routers_on_a_walked_path",),
     ),
     Mutant(
         "pacer-due-late",  # every paced emission lands one cycle after its credit reaches a packet's worth

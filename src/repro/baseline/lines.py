@@ -8,14 +8,18 @@ each credit is home (two cycles after its flit left) before it is needed.
 Its packets then move at pipeline latency — flit *j* of a packet queued in
 cycle *c* crosses hop *i* in cycle ``c + j + i``, later only while an earlier
 packet still holds the tile queue — and no flit waits in a FIFO between two
-cycles.  :func:`plan` lays one line per stream over a
-:class:`~repro.baseline.router.PacketDatapath` that the walk left parked (its
-:class:`Line` built at the stream's first packet), and :class:`PacketLines`
-runs them: a cycle only fires the drivers due, a queued packet is noted
-with its cycle (:meth:`Line.inject`), and at every ``sync``
-(and every :data:`~repro.sim.datapath.BOOK_EVERY` cycles of a long run) each
-line books its flits once per hop from prefix sums over its flit sequence and
-writes back what the walk would hold after the latch of the last cycle.
+cycles.  :func:`plan` splits the streams of a
+:class:`~repro.baseline.router.PacketDatapath` into groups — the streams
+that share an output port (a destination's ejection port included) or a
+source tile, and each refused route alone — and lays one line per stream
+alone in its group (its :class:`Line` built at the stream's first packet);
+the other groups' streams walk beside the lines, through ports no line
+uses.  :class:`PacketLines` runs them: a cycle only fires the drivers due
+(or, beside the walk, the walk's ``commit`` does), a queued packet is noted
+with its cycle (:meth:`Line.inject`), and at every ``sync`` (and every
+:data:`~repro.sim.datapath.BOOK_EVERY` cycles of a long run) each line books
+its flits once per hop from prefix sums over its flit sequence and writes
+back what the walk would hold after the latch of the last cycle.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ from repro.sim.datapath import BOOK_EVERY
 __all__ = ["Line", "PacketLines", "plan"]
 
 _DEST_MASK = (1 << 2 * COORD_BITS) - 1
+
+
+def _key(dest: Tuple[int, int]) -> int:
+    """*dest* as a flit carries it (``flit >> DEST_SHIFT & _DEST_MASK``)."""
+    return dest[1] << COORD_BITS | dest[0]
 
 
 class Hop:
@@ -80,7 +89,7 @@ class Line:
         self.hops = [Hop(*hop) for hop in path]
         source = path[0][0]
         self.queue = source.tile._injection_queue
-        self.dest = dest[1] << COORD_BITS | dest[0]
+        self.dest = _key(dest)
         self.num_vcs = source.num_vcs
         #: A port's VC routes (and out-VCs) and wire credits with no worm on it.
         self.idle = [None] * self.num_vcs, [0] * self.num_vcs
@@ -256,15 +265,21 @@ class PacketLines:
     """The lines laid over one datapath: a cycle fires the drivers due, and
     the lines book and write back at :meth:`materialise`.  A stream's
     :class:`Line` is built at its first packet (:attr:`paths` holds the
-    routes by source router until then): nothing moves its routers before."""
+    routes by source router until then): nothing moves its routers before.
+    :attr:`walked` maps each hop ``(router, in port, destination)`` of a
+    stream that walks beside the lines to its output port (empty while
+    every stream is a line)."""
 
-    def __init__(self, datapath: Any, paths: Dict[Any, tuple], cycle: int) -> None:
-        self.datapath, self.drivers, self.paths = datapath, datapath.drivers, paths
+    def __init__(self, datapath: Any, paths: Dict[Any, tuple], walked: Dict[tuple, int], cycle: int) -> None:
+        self.datapath, self.drivers, self.paths, self.walked = datapath, datapath.drivers, paths, walked
         self.lines: List[Line] = []
         self.by_router: Dict[Any, Line] = {}
         #: The cycle booked up to, and the one written back at (``None``: a
         #: packet was queued since).
         self.booked, self.written = cycle, None
+        #: The walk's visit set and wire records of the lines as of the last
+        #: write-back: the walk's own from :meth:`hand_back` on, never before.
+        self.records: Tuple[Dict[Any, None], list, list] = ({}, [], [])
 
     def commit(self, cycle: int) -> None:
         """A cycle under the lines: the drivers due fire (a packet one completes
@@ -277,18 +292,23 @@ class PacketLines:
 
     def inject(self, router: Any) -> None:
         """*router*'s tile queued a packet: its line injects it from this
-        cycle on; one no line serves hands the routers back to the walk.  A
-        stream driver's packet always has its line, so only a hand-written
-        ``send_packet`` between cycles releases."""
+        cycle on, and the walk takes a walked stream's; any other hands the
+        routers back to the walk.  A stream driver's packet always has its
+        line or its walk, so only a hand-written ``send_packet`` releases."""
         line = self.by_router.get(router)
         if line is None and router in self.paths:
             line = self.by_router[router] = Line(*self.paths[router])
             self.lines.append(line)
         datapath = self.datapath
-        self.written = None
-        if line is None or not line.inject(datapath._cycle()):
-            datapath._relay()
+        if line is not None:
+            if line.inject(datapath._cycle()):
+                self.written = None
+                return
+        elif (router, 0, router.tile._injection_queue[-1] >> DEST_SHIFT & _DEST_MASK) in self.walked:
             datapath._next[router] = None
+            return
+        datapath._relay()
+        datapath._next[router] = None
 
     def book(self, cycle: int) -> None:
         """Book every line up to *cycle*."""
@@ -298,101 +318,190 @@ class PacketLines:
 
     def materialise(self, cycle: int) -> None:
         """Book up to *cycle* and write back what the walk holds after the
-        latch of ``cycle - 1``: routers, wires and the walk's visit set and
-        wire records (once per cycle and packet queued)."""
+        latch of ``cycle - 1``: routers, wires and the lines' :attr:`records`
+        (once per cycle and packet queued)."""
         if cycle == self.written:
             return
         self.book(cycle)
         self.written = cycle
-        datapath = self.datapath
-        moved: Dict[Any, None] = {}
-        arrivals: list = []
-        returns: list = []
+        self.records = moved, arrivals, returns = {}, [], []
         for line in self.lines:
             line.materialise(cycle, moved, arrivals, returns)
-        datapath._next, datapath._arrivals, datapath._returns = moved, arrivals, returns
+
+    def hand_back(self) -> None:
+        """The walk takes the lines' tile queues and :attr:`records` over (at a
+        release, after the last write-back)."""
+        datapath = self.datapath
+        if self.walked:  # the walk injects from the lines' tiles again
+            for router in self.paths:
+                datapath._inject_from(router, router.tile._injection_queue)
+        moved, arrivals, returns = self.records
+        datapath._next.update(moved)
+        datapath._arrivals += arrivals
+        datapath._returns += returns
 
 
 def _path(datapath: Any, router: Any, dest: Tuple[int, int]):
-    """The hops ``(router, in port, out port)`` from *router*'s tile to
-    *dest*'s, or why the walk must run them."""
+    """The hops ``(router, in port, out port)`` from *router*'s tile towards
+    *dest*'s and why the walk must run them (``None``: a line may); a
+    refused route's hops end where its flits stop."""
     path: List[Tuple[Any, int, int]] = []
-    in_port = 0
+    in_port, shallow = 0, None
     while len(path) <= len(datapath.routers):
         try:
             out_port = int(router.route(router.position, dest))
         except ConfigurationError as error:
-            return f"router {router.name!r} has no route to {dest}: {error}"
+            return path, f"router {router.name!r} has no route to {dest}: {error}"
         path.append((router, in_port, out_port))
+        if router.fifo_depth < 2:
+            shallow = shallow or f"router {router.name!r} buffers fewer than two flits per virtual channel"
         if not out_port:
-            return path
+            return path, shallow
         link = router._tx_by_port[out_port]
         if link is None:
-            return f"router {router.name!r} routes towards {dest} onto no wire"
+            return path, f"router {router.name!r} routes towards {dest} onto no wire"
         if link.dead:
-            return f"a route at router {router.name!r} crosses the dead wire {link.name!r}"
+            return path, f"a route at router {router.name!r} crosses the dead wire {link.name!r}"
         router, in_port = datapath._reader[link]
-    return f"the route towards {dest} loops"
+    return path, f"the route towards {dest} loops"
 
 
 def _shape(datapath: Any):
-    """The path of every stream the datapath fires, or why the walk runs;
-    an answer for a set of streams is kept with their paths."""
+    """The paths of the streams that run as lines, the hops of those that
+    walk and why they do — or ``None``, ``None`` and why every router walks;
+    an answer for a set of streams is kept with their paths.
+
+    Streams that share a source tile or an output port join one group; a
+    group of one stream whose route is not refused is a line, every other
+    group walks."""
     for record in datapath._outside_rx:
-        return None, f"router {record[1].name!r} reads {record[0].name!r} from outside the datapath"
+        return None, None, f"router {record[1].name!r} reads {record[0].name!r} from outside the datapath"
     for link, router, _credits, _base in datapath._outside_tx:
-        return None, f"router {router.name!r} drives {link.name!r} out of the datapath"
+        return None, None, f"router {router.name!r} drives {link.name!r} out of the datapath"
     for unit in datapath._units:
-        return None, f"the link stream {unit.name!r} steps at the clock edge"
+        return None, None, f"the link stream {unit.name!r} steps at the clock edge"
     cache = datapath._paths
-    streams = tuple([(driver.router, driver.dest) for driver in datapath.drivers._adopted])
-    paths = cache.get(streams)
-    if paths is not None:
-        return paths, None
-    paths = []
-    sources: Dict[Any, Any] = {}
-    ports: Dict[Tuple[Any, int], Any] = {}
-    for driver in datapath.drivers._adopted:
-        key = (driver.router, driver.dest)
-        path = cache.get(key)
-        if path is None:
-            path = cache[key] = _path(datapath, *key)
-        if isinstance(path, str):
-            return None, path
-        other = sources.setdefault(driver.router, driver)
-        if other is not driver:
-            return None, f"streams {other.name!r} and {driver.name!r} share the source tile of {driver.router.name!r}"
+    drivers = list(datapath.drivers._adopted)
+    streams = tuple([(driver.router, driver.dest) for driver in drivers])
+    shape = cache.get(streams)
+    if shape is not None:
+        return shape
+    group = list(range(len(drivers)))  # a union-find forest over the streams
+
+    def root(i: int) -> int:
+        while group[i] != i:
+            i = group[i]
+        return i
+
+    owners: Dict[tuple, int] = {}
+    routes, walk, reason = [], set(), None
+    for i, driver in enumerate(drivers):
+        found = cache.get(streams[i])
+        if found is None:
+            found = cache[streams[i]] = _path(datapath, *streams[i])
+        path, refusal = found
+        routes.append(path)
+        if refusal is not None:
+            walk.add(i)
+            reason = reason or refusal
+        claims = [(driver.router, "tile")] + [(router, out_port) for router, _in_port, out_port in path]
+        for claim in claims:
+            other = owners.setdefault(claim, i)
+            if other != i and root(other) != root(i):
+                group[root(i)] = root(other)
+                router, port = claim
+                reason = reason or (
+                    f"streams {drivers[other].name!r} and {driver.name!r} share the source tile of {router.name!r}"
+                    if port == "tile" else f"streams {drivers[other].name!r} and {driver.name!r} share output "
+                    f"port {Port(port).short_name} of router {router.name!r}")
+    roots = [root(i) for i in range(len(drivers))]
+    walk = {roots[i] for i in walk} | {r for r in roots if roots.count(r) > 1}
+    lines, walked = [], {}
+    for i, path in enumerate(routes):
+        dest = drivers[i].dest
+        if roots[i] not in walk:
+            lines.append((path, dest))
+            continue
+        for router, in_port, out_port in path:
+            walked[router, in_port, _key(dest)] = out_port
+    shape = cache[streams] = lines, walked, reason
+    return shape
+
+
+def _in_flight(datapath: Any, walked: Dict[tuple, int], lines: list) -> Optional[str]:
+    """Why a line cannot be laid yet: a flit in flight off the walked hops (a
+    line's own, or one of no stream) or a credit on a line's wire; ``None``
+    if none is.  A flit on a walked hop stays on its stream's route, but for
+    one a reroute left routed into a line's port: its VC there is taken,
+    which :func:`_held` sees."""
+    for router in datapath.routers:
+        queue = router.tile._injection_queue
+        if queue and any((router, 0, flit >> DEST_SHIFT & _DEST_MASK) not in walked for flit in queue):
+            return f"the tile of router {router.name!r} queues a flit off the walked routes"
+        if router._occupied:
+            nv = router.num_vcs
+            for index, fifo in enumerate(router._fifos):
+                if any((router, index // nv, flit >> DEST_SHIFT & _DEST_MASK) not in walked for flit in fifo):
+                    return f"a FIFO of router {router.name!r} holds a flit off the walked routes"
+    for link, reader, _fifos, _counts, base, _depth in datapath._arrivals:
+        flit = link.forward
+        if flit is not None and (reader, base // reader.num_vcs, flit >> DEST_SHIFT & _DEST_MASK) not in walked:
+            return "flits are in flight"
+    for path, _dest in lines:
         for router, _in_port, out_port in path:
-            if router.fifo_depth < 2:
-                return None, f"router {router.name!r} buffers fewer than two flits per virtual channel"
-            other = ports.setdefault((router, out_port), driver)
-            if other is not driver:
-                return None, (f"streams {other.name!r} and {driver.name!r} share output port "
-                              f"{Port(out_port).short_name} of router {router.name!r}")
-        paths.append((path, driver.dest))
-    cache[streams] = paths
-    return paths, None
+            if out_port and any(router._tx_by_port[out_port].credits):
+                return "flits are in flight"
+    return None
+
+
+def _held(path: List[Tuple[Any, int, int]]) -> Optional[str]:
+    """Why *path* cannot be a line: a virtual channel on it held or a credit
+    of it out while no flit of it is in flight (a worm a fault cut)."""
+    for router, in_port, out_port in path:
+        nv = router.num_vcs
+        routes = router._route[in_port * nv:in_port * nv + nv].count(None)
+        credits = router._credits[out_port * nv:out_port * nv + nv].count(router.fifo_depth)
+        if router._free[out_port] != (1 << nv) - 1 or routes < nv or credits < nv:
+            return f"a virtual channel of router {router.name!r} is held"
+    return None
 
 
 def plan(datapath: Any, cycle: int) -> Tuple[Optional[PacketLines], Optional[str], bool]:
-    """One line per stream of *datapath* (a
+    """One line per stream alone in its group of *datapath* (a
     :class:`~repro.baseline.router.PacketDatapath`) from the state after the
-    latch of ``cycle - 1`` — or ``None``, why the walk runs and whether to
-    look again after the next cycle (while flits are in flight)."""
-    paths, reason = _shape(datapath)
-    if paths is None:
+    latch of ``cycle - 1``, and why the other streams' routers walk beside
+    them (``None`` if none do) — or ``None``, why every router walks and
+    whether to look again after the next cycle (while flits are in flight).
+
+    Beside a walk the lines' own hops, wires and tile queues must be idle;
+    with no walk beside them every router and wire must be."""
+    lines, walked, reason = _shape(datapath)
+    if not lines and reason is not None:
         return None, reason, False
-    if datapath._next or datapath._arrivals or datapath._returns:
-        return None, "flits are in flight", True
-    for router in datapath.routers:
-        if router._occupied:
-            return None, f"a FIFO of router {router.name!r} holds a flit", True
-    for path, _dest in paths:
+    if walked:
+        waiting = _in_flight(datapath, walked, lines)
+        if waiting is not None:
+            return None, waiting, True
+    else:
+        if datapath._next or datapath._arrivals or datapath._returns:
+            return None, "flits are in flight", True
+        for router in datapath.routers:
+            if router._occupied:
+                return None, f"a FIFO of router {router.name!r} holds a flit", True
+    laid = []
+    for path, dest in lines:
+        held = _held(path)
+        if held is None:
+            laid.append((path, dest))
+            continue
+        reason = reason or held  # the stream walks alone
+        walked = dict(walked)
         for router, in_port, out_port in path:
-            nv = router.num_vcs
-            routes = router._route[in_port * nv:in_port * nv + nv].count(None)
-            credits = router._credits[out_port * nv:out_port * nv + nv].count(router.fifo_depth)
-            if router._free[out_port] != (1 << nv) - 1 or routes < nv or credits < nv:
-                return None, f"a virtual channel of router {router.name!r} is held", False
-    datapath.live_routes = sum(len(path) for path, _dest in paths)
-    return PacketLines(datapath, {path[0][0]: (path, dest) for path, dest in paths}, cycle), None, False
+            walked[router, in_port, _key(dest)] = out_port
+    if reason is not None:
+        if not laid:
+            return None, reason, False
+        walkers = {hop[0] for hop in walked}
+        reason = f"{len(walkers)} of {len(datapath.routers)} routers walk: {reason}"
+    datapath.live_routes = sum(len(path) for path, _dest in laid)
+    return PacketLines(datapath, {path[0][0]: (path, dest) for path, dest in laid}, walked, cycle), reason, False

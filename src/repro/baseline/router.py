@@ -21,7 +21,8 @@ kernel component: one :class:`PacketDatapath` clocks every router of a
 fabric, a shard region or a single-router bench, and runs the stream
 endpoint records (:mod:`repro.baseline.testbench`) feeding them.  Under
 ``schedule="vector"`` it runs each stream that shares no output port and no
-source tile as a delay line (:mod:`repro.baseline.lines`).
+source tile as a delay line (:mod:`repro.baseline.lines`) and walks only
+the routers the other streams cross.
 """
 
 from __future__ import annotations
@@ -242,6 +243,8 @@ class PacketSwitchedRouter(DatapathMember):
 
 #: What an output port does with the flit it sends (first field of its record).
 _TO_MEMBER, _TO_OUTSIDE, _TO_DEAD = range(3)
+#: The tile queue the walk sees at a line's source router: always empty.
+_NO_QUEUE: Deque[int] = deque((), 0)
 
 
 def _overflow(router: PacketSwitchedRouter, index: int) -> CapacityError:
@@ -273,12 +276,16 @@ class PacketDatapath(FabricDatapath):
     :attr:`drivers`, fired before the ingest (a packet one completes is
     injected in the same cycle), and a bench's link stream units.
 
-    Under ``vector`` the lines (:mod:`repro.baseline.lines`) run the routers
-    instead while no two streams share an output port or a source tile:
-    laid at the first commit after a change that finds the walk parked
-    (:meth:`~repro.sim.datapath.FabricDatapath._lay_commit`), handed back
-    on an adoption or release, :meth:`reroute`, a relink, a fault,
-    :meth:`reset` or a packet queued for a destination no line serves.
+    Under ``vector`` the lines (:mod:`repro.baseline.lines`) run every
+    stream that shares no output port and no source tile with another, laid
+    at the first commit after a change that finds their own hops, wires and
+    tile queues idle (:meth:`~repro.sim.datapath.FabricDatapath._lay_commit`),
+    handed back on an adoption or release, :meth:`reroute`, a relink, a
+    fault, :meth:`reset` or a packet queued for a destination no stream
+    serves.  While every stream is a line their ``commit`` replaces this
+    one; beside the streams that share ports this ``commit`` walks only the
+    routers those cross, on ports no line uses, and never injects from a
+    lined tile's queue (:meth:`_inject_from`).
     """
 
     wire_watchers = ("watch_flits", "watch_credits")
@@ -384,7 +391,10 @@ class PacketDatapath(FabricDatapath):
                 sampled_credits.append((router, credits, base, wire[:]))
                 wire[:] = [0] * len(wire)
         if self.drivers.next_due == cycle:
-            self.drivers.fire(cycle)
+            if self._piping:  # lines run beside the walk: they book on the way
+                self._lines[0].commit(cycle)
+            else:
+                self.drivers.fire(cycle)
         if self._units:  # a bench's link streams: ahead of the ingest, whenever adopted
             self._turn(self._units, cycle)
         visit = self._next
@@ -586,6 +596,8 @@ class PacketDatapath(FabricDatapath):
     # takes the slower path of an unshared dictionary.
 
     def _reset_pipe(self) -> None:
+        for laid in getattr(self, "_lines", ()):  # none before the skeleton's first reset
+            laid.hand_back()
         super()._reset_pipe()
         self._lay_next()
 
@@ -593,13 +605,29 @@ class PacketDatapath(FabricDatapath):
         return lines.plan(self, cycle)
 
     def _start_pipe(self, plan: lines.PacketLines, cycle: int) -> None:
-        # While the lines run, their ``commit`` and :meth:`_pipe_next_event`
-        # shadow :meth:`commit` and :meth:`next_event_cycle`, so the walk
-        # pays nothing for them.
-        self._lines, self._piped_members = [plan], len(self.routers)
-        self.commit, self.next_event_cycle = plan.commit, self._pipe_next_event
+        # While every stream is a line, their ``commit`` and
+        # :meth:`_pipe_next_event` shadow :meth:`commit` and
+        # :meth:`next_event_cycle`, so the walk pays nothing for them.
+        self._lines = [plan]
+        if plan.walked:
+            for router in plan.paths:
+                self._inject_from(router, _NO_QUEUE)
+            self._piped_members = len({hop[0] for path, _dest in plan.paths.values() for hop in path})
+        else:
+            self._piped_members = len(self.routers)
+            self.commit, self.next_event_cycle = plan.commit, self._pipe_next_event
 
-    def _unpipe(self) -> None:
-        """The walk runs again from what the lines wrote back."""
-        del self.next_event_cycle
-        self.commit = self._lay_commit
+    def _inject_from(self, router: PacketSwitchedRouter, queue: Deque[int]) -> None:
+        """The walk injects *router*'s flits from *queue*: its tile's own, or
+        none while a line takes them."""
+        state = router._state
+        router._state = (*state[:13], queue, *state[14:])
+
+    def _pipe_release(self, cycle: Optional[int] = None) -> None:
+        # The walk runs again from what the lines wrote back and takes their
+        # records and tiles over.
+        laid = self._lines[0]
+        super()._pipe_release(cycle)
+        laid.hand_back()
+
+    _unpipe = FabricDatapath._lay_next

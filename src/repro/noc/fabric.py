@@ -578,14 +578,17 @@ class NocBase:
         routers — or, before the first cycle, that
         the pipe is laid at the end of it.  On the circuit kind the
         fan-in, boundary and dead-wire reasons keep only the routers
-        chained by routes to the refused one on the walk and read ``"N of
-        M routers walk: …"`` while the pipe runs the rest.  Under
+        chained by routes to the refused one on the walk, and on the packet
+        kind every reason but a wire to the outside and flits in flight
+        keeps only the routers the streams sharing ports or refused cross;
+        both read ``"N of M routers walk: …"`` while the pipe runs the
+        rest.  Under
         ``strict`` it is ``None`` and no pipe runs.  ``batched_cycles``
         counts the cycles the pipe ran, all routers or some (leaped ones
         included), and ``scalar_cycles`` those every router ran, both as
         of the last ``sync``; ``live_routes`` is the count of configured
         route-hops (GT: programmed slot entries on a line; packet: routers
-        on a stream's route) when the lines were last laid (``None``
+        on a line's route) when the lines were last laid (``None``
         before the first cycle).
         """
         requested = self.kernel.schedule

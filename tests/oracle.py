@@ -52,7 +52,8 @@ _NO_ID = (1 << ID_SHIFT) - 1
 
 def _packet_state(datapath: PacketDatapath, network: Any) -> Any:
     """Every router's buffers, VC and arbiter state and tile, every wire, and
-    the walk's visit set and wire records (as sets: their order moves nothing)."""
+    the walk's visit set and wire records, the lines' included (as sets:
+    their order moves nothing)."""
     routers = {}
     for position, router in network.routers.items():
         tile = router.tile
@@ -67,10 +68,12 @@ def _packet_state(datapath: PacketDatapath, network: Any) -> Any:
         )
     wires = {key: (link.forward and link.forward & _NO_ID, list(link.credits), link.dropped)
              for key, link in network.links.items()}
+    # The lines keep theirs apart from the walk's until they hand them back.
+    moved, arrivals, returns = datapath._lines[0].records if datapath.piping else ({}, [], [])
     walk = (
-        sorted(router.name for router in datapath._next),
-        sorted(record[0].name for record in datapath._arrivals),
-        sorted({(record[4].name, record[3]) for record in datapath._returns}),
+        sorted(router.name for router in {**datapath._next, **moved}),
+        sorted(record[0].name for record in [*datapath._arrivals, *arrivals]),
+        sorted({(record[4].name, record[3]) for record in [*datapath._returns, *returns]}),
     )
     return routers, wires, walk
 

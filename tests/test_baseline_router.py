@@ -9,24 +9,26 @@ production routers but the wires, which carry packed flits.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 import pytest
-from conftest import FabricScenario, fabric_scenarios, step_twins, twin_benches, words
-from oracle import SCHEDULES, assert_same, materialised
+from conftest import FabricScenario, drawn, fabric_scenarios, step_twins, twin_benches, words
+from oracle import SCHEDULES, assert_identical, assert_same, materialised
 from pacing import CyclePacer
 from two_phase import TwoPhase
 from hypothesis import example, given, settings, strategies as st
 
-from repro.apps import hiperlan2
+from repro.apps import hiperlan2, umts
 from repro.apps.traffic import BitFlipPattern, scenario_by_name, word_generator
 from repro.baseline.flit import (
     FLIT_PAYLOAD_BITS, HEAD_BIT, PAYLOAD_MASK, PAYLOAD_SHIFT, VC_MASK, Flit, FlitType, Packet, pack, pack_packet,
     packetize, unpack,
 )
+from repro.baseline import lines
 from repro.baseline.link import PacketLink
 from repro.baseline.router import PacketDatapath, PacketSwitchedRouter
 from repro.baseline.routing import xy_route
@@ -1449,3 +1451,213 @@ class TestLinesEqualStrict:
             network.kernel.reset()
         _windows(networks, 300, seed=6)
         assert networks["default"].datapath.piping
+
+
+def _paced(**schedule):
+    """The packet fabric of ``app_traffic``: HiperLAN/2 and UMTS admitted by a
+    CCN on a 6x6 mesh at half load; returns it and its CCN."""
+    network = PacketSwitchedNoC(Mesh2D(6, 6), frequency_hz=100e6, **schedule)
+    ccn, source = CentralCoordinationNode(network=network), word_generator(BitFlipPattern.TYPICAL, seed=11)
+    for graph in (hiperlan2.build_process_graph(), umts.build_process_graph()):
+        ccn.admit(graph)
+        ccn.attach_traffic(graph.name, source, load=0.5)
+    return network, ccn
+
+
+def _mixed():
+    """A 4x4 packet mesh under strict and the default schedule.  Streams
+    ``a`` and ``b`` share port E of (1, 1) and ``c`` and ``d`` the ejection
+    port of (0, 3), so they walk; ``source`` runs as a line from (2, 1), a
+    router of the walked row, and ``transit`` as one through (1, 1) into
+    (1, 3), ``d``'s source."""
+    networks = {}
+    for name, schedule in SCHEDULES.items():
+        network = networks[name] = PacketSwitchedNoC(Mesh2D(4, 4), frequency_hz=100e6, **schedule)
+        for index, (stream, src, dst, mbps) in enumerate([
+            ("a", (0, 1), (3, 1), 800.0), ("b", (1, 1), (3, 1), 400.0), ("source", (2, 1), (2, 3), 800.0),
+            ("transit", (1, 0), (1, 3), 800.0), ("c", (0, 2), (0, 3), 800.0), ("d", (1, 3), (0, 3), 600.0),
+        ]):
+            network.attach_channel(stream, src, dst, mbps, words(index), load=1.0)
+    return networks
+
+
+def _beside(network):
+    """Whether the network's lines run beside a walk."""
+    return network.datapath.piping and network.schedule_report()["reason"] is not None
+
+
+class TestLinesBesideTheWalk:
+    """Streams that share an output port or a source tile walk, and every
+    stream alone in its group runs as a line beside them: at every stop of
+    1-41-cycle windows the routers, wires and walk records equal strict's
+    walk."""
+
+    def test_the_application_fabric(self, monkeypatch):
+        networks = {name: _paced(**schedule)[0] for name, schedule in SCHEDULES.items()}
+        _windows(networks, 2000, seed=7)
+        booked = []
+        book = lines.PacketLines.book
+        monkeypatch.setattr(lines.PacketLines, "book", lambda laid, cycle: booked.append(cycle) or book(laid, cycle))
+        for network in networks.values():  # the walk's commit books the lines on the way
+            network.run(2 * BOOK_EVERY + 50)
+        assert_same(networks, materialised)
+        assert len(booked) == 3 and booked[-1] - booked[0] > BOOK_EVERY
+        report = networks["default"].schedule_report()
+        assert report["reason"].startswith("13 of 36 routers walk: streams ") and " share output port " in report["reason"]
+        assert report["live_routes"] == 17 and report["scalar_cycles"] == 0 and report["batched_cycles"] > 3000
+        stats = networks["default"].kernel.scheduler_stats
+        assert stats.vector_components == stats.vector_batches * 11  # the routers on lines
+
+    def test_lined_routers_on_a_walked_path(self):
+        networks = _mixed()
+        _windows(networks, 1200, seed=8)
+        report = networks["default"].schedule_report()
+        assert report["reason"].startswith("7 of 16 routers walk: ") and report["live_routes"] == 7
+        assert _beside(networks["default"])
+
+    @pytest.mark.parametrize("wire, reroute, beside", [
+        (((1, 1), (2, 1)), False, True),
+        (((1, 1), (2, 1)), True, True),
+        (((1, 1), (1, 2)), False, True),
+        (((1, 1), (1, 2)), True, False),  # the detour joins transit to the walked row
+    ], ids=["walked", "walked-rerouted", "lined", "lined-rerouted"])
+    def test_a_fault_mid_packet(self, wire, reroute, beside):
+        networks = _mixed()
+        _windows(networks, 400, until=_holds_a_flit(*wire))
+        assert _beside(networks["default"])
+        dropped = [network.fail_link(*wire) for network in networks.values()]
+        assert dropped == [1, 1]
+        if reroute:
+            for network in networks.values():
+                network.refresh_routing(network.degraded_topology())
+        _windows(networks, 600, seed=9)
+        assert _beside(networks["default"]) == beside
+
+    def test_a_ccn_release_of_the_contended_application(self):
+        networks, ccns = {}, {}
+        for name, schedule in SCHEDULES.items():
+            networks[name], ccns[name] = _paced(**schedule)
+        _windows(networks, 300, seed=10)
+        assert _beside(networks["default"])
+        graph = umts.build_process_graph()
+        finals = [ccn.release(graph.name) for ccn in ccns.values()]
+        assert finals[0] == finals[1]
+        assert_same(networks, materialised)
+        _windows(networks, 400, seed=11)
+        for ccn in ccns.values():
+            ccn.admit(graph)
+            ccn.attach_traffic(graph.name, words(5), load=0.5)
+        _windows(networks, 400, seed=12)
+        assert _beside(networks["default"])
+
+    def test_a_worm_cut_by_a_fault(self):
+        """The worm a fault cuts holds its VCs downstream of the dead wire for
+        good: a stream adopted across them walks alone."""
+        networks = {}
+        for name, schedule in SCHEDULES.items():
+            network = networks[name] = PacketSwitchedNoC(Mesh2D(4, 4), frequency_hz=100e6, **schedule)
+            network.attach_channel("cut", (0, 0), (3, 0), 800.0, words(1), load=1.0)
+            network.attach_channel("row", (0, 3), (3, 3), 800.0, words(2), load=1.0)
+        wire = (1, 0), (2, 0)
+        _windows(networks, 400, until=lambda network: (network.links[wire].forward or HEAD_BIT) & HEAD_BIT == 0)
+        assert [network.fail_link(*wire) for network in networks.values()] == [1, 1]
+        _windows(networks, 200, seed=15)
+        for network in networks.values():
+            network.attach_channel("late", (2, 0), (3, 0), 800.0, words(3), load=1.0)
+        _windows(networks, 600, seed=16)
+        report = networks["default"].schedule_report()
+        assert "crosses the dead wire" in report["reason"] and report["live_routes"] == 4
+
+    def test_hand_written_packets(self):
+        """A packet queued by hand at a line's source for its destination rides
+        the line, and one for another destination hands the routers back; a
+        lay waits for what a relay left in a tile queue."""
+        networks = _mixed()
+        _windows(networks, 200, seed=17)
+        for network in networks.values():
+            network.router_at((2, 1)).tile.send_packet(Packet((2, 1), (2, 3), list(range(20))))
+        assert _beside(networks["default"])
+        for network in networks.values():  # an adoption: the routers are handed back with the packet queued
+            network.attach_channel("late", (3, 3), (3, 2), 400.0, words(6), load=1.0)
+        _windows(networks, 300, seed=18)
+        assert _beside(networks["default"])
+        for network in networks.values():
+            network.router_at((2, 1)).tile.send_packet(Packet((2, 1), (0, 0), [1, 2, 3]))
+        assert not networks["default"].datapath.piping
+        _windows(networks, 300, seed=19)
+        assert _beside(networks["default"])
+        for network in networks.values():  # from a tile no stream leaves, along transit's line
+            network.router_at((0, 0)).tile.send_packet(Packet((0, 0), (1, 3), [7]))
+        assert not networks["default"].datapath.piping
+        _windows(networks, 300, seed=20)
+        assert _beside(networks["default"])
+
+    def test_a_lay_waits_for_every_flit_off_the_walked_routes(self):
+        """A flit of no walked stream — here one of ``transit``'s, put by hand
+        into a tile queue, a FIFO or onto a wire — or a credit on a line's wire
+        holds the lines back, and the datapath looks again next cycle."""
+        network = _mixed()["default"]
+        datapath = network.datapath
+        assert lines.plan(datapath, 0)[0] is not None
+        head, body, tail = pack_packet(Packet((1, 0), (1, 3), [9, 8]), 0)[:3]
+        link = network.links[(1, 0), (1, 1)]
+        router, port = datapath._reader[link]
+        fifo = router._fifos[port * router.num_vcs]
+        tile = network.router_at((0, 0)).tile
+        for put, take, reason in [
+            (lambda: tile._injection_queue.append(head), tile._injection_queue.clear,
+             "the tile of router 'ps_router_0_0' queues a flit off the walked routes"),
+            (lambda: fifo.append(body), fifo.clear, "a FIFO of router 'ps_router_1_1' holds a flit off the walked routes"),
+            (lambda: (setattr(link, "forward", tail), datapath._arrivals.append(datapath._rx_record(link, router, port))),
+             lambda: (setattr(link, "forward", None), datapath._arrivals.clear()), "flits are in flight"),
+            (lambda: link.credits.__setitem__(1, 1), lambda: link.credits.__setitem__(1, 0), "flits are in flight"),
+        ]:
+            put()
+            router._occupied = (1 << port * router.num_vcs) if fifo else 0
+            assert lines.plan(datapath, 0) == (None, reason, True)
+            take()
+            router._occupied = 0
+        assert lines.plan(datapath, 0)[0] is not None
+
+    def test_a_stream_detached_from_its_group(self):
+        """Detaching ``b`` leaves ``a`` alone in its group, with flits queued
+        behind the port they shared and ``b``'s still in flight: ``a``'s line
+        is laid once they are gone."""
+        networks = _mixed()
+        _windows(networks, 400, until=lambda network: any(router._occupied for router in network.routers.values()))
+        assert _beside(networks["default"])
+        for network in networks.values():
+            network.detach_channel("b")
+        _windows(networks, 400, seed=22)
+        report = networks["default"].schedule_report()
+        assert report["reason"].startswith("3 of 16 routers walk: ") and report["live_routes"] == 11
+
+    def test_reset_then_rerun(self):
+        networks = _mixed()
+        _windows(networks, 150, seed=13)
+        for network in networks.values():
+            network.kernel.reset()
+            network.router_at((2, 1)).tile.send_packet(Packet((2, 1), (0, 0), [4, 5, 6]))
+        _windows(networks, 300, seed=14)
+        assert _beside(networks["default"])
+
+    def test_drawn_packet_fabrics(self, monkeypatch):
+        """Seeded draws of :func:`conftest.fabric_scenarios` on the packet kind,
+        every stream set as drawn, faults and windows included: strict =
+        the default schedule at every stop, and some draws lay lines beside
+        a walk."""
+        beside = []
+        start = PacketDatapath._start_pipe
+
+        def spy(datapath, plan, cycle):
+            beside.append(bool(plan.walked))
+            start(datapath, plan, cycle)
+
+        monkeypatch.setattr(PacketDatapath, "_start_pipe", spy)
+        mixed = 0
+        for seed in range(16):
+            scenario = drawn(fabric_scenarios(max_cycles=400), seed)
+            beside.clear()
+            assert_identical(dataclasses.replace(scenario, kind="packet", windows=scenario.windows or (7,)))
+            mixed += any(beside)
+        assert mixed >= 3

@@ -93,8 +93,9 @@ def test_vector_plane_batches_busy_cycles():
 
 def test_vector_on_packet_lays_a_line_per_stream():
     """Under vector the packet datapath runs a lone stream as a line, equal to
-    strict at every router and wire; the paced application fabric, whose
-    streams share output ports and source tiles, names why it walks."""
+    strict at every router and wire; the paced application fabric, where
+    thirteen streams share output ports and source tiles, walks only the
+    routers those cross and runs the other seven streams as lines."""
     networks = {}
     for schedule in ("strict", "vector"):
         network = networks[schedule] = build_network(
@@ -111,8 +112,9 @@ def test_vector_on_packet_lays_a_line_per_stream():
         ccn.admit(graph)
         ccn.attach_traffic(graph.name, source, load=0.5)
     paced.run(10)
-    reason = paced.schedule_report()["reason"]
-    assert " share output port " in reason and not paced.datapath.piping
+    report = paced.schedule_report()
+    assert report["reason"].startswith("13 of 36 routers walk: streams ") and " share output port " in report["reason"]
+    assert report["batched_cycles"] > 0 and report["live_routes"] == 17 and paced.datapath.piping
 
 
 def test_vector_on_gt_lays_a_line_per_connection():

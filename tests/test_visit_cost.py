@@ -21,20 +21,20 @@ exactly on one interpreter version, hence the CPython 3.11 gate.  Ten rows:
   untimed call; ``circuit bench gated`` the same with ``clock_gating=True``
   (Section 7.3).
 
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================  ========  ============
-row                  before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath  one route program  drivers in the datapath  circuit datapath  circuit endpoints  link endpoints  one clock loop  one phase  one pipe  one stream record  GT lines  packet lines
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================  ========  ============
-gt                   4 281                        3 500     3 118             1 220            1 219                1 219              1 084                    1 077             1 069              1 072           1 024           1 007      1 009     1 009              283       283
-gt paced             -                            -         2 022             1 294            1 293                1 293              964                      958               952                958             881             861        863       863                501       501
-gt bench             -                            -         -                 -                -                    -                  -                        -                 593                592             525             512        514       511                507       507
-packet               8 426                        7 454     6 653             6 645            3 534                3 534              3 440                    3 438             3 437              3 443           3 419           3 415      3 416     3 416              3 416     509
-packet paced         -                            -         -                 -                -                    1 859              1 663                    1 654             1 645              1 659           1 590           1 577      1 580     1 579              1 579     1 579
-packet bench         -                            -         -                 1 113            979                  978                977                      963               949                863             798             785        787       787                787       787
-circuit              -                            1 477     1 428             1 420            1 416                1 412              1 406                    1 377             1 206              1 191           1 132           1 124      822       827                828       828
-circuit paced        -                            -         -                 -                -                    -                  -                        2 205             1 828              1 810           1 746           1 738      1 436     1 450              1 453     1 453
-circuit bench        -                            3 587     3 093             3 085            3 084                2 469              2 463                    2 455             2 324              2 323           2 267           2 255      812       824                828       828
-circuit bench gated  -                            -         -                 -                2 606                1 821              1 812                    1 802             1 718              1 716           1 655           1 644      1 651     1 653              1 653     1 653
-===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================  ========  ============
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================  ========  ============  =============
+row                  before a visit was one pass  one pass  counters by slot  one GT datapath  one packet datapath  one route program  drivers in the datapath  circuit datapath  circuit endpoints  link endpoints  one clock loop  one phase  one pipe  one stream record  GT lines  packet lines  packet groups
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================  ========  ============  =============
+gt                   4 281                        3 500     3 118             1 220            1 219                1 219              1 084                    1 077             1 069              1 072           1 024           1 007      1 009     1 009              283       283           283
+gt paced             -                            -         2 022             1 294            1 293                1 293              964                      958               952                958             881             861        863       863                501       501           501
+gt bench             -                            -         -                 -                -                    -                  -                        -                 593                592             525             512        514       511                507       507           507
+packet               8 426                        7 454     6 653             6 645            3 534                3 534              3 440                    3 438             3 437              3 443           3 419           3 415      3 416     3 416              3 416     509           508
+packet paced         -                            -         -                 -                -                    1 859              1 663                    1 654             1 645              1 659           1 590           1 577      1 580     1 579              1 579     1 579         932
+packet bench         -                            -         -                 1 113            979                  978                977                      963               949                863             798             785        787       787                787       787           788
+circuit              -                            1 477     1 428             1 420            1 416                1 412              1 406                    1 377             1 206              1 191           1 132           1 124      822       827                828       828           828
+circuit paced        -                            -         -                 -                -                    -                  -                        2 205             1 828              1 810           1 746           1 738      1 436     1 450              1 453     1 453         1 453
+circuit bench        -                            3 587     3 093             3 085            3 084                2 469              2 463                    2 455             2 324              2 323           2 267           2 255      812       824                828       828           828
+circuit bench gated  -                            -         -                 -                2 606                1 821              1 812                    1 802             1 718              1 716           1 655           1 644      1 651     1 653              1 653     1 653         1 653
+===================  ===========================  ========  ================  ===============  ===================  =================  =======================  ================  =================  ==============  ==============  =========  ========  =================  ========  ============  =============
 
 "One pass" replaced a sampling ``evaluate``, constants booked in every
 ``commit`` and one ``ActivityCounters.add`` per counter; "by slot" replaced
@@ -81,10 +81,14 @@ the packet datapath's per-cycle walk of an uncontended stream under
 ``vector`` with a delay line per stream that books each flit once per hop
 from prefix sums at ``sync``, so a cycle only fires the drivers due (the
 paced and bench fabrics, whose streams share ports or use outside wires,
-still walk).  The ``packet`` ceiling is the "packet lines" value + 8 %, the
-``gt`` and ``gt paced`` ceilings the "GT lines" value + 8 %; the GT and
-packet bench ceilings, ``packet paced`` and ``circuit bench gated`` the
-"one phase" value + 8 %; the other three rows the "one pipe" value + 8 %.
+still walk); "packet groups" walked only the streams that share an output
+port or a source tile and ran every other stream as a line beside them, so
+the paced fabric walks 13 of its 36 routers (the packet bench moved by the
+walk's test for lines beside it when a driver is due).  The ``packet`` ceiling is the "packet lines"
+value + 8 %, ``packet paced`` the "packet groups" value + 8 %, the ``gt``
+and ``gt paced`` ceilings the "GT lines" value + 8 %; the GT and packet
+bench ceilings and ``circuit bench gated`` the "one phase" value + 8 %; the
+other three rows the "one pipe" value + 8 %.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ BENCH_CYCLES = 1000
 
 #: Bytecodes per simulated cycle each row may cost.
 CEILINGS = {
-    "gt": 306, "gt paced": 541, "gt bench": 552, "packet": 550, "packet paced": 1703, "packet bench": 847,
+    "gt": 306, "gt paced": 541, "gt bench": 552, "packet": 550, "packet paced": 1007, "packet bench": 847,
     "circuit": 887, "circuit paced": 1550, "circuit bench": 876, "circuit bench gated": 1775,
 }
 
